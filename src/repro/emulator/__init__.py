@@ -10,6 +10,8 @@ innovation checks) over simulated lower layers:
 * :mod:`repro.emulator.node` — per-node data planes (rate-driven coding,
   credit-driven coding, store-and-forward).
 * :mod:`repro.emulator.engine` — the slot loop.
+* :mod:`repro.emulator.awake` — the awake set the slot loops sweep
+  (runtimes parked at a fixed point are skipped until woken).
 * :mod:`repro.emulator.session` — session drivers and results.
 * :mod:`repro.emulator.stats` — figure metrics (gains, queues, utility).
 """

@@ -1,0 +1,103 @@
+"""The awake set: which runtimes a slot still has to visit.
+
+A slot costs what is awake, not what exists.  Most runtimes of a large
+session are silent most of the time — relays downstream of the wave
+front, every relay right after an ACK reset its buffer, every
+destination, every session that has not arrived yet — and a silent
+runtime at an exact fixed point (:meth:`NodeRuntime.dormant`) does
+nothing when ticked: no field moves, it does not contend, it holds no
+queue.  Skipping it is therefore unobservable: no RNG stream, float
+accumulator, trace event or stats field can tell the difference.
+
+:class:`AwakeSet` keeps the positions (indices into a fixed runtime
+list) that are awake, in ascending order, and is the only per-runtime
+sweep of both slot loops — :class:`~repro.emulator.engine.EmulationEngine`
+and :class:`~repro.emulator.shard.ShardWorker`.  Runtimes leave the set
+when :meth:`tick` finds them dormant and come back through
+:meth:`wake` (a delivery) or :meth:`wake_all` (anything that reaches
+into runtimes from outside the loop).
+"""
+
+from __future__ import annotations
+
+from typing import List, Sequence, Tuple
+
+from repro.emulator.node import NodeRuntime
+
+
+class AwakeSet:
+    """Sorted awake positions plus parked flags over ``count`` runtimes."""
+
+    #: Slots between park checks.  A check costs one ``dormant`` call
+    #: per idle awake runtime, so it is spread over a few slots; a
+    #: runtime that became dormant stays awake (and is ticked to no
+    #: effect) for at most this many extra slots.
+    PARK_INTERVAL = 4
+
+    def __init__(self, count: int) -> None:
+        self._parked: List[bool] = [False] * count
+        self._awake: List[int] = list(range(count))
+        self._sorted = True
+        self._ticks = 0
+
+    def wake(self, position: int) -> None:
+        """Put one runtime back in the sweep (no-op if already awake)."""
+        if self._parked[position]:
+            self._parked[position] = False
+            self._awake.append(position)
+            self._sorted = False
+
+    def wake_all(self) -> None:
+        """Put every runtime back in the sweep."""
+        count = len(self._parked)
+        if len(self._awake) != count:
+            self._parked = [False] * count
+            self._awake = list(range(count))
+            self._sorted = True
+
+    def parked_positions(self) -> List[int]:
+        """Positions currently skipped, ascending."""
+        return [i for i, parked in enumerate(self._parked) if parked]
+
+    def tick(
+        self, runtimes: Sequence[NodeRuntime], dt: float
+    ) -> Tuple[List[int], List[float]]:
+        """Advance every awake runtime one slot; return the contenders.
+
+        Returns the positions with positive backlog, ascending, and
+        their scheduling weights (``demand_rate``) in the same order.
+        Every ``PARK_INTERVAL``-th call additionally parks the awake
+        runtimes that are idle and report ``dormant``.
+        """
+        if not self._sorted:
+            self._awake.sort()
+            self._sorted = True
+        self._ticks += 1
+        check = self._ticks % self.PARK_INTERVAL == 0
+        parked = self._parked
+        parked_any = False
+        contenders: List[int] = []
+        weights: List[float] = []
+        for position in self._awake:
+            runtime = runtimes[position]
+            runtime.on_slot(dt)
+            if runtime.backlog() > 0.0:
+                contenders.append(position)
+                weights.append(runtime.demand_rate(dt))
+            elif check and runtime.dormant(dt):
+                parked[position] = True
+                parked_any = True
+        if parked_any:
+            self._awake = [p for p in self._awake if not parked[p]]
+        return contenders, weights
+
+    def sample_queues(
+        self, runtimes: Sequence[NodeRuntime], queue_times: List[float]
+    ) -> None:
+        """Add each awake runtime's queue length to its time integral.
+
+        Parked runtimes hold an empty queue by contract, so their
+        integrals need no visit.
+        """
+        for position in self._awake:
+            queue_times[position] += runtimes[position].queue_length()

@@ -3,7 +3,10 @@
 Time advances in packet slots (one slot = the airtime of one packet at
 the MAC channel capacity).  Each slot:
 
-1. every runtime accrues credits / generates packets (``on_slot``);
+1. every *awake* runtime accrues credits / generates packets
+   (``on_slot``); runtimes parked at an exact fixed point are skipped
+   (:mod:`repro.emulator.awake`) until a delivery or the control plane
+   wakes them;
 2. the ideal MAC scheduler grants a conflict-free transmitter set;
 3. granted coded transmitters broadcast — every in-range participant
    draws an independent reception; granted unicast transmitters attempt
@@ -19,11 +22,12 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Set, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Set, Tuple
 
 import numpy as np
 
 from repro import obs
+from repro.emulator.awake import AwakeSet
 from repro.emulator.channel import LossyBroadcastChannel
 from repro.emulator.node import NodeRuntime, UnicastRuntime
 from repro.emulator.scheduler import ConflictGraph, IdealMacScheduler
@@ -140,10 +144,11 @@ class EmulationEngine:
         )
         participants = self._conflicts.participants
         self._participants = participants
+        self._positions = {node: i for i, node in enumerate(participants)}
         self._runtime_list = [self._runtimes[node] for node in participants]
-        count = len(participants)
-        self._backlog_buf: List[float] = [0.0] * count
-        self._weight_buf: List[float] = [0.0] * count
+        # Rebuilt with everything awake: whoever asked for the rebuild
+        # may have swapped plans or runtime objects.
+        self._awake = AwakeSet(len(participants))
         # Queue-time accumulators carry over: a node that participated
         # before a rebuild keeps its integral, new nodes start at zero.
         queue_time_sum = self._stats.queue_time_sum
@@ -225,8 +230,40 @@ class EmulationEngine:
 
     @property
     def runtimes(self) -> Dict[int, NodeRuntime]:
-        """The live per-node runtimes (shared objects, not copies)."""
+        """The live per-node runtimes (shared objects, not copies).
+
+        Handing out live objects invites mutation the engine cannot see,
+        so every runtime is woken; a caller that keeps the objects and
+        mutates them later must call :meth:`wake_all` (or go through
+        :meth:`apply_plan_updates`) itself.
+        """
+        self._awake.wake_all()
         return dict(self._runtimes)
+
+    def wake_all(self) -> None:
+        """Re-examine every runtime on the next slot.
+
+        The slot loop skips runtimes parked at a fixed point of their
+        tick; anything that changes a runtime from outside the loop has
+        to un-park it.  Every engine entry point that can do so calls
+        this already; it is public for code that mutates a runtime
+        object directly between :meth:`step` calls.
+        """
+        self._awake.wake_all()
+
+    def parked_nodes(self) -> Tuple[int, ...]:
+        """Nodes the slot loop currently skips (introspection)."""
+        participants = self._participants
+        return tuple(participants[i] for i in self._awake.parked_positions())
+
+    def apply_plan_updates(self, updates: Mapping[int, Mapping[str, Any]]) -> None:
+        """Hot-swap plan parameters: ``runtime.apply_plan(**params)`` per node."""
+        unknown = sorted(set(updates) - set(self._runtimes))
+        if unknown:
+            raise KeyError(f"no runtimes for nodes {unknown}")
+        for node, params in updates.items():
+            self._runtimes[node].apply_plan(**params)
+            self._awake.wake(self._positions[node])
 
     @property
     def network(self) -> WirelessNetwork:
@@ -295,6 +332,9 @@ class EmulationEngine:
         slot after delivery processing."""
         if max_slots < 0:
             raise ValueError(f"max_slots must be >= 0, got {max_slots}")
+        # Between runs the caller owns the runtimes (epoch drivers swap
+        # plans there), so nothing parked survives the boundary.
+        self._awake.wake_all()
         for _ in range(max_slots):
             self.step()
             if stop_when is not None and stop_when():
@@ -305,19 +345,15 @@ class EmulationEngine:
     def step(self) -> Tuple[int, ...]:
         """Execute one slot; returns the granted transmitter set."""
         dt = self._dt
-        backlogs = self._backlog_buf
-        weights = self._weight_buf
-        # One pass per runtime: clock advance, then scheduler inputs.
-        # Safe to fuse — runtimes only interact through deliveries, and
-        # each holds its own RNG, so per-node slot work is independent.
-        for index, runtime in enumerate(self._runtime_list):
-            runtime.on_slot(dt)
-            backlogs[index] = runtime.backlog()
-            weights[index] = runtime.demand_rate(dt)
+        # One pass per awake runtime: clock advance, then scheduler
+        # inputs.  Safe to fuse — runtimes only interact through
+        # deliveries, and each holds its own RNG, so per-node slot work
+        # is independent.
+        contenders, weights = self._awake.tick(self._runtime_list, dt)
         if self._node_streams is None:
-            granted = self._scheduler.schedule_arrays(backlogs, weights)
+            granted = self._scheduler.schedule_contenders(contenders, weights)
         else:
-            granted = self._schedule_per_node(backlogs, weights)
+            granted = self._schedule_per_node(contenders, weights)
         if self._tracer is not None:
             for node in granted:
                 self._tracer.record(
@@ -326,13 +362,14 @@ class EmulationEngine:
         self._deliver(granted)
         queue_times = self._queue_time_buf
         if self._obs_enabled:
+            # The histogram takes one sample per runtime per slot, in
+            # participant order, parked or not (parked ones read 0).
             for index, runtime in enumerate(self._runtime_list):
                 queue_length = runtime.queue_length()
                 queue_times[index] += queue_length
                 self._m_queue.observe(queue_length)
         else:
-            for index, runtime in enumerate(self._runtime_list):
-                queue_times[index] += runtime.queue_length()
+            self._awake.sample_queues(self._runtime_list, queue_times)
         stats = self._stats
         stats.slots += 1
         stats.elapsed += dt
@@ -344,7 +381,7 @@ class EmulationEngine:
         return granted
 
     def _schedule_per_node(
-        self, backlogs: List[float], weights: List[float]
+        self, contenders: List[int], weights: List[float]
     ) -> Tuple[int, ...]:
         """Weighted-lottery grant with per-contender key streams.
 
@@ -360,11 +397,9 @@ class EmulationEngine:
         participants = self._participants
         floor = IdealMacScheduler.WEIGHT_FLOOR
         keyed: List[Tuple[float, int]] = []
-        for position, backlog in enumerate(backlogs):
-            if backlog <= 0.0:
-                continue
+        for position, weight in zip(contenders, weights):
             draw = float(streams.get("mac", participants[position]).exponential(1.0))
-            keyed.append((draw / max(weights[position], floor), position))
+            keyed.append((draw / max(weight, floor), position))
         keyed.sort()
         return self._scheduler.grant_from_keyed(keyed)
 
@@ -486,6 +521,7 @@ class EmulationEngine:
                     peer=receiver,
                 )
             runtime = self._runtimes[receiver]
+            self._awake.wake(self._positions[receiver])
             if isinstance(self._runtimes[sender], UnicastRuntime):
                 self._pending_unicast[sender] = True
                 assert isinstance(runtime, UnicastRuntime)
@@ -521,6 +557,7 @@ class EmulationEngine:
                 -1,
                 detail=generation_id,
             )
+        self._awake.wake_all()
         for runtime in self._runtimes.values():
             runtime.advance_generation(generation_id)
 
@@ -544,6 +581,7 @@ class EmulationEngine:
                 peer=session_id,
                 detail=generation_id,
             )
+        self._awake.wake_all()
         for runtime in self._runtimes.values():
             runtime.advance_session_generation(session_id, generation_id)
 
@@ -557,6 +595,7 @@ class EmulationEngine:
                 -1,
                 peer=session_id,
             )
+        self._awake.wake_all()
         for runtime in self._runtimes.values():
             runtime.activate_session(session_id)
 
@@ -570,5 +609,6 @@ class EmulationEngine:
                 -1,
                 peer=session_id,
             )
+        self._awake.wake_all()
         for runtime in self._runtimes.values():
             runtime.deactivate_session(session_id)

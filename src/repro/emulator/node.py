@@ -66,6 +66,21 @@ class NodeRuntime:
     def on_slot(self, dt: float) -> None:
         """Advance local clocks/credits by one slot of ``dt`` seconds."""
 
+    def dormant(self, dt: float) -> bool:
+        """True only at an exact fixed point of the slot tick.
+
+        The contract the slot loop's awake set relies on
+        (:mod:`repro.emulator.awake`): when this returns True, every
+        future ``on_slot(dt)`` leaves every field bit-identical, and
+        ``backlog() == 0.0`` and ``queue_length() == 0``, until
+        something *other than the tick* touches the runtime — a
+        delivery, a generation advance, a plan swap, session churn.
+        A pure predicate: it never changes state.  "Nearly idle" is not
+        dormant; when in doubt return False (the base answer), which
+        only costs the skipped shortcut.
+        """
+        return False
+
     def backlog(self) -> float:
         """Transmission pressure for the scheduler (0 = nothing to send)."""
         return 0.0
@@ -348,6 +363,19 @@ class CodedRelayRuntime(NodeRuntime):
             )
             self._enqueued_this_slot = 0.0
 
+    def dormant(self, dt: float) -> bool:
+        # Rate mode only: the credit-mode demand EWMA moves every slot.
+        # Fixed point = nothing queued, credit pinned (at the cap, or
+        # the rate adds nothing) and nothing for that credit to drain.
+        if self._mode != "rate" or self._queue:
+            return False
+        credit = self._credit
+        pinned = (
+            min(credit + self._rate * dt / self._packet_bytes, self._CREDIT_CAP)
+            == credit
+        )
+        return pinned and (credit < 1.0 or self._buffer.buffered == 0)
+
     def _drain_credit(self) -> None:
         if self._credit < 1.0 or self._buffer.buffered == 0:
             return
@@ -458,6 +486,11 @@ class CodedDestinationRuntime(NodeRuntime):
         the next boundary.  Everything else is ignored, as in the base."""
         if coding is not None:
             self._pending_coding = coding
+
+    def dormant(self, dt: float) -> bool:
+        # A destination has no clock, credit or queue: only deliveries
+        # and generation advances move it.
+        return True
 
     def on_receive(  # type: ignore[override]
         self, packet: CodedPacket, sender: int
@@ -732,6 +765,18 @@ class FlowRelayRuntime(NodeRuntime):
             )
             self._enqueued_this_slot = 0.0
 
+    def dormant(self, dt: float) -> bool:
+        # Same fixed point as the exact relay, with the information
+        # level standing in for the buffer rank.
+        if self._mode != "rate" or self._queue:
+            return False
+        credit = self._credit
+        pinned = (
+            min(credit + self._rate * dt / self._packet_bytes, self._CREDIT_CAP)
+            == credit
+        )
+        return pinned and (credit < 1.0 or self.information <= 0.0)
+
     def _drain_credit(self) -> None:
         while self._credit >= 1.0 and self.information > 0.0:
             self._credit -= 1.0
@@ -823,6 +868,11 @@ class FlowDestinationRuntime(NodeRuntime):
         boundary); every other parameter is ignored, as in the base."""
         if coding is not None:
             self._pending_coding = coding
+
+    def dormant(self, dt: float) -> bool:
+        # A destination has no clock, credit or queue: only deliveries
+        # and generation advances move it.
+        return True
 
     def on_receive(  # type: ignore[override]
         self, packet: FlowPacket, sender: int
@@ -939,6 +989,10 @@ class UnicastRuntime(NodeRuntime):
             self._queue.append(self._next_seq)
             self._next_seq += 1
             self.packets_generated += 1
+
+    def dormant(self, dt: float) -> bool:
+        # Sinks and idle forwarders: no offered load and nothing queued.
+        return self._rate <= 0 and not self._queue
 
     def backlog(self) -> float:
         if self._next_hop is None:
@@ -1114,6 +1168,12 @@ class MultiSessionNodeRuntime(NodeRuntime):
             sub = self._subs[sid]
             sub.on_slot(dt)
             self._session_queue_time[sid] += sub.queue_length() * dt
+
+    def dormant(self, dt: float) -> bool:
+        # Dormant sub-runtimes hold empty queues, so the per-session
+        # queue integral's ``+= 0 * dt`` is exact as well.  Sessions
+        # that have not arrived or have departed are not ticked at all.
+        return all(self._subs[sid].dormant(dt) for sid in self._order)
 
     def backlog(self) -> float:
         return sum(self._subs[sid].backlog() for sid in self._order)

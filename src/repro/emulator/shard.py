@@ -1,8 +1,9 @@
 """Sharded slot-loop emulation: one session, many processes, one trace.
 
 The serial :class:`~repro.emulator.engine.EmulationEngine` walks every
-runtime every slot; at 10k+ nodes that single loop is the wall.  This
-module spreads the per-slot work over long-lived worker processes while
+awake runtime every slot in one process.  This module spreads the
+per-slot work over long-lived worker processes (each sweeping its own
+:class:`~repro.emulator.awake.AwakeSet`) while
 keeping the run *bit-identical* to the serial engine in per-node RNG
 mode — ``shards=1`` and ``shards=N`` produce the same trace, the same
 stats, the same :class:`~repro.emulator.session.SessionResult`.
@@ -47,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.emulator.awake import AwakeSet
 from repro.emulator.channel import LossyBroadcastChannel
 from repro.emulator.engine import EmulationEngine, EngineStats
 from repro.emulator.node import (
@@ -192,22 +194,18 @@ class ShardWorker:
         self._decode_log = init.decode_log
         self._delivery_log = init.delivery_log
         self._pending_unicast: Dict[int, bool] = {}
-        self._queue_time_sum: Dict[int, float] = {}
-        self._transmissions: Dict[int, int] = {}
         self._delivered_links: Set[Link] = set()
-        self._install_runtimes(dict(init.runtimes), tuple(init.participants))
-
-    def _install_runtimes(
-        self, runtimes: Dict[int, NodeRuntime], participants: Tuple[int, ...]
-    ) -> None:
-        self._runtimes = runtimes
-        self._owned = tuple(sorted(runtimes))
+        self._runtimes = dict(init.runtimes)
+        self._owned = tuple(sorted(self._runtimes))
         self._owned_set = frozenset(self._owned)
-        self._participants = participants
-        self._participant_set = frozenset(participants)
-        for node in self._owned:
-            self._queue_time_sum.setdefault(node, 0.0)
-            self._transmissions.setdefault(node, 0)
+        self._participants = tuple(init.participants)
+        self._participant_set = frozenset(self._participants)
+        self._transmissions: Dict[int, int] = {node: 0 for node in self._owned}
+        # Position-indexed over ``_owned``: the awake set's view.
+        self._positions = {node: i for i, node in enumerate(self._owned)}
+        self._runtime_list = [self._runtimes[node] for node in self._owned]
+        self._queue_time_buf: List[float] = [0.0] * len(self._owned)
+        self._awake = AwakeSet(len(self._owned))
         self._build_structures()
 
     def _build_structures(self) -> None:
@@ -236,6 +234,9 @@ class ShardWorker:
         node_count = network.node_count
         self._granted_flags: List[bool] = [False] * node_count
         self._covered_counts: List[int] = [0] * node_count
+        # Same rule as the engine's rebuild: a control-plane refresh
+        # leaves nothing parked.
+        self._awake.wake_all()
 
     # -- barrier phases ------------------------------------------------
 
@@ -253,31 +254,30 @@ class ShardWorker:
         contenders; the parent merges all shards' entries into the
         global greedy MIS pass.
         """
-        if events is not None:
+        if events:
+            self._awake.wake_all()
             for event in events:
                 if isinstance(event, int):
-                    for runtime in self._runtimes.values():
+                    for runtime in self._runtime_list:
                         runtime.advance_generation(event)
                 elif event[0] == "advance":
-                    for runtime in self._runtimes.values():
+                    for runtime in self._runtime_list:
                         runtime.advance_session_generation(event[1], event[2])
                 elif event[0] == "arrive":
-                    for runtime in self._runtimes.values():
+                    for runtime in self._runtime_list:
                         runtime.activate_session(event[1])
                 elif event[0] == "depart":
-                    for runtime in self._runtimes.values():
+                    for runtime in self._runtime_list:
                         runtime.deactivate_session(event[1])
                 else:
                     raise ValueError(f"unknown control event {event!r}")
         dt = self._dt
         floor = IdealMacScheduler.WEIGHT_FLOOR
+        owned = self._owned
+        contenders, weights = self._awake.tick(self._runtime_list, dt)
         keyed: List[Tuple[float, int]] = []
-        for node in self._owned:
-            runtime = self._runtimes[node]
-            runtime.on_slot(dt)
-            if runtime.backlog() <= 0.0:
-                continue
-            weight = runtime.demand_rate(dt)
+        for position, weight in zip(contenders, weights):
+            node = owned[position]
             draw = float(self._streams.get("mac", node).exponential(1.0))
             keyed.append((draw / max(weight, floor), node))
         return keyed
@@ -380,6 +380,7 @@ class ShardWorker:
                 sender, kind, payload = arrivals[index]
             self._delivered_links.add((sender, receiver))
             runtime = self._runtimes[receiver]
+            self._awake.wake(self._positions[receiver])
             if kind == "unicast":
                 assert isinstance(runtime, UnicastRuntime)
                 runtime.receive_sequence(payload)
@@ -411,9 +412,7 @@ class ShardWorker:
         self._sample_queues()
 
     def _sample_queues(self) -> None:
-        queue_times = self._queue_time_sum
-        for node in self._owned:
-            queue_times[node] += self._runtimes[node].queue_length()
+        self._awake.sample_queues(self._runtime_list, self._queue_time_buf)
 
     # -- control plane -------------------------------------------------
 
@@ -421,9 +420,9 @@ class ShardWorker:
         """Stall the data plane for ``slots`` slots (replan cost model)."""
         if slots <= 0:
             return
-        queue_times = self._queue_time_sum
-        for node in self._owned:
-            queue_times[node] += self._runtimes[node].queue_length() * slots
+        queue_times = self._queue_time_buf
+        for position, runtime in enumerate(self._runtime_list):
+            queue_times[position] += runtime.queue_length() * slots
 
     def set_network(self, network: WirelessNetwork) -> None:
         """Swap the topology mid-run; RNG streams are untouched."""
@@ -444,11 +443,12 @@ class ShardWorker:
         """Hot-swap plan parameters on owned runtimes."""
         for node, params in updates.items():
             self._runtimes[node].apply_plan(**params)
+            self._awake.wake(self._positions[node])
 
     def finalize(self, _argument: Optional[int] = None) -> Dict[str, Any]:
         """Shard-local stats for the parent's merge (non-destructive)."""
         return {
-            "queue_time_sum": dict(self._queue_time_sum),
+            "queue_time_sum": dict(zip(self._owned, self._queue_time_buf)),
             "transmissions": dict(self._transmissions),
             "delivered_links": sorted(self._delivered_links),
         }
@@ -618,6 +618,12 @@ class ShardedSession:
         """Advance up to ``max_slots``; ``stop_when`` checked per slot."""
         if max_slots < 0:
             raise ValueError(f"max_slots must be >= 0, got {max_slots}")
+        if self._engine is not None:
+            # The caller holds the live runtime objects in-process and
+            # may have touched them since the last run (see
+            # :meth:`EmulationEngine.run`); worker-resident runtimes are
+            # only reachable through the barrier calls, which wake.
+            self._engine.wake_all()
         for _ in range(max_slots):
             self.step()
             if stop_when is not None and stop_when():
@@ -842,13 +848,12 @@ class ShardedSession:
 
     def apply_plan_updates(self, updates: Dict[int, Dict[str, Any]]) -> None:
         """Route ``runtime.apply_plan(**params)`` to each node's owner."""
+        if self._engine is not None:
+            self._engine.apply_plan_updates(updates)
+            return
         unknown = sorted(set(updates) - set(self._runtimes))
         if unknown:
             raise KeyError(f"no runtimes for nodes {unknown}")
-        if self._engine is not None:
-            for node, params in updates.items():
-                self._runtimes[node].apply_plan(**params)
-            return
         assert self._partition is not None and self._group is not None
         owner = self._partition.owner
         per_shard: List[Dict[int, Dict[str, Any]]] = [

@@ -310,8 +310,9 @@ def run_adaptive_session(
                 replanned or decision != coding_current
             ):
                 coding_current = decision
-                for runtime in engine.runtimes.values():
-                    runtime.apply_plan(coding=decision)
+                engine.apply_plan_updates(
+                    {node: {"coding": decision} for node in engine.runtimes}
+                )
                 if tracer is not None:
                     tracer.record(
                         engine.stats.slots, engine.now, "coding", -1,

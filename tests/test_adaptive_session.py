@@ -43,6 +43,10 @@ from repro.topology.phy import lossy_phy
 from repro.topology.random_network import random_network
 from repro.util.rng import RngFactory
 
+# Every slot of every run below re-checks each parked runtime
+# (tests/conftest.py): a missing wake fails the oracle tests loudly.
+pytestmark = pytest.mark.usefixtures("parked_contract")
+
 
 @pytest.fixture(scope="module")
 def net_pair():

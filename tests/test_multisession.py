@@ -25,6 +25,10 @@ from repro.scenario.spec import ScenarioEvent, ScenarioSpec
 from repro.topology.random_network import random_network
 from repro.util.rng import RngFactory
 
+# Every slot of every run below re-checks each parked runtime
+# (tests/conftest.py): a missing wake fails the oracle tests loudly.
+pytestmark = pytest.mark.usefixtures("parked_contract")
+
 ORACLE_SEEDS = (1, 2008, 77)
 
 

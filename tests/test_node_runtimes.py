@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.emulator.node import (
     CodedDestinationRuntime,
@@ -11,8 +13,12 @@ from repro.emulator.node import (
     FlowPacket,
     FlowRelayRuntime,
     FlowSourceRuntime,
+    InterSessionXorRelay,
+    MultiSessionNodeRuntime,
     UnicastRuntime,
 )
+
+from tests.dormancy import assert_fixed_point
 
 PACKET_BYTES = 1000
 
@@ -239,3 +245,226 @@ class TestUnicastRuntime:
             0, 1, packet_bytes=PACKET_BYTES, demand_hint_bps=2000.0
         )
         assert node.demand_rate(0.5) == pytest.approx(1.0)
+
+
+# -- the dormant() fixed-point contract ----------------------------------------
+
+RATES = (0.0, 300.0, 2000.0, 1e6)
+SLOTS = (0.05, 0.5, 1.0)
+
+
+def _ignore(_generation):
+    return None
+
+
+def _exact_packets(blocks, generation_id, count=3):
+    from repro.coding.encoder import SourceEncoder
+    from repro.coding.generation import Generation
+
+    encoder = SourceEncoder(
+        1,
+        Generation(generation_id, np.zeros((blocks, 1), dtype=np.uint8)),
+        np.random.default_rng(5),
+        payload=False,
+    )
+    return [encoder.next_packet() for _ in range(count)]
+
+
+class _Driver:
+    """One runtime plus how to poke it: the operations a session performs."""
+
+    def __init__(self, runtime, family):
+        self.runtime = runtime
+        self.family = family  # "exact" | "flow" | "unicast" | "multi"
+        self.generation = 0
+        self.sequence = 0
+
+    def receive(self, sender):
+        runtime = self.runtime
+        if self.family == "unicast":
+            runtime.receive_sequence(self.sequence)
+            self.sequence += 1
+        elif self.family == "exact":
+            for packet in _exact_packets(4, self.generation, count=1 + sender):
+                runtime.on_receive(packet, sender)
+        else:
+            for session_id in (1, 2):
+                runtime.on_receive(FlowPacket(session_id, self.generation, 4.0), sender)
+
+    def pop(self, _argument):
+        runtime = self.runtime
+        if self.family == "unicast":
+            if runtime.peek_sequence() is not None:
+                runtime.complete_transmission(self.sequence % 2 == 0)
+        else:
+            runtime.pop_transmission()
+
+    def advance(self, _argument):
+        self.generation += 1
+        if self.family == "multi":
+            for session_id in (1, 2):
+                self.runtime.advance_session_generation(session_id, self.generation)
+        elif self.family != "unicast":
+            self.runtime.advance_generation(self.generation)
+
+    def plan(self, rate):
+        if self.family == "multi":
+            self.runtime.session_runtime(1).apply_plan(rate_bps=rate)
+        else:
+            self.runtime.apply_plan(rate_bps=rate)
+
+    def churn(self, choice):
+        if self.family == "multi":
+            session_id = 1 + choice % 2
+            if choice < 2:
+                self.runtime.deactivate_session(session_id)
+            else:
+                self.runtime.activate_session(session_id)
+
+
+def _flow_relay(mode, rate, node=1, session_id=1):
+    return FlowRelayRuntime(
+        node, session_id, 4, PACKET_BYTES, mode=mode, rate_bps=rate,
+        tx_credit=1.5, upstream=(0,), queue_limit=6,
+    )
+
+
+def _composite(kind, rate):
+    if kind == "xor":
+        composite = InterSessionXorRelay(1, [(1, 2)])
+    else:
+        composite = MultiSessionNodeRuntime(1)
+    composite.add_session(1, _flow_relay("rate", rate, session_id=1))
+    composite.add_session(
+        2, FlowDestinationRuntime(1, 2, 4, _ignore), active=(kind != "late")
+    )
+    return composite
+
+
+DRIVERS = {
+    "coded-source": lambda rate: _Driver(exact_source(rate=rate), "exact"),
+    "coded-relay-rate": lambda rate: _Driver(
+        CodedRelayRuntime(
+            1, 1, 4, PACKET_BYTES, np.random.default_rng(1),
+            mode="rate", rate_bps=rate, queue_limit=6,
+        ),
+        "exact",
+    ),
+    "coded-relay-credit": lambda rate: _Driver(
+        CodedRelayRuntime(
+            1, 1, 4, PACKET_BYTES, np.random.default_rng(1),
+            mode="credit", tx_credit=1.5, upstream=(0,), queue_limit=6,
+        ),
+        "exact",
+    ),
+    "coded-destination": lambda rate: _Driver(
+        CodedDestinationRuntime(2, 1, 4, _ignore), "exact"
+    ),
+    "flow-source": lambda rate: _Driver(
+        FlowSourceRuntime(0, 1, 4, rate, PACKET_BYTES, queue_limit=6), "flow"
+    ),
+    "flow-relay-rate": lambda rate: _Driver(_flow_relay("rate", rate), "flow"),
+    "flow-relay-credit": lambda rate: _Driver(_flow_relay("credit", rate), "flow"),
+    "flow-destination": lambda rate: _Driver(
+        FlowDestinationRuntime(2, 1, 4, _ignore), "flow"
+    ),
+    "unicast-source": lambda rate: _Driver(
+        UnicastRuntime(0, 1, rate_bps=rate, packet_bytes=PACKET_BYTES, queue_limit=6),
+        "unicast",
+    ),
+    "unicast-relay": lambda rate: _Driver(
+        UnicastRuntime(1, 2, packet_bytes=PACKET_BYTES, queue_limit=6), "unicast"
+    ),
+    "unicast-sink": lambda rate: _Driver(
+        UnicastRuntime(2, None, packet_bytes=PACKET_BYTES), "unicast"
+    ),
+    "multi": lambda rate: _Driver(_composite("plain", rate), "multi"),
+    "multi-late-session": lambda rate: _Driver(_composite("late", rate), "multi"),
+    "multi-xor": lambda rate: _Driver(_composite("xor", rate), "multi"),
+}
+
+OPERATIONS = st.one_of(
+    st.tuples(st.just("slot"), st.integers(1, 12)),
+    st.tuples(st.just("receive"), st.integers(0, 1)),
+    st.tuples(st.just("pop"), st.just(0)),
+    st.tuples(st.just("advance"), st.just(0)),
+    st.tuples(st.just("plan"), st.sampled_from(RATES)),
+    st.tuples(st.just("churn"), st.integers(0, 3)),
+)
+
+
+class TestDormantContract:
+    """``dormant(dt)`` => ticking is a no-op, nothing queued, no backlog."""
+
+    @pytest.mark.parametrize("kind", sorted(DRIVERS))
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rate=st.sampled_from(RATES),
+        dt=st.sampled_from(SLOTS),
+        operations=st.lists(OPERATIONS, max_size=25),
+    )
+    def test_dormant_states_are_fixed_points(self, kind, rate, dt, operations):
+        driver = DRIVERS[kind](rate)
+        assert_fixed_point(driver.runtime, dt)
+        for name, argument in operations:
+            if name == "slot":
+                for _ in range(argument):
+                    driver.runtime.on_slot(dt)
+            else:
+                getattr(driver, name)(argument)
+            assert_fixed_point(driver.runtime, dt)
+
+    def test_starved_rate_relay_parks_at_the_credit_cap(self):
+        relay = _flow_relay("rate", 2000.0)
+        assert not relay.dormant(0.5)  # credit still climbing
+        for _ in range(3):
+            relay.on_slot(0.5)
+        assert assert_fixed_point(relay, 0.5)
+        relay.on_receive(FlowPacket(1, 0, 4.0), sender=0)
+        assert not relay.dormant(0.5)  # information to drain the credit into
+
+    def test_exact_relay_parks_like_the_flow_relay(self):
+        relay = DRIVERS["coded-relay-rate"](2000.0).runtime
+        for _ in range(3):
+            relay.on_slot(0.5)
+        assert assert_fixed_point(relay, 0.5)
+        relay.on_receive(_exact_packets(4, 0, count=1)[0], sender=0)
+        assert not relay.dormant(0.5)
+
+    def test_silenced_relay_with_information_is_dormant(self):
+        relay = _flow_relay("rate", 0.0)
+        relay.on_receive(FlowPacket(1, 0, 4.0), sender=0)
+        assert assert_fixed_point(relay, 0.5)
+        relay.apply_plan(rate_bps=2000.0)
+        assert not relay.dormant(0.5)
+
+    def test_credit_relays_never_claim_dormancy(self):
+        # Their demand EWMA decays every slot, so no state is a fixed point.
+        for kind in ("coded-relay-credit", "flow-relay-credit"):
+            relay = DRIVERS[kind](0.0).runtime
+            for _ in range(50):
+                relay.on_slot(0.5)
+                assert not relay.dormant(0.5)
+
+    def test_sources_and_loaded_forwarders_stay_awake(self):
+        assert not DRIVERS["flow-source"](2000.0).runtime.dormant(0.5)
+        assert not DRIVERS["unicast-source"](2000.0).runtime.dormant(0.5)
+        relay = DRIVERS["unicast-relay"](0.0).runtime
+        assert assert_fixed_point(relay, 0.5)
+        relay.receive_sequence(0)
+        assert not relay.dormant(0.5)
+
+    def test_destinations_and_sinks_are_always_dormant(self):
+        for kind in ("coded-destination", "flow-destination", "unicast-sink"):
+            assert assert_fixed_point(DRIVERS[kind](0.0).runtime, 0.5)
+
+    def test_composite_is_dormant_iff_every_active_session_is(self):
+        composite = _composite("plain", 2000.0)
+        assert not composite.dormant(0.5)  # the relay's credit is climbing
+        for _ in range(3):
+            composite.on_slot(0.5)
+        assert assert_fixed_point(composite, 0.5)
+        composite.on_receive(FlowPacket(1, 0, 4.0), sender=0)
+        assert not composite.dormant(0.5)
+        composite.deactivate_session(1)  # only the destination is left
+        assert assert_fixed_point(composite, 0.5)
