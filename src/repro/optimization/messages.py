@@ -30,8 +30,8 @@ paths).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, List
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from repro.optimization.rate_control import (
     RateControlConfig,
     RateControlDuals,
     RateControlResult,
+    net_source_flow,
 )
 from repro.optimization.recovery import IterateAverager
 from repro.optimization.subgradient import project_nonnegative
@@ -66,31 +67,15 @@ class MessageStats:
         )
 
 
-@dataclass
-class _NodeState:
-    """Local state of one node program."""
-
-    node: int
-    rate: float
-    beta: float = 0.0
-    # Outgoing-link multipliers owned by this transmitter.
-    prices: Dict[Link, float] = field(default_factory=dict)
-    # Broadcast-information multiplier mu_i of constraint (5b) — also
-    # owned locally: its subgradient b_i q_i - sum_j x_ij uses only
-    # quantities the transmitter already knows.
-    union_price: float = 0.0
-    # Last flow assignment learned from the flow-setup token.
-    flows: Dict[Link, float] = field(default_factory=dict)
-    # Distance-vector state for SUB1.
-    distance: float = _INF
-    next_hop: int | None = None
-    # Neighbor values received last exchange.
-    neighbor_rates: Dict[int, float] = field(default_factory=dict)
-    neighbor_betas: Dict[int, float] = field(default_factory=dict)
-
-
 class MessagePassingRateControl:
-    """Run Table 1 as local node programs over simulated messages."""
+    """Run Table 1 as local node programs over simulated messages.
+
+    Every node program's state is one slot, at the node's index, of the
+    vectors below (``graph.index`` order); a transmitter additionally
+    owns the multipliers and flow assignments of its out-links.  A node
+    only ever reads its own slots and what its neighbors' broadcasts
+    delivered to it.
+    """
 
     def __init__(
         self,
@@ -101,22 +86,36 @@ class MessagePassingRateControl:
         self._config = config or RateControlConfig()
         self._stats = MessageStats()
         self._iteration = 0
-        self._nodes: Dict[int, _NodeState] = {}
-        for node in graph.nodes:
-            state = _NodeState(node=node, rate=self._config.initial_rate)
-            for link in graph.out_links(node):
-                state.prices[link] = 0.0
-                state.flows[link] = 0.0
-            self._nodes[node] = state
-        self._nodes[graph.destination].rate = 0.0
+        index = graph.index
+        count = len(graph.nodes)
+        # b_i and beta_i, broadcast to the neighbors every iteration.
+        self._rates: List[float] = [self._config.initial_rate] * count
+        self._rates[index.destination] = 0.0
+        self._beta: List[float] = [0.0] * count
+        # lambda_ij and the last x_ij learned from the flow-setup token,
+        # owned by the link's transmitter.
+        self._prices: List[float] = [0.0] * len(graph.links)
+        self._flows: List[float] = [0.0] * len(graph.links)
+        # Broadcast-information multiplier mu_i of constraint (5b) — also
+        # owned locally: its subgradient b_i q_i - sum_j x_ij uses only
+        # quantities the transmitter already knows.
+        self._union_prices: List[float] = [0.0] * count
+        # Distance-vector state for SUB1: cost to the destination and the
+        # out-link taken toward it.
+        self._distance: List[float] = [_INF] * count
+        self._next_link: List[int] = [-1] * count
+        # Whose (b, beta) broadcasts node i receives: the j in N(i) with
+        # i in N(j), in N(i) order.
+        self._heard = [
+            tuple(j for j in members if v in index.neighbors[j])
+            for v, members in enumerate(index.neighbors)
+        ]
         self._flow_averager = IterateAverager(
             len(graph.links), tail=self._config.recovery_tail
         )
         self._rate_averager = IterateAverager(
-            len(graph.nodes), tail=self._config.recovery_tail
+            count, tail=self._config.recovery_tail
         )
-        self._link_order = list(graph.links)
-        self._node_order = list(graph.nodes)
         self._rate_history: List[Dict[int, float]] = []
         self._gamma_history: List[float] = []
 
@@ -135,120 +134,115 @@ class MessagePassingRateControl:
     # ------------------------------------------------------------------
     def _sub1_distance_exchange(self) -> None:
         """Distributed Bellman-Ford on the current lambda costs."""
-        graph = self._graph
-        for state in self._nodes.values():
-            state.distance = _INF
-            state.next_hop = None
-        self._nodes[graph.destination].distance = 0.0
+        index = self._graph.index
+        tail, head = index.tail, index.head
+        count = len(self._distance)
+        # What transmitter i charges for link (i, j): lambda_ij + mu_i.
+        costs = [
+            price + self._union_prices[tail[k]]
+            for k, price in enumerate(self._prices)
+        ]
+        distance = [_INF] * count
+        next_link = [-1] * count
+        distance[index.destination] = 0.0
         # Synchronous rounds; each round every node advertises its current
         # distance to neighbors (one broadcast = one message per node that
         # has a finite distance).
-        for _ in range(len(graph.nodes)):
+        for _ in range(count):
             changed = False
-            snapshot = {n: s.distance for n, s in self._nodes.items()}
-            advertisers = sum(1 for d in snapshot.values() if d < _INF)
-            self._stats.distance_advertisements += advertisers
-            for link in graph.links:
-                i, j = link
-                through = snapshot[j]
+            snapshot = list(distance)
+            self._stats.distance_advertisements += count - snapshot.count(_INF)
+            for k, cost in enumerate(costs):
+                through = snapshot[head[k]]
                 if through == _INF:
                     continue
-                owner = self._nodes[i]
-                cost = owner.prices[link] + owner.union_price + through
-                state = self._nodes[i]
-                if cost < state.distance - 1e-15:
-                    state.distance = cost
-                    state.next_hop = j
+                candidate = cost + through
+                i = tail[k]
+                if candidate < distance[i] - 1e-15:
+                    distance[i] = candidate
+                    next_link[i] = k
                     changed = True
             if not changed:
                 break
+        self._distance = distance
+        self._next_link = next_link
 
-    def _sub1_flow_setup(self) -> Tuple[Dict[Link, float], float]:
+    def _sub1_flow_setup(self) -> None:
         """Walk the flow-setup token from source to destination."""
-        graph = self._graph
-        source_state = self._nodes[graph.source]
-        if source_state.distance == _INF:
+        index = self._graph.index
+        path_cost = self._distance[index.source]
+        if path_cost == _INF:
             raise RuntimeError("destination unreachable in session graph")
-        path_cost = source_state.distance
         cap = self._config.gamma_cap
         gamma = cap if path_cost <= 1.0 / cap else 1.0 / path_cost
-        flows = {link: 0.0 for link in graph.links}
-        node = graph.source
-        visited = {node}
-        while node != graph.destination:
-            state = self._nodes[node]
-            nxt = state.next_hop
-            assert nxt is not None and nxt not in visited
-            flows[(node, nxt)] = gamma
-            self._stats.flow_setup_tokens += 1
-            node = nxt
-            visited.add(node)
         # Nodes record their own outgoing assignment; off-path links are 0.
-        for state in self._nodes.values():
-            for link in state.flows:
-                state.flows[link] = flows[link]
-        return flows, gamma
+        flows = [0.0] * len(self._flows)
+        v = index.source
+        visited = {v}
+        while v != index.destination:
+            k = self._next_link[v]
+            v = index.head[k]
+            assert k >= 0 and v not in visited
+            flows[k] = gamma
+            self._stats.flow_setup_tokens += 1
+            visited.add(v)
+        self._flows = flows
 
     def _sub2_exchange_and_update(self, theta: float) -> None:
         """(17) rate update and (15) price update from neighbor messages."""
-        graph = self._graph
+        index = self._graph.index
+        p, q = index.p, index.q
+        heard = self._heard
+        count = len(self._rates)
         # Everyone broadcasts (b, beta) once; neighbors capture it.
-        for node, state in self._nodes.items():
-            self._stats.rate_price_broadcasts += 1
-            for j in graph.neighbors[node]:
-                peer = self._nodes[j]
-                peer.neighbor_rates[node] = state.rate
-                peer.neighbor_betas[node] = state.beta
+        self._stats.rate_price_broadcasts += count
         # (17): proximal ascent on the local Lagrangian coefficient.
-        new_rates: Dict[int, float] = {}
-        for node, state in self._nodes.items():
-            if node == graph.destination:
-                new_rates[node] = 0.0
+        old_rates, beta = self._rates, self._beta
+        prices, union_prices = self._prices, self._union_prices
+        scale = 2.0 * self._config.proximal_c
+        rates = [0.0] * count
+        for v, out in enumerate(index.out_links):
+            if v == index.destination:
                 continue
-            w = sum(
-                state.prices[link] * graph.probability[link]
-                for link in state.prices
-            )
-            if state.prices:
-                w += state.union_price * graph.union_probability(node)
-            charge = state.beta + sum(
-                state.neighbor_betas.get(j, 0.0) for j in graph.neighbors[node]
-            )
-            updated = state.rate + (w - charge) / (2.0 * self._config.proximal_c)
-            new_rates[node] = min(1.0, max(0.0, updated))
-        for node, rate in new_rates.items():
-            self._nodes[node].rate = rate
+            weight = 0.0
+            for k in out:
+                weight += prices[k] * p[k]
+            if out:
+                weight += union_prices[v] * q[v]
+            charge = 0.0
+            for j in heard[v]:
+                charge += beta[j]
+            updated = old_rates[v] + (weight - (beta[v] + charge)) / scale
+            rates[v] = min(1.0, max(0.0, updated))
+        self._rates = rates
         # A second (b) exchange so beta sees this iteration's rates, as in
         # the reference implementation's update order.
-        for node, state in self._nodes.items():
-            self._stats.rate_price_broadcasts += 1
-            for j in graph.neighbors[node]:
-                self._nodes[j].neighbor_rates[node] = state.rate
+        self._stats.rate_price_broadcasts += count
         # (15): congestion price from the neighborhood load.
-        for node in graph.mac_constrained_nodes():
-            state = self._nodes[node]
-            load = state.rate + sum(
-                state.neighbor_rates.get(j, 0.0) for j in graph.neighbors[node]
+        for v in index.mac_constrained:
+            load = 0.0
+            for j in heard[v]:
+                load += rates[j]
+            beta[v] = project_nonnegative(
+                beta[v] - theta * (1.0 - (rates[v] + load))
             )
-            state.beta = project_nonnegative(state.beta - theta * (1.0 - load))
 
     def _lambda_update(self, theta: float) -> None:
         """(8) plus the local (5b) multiplier: both at the transmitter."""
-        graph = self._graph
-        for node, state in self._nodes.items():
-            for link, price in state.prices.items():
-                surplus = (
-                    state.rate * graph.probability[link] - state.flows[link]
-                )
-                state.prices[link] = project_nonnegative(price - theta * surplus)
-            if state.prices:
-                outflow = sum(state.flows[link] for link in state.flows)
-                surplus = (
-                    state.rate * graph.union_probability(node) - outflow
-                )
-                state.union_price = project_nonnegative(
-                    state.union_price - theta * surplus
-                )
+        index = self._graph.index
+        prices, flows, rates = self._prices, self._flows, self._rates
+        for v, out in enumerate(index.out_links):
+            if not out:
+                continue
+            outflow = 0.0
+            for k in out:
+                surplus = rates[v] * index.p[k] - flows[k]
+                prices[k] = project_nonnegative(prices[k] - theta * surplus)
+                outflow += flows[k]
+            surplus = rates[v] * index.q[v] - outflow
+            self._union_prices[v] = project_nonnegative(
+                self._union_prices[v] - theta * surplus
+            )
 
     # ------------------------------------------------------------------
     # Driver
@@ -257,49 +251,46 @@ class MessagePassingRateControl:
         """One outer iteration (Table 1 steps 3-5) over messages."""
         theta = self._config.step_size(self._iteration)
         self._sub1_distance_exchange()
-        flows, _ = self._sub1_flow_setup()
+        self._sub1_flow_setup()
         self._sub2_exchange_and_update(theta)
         self._lambda_update(theta)
-        self._flow_averager.push(
-            np.array([flows[link] for link in self._link_order])
-        )
-        self._rate_averager.push(
-            np.array([self._nodes[n].rate for n in self._node_order])
-        )
+        self._flow_averager.push(np.array(self._flows))
+        self._rate_averager.push(np.array(self._rates))
         self._rate_history.append(self.recovered_rates())
         self._gamma_history.append(self._recovered_throughput())
         self._iteration += 1
 
+    def _recovered_rate_vector(self) -> List[float]:
+        if self._rate_averager.count == 0:
+            return list(self._rates)
+        return self._rate_averager.average().tolist()
+
     def recovered_rates(self) -> Dict[int, float]:
         """Current averaged broadcast rates."""
-        if self._rate_averager.count == 0:
-            return {n: self._nodes[n].rate for n in self._node_order}
-        averaged = self._rate_averager.average()
-        return {n: float(averaged[k]) for k, n in enumerate(self._node_order)}
+        return dict(zip(self._graph.nodes, self._recovered_rate_vector()))
 
     def recovered_flows(self) -> Dict[Link, float]:
         """Current averaged link flows."""
-        averaged = self._flow_averager.average()
-        return {l: float(averaged[k]) for k, l in enumerate(self._link_order)}
+        return dict(zip(self._graph.links, self._flow_averager.average().tolist()))
 
     def _recovered_throughput(self) -> float:
-        flows = self.recovered_flows()
-        out = sum(flows[l] for l in self._graph.out_links(self._graph.source))
-        back = sum(flows[l] for l in self._graph.in_links(self._graph.source))
-        return out - back
+        return net_source_flow(
+            self._graph, self._flow_averager.average().tolist()
+        )
 
     def run(self) -> RateControlResult:
         """Iterate to convergence; same stopping rule as the fast driver."""
         config = self._config
+        graph = self._graph
         stable = 0
         converged = False
-        previous: Dict[int, float] | None = None
+        previous: List[float] | None = None
         while self._iteration < config.max_iterations:
             self.step()
-            recovered = self.recovered_rates()
+            recovered = self._recovered_rate_vector()
             if previous is not None:
-                delta = max(abs(recovered[n] - previous[n]) for n in recovered)
-                scale = max(max(recovered.values()), 1e-9)
+                delta = max(abs(b - a) for b, a in zip(recovered, previous))
+                scale = max(max(recovered), 1e-9)
                 if delta / scale < config.tolerance:
                     stable += 1
                 else:
@@ -308,9 +299,12 @@ class MessagePassingRateControl:
                     converged = True
                     break
             previous = recovered
-        link_prices: Dict[Link, float] = {}
-        for state in self._nodes.values():
-            link_prices.update(state.prices)
+        # Transmitter by transmitter, as each node would report its own.
+        link_prices = {
+            graph.links[k]: self._prices[k]
+            for out in graph.index.out_links
+            for k in out
+        }
         return RateControlResult(
             broadcast_rates=self.recovered_rates(),
             flows=self.recovered_flows(),
@@ -319,16 +313,12 @@ class MessagePassingRateControl:
             converged=converged,
             rate_history=tuple(self._rate_history),
             gamma_history=tuple(self._gamma_history),
-            capacity=self._graph.capacity,
+            capacity=graph.capacity,
             duals=RateControlDuals(
                 link_prices=link_prices,
-                congestion_prices={
-                    n: s.beta for n, s in self._nodes.items()
-                },
-                union_prices={
-                    n: s.union_price for n, s in self._nodes.items()
-                },
-                rates={n: s.rate for n, s in self._nodes.items()},
+                congestion_prices=dict(zip(graph.nodes, self._beta)),
+                union_prices=dict(zip(graph.nodes, self._union_prices)),
+                rates=dict(zip(graph.nodes, self._rates)),
                 iteration=self._iteration,
             ),
         )

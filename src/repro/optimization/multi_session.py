@@ -33,7 +33,7 @@ from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
 from repro.optimization.problem import SessionGraph
-from repro.optimization.rate_control import RateControlConfig
+from repro.optimization.rate_control import RateControlConfig, net_source_flow
 from repro.optimization.recovery import IterateAverager
 from repro.optimization.sub1_routing import Sub1Router
 from repro.optimization.subgradient import project_nonnegative
@@ -69,7 +69,9 @@ class MultiSessionRateControl:
 
     All session graphs must share the same capacity (they describe the
     same channel).  Node ids are global, so the shared congestion price
-    beta_i is well defined across sessions.
+    beta_i is well defined across sessions: it lives in one vector over
+    the sorted union of the sessions' nodes, and each session reaches it
+    through a node-index -> shared-slot table.
     """
 
     def __init__(
@@ -93,27 +95,39 @@ class MultiSessionRateControl:
             )
             for g in self._graphs
         ]
-        self._prices: List[Dict[Link, float]] = [
-            {link: 0.0 for link in g.links} for g in self._graphs
+        # Per session: lambda per link index, mu and b per node index.
+        self._prices: List[List[float]] = [[0.0] * len(g.links) for g in self._graphs]
+        self._union_prices: List[List[float]] = [
+            [0.0] * len(g.nodes) for g in self._graphs
         ]
-        self._union_prices: List[Dict[int, float]] = [
-            {node: 0.0 for node in g.transmitters()} for g in self._graphs
-        ]
-        self._rates: List[Dict[int, float]] = []
+        self._rates: List[List[float]] = []
         for g in self._graphs:
-            rates = {n: self._config.initial_rate for n in g.nodes}
-            rates[g.destination] = 0.0
+            rates = [self._config.initial_rate] * len(g.nodes)
+            rates[g.index.destination] = 0.0
             self._rates.append(rates)
-        # Shared congestion prices over every node that is MAC-constrained
-        # in at least one session.
-        constrained = set()
-        for g in self._graphs:
-            constrained.update(g.mac_constrained_nodes())
-        self._beta: Dict[int, float] = {n: 0.0 for n in sorted(constrained)}
-        self._node_orders = [list(g.nodes) for g in self._graphs]
+        # Shared congestion prices: a slot per node of any session, moved
+        # only where the node is MAC-constrained in at least one of them
+        # (a node that is the source of every session it joins stays 0.0).
+        shared = sorted({node for g in self._graphs for node in g.nodes})
+        slot_of = {node: slot for slot, node in enumerate(shared)}
+        self._beta: List[float] = [0.0] * len(shared)
+        self._slots = [[slot_of[node] for node in g.nodes] for g in self._graphs]
+        constrained = sorted(
+            {node for g in self._graphs for node in g.mac_constrained_nodes()}
+        )
+        # Per constrained node: its shared slot and, for every session that
+        # includes it (in session order), its index and neighbors there.
+        self._constrained: List[Tuple[int, List[Tuple[int, int, Tuple[int, ...]]]]] = []
+        for node in constrained:
+            members = []
+            for s, g in enumerate(self._graphs):
+                v = g.index.node_index.get(node)
+                if v is not None:
+                    members.append((s, v, g.index.neighbors[v]))
+            self._constrained.append((slot_of[node], members))
         self._rate_averagers = [
-            IterateAverager(len(order), tail=self._config.recovery_tail)
-            for order in self._node_orders
+            IterateAverager(len(g.nodes), tail=self._config.recovery_tail)
+            for g in self._graphs
         ]
         self._iteration = 0
 
@@ -122,71 +136,67 @@ class MultiSessionRateControl:
         """Outer iterations executed."""
         return self._iteration
 
-    def _neighborhood_load(self, node: int) -> float:
-        """Total load at receiver ``node`` across all sessions."""
-        load = 0.0
-        for g, rates in zip(self._graphs, self._rates):
-            if node not in rates:
-                continue
-            load += rates[node]
-            load += sum(rates.get(j, 0.0) for j in g.neighbors.get(node, ()))
-        return load
-
     def step(self) -> None:
         """One joint iteration: per-session SUB1/SUB2, shared beta."""
         theta = self._config.step_size(self._iteration)
-        sub1_iterates = []
+        beta = self._beta
+        scale = 2.0 * self._config.proximal_c
+        session_flows = []
         for router, prices, mus, g in zip(
             self._routers, self._prices, self._union_prices, self._graphs
         ):
-            effective = {
-                link: prices[link] + mus.get(link[0], 0.0) for link in g.links
-            }
-            sub1_iterates.append(router.step(effective))
-        # Per-session proximal rate updates against the shared prices.
-        for g, rates, prices, mus in zip(
-            self._graphs, self._rates, self._prices, self._union_prices
-        ):
-            weights: Dict[int, float] = {}
-            for link in g.links:
-                i, _ = link
-                weights[i] = weights.get(i, 0.0) + prices[link] * g.probability[link]
-            for node, mu in mus.items():
-                if mu:
-                    weights[node] = weights.get(node, 0.0) + mu * g.union_probability(node)
-            old = dict(rates)
-            for node in g.nodes:
-                if node == g.destination:
-                    continue
-                charge = self._beta.get(node, 0.0) + sum(
-                    self._beta.get(j, 0.0) for j in g.neighbors[node]
-                )
-                updated = old[node] + (weights.get(node, 0.0) - charge) / (
-                    2.0 * self._config.proximal_c
-                )
-                rates[node] = min(1.0, max(0.0, updated))
-        # Shared congestion price update on total load.
-        for node in self._beta:
-            slack = 1.0 - self._neighborhood_load(node)
-            self._beta[node] = project_nonnegative(
-                self._beta[node] - theta * slack
+            tail = g.index.tail
+            session_flows.append(
+                router.route([prices[k] + mus[tail[k]] for k in range(len(prices))])
             )
+        # Per-session proximal rate updates against the shared prices.
+        for s, g in enumerate(self._graphs):
+            index = g.index
+            prices, mus, slots = self._prices[s], self._union_prices[s], self._slots[s]
+            old = self._rates[s]
+            rates = list(old)
+            for v, out in enumerate(index.out_links):
+                if v == index.destination:
+                    continue
+                weight = 0.0
+                for k in out:
+                    weight += prices[k] * index.p[k]
+                if mus[v]:
+                    weight += mus[v] * index.q[v]
+                charge = 0.0
+                for j in index.neighbors[v]:
+                    charge += beta[slots[j]]
+                updated = old[v] + (weight - (beta[slots[v]] + charge)) / scale
+                rates[v] = min(1.0, max(0.0, updated))
+            self._rates[s] = rates
+        # Shared congestion price update on total load: receiver i is
+        # charged b_i plus its neighborhood's rates in every session.
+        for slot, members in self._constrained:
+            load = 0.0
+            for s, v, neighbors in members:
+                rates = self._rates[s]
+                load += rates[v]
+                heard = 0.0
+                for j in neighbors:
+                    heard += rates[j]
+                load += heard
+            beta[slot] = project_nonnegative(beta[slot] - theta * (1.0 - load))
         # Per-session multiplier updates.
-        for g, rates, prices, mus, iterate in zip(
-            self._graphs, self._rates, self._prices, self._union_prices, sub1_iterates
+        for g, rates, prices, mus, flows in zip(
+            self._graphs, self._rates, self._prices, self._union_prices, session_flows
         ):
-            for link in g.links:
-                i, _ = link
-                surplus = rates[i] * g.probability[link] - iterate.flows[link]
-                prices[link] = project_nonnegative(prices[link] - theta * surplus)
-            for node in mus:
-                outflow = sum(iterate.flows[link] for link in g.out_links(node))
-                surplus = rates[node] * g.union_probability(node) - outflow
-                mus[node] = project_nonnegative(mus[node] - theta * surplus)
-        for rates, order, averager in zip(
-            self._rates, self._node_orders, self._rate_averagers
-        ):
-            averager.push(np.array([rates[n] for n in order]))
+            index = g.index
+            for k, flow in enumerate(flows):
+                surplus = rates[index.tail[k]] * index.p[k] - flow
+                prices[k] = project_nonnegative(prices[k] - theta * surplus)
+            for v in index.transmitters:
+                outflow = 0.0
+                for k in index.out_links[v]:
+                    outflow += flows[k]
+                surplus = rates[v] * index.q[v] - outflow
+                mus[v] = project_nonnegative(mus[v] - theta * surplus)
+        for rates, averager in zip(self._rates, self._rate_averagers):
+            averager.push(np.array(rates))
         self._iteration += 1
 
     def run(self) -> MultiSessionResult:
@@ -194,18 +204,16 @@ class MultiSessionRateControl:
         config = self._config
         stable = 0
         converged = False
-        previous: List[Dict[int, float]] | None = None
+        previous: List[List[float]] | None = None
         while self._iteration < config.max_iterations:
             self.step()
-            recovered = self._recovered_rates()
+            recovered = self._recovered_rate_vectors()
             if previous is not None:
                 delta = 0.0
                 scale = 1e-9
                 for rec, prev in zip(recovered, previous):
-                    delta = max(
-                        delta, max(abs(rec[n] - prev[n]) for n in rec)
-                    )
-                    scale = max(scale, max(rec.values()))
+                    delta = max(delta, max(abs(b - a) for b, a in zip(rec, prev)))
+                    scale = max(scale, max(rec))
                 if delta / scale < config.tolerance:
                     stable += 1
                 else:
@@ -214,33 +222,25 @@ class MultiSessionRateControl:
                     converged = True
                     break
             previous = recovered
-        flows = [router.recovered_flows for router in self._routers]
-        throughputs = []
-        for g, flow in zip(self._graphs, flows):
-            out = sum(flow[l] for l in g.out_links(g.source))
-            back = sum(flow[l] for l in g.in_links(g.source))
-            throughputs.append(out - back)
+        flows = [router.recovered_flow_vector() for router in self._routers]
         return MultiSessionResult(
-            throughputs=tuple(throughputs),
-            broadcast_rates=tuple(self._recovered_rates()),
-            flows=tuple(flows),
+            throughputs=tuple(
+                net_source_flow(g, flow) for g, flow in zip(self._graphs, flows)
+            ),
+            broadcast_rates=tuple(
+                dict(zip(g.nodes, rates))
+                for g, rates in zip(self._graphs, self._recovered_rate_vectors())
+            ),
+            flows=tuple(dict(zip(g.links, flow)) for g, flow in zip(self._graphs, flows)),
             iterations=self._iteration,
             converged=converged,
         )
 
-    def _recovered_rates(self) -> List[Dict[int, float]]:
-        out = []
-        for order, averager, rates in zip(
-            self._node_orders, self._rate_averagers, self._rates
-        ):
-            if averager.count == 0:
-                out.append(dict(rates))
-            else:
-                averaged = averager.average()
-                out.append(
-                    {n: float(averaged[k]) for k, n in enumerate(order)}
-                )
-        return out
+    def _recovered_rate_vectors(self) -> List[List[float]]:
+        return [
+            list(rates) if averager.count == 0 else averager.average().tolist()
+            for averager, rates in zip(self._rate_averagers, self._rates)
+        ]
 
 
 @dataclass(frozen=True)

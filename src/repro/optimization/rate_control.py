@@ -241,14 +241,16 @@ class RateControlAlgorithm:
         # changed forwarder DAG simply leaves the new links at 0.
         warm_links = warm_start.link_prices if warm_start else {}
         warm_union = warm_start.union_prices if warm_start else {}
-        self._prices: Dict[Link, float] = {
-            link: warm_links.get(link, 0.0) for link in graph.links
-        }
+        # lambda_ij per link index.
+        self._prices: List[float] = [
+            warm_links.get(link, 0.0) for link in graph.links
+        ]
         # Multipliers of the broadcast information constraint (5b):
-        # sum_j x_ij <= b_i * q_i (see repro.optimization.sunicast).
-        self._union_prices: Dict[int, float] = {
-            node: warm_union.get(node, 0.0) for node in graph.transmitters()
-        }
+        # sum_j x_ij <= b_i * q_i (see repro.optimization.sunicast).  One
+        # slot per node index; only transmitters' slots ever leave 0.0.
+        self._union_prices: List[float] = [0.0] * len(graph.nodes)
+        for v in graph.index.transmitters:
+            self._union_prices[v] = warm_union.get(graph.nodes[v], 0.0)
         # Continue the diminishing step-size schedule where the previous
         # run stopped: replaying the large early theta(t) would throw the
         # warm duals right back to a cold trajectory.
@@ -275,12 +277,15 @@ class RateControlAlgorithm:
     @property
     def prices(self) -> Dict[Link, float]:
         """Current Lagrange multipliers lambda_ij."""
-        return dict(self._prices)
+        return dict(zip(self._graph.links, self._prices))
 
     @property
     def union_prices(self) -> Dict[int, float]:
-        """Current broadcast-information multipliers mu_i."""
-        return dict(self._union_prices)
+        """Current broadcast-information multipliers mu_i (transmitters)."""
+        nodes = self._graph.nodes
+        return {
+            nodes[v]: self._union_prices[v] for v in self._graph.index.transmitters
+        }
 
     @property
     def iteration(self) -> int:
@@ -290,57 +295,51 @@ class RateControlAlgorithm:
     def step(self) -> None:
         """One outer iteration: SUB1, SUB2, multiplier update (steps 3-5)."""
         theta = self._config.step_size(self._iteration + self._step_offset)
+        index = self._graph.index
+        tail, p = index.tail, index.p
+        prices, union_prices = self._prices, self._union_prices
         # SUB1 sees the total price of routing one unit over link (i, j):
         # the per-link price lambda_ij plus the transmitter's aggregate
         # broadcast-information price mu_i.
-        effective = {
-            link: self._prices[link] + self._union_prices.get(link[0], 0.0)
-            for link in self._graph.links
-        }
-        sub1 = self._sub1.step(effective)
-        sub2 = self._sub2.step(self._prices, theta, self._union_prices)
+        flows = self._sub1.route(
+            [prices[k] + union_prices[tail[k]] for k in range(len(prices))]
+        )
+        self._sub2.update(prices, theta, union_prices)
+        rates = self._sub2.rate_vector
         # (8): the subgradient of the relaxed constraint (5) at the
         # instantaneous primal solution.
-        for link in self._graph.links:
-            i, _ = link
-            surplus = sub2.rates[i] * self._graph.probability[link] - sub1.flows[link]
-            self._prices[link] = project_nonnegative(
-                self._prices[link] - theta * surplus
-            )
+        for k, flow in enumerate(flows):
+            surplus = rates[tail[k]] * p[k] - flow
+            prices[k] = project_nonnegative(prices[k] - theta * surplus)
         # Same subgradient form for (5b): surplus = b_i q_i - sum_j x_ij.
-        for node in self._union_prices:
-            outflow = sum(
-                sub1.flows[link] for link in self._graph.out_links(node)
-            )
-            surplus = (
-                sub2.rates[node] * self._graph.union_probability(node) - outflow
-            )
-            self._union_prices[node] = project_nonnegative(
-                self._union_prices[node] - theta * surplus
-            )
+        for v in index.transmitters:
+            outflow = 0.0
+            for k in index.out_links[v]:
+                outflow += flows[k]
+            surplus = rates[v] * index.q[v] - outflow
+            union_prices[v] = project_nonnegative(union_prices[v] - theta * surplus)
         self._iteration += 1
         if self._observing:
-            self._observe_iteration(theta, sub2.congestion_prices)
+            self._observe_iteration(theta)
 
     def run(self) -> RateControlResult:
         """Iterate to convergence and return the recovered allocation."""
         config = self._config
+        nodes = self._graph.nodes
         rate_history: List[Dict[int, float]] = []
         gamma_history: List[float] = []
         stable_iterations = 0
         converged = False
-        previous_rates: Dict[int, float] | None = None
+        previous: List[float] | None = None
 
         while self._iteration < config.max_iterations:
             self.step()
-            recovered = self._sub2.recovered_rates
-            rate_history.append(recovered)
+            recovered = self._sub2.recovered_rate_vector()
+            rate_history.append(dict(zip(nodes, recovered)))
             gamma_history.append(self._recovered_throughput())
-            if previous_rates is not None:
-                delta = max(
-                    abs(recovered[n] - previous_rates[n]) for n in recovered
-                )
-                scale = max(max(recovered.values()), 1e-9)
+            if previous is not None:
+                delta = max(abs(b - a) for b, a in zip(recovered, previous))
+                scale = max(max(recovered), 1e-9)
                 if delta / scale < config.tolerance:
                     stable_iterations += 1
                 else:
@@ -351,7 +350,7 @@ class RateControlAlgorithm:
                 ):
                     converged = True
                     break
-            previous_rates = recovered
+            previous = recovered
 
         return RateControlResult(
             broadcast_rates=self._sub2.recovered_rates,
@@ -363,57 +362,74 @@ class RateControlAlgorithm:
             gamma_history=tuple(gamma_history),
             capacity=self._graph.capacity,
             duals=RateControlDuals(
-                link_prices=dict(self._prices),
+                link_prices=self.prices,
                 congestion_prices=self._sub2.congestion_prices,
-                union_prices=dict(self._union_prices),
+                union_prices=self.union_prices,
                 rates=self._sub2.rates,
                 iteration=self._iteration + self._step_offset,
             ),
         )
 
-    def _observe_iteration(
-        self, theta: float, congestion_prices: Dict[int, float]
-    ) -> None:
+    def _observe_iteration(self, theta: float) -> None:
         """Publish one iteration's dual state and primal-recovery residual."""
-        flows = self._sub1.recovered_flows
-        rates = self._sub2.recovered_rates
+        index = self._graph.index
+        flows = self._sub1.recovered_flow_vector()
+        rates = self._sub2.recovered_rate_vector()
         residual = 0.0
-        for link, flow in flows.items():
-            slack = flow - rates.get(link[0], 0.0) * self._graph.probability[link]
+        for k, flow in enumerate(flows):
+            slack = flow - rates[index.tail[k]] * index.p[k]
             if slack > residual:
                 residual = slack
-        lambda_values = self._prices.values()
-        beta_values = congestion_prices.values()
-        mu_values = self._union_prices.values()
+        beta = self._sub2.beta_vector
+        lambda_mean, lambda_max = _mean_and_max(self._prices)
+        beta_mean, beta_max = _mean_and_max(
+            [beta[v] for v in index.mac_constrained]
+        )
+        mu_max = max(
+            (self._union_prices[v] for v in index.transmitters), default=0.0
+        )
         self._m_iterations.inc()
         self._m_theta.set(theta)
-        self._m_lambda_max.set(max(lambda_values, default=0.0))
-        self._m_beta_max.set(max(beta_values, default=0.0))
+        self._m_lambda_max.set(lambda_max)
+        self._m_beta_max.set(beta_max)
         self._m_residual.observe(residual)
         self._tracer.emit(
             "rate_control.iteration",
             t=self._iteration,
             theta=theta,
-            lambda_mean=(
-                sum(lambda_values) / len(self._prices) if self._prices else 0.0
-            ),
-            lambda_max=max(lambda_values, default=0.0),
-            beta_mean=(
-                sum(beta_values) / len(congestion_prices)
-                if congestion_prices
-                else 0.0
-            ),
-            beta_max=max(beta_values, default=0.0),
-            mu_max=max(mu_values, default=0.0),
+            lambda_mean=lambda_mean,
+            lambda_max=lambda_max,
+            beta_mean=beta_mean,
+            beta_max=beta_max,
+            mu_max=mu_max,
             residual=residual,
         )
 
     def _recovered_throughput(self) -> float:
         """Net recovered flow out of the source — the usable gamma_bar."""
-        flows = self._sub1.recovered_flows
-        out = sum(flows[l] for l in self._graph.out_links(self._graph.source))
-        back = sum(flows[l] for l in self._graph.in_links(self._graph.source))
-        return out - back
+        return net_source_flow(self._graph, self._sub1.recovered_flow_vector())
+
+
+def net_source_flow(graph: SessionGraph, flows: Sequence[float]) -> float:
+    """Flow leaving the source minus flow entering it, over link indices."""
+    index = graph.index
+    out = 0.0
+    for k in index.out_links[index.source]:
+        out += flows[k]
+    back = 0.0
+    for k in index.in_links[index.source]:
+        back += flows[k]
+    return out - back
+
+
+def _mean_and_max(values: Sequence[float]) -> Tuple[float, float]:
+    """Left-to-right mean and the maximum of ``values`` (0.0, 0.0 if empty)."""
+    if not values:
+        return 0.0, 0.0
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values), max(values)
 
 
 def feasible_scaling(

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.optimization.messages import MessagePassingRateControl
-from repro.optimization.problem import session_graph_from_selection
+from repro.optimization.problem import SessionGraph, session_graph_from_selection
 from repro.optimization.rate_control import RateControlConfig
 from repro.routing.node_selection import select_forwarders
 from repro.routing.pseudo_broadcast import reliable_flood
@@ -61,18 +61,29 @@ def replan_cost(
     *,
     control_packet_bytes: int = 64,
     config: Optional[RateControlConfig] = None,
+    graph: Optional[SessionGraph] = None,
 ) -> ReplanCost:
     """Measure the full cost of re-initiating one session's control plane.
 
     Runs the actual node-selection flood cost model and the actual
     message-passing rate control on the (new) topology, so the returned
     numbers are measurements, not estimates.
+
+    ``graph`` hands over the session graph a planner already selected on
+    this very ``network`` for these endpoints; without it node selection
+    runs here.
     """
     if control_packet_bytes <= 0:
         raise ValueError("control_packet_bytes must be > 0")
     flood = reliable_flood(network, source)
-    forwarders = select_forwarders(network, source, destination)
-    graph = session_graph_from_selection(network, forwarders)
+    if graph is None:
+        forwarders = select_forwarders(network, source, destination)
+        graph = session_graph_from_selection(network, forwarders)
+    elif (graph.source, graph.destination) != (source, destination):
+        raise ValueError(
+            f"graph runs {graph.source}->{graph.destination}, "
+            f"not {source}->{destination}"
+        )
     controller = MessagePassingRateControl(graph, config)
     result = controller.run()
     messages = controller.stats.total

@@ -25,15 +25,17 @@ prices and eq. 12 would otherwise demand unbounded flow.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.optimization.problem import SessionGraph
 from repro.optimization.recovery import IterateAverager
-from repro.routing.shortest_path import dijkstra
 from repro.topology.graph import Link
+
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -49,9 +51,10 @@ class Sub1Iterate:
 class Sub1Router:
     """Stateful SUB1 solver with primal recovery.
 
-    One :meth:`step` per outer iteration of the rate-control algorithm.
-    :attr:`recovered_flows` and :attr:`recovered_gamma` expose the
-    averaged allocation of eq. (13).
+    One :meth:`route` (or its dict-keyed adapter :meth:`step`) per outer
+    iteration of the rate-control algorithm.  :attr:`recovered_flows`
+    and :attr:`recovered_gamma` expose the averaged allocation of
+    eq. (13).
     """
 
     def __init__(
@@ -67,11 +70,13 @@ class Sub1Router:
         self._graph = graph
         self._gamma_cap = gamma_cap
         self._primal_recovery = primal_recovery
-        self._link_order = list(graph.links)
-        self._link_pos = {link: k for k, link in enumerate(self._link_order)}
-        self._averager = IterateAverager(len(self._link_order), tail=recovery_tail)
+        self._averager = IterateAverager(len(graph.links), tail=recovery_tail)
         self._gamma_averager = IterateAverager(1, tail=recovery_tail)
-        self._last: Sub1Iterate | None = None
+        # The latest solution: path as link indices, its cost, gamma, x(t).
+        self._last_path: List[int] = []
+        self._last_cost = 0.0
+        self._last_gamma = 0.0
+        self._last_flows = [0.0] * len(graph.links)
 
     @property
     def iterations(self) -> int:
@@ -81,24 +86,31 @@ class Sub1Router:
     @property
     def last_iterate(self) -> Sub1Iterate | None:
         """The most recent per-iteration solution."""
-        return self._last
+        return self._iterate() if self.iterations else None
 
-    @property
-    def recovered_flows(self) -> Dict[Link, float]:
-        """x_bar(t): averaged link flows (eq. 13).
+    def _iterate(self) -> Sub1Iterate:
+        links = self._graph.links
+        return Sub1Iterate(
+            path=(self._graph.source, *(links[k][1] for k in self._last_path)),
+            path_cost=self._last_cost,
+            gamma=self._last_gamma,
+            flows=dict(zip(links, self._last_flows)),
+        )
+
+    def recovered_flow_vector(self) -> List[float]:
+        """x_bar(t) per link index: averaged link flows (eq. 13).
 
         With ``primal_recovery=False`` (ablation) returns the latest
         instantaneous flows instead.
         """
-        if self.iterations == 0:
-            return {link: 0.0 for link in self._link_order}
-        if not self._primal_recovery:
-            assert self._last is not None
-            return dict(self._last.flows)
-        averaged = self._averager.average()
-        return {
-            link: float(averaged[k]) for k, link in enumerate(self._link_order)
-        }
+        if self.iterations == 0 or not self._primal_recovery:
+            return list(self._last_flows)
+        return self._averager.average().tolist()
+
+    @property
+    def recovered_flows(self) -> Dict[Link, float]:
+        """x_bar(t) keyed by link; see :meth:`recovered_flow_vector`."""
+        return dict(zip(self._graph.links, self.recovered_flow_vector()))
 
     @property
     def recovered_gamma(self) -> float:
@@ -106,46 +118,81 @@ class Sub1Router:
         if self.iterations == 0:
             return 0.0
         if not self._primal_recovery:
-            assert self._last is not None
-            return self._last.gamma
+            return self._last_gamma
         return float(self._gamma_averager.average()[0])
 
     def step(self, prices: Dict[Link, float]) -> Sub1Iterate:
-        """Solve SUB1 for the current prices and update the averages.
-
-        Args:
-            prices: lambda_ij >= 0 for every session link.
+        """Solve SUB1 for dict-keyed prices (absent links cost 0.0).
 
         Raises:
             ValueError: if a price is negative or the destination is
                 unreachable (cannot happen on a valid session graph).
         """
-        weights = {}
-        for link in self._link_order:
-            price = prices.get(link, 0.0)
-            if price < 0:
-                raise ValueError(f"negative price on link {link}: {price}")
-            weights[link] = price
-        result = dijkstra(self._graph.nodes, weights, self._graph.source)
-        if self._graph.destination not in result.distance:
+        self.route([prices.get(link, 0.0) for link in self._graph.links])
+        return self._iterate()
+
+    def route(self, weights: Sequence[float]) -> List[float]:
+        """Solve SUB1 for the current prices and update the averages.
+
+        Dijkstra from the source over ``weights`` (one lambda_ij >= 0 per
+        link index): a heap of ``(distance, node id)``, out-links relaxed
+        in link order on a strict improvement.  The search stops when the
+        destination settles — settled labels never change, so its path is
+        final.
+
+        Returns:
+            The instantaneous flows x(t) per link index: gamma on the
+            cheapest path, 0.0 elsewhere (not to be mutated).
+
+        Raises:
+            ValueError: if a price is negative or the destination is
+                unreachable (cannot happen on a valid session graph).
+        """
+        graph = self._graph
+        index = graph.index
+        if min(weights, default=0.0) < 0:
+            k = next(k for k, weight in enumerate(weights) if weight < 0)
+            raise ValueError(f"negative price on link {graph.links[k]}: {weights[k]}")
+        distance = [_INF] * len(graph.nodes)
+        via = [-1] * len(graph.nodes)
+        settled = [False] * len(graph.nodes)
+        source, destination = index.source, index.destination
+        distance[source] = 0.0
+        heap: List[Tuple[float, int, int]] = [(0.0, graph.source, source)]
+        adjacency = index.adjacency
+        while heap:
+            dist, _, u = heapq.heappop(heap)
+            if settled[u]:
+                continue
+            if u == destination:
+                break
+            settled[u] = True
+            for node, v, k in adjacency[u]:
+                candidate = dist + weights[k]
+                if candidate < distance[v]:
+                    distance[v] = candidate
+                    via[v] = k
+                    heapq.heappush(heap, (candidate, node, v))
+        path_cost = distance[destination]
+        if path_cost == _INF:
             raise ValueError("destination unreachable in session graph")
-        path = result.path_to(self._graph.destination)
-        assert path is not None
-        path_cost = result.distance[self._graph.destination]
+        hops: List[int] = []
+        v = destination
+        while v != source:
+            hops.append(via[v])
+            v = index.tail[via[v]]
+        hops.reverse()
         gamma = self._gamma_from_cost(path_cost)
-        flows = {link: 0.0 for link in self._link_order}
-        for hop in zip(path, path[1:]):
-            flows[hop] = gamma
-        iterate = Sub1Iterate(
-            path=path, path_cost=path_cost, gamma=gamma, flows=flows
-        )
-        vector = np.zeros(len(self._link_order))
-        for hop in zip(path, path[1:]):
-            vector[self._link_pos[hop]] = gamma
-        self._averager.push(vector)
+        flows = [0.0] * len(graph.links)
+        for k in hops:
+            flows[k] = gamma
+        self._averager.push(np.array(flows))
         self._gamma_averager.push(np.array([gamma]))
-        self._last = iterate
-        return iterate
+        self._last_path = hops
+        self._last_cost = path_cost
+        self._last_gamma = gamma
+        self._last_flows = flows
+        return flows
 
     def _gamma_from_cost(self, path_cost: float) -> float:
         """gamma = U'^{-1}(p_min) = 1 / p_min for U = ln, capped.

@@ -30,7 +30,7 @@ neighbors").  The message-passing version lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -50,7 +50,12 @@ class Sub2Iterate:
 
 
 class Sub2RateAllocator:
-    """Stateful SUB2 solver with congestion pricing and primal recovery."""
+    """Stateful SUB2 solver with congestion pricing and primal recovery.
+
+    State lives in flat vectors over ``graph.index`` (b per node index,
+    beta per node index with the unconstrained source pinned at 0.0);
+    the dict-keyed properties are views built on read.
+    """
 
     def __init__(
         self,
@@ -76,18 +81,16 @@ class Sub2RateAllocator:
         # clipped back into the feasible box; missing nodes cold-start).
         warm_rates = initial_rates or {}
         warm_beta = initial_beta or {}
-        self._rates: Dict[int, float] = {
-            node: min(1.0, max(0.0, warm_rates.get(node, initial_rate)))
+        self._rates: List[float] = [
+            min(1.0, max(0.0, warm_rates.get(node, initial_rate)))
             for node in graph.nodes
-        }
-        self._rates[graph.destination] = 0.0  # destination never broadcasts
-        self._beta: Dict[int, float] = {
-            node: max(0.0, warm_beta.get(node, 0.0))
-            for node in graph.mac_constrained_nodes()
-        }
-        self._node_order = list(graph.nodes)
-        self._averager = IterateAverager(len(self._node_order), tail=recovery_tail)
-        self._last: Sub2Iterate | None = None
+        ]
+        self._rates[graph.index.destination] = 0.0  # destination never broadcasts
+        self._beta: List[float] = [0.0] * len(graph.nodes)
+        for v in graph.index.mac_constrained:
+            self._beta[v] = max(0.0, warm_beta.get(graph.nodes[v], 0.0))
+        self._averager = IterateAverager(len(graph.nodes), tail=recovery_tail)
+        self._worst = 0.0
 
     @property
     def iterations(self) -> int:
@@ -97,28 +100,47 @@ class Sub2RateAllocator:
     @property
     def last_iterate(self) -> Sub2Iterate | None:
         """The most recent per-iteration solution."""
-        return self._last
+        return self._iterate() if self.iterations else None
+
+    def _iterate(self) -> Sub2Iterate:
+        return Sub2Iterate(
+            rates=self.rates,
+            congestion_prices=self.congestion_prices,
+            worst_violation=self._worst,
+        )
+
+    @property
+    def rate_vector(self) -> Sequence[float]:
+        """b(t) per node index (live state — read only)."""
+        return self._rates
+
+    @property
+    def beta_vector(self) -> Sequence[float]:
+        """beta(t) per node index, 0.0 at the source (live — read only)."""
+        return self._beta
 
     @property
     def rates(self) -> Dict[int, float]:
         """Current instantaneous broadcast rates b(t)."""
-        return dict(self._rates)
+        return dict(zip(self._graph.nodes, self._rates))
 
     @property
     def congestion_prices(self) -> Dict[int, float]:
-        """Current congestion prices beta(t)."""
-        return dict(self._beta)
+        """Current congestion prices beta(t) of the MAC-constrained nodes."""
+        nodes = self._graph.nodes
+        return {nodes[v]: self._beta[v] for v in self._graph.index.mac_constrained}
+
+    def recovered_rate_vector(self) -> List[float]:
+        """b_bar(t) per node index: averaged rates (eq. 18), or the latest
+        rates when primal recovery is disabled (ablation)."""
+        if self.iterations == 0 or not self._primal_recovery:
+            return list(self._rates)
+        return self._averager.average().tolist()
 
     @property
     def recovered_rates(self) -> Dict[int, float]:
-        """b_bar(t): averaged rates (eq. 18), or the latest rates when
-        primal recovery is disabled (ablation)."""
-        if self.iterations == 0 or not self._primal_recovery:
-            return dict(self._rates)
-        averaged = self._averager.average()
-        return {
-            node: float(averaged[k]) for k, node in enumerate(self._node_order)
-        }
+        """b_bar(t) keyed by node; see :meth:`recovered_rate_vector`."""
+        return dict(zip(self._graph.nodes, self.recovered_rate_vector()))
 
     def step(
         self,
@@ -126,72 +148,85 @@ class Sub2RateAllocator:
         step_size: float,
         union_prices: Dict[int, float] | None = None,
     ) -> Sub2Iterate:
-        """One synchronized SUB2 update.
+        """One synchronized SUB2 update from dict-keyed prices.
+
+        Absent links and nodes are priced 0.0; see :meth:`update`.
+        """
+        graph = self._graph
+        self.update(
+            [prices.get(link, 0.0) for link in graph.links],
+            step_size,
+            [union_prices.get(node, 0.0) for node in graph.nodes]
+            if union_prices
+            else None,
+        )
+        return self._iterate()
+
+    def update(
+        self,
+        prices: Sequence[float],
+        step_size: float,
+        union_prices: Sequence[float] | None = None,
+    ) -> None:
+        """One synchronized SUB2 update on index vectors.
 
         Order follows Table 1 step 4: update the primal variable b with
         (17), then the congestion price beta with (15), both from the
         previous iteration's neighbor values.
 
-        ``union_prices`` carries the multipliers mu_i of the broadcast
-        information constraint (5b); they enter the local coefficient as
-        ``mu_i * q_i`` — the reward per unit of rate for carrying the
+        ``prices`` holds lambda_ij per link index.  ``union_prices``
+        carries the multipliers mu_i of the broadcast information
+        constraint (5b) per node index; they enter the local coefficient
+        as ``mu_i * q_i`` — the reward per unit of rate for carrying the
         node's aggregate outgoing flow.
         """
         if step_size <= 0:
             raise ValueError(f"step_size must be > 0, got {step_size}")
-        weights = self._link_weights(prices)
-        if union_prices:
-            for node, mu in union_prices.items():
-                if mu < 0:
-                    raise ValueError(f"negative union price on node {node}: {mu}")
-                if mu:
-                    weights[node] = weights.get(node, 0.0) + mu * (
-                        self._graph.union_probability(node)
-                    )
-        old_rates = dict(self._rates)
-        old_beta = dict(self._beta)
+        graph = self._graph
+        index = graph.index
+        if min(prices, default=0.0) < 0:
+            k = next(k for k, price in enumerate(prices) if price < 0)
+            raise ValueError(f"negative price on link {graph.links[k]}: {prices[k]}")
+        if union_prices is not None and min(union_prices, default=0.0) < 0:
+            v = next(v for v, mu in enumerate(union_prices) if mu < 0)
+            raise ValueError(
+                f"negative union price on node {graph.nodes[v]}: {union_prices[v]}"
+            )
+        p, q = index.p, index.q
+        neighbors = index.neighbors
+        destination = index.destination
+        old_rates = self._rates
+        beta = self._beta
+        scale = 2.0 * self._proximal_c
 
         # (17) proximal rate update, clipped to the loose bounds [0, C=1].
-        for node in self._graph.nodes:
-            if node == self._graph.destination:
+        # w_i = sum over outgoing links of lambda_ij * p_ij (+ mu_i * q_i).
+        rates = list(old_rates)
+        for v, out in enumerate(index.out_links):
+            if v == destination:
                 continue
-            charge = old_beta.get(node, 0.0) + sum(
-                old_beta.get(j, 0.0) for j in self._graph.neighbors[node]
-            )
-            gradient = weights.get(node, 0.0) - charge
-            updated = old_rates[node] + gradient / (2.0 * self._proximal_c)
-            self._rates[node] = min(1.0, max(0.0, updated))
+            weight = 0.0
+            for k in out:
+                weight += prices[k] * p[k]
+            if union_prices is not None and union_prices[v]:
+                weight += union_prices[v] * q[v]
+            charge = 0.0
+            for j in neighbors[v]:
+                charge += beta[j]
+            gradient = weight - (beta[v] + charge)
+            updated = old_rates[v] + gradient / scale
+            rates[v] = min(1.0, max(0.0, updated))
+        self._rates = rates
 
         # (15) congestion price update from the *new* rates' slack.
         worst = 0.0
-        for node in self._graph.mac_constrained_nodes():
-            load = self._rates[node] + sum(
-                self._rates[j] for j in self._graph.neighbors[node]
-            )
-            slack = 1.0 - load
+        for v in index.mac_constrained:
+            load = 0.0
+            for j in neighbors[v]:
+                load += rates[j]
+            slack = 1.0 - (rates[v] + load)
             worst = max(worst, max(0.0, -slack))
-            self._beta[node] = project_nonnegative(
-                self._beta[node] - step_size * slack
-            )
+            beta[v] = project_nonnegative(beta[v] - step_size * slack)
+        self._worst = worst
 
-        self._averager.push(
-            np.array([self._rates[node] for node in self._node_order])
-        )
-        iterate = Sub2Iterate(
-            rates=dict(self._rates),
-            congestion_prices=dict(self._beta),
-            worst_violation=worst,
-        )
-        self._last = iterate
-        return iterate
-
-    def _link_weights(self, prices: Dict[Link, float]) -> Dict[int, float]:
-        """w_i = sum over outgoing links of lambda_ij * p_ij."""
-        weights: Dict[int, float] = {}
-        for link in self._graph.links:
-            i, _ = link
-            price = prices.get(link, 0.0)
-            if price < 0:
-                raise ValueError(f"negative price on link {link}: {price}")
-            weights[i] = weights.get(i, 0.0) + price * self._graph.probability[link]
-        return weights
+        self._averager.push(np.array(rates))

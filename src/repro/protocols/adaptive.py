@@ -24,6 +24,7 @@ from typing import List, Tuple
 
 from repro.coding.finite_length import DEFAULT_CANDIDATES, optimal_blocks
 from repro.coding.generation import DEFAULT_BLOCK_SIZE
+from repro.optimization.problem import SessionGraph
 from repro.optimization.rate_control import RateControlConfig, RateControlDuals
 from repro.protocols.base import (
     CodedBroadcastPlan,
@@ -105,6 +106,9 @@ class AdaptiveOmncPlanner(AdaptivePlanner):
         super().__init__(source, destination)
         self._config = config
         self._duals: RateControlDuals | None = None
+        # The last planned topology and the session graph selected on it;
+        # pricing a re-initiation on that same object reuses the graph.
+        self._planned: Tuple[WirelessNetwork, SessionGraph] | None = None
 
     @property
     def duals(self) -> RateControlDuals | None:
@@ -120,18 +124,23 @@ class AdaptiveOmncPlanner(AdaptivePlanner):
             warm_start=self._duals,
         )
         self._duals = report.duals
+        self._planned = (network, report.graph)
         self._iterations.append(report.plan.iterations)
         return report.plan
 
     def control_cost_seconds(self, network: WirelessNetwork) -> float:
         # Full Sec. 4 re-initiation: flood + rate-control message census,
         # measured by actually running both on the new topology.
+        graph = None
+        if self._planned is not None and self._planned[0] is network:
+            graph = self._planned[1]
         return replan_cost(
             network,
             self._source,
             self._destination,
             control_packet_bytes=DEFAULT_CONTROL_PACKET_BYTES,
             config=self._config,
+            graph=graph,
         ).channel_seconds
 
 

@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 from repro.optimization.replanning import replan_cost
+from repro.protocols import adaptive
+from repro.protocols.omnc import plan_omnc_detailed
 from repro.topology.dynamics import (
     perturb_link_qualities,
     quality_drift,
 )
-from repro.topology.random_network import diamond_topology, random_network
+from repro.topology.random_network import (
+    diamond_topology,
+    fig1_sample_topology,
+    random_network,
+)
 from repro.util.rng import RngFactory
 
 
@@ -83,6 +89,36 @@ class TestReplanCost:
         net = diamond_topology()
         with pytest.raises(ValueError):
             replan_cost(net, 0, 3, control_packet_bytes=0)
+
+    def test_prebuilt_graph_gives_the_same_cost(self):
+        net = fig1_sample_topology()
+        graph = plan_omnc_detailed(net, 0, 5).graph
+        assert replan_cost(net, 0, 5, graph=graph) == replan_cost(net, 0, 5)
+
+    def test_prebuilt_graph_must_match_the_endpoints(self):
+        net = fig1_sample_topology()
+        graph = plan_omnc_detailed(net, 0, 5).graph
+        with pytest.raises(ValueError, match="0->5"):
+            replan_cost(net, 0, 4, graph=graph)
+
+    def test_planner_reuses_its_graph_only_on_the_planned_network(self, monkeypatch):
+        net = fig1_sample_topology()
+        drifted = perturb_link_qualities(net, sigma=0.4, rng=np.random.default_rng(3))
+        handed = []
+
+        def spy(network, source, destination, *, graph=None, **kwargs):
+            handed.append(graph)
+            return replan_cost(network, source, destination, graph=graph, **kwargs)
+
+        monkeypatch.setattr(adaptive, "replan_cost", spy)
+        planner = adaptive.AdaptiveOmncPlanner(0, 5)
+        fresh = adaptive.AdaptiveOmncPlanner(0, 5)
+        planner.plan(net)
+        assert planner.control_cost_seconds(net) == fresh.control_cost_seconds(net)
+        assert planner.control_cost_seconds(drifted) == fresh.control_cost_seconds(
+            drifted
+        )
+        assert [graph is not None for graph in handed] == [True, False, False, False]
 
     def test_overhead_amortizes_over_long_sessions(self):
         # Paper Sec. 4: re-initiation overhead is acceptable "for long
