@@ -7,6 +7,8 @@ This package is the coding substrate of the OMNC reproduction:
 * :mod:`repro.coding.matrix` — dense GF matrix algebra (RREF, rank, solve).
 * :mod:`repro.coding.generation` — generations of data blocks.
 * :mod:`repro.coding.packet` — coded packet format and wire serialization.
+* :mod:`repro.coding.basis` — the reduced-echelon row basis: the one
+  elimination core behind the relay's innovation filter and the decoder.
 * :mod:`repro.coding.encoder` — source encoder and relay re-encoder.
 * :mod:`repro.coding.decoder` — progressive Gauss-Jordan decoder (paper
   Sec. 4) and the decode-at-the-end baseline.

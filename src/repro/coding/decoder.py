@@ -15,9 +15,10 @@ separate inversion step is needed.  This is what lets the destination
 ACK the instant decodability is reached, which the paper credits with
 "alleviating the delay effects caused by network coding".
 
-The augmented matrix lives in one preallocated contiguous ``uint8``
-ndarray (rows 0..rank-1 valid, sorted by pivot column) with a parallel
-pivot-column index vector.  The elimination kernel is batch-first:
+The augmented matrix lives in an :class:`~repro.coding.basis.EchelonBasis`
+— the elimination core the relay's innovation filter shares — one
+preallocated contiguous ``uint8`` ndarray (rows 0..rank-1 valid, sorted
+by pivot column) with a parallel pivot-column index vector.
 :meth:`ProgressiveDecoder.add_rows` forward-eliminates a whole batch
 against every existing pivot with a single GF(2^8) matrix product
 (valid because the matrix is *reduced*, so all pivots can be cleared at
@@ -26,7 +27,9 @@ panel (``field.eliminate_panel`` on ``[W | I_k]``, with the identity
 half accumulating the row-op transform that is then applied to the
 payloads as one matrix product), and back-substitutes all new pivots
 into the old rows with a second matrix product.  The single-packet
-:meth:`add_packet` / :meth:`add_row` API is a one-row batch.
+:meth:`add_packet` / :meth:`add_row` API is the basis's single-row
+insert: the same forward product, then one batched row update and an
+in-place shift to the sorted position.
 
 :class:`BlockDecoder` is the contrast case for the ablation benchmark: it
 buffers packets and decodes with one matrix inversion at the end.
@@ -41,6 +44,7 @@ import numpy as np
 from repro import obs
 from repro.coding import matrix as gfmatrix
 from repro.coding.backends import resolve_field
+from repro.coding.basis import EchelonBasis
 from repro.coding.matrix import FieldType
 from repro.coding.generation import Generation
 from repro.coding.packet import CodedPacket
@@ -72,14 +76,10 @@ class ProgressiveDecoder:
         self._block_size = block_size
         self._field = resolve_field(field)
         width = blocks + (block_size or 0)
-        # Contiguous augmented matrix [R | X]: rows 0..rank-1 are valid,
-        # kept in RREF and sorted by pivot column.  The parallel pivot
-        # index vector records each valid row's pivot column.
-        self._matrix = np.zeros((blocks, width), dtype=np.uint8)
-        self._pivot_cols = np.zeros(blocks, dtype=np.intp)
+        # Contiguous augmented matrix [R | X], kept in sorted RREF.
+        self._basis = EchelonBasis(self._field, blocks, width)
         self._width = width
         self._received = 0
-        self._innovative = 0
         scope = obs.resolve(registry).attach("decoder")
         self._m_innovative = scope.counter(
             "innovative", "packets that raised the decoder rank"
@@ -106,7 +106,7 @@ class ProgressiveDecoder:
     @property
     def rank(self) -> int:
         """Current rank (number of innovative packets absorbed)."""
-        return self._innovative
+        return self._basis.rank
 
     @property
     def received(self) -> int:
@@ -116,12 +116,12 @@ class ProgressiveDecoder:
     @property
     def redundant(self) -> int:
         """Packets that reduced to zero and were discarded."""
-        return self._received - self._innovative
+        return self._received - self._basis.rank
 
     @property
     def is_complete(self) -> bool:
         """True once rank n is reached and the generation is decodable."""
-        return self._innovative >= self._blocks
+        return self._basis.rank >= self._blocks
 
     def add_packet(self, packet: CodedPacket) -> bool:
         """Absorb one packet; returns True if it was innovative.
@@ -134,8 +134,8 @@ class ProgressiveDecoder:
         if self._block_size is not None:
             row = np.concatenate([packet.coefficients, packet.payload])
         else:
-            row = packet.coefficients
-        return self.add_row(row)
+            row = packet.coefficients.copy()
+        return self._absorb_row(row)
 
     def add_packets(self, packets: Sequence[CodedPacket]) -> np.ndarray:
         """Absorb a batch of packets in order; returns per-packet verdicts.
@@ -170,13 +170,26 @@ class ProgressiveDecoder:
     def add_row(self, row: np.ndarray) -> bool:
         """Absorb one augmented row ``[vector | payload]``.
 
-        A one-row batch through :meth:`add_rows`; the caller's array is
-        never mutated.
+        The caller's array is never mutated.
         """
-        row = np.asarray(row, dtype=np.uint8)
+        row = np.array(row, dtype=np.uint8)
         if row.ndim != 1 or row.size != self._width:
             raise ValueError(f"row width {row.size} != expected {self._width}")
-        return bool(self.add_rows(row[None, :])[0])
+        return self._absorb_row(row)
+
+    def _absorb_row(self, row: np.ndarray) -> bool:
+        """Single-row insert of a validated row this decoder owns."""
+        self._received += 1
+        if self.is_complete:
+            self._m_redundant.inc()
+            return False
+        if not self._plain_run(row[None, :])[0]:
+            self._m_eliminated.inc()
+        if not self._basis.insert(row):
+            self._m_redundant.inc()
+            return False
+        self._count_innovative(1)
+        return True
 
     def add_rows(self, batch: np.ndarray, *, copy: bool = True) -> np.ndarray:
         """Absorb a batch of augmented rows; returns per-row verdicts.
@@ -189,7 +202,8 @@ class ProgressiveDecoder:
         extracted from a coefficient-only ``[W | I_k]`` panel whose
         accumulated transform updates the payload half in one matrix
         product, and finally back-substituted into the previously stored
-        rows with a single matrix product.
+        rows with a single matrix product.  A one-row batch takes the
+        single-row insert of :meth:`add_row`.
         """
         batch = np.array(batch, dtype=np.uint8, copy=copy, ndmin=2)
         if batch.ndim != 2 or batch.shape[1] != self._width:
@@ -197,6 +211,8 @@ class ProgressiveDecoder:
                 f"batch width {batch.shape[-1]} != expected {self._width}"
             )
         k = batch.shape[0]
+        if k == 1:
+            return np.array([self._absorb_row(batch[0])])
         self._received += k
         verdicts = np.zeros(k, dtype=bool)
         if k == 0:
@@ -213,7 +229,8 @@ class ProgressiveDecoder:
         # generation decodes without a single eliminated row.
         run, run_cols = self._plain_run(batch)
         if run:
-            self._install_rows(batch[:run], np.asarray(run_cols, dtype=np.intp))
+            self._basis.install(batch[:run], np.asarray(run_cols, dtype=np.intp))
+            self._count_innovative(run)
             verdicts[:run] = True
             if run == k or self.is_complete:
                 rest = k - run
@@ -234,49 +251,36 @@ class ProgressiveDecoder:
         scan costs one nonzero count in the common case.
         """
         blocks = self._blocks
-        taken = np.zeros(blocks, dtype=bool)
-        taken[self._pivot_cols[: self._innovative]] = True
-        limit = self._blocks - self._innovative
+        basis = self._basis
+        limit = blocks - basis.rank
+        taken: np.ndarray | None = None
         cols: List[int] = []
         for row in batch:
             if len(cols) >= limit:
                 break
-            nonzero = np.nonzero(row[:blocks])[0]
-            if nonzero.size != 1:
+            coeffs = row[:blocks]
+            if np.count_nonzero(coeffs) != 1:
                 break
-            col = int(nonzero[0])
-            if row[col] != 1 or taken[col]:
+            col = int(coeffs.argmax())
+            if coeffs[col] != 1:
+                break
+            if taken is None:
+                taken = np.zeros(blocks, dtype=bool)
+                taken[basis.pivot_cols[: basis.rank]] = True
+            if taken[col]:
                 break
             taken[col] = True
             cols.append(col)
         return len(cols), cols
 
-    def _install_rows(self, fresh: np.ndarray, fresh_cols: np.ndarray) -> None:
-        """Install already-reduced rows: back-substitute + sorted merge.
-
-        ``fresh`` rows must be mutually reduced, normalized, and zero at
-        every stored pivot column, with pivots ``fresh_cols`` — exactly
-        what the plain-run scan guarantees.
-        """
-        rank = self._innovative
-        added = fresh.shape[0]
-        if rank:
-            old = self._matrix[:rank]
-            old_coeffs = old[:, fresh_cols]
-            if old_coeffs.any():
-                np.bitwise_xor(old, self._field.matmul(old_coeffs, fresh), out=old)
-        merged_cols = np.concatenate([self._pivot_cols[:rank], fresh_cols])
-        order = np.argsort(merged_cols, kind="stable")
-        merged = np.concatenate([self._matrix[:rank], fresh], axis=0)
-        total = rank + added
-        self._matrix[:total] = merged[order]
-        self._pivot_cols[:total] = merged_cols[order]
-        self._innovative = total
+    def _count_innovative(self, added: int) -> None:
+        """Book ``added`` rows the basis just stored."""
+        rank = self._basis.rank
         self._m_innovative.inc(added)
-        self._m_rank.set(total)
-        if self.is_complete:
+        self._m_rank.set(rank)
+        if rank >= self._blocks:
             self._m_decode_packets.observe(self._received)
-            self._m_overhead.observe(self._received - self._innovative)
+            self._m_overhead.observe(self._received - rank)
 
     def _eliminate_batch(self, batch: np.ndarray) -> np.ndarray:
         """Run a batch through the full elimination kernel (Phases 1-4)."""
@@ -285,15 +289,10 @@ class ProgressiveDecoder:
         self._m_eliminated.inc(k)
         field = self._field
         blocks = self._blocks
-        rank = self._innovative
+        basis = self._basis
         # Phase 1: forward-eliminate the whole batch against every
         # existing pivot in one product.
-        if rank:
-            coeffs = batch[:, self._pivot_cols[:rank]]
-            if coeffs.any():
-                np.bitwise_xor(
-                    batch, field.matmul(coeffs, self._matrix[:rank]), out=batch
-                )
+        basis.reduce(batch)
         # Phase 2: extract new pivots with a cache-blocked panel.  Only
         # the narrow coefficient half enters the row-order pivot scan, as
         # a [W | I_k] work matrix whose identity half accumulates the
@@ -302,53 +301,37 @@ class ProgressiveDecoder:
         # the accumulated T is applied to them afterwards as one matrix
         # product — bit-identical to full-width row operations because
         # GF(2^8) arithmetic is exact.
-        limit = blocks - rank
-        if k == 1:
-            # Single-row batch (the per-packet API): no intra-batch
-            # elimination is possible, so the panel machinery below —
-            # the [W | I] work matrix and the payload product — is pure
-            # overhead.  Find the pivot and normalize the row in place.
-            row = batch[0]
-            nonzero = np.nonzero(row[:blocks])[0]
-            if nonzero.size == 0:
-                self._m_redundant.inc(k)
-                return verdicts
-            pivot_col = int(nonzero[0])
-            pivot_value = int(row[pivot_col])
-            if pivot_value != 1:
-                row[:] = field.scale_row(row, int(field.inverse(pivot_value)))
-            fresh = batch
-            fresh_cols = np.array([pivot_col], dtype=np.intp)
-            verdicts[0] = True
-            added = 1
-        else:
-            work = np.empty((k, blocks + k), dtype=np.uint8)
-            work[:, :blocks] = batch[:, :blocks]
-            work[:, blocks:] = np.eye(k, dtype=np.uint8)
-            pivot_rows, fresh_cols = field.eliminate_panel(work, blocks, limit)
-            added = len(pivot_rows)
-            if added == 0:
-                self._m_redundant.inc(k)
-                return verdicts
-            verdicts[pivot_rows] = True
-            # fresh = [reduced coefficients | T_pivot . payloads]
-            fresh = np.empty((added, self._width), dtype=np.uint8)
-            fresh[:, :blocks] = work[pivot_rows, :blocks]
-            if self._width > blocks:
-                fresh[:, blocks:] = field.matmul(
-                    work[pivot_rows, blocks:], batch[:, blocks:]
-                )
+        work = np.empty((k, blocks + k), dtype=np.uint8)
+        work[:, :blocks] = batch[:, :blocks]
+        work[:, blocks:] = np.eye(k, dtype=np.uint8)
+        pivot_rows, fresh_cols = field.eliminate_panel(
+            work, blocks, blocks - basis.rank
+        )
+        added = len(pivot_rows)
+        if added == 0:
+            self._m_redundant.inc(k)
+            return verdicts
+        verdicts[pivot_rows] = True
+        # fresh = [reduced coefficients | T_pivot . payloads]
+        fresh = np.empty((added, self._width), dtype=np.uint8)
+        fresh[:, :blocks] = work[pivot_rows, :blocks]
+        if self._width > blocks:
+            fresh[:, blocks:] = field.matmul(
+                work[pivot_rows, blocks:], batch[:, blocks:]
+            )
         # Phases 3-4 (back-substitution into the old rows + sorted
         # merge) are shared with the plain-row fast path: the fresh rows
         # are mutually reduced, normalized, and zero in the old pivot
-        # columns, which is exactly the _install_rows contract.
-        self._install_rows(fresh, np.asarray(fresh_cols, dtype=np.intp))
+        # columns, which is exactly the basis's install contract.
+        basis.install(fresh, np.asarray(fresh_cols, dtype=np.intp))
+        self._count_innovative(added)
         self._m_redundant.inc(k - added)
         return verdicts
 
     def coefficient_matrix(self) -> np.ndarray:
         """The current (rank x n) reduced coefficient matrix."""
-        return self._matrix[: self._innovative, : self._blocks].copy()
+        basis = self._basis
+        return basis.matrix[: basis.rank, : self._blocks].copy()
 
     def decode(self) -> np.ndarray:
         """Return the recovered generation matrix B.
@@ -359,11 +342,11 @@ class ProgressiveDecoder:
         """
         if not self.is_complete:
             raise RuntimeError(
-                f"generation not decodable yet: rank {self._innovative}/{self._blocks}"
+                f"generation not decodable yet: rank {self.rank}/{self._blocks}"
             )
         if self._block_size is None:
             raise RuntimeError("coefficient-only decoder holds no payloads")
-        return self._matrix[: self._blocks, self._blocks :].copy()
+        return self._basis.matrix[:, self._blocks :].copy()
 
     def decode_generation(self, generation_id: int) -> Generation:
         """Decode and wrap the result in a :class:`Generation`."""

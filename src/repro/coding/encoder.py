@@ -23,6 +23,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.coding.backends import resolve_field
+from repro.coding.basis import EchelonBasis
 from repro.coding.matrix import FieldType
 from repro.coding.generation import Generation
 from repro.coding.packet import CodedPacket
@@ -169,10 +170,14 @@ class SourceEncoder:
 class RelayReEncoder:
     """Buffer innovative packets and emit fresh random recombinations.
 
-    The relay performs its own innovation check (via an incremental rank
-    filter over coding vectors) so that dependent arrivals are discarded
-    immediately — "an intermediate relay accepts an incoming packet only
-    if it is ... innovative" (Sec. 3.1).
+    The relay performs its own innovation check so that dependent
+    arrivals are discarded immediately — "an intermediate relay accepts
+    an incoming packet only if it is ... innovative" (Sec. 3.1).  The
+    check is a coefficient-only :class:`~repro.coding.basis.EchelonBasis`
+    (the decoder's elimination core): one GF(2^8) product against the
+    reduced echelon copy decides it.  Emitted packets are always mixed
+    from the *original* buffered vectors and payloads, never from the
+    echelon copy.
     """
 
     def __init__(
@@ -197,10 +202,8 @@ class RelayReEncoder:
         self._vector_buf = np.zeros((blocks, blocks), dtype=np.uint8)
         self._payload_buf: np.ndarray | None = None
         self._count = 0
-        # Incremental row-echelon copy of the vectors, used only for the
-        # innovation check; pivots[c] = row index whose pivot is column c.
-        self._echelon_buf = np.zeros((blocks, blocks), dtype=np.uint8)
-        self._pivots: dict[int, int] = {}
+        # Reduced-echelon copy of the vectors: the innovation check only.
+        self._filter = EchelonBasis(self._field, blocks, blocks)
 
     @property
     def generation_id(self) -> int:
@@ -231,7 +234,8 @@ class RelayReEncoder:
         from the relay's is dropped, not an error: when a session
         switches generation size at a boundary (adaptive-n), stale-sized
         packets are legitimately in flight until every node crosses the
-        boundary.
+        boundary.  A payload whose width differs from the rows already
+        buffered for the generation raises ``ValueError``.
         """
         if packet.session_id != self._session_id:
             raise ValueError(
@@ -246,38 +250,42 @@ class RelayReEncoder:
             return False
         if self.is_full:
             return False
-        if not self._reduce(packet.coefficients.copy()):
+        payload = packet.payload
+        payload_buf = self._payload_buf_for(payload)
+        if not self._filter.insert(packet.coefficients.copy()):
             return False
         row = self._count
         self._vector_buf[row] = packet.coefficients
-        if packet.payload is not None:
-            if self._payload_buf is None or self._payload_buf.shape[1] != packet.payload.size:
-                self._payload_buf = np.zeros(
-                    (self._blocks, packet.payload.size), dtype=np.uint8
-                )
-            self._payload_buf[row] = packet.payload
+        if payload is not None and payload_buf is not None:
+            payload_buf[row] = payload
         self._count = row + 1
         return True
 
-    def _reduce(self, vector: np.ndarray) -> bool:
-        """Reduce ``vector`` against the echelon; store it and return True
-        if a new pivot emerges, else return False (dependent)."""
-        field = self._field
-        for col, row_index in sorted(self._pivots.items()):
-            coeff = int(vector[col])
-            if coeff:
-                field.addmul_row(vector, self._echelon_buf[row_index], coeff)
-        nonzero = np.nonzero(vector)[0]
-        if nonzero.size == 0:
-            return False
-        pivot_col = int(nonzero[0])
-        pivot_value = int(vector[pivot_col])
-        if pivot_value != 1:
-            vector = field.scale_row(vector, int(field.inverse(pivot_value)))
-        row = len(self._pivots)
-        self._pivots[pivot_col] = row
-        self._echelon_buf[row] = vector
-        return True
+    def _payload_buf_for(self, payload: np.ndarray | None) -> np.ndarray | None:
+        """The payload buffer ``payload`` can be stored in (None without one).
+
+        The first packet of a generation fixes the payload width; an
+        empty relay re-shapes its buffer to follow it.  Once rows are
+        stored a different width (or a payload-less packet among
+        payload-bearing ones) would mix zeros into real data on the next
+        re-encode, so it raises instead.
+        """
+        buffer = self._payload_buf
+        offered = None if payload is None else payload.size
+        stored = None if buffer is None else buffer.shape[1]
+        if offered == stored:
+            return buffer
+        if self._count:
+            raise ValueError(
+                f"payload size {offered} != the {stored} of the {self._count} "
+                f"packets buffered for generation {self._generation_id}"
+            )
+        if offered is None:
+            buffer = None
+        else:
+            buffer = np.zeros((self._blocks, offered), dtype=np.uint8)
+        self._payload_buf = buffer
+        return buffer
 
     def next_packet(self) -> CodedPacket:
         """Emit one re-encoded packet over the buffered innovative set.
@@ -344,4 +352,4 @@ class RelayReEncoder:
             )
         self._generation_id = generation_id
         self._count = 0
-        self._pivots.clear()
+        self._filter.clear()

@@ -1101,6 +1101,9 @@ class MultiSessionNodeRuntime(NodeRuntime):
         self._subs: Dict[int, NodeRuntime] = {}
         self._dormant: Dict[int, NodeRuntime] = {}
         self._order: List[int] = []
+        # The active sub-runtimes in ``_order``'s order: what every
+        # per-slot sweep walks, without a dict lookup per session.
+        self._active: List[NodeRuntime] = []
         self._cursor = 0
         self._session_transmissions: Dict[int, int] = {}
         self._session_queue_time: Dict[int, float] = {}
@@ -1132,6 +1135,7 @@ class MultiSessionNodeRuntime(NodeRuntime):
 
     def _rebuild_order(self) -> None:
         self._order = sorted(self._subs)
+        self._active = [self._subs[sid] for sid in self._order]
         self._cursor = 0
 
     def hosted_sessions(self) -> Tuple[int, ...]:
@@ -1164,35 +1168,50 @@ class MultiSessionNodeRuntime(NodeRuntime):
         self._rebuild_order()
 
     def on_slot(self, dt: float) -> None:
-        for sid in self._order:
-            sub = self._subs[sid]
+        queue_time = self._session_queue_time
+        for sid, sub in zip(self._order, self._active):
             sub.on_slot(dt)
-            self._session_queue_time[sid] += sub.queue_length() * dt
+            queue_time[sid] += sub.queue_length() * dt
 
     def dormant(self, dt: float) -> bool:
         # Dormant sub-runtimes hold empty queues, so the per-session
         # queue integral's ``+= 0 * dt`` is exact as well.  Sessions
         # that have not arrived or have departed are not ticked at all.
-        return all(self._subs[sid].dormant(dt) for sid in self._order)
+        for sub in self._active:
+            if not sub.dormant(dt):
+                return False
+        return True
+
+    # The three sums below accumulate in ``_order``'s order from the
+    # same ``0`` start as ``sum()`` would: float totals feed the
+    # scheduler, so the order is part of the multi-session digest.
 
     def backlog(self) -> float:
-        return sum(self._subs[sid].backlog() for sid in self._order)
+        total: float = 0
+        for sub in self._active:
+            total += sub.backlog()
+        return total
 
     def demand_rate(self, dt: float) -> float:
-        return sum(self._subs[sid].demand_rate(dt) for sid in self._order)
+        total: float = 0
+        for sub in self._active:
+            total += sub.demand_rate(dt)
+        return total
 
     def queue_length(self) -> int:
-        return sum(self._subs[sid].queue_length() for sid in self._order)
+        total = 0
+        for sub in self._active:
+            total += sub.queue_length()
+        return total
 
     def pop_transmission(self) -> Packet | None:
         count = len(self._order)
         for offset in range(count):
             index = (self._cursor + offset) % count
-            sid = self._order[index]
-            packet = self._subs[sid].pop_transmission()
+            packet = self._active[index].pop_transmission()
             if packet is not None:
                 self._cursor = (index + 1) % count
-                self._session_transmissions[sid] += 1
+                self._session_transmissions[self._order[index]] += 1
                 return packet
         return None
 

@@ -560,6 +560,12 @@ def run_campaign(
         )
         failures_counter.inc()
     specs = campaign_jobs(config, sessions, collect_metrics=metrics.enabled)
+    if policy.parallel:
+        # Every session job plans oldMORE through the min-cost LP, and
+        # scipy loads on the first LP solved in a process.  Workers fork
+        # from this one: load it here once instead of once per worker.
+        import scipy.optimize  # noqa: F401
+        import scipy.sparse  # noqa: F401
     outcomes = execute_jobs(specs, policy, registry=registry)
     for index, ((source, destination, _plan), outcome) in enumerate(
         zip(sessions, outcomes)

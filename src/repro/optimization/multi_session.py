@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
 
 from repro.optimization.problem import SessionGraph
 from repro.optimization.rate_control import RateControlConfig, net_source_flow
@@ -282,8 +280,12 @@ def solve_multi_sunicast_detailed(
     The extra primal detail (b^s, x^s) is what a centralized
     multi-session *planner* needs: the rates feed the same
     repair/rescale pipeline as the single-session planners
-    (:func:`repro.protocols.omnc.plan_omnc_multi`).
+    (:func:`repro.protocols.omnc.plan_omnc_multi`).  scipy is imported
+    here, on first use (see :func:`repro.optimization.sunicast.solve_sunicast`).
     """
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+
     if not graphs:
         raise ValueError("at least one session is required")
     # Column layout: per session [x | b | gamma], concatenated.

@@ -11,7 +11,10 @@
 paper adds for boundedness; it is implied by (4) for any node with a
 neighbor.)
 
-The LP is solved centrally with scipy's HiGHS backend.  It serves three
+The LP is solved centrally with scipy's HiGHS backend, imported by the
+solver functions themselves: no emulated session, campaign or re-plan
+solves an LP (the default planner is Table 1), so importing this module
+does not load scipy.  It serves three
 roles in this repository: the reference optimum that the distributed
 algorithm must approach, the oldMORE-style planner reuses its matrix
 builder with a different objective, and the throughput predictions the
@@ -26,14 +29,15 @@ All rates are capacity-normalized (C = 1); see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
 
 from repro.optimization.problem import SessionGraph
 from repro.topology.graph import Link
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 
 @dataclass(frozen=True)
@@ -96,6 +100,8 @@ def _build_constraints(
     With ``fixed_gamma`` the gamma column is removed from the equality
     system and moved to the right-hand side (min-cost mode).
     """
+    from scipy.sparse import csr_matrix
+
     columns = gamma_index + 1
     eq_rows: List[int] = []
     eq_cols: List[int] = []
@@ -204,7 +210,12 @@ def solve_sunicast(
     planning the paper attributes to MORE/oldMORE; the MAC-constraint
     ablation emulates the resulting over-subscribed rates to show the
     queue blow-up OMNC's rate control avoids.
+
+    scipy is imported here, not with the module: the first LP solved in
+    a process pays that import (a few hundred ms) once.
     """
+    from scipy.optimize import linprog
+
     link_index, node_index, gamma_index = _index_variables(graph)
     a_eq, b_eq, a_ub, b_ub = _build_constraints(
         graph,
@@ -246,6 +257,8 @@ def solve_min_cost(graph: SessionGraph, *, throughput: float = 1e-3) -> SUnicast
     precisely the node/path-pruning behaviour Fig. 4 attributes to
     oldMORE.
     """
+    from scipy.optimize import linprog
+
     if throughput <= 0:
         raise ValueError(f"throughput must be > 0, got {throughput}")
     link_index, node_index, gamma_index = _index_variables(graph)
@@ -305,6 +318,9 @@ def solve_min_cost_routing(
     The returned ``broadcast_rates`` hold each node's transmission rate
     z_i = sum_j x_ij / p_ij (unnormalized by throughput).
     """
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+
     if throughput <= 0:
         raise ValueError(f"throughput must be > 0, got {throughput}")
     link_index = {link: k for k, link in enumerate(graph.links)}

@@ -18,13 +18,15 @@ treat it as ground truth.  Probe-based *measurement* of link qualities
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.topology.partition import SpatialGrid
 from repro.util.validation import check_positive
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 Link = Tuple[int, int]
 
@@ -196,7 +198,10 @@ class WirelessNetwork:
 
         Each edge carries ``probability``; with ``weight='etx'`` an
         ``etx = 1/p`` attribute is added for shortest-path queries.
+        networkx is imported here: nothing else in the package needs it.
         """
+        import networkx as nx
+
         graph = nx.DiGraph()
         graph.add_nodes_from(self.nodes())
         for i, j, prob in self.links():

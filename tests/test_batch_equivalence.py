@@ -19,10 +19,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.coding.backends import available_backends, get_backend
 from repro.coding.decoder import ProgressiveDecoder
 from repro.coding.encoder import RelayReEncoder, SourceEncoder
 from repro.coding.generation import GenerationParams, random_generation
+from repro.coding.gf256 import GF256
+from repro.coding.gf256_baseline import GF256Baseline
 from repro.coding.packet import CodedPacket
+
+FIELDS = [get_backend(name) for name in available_backends()] + [GF256Baseline]
 
 
 def _augmented_rows(blocks, block_size, count, rng, *, duplicate_fraction=0.3):
@@ -34,8 +39,6 @@ def _augmented_rows(blocks, block_size, count, rng, *, duplicate_fraction=0.3):
     """
     generation = random_generation(0, GenerationParams(blocks, block_size), rng)
     vectors = rng.integers(0, 256, size=(count, blocks), dtype=np.uint8)
-    from repro.coding.gf256 import GF256
-
     payloads = GF256.matmul(vectors, generation.matrix)
     rows = np.concatenate([vectors, payloads], axis=1)
     for index in range(1, count):
@@ -77,8 +80,8 @@ class TestAddRowsEquivalence:
             batched.coefficient_matrix(), incremental.coefficient_matrix()
         )
         assert np.array_equal(
-            batched._pivot_cols[: batched.rank],
-            incremental._pivot_cols[: incremental.rank],
+            batched._basis.pivot_cols[: batched.rank],
+            incremental._basis.pivot_cols[: incremental.rank],
         )
         if batched.is_complete:
             assert np.array_equal(batched.decode(), generation.matrix)
@@ -99,6 +102,49 @@ class TestAddRowsEquivalence:
         assert in_order.rank == shuffled.rank
         if in_order.is_complete:
             assert np.array_equal(shuffled.decode(), generation.matrix)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda field: field.name)
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_single_row_inserts_in_any_pivot_order_match_the_batch_path(
+        self, field, blocks, seed
+    ):
+        rng = np.random.default_rng(seed)
+        block_size = 8
+        generation = random_generation(0, GenerationParams(blocks, block_size), rng)
+        # Row i leads at column leading[i], so the single-row path has to
+        # insert at an arbitrary sorted position, not append.
+        leading = rng.permutation(blocks)
+        vectors = rng.integers(0, 256, size=(blocks, blocks), dtype=np.uint8)
+        for index, col in enumerate(leading):
+            vectors[index, :col] = 0
+            vectors[index, col] = rng.integers(1, 256)
+        payloads = GF256.matmul(vectors, generation.matrix)
+        rows = np.concatenate([vectors, payloads], axis=1)
+        before = rows.copy()
+
+        single = ProgressiveDecoder(blocks, block_size, field=field)
+        for count in range(1, blocks + 1):
+            if count % 2:
+                assert single.add_row(rows[count - 1])
+            else:
+                assert single.add_packet(
+                    CodedPacket(1, 0, vectors[count - 1], payloads[count - 1])
+                )
+            batched = ProgressiveDecoder(blocks, block_size, field=field)
+            assert batched.add_rows(rows[:count]).all()
+            assert single.rank == batched.rank == count
+            assert np.array_equal(
+                single._basis.matrix[:count], batched._basis.matrix[:count]
+            )
+            assert np.array_equal(
+                single._basis.pivot_cols[:count], np.sort(leading[:count])
+            )
+        assert np.array_equal(rows, before)
+        assert single.decode().tobytes() == generation.matrix.tobytes()
 
     def test_whole_batch_of_duplicates_yields_rank_one(self):
         rng = np.random.default_rng(7)

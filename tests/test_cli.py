@@ -213,3 +213,41 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "scenario:" in out
         assert "replans:" in out
+
+
+class TestImportHygiene:
+    """The LP solver and the graph exporter load their libraries on use."""
+
+    _SCRIPT = """
+import sys
+import repro.cli, repro.emulator, repro.protocols, repro.scenario
+import repro.experiments.common
+loaded = [name for name in ("scipy", "networkx") if name in sys.modules]
+assert not loaded, loaded
+
+from repro.optimization.problem import session_graph_from_network
+from repro.optimization.sunicast import solve_sunicast
+from repro.topology.random_network import chain_topology
+network = chain_topology((0.5, 0.5, 0.5))
+solution = solve_sunicast(session_graph_from_network(network, 0, 3))
+assert 0.0 < solution.throughput < 0.5
+assert network.to_networkx(weight="etx").number_of_edges() > 0
+assert "scipy" in sys.modules and "networkx" in sys.modules
+"""
+
+    def test_scipy_and_networkx_load_on_first_use_only(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src, *filter(None, [env.get("PYTHONPATH")])]
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", self._SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr

@@ -134,6 +134,25 @@ class TestCodedRelay:
         packet = relay.pop_transmission()
         assert packet.generation_id == 2
 
+    def test_generation_size_switch_starts_from_an_empty_filter(self):
+        from repro.emulator.plan import CodingParams
+
+        relay = self._relay()
+        relay.on_receive(self._packet([1, 2, 3, 4]), sender=0)
+        relay.on_receive(self._packet([1, 2, 3, 4]), sender=0)
+        assert relay.packets_accepted == 1
+        relay.apply_plan(coding=CodingParams(blocks=6))
+        relay.advance_generation(1)
+        assert relay.buffered == 0
+        # A stale-sized packet is dropped; the same direction at the new
+        # size is innovative again in the new generation.
+        relay.on_receive(self._packet([1, 2, 3, 4], generation=1), sender=0)
+        assert relay.buffered == 0
+        relay.on_receive(self._packet([1, 2, 3, 4, 0, 0], generation=1), sender=0)
+        relay.on_receive(self._packet([1, 2, 3, 4, 0, 0], generation=1), sender=0)
+        assert relay.buffered == 1
+        assert relay.packets_accepted == 2
+
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
             CodedRelayRuntime(
