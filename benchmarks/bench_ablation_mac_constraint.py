@@ -8,10 +8,10 @@ the constrained allocation keeps queues near zero.
 """
 
 from repro.emulator import SessionConfig, run_coded_session
+from repro.emulator.plan import CodedBroadcastPlan
 from repro.optimization.rate_control import feasible_scaling
 from repro.optimization.problem import session_graph_from_selection
 from repro.optimization.sunicast import solve_sunicast
-from repro.protocols.base import CodedBroadcastPlan
 from repro.routing.node_selection import select_forwarders
 from repro.topology import random_network
 from repro.util import RngFactory

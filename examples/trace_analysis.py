@@ -14,52 +14,31 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
-from repro.coding.packet import HEADER_BYTES
-from repro.emulator import (
-    EmulationEngine,
-    LossyBroadcastChannel,
-    SessionTracer,
-)
-from repro.emulator.node import CodedDestinationRuntime
-from repro.emulator.session import SessionConfig, _AckTracker, _build_rate_runtimes
+from repro.emulator import SessionTracer
+from repro.emulator.session import SessionConfig, open_session
 from repro.protocols import plan_omnc
 from repro.topology import diamond_topology
 from repro.util import RngFactory
 
 
 def main() -> None:
-    rng = RngFactory(7)
     network = diamond_topology(capacity=2e4)
     plan = plan_omnc(network, 0, 3)
     config = SessionConfig(
         blocks=16, block_size=512, max_seconds=200.0, target_generations=3
     )
 
-    runtimes, _ = _build_rate_runtimes(network, plan, 1, config, rng)
-    tracker = _AckTracker()
-    from repro.emulator.node import FlowDestinationRuntime
-
-    destination = FlowDestinationRuntime(3, 1, config.blocks, tracker.on_decoded)
-    runtimes[3] = destination
-
     tracer = SessionTracer()
-    slot = config.coded_packet_bytes() / network.capacity
-    engine = EmulationEngine(
-        network,
-        runtimes,
-        LossyBroadcastChannel(network, rng=rng.derive("channel")),
-        slot,
-        scheduler_rng=rng.derive("mac"),
-        capture_rng=rng.derive("capture"),
-        tracer=tracer,
+    engine, tracker = open_session(
+        network, plan, config=config, rng=RngFactory(7), tracer=tracer
     )
-    tracker.engine = engine
+    destination = engine.runtimes[3]
 
     def stop():
         tracker.apply_pending()
         return destination.generations_decoded >= config.target_generations
 
-    engine.run(int(config.max_seconds / slot), stop_when=stop)
+    engine.run(int(config.max_seconds / engine.slot_duration), stop_when=stop)
 
     print(f"session finished in {engine.now:.1f}s emulated, "
           f"{destination.generations_decoded} generations decoded")

@@ -432,8 +432,8 @@ class SymbolTable:
     def find_class(self, qualified: str) -> Optional[ClassInfo]:
         """Class by fully-qualified name, following package re-exports.
 
-        ``repro.protocols.base.CodedBroadcastPlan`` resolves through the
-        shim module's alias table to the defining class in
+        ``repro.protocols.CodedBroadcastPlan`` resolves through the
+        package's alias table to the defining class in
         ``repro.emulator.plan`` — one hop of re-export following, which
         covers the ``from x import y`` republication idiom.
         """

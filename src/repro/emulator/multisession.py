@@ -52,6 +52,7 @@ from repro.emulator.session import (
     SessionConfig,
     SessionResult,
     build_plan_runtimes,
+    session_result,
 )
 from repro.emulator.shard import (
     ShardedSession,
@@ -61,11 +62,7 @@ from repro.emulator.shard import (
 )
 from repro.emulator.stats import jain_fairness_index
 from repro.emulator.trace import SessionTracer
-from repro.emulator.plan import (
-    CodedBroadcastPlan,
-    CreditBroadcastPlan,
-    SessionPlan,
-)
+from repro.emulator.plan import SessionPlan
 from repro.topology.graph import WirelessNetwork
 from repro.util.rng import RngFactory
 
@@ -192,7 +189,7 @@ def run_multi_session(
     for sid, plan in plans.items():
         if sid < 0:
             raise ValueError(f"session ids must be >= 0, got {sid}")
-        if not isinstance(plan, (CodedBroadcastPlan, CreditBroadcastPlan)):
+        if plan.kind == "unicast":
             raise TypeError(
                 f"session {sid}: multi-session runs take coded plans, got "
                 f"{type(plan).__name__}"
@@ -288,42 +285,31 @@ def run_multi_session(
         xor_total += int(node_stats[node]["xor_transmissions"])
     for sid in sorted(plans):
         plan = plans[sid]
-        assert isinstance(plan, (CodedBroadcastPlan, CreditBroadcastPlan))
-        forwarders = plan.forwarders
         times = ack_times[sid]
-        generations = len(times)
-        if times:
-            throughput = generations * config.generation_bytes() / times[-1]
-        else:
-            throughput = 0.0
         average_queues: Dict[int, float] = {}
         transmissions: Dict[int, int] = {}
         delivered: List[Tuple[int, int]] = []
-        participants: List[int] = []
         for node in sorted(node_stats):
-            per_session = node_stats[node]["sessions"]
-            if sid not in per_session:
+            entry = node_stats[node]["sessions"].get(sid)
+            if entry is None:
                 continue
-            participants.append(node)
-            entry = per_session[sid]
             average_queues[node] = float(entry["queue_time"]) / elapsed
             transmissions[node] = int(entry["transmissions"])
             delivered.extend(
                 (int(i), int(j)) for i, j in entry["delivered_links"]
             )
-        results[sid] = SessionResult(
-            protocol=labels[sid],
-            source=forwarders.source,
-            destination=forwarders.destination,
-            throughput_bps=throughput,
-            duration=stats.elapsed,
-            generations_decoded=generations,
-            packets_delivered=generations * config.blocks,
-            ack_times=tuple(times),
-            average_queues=average_queues,
-            transmissions=transmissions,
-            participants=tuple(participants),
-            delivered_links=tuple(sorted(delivered)),
+        results[sid] = session_result(
+            labels[sid],
+            plan.source,
+            plan.destination,
+            config.block_size,
+            stats.elapsed,
+            average_queues,
+            transmissions,
+            delivered,
+            ack_times=times,
+            generations=len(times),
+            blocks_decoded=len(times) * config.blocks,
         )
 
     throughputs = [results[sid].throughput_bps for sid in sorted(results)]

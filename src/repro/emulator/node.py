@@ -1,17 +1,23 @@
 """Node runtimes: the per-node data planes the emulator executes.
 
-Three behaviours cover the four protocols (paper Sec. 5):
+A coded session gives every node one of three *roles*, and each role's
+behaviour is written once (paper Sec. 5):
 
-* :class:`CodedSourceRuntime` — streams fresh random linear combinations
-  of the current generation.  Rate-driven for OMNC (the allocated b_S) or
-  offered-load-driven for MORE/oldMORE (CBR until ACK).
-* :class:`CodedRelayRuntime` — buffers innovative packets and re-encodes.
+* **source** — streams packets of the current generation at a target
+  rate: the allocated b_S for OMNC, the offered load (CBR until ACK) for
+  MORE/oldMORE.
+* **relay** — holds what it has heard and re-broadcasts it.
   Transmission pressure comes either from an allocated rate (OMNC) or
   from TX credits earned per packet heard from upstream (MORE/oldMORE).
-* :class:`CodedDestinationRuntime` — progressive Gauss-Jordan decoding;
-  fires a callback the instant a generation reaches full rank (the ACK).
-* :class:`UnicastRuntime` — classic store-and-forward FIFO for ETX
-  routing, with MAC-layer retransmissions handled by the engine.
+* **destination** — gathers the generation and fires a callback the
+  instant it is complete (the ACK).
+
+The two coding fidelities differ only in what a packet carries, so the
+public classes are payload stores plugged into the shared roles:
+``Coded*`` keep real GF(2^8) coding vectors (encoder, re-encoding
+buffer, progressive Gauss-Jordan decoder), ``Flow*`` keep an information
+level.  :class:`UnicastRuntime` is the classic store-and-forward FIFO
+for ETX routing, with MAC-layer retransmissions handled by the engine.
 
 All coded runtimes run in coefficient-only mode: coding vectors are
 simulated exactly (innovation, rank, decodability are all real), payload
@@ -23,7 +29,7 @@ examples demonstrate full-payload operation end-to-end.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Sequence, Tuple, TypeAlias
+from typing import Any, Callable, Deque, Dict, List, Sequence, Tuple, TypeAlias
 
 import numpy as np
 
@@ -33,10 +39,9 @@ from repro.coding.generation import Generation
 from repro.coding.packet import CodedPacket
 from repro.emulator.plan import CodingParams
 
-#: Anything a runtime can put on the air.  Subclasses narrow ``packet``
-#: parameters to their own family's type; a session only ever wires
-#: matching families together, so the narrowing is safe (marked with
-#: ``type: ignore[override]`` at each override).
+#: Anything a runtime can put on the air.  A session only ever wires
+#: one fidelity's runtimes together, so the shared roles take packets as
+#: ``Any`` and each payload store reads its own packet type.
 Packet: TypeAlias = "CodedPacket | FlowPacket | XorPacket"
 
 DEFAULT_QUEUE_LIMIT = 500
@@ -58,9 +63,9 @@ class NodeRuntime:
         The live control plane (see :mod:`repro.scenario`) calls this when
         a re-plan changes a node's allocation mid-run.  Buffers, decoder
         progress and generation counters persist — only rates / credits /
-        routes move.  The base implementation ignores everything
-        (destinations carry no plan state); rate-, credit- and path-driven
-        runtimes override it with strict validation.
+        routes move.  The base implementation ignores everything;
+        rate-, credit- and path-driven runtimes override it with strict
+        validation.
         """
 
     def on_slot(self, dt: float) -> None:
@@ -100,16 +105,6 @@ class NodeRuntime:
     def on_receive(self, packet: Packet, sender: int) -> None:
         """Handle a delivered packet."""
 
-    def on_receive_batch(self, packets: Sequence[Packet], sender: int) -> None:
-        """Handle several packets delivered in one slot from ``sender``.
-
-        Runtimes with a batch-capable data plane override this (the
-        destination feeds its decoder's ``add_packets``); the default
-        simply replays the single-packet path in order.
-        """
-        for packet in packets:
-            self.on_receive(packet, sender)
-
     def queue_length(self) -> int:
         """Current broadcast-queue occupancy (the Fig. 3 metric)."""
         return 0
@@ -135,106 +130,22 @@ class NodeRuntime:
         """A session departed (multi-session composites; no-op otherwise)."""
 
 
-class CodedSourceRuntime(NodeRuntime):
-    """The session source: generate coded packets at a target rate."""
+class _SessionRuntime(NodeRuntime):
+    """What every coded role shares: its session and generation clock.
 
-    def __init__(
-        self,
-        node_id: int,
-        session_id: int,
-        blocks: int,
-        rate_bps: float,
-        packet_bytes: int,
-        rng: np.random.Generator,
-        *,
-        queue_limit: int = DEFAULT_QUEUE_LIMIT,
-        systematic: bool = False,
-    ) -> None:
+    A ``coding`` decision handed to ``apply_plan`` is *deferred*: it
+    takes effect at the next generation boundary, so the in-flight
+    generation keeps its size and every in-progress decode stays valid.
+    Every role's constructor ends in ``_reset()``: a new runtime is an
+    empty one.
+    """
+
+    def __init__(self, node_id: int, session_id: int, blocks: int) -> None:
         super().__init__(node_id)
-        if rate_bps < 0:
-            raise ValueError(f"rate_bps must be >= 0, got {rate_bps}")
-        if packet_bytes <= 0:
-            raise ValueError(f"packet_bytes must be > 0, got {packet_bytes}")
         self._session_id = session_id
         self._blocks = blocks
-        self._rate = rate_bps
-        self._packet_bytes = packet_bytes
-        self._rng = rng
-        self._queue_limit = queue_limit
-        self._systematic = systematic
-        self._pending_coding: CodingParams | None = None
-        self._credit = 0.0
-        self._queue: Deque[CodedPacket] = deque()
         self._generation_id = 0
-        self._encoder = self._make_encoder(0)
-        self.packets_generated = 0
-        self.packets_sent = 0
-        self.packets_dropped = 0
-
-    def _make_encoder(self, generation_id: int) -> SourceEncoder:
-        # Coefficient-only generations: a 1-byte-per-block stand-in matrix
-        # keeps the SourceEncoder interface while payloads stay virtual.
-        matrix = np.zeros((self._blocks, 1), dtype=np.uint8)
-        return SourceEncoder(
-            self._session_id,
-            Generation(generation_id, matrix),
-            self._rng,
-            payload=False,
-            systematic=self._systematic,
-        )
-
-    def apply_plan(
-        self,
-        *,
-        rate_bps: float | None = None,
-        coding: CodingParams | None = None,
-    ) -> None:
-        """Hot-swap the allocated source rate; encoder and queue persist.
-
-        A ``coding`` decision is *deferred*: it takes effect at the next
-        generation boundary, so the in-flight generation keeps its size
-        and every in-progress decode stays valid.
-        """
-        if rate_bps is not None:
-            if rate_bps < 0:
-                raise ValueError(f"rate_bps must be >= 0, got {rate_bps}")
-            self._rate = rate_bps
-        if coding is not None:
-            self._pending_coding = coding
-
-    def on_slot(self, dt: float) -> None:
-        self._credit += self._rate * dt / self._packet_bytes
-        make = int(self._credit)
-        if make <= 0:
-            return
-        self._credit -= make
-        # A saturated queue sheds load instead of banking credit, so the
-        # source cannot burst-flush stale credit after an ACK.
-        emit = min(make, self._queue_limit - len(self._queue))
-        self.packets_dropped += make - emit
-        if emit == 1:
-            # Single-packet slots (the CBR common case) keep the exact
-            # per-packet RNG stream of the scalar encoder path.
-            self._queue.append(self._encoder.next_packet())
-        elif emit > 1:
-            self._queue.extend(self._encoder.next_packets(emit))
-        if emit > 0:
-            self.packets_generated += emit
-
-    def backlog(self) -> float:
-        return float(len(self._queue))
-
-    def demand_rate(self, dt: float) -> float:
-        return self._rate * dt / self._packet_bytes
-
-    def pop_transmission(self) -> CodedPacket | None:
-        if not self._queue:
-            return None
-        self.packets_sent += 1
-        return self._queue.popleft()
-
-    def queue_length(self) -> int:
-        return len(self._queue)
+        self._pending_coding: CodingParams | None = None
 
     def advance_generation(self, generation_id: int) -> None:
         if generation_id <= self._generation_id:
@@ -242,22 +153,23 @@ class CodedSourceRuntime(NodeRuntime):
         self._generation_id = generation_id
         pending = self._pending_coding
         if pending is not None:
-            self._blocks = pending.blocks
-            self._systematic = pending.systematic
             self._pending_coding = None
-        self._encoder = self._make_encoder(generation_id)
-        self._queue.clear()
-        # Credit persists: the source keeps its long-run rate across
-        # generation boundaries.
+            self._adopt(pending)
+        self._reset()
+
+    def _adopt(self, coding: CodingParams) -> None:
+        """Take up a deferred coding decision at a generation boundary."""
+        self._blocks = coding.blocks
+
+    def _reset(self) -> None:
+        """Discard the finished generation's data (role and store state)."""
 
 
-class CodedRelayRuntime(NodeRuntime):
-    """An intermediate forwarder: buffer innovative packets, re-encode.
+class _SenderRuntime(_SessionRuntime):
+    """A role that transmits: credit clock, broadcast queue, counters.
 
-    ``mode="rate"`` (OMNC): transmission credit accrues at the allocated
-    broadcast rate.  ``mode="credit"`` (MORE/oldMORE): credit jumps by
-    ``tx_credit`` whenever a packet arrives from an *upstream* node (one
-    farther from the destination, per ``upstream`` set).
+    Whole credits turn into queued packets; the payload store says what
+    a packet carries (``_emit``).
     """
 
     def __init__(
@@ -266,7 +178,122 @@ class CodedRelayRuntime(NodeRuntime):
         session_id: int,
         blocks: int,
         packet_bytes: int,
-        rng: np.random.Generator,
+        queue_limit: int,
+    ) -> None:
+        super().__init__(node_id, session_id, blocks)
+        self._packet_bytes = packet_bytes
+        self._queue_limit = queue_limit
+        self._rate = 0.0
+        self._credit = 0.0
+        self._queue: Deque[Any] = deque()
+        self.packets_generated = 0
+        self.packets_sent = 0
+        self.packets_dropped = 0
+
+    def apply_plan(
+        self,
+        *,
+        rate_bps: float | None = None,
+        coding: CodingParams | None = None,
+    ) -> None:
+        """Hot-swap the allocated rate; queue, credit and payload persist."""
+        if rate_bps is not None:
+            if rate_bps < 0:
+                raise ValueError(f"rate_bps must be >= 0, got {rate_bps}")
+            self._rate = rate_bps
+        if coding is not None:
+            self._pending_coding = coding
+
+    def _drain(self) -> int:
+        """Queue one packet per whole banked credit; returns how many."""
+        make = int(self._credit)
+        self._credit -= make
+        room = self._queue_limit - len(self._queue)
+        if make > room:
+            # A saturated queue sheds load instead of banking credit, so
+            # a sender cannot burst-flush stale credit after an ACK.
+            self.packets_dropped += make - room
+            make = room
+        if make > 0:
+            self._emit(make)
+            self.packets_generated += make
+        return make
+
+    def _emit(self, count: int) -> None:
+        """Payload store: append ``count`` fresh packets to the queue."""
+        raise NotImplementedError
+
+    def _reset(self) -> None:
+        self._queue.clear()
+
+    def backlog(self) -> float:
+        return float(len(self._queue))
+
+    def demand_rate(self, dt: float) -> float:
+        return self._rate * dt / self._packet_bytes
+
+    def pop_transmission(self) -> Packet | None:
+        if not self._queue:
+            return None
+        self.packets_sent += 1
+        return self._queue.popleft()
+
+    def queue_length(self) -> int:
+        return len(self._queue)
+
+
+class _SourceRuntime(_SenderRuntime):
+    """The session source: generate packets at a target rate.
+
+    Credit persists across generation boundaries: the source keeps its
+    long-run rate.
+    """
+
+    def __init__(
+        self,
+        node_id: int,
+        session_id: int,
+        blocks: int,
+        rate_bps: float,
+        packet_bytes: int,
+        *,
+        queue_limit: int = DEFAULT_QUEUE_LIMIT,
+    ) -> None:
+        if packet_bytes <= 0:
+            raise ValueError(f"packet_bytes must be > 0, got {packet_bytes}")
+        super().__init__(node_id, session_id, blocks, packet_bytes, queue_limit)
+        self.apply_plan(rate_bps=rate_bps)
+        self._reset()
+
+    def on_slot(self, dt: float) -> None:
+        self._credit += self._rate * dt / self._packet_bytes
+        if self._credit >= 1.0:
+            self._drain()
+
+
+class _RelayRuntime(_SenderRuntime):
+    """An intermediate forwarder: hold what was heard, re-broadcast it.
+
+    ``mode="rate"`` (OMNC): transmission credit accrues at the allocated
+    broadcast rate.  ``mode="credit"`` (MORE/oldMORE): credit jumps by
+    ``tx_credit`` whenever a packet arrives from an *upstream* node (one
+    farther from the destination, per ``upstream`` set).
+    """
+
+    # Rate credit banked while the relay holds nothing is bounded so that
+    # a late-starting relay cannot burst a flood of near-identical packets
+    # from a low-rank buffer the moment content arrives.
+    _CREDIT_CAP = 3.0
+
+    # EWMA constant for the credit-mode demand estimate (packets/slot).
+    _DEMAND_SMOOTHING = 0.02
+
+    def __init__(
+        self,
+        node_id: int,
+        session_id: int,
+        blocks: int,
+        packet_bytes: int,
         *,
         mode: str,
         rate_bps: float = 0.0,
@@ -274,44 +301,20 @@ class CodedRelayRuntime(NodeRuntime):
         upstream: Tuple[int, ...] = (),
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
     ) -> None:
-        super().__init__(node_id)
-        if mode not in ("rate", "credit"):
-            raise ValueError(f"unknown relay mode {mode!r}")
-        if rate_bps < 0 or tx_credit < 0:
-            raise ValueError("rate_bps and tx_credit must be >= 0")
-        self._session_id = session_id
-        self._blocks = blocks
-        self._packet_bytes = packet_bytes
-        self._rng = rng
-        self._mode = mode
-        self._rate = rate_bps
-        self._tx_credit = tx_credit
-        self._upstream = frozenset(upstream)
-        self._queue_limit = queue_limit
-        self._buffer = RelayReEncoder(session_id, blocks, rng)
-        self._pending_coding: CodingParams | None = None
-        self._credit = 0.0
-        self._queue: Deque[CodedPacket] = deque()
+        super().__init__(node_id, session_id, blocks, packet_bytes, queue_limit)
         self._demand_ewma = 0.2
         self._enqueued_this_slot = 0.0
         self.packets_heard = 0
         self.packets_accepted = 0
-        self.packets_generated = 0
-        self.packets_sent = 0
-        self.packets_dropped = 0
-
-    # Rate credit banked while the buffer is empty is bounded so that a
-    # late-starting relay cannot burst a flood of near-identical packets
-    # from a low-rank buffer the moment content arrives.
-    _CREDIT_CAP = 3.0
-
-    # EWMA constant for the credit-mode demand estimate (packets/slot).
-    _DEMAND_SMOOTHING = 0.02
+        self.apply_plan(
+            mode=mode, rate_bps=rate_bps, tx_credit=tx_credit, upstream=upstream
+        )
+        self._reset()
 
     @property
     def buffered(self) -> int:
-        """Innovative packets currently buffered."""
-        return self._buffer.buffered
+        """Units of the current generation held (the payload store's)."""
+        raise NotImplementedError
 
     def apply_plan(
         self,
@@ -322,41 +325,39 @@ class CodedRelayRuntime(NodeRuntime):
         upstream: Tuple[int, ...] | None = None,
         coding: CodingParams | None = None,
     ) -> None:
-        """Hot-swap rate/credit parameters; the coding buffer persists.
+        """Hot-swap rate/credit parameters; everything held persists.
 
         A re-plan may move the allocated rate (OMNC), the per-reception
         credit and upstream set (MORE/oldMORE), or even the drive mode.
-        Buffered innovative packets, the transmit queue and banked credit
-        all survive — the whole point of a live swap is not to throw away
+        What the relay holds, the transmit queue and banked credit all
+        survive — the whole point of a live swap is not to throw away
         decoder-feeding state the session already paid airtime for.  A
         ``coding`` decision is deferred to the next generation boundary,
-        where the buffer is flushed anyway.
+        where the relay empties anyway.
         """
         if mode is not None:
             if mode not in ("rate", "credit"):
                 raise ValueError(f"unknown relay mode {mode!r}")
             self._mode = mode
-        if rate_bps is not None:
-            if rate_bps < 0:
-                raise ValueError(f"rate_bps must be >= 0, got {rate_bps}")
-            self._rate = rate_bps
         if tx_credit is not None:
             if tx_credit < 0:
                 raise ValueError(f"tx_credit must be >= 0, got {tx_credit}")
             self._tx_credit = tx_credit
         if upstream is not None:
             self._upstream = frozenset(upstream)
-        if coding is not None:
-            self._pending_coding = coding
+        super().apply_plan(rate_bps=rate_bps, coding=coding)
 
     def on_slot(self, dt: float) -> None:
         if self._mode == "rate":
-            self._credit = min(
+            self._credit = credit = min(
                 self._credit + self._rate * dt / self._packet_bytes,
                 self._CREDIT_CAP,
             )
-        self._drain_credit()
-        if self._mode == "credit":
+            # _drain_credit, inlined: the slot loop's hottest branch.
+            if credit >= 1.0 and self.buffered:
+                self._enqueued_this_slot += self._drain()
+        else:
+            self._drain_credit()
             # Demand estimate for the scheduler: smoothed enqueue rate.
             self._demand_ewma += self._DEMAND_SMOOTHING * (
                 self._enqueued_this_slot - self._demand_ewma
@@ -374,45 +375,23 @@ class CodedRelayRuntime(NodeRuntime):
             min(credit + self._rate * dt / self._packet_bytes, self._CREDIT_CAP)
             == credit
         )
-        return pinned and (credit < 1.0 or self._buffer.buffered == 0)
+        return pinned and (credit < 1.0 or self.buffered == 0)
 
     def _drain_credit(self) -> None:
-        if self._credit < 1.0 or self._buffer.buffered == 0:
-            return
-        make = int(self._credit)
-        self._credit -= make
-        emit = min(make, self._queue_limit - len(self._queue))
-        self.packets_dropped += make - emit
-        if emit == 1:
-            # Single-packet drains keep the scalar re-encoder RNG stream.
-            self._queue.append(self._buffer.next_packet())
-        elif emit > 1:
-            self._queue.extend(self._buffer.next_packets(emit))
-        if emit > 0:
-            self.packets_generated += emit
-            self._enqueued_this_slot += float(emit)
-
-    def backlog(self) -> float:
-        return float(len(self._queue))
+        if self._credit >= 1.0 and self.buffered:
+            self._enqueued_this_slot += self._drain()
 
     def demand_rate(self, dt: float) -> float:
         if self._mode == "rate":
             return self._rate * dt / self._packet_bytes
         return self._demand_ewma
 
-    def pop_transmission(self) -> CodedPacket | None:
-        if not self._queue:
-            return None
-        self.packets_sent += 1
-        return self._queue.popleft()
-
-    def on_receive(self, packet: CodedPacket, sender: int) -> None:
+    def on_receive(self, packet: Any, sender: int) -> None:
         self.packets_heard += 1
-        if packet.generation_id > self._buffer.generation_id:
+        if packet.generation_id > self._generation_id:
             # A newer generation implicitly expires the old one (Sec. 4).
             self.advance_generation(packet.generation_id)
-        accepted = self._buffer.accept(packet)
-        if accepted:
+        if self._absorb(packet):
             self.packets_accepted += 1
         if self._mode == "credit" and sender in self._upstream:
             # MORE's counter increments per packet *heard* from upstream,
@@ -420,39 +399,18 @@ class CodedRelayRuntime(NodeRuntime):
             self._credit += self._tx_credit
             self._drain_credit()
 
-    def queue_length(self) -> int:
-        return len(self._queue)
+    def _absorb(self, packet: Any) -> bool:
+        """Payload store: keep ``packet`` if it is innovative."""
+        raise NotImplementedError
 
-    def advance_generation(self, generation_id: int) -> None:
-        if generation_id <= self._buffer.generation_id:
-            return
-        pending = self._pending_coding
-        if pending is not None:
-            self._pending_coding = None
-            if pending.blocks != self._blocks:
-                # The buffer's vector width is the generation size, so a
-                # size switch rebuilds it (empty, at the new generation).
-                # Stale-sized packets still in flight are dropped by the
-                # re-encoder's accept(), not raised.
-                self._blocks = pending.blocks
-                self._buffer = RelayReEncoder(
-                    self._session_id,
-                    self._blocks,
-                    self._rng,
-                    generation_id=generation_id,
-                )
-                self._queue.clear()
-                if self._mode == "credit":
-                    self._credit = 0.0
-                return
-        self._buffer.advance(generation_id)
-        self._queue.clear()
+    def _reset(self) -> None:
+        super()._reset()
         if self._mode == "credit":
             self._credit = 0.0
 
 
-class CodedDestinationRuntime(NodeRuntime):
-    """The destination: progressive decoding plus the decoded-ACK signal."""
+class _DestinationRuntime(_SessionRuntime):
+    """The destination: gather the generation, signal the decoded ACK."""
 
     def __init__(
         self,
@@ -461,29 +419,20 @@ class CodedDestinationRuntime(NodeRuntime):
         blocks: int,
         on_decoded: Callable[[int], None],
     ) -> None:
-        super().__init__(node_id)
-        self._session_id = session_id
-        self._blocks = blocks
+        super().__init__(node_id, session_id, blocks)
         self._on_decoded = on_decoded
-        self._generation_id = 0
-        self._decoder = ProgressiveDecoder(blocks)
-        self._pending_coding: CodingParams | None = None
         self.packets_heard = 0
         self.innovative_received = 0
         self.generations_decoded = 0
         self.blocks_decoded = 0
-
-    @property
-    def rank(self) -> int:
-        """Current decoder rank for the active generation."""
-        return self._decoder.rank
+        self._reset()
 
     def apply_plan(  # type: ignore[override]
         self, *, coding: CodingParams | None = None, **_params: object
     ) -> None:
         """Destinations carry no rate/credit state but do track the
-        generation size: a ``coding`` decision re-sizes the decoder at
-        the next boundary.  Everything else is ignored, as in the base."""
+        generation size: a ``coding`` decision re-sizes the decode target
+        at the next boundary.  Everything else is ignored, as in the base."""
         if coding is not None:
             self._pending_coding = coding
 
@@ -492,59 +441,155 @@ class CodedDestinationRuntime(NodeRuntime):
         # and generation advances move it.
         return True
 
-    def on_receive(  # type: ignore[override]
-        self, packet: CodedPacket, sender: int
-    ) -> None:
-        if packet.session_id != self._session_id:
-            return
-        if packet.generation_id != self._generation_id:
-            return  # stale or early packet for another generation
-        if packet.blocks != self._blocks:
-            return  # stale-sized packet across an adaptive-n boundary
+    def on_receive(self, packet: Any, sender: int) -> None:
+        if (
+            packet.session_id != self._session_id
+            or packet.generation_id != self._generation_id
+        ):
+            return  # another session's, or a stale or early generation's
         self.packets_heard += 1
-        if self._decoder.is_complete:
-            return
-        if self._decoder.add_packet(packet):
+        held = self._absorb(packet)
+        if held:
             self.innovative_received += 1
-            if self._decoder.is_complete:
+            if held >= self._blocks:
                 self.generations_decoded += 1
                 self.blocks_decoded += self._blocks
                 # The uncoded ACK travels back to the source; the session
                 # driver models its (fast, reliable) best-path delivery.
                 self._on_decoded(self._generation_id)
 
-    def on_receive_batch(  # type: ignore[override]
-        self, packets: Sequence[CodedPacket], sender: int
-    ) -> None:
-        """Feed a whole slot's deliveries through one batch elimination."""
-        accepted = [
-            packet
-            for packet in packets
-            if packet.session_id == self._session_id
-            and packet.generation_id == self._generation_id
-            and packet.blocks == self._blocks
-        ]
-        if not accepted:
-            return
-        self.packets_heard += len(accepted)
-        if self._decoder.is_complete:
-            return
-        verdicts = self._decoder.add_packets(accepted)
-        self.innovative_received += int(np.count_nonzero(verdicts))
-        if self._decoder.is_complete:
-            self.generations_decoded += 1
-            self.blocks_decoded += self._blocks
-            self._on_decoded(self._generation_id)
+    def _absorb(self, packet: Any) -> float:
+        """Payload store: take ``packet``; the amount now held if it was
+        innovative, else 0 (always 0 once the generation is complete)."""
+        raise NotImplementedError
 
-    def advance_generation(self, generation_id: int) -> None:
-        if generation_id <= self._generation_id:
-            return
-        self._generation_id = generation_id
-        pending = self._pending_coding
-        if pending is not None:
-            self._blocks = pending.blocks
-            self._pending_coding = None
+
+def _recoded(coder: SourceEncoder | RelayReEncoder, count: int) -> List[CodedPacket]:
+    # Single-packet drains (the CBR common case) keep the exact
+    # per-packet RNG stream of the scalar encoder path.
+    return [coder.next_packet()] if count == 1 else coder.next_packets(count)
+
+
+class CodedSourceRuntime(_SourceRuntime):
+    """Exact-fidelity source: fresh random combinations of the generation."""
+
+    def __init__(
+        self,
+        node_id: int,
+        session_id: int,
+        blocks: int,
+        rate_bps: float,
+        packet_bytes: int,
+        rng: np.random.Generator,
+        *,
+        queue_limit: int = DEFAULT_QUEUE_LIMIT,
+        systematic: bool = False,
+    ) -> None:
+        self._rng = rng
+        self._systematic = systematic
+        super().__init__(
+            node_id, session_id, blocks, rate_bps, packet_bytes,
+            queue_limit=queue_limit,
+        )
+
+    def _adopt(self, coding: CodingParams) -> None:
+        super()._adopt(coding)
+        self._systematic = coding.systematic
+
+    def _reset(self) -> None:
+        # Coefficient-only generations: a 1-byte-per-block stand-in matrix
+        # keeps the SourceEncoder interface while payloads stay virtual.
+        matrix = np.zeros((self._blocks, 1), dtype=np.uint8)
+        self._encoder = SourceEncoder(
+            self._session_id,
+            Generation(self._generation_id, matrix),
+            self._rng,
+            payload=False,
+            systematic=self._systematic,
+        )
+        super()._reset()
+
+    def _emit(self, count: int) -> None:
+        self._queue.extend(_recoded(self._encoder, count))
+
+
+class CodedRelayRuntime(_RelayRuntime):
+    """Exact-fidelity relay: buffer innovative packets, re-encode."""
+
+    def __init__(
+        self,
+        node_id: int,
+        session_id: int,
+        blocks: int,
+        packet_bytes: int,
+        rng: np.random.Generator,
+        *,
+        mode: str,
+        rate_bps: float = 0.0,
+        tx_credit: float = 0.0,
+        upstream: Tuple[int, ...] = (),
+        queue_limit: int = DEFAULT_QUEUE_LIMIT,
+    ) -> None:
+        self._rng = rng
+        self._buffer = RelayReEncoder(session_id, blocks, rng)
+        super().__init__(
+            node_id, session_id, blocks, packet_bytes,
+            mode=mode, rate_bps=rate_bps, tx_credit=tx_credit,
+            upstream=upstream, queue_limit=queue_limit,
+        )
+
+    @property
+    def buffered(self) -> int:
+        """Innovative packets currently buffered."""
+        return self._buffer.buffered
+
+    def _adopt(self, coding: CodingParams) -> None:
+        if coding.blocks != self._blocks:
+            # The buffer's vector width is the generation size, so a
+            # size switch rebuilds it (empty, at the new generation).
+            # Stale-sized packets still in flight are dropped by the
+            # re-encoder's accept(), not raised.
+            self._buffer = RelayReEncoder(
+                self._session_id,
+                coding.blocks,
+                self._rng,
+                generation_id=self._generation_id,
+            )
+        super()._adopt(coding)
+
+    def _reset(self) -> None:
+        if self._buffer.generation_id < self._generation_id:
+            self._buffer.advance(self._generation_id)
+        super()._reset()
+
+    def _emit(self, count: int) -> None:
+        self._queue.extend(_recoded(self._buffer, count))
+
+    def _absorb(self, packet: CodedPacket) -> bool:
+        return self._buffer.accept(packet)
+
+
+class CodedDestinationRuntime(_DestinationRuntime):
+    """Exact-fidelity destination: progressive Gauss-Jordan decoding."""
+
+    @property
+    def rank(self) -> int:
+        """Current decoder rank for the active generation."""
+        return self._decoder.rank
+
+    def on_receive(self, packet: CodedPacket, sender: int) -> None:
+        # A stale-sized packet across an adaptive-n boundary is not heard.
+        if packet.blocks == self._blocks:
+            super().on_receive(packet, sender)
+
+    def _reset(self) -> None:
         self._decoder = ProgressiveDecoder(self._blocks)
+
+    def _absorb(self, packet: CodedPacket) -> int:
+        decoder = self._decoder
+        if decoder.is_complete or not decoder.add_packet(packet):
+            return 0
+        return decoder.rank
 
 
 class FlowPacket:
@@ -557,7 +602,7 @@ class FlowPacket:
     flow fidelity a packet carries its sender's information level; the
     receiver gains one unit iff the sender knew more than it does —
     the fluid limit of random linear coding under the paper's
-    independence assumption.  Exact GF(2^8) fidelity (the default
+    independence assumption.  Exact GF(2^8) fidelity (the ``Coded*``
     runtimes above) is kept for the ablation that quantifies what this
     assumption is worth.
     """
@@ -576,331 +621,74 @@ class FlowPacket:
         )
 
 
-class FlowSourceRuntime(NodeRuntime):
-    """Flow-fidelity source: every packet carries full knowledge."""
+class FlowSourceRuntime(_SourceRuntime):
+    """Flow-fidelity source: every packet carries full knowledge.
 
-    def __init__(
-        self,
-        node_id: int,
-        session_id: int,
-        blocks: int,
-        rate_bps: float,
-        packet_bytes: int,
-        *,
-        queue_limit: int = DEFAULT_QUEUE_LIMIT,
-    ) -> None:
-        super().__init__(node_id)
-        if rate_bps < 0:
-            raise ValueError(f"rate_bps must be >= 0, got {rate_bps}")
-        if packet_bytes <= 0:
-            raise ValueError(f"packet_bytes must be > 0, got {packet_bytes}")
-        self._session_id = session_id
-        self._blocks = blocks
-        self._rate = rate_bps
-        self._packet_bytes = packet_bytes
-        self._queue_limit = queue_limit
-        self._pending_coding: CodingParams | None = None
-        self._credit = 0.0
-        self._queue: Deque[FlowPacket] = deque()
-        self._generation_id = 0
-        self.packets_generated = 0
-        self.packets_sent = 0
-        self.packets_dropped = 0
+    Systematic mode has no flow-fidelity analogue — of a ``coding``
+    decision only the generation size matters here.
+    """
 
-    def apply_plan(
-        self,
-        *,
-        rate_bps: float | None = None,
-        coding: CodingParams | None = None,
-    ) -> None:
-        """Hot-swap the allocated source rate; queue and credit persist.
-
-        A ``coding`` decision takes effect at the next generation
-        boundary (systematic mode has no flow-fidelity analogue — only
-        the generation size matters here).
-        """
-        if rate_bps is not None:
-            if rate_bps < 0:
-                raise ValueError(f"rate_bps must be >= 0, got {rate_bps}")
-            self._rate = rate_bps
-        if coding is not None:
-            self._pending_coding = coding
-
-    def on_slot(self, dt: float) -> None:
-        self._credit += self._rate * dt / self._packet_bytes
-        while self._credit >= 1.0:
-            self._credit -= 1.0
-            if len(self._queue) >= self._queue_limit:
-                self.packets_dropped += 1
-                continue
+    def _emit(self, count: int) -> None:
+        content = float(self._blocks)
+        while count > 0:
             self._queue.append(
-                FlowPacket(self._session_id, self._generation_id, float(self._blocks))
+                FlowPacket(self._session_id, self._generation_id, content)
             )
-            self.packets_generated += 1
-
-    def backlog(self) -> float:
-        return float(len(self._queue))
-
-    def demand_rate(self, dt: float) -> float:
-        return self._rate * dt / self._packet_bytes
-
-    def pop_transmission(self) -> FlowPacket | None:
-        if not self._queue:
-            return None
-        self.packets_sent += 1
-        return self._queue.popleft()
-
-    def queue_length(self) -> int:
-        return len(self._queue)
-
-    def advance_generation(self, generation_id: int) -> None:
-        if generation_id <= self._generation_id:
-            return
-        self._generation_id = generation_id
-        pending = self._pending_coding
-        if pending is not None:
-            self._blocks = pending.blocks
-            self._pending_coding = None
-        self._queue.clear()
+            count -= 1
 
 
-class FlowRelayRuntime(NodeRuntime):
+class FlowRelayRuntime(_RelayRuntime):
     """Flow-fidelity relay: information level instead of a subspace.
 
     The relay's state is a scalar ``information`` level in [0, blocks];
     a delivery from a sender whose packet carries more content raises it
     by one unit.  Outgoing packets carry the relay's current level.
-    Transmission pressure follows the same two modes as the exact relay
-    (allocated rate, or MORE credits).
     """
-
-    _CREDIT_CAP = 3.0
-    _DEMAND_SMOOTHING = 0.02
-
-    def __init__(
-        self,
-        node_id: int,
-        session_id: int,
-        blocks: int,
-        packet_bytes: int,
-        *,
-        mode: str,
-        rate_bps: float = 0.0,
-        tx_credit: float = 0.0,
-        upstream: Tuple[int, ...] = (),
-        queue_limit: int = DEFAULT_QUEUE_LIMIT,
-    ) -> None:
-        super().__init__(node_id)
-        if mode not in ("rate", "credit"):
-            raise ValueError(f"unknown relay mode {mode!r}")
-        if rate_bps < 0 or tx_credit < 0:
-            raise ValueError("rate_bps and tx_credit must be >= 0")
-        self._session_id = session_id
-        self._blocks = blocks
-        self._packet_bytes = packet_bytes
-        self._mode = mode
-        self._rate = rate_bps
-        self._tx_credit = tx_credit
-        self._upstream = frozenset(upstream)
-        self._queue_limit = queue_limit
-        self._pending_coding: CodingParams | None = None
-        self._generation_id = 0
-        self.information = 0.0
-        self._credit = 0.0
-        self._queue: Deque[FlowPacket] = deque()
-        self._demand_ewma = 0.2
-        self._enqueued_this_slot = 0.0
-        self.packets_heard = 0
-        self.packets_accepted = 0
-        self.packets_generated = 0
-        self.packets_sent = 0
-        self.packets_dropped = 0
 
     @property
     def buffered(self) -> int:
         """Information units held (the flow analogue of buffer rank)."""
         return int(self.information)
 
-    def apply_plan(
-        self,
-        *,
-        mode: str | None = None,
-        rate_bps: float | None = None,
-        tx_credit: float | None = None,
-        upstream: Tuple[int, ...] | None = None,
-        coding: CodingParams | None = None,
-    ) -> None:
-        """Hot-swap rate/credit parameters; the information level persists.
+    def _reset(self) -> None:
+        self.information = 0.0
+        super()._reset()
 
-        A ``coding`` decision takes effect at the next generation
-        boundary, where the information level resets anyway.
-        """
-        if mode is not None:
-            if mode not in ("rate", "credit"):
-                raise ValueError(f"unknown relay mode {mode!r}")
-            self._mode = mode
-        if rate_bps is not None:
-            if rate_bps < 0:
-                raise ValueError(f"rate_bps must be >= 0, got {rate_bps}")
-            self._rate = rate_bps
-        if tx_credit is not None:
-            if tx_credit < 0:
-                raise ValueError(f"tx_credit must be >= 0, got {tx_credit}")
-            self._tx_credit = tx_credit
-        if upstream is not None:
-            self._upstream = frozenset(upstream)
-        if coding is not None:
-            self._pending_coding = coding
-
-    def on_slot(self, dt: float) -> None:
-        if self._mode == "rate":
-            self._credit = min(
-                self._credit + self._rate * dt / self._packet_bytes,
-                self._CREDIT_CAP,
-            )
-        self._drain_credit()
-        if self._mode == "credit":
-            self._demand_ewma += self._DEMAND_SMOOTHING * (
-                self._enqueued_this_slot - self._demand_ewma
-            )
-            self._enqueued_this_slot = 0.0
-
-    def dormant(self, dt: float) -> bool:
-        # Same fixed point as the exact relay, with the information
-        # level standing in for the buffer rank.
-        if self._mode != "rate" or self._queue:
-            return False
-        credit = self._credit
-        pinned = (
-            min(credit + self._rate * dt / self._packet_bytes, self._CREDIT_CAP)
-            == credit
-        )
-        return pinned and (credit < 1.0 or self.information <= 0.0)
-
-    def _drain_credit(self) -> None:
-        while self._credit >= 1.0 and self.information > 0.0:
-            self._credit -= 1.0
-            if len(self._queue) >= self._queue_limit:
-                self.packets_dropped += 1
-                continue
+    def _emit(self, count: int) -> None:
+        while count > 0:
             self._queue.append(
                 FlowPacket(self._session_id, self._generation_id, self.information)
             )
-            self.packets_generated += 1
-            self._enqueued_this_slot += 1.0
+            count -= 1
 
-    def backlog(self) -> float:
-        return float(len(self._queue))
-
-    def demand_rate(self, dt: float) -> float:
-        if self._mode == "rate":
-            return self._rate * dt / self._packet_bytes
-        return self._demand_ewma
-
-    def pop_transmission(self) -> FlowPacket | None:
-        if not self._queue:
-            return None
-        self.packets_sent += 1
-        return self._queue.popleft()
-
-    def on_receive(  # type: ignore[override]
-        self, packet: FlowPacket, sender: int
-    ) -> None:
-        self.packets_heard += 1
-        if packet.generation_id > self._generation_id:
-            self.advance_generation(packet.generation_id)
-        if packet.generation_id == self._generation_id:
-            if packet.content > self.information and self.information < self._blocks:
-                self.information = min(float(self._blocks), self.information + 1.0)
-                self.packets_accepted += 1
-        if self._mode == "credit" and sender in self._upstream:
-            self._credit += self._tx_credit
-            self._drain_credit()
-
-    def queue_length(self) -> int:
-        return len(self._queue)
-
-    def advance_generation(self, generation_id: int) -> None:
-        if generation_id <= self._generation_id:
-            return
-        self._generation_id = generation_id
-        pending = self._pending_coding
-        if pending is not None:
-            self._blocks = pending.blocks
-            self._pending_coding = None
-        self.information = 0.0
-        self._queue.clear()
-        if self._mode == "credit":
-            self._credit = 0.0
+    def _absorb(self, packet: FlowPacket) -> bool:
+        held = self.information
+        if (
+            packet.generation_id != self._generation_id
+            or packet.content <= held
+            or held >= self._blocks
+        ):
+            return False
+        self.information = min(float(self._blocks), held + 1.0)
+        return True
 
 
-class FlowDestinationRuntime(NodeRuntime):
+class FlowDestinationRuntime(_DestinationRuntime):
     """Flow-fidelity destination: ACKs once ``blocks`` units arrive."""
-
-    def __init__(
-        self,
-        node_id: int,
-        session_id: int,
-        blocks: int,
-        on_decoded: Callable[[int], None],
-    ) -> None:
-        super().__init__(node_id)
-        self._session_id = session_id
-        self._blocks = blocks
-        self._on_decoded = on_decoded
-        self._generation_id = 0
-        self.information = 0.0
-        self._pending_coding: CodingParams | None = None
-        self.packets_heard = 0
-        self.innovative_received = 0
-        self.generations_decoded = 0
-        self.blocks_decoded = 0
 
     @property
     def rank(self) -> int:
         """Information units gathered for the active generation."""
         return int(self.information)
 
-    def apply_plan(  # type: ignore[override]
-        self, *, coding: "CodingParams | None" = None, **_params: object
-    ) -> None:
-        """Track ``coding`` decisions (decode target re-sizes at the next
-        boundary); every other parameter is ignored, as in the base."""
-        if coding is not None:
-            self._pending_coding = coding
-
-    def dormant(self, dt: float) -> bool:
-        # A destination has no clock, credit or queue: only deliveries
-        # and generation advances move it.
-        return True
-
-    def on_receive(  # type: ignore[override]
-        self, packet: FlowPacket, sender: int
-    ) -> None:
-        if packet.session_id != self._session_id:
-            return
-        if packet.generation_id != self._generation_id:
-            return
-        self.packets_heard += 1
-        if self.information >= self._blocks:
-            return
-        if packet.content > self.information:
-            self.information += 1.0
-            self.innovative_received += 1
-            if self.information >= self._blocks:
-                self.generations_decoded += 1
-                self.blocks_decoded += self._blocks
-                self._on_decoded(self._generation_id)
-
-    def advance_generation(self, generation_id: int) -> None:
-        if generation_id <= self._generation_id:
-            return
-        self._generation_id = generation_id
-        pending = self._pending_coding
-        if pending is not None:
-            self._blocks = pending.blocks
-            self._pending_coding = None
+    def _reset(self) -> None:
         self.information = 0.0
+
+    def _absorb(self, packet: FlowPacket) -> float:
+        if self.information >= self._blocks or packet.content <= self.information:
+            return 0.0
+        self.information += 1.0
+        return self.information
 
 
 class UnicastRuntime(NodeRuntime):
@@ -1246,11 +1034,16 @@ class MultiSessionNodeRuntime(NodeRuntime):
             if other == session_id:
                 continue
             runtime = self._subs.get(other) or self._dormant.get(other)
-            if not isinstance(
-                runtime, (CodedSourceRuntime, FlowSourceRuntime)
-            ):
+            if not isinstance(runtime, _SourceRuntime):
                 return False
         return True
+
+    def apply_plan(self, **_params: object) -> None:
+        raise RuntimeError(
+            "multi-session composites hold no plan parameters of their own; "
+            "call session_runtime(sid).apply_plan(...) on the session's "
+            "sub-runtime"
+        )
 
     def advance_generation(self, generation_id: int) -> None:
         raise RuntimeError(

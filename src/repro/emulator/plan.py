@@ -8,10 +8,10 @@ instances of an interface defined by the layer that consumes them.
 This inversion keeps the package graph acyclic: before it, the data
 plane imported :mod:`repro.protocols.base` while the protocols imported
 the emulator's node runtimes (the ``emulator ⇄ protocols`` cycle
-flagged by ``repro check`` RPR101).  :mod:`repro.protocols.base`
-re-exports every name here, so planner-side imports are unchanged.
+flagged by ``repro check`` RPR101).  :mod:`repro.protocols` re-exports
+the plan names for planner-side callers.
 
-The emulator knows three node behaviours:
+The emulator knows three node behaviours (each plan type's ``kind``):
 
 * **rate-driven coded broadcast** (OMNC): node i re-encodes and
   broadcasts at the allocated rate b_i.
@@ -24,16 +24,27 @@ The emulator knows three node behaviours:
 
 Keeping the plan/behaviour split mirrors the paper's architecture: the
 optimization (or heuristic) runs once per session, then the data plane
-simply follows it.
+simply follows it.  How it follows is the plan's own answer:
+``node_settings(network, cbr)`` lists, per node the plan wants in the
+session, the ``apply_plan`` keyword arguments that make a runtime
+behave as planned (``cbr`` is the offered load in bytes/second).  The
+installer in :mod:`repro.emulator.session` builds missing runtimes from
+those settings and retunes live ones with them, so a fresh build and a
+mid-run hot-swap are the same operation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Tuple
+from typing import Any, ClassVar, Dict, FrozenSet, Literal, Tuple
 
 from repro.coding.generation import GenerationParams
 from repro.routing.node_selection import ForwarderSet
+from repro.topology.graph import WirelessNetwork
+
+#: Ordered ``{node: apply_plan keyword arguments}`` — the shape
+#: ``apply_plan_updates`` ships to engines and shard workers.
+NodeSettings = Dict[int, Dict[str, Any]]
 
 
 @dataclass(frozen=True)
@@ -65,7 +76,24 @@ class CodingParams:
 
 
 @dataclass(frozen=True)
-class CodedBroadcastPlan:
+class _ForwarderPlan:
+    """What both coded-broadcast plans share: the selected forwarder DAG."""
+
+    forwarders: ForwarderSet
+
+    @property
+    def source(self) -> int:
+        """The session's source node."""
+        return self.forwarders.source
+
+    @property
+    def destination(self) -> int:
+        """The session's destination node."""
+        return self.forwarders.destination
+
+
+@dataclass(frozen=True)
+class CodedBroadcastPlan(_ForwarderPlan):
     """Plan for rate-driven network coding (OMNC).
 
     Attributes:
@@ -82,7 +110,8 @@ class CodedBroadcastPlan:
             plane can honor the switch at a generation boundary.
     """
 
-    forwarders: ForwarderSet
+    kind: ClassVar[Literal["rate"]] = "rate"
+
     rates: Dict[int, float]
     predicted_throughput: float
     iterations: int = 0
@@ -95,20 +124,28 @@ class CodedBroadcastPlan:
             if rate < 0:
                 raise ValueError(f"negative rate for node {node}: {rate}")
 
-    @property
-    def kind(self) -> str:
-        """Behaviour key understood by the emulator."""
-        return "rate"
-
     def active_nodes(self, threshold: float = 1e-9) -> FrozenSet[int]:
         """Nodes with a positive broadcast rate (plus the destination)."""
         active = {n for n, r in self.rates.items() if r > threshold}
         active.add(self.forwarders.destination)
         return frozenset(active)
 
+    def node_settings(self, network: WirelessNetwork, cbr: float) -> NodeSettings:
+        """Rate-driven source (capped at the offered load) and relays."""
+        settings: NodeSettings = {}
+        for node in self.forwarders.nodes:
+            rate = self.rates.get(node, 0.0)
+            if node == self.source:
+                settings[node] = {"rate_bps": min(rate, cbr)}
+            elif node != self.destination and rate > 0.0:
+                settings[node] = {"mode": "rate", "rate_bps": rate}
+            # else: unallocated forwarders stay silent listeners
+        settings[self.destination] = {}
+        return settings
+
 
 @dataclass(frozen=True)
-class CreditBroadcastPlan:
+class CreditBroadcastPlan(_ForwarderPlan):
     """Plan for credit-driven network coding (MORE and oldMORE).
 
     Attributes:
@@ -120,7 +157,8 @@ class CreditBroadcastPlan:
             packet) that produced the credits — kept for analysis.
     """
 
-    forwarders: ForwarderSet
+    kind: ClassVar[Literal["credit"]] = "credit"
+
     tx_credits: Dict[int, float]
     expected_transmissions: Dict[int, float]
 
@@ -131,17 +169,29 @@ class CreditBroadcastPlan:
             if credit < 0:
                 raise ValueError(f"negative credit for node {node}: {credit}")
 
-    @property
-    def kind(self) -> str:
-        """Behaviour key understood by the emulator."""
-        return "credit"
-
     def active_nodes(self, threshold: float = 1e-9) -> FrozenSet[int]:
         """Nodes that may transmit: positive credit, plus source/dest."""
         active = {n for n, c in self.tx_credits.items() if c > threshold}
         active.add(self.forwarders.source)
         active.add(self.forwarders.destination)
         return frozenset(active)
+
+    def node_settings(self, network: WirelessNetwork, cbr: float) -> NodeSettings:
+        """CBR source; relays earn credit per packet heard from upstream."""
+        nodes = self.forwarders.nodes
+        distance = self.forwarders.etx_distance
+        settings: NodeSettings = {self.source: {"rate_bps": cbr}}
+        for node in nodes:
+            credit = self.tx_credits.get(node, 0.0)
+            if node in (self.source, self.destination) or credit <= 0.0:
+                continue  # endpoints are set outside the loop; pruned forwarders drop out
+            settings[node] = {
+                "mode": "credit",
+                "tx_credit": credit,
+                "upstream": tuple(i for i in nodes if distance[i] > distance[node]),
+            }
+        settings[self.destination] = {}
+        return settings
 
 
 @dataclass(frozen=True)
@@ -152,6 +202,8 @@ class UnicastPathPlan:
         path: the node sequence source..destination.
         path_etx: total expected transmission count of the path.
     """
+
+    kind: ClassVar[Literal["unicast"]] = "unicast"
 
     path: Tuple[int, ...]
     path_etx: float
@@ -165,11 +217,6 @@ class UnicastPathPlan:
             raise ValueError(
                 f"path ETX {self.path_etx} below hop count {len(self.path) - 1}"
             )
-
-    @property
-    def kind(self) -> str:
-        """Behaviour key understood by the emulator."""
-        return "unicast"
 
     @property
     def source(self) -> int:
@@ -186,7 +233,23 @@ class UnicastPathPlan:
         """Number of links on the path."""
         return len(self.path) - 1
 
+    def node_settings(self, network: WirelessNetwork, cbr: float) -> NodeSettings:
+        """Store-and-forward along the path; only the source offers load."""
+        settings: NodeSettings = {}
+        for node, next_hop in zip(self.path, self.path[1:] + (None,)):
+            # Airtime demand: the offered load inflated by the hop's
+            # expected retransmission count (MAC retries on a lossy link).
+            demand = 0.0
+            if next_hop is not None:
+                demand = cbr / max(network.probability(node, next_hop), 1e-3)
+            settings[node] = {
+                "next_hop": next_hop,
+                "rate_bps": cbr if node == self.source else 0.0,
+                "demand_hint_bps": demand,
+            }
+        return settings
+
 
 #: Any plan a session driver can execute (see
-#: :func:`repro.emulator.session.build_plan_runtimes`).
+#: :func:`repro.emulator.session.install_plan`).
 SessionPlan = CodedBroadcastPlan | CreditBroadcastPlan | UnicastPathPlan

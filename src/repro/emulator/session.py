@@ -14,7 +14,7 @@ offered load at half the channel capacity, throughput computed at each
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro import obs
 from repro.coding.generation import (
@@ -24,7 +24,7 @@ from repro.coding.generation import (
 )
 from repro.coding.packet import HEADER_BYTES
 from repro.emulator.channel import LossyBroadcastChannel
-from repro.emulator.engine import EmulationEngine, EngineStats
+from repro.emulator.engine import EmulationEngine
 from repro.emulator.node import (
     CodedDestinationRuntime,
     CodedRelayRuntime,
@@ -185,10 +185,12 @@ class SessionResult:
 
 
 class _AckTracker:
-    """Collects decoded-generation events and drives generation advance."""
+    """Collects a session's end-to-end events: decoded-generation ACKs
+    (and the generation advance they trigger) and unicast deliveries."""
 
     def __init__(self) -> None:
         self.ack_times: List[float] = []
+        self.delivered = 0
         self.engine: EmulationEngine | None = None
         self.pending_advance: int | None = None
 
@@ -197,6 +199,9 @@ class _AckTracker:
         self.ack_times.append(self.engine.now)
         # Applied after the delivery phase of the slot completes.
         self.pending_advance = generation_id + 1
+
+    def on_delivered(self, _sequence: int) -> None:
+        self.delivered += 1
 
     def apply_pending(self) -> None:
         if self.pending_advance is not None and self.engine is not None:
@@ -220,6 +225,110 @@ def plan_coding_config(config: SessionConfig, plan: SessionPlan) -> SessionConfi
     return replace(config, blocks=coding.blocks, systematic=coding.systematic)
 
 
+def plan_packet_bytes(config: SessionConfig, plan: SessionPlan) -> int:
+    """Wire size of the packets ``plan``'s runtimes put on the air."""
+    if plan.kind == "unicast":
+        return config.unicast_packet_bytes()
+    return config.coded_packet_bytes()
+
+
+def install_plan(
+    network: WirelessNetwork,
+    plan: SessionPlan,
+    existing: Mapping[int, NodeRuntime],
+    *,
+    session_id: int = 1,
+    config: SessionConfig,
+    rng: RngFactory,
+    on_decoded: Callable[[int], None] | None = None,
+    on_delivered: Callable[[int], None] | None = None,
+    cbr: float | None = None,
+) -> Dict[int, NodeRuntime]:
+    """Make ``existing`` runtimes what ``plan`` wants each node to be.
+
+    The one place a plan meets the data plane.  For every node in
+    ``plan.node_settings(network, cbr)``: a runtime already in
+    ``existing`` is retuned in place with ``apply_plan(**settings)`` —
+    its buffers, decoder rank, queue, credit and generation state
+    survive; a missing one is constructed from the same settings.  Nodes
+    the plan does not list are absent from the result (a dropped
+    forwarder's queued packets are lost, as a silenced real node's would
+    be).  ``existing={}`` is a fresh build; passing an engine's live
+    runtimes is the hot-swap (follow it with
+    :meth:`~repro.emulator.engine.EmulationEngine.rebuild_runtime_structures`).
+
+    ``cbr`` is the offered load in bytes/second (default: the config's
+    ``cbr_fraction`` of channel capacity).  Coded plans wire new
+    destinations to ``on_decoded``, unicast plans wire new nodes'
+    delivery callback to ``on_delivered``.
+    """
+    if cbr is None:
+        cbr = config.cbr_fraction * network.capacity
+    packet_bytes = plan_packet_bytes(config, plan)
+    exact = config.coding_fidelity == "exact"
+    blocks, limit = config.blocks, config.queue_limit
+    installed: Dict[int, NodeRuntime] = {}
+    for node, settings in plan.node_settings(network, cbr).items():
+        runtime = existing.get(node)
+        if runtime is not None:
+            runtime.apply_plan(**settings)
+        elif plan.kind == "unicast":
+            runtime = UnicastRuntime(
+                node,
+                packet_bytes=packet_bytes,
+                queue_limit=limit,
+                on_delivered=on_delivered,
+                **settings,
+            )
+        elif node == plan.destination:
+            decoded = on_decoded if on_decoded is not None else (lambda _gen: None)
+            if exact:
+                runtime = CodedDestinationRuntime(node, session_id, blocks, decoded)
+            else:
+                runtime = FlowDestinationRuntime(node, session_id, blocks, decoded)
+        elif node == plan.source:
+            if exact:
+                runtime = CodedSourceRuntime(
+                    node,
+                    session_id,
+                    blocks,
+                    packet_bytes=packet_bytes,
+                    rng=rng.derive("coding", node),
+                    queue_limit=limit,
+                    systematic=config.systematic,
+                    **settings,
+                )
+            else:
+                runtime = FlowSourceRuntime(
+                    node,
+                    session_id,
+                    blocks,
+                    packet_bytes=packet_bytes,
+                    queue_limit=limit,
+                    **settings,
+                )
+        elif exact:
+            runtime = CodedRelayRuntime(
+                node,
+                session_id,
+                blocks,
+                packet_bytes,
+                rng.derive("coding", node),
+                queue_limit=limit,
+                **settings,
+            )
+        else:
+            runtime = FlowRelayRuntime(
+                node, session_id, blocks, packet_bytes, queue_limit=limit, **settings
+            )
+        installed[node] = runtime
+    return installed
+
+
+#: Default protocol label per plan kind.
+_LABELS = {"rate": "omnc", "credit": "more", "unicast": "etx"}
+
+
 def build_plan_runtimes(
     network: WirelessNetwork,
     plan: SessionPlan,
@@ -232,39 +341,113 @@ def build_plan_runtimes(
 ) -> Tuple[Dict[int, NodeRuntime], str]:
     """Construct the per-node runtimes any plan type needs, plus a label.
 
-    The public seam shared by the session drivers below and the live
-    control plane (:mod:`repro.scenario.runner`): coded plans include
-    the destination runtime (wired to ``on_decoded``), unicast plans
-    wire the destination's delivery callback to ``on_delivered``.
+    :func:`install_plan` onto nothing, with any plan-carried coding
+    decision folded into the config first.
     """
-    config = plan_coding_config(config or SessionConfig(), plan)
-    rng = rng or RngFactory(0)
-    if isinstance(plan, CodedBroadcastPlan):
-        runtimes, label = _build_rate_runtimes(
-            network, plan, session_id, config, rng
-        )
-    elif isinstance(plan, CreditBroadcastPlan):
-        runtimes, label = _build_credit_runtimes(
-            network, plan, session_id, config, rng
-        )
-    elif isinstance(plan, UnicastPathPlan):
-        return (
-            _build_unicast_runtimes(network, plan, config, on_delivered),
-            "etx",
-        )
+    runtimes = install_plan(
+        network,
+        plan,
+        {},
+        session_id=session_id,
+        config=plan_coding_config(config or SessionConfig(), plan),
+        rng=rng or RngFactory(0),
+        on_decoded=on_decoded,
+        on_delivered=on_delivered,
+    )
+    return runtimes, _LABELS[plan.kind]
+
+
+def open_session(
+    network: WirelessNetwork,
+    plan: SessionPlan,
+    *,
+    session_id: int = 1,
+    config: SessionConfig,
+    rng: RngFactory,
+    registry: obs.MetricsRegistry | None = None,
+    tracer: SessionTracer | None = None,
+) -> Tuple[EmulationEngine, _AckTracker]:
+    """Build ``plan``'s runtimes and the engine that will run them.
+
+    Returns the engine (one slot = one of the plan's packets at channel
+    capacity) and the tracker its destination reports to: decoded ACKs
+    for coded plans, the delivery count for unicast ones.
+    ``registry``/``tracer`` flow through to the engine; when omitted the
+    engine falls back to the global :mod:`repro.obs` registry, so a
+    ``with obs.collecting():`` block instruments the whole session with
+    no further plumbing.
+    """
+    tracker = _AckTracker()
+    runtimes = install_plan(
+        network,
+        plan,
+        {},
+        session_id=session_id,
+        config=config,
+        rng=rng,
+        on_decoded=tracker.on_decoded,
+        on_delivered=tracker.on_delivered,
+    )
+    engine = EmulationEngine(
+        network,
+        runtimes,
+        LossyBroadcastChannel(network, rng=rng.derive("channel")),
+        plan_packet_bytes(config, plan) / network.capacity,
+        scheduler_rng=rng.derive("mac"),
+        capture_rng=rng.derive("capture"),
+        interference=config.interference,
+        registry=registry,
+        tracer=tracer,
+    )
+    tracker.engine = engine
+    return engine, tracker
+
+
+def session_result(
+    protocol: str,
+    source: int,
+    destination: int,
+    block_size: int,
+    duration: float,
+    average_queues: Dict[int, float],
+    transmissions: Mapping[int, int],
+    delivered_links: Iterable[Link],
+    *,
+    ack_times: Sequence[float] = (),
+    generations: int = 0,
+    blocks_decoded: int = 0,
+    packets_delivered: int | None = None,
+) -> SessionResult:
+    """Assemble a :class:`SessionResult` from a driver's counters.
+
+    Coded sessions pass ``ack_times``/``generations``/``blocks_decoded``
+    (each generation credited at the size it actually ran, so adaptive-n
+    sessions account correctly).  Paper: throughput is computed at each
+    decoded ACK and averaged over the session == total decoded payload
+    over the time of the last ACK.  Unicast sessions pass
+    ``packets_delivered`` instead and average over the whole run.
+    ``average_queues`` names the participants.
+    """
+    if packets_delivered is None:
+        packets_delivered = blocks_decoded
+        throughput = blocks_decoded * block_size / ack_times[-1] if ack_times else 0.0
     else:
-        raise TypeError(f"unsupported plan type {type(plan).__name__}")
-    destination = plan.forwarders.destination
-    decoded = on_decoded if on_decoded is not None else (lambda _gen: None)
-    if config.coding_fidelity == "exact":
-        runtimes[destination] = CodedDestinationRuntime(
-            destination, session_id, config.blocks, decoded
-        )
-    else:
-        runtimes[destination] = FlowDestinationRuntime(
-            destination, session_id, config.blocks, decoded
-        )
-    return runtimes, label
+        elapsed = duration if duration > 0 else 1.0
+        throughput = packets_delivered * block_size / elapsed
+    return SessionResult(
+        protocol=protocol,
+        source=source,
+        destination=destination,
+        throughput_bps=throughput,
+        duration=duration,
+        generations_decoded=generations,
+        packets_delivered=packets_delivered,
+        ack_times=tuple(ack_times),
+        average_queues=average_queues,
+        transmissions=dict(transmissions),
+        participants=tuple(sorted(average_queues)),
+        delivered_links=tuple(sorted(delivered_links)),
+    )
 
 
 def run_coded_session(
@@ -280,281 +463,42 @@ def run_coded_session(
 ) -> SessionResult:
     """Emulate one network-coded session (OMNC, MORE or oldMORE plan).
 
-    ``registry``/``tracer`` flow through to the engine; when omitted the
-    engine falls back to the global :mod:`repro.obs` registry, so a
-    ``with obs.collecting():`` block instruments the whole session with
-    no further plumbing.
+    ``registry``/``tracer``: see :func:`open_session`.
     """
-    config = plan_coding_config(config or SessionConfig(), plan)
-    rng = rng or RngFactory(0)
-    if not isinstance(plan, (CodedBroadcastPlan, CreditBroadcastPlan)):
+    if getattr(plan, "kind", None) not in ("rate", "credit"):
         raise TypeError(f"unsupported plan type {type(plan).__name__}")
-    source = plan.forwarders.source
-    destination = plan.forwarders.destination
-
-    tracker = _AckTracker()
-    runtimes, label = build_plan_runtimes(
+    config = plan_coding_config(config or SessionConfig(), plan)
+    engine, tracker = open_session(
         network,
         plan,
         session_id=session_id,
         config=config,
-        rng=rng,
-        on_decoded=tracker.on_decoded,
-    )
-    dest_runtime = runtimes[destination]
-
-    channel = LossyBroadcastChannel(network, rng=rng.derive("channel"))
-    slot = config.coded_packet_bytes() / network.capacity
-    engine = EmulationEngine(
-        network,
-        runtimes,
-        channel,
-        slot,
-        scheduler_rng=rng.derive("mac"),
-        capture_rng=rng.derive("capture"),
-        interference=config.interference,
+        rng=rng or RngFactory(0),
         registry=registry,
         tracer=tracer,
     )
-    tracker.engine = engine
-
-    max_slots = int(config.max_seconds / slot)
+    runtimes = engine.runtimes
+    dest_runtime: Any = runtimes[plan.destination]
     target = config.target_generations
 
     def stop() -> bool:
         tracker.apply_pending()
         return target > 0 and dest_runtime.generations_decoded >= target
 
-    stats = engine.run(max_slots, stop_when=stop)
-    return _coded_result(
-        protocol_label or label,
-        source,
-        destination,
-        plan,
-        config,
-        stats,
-        dest_runtime,
-        tracker,
-        runtimes,
+    stats = engine.run(int(config.max_seconds / engine.slot_duration), stop_when=stop)
+    return session_result(
+        protocol_label or _LABELS[plan.kind],
+        plan.source,
+        plan.destination,
+        config.block_size,
+        stats.elapsed,
+        {n: stats.average_queue(n) for n in runtimes},
+        stats.transmissions,
+        stats.delivered_links,
+        ack_times=tracker.ack_times,
+        generations=dest_runtime.generations_decoded,
+        blocks_decoded=dest_runtime.blocks_decoded,
     )
-
-
-def _build_rate_runtimes(
-    network: WirelessNetwork,
-    plan: CodedBroadcastPlan,
-    session_id: int,
-    config: SessionConfig,
-    rng: RngFactory,
-) -> Tuple[Dict[int, NodeRuntime], str]:
-    """OMNC: rate-driven source and relays."""
-    forwarders = plan.forwarders
-    cbr = config.cbr_fraction * network.capacity
-    runtimes: Dict[int, NodeRuntime] = {}
-    packet_bytes = config.coded_packet_bytes()
-    exact = config.coding_fidelity == "exact"
-    for node in forwarders.nodes:
-        if node == forwarders.destination:
-            continue
-        if node == forwarders.source:
-            rate = min(plan.rates.get(node, 0.0), cbr)
-            if exact:
-                runtimes[node] = CodedSourceRuntime(
-                    node,
-                    session_id,
-                    config.blocks,
-                    rate,
-                    packet_bytes,
-                    rng.derive("coding", node),
-                    queue_limit=config.queue_limit,
-                    systematic=config.systematic,
-                )
-            else:
-                runtimes[node] = FlowSourceRuntime(
-                    node,
-                    session_id,
-                    config.blocks,
-                    rate,
-                    packet_bytes,
-                    queue_limit=config.queue_limit,
-                )
-        else:
-            rate = plan.rates.get(node, 0.0)
-            if rate <= 0.0:
-                continue  # unallocated forwarders stay silent listeners
-            if exact:
-                runtimes[node] = CodedRelayRuntime(
-                    node,
-                    session_id,
-                    config.blocks,
-                    packet_bytes,
-                    rng.derive("coding", node),
-                    mode="rate",
-                    rate_bps=rate,
-                    queue_limit=config.queue_limit,
-                )
-            else:
-                runtimes[node] = FlowRelayRuntime(
-                    node,
-                    session_id,
-                    config.blocks,
-                    packet_bytes,
-                    mode="rate",
-                    rate_bps=rate,
-                    queue_limit=config.queue_limit,
-                )
-    return runtimes, "omnc"
-
-
-def _build_credit_runtimes(
-    network: WirelessNetwork,
-    plan: CreditBroadcastPlan,
-    session_id: int,
-    config: SessionConfig,
-    rng: RngFactory,
-) -> Tuple[Dict[int, NodeRuntime], str]:
-    """MORE/oldMORE: CBR source, credit-driven relays."""
-    forwarders = plan.forwarders
-    distance = forwarders.etx_distance
-    cbr = config.cbr_fraction * network.capacity
-    packet_bytes = config.coded_packet_bytes()
-    runtimes: Dict[int, NodeRuntime] = {}
-    exact = config.coding_fidelity == "exact"
-    for node in forwarders.nodes:
-        if node == forwarders.destination:
-            continue
-        if node == forwarders.source:
-            if exact:
-                runtimes[node] = CodedSourceRuntime(
-                    node,
-                    session_id,
-                    config.blocks,
-                    cbr,
-                    packet_bytes,
-                    rng.derive("coding", node),
-                    queue_limit=config.queue_limit,
-                    systematic=config.systematic,
-                )
-            else:
-                runtimes[node] = FlowSourceRuntime(
-                    node,
-                    session_id,
-                    config.blocks,
-                    cbr,
-                    packet_bytes,
-                    queue_limit=config.queue_limit,
-                )
-            continue
-        credit = plan.tx_credits.get(node, 0.0)
-        if credit <= 0.0:
-            continue  # pruned forwarder
-        upstream = tuple(
-            i for i in forwarders.nodes if distance[i] > distance[node]
-        )
-        if exact:
-            runtimes[node] = CodedRelayRuntime(
-                node,
-                session_id,
-                config.blocks,
-                packet_bytes,
-                rng.derive("coding", node),
-                mode="credit",
-                tx_credit=credit,
-                upstream=upstream,
-                queue_limit=config.queue_limit,
-            )
-        else:
-            runtimes[node] = FlowRelayRuntime(
-                node,
-                session_id,
-                config.blocks,
-                packet_bytes,
-                mode="credit",
-                tx_credit=credit,
-                upstream=upstream,
-                queue_limit=config.queue_limit,
-            )
-    return runtimes, "more"
-
-
-def _coded_result(
-    label: str,
-    source: int,
-    destination: int,
-    plan: SessionPlan,
-    config: SessionConfig,
-    stats: EngineStats,
-    dest_runtime: CodedDestinationRuntime | FlowDestinationRuntime,
-    tracker: _AckTracker,
-    runtimes: Dict[int, NodeRuntime],
-) -> SessionResult:
-    generations = dest_runtime.generations_decoded
-    # Decoded-blocks accounting: for static sessions this is exactly
-    # generations * config.blocks (same integer product, bit-identical
-    # throughput); for adaptive-n sessions it credits each generation at
-    # the size it actually ran.
-    blocks_decoded = dest_runtime.blocks_decoded
-    if tracker.ack_times:
-        # Paper: throughput computed at each decoded ACK, averaged over
-        # the session == total decoded payload over time of last ACK.
-        elapsed = tracker.ack_times[-1]
-        throughput = blocks_decoded * config.block_size / elapsed
-    else:
-        throughput = 0.0
-    return SessionResult(
-        protocol=label,
-        source=source,
-        destination=destination,
-        throughput_bps=throughput,
-        duration=stats.elapsed,
-        generations_decoded=generations,
-        packets_delivered=blocks_decoded,
-        ack_times=tuple(tracker.ack_times),
-        average_queues={
-            n: stats.average_queue(n) for n in runtimes
-        },
-        transmissions=dict(stats.transmissions),
-        participants=tuple(sorted(runtimes)),
-        delivered_links=tuple(sorted(stats.delivered_links)),
-    )
-
-
-def _build_unicast_runtimes(
-    network: WirelessNetwork,
-    plan: UnicastPathPlan,
-    config: SessionConfig,
-    on_delivered: Callable[[int], None] | None,
-) -> Dict[int, NodeRuntime]:
-    """ETX: store-and-forward runtimes along the planned path."""
-    cbr = config.cbr_fraction * network.capacity
-    packet_bytes = config.unicast_packet_bytes()
-    runtimes: Dict[int, NodeRuntime] = {}
-    for index, node in enumerate(plan.path):
-        next_hop = plan.path[index + 1] if index + 1 < len(plan.path) else None
-        rate = cbr if node == plan.source else 0.0
-        runtimes[node] = UnicastRuntime(
-            node,
-            next_hop,
-            rate_bps=rate,
-            packet_bytes=packet_bytes,
-            queue_limit=config.queue_limit,
-            on_delivered=on_delivered,
-            demand_hint_bps=unicast_demand_hint(network, node, next_hop, cbr),
-        )
-    return runtimes
-
-
-def unicast_demand_hint(
-    network: WirelessNetwork,
-    node: int,
-    next_hop: int | None,
-    cbr: float,
-) -> float:
-    """Airtime demand of a path node: offered load inflated by the hop's
-    expected retransmission count (MAC retries on the lossy link)."""
-    if next_hop is None:
-        return 0.0
-    hop_p = max(network.probability(node, next_hop), 1e-3)
-    return cbr / hop_p
 
 
 def run_unicast_session(
@@ -568,42 +512,23 @@ def run_unicast_session(
 ) -> SessionResult:
     """Emulate one ETX best-path session with MAC retransmissions."""
     config = config or SessionConfig()
-    rng = rng or RngFactory(0)
-    packet_bytes = config.unicast_packet_bytes()
-    delivered_count = [0]
-
-    def on_delivered(_sequence: int) -> None:
-        delivered_count[0] += 1
-
-    runtimes = _build_unicast_runtimes(network, plan, config, on_delivered)
-    channel = LossyBroadcastChannel(network, rng=rng.derive("channel"))
-    slot = packet_bytes / network.capacity
-    engine = EmulationEngine(
+    engine, tracker = open_session(
         network,
-        runtimes,
-        channel,
-        slot,
-        scheduler_rng=rng.derive("mac"),
-        capture_rng=rng.derive("capture"),
-        interference=config.interference,
+        plan,
+        config=config,
+        rng=rng or RngFactory(0),
         registry=registry,
         tracer=tracer,
     )
-    max_slots = int(config.max_seconds / slot)
-    stats = engine.run(max_slots)
-    elapsed = stats.elapsed if stats.elapsed > 0 else 1.0
-    throughput = delivered_count[0] * config.block_size / elapsed
-    return SessionResult(
-        protocol="etx",
-        source=plan.source,
-        destination=plan.destination,
-        throughput_bps=throughput,
-        duration=stats.elapsed,
-        generations_decoded=0,
-        packets_delivered=delivered_count[0],
-        ack_times=(),
-        average_queues={n: stats.average_queue(n) for n in runtimes},
-        transmissions=dict(stats.transmissions),
-        participants=tuple(sorted(runtimes)),
-        delivered_links=tuple(sorted(stats.delivered_links)),
+    stats = engine.run(int(config.max_seconds / engine.slot_duration))
+    return session_result(
+        _LABELS[plan.kind],
+        plan.source,
+        plan.destination,
+        config.block_size,
+        stats.elapsed,
+        {n: stats.average_queue(n) for n in plan.path},
+        stats.transmissions,
+        stats.delivered_links,
+        packets_delivered=tracker.delivered,
     )

@@ -62,9 +62,11 @@ from repro.emulator.session import (
     SessionResult,
     build_plan_runtimes,
     plan_coding_config,
+    plan_packet_bytes,
+    session_result,
 )
 from repro.emulator.trace import SessionTracer
-from repro.emulator.plan import SessionPlan, UnicastPathPlan
+from repro.emulator.plan import SessionPlan
 from repro.exec.pool import PersistentWorkerGroup, WorkerPool
 from repro.topology.graph import Link, WirelessNetwork
 from repro.topology.partition import NetworkPartition, partition_network
@@ -944,7 +946,7 @@ def run_sharded_session(
     rng = rng or RngFactory(0)
     decode_log = _DecodeLog()
     delivery_log = _DeliveryLog()
-    unicast = isinstance(plan, UnicastPathPlan)
+    unicast = plan.kind == "unicast"
     runtimes, label = build_plan_runtimes(
         network,
         plan,
@@ -954,13 +956,7 @@ def run_sharded_session(
         on_decoded=decode_log,
         on_delivered=delivery_log,
     )
-    if unicast:
-        slot = config.unicast_packet_bytes() / network.capacity
-        source, destination = plan.source, plan.destination
-    else:
-        slot = config.coded_packet_bytes() / network.capacity
-        source = plan.forwarders.source
-        destination = plan.forwarders.destination
+    slot = plan_packet_bytes(config, plan) / network.capacity
 
     ack_times: List[float] = []
     delivered_count = [0]
@@ -1000,31 +996,19 @@ def run_sharded_session(
         session.run(max_slots, stop_when=stop if not unicast else None)
         stats = session.finalize_stats()
 
-    if unicast:
-        elapsed = stats.elapsed if stats.elapsed > 0 else 1.0
-        throughput = delivered_count[0] * config.block_size / elapsed
-        generations = 0
-        packets = delivered_count[0]
-    else:
-        generations = len(ack_times)
-        if ack_times:
-            throughput = generations * config.generation_bytes() / ack_times[-1]
-        else:
-            throughput = 0.0
-        packets = generations * config.blocks
-    return SessionResult(
-        protocol=protocol_label or label,
-        source=source,
-        destination=destination,
-        throughput_bps=throughput,
-        duration=stats.elapsed,
-        generations_decoded=generations,
-        packets_delivered=packets,
-        ack_times=tuple(ack_times) if not unicast else (),
-        average_queues={n: stats.average_queue(n) for n in runtimes},
-        transmissions=dict(stats.transmissions),
-        participants=tuple(sorted(runtimes)),
-        delivered_links=tuple(sorted(stats.delivered_links)),
+    return session_result(
+        protocol_label or label,
+        plan.source,
+        plan.destination,
+        config.block_size,
+        stats.elapsed,
+        {n: stats.average_queue(n) for n in runtimes},
+        stats.transmissions,
+        stats.delivered_links,
+        ack_times=ack_times,
+        generations=len(ack_times),
+        blocks_decoded=len(ack_times) * config.blocks,
+        packets_delivered=delivered_count[0] if unicast else None,
     )
 
 

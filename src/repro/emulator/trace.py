@@ -24,7 +24,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, Tuple
 
-EVENT_KINDS = ("grant", "tx", "delivery", "ack", "replan", "arrive", "depart")
+EVENT_KINDS = (
+    "grant", "tx", "delivery", "ack", "replan", "coding", "arrive", "depart"
+)
 
 
 @dataclass(frozen=True)
@@ -36,9 +38,10 @@ class TraceEvent:
         time: emulated seconds.
         kind: one of :data:`EVENT_KINDS`.
         node: primary node (transmitter, or destination for acks; -1 for
-            session-wide events like acks and replans).
+            session-wide events like acks, replans and coding decisions).
         peer: secondary node (receiver for deliveries), or None.
-        detail: free-form small payload (e.g. generation id for acks).
+        detail: free-form small payload (e.g. generation id for acks,
+            the new generation size for coding decisions).
     """
 
     slot: int

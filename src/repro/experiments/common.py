@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import obs
+from repro.emulator.plan import UnicastPathPlan
 from repro.emulator.session import (
     SessionConfig,
     SessionResult,
@@ -48,7 +49,6 @@ from repro.exec import (
     execute_jobs,
     stable_hash,
 )
-from repro.protocols.base import UnicastPathPlan
 from repro.protocols.etx_routing import plan_etx_route
 from repro.protocols.more import plan_more
 from repro.protocols.oldmore import plan_oldmore

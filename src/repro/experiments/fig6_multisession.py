@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.emulator.multisession import MultiSessionOutcome, run_multi_session
+from repro.emulator.plan import SessionPlan
 from repro.emulator.session import SessionConfig
 from repro.exec import (
     ExecutionPolicy,
@@ -46,7 +47,6 @@ from repro.exec import (
     policy_from_args,
     stable_hash,
 )
-from repro.protocols.base import SessionPlan
 from repro.protocols.intersession import plan_intersession_pairs
 from repro.protocols.more import plan_more
 from repro.protocols.omnc import plan_omnc_multi

@@ -52,6 +52,7 @@ from repro.coding.finite_length import (
     overhead_ratio,
 )
 from repro.coding.generation import GenerationParams, random_generation
+from repro.emulator.plan import CodingParams
 from repro.emulator.session import SessionConfig, SessionResult
 from repro.emulator.shard import run_sharded_session
 from repro.exec import (
@@ -63,7 +64,6 @@ from repro.exec import (
     policy_from_args,
     stable_hash,
 )
-from repro.protocols.base import CodingParams
 from repro.protocols.omnc import plan_omnc
 from repro.topology.graph import WirelessNetwork
 from repro.topology.random_network import diamond_topology

@@ -10,10 +10,10 @@
   the ETX metric (the throughput-gain denominator).
 * :mod:`repro.protocols.intersession` — COPE-style inter-session XOR
   pairing at shared relays for multi-session runs.
-* :mod:`repro.protocols.base` — the plan dataclasses the emulator runs.
+* :mod:`repro.emulator.plan` — the plan dataclasses the emulator runs.
 """
 
-from repro.protocols.base import (
+from repro.emulator.plan import (
     CodedBroadcastPlan,
     CreditBroadcastPlan,
     SessionPlan,

@@ -24,15 +24,15 @@ from typing import List, Tuple
 
 from repro.coding.finite_length import DEFAULT_CANDIDATES, optimal_blocks
 from repro.coding.generation import DEFAULT_BLOCK_SIZE
-from repro.optimization.problem import SessionGraph
-from repro.optimization.rate_control import RateControlConfig, RateControlDuals
-from repro.protocols.base import (
+from repro.emulator.plan import (
     CodedBroadcastPlan,
     CodingParams,
     CreditBroadcastPlan,
     SessionPlan,
     UnicastPathPlan,
 )
+from repro.optimization.problem import SessionGraph
+from repro.optimization.rate_control import RateControlConfig, RateControlDuals
 from repro.protocols.etx_routing import plan_etx_route
 from repro.protocols.more import plan_more
 from repro.protocols.oldmore import plan_oldmore

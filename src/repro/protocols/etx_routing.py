@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.protocols.base import UnicastPathPlan
+from repro.emulator.plan import UnicastPathPlan
 from repro.routing.etx import etx_weights
 from repro.routing.node_selection import NodeSelectionError
 from repro.routing.shortest_path import dijkstra

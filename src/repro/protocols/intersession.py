@@ -39,7 +39,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Tuple
 
 from repro.emulator.node import InterSessionXorRelay, XorPacket
-from repro.protocols.base import (
+from repro.emulator.plan import (
     CodedBroadcastPlan,
     CreditBroadcastPlan,
     SessionPlan,

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.protocols.base import CreditBroadcastPlan
+from repro.emulator.plan import CreditBroadcastPlan
 from repro.routing.node_selection import ForwarderSet, select_forwarders
 from repro.topology.graph import Link, WirelessNetwork
 

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.emulator.plan import CreditBroadcastPlan
 from repro.optimization.problem import session_graph_from_selection
 from repro.optimization.sunicast import solve_min_cost_routing
-from repro.protocols.base import CreditBroadcastPlan
 from repro.protocols.more import compute_tx_credits
 from repro.routing.node_selection import select_forwarders
 from repro.topology.graph import Link, WirelessNetwork

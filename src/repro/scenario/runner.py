@@ -11,11 +11,11 @@ re-initiate.  A re-plan:
    (OMNC warm-starts from its previous dual prices);
 2. charges the Sec. 4 control-plane overhead as stalled airtime via
    :meth:`~repro.emulator.engine.EmulationEngine.advance_idle`;
-3. hot-swaps the new plan onto the *live* runtimes (``apply_plan``):
-   coding buffers, decoder rank, queues and generation state survive;
-   only rates/credits/routes change.  New forwarders get fresh
-   runtimes, dropped ones leave (their queued packets are lost, as a
-   silenced real node's would be);
+3. hot-swaps the new plan onto the *live* runtimes
+   (:func:`~repro.emulator.session.install_plan`, the same installer
+   that built them): coding buffers, decoder rank, queues and
+   generation state survive; only rates/credits/routes change.  New
+   forwarders get fresh runtimes, dropped ones leave;
 4. refreshes the engine's precomputed slot-loop structures.
 
 RNG discipline: scheduler/channel/capture/coding streams are never
@@ -27,36 +27,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, List, Tuple
 
 from repro import obs
-from repro.emulator.channel import LossyBroadcastChannel
-from repro.emulator.engine import EmulationEngine
-from repro.emulator.node import (
-    CodedRelayRuntime,
-    CodedSourceRuntime,
-    FlowRelayRuntime,
-    FlowSourceRuntime,
-    NodeRuntime,
-    UnicastRuntime,
-)
+from repro.emulator.plan import CodingParams
 from repro.emulator.session import (
     SessionConfig,
     SessionResult,
-    _AckTracker,
-    _coded_result,
-    build_plan_runtimes,
-    unicast_demand_hint,
+    install_plan,
+    open_session,
+    session_result,
 )
 from repro.emulator.trace import SessionTracer
 from repro.protocols.adaptive import AdaptivePlanner, CodingController
-from repro.protocols.base import (
-    CodedBroadcastPlan,
-    CodingParams,
-    CreditBroadcastPlan,
-    SessionPlan,
-    UnicastPathPlan,
-)
 from repro.routing.node_selection import NodeSelectionError
 from repro.scenario.controller import EpochObservation, ReplanPolicy
 from repro.scenario.spec import ScenarioSpec, ScenarioTimeline
@@ -181,7 +164,7 @@ def run_adaptive_session(
     timeline = ScenarioTimeline(network, spec, rng=rng.derive("scenario"))
     plan = planner.plan(timeline.network)
     planned_network = timeline.network
-    unicast = isinstance(plan, UnicastPathPlan)
+    unicast = plan.kind == "unicast"
 
     coding_current: CodingParams | None = None
     if coding_controller is not None and not unicast:
@@ -193,40 +176,18 @@ def run_adaptive_session(
                 systematic=coding_current.systematic,
             )
 
-    delivered_count = [0]
-
-    def on_delivered(_sequence: int) -> None:
-        delivered_count[0] += 1
-
-    tracker = _AckTracker()
-    runtimes, _label = build_plan_runtimes(
+    engine, tracker = open_session(
         timeline.network,
         plan,
         session_id=session_id,
         config=config,
         rng=rng,
-        on_decoded=tracker.on_decoded,
-        on_delivered=on_delivered,
-    )
-    packet_bytes = (
-        config.unicast_packet_bytes() if unicast else config.coded_packet_bytes()
-    )
-    slot = packet_bytes / network.capacity
-    channel = LossyBroadcastChannel(timeline.network, rng=rng.derive("channel"))
-    engine = EmulationEngine(
-        timeline.network,
-        runtimes,
-        channel,
-        slot,
-        scheduler_rng=rng.derive("mac"),
-        capture_rng=rng.derive("capture"),
-        interference=config.interference,
         registry=registry,
         tracer=tracer,
     )
-    tracker.engine = engine
+    slot = engine.slot_duration
     destination = planner.destination
-    dest_runtime = engine.runtimes[destination]
+    dest_runtime: Any = engine.runtimes[destination]
     target = config.target_generations
 
     def stop() -> bool:
@@ -252,9 +213,9 @@ def run_adaptive_session(
         engine.run(batch, stop_when=None if unicast else stop)
         generations = getattr(dest_runtime, "generations_decoded", 0)
         new_generations = generations - seen_generations
-        new_deliveries = delivered_count[0] - seen_deliveries
+        new_deliveries = tracker.delivered - seen_deliveries
         seen_generations = generations
-        seen_deliveries = delivered_count[0]
+        seen_deliveries = tracker.delivered
         done = engine.stats.slots >= total_slots or (
             not unicast and target > 0 and generations >= target
         )
@@ -288,7 +249,24 @@ def run_adaptive_session(
                 engine.advance_idle(stall_slots)
                 stall_seconds = stall_slots * slot
                 replan_seconds += stall_seconds
-                _hot_swap(engine, plan, timeline, config, rng, on_delivered)
+                # Surviving nodes keep their runtime objects; the load
+                # may have moved since the session was built.
+                cbr_fraction = timeline.cbr_fraction
+                if cbr_fraction is None:
+                    cbr_fraction = config.cbr_fraction
+                engine.rebuild_runtime_structures(
+                    install_plan(
+                        timeline.network,
+                        plan,
+                        engine.runtimes,
+                        session_id=session_id,
+                        config=config,
+                        rng=rng,
+                        on_decoded=tracker.on_decoded,
+                        on_delivered=tracker.on_delivered,
+                        cbr=cbr_fraction * timeline.network.capacity,
+                    )
+                )
                 planned_network = timeline.network
                 replanned = True
                 replans += 1
@@ -335,41 +313,21 @@ def run_adaptive_session(
 
     stats = engine.stats
     # Every node that ever held a runtime (re-plans may have dropped
-    # some); the stats dicts cover them all, the live runtime set
-    # may not.
-    participants = {
-        node: engine.runtimes.get(node) for node in sorted(stats.transmissions)
-    }
-    if unicast:
-        elapsed = stats.elapsed if stats.elapsed > 0 else 1.0
-        session = SessionResult(
-            protocol=planner.label,
-            source=planner.source,
-            destination=destination,
-            throughput_bps=delivered_count[0] * config.block_size / elapsed,
-            duration=stats.elapsed,
-            generations_decoded=0,
-            packets_delivered=delivered_count[0],
-            ack_times=(),
-            average_queues={
-                n: stats.average_queue(n) for n in participants
-            },
-            transmissions=dict(stats.transmissions),
-            participants=tuple(sorted(participants)),
-            delivered_links=tuple(sorted(stats.delivered_links)),
-        )
-    else:
-        session = _coded_result(
-            planner.label,
-            planner.source,
-            destination,
-            plan,
-            config,
-            stats,
-            dest_runtime,
-            tracker,
-            participants,
-        )
+    # some): the stats dicts cover them all, the live runtime set may not.
+    session = session_result(
+        planner.label,
+        planner.source,
+        destination,
+        config.block_size,
+        stats.elapsed,
+        {n: stats.average_queue(n) for n in stats.transmissions},
+        stats.transmissions,
+        stats.delivered_links,
+        ack_times=tracker.ack_times,
+        generations=getattr(dest_runtime, "generations_decoded", 0),
+        blocks_decoded=getattr(dest_runtime, "blocks_decoded", 0),
+        packets_delivered=tracker.delivered if unicast else None,
+    )
     return AdaptiveSessionResult(
         session=session,
         policy=policy.name,
@@ -383,187 +341,3 @@ def run_adaptive_session(
         generation_payload_bytes=config.generation_bytes(),
         packet_payload_bytes=config.block_size,
     )
-
-
-def _hot_swap(
-    engine: EmulationEngine,
-    plan: SessionPlan,
-    timeline: ScenarioTimeline,
-    config: SessionConfig,
-    rng: RngFactory,
-    on_delivered: Callable[[int], None],
-) -> None:
-    """Apply a new plan to the live runtimes and refresh the engine.
-
-    Surviving nodes keep their runtime objects (buffers, decoder rank,
-    queues, credits); only the plan-derived parameters change.
-    """
-    network = timeline.network
-    cbr_fraction = timeline.cbr_fraction
-    if cbr_fraction is None:
-        cbr_fraction = config.cbr_fraction
-    cbr = cbr_fraction * network.capacity
-    runtimes = engine.runtimes
-    if isinstance(plan, CodedBroadcastPlan):
-        updated = _swap_rate_plan(plan, runtimes, network, config, rng, cbr)
-    elif isinstance(plan, CreditBroadcastPlan):
-        updated = _swap_credit_plan(plan, runtimes, network, config, rng, cbr)
-    elif isinstance(plan, UnicastPathPlan):
-        updated = _swap_unicast_plan(
-            plan, runtimes, network, config, cbr, on_delivered
-        )
-    else:
-        raise TypeError(f"unsupported plan type {type(plan).__name__}")
-    engine.rebuild_runtime_structures(updated)
-
-
-def _make_coded_relay(
-    node: int,
-    session_id: int,
-    config: SessionConfig,
-    rng: RngFactory,
-    **kwargs: Any,
-) -> NodeRuntime:
-    packet_bytes = config.coded_packet_bytes()
-    if config.coding_fidelity == "exact":
-        return CodedRelayRuntime(
-            node,
-            session_id,
-            config.blocks,
-            packet_bytes,
-            rng.derive("coding", node),
-            queue_limit=config.queue_limit,
-            **kwargs,
-        )
-    return FlowRelayRuntime(
-        node,
-        session_id,
-        config.blocks,
-        packet_bytes,
-        queue_limit=config.queue_limit,
-        **kwargs,
-    )
-
-
-def _swap_rate_plan(
-    plan: CodedBroadcastPlan,
-    runtimes: Dict[int, NodeRuntime],
-    network: WirelessNetwork,
-    config: SessionConfig,
-    rng: RngFactory,
-    cbr: float,
-) -> Dict[int, NodeRuntime]:
-    """OMNC: retune source/relay rates; add/drop forwarders."""
-    source = plan.forwarders.source
-    destination = plan.forwarders.destination
-    session_id = _session_id_of(runtimes[source])
-    desired: Dict[int, float] = {}
-    for node in plan.forwarders.nodes:
-        if node == destination:
-            continue
-        rate = plan.rates.get(node, 0.0)
-        if node == source:
-            desired[node] = min(rate, cbr)
-        elif rate > 0.0:
-            desired[node] = rate
-    updated: Dict[int, NodeRuntime] = {destination: runtimes[destination]}
-    for node, rate in desired.items():
-        existing = runtimes.get(node)
-        if existing is not None:
-            if node == source:
-                existing.apply_plan(rate_bps=rate)
-            else:
-                existing.apply_plan(mode="rate", rate_bps=rate)
-            updated[node] = existing
-        else:
-            updated[node] = _make_coded_relay(
-                node, session_id, config, rng, mode="rate", rate_bps=rate
-            )
-    return updated
-
-
-def _swap_credit_plan(
-    plan: CreditBroadcastPlan,
-    runtimes: Dict[int, NodeRuntime],
-    network: WirelessNetwork,
-    config: SessionConfig,
-    rng: RngFactory,
-    cbr: float,
-) -> Dict[int, NodeRuntime]:
-    """MORE/oldMORE: retune credits and upstream sets."""
-    forwarders = plan.forwarders
-    source = forwarders.source
-    destination = forwarders.destination
-    distance = forwarders.etx_distance
-    session_id = _session_id_of(runtimes[source])
-    updated: Dict[int, NodeRuntime] = {destination: runtimes[destination]}
-    source_runtime = runtimes[source]
-    source_runtime.apply_plan(rate_bps=cbr)
-    updated[source] = source_runtime
-    for node in forwarders.nodes:
-        if node in (source, destination):
-            continue
-        credit = plan.tx_credits.get(node, 0.0)
-        if credit <= 0.0:
-            continue  # pruned forwarder: dropped from the session
-        upstream = tuple(
-            i for i in forwarders.nodes if distance[i] > distance[node]
-        )
-        existing = runtimes.get(node)
-        if existing is not None and not isinstance(
-            existing, (FlowSourceRuntime, CodedSourceRuntime)
-        ):
-            existing.apply_plan(
-                mode="credit", tx_credit=credit, upstream=upstream
-            )
-            updated[node] = existing
-        else:
-            updated[node] = _make_coded_relay(
-                node,
-                session_id,
-                config,
-                rng,
-                mode="credit",
-                tx_credit=credit,
-                upstream=upstream,
-            )
-    return updated
-
-
-def _swap_unicast_plan(
-    plan: UnicastPathPlan,
-    runtimes: Dict[int, NodeRuntime],
-    network: WirelessNetwork,
-    config: SessionConfig,
-    cbr: float,
-    on_delivered: Callable[[int], None],
-) -> Dict[int, NodeRuntime]:
-    """ETX: re-route the path; surviving nodes keep queued packets."""
-    packet_bytes = config.unicast_packet_bytes()
-    updated: Dict[int, NodeRuntime] = {}
-    for index, node in enumerate(plan.path):
-        next_hop = plan.path[index + 1] if index + 1 < len(plan.path) else None
-        rate = cbr if node == plan.source else 0.0
-        demand = unicast_demand_hint(network, node, next_hop, cbr)
-        existing = runtimes.get(node)
-        if isinstance(existing, UnicastRuntime):
-            existing.apply_plan(
-                next_hop=next_hop, rate_bps=rate, demand_hint_bps=demand
-            )
-            updated[node] = existing
-        else:
-            updated[node] = UnicastRuntime(
-                node,
-                next_hop,
-                rate_bps=rate,
-                packet_bytes=packet_bytes,
-                queue_limit=config.queue_limit,
-                on_delivered=on_delivered,
-                demand_hint_bps=demand,
-            )
-    return updated
-
-
-def _session_id_of(runtime: NodeRuntime) -> int:
-    """Recover the session id a coded runtime was built with."""
-    return getattr(runtime, "_session_id", 1)

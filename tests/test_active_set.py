@@ -239,8 +239,7 @@ class TestAdaptiveSwitchPin:
                 ScenarioEvent(at=26.0, kind="drift", sigma=1.0),
             ),
         )
-        # No tracer here: the runner's "coding" trace record is not a kind
-        # SessionTracer accepts, so a traced adaptive-coding run raises.
+        tracer = SessionTracer(capacity=500_000)
         result = run_adaptive_session(
             network,
             make_planner("omnc", source, destination),
@@ -249,8 +248,12 @@ class TestAdaptiveSwitchPin:
             config=SessionConfig(blocks=40, block_size=256),
             rng=RngFactory(6),
             coding_controller=controller,
+            tracer=tracer,
         )
         assert len(set(controller.history)) > 1  # the size really switched
+        pushed = [event.detail for event in tracer.events(kind="coding")]
+        assert len(pushed) > 1
+        assert set(pushed) <= {decision.blocks for decision in controller.history}
         assert result.replans > 0
         assert result.session.generations_decoded > 0
         assert session_digest(result.session) == self.RUNNER_SESSION

@@ -397,7 +397,7 @@ class TestAdaptiveCodingDigest:
 
     def _coding_run(self, network, plan, shards):
         from repro.emulator import shard as shard_mod
-        from repro.protocols.base import CodingParams
+        from repro.emulator.plan import CodingParams
 
         config = SessionConfig(
             max_seconds=40.0,

@@ -2,13 +2,13 @@
 
 import pytest
 
+from repro.emulator.plan import CodedBroadcastPlan
 from repro.emulator.session import (
     SessionConfig,
     run_coded_session,
     run_unicast_session,
 )
 from repro.emulator.stats import throughput_gain
-from repro.protocols.base import CodedBroadcastPlan
 from repro.protocols.etx_routing import plan_etx_route
 from repro.protocols.more import plan_more
 from repro.protocols.omnc import plan_omnc

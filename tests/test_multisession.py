@@ -148,6 +148,13 @@ class TestMultiSessionComposite:
         with pytest.raises(RuntimeError, match="advance_session_generation"):
             composite.advance_generation(1)
 
+    def test_plan_updates_go_to_the_session_runtime(self):
+        composite = MultiSessionNodeRuntime(3)
+        composite.add_session(1, _fresh_flow_runtime(3, 1))
+        with pytest.raises(RuntimeError, match="session_runtime"):
+            composite.apply_plan(rate_bps=1.0)
+        composite.session_runtime(1).apply_plan(rate_bps=1.0)
+
     def test_activation_round_trip(self):
         composite = MultiSessionNodeRuntime(3)
         composite.add_session(1, _fresh_flow_runtime(3, 1), active=False)

@@ -17,6 +17,7 @@ from repro.emulator.node import (
     MultiSessionNodeRuntime,
     UnicastRuntime,
 )
+from repro.emulator.plan import CodingParams
 
 from tests.dormancy import assert_fixed_point
 
@@ -135,8 +136,6 @@ class TestCodedRelay:
         assert packet.generation_id == 2
 
     def test_generation_size_switch_starts_from_an_empty_filter(self):
-        from repro.emulator.plan import CodingParams
-
         relay = self._relay()
         relay.on_receive(self._packet([1, 2, 3, 4]), sender=0)
         relay.on_receive(self._packet([1, 2, 3, 4]), sender=0)
@@ -410,6 +409,120 @@ OPERATIONS = st.one_of(
     st.tuples(st.just("plan"), st.sampled_from(RATES)),
     st.tuples(st.just("churn"), st.integers(0, 3)),
 )
+
+
+PARITY_OPERATIONS = st.one_of(
+    st.tuples(st.just("slot"), st.integers(1, 12)),
+    st.tuples(st.just("receive"), st.tuples(st.integers(0, 2), st.integers(-1, 1))),
+    st.tuples(st.just("pop"), st.integers(1, 3)),
+    st.tuples(st.just("advance"), st.integers(0, 2)),
+    st.tuples(st.just("plan"), st.fixed_dictionaries({}, optional={
+        "rate_bps": st.sampled_from(RATES),
+        "mode": st.sampled_from(("rate", "credit")),
+        "tx_credit": st.sampled_from((0.0, 0.4, 1.5, 3.0)),
+        "upstream": st.sampled_from(((), (0,), (0, 2))),
+        "coding": st.builds(CodingParams, blocks=st.sampled_from((2, 4, 7))),
+    })),
+)
+
+
+def _pacing(runtime, dt):
+    return (
+        repr(runtime._credit),
+        runtime.queue_length(),
+        runtime.packets_generated,
+        runtime.packets_sent,
+        runtime.packets_dropped,
+        runtime.backlog(),
+        repr(runtime.demand_rate(dt)),
+        runtime.dormant(dt),
+    )
+
+
+class TestFidelityParity:
+    """Coded* and Flow* differ in what a packet carries, never in pacing.
+
+    One schedule of ticks, deliveries, pops, plan swaps and generation
+    advances drives an exact and a flow runtime side by side; credit,
+    queue and counters must agree at every step.  (Each delivery is
+    innovative for both or neither at the only granularity pacing sees:
+    whether the relay holds anything.)
+    """
+
+    @staticmethod
+    def _run(pair, roles, dt, operations):
+        generation, blocks, pending = 0, 4, None
+
+        def crossed(new_generation):
+            nonlocal generation, blocks, pending
+            if new_generation > generation:
+                generation = new_generation
+                blocks, pending = pending or blocks, None
+
+        assert _pacing(pair[0], dt) == _pacing(pair[1], dt)
+        for name, argument in operations:
+            if name == "slot":
+                for _ in range(argument):
+                    for runtime in pair:
+                        runtime.on_slot(dt)
+            elif name == "receive" and roles == "relay":
+                sender, offset = argument
+                packet_generation = max(0, generation + offset)
+                crossed(packet_generation)
+                coded, flow = pair
+                coded.on_receive(_exact_packets(blocks, packet_generation, 1)[0], sender)
+                flow.on_receive(FlowPacket(1, packet_generation, float(blocks)), sender)
+            elif name == "pop":
+                for runtime in pair:
+                    for _ in range(argument):
+                        runtime.pop_transmission()
+            elif name == "advance":
+                crossed(generation + argument)
+                for runtime in pair:
+                    runtime.advance_generation(generation)
+            elif name == "plan":
+                if roles == "source":
+                    argument = {
+                        key: argument[key]
+                        for key in ("rate_bps", "coding")
+                        if key in argument
+                    }
+                pending = getattr(argument.get("coding"), "blocks", pending)
+                for runtime in pair:
+                    runtime.apply_plan(**argument)
+            assert _pacing(pair[0], dt) == _pacing(pair[1], dt), (name, argument)
+
+    @pytest.mark.parametrize("mode", ["rate", "credit"])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rate=st.sampled_from(RATES),
+        dt=st.sampled_from(SLOTS),
+        operations=st.lists(PARITY_OPERATIONS, max_size=30),
+    )
+    def test_relays_pace_identically(self, mode, rate, dt, operations):
+        settings_ = dict(
+            mode=mode, rate_bps=rate, tx_credit=1.5, upstream=(0,), queue_limit=6
+        )
+        pair = (
+            CodedRelayRuntime(
+                1, 1, 4, PACKET_BYTES, np.random.default_rng(1), **settings_
+            ),
+            FlowRelayRuntime(1, 1, 4, PACKET_BYTES, **settings_),
+        )
+        self._run(pair, "relay", dt, operations)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rate=st.sampled_from(RATES),
+        dt=st.sampled_from(SLOTS),
+        operations=st.lists(PARITY_OPERATIONS, max_size=30),
+    )
+    def test_sources_pace_identically(self, rate, dt, operations):
+        pair = (
+            exact_source(rate=rate, queue_limit=6),
+            FlowSourceRuntime(0, 1, 4, rate, PACKET_BYTES, queue_limit=6),
+        )
+        self._run(pair, "source", dt, operations)
 
 
 class TestDormantContract:

@@ -1,0 +1,210 @@
+"""A plan installs itself: driver pins, and build == hot-swap.
+
+``TestDriverPins`` holds literal ``session_digest`` values recorded on
+the commit *before* the runtimes and the plan installer were unified,
+for the driver paths no other literal covers: the ETX driver, a credit
+plan at exact fidelity, and adaptive MORE/ETX runs whose scenario fails
+and recovers a forwarder (the re-plan drops it, a later one re-adds it)
+and changes the offered load in between (the swap's ``cbr`` override).
+
+``TestBuildEqualsSwap`` states the installer's contract directly:
+installing plan B over runtimes built for plan A leaves every node in
+the state a fresh build of B would, wherever the node holds no data.
+"""
+
+import pytest
+
+from repro.emulator.node import FlowPacket
+from repro.emulator.plan import (
+    CodedBroadcastPlan,
+    CreditBroadcastPlan,
+    UnicastPathPlan,
+)
+from repro.emulator.session import (
+    SessionConfig,
+    build_plan_runtimes,
+    install_plan,
+    run_coded_session,
+    run_unicast_session,
+)
+from repro.emulator.shard import session_digest
+from repro.emulator.trace import SessionTracer
+from repro.protocols.adaptive import make_planner
+from repro.protocols.etx_routing import plan_etx_route
+from repro.protocols.more import plan_more
+from repro.protocols.omnc import plan_omnc
+from repro.scenario import (
+    ScenarioEvent,
+    ScenarioSpec,
+    make_policy,
+    run_adaptive_session,
+)
+from repro.scenario.spec import ScenarioTimeline
+from repro.topology.phy import lossy_phy
+from repro.topology.random_network import random_network
+from repro.util.rng import RngFactory
+from tests.dormancy import freeze
+
+pytestmark = pytest.mark.usefixtures("parked_contract")
+
+SOURCE, DESTINATION, VICTIM = 0, 23, 18
+
+
+@pytest.fixture(scope="module")
+def mesh():
+    """Seeded 30-node lossy mesh; 0 -> 23 routes through relay 18."""
+    rng = RngFactory(11)
+    return random_network(
+        30, phy=lossy_phy(rng=rng.derive("phy")), rng=rng.derive("topology")
+    )
+
+
+class TestDriverPins:
+    UNICAST = "791f240a0a49d10b880f4b0103e090e6919855996bb774a98b1aa67937492fd8"
+    CREDIT_EXACT = "615ee2c6e0fcb421048ddab3eda07353e98711d97a25fd8b4391511ee8ca115c"
+    ADAPTIVE = {
+        ("more", "flow"): "b560adc69ae0c88ff5d05da8fc8f795b77f5481718403cdcc120b23876db0699",
+        ("more", "exact"): "7de3023b47c5ddff146bbf328e0679410e14addd1dea3fbb157398c0343c4549",
+        ("etx", "flow"): "d8442e61bf2caacc67e8e84489476e394e0e13166ed497437ae9d0694c808e80",
+    }
+
+    def test_unicast_driver(self, mesh):
+        plan = plan_etx_route(mesh, SOURCE, DESTINATION)
+        assert VICTIM in plan.path
+        result = run_unicast_session(
+            mesh, plan, config=SessionConfig(max_seconds=30.0), rng=RngFactory(3)
+        )
+        assert result.packets_delivered > 0
+        assert session_digest(result) == self.UNICAST
+
+    def test_credit_plan_at_exact_fidelity(self, mesh):
+        config = SessionConfig(
+            max_seconds=30.0, blocks=8, block_size=256, coding_fidelity="exact"
+        )
+        result = run_coded_session(
+            mesh,
+            plan_more(mesh, SOURCE, DESTINATION),
+            config=config,
+            rng=RngFactory(3),
+        )
+        assert result.generations_decoded > 0
+        assert session_digest(result) == self.CREDIT_EXACT
+
+    @pytest.mark.parametrize("protocol,fidelity", sorted(ADAPTIVE))
+    def test_adaptive_fail_recover_load(self, mesh, protocol, fidelity):
+        scenario = ScenarioSpec(
+            name="fail-recover-load",
+            duration=40.0,
+            epoch_seconds=4.0,
+            events=(
+                ScenarioEvent(at=6.0, kind="fail", node=VICTIM),
+                ScenarioEvent(at=14.0, kind="load", cbr_fraction=0.3),
+                ScenarioEvent(at=22.0, kind="recover", node=VICTIM),
+            ),
+        )
+        tracer = SessionTracer(capacity=500_000)
+        result = run_adaptive_session(
+            mesh,
+            make_planner(protocol, SOURCE, DESTINATION),
+            make_policy("periodic:1"),
+            scenario,
+            config=SessionConfig(
+                blocks=8, block_size=256, coding_fidelity=fidelity
+            ),
+            rng=RngFactory(5),
+            tracer=tracer,
+        )
+        assert result.replans == 8 and result.failed_replans == 0
+        # The victim transmits, falls silent once a re-plan drops it, and
+        # transmits again after the re-plan that follows its recovery.
+        times = [event.time for event in tracer.events(kind="tx", node=VICTIM)]
+        assert any(t < 6.0 for t in times) and any(t > 24.0 for t in times)
+        assert not any(10.0 < t < 22.0 for t in times)
+        assert session_digest(result.session) == self.ADAPTIVE[protocol, fidelity]
+
+
+PLANNERS = {"omnc": plan_omnc, "more": plan_more, "etx": plan_etx_route}
+PLAN_TYPES = {
+    "omnc": CodedBroadcastPlan,
+    "more": CreditBroadcastPlan,
+    "etx": UnicastPathPlan,
+}
+
+
+class TestBuildEqualsSwap:
+    @pytest.fixture(scope="class")
+    def without_victim(self, mesh):
+        """The mesh with the victim's links gone, as a ``fail`` leaves it."""
+        spec = ScenarioSpec(
+            name="fail",
+            duration=1.0,
+            epoch_seconds=1.0,
+            events=(ScenarioEvent(at=0.0, kind="fail", node=VICTIM),),
+        )
+        timeline = ScenarioTimeline(mesh, spec, rng=RngFactory(1).derive("scenario"))
+        timeline.advance_to(0.0)
+        return timeline.network
+
+    @pytest.mark.parametrize(
+        "protocol,fidelity",
+        [("omnc", "flow"), ("omnc", "exact"), ("more", "flow"), ("more", "exact"),
+         ("etx", "flow")],
+    )
+    def test_swap_lands_where_a_fresh_build_would(
+        self, mesh, without_victim, protocol, fidelity
+    ):
+        planner = PLANNERS[protocol]
+        plan_a = planner(mesh, SOURCE, DESTINATION)
+        plan_b = planner(without_victim, SOURCE, DESTINATION)
+        assert type(plan_a) is type(plan_b) is PLAN_TYPES[protocol]
+        config = SessionConfig(blocks=8, block_size=256, coding_fidelity=fidelity)
+        cbr = 0.3 * mesh.capacity  # a load event moved it off the config's
+
+        def install(network, plan, existing, cbr=None):
+            return install_plan(
+                network, plan, existing, config=config, rng=RngFactory(9), cbr=cbr
+            )
+
+        built_a = install(mesh, plan_a, {})
+        assert VICTIM in built_a
+        assert built_a.keys() == build_plan_runtimes(
+            mesh, plan_a, config=config, rng=RngFactory(9)
+        )[0].keys()
+
+        swapped = install(without_victim, plan_b, built_a, cbr)
+        fresh_b = install(without_victim, plan_b, {}, cbr)
+        assert VICTIM not in swapped  # B omits it: gone
+        assert swapped.keys() == fresh_b.keys()
+        for node, runtime in swapped.items():
+            assert (runtime is built_a.get(node)) == (node in built_a)
+            assert runtime is not fresh_b[node]
+            assert freeze(runtime) == freeze(fresh_b[node]), node
+
+        # Back to plan A: survivors persist, the victim returns brand new.
+        restored = install(mesh, plan_a, swapped)
+        fresh_a = install(mesh, plan_a, {})
+        assert restored.keys() == fresh_a.keys()
+        assert restored[VICTIM] is not built_a[VICTIM]
+        for node, runtime in restored.items():
+            if node != VICTIM and node in swapped:
+                assert runtime is swapped[node]
+            assert freeze(runtime) == freeze(fresh_a[node]), node
+
+    def test_swap_keeps_what_a_survivor_holds(self, mesh, without_victim):
+        plan_a = plan_more(mesh, SOURCE, DESTINATION)
+        plan_b = plan_more(without_victim, SOURCE, DESTINATION)
+        config = SessionConfig(blocks=8, block_size=256)
+        built = install_plan(mesh, plan_a, {}, config=config, rng=RngFactory(9))
+        survivor = next(
+            node for node in plan_b.tx_credits
+            if node in built and plan_b.tx_credits[node] > 0
+        )
+        relay = built[survivor]
+        relay.on_receive(FlowPacket(1, 0, 3.0), SOURCE)
+        held = relay.information, relay.packets_heard, relay.queue_length()
+        assert held[0] == 1.0
+        swapped = install_plan(
+            without_victim, plan_b, built, config=config, rng=RngFactory(9)
+        )
+        assert swapped[survivor] is relay
+        assert (relay.information, relay.packets_heard, relay.queue_length()) == held

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.protocols.base import (
+from repro.emulator.plan import (
     CodedBroadcastPlan,
     CreditBroadcastPlan,
     UnicastPathPlan,

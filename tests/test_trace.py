@@ -20,7 +20,7 @@ class TestSessionTracer:
         assert len(tracer) == 4
         assert tracer.summary() == {
             "grant": 1, "tx": 1, "delivery": 1, "ack": 1, "replan": 0,
-            "arrive": 0, "depart": 0,
+            "coding": 0, "arrive": 0, "depart": 0,
         }
         assert [e.peer for e in tracer.events(kind="delivery")] == [2]
         assert [e.detail for e in tracer.events(kind="ack")] == [1]
