@@ -6,8 +6,8 @@ row-vectorized) engine, and at a smaller shape for the pure-Python
 lookup-table baseline (full-size baseline runs take minutes); the
 speedup comparison runs both at the common smaller shape.  A
 parametrized case additionally covers every registered GF(2^8) backend
-available on this machine, so artifact runs record how nibble-split and
-the compiled kernels compare shape-for-shape.
+available on this machine, so artifact runs record how the numpy
+reference and the compiled kernels compare shape-for-shape.
 """
 
 import pytest

@@ -566,8 +566,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--gf-backend",
         default=None,
         metavar="NAME",
-        help="GF(2^8) codec backend ('numpy', 'nibble', 'native', 'numba', "
-        "or 'best'; default: numpy reference, or OMNC_GF_BACKEND)",
+        help="GF(2^8) codec backend ('numpy', 'native' or 'best'; "
+        "default: OMNC_GF_BACKEND, else 'best')",
     )
     session.set_defaults(func=_cmd_session)
 

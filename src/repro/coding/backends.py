@@ -11,16 +11,14 @@ Built-in backends:
 
 * ``numpy`` — the reference: flat 64 KiB-table gathers
   (:class:`repro.coding.gf256.GF256`).  Always available.
-* ``nibble`` — nibble-split multiplication: the 64 KiB flat gather is
-  replaced by two composed 16x256 tables (4 KiB each, L1-resident)
-  indexed by the high and low nibble of the coefficient
-  (:class:`GF256NibbleSplit`).  Always available.
 * ``native`` — compiled C kernels (SSSE3/AVX2 ``pshufb`` nibble
   multiply, the direct descendant of the paper's SSE2 loop) built at
   first use with the system C compiler and loaded through ``ctypes``
   (:mod:`repro.coding.native`).  Available when a toolchain is.
-* ``numba`` — JIT-compiled table kernels, registered only when numba
-  is importable.
+
+(:class:`repro.coding.gf256_baseline.GF256Baseline`, the paper's
+lookup-table comparator, satisfies the same surface but is passed as an
+explicit ``field=``; it is not a registered backend.)
 
 Selection:
 
@@ -29,20 +27,23 @@ Selection:
 * :func:`active_backend` — the process default used whenever an
   encoder/decoder is built without an explicit ``field=``; resolves
   an explicit :func:`select_backend` first, then the
-  ``OMNC_GF_BACKEND`` environment variable, then the reference.
+  ``OMNC_GF_BACKEND`` environment variable, then ``"best"``.
 * :func:`select_backend` — set the process default (the CLI's
   ``--gf-backend`` lands here); ``export=True`` also sets
   ``OMNC_GF_BACKEND`` so campaign worker processes inherit the choice.
+
+Whenever a request cannot be honoured — the compiled backend fails to
+build or to pass its self-test, ``OMNC_GF_BACKEND`` names something
+unknown — the codec runs on what is left and says so once per process
+(a ``logging`` warning naming the requested and the chosen backend).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
-import numpy as np
-
-from repro.coding.gf256 import GF256, _MUL_TABLE, meter_bytes
+from repro.coding.gf256 import GF256
 from repro.coding.gf256_baseline import GF256Baseline
 
 #: Any GF(2^8) arithmetic backend: the table-driven vectorized class
@@ -58,113 +59,7 @@ BACKEND_ENV = "OMNC_GF_BACKEND"
 REFERENCE_BACKEND = "numpy"
 
 #: Preference order for ``get_backend("best")``, most preferred first.
-#: ``numpy`` outranks ``nibble``: on current numpy the two extra index
-#: tensors the nibble composition builds cost more than the 64 KiB
-#: table's cache misses save (the nibble idea only pays once the table
-#: lookups move into SIMD registers — which is the native backend).
-_BEST_ORDER = ("native", "numba", "numpy", "nibble")
-
-
-# ---------------------------------------------------------------------------
-# Nibble-split backend
-
-
-def _build_nibble_tables() -> Tuple[np.ndarray, np.ndarray]:
-    """Two composed 16x256 product tables.
-
-    ``hi[n, b] = (n << 4) * b`` and ``lo[n, b] = n * b`` over GF(2^8);
-    since multiplication distributes over the XOR that addition is,
-    ``a * b == hi[a >> 4, b] ^ lo[a & 0xF, b]``.  Together they replace
-    the 64 KiB flat table with 8 KiB that stays L1-resident.
-    """
-    nibbles = np.arange(16, dtype=np.intp)
-    columns = np.arange(256, dtype=np.intp)
-    hi = _MUL_TABLE[np.ix_(nibbles << 4, columns)]
-    lo = _MUL_TABLE[np.ix_(nibbles, columns)]
-    return np.ascontiguousarray(hi), np.ascontiguousarray(lo)
-
-
-_NIB_HI, _NIB_LO = _build_nibble_tables()
-_NIB_HI_FLAT = _NIB_HI.ravel()
-_NIB_LO_FLAT = _NIB_LO.ravel()
-
-
-class GF256NibbleSplit(GF256):
-    """Nibble-split gathers: two 4 KiB tables instead of one 64 KiB.
-
-    Each per-row-coefficient kernel computes
-    ``hi_flat[(c >> 4) << 8 | b] ^ lo_flat[(c & 15) << 8 | b]`` with two
-    ``take`` gathers whose tables both fit in L1.  Scalar-coefficient
-    kernels (``scale_row``, ``addmul_row``) inherit the reference: a
-    single 256-byte table row is already cache-resident.
-    """
-
-    name = "nibble"
-
-    @staticmethod
-    def scale_rows(rows: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.uint8)
-        coefficients = np.asarray(coefficients, dtype=np.int32)
-        hi = ((coefficients >> 4) << 8)[:, None] | rows
-        lo = ((coefficients & 15) << 8)[:, None] | rows
-        return _NIB_HI_FLAT.take(hi) ^ _NIB_LO_FLAT.take(lo)
-
-    @staticmethod
-    def addmul_rows(
-        targets: np.ndarray, source: np.ndarray, coefficients: np.ndarray
-    ) -> None:
-        coefficients = np.asarray(coefficients)
-        nz = np.nonzero(coefficients)[0]
-        if nz.size == 0:
-            return
-        active = coefficients[nz].astype(np.int32)
-        hi = ((active >> 4) << 8)[:, None] | source
-        lo = ((active & 15) << 8)[:, None] | source
-        targets[nz] ^= _NIB_HI_FLAT.take(hi) ^ _NIB_LO_FLAT.take(lo)
-        meter_bytes(nz.size * source.size)
-
-    @staticmethod
-    def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=np.uint8)
-        b = np.asarray(b, dtype=np.uint8)
-        if a.ndim != 2 or b.ndim != 2:
-            raise ValueError("matmul requires 2-D operands")
-        if a.shape[1] != b.shape[0]:
-            raise ValueError(f"shape mismatch: {a.shape} x {b.shape}")
-        n, k = a.shape
-        m = b.shape[1]
-        if k == 0 or n == 0:
-            return np.zeros((n, m), dtype=np.uint8)
-        if n == 1:
-            row = a[0].astype(np.int32)
-            hi = ((row >> 4) << 8)[:, None] | b
-            lo = ((row & 15) << 8)[:, None] | b
-            products = _NIB_HI_FLAT.take(hi) ^ _NIB_LO_FLAT.take(lo)
-            out = np.bitwise_xor.reduce(products, axis=0)[None, :]
-        elif k == 1:
-            col = a[:, 0].astype(np.int32)
-            hi = ((col >> 4) << 8)[:, None] | b[0]
-            lo = ((col & 15) << 8)[:, None] | b[0]
-            out = _NIB_HI_FLAT.take(hi) ^ _NIB_LO_FLAT.take(lo)
-        elif n * k * m <= GF256._MATMUL_TENSOR_LIMIT:
-            coeffs = a.astype(np.int32)
-            hi = (((coeffs >> 4) << 8)[:, :, None]) | b[None, :, :]
-            lo = (((coeffs & 15) << 8)[:, :, None]) | b[None, :, :]
-            products = _NIB_HI_FLAT.take(hi) ^ _NIB_LO_FLAT.take(lo)
-            out = np.bitwise_xor.reduce(products, axis=1)
-        else:
-            out = np.zeros((n, m), dtype=np.uint8)
-            for j in range(k):
-                col = a[:, j]
-                nz = np.nonzero(col)[0]
-                if nz.size == 0:
-                    continue
-                active = col[nz].astype(np.int32)
-                hi = ((active >> 4) << 8)[:, None] | b[j]
-                lo = ((active & 15) << 8)[:, None] | b[j]
-                out[nz] ^= _NIB_HI_FLAT.take(hi) ^ _NIB_LO_FLAT.take(lo)
-        meter_bytes(int(np.count_nonzero(a.any(axis=1))) * m)
-        return out
+_BEST_ORDER = ("native", REFERENCE_BACKEND)
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +73,14 @@ class GF256NibbleSplit(GF256):
 # by construction, which is what the RPR102 pragmas record.
 _REGISTRY: Dict[str, FieldType] = {}  # repro: ignore[RPR102]
 #: Lazy backends: name -> provider returning a FieldType or None when the
-#: backend cannot run here (no toolchain, numba absent, ...).  Providers
+#: backend cannot run here (no toolchain, failed self-test).  Providers
 #: run at most once; their verdict is cached in ``_RESOLVED``.
 _PROVIDERS: Dict[str, Callable[[], Optional[FieldType]]] = {}  # repro: ignore[RPR102]
 _RESOLVED: Dict[str, Optional[FieldType]] = {}  # repro: ignore[RPR102]
 #: Explicit process-default selection (set via :func:`select_backend`).
 _SELECTED: Optional[str] = None
+#: Whether this process already reported a request it could not honour.
+_DEGRADATION_LOGGED = False
 
 
 def register_backend(
@@ -220,7 +117,7 @@ def _resolve(name: str) -> Optional[FieldType]:
             try:
                 _RESOLVED[name] = _PROVIDERS[name]()
             except Exception:
-                # A broken provider (failed compile, incompatible numba)
+                # A broken provider (failed compile, bad shared object)
                 # must degrade to "unavailable", never break the codec.
                 _RESOLVED[name] = None
         return _RESOLVED[name]
@@ -243,6 +140,30 @@ def available_backends() -> Tuple[str, ...]:
     return tuple(name for name in registered_backends() if _resolve(name) is not None)
 
 
+def _degraded(requested: str, chosen: str) -> None:
+    """Say, once per process, that ``requested`` is served by ``chosen``."""
+    global _DEGRADATION_LOGGED
+    if not _DEGRADATION_LOGGED:
+        _DEGRADATION_LOGGED = True
+        import logging  # only a degrading process pays for the import
+
+        logging.getLogger(__name__).warning(
+            "GF(2^8) backend %r is unavailable here; the codec runs on %r",
+            requested,
+            chosen,
+        )
+
+
+def best_backend_name() -> str:
+    """Name of the backend ``get_backend("best")`` resolves to."""
+    for candidate in _BEST_ORDER:
+        if _resolve(candidate) is not None:
+            if candidate != _BEST_ORDER[0]:
+                _degraded(_BEST_ORDER[0], candidate)
+            return candidate
+    return REFERENCE_BACKEND  # unreachable while "numpy" stays registered
+
+
 def get_backend(name: str) -> FieldType:
     """Look up a backend by name.
 
@@ -251,11 +172,7 @@ def get_backend(name: str) -> FieldType:
     raises ``KeyError`` listing what this machine offers.
     """
     if name in ("best", "auto"):
-        for candidate in _BEST_ORDER:
-            backend = _resolve(candidate)
-            if backend is not None:
-                return backend
-        return GF256  # unreachable while "numpy" stays registered
+        name = best_backend_name()
     backend = _resolve(name)
     if backend is None:
         raise KeyError(
@@ -285,50 +202,27 @@ def clear_selection() -> None:
     _SELECTED = None
 
 
-def active_backend() -> FieldType:
-    """The backend used when no explicit ``field=`` is passed.
-
-    Resolution order: explicit :func:`select_backend` choice, then the
-    ``OMNC_GF_BACKEND`` environment variable, then the numpy reference.
-    A stale/unknown name falls back to the reference rather than failing
-    deep inside a decoder.
-    """
-    name = _SELECTED or os.environ.get(BACKEND_ENV)
-    if name:
-        try:
-            return get_backend(name)
-        except KeyError:
-            return GF256
-    return GF256
-
-
 def active_backend_name() -> str:
     """Registry name of :func:`active_backend` (for tagging runs).
 
-    Resolves only the selected name — never the whole registry — so that
-    observability setup cannot trigger a compile of backends nobody
-    asked for.
+    Resolution order: explicit :func:`select_backend` choice, then the
+    ``OMNC_GF_BACKEND`` environment variable, then ``"best"``.  A
+    stale/unknown name is served by the reference (and reported once)
+    rather than failing deep inside a decoder.
     """
-    name = _SELECTED or os.environ.get(BACKEND_ENV)
-    if not name:
-        return REFERENCE_BACKEND
-    try:
-        backend = get_backend(name)
-    except KeyError:
-        return REFERENCE_BACKEND
+    name = _SELECTED or os.environ.get(BACKEND_ENV) or "best"
     if name in ("best", "auto"):
-        for candidate in _BEST_ORDER:
-            if _resolve(candidate) is backend:
-                return candidate
+        return best_backend_name()
+    if _resolve(name) is None:
+        _degraded(name, REFERENCE_BACKEND)
+        return REFERENCE_BACKEND
     return name
 
 
-def best_backend_name() -> str:
-    """Name of the backend ``get_backend("best")`` resolves to."""
-    for candidate in _BEST_ORDER:
-        if _resolve(candidate) is not None:
-            return candidate
-    return REFERENCE_BACKEND
+def active_backend() -> FieldType:
+    """The backend used when no explicit ``field=`` is passed (see
+    :func:`active_backend_name` for the resolution order)."""
+    return get_backend(active_backend_name())
 
 
 def resolve_field(field: Optional[FieldType]) -> FieldType:
@@ -343,22 +237,13 @@ def _native_provider() -> Optional[FieldType]:
     return load_native_backend()
 
 
-def _numba_provider() -> Optional[FieldType]:
-    from repro.coding.native import load_numba_backend
-
-    return load_numba_backend()
-
-
 register_backend(REFERENCE_BACKEND, GF256)
-register_backend("nibble", GF256NibbleSplit)
 register_backend("native", _native_provider, lazy=True)
-register_backend("numba", _numba_provider, lazy=True)
 
 
 __all__ = [
     "BACKEND_ENV",
     "FieldType",
-    "GF256NibbleSplit",
     "REFERENCE_BACKEND",
     "active_backend",
     "active_backend_name",

@@ -10,8 +10,9 @@ column) and sorted by pivot column.  Reducedness is what makes the
 check cheap: clearing every stored pivot from an incoming row is one
 vector-matrix product instead of one row operation per pivot, and a new
 pivot is folded back into the stored rows with one batched row update.
-A single-row :meth:`EchelonBasis.insert` therefore costs at most two
-kernel calls whatever the rank.
+A single-row :meth:`EchelonBasis.insert` is therefore one call into the
+field (``field.basis_insert``): at most two kernel calls on the numpy
+reference, one foreign call on the compiled backend, whatever the rank.
 
 The type carries no counters; :class:`~repro.coding.decoder.ProgressiveDecoder`
 wraps it with the ``decoder.*`` telemetry, the relay filter uses it bare.
@@ -19,23 +20,12 @@ wraps it with the ``decoder.*`` telemetry, the relay filter uses it bare.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Tuple
+from typing import TYPE_CHECKING, Any, Tuple
 
 import numpy as np
 
-from repro.coding.backends import FieldType
-
-
-@lru_cache(maxsize=None)
-def _inverses(field: FieldType) -> Tuple[int, ...]:
-    """``_inverses(field)[a]`` is a^-1 (index 0 unused), from one array call.
-
-    Normalizing a pivot needs one scalar inverse per stored row; asking
-    the field for it through a one-element array costs as much as a
-    whole kernel call.
-    """
-    return (0, *field.inverse(np.arange(1, 256, dtype=np.uint8)).tolist())
+if TYPE_CHECKING:
+    from repro.coding.backends import FieldType
 
 
 class EchelonBasis:
@@ -45,9 +35,14 @@ class EchelonBasis:
     past them (a payload) ride along through every row operation.
     Rows ``0..rank-1`` of :attr:`matrix` are valid and row ``i`` has its
     pivot in column ``pivot_cols[i]``.
+
+    :attr:`matrix` and :attr:`pivot_cols` are allocated here and never
+    again: a backend may resolve their addresses once and keep them in
+    :attr:`handle` (opaque to everyone else, not pickled) for as long
+    as the basis lives.
     """
 
-    __slots__ = ("field", "blocks", "matrix", "pivot_cols", "rank")
+    __slots__ = ("field", "blocks", "matrix", "pivot_cols", "rank", "handle")
 
     def __init__(self, field: FieldType, blocks: int, width: int) -> None:
         self.field = field
@@ -55,6 +50,14 @@ class EchelonBasis:
         self.matrix = np.zeros((blocks, width), dtype=np.uint8)
         self.pivot_cols = np.zeros(blocks, dtype=np.intp)
         self.rank = 0
+        self.handle: Any = None
+
+    def __getstate__(self) -> Tuple[Any, ...]:
+        return self.field, self.blocks, self.matrix, self.pivot_cols, self.rank
+
+    def __setstate__(self, state: Tuple[Any, ...]) -> None:
+        self.field, self.blocks, self.matrix, self.pivot_cols, self.rank = state
+        self.handle = None
 
     def clear(self) -> None:
         """Forget every row (rows past ``rank`` are never read)."""
@@ -73,33 +76,11 @@ class EchelonBasis:
     def insert(self, row: np.ndarray) -> bool:
         """Reduce one row against the basis and store it if independent.
 
-        ``row`` is a writable 1-D array the basis may consume.  Returns
-        False (basis untouched) when the row lies in the span.
+        ``row`` is a 1-D ``uint8`` array of the basis width and is left
+        untouched.  Returns False (basis untouched) when the row lies in
+        the span.
         """
-        self.reduce(row[None, :])
-        nonzero = np.nonzero(row[: self.blocks])[0]
-        if nonzero.size == 0:
-            return False
-        pivot_col = int(nonzero[0])
-        pivot_value = int(row[pivot_col])
-        field = self.field
-        if pivot_value != 1:
-            row = field.scale_row(row, _inverses(field)[pivot_value])
-        rank = self.rank
-        matrix = self.matrix
-        pivot_cols = self.pivot_cols
-        if rank:
-            column = matrix[:rank, pivot_col].copy()
-            if np.count_nonzero(column):
-                field.addmul_rows(matrix[:rank], row, column)
-        position = int(pivot_cols[:rank].searchsorted(pivot_col))
-        if position < rank:
-            matrix[position + 1 : rank + 1] = matrix[position:rank]
-            pivot_cols[position + 1 : rank + 1] = pivot_cols[position:rank]
-        matrix[position] = row
-        pivot_cols[position] = pivot_col
-        self.rank = rank + 1
-        return True
+        return self.field.basis_insert(self, row)
 
     def install(self, fresh: np.ndarray, fresh_cols: np.ndarray) -> None:
         """Store a batch of already-reduced rows: back-substitute + merge.

@@ -134,7 +134,7 @@ class ProgressiveDecoder:
         if self._block_size is not None:
             row = np.concatenate([packet.coefficients, packet.payload])
         else:
-            row = packet.coefficients.copy()
+            row = packet.coefficients
         return self._absorb_row(row)
 
     def add_packets(self, packets: Sequence[CodedPacket]) -> np.ndarray:
@@ -172,13 +172,13 @@ class ProgressiveDecoder:
 
         The caller's array is never mutated.
         """
-        row = np.array(row, dtype=np.uint8)
+        row = np.asarray(row, dtype=np.uint8)
         if row.ndim != 1 or row.size != self._width:
             raise ValueError(f"row width {row.size} != expected {self._width}")
         return self._absorb_row(row)
 
     def _absorb_row(self, row: np.ndarray) -> bool:
-        """Single-row insert of a validated row this decoder owns."""
+        """Single-row insert of a validated row (left untouched)."""
         self._received += 1
         if self.is_complete:
             self._m_redundant.inc()

@@ -94,11 +94,11 @@ class SourceEncoder:
                 payload=payload,
             )
         vector = self._rng.integers(0, 256, size=n, dtype=np.uint8)
-        while not np.any(vector):
+        while not vector.any():
             vector = self._rng.integers(0, 256, size=n, dtype=np.uint8)
         payload = None
         if self._payload:
-            payload = self._field.matmul(vector[None, :], self._generation.matrix)[0]
+            payload = self._field.combine(vector, self._generation.matrix)
         self._emitted += 1
         return CodedPacket(
             session_id=self._session_id,
@@ -252,7 +252,7 @@ class RelayReEncoder:
             return False
         payload = packet.payload
         payload_buf = self._payload_buf_for(payload)
-        if not self._filter.insert(packet.coefficients.copy()):
+        if not self._filter.insert(packet.coefficients):
             return False
         row = self._count
         self._vector_buf[row] = packet.coefficients
@@ -297,14 +297,12 @@ class RelayReEncoder:
             raise RuntimeError("relay has no innovative packets to re-encode")
         count = self._count
         mix = self._rng.integers(0, 256, size=count, dtype=np.uint8)
-        while not np.any(mix):
+        while not mix.any():
             mix = self._rng.integers(0, 256, size=count, dtype=np.uint8)
-        out_vector = self._field.matmul(mix[None, :], self._vector_buf[:count])[0]
+        out_vector = self._field.combine(mix, self._vector_buf[:count])
         out_payload = None
         if self._payload_buf is not None:
-            out_payload = self._field.matmul(
-                mix[None, :], self._payload_buf[:count]
-            )[0]
+            out_payload = self._field.combine(mix, self._payload_buf[:count])
         return CodedPacket(
             session_id=self._session_id,
             generation_id=self._generation_id,

@@ -18,9 +18,13 @@ All public operations accept and return ``numpy.ndarray`` with
 
 from __future__ import annotations
 
-from typing import Callable, Protocol, Tuple
+from functools import lru_cache
+from typing import TYPE_CHECKING, Callable, Protocol, Tuple
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.coding.basis import EchelonBasis
 
 REDUCTION_POLY = 0x11B
 GENERATOR = 0x03
@@ -52,8 +56,8 @@ def meter_bytes(count: int) -> None:
     """Report ``count`` processed payload bytes to the obs hook (if any).
 
     Backend kernels that do not route through this module's row kernels
-    (nibble-split, compiled) call this so ``codec.bytes_processed`` stays
-    comparable across backends.
+    call this so ``codec.bytes_processed`` stays comparable across
+    backends.
     """
     if _BYTES_HOOK is not None:
         _BYTES_HOOK(count)
@@ -251,6 +255,27 @@ class GF256:
             raise ValueError("matvec requires a 1-D vector")
         return GF256.matmul(a, v[:, None])[:, 0]
 
+    @classmethod
+    def combine(cls, mix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """One coded row ``mix . rows``: ``mix`` is (k,), ``rows`` (k, m).
+
+        The per-packet emit of both encoders; by contract equal to
+        ``matmul(mix[None, :], rows)[0]``, which is the reference.
+        """
+        return cls.matmul(mix[None, :], rows)[0]
+
+    @classmethod
+    def basis_insert(cls, basis: "EchelonBasis", row: np.ndarray) -> bool:
+        """Reduce ``row`` against ``basis`` and store it if independent.
+
+        The single-row step of the relay's innovation filter and of the
+        progressive decoder (:meth:`repro.coding.basis.EchelonBasis.insert`
+        is this call).  ``row`` is never written to.  Every backend must
+        leave ``matrix[:rank]``, ``pivot_cols[:rank]`` and ``rank``
+        exactly as :func:`basis_insert_reference` does.
+        """
+        return basis_insert_reference(cls, basis, row)
+
     @staticmethod
     def power(a: int, exponent: int) -> int:
         """Scalar exponentiation ``a ** exponent`` in the field."""
@@ -313,7 +338,7 @@ def eliminate_panel_reference(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Reference implementation of the :meth:`GF256.eliminate_panel`
     contract, expressed through the row kernels of ``field`` so that any
-    backend overriding them (nibble-split, compiled) is exercised end to
+    backend overriding them (the compiled one) is exercised end to
     end.  Shared by the baseline codec, which passes itself as ``field``.
     """
     if work.ndim != 2:
@@ -343,6 +368,53 @@ def eliminate_panel_reference(
         np.asarray(pivot_rows, dtype=np.intp),
         np.asarray(pivot_cols, dtype=np.intp),
     )
+
+
+@lru_cache(maxsize=None)
+def _inverses(field: SupportsRowOps) -> Tuple[int, ...]:
+    """``_inverses(field)[a]`` is a^-1 (index 0 unused), from one array call.
+
+    Normalizing a pivot needs one scalar inverse per stored row; asking
+    the field for it through a one-element array costs as much as a
+    whole kernel call.
+    """
+    return (0, *field.inverse(np.arange(1, 256, dtype=np.uint8)).tolist())
+
+
+def basis_insert_reference(
+    field: SupportsRowOps, basis: "EchelonBasis", row: np.ndarray
+) -> bool:
+    """Reference implementation of the :meth:`GF256.basis_insert` contract
+    through the row kernels of ``field``: at most two kernel calls
+    whatever the rank, because the stored rows are *reduced* — every
+    stored pivot clears from ``row`` in one vector-matrix product, and a
+    new pivot folds back into the stored rows in one batched row update.
+    Returns False (basis untouched) when the row lies in the span.
+    """
+    row = row.copy()
+    basis.reduce(row[None, :])
+    nonzero = np.nonzero(row[: basis.blocks])[0]
+    if nonzero.size == 0:
+        return False
+    pivot_col = int(nonzero[0])
+    pivot_value = int(row[pivot_col])
+    if pivot_value != 1:
+        row = field.scale_row(row, _inverses(field)[pivot_value])
+    rank = basis.rank
+    matrix = basis.matrix
+    pivot_cols = basis.pivot_cols
+    if rank:
+        column = matrix[:rank, pivot_col].copy()
+        if np.count_nonzero(column):
+            field.addmul_rows(matrix[:rank], row, column)
+    position = int(pivot_cols[:rank].searchsorted(pivot_col))
+    if position < rank:
+        matrix[position + 1 : rank + 1] = matrix[position:rank]
+        pivot_cols[position + 1 : rank + 1] = pivot_cols[position:rank]
+    matrix[position] = row
+    pivot_cols[position] = pivot_col
+    basis.rank = rank + 1
+    return True
 
 
 def exp_table() -> np.ndarray:

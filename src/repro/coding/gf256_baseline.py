@@ -13,11 +13,19 @@ to reproduce the paper's 3-5x speedup claim.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 import numpy as np
 
-from repro.coding.gf256 import eliminate_panel_reference, exp_table, log_table
+from repro.coding.gf256 import (
+    basis_insert_reference,
+    eliminate_panel_reference,
+    exp_table,
+    log_table,
+)
+
+if TYPE_CHECKING:
+    from repro.coding.basis import EchelonBasis
 
 ArrayLike = int | np.ndarray
 
@@ -168,6 +176,17 @@ class GF256Baseline:
         if v.ndim != 1:
             raise ValueError("matvec requires a 1-D vector")
         return GF256Baseline.matmul(a, v[:, None])[:, 0]
+
+    @classmethod
+    def combine(cls, mix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """One coded row ``mix . rows`` (see :meth:`GF256.combine`)."""
+        return cls.matmul(mix[None, :], rows)[0]
+
+    @classmethod
+    def basis_insert(cls, basis: "EchelonBasis", row: np.ndarray) -> bool:
+        """Single-row basis insert (see :meth:`GF256.basis_insert`),
+        driven through the byte-at-a-time row kernels."""
+        return basis_insert_reference(cls, basis, row)
 
     @staticmethod
     def power(a: int, exponent: int) -> int:

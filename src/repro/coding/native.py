@@ -1,4 +1,4 @@
-"""Compiled GF(2^8) backends: ctypes-loaded C kernels and optional numba.
+"""The compiled GF(2^8) backend: C kernels loaded through ctypes.
 
 The paper's accelerated codec is an SSE2 loop that multiplies a whole
 row by a scalar with shuffle-based nibble tables; :data:`_C_SOURCE`
@@ -7,12 +7,18 @@ scalar table walk elsewhere).  The source is embedded, compiled once
 with the system C compiler into a content-addressed shared object under
 the user cache directory, and loaded through ``ctypes``.
 
-Nothing here is imported eagerly: :func:`load_native_backend` and
-:func:`load_numba_backend` are the lazy providers registered by
-:mod:`repro.coding.backends`.  Each returns ``None`` whenever its
-toolchain is missing or its self-test against the numpy reference
-fails, so machines without a compiler (or without numba) skip the
-backend cleanly instead of breaking the codec.
+Nothing here is imported eagerly: :func:`load_native_backend` is the
+lazy provider registered by :mod:`repro.coding.backends`.  It returns
+``None`` whenever the toolchain is missing or the self-test against the
+numpy reference fails, so machines without a compiler skip the backend
+cleanly instead of breaking the codec.
+
+The per-packet entry points (:meth:`GF256Native.basis_insert`,
+:meth:`GF256Native.combine`) are one foreign call each: what a wrapper
+does around the call — contiguity checks, address look-ups, the byte
+meter's argument — costs more than the field arithmetic on a 40-byte
+coding vector, so addresses are bound once per basis and the meter is
+computed only while a hook listens.
 
 Every loaded function gets explicit ``argtypes``/``restype`` before the
 first call — ctypes otherwise truncates 64-bit pointers to ``int``.
@@ -30,6 +36,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.coding import gf256 as _reference
+from repro.coding.basis import EchelonBasis
 from repro.coding.gf256 import (
     _INV_TABLE,
     _MUL_TABLE,
@@ -41,13 +49,17 @@ from repro.coding.gf256 import (
 _C_SOURCE = r"""
 #include <stdint.h>
 #include <stddef.h>
+#include <string.h>
 
 static uint8_t MUL[256 * 256];
 static uint8_t SHUF[256 * 32]; /* per c: 16B low-nibble, 16B high-nibble products */
+static uint8_t INV[256];
 
-void gf_init(const uint8_t *mul_table, const uint8_t *shuf_tables) {
-    for (size_t i = 0; i < sizeof MUL; i++) MUL[i] = mul_table[i];
-    for (size_t i = 0; i < sizeof SHUF; i++) SHUF[i] = shuf_tables[i];
+void gf_init(const uint8_t *mul_table, const uint8_t *shuf_tables,
+             const uint8_t *inv_table) {
+    memcpy(MUL, mul_table, sizeof MUL);
+    memcpy(SHUF, shuf_tables, sizeof SHUF);
+    memcpy(INV, inv_table, sizeof INV);
 }
 
 #if defined(__AVX2__)
@@ -121,8 +133,7 @@ void gf_matmul(uint8_t *out, const uint8_t *a, const uint8_t *b,
 }
 
 ptrdiff_t gf_eliminate(uint8_t *work, size_t rows, size_t width, size_t panel,
-                       size_t limit, const uint8_t *inv_table,
-                       ptrdiff_t *out_rows, ptrdiff_t *out_cols) {
+                       size_t limit, ptrdiff_t *out_rows, ptrdiff_t *out_cols) {
     ptrdiff_t found = 0;
     for (size_t i = 0; i < rows && (size_t)found < limit; i++) {
         uint8_t *row = work + i * width;
@@ -133,7 +144,7 @@ ptrdiff_t gf_eliminate(uint8_t *work, size_t rows, size_t width, size_t panel,
         if (col == panel) continue;
         unsigned pv = row[col];
         if (pv != 1) {
-            const uint8_t *mrow = MUL + (size_t)inv_table[pv] * 256;
+            const uint8_t *mrow = MUL + (size_t)INV[pv] * 256;
             for (size_t c2 = col; c2 < width; c2++) row[c2] = mrow[row[c2]];
         }
         for (size_t r = 0; r < rows; r++) {
@@ -147,6 +158,51 @@ ptrdiff_t gf_eliminate(uint8_t *work, size_t rows, size_t width, size_t panel,
         found++;
     }
     return found;
+}
+
+/* Single-row insert into a sorted reduced echelon basis, all in place:
+   `matrix` holds `rank` valid rows of `width` bytes with pivots
+   `pivots[0..rank)` ascending inside the first `blocks` columns, `row`
+   is the caller's scratch copy of the candidate.  Returns the position
+   the row was stored at, or -1 when it lies in the span.  counts[0] is
+   the number of stored rows folded into the candidate, counts[1] the
+   number of stored rows the new pivot was eliminated from.
+
+   The stored rows are *reduced* - row i is zero at every other pivot
+   column - so folding row i into the candidate cannot change the
+   candidate's entry at pivots[j], j != i: each coefficient can be read
+   when its turn comes, no coefficient buffer is needed. */
+ptrdiff_t gf_basis_insert(uint8_t *matrix, ptrdiff_t *pivots, uint8_t *row,
+                          size_t *counts, size_t blocks, size_t width,
+                          size_t rank) {
+    size_t folded = 0, touched = 0, position = 0, col = 0;
+    for (size_t i = 0; i < rank; i++) {
+        unsigned c = row[pivots[i]];
+        if (c) { addmul(row, matrix + i * width, c, width); folded++; }
+    }
+    counts[0] = folded;
+    counts[1] = 0;
+    while (col < blocks && !row[col]) col++;
+    if (col == blocks) return -1;
+    unsigned pv = row[col];
+    if (pv != 1) {
+        const uint8_t *mrow = MUL + (size_t)INV[pv] * 256;
+        for (size_t c = col; c < width; c++) row[c] = mrow[row[c]];
+    }
+    for (size_t i = 0; i < rank; i++) {
+        uint8_t *other = matrix + i * width;
+        unsigned c = other[col];
+        if (c) { addmul(other + col, row + col, c, width - col); touched++; }
+        position += (size_t)pivots[i] < col;
+    }
+    counts[1] = touched;
+    uint8_t *slot = matrix + position * width;
+    memmove(slot + width, slot, (rank - position) * width);
+    memmove(pivots + position + 1, pivots + position,
+            (rank - position) * sizeof *pivots);
+    memcpy(slot, row, width);
+    pivots[position] = (ptrdiff_t)col;
+    return (ptrdiff_t)position;
 }
 """
 
@@ -237,7 +293,7 @@ def _load_library(so_path: Path) -> Optional[ctypes.CDLL]:
     ptr = ctypes.c_void_p
     size = ctypes.c_size_t
     ssize = ctypes.c_ssize_t
-    lib.gf_init.argtypes = [ptr, ptr]
+    lib.gf_init.argtypes = [ptr, ptr, ptr]
     lib.gf_init.restype = None
     lib.gf_addmul_row.argtypes = [ptr, ptr, ctypes.c_uint, size]
     lib.gf_addmul_row.restype = None
@@ -245,11 +301,14 @@ def _load_library(so_path: Path) -> Optional[ctypes.CDLL]:
     lib.gf_addmul_rows.restype = None
     lib.gf_matmul.argtypes = [ptr, ptr, ptr, size, size, size]
     lib.gf_matmul.restype = None
-    lib.gf_eliminate.argtypes = [ptr, size, size, size, size, ptr, ptr, ptr]
+    lib.gf_eliminate.argtypes = [ptr, size, size, size, size, ptr, ptr]
     lib.gf_eliminate.restype = ssize
+    lib.gf_basis_insert.argtypes = [ptr, ptr, ptr, ptr, size, size, size]
+    lib.gf_basis_insert.restype = ssize
     mul = np.ascontiguousarray(_MUL_TABLE)
     shuf = _build_shuffle_tables()
-    lib.gf_init(mul.ctypes.data, shuf.ctypes.data)
+    inv = np.ascontiguousarray(_INV_TABLE)
+    lib.gf_init(mul.ctypes.data, shuf.ctypes.data, inv.ctypes.data)
     return lib
 
 
@@ -257,18 +316,63 @@ _LIB: Optional[ctypes.CDLL] = None
 
 
 def _lib() -> ctypes.CDLL:
-    assert _LIB is not None, "native backend used before load_native_backend()"
+    """The loaded kernels.  A process handed :class:`GF256Native` by pickle
+    (a spawned shard worker) never ran the provider: load on first use."""
+    if _LIB is None and load_native_backend() is None:
+        raise RuntimeError("the native GF(2^8) backend cannot load in this process")
+    assert _LIB is not None
     return _LIB
+
+
+def _address(array: np.ndarray) -> int:
+    """Address of a C-contiguous array's first byte; ``TypeError`` if strided.
+
+    ``ndarray.ctypes`` builds a helper object per access (over 1 us);
+    the buffer protocol is a third of that and checks contiguity itself,
+    but refuses the read-only memory packets and generations hand out.
+    """
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(array))
+    except TypeError:
+        if array.flags.c_contiguous:
+            return int(array.ctypes.data)
+        raise
+
+
+def _bind_basis(basis: EchelonBasis) -> tuple:
+    """The per-basis call state of :meth:`GF256Native.basis_insert`.
+
+    ``(scratch, counts, args)``: the row buffer the kernel works in, its
+    two out-counts, and the leading ``gf_basis_insert`` arguments with
+    every address resolved.  Valid for the life of the basis because
+    ``matrix`` and ``pivot_cols`` are never reallocated after
+    ``EchelonBasis.__init__`` (and the handle is never pickled).
+    """
+    matrix, pivot_cols = basis.matrix, basis.pivot_cols
+    width = matrix.shape[1]
+    scratch = np.empty(width, dtype=np.uint8)
+    counts = np.zeros(2, dtype=np.uintp)
+    args = (
+        _address(matrix),
+        _address(pivot_cols),
+        _address(scratch),
+        _address(counts),
+        basis.blocks,
+        width,
+    )
+    return scratch, counts, args
 
 
 class GF256Native(GF256):
     """GF(2^8) arithmetic on the compiled ``pshufb`` kernels.
 
-    Row kernels and panel elimination run in C; rarely-hot operations
-    (``scale_row``/``scale_rows``, elementwise multiply) inherit the
-    numpy reference.  Inputs that violate the C layout contract
-    (non-contiguous rows) fall back to the reference kernels, so the
-    class is a strict drop-in.
+    Row kernels, panel elimination and the per-packet ``basis_insert`` /
+    ``combine`` run in C; rarely-hot operations (``scale_row``/
+    ``scale_rows``, elementwise multiply) inherit the numpy reference.
+    Inputs that violate the C layout contract (non-contiguous rows)
+    fall back to the reference kernels, so the class is a strict
+    drop-in.  Byte-meter arguments are computed only while
+    ``codec.bytes_processed`` has a listener.
     """
 
     name = "native"
@@ -288,7 +392,7 @@ class GF256Native(GF256):
             GF256.addmul_row(target, source, coefficient)
             return
         _lib().gf_addmul_row(
-            target.ctypes.data, source.ctypes.data, coefficient, target.size
+            _address(target), _address(source), coefficient, target.size
         )
         meter_bytes(target.size)
 
@@ -317,7 +421,8 @@ class GF256Native(GF256):
             targets.shape[0],
             source.shape[0],
         )
-        meter_bytes(int(np.count_nonzero(coefficients)) * source.shape[0])
+        if _reference._BYTES_HOOK is not None:
+            meter_bytes(int(np.count_nonzero(coefficients)) * source.shape[0])
 
     @staticmethod
     def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -332,8 +437,47 @@ class GF256Native(GF256):
         out = np.zeros((n, m), dtype=np.uint8)
         if k and n and m:
             _lib().gf_matmul(out.ctypes.data, a.ctypes.data, b.ctypes.data, n, k, m)
-        meter_bytes(int(np.count_nonzero(a.any(axis=1))) * m)
+        if _reference._BYTES_HOOK is not None:
+            meter_bytes(int(np.count_nonzero(a.any(axis=1))) * m)
         return out
+
+    @classmethod
+    def combine(cls, mix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        if not (
+            rows.ndim == 2
+            and rows.dtype == np.uint8
+            and rows.size
+            and mix.dtype == np.uint8
+            and mix.shape == rows.shape[:1]
+        ):
+            return super().combine(mix, rows)
+        k, m = rows.shape
+        out = np.zeros(m, dtype=np.uint8)
+        try:
+            _lib().gf_matmul(_address(out), _address(mix), _address(rows), 1, k, m)
+        except TypeError:  # a strided operand
+            return super().combine(mix, rows)
+        if _reference._BYTES_HOOK is not None:
+            meter_bytes(m if mix.any() else 0)
+        return out
+
+    @classmethod
+    def basis_insert(cls, basis: EchelonBasis, row: np.ndarray) -> bool:
+        handle = basis.handle
+        if handle is None:
+            handle = basis.handle = _bind_basis(basis)
+        scratch, counts, args = handle
+        if row.shape != scratch.shape or row.dtype != np.uint8:
+            return super().basis_insert(basis, row)
+        scratch[:] = row
+        stored = _lib().gf_basis_insert(*args, basis.rank) >= 0
+        if _reference._BYTES_HOOK is not None:
+            # what the reference's two kernels meter: one product row if
+            # anything was folded in, one row per back-substituted pivot row
+            meter_bytes((min(int(counts[0]), 1) + int(counts[1])) * scratch.size)
+        if stored:
+            basis.rank += 1
+        return stored
 
     @classmethod
     def eliminate_panel(
@@ -354,7 +498,6 @@ class GF256Native(GF256):
         pivot_cols = np.zeros(rows, dtype=np.intp)
         found = 0
         if rows and work.shape[1]:
-            inv = np.ascontiguousarray(_INV_TABLE)
             found = int(
                 _lib().gf_eliminate(
                     work.ctypes.data,
@@ -362,52 +505,77 @@ class GF256Native(GF256):
                     work.shape[1],
                     panel,
                     max(limit, 0),
-                    inv.ctypes.data,
                     pivot_rows.ctypes.data,
                     pivot_cols.ctypes.data,
                 )
             )
-        # Upper-bound byte meter: each pivot eliminates against up to
-        # rows-1 rows full-width (the reference meters only the nonzero
-        # subset; exact parity would need per-pivot counts out of C).
-        meter_bytes(found * max(rows - 1, 0) * work.shape[1])
+        if _reference._BYTES_HOOK is not None:
+            # Upper-bound byte meter: each pivot eliminates against up to
+            # rows-1 rows full-width (the reference meters only the nonzero
+            # subset; exact parity would need per-pivot counts out of C).
+            meter_bytes(found * max(rows - 1, 0) * work.shape[1])
         return pivot_rows[:found].copy(), pivot_cols[:found].copy()
+
+
+def _pattern(rows: int, width: int, step: int) -> np.ndarray:
+    """A deterministic (rows, width) byte pattern (no RNG: lint-clean)."""
+    values = np.arange(rows * width, dtype=np.int64) * step % 256
+    return values.astype(np.uint8).reshape(rows, width)
 
 
 def _self_test(backend: "type[GF256]") -> bool:
     """Deterministic bit-for-bit check of a candidate against GF256.
 
-    Patterns are arange-derived (no RNG) so the check is reproducible
-    and lint-clean; shapes cover the SIMD main loops and scalar tails.
+    Shapes cover the SIMD main loops and their scalar tails.
     """
     for n, k, m in ((1, 1, 1), (3, 5, 7), (8, 8, 64), (5, 4, 33)):
-        a = (np.arange(n * k, dtype=np.int64) * 37 % 256).astype(np.uint8).reshape(n, k)
-        b = (np.arange(k * m, dtype=np.int64) * 101 % 256).astype(np.uint8).reshape(k, m)
+        a, b = _pattern(n, k, 37), _pattern(k, m, 101)
         if not np.array_equal(backend.matmul(a, b), GF256.matmul(a, b)):
             return False
+        if not np.array_equal(backend.combine(a[0], b), GF256.combine(a[0], b)):
+            return False
     for rows, width in ((4, 16), (6, 67)):
-        targets = (
-            (np.arange(rows * width, dtype=np.int64) * 13 % 256)
-            .astype(np.uint8)
-            .reshape(rows, width)
-        )
-        source = (np.arange(width, dtype=np.int64) * 7 % 256).astype(np.uint8)
-        coefficients = (np.arange(rows, dtype=np.int64) * 29 % 256).astype(np.uint8)
+        targets = _pattern(rows, width, 13)
+        source = _pattern(1, width, 7)[0]
+        coefficients = _pattern(1, rows, 29)[0]
         expected = targets.copy()
         GF256.addmul_rows(expected, source, coefficients)
         got = targets.copy()
         backend.addmul_rows(got, source, coefficients)
         if not np.array_equal(got, expected):
             return False
-    work = (np.arange(6 * 20, dtype=np.int64) * 151 % 256).astype(np.uint8).reshape(6, 20)
+    work = _pattern(6, 20, 151)
     expected_work = work.copy()
     exp_rows, exp_cols = GF256.eliminate_panel(expected_work, 6, 6)
     got_work = work.copy()
     got_rows, got_cols = backend.eliminate_panel(got_work, 6, 6)
-    return (
+    if not (
         np.array_equal(got_work, expected_work)
         and np.array_equal(got_rows, exp_rows)
         and np.array_equal(got_cols, exp_cols)
+    ):
+        return False
+    return all(
+        _insert_stream_matches(backend, blocks, width)
+        for blocks, width in ((5, 5), (5, 5 + 31), (5, 5 + 33), (12, 12 + 64))
+    )
+
+
+def _insert_stream_matches(backend: "type[GF256]", blocks: int, width: int) -> bool:
+    """Feed one row stream (dense, scaled copies, a zero row) through the
+    candidate's and the reference's ``basis_insert``; compare everything."""
+    rows = _pattern(blocks + 3, width, 89)
+    rows[2] = GF256.scale_row(rows[0], 7)
+    rows[4] = 0
+    got, expected = EchelonBasis(backend, blocks, width), EchelonBasis(GF256, blocks, width)
+    for row in rows:
+        if got.insert(row) != expected.insert(row):
+            return False
+    rank = expected.rank
+    return (
+        got.rank == rank
+        and np.array_equal(got.matrix[:rank], expected.matrix[:rank])
+        and np.array_equal(got.pivot_cols[:rank], expected.pivot_cols[:rank])
     )
 
 
@@ -431,75 +599,4 @@ def load_native_backend() -> Optional["type[GF256]"]:
     return GF256Native
 
 
-def load_numba_backend() -> Optional["type[GF256]"]:
-    """Provider for the ``numba`` backend (None when numba is absent).
-
-    Kernels close over the module tables and are jitted on first call;
-    like the native backend, the class only registers after passing the
-    reference self-test, so a numba/numpy version skew can never ship
-    silently-wrong arithmetic.
-    """
-    try:
-        import numba  # type: ignore[import-not-found]
-    except ImportError:
-        return None
-
-    mul_table = np.ascontiguousarray(_MUL_TABLE)
-
-    @numba.njit(cache=False)  # type: ignore[misc]
-    def _nb_addmul_rows(
-        targets: np.ndarray, source: np.ndarray, coefficients: np.ndarray
-    ) -> None:
-        for r in range(targets.shape[0]):
-            c = coefficients[r]
-            if c:
-                row = mul_table[c]
-                for i in range(source.shape[0]):
-                    targets[r, i] ^= row[source[i]]
-
-    @numba.njit(cache=False)  # type: ignore[misc]
-    def _nb_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-        for i in range(a.shape[0]):
-            for j in range(a.shape[1]):
-                c = a[i, j]
-                if c:
-                    row = mul_table[c]
-                    for col in range(b.shape[1]):
-                        out[i, col] ^= row[b[j, col]]
-
-    class GF256Numba(GF256):
-        """GF(2^8) arithmetic through numba-jitted table loops."""
-
-        name = "numba"
-
-        @staticmethod
-        def addmul_rows(
-            targets: np.ndarray, source: np.ndarray, coefficients: np.ndarray
-        ) -> None:
-            coefficients = np.ascontiguousarray(coefficients, dtype=np.uint8)
-            source = np.ascontiguousarray(source, dtype=np.uint8)
-            _nb_addmul_rows(targets, source, coefficients)
-            meter_bytes(int(np.count_nonzero(coefficients)) * source.shape[0])
-
-        @staticmethod
-        def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            a = np.ascontiguousarray(a, dtype=np.uint8)
-            b = np.ascontiguousarray(b, dtype=np.uint8)
-            if a.ndim != 2 or b.ndim != 2:
-                raise ValueError("matmul requires 2-D operands")
-            if a.shape[1] != b.shape[0]:
-                raise ValueError(f"shape mismatch: {a.shape} x {b.shape}")
-            out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
-            _nb_matmul(a, b, out)
-            meter_bytes(int(np.count_nonzero(a.any(axis=1))) * b.shape[1])
-            return out
-
-    try:
-        if not _self_test(GF256Numba):
-            return None
-    except Exception:
-        return None
-    return GF256Numba
-
-
-__all__ = ["GF256Native", "load_native_backend", "load_numba_backend"]
+__all__ = ["GF256Native", "load_native_backend"]

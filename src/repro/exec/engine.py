@@ -222,15 +222,15 @@ def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         "--gf-backend",
         default=None,
         metavar="NAME",
-        help="GF(2^8) codec backend for this run ('numpy', 'nibble', "
-        "'native', 'numba', or 'best'; default: numpy reference, or "
-        "the OMNC_GF_BACKEND environment variable)",
+        help="GF(2^8) codec backend for this run ('numpy', 'native' or "
+        "'best'; default: the OMNC_GF_BACKEND environment variable, "
+        "else 'best')",
     )
 
 
 def apply_gf_backend(name: "str | None") -> None:
     """Select the GF(2^8) codec backend ``name`` process-wide (no-op on
-    ``None``).
+    ``None``: ``OMNC_GF_BACKEND`` or, failing that, ``"best"`` applies).
 
     The selection is exported through ``OMNC_GF_BACKEND`` so campaign
     worker processes inherit it; results are bit-identical across

@@ -2,8 +2,15 @@
 
 Covers name lookup, lazy providers (including failing ones), the
 ``OMNC_GF_BACKEND`` environment override, ``select_backend`` round-trips
-with worker export, and default-field resolution in the codec classes.
+with worker export, default-field resolution in the codec classes, and
+the one-warning-per-process report when a request cannot be honoured.
+
+Selection cases run against ``_test_double``, a stand-in registered
+backend: ``native`` may be absent here and ``numpy`` is what a stale
+name falls back to, so neither can show that a *selection* took effect.
 """
+
+import logging
 
 import numpy as np
 import pytest
@@ -11,7 +18,6 @@ import pytest
 from repro.coding import backends
 from repro.coding.backends import (
     BACKEND_ENV,
-    GF256NibbleSplit,
     REFERENCE_BACKEND,
     active_backend,
     active_backend_name,
@@ -27,13 +33,28 @@ from repro.coding.decoder import ProgressiveDecoder
 from repro.coding.gf256 import GF256
 
 
+class _Double(GF256):
+    """A registered backend that is neither the reference nor ``best``."""
+
+    name = "_test_double"
+
+
 @pytest.fixture(autouse=True)
 def _clean_selection(monkeypatch):
     """Isolate each test from process-level backend selection."""
     monkeypatch.delenv(BACKEND_ENV, raising=False)
+    monkeypatch.setattr(backends, "_DEGRADATION_LOGGED", False)
     backends.clear_selection()
+    register_backend(_Double.name, _Double)
     yield
     backends.clear_selection()
+    backends._REGISTRY.pop(_Double.name, None)
+
+
+@pytest.fixture
+def no_native(monkeypatch):
+    """A machine whose compiled backend fails to build or self-test."""
+    monkeypatch.setitem(backends._RESOLVED, "native", None)
 
 
 class TestLookup:
@@ -42,9 +63,8 @@ class TestLookup:
         assert REFERENCE_BACKEND in available_backends()
         assert get_backend(REFERENCE_BACKEND) is GF256
 
-    def test_nibble_backend_is_always_available(self):
-        assert "nibble" in available_backends()
-        assert get_backend("nibble") is GF256NibbleSplit
+    def test_registry_is_the_reference_and_the_compiled_backend(self):
+        assert set(registered_backends()) - {_Double.name} == {"numpy", "native"}
 
     def test_unknown_name_raises_keyerror_listing_available(self):
         with pytest.raises(KeyError, match="available here"):
@@ -116,14 +136,27 @@ class TestLazyProviders:
 
 
 class TestSelection:
-    def test_default_active_backend_is_the_reference(self):
+    def test_default_active_backend_is_the_best_available(self):
+        assert active_backend() is get_backend("best")
+        assert active_backend_name() == best_backend_name()
+
+    def test_default_active_backend_is_the_reference(self, no_native):
+        """...on a machine that cannot build anything better."""
         assert active_backend() is GF256
         assert active_backend_name() == REFERENCE_BACKEND
 
+    def test_reference_can_still_be_forced(self, monkeypatch):
+        monkeypatch.setenv(BACKEND_ENV, REFERENCE_BACKEND)
+        assert active_backend() is GF256
+        backends.clear_selection()
+        monkeypatch.delenv(BACKEND_ENV)
+        select_backend(REFERENCE_BACKEND)
+        assert active_backend() is GF256
+
     def test_env_override_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "nibble")
-        assert active_backend() is GF256NibbleSplit
-        assert active_backend_name() == "nibble"
+        monkeypatch.setenv(BACKEND_ENV, _Double.name)
+        assert active_backend() is _Double
+        assert active_backend_name() == _Double.name
 
     def test_stale_env_name_falls_back_to_reference(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "no-such-backend")
@@ -131,44 +164,103 @@ class TestSelection:
         assert active_backend_name() == REFERENCE_BACKEND
 
     def test_select_backend_round_trip(self):
-        backend = select_backend("nibble")
-        assert backend is GF256NibbleSplit
-        assert active_backend() is GF256NibbleSplit
-        assert active_backend_name() == "nibble"
+        backend = select_backend(_Double.name)
+        assert backend is _Double
+        assert active_backend() is _Double
+        assert active_backend_name() == _Double.name
         backends.clear_selection()
-        assert active_backend() is GF256
+        assert active_backend() is get_backend("best")
 
     def test_select_backend_export_sets_env_for_workers(self, monkeypatch):
         import os
 
-        select_backend("nibble", export=True)
+        select_backend(_Double.name, export=True)
         try:
-            assert os.environ[BACKEND_ENV] == "nibble"
+            assert os.environ[BACKEND_ENV] == _Double.name
         finally:
             monkeypatch.delenv(BACKEND_ENV, raising=False)
 
     def test_select_backend_validates_the_name(self):
         with pytest.raises(KeyError):
             select_backend("bogus")
-        assert active_backend() is GF256
+        assert active_backend() is get_backend("best")
 
     def test_select_best_reports_concrete_name(self):
         select_backend("best")
         assert active_backend_name() == best_backend_name()
 
 
+class TestDegradationIsReportedOnce:
+    """A request the machine cannot honour runs on what is left and says
+    so exactly once per process (ROADMAP 5(c))."""
+
+    @staticmethod
+    def _warnings(caplog):
+        return [r for r in caplog.records if r.name == backends.__name__]
+
+    def test_unknown_env_name_warns_once(self, monkeypatch, caplog):
+        monkeypatch.setenv(BACKEND_ENV, "no-such-backend")
+        with caplog.at_level(logging.WARNING, logger=backends.__name__):
+            for _ in range(3):
+                assert active_backend() is GF256
+                ProgressiveDecoder(4, 8)
+        (record,) = self._warnings(caplog)
+        assert "'no-such-backend'" in record.getMessage()
+        assert "'numpy'" in record.getMessage()
+
+    def test_failed_native_build_warns_once(self, no_native, caplog):
+        with caplog.at_level(logging.WARNING, logger=backends.__name__):
+            assert get_backend("best") is GF256
+            assert best_backend_name() == REFERENCE_BACKEND
+            assert active_backend() is GF256
+        (record,) = self._warnings(caplog)
+        assert "'native'" in record.getMessage()
+        assert "'numpy'" in record.getMessage()
+
+    def test_honoured_requests_are_silent(self, caplog):
+        with caplog.at_level(logging.WARNING, logger=backends.__name__):
+            select_backend(REFERENCE_BACKEND)
+            assert active_backend() is GF256
+            select_backend(_Double.name)
+            assert active_backend() is _Double
+        assert not self._warnings(caplog)
+
+    def test_miscompiled_kernel_fails_the_self_test(self, monkeypatch):
+        """A wrong ``basis_insert`` or ``combine`` must unregister the
+        backend instead of corrupting decodes."""
+        native = pytest.importorskip("repro.coding.native")
+        if "native" not in available_backends():
+            pytest.skip("no compiled backend on this machine")
+
+        class WrongCombine(native.GF256Native):
+            @classmethod
+            def combine(cls, mix, rows):
+                return super().combine(mix, rows) ^ np.uint8(1)
+
+        class WrongInsert(native.GF256Native):
+            @classmethod
+            def basis_insert(cls, basis, row):
+                stored = super().basis_insert(basis, row)
+                basis.matrix[0, -1] ^= 1
+                return stored
+
+        assert native._self_test(native.GF256Native)
+        assert not native._self_test(WrongCombine)
+        assert not native._self_test(WrongInsert)
+
+
 class TestDefaultFieldResolution:
     def test_resolve_field_prefers_explicit(self):
-        assert resolve_field(GF256NibbleSplit) is GF256NibbleSplit
-        assert resolve_field(None) is GF256
+        assert resolve_field(_Double) is _Double
+        assert resolve_field(None) is get_backend("best")
 
     def test_decoder_picks_up_selected_backend(self):
-        select_backend("nibble")
+        select_backend(_Double.name)
         decoder = ProgressiveDecoder(4, 8)
-        assert decoder._field is GF256NibbleSplit
+        assert decoder._field is _Double
 
     def test_decoder_explicit_field_wins_over_selection(self):
-        select_backend("nibble")
+        select_backend(_Double.name)
         decoder = ProgressiveDecoder(4, 8, field=GF256)
         assert decoder._field is GF256
 

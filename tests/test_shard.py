@@ -160,6 +160,23 @@ class TestShardedOracle:
         sharded = _digests(network, plan, 3, config=config, seed=4)
         assert sharded[:2] == serial[:2]
 
+    def test_exact_fidelity_survives_spawned_workers(self):
+        # A spawned worker receives the codec's field class and its
+        # echelon bases by pickle, into a process that never selected a
+        # backend: kernels load on first use, buffer addresses re-bind.
+        network, plan = _planned_mesh(1)
+        config = _quick_config(coding_fidelity="exact")
+        serial = _digests(network, plan, 1, config=config, seed=4)
+        result = run_sharded_session(
+            network,
+            plan,
+            shards=2,
+            config=config,
+            rng=RngFactory(4),
+            start_method="spawn",
+        )
+        assert session_digest(result) == serial[0]
+
     @pytest.mark.parametrize("interference", ["capture", "conflict_free"])
     def test_interference_model_oracle(self, interference):
         network, plan = _planned_mesh(1)
