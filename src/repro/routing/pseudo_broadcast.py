@@ -16,8 +16,9 @@ to seed node selection with consistent distance information.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import FrozenSet, List, Optional, Set, Tuple
 
 from repro.topology.graph import WirelessNetwork
 
@@ -50,29 +51,28 @@ def neighborhood_broadcast_cost(
     ``(1-p_k)^(1/p)``.  Phases repeat until every neighbor's residual
     miss-probability drops below ``residual_threshold``.
     """
-    uncovered: Dict[int, float] = {}  # neighbor -> probability still missed
-    for j in network.out_neighbors(sender):
-        uncovered[j] = 1.0
-    if not uncovered:
+    ids = network.out_neighbors(sender)  # ascending, so ties go to the lower id
+    if not ids:
         return PseudoBroadcastCost(transmissions=0.0, covered=frozenset())
+    probs = [network.probability(sender, j) for j in ids]
+    missed = [1.0] * len(ids)  # per neighbor: probability it is still uncovered
 
     total_tx = 0.0
     covered: Set[int] = set()
     # Bounded loop: each phase definitively covers its target.
-    for _ in range(len(uncovered)):
-        pending = {j: r for j, r in uncovered.items() if r > residual_threshold}
+    for _ in ids:
+        pending = [k for k, r in enumerate(missed) if r > residual_threshold]
         if not pending:
             break
-        target = max(pending, key=lambda j: network.probability(sender, j))
-        p_target = network.probability(sender, target)
-        expected_tx = 1.0 / p_target
+        target = max(pending, key=probs.__getitem__)
+        expected_tx = 1.0 / probs[target]
         total_tx += expected_tx
-        for j in list(uncovered):
-            p_j = network.probability(sender, j)
-            uncovered[j] *= (1.0 - p_j) ** expected_tx
-        uncovered[target] = 0.0
-        covered.add(target)
-    covered.update(j for j, r in uncovered.items() if r <= residual_threshold)
+        missed = [r * (1.0 - p) ** expected_tx for r, p in zip(missed, probs)]
+        missed[target] = 0.0
+        covered.add(ids[target])
+    # Targets first (phase order), then whoever overhearing alone covered:
+    # the insertion order fixes the frozenset layout a flood iterates.
+    covered.update(j for j, r in zip(ids, missed) if r <= residual_threshold)
     return PseudoBroadcastCost(
         transmissions=total_tx, covered=frozenset(covered)
     )
@@ -115,9 +115,9 @@ def reliable_flood(
     reached: Set[int] = {origin}
     order: List[int] = []
     total_tx = 0.0
-    frontier = [origin]
+    frontier = deque([origin])
     while frontier:
-        node = frontier.pop(0)
+        node = frontier.popleft()
         if eligible is not None and node != origin and node not in eligible:
             continue  # receives but does not forward
         cost = neighborhood_broadcast_cost(network, node)

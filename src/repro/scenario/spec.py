@@ -351,7 +351,7 @@ class ScenarioTimeline:
         for link in removed:
             del links[link]
         self._saved_links[node] = removed
-        self._network = self._rebuild(links)
+        self._network = self._network.with_links(links)
         return True
 
     def _recover(self, node: int) -> bool:
@@ -360,13 +360,5 @@ class ScenarioTimeline:
             return False  # was never down (or had no links)
         links = {(i, j): p for i, j, p in self._network.links()}
         links.update(saved)
-        self._network = self._rebuild(links)
+        self._network = self._network.with_links(links)
         return True
-
-    def _rebuild(self, links: Dict[Link, float]) -> WirelessNetwork:
-        return WirelessNetwork(
-            self._network.positions,
-            links,
-            self._network.communication_range,
-            capacity=self._network.capacity,
-        )

@@ -21,11 +21,9 @@ optimizer, which this package must not import (RPR101 layering).
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 
-from repro.topology.graph import Link, WirelessNetwork
+from repro.topology.graph import WirelessNetwork
 from repro.util.rng import RngLike, as_rng
 
 
@@ -39,26 +37,26 @@ def perturb_link_qualities(
 
     Every link probability moves by Gaussian noise of scale ``sigma`` in
     logit space (multiplicative on odds), clipped to [0.02, 0.995] like
-    the PHY model's shadowing.  ``sigma=0`` returns an identical copy.
+    the PHY model's shadowing.  ``sigma=0`` returns an identical copy
+    and consumes no draw.  The copy shares the geometry it cannot have
+    changed (:meth:`WirelessNetwork.with_links`).
     """
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     generator = as_rng(rng)
-    drifted: Dict[Link, float] = {}
-    for i, j, p in network.links():
-        if sigma == 0.0:  # repro: ignore[RPR004] exact sentinel (sigma=0 copy)
-            drifted[(i, j)] = p
-            continue
+    table = {(i, j): p for i, j, p in network.links()}
+    if sigma == 0.0:  # repro: ignore[RPR004] exact sentinel (sigma=0 copy)
+        return network.with_links(table)  # no draw consumed
+    p = np.array(list(table.values()))
+    # A perfect link is logit +inf: it consumes its draw like any other
+    # and lands on the ceiling.
+    with np.errstate(divide="ignore"):
         logit = np.log(p / (1.0 - p))
-        shifted = logit + generator.normal(0.0, sigma)
-        value = 1.0 / (1.0 + np.exp(-shifted))
-        drifted[(i, j)] = float(np.clip(value, 0.02, 0.995))
-    return WirelessNetwork(
-        network.positions,
-        drifted,
-        network.communication_range,
-        capacity=network.capacity,
-    )
+    # One array draw in links() order is the same stream as a scalar
+    # draw per link.
+    shifted = logit + generator.normal(0.0, sigma, size=p.size)
+    drifted = np.clip(1.0 / (1.0 + np.exp(-shifted)), 0.02, 0.995)
+    return network.with_links(dict(zip(table, drifted.tolist())))
 
 
 def quality_drift(
@@ -78,6 +76,8 @@ def quality_drift(
     failed node disappears.  Both conventions agree when the link sets
     match.
     """
+    if before is after:
+        return 0.0
     links_before = {(i, j): p for i, j, p in before.links()}
     links_after = {(i, j): p for i, j, p in after.links()}
     if strict and set(links_before) != set(links_after):

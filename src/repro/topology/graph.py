@@ -62,19 +62,7 @@ class WirelessNetwork:
         # carry an 800 MB matrix through every pickle.
         self._grid = SpatialGrid(self._positions, self._range)
 
-        self._p: Dict[Link, float] = {}
-        tolerance = 1e-9 * self._range
-        for (i, j), prob in probabilities.items():
-            self._validate_link(i, j, n)
-            if not 0.0 < prob <= 1.0:
-                raise ValueError(f"link ({i},{j}) probability must be in (0,1], got {prob}")
-            span = self.distance(i, j)
-            if span > self._range + tolerance:
-                raise ValueError(
-                    f"link ({i},{j}) spans {span:.3f}, "
-                    f"beyond the communication range {self._range:.3f}"
-                )
-            self._p[(i, j)] = float(prob)
+        self._p = self._checked_links(probabilities, held={})
 
         # Neighborhoods are purely geometric: within range, regardless of
         # whether the probability draw produced a usable link.  This is
@@ -86,17 +74,75 @@ class WirelessNetwork:
             close, _ = self._grid.neighbors_within(i, self._range)
             self._neighbors.append(frozenset(int(j) for j in close))
 
+        self._out_links, self._in_links = self._adjacency(self._p)
+
+    def with_links(self, probabilities: Dict[Link, float]) -> "WirelessNetwork":
+        """This deployment under a different link table.
+
+        What a drift, a failure or a recovery produces: same nodes, same
+        range and capacity, new ``p_ij``.  The result *shares* the
+        geometry this network built — positions, spatial grid and
+        neighborhoods are read-only and a function of position alone —
+        and equals ``WirelessNetwork(positions, probabilities, range,
+        capacity=...)`` in every accessor.  ``probabilities`` keeps its
+        iteration order (:meth:`links` order is the drift draw order).
+        Every link is validated as at construction; only the span check
+        is skipped for links this network already holds, which passed it
+        against the identical geometry.
+        """
+        derived = WirelessNetwork.__new__(WirelessNetwork)
+        derived._positions = self._positions
+        derived._range = self._range
+        derived._capacity = self._capacity
+        derived._grid = self._grid
+        derived._neighbors = self._neighbors
+        derived._p = self._checked_links(probabilities, held=self._p)
+        if derived._p.keys() == self._p.keys():
+            derived._out_links = self._out_links
+            derived._in_links = self._in_links
+        else:
+            derived._out_links, derived._in_links = self._adjacency(derived._p)
+        return derived
+
+    def _checked_links(
+        self, probabilities: Dict[Link, float], held: Dict[Link, float]
+    ) -> Dict[Link, float]:
+        """``probabilities`` validated against this geometry, order kept.
+
+        Links in ``held`` already passed the span check on these
+        positions and skip it.
+        """
+        n = self.node_count
+        tolerance = 1e-9 * self._range
+        checked: Dict[Link, float] = {}
+        for (i, j), prob in probabilities.items():
+            self._validate_link(i, j, n)
+            if not 0.0 < prob <= 1.0:
+                raise ValueError(f"link ({i},{j}) probability must be in (0,1], got {prob}")
+            if (i, j) not in held:
+                span = self.distance(i, j)
+                if span > self._range + tolerance:
+                    raise ValueError(
+                        f"link ({i},{j}) spans {span:.3f}, "
+                        f"beyond the communication range {self._range:.3f}"
+                    )
+            checked[(i, j)] = float(prob)
+        return checked
+
+    def _adjacency(
+        self, links: Dict[Link, float]
+    ) -> Tuple[List[Tuple[int, ...]], List[Tuple[int, ...]]]:
+        """Per-node sorted out- and in-neighbor tuples of a link table."""
+        n = self.node_count
         out_lists: List[List[int]] = [[] for _ in range(n)]
         in_lists: List[List[int]] = [[] for _ in range(n)]
-        for (a, j) in self._p:
+        for (a, j) in links:
             out_lists[a].append(j)
             in_lists[j].append(a)
-        self._out_links: List[Tuple[int, ...]] = [
-            tuple(sorted(members)) for members in out_lists
-        ]
-        self._in_links: List[Tuple[int, ...]] = [
-            tuple(sorted(members)) for members in in_lists
-        ]
+        return (
+            [tuple(sorted(members)) for members in out_lists],
+            [tuple(sorted(members)) for members in in_lists],
+        )
 
     @staticmethod
     def _validate_link(i: int, j: int, n: int) -> None:

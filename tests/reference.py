@@ -1,0 +1,35 @@
+"""The benchmark's reference mesh and a digest of a link table.
+
+Shared by the literal oracles of the topology-update path
+(``test_pseudo_broadcast``, ``test_dynamics``, ``test_scenario``): they
+pin values on the very deployment ``adaptive_replan`` re-plans on.
+"""
+
+import hashlib
+
+from repro.topology.graph import WirelessNetwork
+from repro.topology.phy import lossy_phy
+from repro.topology.random_network import random_network
+from repro.util.rng import RngFactory
+
+
+def reference_mesh() -> WirelessNetwork:
+    """120 lossy nodes, as ``bench/inputs.py::reference_mesh`` builds them."""
+    factory = RngFactory(2008)
+    return random_network(
+        120,
+        phy=lossy_phy(rng=factory.derive("phy")),
+        rng=factory.derive("topology"),
+    )
+
+
+def link_table_digest(network: WirelessNetwork) -> str:
+    """SHA-256 over ``links()`` in iteration order, floats by ``repr``.
+
+    Sensitive to link order (the drift draw order) and to the last bit
+    of every probability.
+    """
+    digest = hashlib.sha256()
+    for i, j, p in network.links():
+        digest.update(f"{i},{j},{p!r};".encode())
+    return digest.hexdigest()

@@ -6,16 +6,30 @@ import pytest
 from repro.optimization.replanning import replan_cost
 from repro.protocols import adaptive
 from repro.protocols.omnc import plan_omnc_detailed
+from repro.scenario import ScenarioTimeline, builtin_scenario
 from repro.topology.dynamics import (
     perturb_link_qualities,
     quality_drift,
 )
+from repro.topology.graph import WirelessNetwork
 from repro.topology.random_network import (
     diamond_topology,
     fig1_sample_topology,
     random_network,
 )
 from repro.util.rng import RngFactory
+from tests.reference import link_table_digest, reference_mesh
+
+
+def scalar_drift_reference(network, sigma, generator):
+    """The per-link loop ``perturb_link_qualities`` ran before PR 17."""
+    drifted = {}
+    for i, j, p in network.links():
+        logit = np.log(p / (1.0 - p))
+        shifted = logit + generator.normal(0.0, sigma)
+        value = 1.0 / (1.0 + np.exp(-shifted))
+        drifted[(i, j)] = float(np.clip(value, 0.02, 0.995))
+    return drifted
 
 
 class TestPerturbation:
@@ -48,11 +62,63 @@ class TestPerturbation:
         with pytest.raises(ValueError):
             perturb_link_qualities(diamond_topology(), sigma=-0.1)
 
+    def test_zero_sigma_consumes_no_draw(self):
+        net = random_network(30, rng=RngFactory(1).derive("t"))
+        used, untouched = np.random.default_rng(9), np.random.default_rng(9)
+        same = perturb_link_qualities(net, sigma=0.0, rng=used)
+        assert list(same.links()) == list(net.links())
+        assert used.random() == untouched.random()
+
+    @pytest.mark.parametrize("sigma", [0.3, 0.6])
+    def test_array_drift_equals_the_scalar_loop(self, sigma):
+        net = reference_mesh()
+        array_rng, scalar_rng = np.random.default_rng(17), np.random.default_rng(17)
+        drifted = perturb_link_qualities(net, sigma=sigma, rng=array_rng)
+        expected = scalar_drift_reference(net, sigma, scalar_rng)
+        # Same links in the same order, every value bit for bit ...
+        assert [((i, j), p) for i, j, p in drifted.links()] == list(expected.items())
+        # ... and the stream left where the scalar draws leave it.
+        assert array_rng.random() == scalar_rng.random()
+
+    def test_perfect_link_drifts_to_the_ceiling(self):
+        # p == 1.0 is a legal link; its logit is +inf (the scalar loop
+        # divided by zero here).  It still consumes its draw.
+        positions = np.array([[0.0, 0.0], [1.0, 0.0]])
+        net = WirelessNetwork(positions, {(0, 1): 1.0, (1, 0): 0.5}, 2.0)
+        used, scalar = np.random.default_rng(4), np.random.default_rng(4)
+        drifted = perturb_link_qualities(net, sigma=0.3, rng=used)
+        assert drifted.probability(0, 1) == 0.995
+        scalar.normal(0.0, 0.3)  # the perfect link's draw
+        second = 1.0 / (1.0 + np.exp(-scalar.normal(0.0, 0.3)))
+        assert drifted.probability(1, 0) == float(second)
+        assert used.random() == scalar.random()
+
+    def test_builtin_drift_scenario_link_tables(self):
+        # Literals recorded on the per-link scalar implementation.
+        net = reference_mesh()
+        assert link_table_digest(net) == (
+            "b6aa4c29afd7198cce8f1a2973465d59726f48847a75850e57b9d9e8f9617a87"
+        )
+        timeline = ScenarioTimeline(
+            net,
+            builtin_scenario("drift", duration=120.0, epoch_seconds=10.0),
+            rng=RngFactory(2008).derive("scenario"),
+        )
+        assert timeline.advance_to(40.0) and timeline.applied_events == 1
+        assert link_table_digest(timeline.network) == (
+            "8b06b57e8335eef56bd703bfa1fb4bbbbbfec0cca8565059312e906a09b86d63"
+        )
+        assert timeline.advance_to(120.0) and timeline.applied_events == 2
+        assert link_table_digest(timeline.network) == (
+            "bd615fb755accf24cee8855de88cbe795bfb0c89e70135e53e0e85651be3603d"
+        )
+
 
 class TestDrift:
     def test_self_drift_zero(self):
         net = diamond_topology()
         assert quality_drift(net, net) == 0.0
+        assert quality_drift(net, diamond_topology()) == 0.0  # equal, not identical
 
     def test_mismatched_link_sets_rejected(self):
         with pytest.raises(ValueError, match="different link sets"):

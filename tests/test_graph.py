@@ -1,7 +1,11 @@
 """WirelessNetwork: links, neighborhoods, interference, views."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.topology.graph import WirelessNetwork
 from repro.topology.random_network import (
@@ -62,6 +66,96 @@ class TestConstruction:
         net = simple_network()
         with pytest.raises(ValueError):
             net.positions[0, 0] = 9.0
+
+
+def assert_same_network(derived, fresh):
+    """Every accessor a protocol or the emulator reads agrees."""
+    assert list(derived.links()) == list(fresh.links())  # order is draw order
+    assert derived.link_count() == fresh.link_count()
+    assert derived.node_count == fresh.node_count
+    assert derived.communication_range == fresh.communication_range
+    assert derived.capacity == fresh.capacity
+    assert np.array_equal(derived.positions, fresh.positions)
+    for i in fresh.nodes():
+        assert derived.out_neighbors(i) == fresh.out_neighbors(i)
+        assert derived.in_neighbors(i) == fresh.in_neighbors(i)
+        assert list(derived.neighbors(i)) == list(fresh.neighbors(i))
+        assert list(derived.conflict_neighbors(i)) == list(fresh.conflict_neighbors(i))
+        for j in fresh.nodes():
+            assert derived.probability(i, j) == fresh.probability(i, j)
+            assert derived.has_link(i, j) == fresh.has_link(i, j)
+            assert derived.distance(i, j) == fresh.distance(i, j)
+
+
+@st.composite
+def deployments(draw):
+    """Positions in a 3x3 square, range 1.5, and three link tables over
+    the in-range pairs: the parent's, a re-valued permutation of it, and
+    a subset."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    coordinate = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
+    positions = np.array(
+        draw(st.lists(st.tuples(coordinate, coordinate), min_size=n, max_size=n))
+    )
+    reach = 1.5
+    in_range = [
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if i != j and float(np.hypot(*(positions[i] - positions[j]))) < reach - 1e-6
+    ]
+    probability = st.floats(min_value=0.02, max_value=1.0)
+
+    def table(links):
+        return {link: draw(probability) for link in links}
+
+    held = draw(st.lists(st.sampled_from(in_range), unique=True)) if in_range else []
+    kept = [link for link in held if draw(st.booleans())]
+    return positions, reach, table(held), table(draw(st.permutations(held))), table(kept)
+
+
+class TestWithLinks:
+    @settings(max_examples=60, deadline=None)
+    @given(deployments())
+    def test_equals_a_fresh_construction(self, deployment):
+        positions, reach, held, revalued, subset = deployment
+
+        def fresh(links):
+            return WirelessNetwork(positions, links, reach, capacity=3e4)
+
+        parent = fresh(held)
+        before = pickle.dumps(parent)
+        # Unchanged link set (a drift), in a different dict order.
+        assert_same_network(parent.with_links(revalued), fresh(revalued))
+        # Shrunk (a failure), then re-grown from the shrunk network (a
+        # recovery: the returning links are new to it and span-checked).
+        shrunk = parent.with_links(subset)
+        assert_same_network(shrunk, fresh(subset))
+        assert_same_network(shrunk.with_links(held), parent)
+        assert pickle.dumps(parent) == before  # the parent is untouched
+        # A derived network pickles on its own.
+        assert_same_network(pickle.loads(pickle.dumps(shrunk)), shrunk)
+
+    def test_geometry_is_shared_not_copied(self):
+        net = simple_network()
+        drifted = net.with_links({(0, 1): 0.4, (1, 0): 0.7, (1, 2): 0.5, (0, 3): 0.9})
+        assert drifted.positions is net.positions
+        assert drifted.neighbors(0) is net.neighbors(0)
+        assert drifted.out_neighbors(0) is net.out_neighbors(0)
+        assert net.probability(0, 1) == 0.8 and drifted.probability(0, 1) == 0.4
+
+    def test_every_link_is_still_validated(self):
+        net = simple_network()
+        for bad in (0.0, 1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="probability"):
+                net.with_links({(0, 1): bad})  # a link the parent holds
+        with pytest.raises(ValueError, match="outside"):
+            net.with_links({(0, 4): 0.5})
+        with pytest.raises(ValueError, match="self-link"):
+            net.with_links({(1, 1): 0.5})
+        with pytest.raises(ValueError, match="beyond"):
+            net.with_links({(0, 2): 0.5})  # new link, two units apart
+        assert net.with_links({(2, 1): 0.5}).has_link(2, 1)  # new, in range
 
 
 class TestNeighborhoods:
