@@ -15,9 +15,8 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.emulator.plan import UnicastPathPlan
-from repro.routing.etx import etx_weights
-from repro.routing.node_selection import NodeSelectionError
-from repro.routing.shortest_path import dijkstra
+from repro.routing.node_selection import NodeSelectionError, check_endpoints
+from repro.routing.shortest_path import dijkstra, etx_tree
 from repro.topology.graph import Link, WirelessNetwork
 
 
@@ -31,14 +30,15 @@ def plan_etx_route(
     """Compute the best ETX path for one session.
 
     ``weights`` may supply measured ETX values; the default uses oracle
-    link qualities.  Raises :class:`NodeSelectionError` when no path
-    exists (same error type as OMNC planning so campaign drivers can
-    filter sessions uniformly).
+    link qualities.  Raises :class:`NodeSelectionError` when an endpoint
+    is not a node or no path exists (same error type as OMNC planning so
+    campaign drivers can filter sessions uniformly).
     """
-    if source == destination:
-        raise NodeSelectionError("source and destination must differ")
-    link_weights = weights if weights is not None else etx_weights(network)
-    result = dijkstra(network.nodes(), link_weights, source)
+    check_endpoints(network, source, destination)
+    if weights is not None:
+        result = dijkstra(network.nodes(), weights, source)
+    else:
+        result = etx_tree(network, source, until=destination)
     path = result.path_to(destination)
     if path is None:
         raise NodeSelectionError(

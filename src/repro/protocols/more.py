@@ -34,7 +34,7 @@ experiment (Fig. 3) exposes.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.emulator.plan import CreditBroadcastPlan
 from repro.routing.node_selection import ForwarderSet, select_forwarders
@@ -54,33 +54,46 @@ def compute_expected_transmissions(
     distance = forwarders.etx_distance
     z: Dict[int, float] = {node: 0.0 for node in order}
 
+    # Every p_ik between selected nodes, read once: per sender its
+    # receivers and per receiver its senders, both closest first.  A pair
+    # without a link multiplies a product by exactly 1.0 and adds exactly
+    # 0.0 to a sum, so leaving it out changes no bit of any z_i.
+    receivers: Dict[int, Dict[int, float]] = {node: {} for node in order}
+    for k in order:
+        for i in network.in_neighbors(k):
+            if i in z:
+                receivers[i][k] = network.probability(i, k)
+    senders: Dict[int, List[int]] = {node: [] for node in order}
+    for i in order:
+        for k in receivers[i]:
+            senders[k].append(i)
+
+    def missed_by_closer(sender: int, j: int) -> float:
+        """P(no node closer to the destination than j hears ``sender``)."""
+        miss = 1.0
+        for k, p_ik in receivers[sender].items():
+            if distance[k] >= distance[j]:
+                break
+            miss *= 1.0 - p_ik
+        return miss
+
     # Walk from the farthest node (the source) toward the destination so
     # every "farther" z_i is known when we need it.
     for j in reversed(order):
         if j == forwarders.destination:
             continue
-        closer = [k for k in order if distance[k] < distance[j]]
         if j == forwarders.source:
             expected_forward = 1.0
         else:
             expected_forward = 0.0
-            for i in order:
+            for i in senders[j]:
                 if distance[i] <= distance[j] or z[i] == 0.0:  # repro: ignore[RPR004] exact sentinel
                     continue
-                p_ij = network.probability(i, j)
-                if p_ij == 0.0:  # repro: ignore[RPR004] exact sentinel (no link)
-                    continue
                 # Probability j hears i while nobody closer does.
-                miss_closer = 1.0
-                for k in closer:
-                    miss_closer *= 1.0 - network.probability(i, k)
-                expected_forward += z[i] * p_ij * miss_closer
+                expected_forward += z[i] * receivers[i][j] * missed_by_closer(i, j)
         if expected_forward == 0.0:  # repro: ignore[RPR004] exact sentinel
             continue
-        delivery = 1.0
-        for k in closer:
-            delivery *= 1.0 - network.probability(j, k)
-        reach = 1.0 - delivery
+        reach = 1.0 - missed_by_closer(j, j)
         if reach <= 0.0:
             continue  # nobody closer can hear j: useless forwarder
         z[j] = expected_forward / reach
@@ -95,20 +108,23 @@ def compute_tx_credits(
     """TX credit per forwarder: z_j over expected packets heard from
     upstream.  The source streams continuously and takes no credit."""
     distance = forwarders.etx_distance
+    # heard[j]: expected packets j hears from farther nodes per source
+    # packet.  Each j collects its terms in ``forwarders.nodes`` order.
+    heard: Dict[int, float] = dict.fromkeys(forwarders.nodes, 0.0)
+    for i in forwarders.nodes:
+        z_i = z.get(i, 0.0)
+        for j in network.out_neighbors(i):
+            if j in heard and distance[i] > distance[j]:
+                heard[j] += z_i * network.probability(i, j)
     credits: Dict[int, float] = {}
     for j in forwarders.nodes:
         if j in (forwarders.source, forwarders.destination):
             continue
         if z.get(j, 0.0) == 0.0:  # repro: ignore[RPR004] exact sentinel
             continue
-        heard = 0.0
-        for i in forwarders.nodes:
-            if distance[i] <= distance[j]:
-                continue
-            heard += z.get(i, 0.0) * network.probability(i, j)
-        if heard <= 0.0:
+        if heard[j] <= 0.0:
             continue
-        credits[j] = z[j] / heard
+        credits[j] = z[j] / heard[j]
     return credits
 
 

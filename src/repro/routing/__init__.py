@@ -1,7 +1,8 @@
 """Routing substrate: ETX metric, shortest paths, node selection.
 
 * :mod:`repro.routing.etx` — the ETX metric and probe-based measurement.
-* :mod:`repro.routing.shortest_path` — centralized Dijkstra plus the
+* :mod:`repro.routing.shortest_path` — centralized Dijkstra (on a weight
+  dict, or as ``etx_tree`` on the network's own adjacency) plus the
   distributed Bellman-Ford exchange that a deployed protocol would run.
 * :mod:`repro.routing.node_selection` — forwarder selection producing the
   distance-decreasing DAG that carries all multipath traffic.
@@ -32,6 +33,7 @@ from repro.routing.shortest_path import (
     ShortestPathResult,
     dijkstra,
     dijkstra_to_destination,
+    etx_tree,
 )
 
 __all__ = [
@@ -44,6 +46,7 @@ __all__ = [
     "ShortestPathResult",
     "dijkstra",
     "dijkstra_to_destination",
+    "etx_tree",
     "etx_weights",
     "expected_probe_error",
     "link_etx",

@@ -21,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Set, Tuple
 
-from repro.routing.etx import etx_weights
-from repro.routing.shortest_path import dijkstra_to_destination
+from repro.routing.shortest_path import dijkstra_to_destination, etx_tree
 from repro.topology.graph import Link, WirelessNetwork
 
 
@@ -73,6 +72,15 @@ class NodeSelectionError(ValueError):
     """Raised when no usable forwarder set exists for a session."""
 
 
+def check_endpoints(network: WirelessNetwork, source: int, destination: int) -> None:
+    """Reject a session whose endpoints coincide or lie outside ``network``."""
+    if source == destination:
+        raise NodeSelectionError("source and destination must differ")
+    for node in (source, destination):
+        if not 0 <= node < network.node_count:
+            raise NodeSelectionError(f"node {node} outside the network")
+
+
 def select_forwarders(
     network: WirelessNetwork,
     source: int,
@@ -98,16 +106,16 @@ def select_forwarders(
         NodeSelectionError: if the destination is unreachable from the
             source over the lossy graph.
     """
-    if source == destination:
-        raise NodeSelectionError("source and destination must differ")
-    for node in (source, destination):
-        if not 0 <= node < network.node_count:
-            raise NodeSelectionError(f"node {node} outside the network")
-
-    link_weights = weights if weights is not None else etx_weights(network)
-    to_destination = dijkstra_to_destination(
-        network.nodes(), link_weights, destination
-    )
+    check_endpoints(network, source, destination)
+    if weights is not None:
+        to_destination = dijkstra_to_destination(
+            network.nodes(), weights, destination
+        )
+    else:
+        # Stopping at the source is exact: every candidate below is
+        # strictly closer than the source, so it was popped before it,
+        # and a node not yet popped holds a bound >= the source's.
+        to_destination = etx_tree(network, destination, toward=True, until=source)
     if source not in to_destination.distance:
         raise NodeSelectionError(
             f"destination {destination} unreachable from source {source}"
@@ -146,7 +154,7 @@ def select_forwarders(
     selected = set(reached)
     while True:
         dag = _dag_links(network, selected, to_destination.distance)
-        has_out = {i for (i, j) in sorted(dag)}
+        has_out = {i for (i, j) in dag}
         dead = {
             n for n in sorted(selected) if n != destination and n not in has_out
         }
@@ -164,7 +172,7 @@ def select_forwarders(
         destination=destination,
         nodes=frozenset(selected),
         etx_distance=distances,
-        dag_links=tuple(sorted(dag)),
+        dag_links=tuple(dag),
     )
 
 
@@ -193,9 +201,11 @@ def _dag_links(
     selected: Set[int],
     distance: Dict[int, float],
 ) -> List[Link]:
-    """Directed links among ``selected`` oriented toward the destination."""
+    """Directed links among ``selected`` oriented toward the destination,
+    in ascending order."""
     links: List[Link] = []
-    for i, j, _ in network.links():
-        if i in selected and j in selected and distance[j] < distance[i]:
-            links.append((i, j))
+    for i in sorted(selected):
+        for j in network.out_neighbors(i):
+            if j in selected and distance[j] < distance[i]:
+                links.append((i, j))
     return links

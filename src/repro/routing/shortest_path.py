@@ -1,12 +1,17 @@
 """Shortest paths: centralized Dijkstra and distributed Bellman-Ford.
 
-Both entry points operate on arbitrary non-negative link weights keyed by
-directed link, so the same code serves
+The dict entry points operate on arbitrary non-negative link weights keyed
+by directed link, so the same code serves
 
-* ETX routing (weights = 1/p_ij),
-* the node-selection distance flood (ETX distance to the destination),
+* ETX routing and the node-selection distance flood on *measured* link
+  qualities (weights = 1/p_hat_ij),
 * SUB1 of the rate-control decomposition (weights = Lagrange prices
   lambda_ij), which the paper solves "in a distributed manner".
+
+On oracle link qualities both planners call :func:`etx_tree` instead: the
+same relaxation run on the network's own adjacency, which builds no
+weight table and can stop at the one node a caller needs (DESIGN.md
+section 3.2).  :func:`dijkstra` is its test oracle.
 
 :class:`DistributedBellmanFord` mirrors how the protocol would actually
 compute distances in the field: each node repeatedly exchanges distance
@@ -19,6 +24,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+
+from repro.topology.graph import WirelessNetwork
 
 Link = Tuple[int, int]
 
@@ -113,6 +120,52 @@ def dijkstra_to_destination(
     result = ShortestPathResult(source=destination)
     result.distance = reversed_result.distance
     result.predecessor = reversed_result.predecessor
+    return result
+
+
+def etx_tree(
+    network: WirelessNetwork,
+    root: int,
+    *,
+    toward: bool = False,
+    until: Optional[int] = None,
+) -> ShortestPathResult:
+    """ETX shortest paths of ``network`` itself, weights ``1 / p_ij``.
+
+    Equal, value for value, to :func:`dijkstra` (or, with ``toward``,
+    :func:`dijkstra_to_destination`: distances *to* ``root`` and next
+    hops) over ``etx_weights(network)``: the same float additions in the
+    same ``(distance, node)`` pop order.  That order is total, so the
+    order in which one node's neighbors are relaxed cannot change a
+    distance or a predecessor.
+
+    With ``until`` the search stops when that node is popped.  Every node
+    popped so far — ``until`` included — then has its final distance and
+    predecessor, so ``path_to(until)`` is the full tree's; any other
+    entry is an upper bound no smaller than ``distance[until]``.
+    """
+    if not 0 <= root < network.node_count:
+        raise ValueError(f"root {root} not among nodes")
+    neighbors = network.in_neighbors if toward else network.out_neighbors
+    probability = network.probability
+    result = ShortestPathResult(source=root)
+    distance = result.distance
+    predecessor = result.predecessor
+    distance[root] = 0.0
+    heap: List[Tuple[float, int]] = [(0.0, root)]
+    while heap:
+        dist, node = heapq.heappop(heap)
+        if dist > distance[node]:
+            continue  # superseded by a shorter entry popped earlier
+        if node == until:
+            break
+        for neighbor in neighbors(node):
+            p = probability(neighbor, node) if toward else probability(node, neighbor)
+            candidate = dist + 1.0 / p
+            if candidate < distance.get(neighbor, _INF):
+                distance[neighbor] = candidate
+                predecessor[neighbor] = node
+                heapq.heappush(heap, (candidate, neighbor))
     return result
 
 

@@ -209,11 +209,11 @@ class WirelessNetwork:
         return len(self._p)
 
     def out_neighbors(self, i: int) -> Tuple[int, ...]:
-        """Nodes reachable from ``i`` by a directed link."""
+        """Nodes reachable from ``i`` by a directed link, ascending."""
         return self._out_links[i]
 
     def in_neighbors(self, i: int) -> Tuple[int, ...]:
-        """Nodes with a directed link into ``i``."""
+        """Nodes with a directed link into ``i``, ascending."""
         return self._in_links[i]
 
     def neighbors(self, i: int) -> FrozenSet[int]:

@@ -62,6 +62,16 @@ class TestCampaign:
         for _, _, plan in pick_sessions(config, network):
             assert config.min_hops <= plan.hop_count <= config.max_hops
 
+    def test_endpoints_of_the_benchmark_campaign(self):
+        # The hop-constrained search is thousands of planner calls; a
+        # faster planner must find the very same sessions.
+        config = CampaignConfig(node_count=120, sessions=8, min_hops=4, seed=2008)
+        _, network = build_network(config)
+        assert [(s, d) for s, d, _ in pick_sessions(config, network)] == [
+            (95, 86), (115, 95), (12, 11), (1, 27),
+            (115, 56), (96, 111), (49, 82), (102, 109),
+        ]
+
     def test_campaign_records_all_protocols(self, smoke_campaign):
         assert len(smoke_campaign.records) == SMOKE.sessions
         for record in smoke_campaign.records:

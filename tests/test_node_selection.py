@@ -1,11 +1,19 @@
 """Node selection: distance-decreasing forwarder sets and their DAGs."""
 
-import pytest
+import hashlib
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.protocols.etx_routing import plan_etx_route
+from repro.routing.etx import etx_weights
 from repro.routing.node_selection import (
     NodeSelectionError,
     select_forwarders,
 )
+from repro.routing.shortest_path import dijkstra_to_destination
 from repro.topology.random_network import (
     chain_topology,
     diamond_topology,
@@ -13,6 +21,8 @@ from repro.topology.random_network import (
     random_network,
 )
 from repro.util.rng import RngFactory
+from tests.meshes import lossy_meshes
+from tests.reference import PLANNED_PAIRS, reference_mesh
 
 
 class TestBasicSelection:
@@ -133,3 +143,87 @@ class TestMaxDistanceFactor:
         weights = {(i, j): 1.0 / p for i, j, p in net.links()}
         result = select_forwarders(net, 0, 3, weights=weights)
         assert result.nodes == frozenset({0, 1, 2, 3})
+
+
+def _fields(result):
+    """Every field of a ForwarderSet, floats by ``repr``, orders kept."""
+    return (
+        result.source,
+        result.destination,
+        list(result.nodes),
+        [(node, repr(dist)) for node, dist in result.etx_distance.items()],
+        result.dag_links,
+    )
+
+
+def _selection(net, source, destination, **options):
+    try:
+        return _fields(select_forwarders(net, source, destination, **options))
+    except NodeSelectionError as error:
+        return str(error)
+
+
+class TestNativeTreeEqualsWeightsPath:
+    """Oracle link qualities take the source-bounded ``etx_tree``; passing
+    the same qualities as ``weights`` takes the full dict Dijkstra.  The
+    two must never drift apart."""
+
+    @given(lossy_meshes(), st.sampled_from((None, 0.6, 0.9, 1.5)), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_field_for_field(self, net, factor, data):
+        destination = data.draw(st.integers(0, net.node_count - 1))
+        weights = etx_weights(net)
+        # Mostly sources that do reach the destination, farthest ones
+        # included; one draw in five is any node, for the error paths.
+        reaching = sorted(
+            set(dijkstra_to_destination(net.nodes(), weights, destination).distance)
+            - {destination}
+        )
+        if not reaching or data.draw(st.integers(0, 4)) == 0:
+            reaching = list(net.nodes())
+        source = data.draw(st.sampled_from(reaching))
+        native = _selection(net, source, destination, max_distance_factor=factor)
+        oracle = _selection(
+            net, source, destination,
+            weights=weights, max_distance_factor=factor,
+        )
+        assert native == oracle
+
+
+class TestLiteralOracles:
+    """Recorded on the commit before routing left the weight dicts."""
+
+    def test_forwarder_sets_of_the_benchmark_pairs(self):
+        net = reference_mesh()
+        digest = hashlib.sha256()
+        for source, destination in PLANNED_PAIRS:
+            fields = _fields(select_forwarders(net, source, destination))
+            digest.update(repr(fields).encode())
+        assert digest.hexdigest() == (
+            "828faff2326adaa6215bef49a939eb4aea3c045352a4bc350eda5f827e58ccf7"
+        )
+
+    def test_bounded_trees_on_a_thousand_node_mesh(self):
+        # 5 906 links: a session's ellipse is a small part of the mesh, so
+        # both early exits cut the search well short of the full tree.
+        net = reference_mesh(1000)
+        assert net.link_count() == 5906
+        rng = random.Random(1)
+        hops, sizes = [], []
+        while len(hops) < 40:
+            source, destination = rng.sample(range(1000), 2)
+            try:
+                route = plan_etx_route(net, source, destination)
+                selection = select_forwarders(net, source, destination)
+            except NodeSelectionError:
+                continue
+            hops.append(route.hop_count)
+            sizes.append(len(selection.nodes))
+        assert hops == [
+            38, 36, 17, 17, 28, 39, 18, 11, 16, 23, 19, 35, 42, 15, 25, 21, 36, 7, 22, 29,
+            17, 5, 40, 34, 47, 26, 47, 37, 23, 23, 34, 28, 28, 28, 29, 31, 17, 19, 27, 16,
+        ]
+        assert sizes == [
+            103, 105, 66, 37, 62, 146, 45, 20, 54, 78, 62, 186, 236, 77, 87, 56, 147, 23, 54, 77,
+            47, 16, 176, 126, 127, 90, 249, 111, 134, 39, 164, 62, 106, 73, 129, 79, 42, 77, 111, 44,
+        ]

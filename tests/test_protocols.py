@@ -1,6 +1,10 @@
 """Protocol control planes: OMNC, MORE, oldMORE, ETX routing."""
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.emulator.plan import (
     CodedBroadcastPlan,
@@ -10,6 +14,7 @@ from repro.emulator.plan import (
 from repro.protocols.etx_routing import plan_etx_route, predicted_etx_throughput
 from repro.protocols.more import (
     compute_expected_transmissions,
+    compute_tx_credits,
     effective_forwarders,
     plan_more,
     total_expected_transmissions,
@@ -24,6 +29,8 @@ from repro.topology.random_network import (
     random_network,
 )
 from repro.util.rng import RngFactory
+from tests.meshes import lossy_meshes
+from tests.reference import PLANNED_PAIRS, reference_mesh
 
 
 class TestEtxRouting:
@@ -43,6 +50,33 @@ class TestEtxRouting:
         with pytest.raises(NodeSelectionError):
             plan_etx_route(net, 0, 0)
 
+    @pytest.mark.parametrize("planner", [plan_etx_route, select_forwarders])
+    @pytest.mark.parametrize("endpoints", [(999, 0), (0, 999), (-1, 5)])
+    def test_endpoint_outside_the_network_is_a_selection_error(self, planner, endpoints):
+        # pick_sessions and the bench endpoint searches filter candidates
+        # by catching NodeSelectionError alone, from either planner.
+        net = random_network(30, rng=RngFactory(5).derive("t"))
+        with pytest.raises(NodeSelectionError, match="outside the network"):
+            planner(net, *endpoints)
+
+    def test_routes_from_three_sources_of_the_reference_mesh(self):
+        # Recorded on the commit before routing left the weight dicts.
+        net = reference_mesh()
+        digest = hashlib.sha256()
+        for source in (0, 57, 119):
+            for destination in net.nodes():
+                if destination == source:
+                    continue
+                try:
+                    plan = plan_etx_route(net, source, destination)
+                except NodeSelectionError:
+                    digest.update(f"{source}>{destination} unreachable;".encode())
+                else:
+                    digest.update(f"{plan.path}|{plan.path_etx!r};".encode())
+        assert digest.hexdigest() == (
+            "d15d4a0418a35c59d3f173177cf65f5632d528faf555c62c04d6beb58a61058d"
+        )
+
     def test_predicted_throughput_positive_and_bounded(self):
         net = chain_topology((0.8, 0.8, 0.8))
         plan = plan_etx_route(net, 0, 3)
@@ -58,7 +92,111 @@ class TestEtxRouting:
             UnicastPathPlan(path=(0, 1), path_etx=0.5)
 
 
+def _reference_expected_transmissions(network, forwarders):
+    """The heuristic as first written: every p_ik read where it is used."""
+    order = forwarders.ordered_by_distance()
+    distance = forwarders.etx_distance
+    z = {node: 0.0 for node in order}
+    for j in reversed(order):
+        if j == forwarders.destination:
+            continue
+        closer = [k for k in order if distance[k] < distance[j]]
+        if j == forwarders.source:
+            expected_forward = 1.0
+        else:
+            expected_forward = 0.0
+            for i in order:
+                if distance[i] <= distance[j] or z[i] == 0.0:
+                    continue
+                p_ij = network.probability(i, j)
+                if p_ij == 0.0:
+                    continue
+                miss_closer = 1.0
+                for k in closer:
+                    miss_closer *= 1.0 - network.probability(i, k)
+                expected_forward += z[i] * p_ij * miss_closer
+        if expected_forward == 0.0:
+            continue
+        delivery = 1.0
+        for k in closer:
+            delivery *= 1.0 - network.probability(j, k)
+        reach = 1.0 - delivery
+        if reach <= 0.0:
+            continue
+        z[j] = expected_forward / reach
+    return z
+
+
+def _reference_tx_credits(network, forwarders, z):
+    distance = forwarders.etx_distance
+    credits = {}
+    for j in forwarders.nodes:
+        if j in (forwarders.source, forwarders.destination):
+            continue
+        if z.get(j, 0.0) == 0.0:
+            continue
+        heard = 0.0
+        for i in forwarders.nodes:
+            if distance[i] <= distance[j]:
+                continue
+            heard += z.get(i, 0.0) * network.probability(i, j)
+        if heard <= 0.0:
+            continue
+        credits[j] = z[j] / heard
+    return credits
+
+
+def _reprs(values):
+    return [(node, repr(value)) for node, value in values.items()]
+
+
 class TestMoreHeuristic:
+    def test_heuristic_of_the_benchmark_pairs(self):
+        # Every z_i and credit, to the last bit and in dict order;
+        # recorded before the link table replaced the per-use reads.
+        net = reference_mesh()
+        digest = hashlib.sha256()
+        for source, destination in PLANNED_PAIRS:
+            plan = plan_more(net, source, destination)
+            digest.update(
+                f"{_reprs(plan.expected_transmissions)}|{_reprs(plan.tx_credits)};".encode()
+            )
+        assert digest.hexdigest() == (
+            "428c27b938b1d90c2cef7b65e4b1680d53da345d314f0ff52a15d725e8b2f00b"
+        )
+        plan = plan_more(net, 78, 19)
+        assert _reprs(plan.tx_credits)[:3] == [
+            (71, "0.6832747618804013"),
+            (59, "0.7481029017385592"),
+            (17, "0.029758961851174593"),
+        ]
+        assert _reprs(plan.expected_transmissions)[-2:] == [
+            (17, "0.028791326192317387"),
+            (78, "1.0009923273516486"),
+        ]
+
+    @given(lossy_meshes(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_link_table_equals_per_use_reads(self, net, data):
+        destination = data.draw(st.integers(0, net.node_count - 1))
+        source = data.draw(st.integers(0, net.node_count - 1))
+        try:
+            forwarders = select_forwarders(net, source, destination)
+        except NodeSelectionError:
+            return
+        z = compute_expected_transmissions(net, forwarders)
+        assert _reprs(z) == _reprs(_reference_expected_transmissions(net, forwarders))
+        # Credits take any z (oldMORE feeds LP rates, some nodes missing).
+        rates = {
+            node: data.draw(st.sampled_from((0.0, 0.25, 1.0, 3.7)))
+            for node in sorted(forwarders.nodes)
+            if data.draw(st.booleans())
+        }
+        for vector in (z, rates):
+            assert _reprs(compute_tx_credits(net, forwarders, vector)) == _reprs(
+                _reference_tx_credits(net, forwarders, vector)
+            )
+
     def test_source_z_on_chain_matches_formula(self):
         net = chain_topology((0.5, 1.0))
         forwarders = select_forwarders(net, 0, 2)

@@ -1,4 +1,5 @@
-"""Dijkstra and the distributed Bellman-Ford agree and behave."""
+"""Dijkstra and the distributed Bellman-Ford agree and behave; the
+network-native ``etx_tree`` equals the dict Dijkstra bit for bit."""
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +10,11 @@ from repro.routing.shortest_path import (
     DistributedBellmanFord,
     dijkstra,
     dijkstra_to_destination,
+    etx_tree,
 )
 from repro.topology.random_network import random_network
 from repro.util.rng import RngFactory
+from tests.meshes import lossy_meshes
 
 
 def small_weights():
@@ -66,6 +69,75 @@ class TestDijkstraToDestination:
     def test_predecessor_is_next_hop(self):
         result = dijkstra_to_destination(range(4), small_weights(), 3)
         assert result.predecessor[0] == 1  # 0's next hop toward 3
+
+
+def _reprs(distance):
+    return {node: repr(dist) for node, dist in distance.items()}
+
+
+class TestEtxTree:
+    """``etx_tree`` against its oracle, the dict Dijkstra on ``etx_weights``."""
+
+    @given(lossy_meshes(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_full_tree_equals_dijkstra(self, net, data):
+        root = data.draw(st.integers(0, net.node_count - 1))
+        oracle = dijkstra(net.nodes(), etx_weights(net), root)
+        tree = etx_tree(net, root)
+        assert _reprs(tree.distance) == _reprs(oracle.distance)
+        assert tree.predecessor == oracle.predecessor
+        assert tree.source == root
+
+    @given(lossy_meshes(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_toward_equals_dijkstra_to_destination(self, net, data):
+        root = data.draw(st.integers(0, net.node_count - 1))
+        oracle = dijkstra_to_destination(net.nodes(), etx_weights(net), root)
+        tree = etx_tree(net, root, toward=True)
+        assert _reprs(tree.distance) == _reprs(oracle.distance)
+        assert tree.predecessor == oracle.predecessor
+
+    @given(lossy_meshes(), st.booleans(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_until_settles_its_target_and_all_closer(self, net, toward, data):
+        root = data.draw(st.integers(0, net.node_count - 1))
+        target = data.draw(st.integers(0, net.node_count - 1))
+        full = etx_tree(net, root, toward=toward)
+        bounded = etx_tree(net, root, toward=toward, until=target)
+        if target not in full.distance:
+            # Unreachable: nothing stops the search, the target stays absent.
+            assert target not in bounded.distance
+            assert _reprs(bounded.distance) == _reprs(full.distance)
+            return
+        assert bounded.path_to(target) == full.path_to(target)
+        assert repr(bounded.distance[target]) == repr(full.distance[target])
+        reach = (full.distance[target], target)
+        for node, dist in full.distance.items():
+            if (dist, node) <= reach:
+                # Popped no later than the target: final.
+                assert repr(bounded.distance[node]) == repr(dist)
+                assert bounded.path_to(node) == full.path_to(node)
+            elif node in bounded.distance:
+                # Not popped: an upper bound, never below the target's.
+                assert bounded.distance[node] >= dist
+                assert bounded.distance[node] >= full.distance[target]
+        # Stopped *at* the pop: nothing past the target was relaxed from.
+        for node, parent in bounded.predecessor.items():
+            assert (full.distance[parent], parent) < reach
+
+    @given(lossy_meshes(), st.booleans(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_until_root_returns_the_root_alone(self, net, toward, data):
+        root = data.draw(st.integers(0, net.node_count - 1))
+        tree = etx_tree(net, root, toward=toward, until=root)
+        assert tree.distance == {root: 0.0}
+        assert tree.predecessor == {}
+
+    def test_unknown_root_rejected(self):
+        net = random_network(10, rng=RngFactory(3).derive("t"))
+        for root in (-1, 10):
+            with pytest.raises(ValueError, match="not among nodes"):
+                etx_tree(net, root)
 
 
 class TestDistributedBellmanFord:
