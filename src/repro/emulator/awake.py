@@ -55,6 +55,10 @@ class AwakeSet:
             self._awake = list(range(count))
             self._sorted = True
 
+    def __len__(self) -> int:
+        """How many runtimes the next sweep visits."""
+        return len(self._awake)
+
     def parked_positions(self) -> List[int]:
         """Positions currently skipped, ascending."""
         return [i for i, parked in enumerate(self._parked) if parked]

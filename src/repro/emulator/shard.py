@@ -22,15 +22,21 @@ How determinism survives the cut:
   their owned contenders; the parent merges them and runs the
   scheduler's RNG-free :meth:`grant_from_keyed` pass — the same greedy
   code the serial engine uses.
-* **BSP barriers per slot.**  Each slot is three synchronized phases
-  (four when unicast feedback is in play): ``begin_slot`` (credits +
-  lottery keys), ``fire`` (transmissions + loss draws; every shard sees
-  the full granted set, so blanking coverage is computed locally from
-  the full topology), and ``resolve`` (per-receiver capture, routed to
-  the receiver's owner).  Offers carry their transmitter's grant rank
-  and per-broadcast delivery position, which reconstructs the serial
-  engine's per-receiver arrival order and its receiver processing
-  order exactly.
+* **BSP barriers per slot, over the shards that are awake.**
+  ``begin_slot`` (credits + lottery keys), then either ``fire``
+  (transmissions + loss draws; every shard sees the full granted set,
+  so blanking coverage is computed locally from the full topology) and
+  ``resolve`` (per-receiver capture, routed to the receiver's owner,
+  plus ``finish_slot`` when unicast feedback is in play) — or, on an
+  *interior* slot, where no granted transmitter has a neighbour owned
+  by another shard, one ``fire_resolve`` in which every arrival is
+  resolved by the shard that fired it and no packet crosses the pipe.
+  Arrivals carry their transmitter's grant rank and per-broadcast
+  delivery position, which reconstructs the serial engine's
+  per-receiver arrival order, its receiver processing order and the
+  order of everything that happens at a receiver exactly.  A shard
+  whose awake set is empty is not called at all until a resolve entry
+  or the control plane reaches it (DESIGN.md §13).
 * **Deferred generation advance.**  The serial driver applies the
   decoded-generation ACK between slots; the sharded driver applies it
   at the next ``begin_slot`` barrier — the same point in runtime-state
@@ -46,7 +52,9 @@ runs against ``shards=1``, not against :func:`run_coded_session`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from itertools import chain
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.emulator.awake import AwakeSet
 from repro.emulator.channel import LossyBroadcastChannel
@@ -67,7 +75,7 @@ from repro.emulator.session import (
 )
 from repro.emulator.trace import SessionTracer
 from repro.emulator.plan import SessionPlan
-from repro.exec.pool import PersistentWorkerGroup, WorkerPool
+from repro.exec.pool import PersistentWorkerGroup, WorkerCallError, WorkerPool
 from repro.topology.graph import Link, WirelessNetwork
 from repro.topology.partition import NetworkPartition, partition_network
 from repro.util.rng import NodeStreams, RngFactory
@@ -81,12 +89,20 @@ __all__ = [
     "trace_digest",
 ]
 
-#: One transmission offer crossing the resolve barrier:
-#: (receiver, sender, grant_rank, delivery_pos, kind, payload).
-#: ``grant_rank`` is the sender's index in the granted tuple and
-#: ``delivery_pos`` its index in the sender's delivered tuple — together
-#: they reproduce the serial engine's offers-dict insertion order.
-Offer = Tuple[int, int, int, int, str, Any]
+#: One packet heard by a receiver: (grant_rank, delivery_pos, sender,
+#: kind, payload).  ``grant_rank`` is the sender's index in the granted
+#: tuple and ``delivery_pos`` the receiver's index in the sender's
+#: delivered tuple — together the serial engine's offers-dict insertion
+#: order.  A receiver's *place* in the slot is its first arrival's pair.
+Arrival = Tuple[int, int, int, str, Any]
+#: A receiver and its arrivals, in place order.
+Entry = Tuple[int, List[Arrival]]
+#: Something the parent has to replay, led by where in the slot it
+#: happened: ``(-1, grant_rank, "tx", node)``, or at a receiver's place
+#: ``(rank, pos, kind, sender, receiver)`` for the delivery it kept,
+#: ``(rank, pos, "decoded" | "delivered", value)`` for a log entry.
+Event = Tuple[Any, ...]
+_PLACE = itemgetter(0, 1)
 
 
 class _DecodeLog:
@@ -178,9 +194,11 @@ class ShardWorker:
 
     Lives inside a :class:`~repro.exec.pool.PersistentWorkerGroup`
     worker; every public method is a barrier-phase handler dispatched by
-    the parent via ``call_all``.  State (runtimes, RNG streams, stats
-    accumulators) persists across barriers — only per-slot messages
-    cross the pipe.
+    the parent.  State (runtimes, RNG streams, stats accumulators)
+    persists across barriers — only per-slot messages cross the pipe,
+    and every slot-phase reply leads with ``len`` of the awake set: a
+    shard that reports 0 has nothing a slot could change and is left
+    alone until something is addressed to it.
     """
 
     def __init__(self, init: ShardInit) -> None:
@@ -242,7 +260,9 @@ class ShardWorker:
 
     # -- barrier phases ------------------------------------------------
 
-    def begin_slot(self, events: Optional[List[Any]]) -> List[Tuple[float, int]]:
+    def begin_slot(
+        self, events: Optional[List[Any]]
+    ) -> Tuple[int, List[float], List[int]]:
         """Apply deferred control events, tick clocks, draw lottery keys.
 
         ``events`` holds the control signals the parent queued since the
@@ -252,9 +272,9 @@ class ShardWorker:
         forms.  The serial oracle applies the same signals immediately
         after the previous ``step`` — the identical point in
         runtime-state time, since nothing touches the data plane between
-        slots.  Returns ``(key, node)`` lottery entries for owned
-        contenders; the parent merges all shards' entries into the
-        global greedy MIS pass.
+        slots.  Returns the owned contenders' lottery keys and node ids
+        as two flat lists; the parent merges all shards' entries into
+        the global greedy MIS pass.
         """
         if events:
             self._awake.wake_all()
@@ -277,24 +297,28 @@ class ShardWorker:
         floor = IdealMacScheduler.WEIGHT_FLOOR
         owned = self._owned
         contenders, weights = self._awake.tick(self._runtime_list, dt)
-        keyed: List[Tuple[float, int]] = []
+        keys: List[float] = []
+        nodes: List[int] = []
         for position, weight in zip(contenders, weights):
             node = owned[position]
             draw = float(self._streams.get("mac", node).exponential(1.0))
-            keyed.append((draw / max(weight, floor), node))
-        return keyed
+            keys.append(draw / max(weight, floor))
+            nodes.append(node)
+        return len(self._awake), keys, nodes
 
     def fire(
-        self, granted: Tuple[int, ...]
-    ) -> Tuple[List[Tuple[int, int]], List[Offer]]:
+        self, request: Tuple[Tuple[int, ...], bool]
+    ) -> Tuple[int, List[Event], List[Entry]]:
         """Fire this shard's granted transmitters against the full grant.
 
-        The complete granted tuple (all shards) arrives so blanking
-        coverage and half-duplex checks are computed exactly as the
-        serial engine computes them.  Returns ``(rank, node)`` records
-        of transmissions that actually fired (trace reconstruction) and
-        the resulting offers.
+        ``request`` is ``(granted, traced)``.  The complete granted
+        tuple (all shards) arrives so blanking coverage and half-duplex
+        checks are computed exactly as the serial engine computes them.
+        Returns a ``tx`` event per transmission that actually fired
+        (only when a tracer wants them) and what each receiver heard,
+        receivers and arrivals both in place order.
         """
+        granted, traced = request
         granted_flags = self._granted_flags
         covered = self._covered_counts
         blanking = self._interference == "blanking"
@@ -304,8 +328,8 @@ class ShardWorker:
             for node in granted:
                 for j in self._cov_list[node]:
                     covered[j] += 1
-        transmitted: List[Tuple[int, int]] = []
-        offers: List[Offer] = []
+        events: List[Event] = []
+        offers: Dict[int, List[Arrival]] = {}
         try:
             for rank, node in enumerate(granted):
                 if node not in self._owned_set:
@@ -318,7 +342,8 @@ class ShardWorker:
                     target = runtime.next_hop
                     assert target is not None
                     self._transmissions[node] += 1
-                    transmitted.append((rank, node))
+                    if traced:
+                        events.append((-1, rank, "tx", node))
                     self._pending_unicast[node] = False
                     if granted_flags[target]:
                         continue  # half-duplex: a transmitter cannot receive
@@ -326,13 +351,16 @@ class ShardWorker:
                         continue  # hidden-terminal collision at the receiver
                     tx_rng = self._streams.get("channel", node)
                     if self._channel.unicast(node, target, rng=tx_rng):
-                        offers.append((target, node, rank, 0, "unicast", sequence))
+                        offers.setdefault(target, []).append(
+                            (rank, 0, node, "unicast", sequence)
+                        )
                 else:
                     packet = runtime.pop_transmission()
                     if packet is None:
                         continue
                     self._transmissions[node] += 1
-                    transmitted.append((rank, node))
+                    if traced:
+                        events.append((-1, rank, "tx", node))
                     candidate_ids: List[int] = []
                     candidate_probs: List[float] = []
                     if blanking:
@@ -352,7 +380,9 @@ class ShardWorker:
                         candidate_ids, candidate_probs, rng=tx_rng
                     )
                     for pos, j in enumerate(delivered):
-                        offers.append((j, node, rank, pos, "coded", packet))
+                        offers.setdefault(j, []).append(
+                            (rank, pos, node, "coded", packet)
+                        )
         finally:
             for node in granted:
                 granted_flags[node] = False
@@ -360,26 +390,27 @@ class ShardWorker:
                 for node in granted:
                     for j in self._cov_list[node]:
                         covered[j] = 0
-        return transmitted, offers
+        return len(self._awake), events, list(offers.items())
 
-    def resolve(
-        self, entries: List[Tuple[int, List[Tuple[int, str, Any]]]]
-    ) -> Dict[str, Any]:
+    def resolve(self, request: Tuple[Iterable[Entry], bool]) -> Tuple[int, List[Event]]:
         """Per-receiver capture resolution for this shard's owned receivers.
 
-        ``entries`` holds ``(receiver, arrivals)`` with arrivals already
-        in the serial engine's per-receiver order; a multi-arrival
-        receiver draws its tie-break from its own capture stream, so
+        ``request`` is ``(entries, traced)``; a multi-arrival receiver
+        draws its tie-break from its own capture stream, so
         cross-receiver processing order cannot perturb any draw.
+        Returns what happened, each event led by its receiver's place:
+        decode / delivery log entries always, the delivery a receiver
+        kept only when a tracer or a unicast sender waits for it.
         """
-        deliveries: List[Tuple[int, int, str]] = []
+        entries, traced = request
+        events: List[Event] = []
+        logs = (("decoded", self._decode_log), ("delivered", self._delivery_log))
         for receiver, arrivals in entries:
-            if len(arrivals) == 1:
-                sender, kind, payload = arrivals[0]
-            else:
+            index = 0
+            if len(arrivals) > 1:
                 capture_rng = self._streams.get("capture", receiver)
                 index = int(capture_rng.integers(0, len(arrivals)))
-                sender, kind, payload = arrivals[index]
+            _rank, _pos, sender, kind, payload = arrivals[index]
             self._delivered_links.add((sender, receiver))
             runtime = self._runtimes[receiver]
             self._awake.wake(self._positions[receiver])
@@ -388,16 +419,30 @@ class ShardWorker:
                 runtime.receive_sequence(payload)
             else:
                 runtime.on_receive(payload, sender)
-            deliveries.append((receiver, sender, kind))
+            place = arrivals[0][:2]
+            if traced or kind == "unicast":
+                events.append((*place, kind, sender, receiver))
+            for tag, log in logs:
+                if log.events:
+                    events.extend((*place, tag, value) for value in log.drain())
         if not self._has_unicast:
             self._sample_queues()
-        return {
-            "deliveries": deliveries,
-            "decoded": self._decode_log.drain(),
-            "delivered": self._delivery_log.drain(),
-        }
+        return len(self._awake), events
 
-    def finish_slot(self, successes: Sequence[int]) -> None:
+    def fire_resolve(
+        self, request: Tuple[Tuple[int, ...], bool]
+    ) -> Tuple[int, List[Event]]:
+        """An interior slot: resolve what was fired where it was fired.
+
+        The parent asks for this when no granted transmitter has a
+        neighbour on another shard, so every arrival :meth:`fire` builds
+        belongs to a receiver owned here and nobody else's can.
+        """
+        _awake, events, entries = self.fire(request)
+        awake, resolved = self.resolve((entries, request[1]))
+        return awake, events + resolved
+
+    def finish_slot(self, successes: Sequence[int]) -> Tuple[int]:
         """Settle owned unicast attempts, then sample queues.
 
         Only invoked for sessions containing unicast runtimes: the
@@ -412,6 +457,7 @@ class ShardWorker:
             runtime.complete_transmission(node in success_set)
         self._pending_unicast.clear()
         self._sample_queues()
+        return (len(self._awake),)
 
     def _sample_queues(self) -> None:
         self._awake.sample_queues(self._runtime_list, self._queue_time_buf)
@@ -477,8 +523,10 @@ class ShardedSession:
     — the digest oracle.  ``shards>1`` partitions the mesh spatially
     (:func:`~repro.topology.partition.partition_network`), ships each
     shard its owned runtimes, and drives the slot loop through
-    per-slot barriers on a :class:`PersistentWorkerGroup`.  Both modes
-    expose the same API and produce bit-identical traces and stats.
+    per-slot barriers on a :class:`PersistentWorkerGroup` — over the
+    *live* shards only, those whose last reply reported a non-empty
+    awake set.  Both modes expose the same API and produce bit-identical
+    traces and stats.
     """
 
     def __init__(
@@ -523,6 +571,7 @@ class ShardedSession:
         self._grants = 0
         self._closed = False
         self._shards = shards
+        self._live = list(range(shards))
         self._partition: NetworkPartition | None = None
         self._group: PersistentWorkerGroup | None = None
         self._engine: EmulationEngine | None = None
@@ -570,7 +619,9 @@ class ShardedSession:
 
         The parent's scheduler never consumes RNG — every key arrives
         pre-drawn from a node's own stream — so its generator argument
-        is irrelevant; only the conflict structure matters.
+        is irrelevant; only the conflict structure matters.  Also the
+        *boundary*: participants with a neighbour on another shard, the
+        only transmitters whose slot needs the cross-shard phases.
         """
         conflicts = ConflictGraph(
             self._network,
@@ -581,6 +632,67 @@ class ShardedSession:
         self._positions = {
             node: i for i, node in enumerate(conflicts.participants)
         }
+        assert self._partition is not None
+        owner = self._partition.owner
+        neighbors = self._network.neighbors
+        self._boundary = frozenset(
+            node
+            for node in self._runtimes
+            if any(owner[peer] != owner[node] for peer in neighbors(node))
+        )
+
+    def _call(self, method: str, arguments: Mapping[int, Any]) -> Dict[int, Any]:
+        """``call_each`` whose failure also names the slot it happened in."""
+        assert self._group is not None
+        try:
+            return self._group.call_each(method, arguments)
+        except WorkerCallError as error:
+            raise WorkerCallError(
+                error.worker, error.method, f"slot {self._slots}: {error.detail}"
+            ) from None
+
+    def _phase(self, method: str, arguments: Mapping[int, Any]) -> List[Any]:
+        """One slot barrier over the shards named; their replies say who stays live."""
+        replies = self._call(method, arguments)
+        self._live = [shard for shard, reply in replies.items() if reply[0]]
+        return list(replies.values())
+
+    def _control(
+        self, method: str, arguments: Optional[Sequence[Any]] = None
+    ) -> List[Any]:
+        """The control plane reaches every shard, parked or not, and may wake it."""
+        self._live = list(range(self._shards))
+        if arguments is None:
+            arguments = [None] * self._shards
+        return list(self._call(method, dict(enumerate(arguments))).values())
+
+    def _replay(self, replies: List[Any]) -> Set[int]:
+        """Apply one phase's events in the order the serial engine has them.
+
+        Place order across shards; the sort is stable, so what happened
+        at one receiver stays in the order its worker saw it.  Returns
+        the senders whose unicast attempt was delivered.
+        """
+        tracer = self._tracer
+        successes: Set[int] = set()
+        events = chain.from_iterable(reply[1] for reply in replies)
+        for _rank, _pos, tag, *data in sorted(events, key=_PLACE):
+            if tag == "decoded":
+                self._handle_decoded(data[0])
+            elif tag == "delivered":
+                if self._on_delivered is not None:
+                    self._on_delivered(data[0])
+            elif tag == "tx":
+                assert tracer is not None
+                tracer.record(self._slots, self._elapsed, "tx", data[0])
+            else:
+                if tracer is not None:
+                    tracer.record(
+                        self._slots, self._elapsed, "delivery", data[0], peer=data[1]
+                    )
+                if tag == "unicast":
+                    successes.add(data[0])
+        return successes
 
     # -- introspection -------------------------------------------------
 
@@ -638,84 +750,60 @@ class ShardedSession:
             self._drain_logs()
             self._bump(granted)
             return granted
-        group = self._group
-        assert group is not None
-        shards = self._shards
-        events = self._pending_events if self._pending_events else None
+        events = self._pending_events or None
         self._pending_events = []
-        keyed_lists = group.call_all("begin_slot", [events] * shards)
+        begun = self._phase(
+            "begin_slot",
+            dict.fromkeys(range(self._shards) if events else self._live, events),
+        )
         positions = self._positions
         keyed = sorted(
             (key, positions[node])
-            for entries in keyed_lists
-            for key, node in entries
+            for _awake, keys, nodes in begun
+            for key, node in zip(keys, nodes)
         )
         granted = self._scheduler.grant_from_keyed(keyed)
         tracer = self._tracer
         if tracer is not None:
             for node in granted:
                 tracer.record(self._slots, self._elapsed, "grant", node)
-        fire_replies = group.call_all("fire", [granted] * shards)
-        if tracer is not None:
-            transmitted = sorted(
-                entry for reply in fire_replies for entry in reply[0]
-            )
-            for _rank, node in transmitted:
-                tracer.record(self._slots, self._elapsed, "tx", node)
-        # Group offers per receiver; per-receiver arrival order and the
-        # receiver processing order both follow (grant_rank,
-        # delivery_pos) — the serial offers-dict insertion order.
-        per_receiver: Dict[int, List[Tuple[int, int, int, str, Any]]] = {}
-        for reply in fire_replies:
-            for receiver, sender, rank, pos, kind, payload in reply[1]:
-                per_receiver.setdefault(receiver, []).append(
-                    (rank, pos, sender, kind, payload)
-                )
-        ordered: List[Tuple[Tuple[int, int], int, List[Tuple[int, str, Any]]]] = []
-        for receiver, arrivals in per_receiver.items():
-            arrivals.sort(key=lambda entry: (entry[0], entry[1]))
-            ordered.append(
-                (
-                    (arrivals[0][0], arrivals[0][1]),
-                    receiver,
-                    [(sender, kind, payload)
-                     for _rank, _pos, sender, kind, payload in arrivals],
-                )
-            )
-        ordered.sort(key=lambda entry: entry[0])
-        owner = self._partition.owner if self._partition is not None else ()
-        entries_per_shard: List[List[Tuple[int, List[Tuple[int, str, Any]]]]] = [
-            [] for _ in range(shards)
-        ]
-        for _key, receiver, arrivals in ordered:
-            entries_per_shard[owner[receiver]].append((receiver, arrivals))
-        replies = group.call_all("resolve", entries_per_shard)
-        winner: Dict[int, Tuple[int, str]] = {}
-        for reply in replies:
-            for receiver, sender, kind in reply["deliveries"]:
-                winner[receiver] = (sender, kind)
-        unicast_successes: Set[int] = set()
-        for _key, receiver, _arrivals in ordered:
-            sender, kind = winner[receiver]
-            if tracer is not None:
-                tracer.record(
-                    self._slots, self._elapsed, "delivery", sender, peer=receiver
-                )
-            if kind == "unicast":
-                unicast_successes.add(sender)
-        for reply in replies:
-            for generation_id in reply["decoded"]:
-                self._handle_decoded(generation_id)
-            for sequence in reply["delivered"]:
-                if self._on_delivered is not None:
-                    self._on_delivered(sequence)
-        if self._has_unicast:
-            successes_per_shard: List[List[int]] = [[] for _ in range(shards)]
-            for sender in sorted(unicast_successes):
-                successes_per_shard[owner[sender]].append(sender)
-            group.call_all("finish_slot", successes_per_shard)
+        request = (granted, tracer is not None)
+        if self._has_unicast or not self._boundary.isdisjoint(granted):
+            self._cross_cut_slot(request)
+        else:
+            # Interior: nothing fired can be heard on another shard.
+            self._replay(self._phase("fire_resolve", dict.fromkeys(self._live, request)))
         self._bump(granted)
         return granted
+
+    def _cross_cut_slot(self, request: Tuple[Tuple[int, ...], bool]) -> None:
+        """Fire everywhere, then route what each receiver heard to its owner."""
+        fired = self._phase("fire", dict.fromkeys(self._live, request))
+        self._replay(fired)
+        heard: Dict[int, List[Arrival]] = {}
+        for _awake, _events, entries in fired:
+            for receiver, arrivals in entries:
+                heard.setdefault(receiver, []).extend(arrivals)
+        for arrivals in heard.values():
+            arrivals.sort(key=_PLACE)
+        assert self._partition is not None
+        owner = self._partition.owner
+        # Every live shard resolves (it samples its queues there); a
+        # parked one only if something is addressed to it.
+        routed: Dict[int, List[Entry]] = {shard: [] for shard in self._live}
+        for entry in sorted(heard.items(), key=lambda entry: entry[1][0][:2]):
+            routed.setdefault(owner[entry[0]], []).append(entry)
+        successes = self._replay(
+            self._phase(
+                "resolve",
+                {shard: (entries, request[1]) for shard, entries in routed.items()},
+            )
+        )
+        if self._has_unicast:
+            settled: Dict[int, List[int]] = {shard: [] for shard in self._live}
+            for sender in successes:
+                settled[owner[sender]].append(sender)
+            self._phase("finish_slot", settled)
 
     def _bump(self, granted: Tuple[int, ...]) -> None:
         self._slots += 1
@@ -814,8 +902,7 @@ class ShardedSession:
         if self._engine is not None:
             self._engine.advance_idle(slots)
         else:
-            assert self._group is not None
-            self._group.call_all("advance_idle", [slots] * self._shards)
+            self._control("advance_idle", [slots] * self._shards)
         self._slots += slots
         self._elapsed += slots * self._dt
 
@@ -830,8 +917,7 @@ class ShardedSession:
         if self._engine is not None:
             self._engine.set_network(network)
             return
-        assert self._group is not None
-        self._group.call_all("set_network", [network] * self._shards)
+        self._control("set_network", [network] * self._shards)
         self._build_parent_scheduler()
 
     def rebuild_runtime_structures(self) -> None:
@@ -844,8 +930,7 @@ class ShardedSession:
         if self._engine is not None:
             self._engine.rebuild_runtime_structures()
             return
-        assert self._group is not None
-        self._group.call_all("rebuild")
+        self._control("rebuild")
         self._build_parent_scheduler()
 
     def apply_plan_updates(self, updates: Dict[int, Dict[str, Any]]) -> None:
@@ -856,14 +941,14 @@ class ShardedSession:
         unknown = sorted(set(updates) - set(self._runtimes))
         if unknown:
             raise KeyError(f"no runtimes for nodes {unknown}")
-        assert self._partition is not None and self._group is not None
+        assert self._partition is not None
         owner = self._partition.owner
         per_shard: List[Dict[int, Dict[str, Any]]] = [
             {} for _ in range(self._shards)
         ]
         for node, params in updates.items():
             per_shard[owner[node]][node] = params
-        self._group.call_all("apply_plan", per_shard)
+        self._control("apply_plan", per_shard)
 
     # -- results -------------------------------------------------------
 
@@ -871,11 +956,10 @@ class ShardedSession:
         """Merge per-shard counters into one serial-shaped stats object."""
         if self._engine is not None:
             return self._engine.stats
-        assert self._group is not None
         merged = EngineStats(
             slots=self._slots, elapsed=self._elapsed, grants=self._grants
         )
-        for reply in self._group.call_all("finalize"):
+        for reply in self._control("finalize"):
             merged.queue_time_sum.update(reply["queue_time_sum"])
             merged.transmissions.update(reply["transmissions"])
             merged.delivered_links.update(
@@ -901,9 +985,8 @@ class ShardedSession:
                         "xor_transmissions": runtime.xor_transmissions,
                     }
             return stats
-        assert self._group is not None
         merged_stats: Dict[int, Dict[str, Any]] = {}
-        for reply in self._group.call_all("session_stats"):
+        for reply in self._control("session_stats"):
             merged_stats.update(reply)
         return merged_stats
 

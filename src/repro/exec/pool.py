@@ -29,7 +29,7 @@ import traceback
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait as _wait_connections
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exec.job import JobFailure, JobOutcome, JobResult, JobSpec
 
@@ -226,34 +226,43 @@ class PersistentWorkerGroup:
         """Number of live workers."""
         return len(self._procs)
 
-    def call_all(
-        self, method: str, arguments: Optional[Sequence[Any]] = None
-    ) -> List[Any]:
-        """Invoke ``method`` on every worker; results in worker order.
+    def call_each(self, method: str, arguments: Mapping[int, Any]) -> Dict[int, Any]:
+        """Invoke ``method`` on the workers ``arguments`` names.
 
-        ``arguments[i]`` goes to worker ``i`` (``None`` broadcasts
-        ``None`` to all).  All requests are written before any reply is
-        awaited, so workers execute the phase concurrently — one
-        pipelined barrier round-trip.
+        ``arguments[i]`` goes to worker ``i``; the other workers are not
+        contacted.  All requests are written before any reply is
+        awaited, so the addressed workers execute the phase concurrently
+        — one pipelined barrier round-trip.  Replies are keyed like
+        ``arguments``.
         """
         if self._closed:
             raise RuntimeError("worker group is closed")
+        for worker, argument in arguments.items():
+            try:
+                self._conns[worker].send((method, argument))
+            except (BrokenPipeError, ConnectionResetError):
+                pass  # a dead worker; the receive below says so
+        return {worker: self._receive(worker, method) for worker in arguments}
+
+    def call_all(
+        self, method: str, arguments: Optional[Sequence[Any]] = None
+    ) -> List[Any]:
+        """:meth:`call_each` over every worker; results in worker order.
+
+        ``arguments[i]`` goes to worker ``i`` (``None`` broadcasts
+        ``None`` to all).
+        """
         if arguments is None:
             arguments = [None] * self.size
         if len(arguments) != self.size:
             raise ValueError(
                 f"expected {self.size} argument(s), got {len(arguments)}"
             )
-        for conn, argument in zip(self._conns, arguments):
-            conn.send((method, argument))
-        return [self._receive(index, method) for index in range(self.size)]
+        return list(self.call_each(method, dict(enumerate(arguments))).values())
 
     def call_one(self, worker: int, method: str, argument: Any = None) -> Any:
         """Invoke ``method`` on one worker and await its reply."""
-        if self._closed:
-            raise RuntimeError("worker group is closed")
-        self._conns[worker].send((method, argument))
-        return self._receive(worker, method)
+        return self.call_each(method, {worker: argument})[worker]
 
     def _receive(self, worker: int, method: str) -> Any:
         try:

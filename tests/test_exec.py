@@ -334,6 +334,28 @@ class TestPersistentWorkerGroup:
             assert group.call_all("get") == [12, 104]
             assert group.call_one(1, "add", 6) == 110
 
+    def test_call_each_contacts_only_the_workers_named(self):
+        with WorkerPool(3).persistent(_counter_factory, [0, 10, 20]) as group:
+            assert group.call_each("add", {2: 5, 0: 1}) == {2: 25, 0: 1}
+            assert group.call_each("add", {}) == {}
+            assert group.call_all("get") == [1, 10, 25]  # worker 1 heard nothing
+
+    def test_call_each_reports_a_worker_that_died_earlier(self):
+        # The pipe to a dead worker may refuse the request itself; that
+        # has to read as the worker's failure, not as a raw OSError.
+        group = WorkerPool(2).persistent(_counter_factory, [0, 0])
+        try:
+            group._procs[1].kill()
+            group._procs[1].join(5)
+            assert group.call_each("add", {0: 1}) == {0: 1}
+            for _ in range(2):
+                with pytest.raises(WorkerCallError, match="died") as info:
+                    group.call_each("add", {0: 1, 1: b"x" * 1_000_000})
+                assert info.value.worker == 1
+        finally:
+            group.close()
+        assert not any(process.is_alive() for process in group._procs)
+
     def test_factory_error_fails_construction(self):
         with pytest.raises(WorkerCallError, match="cannot build state"):
             WorkerPool(1).persistent(_failing_factory, [0])

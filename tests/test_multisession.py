@@ -24,6 +24,7 @@ from repro.routing.node_selection import NodeSelectionError
 from repro.scenario.spec import ScenarioEvent, ScenarioSpec
 from repro.topology.random_network import random_network
 from repro.util.rng import RngFactory
+from tests.test_active_set import chain_network, line_network
 
 # Every slot of every run below re-checks each parked runtime
 # (tests/conftest.py): a missing wake fails the oracle tests loudly.
@@ -317,3 +318,46 @@ class TestMultiSessionShardOracle:
             )
             digests[shards] = multi_session_digest(outcome)
         assert digests[1] == digests[4]
+
+    @pytest.mark.parametrize(
+        "network, endpoints, seed, crosses_cuts",
+        [
+            # Two-hop range on a 7-node chain: most transmitters reach across a cut.
+            (chain_network(), ((0, 2), (6, 4)), 1, True),
+            # Both sessions deep inside their strips: every slot is interior.
+            (line_network(16), ((0, 2), (15, 13)), 4, False),
+        ],
+        ids=["boundary", "interior"],
+    )
+    def test_same_slot_decodes_keep_the_serial_order(
+        self, barriers, network, endpoints, seed, crosses_cuts
+    ):
+        """Two destinations on different shards decode in one slot.
+
+        Two-block generations make that common.  The seeds are ones on
+        which the parent of this test applied the two decodes shard by
+        shard and swapped the ``ack`` trace records against ``shards=1``
+        (outcome digests equal, trace digests not).
+        """
+        plans = {
+            sid: plan_omnc(network, source, destination)
+            for sid, (source, destination) in enumerate(endpoints, start=1)
+        }
+        digests = {}
+        for shards in (1, 2, 4):
+            del barriers[:]
+            tracer = SessionTracer(capacity=500_000)
+            outcome = run_multi_session(
+                network,
+                plans,
+                shards=shards,
+                config=_quick_config(blocks=2, max_seconds=1.0),
+                rng=RngFactory(seed),
+                tracer=tracer,
+            )
+            digests[shards] = (multi_session_digest(outcome), trace_digest(tracer))
+            if shards > 1:
+                used = {method for method, _arguments, _replies in barriers}
+                assert ("resolve" in used) == crosses_cuts
+        assert digests[2] == digests[1]
+        assert digests[4] == digests[1]

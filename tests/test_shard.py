@@ -7,6 +7,10 @@ same :class:`SessionResult` digest, same trace digest — on every
 topology, fidelity, and interference model.
 """
 
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
@@ -17,6 +21,7 @@ from repro.emulator.shard import (
     trace_digest,
 )
 from repro.emulator.trace import SessionTracer
+from repro.exec.pool import WorkerCallError
 from repro.protocols.etx_routing import plan_etx_route
 from repro.protocols.omnc import plan_omnc
 from repro.routing.node_selection import NodeSelectionError
@@ -28,6 +33,7 @@ from repro.topology.partition import (
 )
 from repro.topology.random_network import random_network
 from repro.util.rng import RngFactory
+from tests.test_active_set import line_network, line_session, stats_digest
 
 # Every slot of every run below re-checks each parked runtime
 # (tests/conftest.py): a missing wake fails the oracle tests loudly.
@@ -200,6 +206,155 @@ class TestShardedOracle:
         first = _digests(network, plan, 2, config=config, seed=6)
         second = _digests(network, plan, 2, config=config, seed=6)
         assert first[:2] == second[:2]
+
+
+def _leaves(value):
+    """Every non-container object inside a reply."""
+    if isinstance(value, (list, tuple, set, frozenset)):
+        for item in value:
+            yield from _leaves(item)
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(key)
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+def _line_digests(nodes, shards, drive):
+    tracer = SessionTracer(capacity=500_000)
+    with line_session(line_network(nodes), shards, tracer=tracer) as session:
+        drive(session)
+        stats = session.finalize_stats()
+    return stats_digest(stats), trace_digest(tracer), stats
+
+
+class TestBarrierTransitions:
+    """Shards park, are left alone, and come back — invisibly.
+
+    The 2 048-node benchmark line never wakes its far shard; these
+    lines are short enough that the wave front crosses every cut, and
+    the control plane is made to reach into a shard that is parked.
+    """
+
+    def test_wave_front_crosses_every_cut(self, barriers):
+        runs = {}
+        for shards in (1, 2, 4):
+            del barriers[:]  # keep the last run's only
+            runs[shards] = _line_digests(48, shards, lambda session: session.run(110))
+        front = max(j for _i, j in runs[1][2].delivered_links)
+        assert front > 36  # past the last cut of the four-strip partition
+        assert runs[2][:2] == runs[1][:2]
+        assert runs[4][:2] == runs[1][:2]
+        # The last strip went through all three states: called, then
+        # parked and not called, then woken by a resolve entry.
+        called = [3 in arguments for _method, arguments, _replies in barriers]
+        assert called[0] and called[-2] and not all(called)
+        woken = called.index(True, called.index(False))
+        assert barriers[woken][0] == "resolve"
+
+    @pytest.mark.parametrize(
+        "reach, method",
+        [
+            (lambda s: s.broadcast_generation_advance(1), "begin_slot"),
+            (lambda s: s.broadcast_session_arrival(1), "begin_slot"),
+            (lambda s: s.broadcast_session_departure(1), "begin_slot"),
+            (lambda s: s.apply_plan_updates({40: {"rate_bps": 2e4}}), "apply_plan"),
+            (lambda s: s.set_network(line_network(64)), "set_network"),
+            (lambda s: s.advance_idle(5), "advance_idle"),
+        ],
+        ids=["advance", "arrive", "depart", "apply_plan", "set_network", "advance_idle"],
+    )
+    def test_control_plane_reaches_a_parked_shard(self, barriers, reach, method):
+        def drive(session):
+            session.run(20)
+            if session.shards > 1:
+                assert 1 not in barriers[-1][1]  # the far strip is parked
+                del barriers[:]
+            reach(session)
+            session.run(20)
+
+        serial = _line_digests(64, 1, drive)
+        sharded = _line_digests(64, 2, drive)
+        assert sharded[:2] == serial[:2]
+        reached = [
+            arguments[1]
+            for name, arguments, _replies in barriers
+            if name == method and 1 in arguments
+        ]
+        assert reached and reached[0] is not None
+        # ... and with nothing left to do there it is left alone again.
+        assert 1 not in barriers[-2][1]
+
+    def test_interior_and_boundary_slots_in_one_session(self, barriers):
+        network, plan = _planned_mesh(1)
+        serial = _digests(network, plan, 1, config=_quick_config(), seed=1)
+        sharded = _digests(network, plan, 2, config=_quick_config(), seed=1)
+        assert sharded[:2] == serial[:2]
+        methods = [method for method, _arguments, _replies in barriers]
+        assert methods.count("fire_resolve") == 7  # interior slots
+        assert methods.count("fire") == methods.count("resolve") == 37
+
+
+class TestBarrierTraffic:
+    """What a slot costs on the pipe (256-node line, two strips)."""
+
+    def test_parked_shard_is_not_called_and_interior_slots_carry_no_packet(
+        self, barriers
+    ):
+        with line_session(line_network(256), 2) as session:
+            session.run(120)
+            slot_phases = list(barriers)
+            session.finalize_stats()
+        # Everything starts awake; the far strip's relays park at the
+        # second check (slot 8) and from then on it is sent nothing.
+        far = [method for method, arguments, _replies in slot_phases if 1 in arguments]
+        assert far == ["begin_slot", "fire_resolve"] * 7 + ["begin_slot"]
+        assert barriers[-1][0] == "finalize" and set(barriers[-1][1]) == {0, 1}
+        # The front stays inside strip 0: every slot is interior, costs
+        # the live shard two messages and moves plain numbers only.
+        near = [method for method, arguments, _replies in slot_phases if 0 in arguments]
+        assert near == ["begin_slot", "fire_resolve"] * 120
+        for _method, _arguments, replies in slot_phases:
+            assert {type(leaf) for leaf in _leaves(replies)} <= {int, float}
+
+
+class TestBarrierFailure:
+    """A dead shard is reported with shard, phase and slot, in bounded time."""
+
+    def _kill(self, session, shard):
+        process = session._group._procs[shard]
+        os.kill(process.pid, signal.SIGKILL)
+        process.join(5)
+
+    def _assert_no_children(self, session):
+        session.close()
+        assert not any(process.is_alive() for process in session._group._procs)
+
+    def test_live_shard_killed_between_steps(self):
+        session = line_session(line_network(64), 2)
+        try:
+            session.run(12)
+            self._kill(session, 0)
+            started = time.monotonic()
+            with pytest.raises(WorkerCallError, match="slot 12: worker process died") as info:
+                session.step()
+            assert time.monotonic() - started < 5.0
+            assert (info.value.worker, info.value.method) == (0, "begin_slot")
+        finally:
+            self._assert_no_children(session)
+
+    def test_parked_shard_killed_surfaces_when_addressed(self):
+        session = line_session(line_network(64), 2)
+        try:
+            session.run(12)
+            self._kill(session, 1)
+            session.run(5)  # nobody talks to a parked shard
+            with pytest.raises(WorkerCallError, match="slot 17: worker process died") as info:
+                session.finalize_stats()
+            assert (info.value.worker, info.value.method) == (1, "finalize")
+        finally:
+            self._assert_no_children(session)
 
 
 class TestShardedValidation:
