@@ -344,7 +344,8 @@ class WorkerPool:
             raise ValueError(f"retries must be >= 0, got {retries}")
         if start_method is None:
             # fork is dramatically cheaper when available (no re-import of
-            # numpy/scipy per worker); spawn is the portable fallback.
+            # numpy and the package per worker, and whatever the parent
+            # memoised is inherited); spawn is the portable fallback.
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else "spawn"
         self._workers = workers

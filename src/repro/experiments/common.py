@@ -448,20 +448,27 @@ class SessionJobOutput:
 
 
 # Per-process memo of deployed topologies, keyed by the config fields
-# that determine them.  Worker processes run many jobs of one campaign;
-# rebuilding the network once per process instead of once per job keeps
-# the job overhead negligible.
+# that determine them.  The campaign driver files the network it built
+# before it submits jobs, so in-process jobs and forked workers find it
+# there; a spawned worker, or a job run on its own, builds it once.
 _NETWORK_CACHE: Dict[Tuple[int, str, int], WirelessNetwork] = {}
 
 
+def _network_key(config: CampaignConfig) -> Tuple[int, str, int]:
+    return (config.node_count, config.quality, config.seed)
+
+
+def _remember_network(config: CampaignConfig, network: WirelessNetwork) -> None:
+    if len(_NETWORK_CACHE) >= 8:  # bound worker memory across sweeps
+        _NETWORK_CACHE.clear()
+    _NETWORK_CACHE[_network_key(config)] = network
+
+
 def _campaign_network(config: CampaignConfig) -> WirelessNetwork:
-    key = (config.node_count, config.quality, config.seed)
-    network = _NETWORK_CACHE.get(key)
+    network = _NETWORK_CACHE.get(_network_key(config))
     if network is None:
-        if len(_NETWORK_CACHE) >= 8:  # bound worker memory across sweeps
-            _NETWORK_CACHE.clear()
         _, network = build_network(config)
-        _NETWORK_CACHE[key] = network
+        _remember_network(config, network)
     return network
 
 
@@ -543,6 +550,7 @@ def run_campaign(
     )
     started = time.time()  # repro: ignore[RPR002] campaign wall-time metric
     _rng, network = build_network(config)
+    _remember_network(config, network)
     sessions = pick_sessions(config, network, strict=False)
     campaign = CampaignResult(config=config, network=network)
     for missing in range(len(sessions), config.sessions):
@@ -560,12 +568,6 @@ def run_campaign(
         )
         failures_counter.inc()
     specs = campaign_jobs(config, sessions, collect_metrics=metrics.enabled)
-    if policy.parallel:
-        # Every session job plans oldMORE through the min-cost LP, and
-        # scipy loads on the first LP solved in a process.  Workers fork
-        # from this one: load it here once instead of once per worker.
-        import scipy.optimize  # noqa: F401
-        import scipy.sparse  # noqa: F401
     outcomes = execute_jobs(specs, policy, registry=registry)
     for index, ((source, destination, _plan), outcome) in enumerate(
         zip(sessions, outcomes)

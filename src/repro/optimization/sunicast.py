@@ -13,11 +13,13 @@ neighbor.)
 
 The LP is solved centrally with scipy's HiGHS backend, imported by the
 solver functions themselves: no emulated session, campaign or re-plan
-solves an LP (the default planner is Table 1), so importing this module
-does not load scipy.  It serves three
+solves an LP (the default planner is Table 1, and oldMORE's min-cost
+routing, :func:`solve_min_cost_routing`, is a shortest path), so
+importing this module does not load scipy.  It serves three
 roles in this repository: the reference optimum that the distributed
-algorithm must approach, the oldMORE-style planner reuses its matrix
-builder with a different objective, and the throughput predictions the
+algorithm must approach, the broadcast-shared min-cost ablation
+(:func:`solve_min_cost`) reuses its matrix builder with a different
+objective, and the throughput predictions the
 paper compares emulated results against ("the actual emulated throughput
 of OMNC tends to be lower than the optimized throughput computed by the
 sUnicast framework", Sec. 5).
@@ -34,6 +36,7 @@ from typing import TYPE_CHECKING, Dict, List, Tuple
 import numpy as np
 
 from repro.optimization.problem import SessionGraph
+from repro.routing.shortest_path import dijkstra
 from repro.topology.graph import Link
 
 if TYPE_CHECKING:
@@ -315,46 +318,35 @@ def solve_min_cost_routing(
     links and therefore spreads flow (the ablation benchmark compares the
     two).
 
-    The returned ``broadcast_rates`` hold each node's transmission rate
-    z_i = sum_j x_ij / p_ij (unnormalized by throughput).
-    """
-    from scipy.optimize import linprog
-    from scipy.sparse import csr_matrix
+    The only constraints are flow conservation and ``x >= 0``: an
+    uncapacitated min-cost flow, whose optimum sends the whole flow down
+    a shortest route at weight ``1 / p_ij``.  It is computed as that —
+    one Dijkstra from the source, no LP (DESIGN.md, deviation 5).  Among
+    equal-cost routes the one :func:`~repro.routing.shortest_path.dijkstra`
+    settles first carries everything (``(distance, node id)`` pop order,
+    strict ``<`` on relaxation); an LP solver could return any convex
+    combination of them.  Unused links carry ``0.0``, never ``-0.0``.
 
+    The returned ``broadcast_rates`` hold each node's transmission rate
+    z_i = sum_j x_ij / p_ij (unnormalized by throughput); ``objective``
+    is ``throughput`` times the destination's distance.  Raises
+    :class:`InfeasibleSessionError` when the destination is unreachable.
+    """
     if throughput <= 0:
         raise ValueError(f"throughput must be > 0, got {throughput}")
-    link_index = {link: k for k, link in enumerate(graph.links)}
-    columns = len(link_index)
-    eq_rows: List[int] = []
-    eq_cols: List[int] = []
-    eq_vals: List[float] = []
-    eq_rhs: List[float] = []
-    for row, node in enumerate(graph.nodes):
-        for link in graph.out_links(node):
-            eq_rows.append(row)
-            eq_cols.append(link_index[link])
-            eq_vals.append(1.0)
-        for link in graph.in_links(node):
-            eq_rows.append(row)
-            eq_cols.append(link_index[link])
-            eq_vals.append(-1.0)
-        eq_rhs.append(float(graph.supply(node)) * throughput)
-    a_eq = csr_matrix(
-        (eq_vals, (eq_rows, eq_cols)), shape=(len(eq_rhs), columns)
+    tree = dijkstra(
+        graph.nodes,
+        {link: 1.0 / graph.probability[link] for link in graph.links},
+        graph.source,
     )
-    cost = np.zeros(columns)
-    for link, col in link_index.items():
-        cost[col] = 1.0 / graph.probability[link]
-    result = linprog(
-        cost,
-        A_eq=a_eq,
-        b_eq=np.array(eq_rhs),
-        bounds=[(0.0, None)] * columns,
-        method="highs",
-    )
-    if not result.success:
-        raise InfeasibleSessionError(f"min-cost routing LP failed: {result.message}")
-    flows = {link: float(result.x[col]) for link, col in link_index.items()}
+    path = tree.path_to(graph.destination)
+    if path is None:
+        raise InfeasibleSessionError(
+            f"destination {graph.destination} is unreachable from source "
+            f"{graph.source} in the session graph"
+        )
+    route = set(zip(path, path[1:]))
+    flows = {link: throughput if link in route else 0.0 for link in graph.links}
     rates: Dict[int, float] = {node: 0.0 for node in graph.nodes}
     for link, x in flows.items():
         rates[link[0]] += x / graph.probability[link]
@@ -362,7 +354,7 @@ def solve_min_cost_routing(
         throughput=throughput,
         flows=flows,
         broadcast_rates=rates,
-        objective=float(result.fun),
+        objective=throughput * tree.distance[graph.destination],
     )
 
 

@@ -5,7 +5,8 @@
 * :mod:`repro.protocols.more` — the MORE heuristic (ETX-ordered expected
   transmissions, TX credits, no rate control).
 * :mod:`repro.protocols.oldmore` — the preliminary MORE: credits from
-  the Lun et al. min-cost LP (prunes low-quality paths, no rate control).
+  the Lun et al. min-cost formulation (prunes low-quality paths, no rate
+  control).
 * :mod:`repro.protocols.etx_routing` — single best-path routing under
   the ETX metric (the throughput-gain denominator).
 * :mod:`repro.protocols.intersession` — COPE-style inter-session XOR

@@ -17,8 +17,8 @@ Two properties follow, both of which the paper's evaluation exposes:
   in high-quality networks (Fig. 2 right).
 
 The data plane is identical to MORE's (credit-driven coded broadcast);
-only the credit computation differs: z_i = b_i / gamma from the LP
-instead of the ETX-ordered heuristic.
+only the credit computation differs: z_i = b_i / gamma from the min-cost
+routing optimum instead of the ETX-ordered heuristic.
 """
 
 from __future__ import annotations
@@ -44,10 +44,11 @@ def plan_oldmore(
 ) -> CreditBroadcastPlan:
     """Full oldMORE control plane: node selection + min-cost credits.
 
-    The min-cost LP uses transmission-count (store-and-forward) cost
+    The min-cost problem uses transmission-count (store-and-forward) cost
     semantics — see :func:`repro.optimization.sunicast.solve_min_cost_routing`
     for why this variant, rather than the broadcast-shared one, matches
-    the path-pruning behaviour the paper reports for oldMORE.
+    the path-pruning behaviour the paper reports for oldMORE, and why its
+    optimum is the ETX-shortest route inside the forwarder DAG.
     """
     forwarders = select_forwarders(
         network, source, destination, weights=weights

@@ -1,13 +1,20 @@
-"""The benchmark's reference mesh and a digest of a link table.
+"""The benchmark's reference mesh, a digest of a link table, an LP oracle.
 
 Shared by the literal oracles of the topology-update path
 (``test_pseudo_broadcast``, ``test_dynamics``, ``test_scenario``) and of
 the routing layer (``test_node_selection``, ``test_protocols``): they pin
 values on the very deployment ``adaptive_replan`` re-plans on.
+:func:`min_cost_routing_lp` is what ``solve_min_cost_routing`` ran until
+its closed form replaced it (``test_sunicast``, ``test_protocols``).
 """
 
 import hashlib
+from typing import Dict, List
 
+import numpy as np
+
+from repro.optimization.problem import SessionGraph
+from repro.optimization.sunicast import InfeasibleSessionError, SUnicastSolution
 from repro.topology.graph import WirelessNetwork
 from repro.topology.phy import lossy_phy
 from repro.topology.random_network import random_network
@@ -44,3 +51,61 @@ def link_table_digest(network: WirelessNetwork) -> str:
     for i, j, p in network.links():
         digest.update(f"{i},{j},{p!r};".encode())
     return digest.hexdigest()
+
+
+def min_cost_routing_lp(
+    graph: SessionGraph, *, throughput: float = 1e-3
+) -> SUnicastSolution:
+    """Minimize ``sum_ij x_ij / p_ij`` under flow conservation, on HiGHS.
+
+    The body ``solve_min_cost_routing`` had before it became a shortest
+    path, moved here unedited: the oracle of the closed form.  HiGHS may
+    split the flow over equal-cost routes and leaves ``-0.0`` on unused
+    links.
+    """
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+
+    if throughput <= 0:
+        raise ValueError(f"throughput must be > 0, got {throughput}")
+    link_index = {link: k for k, link in enumerate(graph.links)}
+    columns = len(link_index)
+    eq_rows: List[int] = []
+    eq_cols: List[int] = []
+    eq_vals: List[float] = []
+    eq_rhs: List[float] = []
+    for row, node in enumerate(graph.nodes):
+        for link in graph.out_links(node):
+            eq_rows.append(row)
+            eq_cols.append(link_index[link])
+            eq_vals.append(1.0)
+        for link in graph.in_links(node):
+            eq_rows.append(row)
+            eq_cols.append(link_index[link])
+            eq_vals.append(-1.0)
+        eq_rhs.append(float(graph.supply(node)) * throughput)
+    a_eq = csr_matrix(
+        (eq_vals, (eq_rows, eq_cols)), shape=(len(eq_rhs), columns)
+    )
+    cost = np.zeros(columns)
+    for link, col in link_index.items():
+        cost[col] = 1.0 / graph.probability[link]
+    result = linprog(
+        cost,
+        A_eq=a_eq,
+        b_eq=np.array(eq_rhs),
+        bounds=[(0.0, None)] * columns,
+        method="highs",
+    )
+    if not result.success:
+        raise InfeasibleSessionError(f"min-cost routing LP failed: {result.message}")
+    flows = {link: float(result.x[col]) for link, col in link_index.items()}
+    rates: Dict[int, float] = {node: 0.0 for node in graph.nodes}
+    for link, x in flows.items():
+        rates[link[0]] += x / graph.probability[link]
+    return SUnicastSolution(
+        throughput=throughput,
+        flows=flows,
+        broadcast_rates=rates,
+        objective=float(result.fun),
+    )

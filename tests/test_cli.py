@@ -235,7 +235,43 @@ assert network.to_networkx(weight="etx").number_of_edges() > 0
 assert "scipy" in sys.modules and "networkx" in sys.modules
 """
 
-    def test_scipy_and_networkx_load_on_first_use_only(self):
+    # A one-session, four-protocol campaign; then, at jobs=2, a probe job
+    # that plans oldMORE on a worker forked after the campaign's own.
+    _CAMPAIGN_SCRIPT = """
+import sys
+from repro.exec import ExecutionPolicy, JobSpec, execute_jobs
+from repro.experiments.common import CampaignConfig, build_network, run_campaign
+
+JOBS = int(sys.argv[1])
+CONFIG = CampaignConfig(
+    node_count=40, sessions=1, min_hops=2, max_hops=6,
+    session_seconds=20.0, target_generations=2, seed=7,
+)
+
+
+def plan_on_worker(endpoints):
+    from repro.protocols.oldmore import plan_oldmore
+    plan_oldmore(build_network(CONFIG)[1], *endpoints)
+    return "scipy" in sys.modules
+
+
+campaign = run_campaign(CONFIG, policy=ExecutionPolicy(jobs=JOBS))
+(record,) = campaign.records
+assert set(record.results) == {"etx", "omnc", "more", "oldmore"}
+assert "scipy" not in sys.modules
+if JOBS > 1:
+    (probe,) = execute_jobs(
+        [JobSpec(
+            key="scipy-probe", fn=plan_on_worker,
+            payload=(record.source, record.destination),
+        )],
+        ExecutionPolicy(jobs=JOBS),
+    )
+    assert probe.value is False, probe
+"""
+
+    @staticmethod
+    def _run(script, *argv):
         import os
         import subprocess
         import sys
@@ -247,7 +283,14 @@ assert "scipy" in sys.modules and "networkx" in sys.modules
             [src, *filter(None, [env.get("PYTHONPATH")])]
         )
         done = subprocess.run(
-            [sys.executable, "-c", self._SCRIPT],
+            [sys.executable, "-c", script, *argv],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
+
+    def test_scipy_and_networkx_load_on_first_use_only(self):
+        self._run(self._SCRIPT)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_campaign_never_loads_scipy(self, jobs):
+        self._run(self._CAMPAIGN_SCRIPT, str(jobs))

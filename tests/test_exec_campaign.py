@@ -8,7 +8,7 @@ import time
 import pytest
 
 from repro import obs
-from repro.exec import ExecutionPolicy
+from repro.exec import ExecutionPolicy, JobSpec, execute_jobs
 from repro.experiments.common import (
     CampaignConfig,
     CampaignFailure,
@@ -221,6 +221,65 @@ class TestFailureRecording:
         snapshot = registry.snapshot()
         assert snapshot["campaign.sessions_failed"]["value"] == TINY.sessions
         assert snapshot["exec.jobs_failed"]["value"] == TINY.sessions
+
+
+def _memoised_networks(_payload):
+    """Probe job: the keys of the network memo in the process that runs it."""
+    from repro.experiments import common as common_module
+
+    return sorted(common_module._NETWORK_CACHE)
+
+
+class TestCampaignNetworkMemo:
+    """The driver's network is the jobs' network: one build per campaign."""
+
+    KEY = (TINY.node_count, TINY.quality, TINY.seed)
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        from repro.experiments import common as common_module
+
+        calls = []
+        real = common_module.build_network
+
+        def counted(config):
+            calls.append(config)
+            return real(config)
+
+        monkeypatch.setattr(common_module, "build_network", counted)
+        monkeypatch.setattr(common_module, "_NETWORK_CACHE", {})  # cold process
+        return calls
+
+    def test_serial_campaign_builds_once(self, builds, serial_campaign):
+        from repro.experiments import common as common_module
+
+        campaign = run_campaign(TINY, policy=ExecutionPolicy(jobs=1))
+        assert len(builds) == 1
+        assert common_module._NETWORK_CACHE[self.KEY] is campaign.network
+        assert campaign.digest() == serial_campaign.digest()
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="workers inherit the memo only when forked",
+    )
+    def test_forked_workers_inherit_the_network(self, builds):
+        policy = ExecutionPolicy(jobs=2)
+        run_campaign(TINY, policy=policy)
+        assert len(builds) == 1  # the parent's; a worker's would not show here
+        (probe,) = execute_jobs(
+            [JobSpec(key="network-memo-probe", fn=_memoised_networks, payload=None)],
+            policy,
+        )
+        assert probe.value == [self.KEY]
+
+    def test_memo_stays_bounded(self, builds):
+        from repro.experiments import common as common_module
+
+        for seed in range(10):
+            config = CampaignConfig(**{**TINY.__dict__, "node_count": 12, "seed": seed})
+            common_module._campaign_network(config)
+            assert len(common_module._NETWORK_CACHE) <= 8
+        assert len(builds) == 10
 
 
 class TestJobShape:

@@ -22,6 +22,7 @@ from repro.protocols.more import (
 from repro.protocols.oldmore import plan_oldmore
 from repro.protocols.omnc import plan_omnc, plan_omnc_detailed
 from repro.routing.node_selection import NodeSelectionError, select_forwarders
+from repro.routing.shortest_path import dijkstra
 from repro.topology.random_network import (
     chain_topology,
     diamond_topology,
@@ -271,6 +272,29 @@ class TestOldMore:
         plan = plan_oldmore(net, 0, 3)
         # Relay 2 (the bad path) earns no credit from the min-cost plan.
         assert plan.tx_credits.get(2, 0.0) == pytest.approx(0.0, abs=1e-9)
+
+
+    def test_transmits_only_along_the_shortest_route_in_the_dag(self):
+        # Fig. 4's pruning as an invariant: the min-cost optimum is the
+        # ETX-shortest route of the forwarder DAG, each hop charged its
+        # expected transmission count; every other forwarder is silent.
+        net = reference_mesh()
+        transmitting = silent = 0
+        for source, destination in PLANNED_PAIRS:
+            forwarders = select_forwarders(net, source, destination)
+            weights = {
+                (i, j): 1.0 / net.probability(i, j) for i, j in forwarders.dag_links
+            }
+            route = dijkstra(forwarders.nodes, weights, source).path_to(destination)
+            expected = {node: 0.0 for node in forwarders.nodes}
+            for i, j in zip(route, route[1:]):
+                expected[i] = (1e-3 / net.probability(i, j)) / 1e-3
+            plan = plan_oldmore(net, source, destination)
+            assert plan.expected_transmissions == expected
+            transmitting += len(route) - 1
+            silent += len(forwarders.nodes) - len(route)
+        # Over the fourteen pairs most relays the selection offered are pruned.
+        assert (transmitting, silent) == (65, 95)
 
 
 class TestOmncPlanning:

@@ -1,19 +1,34 @@
 """The sUnicast LP and its variants."""
 
-import pytest
+import math
+import random
 
-from repro.optimization.problem import session_graph_from_network
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.experiments.common import CampaignConfig, pick_sessions
+from repro.optimization.problem import (
+    SessionGraph,
+    session_graph_from_network,
+    session_graph_from_selection,
+)
 from repro.optimization.sunicast import (
+    InfeasibleSessionError,
     solve_min_cost,
     solve_min_cost_routing,
     solve_sunicast,
     verify_feasibility,
 )
+from repro.routing.node_selection import NodeSelectionError, select_forwarders
+from repro.routing.shortest_path import dijkstra, dijkstra_to_destination
 from repro.topology.random_network import (
     chain_topology,
     diamond_topology,
     fig1_sample_topology,
 )
+from tests.meshes import lossy_meshes
+from tests.reference import min_cost_routing_lp, reference_mesh
 
 
 class TestSolveSunicast:
@@ -116,6 +131,141 @@ class TestMinCost:
             solve_min_cost(graph, throughput=0)
         with pytest.raises(ValueError):
             solve_min_cost_routing(graph, throughput=-1)
+
+
+def _outcome(solver, graph):
+    try:
+        return solver(graph)
+    except InfeasibleSessionError:
+        return None
+
+
+def _assert_no_negative_zero(solution):
+    # HiGHS leaves -0.0 on unused links; the closed form must never.
+    for link, x in solution.flows.items():
+        assert math.copysign(1.0, x) > 0, (link, x)
+
+
+def _route_is_unique(graph, margin=1e-6):
+    """No link off the shortest route lies on a route within ``margin`` of it.
+
+    The margin keeps near-ties out as well: HiGHS prices columns to a
+    1e-7 tolerance and may split flow over routes that close.
+    """
+    weights = {link: 1.0 / graph.probability[link] for link in graph.links}
+    out = dijkstra(graph.nodes, weights, graph.source)
+    back = dijkstra_to_destination(graph.nodes, weights, graph.destination)
+    best = out.distance[graph.destination]
+    tight = [
+        (i, j)
+        for (i, j), w in weights.items()
+        if i in out.distance
+        and j in back.distance
+        and out.distance[i] + w + back.distance[j] <= best + margin
+    ]
+    return len(tight) == len(out.path_to(graph.destination)) - 1
+
+
+class TestMinCostRoutingEqualsLp:
+    """``solve_min_cost_routing`` is a shortest path; the LP it replaced
+    (``tests/reference.py::min_cost_routing_lp``) is its oracle."""
+
+    @given(lossy_meshes(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_property_on_adversarial_meshes(self, net, data):
+        source = data.draw(st.integers(0, net.node_count - 1))
+        destination = data.draw(
+            st.integers(0, net.node_count - 2).map(
+                lambda d: d if d < source else d + 1
+            )
+        )
+        graph = session_graph_from_network(net, source, destination)
+        closed = _outcome(solve_min_cost_routing, graph)
+        if not graph.links:
+            # linprog rejects a program without columns (a bare ValueError,
+            # as solve_min_cost_routing used to leak); nothing to compare.
+            assert closed is None
+            return
+        oracle = _outcome(min_cost_routing_lp, graph)
+        assert (closed is None) == (oracle is None)
+        if closed is None:
+            return
+        assert closed.objective == pytest.approx(oracle.objective, rel=1e-9)
+        _assert_no_negative_zero(closed)
+        for node in graph.nodes:
+            outflow = sum(closed.flows[link] for link in graph.out_links(node))
+            inflow = sum(closed.flows[link] for link in graph.in_links(node))
+            assert outflow - inflow == graph.supply(node) * closed.throughput
+        if _route_is_unique(graph):
+            assert closed.flows == pytest.approx(oracle.flows, abs=1e-12)
+            assert closed.broadcast_rates == pytest.approx(
+                oracle.broadcast_rates, abs=1e-12
+            )
+
+    @staticmethod
+    def _assert_equal_on_forwarder_graphs(net, pairs):
+        compared = 0
+        for source, destination in pairs:
+            try:
+                forwarders = select_forwarders(net, source, destination)
+            except NodeSelectionError:
+                continue
+            graph = session_graph_from_selection(net, forwarders)
+            closed = solve_min_cost_routing(graph)
+            oracle = min_cost_routing_lp(graph)
+            _assert_no_negative_zero(closed)
+            assert closed.flows == oracle.flows  # -0.0 == 0.0 by value
+            assert {n: repr(b) for n, b in closed.broadcast_rates.items()} == {
+                n: repr(b) for n, b in oracle.broadcast_rates.items()
+            }
+            compared += 1
+        return compared
+
+    def test_campaign_pairs_last_bit(self):
+        # What plan_oldmore feeds the solver on the benchmark's campaign:
+        # z and the credits keep their last bit only if the rates do.
+        net = reference_mesh()
+        config = CampaignConfig(node_count=120, sessions=8, min_hops=4, seed=2008)
+        pairs = [(s, d) for s, d, _plan in pick_sessions(config, net)]
+        assert self._assert_equal_on_forwarder_graphs(net, pairs) == 8
+
+    def test_random_pairs_on_the_reference_mesh_last_bit(self):
+        net = reference_mesh()
+        rng = random.Random(5)
+        pairs = [tuple(rng.sample(range(net.node_count), 2)) for _ in range(300)]
+        assert self._assert_equal_on_forwarder_graphs(net, pairs) >= 200
+
+    def test_tie_goes_to_the_lower_id_relay(self):
+        net = diamond_topology(p_su=0.5, p_sv=0.5, p_ut=0.5, p_vt=0.5)
+        graph = session_graph_from_network(net, 0, 3)
+        closed = solve_min_cost_routing(graph, throughput=1e-3)
+        assert closed.flows == {(0, 1): 1e-3, (0, 2): 0.0, (1, 3): 1e-3, (2, 3): 0.0}
+        assert closed.broadcast_rates == {0: 2e-3, 1: 2e-3, 2: 0.0, 3: 0.0}
+        _assert_no_negative_zero(closed)
+        oracle = min_cost_routing_lp(graph, throughput=1e-3)
+        assert closed.objective == pytest.approx(oracle.objective, rel=1e-12)
+
+    def test_unreachable_destination_is_infeasible(self):
+        # Node 2 only transmits: nothing reaches it.
+        graph = SessionGraph(
+            source=0,
+            destination=2,
+            nodes=(0, 1, 2),
+            links=((0, 1), (2, 1)),
+            probability={(0, 1): 0.5, (2, 1): 0.5},
+            neighbors={0: frozenset({1}), 1: frozenset({0, 2}), 2: frozenset({1})},
+            capacity=1.0,
+        )
+        with pytest.raises(InfeasibleSessionError):
+            solve_min_cost_routing(graph)
+        with pytest.raises(InfeasibleSessionError):
+            min_cost_routing_lp(graph)
+
+    @pytest.mark.parametrize("throughput", [0.0, -1e-3])
+    def test_non_positive_throughput_is_rejected(self, throughput):
+        graph = session_graph_from_network(diamond_topology(), 0, 3)
+        with pytest.raises(ValueError):
+            solve_min_cost_routing(graph, throughput=throughput)
 
 
 class TestVerifyFeasibility:
