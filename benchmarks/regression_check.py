@@ -86,7 +86,7 @@ from repro.scenario import (  # noqa: E402
 )
 from repro.topology.phy import lossy_phy  # noqa: E402
 from repro.topology.random_network import fig1_sample_topology, random_network  # noqa: E402
-from repro.util.rng import RngFactory  # noqa: E402
+from repro.util.rng import NodeStreams, RngFactory  # noqa: E402
 
 SCHEMA_VERSION = 1
 DEFAULT_BASELINE = REPO_ROOT / "benchmarks" / "BENCH_baseline.json"
@@ -339,14 +339,12 @@ def probe_emulator_slot_loop(*, relays: int, slots: int, rounds: int) -> ProbeRe
                 rate_bps=8e3,
                 upstream=(relay - 1,),
             )
-        channel = LossyBroadcastChannel(network, rng=np.random.default_rng(21))
         return EmulationEngine(
             network,
             runtimes,
-            channel,
+            LossyBroadcastChannel(network, rng=0),
             slot_duration=packet_bytes / network.capacity,
-            scheduler_rng=np.random.default_rng(22),
-            capture_rng=np.random.default_rng(23),
+            streams=NodeStreams(RngFactory(21)),
         )
 
     def run() -> float:

@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Set, Tuple
 
-import numpy as np
-
 from repro import obs
 from repro.emulator.awake import AwakeSet
 from repro.emulator.channel import LossyBroadcastChannel
@@ -33,7 +31,7 @@ from repro.emulator.node import NodeRuntime, UnicastRuntime
 from repro.emulator.scheduler import ConflictGraph, IdealMacScheduler
 from repro.emulator.trace import SessionTracer
 from repro.topology.graph import Link, WirelessNetwork
-from repro.util.rng import NodeStreams, fallback_rng
+from repro.util.rng import NodeStreams, RngFactory
 
 
 @dataclass
@@ -64,12 +62,10 @@ class EmulationEngine:
         channel: LossyBroadcastChannel,
         slot_duration: float,
         *,
-        scheduler_rng: np.random.Generator | None = None,
-        capture_rng: np.random.Generator | None = None,
+        streams: NodeStreams | None = None,
         interference: str = "blanking",
         tracer: SessionTracer | None = None,
         registry: obs.MetricsRegistry | None = None,
-        node_streams: NodeStreams | None = None,
     ) -> None:
         if slot_duration <= 0:
             raise ValueError(f"slot_duration must be > 0, got {slot_duration}")
@@ -82,25 +78,12 @@ class EmulationEngine:
         self._interference = interference
         metrics = obs.resolve(registry)
         self._metrics = metrics
-        # Resolved here (not inside the scheduler) so a mid-run rebuild
-        # can hand the *same* generator to the replacement scheduler and
-        # the grant stream continues uninterrupted.
-        self._scheduler_rng = (
-            scheduler_rng if scheduler_rng is not None
-            else fallback_rng("mac-scheduler")
-        )
-        self._rng = (
-            capture_rng if capture_rng is not None
-            else fallback_rng("engine-capture")
-        )
-        # Per-node stream mode: every MAC lottery key, channel loss draw
-        # and capture tie-break comes from a stream owned by the node it
-        # concerns, making RNG consumption independent of who else is
-        # active — the property the sharded slot loop
-        # (:mod:`repro.emulator.shard`) needs for shards=1 == shards=N
-        # bit-identity.  When None (default) the engine keeps the three
-        # global streams above, bit-compatible with every existing trace.
-        self._node_streams = node_streams
+        # Every MAC lottery key, channel loss draw and capture tie-break
+        # comes from a stream owned by the node it concerns, so RNG
+        # consumption is independent of who else is active — the
+        # property the sharded slot loop (:mod:`repro.emulator.shard`)
+        # needs for shards=1 == shards=N bit-identity.
+        self._streams = streams if streams is not None else NodeStreams(RngFactory(0))
         self._pending_unicast: Dict[int, bool] = {}
         self._tracer = tracer
         self._stats = EngineStats(
@@ -139,9 +122,9 @@ class EmulationEngine:
             self._runtimes.keys(),
             two_hop=(self._interference == "conflict_free"),
         )
-        self._scheduler = IdealMacScheduler(
-            self._conflicts, rng=self._scheduler_rng, registry=self._metrics
-        )
+        # The scheduler's own stream is never consumed: keys arrive
+        # pre-drawn from each contender's "mac" stream.
+        self._scheduler = IdealMacScheduler(self._conflicts, registry=self._metrics)
         participants = self._conflicts.participants
         self._participants = participants
         self._positions = {node: i for i, node in enumerate(participants)}
@@ -161,8 +144,9 @@ class EmulationEngine:
         # model).  Reset per slot by touched entry, not by rebuild.
         self._granted_flags: List[bool] = [False] * node_count
         self._covered_counts: List[int] = [0] * node_count
-        # Per transmitter, in the network's neighborhood iteration order
-        # (fixed at (re)build so the channel RNG mapping is stable):
+        # Per transmitter, in ascending node order (so every process —
+        # shard workers unpickle their own network copy — maps the
+        # transmitter's loss draws to receivers identically):
         #  - _cov_list: every geometric neighbor (coverage targets);
         #  - _rx_pairs: (receiver, p) over neighbors that are session
         #    runtimes; p = 0 where no usable link exists (such receivers
@@ -170,15 +154,7 @@ class EmulationEngine:
         self._cov_list: Dict[int, List[int]] = {}
         self._rx_pairs: Dict[int, List[Tuple[int, float]]] = {}
         for node in participants:
-            neighbors = list(network.neighbors(node))
-            if self._node_streams is not None:
-                # Per-node mode sorts the candidate order so every
-                # process (shard workers unpickle their own network
-                # copy) maps the transmitter's loss draws to receivers
-                # identically.  The default path keeps the historical
-                # frozenset order to stay bit-compatible with existing
-                # traces.
-                neighbors.sort()
+            neighbors = sorted(network.neighbors(node))
             self._cov_list[node] = neighbors
             self._rx_pairs[node] = [
                 (j, network.probability(node, j))
@@ -194,7 +170,7 @@ class EmulationEngine:
         The live control plane calls this after hot-swapping a plan
         (optionally replacing the runtime set: new forwarders appear,
         silenced ones may be dropped) or after :meth:`set_network`.
-        Scheduler, channel and capture RNG streams are preserved, so a
+        The per-node RNG streams are preserved, so a
         rebuild that changes nothing is invisible: the subsequent trace is
         bit-identical to a run that never rebuilt.
         """
@@ -350,10 +326,7 @@ class EmulationEngine:
         # deliveries, and each holds its own RNG, so per-node slot work
         # is independent.
         contenders, weights = self._awake.tick(self._runtime_list, dt)
-        if self._node_streams is None:
-            granted = self._scheduler.schedule_contenders(contenders, weights)
-        else:
-            granted = self._schedule_per_node(contenders, weights)
+        granted = self._schedule(contenders, weights)
         if self._tracer is not None:
             for node in granted:
                 self._tracer.record(
@@ -380,25 +353,22 @@ class EmulationEngine:
             self._m_time.set(stats.elapsed)
         return granted
 
-    def _schedule_per_node(
+    def _schedule(
         self, contenders: List[int], weights: List[float]
     ) -> Tuple[int, ...]:
         """Weighted-lottery grant with per-contender key streams.
 
         Consumes one scalar ``Exp(1)`` draw from each contender's own
-        "mac" stream (instead of one batched draw from the global
-        scheduler stream), so a node's key sequence depends only on how
+        "mac" stream, so a node's key sequence depends only on how
         often *it* contended — not on who else did.  The greedy pass is
-        the scheduler's own, so grants match the global-stream mode's
-        semantics exactly.
+        the scheduler's own.
         """
-        streams = self._node_streams
-        assert streams is not None
+        streams = self._streams
         participants = self._participants
         floor = IdealMacScheduler.WEIGHT_FLOOR
         keyed: List[Tuple[float, int]] = []
         for position, weight in zip(contenders, weights):
-            draw = float(streams.get("mac", participants[position]).exponential(1.0))
+            draw = streams.get("mac", participants[position]).standard_exponential()
             keyed.append((draw / max(weight, floor), position))
         keyed.sort()
         return self._scheduler.grant_from_keyed(keyed)
@@ -435,7 +405,7 @@ class EmulationEngine:
         for node in granted:
             granted_flags[node] = True
         blanking = self._interference == "blanking"
-        streams = self._node_streams
+        streams = self._streams
         # Phase 1: fire transmissions and draw per-link receptions.
         offers: Dict[int, List[Tuple[int, object]]] = {}
         covered = self._covered_counts
@@ -460,8 +430,9 @@ class EmulationEngine:
                     if self._obs_enabled:
                         self._m_blanked.inc()
                     continue  # hidden-terminal collision at the receiver
-                tx_rng = None if streams is None else streams.get("channel", node)
-                if self._channel.unicast(node, target, rng=tx_rng):
+                if self._channel.unicast(
+                    node, target, rng=streams.get("channel", node)
+                ):
                     offers.setdefault(target, []).append((node, sequence))
             else:
                 packet = runtime.pop_transmission()
@@ -492,9 +463,8 @@ class EmulationEngine:
                         if p > 0.0 and not granted_flags[j]:
                             candidate_ids.append(j)
                             candidate_probs.append(p)
-                tx_rng = None if streams is None else streams.get("channel", node)
                 delivered = self._channel.broadcast_prefiltered(
-                    candidate_ids, candidate_probs, rng=tx_rng
+                    candidate_ids, candidate_probs, rng=streams.get("channel", node)
                 )
                 for j in delivered:
                     offers.setdefault(j, []).append((node, packet))
@@ -503,11 +473,8 @@ class EmulationEngine:
             if len(arrivals) == 1:
                 sender, payload = arrivals[0]
             else:
-                capture_rng = (
-                    self._rng if streams is None
-                    else streams.get("capture", receiver)
-                )
-                index = int(capture_rng.integers(0, len(arrivals)))
+                tie_break = streams.get("capture", receiver)
+                index = int(tie_break.integers(0, len(arrivals)))
                 sender, payload = arrivals[index]
             self._stats.delivered_links.add((sender, receiver))
             if self._obs_enabled:

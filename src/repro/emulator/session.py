@@ -43,7 +43,7 @@ from repro.emulator.plan import (
 )
 from repro.emulator.trace import SessionTracer
 from repro.topology.graph import Link, WirelessNetwork
-from repro.util.rng import RngFactory
+from repro.util.rng import NodeStreams, RngFactory
 
 _UNICAST_HEADER_BYTES = 24  # IP/MAC-style header for plain forwarding
 
@@ -391,10 +391,11 @@ def open_session(
     engine = EmulationEngine(
         network,
         runtimes,
-        LossyBroadcastChannel(network, rng=rng.derive("channel")),
+        # The channel's own stream is never consumed: every loss draw
+        # comes from the transmitter's stream.
+        LossyBroadcastChannel(network, rng=0),
         plan_packet_bytes(config, plan) / network.capacity,
-        scheduler_rng=rng.derive("mac"),
-        capture_rng=rng.derive("capture"),
+        streams=NodeStreams(rng),
         interference=config.interference,
         registry=registry,
         tracer=tracer,

@@ -301,7 +301,7 @@ class ShardWorker:
         nodes: List[int] = []
         for position, weight in zip(contenders, weights):
             node = owned[position]
-            draw = float(self._streams.get("mac", node).exponential(1.0))
+            draw = self._streams.get("mac", node).standard_exponential()
             keys.append(draw / max(weight, floor))
             nodes.append(node)
         return len(self._awake), keys, nodes
@@ -583,7 +583,7 @@ class ShardedSession:
                 slot_duration,
                 interference=interference,
                 tracer=tracer,
-                node_streams=NodeStreams(rng_factory),
+                streams=NodeStreams(rng_factory),
             )
         else:
             self._partition = partition_network(network, shards)

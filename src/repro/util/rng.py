@@ -19,21 +19,19 @@ import numpy as np
 RngLike = int | np.random.Generator | None
 
 #: Frozen seeds of the named fallback streams (see :func:`fallback_rng`).
-#: The values are bit-compatible with the historical ``default_rng(0)`` /
-#: ``default_rng(1)`` fallbacks they replaced; changing one changes every
-#: trace produced by components built without an explicit generator.
+#: The value is bit-compatible with the historical ``default_rng(0)``
+#: fallback it replaced; changing it changes every grant sequence of a
+#: scheduler built without an explicit generator.
 _FALLBACK_SEEDS: dict[str, int] = {
     "mac-scheduler": 0,
-    "engine-capture": 1,
 }
 
 
 def fallback_rng(stream: str) -> np.random.Generator:
     """The named deterministic fallback stream ``stream``.
 
-    Components that accept an optional generator (the emulation engine,
-    the MAC scheduler) fall back to these fixed streams when constructed
-    without one — tests and ad-hoc scripts stay reproducible without
+    Components that accept an optional generator (the MAC scheduler)
+    fall back to these fixed streams when constructed without one — tests and ad-hoc scripts stay reproducible without
     plumbing a factory.  Production paths always pass explicit streams
     derived from :class:`RngFactory`.
     """

@@ -41,7 +41,7 @@ from repro.scenario import (
 )
 from repro.topology.phy import lossy_phy
 from repro.topology.random_network import random_network
-from repro.util.rng import RngFactory
+from repro.util.rng import NodeStreams, RngFactory
 
 # Every slot of every run below re-checks each parked runtime
 # (tests/conftest.py): a missing wake fails the oracle tests loudly.
@@ -123,15 +123,13 @@ class TestApplyPlan:
 def _make_engine(network, plan, config, seed, tracer=None):
     rng = RngFactory(seed)
     runtimes, _label = build_plan_runtimes(network, plan, config=config, rng=rng)
-    channel = LossyBroadcastChannel(network, rng=rng.derive("channel"))
     slot = config.coded_packet_bytes() / network.capacity
     return EmulationEngine(
         network,
         runtimes,
-        channel,
+        LossyBroadcastChannel(network, rng=0),
         slot,
-        scheduler_rng=rng.derive("mac"),
-        capture_rng=rng.derive("capture"),
+        streams=NodeStreams(rng),
         tracer=tracer,
     )
 
