@@ -65,14 +65,13 @@ from repro.coding.encoder import SourceEncoder  # noqa: E402
 from repro.coding.generation import GenerationParams, random_generation  # noqa: E402
 from repro.coding.gf256 import GF256  # noqa: E402
 from repro.coding.matrix import FieldType  # noqa: E402
-from repro.emulator.channel import LossyBroadcastChannel  # noqa: E402
-from repro.emulator.engine import EmulationEngine  # noqa: E402
 from repro.emulator.node import (  # noqa: E402
     FlowDestinationRuntime,
     FlowRelayRuntime,
     FlowSourceRuntime,
 )
 from repro.emulator.session import SessionConfig, run_coded_session  # noqa: E402
+from repro.emulator.shard import ShardedSession, _DecodeLog  # noqa: E402
 from repro.topology.graph import WirelessNetwork  # noqa: E402
 from repro.optimization.problem import session_graph_from_network  # noqa: E402
 from repro.optimization.rate_control import RateControlAlgorithm  # noqa: E402
@@ -86,7 +85,7 @@ from repro.scenario import (  # noqa: E402
 )
 from repro.topology.phy import lossy_phy  # noqa: E402
 from repro.topology.random_network import fig1_sample_topology, random_network  # noqa: E402
-from repro.util.rng import NodeStreams, RngFactory  # noqa: E402
+from repro.util.rng import RngFactory  # noqa: E402
 
 SCHEMA_VERSION = 1
 DEFAULT_BASELINE = REPO_ROOT / "benchmarks" / "BENCH_baseline.json"
@@ -301,12 +300,13 @@ def probe_emulator(*, nodes: int, seconds: float, rounds: int) -> ProbeResult:
 
 
 def probe_emulator_slot_loop(*, relays: int, slots: int, rounds: int) -> ProbeResult:
-    """Pure engine slot-loop throughput: ``step()`` on a fixed line session.
+    """Pure slot-loop throughput: ``step()`` on a fixed line session.
 
     Unlike ``emulator_kslots_per_sec`` this skips MORE planning and the
     session driver entirely — it times nothing but the scheduler /
-    channel / runtime slot loop on a hand-built relay line, so it moves
-    only when the engine's per-slot hot path does.
+    channel / runtime slot loop of an in-process ``ShardedSession`` on a
+    hand-built relay line, so it moves only when the per-slot hot path
+    does.
     """
     node_count = relays + 2
     positions = np.array([[float(i), 0.0] for i in range(node_count)])
@@ -320,7 +320,7 @@ def probe_emulator_slot_loop(*, relays: int, slots: int, rounds: int) -> ProbeRe
     packet_bytes = 1064
     blocks = 16
 
-    def build() -> EmulationEngine:
+    def build() -> ShardedSession:
         runtimes = {
             0: FlowSourceRuntime(
                 0, 1, blocks, rate_bps=1e4, packet_bytes=packet_bytes
@@ -339,12 +339,11 @@ def probe_emulator_slot_loop(*, relays: int, slots: int, rounds: int) -> ProbeRe
                 rate_bps=8e3,
                 upstream=(relay - 1,),
             )
-        return EmulationEngine(
+        return ShardedSession(
             network,
             runtimes,
-            LossyBroadcastChannel(network, rng=0),
-            slot_duration=packet_bytes / network.capacity,
-            streams=NodeStreams(RngFactory(21)),
+            packet_bytes / network.capacity,
+            rng_factory=RngFactory(21),
         )
 
     def run() -> float:
@@ -462,8 +461,8 @@ def probe_sharded_slot_loop(
 
     Builds a rate-driven relay line where **every** node carries a
     runtime — per-slot work scales with ``nodes`` — and runs the same
-    slot budget twice: once through the in-process serial engine
-    (``shards=1``, the per-node-RNG oracle) and once spatially
+    slot budget twice: once in this process (``shards=1``, one core
+    hosting every node) and once spatially
     partitioned across ``shards`` persistent workers synchronized at
     slot barriers.  Reports serial wall time over sharded wall time.
 
@@ -478,7 +477,6 @@ def probe_sharded_slot_loop(
     """
     import dataclasses
 
-    from repro.emulator.shard import ShardedSession, _DecodeLog
     from repro.topology.partition import partition_network
 
     positions = np.array([[float(i), 0.0] for i in range(nodes)])

@@ -15,7 +15,7 @@ from collections import Counter
 from pathlib import Path
 
 from repro.emulator import SessionTracer
-from repro.emulator.session import SessionConfig, open_session
+from repro.emulator.session import SessionConfig, run_coded_session
 from repro.protocols import plan_omnc
 from repro.topology import diamond_topology
 from repro.util import RngFactory
@@ -29,19 +29,12 @@ def main() -> None:
     )
 
     tracer = SessionTracer()
-    engine, tracker = open_session(
+    result = run_coded_session(
         network, plan, config=config, rng=RngFactory(7), tracer=tracer
     )
-    destination = engine.runtimes[3]
 
-    def stop():
-        tracker.apply_pending()
-        return destination.generations_decoded >= config.target_generations
-
-    engine.run(int(config.max_seconds / engine.slot_duration), stop_when=stop)
-
-    print(f"session finished in {engine.now:.1f}s emulated, "
-          f"{destination.generations_decoded} generations decoded")
+    print(f"session finished in {result.duration:.1f}s emulated, "
+          f"{result.generations_decoded} generations decoded")
     summary = tracer.summary()
     print(f"\nevent census: {summary}")
     print(f"overall delivery ratio: {tracer.delivery_ratio():.2f} "

@@ -15,7 +15,7 @@ The contract the rules enforce lives in ``[tool.repro.check]`` in
 * ``layer-waivers`` — ``"importer -> imported"`` pairs exempted from
   the layering check, each justified by an adjacent comment;
 * ``payload-types`` — qualified names of classes shipped across process
-  boundaries (``ShardInit``, ``JobSpec``);
+  boundaries (``CoreInit``, ``JobSpec``);
 * ``worker-roots`` — modules whose import closure runs inside worker
   processes;
 * ``rng-modules`` — modules whose functions mint RNG streams.

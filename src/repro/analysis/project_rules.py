@@ -15,12 +15,12 @@ cross-process digests honest:
   cycle).  Explicit waivers live next to the contract, each with its
   rationale.
 * **RPR102 worker-shared-state** — mutable module-level state in any
-  module a :class:`ShardWorker`/:class:`WorkerPool` process imports is a
+  module an :class:`EngineCore`/:class:`WorkerPool` process imports is a
   cross-process hazard: the parent mutates its copy, the worker forks or
   re-imports its own, and the two silently diverge.  Flagged when a
   module-level container is mutated from function scope.
 * **RPR103 payload-picklability** — types shipped across a ``Pipe``
-  (``ShardInit``, ``JobSpec`` and every project class reachable through
+  (``CoreInit``, ``JobSpec`` and every project class reachable through
   their field annotations) must be statically picklable: no lambda
   defaults, no generator/iterator or open-handle fields, no
   process/thread primitives, no function-local classes, no

@@ -24,11 +24,7 @@ from repro import obs
 from repro.analysis import checker as analysis_checker
 from repro.analysis import runner as analysis_runner
 from repro.exec import add_execution_arguments, apply_gf_backend, policy_from_args
-from repro.emulator.session import (
-    SessionConfig,
-    run_coded_session,
-    run_unicast_session,
-)
+from repro.emulator.session import SessionConfig, run_sharded_session
 from repro.emulator.trace import SessionTracer
 from repro.protocols.etx_routing import plan_etx_route
 from repro.protocols.more import plan_more
@@ -196,10 +192,8 @@ def _fold_coding(
 
 def _cmd_session(args: argparse.Namespace) -> int:
     apply_gf_backend(args.gf_backend)
-    if args.shards < 0:
-        raise SystemExit("session: --shards must be >= 0")
-    if args.scenario and args.shards:
-        raise SystemExit("session: --shards is incompatible with --scenario")
+    if args.shards < 1:
+        raise SystemExit("session: --shards must be >= 1")
     rng = RngFactory(args.seed)
     if args.topology:
         network = load_network(args.topology)
@@ -242,6 +236,7 @@ def _cmd_session(args: argparse.Namespace) -> int:
                 make_planner(args.protocol, source, destination),
                 make_policy(args.policy),
                 spec,
+                shards=args.shards,
                 config=config,
                 rng=rng.spawn("session"),
                 tracer=tracer,
@@ -252,39 +247,20 @@ def _cmd_session(args: argparse.Namespace) -> int:
                 ),
             )
             result = adaptive.session
-        elif args.shards:
-            from repro.emulator.shard import run_sharded_session
-
-            if args.protocol == "etx":
-                plan = plan_etx_route(network, source, destination)
-            else:
-                planners = {
-                    "omnc": plan_omnc, "more": plan_more, "oldmore": plan_oldmore
-                }
-                plan = planners[args.protocol](network, source, destination)
+        else:
+            planners = {
+                "omnc": plan_omnc,
+                "more": plan_more,
+                "oldmore": plan_oldmore,
+                "etx": plan_etx_route,
+            }
+            plan = planners[args.protocol](network, source, destination)
+            if args.protocol != "etx":
                 config = _fold_coding(config, network, plan, args.coding)
             result = run_sharded_session(
                 network,
                 plan,
                 shards=args.shards,
-                config=config,
-                rng=rng.spawn("session"),
-                protocol_label=args.protocol,
-                tracer=tracer,
-            )
-        elif args.protocol == "etx":
-            plan = plan_etx_route(network, source, destination)
-            result = run_unicast_session(
-                network, plan, config=config, rng=rng.spawn("session"),
-                tracer=tracer,
-            )
-        else:
-            planners = {"omnc": plan_omnc, "more": plan_more, "oldmore": plan_oldmore}
-            plan = planners[args.protocol](network, source, destination)
-            config = _fold_coding(config, network, plan, args.coding)
-            result = run_coded_session(
-                network,
-                plan,
                 config=config,
                 rng=rng.spawn("session"),
                 protocol_label=args.protocol,
@@ -482,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fig7.add_argument(
         "--shards", type=int, default=1, metavar="N",
-        help="worker shards per emulated session (1 = serial oracle)",
+        help="worker shards per emulated session (1 = this process)",
     )
     add_execution_arguments(fig7)
     fig7.set_defaults(func=_cmd_fig7)
@@ -539,11 +515,11 @@ def build_parser() -> argparse.ArgumentParser:
     session.add_argument(
         "--shards",
         type=int,
-        default=0,
+        default=1,
         metavar="N",
-        help="run the sharded slot loop over N worker processes (1 = the "
-        "in-process serial oracle in per-node RNG mode; 0 = classic "
-        "serial drivers; incompatible with --scenario)",
+        help="spread the session's slot loop over N worker processes "
+        "(default 1 = this process; any N prints the same report; "
+        "--scenario sessions run on 1)",
     )
     session.add_argument(
         "--scenario",

@@ -9,15 +9,18 @@ innovation checks) over simulated lower layers:
   draws only; the scheduler removed collisions).
 * :mod:`repro.emulator.node` — per-node data planes (rate-driven coding,
   credit-driven coding, store-and-forward).
-* :mod:`repro.emulator.engine` — the slot loop.
-* :mod:`repro.emulator.awake` — the awake set the slot loops sweep
+* :mod:`repro.emulator.engine` — the slot loop's per-process half: what
+  happens to the nodes one process hosts.
+* :mod:`repro.emulator.shard` — its session-side half: clock, global
+  MAC grant, replay and stats merge over one core or many.
+* :mod:`repro.emulator.awake` — the awake set the slot loop sweeps
   (runtimes parked at a fixed point are skipped until woken).
 * :mod:`repro.emulator.session` — session drivers and results.
 * :mod:`repro.emulator.stats` — figure metrics (gains, queues, utility).
 """
 
 from repro.emulator.channel import LossyBroadcastChannel
-from repro.emulator.engine import EmulationEngine, EngineStats
+from repro.emulator.engine import EngineCore, EngineStats
 from repro.emulator.multisession import (
     InterSessionXorRelay,
     MultiSessionOutcome,
@@ -38,14 +41,10 @@ from repro.emulator.session import (
     SessionConfig,
     SessionResult,
     run_coded_session,
+    run_sharded_session,
     run_unicast_session,
 )
-from repro.emulator.shard import (
-    ShardedSession,
-    run_sharded_session,
-    session_digest,
-    trace_digest,
-)
+from repro.emulator.shard import ShardedSession, session_digest, trace_digest
 from repro.emulator.trace import SessionTracer, TraceEvent
 from repro.emulator.stats import (
     DistributionSummary,
@@ -64,7 +63,7 @@ __all__ = [
     "CodedSourceRuntime",
     "ConflictGraph",
     "DistributionSummary",
-    "EmulationEngine",
+    "EngineCore",
     "EngineStats",
     "IdealMacScheduler",
     "InterSessionXorRelay",

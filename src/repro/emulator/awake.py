@@ -11,8 +11,8 @@ accumulator, trace event or stats field can tell the difference.
 
 :class:`AwakeSet` keeps the positions (indices into a fixed runtime
 list) that are awake, in ascending order, and is the only per-runtime
-sweep of both slot loops — :class:`~repro.emulator.engine.EmulationEngine`
-and :class:`~repro.emulator.shard.ShardWorker`.  Runtimes leave the set
+sweep of the slot loop (:class:`~repro.emulator.engine.EngineCore`).
+Runtimes leave the set
 when :meth:`tick` finds them dormant and come back through
 :meth:`wake` (a delivery) or :meth:`wake_all` (anything that reaches
 into runtimes from outside the loop).
@@ -36,7 +36,8 @@ class AwakeSet:
 
     def __init__(self, count: int) -> None:
         self._parked: List[bool] = [False] * count
-        self._awake: List[int] = list(range(count))
+        #: The positions the next sweep visits (ascending once swept).
+        self.positions: List[int] = list(range(count))
         self._sorted = True
         self._ticks = 0
 
@@ -44,20 +45,16 @@ class AwakeSet:
         """Put one runtime back in the sweep (no-op if already awake)."""
         if self._parked[position]:
             self._parked[position] = False
-            self._awake.append(position)
+            self.positions.append(position)
             self._sorted = False
 
     def wake_all(self) -> None:
         """Put every runtime back in the sweep."""
         count = len(self._parked)
-        if len(self._awake) != count:
+        if len(self.positions) != count:
             self._parked = [False] * count
-            self._awake = list(range(count))
+            self.positions = list(range(count))
             self._sorted = True
-
-    def __len__(self) -> int:
-        """How many runtimes the next sweep visits."""
-        return len(self._awake)
 
     def parked_positions(self) -> List[int]:
         """Positions currently skipped, ascending."""
@@ -74,7 +71,7 @@ class AwakeSet:
         runtimes that are idle and report ``dormant``.
         """
         if not self._sorted:
-            self._awake.sort()
+            self.positions.sort()
             self._sorted = True
         self._ticks += 1
         check = self._ticks % self.PARK_INTERVAL == 0
@@ -82,7 +79,7 @@ class AwakeSet:
         parked_any = False
         contenders: List[int] = []
         weights: List[float] = []
-        for position in self._awake:
+        for position in self.positions:
             runtime = runtimes[position]
             runtime.on_slot(dt)
             if runtime.backlog() > 0.0:
@@ -92,7 +89,7 @@ class AwakeSet:
                 parked[position] = True
                 parked_any = True
         if parked_any:
-            self._awake = [p for p in self._awake if not parked[p]]
+            self.positions = [p for p in self.positions if not parked[p]]
         return contenders, weights
 
     def sample_queues(
@@ -103,5 +100,5 @@ class AwakeSet:
         Parked runtimes hold an empty queue by contract, so their
         integrals need no visit.
         """
-        for position in self._awake:
+        for position in self.positions:
             queue_times[position] += runtimes[position].queue_length()

@@ -94,9 +94,11 @@ class LossyBroadcastChannel:
         order — so both entry points produce identical loss patterns.
 
         ``rng`` overrides the channel's own stream for this one draw:
-        the engine's per-node mode hands in the *transmitter's* stream
-        so loss draws are partition-independent (see
-        :class:`repro.util.rng.NodeStreams`).
+        the slot loop hands in the *transmitter's* stream, so loss draws
+        are partition-independent (see
+        :class:`repro.util.rng.NodeStreams`).  The channel's own stream
+        serves a channel used on its own — the benchmark's channel probe
+        times exactly that call — and no session driver consumes it.
         """
         generator = self._rng if rng is None else rng
         self._transmissions += 1
@@ -120,8 +122,8 @@ class LossyBroadcastChannel:
     ) -> bool:
         """One unicast attempt; True on success.
 
-        ``rng`` overrides the channel stream for this draw (per-node
-        mode: the transmitter's stream), like
+        ``rng`` overrides the channel stream for this draw (the slot
+        loop: the transmitter's stream), like
         :meth:`broadcast_prefiltered`.
         """
         generator = self._rng if rng is None else rng

@@ -1,42 +1,68 @@
-"""The slotted emulation engine.
+"""The per-process half of the slotted emulation: one core, any transport.
 
 Time advances in packet slots (one slot = the airtime of one packet at
 the MAC channel capacity).  Each slot:
 
 1. every *awake* runtime accrues credits / generates packets
-   (``on_slot``); runtimes parked at an exact fixed point are skipped
-   (:mod:`repro.emulator.awake`) until a delivery or the control plane
-   wakes them;
-2. the ideal MAC scheduler grants a conflict-free transmitter set;
+   (``on_slot``) and contenders draw a MAC lottery key; runtimes parked
+   at an exact fixed point are skipped (:mod:`repro.emulator.awake`)
+   until a delivery or the control plane wakes them;
+2. the ideal MAC grants a conflict-free transmitter set — the one step
+   that needs every contender at once, so it belongs to the session
+   (:class:`~repro.emulator.shard.ShardedSession`), not to a core;
 3. granted coded transmitters broadcast — every in-range participant
    draws an independent reception; granted unicast transmitters attempt
    their head-of-line packet toward the next hop (failure = MAC
    retransmission later);
-4. queue lengths are sampled for the Fig. 3 statistics.
+4. each receiver keeps at most one of the packets it heard;
+5. queue lengths are sampled for the Fig. 3 statistics.
 
-The engine is protocol-agnostic: behaviour differences live entirely in
-the runtimes (:mod:`repro.emulator.node`) and the plans that configured
-them.
+:class:`EngineCore` is steps 1 and 3–5 for the nodes one process hosts.
+A single-process run drives one core that hosts every node by direct
+method calls; a sharded run hosts one core per worker process and
+drives the same methods through pipes.  There is no other slot loop,
+and it is protocol-agnostic: behaviour differences live entirely in the
+runtimes (:mod:`repro.emulator.node`) and the plans that configured them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Set, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.emulator.awake import AwakeSet
 from repro.emulator.channel import LossyBroadcastChannel
-from repro.emulator.node import NodeRuntime, UnicastRuntime
-from repro.emulator.scheduler import ConflictGraph, IdealMacScheduler
-from repro.emulator.trace import SessionTracer
+from repro.emulator.node import MultiSessionNodeRuntime, NodeRuntime, UnicastRuntime
+from repro.emulator.scheduler import IdealMacScheduler
 from repro.topology.graph import Link, WirelessNetwork
 from repro.util.rng import NodeStreams, RngFactory
+
+#: One packet heard by a receiver: (grant_rank, delivery_pos, sender,
+#: kind, payload).  ``grant_rank`` is the sender's index in the granted
+#: tuple and ``delivery_pos`` the receiver's index in the sender's
+#: delivered tuple.  A receiver's *place* in the slot is its first
+#: arrival's pair; processing receivers in place order, and each
+#: receiver's arrivals in pair order, is the order of a single process
+#: walking the granted tuple — whichever processes fired the packets.
+Arrival = Tuple[int, int, int, str, Any]
+#: A receiver and its arrivals, in place order.
+Entry = Tuple[int, List[Arrival]]
+#: Something the session has to replay, led by where in the slot it
+#: happened: ``(-1, grant_rank, "tx", node)``, or at a receiver's place
+#: ``(rank, pos, "delivery", sender, receiver)`` for the packet it kept
+#: and ``(rank, pos, "decoded" | "delivered", value)`` for what that
+#: packet completed.
+Event = Tuple[Any, ...]
 
 
 @dataclass
 class EngineStats:
-    """Aggregate counters maintained by the engine during a run."""
+    """Aggregate counters of a run (merged over its cores).
+
+    ``node_sessions``, multi-session runs only: per composite-hosting
+    node, ``{"sessions": {sid: {...}}, "xor_transmissions": int}``.
+    """
 
     slots: int = 0
     elapsed: float = 0.0
@@ -44,6 +70,7 @@ class EngineStats:
     queue_time_sum: Dict[int, float] = field(default_factory=dict)
     transmissions: Dict[int, int] = field(default_factory=dict)
     delivered_links: Set[Link] = field(default_factory=set)
+    node_sessions: Dict[int, Dict[str, Any]] = field(default_factory=dict)
 
     def average_queue(self, node: int) -> float:
         """Time-averaged queue length of ``node``."""
@@ -52,49 +79,119 @@ class EngineStats:
         return self.queue_time_sum.get(node, 0.0) / self.slots
 
 
-class EmulationEngine:
-    """Run one session's runtimes over the ideal MAC and lossy channel."""
+class _DecodeLog:
+    """The one recorder of a run's end-to-end events.
+
+    Destination side: a destination calls the log — itself as an
+    ``on_decoded`` (a multi-session one binds its ``session_id``),
+    :meth:`deliver` as a unicast sink's ``on_delivered`` — and the log
+    is picklable, so it rides in the payload shipped to the
+    destination's core, which drains :attr:`events` after every
+    receiver: that is how an event keeps its place in the slot.
+    Session side: the session replays all cores' drained events in slot
+    order into :attr:`acks` and :attr:`delivered` of *its* copy (at
+    ``shards=1`` the same object), which a driver reads.
+    """
+
+    def __init__(self) -> None:
+        self.events: List[Tuple[str, Any]] = []
+        #: ``(event, time)`` per decoded generation, in slot order; the
+        #: event is a generation id, or ``(session_id, generation_id)``
+        #: from a callback bound to a session.
+        self.acks: List[Tuple[Any, float]] = []
+        #: unicast packets that reached their sink
+        self.delivered = 0
+        self._seen = 0
+
+    def __call__(self, generation_id: int, session_id: int | None = None) -> None:
+        decoded = generation_id if session_id is None else (session_id, generation_id)
+        self.events.append(("decoded", decoded))
+
+    def deliver(self, sequence: int) -> None:
+        """A unicast sink's ``on_delivered``."""
+        self.events.append(("delivered", sequence))
+
+    def unseen(self) -> List[Any]:
+        """The decode events acknowledged since the last call — a
+        driver's cue to signal the next generation."""
+        if self._seen == len(self.acks):  # the every-slot answer
+            return []
+        fresh = [event for event, _time in self.acks[self._seen :]]
+        self._seen = len(self.acks)
+        return fresh
+
+    def drain(self) -> List[Tuple[str, Any]]:
+        """The destination-side events since the last drain."""
+        drained = self.events
+        self.events = []
+        return drained
+
+
+@dataclass
+class CoreInit:
+    """Everything one core needs, in a single picklable payload.
+
+    ``runtimes`` holds only the nodes this core hosts; the network and
+    participant list are complete, because blanking coverage and
+    receiver filtering are global computations every core performs
+    locally (they are deterministic, so replication costs no
+    coordination).  ``seed`` rebuilds the per-node RNG streams in the
+    core, lazily, so only for nodes it hosts.  ``traced`` asks for the
+    ``tx`` and ``delivery`` events a session tracer records.
+    """
+
+    network: WirelessNetwork
+    runtimes: Dict[int, NodeRuntime]
+    participants: Tuple[int, ...]
+    slot_duration: float
+    interference: str
+    seed: int
+    has_unicast: bool
+    traced: bool = False
+    decode_log: _DecodeLog = field(default_factory=_DecodeLog)
+
+
+class EngineCore:
+    """One process's share of every slot: tick, fire, resolve, settle, sample.
+
+    Every public method takes one argument and returns plain data, so it
+    can be a pipe message to a worker process
+    (:class:`~repro.exec.pool.PersistentWorkerGroup`) or a direct call.
+    State (runtimes, RNG streams, stats accumulators) persists across
+    calls, and every slot-phase reply leads with the size of the awake
+    set: a core that reports 0 has nothing a slot could change and is
+    left alone until something is addressed to it.
+
+    Every MAC lottery key, channel loss vector and capture tie-break
+    comes from a stream owned by the node it concerns
+    (:class:`~repro.util.rng.NodeStreams`) — one random universe,
+    whichever core hosts the node and whoever else is active.
+    """
 
     def __init__(
-        self,
-        network: WirelessNetwork,
-        runtimes: Dict[int, NodeRuntime],
-        channel: LossyBroadcastChannel,
-        slot_duration: float,
-        *,
-        streams: NodeStreams | None = None,
-        interference: str = "blanking",
-        tracer: SessionTracer | None = None,
-        registry: obs.MetricsRegistry | None = None,
+        self, init: CoreInit, registry: obs.MetricsRegistry | None = None
     ) -> None:
-        if slot_duration <= 0:
-            raise ValueError(f"slot_duration must be > 0, got {slot_duration}")
-        if interference not in ("blanking", "capture", "conflict_free"):
-            raise ValueError(f"unknown interference model {interference!r}")
-        self._network = network
-        self._runtimes = dict(runtimes)
-        self._channel = channel
-        self._dt = slot_duration
-        self._interference = interference
-        metrics = obs.resolve(registry)
-        self._metrics = metrics
-        # Every MAC lottery key, channel loss draw and capture tie-break
-        # comes from a stream owned by the node it concerns, so RNG
-        # consumption is independent of who else is active — the
-        # property the sharded slot loop (:mod:`repro.emulator.shard`)
-        # needs for shards=1 == shards=N bit-identity.
-        self._streams = streams if streams is not None else NodeStreams(RngFactory(0))
+        self._network = init.network
+        self._dt = init.slot_duration
+        self._blanking = init.interference == "blanking"
+        self._has_unicast = init.has_unicast
+        self._traced = init.traced
+        factory = RngFactory(init.seed)
+        self._mac = NodeStreams(factory, "mac")
+        self._loss = NodeStreams(factory, "channel")
+        self._capture = NodeStreams(factory, "capture")
+        # The channel's own stream is never consumed: every draw comes
+        # from the transmitter's stream.
+        self._channel = LossyBroadcastChannel(init.network, rng=0)
+        self._log = init.decode_log
         self._pending_unicast: Dict[int, bool] = {}
-        self._tracer = tracer
-        self._stats = EngineStats(
-            queue_time_sum={n: 0.0 for n in runtimes},
-            transmissions={n: 0 for n in runtimes},
-        )
-        self._build_runtime_structures()
-        scope = metrics.attach("emulator")
+        self._delivered_links: Set[Link] = set()
+        # Over every node ever hosted: a re-plan may drop a forwarder,
+        # its airtime and queue integral stay in the session's stats.
+        self._transmissions: Dict[int, int] = {}
+        self._queue_time: Dict[int, float] = {}
+        scope = obs.resolve(registry).attach("emulator")
         self._obs_enabled = scope.enabled
-        self._m_slots = scope.counter("slots", "emulation slots executed")
-        self._m_grants = scope.counter("grants", "MAC grants issued")
         self._m_tx = scope.counter("transmissions", "packets put on the air")
         self._m_deliveries = scope.counter(
             "deliveries", "packets delivered to a receiver"
@@ -102,290 +199,139 @@ class EmulationEngine:
         self._m_blanked = scope.counter(
             "blanked", "receptions lost to hidden-terminal interference"
         )
-        self._m_time = scope.gauge("virtual_time", "emulated seconds elapsed")
         self._m_queue = scope.histogram(
             "queue_depth", "per-node queue length sampled every slot"
         )
+        self._host(init.runtimes, init.participants)
 
-    def _build_runtime_structures(self) -> None:
+    def _host(
+        self, runtimes: Dict[int, NodeRuntime], participants: Tuple[int, ...]
+    ) -> None:
+        """Take ``runtimes`` as the hosted set (position-indexed views)."""
+        self._runtimes = dict(runtimes)
+        self._participants = participants
+        self._owned = tuple(sorted(runtimes))
+        global_position = {node: i for i, node in enumerate(participants)}
+        # Hosted position -> position among all participants, the
+        # session scheduler's index space.
+        self._global_positions = [global_position[node] for node in self._owned]
+        self._hosts_everyone = len(self._owned) == len(participants)
+        self._positions = {node: i for i, node in enumerate(self._owned)}
+        self._runtime_list = [self._runtimes[node] for node in self._owned]
+        for node in self._owned:
+            self._transmissions.setdefault(node, 0)
+        # Queue-time accumulators carry over: a node hosted before keeps
+        # its integral, new nodes start at zero.
+        self._queue_time_buf: List[float] = [
+            self._queue_time.get(node, 0.0) for node in self._owned
+        ]
+        self._awake = AwakeSet(len(self._owned))
+        self._build_structures()
+
+    def _build_structures(self) -> None:
         """(Re)compute the precomputed slot-loop structures (the hot path).
 
-        Participant order is the conflict graph's sorted order; per-slot
-        state lives in preallocated arrays instead of rebuilt dicts.
-        Derived entirely from ``self._network`` and ``self._runtimes``, so
-        the live control plane can refresh everything after a topology or
-        plan change without touching any RNG stream.
+        Coverage lists exist for *every* participant — any of them can
+        be granted, and blanking coverage counts all granted coverage
+        disks — while receiver pairs are needed only for hosted nodes
+        (the only transmitters this core fires).  Candidate order is
+        ascending node id, so the transmitter's loss-draw-to-receiver
+        mapping is identical in every process.  Derived entirely from
+        the network and the participant set: a refresh touches no RNG
+        stream, so one that changes nothing is invisible.
         """
         network = self._network
-        self._conflicts = ConflictGraph(
-            network,
-            self._runtimes.keys(),
-            two_hop=(self._interference == "conflict_free"),
-        )
-        # The scheduler's own stream is never consumed: keys arrive
-        # pre-drawn from each contender's "mac" stream.
-        self._scheduler = IdealMacScheduler(self._conflicts, registry=self._metrics)
-        participants = self._conflicts.participants
-        self._participants = participants
-        self._positions = {node: i for i, node in enumerate(participants)}
-        self._runtime_list = [self._runtimes[node] for node in participants]
-        # Rebuilt with everything awake: whoever asked for the rebuild
-        # may have swapped plans or runtime objects.
-        self._awake = AwakeSet(len(participants))
-        # Queue-time accumulators carry over: a node that participated
-        # before a rebuild keeps its integral, new nodes start at zero.
-        queue_time_sum = self._stats.queue_time_sum
-        self._queue_time_buf: List[float] = [
-            queue_time_sum.get(node, 0.0) for node in participants
-        ]
-        node_count = network.node_count
-        # Node-indexed per-slot scratch: which nodes transmit this slot,
-        # and how many granted transmitters cover each node (blanking
-        # model).  Reset per slot by touched entry, not by rebuild.
-        self._granted_flags: List[bool] = [False] * node_count
-        self._covered_counts: List[int] = [0] * node_count
-        # Per transmitter, in ascending node order (so every process —
-        # shard workers unpickle their own network copy — maps the
-        # transmitter's loss draws to receivers identically):
+        participant_set = frozenset(self._participants)
         #  - _cov_list: every geometric neighbor (coverage targets);
         #  - _rx_pairs: (receiver, p) over neighbors that are session
         #    runtimes; p = 0 where no usable link exists (such receivers
         #    still count toward blanking — coverage is geometric).
         self._cov_list: Dict[int, List[int]] = {}
         self._rx_pairs: Dict[int, List[Tuple[int, float]]] = {}
-        for node in participants:
+        for node in self._participants:
             neighbors = sorted(network.neighbors(node))
             self._cov_list[node] = neighbors
-            self._rx_pairs[node] = [
-                (j, network.probability(node, j))
-                for j in neighbors
-                if j in self._runtimes
-            ]
-
-    def rebuild_runtime_structures(
-        self, runtimes: Dict[int, NodeRuntime] | None = None
-    ) -> None:
-        """Refresh the precomputed slot-loop structures mid-run.
-
-        The live control plane calls this after hot-swapping a plan
-        (optionally replacing the runtime set: new forwarders appear,
-        silenced ones may be dropped) or after :meth:`set_network`.
-        The per-node RNG streams are preserved, so a
-        rebuild that changes nothing is invisible: the subsequent trace is
-        bit-identical to a run that never rebuilt.
-        """
-        self._flush_queue_stats()
-        if runtimes is not None:
-            for node, runtime in runtimes.items():
-                if runtime.node_id != node:
-                    raise ValueError(
-                        f"runtime for node {node} reports id {runtime.node_id}"
-                    )
-            self._runtimes = dict(runtimes)
-        stats = self._stats
-        for node in self._runtimes:
-            stats.queue_time_sum.setdefault(node, 0.0)
-            stats.transmissions.setdefault(node, 0)
-        self._build_runtime_structures()
-
-    def set_network(self, network: WirelessNetwork) -> None:
-        """Swap the topology mid-run (drift epoch, node failure/recovery).
-
-        Updates the channel's loss model and refreshes every precomputed
-        neighbor/receiver structure.  Geometry must be preserved (same
-        node count) — scenario dynamics move link qualities, not nodes.
-        """
-        if network.node_count != self._network.node_count:
-            raise ValueError(
-                "replacement network must keep the node count "
-                f"({self._network.node_count} != {network.node_count})"
-            )
-        self._network = network
-        self._channel.set_network(network)
-        self.rebuild_runtime_structures()
-
-    @property
-    def runtimes(self) -> Dict[int, NodeRuntime]:
-        """The live per-node runtimes (shared objects, not copies).
-
-        Handing out live objects invites mutation the engine cannot see,
-        so every runtime is woken; a caller that keeps the objects and
-        mutates them later must call :meth:`wake_all` (or go through
-        :meth:`apply_plan_updates`) itself.
-        """
-        self._awake.wake_all()
-        return dict(self._runtimes)
-
-    def wake_all(self) -> None:
-        """Re-examine every runtime on the next slot.
-
-        The slot loop skips runtimes parked at a fixed point of their
-        tick; anything that changes a runtime from outside the loop has
-        to un-park it.  Every engine entry point that can do so calls
-        this already; it is public for code that mutates a runtime
-        object directly between :meth:`step` calls.
-        """
+            if node in self._positions:
+                self._rx_pairs[node] = [
+                    (j, network.probability(node, j))
+                    for j in neighbors
+                    if j in participant_set
+                ]
+        node_count = network.node_count
+        # Node-indexed per-slot scratch: which nodes transmit this slot,
+        # and how many granted transmitters cover each node (blanking
+        # model).  Reset per slot by touched entry, not by rebuild.
+        self._granted_flags: List[bool] = [False] * node_count
+        self._covered_counts: List[int] = [0] * node_count
+        # Whoever asked for the refresh may have swapped plans or
+        # runtime objects: nothing stays parked.
         self._awake.wake_all()
 
-    def parked_nodes(self) -> Tuple[int, ...]:
-        """Nodes the slot loop currently skips (introspection)."""
-        participants = self._participants
-        return tuple(participants[i] for i in self._awake.parked_positions())
+    # -- slot phases ---------------------------------------------------
 
-    def apply_plan_updates(self, updates: Mapping[int, Mapping[str, Any]]) -> None:
-        """Hot-swap plan parameters: ``runtime.apply_plan(**params)`` per node."""
-        unknown = sorted(set(updates) - set(self._runtimes))
-        if unknown:
-            raise KeyError(f"no runtimes for nodes {unknown}")
-        for node, params in updates.items():
-            self._runtimes[node].apply_plan(**params)
-            self._awake.wake(self._positions[node])
+    def apply_events(self, events: Iterable[Sequence[Any]]) -> None:
+        """Apply queued control signals to every hosted runtime, in order.
 
-    @property
-    def network(self) -> WirelessNetwork:
-        """The topology currently being emulated."""
-        return self._network
-
-    def advance_idle(self, slots: int) -> None:
-        """Advance time with the data plane stalled (control-plane cost).
-
-        Models the paper Sec. 4 re-initiation overhead: the node-selection
-        flood and the rate-control message census occupy the channel for
-        ``replan_cost().channel_seconds``, during which the session moves
-        no data.  Queues hold their occupancy (their time-integral keeps
-        accruing), credits do not accrue, and **no RNG stream is
-        consumed**, so a zero-slot stall is exactly a no-op.
+        Each is ``(runtime method, *arguments)`` — a generation advance,
+        a per-session advance, a session arrival or departure — queued
+        by the session since the last call reached this core.
         """
-        if slots < 0:
-            raise ValueError(f"slots must be >= 0, got {slots}")
-        if slots == 0:
-            return
-        queue_times = self._queue_time_buf
-        for index, runtime in enumerate(self._runtime_list):
-            queue_length = runtime.queue_length()
-            queue_times[index] += queue_length * slots
-            if self._obs_enabled:
-                self._m_queue.observe(queue_length)
-        stats = self._stats
-        stats.slots += slots
-        stats.elapsed += slots * self._dt
-        if self._obs_enabled:
-            self._m_slots.inc(slots)
-            self._m_time.set(stats.elapsed)
-
-    @property
-    def stats(self) -> EngineStats:
-        """Counters collected so far."""
-        self._flush_queue_stats()
-        return self._stats
-
-    def _flush_queue_stats(self) -> None:
-        """Publish the queue-time accumulator into the stats dict.
-
-        The slot loop accumulates into a flat array; the dict view the
-        stats object exposes is materialized only when someone looks.
-        """
-        for index, node in enumerate(self._participants):
-            self._stats.queue_time_sum[node] = self._queue_time_buf[index]
-
-    @property
-    def now(self) -> float:
-        """Emulated seconds elapsed."""
-        return self._stats.elapsed
-
-    @property
-    def slot_duration(self) -> float:
-        """Seconds of airtime per slot."""
-        return self._dt
-
-    def run(
-        self,
-        max_slots: int,
-        *,
-        stop_when: Callable[[], bool] | None = None,
-    ) -> EngineStats:
-        """Advance up to ``max_slots`` slots; ``stop_when`` checked each
-        slot after delivery processing."""
-        if max_slots < 0:
-            raise ValueError(f"max_slots must be >= 0, got {max_slots}")
-        # Between runs the caller owns the runtimes (epoch drivers swap
-        # plans there), so nothing parked survives the boundary.
         self._awake.wake_all()
-        for _ in range(max_slots):
-            self.step()
-            if stop_when is not None and stop_when():
-                break
-        self._flush_queue_stats()
-        return self._stats
+        for method, *arguments in events:
+            for runtime in self._runtime_list:
+                getattr(runtime, method)(*arguments)
 
-    def step(self) -> Tuple[int, ...]:
-        """Execute one slot; returns the granted transmitter set."""
-        dt = self._dt
-        # One pass per awake runtime: clock advance, then scheduler
-        # inputs.  Safe to fuse — runtimes only interact through
-        # deliveries, and each holds its own RNG, so per-node slot work
-        # is independent.
-        contenders, weights = self._awake.tick(self._runtime_list, dt)
-        granted = self._schedule(contenders, weights)
-        if self._tracer is not None:
-            for node in granted:
-                self._tracer.record(
-                    self._stats.slots, self._stats.elapsed, "grant", node
-                )
-        self._deliver(granted)
-        queue_times = self._queue_time_buf
-        if self._obs_enabled:
-            # The histogram takes one sample per runtime per slot, in
-            # participant order, parked or not (parked ones read 0).
-            for index, runtime in enumerate(self._runtime_list):
-                queue_length = runtime.queue_length()
-                queue_times[index] += queue_length
-                self._m_queue.observe(queue_length)
-        else:
-            self._awake.sample_queues(self._runtime_list, queue_times)
-        stats = self._stats
-        stats.slots += 1
-        stats.elapsed += dt
-        stats.grants += len(granted)
-        if self._obs_enabled:
-            self._m_slots.inc()
-            self._m_grants.inc(len(granted))
-            self._m_time.set(stats.elapsed)
-        return granted
+    def begin_slot(
+        self, events: Optional[Iterable[Sequence[Any]]]
+    ) -> Tuple[int, List[float], List[int]]:
+        """Apply deferred control events, tick clocks, draw lottery keys.
 
-    def _schedule(
-        self, contenders: List[int], weights: List[float]
-    ) -> Tuple[int, ...]:
-        """Weighted-lottery grant with per-contender key streams.
-
-        Consumes one scalar ``Exp(1)`` draw from each contender's own
-        "mac" stream, so a node's key sequence depends only on how
-        often *it* contended — not on who else did.  The greedy pass is
-        the scheduler's own.
+        One pass per awake runtime: clock advance, then scheduler
+        inputs.  Safe to fuse — runtimes only interact through
+        deliveries, and each holds its own RNG, so per-node slot work is
+        independent.  Every contender draws one scalar ``Exp(1)`` from
+        its own "mac" stream, so a node's key sequence depends only on
+        how often *it* contended.  Returns the hosted contenders' keys
+        and participant positions as two flat lists, for the session's
+        global greedy MIS pass.
         """
-        streams = self._streams
-        participants = self._participants
+        if events:
+            self.apply_events(events)
         floor = IdealMacScheduler.WEIGHT_FLOOR
-        keyed: List[Tuple[float, int]] = []
+        owned = self._owned
+        to_global = self._global_positions
+        mac = self._mac
+        contenders, weights = self._awake.tick(self._runtime_list, self._dt)
+        keys: List[float] = []
         for position, weight in zip(contenders, weights):
-            draw = streams.get("mac", participants[position]).standard_exponential()
-            keyed.append((draw / max(weight, floor), position))
-        keyed.sort()
-        return self._scheduler.grant_from_keyed(keyed)
+            draw = mac[owned[position]].standard_exponential()
+            keys.append(draw / max(weight, floor))
+        if not self._hosts_everyone:
+            contenders = [to_global[position] for position in contenders]
+        return len(self._awake.positions), keys, contenders
 
-    def _record_tx(self, node: int) -> None:
-        if self._obs_enabled:
-            self._m_tx.inc()
-        if self._tracer is not None:
-            self._tracer.record(
-                self._stats.slots, self._stats.elapsed, "tx", node
-            )
+    def fire(
+        self, granted: Tuple[int, ...]
+    ) -> Tuple[int, List[Event], List[Entry]]:
+        """Fire this core's granted transmitters against the full grant.
 
-    def _deliver(self, granted: Tuple[int, ...]) -> None:
-        """Resolve one slot's transmissions into per-receiver deliveries.
+        The complete granted tuple (all cores) arrives so blanking
+        coverage and half-duplex checks see every transmitter.  Returns
+        a ``tx`` event per transmission that actually fired (only when a
+        tracer wants them) and what each receiver heard, receivers and
+        arrivals both in place order.
+        """
+        events: List[Event] = []
+        offers = self._fire(granted, events)
+        return len(self._awake.positions), events, list(offers.items())
 
-        The granted set is conflict-free under the scheduler's relation.
-        What happens when two granted transmitters still cover a common
+    def _fire(
+        self, granted: Tuple[int, ...], events: List[Event]
+    ) -> Dict[int, List[Arrival]]:
+        """Transmissions and per-link loss draws of one slot.
+
+        The granted set is conflict-free under the scheduler's relation;
+        what happens when two granted transmitters still cover a common
         receiver depends on the interference model:
 
         * ``"blanking"`` (default; Drift's model, Sec. 5: "a node cannot
@@ -395,187 +341,259 @@ class EmulationEngine:
           exactly the congestion penalty OMNC's rate control is designed
           to avoid.
         * ``"capture"`` — the receiver keeps exactly one of the arrivals
-          (uniform choice): an idealized receiver that time-shares its
-          airtime, the fluid reading of broadcast constraint (4).
+          (uniform choice, in :meth:`resolve`): an idealized receiver
+          that time-shares its airtime, the fluid reading of broadcast
+          constraint (4).
         * ``"conflict_free"`` — cannot happen: the scheduler already
           serializes shared-receiver transmitters (two-hop conflicts),
           the Sec. 3.2 idealized broadcast MAC.
         """
         granted_flags = self._granted_flags
+        covered = self._covered_counts
+        blanking = self._blanking
+        runtimes = self._runtimes
+        transmissions = self._transmissions
+        observed = self._obs_enabled
+        traced = self._traced
         for node in granted:
             granted_flags[node] = True
-        blanking = self._interference == "blanking"
-        streams = self._streams
-        # Phase 1: fire transmissions and draw per-link receptions.
-        offers: Dict[int, List[Tuple[int, object]]] = {}
-        covered = self._covered_counts
         if blanking:
+            # Only this model counts coverage: under the others the
+            # counts stay 0 and nobody below is ever blanked.
             for node in granted:
                 for j in self._cov_list[node]:
                     covered[j] += 1
-        for node in granted:
-            runtime = self._runtimes[node]
-            if isinstance(runtime, UnicastRuntime):
-                sequence = runtime.peek_sequence()
-                if sequence is None:
+        offers: Dict[int, List[Arrival]] = {}
+        try:
+            for rank, node in enumerate(granted):
+                runtime = runtimes.get(node)
+                if runtime is None:
+                    continue  # hosted by another core
+                if isinstance(runtime, UnicastRuntime):
+                    packet: Any = runtime.peek_sequence()
+                    target = runtime.next_hop
+                    if packet is None or target is None:
+                        continue
+                    self._pending_unicast[node] = False
+                else:
+                    packet = runtime.pop_transmission()
+                    if packet is None:
+                        continue
+                    target = None
+                transmissions[node] += 1
+                if observed:
+                    self._m_tx.inc()
+                if traced:
+                    events.append((-1, rank, "tx", node))
+                if target is not None:
+                    if granted_flags[target]:
+                        continue  # half-duplex: a transmitter cannot receive
+                    if covered[target] > 1:
+                        if observed:
+                            self._m_blanked.inc()
+                        continue  # hidden-terminal collision at the receiver
+                    if self._channel.unicast(node, target, rng=self._loss[node]):
+                        offers.setdefault(target, []).append(
+                            (rank, 0, node, "unicast", packet)
+                        )
                     continue
-                target = runtime.next_hop
-                assert target is not None
-                self._stats.transmissions[node] += 1
-                self._record_tx(node)
-                self._pending_unicast[node] = False
-                if granted_flags[target]:
-                    continue  # half-duplex: a transmitter cannot receive
-                if blanking and covered[target] > 1:
-                    if self._obs_enabled:
-                        self._m_blanked.inc()
-                    continue  # hidden-terminal collision at the receiver
-                if self._channel.unicast(
-                    node, target, rng=streams.get("channel", node)
-                ):
-                    offers.setdefault(target, []).append((node, sequence))
-            else:
-                packet = runtime.pop_transmission()
-                if packet is None:
-                    continue
-                self._stats.transmissions[node] += 1
-                self._record_tx(node)
                 candidate_ids: List[int] = []
                 candidate_probs: List[float] = []
-                if blanking:
-                    blanked = 0
-                    for j, p in self._rx_pairs[node]:
-                        if granted_flags[j]:
-                            continue
-                        if covered[j] > 1:
-                            # Coverage is geometric: a receiver with no
-                            # usable link from this transmitter is still
-                            # blanked, matching the paper's model.
-                            blanked += 1
-                            continue
-                        if p > 0.0:
-                            candidate_ids.append(j)
-                            candidate_probs.append(p)
-                    if blanked and self._obs_enabled:
-                        self._m_blanked.inc(blanked)
-                else:
-                    for j, p in self._rx_pairs[node]:
-                        if p > 0.0 and not granted_flags[j]:
-                            candidate_ids.append(j)
-                            candidate_probs.append(p)
+                blanked = 0
+                for j, p in self._rx_pairs[node]:
+                    if granted_flags[j]:
+                        continue
+                    if covered[j] > 1:
+                        # Coverage is geometric: a receiver with no
+                        # usable link from this transmitter is still
+                        # blanked, matching the paper's model.
+                        blanked += 1
+                        continue
+                    if p > 0.0:
+                        candidate_ids.append(j)
+                        candidate_probs.append(p)
+                if blanked and observed:
+                    self._m_blanked.inc(blanked)
                 delivered = self._channel.broadcast_prefiltered(
-                    candidate_ids, candidate_probs, rng=streams.get("channel", node)
+                    candidate_ids, candidate_probs, rng=self._loss[node]
                 )
-                for j in delivered:
-                    offers.setdefault(j, []).append((node, packet))
-        # Phase 2: per-receiver resolution — at most one delivery per slot.
-        for receiver, arrivals in offers.items():
-            if len(arrivals) == 1:
-                sender, payload = arrivals[0]
-            else:
-                tie_break = streams.get("capture", receiver)
-                index = int(tie_break.integers(0, len(arrivals)))
-                sender, payload = arrivals[index]
-            self._stats.delivered_links.add((sender, receiver))
-            if self._obs_enabled:
-                self._m_deliveries.inc()
-            if self._tracer is not None:
-                self._tracer.record(
-                    self._stats.slots,
-                    self._stats.elapsed,
-                    "delivery",
-                    sender,
-                    peer=receiver,
-                )
-            runtime = self._runtimes[receiver]
-            self._awake.wake(self._positions[receiver])
-            if isinstance(self._runtimes[sender], UnicastRuntime):
-                self._pending_unicast[sender] = True
-                assert isinstance(runtime, UnicastRuntime)
-                runtime.receive_sequence(payload)  # type: ignore[arg-type]
-            elif not isinstance(runtime, UnicastRuntime):
-                runtime.on_receive(payload, sender)  # type: ignore[arg-type]
-        # Phase 3: settle unicast attempts (success = resolved delivery).
-        for node in granted:
-            runtime = self._runtimes[node]
-            if isinstance(runtime, UnicastRuntime) and node in self._pending_unicast:
-                runtime.complete_transmission(self._pending_unicast.pop(node))
-        for node in granted:
-            granted_flags[node] = False
-        if blanking:
+                for pos, j in enumerate(delivered):
+                    offers.setdefault(j, []).append((rank, pos, node, "coded", packet))
+        finally:
             for node in granted:
-                for j in self._cov_list[node]:
-                    covered[j] = 0
+                granted_flags[node] = False
+            if blanking:
+                for node in granted:
+                    for j in self._cov_list[node]:
+                        covered[j] = 0
+        return offers
 
-    def broadcast_generation_advance(self, generation_id: int) -> None:
-        """Propagate an ACK/next-generation signal to every runtime.
+    def resolve(
+        self, entries: Iterable[Entry]
+    ) -> Tuple[int, List[Event], List[int]]:
+        """Per-receiver resolution for this core's hosted receivers.
 
-        The paper sends the uncoded ACK over best-path routing; relays
-        additionally expire on seeing newer-generation packets.  We model
-        the ACK as fast and reliable (it is a single small packet on a
-        high-quality path) and apply it at the slot boundary.
+        A receiver keeps at most one delivery per slot; one that heard
+        several draws the tie-break from its own capture stream, so
+        cross-receiver processing order cannot perturb any draw.
+        Returns what happened, each event led by its receiver's place —
+        decode / delivery log entries always, the delivery a receiver
+        kept only when a tracer wants it — and the senders whose unicast
+        attempt got through.  Closes the slot unless :meth:`finish_slot`
+        still has unicast attempts to settle.
         """
-        if self._tracer is not None:
-            # The destination's decode event; detail = the new generation.
-            self._tracer.record(
-                self._stats.slots,
-                self._stats.elapsed,
-                "ack",
-                -1,
-                detail=generation_id,
-            )
-        self._awake.wake_all()
-        for runtime in self._runtimes.values():
-            runtime.advance_generation(generation_id)
+        events: List[Event] = []
+        successes = self._resolve(entries, events)
+        if not self._has_unicast:
+            self._settle(())
+        return len(self._awake.positions), events, successes
 
-    def broadcast_session_generation_advance(
-        self, session_id: int, generation_id: int
-    ) -> None:
-        """Per-session ACK propagation for multi-session runs.
+    def _resolve(self, entries: Iterable[Entry], events: List[Event]) -> List[int]:
+        successes: List[int] = []
+        log = self._log
+        traced = self._traced
+        observed = self._obs_enabled
+        runtimes = self._runtimes
+        wake = self._awake.wake
+        positions = self._positions
+        delivered_links = self._delivered_links
+        for receiver, arrivals in entries:
+            index = 0
+            if len(arrivals) > 1:
+                index = int(self._capture[receiver].integers(0, len(arrivals)))
+            _rank, _pos, sender, kind, payload = arrivals[index]
+            delivered_links.add((sender, receiver))
+            if observed:
+                self._m_deliveries.inc()
+            wake(positions[receiver])
+            if kind == "unicast":
+                runtimes[receiver].receive_sequence(payload)  # type: ignore[attr-defined]
+                successes.append(sender)
+            else:
+                runtimes[receiver].on_receive(payload, sender)
+            if traced or log.events:
+                place = arrivals[0][:2]
+                if traced:
+                    events.append((*place, "delivery", sender, receiver))
+                events.extend((*place, tag, value) for tag, value in log.drain())
+        return successes
 
-        Same modelling as :meth:`broadcast_generation_advance` (fast,
-        reliable, applied at the slot boundary), but scoped to one
-        session of the composite runtimes; other sessions' generation
-        state is untouched.  ``peer`` carries the session id in the
-        trace so digests distinguish concurrent ACKs.
+    def fire_resolve(self, granted: Tuple[int, ...]) -> Tuple[int, List[Event]]:
+        """An interior slot: resolve what was fired where it was fired.
+
+        The session asks for this when no granted transmitter has a
+        neighbour hosted by another core, so every arrival :meth:`fire`
+        builds belongs to a receiver hosted here and nobody else's can —
+        no packet leaves the process, and unicast attempts settle on the
+        spot.
         """
-        if self._tracer is not None:
-            self._tracer.record(
-                self._stats.slots,
-                self._stats.elapsed,
-                "ack",
-                -1,
-                peer=session_id,
-                detail=generation_id,
-            )
-        self._awake.wake_all()
-        for runtime in self._runtimes.values():
-            runtime.advance_session_generation(session_id, generation_id)
+        events: List[Event] = []
+        offers = self._fire(granted, events)
+        self._settle(self._resolve(offers.items(), events) if offers else ())
+        return len(self._awake.positions), events
 
-    def broadcast_session_arrival(self, session_id: int) -> None:
-        """Switch a dormant session live on every hosting runtime."""
-        if self._tracer is not None:
-            self._tracer.record(
-                self._stats.slots,
-                self._stats.elapsed,
-                "arrive",
-                -1,
-                peer=session_id,
-            )
-        self._awake.wake_all()
-        for runtime in self._runtimes.values():
-            runtime.activate_session(session_id)
+    def finish_slot(self, successes: Sequence[int]) -> Tuple[int]:
+        """Settle hosted unicast attempts, then sample queues.
 
-    def broadcast_session_departure(self, session_id: int) -> None:
-        """Remove a session from airtime contention on every runtime."""
-        if self._tracer is not None:
-            self._tracer.record(
-                self._stats.slots,
-                self._stats.elapsed,
-                "depart",
-                -1,
-                peer=session_id,
-            )
+        On a cross-cut slot this is its own barrier, and only for a
+        session with unicast runtimes: the head-of-line pop in
+        ``complete_transmission`` changes queue lengths, so sampling
+        must wait for the success verdicts that the receivers' cores
+        produced in :meth:`resolve`.
+        """
+        self._settle(successes)
+        return (len(self._awake.positions),)
+
+    def _settle(self, successes: Sequence[int]) -> None:
+        """Close the slot: unicast verdicts (success = resolved
+        delivery) to those who attempted, then the queue samples."""
+        if self._pending_unicast:
+            for node in self._pending_unicast:
+                self._runtimes[node].complete_transmission(  # type: ignore[attr-defined]
+                    node in successes
+                )
+            self._pending_unicast.clear()
+        queue_times = self._queue_time_buf
+        if self._obs_enabled:
+            # The histogram takes one sample per runtime per slot, in
+            # participant order, parked or not (parked ones read 0).
+            for position, runtime in enumerate(self._runtime_list):
+                queue_length = runtime.queue_length()
+                queue_times[position] += queue_length
+                self._m_queue.observe(queue_length)
+        else:
+            self._awake.sample_queues(self._runtime_list, queue_times)
+
+    # -- control plane -------------------------------------------------
+
+    def advance_idle(self, slots: int) -> None:
+        """Stall the data plane for ``slots`` slots: queues hold their
+        occupancy (their time-integral keeps accruing), credits do not
+        accrue, and **no RNG stream is consumed**."""
+        queue_times = self._queue_time_buf
+        for position, runtime in enumerate(self._runtime_list):
+            queue_length = runtime.queue_length()
+            queue_times[position] += queue_length * slots
+            if self._obs_enabled:
+                self._m_queue.observe(queue_length)
+
+    def set_network(self, network: WirelessNetwork) -> None:
+        """Swap the topology: the channel's loss model and every
+        precomputed neighbor/receiver structure; RNG streams are untouched."""
+        self._network = network
+        self._channel.set_network(network)
+        self._build_structures()
+
+    def rebuild(self, runtimes: Optional[Dict[int, NodeRuntime]] = None) -> None:
+        """Refresh the precomputed structures after a plan swap.
+
+        ``runtimes`` replaces the hosted set, and with it the
+        participant set, by live objects: for the core that hosts every
+        node (runtime objects do not travel to a worker mid-run).
+        """
+        if runtimes is None:
+            self._build_structures()
+        else:
+            self._flush_queue_time()
+            self._host(runtimes, tuple(sorted(runtimes)))
+
+    def apply_plan(self, updates: Mapping[int, Mapping[str, Any]]) -> None:
+        """Hot-swap plan parameters on the hosted ones of ``updates``' nodes."""
+        for node, params in updates.items():
+            if node in self._positions:
+                self._runtimes[node].apply_plan(**params)
+                self._awake.wake(self._positions[node])
+
+    def wake_all(self, _argument: None = None) -> None:
+        """Re-examine every hosted runtime on the next slot."""
         self._awake.wake_all()
-        for runtime in self._runtimes.values():
-            runtime.deactivate_session(session_id)
+
+    def close(self) -> None:
+        """Nothing to release: the core lives and dies with its process."""
+
+    # -- results -------------------------------------------------------
+
+    def parked_nodes(self, _argument: None = None) -> List[int]:
+        """Hosted nodes the slot loop currently skips (introspection)."""
+        return [self._owned[i] for i in self._awake.parked_positions()]
+
+    def _flush_queue_time(self) -> None:
+        """Publish the flat queue-time accumulator into the per-node dict."""
+        self._queue_time.update(zip(self._owned, self._queue_time_buf))
+
+    def finalize(self, _argument: None = None) -> Dict[str, Any]:
+        """This core's stats for the session's merge (non-destructive)."""
+        self._flush_queue_time()
+        return {
+            "queue_time_sum": dict(self._queue_time),
+            "transmissions": dict(self._transmissions),
+            "delivered_links": sorted(self._delivered_links),
+            "node_sessions": {
+                node: {
+                    "sessions": runtime.session_stats(),
+                    "xor_transmissions": runtime.xor_transmissions,
+                }
+                for node, runtime in self._runtimes.items()
+                if isinstance(runtime, MultiSessionNodeRuntime)
+            },
+        }

@@ -16,11 +16,10 @@ Design points:
   credit-driven MORE; ETX unicast stays single-session).  Sessions can
   mix protocols, which is exactly how the fig6 experiment compares
   OMNC-multi against MORE-per-flow under identical contention.
-* **Shard-safe by construction.**  The driver runs on
-  :class:`~repro.emulator.shard.ShardedSession` in per-node RNG mode for
-  any ``shards >= 1``; control events (per-session generation advances,
-  arrivals, departures) queue through the same slot-boundary path as the
-  single-session ACK, so ``shards=1`` and ``shards=N`` are bit-identical.
+* **Shard-safe by construction.**  The driver runs on the same
+  :class:`~repro.emulator.shard.ShardedSession` as every other; control
+  events (per-session generation advances, arrivals, departures) queue
+  like the single-session ACK, so any ``shards`` is bit-identical.
 * **Churn without topology churn.**  Scenario ``session_arrive`` /
   ``session_depart`` events switch pre-built sub-runtimes between
   dormant and active; the participant set — and with it every conflict
@@ -37,29 +36,19 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Dict,
-    List,
-    Mapping,
-    Sequence,
-    Tuple,
-)
+from functools import partial
+from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence, Tuple
 
 from repro.emulator.node import InterSessionXorRelay, MultiSessionNodeRuntime
 from repro.emulator.session import (
     SessionConfig,
     SessionResult,
     build_plan_runtimes,
+    plan_coding_config,
+    plan_packet_bytes,
     session_result,
 )
-from repro.emulator.shard import (
-    ShardedSession,
-    _DecodeLog,
-    _SessionDecodeAdapter,
-    session_digest,
-)
+from repro.emulator.shard import ShardedSession, _DecodeLog, session_digest
 from repro.emulator.stats import jain_fairness_index
 from repro.emulator.trace import SessionTracer
 from repro.emulator.plan import SessionPlan
@@ -173,10 +162,12 @@ def run_multi_session(
     start dormant and switch live at their event time; departing ones
     stop contending (their delivered state and stats survive).
 
-    ``shards=1`` is the in-process serial oracle; any ``shards=N``
-    produces a bit-identical outcome and trace (per-node RNG streams +
-    slot-boundary control events, exactly like the single-session
-    sharded driver).
+    ``shards=1`` runs in this process; any ``shards=N`` produces a
+    bit-identical outcome and trace.
+
+    A plan that carries its own coding decision runs, and is credited,
+    at that generation size; a run has one slot length, so plans whose
+    packets differ in size are refused.
 
     With ``config.target_generations > 0`` the run stops once every
     session has decoded that many generations (sessions that depart
@@ -194,22 +185,31 @@ def run_multi_session(
                 f"session {sid}: multi-session runs take coded plans, got "
                 f"{type(plan).__name__}"
             )
+    session_ids = sorted(plans)
+    configs = {sid: plan_coding_config(config, plans[sid]) for sid in session_ids}
+    packet_bytes = {
+        sid: plan_packet_bytes(configs[sid], plans[sid]) for sid in session_ids
+    }
+    if len(set(packet_bytes.values())) > 1:
+        raise ValueError(
+            "sessions share one slot length, but their plans' packets differ "
+            f"in size (bytes per session: {packet_bytes})"
+        )
     timeline, dormant = _extract_churn(plans, scenario)
     xor_pairs = xor_pairs or {}
 
-    decode_log = _DecodeLog()
+    log = _DecodeLog()
     labels: Dict[int, str] = {}
     composites: Dict[int, MultiSessionNodeRuntime] = {}
-    for sid in sorted(plans):
-        runtimes, label = build_plan_runtimes(
+    for sid in session_ids:
+        runtimes, labels[sid] = build_plan_runtimes(
             network,
             plans[sid],
             session_id=sid,
             config=config,
             rng=rng.spawn(f"msession-{sid}"),
-            on_decoded=_SessionDecodeAdapter(decode_log, sid),
+            on_decoded=partial(log, session_id=sid),
         )
-        labels[sid] = label
         for node in sorted(runtimes):
             composite = composites.get(node)
             if composite is None:
@@ -224,68 +224,51 @@ def run_multi_session(
                 sid, runtimes[node], active=sid not in dormant
             )
 
-    slot = config.coded_packet_bytes() / network.capacity
-    ack_times: Dict[int, List[float]] = {sid: [] for sid in sorted(plans)}
-    pending_advances: List[Tuple[int, int]] = []
+    decoded = dict.fromkeys(session_ids, 0)
     arrivals: List[Tuple[float, int]] = []
     departures: List[Tuple[float, int]] = []
-
-    def on_decoded(event: Any, ack_time: float) -> None:
-        sid, generation_id = event
-        ack_times[sid].append(ack_time)
-        pending_advances.append((sid, generation_id + 1))
-
     session = ShardedSession(
         network,
         dict(composites),
-        slot,
+        packet_bytes[session_ids[0]] / network.capacity,
         rng_factory=rng,
         shards=shards,
         interference=config.interference,
         tracer=tracer,
-        decode_log=decode_log,
-        on_decoded=on_decoded,
+        decode_log=log,
         start_method=start_method,
     )
-    max_slots = int(config.max_seconds / slot)
     target = config.target_generations
-    event_index = [0]
+    event_index = 0
 
     def tick() -> bool:
         # Churn first, then decoded-generation advances — a fixed order
-        # shared by the serial (immediate) and sharded (queued) paths.
-        while (
-            event_index[0] < len(timeline)
-            and timeline[event_index[0]][0] <= session.now
-        ):
-            at, kind, sid = timeline[event_index[0]]
-            event_index[0] += 1
+        # at every slot boundary.
+        nonlocal event_index
+        while event_index < len(timeline) and timeline[event_index][0] <= session.now:
+            _at, kind, sid = timeline[event_index]
+            event_index += 1
             if kind == "arrive":
                 session.broadcast_session_arrival(sid)
                 arrivals.append((session.now, sid))
             else:
                 session.broadcast_session_departure(sid)
                 departures.append((session.now, sid))
-        for sid, generation_id in pending_advances:
-            session.broadcast_session_generation_advance(sid, generation_id)
-        pending_advances.clear()
-        if target <= 0:
-            return False
-        return all(len(times) >= target for times in ack_times.values())
+        for sid, generation_id in log.unseen():
+            decoded[sid] += 1
+            session.broadcast_session_generation_advance(sid, generation_id + 1)
+        return target > 0 and min(decoded.values()) >= target
 
     with session:
-        session.run(max_slots, stop_when=tick)
+        session.run(int(config.max_seconds / session.slot_duration), stop_when=tick)
         stats = session.finalize_stats()
-        node_stats = session.collect_session_stats()
+    node_stats = stats.node_sessions
 
     elapsed = stats.elapsed if stats.elapsed > 0 else 1.0
     results: Dict[int, SessionResult] = {}
-    xor_total = 0
-    for node in sorted(node_stats):
-        xor_total += int(node_stats[node]["xor_transmissions"])
-    for sid in sorted(plans):
+    for sid in session_ids:
         plan = plans[sid]
-        times = ack_times[sid]
+        times = [time for (acked, _generation), time in log.acks if acked == sid]
         average_queues: Dict[int, float] = {}
         transmissions: Dict[int, int] = {}
         delivered: List[Tuple[int, int]] = []
@@ -308,8 +291,7 @@ def run_multi_session(
             transmissions,
             delivered,
             ack_times=times,
-            generations=len(times),
-            blocks_decoded=len(times) * config.blocks,
+            blocks_decoded=len(times) * configs[sid].blocks,
         )
 
     throughputs = [results[sid].throughput_bps for sid in sorted(results)]
@@ -320,7 +302,9 @@ def run_multi_session(
         aggregate_throughput_bps=float(sum(throughputs)),
         fairness=jain_fairness_index(throughputs),
         transmissions=int(sum(stats.transmissions.values())),
-        xor_transmissions=xor_total,
+        xor_transmissions=sum(
+            int(entry["xor_transmissions"]) for entry in node_stats.values()
+        ),
         arrivals=tuple(arrivals),
         departures=tuple(departures),
     )

@@ -14,7 +14,7 @@ offered load at half the channel capacity, throughput computed at each
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
 
 from repro import obs
 from repro.coding.generation import (
@@ -23,8 +23,6 @@ from repro.coding.generation import (
     MAX_GENERATION_BLOCKS,
 )
 from repro.coding.packet import HEADER_BYTES
-from repro.emulator.channel import LossyBroadcastChannel
-from repro.emulator.engine import EmulationEngine
 from repro.emulator.node import (
     CodedDestinationRuntime,
     CodedRelayRuntime,
@@ -35,15 +33,11 @@ from repro.emulator.node import (
     NodeRuntime,
     UnicastRuntime,
 )
-from repro.emulator.plan import (
-    CodedBroadcastPlan,
-    CreditBroadcastPlan,
-    SessionPlan,
-    UnicastPathPlan,
-)
+from repro.emulator.plan import SessionPlan
+from repro.emulator.shard import ShardedSession, _DecodeLog
 from repro.emulator.trace import SessionTracer
 from repro.topology.graph import Link, WirelessNetwork
-from repro.util.rng import NodeStreams, RngFactory
+from repro.util.rng import RngFactory
 
 _UNICAST_HEADER_BYTES = 24  # IP/MAC-style header for plain forwarding
 
@@ -65,7 +59,7 @@ class SessionConfig:
         interference: the emulator's interference model — "blanking"
             (Drift's Sec. 5 model, default), "capture", or
             "conflict_free" (the Sec. 3.2 idealized broadcast MAC).  See
-            :class:`repro.emulator.engine.EmulationEngine`.
+            :meth:`repro.emulator.engine.EngineCore.fire`.
         coding_fidelity: "flow" (default) counts information in
             innovative-packet units under the paper's stream-independence
             assumption (Sec. 3.2); "exact" simulates real GF(2^8) coding
@@ -184,38 +178,13 @@ class SessionResult:
         return float(sum(involved) / len(involved))
 
 
-class _AckTracker:
-    """Collects a session's end-to-end events: decoded-generation ACKs
-    (and the generation advance they trigger) and unicast deliveries."""
-
-    def __init__(self) -> None:
-        self.ack_times: List[float] = []
-        self.delivered = 0
-        self.engine: EmulationEngine | None = None
-        self.pending_advance: int | None = None
-
-    def on_decoded(self, generation_id: int) -> None:
-        assert self.engine is not None
-        self.ack_times.append(self.engine.now)
-        # Applied after the delivery phase of the slot completes.
-        self.pending_advance = generation_id + 1
-
-    def on_delivered(self, _sequence: int) -> None:
-        self.delivered += 1
-
-    def apply_pending(self) -> None:
-        if self.pending_advance is not None and self.engine is not None:
-            self.engine.broadcast_generation_advance(self.pending_advance)
-            self.pending_advance = None
-
-
 def plan_coding_config(config: SessionConfig, plan: SessionPlan) -> SessionConfig:
     """Fold a plan-carried coding decision into the session config.
 
     Plans that carry :class:`~repro.emulator.plan.CodingParams` (today:
-    :class:`CodedBroadcastPlan`) override the config's generation size
-    and systematic flag for the whole session; plans without one leave
-    the config untouched.  Every session entry point applies this before
+    ``CodedBroadcastPlan``) override the config's generation size and
+    systematic flag for the whole session; plans without one leave the
+    config untouched.  Every session entry point applies this before
     sizing slots or building runtimes, so a plan-carried decision and an
     explicitly configured one behave identically.
     """
@@ -253,9 +222,9 @@ def install_plan(
     survive; a missing one is constructed from the same settings.  Nodes
     the plan does not list are absent from the result (a dropped
     forwarder's queued packets are lost, as a silenced real node's would
-    be).  ``existing={}`` is a fresh build; passing an engine's live
+    be).  ``existing={}`` is a fresh build; passing a session's live
     runtimes is the hot-swap (follow it with
-    :meth:`~repro.emulator.engine.EmulationEngine.rebuild_runtime_structures`).
+    :meth:`~repro.emulator.shard.ShardedSession.rebuild_runtime_structures`).
 
     ``cbr`` is the offered load in bytes/second (default: the config's
     ``cbr_fraction`` of channel capacity).  Coded plans wire new
@@ -364,20 +333,22 @@ def open_session(
     session_id: int = 1,
     config: SessionConfig,
     rng: RngFactory,
+    shards: int = 1,
     registry: obs.MetricsRegistry | None = None,
     tracer: SessionTracer | None = None,
-) -> Tuple[EmulationEngine, _AckTracker]:
-    """Build ``plan``'s runtimes and the engine that will run them.
+    start_method: str | None = None,
+) -> Tuple[ShardedSession, _DecodeLog]:
+    """Build ``plan``'s runtimes and the session that will run them.
 
-    Returns the engine (one slot = one of the plan's packets at channel
-    capacity) and the tracker its destination reports to: decoded ACKs
+    Returns the session (one slot = one of the plan's packets at channel
+    capacity) and the recorder its destination reports to: decoded ACKs
     for coded plans, the delivery count for unicast ones.
-    ``registry``/``tracer`` flow through to the engine; when omitted the
-    engine falls back to the global :mod:`repro.obs` registry, so a
+    ``registry``/``tracer`` flow through to the session; when omitted it
+    falls back to the global :mod:`repro.obs` registry, so a
     ``with obs.collecting():`` block instruments the whole session with
     no further plumbing.
     """
-    tracker = _AckTracker()
+    log = _DecodeLog()
     runtimes = install_plan(
         network,
         plan,
@@ -385,23 +356,22 @@ def open_session(
         session_id=session_id,
         config=config,
         rng=rng,
-        on_decoded=tracker.on_decoded,
-        on_delivered=tracker.on_delivered,
+        on_decoded=log,
+        on_delivered=log.deliver,
     )
-    engine = EmulationEngine(
+    session = ShardedSession(
         network,
         runtimes,
-        # The channel's own stream is never consumed: every loss draw
-        # comes from the transmitter's stream.
-        LossyBroadcastChannel(network, rng=0),
         plan_packet_bytes(config, plan) / network.capacity,
-        streams=NodeStreams(rng),
+        rng_factory=rng,
+        shards=shards,
         interference=config.interference,
-        registry=registry,
         tracer=tracer,
+        registry=registry,
+        decode_log=log,
+        start_method=start_method,
     )
-    tracker.engine = engine
-    return engine, tracker
+    return session, log
 
 
 def session_result(
@@ -415,17 +385,16 @@ def session_result(
     delivered_links: Iterable[Link],
     *,
     ack_times: Sequence[float] = (),
-    generations: int = 0,
     blocks_decoded: int = 0,
     packets_delivered: int | None = None,
 ) -> SessionResult:
     """Assemble a :class:`SessionResult` from a driver's counters.
 
-    Coded sessions pass ``ack_times``/``generations``/``blocks_decoded``
-    (each generation credited at the size it actually ran, so adaptive-n
-    sessions account correctly).  Paper: throughput is computed at each
-    decoded ACK and averaged over the session == total decoded payload
-    over the time of the last ACK.  Unicast sessions pass
+    Coded sessions pass ``ack_times`` (one per decoded generation) and
+    ``blocks_decoded`` (each generation credited at the size it actually
+    ran, so adaptive-n sessions account correctly).  Paper: throughput
+    is computed at each decoded ACK and averaged over the session ==
+    total decoded payload over the time of the last ACK.  Unicast sessions pass
     ``packets_delivered`` instead and average over the whole run.
     ``average_queues`` names the participants.
     """
@@ -441,7 +410,7 @@ def session_result(
         destination=destination,
         throughput_bps=throughput,
         duration=duration,
-        generations_decoded=generations,
+        generations_decoded=len(ack_times),
         packets_delivered=packets_delivered,
         ack_times=tuple(ack_times),
         average_queues=average_queues,
@@ -451,85 +420,73 @@ def session_result(
     )
 
 
-def run_coded_session(
+def run_sharded_session(
     network: WirelessNetwork,
-    plan: CodedBroadcastPlan | CreditBroadcastPlan,
+    plan: SessionPlan,
     *,
+    shards: int = 1,
     session_id: int = 1,
     config: SessionConfig | None = None,
     rng: RngFactory | None = None,
     protocol_label: str | None = None,
     registry: obs.MetricsRegistry | None = None,
     tracer: SessionTracer | None = None,
+    start_method: str | None = None,
 ) -> SessionResult:
-    """Emulate one network-coded session (OMNC, MORE or oldMORE plan).
+    """Emulate one session under any plan: OMNC, MORE, oldMORE or ETX.
 
+    A coded plan runs until ``config.target_generations`` are decoded
+    (0 = the full time budget); an ETX best-path plan, with its MAC
+    retransmissions, always runs the full budget.  ``shards=1`` runs in
+    this process; any ``shards=N`` produces a bit-identical
+    :class:`SessionResult` and trace from N worker processes.
     ``registry``/``tracer``: see :func:`open_session`.
     """
-    if getattr(plan, "kind", None) not in ("rate", "credit"):
+    kind = getattr(plan, "kind", None)
+    if kind not in _LABELS:
         raise TypeError(f"unsupported plan type {type(plan).__name__}")
     config = plan_coding_config(config or SessionConfig(), plan)
-    engine, tracker = open_session(
+    session, log = open_session(
         network,
         plan,
         session_id=session_id,
         config=config,
         rng=rng or RngFactory(0),
+        shards=shards,
         registry=registry,
         tracer=tracer,
+        start_method=start_method,
     )
-    runtimes = engine.runtimes
-    dest_runtime: Any = runtimes[plan.destination]
+    unicast = kind == "unicast"
     target = config.target_generations
 
     def stop() -> bool:
-        tracker.apply_pending()
-        return target > 0 and dest_runtime.generations_decoded >= target
+        # Applied after the delivery phase of the slot completes.
+        for generation_id in log.unseen():
+            session.broadcast_generation_advance(generation_id + 1)
+        return target > 0 and len(log.acks) >= target
 
-    stats = engine.run(int(config.max_seconds / engine.slot_duration), stop_when=stop)
+    with session:
+        session.run(
+            int(config.max_seconds / session.slot_duration),
+            stop_when=None if unicast else stop,
+        )
+        stats = session.finalize_stats()
+    ack_times = [time for _generation, time in log.acks]
     return session_result(
-        protocol_label or _LABELS[plan.kind],
+        protocol_label or _LABELS[kind],
         plan.source,
         plan.destination,
         config.block_size,
         stats.elapsed,
-        {n: stats.average_queue(n) for n in runtimes},
+        {n: stats.average_queue(n) for n in stats.transmissions},
         stats.transmissions,
         stats.delivered_links,
-        ack_times=tracker.ack_times,
-        generations=dest_runtime.generations_decoded,
-        blocks_decoded=dest_runtime.blocks_decoded,
+        ack_times=ack_times,
+        blocks_decoded=len(ack_times) * config.blocks,
+        packets_delivered=log.delivered if unicast else None,
     )
 
 
-def run_unicast_session(
-    network: WirelessNetwork,
-    plan: UnicastPathPlan,
-    *,
-    config: SessionConfig | None = None,
-    rng: RngFactory | None = None,
-    registry: obs.MetricsRegistry | None = None,
-    tracer: SessionTracer | None = None,
-) -> SessionResult:
-    """Emulate one ETX best-path session with MAC retransmissions."""
-    config = config or SessionConfig()
-    engine, tracker = open_session(
-        network,
-        plan,
-        config=config,
-        rng=rng or RngFactory(0),
-        registry=registry,
-        tracer=tracer,
-    )
-    stats = engine.run(int(config.max_seconds / engine.slot_duration))
-    return session_result(
-        _LABELS[plan.kind],
-        plan.source,
-        plan.destination,
-        config.block_size,
-        stats.elapsed,
-        {n: stats.average_queue(n) for n in plan.path},
-        stats.transmissions,
-        stats.delivered_links,
-        packets_delivered=tracker.delivered,
-    )
+#: One function under its historical names: a coded plan, an ETX path.
+run_coded_session = run_unicast_session = run_sharded_session

@@ -2,15 +2,14 @@
 
 A :class:`SessionTracer` records per-slot events — grants, transmissions,
 deliveries, generation ACKs — into a bounded in-memory log that can be
-queried, summarized, or exported as JSON lines.  Tracing is opt-in (the
-engine takes an optional tracer) so the hot path stays allocation-free
+queried, summarized, or exported as JSON lines.  Tracing is opt-in (a
+session takes an optional tracer) so the hot path stays allocation-free
 when it is off.
 
 Typical use::
 
     tracer = SessionTracer(capacity=100_000)
-    engine = EmulationEngine(..., tracer=tracer)
-    engine.run(...)
+    run_coded_session(..., tracer=tracer)
     tracer.summary()            # event counts by kind
     tracer.events(kind="ack")   # iterate selected events
     tracer.to_jsonl(path)       # export for offline analysis

@@ -53,8 +53,7 @@ from repro.coding.finite_length import (
 )
 from repro.coding.generation import GenerationParams, random_generation
 from repro.emulator.plan import CodingParams
-from repro.emulator.session import SessionConfig, SessionResult
-from repro.emulator.shard import run_sharded_session
+from repro.emulator.session import SessionConfig, SessionResult, run_sharded_session
 from repro.exec import (
     ExecutionPolicy,
     JobResult,
@@ -452,7 +451,7 @@ def _module_main(argv: Optional[List[str]] = None) -> None:
         "--shards",
         type=int,
         default=1,
-        help="worker shards per emulated session (1 = serial oracle)",
+        help="worker shards per emulated session (1 = this process)",
     )
     add_execution_arguments(parser)
     args = parser.parse_args(argv)

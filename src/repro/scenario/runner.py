@@ -1,7 +1,7 @@
 """The adaptive session driver: epochs, hot-swap, overhead charging.
 
 :func:`run_adaptive_session` executes one session under a
-:class:`~repro.scenario.spec.ScenarioSpec`: the engine advances in
+:class:`~repro.scenario.spec.ScenarioSpec`: the session advances in
 epochs; at each boundary the timeline fires due events onto the
 topology, the controller observes drift and delivery progress, and the
 :class:`~repro.scenario.controller.ReplanPolicy` decides whether to
@@ -10,17 +10,18 @@ re-initiate.  A re-plan:
 1. runs the protocol's adaptive controller on the drifted topology
    (OMNC warm-starts from its previous dual prices);
 2. charges the Sec. 4 control-plane overhead as stalled airtime via
-   :meth:`~repro.emulator.engine.EmulationEngine.advance_idle`;
+   :meth:`~repro.emulator.shard.ShardedSession.advance_idle`;
 3. hot-swaps the new plan onto the *live* runtimes
    (:func:`~repro.emulator.session.install_plan`, the same installer
    that built them): coding buffers, decoder rank, queues and
    generation state survive; only rates/credits/routes change.  New
    forwarders get fresh runtimes, dropped ones leave;
-4. refreshes the engine's precomputed slot-loop structures.
+4. refreshes the session's precomputed slot-loop structures.
 
-RNG discipline: scheduler/channel/capture/coding streams are never
-re-seeded or re-ordered by a re-plan, and scenario drift draws live on
-their own stream — fixed seed + fixed scenario = bit-identical traces.
+RNG discipline: the per-node MAC/channel/capture streams and the coding
+streams are never re-seeded or re-ordered by a re-plan, and scenario
+drift draws live on their own stream — fixed seed + fixed scenario =
+bit-identical traces.
 """
 
 from __future__ import annotations
@@ -131,6 +132,7 @@ def run_adaptive_session(
     policy: ReplanPolicy,
     spec: ScenarioSpec,
     *,
+    shards: int = 1,
     session_id: int = 1,
     config: SessionConfig | None = None,
     rng: RngFactory | None = None,
@@ -151,7 +153,15 @@ def run_adaptive_session(
     generation boundary, so in-flight decodes survive.  The initial
     decision is folded into the session config before runtimes are
     built (the slot and payload accounting see the chosen n).
+
+    ``shards`` must be 1: every re-plan installs the new plan onto the
+    live runtime objects, which a sharded session keeps in its workers.
     """
+    if shards != 1:
+        raise ValueError(
+            "an adaptive session hot-swaps runtime objects at every re-plan "
+            f"and so runs in one process; got shards={shards}"
+        )
     config = config or SessionConfig()
     rng = rng or RngFactory(0)
     metrics = obs.resolve(registry)
@@ -176,7 +186,7 @@ def run_adaptive_session(
                 systematic=coding_current.systematic,
             )
 
-    engine, tracker = open_session(
+    session, log = open_session(
         timeline.network,
         plan,
         session_id=session_id,
@@ -185,17 +195,18 @@ def run_adaptive_session(
         registry=registry,
         tracer=tracer,
     )
-    slot = engine.slot_duration
+    slot = session.slot_duration
     destination = planner.destination
-    dest_runtime: Any = engine.runtimes[destination]
+    # Kept across re-plans: the installer retunes the destination in
+    # place, so this is the object that counts blocks at the size each
+    # generation actually ran.
+    dest_runtime: Any = session.runtimes[destination]
     target = config.target_generations
 
     def stop() -> bool:
-        tracker.apply_pending()
-        return (
-            target > 0
-            and getattr(dest_runtime, "generations_decoded", 0) >= target
-        )
+        for generation_id in log.unseen():
+            session.broadcast_generation_advance(generation_id + 1)
+        return target > 0 and len(log.acks) >= target
 
     total_slots = int(spec.duration / slot)
     epoch_slots = max(1, int(round(spec.epoch_seconds / slot)))
@@ -208,26 +219,26 @@ def run_adaptive_session(
     seen_generations = 0
     seen_deliveries = 0
 
-    while engine.stats.slots < total_slots:
-        batch = min(epoch_slots, total_slots - engine.stats.slots)
-        engine.run(batch, stop_when=None if unicast else stop)
-        generations = getattr(dest_runtime, "generations_decoded", 0)
+    while session.slots < total_slots:
+        batch = min(epoch_slots, total_slots - session.slots)
+        session.run(batch, stop_when=None if unicast else stop)
+        generations = len(log.acks)
         new_generations = generations - seen_generations
-        new_deliveries = tracker.delivered - seen_deliveries
+        new_deliveries = log.delivered - seen_deliveries
         seen_generations = generations
-        seen_deliveries = tracker.delivered
-        done = engine.stats.slots >= total_slots or (
+        seen_deliveries = log.delivered
+        done = session.slots >= total_slots or (
             not unicast and target > 0 and generations >= target
         )
 
-        changed = timeline.advance_to(engine.now)
+        changed = timeline.advance_to(session.now)
         if changed:
-            engine.set_network(timeline.network)
+            session.set_network(timeline.network)
         drift = quality_drift(planned_network, timeline.network, strict=False)
         m_drift.set(drift)
         observation = EpochObservation(
             epoch=epoch,
-            time=engine.now,
+            time=session.now,
             drift=drift,
             generations_decoded=generations,
             new_generations=new_generations,
@@ -246,7 +257,7 @@ def run_adaptive_session(
                 m_failed.inc()
             else:
                 stall_slots = math.ceil(cost_seconds / slot)
-                engine.advance_idle(stall_slots)
+                session.advance_idle(stall_slots)
                 stall_seconds = stall_slots * slot
                 replan_seconds += stall_seconds
                 # Surviving nodes keep their runtime objects; the load
@@ -254,29 +265,28 @@ def run_adaptive_session(
                 cbr_fraction = timeline.cbr_fraction
                 if cbr_fraction is None:
                     cbr_fraction = config.cbr_fraction
-                engine.rebuild_runtime_structures(
+                session.rebuild_runtime_structures(
                     install_plan(
                         timeline.network,
                         plan,
-                        engine.runtimes,
+                        session.runtimes,
                         session_id=session_id,
                         config=config,
                         rng=rng,
-                        on_decoded=tracker.on_decoded,
-                        on_delivered=tracker.on_delivered,
+                        on_decoded=log,
+                        on_delivered=log.deliver,
                         cbr=cbr_fraction * timeline.network.capacity,
                     )
                 )
                 planned_network = timeline.network
                 replanned = True
                 replans += 1
-                replan_times.append(engine.now)
+                replan_times.append(session.now)
                 m_replans.inc()
                 m_stall.inc(stall_slots)
                 if tracer is not None:
                     tracer.record(
-                        engine.stats.slots, engine.now, "replan", -1,
-                        detail=epoch,
+                        session.slots, session.now, "replan", -1, detail=epoch
                     )
         if coding_controller is not None and not unicast and not done:
             decision = coding_controller.decide(timeline.network, plan)
@@ -288,18 +298,18 @@ def run_adaptive_session(
                 replanned or decision != coding_current
             ):
                 coding_current = decision
-                engine.apply_plan_updates(
-                    {node: {"coding": decision} for node in engine.runtimes}
+                session.apply_plan_updates(
+                    {node: {"coding": decision} for node in session.runtimes}
                 )
                 if tracer is not None:
                     tracer.record(
-                        engine.stats.slots, engine.now, "coding", -1,
+                        session.slots, session.now, "coding", -1,
                         detail=decision.blocks,
                     )
         records.append(
             EpochRecord(
                 epoch=epoch,
-                end_time=engine.now,
+                end_time=session.now,
                 drift=drift,
                 new_generations=new_generations,
                 new_deliveries=new_deliveries,
@@ -311,10 +321,10 @@ def run_adaptive_session(
         if done:
             break
 
-    stats = engine.stats
+    stats = session.finalize_stats()
     # Every node that ever held a runtime (re-plans may have dropped
     # some): the stats dicts cover them all, the live runtime set may not.
-    session = session_result(
+    result = session_result(
         planner.label,
         planner.source,
         destination,
@@ -323,13 +333,12 @@ def run_adaptive_session(
         {n: stats.average_queue(n) for n in stats.transmissions},
         stats.transmissions,
         stats.delivered_links,
-        ack_times=tracker.ack_times,
-        generations=getattr(dest_runtime, "generations_decoded", 0),
+        ack_times=[time for _generation, time in log.acks],
         blocks_decoded=getattr(dest_runtime, "blocks_decoded", 0),
-        packets_delivered=tracker.delivered if unicast else None,
+        packets_delivered=log.delivered if unicast else None,
     )
     return AdaptiveSessionResult(
-        session=session,
+        session=result,
         policy=policy.name,
         scenario=spec.name,
         epochs=tuple(records),

@@ -312,7 +312,7 @@ class ScenarioTimeline:
         """Apply every not-yet-fired event with ``at <= time``.
 
         Returns True when the topology changed (the engine must be told
-        via :meth:`~repro.emulator.engine.EmulationEngine.set_network`).
+        via :meth:`~repro.emulator.shard.ShardedSession.set_network`).
         """
         changed = False
         events = self._spec.events

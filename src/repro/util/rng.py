@@ -13,6 +13,7 @@ semantics keyed by the purpose string.
 from __future__ import annotations
 
 import zlib
+from typing import Dict
 
 import numpy as np
 
@@ -104,43 +105,34 @@ class RngFactory:
         return f"RngFactory(seed={self._seed})"
 
 
-class NodeStreams:
-    """Lazily-derived per-(kind, node) generator bundle.
+class NodeStreams(Dict[int, np.random.Generator]):
+    """``node -> generator`` of one kind, derived on first use.
 
-    The sharded emulator (:mod:`repro.emulator.shard`) needs RNG
-    consumption to be *partition-independent*: a node must draw the same
-    values no matter which process hosts it or which other nodes share
-    its shard.  Global streams cannot provide that — the draw order
-    depends on who else transmits — so the engine's per-node mode pulls
-    every MAC lottery key, channel loss vector, and capture tie-break
-    from a stream owned by the node it concerns.
+    The emulator's one random universe: every MAC lottery key ("mac"),
+    channel loss vector ("channel") and capture tie-break ("capture")
+    comes from a stream owned by the node it concerns, so RNG
+    consumption is *partition-independent* — a node draws the same
+    values no matter which process hosts it, which other nodes share
+    its shard, or who else is active.  Global streams cannot provide
+    that: their draw order depends on who else transmits.
 
-    Streams are derived on first use from the factory via
-    ``derive(f"node-{kind}", node)``, so any process holding the same
-    :class:`RngFactory` seed reconstructs identical streams with no
-    state exchange.
+    A missing node's stream is ``factory.derive(f"node-{kind}", node)``,
+    so any process holding the same :class:`RngFactory` seed
+    reconstructs identical streams with no state exchange, and only for
+    the nodes it actually draws for.
     """
 
     #: Stream kinds the emulator consumes.
     KINDS = ("mac", "channel", "capture")
 
-    def __init__(self, factory: RngFactory) -> None:
+    def __init__(self, factory: RngFactory, kind: str) -> None:
+        if kind not in self.KINDS:
+            known = ", ".join(self.KINDS)
+            raise ValueError(f"unknown stream kind {kind!r} (known: {known})")
+        super().__init__()
         self._factory = factory
-        self._streams: dict[tuple[str, int], np.random.Generator] = {}
+        self._name = f"node-{kind}"
 
-    @property
-    def factory(self) -> RngFactory:
-        """The factory the per-node streams derive from."""
-        return self._factory
-
-    def get(self, kind: str, node: int) -> np.random.Generator:
-        """The generator for ``(kind, node)``; derived once, then cached."""
-        key = (kind, node)
-        stream = self._streams.get(key)
-        if stream is None:
-            if kind not in self.KINDS:
-                known = ", ".join(self.KINDS)
-                raise ValueError(f"unknown stream kind {kind!r} (known: {known})")
-            stream = self._factory.derive(f"node-{kind}", node)
-            self._streams[key] = stream
+    def __missing__(self, node: int) -> np.random.Generator:
+        stream = self[node] = self._factory.derive(self._name, node)
         return stream

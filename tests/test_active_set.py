@@ -140,8 +140,7 @@ class TestRelayLinePin:
         network = line_network(256)
         with line_session(network, 1) as session:
             session.run(300)
-            engine = session._engine
-            parked = set(engine.parked_nodes())
+            parked = set(session.parked_nodes())
             front = max(i for i, _j in session.finalize_stats().delivered_links)
         assert front < 200  # the wave front never reaches the far end
         assert set(range(front + 2, network.node_count)) <= parked
@@ -336,7 +335,7 @@ class TestHotSwapOntoParkedRelay:
             assert before.transmissions[node] == 0
             assert before.queue_time_sum[node] == 0.0
             if shards == 1:
-                assert node in session._engine.parked_nodes()
+                assert node in session.parked_nodes()
             session.apply_plan_updates({node: {"rate_bps": 2e4}})
             session.step()
             after = session.finalize_stats()

@@ -12,8 +12,6 @@ The tentpole invariants:
 
 import pytest
 
-from repro.emulator.channel import LossyBroadcastChannel
-from repro.emulator.engine import EmulationEngine
 from repro.emulator.node import (
     FlowDestinationRuntime,
     FlowRelayRuntime,
@@ -26,6 +24,7 @@ from repro.emulator.session import (
     run_coded_session,
     run_unicast_session,
 )
+from repro.emulator.shard import ShardedSession
 from repro.emulator.trace import SessionTracer
 from repro.protocols.adaptive import make_planner
 from repro.protocols.etx_routing import plan_etx_route
@@ -41,7 +40,7 @@ from repro.scenario import (
 )
 from repro.topology.phy import lossy_phy
 from repro.topology.random_network import random_network
-from repro.util.rng import NodeStreams, RngFactory
+from repro.util.rng import RngFactory
 
 # Every slot of every run below re-checks each parked runtime
 # (tests/conftest.py): a missing wake fails the oracle tests loudly.
@@ -124,14 +123,7 @@ def _make_engine(network, plan, config, seed, tracer=None):
     rng = RngFactory(seed)
     runtimes, _label = build_plan_runtimes(network, plan, config=config, rng=rng)
     slot = config.coded_packet_bytes() / network.capacity
-    return EmulationEngine(
-        network,
-        runtimes,
-        LossyBroadcastChannel(network, rng=0),
-        slot,
-        streams=NodeStreams(rng),
-        tracer=tracer,
-    )
+    return ShardedSession(network, runtimes, slot, rng_factory=rng, tracer=tracer)
 
 
 class TestEngineHotSwapLayer:
@@ -150,23 +142,26 @@ class TestEngineHotSwapLayer:
         engine_b.set_network(engine_b.network)  # same topology: no-op too
         engine_b.run(150)
         assert list(straight.events()) == list(rebuilt.events())
-        assert engine_a.stats.transmissions == engine_b.stats.transmissions
+        assert (
+            engine_a.finalize_stats().transmissions
+            == engine_b.finalize_stats().transmissions
+        )
 
     def test_advance_idle_semantics(self, net_pair):
         network, source, destination = net_pair
         plan = plan_omnc(network, source, destination)
         engine = _make_engine(network, plan, SessionConfig(), 9)
         engine.run(50)
-        slots = engine.stats.slots
+        slots = engine.slots
         elapsed = engine.now
-        transmitted = dict(engine.stats.transmissions)
+        transmitted = engine.finalize_stats().transmissions
         engine.advance_idle(0)
-        assert engine.stats.slots == slots
+        assert engine.slots == slots
         assert engine.now == elapsed
         engine.advance_idle(10)
-        assert engine.stats.slots == slots + 10
+        assert engine.slots == slots + 10
         assert engine.now == pytest.approx(elapsed + 10 * engine.slot_duration)
-        assert dict(engine.stats.transmissions) == transmitted
+        assert engine.finalize_stats().transmissions == transmitted
         with pytest.raises(ValueError, match=">= 0"):
             engine.advance_idle(-1)
 

@@ -215,6 +215,32 @@ class TestCommands:
         assert "replans:" in out
 
 
+class TestSessionShards:
+    """``--shards`` picks a process count, never a result."""
+
+    SESSION = ["0", "39", "--nodes", "40", "--seconds", "30", "--generations", "2",
+               "--seed", "2008"]
+
+    @pytest.mark.parametrize("protocol", ["omnc", "etx"])
+    def test_default_equals_one_shard_equals_two(self, protocol, capsys):
+        reports = []
+        for shards in ([], ["--shards", "1"], ["--shards", "2"]):
+            assert main(["session", protocol, *self.SESSION, *shards]) == 0
+            reports.append(capsys.readouterr().out)
+        assert "throughput" in reports[0]
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_zero_shards_is_an_error(self):
+        with pytest.raises(SystemExit, match="--shards must be >= 1"):
+            main(["session", "omnc", *self.SESSION, "--shards", "0"])
+
+    def test_a_scenario_session_refuses_shards_itself(self):
+        # The adaptive driver's own error, not a CLI pre-check.
+        with pytest.raises(ValueError, match="hot-swaps runtime objects"):
+            main(["session", "omnc", *self.SESSION, "--scenario", "drift",
+                  "--shards", "2"])
+
+
 class TestImportHygiene:
     """The LP solver and the graph exporter load their libraries on use."""
 

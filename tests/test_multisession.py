@@ -1,6 +1,8 @@
 """Multi-session data plane: composites, the driver, and the N-session
 shards=1 == shards=N digest oracle (including churn)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.emulator.multisession import (
@@ -14,7 +16,8 @@ from repro.emulator.node import (
     MultiSessionNodeRuntime,
     XorPacket,
 )
-from repro.emulator.session import SessionConfig
+from repro.emulator.plan import CodingParams
+from repro.emulator.session import SessionConfig, run_sharded_session
 from repro.emulator.shard import trace_digest
 from repro.emulator.trace import SessionTracer
 from repro.protocols.etx_routing import plan_etx_route
@@ -254,6 +257,39 @@ class TestRunMultiSession:
                 config=_quick_config(),
                 rng=RngFactory(1),
                 scenario=scenario,
+            )
+
+
+class TestPlanCarriedGenerationSize:
+    """A plan that carries its own generation size is run *and credited* at it."""
+
+    def _plans(self):
+        network, plans = _three_session_mesh(2008)
+        return network, {1: replace(plans[1], coding=CodingParams(blocks=8))}
+
+    def test_single_plan_is_credited_like_the_single_session_driver(self):
+        network, plans = self._plans()
+        config = SessionConfig(block_size=256, max_seconds=12.0)  # 40 blocks
+        multi = run_multi_session(network, plans, config=config, rng=RngFactory(5))
+        single = run_sharded_session(
+            network, plans[1], config=config, rng=RngFactory(5).spawn("msession-1")
+        )
+        session = multi.sessions[1]
+        assert session.generations_decoded > 0
+        assert session.packets_delivered == 8 * session.generations_decoded
+        assert session.throughput_bps == pytest.approx(
+            session.packets_delivered * 256 / session.ack_times[-1]
+        )
+        # One session alone in a multi-session run is that session, up to
+        # the composite's own stream of draws.
+        assert session.throughput_bps == pytest.approx(single.throughput_bps, rel=0.25)
+
+    def test_plans_with_different_packet_sizes_are_refused(self):
+        network, plans = _three_session_mesh(2008)
+        plans[1] = replace(plans[1], coding=CodingParams(blocks=8))
+        with pytest.raises(ValueError, match=r"packets differ.*1: \d+.*3: \d+"):
+            run_multi_session(
+                network, plans, config=_quick_config(blocks=16), rng=RngFactory(5)
             )
 
 

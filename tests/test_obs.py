@@ -289,3 +289,43 @@ def test_engine_counters_via_global_collection():
     assert registry.get("emulator.virtual_time").value == pytest.approx(
         result.duration
     )
+
+
+@pytest.mark.parametrize("fidelity", ["flow", "exact"])
+def test_emulator_counters_equal_the_returned_stats(fidelity):
+    # What the benchmark's counting pass reads off the registry is what
+    # the run itself returns, for the stats object and for the result.
+    from repro.emulator.session import (
+        SessionConfig,
+        open_session,
+        run_coded_session,
+    )
+    from repro.protocols.omnc import plan_omnc
+    from repro.util.rng import RngFactory
+    from tests.reference import PLANNED_PAIRS, reference_mesh
+
+    network = reference_mesh()
+    plan = plan_omnc(network, *PLANNED_PAIRS[0])
+    config = SessionConfig(
+        blocks=8, block_size=256, max_seconds=20.0, coding_fidelity=fidelity
+    )
+    with obs.collecting() as registry:
+        session, _log = open_session(network, plan, config=config, rng=RngFactory(3))
+        session.run(250)
+        stats = session.finalize_stats()
+    assert registry.value("emulator.slots") == stats.slots == 250
+    assert registry.value("emulator.grants") == stats.grants > 0
+    assert registry.value("emulator.transmissions") == sum(stats.transmissions.values())
+    # One depth sample per runtime per slot.
+    depth = registry.get("emulator.queue_depth")
+    assert depth.count == stats.slots * len(stats.transmissions)
+    assert registry.get("mac.granted_per_slot").count == stats.slots
+
+    with obs.collecting() as registry:
+        result = run_coded_session(network, plan, config=config, rng=RngFactory(3))
+    slot = config.coded_packet_bytes() / network.capacity
+    assert registry.value("emulator.slots") == round(result.duration / slot)
+    assert registry.value("emulator.transmissions") == sum(result.transmissions.values())
+    assert registry.get("emulator.queue_depth").count == registry.value(
+        "emulator.slots"
+    ) * len(result.participants)

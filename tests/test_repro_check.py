@@ -717,6 +717,8 @@ class TestRepoIsClean:
         findings = run_project_rules(project, config, CHECK_RULE_CODES)
         assert len(project.modules) > 80
         assert findings == []
+        # ... and with no waived upward edge: every band imports downward.
+        assert config.layer_waivers == ()
 
     def test_committed_baseline_is_empty(self):
         repo = Path(__file__).resolve().parent.parent

@@ -1,10 +1,10 @@
 """Sharded emulation: spatial partitioning and the digest oracle.
 
-The tentpole invariant: ``shards=1`` (the serial engine in per-node RNG
-mode, run in-process) and ``shards=N`` (spatially partitioned workers
+The tentpole invariant: ``shards=1`` (one core, hosting every node, in
+this process) and ``shards=N`` (spatially partitioned workers
 synchronized at slot barriers) produce **bit-identical** results —
 same :class:`SessionResult` digest, same trace digest — on every
-topology, fidelity, and interference model.
+topology, fidelity, and interference model, under every driver name.
 """
 
 import os
@@ -14,15 +14,18 @@ import time
 import numpy as np
 import pytest
 
-from repro.emulator.session import SessionConfig
-from repro.emulator.shard import (
+from repro.emulator.session import (
+    SessionConfig,
+    run_coded_session,
     run_sharded_session,
-    session_digest,
-    trace_digest,
+    run_unicast_session,
 )
+from repro.emulator.shard import session_digest, trace_digest
 from repro.emulator.trace import SessionTracer
 from repro.exec.pool import WorkerCallError
 from repro.protocols.etx_routing import plan_etx_route
+from repro.protocols.more import plan_more
+from repro.protocols.oldmore import plan_oldmore
 from repro.protocols.omnc import plan_omnc
 from repro.routing.node_selection import NodeSelectionError
 from repro.topology.geometry import pairwise_distances
@@ -33,6 +36,7 @@ from repro.topology.partition import (
 )
 from repro.topology.random_network import random_network
 from repro.util.rng import RngFactory
+from tests.reference import PLANNED_PAIRS, reference_mesh
 from tests.test_active_set import line_network, line_session, stats_digest
 
 # Every slot of every run below re-checks each parked runtime
@@ -208,6 +212,50 @@ class TestShardedOracle:
         assert first[:2] == second[:2]
 
 
+class TestOneDriverOracle:
+    """Every driver name, every shard count, either start method: one run.
+
+    ``run_coded_session`` / ``run_unicast_session`` are the sharded
+    session at ``shards=1``, so their digests equal ``shards=2`` — which
+    no pair of drivers could before they shared a random universe.
+    """
+
+    CONFIG = dict(blocks=6, block_size=256, max_seconds=25.0, target_generations=2)
+
+    @pytest.mark.parametrize("protocol", ["omnc", "more", "oldmore", "etx"])
+    def test_serial_names_equal_sharded_runs(self, protocol):
+        network = reference_mesh()
+        source, destination = PLANNED_PAIRS[0]
+        planners = {
+            "omnc": plan_omnc,
+            "more": plan_more,
+            "oldmore": plan_oldmore,
+            "etx": plan_etx_route,
+        }
+        plan = planners[protocol](network, source, destination)
+        config = SessionConfig(**self.CONFIG)
+
+        def digests(driver, **where):
+            tracer = SessionTracer(capacity=500_000)
+            result = driver(
+                network,
+                plan,
+                config=config,
+                rng=RngFactory(2008),
+                protocol_label=protocol,
+                tracer=tracer,
+                **where,
+            )
+            assert result.packets_delivered > 0  # the run did work
+            return session_digest(result), trace_digest(tracer)
+
+        serial = run_unicast_session if protocol == "etx" else run_coded_session
+        reference = digests(serial)
+        assert digests(run_sharded_session, shards=1) == reference
+        assert digests(run_sharded_session, shards=2, start_method="fork") == reference
+        assert digests(run_sharded_session, shards=2, start_method="spawn") == reference
+
+
 def _leaves(value):
     """Every non-container object inside a reply."""
     if isinstance(value, (list, tuple, set, frozenset)):
@@ -323,13 +371,13 @@ class TestBarrierFailure:
     """A dead shard is reported with shard, phase and slot, in bounded time."""
 
     def _kill(self, session, shard):
-        process = session._group._procs[shard]
+        process = session._core.group._procs[shard]
         os.kill(process.pid, signal.SIGKILL)
         process.join(5)
 
     def _assert_no_children(self, session):
         session.close()
-        assert not any(process.is_alive() for process in session._group._procs)
+        assert not any(process.is_alive() for process in session._core.group._procs)
 
     def test_live_shard_killed_between_steps(self):
         session = line_session(line_network(64), 2)

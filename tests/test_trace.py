@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.emulator.channel import LossyBroadcastChannel
-from repro.emulator.engine import EmulationEngine
 from repro.emulator.node import CodedDestinationRuntime, CodedSourceRuntime
+from repro.emulator.shard import ShardedSession
 from repro.emulator.trace import SessionTracer, TraceEvent
 from repro.topology.random_network import chain_topology
+from repro.util.rng import RngFactory
 
 
 class TestSessionTracer:
@@ -75,16 +75,16 @@ class TestEngineTracing:
         source = CodedSourceRuntime(0, 1, 4, 1e4, 1048, rng)
         destination = CodedDestinationRuntime(1, 1, 4, acks.append)
         tracer = SessionTracer()
-        engine = EmulationEngine(
+        session = ShardedSession(
             network,
             {0: source, 1: destination},
-            LossyBroadcastChannel(network, rng=np.random.default_rng(1)),
             0.05,
+            rng_factory=RngFactory(1),
             tracer=tracer,
         )
-        engine.run(100)
+        session.run(100)
         summary = tracer.summary()
-        assert summary["tx"] == engine.stats.transmissions[0]
+        assert summary["tx"] == session.finalize_stats().transmissions[0]
         assert summary["grant"] >= summary["tx"]
         assert summary["delivery"] <= summary["tx"]
         assert tracer.per_node_transmissions().get(0, 0) == summary["tx"]
@@ -95,14 +95,14 @@ class TestEngineTracing:
         source = CodedSourceRuntime(0, 1, 4, 1e4, 1048, rng)
         destination = CodedDestinationRuntime(1, 1, 4, lambda g: None)
         tracer = SessionTracer()
-        engine = EmulationEngine(
+        session = ShardedSession(
             network,
             {0: source, 1: destination},
-            LossyBroadcastChannel(network, rng=np.random.default_rng(3)),
             0.05,
+            rng_factory=RngFactory(3),
             tracer=tracer,
         )
-        engine.broadcast_generation_advance(1)
+        session.broadcast_generation_advance(1)
         acks = list(tracer.events(kind="ack"))
         assert len(acks) == 1
         assert acks[0].detail == 1
