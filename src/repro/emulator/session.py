@@ -394,9 +394,9 @@ def session_result(
     ``blocks_decoded`` (each generation credited at the size it actually
     ran, so adaptive-n sessions account correctly).  Paper: throughput
     is computed at each decoded ACK and averaged over the session ==
-    total decoded payload over the time of the last ACK.  Unicast sessions pass
-    ``packets_delivered`` instead and average over the whole run.
-    ``average_queues`` names the participants.
+    total decoded payload over the time of the last ACK.  Unicast
+    sessions pass ``packets_delivered`` instead and average over the
+    whole run.  ``average_queues`` names the participants.
     """
     if packets_delivered is None:
         packets_delivered = blocks_decoded

@@ -32,9 +32,10 @@ def fallback_rng(stream: str) -> np.random.Generator:
     """The named deterministic fallback stream ``stream``.
 
     Components that accept an optional generator (the MAC scheduler)
-    fall back to these fixed streams when constructed without one — tests and ad-hoc scripts stay reproducible without
-    plumbing a factory.  Production paths always pass explicit streams
-    derived from :class:`RngFactory`.
+    fall back to these fixed streams when constructed without one —
+    tests and ad-hoc scripts stay reproducible without plumbing a
+    factory.  Production paths always pass explicit streams derived from
+    :class:`RngFactory`.
     """
     try:
         seed = _FALLBACK_SEEDS[stream]
