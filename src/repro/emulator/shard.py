@@ -92,17 +92,12 @@ class ShardedCores:
     """
 
     def __init__(
-        self,
-        init: CoreInit,
-        shards: int,
-        *,
-        clock: Callable[[], int],
-        start_method: str | None = None,
+        self, init: CoreInit, shards: int, start_method: str | None = None
     ) -> None:
         self._owner = owner = partition_positions(init.network.positions, shards)
         self._participants = init.participants
         self._has_unicast = init.has_unicast
-        self._clock = clock
+        self._slots = 0  # executed or stalled so far, for failure reports
         self._everyone = range(shards)
         self._live = list(self._everyone)
         self._find_boundary(init.network)
@@ -137,7 +132,7 @@ class ShardedCores:
             return self.group.call_each(method, arguments)
         except WorkerCallError as error:
             raise WorkerCallError(
-                error.worker, error.method, f"slot {self._clock()}: {error.detail}"
+                error.worker, error.method, f"slot {self._slots}: {error.detail}"
             ) from None
 
     def _barrier(self, method: str, arguments: Mapping[int, Any]) -> List[Any]:
@@ -176,6 +171,7 @@ class ShardedCores:
         # Place order across workers; the sort is stable, so what
         # happened at one receiver stays in the order its host saw it.
         events = sorted((event for reply in replies for event in reply[1]), key=_PLACE)
+        self._slots += 1
         return len(self._live), events
 
     def _cross_cut_slot(self, granted: Tuple[int, ...]) -> List[Any]:
@@ -209,6 +205,7 @@ class ShardedCores:
 
     def advance_idle(self, slots: int) -> None:
         self._everywhere("advance_idle", slots)
+        self._slots += slots
 
     def set_network(self, network: WirelessNetwork) -> None:
         self._everywhere("set_network", network)
@@ -315,9 +312,7 @@ class ShardedSession:
         if shards == 1:
             self._core = EngineCore(init, registry)
         else:
-            self._core = ShardedCores(
-                init, shards, clock=lambda: self.slots, start_method=start_method
-            )
+            self._core = ShardedCores(init, shards, start_method)
 
     def _build_scheduler(self) -> None:
         """(Re)build the global greedy-MIS pass over current participants.

@@ -7,9 +7,11 @@ same :class:`SessionResult` digest, same trace digest — on every
 topology, fidelity, and interference model, under every driver name.
 """
 
+import gc
 import os
 import signal
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -403,6 +405,31 @@ class TestBarrierFailure:
             assert (info.value.worker, info.value.method) == (1, "finalize")
         finally:
             self._assert_no_children(session)
+
+
+class TestSessionLifetime:
+    """A finished session is garbage the moment it is dropped.
+
+    A campaign or a benchmark repetition makes one session after
+    another, each holding every runtime of a mesh; were session and
+    cores to reference each other, each would linger until the cycle
+    collector's next full pass and every forked worker would start from
+    a bigger parent.
+    """
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_freed_by_reference_count_alone(self, shards):
+        gc.collect()
+        gc.disable()
+        try:
+            session = line_session(line_network(32), shards)
+            with session:
+                session.run(5)
+            gone = weakref.ref(session)
+            del session
+            assert gone() is None
+        finally:
+            gc.enable()
 
 
 class TestShardedValidation:
