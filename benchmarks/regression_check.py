@@ -1,15 +1,16 @@
 #!/usr/bin/env python
 """Performance regression gate — the harness CI enforces.
 
-Measures throughput probes across the stack's hot paths:
+Measures the codec's throughput probes, the ones that hold still well
+enough to gate on:
 
 * ``codec_encode_mbps`` — raw GF(2^8) matrix encode ``X = R . B``;
 * ``codec_pipeline_mbps`` — encode + progressive Gauss-Jordan decode
   (the Sec. 4 "coding efficiency" pipeline);
-* ``emulator_kslots_per_sec`` — slot loop of the packet-level emulator
-  on a MORE session (scheduler + channel + runtimes); *advisory*;
-* ``optimizer_iters_per_sec`` — outer iterations of the distributed
-  rate control (Table 1) on the Fig. 1 sample topology; *advisory*.
+* ``codec_decode_batch_mbps`` — the decoder's batch elimination alone.
+
+Everything above the codec (slot loop, re-planning, campaigns, shards,
+rate control) is measured by the repository benchmark under ``bench/``.
 
 Raw numbers are machine-dependent, so each probe is **normalized by a
 calibration workload** (numpy table-lookup + XOR — the same primitive
@@ -20,12 +21,6 @@ baseline.  This first-order-cancels machine speed while still catching
 real slowdowns: a 20% slowdown injected into the GF(2^8) encode path
 moves the codec probes but not the calibration, and trips the gate
 (``tests/test_regression_gate.py`` proves it).
-
-The interpreter/scipy-bound probes (marked *advisory*, printed with a
-``~``) vary 20-40% between identical processes on shared runners —
-noise no single-run gate at a sane tolerance survives — so they are
-measured, reported and uploaded as artifacts, but only fail the run
-under ``--strict``.
 
 Usage::
 
@@ -46,7 +41,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -55,7 +50,6 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.coding.backends import (  # noqa: E402
-    REFERENCE_BACKEND,
     available_backends,
     best_backend_name,
     get_backend,
@@ -65,27 +59,6 @@ from repro.coding.encoder import SourceEncoder  # noqa: E402
 from repro.coding.generation import GenerationParams, random_generation  # noqa: E402
 from repro.coding.gf256 import GF256  # noqa: E402
 from repro.coding.matrix import FieldType  # noqa: E402
-from repro.emulator.node import (  # noqa: E402
-    FlowDestinationRuntime,
-    FlowRelayRuntime,
-    FlowSourceRuntime,
-)
-from repro.emulator.session import SessionConfig, run_coded_session  # noqa: E402
-from repro.emulator.shard import ShardedSession, _DecodeLog  # noqa: E402
-from repro.topology.graph import WirelessNetwork  # noqa: E402
-from repro.optimization.problem import session_graph_from_network  # noqa: E402
-from repro.optimization.rate_control import RateControlAlgorithm  # noqa: E402
-from repro.protocols.adaptive import make_planner  # noqa: E402
-from repro.protocols.more import plan_more  # noqa: E402
-from repro.routing.node_selection import NodeSelectionError  # noqa: E402
-from repro.scenario import (  # noqa: E402
-    builtin_scenario,
-    make_policy,
-    run_adaptive_session,
-)
-from repro.topology.phy import lossy_phy  # noqa: E402
-from repro.topology.random_network import fig1_sample_topology, random_network  # noqa: E402
-from repro.util.rng import RngFactory  # noqa: E402
 
 SCHEMA_VERSION = 1
 DEFAULT_BASELINE = REPO_ROOT / "benchmarks" / "BENCH_baseline.json"
@@ -95,28 +68,14 @@ DEFAULT_TOLERANCE = 0.15
 
 @dataclass(frozen=True)
 class ProbeResult:
-    """One probe's measurement.
-
-    ``advisory`` probes are interpreter/scipy-bound: their speed varies
-    20-40% between identical processes on shared runners, independent of
-    the calibration workload, so they are reported and uploaded but
-    excluded from the hard gate (``compare(strict=True)`` includes them).
-
-    ``ratio`` probes measure a dimensionless ratio of two workloads in
-    the same process (e.g. a speedup); they are already machine-
-    normalized, so calibration is not applied.
-    """
+    """One probe's measurement."""
 
     name: str
-    raw: float  # machine-dependent throughput (or a ratio)
+    raw: float  # machine-dependent throughput
     unit: str
-    advisory: bool = False
-    ratio: bool = False
 
     def normalized(self, calibration: float) -> float:
         """Throughput relative to the calibration workload."""
-        if self.ratio:
-            return self.raw
         return self.raw / calibration
 
 
@@ -245,9 +204,7 @@ def sweep_codec_backends(*, quick: bool) -> Dict[str, float]:
     """Pipeline MB/s for every backend available on this machine.
 
     Uploaded in the BENCH artifact so CI runs document what each backend
-    actually delivers where they ran; also feeds the advisory
-    ``codec_backend_speedup`` ratio (already machine-normalized, so no
-    calibration applies).
+    actually delivers where they ran.
     """
     return {
         name: probe_codec_pipeline(
@@ -262,319 +219,13 @@ def sweep_codec_backends(*, quick: bool) -> Dict[str, float]:
     }
 
 
-def _feasible_pair(network) -> Tuple[int, int]:
-    """A deterministic (source, destination) pair MORE can plan."""
-    for source in range(network.node_count):
-        for destination in range(network.node_count - 1, -1, -1):
-            if source == destination:
-                continue
-            try:
-                plan = plan_more(network, source, destination)
-            except NodeSelectionError:
-                continue
-            if len(plan.forwarders.nodes) >= 4:
-                return source, destination
-    raise RuntimeError("no feasible MORE session on the probe network")
-
-
-def probe_emulator(*, nodes: int, seconds: float, rounds: int) -> ProbeResult:
-    """Emulator slot-loop throughput in kilo-slots per wall second."""
-    rng = RngFactory(2008)
-    network = random_network(nodes, phy=lossy_phy(rng=rng.derive("phy")), rng=rng.derive("topology"))
-    source, destination = _feasible_pair(network)
-    plan = plan_more(network, source, destination)
-    config = SessionConfig(max_seconds=seconds, target_generations=0)
-
-    def run() -> float:
-        started = time.perf_counter()
-        result = run_coded_session(
-            network, plan, config=config, rng=rng.spawn("bench")
-        )
-        elapsed = time.perf_counter() - started
-        slots = result.duration / (config.coded_packet_bytes() / network.capacity)
-        return slots / elapsed / 1e3
-
-    return ProbeResult(
-        "emulator_kslots_per_sec", _best_of(run, rounds), "kslots/s", advisory=True
-    )
-
-
-def probe_emulator_slot_loop(*, relays: int, slots: int, rounds: int) -> ProbeResult:
-    """Pure slot-loop throughput: ``step()`` on a fixed line session.
-
-    Unlike ``emulator_kslots_per_sec`` this skips MORE planning and the
-    session driver entirely — it times nothing but the scheduler /
-    channel / runtime slot loop of an in-process ``ShardedSession`` on a
-    hand-built relay line, so it moves only when the per-slot hot path
-    does.
-    """
-    node_count = relays + 2
-    positions = np.array([[float(i), 0.0] for i in range(node_count)])
-    probabilities = {}
-    for i in range(node_count - 1):
-        probabilities[(i, i + 1)] = 0.8
-        probabilities[(i + 1, i)] = 0.8
-    network = WirelessNetwork(
-        positions, probabilities, communication_range=1.2, capacity=2e4
-    )
-    packet_bytes = 1064
-    blocks = 16
-
-    def build() -> ShardedSession:
-        runtimes = {
-            0: FlowSourceRuntime(
-                0, 1, blocks, rate_bps=1e4, packet_bytes=packet_bytes
-            ),
-            node_count - 1: FlowDestinationRuntime(
-                node_count - 1, 1, blocks, on_decoded=lambda _gen: None
-            ),
-        }
-        for relay in range(1, node_count - 1):
-            runtimes[relay] = FlowRelayRuntime(
-                relay,
-                1,
-                blocks,
-                packet_bytes,
-                mode="rate",
-                rate_bps=8e3,
-                upstream=(relay - 1,),
-            )
-        return ShardedSession(
-            network,
-            runtimes,
-            packet_bytes / network.capacity,
-            rng_factory=RngFactory(21),
-        )
-
-    def run() -> float:
-        engine = build()
-        started = time.perf_counter()
-        engine.run(slots)
-        elapsed = time.perf_counter() - started
-        return slots / elapsed / 1e3
-
-    return ProbeResult(
-        "emulator_slot_loop", _best_of(run, rounds), "kslots/s", advisory=True
-    )
-
-
-def probe_adaptive_replan(
-    *, nodes: int, seconds: float, epochs: int, rounds: int
-) -> ProbeResult:
-    """Live control-plane turnaround: successful re-plans per wall second.
-
-    Runs one OMNC session under the builtin drift scenario with an
-    every-epoch periodic policy, so each epoch exercises the full
-    re-initiation path — warm-started rate control, ``replan_cost``
-    charging, runtime hot-swap and engine structure rebuild.
-    """
-    rng = RngFactory(2008)
-    network = random_network(
-        nodes, phy=lossy_phy(rng=rng.derive("phy")), rng=rng.derive("topology")
-    )
-    source, destination = _feasible_pair(network)
-    spec = builtin_scenario(
-        "drift", duration=seconds, epoch_seconds=seconds / epochs
-    )
-    config = SessionConfig(max_seconds=seconds)
-
-    def run() -> float:
-        planner = make_planner("omnc", source, destination)
-        started = time.perf_counter()
-        result = run_adaptive_session(
-            network,
-            planner,
-            make_policy("periodic"),
-            spec,
-            config=config,
-            rng=RngFactory(7),
-        )
-        elapsed = time.perf_counter() - started
-        return max(result.replans, 1) / elapsed
-
-    return ProbeResult(
-        "adaptive_replan", _best_of(run, rounds), "replans/s", advisory=True
-    )
-
-
-def probe_campaign_parallel_speedup(
-    *, nodes: int, sessions: int, seconds: float, generations: int, rounds: int
-) -> ProbeResult:
-    """Executor scaling: serial wall time over ``--jobs N`` wall time.
-
-    Runs an identical reduced four-protocol campaign twice — serially and
-    on a worker pool sized ``min(4, cpu_count)`` — and reports the
-    speedup.  On an idle 4-core machine this should exceed 2x; on a
-    single core it hovers near 1x minus pool overhead (the engine must
-    not make campaigns *slower* when parallelism buys nothing).  The
-    probe is *advisory*: its value is a property of the machine's core
-    count and load, not of the code alone.
-
-    Sizing: the campaign must be heavy enough to amortize pool spin-up
-    (process forks + queue setup, ~0.1 s), or the ratio measures the
-    fixed cost rather than executor scaling — the original 4-session /
-    2-generation shape finished in ~0.2 s of compute and recorded an
-    absurd 0.74x on one core.  The shapes below put >= 0.5 s of compute
-    behind the fork, which drives a single-core run to ~1.0x (overhead
-    amortized) and leaves multi-core runs room to show real speedup.
-    """
-    import multiprocessing
-
-    from repro.exec import ExecutionPolicy
-    from repro.experiments.common import CampaignConfig, run_campaign
-
-    workers = max(2, min(4, multiprocessing.cpu_count()))
-    config = CampaignConfig(
-        node_count=nodes,
-        sessions=sessions,
-        min_hops=2,
-        max_hops=8,
-        session_seconds=seconds,
-        target_generations=generations,
-        seed=2008,
-    )
-
-    def run() -> float:
-        started = time.perf_counter()
-        serial = run_campaign(config, policy=ExecutionPolicy(jobs=1))
-        serial_wall = time.perf_counter() - started
-        started = time.perf_counter()
-        parallel = run_campaign(config, policy=ExecutionPolicy(jobs=workers))
-        parallel_wall = time.perf_counter() - started
-        if serial.digest() != parallel.digest():  # determinism is the contract
-            raise RuntimeError("parallel campaign diverged from serial")
-        return serial_wall / parallel_wall
-
-    return ProbeResult(
-        "campaign_parallel_speedup",
-        _best_of(run, rounds),
-        "x",
-        advisory=True,
-        ratio=True,
-    )
-
-
-def probe_sharded_slot_loop(
-    *, nodes: int, slots: int, shards: int, rounds: int
-) -> ProbeResult:
-    """Sharded-vs-serial slot-loop speedup on a large relay mesh.
-
-    Builds a rate-driven relay line where **every** node carries a
-    runtime — per-slot work scales with ``nodes`` — and runs the same
-    slot budget twice: once in this process (``shards=1``, one core
-    hosting every node) and once spatially
-    partitioned across ``shards`` persistent workers synchronized at
-    slot barriers.  Reports serial wall time over sharded wall time.
-
-    The ratio is *advisory* for the same reason as
-    ``campaign_parallel_speedup``: shard workers are CPU-bound, so the
-    achievable speedup is ceilinged by the machine's core count.  On a
-    >= 4-core runner the 4-shard probe should exceed 2x; on a single
-    core it reads barrier + IPC overhead (< 1x).  The digest recheck is
-    a **hard assert** either way — merged engine stats must be
-    bit-identical to the serial loop on every machine, or the probe
-    raises instead of reporting a number.
-    """
-    import dataclasses
-
-    from repro.topology.partition import partition_network
-
-    positions = np.array([[float(i), 0.0] for i in range(nodes)])
-    probabilities = {}
-    for i in range(nodes - 1):
-        probabilities[(i, i + 1)] = 0.8
-        probabilities[(i + 1, i)] = 0.8
-    network = WirelessNetwork(
-        positions, probabilities, communication_range=1.2, capacity=2e4
-    )
-    partition = partition_network(network, shards)  # halo cost, reported below
-    packet_bytes = 1064
-    blocks = 16
-
-    def build_runtimes(decode_log):
-        runtimes = {
-            0: FlowSourceRuntime(
-                0, 1, blocks, rate_bps=1e4, packet_bytes=packet_bytes
-            ),
-            nodes - 1: FlowDestinationRuntime(
-                nodes - 1, 1, blocks, on_decoded=decode_log
-            ),
-        }
-        for relay in range(1, nodes - 1):
-            runtimes[relay] = FlowRelayRuntime(
-                relay,
-                1,
-                blocks,
-                packet_bytes,
-                mode="rate",
-                rate_bps=8e3,
-                upstream=(relay - 1,),
-            )
-        return runtimes
-
-    def run_once(shard_count):
-        decode_log = _DecodeLog()
-        with ShardedSession(
-            network,
-            build_runtimes(decode_log),
-            packet_bytes / network.capacity,
-            rng_factory=RngFactory(2008),
-            shards=shard_count,
-            decode_log=decode_log,
-        ) as session:
-            started = time.perf_counter()
-            session.run(slots)
-            wall = time.perf_counter() - started
-            stats = session.finalize_stats()
-        return wall, dataclasses.asdict(stats)
-
-    def run() -> float:
-        serial_wall, serial_stats = run_once(1)
-        sharded_wall, sharded_stats = run_once(shards)
-        if sharded_stats != serial_stats:  # determinism is the contract
-            raise RuntimeError("sharded slot loop diverged from serial")
-        return serial_wall / sharded_wall
-
-    result = ProbeResult(
-        "sharded_slot_loop",
-        _best_of(run, rounds),
-        "x",
-        advisory=True,
-        ratio=True,
-    )
-    print(
-        f"  sharded_slot_loop: {nodes} nodes / {shards} shards, "
-        f"halo fraction {partition.halo_fraction():.3f}",
-        file=sys.stderr,
-    )
-    return result
-
-
-def probe_optimizer(*, inner: int, rounds: int) -> ProbeResult:
-    """Distributed rate-control iterations per wall second (Fig. 1 graph)."""
-    network = fig1_sample_topology(capacity=1e5)
-    graph = session_graph_from_network(network, 0, 5)
-
-    def run() -> float:
-        iterations = 0
-        started = time.perf_counter()
-        for _ in range(inner):
-            iterations += RateControlAlgorithm(graph).run().iterations
-        elapsed = time.perf_counter() - started
-        return iterations / elapsed
-
-    return ProbeResult(
-        "optimizer_iters_per_sec", _best_of(run, rounds), "iter/s", advisory=True
-    )
-
-
 def collect(mode: str = "full") -> dict:
     """Run every probe; returns the canonical result document.
 
     Codec probes run on the *best available* backend (the acceptance
     criterion for the codec rewrite is stated against it); the
-    per-backend sweep and the ``codec_backend_speedup`` ratio record how
-    the alternatives compare on the same machine.
+    per-backend sweep records how the alternatives compare on the same
+    machine.
     """
     if mode not in ("quick", "full"):
         raise ValueError(f"mode must be 'quick' or 'full', got {mode!r}")
@@ -583,15 +234,7 @@ def collect(mode: str = "full") -> dict:
     codec_backend = best_backend_name()
     best = get_backend(codec_backend)
     backend_sweep = sweep_codec_backends(quick=quick)
-    speedup = ProbeResult(
-        "codec_backend_speedup",
-        backend_sweep[codec_backend] / backend_sweep[REFERENCE_BACKEND],
-        "x",
-        advisory=True,
-        ratio=True,
-    )
     probes: List[ProbeResult] = [
-        speedup,
         # The codec probes hard-gate, and on the compiled backend a round
         # lasts single-digit milliseconds — shorter than the multi-ms
         # noise spells shared runners exhibit, so best-of-4 could land
@@ -624,41 +267,6 @@ def collect(mode: str = "full") -> dict:
             rounds=10,
             field=best,
         ),
-        probe_emulator(
-            nodes=30 if quick else 60,
-            seconds=120.0 if quick else 400.0,
-            rounds=4 if quick else 3,
-        ),
-        probe_emulator_slot_loop(
-            relays=4,
-            slots=2000 if quick else 6000,
-            rounds=3 if quick else 2,
-        ),
-        probe_adaptive_replan(
-            nodes=30,
-            seconds=40.0 if quick else 120.0,
-            epochs=4 if quick else 8,
-            rounds=2 if quick else 3,
-        ),
-        # Sized per the probe docstring: >= 0.5 s of campaign compute so
-        # pool spin-up is amortized out of the ratio.
-        probe_campaign_parallel_speedup(
-            nodes=40,
-            sessions=12 if quick else 16,
-            seconds=30.0 if quick else 60.0,
-            generations=4,
-            rounds=2,
-        ),
-        # Full mode exercises the acceptance shape (>= 2k nodes, 4
-        # shards); quick mode keeps CI smoke under a few seconds with a
-        # 2-shard cut of a smaller line.
-        probe_sharded_slot_loop(
-            nodes=256 if quick else 2048,
-            slots=60 if quick else 100,
-            shards=2 if quick else 4,
-            rounds=2,
-        ),
-        probe_optimizer(inner=10 if quick else 20, rounds=3 if quick else 3),
     ]
     return {
         "schema": SCHEMA_VERSION,
@@ -673,7 +281,6 @@ def collect(mode: str = "full") -> dict:
                 "raw": probe.raw,
                 "normalized": probe.normalized(calibration),
                 "unit": probe.unit,
-                "advisory": probe.advisory,
             }
             for probe in probes
         },
@@ -681,17 +288,12 @@ def collect(mode: str = "full") -> dict:
 
 
 def compare(
-    current: dict,
-    baseline: dict,
-    tolerance: float = DEFAULT_TOLERANCE,
-    *,
-    strict: bool = False,
+    current: dict, baseline: dict, tolerance: float = DEFAULT_TOLERANCE
 ) -> List[Regression]:
     """Normalized-throughput gate: flag drops beyond ``tolerance``.
 
     Metrics present in only one document are ignored (adding a probe
-    must not fail the gate until the baseline is regenerated), and
-    advisory metrics are skipped unless ``strict``.
+    must not fail the gate until the baseline is regenerated).
     """
     if tolerance <= 0:
         raise ValueError(f"tolerance must be > 0, got {tolerance}")
@@ -699,8 +301,6 @@ def compare(
     for name, record in sorted(current["metrics"].items()):
         reference = baseline["metrics"].get(name)
         if reference is None:
-            continue
-        if record.get("advisory") and not strict:
             continue
         base_value = reference["normalized"]
         if base_value <= 0:
@@ -761,9 +361,8 @@ def _print_report(result: dict, baseline: Optional[dict]) -> None:
             tail = f"{base:12.4g} {change:+8.1%}"
         else:
             tail = f"{'—':>12s} {'—':>8s}"
-        marker = "~" if record.get("advisory") else " "
         print(
-            f"{marker}{name:27s} {record['raw']:12.4g} {record['normalized']:12.4g} {tail}"
+            f"{name:28s} {record['raw']:12.4g} {record['normalized']:12.4g} {tail}"
         )
 
 
@@ -804,11 +403,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         action="store_true",
         help="record this run as the committed baseline for its mode",
     )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="also gate on advisory (~) metrics, not just the stable ones",
-    )
     args = parser.parse_args(argv)
     if args.tolerance <= 0:
         parser.error(f"--tolerance must be > 0, got {args.tolerance}")
@@ -836,7 +430,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return 2
     _print_report(result, baseline)
-    regressions = compare(result, baseline, args.tolerance, strict=args.strict)
+    regressions = compare(result, baseline, args.tolerance)
     if regressions:
         print(f"\nREGRESSION (> {args.tolerance:.0%} below baseline):")
         for regression in regressions:

@@ -1,8 +1,11 @@
-"""``repro.analysis`` — static analysis for the repro tree.
+"""``repro.analysis`` — the static analyzer behind ``repro check``.
 
-Two commands share one findings/baseline/pragma stack:
+One command, one pass: the package is parsed once into a project model
+(:mod:`repro.analysis.modgraph`: one ``ast`` tree per module plus the
+classified import graph) and two rule families run over it through one
+reporter (:mod:`repro.analysis.findings`).
 
-``repro lint`` — a per-file AST linter enforcing the reproducibility
+Per-file rules (:mod:`repro.analysis.rules`) — the reproducibility
 discipline at rest, before code runs:
 
 ========  ==============================================================
@@ -13,9 +16,8 @@ RPR004    no-float-equality — exact ==/!= on float literals
 RPR005    public-api-annotations — exported functions fully annotated
 ========  ==============================================================
 
-``repro check`` — a whole-program analyzer that parses the package into
-a module graph + symbol table (:mod:`repro.analysis.modgraph`,
-:mod:`repro.analysis.symbols`) and enforces the architecture contract
+Whole-program rules (:mod:`repro.analysis.project_rules`, on the symbol
+table of :mod:`repro.analysis.symbols`) — the architecture contract
 declared in ``[tool.repro.check]``:
 
 ========  ==============================================================
@@ -26,48 +28,26 @@ RPR104    rng-escape — live Generator streams never cross process/digest
           boundaries (ship seeds or an RngFactory)
 ========  ==============================================================
 
-See :mod:`repro.analysis.rules` / :mod:`repro.analysis.project_rules`
-for per-rule rationale, and DESIGN.md §10/§15 for the catalogs.
-Suppress per line with ``# repro: ignore[RPRxxx]`` (or ``# repro:
-rng-root`` for RPR001); grandfathered findings live in
-``repro-lint-baseline.json`` / ``repro-check-baseline.json``, which
-only ever shrink.
+DESIGN.md §10 has the catalog and the exit-code contract.  The one
+suppression is a reviewed pragma on the line: ``# repro:
+ignore[RPRxxx]`` (or ``# repro: rng-root`` for RPR001).
 """
 
-from repro.analysis.baseline import load_baseline, partition, save_baseline
-from repro.analysis.checker import load_check_config
-from repro.analysis.checker import main as check_main
-from repro.analysis.findings import (
-    CHECK_RULE_CODES,
-    CHECK_RULE_SUMMARIES,
-    RULE_CODES,
-    RULE_SUMMARIES,
-    Finding,
-)
-from repro.analysis.modgraph import ProjectGraph, build_project
-from repro.analysis.project_rules import CheckConfig, run_project_rules
-from repro.analysis.rules import LintConfig, lint_source
-from repro.analysis.runner import lint_paths, main
+from repro.analysis.checker import load_check_config, run_rules
+from repro.analysis.findings import RULE_CODES, RULE_SUMMARIES, Finding
+from repro.analysis.modgraph import ProjectGraph, build_project, parse_module
+from repro.analysis.project_rules import CheckConfig
 from repro.analysis.symbols import SymbolTable
 
 __all__ = [
-    "CHECK_RULE_CODES",
-    "CHECK_RULE_SUMMARIES",
     "CheckConfig",
     "Finding",
-    "LintConfig",
     "ProjectGraph",
     "RULE_CODES",
     "RULE_SUMMARIES",
     "SymbolTable",
     "build_project",
-    "check_main",
-    "lint_paths",
-    "lint_source",
-    "load_baseline",
     "load_check_config",
-    "main",
-    "partition",
-    "run_project_rules",
-    "save_baseline",
+    "parse_module",
+    "run_rules",
 ]

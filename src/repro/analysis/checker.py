@@ -1,15 +1,13 @@
-"""The ``repro check`` entry point: whole-program architecture analysis.
+"""``repro check``: the contract loader, the one run and its formats.
 
-Where ``repro lint`` (:mod:`repro.analysis.runner`) judges files one at
-a time, ``repro check`` parses the entire package into a module graph
-and symbol table and runs the RPR1xx rule family
-(:mod:`repro.analysis.project_rules`) over it.  Everything downstream
-of the rules — baseline matching, ``# repro: ignore[...]`` pragmas,
-output formats, exit codes — is shared with the linter, so the two
-commands behave identically from CI's point of view.
+The command parses the package once into the project model
+(:func:`repro.analysis.modgraph.build_project`) and runs both rule
+families over it — per-file (:mod:`repro.analysis.rules`) and
+whole-program (:mod:`repro.analysis.project_rules`) — through one
+:class:`~repro.analysis.findings.Reporter`.
 
-The contract the rules enforce lives in ``[tool.repro.check]`` in
-``pyproject.toml``:
+The contract the whole-program rules enforce lives in
+``[tool.repro.check]`` in ``pyproject.toml``:
 
 * ``layers`` — ordered bands of package units, lowest first;
 * ``layer-waivers`` — ``"importer -> imported"`` pairs exempted from
@@ -20,42 +18,36 @@ The contract the rules enforce lives in ``[tool.repro.check]`` in
   processes;
 * ``rng-modules`` — modules whose functions mint RNG streams.
 
-Exit codes: ``0`` clean (or grandfathered), ``1`` new findings / stale
-baseline / unparseable source, ``2`` usage or contract errors.
+Exit codes: ``0`` clean, ``1`` findings or unparseable source, ``2``
+usage or contract errors (unknown rule, missing contract, missing
+source directory).
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import json
 import sys
-from collections import Counter
 from pathlib import Path
-from typing import Any, Dict, List, TextIO, Tuple
+from typing import Any, Dict, Iterator, List, Sequence, TextIO, Tuple
 
-from repro.analysis.baseline import (
-    BaselineError,
-    load_baseline,
-    partition,
-    save_baseline,
-)
 from repro.analysis.findings import (
-    CHECK_RULE_CODES,
-    CHECK_RULE_SUMMARIES,
+    RULE_CODES,
+    RULE_SUMMARIES,
     Finding,
+    Reporter,
 )
-from repro.analysis.modgraph import build_project
-from repro.analysis.project_rules import CheckConfig, run_project_rules
-from repro.analysis.runner import format_github, format_json, format_text
-
-DEFAULT_BASELINE = "repro-check-baseline.json"
+from repro.analysis.modgraph import ProjectGraph, build_project
+from repro.analysis.project_rules import CheckConfig, check_project
+from repro.analysis.rules import check_modules
 
 __all__ = [
-    "DEFAULT_BASELINE",
+    "CheckConfigError",
     "configure_parser",
     "load_check_config",
-    "main",
     "run",
+    "run_rules",
 ]
 
 
@@ -171,6 +163,18 @@ def load_check_config(pyproject: Path) -> CheckConfig:
     )
 
 
+def run_rules(
+    project: ProjectGraph,
+    config: CheckConfig,
+    select: Sequence[str] = RULE_CODES,
+) -> List[Finding]:
+    """The ``select``-ed rules' findings on ``project``, in report order."""
+    reporter = Reporter(project, select)
+    check_modules(project, reporter)
+    check_project(project, config, reporter)
+    return sorted(reporter.findings, key=Finding.sort_key)
+
+
 # -- CLI -------------------------------------------------------------------
 
 
@@ -195,46 +199,62 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         help="output format (github = workflow error annotations)",
     )
     parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="baseline file of grandfathered findings "
-        f"(default: {DEFAULT_BASELINE} when present)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="prune fixed entries from the baseline (never adds new ones)",
-    )
-    parser.add_argument(
         "--select",
         default=None,
         metavar="RULES",
-        help="comma-separated rule codes to run (default: all RPR1xx)",
+        help="comma-separated rule codes to run (default: all nine)",
     )
-    parser.add_argument(
-        "--show-baselined",
-        action="store_true",
-        help="also print grandfathered findings (text format)",
-    )
+
+
+def _render(
+    style: str, findings: List[Finding], errors: List[str], checked: int
+) -> Iterator[str]:
+    if style == "json":
+        yield json.dumps(
+            {
+                "findings": [finding.to_dict() for finding in findings],
+                "files_checked": checked,
+                "parse_errors": errors,
+                "rules": RULE_SUMMARIES,
+            },
+            indent=2,
+            sort_keys=True,
+        )
+        return
+    for finding in findings:
+        if style == "github":
+            yield (
+                f"::error file={finding.path},line={finding.line},"
+                f"col={finding.column},title=repro-check {finding.rule}::"
+                f"{finding.message}"
+            )
+        else:
+            yield (
+                f"{finding.path}:{finding.line}:{finding.column}: "
+                f"{finding.rule} {finding.message}"
+            )
+    for error in errors:
+        if style == "github":
+            yield f"::error::repro check parse failure: {error}"
+        else:
+            yield f"repro check: parse failure: {error}"
+    yield f"repro check: {checked} module(s), {len(findings)} finding(s)"
 
 
 def run(args: argparse.Namespace, stream: TextIO | None = None) -> int:
     """Execute a configured check run; returns the process exit code."""
     out = stream if stream is not None else sys.stdout
-    if args.select is None:
-        select = CHECK_RULE_CODES
-    else:
+    select: Tuple[str, ...] = RULE_CODES
+    if args.select is not None:
         select = tuple(
             code.strip() for code in args.select.split(",") if code.strip()
         )
-        unknown = [code for code in select if code not in CHECK_RULE_CODES]
+        unknown = [code for code in select if code not in RULE_CODES]
         if unknown:
             print(
                 f"repro check: unknown rule(s): {', '.join(unknown)}", file=out
             )
             return 2
-
     try:
         config = load_check_config(Path(args.pyproject))
     except CheckConfigError as exc:
@@ -253,89 +273,8 @@ def run(args: argparse.Namespace, stream: TextIO | None = None) -> int:
         errors.append(f"{exc.filename}: {exc.msg} (line {exc.lineno})")
     else:
         checked = len(project.modules)
-        findings = run_project_rules(project, config, select)
+        findings = run_rules(project, config, select)
 
-    baseline_path = (
-        Path(args.baseline) if args.baseline else Path(DEFAULT_BASELINE)
-    )
-    baseline: Counter[Tuple[str, str, str]] = Counter()
-    if baseline_path.exists():
-        try:
-            baseline = load_baseline(baseline_path)
-        except BaselineError as exc:
-            print(f"repro check: {exc}", file=out)
-            return 2
-    elif args.baseline is not None:
-        print(f"repro check: baseline {baseline_path} not found", file=out)
-        return 2
-
-    new, matched, stale = partition(findings, baseline)
-
-    if args.update_baseline:
-        if new:
-            for line in format_text(new, matched, show_baselined=False):
-                print(line, file=out)
-            print(
-                f"repro check: refusing to update baseline with {len(new)} "
-                "new finding(s); fix, pragma or waive them first (the "
-                "baseline only shrinks)",
-                file=out,
-            )
-            return 1
-        save_baseline(baseline_path, matched)
-        print(
-            f"repro check: baseline rewritten with {len(matched)} entr"
-            f"{'y' if len(matched) == 1 else 'ies'} "
-            f"({stale} stale pruned) -> {baseline_path}",
-            file=out,
-        )
-        return 0
-
-    if args.format == "json":
-        print(
-            format_json(
-                new, matched, stale, checked, errors, rules=CHECK_RULE_SUMMARIES
-            ),
-            file=out,
-        )
-    elif args.format == "github":
-        for line in format_github(new, tool="repro-check"):
-            print(line, file=out)
-        for error in errors:
-            print(f"::error::repro check parse failure: {error}", file=out)
-    else:
-        for line in format_text(new, matched, show_baselined=args.show_baselined):
-            print(line, file=out)
-        for error in errors:
-            print(f"repro check: parse failure: {error}", file=out)
-
-    failed = bool(new or errors or stale)
-    if args.format != "json":
-        summary = (
-            f"repro check: {checked} module(s), {len(new)} new finding(s), "
-            f"{len(matched)} baselined, {stale} stale baseline entr"
-            f"{'y' if stale == 1 else 'ies'}"
-        )
-        print(summary, file=out)
-        if stale:
-            print(
-                "repro check: stale baseline entries mean code got fixed — "
-                "run with --update-baseline to shrink the baseline",
-                file=out,
-            )
-    return 1 if failed else 0
-
-
-def main(argv: List[str] | None = None) -> int:
-    """Standalone entry point (``python -m repro.analysis.checker``)."""
-    parser = argparse.ArgumentParser(
-        prog="repro check",
-        description="whole-program architecture & cross-process determinism "
-        "analysis for the repro tree",
-    )
-    configure_parser(parser)
-    return run(parser.parse_args(argv))
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    for line in _render(args.format, findings, errors, checked):
+        print(line, file=out)
+    return 1 if findings or errors else 0

@@ -1,33 +1,32 @@
-"""Finding model for the ``repro lint`` static-analysis pass.
+"""Finding model, rule catalog and the reporter both rule families share.
 
-A :class:`Finding` is one rule violation at one source location.  Its
-*fingerprint* deliberately excludes the line number: baselines must
-survive unrelated edits above a grandfathered finding, so identity is
-``(rule, path, stripped source line)``.  Two identical lines violating
-the same rule in one file produce equal fingerprints; the baseline
-therefore matches findings as a multiset, not a set.
+A :class:`Finding` is one rule violation at one source location.  Every
+rule — per-file (:mod:`repro.analysis.rules`) or whole-program
+(:mod:`repro.analysis.project_rules`) — emits through one
+:class:`Reporter`, which owns rule selection, the pragma table and the
+source snippet.
+
+Suppressions: a trailing ``# repro: ignore[RPR001,...]`` silences the
+listed rules on that line; ``# repro: rng-root`` marks a line as an
+intentional generator root (silences RPR001 only).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import Iterable
 
-#: Ranked rule catalog; the runner reports rules in this order.
-RULE_CODES: tuple[str, ...] = ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005")
+from repro.analysis.modgraph import ProjectGraph
 
+#: The rule catalog; findings are reported in path/line order, the
+#: catalog in this order.
 RULE_SUMMARIES: dict[str, str] = {
     "RPR001": "no-unseeded-rng: random generators must come from util/rng streams",
     "RPR002": "no-wallclock: wall-clock reads are banned outside obs/ and benchmarks/",
     "RPR003": "no-set-iteration: iterating a set is nondeterministic across processes",
     "RPR004": "no-float-equality: exact ==/!= on float literals hides tolerance bugs",
     "RPR005": "public-api-annotations: exported functions must be fully annotated",
-}
-
-#: Whole-program rule family run by ``repro check`` (needs the project
-#: module graph + symbol table, not just one file at a time).
-CHECK_RULE_CODES: tuple[str, ...] = ("RPR101", "RPR102", "RPR103", "RPR104")
-
-CHECK_RULE_SUMMARIES: dict[str, str] = {
     "RPR101": "layering-contract: package imports must respect the declared "
     "layer bands and stay acyclic (TYPE_CHECKING imports exempt)",
     "RPR102": "worker-shared-state: mutable module-level state reachable from "
@@ -37,6 +36,12 @@ CHECK_RULE_SUMMARIES: dict[str, str] = {
     "RPR104": "rng-escape: live Generator streams must not cross process or "
     "digest boundaries — ship seeds or an RngFactory instead",
 }
+
+RULE_CODES: tuple[str, ...] = tuple(RULE_SUMMARIES)
+
+_PRAGMA_RE = re.compile(
+    r"#\s*repro:\s*(?:(?P<root>rng-root)|ignore\[(?P<rules>[A-Z0-9,\s]+)\])"
+)
 
 
 @dataclass(frozen=True)
@@ -50,10 +55,6 @@ class Finding:
     message: str
     snippet: str
 
-    def fingerprint(self) -> tuple[str, str, str]:
-        """Line-number-independent identity used for baseline matching."""
-        return (self.rule, self.path, self.snippet)
-
     def sort_key(self) -> tuple[str, int, int, str]:
         return (self.path, self.line, self.column, self.rule)
 
@@ -66,3 +67,86 @@ class Finding:
             "message": self.message,
             "snippet": self.snippet,
         }
+
+
+def _suppressions(source: str) -> dict[int, frozenset[str]]:
+    """Map line number -> rule codes suppressed on that line."""
+    table: dict[int, frozenset[str]] = {}
+    for number, line in enumerate(source.splitlines(), start=1):
+        match = _PRAGMA_RE.search(line)
+        if match is None:
+            continue
+        if match.group("root"):
+            table[number] = frozenset({"RPR001"})
+        else:
+            codes = [code.strip() for code in match.group("rules").split(",")]
+            table[number] = frozenset(code for code in codes if code)
+    return table
+
+
+class Reporter:
+    """Collect the selected rules' findings, minus pragma-suppressed ones."""
+
+    def __init__(self, project: ProjectGraph, select: Iterable[str]) -> None:
+        self._project = project
+        self._select = frozenset(select)
+        #: module -> (pragma table, source lines), built on first report
+        self._sources: dict[str, tuple[dict[int, frozenset[str]], list[str]]] = {}
+        self.findings: list[Finding] = []
+
+    def report(
+        self,
+        rule: str,
+        module: str,
+        lineno: int,
+        col: int,
+        message: str,
+        *,
+        end_lineno: int | None = None,
+    ) -> None:
+        """A finding anchored at ``lineno``/``col`` (0-based) of ``module``.
+
+        With ``end_lineno`` a pragma on any physical line of the
+        statement counts — black-style formatting regularly pushes the
+        offending expression (and the trailing comment) past the anchor
+        line.
+        """
+        if rule not in self._select:
+            return
+        info = self._project.modules[module]
+        if module not in self._sources:
+            self._sources[module] = (
+                _suppressions(info.source),
+                info.source.splitlines(),
+            )
+        suppressed, lines = self._sources[module]
+        if any(
+            rule in suppressed.get(at, frozenset())
+            for at in range(lineno, (end_lineno or lineno) + 1)
+        ):
+            return
+        snippet = lines[lineno - 1].strip() if 1 <= lineno <= len(lines) else ""
+        self.findings.append(
+            Finding(
+                rule=rule,
+                path=info.path,
+                line=lineno,
+                column=col + 1,
+                message=message,
+                snippet=snippet,
+            )
+        )
+
+    def report_config(self, rule: str, message: str) -> None:
+        """A finding against the contract itself (no source anchor)."""
+        if rule in self._select:
+            self.findings.append(
+                Finding(
+                    rule=rule,
+                    path="pyproject.toml",
+                    line=1,
+                    column=1,
+                    message=message,
+                    snippet="[tool.repro.check]",
+                )
+            )

@@ -1,9 +1,10 @@
-"""Whole-program module graph for ``repro check``.
+"""The one project model ``repro check`` analyzes.
 
-Parses every module of a project package (stdlib ``ast`` only) and
-builds the import graph the RPR1xx rule family reasons over.  Each
-import statement becomes one :class:`ImportEdge` classified by *when*
-it executes:
+Parses every module of a project package exactly once (stdlib ``ast``
+only); the per-file rule family walks each :class:`ModuleInfo`'s tree,
+and the whole-program family reasons over the import graph built from
+the same trees.  Each import statement becomes one :class:`ImportEdge`
+classified by *when* it executes:
 
 * ``toplevel`` — module scope; runs at import time, the strongest
   coupling (and the only kind that can deadlock a circular import);
@@ -33,6 +34,7 @@ __all__ = [
     "ProjectGraph",
     "build_project",
     "module_name_for",
+    "parse_module",
 ]
 
 #: Edge classification; see the module docstring.
@@ -82,6 +84,23 @@ class ModuleInfo:
         """
         parts = self.name.split(".")
         return parts[1] if len(parts) > 1 else ""
+
+
+def parse_module(
+    name: str, path: str, source: str, *, is_package: bool = False
+) -> ModuleInfo:
+    """Parse one module's source — the only ``ast.parse`` of a module.
+
+    ``path`` is the repo-relative path findings (and a ``SyntaxError``)
+    carry.
+    """
+    return ModuleInfo(
+        name=name,
+        path=path,
+        source=source,
+        tree=ast.parse(source, filename=path),
+        is_package=is_package,
+    )
 
 
 def module_name_for(path: Path, search_root: Path) -> str:
@@ -366,17 +385,14 @@ def build_project(
         if "__pycache__" in file_path.parts:
             continue
         name = module_name_for(file_path, search_root)
-        source = file_path.read_text(encoding="utf-8")
-        tree = ast.parse(source, filename=str(file_path))
         try:
             rel = file_path.resolve().relative_to(anchor.resolve()).as_posix()
         except ValueError:
             rel = file_path.as_posix()
-        modules[name] = ModuleInfo(
-            name=name,
-            path=rel,
-            source=source,
-            tree=tree,
+        modules[name] = parse_module(
+            name,
+            rel,
+            file_path.read_text(encoding="utf-8"),
             is_package=file_path.name == "__init__.py",
         )
     graph = ProjectGraph(package=package, modules=modules)

@@ -1,8 +1,8 @@
-"""The RPR1xx whole-program rule family for ``repro check``.
+"""The whole-program rule family of ``repro check`` (RPR101-RPR104).
 
 Where the RPR0xx rules (:mod:`repro.analysis.rules`) judge one module at
-a time, these rules need the *project*: the module graph, the symbol
-table, and the call graph.  They guard the properties that keep the
+a time, these rules need the *project*: the module graph and the symbol
+table.  They guard the properties that keep the
 cross-process digests honest:
 
 * **RPR101 layering-contract** — the package DAG declared in
@@ -32,20 +32,20 @@ cross-process digests honest:
   streams on the far side (that is what makes RNG consumption
   partition-independent).
 
-All four report through the shared :class:`~repro.analysis.findings.Finding`
-model, so baselines, pragmas (``# repro: ignore[RPR10x]``) and output
-formats behave exactly like ``repro lint``.
+All four report through the shared
+:class:`~repro.analysis.findings.Reporter`, so pragmas
+(``# repro: ignore[RPR10x]``) and output formats are the per-file
+family's.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.findings import Finding
+from repro.analysis.findings import Reporter
 from repro.analysis.modgraph import ImportEdge, ProjectGraph
-from repro.analysis.rules import _suppressions
 from repro.analysis.symbols import (
     ClassInfo,
     FieldInfo,
@@ -55,7 +55,7 @@ from repro.analysis.symbols import (
     dotted_name,
 )
 
-__all__ = ["CheckConfig", "run_project_rules"]
+__all__ = ["CheckConfig", "check_project"]
 
 #: Fully-qualified annotation targets that make a payload field
 #: statically unpicklable (or semantically unshippable), by hazard.
@@ -134,59 +134,11 @@ class CheckConfig:
         }
 
 
-class _Reporter:
-    """Emit findings with per-line pragma suppression and snippets."""
-
-    def __init__(self, project: ProjectGraph) -> None:
-        self._project = project
-        self._suppressed: Dict[str, Dict[int, frozenset[str]]] = {}
-        self._lines: Dict[str, List[str]] = {}
-        self.findings: List[Finding] = []
-
-    def _tables(self, module: str) -> Tuple[Dict[int, frozenset[str]], List[str]]:
-        info = self._project.modules[module]
-        if module not in self._suppressed:
-            self._suppressed[module] = _suppressions(info.source)
-            self._lines[module] = info.source.splitlines()
-        return self._suppressed[module], self._lines[module]
-
-    def report(
-        self, rule: str, module: str, lineno: int, col: int, message: str
-    ) -> None:
-        suppressed, lines = self._tables(module)
-        if rule in suppressed.get(lineno, frozenset()):
-            return
-        snippet = lines[lineno - 1].strip() if 1 <= lineno <= len(lines) else ""
-        self.findings.append(
-            Finding(
-                rule=rule,
-                path=self._project.modules[module].path,
-                line=lineno,
-                column=col + 1,
-                message=message,
-                snippet=snippet,
-            )
-        )
-
-    def report_config(self, rule: str, message: str) -> None:
-        """A finding against the contract itself (no source anchor)."""
-        self.findings.append(
-            Finding(
-                rule=rule,
-                path="pyproject.toml",
-                line=1,
-                column=1,
-                message=message,
-                snippet="[tool.repro.check]",
-            )
-        )
-
-
 # -- RPR101: layering + cycles ---------------------------------------------
 
 
 def _check_layering(
-    project: ProjectGraph, config: CheckConfig, reporter: _Reporter
+    project: ProjectGraph, config: CheckConfig, reporter: Reporter
 ) -> None:
     bands = config.band_of()
     waived = config.waived_pairs()
@@ -228,7 +180,7 @@ def _check_layering(
                 )
 
 
-def _check_cycles(project: ProjectGraph, reporter: _Reporter) -> None:
+def _check_cycles(project: ProjectGraph, reporter: Reporter) -> None:
     for cycle in project.import_cycles():
         members = set(cycle)
         anchor: Optional[ImportEdge] = None
@@ -258,7 +210,7 @@ def _check_worker_state(
     project: ProjectGraph,
     table: SymbolTable,
     config: CheckConfig,
-    reporter: _Reporter,
+    reporter: Reporter,
 ) -> None:
     if not config.worker_roots:
         return
@@ -301,13 +253,9 @@ def _check_worker_state(
 # -- RPR103 / RPR104 helpers -----------------------------------------------
 
 
-@dataclass
-class _PayloadClosure:
-    """Payload classes plus every project class their fields reference."""
-
-    classes: Dict[str, ClassInfo] = field(default_factory=dict)
-    #: constructor names (bare and qualified) for call-site checks.
-    constructors: set[str] = field(default_factory=set)
+#: Payload classes plus every project class their fields reference,
+#: by qualified name.
+_PayloadClosure = Dict[str, ClassInfo]
 
 
 def _annotation_names(
@@ -336,9 +284,9 @@ def _annotation_names(
 
 
 def _payload_closure(
-    table: SymbolTable, config: CheckConfig, reporter: _Reporter
+    table: SymbolTable, config: CheckConfig, reporter: Reporter
 ) -> _PayloadClosure:
-    closure = _PayloadClosure()
+    closure: _PayloadClosure = {}
     queue: List[str] = []
     for qualified in config.payload_types:
         info = table.find_class(qualified)
@@ -352,14 +300,12 @@ def _payload_closure(
         queue.append(info.qualname)
     while queue:
         qualname = queue.pop()
-        if qualname in closure.classes:
+        if qualname in closure:
             continue
         info = table.find_class(qualname)
         if info is None:
             continue
-        closure.classes[qualname] = info
-        closure.constructors.add(info.name)
-        closure.constructors.add(info.qualname)
+        closure[qualname] = info
         module = table.modules[info.module]
         referenced: List[str] = []
         for field_info in info.fields:
@@ -394,10 +340,10 @@ def _default_factory_names(
 def _check_picklability(
     table: SymbolTable,
     closure: _PayloadClosure,
-    reporter: _Reporter,
+    reporter: Reporter,
 ) -> None:
-    for qualname in sorted(closure.classes):
-        info = closure.classes[qualname]
+    for qualname in sorted(closure):
+        info = closure[qualname]
         module = table.modules[info.module]
         if info.nested:
             reporter.report(
@@ -421,8 +367,7 @@ def _check_picklability(
                             field_info.col,
                             f"payload field '{info.name}.{field_info.name}' "
                             f"holds {hazard}; it crosses a process "
-                            "boundary inside "
-                            f"{_payload_origin(closure, qualname)}",
+                            "boundary inside a configured payload type",
                         )
             if isinstance(field_info.default, ast.Lambda):
                 reporter.report(
@@ -450,22 +395,10 @@ def _check_picklability(
                         )
 
 
-def _payload_origin(closure: _PayloadClosure, qualname: str) -> str:
-    return (
-        "a configured payload type"
-        if qualname in closure.classes
-        else qualname
-    )
-
-
 def _check_payload_callsites(
-    table: SymbolTable,
-    closure: _PayloadClosure,
-    config: CheckConfig,
-    reporter: _Reporter,
+    table: SymbolTable, closure: _PayloadClosure, reporter: Reporter
 ) -> None:
     """Lambdas/genexps handed to payload constructors or ``.send(...)``."""
-    payload_quals = set(closure.classes)
     for module in table.modules.values():
         for node in ast.walk(module.info.tree):
             if not isinstance(node, ast.Call):
@@ -475,7 +408,7 @@ def _check_payload_callsites(
                 continue
             is_send = target.endswith(".send")
             is_ctor = (
-                not is_send and module.resolve(target) in payload_quals
+                not is_send and module.resolve(target) in closure
             )
             if not (is_send or is_ctor):
                 continue
@@ -553,9 +486,8 @@ def _check_rng_escape(
     table: SymbolTable,
     closure: _PayloadClosure,
     config: CheckConfig,
-    reporter: _Reporter,
+    reporter: Reporter,
 ) -> None:
-    payload_quals = set(closure.classes)
 
     def offending(
         module: ModuleSymbols, argument: ast.expr, tainted: set[str]
@@ -576,7 +508,7 @@ def _check_rng_escape(
                 if target is None:
                     continue
                 is_send = target.endswith(".send")
-                is_ctor = not is_send and module.resolve(target) in payload_quals
+                is_ctor = not is_send and module.resolve(target) in closure
                 if not (is_send or is_ctor):
                     continue
                 for argument in [
@@ -601,7 +533,7 @@ def _check_rng_escape(
                         )
         # self.<attr> = <generator> inside payload-boundary classes.
         for class_info in module.classes.values():
-            if class_info.qualname not in payload_quals:
+            if class_info.qualname not in closure:
                 continue
             method_taint: Dict[str, set[str]] = {}
             for method_name, method in class_info.methods.items():
@@ -637,29 +569,15 @@ def _all_functions(module: ModuleSymbols) -> List[FunctionInfo]:
 # -- entry point -----------------------------------------------------------
 
 
-def run_project_rules(
-    project: ProjectGraph,
-    config: CheckConfig,
-    select: Sequence[str],
-) -> List[Finding]:
-    """Run the selected RPR1xx rules over a parsed project."""
-    selected = frozenset(select)
-    reporter = _Reporter(project)
-    table: Optional[SymbolTable] = None
-    if selected & {"RPR102", "RPR103", "RPR104"}:
-        table = SymbolTable(project)
-    if "RPR101" in selected:
-        _check_layering(project, config, reporter)
-        _check_cycles(project, reporter)
-    if table is not None and "RPR102" in selected:
-        _check_worker_state(project, table, config, reporter)
-    closure: Optional[_PayloadClosure] = None
-    if table is not None and selected & {"RPR103", "RPR104"}:
-        closure = _payload_closure(table, config, reporter)
-    if table is not None and closure is not None and "RPR103" in selected:
-        _check_picklability(table, closure, reporter)
-        _check_payload_callsites(table, closure, config, reporter)
-    if table is not None and closure is not None and "RPR104" in selected:
-        _check_rng_escape(table, closure, config, reporter)
-    kept = [f for f in reporter.findings if f.rule in selected]
-    return sorted(kept, key=Finding.sort_key)
+def check_project(
+    project: ProjectGraph, config: CheckConfig, reporter: Reporter
+) -> None:
+    """Run the whole-program rules over ``project`` under ``config``."""
+    table = SymbolTable(project)
+    _check_layering(project, config, reporter)
+    _check_cycles(project, reporter)
+    _check_worker_state(project, table, config, reporter)
+    closure = _payload_closure(table, config, reporter)
+    _check_picklability(table, closure, reporter)
+    _check_payload_callsites(table, closure, reporter)
+    _check_rng_escape(table, closure, config, reporter)

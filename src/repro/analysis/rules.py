@@ -1,4 +1,4 @@
-"""AST rules for the ``repro lint`` determinism & invariant pass.
+"""The per-file rule family of ``repro check`` (RPR001-RPR005).
 
 The repo's headline guarantees — bit-identical traces under a fixed
 seed, RNG-stream-exact batched kernels, conservation/MAC invariants —
@@ -24,25 +24,30 @@ patterns that most often break them:
 * **RPR005 public-api-annotations** — exported functions must be fully
   annotated so the mypy strict gate actually covers the public surface.
 
-Suppressions: a trailing ``# repro: ignore[RPR001,...]`` silences the
-listed rules on that line; ``# repro: rng-root`` marks a line as an
-intentional generator root (silences RPR001 only).  The
-:mod:`repro.util.rng` module itself is the designated rng root and is
-exempt from RPR001 wholesale.
+Each rule judges one module at a time, so the family is one visitor
+walked over every tree of the project model.  The :mod:`repro.util.rng`
+module itself is the designated rng root and is exempt from RPR001
+wholesale.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass, field
 from pathlib import PurePosixPath
 
-from repro.analysis.findings import RULE_CODES, Finding
+from repro.analysis.findings import Reporter
+from repro.analysis.modgraph import ModuleInfo, ProjectGraph
+from repro.analysis.symbols import dotted_name
 
-_PRAGMA_RE = re.compile(
-    r"#\s*repro:\s*(?:(?P<root>rng-root)|ignore\[(?P<rules>[A-Z0-9,\s]+)\])"
-)
+__all__ = ["check_modules"]
+
+#: Path suffixes of modules allowed to mint generators (RPR001).
+_RNG_ROOT_MODULES = ("util/rng.py",)
+#: Path components under which wall-clock reads are allowed (RPR002).
+#: ``exec`` schedules real processes (timeouts, retry clocks), so its
+#: wall-clock use is legitimate — emulated time never flows through it.
+_WALLCLOCK_ALLOWED = ("obs", "benchmarks", "exec")
 
 #: Call targets that mint or reseed a random stream (RPR001).
 _RNG_SUFFIXES = ("random.default_rng", "random.Generator", "random.RandomState")
@@ -89,47 +94,6 @@ _SET_METHODS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class LintConfig:
-    """Per-run rule configuration."""
-
-    #: Rules to run (subset of :data:`RULE_CODES`).
-    select: tuple[str, ...] = RULE_CODES
-    #: Path suffixes of modules allowed to mint generators (RPR001).
-    rng_root_modules: tuple[str, ...] = ("util/rng.py",)
-    #: Path components under which wall-clock reads are allowed (RPR002).
-    #: ``exec`` schedules real processes (timeouts, retry clocks), so its
-    #: wall-clock use is legitimate — emulated time never flows through it.
-    wallclock_allowed: tuple[str, ...] = ("obs", "benchmarks", "exec")
-
-
-def _suppressions(source: str) -> dict[int, frozenset[str]]:
-    """Map line number -> rule codes suppressed on that line."""
-    table: dict[int, frozenset[str]] = {}
-    for number, line in enumerate(source.splitlines(), start=1):
-        match = _PRAGMA_RE.search(line)
-        if match is None:
-            continue
-        if match.group("root"):
-            table[number] = frozenset({"RPR001"})
-        else:
-            codes = [code.strip() for code in match.group("rules").split(",")]
-            table[number] = frozenset(code for code in codes if code)
-    return table
-
-
-def _dotted(node: ast.expr) -> str | None:
-    """Render an ``a.b.c`` attribute chain, or ``None`` for anything else."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
 def _is_float_literal(node: ast.expr) -> bool:
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
         node = node.operand
@@ -141,7 +105,7 @@ def _annotation_is_set(node: ast.expr | None) -> bool:
         return False
     if isinstance(node, ast.Subscript):
         node = node.value
-    name = _dotted(node)
+    name = dotted_name(node)
     if name is None:
         return False
     return name.rsplit(".", maxsplit=1)[-1] in _SET_TYPE_NAMES
@@ -157,66 +121,36 @@ class _Scope:
 class _RuleVisitor(ast.NodeVisitor):
     """Single-pass visitor evaluating every selected rule."""
 
-    def __init__(
-        self,
-        path: str,
-        source: str,
-        config: LintConfig,
-    ) -> None:
-        self._path = path
-        self._lines = source.splitlines()
-        self._suppressed = _suppressions(source)
-        self._config = config
-        self._select = frozenset(config.select)
-        parts = PurePosixPath(path).parts
+    def __init__(self, module: ModuleInfo, reporter: Reporter) -> None:
+        self._module = module.name
+        self._reporter = reporter
         self._is_rng_root = any(
-            path.endswith(suffix) for suffix in config.rng_root_modules
+            module.path.endswith(suffix) for suffix in _RNG_ROOT_MODULES
         )
+        parts = PurePosixPath(module.path).parts
         self._wallclock_ok = any(
-            component in parts for component in config.wallclock_allowed
+            component in parts for component in _WALLCLOCK_ALLOWED
         )
         #: module scope at the bottom; one scope per enclosing function
         self._scopes: list[_Scope] = [_Scope()]
         #: (class-nesting-depth, function-nesting-depth) for RPR005
         self._class_depth = 0
         self._func_depth = 0
-        self.findings: list[Finding] = []
 
-    # -- reporting ---------------------------------------------------------
-
-    def _report(self, rule: str, node: ast.AST, message: str) -> None:
-        if rule not in self._select:
-            return
-        line = getattr(node, "lineno", 1)
-        column = getattr(node, "col_offset", 0)
-        # A statement that wraps across lines honors a pragma on any of
-        # its physical lines — black-style formatting regularly pushes
-        # the offending expression (and the trailing comment) past the
-        # anchor line.
-        end = getattr(node, "end_lineno", None) or line
-        if any(
-            rule in self._suppressed.get(at, frozenset())
-            for at in range(line, end + 1)
-        ):
-            return
-        snippet = ""
-        if 1 <= line <= len(self._lines):
-            snippet = self._lines[line - 1].strip()
-        self.findings.append(
-            Finding(
-                rule=rule,
-                path=self._path,
-                line=line,
-                column=column + 1,
-                message=message,
-                snippet=snippet,
-            )
+    def _report(self, rule: str, node: ast.expr | ast.stmt, message: str) -> None:
+        self._reporter.report(
+            rule,
+            self._module,
+            node.lineno,
+            node.col_offset,
+            message,
+            end_lineno=node.end_lineno,
         )
 
     # -- RPR001 / RPR002: call-site rules ----------------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
-        dotted = _dotted(node.func)
+        dotted = dotted_name(node.func)
         if dotted is not None:
             self._check_rng_call(node, dotted)
             self._check_wallclock_call(node, dotted)
@@ -254,7 +188,7 @@ class _RuleVisitor(ast.NodeVisitor):
             or dotted in _WALLCLOCK_BARE
         )
         if hit:
-            allowed = "/".join(self._config.wallclock_allowed)
+            allowed = "/".join(_WALLCLOCK_ALLOWED)
             self._report(
                 "RPR002",
                 node,
@@ -421,14 +355,7 @@ class _RuleVisitor(ast.NodeVisitor):
             )
 
 
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    config: LintConfig | None = None,
-) -> list[Finding]:
-    """Run every selected rule over one module's source text."""
-    resolved = config if config is not None else LintConfig()
-    tree = ast.parse(source, filename=path)
-    visitor = _RuleVisitor(path, source, resolved)
-    visitor.visit(tree)
-    return sorted(visitor.findings, key=Finding.sort_key)
+def check_modules(project: ProjectGraph, reporter: Reporter) -> None:
+    """Run the per-file rules over every module of ``project``."""
+    for module in project.modules.values():
+        _RuleVisitor(module, reporter).visit(module.tree)

@@ -1,4 +1,4 @@
-"""Project-wide symbol table and call graph for ``repro check``.
+"""Project-wide symbol table for ``repro check``.
 
 Built on the :class:`~repro.analysis.modgraph.ProjectGraph` module set,
 this layer answers the questions the RPR1xx rules ask about *names*:
@@ -8,9 +8,7 @@ this layer answers the questions the RPR1xx rules ask about *names*:
 * which classes does this class's field annotations reference, and are
   they project classes?  (payload-closure traversal for RPR103/RPR104);
 * which module-level names are mutable containers, and which functions
-  mutate them?  (shared-state hazards for RPR102);
-* who calls whom?  (a best-effort static call graph: calls resolve
-  through the alias table to project functions where possible).
+  mutate them?  (shared-state hazards for RPR102).
 
 Everything here is deliberately *syntactic* — no imports are executed,
 so analysis of a module can never be perturbed by the side effects the
@@ -85,8 +83,6 @@ class FunctionInfo:
     module: str
     lineno: int
     node: ast.FunctionDef | ast.AsyncFunctionDef
-    #: Dotted call targets with their line numbers, unresolved.
-    calls: List[Tuple[str, int]] = field(default_factory=list)
     #: Module-level names this function mutates, with the mutation line.
     global_mutations: List[Tuple[str, int]] = field(default_factory=list)
     #: Cross-module mutations: (module alias path, attr, line).
@@ -103,7 +99,6 @@ class ClassInfo:
     lineno: int
     col: int
     nested: bool
-    bases: List[str] = field(default_factory=list)
     fields: List[FieldInfo] = field(default_factory=list)
     #: ``self.attr = value`` sites: (attr, value node, method, line, col).
     self_assigns: List[Tuple[str, ast.expr, str, int, int]] = field(
@@ -186,7 +181,6 @@ class _ModuleScanner(ast.NodeVisitor):
             lineno=node.lineno,
             col=node.col_offset,
             nested=bool(self._function_stack),
-            bases=[d for d in map(dotted_name, node.bases) if d is not None],
         )
         if not self._function_stack and not self._class_stack:
             self._symbols.classes[node.name] = info
@@ -324,8 +318,6 @@ class _ModuleScanner(ast.NodeVisitor):
                     self._record_subscript_mutation(
                         info, statement.target, local_names, declared_global
                     )
-            elif isinstance(statement, ast.Call):
-                self._record_call(info, statement, local_names)
         # Second pass for mutator-method calls: local bindings are now
         # fully known, so ``x = []; x.append(...)`` inside the function
         # does not masquerade as a module-global mutation.
@@ -350,13 +342,6 @@ class _ModuleScanner(ast.NodeVisitor):
             if dotted and "." in dotted:
                 prefix, _, attr = dotted.rpartition(".")
                 info.attribute_mutations.append((prefix, attr, target.lineno))
-
-    def _record_call(
-        self, info: FunctionInfo, call: ast.Call, local_names: set[str]
-    ) -> None:
-        dotted = dotted_name(call.func)
-        if dotted is not None:
-            info.calls.append((dotted, call.lineno))
 
     def _record_mutator(
         self,
@@ -455,54 +440,3 @@ class SymbolTable:
             yield from module.functions.values()
             for class_info in module.classes.values():
                 yield from class_info.methods.values()
-
-    def call_graph(self) -> Dict[str, List[str]]:
-        """Best-effort static call graph over project functions.
-
-        Keys are function qualnames; values are the resolved qualnames
-        of project functions they call.  Method calls through ``self``
-        resolve within the defining class; calls through imported names
-        resolve through the alias table.  Unresolvable targets (builtins,
-        third-party calls, dynamic dispatch) are omitted — the graph is
-        sound for "definitely calls", not complete.
-        """
-        known: Dict[str, FunctionInfo] = {
-            function.qualname: function for function in self.functions()
-        }
-        graph: Dict[str, List[str]] = {}
-        for function in self.functions():
-            module = self.modules[function.module]
-            callees: set[str] = set()
-            for dotted, _lineno in function.calls:
-                resolved = self._resolve_call(module, function, dotted)
-                if resolved is not None and resolved in known:
-                    callees.add(resolved)
-            graph[function.qualname] = sorted(callees)
-        return graph
-
-    def _resolve_call(
-        self, module: ModuleSymbols, function: FunctionInfo, dotted: str
-    ) -> Optional[str]:
-        if dotted.startswith("self."):
-            owner = function.qualname.rpartition(".")[0]
-            return f"{owner}.{dotted[len('self.'):]}"
-        resolved = module.resolve(dotted)
-        # ``pkg.mod.fn`` needs no further mapping; ``ClassName.method``
-        # in-module resolves through the class table.
-        head = dotted.partition(".")[0]
-        if head in module.classes and "." in dotted:
-            return f"{module.name}.{dotted}"
-        return resolved
-
-    def reachable_functions(self, roots: Iterator[str]) -> set[str]:
-        """Transitive closure of the call graph from ``roots``."""
-        graph = self.call_graph()
-        seen: set[str] = set()
-        frontier = [root for root in roots if root in graph]
-        while frontier:
-            node = frontier.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            frontier.extend(graph.get(node, ()))
-        return seen

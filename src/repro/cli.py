@@ -8,10 +8,8 @@ for users who want the paper's numbers without writing Python:
 * ``session`` — plan and emulate one session of a chosen protocol;
 * ``multisession`` — plan and emulate N concurrent unicast sessions;
 * ``topology`` — generate and save a topology for later reuse;
-* ``lint`` — the per-file determinism & invariant static-analysis pass;
-* ``check`` — the whole-program architecture & cross-process
-  determinism analysis (layering contract, worker-shared state,
-  payload picklability, RNG escape).
+* ``check`` — the static analyzer: per-file determinism rules and the
+  whole-program architecture contract (RPR001-RPR104).
 """
 
 from __future__ import annotations
@@ -22,8 +20,13 @@ from typing import List, Optional
 
 from repro import obs
 from repro.analysis import checker as analysis_checker
-from repro.analysis import runner as analysis_runner
-from repro.exec import add_execution_arguments, apply_gf_backend, policy_from_args
+from repro.exec import (
+    add_execution_arguments,
+    add_gf_backend_argument,
+    add_shards_argument,
+    apply_gf_backend,
+    policy_from_args,
+)
 from repro.emulator.session import SessionConfig, run_sharded_session
 from repro.emulator.trace import SessionTracer
 from repro.protocols.etx_routing import plan_etx_route
@@ -192,8 +195,6 @@ def _fold_coding(
 
 def _cmd_session(args: argparse.Namespace) -> int:
     apply_gf_backend(args.gf_backend)
-    if args.shards < 1:
-        raise SystemExit("session: --shards must be >= 1")
     rng = RngFactory(args.seed)
     if args.topology:
         network = load_network(args.topology)
@@ -315,8 +316,6 @@ def _cmd_multisession(args: argparse.Namespace) -> int:
 
     if args.sessions < 1:
         raise SystemExit("multisession: --sessions must be >= 1")
-    if args.shards < 1:
-        raise SystemExit("multisession: --shards must be >= 1")
     if args.churn and args.sessions < 2:
         raise SystemExit("multisession: --churn needs --sessions >= 2")
     rng = RngFactory(args.seed)
@@ -456,10 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig7.add_argument(
         "--smoke", action="store_true", help="CI-sized run (~seconds)"
     )
-    fig7.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="worker shards per emulated session (1 = this process)",
-    )
+    add_shards_argument(fig7)
     add_execution_arguments(fig7)
     fig7.set_defaults(func=_cmd_fig7)
     sub.add_parser(
@@ -512,15 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="export per-slot emulation events as JSON lines to PATH",
     )
-    session.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="spread the session's slot loop over N worker processes "
-        "(default 1 = this process; any N prints the same report; "
-        "--scenario sessions run on 1)",
-    )
+    add_shards_argument(session)
     session.add_argument(
         "--scenario",
         help="run live under a scenario: builtin name ('calm', 'drift') "
@@ -538,13 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=10.0,
         help="control-plane observation interval for --scenario (default 10)",
     )
-    session.add_argument(
-        "--gf-backend",
-        default=None,
-        metavar="NAME",
-        help="GF(2^8) codec backend ('numpy', 'native' or 'best'; "
-        "default: OMNC_GF_BACKEND, else 'best')",
-    )
+    add_gf_backend_argument(session)
     session.set_defaults(func=_cmd_session)
 
     multisession = sub.add_parser(
@@ -588,11 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--block-size", type=int, default=256,
         help="payload bytes per packet (default 256)",
     )
-    multisession.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="run the sharded slot loop over N worker processes "
-        "(1 = in-process serial; default 1)",
-    )
+    add_shards_argument(multisession)
     multisession.add_argument(
         "--layout",
         choices=("disjoint", "opposing"),
@@ -615,17 +593,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     multisession.set_defaults(func=_cmd_multisession)
 
-    lint = sub.add_parser(
-        "lint",
-        help="determinism & invariant static analysis (RPR001-RPR005)",
-    )
-    analysis_runner.configure_parser(lint)
-    lint.set_defaults(func=analysis_runner.run)
-
     check = sub.add_parser(
         "check",
-        help="whole-program architecture & cross-process determinism "
-        "analysis (RPR101-RPR104)",
+        help="static analysis: determinism rules and the architecture "
+        "contract (RPR001-RPR104)",
     )
     analysis_checker.configure_parser(check)
     check.set_defaults(func=analysis_checker.run)

@@ -25,6 +25,8 @@ from repro.exec.engine import (
     DEFAULT_CACHE_DIR,
     ExecutionPolicy,
     add_execution_arguments,
+    add_gf_backend_argument,
+    add_shards_argument,
     apply_gf_backend,
     execute_jobs,
     policy_from_args,
@@ -56,6 +58,8 @@ __all__ = [
     "WorkerCallError",
     "WorkerPool",
     "add_execution_arguments",
+    "add_gf_backend_argument",
+    "add_shards_argument",
     "apply_gf_backend",
     "execute_jobs",
     "policy_from_args",

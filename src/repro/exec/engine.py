@@ -28,6 +28,8 @@ __all__ = [
     "DEFAULT_CACHE_DIR",
     "ExecutionPolicy",
     "add_execution_arguments",
+    "add_gf_backend_argument",
+    "add_shards_argument",
     "execute_jobs",
     "policy_from_args",
 ]
@@ -218,13 +220,40 @@ def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         help="extra attempts for jobs that time out or crash "
         "(default 1; exceptions are never retried)",
     )
-    group.add_argument(
+    add_gf_backend_argument(group)
+
+
+def add_gf_backend_argument(parser: "argparse._ActionsContainer") -> None:
+    """Attach ``--gf-backend`` (applied by :func:`apply_gf_backend`)."""
+    parser.add_argument(
         "--gf-backend",
         default=None,
         metavar="NAME",
         help="GF(2^8) codec backend for this run ('numpy', 'native' or "
         "'best'; default: the OMNC_GF_BACKEND environment variable, "
         "else 'best')",
+    )
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
+def add_shards_argument(parser: argparse.ArgumentParser) -> None:
+    """Attach ``--shards``, the one declaration every sharded command shares."""
+    parser.add_argument(
+        "--shards",
+        type=_positive_int,
+        default=1,
+        metavar="N",
+        help="worker processes per emulated session's slot loop "
+        "(default 1 = this process; any N gives the same result)",
     )
 
 

@@ -59,6 +59,7 @@ from repro.exec import (
     JobResult,
     JobSpec,
     add_execution_arguments,
+    add_shards_argument,
     execute_jobs,
     policy_from_args,
     stable_hash,
@@ -447,12 +448,7 @@ def main(
 def _module_main(argv: Optional[List[str]] = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true", help="CI-sized run")
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="worker shards per emulated session (1 = this process)",
-    )
+    add_shards_argument(parser)
     add_execution_arguments(parser)
     args = parser.parse_args(argv)
     main(smoke=args.smoke, shards=args.shards, policy=policy_from_args(args))

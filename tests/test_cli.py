@@ -230,9 +230,19 @@ class TestSessionShards:
         assert "throughput" in reports[0]
         assert reports[0] == reports[1] == reports[2]
 
-    def test_zero_shards_is_an_error(self):
-        with pytest.raises(SystemExit, match="--shards must be >= 1"):
-            main(["session", "omnc", *self.SESSION, "--shards", "0"])
+    def test_zero_shards_is_an_error(self, capsys):
+        # A usage error from the one declaration, before any work starts
+        # (`fig7 --smoke --shards 0` used to run the campaign and die in a
+        # job traceback).
+        for command in (
+            ["session", "omnc", *self.SESSION],
+            ["multisession", "--sessions", "2"],
+            ["fig7", "--smoke"],
+        ):
+            with pytest.raises(SystemExit) as usage:
+                main([*command, "--shards", "0"])
+            assert usage.value.code == 2
+            assert "--shards: must be an integer >= 1" in capsys.readouterr().err
 
     def test_a_scenario_session_refuses_shards_itself(self):
         # The adaptive driver's own error, not a CLI pre-check.

@@ -1,30 +1,32 @@
-"""Tests for ``repro check`` — the whole-program RPR1xx analyzer.
+"""Tests for ``repro check`` — the whole-program rule family and the CLI.
 
-Each rule gets seeded-regression fixtures: a tiny synthetic project is
-written to ``tmp_path`` with its own ``[tool.repro.check]`` contract,
-and the rule must fire on the planted violation (and stay silent on the
-clean variant).  The CLI, baseline reuse and output formats are driven
-end to end through ``repro.cli.main``; the final class asserts the
-shipped tree itself sweeps clean — the hard CI gate.
+Each RPR1xx rule gets seeded-regression fixtures: a tiny synthetic
+project is written to ``tmp_path`` with its own ``[tool.repro.check]``
+contract, and the rule must fire on the planted violation (and stay
+silent on the clean variant).  The CLI and output formats are driven
+end to end through ``repro.cli.main``, once per rule of either family
+(the per-file family's own fixtures live in ``test_repro_lint.py``);
+the final class asserts the shipped tree itself sweeps clean — the hard
+CI gate.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import (
-    CHECK_RULE_CODES,
+    RULE_CODES,
+    Finding,
     build_project,
     load_check_config,
-    run_project_rules,
+    run_rules,
 )
 from repro.analysis.checker import CheckConfigError
-from repro.analysis.findings import Finding
 from repro.analysis.modgraph import module_name_for
-from repro.analysis.baseline import load_baseline, save_baseline
 from repro.cli import main as cli_main
 
 PYPROJECT = """\
@@ -59,8 +61,8 @@ def make_project(
         "pkg/__init__.py": "",
         "pkg/util/__init__.py": "",
         "pkg/util/rng.py": (
-            "def as_rng(seed):\n    return seed\n"
-            "def fallback_rng():\n    return 0\n"
+            "def as_rng(seed: int) -> int:\n    return seed\n"
+            "def fallback_rng() -> int:\n    return 0\n"
         ),
         "pkg/low/__init__.py": "",
         "pkg/low/payload.py": (
@@ -81,10 +83,10 @@ def make_project(
     return tmp_path
 
 
-def check(root: Path, select: tuple[str, ...] = CHECK_RULE_CODES) -> list[Finding]:
+def check(root: Path, select: tuple[str, ...]) -> list[Finding]:
     config = load_check_config(root / "pyproject.toml")
     project = build_project(root / "src", config.package)
-    return run_project_rules(project, config, select)
+    return run_rules(project, config, select)
 
 
 def rules_of(findings: list[Finding]) -> list[str]:
@@ -627,7 +629,7 @@ class TestCheckerCli:
         payload = json.loads(capsys.readouterr().out)
         (finding,) = payload["findings"]
         assert finding["rule"] == "RPR101"
-        assert set(payload["rules"]) == set(CHECK_RULE_CODES)
+        assert set(payload["rules"]) == set(RULE_CODES)
         assert payload["files_checked"] > 5
 
     def test_select_unknown_rule_is_usage_error(
@@ -635,7 +637,7 @@ class TestCheckerCli:
     ):
         make_project(tmp_path, {})
         monkeypatch.chdir(tmp_path)
-        assert cli_main(["check", "--select", "RPR001"]) == 2
+        assert cli_main(["check", "--select", "RPR001,RPR999"]) == 2
 
     def test_select_restricts_rules(self, tmp_path: Path, monkeypatch):
         make_project(tmp_path, {"pkg/low/bad.py": "import pkg.high\n"})
@@ -659,45 +661,6 @@ class TestCheckerCli:
         with pytest.raises(CheckConfigError):
             load_check_config(pyproject)
 
-    def test_baselined_finding_passes(self, tmp_path: Path, monkeypatch):
-        root = make_project(
-            tmp_path, {"pkg/low/bad.py": "import pkg.high\n"}
-        )
-        monkeypatch.chdir(tmp_path)
-        findings = check(root)
-        baseline = tmp_path / "repro-check-baseline.json"
-        save_baseline(baseline, findings)
-        assert cli_main(["check"]) == 0
-
-    def test_update_baseline_keeps_moved_finding(
-        self, tmp_path: Path, monkeypatch
-    ):
-        # The violating import drifts to another line; the fingerprint
-        # (rule, path, snippet) still matches, so --update-baseline must
-        # keep the entry rather than treating it as fixed + new.
-        root = make_project(
-            tmp_path, {"pkg/low/bad.py": "import pkg.high\n"}
-        )
-        monkeypatch.chdir(tmp_path)
-        baseline = tmp_path / "repro-check-baseline.json"
-        save_baseline(baseline, check(root))
-        (tmp_path / "src/pkg/low/bad.py").write_text(
-            '"""Docstring pushes the import down."""\n\nimport pkg.high\n'
-        )
-        assert cli_main(["check", "--update-baseline"]) == 0
-        assert len(load_baseline(baseline)) == 1
-        assert cli_main(["check"]) == 0
-
-    def test_stale_baseline_fails(self, tmp_path: Path, monkeypatch):
-        root = make_project(
-            tmp_path, {"pkg/low/bad.py": "import pkg.high\n"}
-        )
-        monkeypatch.chdir(tmp_path)
-        baseline = tmp_path / "repro-check-baseline.json"
-        save_baseline(baseline, check(root))
-        (tmp_path / "src/pkg/low/bad.py").write_text("")
-        assert cli_main(["check"]) == 1
-
     def test_syntax_error_fails(self, tmp_path: Path, monkeypatch, capsys):
         make_project(tmp_path, {"pkg/low/broken.py": "def oops(:\n"})
         monkeypatch.chdir(tmp_path)
@@ -705,26 +668,113 @@ class TestCheckerCli:
         assert "parse failure" in capsys.readouterr().out
 
 
+#: One planted violation per rule: (files, path of the finding, its line).
+_BOX_WITH_RNG = (
+    "from dataclasses import dataclass\n"
+    "import numpy as np\n"
+    "@dataclass\n"
+    "class Box:\n"
+    "    rng: np.random.Generator\n"
+)
+_RNG_INTO_BOX = (
+    "from pkg.low.payload import Box\n"
+    "from pkg.util.rng import as_rng\n"
+    "def build() -> Box:\n"
+    "    rng = as_rng(7)\n"
+    "    return Box(seed=rng)\n"
+)
+PLANTED = {
+    "RPR001": ({"pkg/mid/v.py": "import numpy as np\nRNG = np.random.default_rng()\n"},
+               "pkg/mid/v.py", 2),
+    "RPR002": ({"pkg/mid/v.py": "import time\nT = time.time()\n"}, "pkg/mid/v.py", 2),
+    "RPR003": ({"pkg/mid/v.py": "for x in {1, 2}:\n    pass\n"}, "pkg/mid/v.py", 1),
+    "RPR004": ({"pkg/mid/v.py": "X = 1\nY = X == 1.0\n"}, "pkg/mid/v.py", 2),
+    "RPR005": ({"pkg/mid/v.py": "def run(x) -> int:\n    return x\n"}, "pkg/mid/v.py", 1),
+    "RPR101": ({"pkg/low/v.py": "import pkg.high\n"}, "pkg/low/v.py", 1),
+    "RPR102": ({"pkg/low/registry.py": "CACHE = {}\n"
+                "def remember(key: int, value: int) -> None:\n"
+                "    CACHE[key] = value\n",
+                "pkg/low/worker.py": "import pkg.low.registry\n"},
+               "pkg/low/registry.py", 1),
+    "RPR103": ({"pkg/low/payload.py": _BOX_WITH_RNG}, "pkg/low/payload.py", 5),
+    "RPR104": ({"pkg/mid/build.py": _RNG_INTO_BOX}, "pkg/mid/build.py", 5),
+}
+
+
+class TestEveryRuleEndToEnd:
+    """Either family dropping out of the merged run fails here."""
+
+    @pytest.mark.parametrize("rule", RULE_CODES)
+    def test_planted_violation_is_reported_and_pragma_silences_it(
+        self, rule, tmp_path: Path, monkeypatch, capsys
+    ):
+        files, rel, line = PLANTED[rule]
+        make_project(tmp_path, files)
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["check"]) == 1
+        out = capsys.readouterr().out
+        assert f"src/{rel}:{line}:" in out and f": {rule} " in out
+        assert cli_main(["check", "--format", "github"]) == 1
+        out = capsys.readouterr().out
+        assert f"::error file=src/{rel},line={line}," in out
+        assert f"title=repro-check {rule}::" in out
+        assert cli_main(["check", "--format", "json"]) == 1
+        (finding,) = json.loads(capsys.readouterr().out)["findings"]
+        assert (finding["rule"], finding["path"], finding["line"]) == (
+            rule, f"src/{rel}", line
+        )
+
+        def with_pragma(code: str) -> int:
+            lines = files[rel].splitlines()
+            lines[line - 1] += f"  # repro: ignore[{code}]"
+            (tmp_path / "src" / rel).write_text("\n".join(lines) + "\n")
+            return cli_main(["check"])
+
+        other = RULE_CODES[RULE_CODES.index(rule) - 1]
+        assert with_pragma(other) == 1
+        assert with_pragma(rule) == 0
+
+    def test_each_module_is_parsed_exactly_once(
+        self, tmp_path: Path, monkeypatch
+    ):
+        (tmp_path / "pyproject.toml").write_text(
+            '[tool.repro.check]\npackage = "pkg"\nlayers = [["a", "b"]]\n'
+        )
+        for name, source in {
+            "__init__": "", "a": "import pkg.b\n", "b": "X = {1}\n"
+        }.items():
+            target = tmp_path / "src" / "pkg" / f"{name}.py"
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(source)
+        monkeypatch.chdir(tmp_path)
+        parsed = []
+        real_parse = ast.parse
+
+        def counting_parse(source, *args, **kwargs):
+            parsed.append(kwargs.get("filename"))
+            return real_parse(source, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        assert cli_main(["check"]) == 0
+        assert sorted(parsed) == [
+            "src/pkg/__init__.py", "src/pkg/a.py", "src/pkg/b.py"
+        ]
+
+
 class TestRepoIsClean:
     def test_src_tree_sweeps_clean(self):
-        # The acceptance gate, mirroring repro lint's: the shipped tree
-        # satisfies the layering contract, keeps worker closures free of
-        # mutated globals, and ships no unpicklable or RNG-carrying
-        # payloads — with an *empty* baseline.
+        # The acceptance gate: the shipped tree keeps the determinism
+        # discipline per file, satisfies the layering contract, keeps
+        # worker closures free of mutated globals, and ships no
+        # unpicklable or RNG-carrying payloads — nothing grandfathered.
         repo = Path(__file__).resolve().parent.parent
         config = load_check_config(repo / "pyproject.toml")
         project = build_project(repo / "src", config.package, rel_root=repo)
-        findings = run_project_rules(project, config, CHECK_RULE_CODES)
+        findings = run_rules(project, config, RULE_CODES)
         assert len(project.modules) > 80
         assert findings == []
         # ... and with no waived upward edge: every band imports downward.
         assert config.layer_waivers == ()
-
-    def test_committed_baseline_is_empty(self):
-        repo = Path(__file__).resolve().parent.parent
-        baseline = repo / "repro-check-baseline.json"
-        assert baseline.exists()
-        assert load_baseline(baseline) == {}
 
     def test_contract_covers_every_unit(self):
         # No unit may dodge the contract by simply not being listed.

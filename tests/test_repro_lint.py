@@ -1,8 +1,10 @@
-"""Tests for the ``repro lint`` static-analysis pass.
+"""Tests for the per-file rule family of ``repro check`` (RPR001-RPR005).
 
 Each rule gets positive (must flag) and negative (must stay silent)
-fixtures; the baseline mechanism, pragma suppression and the CLI's exit
-codes / JSON output are exercised end to end through ``repro.cli.main``.
+fixtures, run as a one-module project through the same ``run_rules``
+the command uses; pragma suppression and the CLI's exit codes / output
+formats on a per-file finding are exercised end to end through
+``repro.cli.main``.
 """
 
 from __future__ import annotations
@@ -10,18 +12,23 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.analysis import (
+    RULE_CODES,
+    CheckConfig,
     Finding,
-    LintConfig,
-    lint_source,
-    load_baseline,
-    partition,
-    save_baseline,
+    ProjectGraph,
+    parse_module,
+    run_rules,
 )
-from repro.analysis.baseline import BaselineError
 from repro.cli import main as cli_main
+from tests.test_repro_check import make_project
+
+FILE_RULES = tuple(code for code in RULE_CODES if code < "RPR100")
+
+
+def lint_source(source: str, path: str = "<string>") -> list[Finding]:
+    project = ProjectGraph("pkg", {"pkg.x": parse_module("pkg.x", path, source)})
+    return run_rules(project, CheckConfig(), FILE_RULES)
 
 
 def rules_of(source: str, path: str = "src/repro/x.py") -> list[str]:
@@ -280,224 +287,73 @@ class TestPragmas:
         assert rules_of(src) == []
 
 
-class TestBaseline:
-    def make(self, rule: str = "RPR002", snippet: str = "t = time.time()") -> Finding:
-        return Finding(
-            rule=rule, path="src/repro/x.py", line=3, column=5,
-            message="m", snippet=snippet,
-        )
-
-    def test_roundtrip(self, tmp_path: Path):
-        path = tmp_path / "baseline.json"
-        finding = self.make()
-        save_baseline(path, [finding])
-        counts = load_baseline(path)
-        assert counts[finding.fingerprint()] == 1
-
-    def test_partition_matches_and_new(self, tmp_path: Path):
-        path = tmp_path / "baseline.json"
-        old = self.make()
-        save_baseline(path, [old])
-        fresh = self.make(snippet="u = time.time()")
-        new, matched, stale = partition([old, fresh], load_baseline(path))
-        assert new == [fresh]
-        assert matched == [old]
-        assert stale == 0
-
-    def test_multiset_semantics(self, tmp_path: Path):
-        # Two identical violations, only one grandfathered: one is new.
-        path = tmp_path / "baseline.json"
-        save_baseline(path, [self.make()])
-        duplicate = self.make()
-        new, matched, stale = partition(
-            [duplicate, duplicate], load_baseline(path)
-        )
-        assert len(new) == 1 and len(matched) == 1 and stale == 0
-
-    def test_stale_counted(self, tmp_path: Path):
-        path = tmp_path / "baseline.json"
-        save_baseline(path, [self.make(), self.make(snippet="other")])
-        new, matched, stale = partition([], load_baseline(path))
-        assert (new, matched, stale) == ([], [], 2)
-
-    def test_line_numbers_do_not_affect_matching(self, tmp_path: Path):
-        path = tmp_path / "baseline.json"
-        save_baseline(path, [self.make()])
-        moved = Finding(
-            rule="RPR002", path="src/repro/x.py", line=99, column=1,
-            message="m", snippet="t = time.time()",
-        )
-        new, matched, _ = partition([moved], load_baseline(path))
-        assert new == [] and matched == [moved]
-
-    def test_malformed_baseline_raises(self, tmp_path: Path):
-        path = tmp_path / "baseline.json"
-        path.write_text("{\"version\": 99}")
-        with pytest.raises(BaselineError):
-            load_baseline(path)
-
-
 class TestCli:
-    CLEAN = "def run(x: int) -> int:\n    return x\n"
     DIRTY = "import time\n\n\ndef run(x: int) -> float:\n    return time.time()\n"
 
     def test_exit_zero_on_clean_tree(self, tmp_path: Path, monkeypatch):
-        (tmp_path / "clean.py").write_text(self.CLEAN)
+        make_project(tmp_path, {"pkg/mid/clean.py": "def run(x: int) -> int:\n    return x\n"})
         monkeypatch.chdir(tmp_path)
-        assert cli_main(["lint", "clean.py"]) == 0
+        assert cli_main(["check"]) == 0
 
     def test_exit_one_on_finding(self, tmp_path: Path, monkeypatch, capsys):
-        (tmp_path / "dirty.py").write_text(self.DIRTY)
+        make_project(tmp_path, {"pkg/mid/dirty.py": self.DIRTY})
         monkeypatch.chdir(tmp_path)
-        assert cli_main(["lint", "dirty.py"]) == 1
+        assert cli_main(["check"]) == 1
         out = capsys.readouterr().out
-        assert "RPR002" in out and "dirty.py:5" in out
+        assert "RPR002" in out and "src/pkg/mid/dirty.py:5" in out
 
     def test_json_output(self, tmp_path: Path, monkeypatch, capsys):
-        (tmp_path / "dirty.py").write_text(self.DIRTY)
+        make_project(tmp_path, {"pkg/mid/dirty.py": self.DIRTY})
         monkeypatch.chdir(tmp_path)
-        assert cli_main(["lint", "dirty.py", "--format", "json"]) == 1
+        assert cli_main(["check", "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["files_checked"] == 1
-        assert payload["baselined"] == 0
+        assert payload["files_checked"] > 5
+        assert list(payload["rules"]) == sorted(RULE_CODES)
         (finding,) = payload["findings"]
         assert finding["rule"] == "RPR002"
-        assert finding["path"] == "dirty.py"
+        assert finding["path"] == "src/pkg/mid/dirty.py"
         assert finding["line"] == 5
 
     def test_github_format(self, tmp_path: Path, monkeypatch, capsys):
-        (tmp_path / "dirty.py").write_text(self.DIRTY)
+        make_project(tmp_path, {"pkg/mid/dirty.py": self.DIRTY})
         monkeypatch.chdir(tmp_path)
-        assert cli_main(["lint", "dirty.py", "--format", "github"]) == 1
+        assert cli_main(["check", "--format", "github"]) == 1
         out = capsys.readouterr().out
-        assert "::error file=dirty.py,line=5" in out
-        assert "title=repro-lint RPR002" in out
+        assert "::error file=src/pkg/mid/dirty.py,line=5" in out
+        assert "title=repro-check RPR002" in out
 
     def test_select_unknown_rule_is_usage_error(self, tmp_path: Path, monkeypatch):
-        (tmp_path / "clean.py").write_text(self.CLEAN)
+        make_project(tmp_path, {})
         monkeypatch.chdir(tmp_path)
-        assert cli_main(["lint", "clean.py", "--select", "RPR999"]) == 2
+        assert cli_main(["check", "--select", "RPR999"]) == 2
 
     def test_select_restricts_rules(self, tmp_path: Path, monkeypatch):
-        (tmp_path / "dirty.py").write_text(self.DIRTY)
+        make_project(tmp_path, {"pkg/mid/dirty.py": self.DIRTY})
         monkeypatch.chdir(tmp_path)
-        assert cli_main(["lint", "dirty.py", "--select", "RPR004"]) == 0
-
-    def test_missing_explicit_baseline_is_usage_error(
-        self, tmp_path: Path, monkeypatch
-    ):
-        (tmp_path / "clean.py").write_text(self.CLEAN)
-        monkeypatch.chdir(tmp_path)
-        assert (
-            cli_main(["lint", "clean.py", "--baseline", "nope.json"]) == 2
-        )
-
-    def test_baselined_finding_passes(self, tmp_path: Path, monkeypatch):
-        (tmp_path / "dirty.py").write_text(self.DIRTY)
-        monkeypatch.chdir(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        findings = lint_source(self.DIRTY, "dirty.py")
-        save_baseline(baseline, findings)
-        assert (
-            cli_main(["lint", "dirty.py", "--baseline", str(baseline)]) == 0
-        )
-
-    def test_update_refuses_new_findings(self, tmp_path: Path, monkeypatch):
-        (tmp_path / "dirty.py").write_text(self.DIRTY)
-        monkeypatch.chdir(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        save_baseline(baseline, [])
-        assert (
-            cli_main(
-                [
-                    "lint", "dirty.py",
-                    "--baseline", str(baseline),
-                    "--update-baseline",
-                ]
-            )
-            == 1
-        )
-        # Refused: the baseline never grows.
-        assert load_baseline(baseline) == {}
-
-    def test_update_baseline_keeps_moved_finding(
-        self, tmp_path: Path, monkeypatch
-    ):
-        # The finding drifts to a different line; its fingerprint
-        # (rule, path, snippet) is unchanged, so --update-baseline must
-        # treat it as matched — neither stale-pruned nor newly refused.
-        (tmp_path / "dirty.py").write_text(self.DIRTY)
-        monkeypatch.chdir(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        save_baseline(baseline, lint_source(self.DIRTY, "dirty.py"))
-        (tmp_path / "dirty.py").write_text("\n\n" + self.DIRTY)
-        assert (
-            cli_main(
-                [
-                    "lint", "dirty.py",
-                    "--baseline", str(baseline),
-                    "--update-baseline",
-                ]
-            )
-            == 0
-        )
-        assert len(load_baseline(baseline)) == 1
-        assert (
-            cli_main(["lint", "dirty.py", "--baseline", str(baseline)]) == 0
-        )
-
-    def test_update_prunes_stale_entries(self, tmp_path: Path, monkeypatch):
-        (tmp_path / "clean.py").write_text(self.CLEAN)
-        monkeypatch.chdir(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        ghost = Finding(
-            rule="RPR002", path="clean.py", line=1, column=1,
-            message="m", snippet="t = time.time()",
-        )
-        save_baseline(baseline, [ghost])
-        assert (
-            cli_main(
-                [
-                    "lint", "clean.py",
-                    "--baseline", str(baseline),
-                    "--update-baseline",
-                ]
-            )
-            == 0
-        )
-        assert load_baseline(baseline) == {}
-
-    def test_stale_baseline_fails_normal_run(self, tmp_path: Path, monkeypatch):
-        (tmp_path / "clean.py").write_text(self.CLEAN)
-        monkeypatch.chdir(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        ghost = Finding(
-            rule="RPR002", path="clean.py", line=1, column=1,
-            message="m", snippet="t = time.time()",
-        )
-        save_baseline(baseline, [ghost])
-        assert (
-            cli_main(["lint", "clean.py", "--baseline", str(baseline)]) == 1
-        )
+        assert cli_main(["check", "--select", "RPR004,RPR101"]) == 0
+        assert cli_main(["check", "--select", "RPR002"]) == 1
 
     def test_parse_error_fails(self, tmp_path: Path, monkeypatch, capsys):
-        (tmp_path / "broken.py").write_text("def oops(:\n")
+        make_project(tmp_path, {"pkg/mid/broken.py": "def oops(:\n"})
         monkeypatch.chdir(tmp_path)
-        assert cli_main(["lint", "broken.py"]) == 1
-        assert "parse failure" in capsys.readouterr().out
+        assert cli_main(["check"]) == 1
+        assert "parse failure: src/pkg/mid/broken.py" in capsys.readouterr().out
+
+    def test_missing_source_directory_is_usage_error(
+        self, tmp_path: Path, monkeypatch, capsys
+    ):
+        # A typo in the CI step must not pass green: `repro lint srcc`
+        # used to report "0 file(s), 0 new finding(s)" and exit 0.
+        make_project(tmp_path, {})
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["check", "--src", "srcc", "--select", "RPR002"]) == 2
+        assert "srcc" in capsys.readouterr().out
 
 
 class TestRepoIsClean:
     def test_src_tree_has_no_findings(self):
-        # The acceptance gate: the shipped tree lints clean with an
-        # empty baseline — emulator/, coding/ and optimization/ carry
-        # no grandfathered findings.
+        # The acceptance gate: one pass over the shipped tree, all nine
+        # rules, nothing grandfathered.
         repo = Path(__file__).resolve().parent.parent
-        from repro.analysis.runner import lint_paths
-
-        findings, errors, checked = lint_paths(
-            [repo / "src"], repo, LintConfig()
-        )
-        assert errors == []
-        assert checked > 60
-        assert findings == []
+        assert cli_main(["check", "--src", str(repo / "src"),
+                         "--pyproject", str(repo / "pyproject.toml")]) == 0
