@@ -29,10 +29,12 @@ from repro.exec import (
 )
 from repro.emulator.session import SessionConfig, run_sharded_session
 from repro.emulator.trace import SessionTracer
+from repro.optimization.sunicast import InfeasibleSessionError
 from repro.protocols.etx_routing import plan_etx_route
 from repro.protocols.more import plan_more
 from repro.protocols.oldmore import plan_oldmore
 from repro.protocols.omnc import plan_omnc
+from repro.routing.node_selection import NodeSelectionError
 from repro.topology.random_network import random_network
 from repro.topology.phy import high_quality_phy, lossy_phy
 from repro.topology.serialization import load_network, save_network
@@ -607,7 +609,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (NodeSelectionError, InfeasibleSessionError) as error:
+        # What was asked for cannot be planned on this topology: the
+        # user's input, not a defect, so no traceback.
+        print(f"repro {args.command}: error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

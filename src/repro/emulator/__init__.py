@@ -9,10 +9,10 @@ innovation checks) over simulated lower layers:
   draws only; the scheduler removed collisions).
 * :mod:`repro.emulator.node` — per-node data planes (rate-driven coding,
   credit-driven coding, store-and-forward).
-* :mod:`repro.emulator.engine` — the slot loop's per-process half: what
-  happens to the nodes one process hosts.
-* :mod:`repro.emulator.shard` — its session-side half: clock, global
-  MAC grant, replay and stats merge over one core or many.
+* :mod:`repro.emulator.engine` — the slot loop, per process: what
+  happens to the nodes one process hosts, its MAC grant included.
+* :mod:`repro.emulator.shard` — the session above it: clock, replay and
+  stats, over one core or many (and the grant when several contend).
 * :mod:`repro.emulator.awake` — the awake set the slot loop sweeps
   (runtimes parked at a fixed point are skipped until woken).
 * :mod:`repro.emulator.session` — session drivers and results.

@@ -7,9 +7,11 @@ the MAC channel capacity).  Each slot:
    (``on_slot``) and contenders draw a MAC lottery key; runtimes parked
    at an exact fixed point are skipped (:mod:`repro.emulator.awake`)
    until a delivery or the control plane wakes them;
-2. the ideal MAC grants a conflict-free transmitter set — the one step
-   that needs every contender at once, so it belongs to the session
-   (:class:`~repro.emulator.shard.ShardedSession`), not to a core;
+2. the ideal MAC grants a conflict-free transmitter set — a greedy
+   pass over every contender at once, run by whoever holds them all:
+   the core itself while it is the only one with anything awake
+   (:meth:`EngineCore.run_slots`), else the cores' parent
+   (:class:`~repro.emulator.shard.ShardedCores`);
 3. granted coded transmitters broadcast — every in-range participant
    draws an independent reception; granted unicast transmitters attempt
    their head-of-line packet toward the next hop (failure = MAC
@@ -17,12 +19,14 @@ the MAC channel capacity).  Each slot:
 4. each receiver keeps at most one of the packets it heard;
 5. queue lengths are sampled for the Fig. 3 statistics.
 
-:class:`EngineCore` is steps 1 and 3–5 for the nodes one process hosts.
+:class:`EngineCore` is all five for the nodes one process hosts, and
+:meth:`EngineCore.run_slots` is the one loop that strings them together.
 A single-process run drives one core that hosts every node by direct
 method calls; a sharded run hosts one core per worker process and
-drives the same methods through pipes.  There is no other slot loop,
-and it is protocol-agnostic: behaviour differences live entirely in the
-runtimes (:mod:`repro.emulator.node`) and the plans that configured them.
+drives the same methods through pipes — whole epochs of slots while one
+core holds everything awake, a phase at a time while several do.  It is
+protocol-agnostic: behaviour differences live entirely in the runtimes
+(:mod:`repro.emulator.node`) and the plans that configured them.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from repro import obs
 from repro.emulator.awake import AwakeSet
 from repro.emulator.channel import LossyBroadcastChannel
 from repro.emulator.node import MultiSessionNodeRuntime, NodeRuntime, UnicastRuntime
-from repro.emulator.scheduler import IdealMacScheduler
+from repro.emulator.scheduler import ConflictGraph, IdealMacScheduler
 from repro.topology.graph import Link, WirelessNetwork
 from repro.util.rng import NodeStreams, RngFactory
 
@@ -54,6 +58,13 @@ Entry = Tuple[int, List[Arrival]]
 #: and ``(rank, pos, "decoded" | "delivered", value)`` for what that
 #: packet completed.
 Event = Tuple[Any, ...]
+#: One executed slot, for the session to replay: the granted tuple (its
+#: length when nobody asked for names), the contender count, the events.
+Record = Tuple[Any, int, List[Event]]
+#: An epoch's terms: (slot budget, queued control signals, name the granted?).
+Epoch = Tuple[int, Optional[Sequence[Sequence[Any]]], bool]
+#: A core's entry in a slot's lottery: (awake count, keys, participant positions).
+Contention = Tuple[int, List[float], List[int]]
 
 
 @dataclass
@@ -152,7 +163,8 @@ class CoreInit:
 
 
 class EngineCore:
-    """One process's share of every slot: tick, fire, resolve, settle, sample.
+    """One process's share of every slot: tick, fire, resolve, settle,
+    sample — and the grant too, while every contender is its own.
 
     Every public method takes one argument and returns plain data, so it
     can be a pipe message to a worker process
@@ -174,6 +186,8 @@ class EngineCore:
         self._network = init.network
         self._dt = init.slot_duration
         self._blanking = init.interference == "blanking"
+        self._two_hop = init.interference == "conflict_free"
+        self._registry = registry
         self._has_unicast = init.has_unicast
         self._traced = init.traced
         factory = RngFactory(init.seed)
@@ -190,6 +204,7 @@ class EngineCore:
         # its airtime and queue integral stay in the session's stats.
         self._transmissions: Dict[int, int] = {}
         self._queue_time: Dict[int, float] = {}
+        self._epoch: List[Record] = []  # the one in progress, or the last
         scope = obs.resolve(registry).attach("emulator")
         self._obs_enabled = scope.enabled
         self._m_tx = scope.counter("transmissions", "packets put on the air")
@@ -257,6 +272,22 @@ class EngineCore:
                     for j in neighbors
                     if j in participant_set
                 ]
+        # Hosted positions with a participant neighbour hosted by another
+        # core: what they fire can be heard where this core cannot resolve
+        # it, so a slot in which one contends is not this core's alone.
+        hosted = self._positions
+        self._cut = frozenset(
+            position
+            for position, node in enumerate(() if self._hosts_everyone else self._owned)
+            if any(j in participant_set and j not in hosted for j in self._cov_list[node])
+        )
+        # The MAC over the hosted nodes, in hosted-position space.  It
+        # never consumes RNG — every key arrives pre-drawn from a node's
+        # own stream — so only the conflict structure matters.
+        self._scheduler = IdealMacScheduler(
+            ConflictGraph(network, self._owned, two_hop=self._two_hop),
+            registry=self._registry,
+        )
         node_count = network.node_count
         # Node-indexed per-slot scratch: which nodes transmit this slot,
         # and how many granted transmitters cover each node (blanking
@@ -281,10 +312,8 @@ class EngineCore:
             for runtime in self._runtime_list:
                 getattr(runtime, method)(*arguments)
 
-    def begin_slot(
-        self, events: Optional[Iterable[Sequence[Any]]]
-    ) -> Tuple[int, List[float], List[int]]:
-        """Apply deferred control events, tick clocks, draw lottery keys.
+    def _contend(self) -> Tuple[List[float], List[int]]:
+        """Tick clocks, draw lottery keys.
 
         One pass per awake runtime: clock advance, then scheduler
         inputs.  Safe to fuse — runtimes only interact through
@@ -292,23 +321,65 @@ class EngineCore:
         independent.  Every contender draws one scalar ``Exp(1)`` from
         its own "mac" stream, so a node's key sequence depends only on
         how often *it* contended.  Returns the hosted contenders' keys
-        and participant positions as two flat lists, for the session's
-        global greedy MIS pass.
+        and hosted positions as two flat lists.
         """
-        if events:
-            self.apply_events(events)
         floor = IdealMacScheduler.WEIGHT_FLOOR
         owned = self._owned
-        to_global = self._global_positions
         mac = self._mac
         contenders, weights = self._awake.tick(self._runtime_list, self._dt)
         keys: List[float] = []
         for position, weight in zip(contenders, weights):
             draw = mac[owned[position]].standard_exponential()
             keys.append(draw / max(weight, floor))
-        if not self._hosts_everyone:
-            contenders = [to_global[position] for position in contenders]
-        return len(self._awake.positions), keys, contenders
+        return keys, contenders
+
+    def begin_slot(self, events: Optional[Iterable[Sequence[Any]]]) -> Contention:
+        """Apply deferred control events, then contend: the hosted
+        contenders' keys for a greedy pass over several cores' at once."""
+        if events:
+            self.apply_events(events)
+        return self._contention(*self._contend())
+
+    def _contention(self, keys: List[float], contenders: List[int]) -> Contention:
+        to_global = self._global_positions
+        return len(self._awake.positions), keys, [to_global[p] for p in contenders]
+
+    def run_slots(self, epoch: Epoch) -> Tuple[int, List[Record], Optional[Contention]]:
+        """An epoch: whole slots, while they are this core's alone.
+
+        The caller vouches that no other core has anything awake, so
+        every contender is hosted here and the local greedy pass is the
+        global one.  Runs up to ``budget`` slots and stops *before*
+        granting one in which a hosted node on the cut contends — what
+        it fires may be heard on another core — handing back that slot's
+        :meth:`begin_slot` reply for the caller to finish; *after* one
+        that decoded a generation, whose ACK the driver has to signal
+        before the next tick; and when nothing is left awake.  Returns
+        the awake count, a record per slot run and the unfinished slot.
+        """
+        budget, events, named = epoch
+        if events:
+            self.apply_events(events)
+        grant = self._scheduler.grant_from_keyed
+        cut = self._cut
+        records: List[Record] = []
+        self._epoch = records
+        while budget > 0:
+            keys, contenders = self._contend()
+            if cut and not cut.isdisjoint(contenders):
+                return len(self._awake.positions), records, self._contention(keys, contenders)
+            # Sorting (key, position) pairs breaks ties by ascending position.
+            granted = grant(sorted(zip(keys, contenders)))
+            awake, happened = self.fire_resolve(granted)
+            records.append((granted if named else len(granted), len(keys), happened))
+            budget -= 1
+            if not awake or (happened and any(event[2] == "decoded" for event in happened)):
+                break
+        return len(self._awake.positions), records, None
+
+    def epoch_slots(self, _argument: None = None) -> int:
+        """Slots the last epoch completed: where it failed, if it raised."""
+        return len(self._epoch)
 
     def fire(
         self, granted: Tuple[int, ...]

@@ -241,6 +241,9 @@ def run_multi_session(
     target = config.target_generations
     event_index = 0
 
+    def done() -> bool:
+        return target > 0 and min(decoded.values()) >= target
+
     def tick() -> bool:
         # Churn first, then decoded-generation advances — a fixed order
         # at every slot boundary.
@@ -257,10 +260,20 @@ def run_multi_session(
         for sid, generation_id in log.unseen():
             decoded[sid] += 1
             session.broadcast_session_generation_advance(sid, generation_id + 1)
-        return target > 0 and min(decoded.values()) >= target
+        return done()
 
+    slot = session.slot_duration
+    total = int(config.max_seconds / slot)
     with session:
-        session.run(int(config.max_seconds / session.slot_duration), stop_when=tick)
+        while session.slots < total and not done():
+            batch = total - session.slots
+            if event_index < len(timeline):
+                # ``tick`` reads the clock, and ``run`` consults it at
+                # decodes and at the end of the call only: stop short of
+                # the next entry, never past the slot it falls due in.
+                until = int((timeline[event_index][0] - session.now) / slot)
+                batch = min(batch, max(1, until))
+            session.run(batch, stop_when=tick)
         stats = session.finalize_stats()
     node_stats = stats.node_sessions
 

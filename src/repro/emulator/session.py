@@ -461,7 +461,7 @@ def run_sharded_session(
     target = config.target_generations
 
     def stop() -> bool:
-        # Applied after the delivery phase of the slot completes.
+        # Consulted after every slot that decoded, its deliveries done.
         for generation_id in log.unseen():
             session.broadcast_generation_advance(generation_id + 1)
         return target > 0 and len(log.acks) >= target

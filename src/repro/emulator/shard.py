@@ -1,10 +1,10 @@
 """One session, one slot loop, any number of processes, one trace.
 
 :class:`ShardedSession` is the session-side half of every emulated
-slot: the clock, the deferred control events, the global MAC grant, the
-replay of what happened into the tracer and the recorder, and the stats.
-The per-process half — everything that happens *to* the nodes a process
-hosts — is :class:`~repro.emulator.engine.EngineCore`.  With
+slot: the clock, the deferred control events, the replay of what
+happened into the tracer and the recorder, and the stats.  The
+per-process half — everything that happens *to* the nodes a process
+hosts, slot loop included — is :class:`~repro.emulator.engine.EngineCore`.  With
 ``shards=1`` the session calls one core that hosts every node, directly,
 in this process, and pickles nothing; with ``shards=N`` it calls
 :class:`ShardedCores`, which answers the same methods from one core per
@@ -17,11 +17,12 @@ How determinism survives the cut:
 * **One random universe**: per-node streams
   (:class:`~repro.util.rng.NodeStreams`), so a node draws the same values
   wherever it is hosted.
-* **Session-side global MIS.**  Greedy maximal-independent-set decisions
-  chain across shard cuts without bound, so grants cannot be computed
-  core-locally.  Cores return lottery keys for their hosted contenders;
-  the session sorts them all and runs the scheduler's RNG-free
-  :meth:`grant_from_keyed` pass.
+* **One greedy pass over every contender.**  Greedy independent-set
+  decisions chain through conflicting contenders without bound, so a
+  core grants alone only while every contender is its own (an *epoch*:
+  it is the one core with anything awake); otherwise the cores return
+  their lottery keys and :class:`ShardedCores` runs the same RNG-free
+  :meth:`grant_from_keyed` pass over all of them.
 * **Place order.**  Arrivals carry their transmitter's grant rank and
   per-broadcast delivery position, which fixes each receiver's arrival
   order, the receiver processing order and the order of everything that
@@ -39,16 +40,19 @@ import hashlib
 import json
 from dataclasses import replace
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
 from repro import obs
 from repro.emulator.engine import (
     Arrival,
+    Contention,
     CoreInit,
     EngineCore,
     EngineStats,
     Entry,
+    Epoch,
     Event,
+    Record,
     _DecodeLog,
 )
 from repro.emulator.node import NodeRuntime, UnicastRuntime
@@ -78,29 +82,34 @@ class ShardedCores:
     session above it cannot tell one process from many.  What it adds
     is the fan-out and fan-in of a cut mesh: it partitions the nodes
     into strips and ships each strip's runtimes to a long-lived worker.
-    A slot is one pipelined round trip per phase over the *live*
-    workers, those whose last slot-phase reply reported a non-empty
-    awake set — a parked one hears nothing until a resolve entry or the
-    control plane reaches it (DESIGN.md §13).  ``begin_slot`` gathers
-    lottery keys; then an *interior* slot, where no granted transmitter
-    has a neighbour hosted by another worker, is one ``fire_resolve``
-    in which every arrival is resolved where it was fired and no packet
-    crosses a pipe, and a cross-cut one is ``fire`` (every worker sees
-    the full grant), ``resolve`` at each receiver's host and, with
-    unicast feedback in play, ``finish_slot``.  Replies merge in place
-    order; a failure also names the slot it happened in.
+    Only the *live* workers hear of a slot, those whose last slot-phase
+    reply reported a non-empty awake set — a parked one hears nothing
+    until a resolve entry or the control plane reaches it (DESIGN.md
+    §13).  With exactly one live and no control signal queued the slot
+    is part of an *epoch*: that worker is handed the budget and grants
+    and runs its own slots (:meth:`EngineCore.run_slots`), one message
+    for all of them.  Otherwise ``begin_slot`` gathers lottery keys for
+    the greedy pass here; then an *interior* slot, where no granted
+    transmitter has a neighbour hosted by another worker, is one
+    ``fire_resolve`` in which every arrival is resolved where it was
+    fired and no packet crosses a pipe, and a *cross-cut* one is
+    ``fire`` (every worker sees the full grant), ``resolve`` at each
+    receiver's host and, with unicast feedback in play, ``finish_slot``.
+    Replies merge in place order; a failure names the slot it happened in.
     """
 
     def __init__(
-        self, init: CoreInit, shards: int, start_method: str | None = None
+        self, init: CoreInit, shards: int, start_method: str | None, registry: obs.MetricsRegistry
     ) -> None:
         self._owner = owner = partition_positions(init.network.positions, shards)
         self._participants = init.participants
         self._has_unicast = init.has_unicast
+        self._two_hop = init.interference == "conflict_free"
+        self._registry = registry
         self._slots = 0  # executed or stalled so far, for failure reports
         self._everyone = range(shards)
         self._live = list(self._everyone)
-        self._find_boundary(init.network)
+        self._index(init.network)
         pool = WorkerPool(shards, start_method=start_method)
         self.group: PersistentWorkerGroup = pool.persistent(
             EngineCore,
@@ -117,20 +126,30 @@ class ShardedCores:
             ],
         )
 
-    def _find_boundary(self, network: WirelessNetwork) -> None:
-        """Participants with a neighbour hosted by another worker: the
-        only transmitters whose slot needs the cross-cut phases."""
+    def _index(self, network: WirelessNetwork) -> None:
+        """The boundary — participants with a neighbour hosted by another
+        worker, the only transmitters whose slot needs the cross-cut
+        phases — and the scheduler for slots several workers contend in."""
         owner = self._owner
         self._boundary = frozenset(
             node
             for node in self._participants
             if any(owner[peer] != owner[node] for peer in network.neighbors(node))
         )
+        self._scheduler = IdealMacScheduler(
+            ConflictGraph(network, self._participants, two_hop=self._two_hop),
+            registry=self._registry,
+        )
 
     def _call(self, method: str, arguments: Mapping[int, Any]) -> Dict[int, Any]:
         try:
             return self.group.call_each(method, arguments)
         except WorkerCallError as error:
+            if method == "run_slots":
+                try:  # a worker that raised can still say how far it got
+                    self._slots += self.group.call_one(error.worker, "epoch_slots")
+                except WorkerCallError:
+                    pass  # it died: the epoch's first slot is all there is to name
             raise WorkerCallError(
                 error.worker, error.method, f"slot {self._slots}: {error.detail}"
             ) from None
@@ -146,23 +165,34 @@ class ShardedCores:
         self._live = list(self._everyone)
         return list(self._call(method, dict.fromkeys(self._everyone, argument)).values())
 
-    # -- slot phases ---------------------------------------------------
+    # -- slots ---------------------------------------------------------
 
-    def begin_slot(
-        self, events: Optional[Sequence[Any]]
-    ) -> Tuple[int, List[float], List[int]]:
-        # Queued signals reach every worker, parked or not.
-        targets = self._everyone if events else self._live
-        keys: List[float] = []
-        positions: List[int] = []
-        for _live, shard_keys, shard_positions in self._barrier(
-            "begin_slot", dict.fromkeys(targets, events)
-        ):
-            keys += shard_keys
-            positions += shard_positions
-        return len(self._live), keys, positions
+    def run_slots(self, epoch: Epoch) -> Tuple[int, List[Record], None]:
+        budget, events, named = epoch
+        if events or len(self._live) != 1:
+            # One slot, every live worker in it; queued signals reach
+            # every worker, parked or not.
+            targets = self._everyone if events else self._live
+            entries = self._barrier("begin_slot", dict.fromkeys(targets, events))
+            return len(self._live), [self._slot(entries, named)], None
+        ((_awake, records, unfinished),) = self._barrier(
+            "run_slots", {self._live[0]: (budget, None, named)}
+        )
+        self._slots += len(records)
+        for granted, contenders, _events in records:
+            self._scheduler.observe(contenders, len(granted) if named else granted)
+        if unfinished is not None:  # a node on the cut contends
+            records.append(self._slot([unfinished], named))
+        return len(self._live), records, None
 
-    def fire_resolve(self, granted: Tuple[int, ...]) -> Tuple[int, List[Event]]:
+    def _slot(self, entries: List[Contention], named: bool) -> Record:
+        """Grant over the workers' lottery entries, then fire and resolve."""
+        # Sorting (key, position) pairs breaks ties by ascending
+        # participant position.
+        keyed = sorted(
+            pair for _awake, keys, positions in entries for pair in zip(keys, positions)
+        )
+        granted = self._scheduler.grant_from_keyed(keyed)
         if self._boundary.isdisjoint(granted):
             # Interior: nothing fired can be heard on another worker.
             replies = self._barrier("fire_resolve", dict.fromkeys(self._live, granted))
@@ -172,7 +202,7 @@ class ShardedCores:
         # happened at one receiver stays in the order its host saw it.
         events = sorted((event for reply in replies for event in reply[1]), key=_PLACE)
         self._slots += 1
-        return len(self._live), events
+        return granted if named else len(granted), len(keyed), events
 
     def _cross_cut_slot(self, granted: Tuple[int, ...]) -> List[Any]:
         """Fire everywhere, then route what each receiver heard to its host."""
@@ -209,7 +239,7 @@ class ShardedCores:
 
     def set_network(self, network: WirelessNetwork) -> None:
         self._everywhere("set_network", network)
-        self._find_boundary(network)
+        self._index(network)
 
     def rebuild(self, runtimes: None = None) -> None:
         self._everywhere("rebuild")
@@ -250,6 +280,10 @@ class ShardedSession:
     per slot), ``slots`` (executed) and ``now`` (emulated seconds elapsed).
     """
 
+    #: Most slots one epoch may run: bounds what is buffered (in a
+    #: worker, pickled) before the session replays it.
+    EPOCH_SLOTS = 256
+
     def __init__(
         self,
         network: WirelessNetwork,
@@ -277,7 +311,6 @@ class ShardedSession:
         self.network = network
         self._runtimes = runtimes
         self.slot_duration = slot_duration
-        self._interference = interference
         self._tracer = tracer
         self._log = decode_log if decode_log is not None else _DecodeLog()
         self._pending_events: List[Tuple[Any, ...]] = []
@@ -286,13 +319,11 @@ class ShardedSession:
         self._grants = 0
         self.shards = shards
         metrics = obs.resolve(registry)
-        self._metrics = metrics
         scope = metrics.attach("emulator")
         self._obs_enabled = scope.enabled
         self._m_slots = scope.counter("slots", "emulation slots executed")
         self._m_grants = scope.counter("grants", "MAC grants issued")
         self._m_time = scope.gauge("virtual_time", "emulated seconds elapsed")
-        self._build_scheduler()
         init = CoreInit(
             network=network,
             runtimes=runtimes,
@@ -312,21 +343,7 @@ class ShardedSession:
         if shards == 1:
             self._core = EngineCore(init, registry)
         else:
-            self._core = ShardedCores(init, shards, start_method)
-
-    def _build_scheduler(self) -> None:
-        """(Re)build the global greedy-MIS pass over current participants.
-
-        The scheduler never consumes RNG — every key arrives pre-drawn
-        from a node's own stream — so only the conflict structure
-        matters.
-        """
-        conflicts = ConflictGraph(
-            self.network,
-            self._runtimes.keys(),
-            two_hop=(self._interference == "conflict_free"),
-        )
-        self._scheduler = IdealMacScheduler(conflicts, registry=self._metrics)
+            self._core = ShardedCores(init, shards, start_method, metrics)
 
     def _control(self, method: str, argument: Any = None) -> Any:
         """A control-plane call on the core.
@@ -377,39 +394,54 @@ class ShardedSession:
         *,
         stop_when: Callable[[], bool] | None = None,
     ) -> None:
-        """Advance up to ``max_slots`` slots; ``stop_when`` checked each
-        slot after delivery processing."""
+        """Advance up to ``max_slots`` slots, an epoch at a time.
+
+        ``stop_when`` is consulted between epochs: after every slot that
+        replayed a decode — what a driver signals there is applied at
+        the very next slot — and at the end of the call, not after every
+        slot.  A predicate that watches the clock caps ``max_slots``.
+        """
         if max_slots < 0:
             raise ValueError(f"max_slots must be >= 0, got {max_slots}")
-        for _ in range(max_slots):
-            self.step()
+        named = self._tracer is not None
+        end = self.slots + max_slots
+        while self.slots < end:
+            self._run_epoch(min(end - self.slots, self.EPOCH_SLOTS), named)
             if stop_when is not None and stop_when():
                 break
 
     def step(self) -> Tuple[int, ...]:
         """Execute one slot; returns the granted transmitter set."""
+        granted: Tuple[int, ...] = self._run_epoch(1, True)[0][0]
+        return granted
+
+    def _run_epoch(self, budget: int, named: bool) -> List[Record]:
+        """Have the core run up to ``budget`` slots and replay them;
+        ``named`` asks for each slot's granted tuple, not just its size."""
         events = None
         if self._pending_events:
             events, self._pending_events = self._pending_events, []
-        _live, keys, positions = self._core.begin_slot(events)
-        # Sorting (key, position) pairs breaks ties by ascending
-        # participant position.
-        granted = self._scheduler.grant_from_keyed(sorted(zip(keys, positions)))
+        _awake, records, _pending = self._core.run_slots((budget, events, named))
         tracer = self._tracer
-        if tracer is not None:
-            for node in granted:
-                tracer.record(self.slots, self.now, "grant", node)
-        _live, happened = self._core.fire_resolve(granted)
-        if happened:
-            self._replay(happened)
-        self.slots += 1
-        self.now += self.slot_duration
-        self._grants += len(granted)
+        slot_duration = self.slot_duration
+        grants = 0
+        for granted, _contenders, happened in records:
+            if named:
+                if tracer is not None:
+                    for node in granted:
+                        tracer.record(self.slots, self.now, "grant", node)
+                granted = len(granted)
+            if happened:
+                self._replay(happened)
+            self.slots += 1
+            self.now += slot_duration
+            grants += granted
+        self._grants += grants
         if self._obs_enabled:
-            self._m_slots.inc()
-            self._m_grants.inc(len(granted))
+            self._m_slots.inc(len(records))
+            self._m_grants.inc(grants)
             self._m_time.set(self.now)
-        return granted
+        return records
 
     def _replay(self, events: List[Event]) -> None:
         """Apply a slot's events, which arrive in the order one process
@@ -507,7 +539,6 @@ class ShardedSession:
             )
         self.network = network
         self._control("set_network", network)
-        self._build_scheduler()
 
     def rebuild_runtime_structures(
         self, runtimes: Dict[int, NodeRuntime] | None = None
@@ -530,7 +561,6 @@ class ShardedSession:
                     )
             self._runtimes = dict(runtimes)
         self._control("rebuild", runtimes)
-        self._build_scheduler()
 
     def apply_plan_updates(self, updates: Mapping[int, Mapping[str, Any]]) -> None:
         """Hot-swap plan parameters: ``runtime.apply_plan(**params)`` per node."""

@@ -47,6 +47,7 @@ from repro.exec import (
     policy_from_args,
     stable_hash,
 )
+from repro.optimization.sunicast import InfeasibleSessionError
 from repro.protocols.intersession import plan_intersession_pairs
 from repro.protocols.more import plan_more
 from repro.protocols.omnc import plan_omnc_multi
@@ -222,7 +223,7 @@ def fig6_endpoints(
             pairs.append((chosen[1], chosen[0]))
         used.update(chosen)
     if len(pairs) < count:
-        raise RuntimeError(
+        raise InfeasibleSessionError(
             f"only {len(pairs)} {layout} feasible sessions on the "
             f"experiment network, needed {count}"
         )

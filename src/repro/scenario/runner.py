@@ -204,6 +204,7 @@ def run_adaptive_session(
     target = config.target_generations
 
     def stop() -> bool:
+        # Consulted after every slot that decoded and at the end of a batch.
         for generation_id in log.unseen():
             session.broadcast_generation_advance(generation_id + 1)
         return target > 0 and len(log.acks) >= target

@@ -251,6 +251,31 @@ class TestSessionShards:
                   "--shards", "2"])
 
 
+class TestDomainErrors:
+    """An unplannable request is the user's input: one line, exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["session", "omnc", "3", "41", "--nodes", "60", "--seed", "3"],
+                "repro session: error: destination 41 unreachable from source 3\n",
+            ),
+            (
+                ["multisession", "--sessions", "8", "--nodes", "12", "--seed", "1"],
+                "repro multisession: error: only 6 disjoint feasible sessions on "
+                "the experiment network, needed 8\n",
+            ),
+        ],
+        ids=["session", "multisession"],
+    )
+    def test_no_traceback_for_an_unplannable_request(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message
+        assert captured.out == ""
+
+
 class TestImportHygiene:
     """The LP solver and the graph exporter load their libraries on use."""
 

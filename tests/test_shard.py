@@ -10,19 +10,27 @@ topology, fidelity, and interference model, under every driver name.
 import gc
 import os
 import signal
+import threading
 import time
 import weakref
 
 import numpy as np
 import pytest
 
+from repro.emulator.multisession import multi_session_digest, run_multi_session
+from repro.emulator.node import FlowRelayRuntime
 from repro.emulator.session import (
     SessionConfig,
     run_coded_session,
     run_sharded_session,
     run_unicast_session,
 )
-from repro.emulator.shard import session_digest, trace_digest
+from repro.emulator.shard import (
+    ShardedSession,
+    _DecodeLog,
+    session_digest,
+    trace_digest,
+)
 from repro.emulator.trace import SessionTracer
 from repro.exec.pool import WorkerCallError
 from repro.protocols.etx_routing import plan_etx_route
@@ -30,6 +38,7 @@ from repro.protocols.more import plan_more
 from repro.protocols.oldmore import plan_oldmore
 from repro.protocols.omnc import plan_omnc
 from repro.routing.node_selection import NodeSelectionError
+from repro.scenario.spec import ScenarioEvent, ScenarioSpec
 from repro.topology.geometry import pairwise_distances
 from repro.topology.partition import (
     SpatialGrid,
@@ -39,7 +48,14 @@ from repro.topology.partition import (
 from repro.topology.random_network import random_network
 from repro.util.rng import RngFactory
 from tests.reference import PLANNED_PAIRS, reference_mesh
-from tests.test_active_set import line_network, line_session, stats_digest
+from tests.test_active_set import (
+    BLOCKS,
+    PACKET_BYTES,
+    line_network,
+    line_runtimes,
+    line_session,
+    stats_digest,
+)
 
 # Every slot of every run below re-checks each parked runtime
 # (tests/conftest.py): a missing wake fails the oracle tests loudly.
@@ -319,7 +335,8 @@ class TestBarrierTransitions:
         def drive(session):
             session.run(20)
             if session.shards > 1:
-                assert 1 not in barriers[-1][1]  # the far strip is parked
+                # The far strip is parked and the near one runs epochs.
+                assert barriers[-1][0] == "run_slots" and 1 not in barriers[-1][1]
                 del barriers[:]
             reach(session)
             session.run(20)
@@ -334,7 +351,7 @@ class TestBarrierTransitions:
         ]
         assert reached and reached[0] is not None
         # ... and with nothing left to do there it is left alone again.
-        assert 1 not in barriers[-2][1]
+        assert barriers[-2][0] == "run_slots" and 1 not in barriers[-2][1]
 
     def test_interior_and_boundary_slots_in_one_session(self, barriers):
         network, plan = _planned_mesh(1)
@@ -344,6 +361,191 @@ class TestBarrierTransitions:
         methods = [method for method, _arguments, _replies in barriers]
         assert methods.count("fire_resolve") == 7  # interior slots
         assert methods.count("fire") == methods.count("resolve") == 37
+
+
+def _epochs(barriers):
+    """``(shard, budget, slots run, ended on a cut)`` per epoch, in order."""
+    return [
+        (shard, arguments[shard][0], len(reply[1]), reply[2] is not None)
+        for method, arguments, replies in barriers
+        if method == "run_slots"
+        for shard, reply in replies.items()
+    ]
+
+
+WHERE = [(2, "fork"), (4, "fork"), (2, "spawn"), (4, "spawn")]
+
+
+class TestEpochBoundaries:
+    """Where an epoch ends, and that nothing can tell.
+
+    A 48-node line; a session on its first eleven nodes sits inside the
+    first strip of a two- or four-strip cut, so one worker grants and
+    runs its own slots for the whole run.
+    """
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_front_crosses_a_cut_between_epochs(self, barriers, start_method):
+        # The source never parks, so its strip is live throughout; the
+        # strip beyond the cut parks once nobody near it transmits.
+        beyond = {node: {"rate_bps": 0.0} for node in range(22, 47)}
+
+        def drive(session):
+            session.run(100)  # the front passes node 24, the two-strip cut
+            session.apply_plan_updates(beyond)
+            session.run(80)
+
+        def digests(shards):
+            tracer = SessionTracer(capacity=500_000)
+            decode_log = _DecodeLog()
+            network = line_network(48)
+            with ShardedSession(
+                network,
+                line_runtimes(network, decode_log),
+                PACKET_BYTES / network.capacity,
+                rng_factory=RngFactory(2008),
+                shards=shards,
+                tracer=tracer,
+                decode_log=decode_log,
+                start_method=start_method,
+            ) as session:
+                drive(session)
+                stats = session.finalize_stats()
+            return stats_digest(stats), trace_digest(tracer)
+
+        serial = digests(1)
+        assert digests(4) == serial
+        del barriers[:]
+        assert digests(2) == serial
+        methods = [method for method, _arguments, _replies in barriers]
+        epochs = _epochs(barriers)
+        # Strip 0 runs alone until a node on the cut contends: that epoch
+        # hands its last slot back, which then fires across the cut.
+        first = methods.index("run_slots")
+        assert epochs[0][0] == 0 and epochs[0][3]
+        assert epochs[0][2] < epochs[0][1]
+        assert methods[first + 1] == "fire"
+        # Once strip 1 has drained and parked, strip 0 runs alone again.
+        assert epochs[-1][0] == 0 and not epochs[-1][3]
+        assert epochs[-1][2] == epochs[-1][1] > 20
+
+    @pytest.mark.parametrize("shards, start_method", WHERE)
+    def test_decode_ends_an_epoch_mid_budget(self, barriers, shards, start_method):
+        network = line_network(48)
+        plan = plan_omnc(network, 0, 10)
+        config = _quick_config(max_seconds=60.0, target_generations=3)
+
+        def run(**where):
+            tracer = SessionTracer(capacity=500_000)
+            result = run_sharded_session(
+                network, plan, config=config, rng=RngFactory(5), tracer=tracer, **where
+            )
+            return session_digest(result), trace_digest(tracer), result, tracer
+
+        serial = run(shards=1)
+        sharded = run(shards=shards, start_method=start_method)
+        assert sharded[:2] == serial[:2]
+        assert sharded[2].ack_times == serial[2].ack_times
+        assert len(serial[2].ack_times) == 3
+        # Every epoch but the last was cut short by a decode ...
+        epochs = _epochs(barriers)
+        assert len(epochs) == 3
+        assert all(ran < budget and not cut for _shard, budget, ran, cut in epochs)
+        # ... and the driver signalled the next generation one slot after
+        # the slot that decoded: nothing ran in between.
+        slot = config.coded_packet_bytes() / network.capacity
+        signalled = [event.time for event in sharded[3].events(kind="ack")]
+        assert signalled == [time + slot for time in serial[2].ack_times]
+
+    @pytest.mark.parametrize("shards, start_method", WHERE)
+    def test_unicast_deliveries_do_not_end_epochs(self, barriers, shards, start_method):
+        network = line_network(48)
+        plan = plan_etx_route(network, 0, 10)
+        config = SessionConfig(max_seconds=10.0)
+        serial = _digests(network, plan, 1, config=config, seed=5)
+        tracer = SessionTracer(capacity=500_000)
+        result = run_sharded_session(
+            network,
+            plan,
+            shards=shards,
+            config=config,
+            rng=RngFactory(5),
+            tracer=tracer,
+            start_method=start_method,
+        )
+        assert (session_digest(result), trace_digest(tracer)) == serial[:2]
+        assert result.packets_delivered > 20
+        # One slot to learn that the other strips host nothing awake,
+        # then the rest of the run in one piece.
+        assert [ran for _shard, _budget, ran, _cut in _epochs(barriers)] == [
+            round(result.duration / (config.unicast_packet_bytes() / network.capacity)) - 1
+        ]
+
+    def test_churn_falls_due_inside_an_epoch(self, barriers):
+        # Arrival and departure times no epoch would end at by itself:
+        # the driver has to cap its calls, whoever runs the slots.
+        network = line_network(48)
+        plans = {
+            1: plan_more(network, 0, 10),
+            2: plan_more(network, 10, 0),
+            3: plan_more(network, 2, 8),
+        }
+        config = _quick_config(max_seconds=12.0, target_generations=0)
+        scenario = ScenarioSpec(
+            name="churn",
+            duration=12.0,
+            epoch_seconds=12.0,
+            events=(
+                ScenarioEvent(at=4.0, kind="session_arrive", session_id=3),
+                ScenarioEvent(at=8.0, kind="session_depart", session_id=2),
+            ),
+        )
+
+        def run(shards):
+            tracer = SessionTracer(capacity=500_000)
+            outcome = run_multi_session(
+                network,
+                plans,
+                shards=shards,
+                config=config,
+                rng=RngFactory(5),
+                scenario=scenario,
+                tracer=tracer,
+            )
+            return multi_session_digest(outcome), trace_digest(tracer), outcome
+
+        serial = run(1)
+        assert run(4)[:2] == serial[:2]
+        del barriers[:]
+        assert run(2)[:2] == serial[:2]
+        assert sum(ran for _shard, _budget, ran, _cut in _epochs(barriers)) > 400
+        # Each took effect at the first slot boundary at or past its time.
+        slot = config.coded_packet_bytes() / network.capacity
+        ((arrived, _), (departed, _)) = serial[2].arrivals + serial[2].departures
+        assert arrived - slot < 4.0 <= arrived
+        assert departed - slot < 8.0 <= departed
+
+    def test_metrics_counters_equal_across_shard_counts(self, barriers, tmp_path, capsys):
+        from repro.cli import main
+        from repro.topology.serialization import save_network
+
+        path = tmp_path / "line.json"
+        save_network(line_network(48), path)
+        reports = {}
+        for shards in ("1", "2"):
+            argv = ["session", "omnc", "0", "10", "--topology", str(path), "--seconds", "20",
+                    "--generations", "2", "--seed", "5", "--metrics", "--shards", shards]
+            assert main(argv) == 0
+            reports[shards] = {
+                line.split()[0]: line
+                for line in capsys.readouterr().out.splitlines()
+                if line.startswith("  emulator.") or line.startswith("  mac.")
+            }
+        assert _epochs(barriers)  # the two-shard run granted in its worker
+        for counter in ("emulator.slots", "emulator.grants", "mac.contenders",
+                        "mac.granted_per_slot"):
+            assert reports["2"][counter] == reports["1"][counter]
+        assert int(reports["1"]["emulator.grants"].split()[1]) > 0
 
 
 class TestBarrierTraffic:
@@ -361,12 +563,50 @@ class TestBarrierTraffic:
         far = [method for method, arguments, _replies in slot_phases if 1 in arguments]
         assert far == ["begin_slot", "fire_resolve"] * 7 + ["begin_slot"]
         assert barriers[-1][0] == "finalize" and set(barriers[-1][1]) == {0, 1}
-        # The front stays inside strip 0: every slot is interior, costs
-        # the live shard two messages and moves plain numbers only.
+        # The front stays inside strip 0: while both strips are live a
+        # slot is interior and costs each two messages; the 112 slots
+        # after that are one message, and plain numbers are all that
+        # ever moves.
         near = [method for method, arguments, _replies in slot_phases if 0 in arguments]
-        assert near == ["begin_slot", "fire_resolve"] * 120
+        assert near == ["begin_slot", "fire_resolve"] * 8 + ["run_slots"]
+        assert len(slot_phases[-1][2][0][1]) == 112
         for _method, _arguments, replies in slot_phases:
-            assert {type(leaf) for leaf in _leaves(replies)} <= {int, float}
+            assert {type(leaf) for leaf in _leaves(replies)} <= {int, float, type(None)}
+
+
+class _FusedRelay(FlowRelayRuntime):
+    """A relay that fails on tick ``fuse``: raises, or hangs until killed."""
+
+    fuse = 0
+    hangs = False
+
+    def on_slot(self, dt):
+        self.fuse -= 1
+        if self.fuse == 0:
+            if self.hangs:
+                time.sleep(60)
+            raise RuntimeError("fuse blown")
+        super().on_slot(dt)
+
+    def dormant(self, dt):
+        return False  # ticked every slot, so tick k is slot k - 1
+
+
+def _fused_session(fuse, hangs):
+    """The 64-node line on two shards, node 5's relay fused."""
+    decode_log = _DecodeLog()
+    network = line_network(64)
+    runtimes = line_runtimes(network, decode_log)
+    runtimes[5] = _FusedRelay(5, 1, BLOCKS, PACKET_BYTES, mode="rate", rate_bps=8e3, upstream=(4,))
+    runtimes[5].fuse, runtimes[5].hangs = fuse, hangs
+    return ShardedSession(
+        network,
+        runtimes,
+        PACKET_BYTES / network.capacity,
+        rng_factory=RngFactory(2008),
+        shards=2,
+        decode_log=decode_log,
+    )
 
 
 class TestBarrierFailure:
@@ -390,7 +630,33 @@ class TestBarrierFailure:
             with pytest.raises(WorkerCallError, match="slot 12: worker process died") as info:
                 session.step()
             assert time.monotonic() - started < 5.0
-            assert (info.value.worker, info.value.method) == (0, "begin_slot")
+            assert (info.value.worker, info.value.method) == (0, "run_slots")
+        finally:
+            self._assert_no_children(session)
+
+    def test_shard_killed_inside_an_epoch(self):
+        # Strip 1 parks at slot 8; the epoch that starts there is still
+        # running (asleep in slot 19's tick) when its worker is killed.
+        session = _fused_session(fuse=20, hangs=True)
+        killer = threading.Timer(1.0, self._kill, (session, 0))
+        try:
+            killer.start()
+            started = time.monotonic()
+            with pytest.raises(WorkerCallError, match="slot 8: worker process died") as info:
+                session.run(100)
+            assert time.monotonic() - started < 5.0
+            assert (info.value.worker, info.value.method) == (0, "run_slots")
+        finally:
+            killer.cancel()
+            self._assert_no_children(session)
+
+    def test_failure_inside_an_epoch_names_its_own_slot(self):
+        session = _fused_session(fuse=20, hangs=False)
+        try:
+            with pytest.raises(WorkerCallError, match="slot 19: RuntimeError: fuse blown") as info:
+                session.run(100)
+            assert (info.value.worker, info.value.method) == (0, "run_slots")
+            assert session.slots == 8  # nothing of the failed epoch was replayed
         finally:
             self._assert_no_children(session)
 
