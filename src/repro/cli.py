@@ -28,6 +28,7 @@ from repro.exec import (
     policy_from_args,
 )
 from repro.emulator.session import SessionConfig, run_sharded_session
+from repro.emulator.shard import ShardCountError
 from repro.emulator.trace import SessionTracer
 from repro.optimization.sunicast import InfeasibleSessionError
 from repro.protocols.etx_routing import plan_etx_route
@@ -611,9 +612,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NodeSelectionError, InfeasibleSessionError) as error:
-        # What was asked for cannot be planned on this topology: the
-        # user's input, not a defect, so no traceback.
+    except (NodeSelectionError, InfeasibleSessionError, ShardCountError) as error:
+        # What was asked for cannot be planned on this topology, or cut
+        # into that many shards: the user's input, not a defect, so no
+        # traceback.
         print(f"repro {args.command}: error: {error}", file=sys.stderr)
         return 2
 

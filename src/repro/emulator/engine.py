@@ -34,13 +34,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro import obs
 from repro.emulator.awake import AwakeSet
 from repro.emulator.channel import LossyBroadcastChannel
 from repro.emulator.node import MultiSessionNodeRuntime, NodeRuntime, UnicastRuntime
 from repro.emulator.scheduler import ConflictGraph, IdealMacScheduler
 from repro.topology.graph import Link, WirelessNetwork
-from repro.util.rng import NodeStreams, RngFactory
+from repro.util.rng import NodeStreams, RngFactory, StreamBank
+
+#: Hosted runtimes from which a core runs the lottery and the broadcast
+#: array-at-a-time (DESIGN.md §13.1, "array form").  Below it the awake
+#: set is a few tens of nodes and the per-node loops win: numpy's call
+#: overhead has nothing to amortise over.
+ARRAY_FORM_MIN_HOSTED = 192
 
 #: One packet heard by a receiver: (grant_rank, delivery_pos, sender,
 #: kind, payload).  ``grant_rank`` is the sender's index in the granted
@@ -65,6 +73,16 @@ Record = Tuple[Any, int, List[Event]]
 Epoch = Tuple[int, Optional[Sequence[Sequence[Any]]], bool]
 #: A core's entry in a slot's lottery: (awake count, keys, participant positions).
 Contention = Tuple[int, List[float], List[int]]
+
+
+def _padded(rows: Sequence[Sequence[int]], pad: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``rows`` as one array, short rows filled up with ``pad``, and the
+    mask of the cells that hold a row's own entries."""
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    own = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    array = np.full(own.shape, pad, dtype=np.intp)
+    array[own] = [entry for row in rows for entry in row]
+    return array, own
 
 
 @dataclass
@@ -178,6 +196,16 @@ class EngineCore:
     comes from a stream owned by the node it concerns
     (:class:`~repro.util.rng.NodeStreams`) — one random universe,
     whichever core hosts the node and whoever else is active.
+
+    The lottery and the broadcast exist in two forms that produce the
+    same draws, grants and arrivals bit for bit: a loop per contender
+    and per neighbour, and — on a core that hosts
+    ``ARRAY_FORM_MIN_HOSTED`` runtimes or more, none of them unicast —
+    arrays over all contenders and over all granted transmitters'
+    neighbours at once, fed by pre-drawn blocks of the same per-node
+    streams (:class:`~repro.util.rng.StreamBank`).  The form is picked
+    once, at construction; everything per runtime (tick, packet
+    hand-over, resolve, settle) is the same code in both.
     """
 
     def __init__(
@@ -194,6 +222,17 @@ class EngineCore:
         self._mac = NodeStreams(factory, "mac")
         self._loss = NodeStreams(factory, "channel")
         self._capture = NodeStreams(factory, "capture")
+        # The form of the lottery and the broadcast is chosen here, once,
+        # from what the core is given to host: a bank holds values its
+        # generators have already produced, so a banked node cannot go
+        # back to scalar draws.  Unicast attempts draw one value at a
+        # time from the transmitter's stream and stay scalar.
+        self._arrays = (
+            len(init.runtimes) >= ARRAY_FORM_MIN_HOSTED and not init.has_unicast
+        )
+        if self._arrays:
+            self._mac_bank = StreamBank(self._mac)
+            self._loss_bank = StreamBank(self._loss)
         # The channel's own stream is never consumed: every draw comes
         # from the transmitter's stream.
         self._channel = LossyBroadcastChannel(init.network, rng=0)
@@ -241,6 +280,11 @@ class EngineCore:
             self._queue_time.get(node, 0.0) for node in self._owned
         ]
         self._awake = AwakeSet(len(self._owned))
+        if self._arrays:
+            # Hosted position -> bank row.  A node keeps its row, cursor
+            # and pre-drawn values when the hosted set is replaced.
+            self._mac_rows = self._mac_bank.rows_for(self._owned)
+            self._loss_rows = self._loss_bank.rows_for(self._owned)
         self._build_structures()
 
     def _build_structures(self) -> None:
@@ -257,17 +301,17 @@ class EngineCore:
         """
         network = self._network
         participant_set = frozenset(self._participants)
-        #  - _cov_list: every geometric neighbor (coverage targets);
-        #  - _rx_pairs: (receiver, p) over neighbors that are session
+        #  - cov_list: every geometric neighbor (coverage targets);
+        #  - rx_pairs: (receiver, p) over neighbors that are session
         #    runtimes; p = 0 where no usable link exists (such receivers
         #    still count toward blanking — coverage is geometric).
-        self._cov_list: Dict[int, List[int]] = {}
-        self._rx_pairs: Dict[int, List[Tuple[int, float]]] = {}
+        cov_list: Dict[int, List[int]] = {}
+        rx_pairs: Dict[int, List[Tuple[int, float]]] = {}
         for node in self._participants:
             neighbors = sorted(network.neighbors(node))
-            self._cov_list[node] = neighbors
+            cov_list[node] = neighbors
             if node in self._positions:
-                self._rx_pairs[node] = [
+                rx_pairs[node] = [
                     (j, network.probability(node, j))
                     for j in neighbors
                     if j in participant_set
@@ -279,7 +323,7 @@ class EngineCore:
         self._cut = frozenset(
             position
             for position, node in enumerate(() if self._hosts_everyone else self._owned)
-            if any(j in participant_set and j not in hosted for j in self._cov_list[node])
+            if any(j in participant_set and j not in hosted for j in cov_list[node])
         )
         # The MAC over the hosted nodes, in hosted-position space.  It
         # never consumes RNG — every key arrives pre-drawn from a node's
@@ -289,11 +333,30 @@ class EngineCore:
             registry=self._registry,
         )
         node_count = network.node_count
-        # Node-indexed per-slot scratch: which nodes transmit this slot,
-        # and how many granted transmitters cover each node (blanking
-        # model).  Reset per slot by touched entry, not by rebuild.
-        self._granted_flags: List[bool] = [False] * node_count
-        self._covered_counts: List[int] = [0] * node_count
+        if self._arrays:
+            # The same structures as padded arrays: ``_rx_ids`` / ``_rx_p``
+            # one row per hosted position, ``_cov`` one row per participant
+            # (``_cov_row``: node id -> row).  Short rows are filled up
+            # with the id ``node_count`` — one past the last node, never
+            # granted, never a candidate (``p = 0``).
+            self._rx_ids, own = _padded(
+                [[j for j, _p in pairs] for pairs in rx_pairs.values()], node_count
+            )
+            self._rx_p = np.zeros(self._rx_ids.shape)
+            self._rx_p[own] = [p for pairs in rx_pairs.values() for _j, p in pairs]
+            if self._blanking:
+                self._cov, _own = _padded(list(cov_list.values()), node_count)
+                self._cov_row = np.zeros(node_count, dtype=np.intp)
+                self._cov_row[list(cov_list)] = np.arange(len(cov_list))
+            self._granted_mask = np.zeros(node_count + 1, dtype=bool)
+        else:
+            self._cov_list, self._rx_pairs = cov_list, rx_pairs
+            # Node-indexed per-slot scratch: which nodes transmit this
+            # slot, and how many granted transmitters cover each node
+            # (blanking model).  Reset per slot by touched entry, not by
+            # rebuild.
+            self._granted_flags: List[bool] = [False] * node_count
+            self._covered_counts: List[int] = [0] * node_count
         # Whoever asked for the refresh may have swapped plans or
         # runtime objects: nothing stays parked.
         self._awake.wake_all()
@@ -312,21 +375,24 @@ class EngineCore:
             for runtime in self._runtime_list:
                 getattr(runtime, method)(*arguments)
 
-    def _contend(self) -> Tuple[List[float], List[int]]:
+    def _contend(self) -> Tuple[Any, List[int]]:
         """Tick clocks, draw lottery keys.
 
         One pass per awake runtime: clock advance, then scheduler
         inputs.  Safe to fuse — runtimes only interact through
         deliveries, and each holds its own RNG, so per-node slot work is
-        independent.  Every contender draws one scalar ``Exp(1)`` from
-        its own "mac" stream, so a node's key sequence depends only on
-        how often *it* contended.  Returns the hosted contenders' keys
-        and hosted positions as two flat lists.
+        independent.  Every contender draws one ``Exp(1)`` from its own
+        "mac" stream, so a node's key sequence depends only on how often
+        *it* contended.  Returns the hosted contenders' keys — a list,
+        or in the array form an array — and their hosted positions.
         """
         floor = IdealMacScheduler.WEIGHT_FLOOR
+        contenders, weights = self._awake.tick(self._runtime_list, self._dt)
+        if self._arrays:
+            draws = self._mac_bank.take(self._mac_rows[contenders])
+            return draws / np.maximum(weights, floor), contenders
         owned = self._owned
         mac = self._mac
-        contenders, weights = self._awake.tick(self._runtime_list, self._dt)
         keys: List[float] = []
         for position, weight in zip(contenders, weights):
             draw = mac[owned[position]].standard_exponential()
@@ -340,8 +406,10 @@ class EngineCore:
             self.apply_events(events)
         return self._contention(*self._contend())
 
-    def _contention(self, keys: List[float], contenders: List[int]) -> Contention:
+    def _contention(self, keys: Any, contenders: List[int]) -> Contention:
         to_global = self._global_positions
+        if self._arrays:
+            keys = keys.tolist()  # Python floats: the reply is pickled
         return len(self._awake.positions), keys, [to_global[p] for p in contenders]
 
     def run_slots(self, epoch: Epoch) -> Tuple[int, List[Record], Optional[Contention]]:
@@ -362,14 +430,22 @@ class EngineCore:
             self.apply_events(events)
         grant = self._scheduler.grant_from_keyed
         cut = self._cut
+        arrays = self._arrays
         records: List[Record] = []
         self._epoch = records
         while budget > 0:
             keys, contenders = self._contend()
             if cut and not cut.isdisjoint(contenders):
                 return len(self._awake.positions), records, self._contention(keys, contenders)
-            # Sorting (key, position) pairs breaks ties by ascending position.
-            granted = grant(sorted(zip(keys, contenders)))
+            # The contenders by ascending key, ties by ascending position:
+            # what sorting (key, position) pairs gives, and a stable sort
+            # of the keys alone (the contenders come in position order).
+            if arrays:
+                order = np.argsort(keys, kind="stable").tolist()
+                ordered = list(map(contenders.__getitem__, order))
+            else:
+                ordered = [position for _key, position in sorted(zip(keys, contenders))]
+            granted = grant(ordered)
             awake, happened = self.fire_resolve(granted)
             records.append((granted if named else len(granted), len(keys), happened))
             budget -= 1
@@ -419,6 +495,8 @@ class EngineCore:
           serializes shared-receiver transmitters (two-hop conflicts),
           the Sec. 3.2 idealized broadcast MAC.
         """
+        if self._arrays:
+            return self._fire_arrays(granted, events)
         granted_flags = self._granted_flags
         covered = self._covered_counts
         blanking = self._blanking
@@ -497,6 +575,83 @@ class EngineCore:
                 for node in granted:
                     for j in self._cov_list[node]:
                         covered[j] = 0
+        return offers
+
+    def _fire_arrays(
+        self, granted: Tuple[int, ...], events: List[Event]
+    ) -> Dict[int, List[Arrival]]:
+        """:meth:`_fire` with every hosted broadcast's receivers at once.
+
+        What is per runtime stays a loop — the packet each granted
+        transmitter emits, its counters and ``tx`` event; what is per
+        neighbour becomes one row of the padded arrays per transmitter.
+        A candidate is what the scalar form makes one, tested in its
+        order (not transmitting, not blanked, a usable link), each
+        transmitter's uniforms are the next of its own "channel" stream,
+        one per candidate in ascending receiver order, and offers are
+        appended by grant rank, then ascending receiver: the scalar
+        form's draws, arrivals and order, bit for bit.
+        """
+        offers: Dict[int, List[Arrival]] = {}
+        if not granted:
+            return offers
+        positions = self._positions
+        runtime_list = self._runtime_list
+        transmissions = self._transmissions
+        observed = self._obs_enabled
+        fired: List[Tuple[int, int, Any]] = []
+        hosted: List[int] = []
+        for rank, node in enumerate(granted):
+            position = positions.get(node)
+            if position is None:
+                continue  # hosted by another core
+            packet = runtime_list[position].pop_transmission()
+            if packet is None:
+                continue
+            transmissions[node] += 1
+            fired.append((rank, node, packet))
+            hosted.append(position)
+        if not fired:
+            return offers
+        if observed:
+            self._m_tx.inc(len(fired))
+        if self._traced:
+            events.extend((-1, rank, "tx", node) for rank, node, _packet in fired)
+        rows = np.array(hosted, dtype=np.intp)
+        ids = self._rx_ids[rows]
+        probabilities = self._rx_p[rows]
+        granted_nodes = np.array(granted, dtype=np.intp)
+        transmitting = self._granted_mask
+        transmitting[granted_nodes] = True
+        candidate = ~transmitting[ids]
+        transmitting[granted_nodes] = False
+        if self._blanking:
+            # How many granted coverage disks each node falls in (the
+            # pad cell collects the short rows' filler).
+            covered = np.bincount(
+                self._cov[self._cov_row[granted_nodes]].reshape(-1),
+                minlength=len(transmitting),
+            )
+            covered[-1] = 0
+            clear = covered[ids] <= 1
+            if observed:
+                blanked = np.count_nonzero(candidate & ~clear)
+                if blanked:
+                    self._m_blanked.inc(blanked)
+            candidate &= clear
+        candidate &= probabilities > 0.0
+        uniforms = self._loss_bank.take(
+            self._loss_rows[rows], np.count_nonzero(candidate, axis=1)
+        )
+        heard = np.zeros(candidate.shape, dtype=bool)
+        heard[candidate] = uniforms < probabilities[candidate]
+        # A receiver's index among those its transmitter delivered to.
+        delivery_pos = np.cumsum(heard, axis=1) - 1
+        for sender, receiver, pos in zip(
+            np.nonzero(heard)[0].tolist(), ids[heard].tolist(), delivery_pos[heard].tolist()
+        ):
+            rank, node, packet = fired[sender]
+            offers.setdefault(receiver, []).append((rank, pos, node, "coded", packet))
         return offers
 
     def resolve(

@@ -67,12 +67,25 @@ if TYPE_CHECKING:  # pragma: no cover - session.py builds on this module
     from repro.emulator.session import SessionResult
 
 __all__ = [
+    "ShardCountError",
     "ShardedSession",
+    "require_shardable",
     "session_digest",
     "trace_digest",
 ]
 
 _PLACE = itemgetter(0, 1)
+
+
+class ShardCountError(ValueError):
+    """More shards were asked for than the network has nodes to give
+    them: the caller's input, not a defect."""
+
+
+def require_shardable(network: WirelessNetwork, shards: int) -> None:
+    """Raise :class:`ShardCountError` unless every shard can host a node."""
+    if shards > network.node_count:
+        raise ShardCountError(f"cannot run {shards} shards on {network.node_count} node(s)")
 
 
 class ShardedCores:
@@ -192,7 +205,7 @@ class ShardedCores:
         keyed = sorted(
             pair for _awake, keys, positions in entries for pair in zip(keys, positions)
         )
-        granted = self._scheduler.grant_from_keyed(keyed)
+        granted = self._scheduler.grant_from_keyed([position for _key, position in keyed])
         if self._boundary.isdisjoint(granted):
             # Interior: nothing fired can be heard on another worker.
             replies = self._barrier("fire_resolve", dict.fromkeys(self._live, granted))
@@ -304,10 +317,7 @@ class ShardedSession:
             raise ValueError(f"unknown interference model {interference!r}")
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
-        if shards > network.node_count:
-            raise ValueError(
-                f"cannot run {shards} shards on {network.node_count} node(s)"
-            )
+        require_shardable(network, shards)
         self.network = network
         self._runtimes = runtimes
         self.slot_duration = slot_duration

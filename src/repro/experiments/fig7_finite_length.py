@@ -54,6 +54,7 @@ from repro.coding.finite_length import (
 from repro.coding.generation import GenerationParams, random_generation
 from repro.emulator.plan import CodingParams
 from repro.emulator.session import SessionConfig, SessionResult, run_sharded_session
+from repro.emulator.shard import require_shardable
 from repro.exec import (
     ExecutionPolicy,
     JobResult,
@@ -340,6 +341,8 @@ def run_fig7(
 ) -> Fig7Result:
     """Run both panels; every cell is an independent cacheable job."""
     config = config or Fig7Config()
+    # Here, not in a job: a job's exception comes back as a string.
+    require_shardable(fig7_network(0.0), shards)
     decode_jobs = [
         Fig7DecodeJob(config=config, loss=loss, systematic=systematic)
         for loss in config.losses

@@ -91,7 +91,9 @@ def line_runtimes(network, decode_log, *, relay_rates=None):
     return runtimes
 
 
-def line_session(network, shards, *, seed=2008, tracer=None, relay_rates=None):
+def line_session(
+    network, shards, *, seed=2008, tracer=None, relay_rates=None, start_method=None
+):
     decode_log = _DecodeLog()
     return ShardedSession(
         network,
@@ -101,6 +103,7 @@ def line_session(network, shards, *, seed=2008, tracer=None, relay_rates=None):
         shards=shards,
         tracer=tracer,
         decode_log=decode_log,
+        start_method=start_method,
     )
 
 
@@ -157,8 +160,46 @@ def chain_network(nodes=7):
     return WirelessNetwork(positions, links, 130.0)
 
 
+def churn_xor_run(shards, tracer):
+    """Opposing OMNC sessions XORed at relay 1, a MORE session, and churn."""
+    network = chain_network()
+    plans = {
+        1: plan_omnc(network, 0, 2),
+        2: plan_omnc(network, 2, 0),
+        3: plan_omnc(network, 3, 6),
+        4: plan_more(network, 6, 4),
+    }
+    pairs = plan_intersession_pairs(plans)
+    assert pairs  # the run really exercises XOR relays
+    duration = 30.0
+    scenario = ScenarioSpec(
+        name="churn",
+        duration=duration,
+        epoch_seconds=duration,
+        events=(
+            ScenarioEvent(at=duration / 3, kind="session_arrive", session_id=3),
+            ScenarioEvent(at=2 * duration / 3, kind="session_depart", session_id=2),
+        ),
+    )
+    outcome = run_multi_session(
+        network,
+        plans,
+        shards=shards,
+        config=SessionConfig(
+            blocks=8, block_size=256, max_seconds=duration, target_generations=0
+        ),
+        rng=RngFactory(1),
+        xor_pairs=pairs,
+        scenario=scenario,
+        tracer=tracer,
+    )
+    assert outcome.xor_transmissions > 0
+    assert outcome.arrivals and outcome.departures
+    return outcome
+
+
 class TestChurnXorPin:
-    """Opposing OMNC sessions XORed at relay 1, a MORE session, and churn.
+    """:func:`churn_xor_run` against its pre-active-set digests.
 
     Nodes 3-6 host only sessions that are absent or silent for long
     stretches, so their composites park and wake around the events.
@@ -169,40 +210,8 @@ class TestChurnXorPin:
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_digests_match_full_sweep(self, shards):
-        network = chain_network()
-        plans = {
-            1: plan_omnc(network, 0, 2),
-            2: plan_omnc(network, 2, 0),
-            3: plan_omnc(network, 3, 6),
-            4: plan_more(network, 6, 4),
-        }
-        pairs = plan_intersession_pairs(plans)
-        assert pairs  # the run really exercises XOR relays
-        duration = 30.0
-        scenario = ScenarioSpec(
-            name="churn",
-            duration=duration,
-            epoch_seconds=duration,
-            events=(
-                ScenarioEvent(at=duration / 3, kind="session_arrive", session_id=3),
-                ScenarioEvent(at=2 * duration / 3, kind="session_depart", session_id=2),
-            ),
-        )
         tracer = SessionTracer(capacity=500_000)
-        outcome = run_multi_session(
-            network,
-            plans,
-            shards=shards,
-            config=SessionConfig(
-                blocks=8, block_size=256, max_seconds=duration, target_generations=0
-            ),
-            rng=RngFactory(1),
-            xor_pairs=pairs,
-            scenario=scenario,
-            tracer=tracer,
-        )
-        assert outcome.xor_transmissions > 0
-        assert outcome.arrivals and outcome.departures
+        outcome = churn_xor_run(shards, tracer)
         assert (multi_session_digest(outcome), trace_digest(tracer)) == (
             self.OUTCOME,
             self.TRACE,

@@ -1,0 +1,325 @@
+"""The array form of the lottery and the broadcast (DESIGN.md §13.1).
+
+A core that hosts ``ARRAY_FORM_MIN_HOSTED`` runtimes or more draws its
+lottery keys and loss vectors array-at-a-time from a
+:class:`~repro.util.rng.StreamBank`.  It must be the scalar form bit for
+bit: the bank hands every node the sequence its scalar calls would have
+drawn, and the arrays make the scalar form's candidates, in its order.
+"""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import obs
+from repro.emulator import engine
+from repro.emulator.engine import ARRAY_FORM_MIN_HOSTED, EngineCore
+from repro.emulator.multisession import multi_session_digest
+from repro.emulator.node import (
+    FlowDestinationRuntime,
+    FlowRelayRuntime,
+    FlowSourceRuntime,
+)
+from repro.emulator.session import SessionConfig, open_session, run_sharded_session
+from repro.emulator.shard import ShardedSession, _DecodeLog, session_digest, trace_digest
+from repro.emulator.trace import SessionTracer
+from repro.protocols.etx_routing import plan_etx_route
+from repro.topology.partition import partition_positions
+from repro.util.rng import NodeStreams, RngFactory, StreamBank
+from tests.meshes import lossy_meshes
+from tests.test_active_set import (
+    BLOCKS,
+    PACKET_BYTES,
+    churn_xor_run,
+    line_network,
+    line_session,
+    planned_mesh,
+    stats_digest,
+)
+
+#: What ``repro session --metrics`` prints of the two layers the array
+#: form touches.
+COUNTERS = (
+    "emulator.transmissions",
+    "emulator.deliveries",
+    "emulator.blanked",
+    "mac.contenders",
+    "mac.granted_per_slot",
+)
+
+NODES = (7, 3, 9)
+
+
+class TestStreamBank:
+    """Any interleaving of takes is the scalar calls' sequence."""
+
+    @given(
+        block=st.sampled_from((1, 2, 32)),
+        kind=st.sampled_from(("mac", "channel")),
+        takes=st.lists(
+            st.dictionaries(
+                st.sampled_from(NODES),
+                st.one_of(st.integers(0, 5), st.integers(0, 40)),
+                min_size=1,
+            ),
+            max_size=40,
+        ),
+        one_each=st.booleans(),
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_takes_equal_the_scalar_sequences(self, block, kind, takes, one_each):
+        with mock.patch.object(StreamBank, "BLOCK", block):
+            bank = StreamBank(NodeStreams(RngFactory(5), kind))
+        row_of = dict(zip(NODES, bank.rows_for(NODES).tolist()))
+        scalar = NodeStreams(RngFactory(5), kind)
+        for take in takes:
+            rows = np.array([row_of[node] for node in take], dtype=np.intp)
+            if one_each:
+                counts = [1] * len(take)
+                values = bank.take(rows)
+            else:
+                counts = list(take.values())
+                values = bank.take(rows, np.array(counts, dtype=np.intp))
+            expected = []
+            for node, count in zip(take, counts):
+                if kind == "mac":  # the lottery: one scalar call per key
+                    expected += [scalar[node].standard_exponential() for _ in range(count)]
+                else:  # a broadcast: one call for all its candidates
+                    expected += scalar[node].random(count).tolist()
+            assert values.tolist() == expected
+
+    def test_rows_are_kept_when_more_nodes_are_asked_for(self):
+        bank = StreamBank(NodeStreams(RngFactory(5), "mac"))
+        first = bank.rows_for([4, 2])
+        drawn = bank.take(first)
+        again = bank.rows_for([2, 8, 4])
+        assert again.tolist() == [first[1], 2, first[0]]
+        scalar = NodeStreams(RngFactory(5), "mac")
+        assert drawn.tolist() == [scalar[4].standard_exponential(), scalar[2].standard_exponential()]
+        # Node 4's cursor and block survived the growth.
+        assert bank.take(again[2:]).tolist() == [scalar[4].standard_exponential()]
+
+    def test_capture_streams_cannot_be_banked(self):
+        with pytest.raises(ValueError, match="cannot be banked"):
+            StreamBank(NodeStreams(RngFactory(5), "capture"))
+
+
+def _counters(registry):
+    snapshot = registry.snapshot(include_samples=True)
+    return {name: snapshot.get(name) for name in COUNTERS}
+
+
+def _both_forms(run):
+    """``run()`` on scalar cores and on array cores, metrics collected:
+    ``[(what run returned, the counters), ...]``, scalar first."""
+    outcomes = []
+    for constant in (math.inf, 0):
+        with (
+            mock.patch.object(engine, "ARRAY_FORM_MIN_HOSTED", constant),
+            mock.patch.object(
+                EngineCore, "_fire_arrays", autospec=True, side_effect=EngineCore._fire_arrays
+            ) as fire_arrays,
+            obs.collecting() as registry,
+        ):
+            outcomes.append((run(), _counters(registry)))
+        assert fire_arrays.called == (constant == 0)
+    return outcomes
+
+
+class TestScalarEqualsArray:
+    """The constant at infinity against the constant at zero."""
+
+    @pytest.mark.parametrize("fidelity", ["flow", "exact"])
+    @pytest.mark.parametrize("interference", ["blanking", "capture", "conflict_free"])
+    def test_single_session(self, interference, fidelity):
+        network, _source, _destination, plan = planned_mesh()
+        config = SessionConfig(
+            blocks=6,
+            block_size=256,
+            max_seconds=30.0,
+            target_generations=3,
+            interference=interference,
+            coding_fidelity=fidelity,
+        )
+
+        def run():
+            tracer = SessionTracer(capacity=500_000)
+            result = run_sharded_session(
+                network, plan, config=config, rng=RngFactory(4), tracer=tracer
+            )
+            assert result.generations_decoded > 0  # the run did work
+            return session_digest(result), trace_digest(tracer)
+
+        scalar, array = _both_forms(run)
+        assert array == scalar
+        assert scalar[1]["emulator.deliveries"]["value"] > 0
+
+    def test_multi_session_with_xor_relays_and_churn(self):
+        def run():
+            tracer = SessionTracer(capacity=500_000)
+            outcome = churn_xor_run(1, tracer)
+            return multi_session_digest(outcome), trace_digest(tracer)
+
+        scalar, array = _both_forms(run)
+        assert array == scalar
+
+    @given(
+        network=lossy_meshes(),
+        interference=st.sampled_from(("blanking", "capture", "conflict_free")),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(deadline=None, max_examples=40)
+    def test_every_node_a_runtime_on_a_lossy_mesh(self, network, interference, seed):
+        # A flood: a source, a destination and a rate-mode relay on every
+        # other node, fast enough that neighbours contend and overlap.
+        last = network.node_count - 1
+        rate = network.capacity / 2
+
+        def run():
+            log = _DecodeLog()
+            runtimes = {
+                0: FlowSourceRuntime(0, 1, BLOCKS, rate_bps=rate, packet_bytes=PACKET_BYTES),
+                last: FlowDestinationRuntime(last, 1, BLOCKS, on_decoded=log),
+            }
+            for node in range(1, last):
+                runtimes[node] = FlowRelayRuntime(
+                    node, 1, BLOCKS, PACKET_BYTES, mode="rate", rate_bps=rate
+                )
+            tracer = SessionTracer(capacity=500_000)
+            with ShardedSession(
+                network,
+                runtimes,
+                PACKET_BYTES / network.capacity,
+                rng_factory=RngFactory(seed),
+                interference=interference,
+                tracer=tracer,
+                decode_log=log,
+            ) as session:
+                session.run(60)
+                return stats_digest(session.finalize_stats()), trace_digest(tracer)
+
+        scalar, array = _both_forms(run)
+        assert array == scalar
+
+
+class TestFormSelection:
+    """Picked once, from the hosted count and the absence of unicast."""
+
+    #: Line nodes: strips of 192 (two shards) are array cores, strips of
+    #: 96 (four) scalar ones.  Digests recorded on the commit before the
+    #: array form existed.
+    LINE = 384
+    STATS = "14bccb58a4582ba423c8da8ec4e0e3062b985b6db039400893ef23b2bb5953fa"
+    TRACE = "4ac25057daa581ef87577613ecf754b3fe3b480cb6e23797be08b2d78932279a"
+
+    def test_the_line_straddles_the_constant(self):
+        for shards, arrays in ((1, True), (2, True), (4, False)):
+            owner = partition_positions(line_network(self.LINE).positions, shards)
+            hosted = np.bincount(owner)
+            assert all(count >= ARRAY_FORM_MIN_HOSTED for count in hosted) == arrays
+            assert any(count >= ARRAY_FORM_MIN_HOSTED for count in hosted) == arrays
+
+    @pytest.mark.parametrize(
+        "shards, start_method",
+        [(1, None), (2, "fork"), (2, "spawn"), (4, "fork"), (4, "spawn")],
+    )
+    def test_relay_line_literal(self, shards, start_method):
+        # 420 slots: the front passes node 192, so both two-shard cores
+        # run slots of their own and slots across the cut.
+        tracer = SessionTracer(capacity=500_000)
+        with line_session(
+            line_network(self.LINE), shards, tracer=tracer, start_method=start_method
+        ) as session:
+            session.run(420)
+            stats = session.finalize_stats()
+        assert max(sender for sender, _receiver in stats.delivered_links) > self.LINE // 2
+        assert (stats_digest(stats), trace_digest(tracer)) == (self.STATS, self.TRACE)
+
+    def test_a_unicast_session_stays_scalar(self, monkeypatch):
+        monkeypatch.setattr(engine, "ARRAY_FORM_MIN_HOSTED", 0)
+        network, source, destination, coded_plan = planned_mesh()
+        plans = {True: coded_plan, False: plan_etx_route(network, source, destination)}
+        for arrays, plan in plans.items():
+            session, _log = open_session(
+                network, plan, config=SessionConfig(max_seconds=10.0), rng=RngFactory(4)
+            )
+            with session:
+                assert session._core._arrays == arrays
+                session.run(50)
+
+
+class TestRefresh:
+    """``set_network`` and ``rebuild`` renew the arrays, not the banks."""
+
+    @staticmethod
+    def _banks(core):
+        return [
+            (bank, bank._values, bank._values.copy(), bank._cursor.copy())
+            for bank in (core._mac_bank, core._loss_bank)
+        ]
+
+    def _assert_banks_untouched(self, core, before):
+        for (bank, values, content, cursor), now in zip(before, (core._mac_bank, core._loss_bank)):
+            assert now is bank and bank._values is values
+            assert np.array_equal(values, content) and np.array_equal(bank._cursor, cursor)
+
+    def test_structures_follow_the_network_and_banks_stay(self):
+        network = line_network(256)
+        weaker = network.with_links({(i, j): 0.5 for i, j, _p in network.links()})
+
+        def drive(session):
+            session.run(120)
+            session.set_network(weaker)
+            session.run(60)
+            session.rebuild_runtime_structures()
+            session.run(60)
+            return stats_digest(session.finalize_stats())
+
+        with mock.patch.object(engine, "ARRAY_FORM_MIN_HOSTED", math.inf):
+            with line_session(network, 1) as session:
+                scalar = drive(session)
+        with line_session(network, 1) as session:
+            core = session._core
+            assert core._arrays
+            session.run(120)
+            before = self._banks(core)
+            assert set(np.unique(core._rx_p)) == {0.0, 0.8}
+            session.set_network(weaker)
+            assert set(np.unique(core._rx_p)) == {0.0, 0.5}
+            self._assert_banks_untouched(core, before)
+            session.run(60)
+            before, ids = self._banks(core), core._rx_ids
+            session.rebuild_runtime_structures()
+            assert core._rx_ids is not ids and np.array_equal(core._rx_ids, ids)
+            self._assert_banks_untouched(core, before)
+            session.run(60)
+            assert stats_digest(session.finalize_stats()) == scalar
+
+    def test_a_replaced_hosted_set_keeps_each_nodes_row(self):
+        network = line_network(256)
+
+        def run(constant):
+            with mock.patch.object(engine, "ARRAY_FORM_MIN_HOSTED", constant):
+                session = line_session(network, 1)
+            with session:
+                session.run(150)
+                # Every other node beyond 100 goes: hosted positions shift.
+                kept = {
+                    node: runtime
+                    for node, runtime in session.runtimes.items()
+                    if node < 100 or node % 2
+                }
+                session.rebuild_runtime_structures(kept)
+                session.run(150)
+                return session._core, stats_digest(session.finalize_stats())
+
+        _scalar_core, scalar = run(math.inf)
+        core, array = run(0)
+        assert array == scalar
+        assert core._arrays and len(core._owned) < 256
+        # The first hosted set was every node in order, so row = node id.
+        assert core._mac_rows.tolist() == list(core._owned) == core._loss_rows.tolist()

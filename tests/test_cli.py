@@ -275,6 +275,25 @@ class TestDomainErrors:
         assert captured.err == message
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, nodes",
+        [
+            (["session", "etx", "0", "39", "--nodes", "40"], 40),
+            (["multisession", "--sessions", "2", "--nodes", "40"], 40),
+            (["fig7", "--smoke"], 4),
+        ],
+        ids=["session", "multisession", "fig7"],
+    )
+    def test_no_traceback_for_more_shards_than_nodes(self, argv, nodes, capsys):
+        # Used to die with `ValueError: cannot run 64 shards on 40 node(s)`
+        # (fig7: inside a job, as a RuntimeError), exit 1.
+        assert main([*argv, "--shards", "64"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"repro {argv[0]}: error: cannot run 64 shards on {nodes} node(s)\n"
+        )
+        assert captured.out == ""
+
 
 class TestImportHygiene:
     """The LP solver and the graph exporter load their libraries on use."""
