@@ -4,19 +4,25 @@ A thin front end over the experiment harnesses and the session drivers,
 for users who want the paper's numbers without writing Python:
 
 * ``fig1`` / ``fig2`` / ``fig3`` / ``fig4`` — regenerate a figure;
+* ``fig5`` / ``fig6`` / ``fig7`` — the extensions (re-planning under
+  drift, concurrent unicasts, finite-length generation sizing);
 * ``coding-speed`` / ``convergence`` — the two numeric claims;
 * ``session`` — plan and emulate one session of a chosen protocol;
 * ``multisession`` — plan and emulate N concurrent unicast sessions;
 * ``topology`` — generate and save a topology for later reuse;
 * ``check`` — the static analyzer: per-file determinism rules and the
   whole-program architecture contract (RPR001-RPR104).
+
+Each figure and claim command is its experiment module's ``run_*``
+function followed by its ``report``; the options and defaults live here
+and nowhere else.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro import obs
 from repro.analysis import checker as analysis_checker
@@ -42,96 +48,94 @@ from repro.topology.serialization import load_network, save_network
 from repro.util.rng import RngFactory
 
 
-def _figure_command(module_main):
-    def run(_args: argparse.Namespace) -> int:
-        module_main()
-        return 0
-
-    return run
+def _checked(build: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """``build(*args, **kwargs)``, with the ``ValueError`` a constructor
+    raises on a bad option value turned into a usage error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as error:
+        raise argparse.ArgumentError(None, str(error)) from error
 
 
 def _cmd_fig1(_args: argparse.Namespace) -> int:
     from repro.experiments import fig1_convergence
 
-    fig1_convergence.main()
+    fig1_convergence.report(fig1_convergence.run_fig1())
     return 0
 
 
 def _cmd_fig2(args: argparse.Namespace) -> int:
-    from repro.experiments.fig2_throughput import run_fig2, PAPER_MEAN_GAINS
+    from repro.experiments import fig2_throughput
     from repro.experiments.common import CampaignConfig
 
-    config = CampaignConfig.from_environment(
-        quality=args.quality, sessions=args.sessions
+    config = _checked(
+        CampaignConfig.from_environment,
+        quality=args.quality,
+        sessions=args.sessions,
     )
-    result = run_fig2(args.quality, config, policy=policy_from_args(args))
-    paper = PAPER_MEAN_GAINS[args.quality]
-    print(f"Figure 2 ({args.quality}): mean throughput gain over ETX")
-    for protocol in ("omnc", "more", "oldmore"):
-        print(
-            f"  {protocol:8s} {result.mean_gain(protocol):5.2f} "
-            f"(paper {paper[protocol]:.2f})"
-        )
-    campaign = result.campaign
-    if campaign.cache_hits or campaign.failures:
-        print(
-            f"  ({campaign.cache_hits} cached session(s), "
-            f"{len(campaign.failures)} failed slot(s))"
-        )
+    policy = _checked(policy_from_args, args)
+    fig2_throughput.report(
+        fig2_throughput.run_fig2(args.quality, config, policy=policy)
+    )
     return 0
 
 
 def _cmd_fig3(args: argparse.Namespace) -> int:
     from repro.experiments import fig3_queue
 
-    fig3_queue.report(fig3_queue.run_fig3(policy=policy_from_args(args)))
+    policy = _checked(policy_from_args, args)
+    fig3_queue.report(fig3_queue.run_fig3(policy=policy))
     return 0
 
 
 def _cmd_fig4(args: argparse.Namespace) -> int:
     from repro.experiments import fig4_utility
 
-    fig4_utility.report(fig4_utility.run_fig4(policy=policy_from_args(args)))
+    policy = _checked(policy_from_args, args)
+    fig4_utility.report(fig4_utility.run_fig4(policy=policy))
     return 0
 
 
 def _cmd_fig5(args: argparse.Namespace) -> int:
-    from repro.experiments import fig5_adaptation
+    from repro.experiments import fig5_adaptation as fig5
 
-    fig5_adaptation.main(smoke=args.smoke, policy=policy_from_args(args))
+    policy = _checked(policy_from_args, args)
+    config = fig5.Fig5Config.smoke() if args.smoke else fig5.Fig5Config()
+    fig5.report(fig5.run_fig5(config, policy=policy))
     return 0
 
 
 def _cmd_fig6(args: argparse.Namespace) -> int:
-    from repro.experiments import fig6_multisession
+    from repro.experiments import fig6_multisession as fig6
 
-    fig6_multisession.main(smoke=args.smoke, policy=policy_from_args(args))
+    policy = _checked(policy_from_args, args)
+    config = fig6.Fig6Config.smoke() if args.smoke else fig6.Fig6Config()
+    fig6.report(fig6.run_fig6(config, policy=policy))
     return 0
 
 
 def _cmd_fig7(args: argparse.Namespace) -> int:
-    from repro.experiments import fig7_finite_length
+    from repro.experiments import fig7_finite_length as fig7
 
-    fig7_finite_length.main(
-        smoke=args.smoke, shards=args.shards, policy=policy_from_args(args)
-    )
+    policy = _checked(policy_from_args, args)
+    config = fig7.Fig7Config.smoke() if args.smoke else fig7.Fig7Config()
+    fig7.report(fig7.run_fig7(config, shards=args.shards, policy=policy))
     return 0
 
 
 def _cmd_coding_speed(_args: argparse.Namespace) -> int:
     from repro.experiments import coding_speed
 
-    coding_speed.main()
+    coding_speed.report(coding_speed.run_coding_speed())
     return 0
 
 
 def _cmd_convergence(args: argparse.Namespace) -> int:
     from repro.experiments import convergence_stats
 
+    policy = _checked(policy_from_args, args)
     convergence_stats.report(
-        convergence_stats.run_convergence_stats(
-            policy=policy_from_args(args)
-        )
+        convergence_stats.run_convergence_stats(policy=policy)
     )
     return 0
 
@@ -197,6 +201,12 @@ def _fold_coding(
 
 
 def _cmd_session(args: argparse.Namespace) -> int:
+    config = _checked(
+        SessionConfig,
+        max_seconds=args.seconds,
+        target_generations=args.generations,
+        blocks=args.blocks,
+    )
     apply_gf_backend(args.gf_backend)
     rng = RngFactory(args.seed)
     if args.topology:
@@ -207,11 +217,6 @@ def _cmd_session(args: argparse.Namespace) -> int:
             phy=lossy_phy(rng=rng.derive("phy")),
             rng=rng.derive("topology"),
         )
-    config = SessionConfig(
-        max_seconds=args.seconds,
-        target_generations=args.generations,
-        blocks=args.blocks,
-    )
     # --metrics turns on the global registry so every layer (engine, MAC,
     # decoder, codec kernels) reports without per-call plumbing.
     registry = obs.enable() if args.metrics else None
@@ -318,9 +323,16 @@ def _cmd_multisession(args: argparse.Namespace) -> int:
     from repro.scenario.spec import ScenarioEvent, ScenarioSpec
 
     if args.sessions < 1:
-        raise SystemExit("multisession: --sessions must be >= 1")
+        raise argparse.ArgumentError(None, "--sessions must be >= 1")
     if args.churn and args.sessions < 2:
-        raise SystemExit("multisession: --churn needs --sessions >= 2")
+        raise argparse.ArgumentError(None, "--churn needs --sessions >= 2")
+    config = _checked(
+        SessionConfig,
+        max_seconds=args.seconds,
+        target_generations=args.generations,
+        blocks=args.blocks,
+        block_size=args.block_size,
+    )
     rng = RngFactory(args.seed)
     if args.topology:
         network = load_network(args.topology)
@@ -370,12 +382,7 @@ def _cmd_multisession(args: argparse.Namespace) -> int:
         network,
         plans,
         shards=args.shards,
-        config=SessionConfig(
-            max_seconds=args.seconds,
-            target_generations=args.generations,
-            blocks=args.blocks,
-            block_size=args.block_size,
-        ),
+        config=config,
         rng=rng.spawn("multisession"),
         xor_pairs=xor_pairs,
         scenario=scenario,
@@ -612,10 +619,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NodeSelectionError, InfeasibleSessionError, ShardCountError) as error:
-        # What was asked for cannot be planned on this topology, or cut
-        # into that many shards: the user's input, not a defect, so no
-        # traceback.
+    except (
+        argparse.ArgumentError,
+        NodeSelectionError,
+        InfeasibleSessionError,
+        ShardCountError,
+    ) as error:
+        # An option value a constructor refuses, or a request that cannot
+        # be planned on this topology or cut into that many shards: the
+        # user's input, not a defect, so no traceback.
         print(f"repro {args.command}: error: {error}", file=sys.stderr)
         return 2
 

@@ -15,13 +15,12 @@ happens, never *what* it computes.
 from __future__ import annotations
 
 import argparse
-import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.exec.cache import ResultCache
-from repro.exec.job import JobFailure, JobOutcome, JobResult, JobSpec
+from repro.exec.job import JobOutcome, JobResult, JobSpec, job_key
 from repro.exec.pool import WorkerPool, run_serial
 
 __all__ = [
@@ -30,6 +29,7 @@ __all__ = [
     "add_execution_arguments",
     "add_gf_backend_argument",
     "add_shards_argument",
+    "execute_calls",
     "execute_jobs",
     "policy_from_args",
 ]
@@ -168,6 +168,33 @@ def execute_jobs(
         for (index, _), outcome in zip(remaining, fresh):
             outcomes[index] = outcome
     return [outcomes[index] for index in range(len(specs))]
+
+
+def execute_calls(
+    calls: Sequence[Tuple[Callable[[Any], Any], Any]],
+    policy: Optional[ExecutionPolicy] = None,
+    *,
+    registry: Optional[obs.MetricsRegistry] = None,
+) -> List[Any]:
+    """Run each ``fn(payload)`` of ``calls`` as a job keyed by
+    :func:`~repro.exec.job.job_key`; values in submission order.
+
+    For callers that need every value: the first call that did not
+    produce one raises ``RuntimeError`` naming it.
+    """
+    specs = [
+        JobSpec(key=job_key(fn, payload), fn=fn, payload=payload)
+        for fn, payload in calls
+    ]
+    values = []
+    for spec, outcome in zip(specs, execute_jobs(specs, policy, registry=registry)):
+        if not isinstance(outcome, JobResult):
+            raise RuntimeError(
+                f"{spec.fn.__qualname__}({spec.payload!r}) failed: "
+                f"{outcome.error}: {outcome.message}"
+            )
+        values.append(outcome.value)
+    return values
 
 
 def add_execution_arguments(parser: argparse.ArgumentParser) -> None:

@@ -24,6 +24,7 @@ __all__ = [
     "JobOutcome",
     "JobResult",
     "JobSpec",
+    "job_key",
     "stable_hash",
 ]
 
@@ -59,6 +60,14 @@ def stable_hash(payload: object) -> str:
         _jsonable(payload), sort_keys=True, separators=(",", ":")
     )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def job_key(fn: Callable[[Any], Any], payload: object) -> str:
+    """Key of the job ``fn(payload)``: the function's qualified name and
+    the payload, hashed — equal calls share a key, any other call differs."""
+    return stable_hash(
+        {"fn": f"{fn.__module__}.{fn.__qualname__}", "payload": payload}
+    )
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,11 @@ dead campaign:
 Scheduling order never leaks into results: outcomes are keyed by
 submission index and returned in submission order, and jobs carry their
 own RNG derivations, so a pool run is bit-identical to a serial loop.
+
+Every worker process — a pool's or a :class:`PersistentWorkerGroup`'s —
+runs one loop, :func:`_persistent_worker_main`, and is started and
+stopped through one handle, :class:`_Worker`; a pool worker's state is a
+:class:`_JobRunner`, which runs the ``(fn, payload)`` it is sent.
 """
 
 from __future__ import annotations
@@ -46,36 +51,6 @@ _IDLE_TICK = 1.0
 _JOIN_GRACE = 5.0
 
 OutcomeCallback = Callable[[JobSpec, JobOutcome], None]
-
-
-def _worker_main(conn: Connection) -> None:
-    """Worker loop: receive ``(index, fn, payload)``, send outcomes.
-
-    Runs until the parent sends ``None`` or the pipe closes.  Exceptions
-    from the job are reported as data; ``SystemExit``/``os._exit`` and
-    real crashes surface to the parent as a pipe hangup.
-    """
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            break
-        if message is None:
-            break
-        index, fn, payload = message
-        try:
-            value = fn(payload)
-        except Exception as error:
-            conn.send(
-                (
-                    index,
-                    "error",
-                    (type(error).__name__, str(error), traceback.format_exc()),
-                )
-            )
-        else:
-            conn.send((index, "ok", value))
-    conn.close()
 
 
 def run_serial(
@@ -119,15 +94,16 @@ def run_serial(
 def _persistent_worker_main(
     conn: Connection, factory: Callable[[Any], Any], payload: Any
 ) -> None:
-    """Stateful worker loop: build state once, dispatch method calls.
+    """The worker loop: build state once, dispatch method calls.
 
-    Unlike :func:`_worker_main` (one self-contained job per message),
-    this loop holds ``factory(payload)`` alive across messages — the
-    substrate for shard workers that keep per-node runtimes, RNG streams
-    and neighbor structures warm between slot barriers.  Each message is
-    ``(method, argument)``; the reply is ``("ok", value)`` or
-    ``("error", (type, message, traceback))``.  Crashes surface to the
-    parent as a pipe hangup, exactly like the stateless pool.
+    Holds ``factory(payload)`` alive across messages — a
+    :class:`_JobRunner` for a pool worker, or a shard's per-node
+    runtimes, RNG streams and neighbor structures kept warm between slot
+    barriers.  The first reply is the ready one; then each message is
+    ``(method, argument)`` and its reply ``("ok", value)`` or
+    ``("error", (type, message, traceback))``.  Runs until the parent
+    sends ``None`` or the pipe closes; ``SystemExit``/``os._exit`` and
+    real crashes surface to the parent as a pipe hangup.
     """
     try:
         state = factory(payload)
@@ -160,6 +136,17 @@ def _persistent_worker_main(
     conn.close()
 
 
+class _JobRunner:
+    """A pool worker's state: each ``run`` call is one ``(fn, payload)`` job."""
+
+    def __init__(self, _payload: None) -> None:
+        """Pool workers carry no state of their own."""
+
+    def run(self, job: Tuple[Callable[[Any], Any], Any]) -> Any:
+        fn, payload = job
+        return fn(payload)
+
+
 class WorkerCallError(RuntimeError):
     """A persistent worker raised (or died) while serving a call."""
 
@@ -170,6 +157,96 @@ class WorkerCallError(RuntimeError):
         self.worker = worker
         self.method = method
         self.detail = detail
+
+
+@dataclass
+class _Worker:
+    """One worker process, the parent's end of its pipe, and the job (if
+    any) a pool has assigned it."""
+
+    process: Any  # multiprocessing.Process (context-specific class)
+    conn: Connection
+    index: Optional[int] = None  # submission index of the assigned job
+    attempt: int = 0
+    started: float = 0.0  # monotonic assignment time
+
+    @property
+    def busy(self) -> bool:
+        return self.index is not None
+
+    @classmethod
+    def start(
+        cls, ctx: Any, factory: Callable[[Any], Any], payload: Any
+    ) -> "_Worker":
+        parent_conn, child_conn = ctx.Pipe()
+        process = ctx.Process(
+            target=_persistent_worker_main,
+            args=(child_conn, factory, payload),
+            daemon=True,
+        )
+        process.start()
+        child_conn.close()
+        return cls(process=process, conn=parent_conn)
+
+    def receive(self, position: int, method: str) -> Any:
+        """The reply to ``method``; a raise or a death is a :class:`WorkerCallError`."""
+        try:
+            status, data = self.conn.recv()
+        except (EOFError, OSError):
+            raise WorkerCallError(
+                position,
+                method,
+                f"worker process died (exit code {self.process.exitcode})",
+            ) from None
+        if status == "error":
+            error, message, trace = data
+            raise WorkerCallError(position, method, f"{error}: {message}\n{trace}")
+        return data
+
+    def stop(self, grace: float) -> None:
+        """Give the process ``grace`` seconds to exit, then terminate it
+        (kill a straggler) and close the pipe."""
+        self.process.join(grace)
+        if self.process.is_alive():
+            self.process.terminate()
+            self.process.join(_JOIN_GRACE)
+        if self.process.is_alive():  # pragma: no cover - hard stragglers
+            self.process.kill()
+            self.process.join(_JOIN_GRACE)
+        self.conn.close()
+
+
+def _start_workers(
+    ctx: Any, factory: Callable[[Any], Any], payloads: Sequence[Any]
+) -> List[_Worker]:
+    """Start one worker per payload, then await every ready reply.
+
+    A factory that raises (or a worker that dies starting) stops them all
+    and raises :class:`WorkerCallError`.
+    """
+    workers: List[_Worker] = []
+    try:
+        for payload in payloads:
+            workers.append(_Worker.start(ctx, factory, payload))
+        for position, worker in enumerate(workers):
+            worker.receive(position, "__init__")
+    except BaseException:
+        _stop_workers(workers)
+        raise
+    return workers
+
+
+def _stop_workers(workers: Sequence[_Worker]) -> None:
+    """Ask every idle worker to leave its loop, then stop them all; a
+    worker still holding a job is terminated without waiting."""
+    for worker in workers:
+        if not worker.busy:
+            try:
+                worker.conn.send(None)
+            except (BrokenPipeError, OSError):
+                pass
+    for worker in workers:
+        worker.stop(0.0 if worker.busy else _JOIN_GRACE)
 
 
 class PersistentWorkerGroup:
@@ -186,7 +263,8 @@ class PersistentWorkerGroup:
     Failure model: a worker that raises reports the exception (raised
     here as :class:`WorkerCallError`); a worker that dies is detected by
     pipe hangup and also raised — there is no retry, because shard state
-    is stateful and cannot be re-run from a message.
+    is stateful and cannot be re-run from a message.  A factory that
+    raises fails construction, not the first call.
     """
 
     def __init__(
@@ -198,33 +276,13 @@ class PersistentWorkerGroup:
     ) -> None:
         if not payloads:
             raise ValueError("at least one worker payload is required")
-        self._procs: List[Any] = []
-        self._conns: List[Connection] = []
         self._closed = False
-        try:
-            for payload in payloads:
-                parent_conn, child_conn = ctx.Pipe()
-                process = ctx.Process(
-                    target=_persistent_worker_main,
-                    args=(child_conn, factory, payload),
-                    daemon=True,
-                )
-                process.start()
-                child_conn.close()
-                self._procs.append(process)
-                self._conns.append(parent_conn)
-            # Collect the init acks up front so a factory that raises
-            # fails construction, not the first call.
-            for index in range(len(self._conns)):
-                self._receive(index, "__init__")
-        except BaseException:
-            self.close()
-            raise
+        self._workers = _start_workers(ctx, factory, payloads)
 
     @property
     def size(self) -> int:
         """Number of live workers."""
-        return len(self._procs)
+        return len(self._workers)
 
     def call_each(self, method: str, arguments: Mapping[int, Any]) -> Dict[int, Any]:
         """Invoke ``method`` on the workers ``arguments`` names.
@@ -239,10 +297,13 @@ class PersistentWorkerGroup:
             raise RuntimeError("worker group is closed")
         for worker, argument in arguments.items():
             try:
-                self._conns[worker].send((method, argument))
+                self._workers[worker].conn.send((method, argument))
             except (BrokenPipeError, ConnectionResetError):
                 pass  # a dead worker; the receive below says so
-        return {worker: self._receive(worker, method) for worker in arguments}
+        return {
+            worker: self._workers[worker].receive(worker, method)
+            for worker in arguments
+        }
 
     def call_all(
         self, method: str, arguments: Optional[Sequence[Any]] = None
@@ -264,65 +325,17 @@ class PersistentWorkerGroup:
         """Invoke ``method`` on one worker and await its reply."""
         return self.call_each(method, {worker: argument})[worker]
 
-    def _receive(self, worker: int, method: str) -> Any:
-        try:
-            status, data = self._conns[worker].recv()
-        except (EOFError, OSError):
-            exitcode = self._procs[worker].exitcode
-            raise WorkerCallError(
-                worker, method, f"worker process died (exit code {exitcode})"
-            ) from None
-        if status == "error":
-            error, message, trace = data
-            raise WorkerCallError(
-                worker, method, f"{error}: {message}\n{trace}"
-            )
-        return data
-
     def close(self) -> None:
         """Shut every worker down; idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        for conn in self._conns:
-            try:
-                conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-        for process in self._procs:
-            process.join(_JOIN_GRACE)
-            if process.is_alive():
-                process.terminate()
-                process.join(_JOIN_GRACE)
-            if process.is_alive():  # pragma: no cover - hard stragglers
-                process.kill()
-                process.join(_JOIN_GRACE)
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
+        if not self._closed:
+            self._closed = True
+            _stop_workers(self._workers)
 
     def __enter__(self) -> "PersistentWorkerGroup":
         return self
 
     def __exit__(self, *_exc: Any) -> None:
         self.close()
-
-
-@dataclass
-class _Worker:
-    """One worker process and the job (if any) it currently holds."""
-
-    process: Any  # multiprocessing.Process (context-specific class)
-    conn: Connection
-    index: Optional[int] = None  # submission index of the assigned job
-    attempt: int = 0
-    started: float = 0.0  # monotonic assignment time
-
-    @property
-    def busy(self) -> bool:
-        return self.index is not None
 
 
 class WorkerPool:
@@ -390,9 +403,9 @@ class WorkerPool:
         pending: Deque[Tuple[int, int]] = deque(
             (index, 1) for index in range(len(specs))
         )
-        crew: List[_Worker] = [
-            self._spawn() for _ in range(min(self._workers, len(specs)))
-        ]
+        crew = _start_workers(
+            self._ctx, _JobRunner, [None] * min(self._workers, len(specs))
+        )
         try:
             while len(outcomes) < len(specs):
                 self._assign(crew, pending, specs)
@@ -412,19 +425,15 @@ class WorkerPool:
                         )
                 self._expire_overdue(crew, specs, pending, outcomes, on_outcome)
         finally:
-            self._shutdown(crew)
+            _stop_workers(crew)
         return [outcomes[index] for index in range(len(specs))]
 
     # -- internals ---------------------------------------------------------
 
-    def _spawn(self) -> _Worker:
-        parent_conn, child_conn = self._ctx.Pipe()
-        process = self._ctx.Process(
-            target=_worker_main, args=(child_conn,), daemon=True
-        )
-        process.start()
-        child_conn.close()
-        return _Worker(process=process, conn=parent_conn)
+    def _replace(self, crew: List[_Worker], position: int) -> None:
+        """Stop the worker at ``position`` at once and start a fresh one."""
+        crew[position].stop(0.0)
+        (crew[position],) = _start_workers(self._ctx, _JobRunner, [None])
 
     def _assign(
         self,
@@ -442,7 +451,7 @@ class WorkerPool:
             worker.index = index
             worker.attempt = attempt
             worker.started = time.monotonic()
-            worker.conn.send((index, spec.fn, spec.payload))
+            worker.conn.send(("run", (spec.fn, spec.payload)))
 
     def _wait_timeout(self, busy: Sequence[_Worker]) -> float:
         if self._job_timeout is None:
@@ -467,11 +476,10 @@ class WorkerPool:
         index, attempt = worker.index, worker.attempt
         spec = specs[index]
         try:
-            reported_index, status, data = worker.conn.recv()
+            status, data = worker.conn.recv()
         except (EOFError, OSError):
             # The worker died under this job: replace it, retry the job.
-            self._dispose(worker)
-            crew[position] = self._spawn()
+            self._replace(crew, position)
             self._record_attempt_failure(
                 spec,
                 index,
@@ -486,7 +494,6 @@ class WorkerPool:
                 on_outcome=on_outcome,
             )
             return
-        assert reported_index == index
         elapsed = time.monotonic() - worker.started
         worker.index = None
         if status == "ok":
@@ -534,8 +541,7 @@ class WorkerPool:
                 continue
             assert worker.index is not None
             index, attempt = worker.index, worker.attempt
-            self._dispose(worker)
-            crew[position] = self._spawn()
+            self._replace(crew, position)
             self._record_attempt_failure(
                 specs[index],
                 index,
@@ -577,33 +583,3 @@ class WorkerPool:
         outcomes[index] = outcome
         if on_outcome is not None:
             on_outcome(spec, outcome)
-
-    def _dispose(self, worker: _Worker) -> None:
-        """Forcefully stop one worker and release its pipe."""
-        if worker.process.is_alive():
-            worker.process.terminate()
-        worker.process.join(_JOIN_GRACE)
-        if worker.process.is_alive():  # pragma: no cover - hard stragglers
-            worker.process.kill()
-            worker.process.join(_JOIN_GRACE)
-        worker.conn.close()
-
-    def _shutdown(self, crew: List[_Worker]) -> None:
-        for worker in crew:
-            if worker.process.is_alive() and not worker.busy:
-                try:
-                    worker.conn.send(None)
-                except (BrokenPipeError, OSError):
-                    pass
-        for worker in crew:
-            worker.process.join(0.5 if worker.busy else _JOIN_GRACE)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(_JOIN_GRACE)
-            if worker.process.is_alive():  # pragma: no cover
-                worker.process.kill()
-                worker.process.join(_JOIN_GRACE)
-            try:
-                worker.conn.close()
-            except OSError:  # pragma: no cover
-                pass

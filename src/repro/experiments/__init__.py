@@ -9,9 +9,12 @@ evaluation (Sec. 5), plus the Sec. 4 coding-speed claim.
 * :mod:`repro.experiments.coding_speed` — the 3-5x acceleration claim.
 * :mod:`repro.experiments.convergence_stats` — the ~91-iteration claim.
 
-Each module is runnable (``python -m repro.experiments.<name>``) and
-exposes a ``run_*`` function for programmatic use; the benchmark suite
-calls those functions with pinned configurations.
+The extensions beyond the paper are ``fig5_adaptation``,
+``fig6_multisession`` and ``fig7_finite_length``.  Each module exposes
+a ``run_*`` function for programmatic use and one ``report`` function
+that prints its result; ``python -m repro <command>`` (:mod:`repro.cli`)
+is the one front end that calls the pair, and the benchmark suite calls
+the ``run_*`` functions with pinned configurations.
 """
 
 from repro.experiments.coding_speed import CodingSpeedPoint, run_coding_speed

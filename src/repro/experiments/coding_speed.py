@@ -7,10 +7,6 @@ Our accelerated engine vectorizes whole rows with numpy; the baseline is
 a faithful byte-at-a-time pure-Python codec.  This experiment measures
 both on the encode + progressive-decode pipeline across the generation
 and block sizes the paper varies.
-
-Run as a module::
-
-    python -m repro.experiments.coding_speed
 """
 
 from __future__ import annotations
@@ -107,17 +103,14 @@ def run_coding_speed(
     return points
 
 
-def main() -> None:
+def report(points: List[CodingSpeedPoint]) -> None:
+    """Print the speed table: both codecs per generation shape."""
     print("Coding speed — accelerated (numpy rows) vs baseline (pure Python)")
     print(f"{'generation':>12s} {'accel MB/s':>12s} {'base MB/s':>12s} {'speedup':>9s}")
-    for point in run_coding_speed():
+    for point in points:
         label = f"{point.blocks}x{point.block_size}"
         print(
             f"{label:>12s} {point.accelerated_mbps:12.2f} "
             f"{point.baseline_mbps:12.3f} {point.speedup:8.1f}x"
         )
     print("paper claim: 3-5x over the lookup-table baseline")
-
-
-if __name__ == "__main__":
-    main()

@@ -5,15 +5,10 @@ Fig. 2 is 91."  This experiment runs the distributed rate control on the
 session graphs of a Fig. 2-style campaign and reports the iteration
 distribution, plus the quality of the recovered allocation against the
 centralized LP optimum.
-
-Run as a module::
-
-    python -m repro.experiments.convergence_stats
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -23,9 +18,7 @@ from repro.exec import (
     ExecutionPolicy,
     JobResult,
     JobSpec,
-    add_execution_arguments,
     execute_jobs,
-    policy_from_args,
     stable_hash,
 )
 from repro.experiments.common import (
@@ -198,14 +191,3 @@ def report(stats: ConvergenceStats) -> None:
         f"min {stats.lp_ratio.minimum:.3f}, max {stats.lp_ratio.maximum:.3f}"
     )
     print(f"  sessions converged before cap: {stats.converged_fraction:.0%}")
-
-
-def main(argv: Optional[List[str]] = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    add_execution_arguments(parser)
-    args = parser.parse_args(argv)
-    report(run_convergence_stats(policy=policy_from_args(args)))
-
-
-if __name__ == "__main__":
-    main()

@@ -8,9 +8,7 @@ iteration index on a small sample topology with channel capacity
 This experiment runs Table 1 on :func:`repro.topology.random_network.
 fig1_sample_topology`, records the recovered rate trajectory of every
 transmitting node, and reports the iteration at which each trajectory
-settles.  Run as a module to print the series::
-
-    python -m repro.experiments.fig1_convergence
+settles.
 """
 
 from __future__ import annotations
@@ -118,9 +116,8 @@ def _settled_iteration(
     return settled
 
 
-def main() -> None:
+def report(series: ConvergenceSeries) -> None:
     """Print the Fig. 1 table: iteration vs per-node rate."""
-    series = run_fig1()
     nodes = sorted(series.rates_bps)
     print("Figure 1 — distributed rate control convergence")
     print(
@@ -141,7 +138,3 @@ def main() -> None:
         f"LP optimum {series.lp_throughput_bps:.0f} B/s, "
         f"recovered {series.recovered_throughput_bps:.0f} B/s"
     )
-
-
-if __name__ == "__main__":
-    main()

@@ -5,27 +5,17 @@ averages: OMNC 2.45, MORE 1.67, oldMORE 1.12.  Right panel: the same
 topology with raised transmission power (average quality ~0.91), where
 OMNC's gain shrinks to 1.12 and MORE/oldMORE fall below ETX.
 
-Run as a module::
-
-    python -m repro.experiments.fig2_throughput --quality lossy
-    python -m repro.experiments.fig2_throughput --quality high
-
 ``OMNC_FULL_SCALE=1`` switches to the paper's 300-node / 300-session
 campaign.
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.emulator.stats import DistributionSummary, ascii_cdf, summarize
-from repro.exec import (
-    ExecutionPolicy,
-    add_execution_arguments,
-    policy_from_args,
-)
+from repro.exec import ExecutionPolicy
 from repro.experiments.common import (
     CampaignConfig,
     CampaignResult,
@@ -72,42 +62,27 @@ def run_fig2(
     )
 
 
-def main(argv: Optional[list] = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quality", choices=("lossy", "high"), default="lossy",
-        help="link-quality regime (Fig. 2 left vs right)",
-    )
-    parser.add_argument("--sessions", type=int, default=None)
-    parser.add_argument("--nodes", type=int, default=None)
-    add_execution_arguments(parser)
-    args = parser.parse_args(argv)
-
-    overrides = {"quality": args.quality}
-    if args.sessions is not None:
-        overrides["sessions"] = args.sessions
-    if args.nodes is not None:
-        overrides["node_count"] = args.nodes
-    config = CampaignConfig.from_environment(**overrides)
-    result = run_fig2(args.quality, config, policy=policy_from_args(args))
-
-    print(f"Figure 2 ({args.quality}) — throughput gain over ETX routing")
+def report(result: Fig2Result) -> None:
+    """Print the mean gains, the campaign's cache/failure tally and the CDFs."""
+    campaign = result.campaign
+    paper = PAPER_MEAN_GAINS[result.quality]
+    print(f"Figure 2 ({result.quality}): mean throughput gain over ETX")
     print(
-        f"network: {config.node_count} nodes, {config.sessions} sessions, "
-        f"avg link quality {result.campaign.network.average_link_probability():.2f}"
+        f"  network: {campaign.config.node_count} nodes, "
+        f"{campaign.config.sessions} sessions, avg link quality "
+        f"{campaign.network.average_link_probability():.2f}"
     )
-    paper = PAPER_MEAN_GAINS[args.quality]
     for protocol in CODED_PROTOCOLS:
         summary = result.distributions[protocol]
         print(
-            f"  {protocol:8s} mean gain {summary.mean:5.2f} "
-            f"(median {summary.median:.2f}, paper {paper[protocol]:.2f})"
+            f"  {protocol:8s} {summary.mean:5.2f} "
+            f"(paper {paper[protocol]:.2f}, median {summary.median:.2f})"
+        )
+    if campaign.cache_hits or campaign.failures:
+        print(
+            f"  ({campaign.cache_hits} cached session(s), "
+            f"{len(campaign.failures)} failed slot(s))"
         )
     for protocol in CODED_PROTOCOLS:
         print()
         print(ascii_cdf(result.distributions[protocol], label=f"{protocol} gain CDF"))
-    print(f"\ncampaign wall time: {result.campaign.wall_seconds:.1f}s")
-
-
-if __name__ == "__main__":
-    main()

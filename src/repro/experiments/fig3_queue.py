@@ -5,24 +5,15 @@ plots the per-node distribution for OMNC and MORE in the lossy network.
 Headline numbers: OMNC's overall average is 0.63 (most nodes < 1);
 MORE's is 22 — the rate-control-vs-none contrast that explains the
 throughput results.
-
-Run as a module::
-
-    python -m repro.experiments.fig3_queue
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.emulator.stats import DistributionSummary, ascii_cdf, summarize
-from repro.exec import (
-    ExecutionPolicy,
-    add_execution_arguments,
-    policy_from_args,
-)
+from repro.exec import ExecutionPolicy
 from repro.experiments.common import (
     CampaignConfig,
     CampaignResult,
@@ -77,14 +68,3 @@ def report(result: Fig3Result) -> None:
     for protocol in QUEUE_PROTOCOLS:
         print()
         print(ascii_cdf(result.distributions[protocol], label=f"{protocol} queue CDF"))
-
-
-def main(argv: Optional[List[str]] = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    add_execution_arguments(parser)
-    args = parser.parse_args(argv)
-    report(run_fig3(policy=policy_from_args(args)))
-
-
-if __name__ == "__main__":
-    main()

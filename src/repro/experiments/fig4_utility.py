@@ -5,24 +5,15 @@ utility) and of the available path diversity (path utility) each coded
 protocol actually uses.  oldMORE "tends to prune a large number of nodes
 associated with low quality links" — its ratios sit far below OMNC's and
 (new) MORE's, which are similar to each other.
-
-Run as a module::
-
-    python -m repro.experiments.fig4_utility
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.emulator.stats import DistributionSummary, ascii_cdf, summarize
-from repro.exec import (
-    ExecutionPolicy,
-    add_execution_arguments,
-    policy_from_args,
-)
+from repro.exec import ExecutionPolicy
 from repro.experiments.common import (
     CampaignConfig,
     CampaignResult,
@@ -80,14 +71,3 @@ def report(result: Fig4Result) -> None:
                 label=f"{protocol} node-utility CDF",
             )
         )
-
-
-def main(argv: Optional[List[str]] = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    add_execution_arguments(parser)
-    args = parser.parse_args(argv)
-    report(run_fig4(policy=policy_from_args(args)))
-
-
-if __name__ == "__main__":
-    main()

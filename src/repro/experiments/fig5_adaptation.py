@@ -17,28 +17,17 @@ airtime, and OMNC warm-starts each re-plan from the previous run's
 dual prices.  The headline metric is post-event throughput: the
 oblivious plan keeps pushing packets through a dead relay, while the
 drift-triggered controller pays one re-initiation and routes around
-it.  Run as a module to print the comparison::
-
-    python -m repro.experiments.fig5_adaptation
+it.
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro import obs
 from repro.emulator.session import SessionConfig
-from repro.exec import (
-    ExecutionPolicy,
-    JobResult,
-    JobSpec,
-    add_execution_arguments,
-    execute_jobs,
-    policy_from_args,
-    stable_hash,
-)
+from repro.exec import ExecutionPolicy, execute_calls
 from repro.protocols.adaptive import make_planner
 from repro.protocols.more import plan_more
 from repro.protocols.omnc import plan_omnc
@@ -160,10 +149,6 @@ def build_scenario(
     return spec, busiest
 
 
-#: Bump when the adaptive-session computation changes in a way that
-#: invalidates previously cached Fig. 5 job results.
-FIG5_JOB_SCHEMA = 1
-
 _POLICY_KEYS = ("oblivious", "periodic", "drift")
 
 
@@ -197,17 +182,6 @@ class Fig5Job:
 
     config: Fig5Config
     policy_key: str  # "oblivious" | "periodic" | "drift"
-
-    def cache_key(self) -> str:
-        """Stable content hash of this controller run."""
-        return stable_hash(
-            {
-                "kind": "fig5-adaptation",
-                "schema": FIG5_JOB_SCHEMA,
-                "config": self.config,
-                "policy_key": self.policy_key,
-            }
-        )
 
 
 def execute_fig5_job(job: Fig5Job) -> AdaptiveSessionResult:
@@ -246,23 +220,13 @@ def run_fig5(
     network = _fig5_network(config)
     source, destination = _feasible_pair(network, config.min_forwarders)
     spec, busiest = build_scenario(network, source, destination, config)
-    jobs = [
-        JobSpec(
-            key=Fig5Job(config=config, policy_key=key).cache_key(),
-            fn=execute_fig5_job,
-            payload=Fig5Job(config=config, policy_key=key),
-        )
+    calls = [
+        (execute_fig5_job, Fig5Job(config=config, policy_key=key))
         for key in _POLICY_KEYS
     ]
-    outcomes = execute_jobs(jobs, policy, registry=registry)
-    runs: Dict[str, AdaptiveSessionResult] = {}
-    for key, outcome in zip(_POLICY_KEYS, outcomes):
-        if not isinstance(outcome, JobResult):
-            raise RuntimeError(
-                f"fig5 {key} controller failed: {outcome.error}: "
-                f"{outcome.message}"
-            )
-        runs[key] = outcome.value
+    runs = dict(
+        zip(_POLICY_KEYS, execute_calls(calls, policy, registry=registry))
+    )
     return Fig5Result(
         config=config,
         scenario=spec,
@@ -274,12 +238,9 @@ def run_fig5(
     )
 
 
-def main(
-    smoke: bool = False, policy: Optional[ExecutionPolicy] = None
-) -> None:
+def report(result: Fig5Result) -> None:
     """Print the adaptation comparison table."""
-    config = Fig5Config.smoke() if smoke else Fig5Config()
-    result = run_fig5(config, policy=policy)
+    config = result.config
     print("Figure 5 — mid-run re-planning under drift and node failure")
     print(
         f"{config.protocol} session {result.source} -> {result.destination}, "
@@ -307,15 +268,3 @@ def main(
             f"drift-triggered post-event gain over oblivious: "
             f"{triggered / oblivious:.2f}x"
         )
-
-
-def _module_main(argv: Optional[List[str]] = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true", help="CI-sized run")
-    add_execution_arguments(parser)
-    args = parser.parse_args(argv)
-    main(smoke=args.smoke, policy=policy_from_args(args))
-
-
-if __name__ == "__main__":
-    _module_main()

@@ -22,15 +22,11 @@ per-flow planning once contention bites (N >= 4).
 
 A second panel demonstrates the inter-session XOR relay on the COPE
 "Alice and Bob" topology — two opposing flows through one relay, with
-and without XOR coding — and reports the airtime saved.  Run as a
-module to print both::
-
-    python -m repro.experiments.fig6_multisession
+and without XOR coding — and reports the airtime saved.
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -38,15 +34,7 @@ from repro import obs
 from repro.emulator.multisession import MultiSessionOutcome, run_multi_session
 from repro.emulator.plan import SessionPlan
 from repro.emulator.session import SessionConfig
-from repro.exec import (
-    ExecutionPolicy,
-    JobResult,
-    JobSpec,
-    add_execution_arguments,
-    execute_jobs,
-    policy_from_args,
-    stable_hash,
-)
+from repro.exec import ExecutionPolicy, execute_calls
 from repro.optimization.sunicast import InfeasibleSessionError
 from repro.protocols.intersession import plan_intersession_pairs
 from repro.protocols.more import plan_more
@@ -250,11 +238,6 @@ def alice_bob_network(config: Fig6Config) -> WirelessNetwork:
     return WirelessNetwork(positions, links, config.xor_range)
 
 
-#: Bump when the multi-session emulation changes in a way that
-#: invalidates previously cached Fig. 6 job results.
-FIG6_JOB_SCHEMA = 1
-
-
 @dataclass(frozen=True)
 class Fig6Job:
     """One protocol at one session count, as a cacheable job."""
@@ -263,18 +246,6 @@ class Fig6Job:
     protocol: str
     session_count: int
 
-    def cache_key(self) -> str:
-        """Stable content hash of this run."""
-        return stable_hash(
-            {
-                "kind": "fig6-multisession",
-                "schema": FIG6_JOB_SCHEMA,
-                "config": self.config,
-                "protocol": self.protocol,
-                "session_count": self.session_count,
-            }
-        )
-
 
 @dataclass(frozen=True)
 class Fig6XorJob:
@@ -282,17 +253,6 @@ class Fig6XorJob:
 
     config: Fig6Config
     use_xor: bool
-
-    def cache_key(self) -> str:
-        """Stable content hash of this run."""
-        return stable_hash(
-            {
-                "kind": "fig6-xor-demo",
-                "schema": FIG6_JOB_SCHEMA,
-                "config": self.config,
-                "use_xor": self.use_xor,
-            }
-        )
 
 
 def _mesh_plans(
@@ -366,30 +326,19 @@ def run_fig6(
     config = config or Fig6Config()
     network = fig6_network(config)
     endpoints = fig6_endpoints(network, max(config.session_counts))
-    mesh_jobs = [
-        Fig6Job(config=config, protocol=protocol, session_count=count)
+    calls = [
+        (
+            execute_fig6_job,
+            Fig6Job(config=config, protocol=protocol, session_count=count),
+        )
         for count in config.session_counts
         for protocol in _PROTOCOLS
     ]
-    xor_jobs = [
-        Fig6XorJob(config=config, use_xor=use_xor)
+    calls += [
+        (execute_fig6_xor_job, Fig6XorJob(config=config, use_xor=use_xor))
         for use_xor in (False, True)
     ]
-    specs = [
-        JobSpec(key=job.cache_key(), fn=execute_fig6_job, payload=job)
-        for job in mesh_jobs
-    ] + [
-        JobSpec(key=job.cache_key(), fn=execute_fig6_xor_job, payload=job)
-        for job in xor_jobs
-    ]
-    outcomes = execute_jobs(specs, policy, registry=registry)
-    values: List[MultiSessionOutcome] = []
-    for spec, outcome in zip(specs, outcomes):
-        if not isinstance(outcome, JobResult):
-            raise RuntimeError(
-                f"fig6 job failed: {outcome.error}: {outcome.message}"
-            )
-        values.append(outcome.value)
+    values = execute_calls(calls, policy, registry=registry)
     points: List[Fig6Point] = []
     cursor = 0
     for count in config.session_counts:
@@ -407,12 +356,9 @@ def run_fig6(
     )
 
 
-def main(
-    smoke: bool = False, policy: Optional[ExecutionPolicy] = None
-) -> None:
+def report(result: Fig6Result) -> None:
     """Print the throughput/fairness table and the XOR panel."""
-    config = Fig6Config.smoke() if smoke else Fig6Config()
-    result = run_fig6(config, policy=policy)
+    config = result.config
     print("Figure 6 — concurrent unicasts over shared airtime")
     print(
         f"{config.node_count}-node mesh (avg {config.density:.0f} "
@@ -446,15 +392,3 @@ def main(
         f"aggregate {demo.xor.aggregate_throughput_bps:.0f} B/s"
     )
     print(f"  airtime saving: {demo.airtime_saving:.1%}")
-
-
-def _module_main(argv: Optional[List[str]] = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true", help="CI-sized run")
-    add_execution_arguments(parser)
-    args = parser.parse_args(argv)
-    main(smoke=args.smoke, policy=policy_from_args(args))
-
-
-if __name__ == "__main__":
-    _module_main()

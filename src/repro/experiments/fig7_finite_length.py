@@ -28,17 +28,13 @@ acting on it buys:
   generation that never reaches full rank counts as zero — exactly the
   finite-length failure mode the adaptive arm avoids at high loss.
 
-Arms are dispatched as cacheable jobs; run as a module to print both
-panels::
-
-    python -m repro.experiments.fig7_finite_length
+Every cell of both panels is one cacheable job.
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -55,24 +51,11 @@ from repro.coding.generation import GenerationParams, random_generation
 from repro.emulator.plan import CodingParams
 from repro.emulator.session import SessionConfig, SessionResult, run_sharded_session
 from repro.emulator.shard import require_shardable
-from repro.exec import (
-    ExecutionPolicy,
-    JobResult,
-    JobSpec,
-    add_execution_arguments,
-    add_shards_argument,
-    execute_jobs,
-    policy_from_args,
-    stable_hash,
-)
+from repro.exec import ExecutionPolicy, execute_calls
 from repro.protocols.omnc import plan_omnc
 from repro.topology.graph import WirelessNetwork
 from repro.topology.random_network import diamond_topology
 from repro.util.rng import RngFactory
-
-#: Bump when the finite-length computation changes in a way that
-#: invalidates previously cached Fig. 7 job results.
-FIG7_JOB_SCHEMA = 1
 
 #: The coding arms of panel B, in presentation order.
 ARMS = ("static", "adaptive", "systematic")
@@ -204,18 +187,6 @@ class Fig7DecodeJob:
     loss: float
     systematic: bool
 
-    def cache_key(self) -> str:
-        """Stable content hash of this measurement."""
-        return stable_hash(
-            {
-                "kind": "fig7-decode-cost",
-                "schema": FIG7_JOB_SCHEMA,
-                "config": self.config,
-                "loss": self.loss,
-                "systematic": self.systematic,
-            }
-        )
-
 
 def execute_fig7_decode_job(job: Fig7DecodeJob) -> DecodeCostPoint:
     """Measure decode cost at the coding layer: encoder -> loss -> decoder.
@@ -270,28 +241,15 @@ def execute_fig7_decode_job(job: Fig7DecodeJob) -> DecodeCostPoint:
 class Fig7GoodputJob:
     """One coding arm's fixed-window run on the diamond, as a job.
 
-    ``shards`` participates in the cache key: the serial and sharded CI
-    runs must each execute (and then byte-compare), not share a cache
-    entry.
+    ``shards`` is a field, so it is part of the job's key: the serial and
+    sharded CI runs must each execute (and then byte-compare), not share
+    a cache entry.
     """
 
     config: Fig7Config
     loss: float
     arm: str
     shards: int = 1
-
-    def cache_key(self) -> str:
-        """Stable content hash of this arm run."""
-        return stable_hash(
-            {
-                "kind": "fig7-goodput",
-                "schema": FIG7_JOB_SCHEMA,
-                "config": self.config,
-                "loss": self.loss,
-                "arm": self.arm,
-                "shards": self.shards,
-            }
-        )
 
 
 def fig7_network(loss: float) -> WirelessNetwork:
@@ -353,31 +311,20 @@ def run_fig7(
         for loss in config.losses
         for arm in ARMS
     ]
-    jobs: List[JobSpec] = [
-        JobSpec(key=job.cache_key(), fn=execute_fig7_decode_job, payload=job)
-        for job in decode_jobs
-    ]
-    jobs += [
-        JobSpec(key=job.cache_key(), fn=execute_fig7_goodput_job, payload=job)
-        for job in goodput_jobs
-    ]
-    outcomes = execute_jobs(jobs, policy, registry=registry)
-    for job_spec, outcome in zip(jobs, outcomes):
-        if not isinstance(outcome, JobResult):
-            raise RuntimeError(
-                f"fig7 job {job_spec.key[:12]} failed: {outcome.error}: "
-                f"{outcome.message}"
-            )
-    decode_costs: Dict[Tuple[float, bool], DecodeCostPoint] = {}
-    goodput: Dict[Tuple[float, str], GoodputPoint] = {}
-    for job_decode, outcome in zip(decode_jobs, outcomes[: len(decode_jobs)]):
-        assert isinstance(outcome, JobResult)
-        decode_costs[(job_decode.loss, job_decode.systematic)] = outcome.value
-    for job_goodput, outcome in zip(
-        goodput_jobs, outcomes[len(decode_jobs) :]
-    ):
-        assert isinstance(outcome, JobResult)
-        goodput[(job_goodput.loss, job_goodput.arm)] = outcome.value
+    values = execute_calls(
+        [(execute_fig7_decode_job, job) for job in decode_jobs]
+        + [(execute_fig7_goodput_job, job) for job in goodput_jobs],
+        policy,
+        registry=registry,
+    )
+    decode_costs = {
+        (job.loss, job.systematic): value
+        for job, value in zip(decode_jobs, values)
+    }
+    goodput = {
+        (job.loss, job.arm): value
+        for job, value in zip(goodput_jobs, values[len(decode_jobs) :])
+    }
     model_overhead = {
         loss: tuple(
             (n, overhead_ratio(n, loss, block_size=config.block_size))
@@ -393,14 +340,9 @@ def run_fig7(
     )
 
 
-def main(
-    smoke: bool = False,
-    shards: int = 1,
-    policy: Optional[ExecutionPolicy] = None,
-) -> None:
+def report(result: Fig7Result) -> None:
     """Print both panels of the finite-length comparison."""
-    config = Fig7Config.smoke() if smoke else Fig7Config()
-    result = run_fig7(config, shards=shards, policy=policy)
+    config = result.config
     print("Figure 7 — finite-length-aware generation sizing")
     print(
         f"panel A: n={config.decode_blocks}, m={config.block_size} B, "
@@ -446,16 +388,3 @@ def main(
             for _n, ratio in result.model_overhead[loss]
         )
         print(f"{loss:5.2f}" + row)
-
-
-def _module_main(argv: Optional[List[str]] = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true", help="CI-sized run")
-    add_shards_argument(parser)
-    add_execution_arguments(parser)
-    args = parser.parse_args(argv)
-    main(smoke=args.smoke, shards=args.shards, policy=policy_from_args(args))
-
-
-if __name__ == "__main__":
-    _module_main()

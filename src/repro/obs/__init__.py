@@ -49,7 +49,6 @@ from repro.obs.metrics import (
     NULL_GAUGE,
     NULL_HISTOGRAM,
     ScopedRegistry,
-    summarize_values,
 )
 from repro.obs.tracer import EventTracer, NULL_TRACER, TraceRecord
 
@@ -72,7 +71,6 @@ __all__ = [
     "get_registry",
     "resolve",
     "resolve_tracer",
-    "summarize_values",
 ]
 
 # The process-global registry.  Starts disabled: resolve(None) then hands

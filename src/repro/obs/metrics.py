@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Type, TypeVar, Union
+from typing import Any, Dict, List, Optional, Type, TypeVar, Union
 
 __all__ = [
     "Counter",
@@ -493,11 +493,3 @@ class ScopedRegistry:
     def detach(self) -> int:
         """Remove every metric this scope created."""
         return self._parent.detach(self._prefix)
-
-
-def summarize_values(values: Iterable[float]) -> Histogram:
-    """Fold an iterable into a throwaway histogram (handy in experiments)."""
-    histogram = Histogram("summary")
-    for value in values:
-        histogram.observe(value)
-    return histogram

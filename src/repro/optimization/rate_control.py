@@ -455,25 +455,13 @@ def feasible_scaling(
     headroom that covers the redundancy real coded streams incur.
 
     Returns the scaled rates and the divisor applied (< 1 means the
-    vector was scaled up).
+    vector was scaled up).  This is :func:`multi_feasible_scaling` over
+    one session.
     """
-    worst = 0.0
-    for node in graph.mac_constrained_nodes():
-        load = rates.get(node, 0.0) + sum(
-            rates.get(j, 0.0) for j in graph.neighbors[node]
-        )
-        worst = max(worst, load)
-    if worst <= 0.0:
-        return dict(rates), 1.0
-    if worst > 1.0:
-        factor = worst
-    elif saturate:
-        factor = max(worst, 1.0 / max_scale_up)
-    else:
-        factor = 1.0
-    if factor == 1.0:  # repro: ignore[RPR004] exact sentinel set above
-        return dict(rates), 1.0
-    return {n: min(1.0, b / factor) for n, b in rates.items()}, factor
+    (scaled,), factor = multi_feasible_scaling(
+        [graph], [rates], saturate=saturate, max_scale_up=max_scale_up
+    )
+    return scaled, factor
 
 
 def multi_feasible_scaling(
@@ -490,9 +478,9 @@ def multi_feasible_scaling(
     (:mod:`repro.optimization.multi_session`), so feasibility repair
     must use one common divisor: scaling sessions independently would
     re-break the coupling and skew the optimizer's inter-session
-    proportions.  Semantics otherwise match :func:`feasible_scaling`
-    (scale down by the worst overload; with ``saturate=True`` scale up
-    to fill the tightest neighborhood, bounded by ``max_scale_up``).
+    proportions.  Scale down by the worst overload; with
+    ``saturate=True`` scale up to fill the tightest neighborhood, bounded
+    by ``max_scale_up`` (see :func:`feasible_scaling`).
 
     Returns the scaled per-session rates and the common divisor.
     """

@@ -1,15 +1,17 @@
-"""The benchmark's reference mesh, a digest of a link table, an LP oracle.
+"""The benchmark's reference mesh, a digest of a link table, replaced bodies.
 
 Shared by the literal oracles of the topology-update path
 (``test_pseudo_broadcast``, ``test_dynamics``, ``test_scenario``) and of
 the routing layer (``test_node_selection``, ``test_protocols``): they pin
 values on the very deployment ``adaptive_replan`` re-plans on.
 :func:`min_cost_routing_lp` is what ``solve_min_cost_routing`` ran until
-its closed form replaced it (``test_sunicast``, ``test_protocols``).
+its closed form replaced it (``test_sunicast``, ``test_protocols``);
+:func:`single_feasible_scaling` is what ``feasible_scaling`` ran before it
+became ``multi_feasible_scaling`` over one graph (``test_rate_control``).
 """
 
 import hashlib
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -109,3 +111,34 @@ def min_cost_routing_lp(
         broadcast_rates=rates,
         objective=float(result.fun),
     )
+
+
+def single_feasible_scaling(
+    graph: SessionGraph,
+    rates: Dict[int, float],
+    *,
+    saturate: bool = False,
+    max_scale_up: float = 2.0,
+) -> Tuple[Dict[int, float], float]:
+    """Rescale one session's rates against the MAC constraint (4).
+
+    The body ``feasible_scaling`` had before it became
+    ``multi_feasible_scaling`` over one graph, moved here unedited.
+    """
+    worst = 0.0
+    for node in graph.mac_constrained_nodes():
+        load = rates.get(node, 0.0) + sum(
+            rates.get(j, 0.0) for j in graph.neighbors[node]
+        )
+        worst = max(worst, load)
+    if worst <= 0.0:
+        return dict(rates), 1.0
+    if worst > 1.0:
+        factor = worst
+    elif saturate:
+        factor = max(worst, 1.0 / max_scale_up)
+    else:
+        factor = 1.0
+    if factor == 1.0:  # repro: ignore[RPR004] exact sentinel set above
+        return dict(rates), 1.0
+    return {n: min(1.0, b / factor) for n, b in rates.items()}, factor

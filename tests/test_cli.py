@@ -1,5 +1,8 @@
 """The command-line interface."""
 
+import argparse
+import pkgutil
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -27,6 +30,32 @@ class TestParser:
         ):
             args = parser.parse_args(command)
             assert callable(args.func)
+
+    def test_every_experiment_module_has_a_command(self):
+        import repro.experiments
+
+        commands = {
+            "fig1_convergence": "fig1",
+            "fig2_throughput": "fig2",
+            "fig3_queue": "fig3",
+            "fig4_utility": "fig4",
+            "fig5_adaptation": "fig5",
+            "fig6_multisession": "fig6",
+            "fig7_finite_length": "fig7",
+            "coding_speed": "coding-speed",
+            "convergence_stats": "convergence",
+        }
+        modules = {
+            module.name
+            for module in pkgutil.iter_modules(repro.experiments.__path__)
+        }
+        assert modules - {"common"} == set(commands)
+        (subcommands,) = (
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert set(commands.values()) <= set(subcommands.choices)
 
     def test_fig2_options(self):
         args = build_parser().parse_args(["fig2", "--quality", "high", "--sessions", "3"])
@@ -292,6 +321,34 @@ class TestDomainErrors:
         assert captured.err == (
             f"repro {argv[0]}: error: cannot run 64 shards on {nodes} node(s)\n"
         )
+        assert captured.out == ""
+
+
+class TestUsageErrors:
+    """An option value a constructor refuses is a usage error: one line, exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fig2", "--sessions", "0"], "sessions must be >= 1"),
+            (["fig3", "--jobs", "0"], "jobs must be >= 1, got 0"),
+            (["fig4", "--job-retries", "-1"], "retries must be >= 0, got -1"),
+            (["fig5", "--smoke", "--job-timeout", "0"], "job_timeout must be > 0, got 0.0"),
+            (
+                ["session", "omnc", "0", "39", "--nodes", "40", "--blocks", "0"],
+                "blocks and block_size must be > 0",
+            ),
+            (["multisession", "--sessions", "0"], "--sessions must be >= 1"),
+        ],
+        ids=["fig2-sessions", "fig3-jobs", "fig4-retries", "fig5-timeout",
+             "session-blocks", "multisession-sessions"],
+    )
+    def test_bad_numeric_option(self, argv, message, capsys):
+        # Each used to end in a ValueError traceback from a config
+        # constructor (multisession: a bare SystemExit string, exit 1).
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"repro {argv[0]}: error: {message}\n"
         assert captured.out == ""
 
 

@@ -1,9 +1,9 @@
-"""Smoke coverage for the runnable surfaces: examples and module mains.
+"""Smoke coverage for the runnable surfaces: examples and figure reports.
 
 Examples are user-facing documentation; a broken example is a broken
 promise.  These tests compile every example and exercise the cheap
-module entry points end-to-end (figure mains run at smoke scale via
-direct function calls elsewhere; here we check the printing paths).
+figure entry points end-to-end (figures run at smoke scale via direct
+function calls elsewhere; here we check the printing paths).
 """
 
 import pathlib
@@ -38,18 +38,22 @@ class TestExamplesCompile:
 
 class TestModuleMains:
     def test_fig1_main_prints_table(self, capsys):
-        from repro.experiments.fig1_convergence import main
+        from repro.experiments.fig1_convergence import report, run_fig1
 
-        main()
+        report(run_fig1())
         out = capsys.readouterr().out
         assert "Figure 1" in out
         assert "LP optimum" in out
 
     def test_coding_speed_main(self, capsys):
-        from repro.experiments.coding_speed import run_coding_speed
+        from repro.experiments.coding_speed import report, run_coding_speed
 
         points = run_coding_speed(shapes=[(8, 64)])
         assert points[0].speedup > 1
+        report(points)
+        out = capsys.readouterr().out
+        assert "8x64" in out
+        assert "paper claim: 3-5x" in out
 
     def test_cli_fig1(self, capsys):
         from repro.cli import main

@@ -16,7 +16,9 @@ from repro.exec import (
     ResultCache,
     WorkerCallError,
     WorkerPool,
+    execute_calls,
     execute_jobs,
+    job_key,
     run_serial,
     stable_hash,
 )
@@ -40,6 +42,10 @@ def _crash(_payload):
 def _sleep(seconds):
     time.sleep(seconds)
     return seconds
+
+
+def _cube(payload):
+    return payload**3
 
 
 def _touch_and_square(payload):
@@ -323,6 +329,51 @@ class TestExecuteJobs:
         assert registry2.snapshot()["exec.cache_hits"]["value"] == 3
 
 
+class TestExecuteCalls:
+    """The one figure-job path: keys from the call, values or a named raise."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_values_in_submission_order(self, jobs):
+        calls = [(_square, 3), (_cube, 2), (_square, 1), (_cube, 3)]
+        assert execute_calls(calls, ExecutionPolicy(jobs=jobs)) == [9, 8, 1, 27]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_failed_call_raises_naming_the_cell(self, jobs):
+        calls = [(_square, 2), (_raise_value_error, 7), (_square, 4)]
+        with pytest.raises(
+            RuntimeError,
+            match=r"_raise_value_error\(7\) failed: ValueError: bad payload 7",
+        ):
+            execute_calls(calls, ExecutionPolicy(jobs=jobs))
+
+    def test_equal_calls_share_a_key_and_others_do_not(self):
+        from dataclasses import replace
+
+        from repro.experiments.fig7_finite_length import (
+            Fig7Config,
+            Fig7DecodeJob,
+            Fig7GoodputJob,
+            execute_fig7_decode_job,
+            execute_fig7_goodput_job,
+        )
+
+        serial = Fig7GoodputJob(config=Fig7Config.smoke(), loss=0.3, arm="static")
+        key = job_key(execute_fig7_goodput_job, serial)
+        assert key == job_key(
+            execute_fig7_goodput_job,
+            Fig7GoodputJob(config=Fig7Config.smoke(), loss=0.3, arm="static"),
+        )
+        # CI byte-compares a serial and a two-shard fig7: they must not
+        # share cache entries.
+        assert key != job_key(execute_fig7_goodput_job, replace(serial, shards=2))
+        assert key != job_key(execute_fig7_goodput_job, replace(serial, arm="adaptive"))
+        decode = Fig7DecodeJob(config=Fig7Config.smoke(), loss=0.3, systematic=False)
+        assert job_key(execute_fig7_decode_job, decode) != job_key(
+            execute_fig7_goodput_job, decode
+        )
+        assert job_key(_square, 2) != job_key(_cube, 2)
+
+
 class TestPersistentWorkerGroup:
     """Long-lived stateful workers: the sharded emulator's substrate."""
 
@@ -345,8 +396,8 @@ class TestPersistentWorkerGroup:
         # has to read as the worker's failure, not as a raw OSError.
         group = WorkerPool(2).persistent(_counter_factory, [0, 0])
         try:
-            group._procs[1].kill()
-            group._procs[1].join(5)
+            group._workers[1].process.kill()
+            group._workers[1].process.join(5)
             assert group.call_each("add", {0: 1}) == {0: 1}
             for _ in range(2):
                 with pytest.raises(WorkerCallError, match="died") as info:
@@ -354,7 +405,7 @@ class TestPersistentWorkerGroup:
                 assert info.value.worker == 1
         finally:
             group.close()
-        assert not any(process.is_alive() for process in group._procs)
+        assert not any(worker.process.is_alive() for worker in group._workers)
 
     def test_factory_error_fails_construction(self):
         with pytest.raises(WorkerCallError, match="cannot build state"):

@@ -1,6 +1,8 @@
 """The distributed rate control algorithm (paper Table 1)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.optimization.problem import session_graph_from_network
 from repro.optimization.rate_control import (
@@ -16,6 +18,8 @@ from repro.topology.random_network import (
     diamond_topology,
     fig1_sample_topology,
 )
+from tests.meshes import lossy_meshes
+from tests.reference import single_feasible_scaling
 
 
 def fig1_graph():
@@ -234,3 +238,23 @@ class TestFeasibleScaling:
         graph = session_graph_from_network(diamond_topology(), 0, 3)
         scaled, factor = feasible_scaling(graph, {n: 0.0 for n in graph.nodes})
         assert factor == 1.0
+
+    @given(lossy_meshes(), st.booleans(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_single_session_body(self, net, saturate, data):
+        # ``feasible_scaling`` is ``multi_feasible_scaling`` over one graph;
+        # the body it replaced (tests/reference.py) is its oracle, to the bit.
+        source = data.draw(st.integers(0, net.node_count - 1))
+        destination = data.draw(
+            st.integers(0, net.node_count - 2).map(
+                lambda d: d if d < source else d + 1
+            )
+        )
+        graph = session_graph_from_network(net, source, destination)
+        rates = {
+            node: data.draw(st.sampled_from((0.0, 0.25, 1.0)) | st.floats(0.0, 2.0))
+            for node in graph.nodes
+        }
+        assert repr(feasible_scaling(graph, rates, saturate=saturate)) == repr(
+            single_feasible_scaling(graph, rates, saturate=saturate)
+        )

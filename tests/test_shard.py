@@ -613,13 +613,15 @@ class TestBarrierFailure:
     """A dead shard is reported with shard, phase and slot, in bounded time."""
 
     def _kill(self, session, shard):
-        process = session._core.group._procs[shard]
+        process = session._core.group._workers[shard].process
         os.kill(process.pid, signal.SIGKILL)
         process.join(5)
 
     def _assert_no_children(self, session):
         session.close()
-        assert not any(process.is_alive() for process in session._core.group._procs)
+        assert not any(
+            worker.process.is_alive() for worker in session._core.group._workers
+        )
 
     def test_live_shard_killed_between_steps(self):
         session = line_session(line_network(64), 2)
