@@ -14,7 +14,7 @@ list) that are awake, in ascending order, and is the only per-runtime
 sweep of the slot loop (:class:`~repro.emulator.engine.EngineCore`).
 Runtimes leave the set
 when :meth:`tick` finds them dormant and come back through
-:meth:`wake` (a delivery) or :meth:`wake_all` (anything that reaches
+:meth:`wake` (a delivery) or :meth:`wake_everyone` (anything that reaches
 into runtimes from outside the loop).
 """
 
@@ -48,7 +48,7 @@ class AwakeSet:
             self.positions.append(position)
             self._sorted = False
 
-    def wake_all(self) -> None:
+    def wake_everyone(self) -> None:
         """Put every runtime back in the sweep."""
         count = len(self._parked)
         if len(self.positions) != count:

@@ -39,7 +39,14 @@ import numpy as np
 from repro import obs
 from repro.emulator.awake import AwakeSet
 from repro.emulator.channel import LossyBroadcastChannel
-from repro.emulator.node import MultiSessionNodeRuntime, NodeRuntime, UnicastRuntime
+from repro.emulator.node import (
+    MultiSessionNodeRuntime,
+    NodeRuntime,
+    RuntimeTerms,
+    UnicastRuntime,
+    install_runtimes,
+)
+from repro.emulator.plan import NodeSettings
 from repro.emulator.scheduler import ConflictGraph, IdealMacScheduler
 from repro.topology.graph import Link, WirelessNetwork
 from repro.util.rng import NodeStreams, RngFactory, StreamBank
@@ -73,6 +80,9 @@ Record = Tuple[Any, int, List[Event]]
 Epoch = Tuple[int, Optional[Sequence[Sequence[Any]]], bool]
 #: A core's entry in a slot's lottery: (awake count, keys, participant positions).
 Contention = Tuple[int, List[float], List[int]]
+#: A re-plan, for one core: the settings of the nodes it hosts, every
+#: participant, and the terms that build a runtime it lacks.
+Install = Tuple[NodeSettings, Tuple[int, ...], RuntimeTerms]
 
 
 def _padded(rows: Sequence[Sequence[int]], pad: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -89,6 +99,7 @@ def _padded(rows: Sequence[Sequence[int]], pad: int) -> Tuple[np.ndarray, np.nda
 class EngineStats:
     """Aggregate counters of a run (merged over its cores).
 
+    ``blocks_decoded``: see :attr:`NodeRuntime.blocks_decoded`.
     ``node_sessions``, multi-session runs only: per composite-hosting
     node, ``{"sessions": {sid: {...}}, "xor_transmissions": int}``.
     """
@@ -99,6 +110,7 @@ class EngineStats:
     queue_time_sum: Dict[int, float] = field(default_factory=dict)
     transmissions: Dict[int, int] = field(default_factory=dict)
     delivered_links: Set[Link] = field(default_factory=set)
+    blocks_decoded: int = 0
     node_sessions: Dict[int, Dict[str, Any]] = field(default_factory=dict)
 
     def average_queue(self, node: int) -> float:
@@ -218,7 +230,7 @@ class EngineCore:
         self._registry = registry
         self._has_unicast = init.has_unicast
         self._traced = init.traced
-        factory = RngFactory(init.seed)
+        self._factory = factory = RngFactory(init.seed)
         self._mac = NodeStreams(factory, "mac")
         self._loss = NodeStreams(factory, "channel")
         self._capture = NodeStreams(factory, "capture")
@@ -359,7 +371,7 @@ class EngineCore:
             self._covered_counts: List[int] = [0] * node_count
         # Whoever asked for the refresh may have swapped plans or
         # runtime objects: nothing stays parked.
-        self._awake.wake_all()
+        self._awake.wake_everyone()
 
     # -- slot phases ---------------------------------------------------
 
@@ -370,7 +382,7 @@ class EngineCore:
         a per-session advance, a session arrival or departure — queued
         by the session since the last call reached this core.
         """
-        self._awake.wake_all()
+        self._awake.wake_everyone()
         for method, *arguments in events:
             for runtime in self._runtime_list:
                 getattr(runtime, method)(*arguments)
@@ -770,18 +782,21 @@ class EngineCore:
         self._channel.set_network(network)
         self._build_structures()
 
-    def rebuild(self, runtimes: Optional[Dict[int, NodeRuntime]] = None) -> None:
-        """Refresh the precomputed structures after a plan swap.
-
-        ``runtimes`` replaces the hosted set, and with it the
-        participant set, by live objects: for the core that hosts every
-        node (runtime objects do not travel to a worker mid-run).
+    def install_plan(self, plan: Install) -> None:
+        """A re-plan where the nodes live: retune, build and drop hosted
+        runtimes (:func:`~repro.emulator.node.install_runtimes`) and host
+        the result among the new participants.  A built runtime draws
+        from this core's seed and reports to this core's recorder, as
+        one built with the session would; a dropped node's counters stay.
         """
-        if runtimes is None:
-            self._build_structures()
-        else:
-            self._flush_queue_time()
-            self._host(runtimes, tuple(sorted(runtimes)))
+        settings, participants, terms = plan
+        self._flush_queue_time()
+        log = self._log
+        runtimes = install_runtimes(
+            settings, self._runtimes, terms,
+            coding=self._factory, on_decoded=log, on_delivered=log.deliver,
+        )
+        self._host(runtimes, participants)
 
     def apply_plan(self, updates: Mapping[int, Mapping[str, Any]]) -> None:
         """Hot-swap plan parameters on the hosted ones of ``updates``' nodes."""
@@ -789,10 +804,6 @@ class EngineCore:
             if node in self._positions:
                 self._runtimes[node].apply_plan(**params)
                 self._awake.wake(self._positions[node])
-
-    def wake_all(self, _argument: None = None) -> None:
-        """Re-examine every hosted runtime on the next slot."""
-        self._awake.wake_all()
 
     def close(self) -> None:
         """Nothing to release: the core lives and dies with its process."""
@@ -814,6 +825,7 @@ class EngineCore:
             "queue_time_sum": dict(self._queue_time),
             "transmissions": dict(self._transmissions),
             "delivered_links": sorted(self._delivered_links),
+            "blocks_decoded": sum(runtime.blocks_decoded for runtime in self._runtime_list),
             "node_sessions": {
                 node: {
                     "sessions": runtime.session_stats(),

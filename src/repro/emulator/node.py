@@ -18,6 +18,9 @@ public classes are payload stores plugged into the shared roles:
 buffer, progressive Gauss-Jordan decoder), ``Flow*`` keep an information
 level.  :class:`UnicastRuntime` is the classic store-and-forward FIFO
 for ETX routing, with MAC-layer retransmissions handled by the engine.
+:func:`install_runtimes` builds all seven from a plan's per-node
+settings and retunes them with a later plan's, in whichever process
+hosts them.
 
 All coded runtimes run in coefficient-only mode: coding vectors are
 simulated exactly (innovation, rank, decodability are all real), payload
@@ -29,7 +32,8 @@ examples demonstrate full-payload operation end-to-end.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Sequence, Tuple, TypeAlias
+from dataclasses import dataclass
+from typing import Any, Callable, Deque, Dict, List, Mapping, Sequence, Tuple, TypeAlias
 
 import numpy as np
 
@@ -37,7 +41,8 @@ from repro.coding.decoder import ProgressiveDecoder
 from repro.coding.encoder import RelayReEncoder, SourceEncoder
 from repro.coding.generation import Generation
 from repro.coding.packet import CodedPacket
-from repro.emulator.plan import CodingParams
+from repro.emulator.plan import CodingParams, NodeSettings
+from repro.util.rng import RngFactory
 
 #: Anything a runtime can put on the air.  A session only ever wires
 #: one fidelity's runtimes together, so the shared roles take packets as
@@ -53,6 +58,10 @@ _UNSET = object()
 
 class NodeRuntime:
     """Interface every emulated node implements."""
+
+    #: A single-session destination's decoded blocks, each generation
+    #: at the size it ran; 0 for every other runtime.
+    blocks_decoded = 0
 
     def __init__(self, node_id: int) -> None:
         self.node_id = node_id
@@ -818,6 +827,86 @@ class UnicastRuntime(NodeRuntime):
 
     def queue_length(self) -> int:
         return len(self._queue)
+
+
+@dataclass(frozen=True)
+class RuntimeTerms:
+    """What building a plan's runtimes takes besides each node's settings:
+    the plan's shape and the session's packet terms (``fidelity`` is the
+    session config's ``"flow"`` or ``"exact"``).  Plain data, so a
+    re-plan builds the runtimes it adds in the process that hosts them.
+    """
+
+    kind: str
+    source: int
+    destination: int
+    session_id: int
+    blocks: int
+    packet_bytes: int
+    queue_limit: int
+    fidelity: str
+    systematic: bool
+
+
+def install_runtimes(
+    settings: NodeSettings,
+    existing: Mapping[int, NodeRuntime],
+    terms: RuntimeTerms,
+    *,
+    coding: RngFactory,
+    on_decoded: Callable[[int], None] | None = None,
+    on_delivered: Callable[[int], None] | None = None,
+) -> Dict[int, NodeRuntime]:
+    """Make ``existing`` runtimes what a plan's ``settings`` want each node to be.
+
+    The one place a plan meets the data plane.  For every node in
+    ``settings`` (a plan's ``node_settings``): a runtime already in
+    ``existing`` is retuned in place with ``apply_plan(**settings)`` —
+    its buffers, decoder rank, queue, credit and generation state
+    survive; a missing one is built from the same settings and
+    ``terms``.  Nodes ``settings`` does not list are absent from the
+    result (a dropped forwarder's queued packets are lost, as a silenced
+    real node's would be).  ``existing={}`` is a fresh build.
+
+    Exact-fidelity senders draw coefficients from
+    ``coding.derive("coding", node)``, a pure function of the seed and
+    the node: the same draws wherever the runtime is built.  Coded plans
+    wire new destinations to ``on_decoded``, unicast plans wire new
+    nodes' delivery callback to ``on_delivered``.
+    """
+    exact = terms.fidelity == "exact"
+    sid, blocks, size, limit = terms.session_id, terms.blocks, terms.packet_bytes, terms.queue_limit
+    installed: Dict[int, NodeRuntime] = {}
+    for node, params in settings.items():
+        runtime = existing.get(node)
+        if runtime is not None:
+            runtime.apply_plan(**params)
+        elif terms.kind == "unicast":
+            runtime = UnicastRuntime(
+                node, packet_bytes=size, queue_limit=limit, on_delivered=on_delivered, **params
+            )
+        elif node == terms.destination:
+            decoded = on_decoded if on_decoded is not None else (lambda _gen: None)
+            if exact:
+                runtime = CodedDestinationRuntime(node, sid, blocks, decoded)
+            else:
+                runtime = FlowDestinationRuntime(node, sid, blocks, decoded)
+        elif node == terms.source and exact:
+            runtime = CodedSourceRuntime(
+                node, sid, blocks, packet_bytes=size, rng=coding.derive("coding", node),
+                queue_limit=limit, systematic=terms.systematic, **params,
+            )
+        elif node == terms.source:
+            runtime = FlowSourceRuntime(
+                node, sid, blocks, packet_bytes=size, queue_limit=limit, **params
+            )
+        elif exact:
+            rng = coding.derive("coding", node)
+            runtime = CodedRelayRuntime(node, sid, blocks, size, rng, queue_limit=limit, **params)
+        else:
+            runtime = FlowRelayRuntime(node, sid, blocks, size, queue_limit=limit, **params)
+        installed[node] = runtime
+    return installed
 
 
 class XorPacket:

@@ -27,10 +27,12 @@ optimization (or heuristic) runs once per session, then the data plane
 simply follows it.  How it follows is the plan's own answer:
 ``node_settings(network, cbr)`` lists, per node the plan wants in the
 session, the ``apply_plan`` keyword arguments that make a runtime
-behave as planned (``cbr`` is the offered load in bytes/second).  The
-installer in :mod:`repro.emulator.session` builds missing runtimes from
-those settings and retunes live ones with them, so a fresh build and a
-mid-run hot-swap are the same operation.
+behave as planned (``cbr`` is the offered load in bytes/second).  One
+installer, :func:`repro.emulator.node.install_runtimes`, builds missing
+runtimes from those settings and retunes live ones with them, so a
+fresh build and a mid-run hot-swap are the same operation; a session
+runs it in the process that hosts each node
+(:meth:`repro.emulator.shard.ShardedSession.install_plan`).
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ from repro.coding.generation import GenerationParams
 from repro.routing.node_selection import ForwarderSet
 from repro.topology.graph import WirelessNetwork
 
-#: Ordered ``{node: apply_plan keyword arguments}`` — the shape
-#: ``apply_plan_updates`` ships to engines and shard workers.
+#: Ordered ``{node: apply_plan keyword arguments}`` — the shape plan
+#: installs and ``apply_plan_updates`` ship to engines and shard workers.
 NodeSettings = Dict[int, Dict[str, Any]]
 
 
@@ -251,5 +253,5 @@ class UnicastPathPlan:
 
 
 #: Any plan a session driver can execute (see
-#: :func:`repro.emulator.session.install_plan`).
+#: :func:`repro.emulator.node.install_runtimes`).
 SessionPlan = CodedBroadcastPlan | CreditBroadcastPlan | UnicastPathPlan

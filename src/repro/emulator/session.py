@@ -23,16 +23,7 @@ from repro.coding.generation import (
     MAX_GENERATION_BLOCKS,
 )
 from repro.coding.packet import HEADER_BYTES
-from repro.emulator.node import (
-    CodedDestinationRuntime,
-    CodedRelayRuntime,
-    CodedSourceRuntime,
-    FlowDestinationRuntime,
-    FlowRelayRuntime,
-    FlowSourceRuntime,
-    NodeRuntime,
-    UnicastRuntime,
-)
+from repro.emulator.node import NodeRuntime, RuntimeTerms, install_runtimes
 from repro.emulator.plan import SessionPlan
 from repro.emulator.shard import ShardedSession, _DecodeLog
 from repro.emulator.trace import SessionTracer
@@ -201,97 +192,21 @@ def plan_packet_bytes(config: SessionConfig, plan: SessionPlan) -> int:
     return config.coded_packet_bytes()
 
 
-def install_plan(
-    network: WirelessNetwork,
-    plan: SessionPlan,
-    existing: Mapping[int, NodeRuntime],
-    *,
-    session_id: int = 1,
-    config: SessionConfig,
-    rng: RngFactory,
-    on_decoded: Callable[[int], None] | None = None,
-    on_delivered: Callable[[int], None] | None = None,
-    cbr: float | None = None,
-) -> Dict[int, NodeRuntime]:
-    """Make ``existing`` runtimes what ``plan`` wants each node to be.
-
-    The one place a plan meets the data plane.  For every node in
-    ``plan.node_settings(network, cbr)``: a runtime already in
-    ``existing`` is retuned in place with ``apply_plan(**settings)`` —
-    its buffers, decoder rank, queue, credit and generation state
-    survive; a missing one is constructed from the same settings.  Nodes
-    the plan does not list are absent from the result (a dropped
-    forwarder's queued packets are lost, as a silenced real node's would
-    be).  ``existing={}`` is a fresh build; passing a session's live
-    runtimes is the hot-swap (follow it with
-    :meth:`~repro.emulator.shard.ShardedSession.rebuild_runtime_structures`).
-
-    ``cbr`` is the offered load in bytes/second (default: the config's
-    ``cbr_fraction`` of channel capacity).  Coded plans wire new
-    destinations to ``on_decoded``, unicast plans wire new nodes'
-    delivery callback to ``on_delivered``.
-    """
-    if cbr is None:
-        cbr = config.cbr_fraction * network.capacity
-    packet_bytes = plan_packet_bytes(config, plan)
-    exact = config.coding_fidelity == "exact"
-    blocks, limit = config.blocks, config.queue_limit
-    installed: Dict[int, NodeRuntime] = {}
-    for node, settings in plan.node_settings(network, cbr).items():
-        runtime = existing.get(node)
-        if runtime is not None:
-            runtime.apply_plan(**settings)
-        elif plan.kind == "unicast":
-            runtime = UnicastRuntime(
-                node,
-                packet_bytes=packet_bytes,
-                queue_limit=limit,
-                on_delivered=on_delivered,
-                **settings,
-            )
-        elif node == plan.destination:
-            decoded = on_decoded if on_decoded is not None else (lambda _gen: None)
-            if exact:
-                runtime = CodedDestinationRuntime(node, session_id, blocks, decoded)
-            else:
-                runtime = FlowDestinationRuntime(node, session_id, blocks, decoded)
-        elif node == plan.source:
-            if exact:
-                runtime = CodedSourceRuntime(
-                    node,
-                    session_id,
-                    blocks,
-                    packet_bytes=packet_bytes,
-                    rng=rng.derive("coding", node),
-                    queue_limit=limit,
-                    systematic=config.systematic,
-                    **settings,
-                )
-            else:
-                runtime = FlowSourceRuntime(
-                    node,
-                    session_id,
-                    blocks,
-                    packet_bytes=packet_bytes,
-                    queue_limit=limit,
-                    **settings,
-                )
-        elif exact:
-            runtime = CodedRelayRuntime(
-                node,
-                session_id,
-                blocks,
-                packet_bytes,
-                rng.derive("coding", node),
-                queue_limit=limit,
-                **settings,
-            )
-        else:
-            runtime = FlowRelayRuntime(
-                node, session_id, blocks, packet_bytes, queue_limit=limit, **settings
-            )
-        installed[node] = runtime
-    return installed
+def plan_runtime_terms(
+    config: SessionConfig, plan: SessionPlan, session_id: int = 1
+) -> RuntimeTerms:
+    """What building ``plan``'s runtimes takes besides their settings."""
+    return RuntimeTerms(
+        kind=plan.kind,
+        source=plan.source,
+        destination=plan.destination,
+        session_id=session_id,
+        blocks=config.blocks,
+        packet_bytes=plan_packet_bytes(config, plan),
+        queue_limit=config.queue_limit,
+        fidelity=config.coding_fidelity,
+        systematic=config.systematic,
+    )
 
 
 #: Default protocol label per plan kind.
@@ -310,16 +225,16 @@ def build_plan_runtimes(
 ) -> Tuple[Dict[int, NodeRuntime], str]:
     """Construct the per-node runtimes any plan type needs, plus a label.
 
-    :func:`install_plan` onto nothing, with any plan-carried coding
-    decision folded into the config first.
+    :func:`~repro.emulator.node.install_runtimes` onto nothing, at the
+    config's offered load, with any plan-carried coding decision folded
+    into the config first.
     """
-    runtimes = install_plan(
-        network,
-        plan,
+    config = plan_coding_config(config or SessionConfig(), plan)
+    runtimes = install_runtimes(
+        plan.node_settings(network, config.cbr_fraction * network.capacity),
         {},
-        session_id=session_id,
-        config=plan_coding_config(config or SessionConfig(), plan),
-        rng=rng or RngFactory(0),
+        plan_runtime_terms(config, plan, session_id),
+        coding=rng or RngFactory(0),
         on_decoded=on_decoded,
         on_delivered=on_delivered,
     )
@@ -342,17 +257,18 @@ def open_session(
 
     Returns the session (one slot = one of the plan's packets at channel
     capacity) and the recorder its destination reports to: decoded ACKs
-    for coded plans, the delivery count for unicast ones.
-    ``registry``/``tracer`` flow through to the session; when omitted it
-    falls back to the global :mod:`repro.obs` registry, so a
-    ``with obs.collecting():`` block instruments the whole session with
-    no further plumbing.
+    for coded plans, the delivery count for unicast ones.  A
+    plan-carried coding decision is folded into ``config`` first
+    (:func:`plan_coding_config`).  ``registry``/``tracer`` flow through
+    to the session; when omitted it falls back to the global
+    :mod:`repro.obs` registry, so a ``with obs.collecting():`` block
+    instruments the whole session with no further plumbing.
     """
+    config = plan_coding_config(config, plan)
     log = _DecodeLog()
-    runtimes = install_plan(
+    runtimes, _label = build_plan_runtimes(
         network,
         plan,
-        {},
         session_id=session_id,
         config=config,
         rng=rng,
@@ -483,7 +399,7 @@ def run_sharded_session(
         stats.transmissions,
         stats.delivered_links,
         ack_times=ack_times,
-        blocks_decoded=len(ack_times) * config.blocks,
+        blocks_decoded=stats.blocks_decoded,
         packets_delivered=log.delivered if unicast else None,
     )
 

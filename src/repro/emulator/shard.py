@@ -52,10 +52,12 @@ from repro.emulator.engine import (
     Entry,
     Epoch,
     Event,
+    Install,
     Record,
     _DecodeLog,
 )
-from repro.emulator.node import NodeRuntime, UnicastRuntime
+from repro.emulator.node import NodeRuntime, RuntimeTerms, UnicastRuntime
+from repro.emulator.plan import NodeSettings, SessionPlan
 from repro.emulator.scheduler import ConflictGraph, IdealMacScheduler
 from repro.emulator.trace import SessionTracer
 from repro.exec.pool import PersistentWorkerGroup, WorkerCallError, WorkerPool
@@ -115,6 +117,7 @@ class ShardedCores:
         self, init: CoreInit, shards: int, start_method: str | None, registry: obs.MetricsRegistry
     ) -> None:
         self._owner = owner = partition_positions(init.network.positions, shards)
+        self._network = init.network
         self._participants = init.participants
         self._has_unicast = init.has_unicast
         self._two_hop = init.interference == "conflict_free"
@@ -122,7 +125,7 @@ class ShardedCores:
         self._slots = 0  # executed or stalled so far, for failure reports
         self._everyone = range(shards)
         self._live = list(self._everyone)
-        self._index(init.network)
+        self._index()
         pool = WorkerPool(shards, start_method=start_method)
         self.group: PersistentWorkerGroup = pool.persistent(
             EngineCore,
@@ -139,11 +142,11 @@ class ShardedCores:
             ],
         )
 
-    def _index(self, network: WirelessNetwork) -> None:
+    def _index(self) -> None:
         """The boundary — participants with a neighbour hosted by another
         worker, the only transmitters whose slot needs the cross-cut
         phases — and the scheduler for slots several workers contend in."""
-        owner = self._owner
+        network, owner = self._network, self._owner
         self._boundary = frozenset(
             node
             for node in self._participants
@@ -252,10 +255,19 @@ class ShardedCores:
 
     def set_network(self, network: WirelessNetwork) -> None:
         self._everywhere("set_network", network)
-        self._index(network)
+        self._network = network
+        self._index()
 
-    def rebuild(self, runtimes: None = None) -> None:
-        self._everywhere("rebuild")
+    def install_plan(self, plan: Install) -> None:
+        """Every worker hears of it, with the settings of the nodes it holds."""
+        settings, participants, terms = plan
+        shares: Dict[int, NodeSettings] = {shard: {} for shard in self._everyone}
+        for node, params in settings.items():
+            shares[self._owner[node]][node] = params
+        self._live = list(self._everyone)
+        self._call("install_plan", {s: (share, participants, terms) for s, share in shares.items()})
+        self._participants = participants
+        self._index()
 
     def apply_plan(self, updates: Mapping[int, Mapping[str, Any]]) -> None:
         self._everywhere("apply_plan", updates)  # each worker picks out its own
@@ -269,7 +281,7 @@ class ShardedCores:
             for key, part in reply.items():
                 if isinstance(part, dict):  # per node, and workers host disjoint nodes
                     merged[key].update(part)
-                else:  # the delivered links
+                else:  # the delivered links, the decoded blocks
                     merged[key] += part
         return merged
 
@@ -281,16 +293,17 @@ class ShardedCores:
 class ShardedSession:
     """One emulated session over ``shards`` cores (see the module docstring).
 
-    ``shards=1`` hosts the one core in this process, so the caller's
-    runtime objects stay live (:attr:`runtimes`); ``shards>1`` ships
-    each strip's runtimes to a worker and reaches them only through
-    the core's methods.  ``decode_log`` is the recorder the runtimes'
+    ``shards=1`` hosts the one core in this process; ``shards>1`` ships
+    each strip's runtimes to a worker.  Either way the runtimes are
+    reached only through the core's methods: signals, plan updates and
+    plan installs.  ``decode_log`` is the recorder the runtimes'
     destination callbacks were wired to; the session replays decodes
     and deliveries into it in slot order.
 
     Read-only attributes: ``shards`` (core count), ``network`` (the
-    topology currently emulated), ``slot_duration`` (seconds of airtime
-    per slot), ``slots`` (executed) and ``now`` (emulated seconds elapsed).
+    topology currently emulated), ``participants`` (the nodes with a
+    runtime, ascending), ``slot_duration`` (seconds of airtime per
+    slot), ``slots`` (executed) and ``now`` (emulated seconds elapsed).
     """
 
     #: Most slots one epoch may run: bounds what is buffered (in a
@@ -319,7 +332,7 @@ class ShardedSession:
             raise ValueError(f"shards must be >= 1, got {shards}")
         require_shardable(network, shards)
         self.network = network
-        self._runtimes = runtimes
+        self.participants = tuple(sorted(runtimes))
         self.slot_duration = slot_duration
         self._tracer = tracer
         self._log = decode_log if decode_log is not None else _DecodeLog()
@@ -337,7 +350,7 @@ class ShardedSession:
         init = CoreInit(
             network=network,
             runtimes=runtimes,
-            participants=tuple(sorted(runtimes)),
+            participants=self.participants,
             slot_duration=slot_duration,
             interference=interference,
             seed=rng_factory.seed,
@@ -368,29 +381,6 @@ class ShardedSession:
         return getattr(self._core, method)(argument)
 
     # -- introspection -------------------------------------------------
-
-    @property
-    def runtimes(self) -> Dict[int, NodeRuntime]:
-        """The live per-node runtimes (shared objects, not copies).
-
-        Only an in-process session has them to give: with ``shards > 1``
-        they live in the workers.  The slot loop skips runtimes parked
-        at a fixed point of their tick and cannot see a mutation made
-        from outside it, so every access wakes every runtime: a caller
-        that mutates one later fetches them again (or goes through
-        :meth:`apply_plan_updates`).
-        """
-        self._require_in_process("the live runtime objects")
-        self._control("wake_all")
-        return dict(self._runtimes)
-
-    def _require_in_process(self, what: str) -> None:
-        if self.shards > 1:
-            raise ValueError(
-                f"{what} exist only in a single-process session: with "
-                f"shards={self.shards} every runtime lives in a worker "
-                "process and is reached through plan updates alone"
-            )
 
     def parked_nodes(self) -> Tuple[int, ...]:
         """Nodes the slot loop currently skips (introspection)."""
@@ -550,31 +540,26 @@ class ShardedSession:
         self.network = network
         self._control("set_network", network)
 
-    def rebuild_runtime_structures(
-        self, runtimes: Dict[int, NodeRuntime] | None = None
-    ) -> None:
-        """Refresh the precomputed slot-loop structures mid-run.
+    def install_plan(self, plan: SessionPlan, terms: RuntimeTerms, cbr: float) -> None:
+        """Hot-swap a re-plan: make every runtime what ``plan`` wants its
+        node to be, in the core that hosts the node.
 
-        The live control plane calls this after hot-swapping a plan.
-        ``runtimes`` replaces the runtime *objects* (new forwarders
-        appear, silenced ones may be dropped), which only an in-process
-        session can do; parameter changes reach any session through
-        :meth:`apply_plan_updates`.  RNG streams are preserved, so a
-        rebuild that changes nothing is invisible in the trace.
+        ``plan.node_settings(network, cbr)`` (``cbr``: the offered load
+        in bytes/second) names the new participants.  A listed runtime
+        is retuned in place — buffers, decoder rank, queue, credit and
+        generation state survive; a missing one is built from ``terms``;
+        an unlisted one is dropped, its counters kept in the stats
+        (:func:`~repro.emulator.node.install_runtimes`).  RNG streams are
+        preserved, so re-installing the plan a session already runs is
+        invisible in the trace.
         """
-        if runtimes is not None:
-            self._require_in_process("replacement runtime objects")
-            for node, runtime in runtimes.items():
-                if runtime.node_id != node:
-                    raise ValueError(
-                        f"runtime for node {node} reports id {runtime.node_id}"
-                    )
-            self._runtimes = dict(runtimes)
-        self._control("rebuild", runtimes)
+        settings = plan.node_settings(self.network, cbr)
+        self.participants = tuple(sorted(settings))
+        self._control("install_plan", (settings, self.participants, terms))
 
     def apply_plan_updates(self, updates: Mapping[int, Mapping[str, Any]]) -> None:
         """Hot-swap plan parameters: ``runtime.apply_plan(**params)`` per node."""
-        unknown = sorted(set(updates) - set(self._runtimes))
+        unknown = sorted(set(updates) - set(self.participants))
         if unknown:
             raise KeyError(f"no runtimes for nodes {unknown}")
         self._control("apply_plan", updates)

@@ -11,32 +11,31 @@ re-initiate.  A re-plan:
    (OMNC warm-starts from its previous dual prices);
 2. charges the Sec. 4 control-plane overhead as stalled airtime via
    :meth:`~repro.emulator.shard.ShardedSession.advance_idle`;
-3. hot-swaps the new plan onto the *live* runtimes
-   (:func:`~repro.emulator.session.install_plan`, the same installer
-   that built them): coding buffers, decoder rank, queues and
-   generation state survive; only rates/credits/routes change.  New
-   forwarders get fresh runtimes, dropped ones leave;
-4. refreshes the session's precomputed slot-loop structures.
+3. hot-swaps the new plan onto the *live* runtimes, in the core that
+   hosts each node (:meth:`~repro.emulator.shard.ShardedSession.install_plan`,
+   the same installer that built them): coding buffers, decoder rank,
+   queues and generation state survive; only rates/credits/routes
+   change.  New forwarders get fresh runtimes, dropped ones leave.
 
 RNG discipline: the per-node MAC/channel/capture streams and the coding
 streams are never re-seeded or re-ordered by a re-plan, and scenario
 drift draws live on their own stream — fixed seed + fixed scenario =
-bit-identical traces.
+bit-identical traces, at any shard count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any, List, Tuple
+from typing import List, Tuple
 
 from repro import obs
 from repro.emulator.plan import CodingParams
 from repro.emulator.session import (
     SessionConfig,
     SessionResult,
-    install_plan,
     open_session,
+    plan_runtime_terms,
     session_result,
 )
 from repro.emulator.trace import SessionTracer
@@ -144,7 +143,8 @@ def run_adaptive_session(
 
     The scenario's ``duration`` governs session length (the session
     config's ``max_seconds`` is ignored); control-plane stalls consume
-    session time, so re-planning is never free.
+    session time, so re-planning is never free.  Any ``shards`` gives
+    the same result and trace.
 
     A ``coding_controller`` adds a second control loop: each epoch it
     re-evaluates the generation size (and systematic flag) from the
@@ -153,15 +153,7 @@ def run_adaptive_session(
     generation boundary, so in-flight decodes survive.  The initial
     decision is folded into the session config before runtimes are
     built (the slot and payload accounting see the chosen n).
-
-    ``shards`` must be 1: every re-plan installs the new plan onto the
-    live runtime objects, which a sharded session keeps in its workers.
     """
-    if shards != 1:
-        raise ValueError(
-            "an adaptive session hot-swaps runtime objects at every re-plan "
-            f"and so runs in one process; got shards={shards}"
-        )
     config = config or SessionConfig()
     rng = rng or RngFactory(0)
     metrics = obs.resolve(registry)
@@ -192,15 +184,11 @@ def run_adaptive_session(
         session_id=session_id,
         config=config,
         rng=rng,
+        shards=shards,
         registry=registry,
         tracer=tracer,
     )
     slot = session.slot_duration
-    destination = planner.destination
-    # Kept across re-plans: the installer retunes the destination in
-    # place, so this is the object that counts blocks at the size each
-    # generation actually ran.
-    dest_runtime: Any = session.runtimes[destination]
     target = config.target_generations
 
     def stop() -> bool:
@@ -220,122 +208,114 @@ def run_adaptive_session(
     seen_generations = 0
     seen_deliveries = 0
 
-    while session.slots < total_slots:
-        batch = min(epoch_slots, total_slots - session.slots)
-        session.run(batch, stop_when=None if unicast else stop)
-        generations = len(log.acks)
-        new_generations = generations - seen_generations
-        new_deliveries = log.delivered - seen_deliveries
-        seen_generations = generations
-        seen_deliveries = log.delivered
-        done = session.slots >= total_slots or (
-            not unicast and target > 0 and generations >= target
-        )
+    with session:
+        while session.slots < total_slots:
+            batch = min(epoch_slots, total_slots - session.slots)
+            session.run(batch, stop_when=None if unicast else stop)
+            generations = len(log.acks)
+            new_generations = generations - seen_generations
+            new_deliveries = log.delivered - seen_deliveries
+            seen_generations = generations
+            seen_deliveries = log.delivered
+            done = session.slots >= total_slots or (
+                not unicast and target > 0 and generations >= target
+            )
 
-        changed = timeline.advance_to(session.now)
-        if changed:
-            session.set_network(timeline.network)
-        drift = quality_drift(planned_network, timeline.network, strict=False)
-        m_drift.set(drift)
-        observation = EpochObservation(
-            epoch=epoch,
-            time=session.now,
-            drift=drift,
-            generations_decoded=generations,
-            new_generations=new_generations,
-            new_deliveries=new_deliveries,
-        )
-        replanned = False
-        stall_seconds = 0.0
-        if not done and policy.should_replan(observation):
-            try:
-                plan = planner.plan(timeline.network)
-                cost_seconds = planner.control_cost_seconds(timeline.network)
-            except NodeSelectionError:
-                # Unplannable (e.g. destination cut off by a failure):
-                # keep running the stale plan and retry next epoch.
-                failed_replans += 1
-                m_failed.inc()
-            else:
-                stall_slots = math.ceil(cost_seconds / slot)
-                session.advance_idle(stall_slots)
-                stall_seconds = stall_slots * slot
-                replan_seconds += stall_seconds
-                # Surviving nodes keep their runtime objects; the load
-                # may have moved since the session was built.
-                cbr_fraction = timeline.cbr_fraction
-                if cbr_fraction is None:
-                    cbr_fraction = config.cbr_fraction
-                session.rebuild_runtime_structures(
-                    install_plan(
-                        timeline.network,
-                        plan,
-                        session.runtimes,
-                        session_id=session_id,
-                        config=config,
-                        rng=rng,
-                        on_decoded=log,
-                        on_delivered=log.deliver,
-                        cbr=cbr_fraction * timeline.network.capacity,
-                    )
-                )
-                planned_network = timeline.network
-                replanned = True
-                replans += 1
-                replan_times.append(session.now)
-                m_replans.inc()
-                m_stall.inc(stall_slots)
-                if tracer is not None:
-                    tracer.record(
-                        session.slots, session.now, "replan", -1, detail=epoch
-                    )
-        if coding_controller is not None and not unicast and not done:
-            decision = coding_controller.decide(timeline.network, plan)
-            # Push when the decision changed, and re-push after a
-            # hot-swap: replacement relays were built at the config's
-            # generation size and adopt the live one at their next
-            # generation boundary via the pending-coding path.
-            if decision is not None and (
-                replanned or decision != coding_current
-            ):
-                coding_current = decision
-                session.apply_plan_updates(
-                    {node: {"coding": decision} for node in session.runtimes}
-                )
-                if tracer is not None:
-                    tracer.record(
-                        session.slots, session.now, "coding", -1,
-                        detail=decision.blocks,
-                    )
-        records.append(
-            EpochRecord(
+            changed = timeline.advance_to(session.now)
+            if changed:
+                session.set_network(timeline.network)
+            drift = quality_drift(planned_network, timeline.network, strict=False)
+            m_drift.set(drift)
+            observation = EpochObservation(
                 epoch=epoch,
-                end_time=session.now,
+                time=session.now,
                 drift=drift,
+                generations_decoded=generations,
                 new_generations=new_generations,
                 new_deliveries=new_deliveries,
-                replanned=replanned,
-                stall_seconds=stall_seconds,
             )
-        )
-        epoch += 1
-        if done:
-            break
+            replanned = False
+            stall_seconds = 0.0
+            if not done and policy.should_replan(observation):
+                try:
+                    plan = planner.plan(timeline.network)
+                    cost_seconds = planner.control_cost_seconds(timeline.network)
+                except NodeSelectionError:
+                    # Unplannable (e.g. destination cut off by a failure):
+                    # keep running the stale plan and retry next epoch.
+                    failed_replans += 1
+                    m_failed.inc()
+                else:
+                    stall_slots = math.ceil(cost_seconds / slot)
+                    session.advance_idle(stall_slots)
+                    stall_seconds = stall_slots * slot
+                    replan_seconds += stall_seconds
+                    # Surviving nodes keep their runtime objects; the load
+                    # may have moved since the session was built.
+                    cbr_fraction = timeline.cbr_fraction or config.cbr_fraction
+                    session.install_plan(
+                        plan,
+                        plan_runtime_terms(config, plan, session_id),
+                        cbr_fraction * timeline.network.capacity,
+                    )
+                    planned_network = timeline.network
+                    replanned = True
+                    replans += 1
+                    replan_times.append(session.now)
+                    m_replans.inc()
+                    m_stall.inc(stall_slots)
+                    if tracer is not None:
+                        tracer.record(
+                            session.slots, session.now, "replan", -1, detail=epoch
+                        )
+            if coding_controller is not None and not unicast and not done:
+                decision = coding_controller.decide(timeline.network, plan)
+                # Push when the decision changed, and re-push after a
+                # hot-swap: replacement relays were built at the config's
+                # generation size and adopt the live one at their next
+                # generation boundary via the pending-coding path.
+                if decision is not None and (
+                    replanned or decision != coding_current
+                ):
+                    coding_current = decision
+                    session.apply_plan_updates(
+                        {node: {"coding": decision} for node in session.participants}
+                    )
+                    if tracer is not None:
+                        tracer.record(
+                            session.slots, session.now, "coding", -1,
+                            detail=decision.blocks,
+                        )
+            records.append(
+                EpochRecord(
+                    epoch=epoch,
+                    end_time=session.now,
+                    drift=drift,
+                    new_generations=new_generations,
+                    new_deliveries=new_deliveries,
+                    replanned=replanned,
+                    stall_seconds=stall_seconds,
+                )
+            )
+            epoch += 1
+            if done:
+                break
+        stats = session.finalize_stats()
 
-    stats = session.finalize_stats()
     # Every node that ever held a runtime (re-plans may have dropped
     # some): the stats dicts cover them all, the live runtime set may not.
+    # The destination counted its blocks at the size each generation ran.
     result = session_result(
         planner.label,
         planner.source,
-        destination,
+        planner.destination,
         config.block_size,
         stats.elapsed,
         {n: stats.average_queue(n) for n in stats.transmissions},
         stats.transmissions,
         stats.delivered_links,
         ack_times=[time for _generation, time in log.acks],
-        blocks_decoded=getattr(dest_runtime, "blocks_decoded", 0),
+        blocks_decoded=stats.blocks_decoded,
         packets_delivered=log.delivered if unicast else None,
     )
     return AdaptiveSessionResult(

@@ -238,10 +238,21 @@ class TestAdaptiveSwitchPin:
     """Generation-size switches mid-run, in both drivers."""
 
     RUNNER_SESSION = "ca79d13b8d567bd75e3286bf0edbf63bd8a826c2e8a0775aff8e7d9a74934bd7"
+    #: The runner's trace, whatever the shard count.
+    RUNNER_TRACE = "11eb409ba88657f35afbc1bf57f7d8473f1dd6d0a3d209c2e707ad455c439060"
     SHARDED_STATS = "2da176d1170eafea06f670170b7f9a37d9addfd1cdc6ee67f2869779694fba3f"
     SHARDED_TRACE = "3e08700e14662ae4bbcba77281c109b5457a43999683174a8104b020eeb6f589"
 
     def test_adaptive_runner_digests_match_full_sweep(self):
+        self._runner_digests(1)
+
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_adaptive_runner_digests_hold_in_workers(self, shards):
+        # Re-plans retune and build runtimes in the workers, and the
+        # destination's block count comes back through finalize_stats.
+        self._runner_digests(shards)
+
+    def _runner_digests(self, shards):
         network, source, destination, _plan = planned_mesh()
         controller = make_coding_controller("adaptive", blocks=40, block_size=256)
         scenario = ScenarioSpec(
@@ -263,6 +274,7 @@ class TestAdaptiveSwitchPin:
             rng=RngFactory(6),
             coding_controller=controller,
             tracer=tracer,
+            shards=shards,
         )
         assert len(set(controller.history)) > 1  # the size really switched
         pushed = [event.detail for event in tracer.events(kind="coding")]
@@ -271,6 +283,7 @@ class TestAdaptiveSwitchPin:
         assert result.replans > 0
         assert result.session.generations_decoded > 0
         assert session_digest(result.session) == self.RUNNER_SESSION
+        assert trace_digest(tracer) == self.RUNNER_TRACE
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_sharded_switch_digests_match_full_sweep(self, shards):
@@ -487,7 +500,7 @@ class TestAwakeSet:
         awake.wake(4)  # already awake: no duplicate
         assert awake.tick(probes, 1.0)[0] == [1, 4]
         ticks = [probe.ticks for probe in probes]
-        awake.wake_all()
+        awake.wake_everyone()
         assert awake.parked_positions() == []
         awake.tick(probes, 1.0)
         assert [probe.ticks for probe in probes] == [t + 1 for t in ticks]

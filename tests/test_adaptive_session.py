@@ -21,6 +21,8 @@ from repro.emulator.node import (
 from repro.emulator.session import (
     SessionConfig,
     build_plan_runtimes,
+    open_session,
+    plan_runtime_terms,
     run_coded_session,
     run_unicast_session,
 )
@@ -127,25 +129,33 @@ def _make_engine(network, plan, config, seed, tracer=None):
 
 
 class TestEngineHotSwapLayer:
-    def test_noop_rebuild_is_bit_identical(self, net_pair):
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_reinstalling_the_running_plan_is_invisible(self, net_pair, shards):
         network, source, destination = net_pair
         plan = plan_omnc(network, source, destination)
         config = SessionConfig(max_seconds=20.0)
-        straight = SessionTracer()
-        engine_a = _make_engine(network, plan, config, 9, tracer=straight)
-        engine_a.run(400)
-        rebuilt = SessionTracer()
-        engine_b = _make_engine(network, plan, config, 9, tracer=rebuilt)
-        engine_b.run(150)
-        engine_b.rebuild_runtime_structures()
-        engine_b.run(100)
-        engine_b.set_network(engine_b.network)  # same topology: no-op too
-        engine_b.run(150)
-        assert list(straight.events()) == list(rebuilt.events())
-        assert (
-            engine_a.finalize_stats().transmissions
-            == engine_b.finalize_stats().transmissions
-        )
+
+        def run(shards, tracer, swaps):
+            session, _log = open_session(
+                network, plan, config=config, rng=RngFactory(9), shards=shards, tracer=tracer
+            )
+            with session:
+                session.run(150)
+                if swaps:
+                    session.install_plan(
+                        plan,
+                        plan_runtime_terms(config, plan),
+                        config.cbr_fraction * network.capacity,
+                    )
+                session.run(100)
+                if swaps:
+                    session.set_network(session.network)  # same topology: no-op too
+                session.run(150)
+                return session.finalize_stats().transmissions
+
+        straight, reinstalled = SessionTracer(), SessionTracer()
+        assert run(1, straight, False) == run(shards, reinstalled, True)
+        assert list(straight.events()) == list(reinstalled.events())
 
     def test_advance_idle_semantics(self, net_pair):
         network, source, destination = net_pair
@@ -293,8 +303,8 @@ class TestAdaptiveRuns:
 
 class TestShardedHotSwap:
     """Mid-run control-plane actions on a sharded session reproduce the
-    serial per-node-mode oracle bit for bit: set_network, plan updates,
-    structure rebuilds and idle stalls all land at slot barriers."""
+    serial per-node-mode oracle bit for bit: set_network, plan updates
+    and idle stalls all land at slot barriers."""
 
     def _swap_run(self, network, drifted, plan, shards):
         from repro.emulator import shard as shard_mod
@@ -326,7 +336,6 @@ class TestShardedHotSwap:
             session.set_network(drifted)
             session.run(100)
             session.apply_plan_updates(updates)
-            session.rebuild_runtime_structures()
             session.advance_idle(7)
             session.run(150)
             stats = session.finalize_stats()

@@ -23,11 +23,14 @@ from repro.emulator.node import (
     FlowDestinationRuntime,
     FlowRelayRuntime,
     FlowSourceRuntime,
+    RuntimeTerms,
 )
+from repro.emulator.plan import CodedBroadcastPlan
 from repro.emulator.session import SessionConfig, open_session, run_sharded_session
 from repro.emulator.shard import ShardedSession, _DecodeLog, session_digest, trace_digest
 from repro.emulator.trace import SessionTracer
 from repro.protocols.etx_routing import plan_etx_route
+from repro.routing.node_selection import ForwarderSet
 from repro.topology.partition import partition_positions
 from repro.util.rng import NodeStreams, RngFactory, StreamBank
 from tests.meshes import lossy_meshes
@@ -252,8 +255,32 @@ class TestFormSelection:
                 session.run(50)
 
 
+def _line_plan(network, keep=lambda _node: True):
+    """The plan ``line_runtimes`` follow, with the relays ``keep`` rejects
+    dropped: the source at 10 kB/s (the offered load), the rest at 8."""
+    last = network.node_count - 1
+    rates = {0: 1e4, **{relay: 8e3 for relay in range(1, last) if keep(relay)}}
+    forwarders = ForwarderSet(0, last, frozenset(range(last + 1)), {}, ())
+    return CodedBroadcastPlan(forwarders, rates, predicted_throughput=0.0)
+
+
+def _install(session, plan):
+    terms = RuntimeTerms(
+        kind=plan.kind,
+        source=plan.source,
+        destination=plan.destination,
+        session_id=1,
+        blocks=BLOCKS,
+        packet_bytes=PACKET_BYTES,
+        queue_limit=500,
+        fidelity="flow",
+        systematic=False,
+    )
+    session.install_plan(plan, terms, cbr=1e4)
+
+
 class TestRefresh:
-    """``set_network`` and ``rebuild`` renew the arrays, not the banks."""
+    """``set_network`` and ``install_plan`` renew the arrays, not the banks."""
 
     @staticmethod
     def _banks(core):
@@ -265,7 +292,10 @@ class TestRefresh:
     def _assert_banks_untouched(self, core, before):
         for (bank, values, content, cursor), now in zip(before, (core._mac_bank, core._loss_bank)):
             assert now is bank and bank._values is values
-            assert np.array_equal(values, content) and np.array_equal(bank._cursor, cursor)
+            # Bit for bit: rows no node has drawn into yet hold whatever
+            # ``np.empty`` left there, NaN patterns included.
+            assert values.tobytes() == content.tobytes()
+            assert np.array_equal(bank._cursor, cursor)
 
     def test_structures_follow_the_network_and_banks_stay(self):
         network = line_network(256)
@@ -275,7 +305,7 @@ class TestRefresh:
             session.run(120)
             session.set_network(weaker)
             session.run(60)
-            session.rebuild_runtime_structures()
+            _install(session, _line_plan(network))
             session.run(60)
             return stats_digest(session.finalize_stats())
 
@@ -293,7 +323,8 @@ class TestRefresh:
             self._assert_banks_untouched(core, before)
             session.run(60)
             before, ids = self._banks(core), core._rx_ids
-            session.rebuild_runtime_structures()
+            # Re-installing the plan the line runs: the same hosted set.
+            _install(session, _line_plan(network))
             assert core._rx_ids is not ids and np.array_equal(core._rx_ids, ids)
             self._assert_banks_untouched(core, before)
             session.run(60)
@@ -306,20 +337,20 @@ class TestRefresh:
             with mock.patch.object(engine, "ARRAY_FORM_MIN_HOSTED", constant):
                 session = line_session(network, 1)
             with session:
+                core = session._core
                 session.run(150)
+                before = self._banks(core) if core._arrays else None
                 # Every other node beyond 100 goes: hosted positions shift.
-                kept = {
-                    node: runtime
-                    for node, runtime in session.runtimes.items()
-                    if node < 100 or node % 2
-                }
-                session.rebuild_runtime_structures(kept)
+                _install(session, _line_plan(network, keep=lambda node: node < 100 or node % 2))
+                assert len(core._owned) < 256
+                if before is not None:  # each survivor's row, cursor and values
+                    self._assert_banks_untouched(core, before)
                 session.run(150)
-                return session._core, stats_digest(session.finalize_stats())
+                return core, stats_digest(session.finalize_stats())
 
         _scalar_core, scalar = run(math.inf)
         core, array = run(0)
         assert array == scalar
-        assert core._arrays and len(core._owned) < 256
+        assert core._arrays
         # The first hosted set was every node in order, so row = node id.
         assert core._mac_rows.tolist() == list(core._owned) == core._loss_rows.tolist()

@@ -273,11 +273,17 @@ class TestSessionShards:
             assert usage.value.code == 2
             assert "--shards: must be an integer >= 1" in capsys.readouterr().err
 
-    def test_a_scenario_session_refuses_shards_itself(self):
-        # The adaptive driver's own error, not a CLI pre-check.
-        with pytest.raises(ValueError, match="hot-swaps runtime objects"):
-            main(["session", "omnc", *self.SESSION, "--scenario", "drift",
-                  "--shards", "2"])
+    def test_a_scenario_session_equals_at_any_shard_count(self, capsys):
+        # Re-plans and per-epoch coding pushes reach the runtimes in the
+        # core that hosts them (this used to end in a ValueError).
+        scenario = ["--generations", "0", "--scenario", "drift", "--epoch-seconds", "10",
+                    "--coding", "adaptive"]
+        reports = []
+        for shards in ([], ["--shards", "1"], ["--shards", "2"]):
+            assert main(["session", "omnc", *self.SESSION, *scenario, *shards]) == 0
+            reports.append(capsys.readouterr().out)
+        assert "replans:     1 (" in reports[0]
+        assert reports[0] == reports[1] == reports[2]
 
 
 class TestDomainErrors:

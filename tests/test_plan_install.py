@@ -8,7 +8,10 @@ and recovers a forwarder (the re-plan drops it, a later one re-adds it)
 and changes the offered load in between (the swap's ``cbr`` override).
 All five were re-recorded once since, with no change to the installer:
 when these drivers moved from three global RNG streams to the per-node
-streams of the sharded path (one random universe).
+streams of the sharded path (one random universe).  The adaptive runs
+hold them at shards {1, 2, 4} too, with one trace digest: there a
+re-plan retunes and builds runtimes inside the workers, the re-added
+victim included.
 
 ``TestBuildEqualsSwap`` states the installer's contract directly:
 installing plan B over runtimes built for plan A leaves every node in
@@ -17,7 +20,7 @@ the state a fresh build of B would, wherever the node holds no data.
 
 import pytest
 
-from repro.emulator.node import FlowPacket
+from repro.emulator.node import FlowPacket, install_runtimes
 from repro.emulator.plan import (
     CodedBroadcastPlan,
     CreditBroadcastPlan,
@@ -26,11 +29,11 @@ from repro.emulator.plan import (
 from repro.emulator.session import (
     SessionConfig,
     build_plan_runtimes,
-    install_plan,
+    plan_runtime_terms,
     run_coded_session,
     run_unicast_session,
 )
-from repro.emulator.shard import session_digest
+from repro.emulator.shard import session_digest, trace_digest
 from repro.emulator.trace import SessionTracer
 from repro.protocols.adaptive import make_planner
 from repro.protocols.etx_routing import plan_etx_route
@@ -93,8 +96,27 @@ class TestDriverPins:
         assert result.generations_decoded > 0
         assert session_digest(result) == self.CREDIT_EXACT
 
-    @pytest.mark.parametrize("protocol,fidelity", sorted(ADAPTIVE))
-    def test_adaptive_fail_recover_load(self, mesh, protocol, fidelity):
+    #: The adaptive runs' trace, whatever the shard count.
+    ADAPTIVE_TRACE = {
+        ("more", "flow"): "df5c52759ebf020c816adab8eaf160e1402d753337c03aec7e6bc4ce736e0595",
+        ("more", "exact"): "edcc4c5535df937e554bfb439c9a25e4aca891c4c7d149caaca07806216f66a7",
+        ("etx", "flow"): "4734007fc1120ccddf2a89cabccce069d409340db7b3f090a89513020aafc19a",
+    }
+
+    @pytest.mark.parametrize(
+        "protocol,fidelity,shards",
+        [
+            pytest.param(
+                protocol,
+                fidelity,
+                shards,
+                id="-".join([protocol, fidelity] + ([f"shards{shards}"] if shards > 1 else [])),
+            )
+            for protocol, fidelity in sorted(ADAPTIVE)
+            for shards in (1, 2, 4)
+        ],
+    )
+    def test_adaptive_fail_recover_load(self, mesh, protocol, fidelity, shards):
         scenario = ScenarioSpec(
             name="fail-recover-load",
             duration=40.0,
@@ -116,6 +138,7 @@ class TestDriverPins:
             ),
             rng=RngFactory(5),
             tracer=tracer,
+            shards=shards,
         )
         assert result.replans == 8 and result.failed_replans == 0
         # The victim transmits, falls silent once a re-plan drops it, and
@@ -124,6 +147,7 @@ class TestDriverPins:
         assert any(t < 6.0 for t in times) and any(t > 24.0 for t in times)
         assert not any(10.0 < t < 22.0 for t in times)
         assert session_digest(result.session) == self.ADAPTIVE[protocol, fidelity]
+        assert trace_digest(tracer) == self.ADAPTIVE_TRACE[protocol, fidelity]
 
 
 PLANNERS = {"omnc": plan_omnc, "more": plan_more, "etx": plan_etx_route}
@@ -132,6 +156,18 @@ PLAN_TYPES = {
     "more": CreditBroadcastPlan,
     "etx": UnicastPathPlan,
 }
+
+
+def _install(network, plan, existing, config, cbr=None):
+    """What a core does with a re-plan's settings, in one process."""
+    if cbr is None:
+        cbr = config.cbr_fraction * network.capacity
+    return install_runtimes(
+        plan.node_settings(network, cbr),
+        existing,
+        plan_runtime_terms(config, plan),
+        coding=RngFactory(9),
+    )
 
 
 class TestBuildEqualsSwap:
@@ -163,19 +199,14 @@ class TestBuildEqualsSwap:
         config = SessionConfig(blocks=8, block_size=256, coding_fidelity=fidelity)
         cbr = 0.3 * mesh.capacity  # a load event moved it off the config's
 
-        def install(network, plan, existing, cbr=None):
-            return install_plan(
-                network, plan, existing, config=config, rng=RngFactory(9), cbr=cbr
-            )
-
-        built_a = install(mesh, plan_a, {})
+        built_a = _install(mesh, plan_a, {}, config)
         assert VICTIM in built_a
         assert built_a.keys() == build_plan_runtimes(
             mesh, plan_a, config=config, rng=RngFactory(9)
         )[0].keys()
 
-        swapped = install(without_victim, plan_b, built_a, cbr)
-        fresh_b = install(without_victim, plan_b, {}, cbr)
+        swapped = _install(without_victim, plan_b, built_a, config, cbr)
+        fresh_b = _install(without_victim, plan_b, {}, config, cbr)
         assert VICTIM not in swapped  # B omits it: gone
         assert swapped.keys() == fresh_b.keys()
         for node, runtime in swapped.items():
@@ -184,8 +215,8 @@ class TestBuildEqualsSwap:
             assert freeze(runtime) == freeze(fresh_b[node]), node
 
         # Back to plan A: survivors persist, the victim returns brand new.
-        restored = install(mesh, plan_a, swapped)
-        fresh_a = install(mesh, plan_a, {})
+        restored = _install(mesh, plan_a, swapped, config)
+        fresh_a = _install(mesh, plan_a, {}, config)
         assert restored.keys() == fresh_a.keys()
         assert restored[VICTIM] is not built_a[VICTIM]
         for node, runtime in restored.items():
@@ -197,7 +228,7 @@ class TestBuildEqualsSwap:
         plan_a = plan_more(mesh, SOURCE, DESTINATION)
         plan_b = plan_more(without_victim, SOURCE, DESTINATION)
         config = SessionConfig(blocks=8, block_size=256)
-        built = install_plan(mesh, plan_a, {}, config=config, rng=RngFactory(9))
+        built = _install(mesh, plan_a, {}, config)
         survivor = next(
             node for node in plan_b.tx_credits
             if node in built and plan_b.tx_credits[node] > 0
@@ -206,8 +237,6 @@ class TestBuildEqualsSwap:
         relay.on_receive(FlowPacket(1, 0, 3.0), SOURCE)
         held = relay.information, relay.packets_heard, relay.queue_length()
         assert held[0] == 1.0
-        swapped = install_plan(
-            without_victim, plan_b, built, config=config, rng=RngFactory(9)
-        )
+        swapped = _install(without_victim, plan_b, built, config)
         assert swapped[survivor] is relay
         assert (relay.information, relay.packets_heard, relay.queue_length()) == held
