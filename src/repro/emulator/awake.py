@@ -1,4 +1,4 @@
-"""The awake set: which runtimes a slot still has to visit.
+"""The awake set: which runtime objects a slot still has to visit.
 
 A slot costs what is awake, not what exists.  Most runtimes of a large
 session are silent most of the time — relays downstream of the wave
@@ -10,12 +10,15 @@ queue.  Skipping it is therefore unobservable: no RNG stream, float
 accumulator, trace event or stats field can tell the difference.
 
 :class:`AwakeSet` keeps the positions (indices into a fixed runtime
-list) that are awake, in ascending order, and is the only per-runtime
-sweep of the slot loop (:class:`~repro.emulator.engine.EngineCore`).
-Runtimes leave the set
-when :meth:`tick` finds them dormant and come back through
-:meth:`wake` (a delivery) or :meth:`wake_everyone` (anything that reaches
-into runtimes from outside the loop).
+list) that are awake, in ascending order, and is the per-object sweep
+of the slot loop (:class:`~repro.emulator.engine.EngineCore`): the
+tick, the contender scan and the queue sampling of every runtime a
+scalar core hosts, and of the object rows of an array core, whose flow
+runtimes are columns that keep the same flags array-at-a-time
+(:mod:`repro.emulator.columns`).  Runtimes leave the set when
+:meth:`tick` finds them dormant and come back through :meth:`wake` (a
+delivery) or :meth:`wake_everyone` (anything that reaches into runtimes
+from outside the loop).
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from repro.emulator.node import NodeRuntime
 
 
 class AwakeSet:
-    """Sorted awake positions plus parked flags over ``count`` runtimes."""
+    """Sorted awake positions plus parked flags over ``count`` runtimes,
+    of which ``members`` (default: all) are swept."""
 
     #: Slots between park checks.  A check costs one ``dormant`` call
     #: per idle awake runtime, so it is spread over a few slots; a
@@ -34,10 +38,11 @@ class AwakeSet:
     #: effect) for at most this many extra slots.
     PARK_INTERVAL = 4
 
-    def __init__(self, count: int) -> None:
+    def __init__(self, count: int, members: Sequence[int] | None = None) -> None:
         self._parked: List[bool] = [False] * count
+        self._members = list(range(count)) if members is None else list(members)
         #: The positions the next sweep visits (ascending once swept).
-        self.positions: List[int] = list(range(count))
+        self.positions: List[int] = list(self._members)
         self._sorted = True
         self._ticks = 0
 
@@ -49,11 +54,10 @@ class AwakeSet:
             self._sorted = False
 
     def wake_everyone(self) -> None:
-        """Put every runtime back in the sweep."""
-        count = len(self._parked)
-        if len(self.positions) != count:
-            self._parked = [False] * count
-            self.positions = list(range(count))
+        """Put every member back in the sweep."""
+        if len(self.positions) != len(self._members):
+            self._parked = [False] * len(self._parked)
+            self.positions = list(self._members)
             self._sorted = True
 
     def parked_positions(self) -> List[int]:

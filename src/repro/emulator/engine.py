@@ -31,15 +31,22 @@ protocol-agnostic: behaviour differences live entirely in the runtimes
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from operator import itemgetter
+from typing import (
+    Any, ContextManager, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set,
+    Tuple,
+)
 
 import numpy as np
 
 from repro import obs
 from repro.emulator.awake import AwakeSet
 from repro.emulator.channel import LossyBroadcastChannel
+from repro.emulator.columns import Columns
 from repro.emulator.node import (
+    FlowPacket,
     MultiSessionNodeRuntime,
     NodeRuntime,
     RuntimeTerms,
@@ -51,10 +58,10 @@ from repro.emulator.scheduler import ConflictGraph, IdealMacScheduler
 from repro.topology.graph import Link, WirelessNetwork
 from repro.util.rng import NodeStreams, RngFactory, StreamBank
 
-#: Hosted runtimes from which a core runs the lottery and the broadcast
-#: array-at-a-time (DESIGN.md §13.1, "array form").  Below it the awake
-#: set is a few tens of nodes and the per-node loops win: numpy's call
-#: overhead has nothing to amortise over.
+#: Hosted runtimes from which a core runs the slot array-at-a-time
+#: (DESIGN.md §13.1, "array form").  Below it the awake set is a few tens
+#: of nodes and the per-node loops win: numpy's call overhead has nothing
+#: to amortise over.
 ARRAY_FORM_MIN_HOSTED = 192
 
 #: One packet heard by a receiver: (grant_rank, delivery_pos, sender,
@@ -93,6 +100,39 @@ def _padded(rows: Sequence[Sequence[int]], pad: int) -> Tuple[np.ndarray, np.nda
     array = np.full(own.shape, pad, dtype=np.intp)
     array[own] = [entry for row in rows for entry in row]
     return array, own
+
+
+class _Broadcast(NamedTuple):
+    """One slot's hosted transmissions and their receptions, array form.
+
+    Per transmitter that fired, in grant-rank order: its rank, node and
+    hosted position, whether it is a column row, and its packet — an
+    object row's as popped (``packets``, by index), a column row's as
+    (session, generation, content level), made into a
+    :class:`FlowPacket` only on demand.  ``receivers`` / ``heard`` /
+    ``delivery_pos``: one row per transmitter over its padded receiver row.
+    """
+
+    ranks: np.ndarray
+    nodes: np.ndarray
+    rows: np.ndarray
+    from_columns: np.ndarray
+    packets: Dict[int, Any]
+    sessions: np.ndarray
+    generations: np.ndarray
+    levels: np.ndarray
+    receivers: np.ndarray
+    heard: np.ndarray
+    delivery_pos: np.ndarray
+
+    def packet(self, index: int) -> Any:
+        """The packet transmitter ``index`` put on the air."""
+        packet = self.packets.get(index)
+        if packet is None:
+            packet = self.packets[index] = FlowPacket(
+                int(self.sessions[index]), int(self.generations[index]), float(self.levels[index])
+            )
+        return packet
 
 
 @dataclass
@@ -209,15 +249,17 @@ class EngineCore:
     (:class:`~repro.util.rng.NodeStreams`) — one random universe,
     whichever core hosts the node and whoever else is active.
 
-    The lottery and the broadcast exist in two forms that produce the
-    same draws, grants and arrivals bit for bit: a loop per contender
-    and per neighbour, and — on a core that hosts
+    A slot exists in two forms that produce the same draws, grants,
+    arrivals and runtime state bit for bit.  The scalar form loops: per
+    awake runtime (:class:`~repro.emulator.awake.AwakeSet`), per
+    contender, per neighbour.  The array form — on a core that hosts
     ``ARRAY_FORM_MIN_HOSTED`` runtimes or more, none of them unicast —
-    arrays over all contenders and over all granted transmitters'
-    neighbours at once, fed by pre-drawn blocks of the same per-node
-    streams (:class:`~repro.util.rng.StreamBank`).  The form is picked
-    once, at construction; everything per runtime (tick, packet
-    hand-over, resolve, settle) is the same code in both.
+    works on arrays: keys and loss vectors come from pre-drawn blocks of
+    the same per-node streams (:class:`~repro.util.rng.StreamBank`), and
+    the flow-fidelity runtimes' tick, pop, absorb and queue sampling run
+    over their rows (:class:`~repro.emulator.columns.Columns`); any other
+    runtime stays an object on the awake set.  The form is picked once,
+    at construction.
     """
 
     def __init__(
@@ -234,11 +276,11 @@ class EngineCore:
         self._mac = NodeStreams(factory, "mac")
         self._loss = NodeStreams(factory, "channel")
         self._capture = NodeStreams(factory, "capture")
-        # The form of the lottery and the broadcast is chosen here, once,
-        # from what the core is given to host: a bank holds values its
-        # generators have already produced, so a banked node cannot go
-        # back to scalar draws.  Unicast attempts draw one value at a
-        # time from the transmitter's stream and stay scalar.
+        # The form is chosen here, once, from what the core is given to
+        # host: a bank holds values its generators have already
+        # produced, so a banked node cannot go back to scalar draws.
+        # Unicast attempts draw one value at a time from the
+        # transmitter's stream and stay scalar.
         self._arrays = (
             len(init.runtimes) >= ARRAY_FORM_MIN_HOSTED and not init.has_unicast
         )
@@ -287,12 +329,24 @@ class EngineCore:
         for node in self._owned:
             self._transmissions.setdefault(node, 0)
         # Queue-time accumulators carry over: a node hosted before keeps
-        # its integral, new nodes start at zero.
-        self._queue_time_buf: List[float] = [
-            self._queue_time.get(node, 0.0) for node in self._owned
-        ]
-        self._awake = AwakeSet(len(self._owned))
-        if self._arrays:
+        # its integral, new nodes start at zero.  A list, or on an array
+        # core an array.
+        self._queue_time_buf: Any = [self._queue_time.get(node, 0.0) for node in self._owned]
+        self._columns: Optional[Columns] = None
+        if not self._arrays:
+            self._awake = AwakeSet(len(self._owned))
+        else:
+            self._queue_time_buf = np.array(self._queue_time_buf)
+            # Transmissions since the last flush, per hosted position.
+            self._fired = np.zeros(len(self._owned), dtype=np.int64)
+            self._columns = columns = Columns(self._runtime_list, self._dt)
+            self._objects = np.flatnonzero(~columns.held).tolist()
+            self._awake = AwakeSet(len(self._owned), self._objects)
+            self._node_of = np.array(self._owned, dtype=np.intp)
+            # Node id -> hosted position, -1 where another core hosts it
+            # (the pad id included).
+            self._position_of = np.full(self._network.node_count + 1, -1, dtype=np.intp)
+            self._position_of[self._node_of] = np.arange(len(self._owned))
             # Hosted position -> bank row.  A node keeps its row, cursor
             # and pre-drawn values when the hosted set is replaced.
             self._mac_rows = self._mac_bank.rows_for(self._owned)
@@ -361,6 +415,13 @@ class EngineCore:
                 self._cov_row = np.zeros(node_count, dtype=np.intp)
                 self._cov_row[list(cov_list)] = np.arange(len(cov_list))
             self._granted_mask = np.zeros(node_count + 1, dtype=bool)
+            self._cut_mask = np.zeros(len(self._owned), dtype=bool)
+            self._cut_mask[sorted(self._cut)] = True
+            # Links delivered over since the last flush, cell by cell of
+            # ``_rx_ids``; and MORE's per-reception credit, the same way.
+            self._delivered = np.zeros(self._rx_ids.shape, dtype=bool)
+            assert self._columns is not None
+            self._columns.align_upstream(self._rx_ids, self._owned, self._position_of)
         else:
             self._cov_list, self._rx_pairs = cov_list, rx_pairs
             # Node-indexed per-slot scratch: which nodes transmit this
@@ -371,7 +432,26 @@ class EngineCore:
             self._covered_counts: List[int] = [0] * node_count
         # Whoever asked for the refresh may have swapped plans or
         # runtime objects: nothing stays parked.
+        self._wake_everyone()
+
+    def _wake_everyone(self) -> None:
         self._awake.wake_everyone()
+        if self._columns is not None:
+            self._columns.wake_everyone()
+
+    def _through_objects(self, positions: Iterable[int]) -> ContextManager[None]:
+        """The row fallback (:meth:`Columns.through_objects`) around a
+        block that calls the runtime objects at ``positions``; nothing to
+        do on a scalar core."""
+        if self._columns is None:
+            return nullcontext()
+        return self._columns.through_objects(np.fromiter(positions, dtype=np.intp))
+
+    def _awake_count(self) -> int:
+        """The size of the awake set, column rows included."""
+        if self._columns is None:
+            return len(self._awake.positions)
+        return len(self._awake.positions) + self._columns.awake_count()
 
     # -- slot phases ---------------------------------------------------
 
@@ -380,29 +460,38 @@ class EngineCore:
 
         Each is ``(runtime method, *arguments)`` — a generation advance,
         a per-session advance, a session arrival or departure — queued
-        by the session since the last call reached this core.
+        by the session since the last call reached this core.  Column
+        rows take them through their objects.
         """
-        self._awake.wake_everyone()
-        for method, *arguments in events:
-            for runtime in self._runtime_list:
-                getattr(runtime, method)(*arguments)
+        self._wake_everyone()
+        with self._through_objects(range(len(self._owned))):
+            for method, *arguments in events:
+                for runtime in self._runtime_list:
+                    getattr(runtime, method)(*arguments)
 
-    def _contend(self) -> Tuple[Any, List[int]]:
+    def _contend(self) -> Tuple[Any, Any]:
         """Tick clocks, draw lottery keys.
 
-        One pass per awake runtime: clock advance, then scheduler
-        inputs.  Safe to fuse — runtimes only interact through
+        One pass per awake runtime object, and on an array core one
+        :meth:`Columns.tick` over the column rows: clock advance, then
+        scheduler inputs.  Safe to fuse — runtimes only interact through
         deliveries, and each holds its own RNG, so per-node slot work is
         independent.  Every contender draws one ``Exp(1)`` from its own
         "mac" stream, so a node's key sequence depends only on how often
-        *it* contended.  Returns the hosted contenders' keys — a list,
-        or in the array form an array — and their hosted positions.
+        *it* contended.  Returns the hosted contenders' keys and their
+        hosted positions, ascending — lists, or in the array form arrays.
         """
         floor = IdealMacScheduler.WEIGHT_FLOOR
         contenders, weights = self._awake.tick(self._runtime_list, self._dt)
-        if self._arrays:
-            draws = self._mac_bank.take(self._mac_rows[contenders])
-            return draws / np.maximum(weights, floor), contenders
+        if self._columns is not None:
+            positions, rates = self._columns.tick()
+            if contenders:  # object rows contend too: merge by position
+                positions = np.concatenate((positions, contenders))
+                rates = np.concatenate((rates, weights))
+                order = np.argsort(positions)
+                positions, rates = positions[order], rates[order]
+            draws = self._mac_bank.take(self._mac_rows[positions])
+            return draws / np.maximum(rates, floor), positions
         owned = self._owned
         mac = self._mac
         keys: List[float] = []
@@ -418,11 +507,11 @@ class EngineCore:
             self.apply_events(events)
         return self._contention(*self._contend())
 
-    def _contention(self, keys: Any, contenders: List[int]) -> Contention:
+    def _contention(self, keys: Any, contenders: Any) -> Contention:
         to_global = self._global_positions
-        if self._arrays:
-            keys = keys.tolist()  # Python floats: the reply is pickled
-        return len(self._awake.positions), keys, [to_global[p] for p in contenders]
+        if self._arrays:  # Python numbers: the reply is pickled
+            keys, contenders = keys.tolist(), contenders.tolist()
+        return self._awake_count(), keys, [to_global[p] for p in contenders]
 
     def run_slots(self, epoch: Epoch) -> Tuple[int, List[Record], Optional[Contention]]:
         """An epoch: whole slots, while they are this core's alone.
@@ -447,14 +536,15 @@ class EngineCore:
         self._epoch = records
         while budget > 0:
             keys, contenders = self._contend()
-            if cut and not cut.isdisjoint(contenders):
-                return len(self._awake.positions), records, self._contention(keys, contenders)
+            if cut and (
+                self._cut_mask[contenders].any() if arrays else not cut.isdisjoint(contenders)
+            ):
+                return self._awake_count(), records, self._contention(keys, contenders)
             # The contenders by ascending key, ties by ascending position:
             # what sorting (key, position) pairs gives, and a stable sort
             # of the keys alone (the contenders come in position order).
             if arrays:
-                order = np.argsort(keys, kind="stable").tolist()
-                ordered = list(map(contenders.__getitem__, order))
+                ordered = contenders[np.argsort(keys, kind="stable")].tolist()
             else:
                 ordered = [position for _key, position in sorted(zip(keys, contenders))]
             granted = grant(ordered)
@@ -463,7 +553,7 @@ class EngineCore:
             budget -= 1
             if not awake or (happened and any(event[2] == "decoded" for event in happened)):
                 break
-        return len(self._awake.positions), records, None
+        return self._awake_count(), records, None
 
     def epoch_slots(self, _argument: None = None) -> int:
         """Slots the last epoch completed: where it failed, if it raised."""
@@ -481,8 +571,11 @@ class EngineCore:
         arrivals both in place order.
         """
         events: List[Event] = []
-        offers = self._fire(granted, events)
-        return len(self._awake.positions), events, list(offers.items())
+        if self._arrays:
+            offers = self._offers(self._fire_arrays(granted, events))
+        else:
+            offers = self._fire(granted, events)
+        return self._awake_count(), events, list(offers.items())
 
     def _fire(
         self, granted: Tuple[int, ...], events: List[Event]
@@ -507,8 +600,6 @@ class EngineCore:
           serializes shared-receiver transmitters (two-hop conflicts),
           the Sec. 3.2 idealized broadcast MAC.
         """
-        if self._arrays:
-            return self._fire_arrays(granted, events)
         granted_flags = self._granted_flags
         covered = self._covered_counts
         blanking = self._blanking
@@ -591,48 +682,63 @@ class EngineCore:
 
     def _fire_arrays(
         self, granted: Tuple[int, ...], events: List[Event]
-    ) -> Dict[int, List[Arrival]]:
-        """:meth:`_fire` with every hosted broadcast's receivers at once.
+    ) -> Optional[_Broadcast]:
+        """:meth:`_fire` with every hosted transmitter and receiver at once.
 
-        What is per runtime stays a loop — the packet each granted
-        transmitter emits, its counters and ``tx`` event; what is per
-        neighbour becomes one row of the padded arrays per transmitter.
-        A candidate is what the scalar form makes one, tested in its
-        order (not transmitting, not blanked, a usable link), each
-        transmitter's uniforms are the next of its own "channel" stream,
-        one per candidate in ascending receiver order, and offers are
-        appended by grant rank, then ascending receiver: the scalar
-        form's draws, arrivals and order, bit for bit.
+        The granted column rows pop their queue heads in one call
+        (:meth:`Columns.pop`); object rows pop theirs one by one.  What
+        is per neighbour becomes one row of the padded arrays per
+        transmitter: a candidate is what the scalar form makes one,
+        tested in its order (not transmitting, not blanked, a usable
+        link), and each transmitter's uniforms are the next of its own
+        "channel" stream, one per candidate in ascending receiver order —
+        the scalar form's draws and arrivals, bit for bit.  Returns
+        nothing when nothing hosted fired.
         """
-        offers: Dict[int, List[Arrival]] = {}
         if not granted:
-            return offers
-        positions = self._positions
-        runtime_list = self._runtime_list
-        transmissions = self._transmissions
-        observed = self._obs_enabled
-        fired: List[Tuple[int, int, Any]] = []
-        hosted: List[int] = []
-        for rank, node in enumerate(granted):
-            position = positions.get(node)
-            if position is None:
-                continue  # hosted by another core
-            packet = runtime_list[position].pop_transmission()
-            if packet is None:
-                continue
-            transmissions[node] += 1
-            fired.append((rank, node, packet))
-            hosted.append(position)
-        if not fired:
-            return offers
-        if observed:
-            self._m_tx.inc(len(fired))
+            return None
+        granted_nodes = np.array(granted, dtype=np.intp)
+        hosted = self._position_of[granted_nodes]
+        ranks = np.flatnonzero(hosted >= 0)  # the rest are another core's
+        rows = hosted[ranks]
+        columns = self._columns
+        assert columns is not None
+        packets: Dict[int, Any] = {}
+        if not self._objects:
+            fired, levels = columns.pop(rows)
+            from_columns = np.ones(len(levels), dtype=bool)
+        else:
+            from_columns = columns.held[rows]
+            fired = np.ones(len(rows), dtype=bool)
+            held = np.flatnonzero(from_columns)
+            popped, heads = columns.pop(rows[held])
+            fired[held] = popped
+            levels = np.zeros(len(rows), dtype=np.int64)
+            levels[held[popped]] = heads
+            objects = {}
+            for index in np.flatnonzero(~from_columns).tolist():
+                packet = self._runtime_list[rows[index]].pop_transmission()
+                if packet is None:
+                    fired[index] = False
+                else:
+                    objects[index] = packet
+            index_after = np.cumsum(fired) - 1  # an index among those that fired
+            packets = {int(index_after[index]): packet for index, packet in objects.items()}
+            levels, from_columns = levels[fired], from_columns[fired]
+        if not fired.all():
+            ranks, rows = ranks[fired], rows[fired]
+        if not rows.size:
+            return None
+        nodes = self._node_of[rows]
+        self._fired[rows] += 1
+        if self._obs_enabled:
+            self._m_tx.inc(len(rows))
         if self._traced:
-            events.extend((-1, rank, "tx", node) for rank, node, _packet in fired)
-        rows = np.array(hosted, dtype=np.intp)
+            events.extend(
+                (-1, rank, "tx", node) for rank, node in zip(ranks.tolist(), nodes.tolist())
+            )
         ids = self._rx_ids[rows]
         probabilities = self._rx_p[rows]
-        granted_nodes = np.array(granted, dtype=np.intp)
         transmitting = self._granted_mask
         transmitting[granted_nodes] = True
         candidate = ~transmitting[ids]
@@ -646,7 +752,7 @@ class EngineCore:
             )
             covered[-1] = 0
             clear = covered[ids] <= 1
-            if observed:
+            if self._obs_enabled:
                 blanked = np.count_nonzero(candidate & ~clear)
                 if blanked:
                     self._m_blanked.inc(blanked)
@@ -657,14 +763,138 @@ class EngineCore:
         )
         heard = np.zeros(candidate.shape, dtype=bool)
         heard[candidate] = uniforms < probabilities[candidate]
-        # A receiver's index among those its transmitter delivered to.
-        delivery_pos = np.cumsum(heard, axis=1) - 1
+        return _Broadcast(
+            ranks=ranks,
+            nodes=nodes,
+            rows=rows,
+            from_columns=from_columns,
+            packets=packets,
+            sessions=columns.session[rows],
+            generations=columns.generation[rows],
+            levels=levels,
+            receivers=ids,
+            heard=heard,
+            # A receiver's index among those its transmitter delivered to.
+            delivery_pos=np.cumsum(heard, axis=1) - 1,
+        )
+
+    def _offers(self, broadcast: Optional[_Broadcast]) -> Dict[int, List[Arrival]]:
+        """What each receiver heard, receivers and arrivals in place order:
+        by grant rank, then ascending receiver (row-major)."""
+        offers: Dict[int, List[Arrival]] = {}
+        if broadcast is None:
+            return offers
+        senders, cells = np.nonzero(broadcast.heard)
+        ranks, nodes = broadcast.ranks.tolist(), broadcast.nodes.tolist()
         for sender, receiver, pos in zip(
-            np.nonzero(heard)[0].tolist(), ids[heard].tolist(), delivery_pos[heard].tolist()
+            senders.tolist(),
+            broadcast.receivers[senders, cells].tolist(),
+            broadcast.delivery_pos[senders, cells].tolist(),
         ):
-            rank, node, packet = fired[sender]
-            offers.setdefault(receiver, []).append((rank, pos, node, "coded", packet))
+            offers.setdefault(receiver, []).append(
+                (ranks[sender], pos, nodes[sender], "coded", broadcast.packet(sender))
+            )
         return offers
+
+    def _captured(self, receivers: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Per receiver of one slot's arrivals (row-major order), in place
+        order: the index of its first arrival and of the one it keeps.
+
+        A receiver that heard several keeps one drawn from its own
+        capture stream, as in :meth:`_resolve`.
+        """
+        count = len(receivers)
+        order = np.argsort(receivers, kind="stable")
+        ranked = receivers[order]
+        starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+        if len(starts) == count:
+            everyone = np.arange(count)
+            return everyone, everyone
+        first = order[starts]
+        kept = first.copy()
+        sizes = np.diff(np.append(starts, count))
+        for group in np.flatnonzero(sizes > 1).tolist():
+            start, size = int(starts[group]), int(sizes[group])
+            index = int(self._capture[int(ranked[start])].integers(0, size))
+            kept[group] = order[start + index]
+        place = np.argsort(first)
+        return first[place], kept[place]
+
+    def _absorb(self, broadcast: Optional[_Broadcast], events: List[Event]) -> None:
+        """:meth:`_resolve` for what :meth:`_fire_arrays` delivered here.
+
+        A column row hearing a column row's packet takes it in
+        :meth:`Columns.absorb`, its link recorded in ``_delivered``;
+        every other arrival — to an object row, from one, or one that
+        :meth:`Columns.absorb` hands back — is an entry for
+        :meth:`_resolve_objects`.  Events come out in place order.
+        """
+        if broadcast is None:
+            return
+        senders, cells = np.nonzero(broadcast.heard)
+        if not senders.size:
+            return
+        receivers = broadcast.receivers[senders, cells]
+        places = broadcast.delivery_pos[senders, cells]
+        if self._blanking or self._two_hop:
+            # Nobody hears two transmitters (blanked, or never granted
+            # together): every arrival is kept, already in place order.
+            ranks = broadcast.ranks[senders]
+        else:
+            first, kept = self._captured(receivers)
+            ranks, places = broadcast.ranks[senders[first]], places[first]
+            senders, cells, receivers = senders[kept], cells[kept], receivers[kept]
+        positions = self._position_of[receivers]
+        columns = self._columns
+        assert columns is not None
+        fast = columns.held[positions] & broadcast.from_columns[senders]
+        quick = np.flatnonzero(fast)
+        if quick.size:
+            rows, by = positions[quick], senders[quick]
+            transmitters, cells_quick = broadcast.rows[by], cells[quick]
+            columns.wake(rows)
+            back = columns.absorb(
+                rows,
+                transmitters,
+                cells_quick,
+                broadcast.generations[by],
+                broadcast.sessions[by],
+                broadcast.levels[by],
+            )
+            if back.any():
+                fast[quick[back]] = False
+                quick, transmitters, cells_quick = (
+                    quick[~back], transmitters[~back], cells_quick[~back]
+                )
+            self._delivered[transmitters, cells_quick] = True
+            if self._obs_enabled:
+                self._m_deliveries.inc(len(quick))
+        slow = np.flatnonzero(~fast)
+        resolved: List[Event] = []
+        if slow.size:
+            nodes = broadcast.nodes
+            entries: List[Entry] = [
+                (receiver, [(rank, place, int(nodes[sender]), "coded", broadcast.packet(sender))])
+                for receiver, rank, place, sender in zip(
+                    receivers[slow].tolist(),
+                    ranks[slow].tolist(),
+                    places[slow].tolist(),
+                    senders[slow].tolist(),
+                )
+            ]
+            self._resolve_objects(entries, resolved)
+        if self._traced and quick.size:
+            resolved.extend(
+                (rank, place, "delivery", sender, receiver)
+                for rank, place, sender, receiver in zip(
+                    ranks[quick].tolist(),
+                    places[quick].tolist(),
+                    broadcast.nodes[senders[quick]].tolist(),
+                    receivers[quick].tolist(),
+                )
+            )
+            resolved.sort(key=itemgetter(0, 1))
+        events.extend(resolved)
 
     def resolve(
         self, entries: Iterable[Entry]
@@ -681,10 +911,10 @@ class EngineCore:
         still has unicast attempts to settle.
         """
         events: List[Event] = []
-        successes = self._resolve(entries, events)
+        successes = self._resolve_objects(list(entries), events)
         if not self._has_unicast:
             self._settle(())
-        return len(self._awake.positions), events, successes
+        return self._awake_count(), events, successes
 
     def _resolve(self, entries: Iterable[Entry], events: List[Event]) -> List[int]:
         successes: List[int] = []
@@ -716,6 +946,12 @@ class EngineCore:
                 events.extend((*place, tag, value) for tag, value in log.drain())
         return successes
 
+    def _resolve_objects(self, entries: List[Entry], events: List[Event]) -> List[int]:
+        """:meth:`_resolve`, the column rows among the receivers taken
+        through their objects."""
+        with self._through_objects(self._positions[receiver] for receiver, _ in entries):
+            return self._resolve(entries, events)
+
     def fire_resolve(self, granted: Tuple[int, ...]) -> Tuple[int, List[Event]]:
         """An interior slot: resolve what was fired where it was fired.
 
@@ -726,9 +962,13 @@ class EngineCore:
         spot.
         """
         events: List[Event] = []
-        offers = self._fire(granted, events)
-        self._settle(self._resolve(offers.items(), events) if offers else ())
-        return len(self._awake.positions), events
+        if self._arrays:
+            self._absorb(self._fire_arrays(granted, events), events)
+            self._settle(())
+        else:
+            offers = self._fire(granted, events)
+            self._settle(self._resolve(offers.items(), events) if offers else ())
+        return self._awake_count(), events
 
     def finish_slot(self, successes: Sequence[int]) -> Tuple[int]:
         """Settle hosted unicast attempts, then sample queues.
@@ -740,7 +980,7 @@ class EngineCore:
         produced in :meth:`resolve`.
         """
         self._settle(successes)
-        return (len(self._awake.positions),)
+        return (self._awake_count(),)
 
     def _settle(self, successes: Sequence[int]) -> None:
         """Close the slot: unicast verdicts (success = resolved
@@ -755,12 +995,22 @@ class EngineCore:
         if self._obs_enabled:
             # The histogram takes one sample per runtime per slot, in
             # participant order, parked or not (parked ones read 0).
-            for position, runtime in enumerate(self._runtime_list):
-                queue_length = runtime.queue_length()
+            for position, queue_length in enumerate(self._queue_lengths()):
                 queue_times[position] += queue_length
                 self._m_queue.observe(queue_length)
         else:
             self._awake.sample_queues(self._runtime_list, queue_times)
+            if self._columns is not None:
+                self._columns.sample(queue_times)
+
+    def _queue_lengths(self) -> List[int]:
+        """Every hosted runtime's queue length, in position order."""
+        if self._columns is None:
+            return [runtime.queue_length() for runtime in self._runtime_list]
+        lengths: List[int] = self._columns.queue.tolist()
+        for position in self._objects:
+            lengths[position] = self._runtime_list[position].queue_length()
+        return lengths
 
     # -- control plane -------------------------------------------------
 
@@ -769,8 +1019,7 @@ class EngineCore:
         occupancy (their time-integral keeps accruing), credits do not
         accrue, and **no RNG stream is consumed**."""
         queue_times = self._queue_time_buf
-        for position, runtime in enumerate(self._runtime_list):
-            queue_length = runtime.queue_length()
+        for position, queue_length in enumerate(self._queue_lengths()):
             queue_times[position] += queue_length * slots
             if self._obs_enabled:
                 self._m_queue.observe(queue_length)
@@ -778,6 +1027,7 @@ class EngineCore:
     def set_network(self, network: WirelessNetwork) -> None:
         """Swap the topology: the channel's loss model and every
         precomputed neighbor/receiver structure; RNG streams are untouched."""
+        self._flush()
         self._network = network
         self._channel.set_network(network)
         self._build_structures()
@@ -790,7 +1040,9 @@ class EngineCore:
         one built with the session would; a dropped node's counters stay.
         """
         settings, participants, terms = plan
-        self._flush_queue_time()
+        self._flush()
+        if self._columns is not None:  # retuned objects keep what their rows hold
+            self._columns.store(self._columns.rows)
         log = self._log
         runtimes = install_runtimes(
             settings, self._runtimes, terms,
@@ -800,10 +1052,14 @@ class EngineCore:
 
     def apply_plan(self, updates: Mapping[int, Mapping[str, Any]]) -> None:
         """Hot-swap plan parameters on the hosted ones of ``updates``' nodes."""
-        for node, params in updates.items():
-            if node in self._positions:
-                self._runtimes[node].apply_plan(**params)
-                self._awake.wake(self._positions[node])
+        hosted = [
+            (self._positions[node], params) for node, params in updates.items()
+            if node in self._positions
+        ]
+        with self._through_objects(position for position, _params in hosted):
+            for position, params in hosted:
+                self._runtime_list[position].apply_plan(**params)
+                self._awake.wake(position)
 
     def close(self) -> None:
         """Nothing to release: the core lives and dies with its process."""
@@ -812,15 +1068,33 @@ class EngineCore:
 
     def parked_nodes(self, _argument: None = None) -> List[int]:
         """Hosted nodes the slot loop currently skips (introspection)."""
-        return [self._owned[i] for i in self._awake.parked_positions()]
+        parked = self._awake.parked_positions()
+        if self._columns is not None:
+            parked = sorted(parked + self._columns.parked().tolist())
+        return [self._owned[i] for i in parked]
 
-    def _flush_queue_time(self) -> None:
-        """Publish the flat queue-time accumulator into the per-node dict."""
-        self._queue_time.update(zip(self._owned, self._queue_time_buf))
+    def _flush(self) -> None:
+        """Publish the flat per-position accumulators into the per-node
+        records: queue-time integrals and, on an array core, the
+        transmissions and delivered links counted since the last flush."""
+        if self._columns is None:
+            self._queue_time.update(zip(self._owned, self._queue_time_buf))
+            return
+        self._queue_time.update(zip(self._owned, self._queue_time_buf.tolist()))
+        for position in np.flatnonzero(self._fired).tolist():
+            self._transmissions[self._owned[position]] += int(self._fired[position])
+        self._fired[:] = 0
+        rows, cells = np.nonzero(self._delivered)
+        self._delivered_links.update(
+            zip(self._node_of[rows].tolist(), self._rx_ids[rows, cells].tolist())
+        )
+        self._delivered[:] = False
 
     def finalize(self, _argument: None = None) -> Dict[str, Any]:
         """This core's stats for the session's merge (non-destructive)."""
-        self._flush_queue_time()
+        self._flush()
+        if self._columns is not None:  # objects hold what their rows do
+            self._columns.store(self._columns.rows)
         return {
             "queue_time_sum": dict(self._queue_time),
             "transmissions": dict(self._transmissions),

@@ -3,9 +3,10 @@
 ``dormant(dt)`` promises that ticking changes nothing: every future
 ``on_slot(dt)`` leaves ``vars()`` bit-identical, ``backlog() == 0.0`` and
 ``queue_length() == 0``.  :func:`freeze` turns a runtime's state into a
-comparable value, :func:`assert_fixed_point` checks the promise on one
-runtime, and :func:`parked_contract_monitor` checks it on every parked
-runtime of every slot of whatever session a test runs.
+comparable value (:func:`freeze_row` a column row's), :func:`assert_fixed_point`
+checks the promise on one runtime, and :func:`parked_contract_monitor`
+checks it on every parked runtime and column row of every slot of
+whatever session a test runs.
 """
 
 from collections import deque
@@ -13,6 +14,7 @@ from collections import deque
 import numpy as np
 
 from repro.emulator.awake import AwakeSet
+from repro.emulator.columns import Columns
 
 
 def freeze(value):
@@ -66,26 +68,52 @@ def assert_fixed_point(runtime, dt, slots=5):
     return True
 
 
+def freeze_row(columns, position):
+    """The state of one row of a :class:`Columns`: every per-row array's
+    cell (a queue-level row by its non-zero entries, so widening the
+    level table is not a change) and the row's upstream set."""
+    count = len(columns.role)
+    cells = []
+    for name, value in sorted(vars(columns).items()):
+        if isinstance(value, np.ndarray) and value.shape[:1] == (count,):
+            row = value[position]
+            if row.ndim:
+                nonzero = np.flatnonzero(row)
+                row = (tuple(nonzero.tolist()), tuple(row[nonzero].tolist()))
+            cells.append((name, freeze(row)))
+    return tuple(cells), freeze(columns.upstream[position])
+
+
 def parked_contract_monitor(monkeypatch):
-    """Wrap ``AwakeSet.tick`` so parked runtimes are re-checked every slot.
+    """Re-check parked runtimes every slot: wraps ``AwakeSet.tick`` for
+    runtime objects and ``Columns.tick`` for an array core's flow rows.
 
     On entry to each tick every parked runtime must still be where it
     was when it parked: same frozen state, still dormant, no backlog, no
     queue.  Anything that legitimately changes a parked runtime (a
     delivery, the control plane) must have woken it first, so a
-    violation means a missing wake.  Patching the class covers the
-    in-process engine and, under the ``fork`` start method, the shard
-    workers too (a worker assertion surfaces as ``WorkerCallError``).
+    violation means a missing wake.  Column rows are ticked parked or
+    not (a parked row sits at a fixed point of the tick), so their check
+    is the same: the rows the core reports parked (``parked_nodes``)
+    against the state each had when it parked.  Patching the classes
+    covers the in-process engine and, under the ``fork`` start method,
+    the shard workers too (a worker assertion surfaces as
+    ``WorkerCallError``).
     """
     original = AwakeSet.tick
+    original_columns = Columns.tick
     snapshots = {}
 
-    def checked_tick(self, runtimes, dt):
-        held = snapshots.setdefault(id(self), {})
-        parked = set(self.parked_positions())
+    def keep(tracker, parked):
+        held = snapshots.setdefault(id(tracker), {})
         for position in list(held):
             if position not in parked:
                 del held[position]
+        return held
+
+    def checked_tick(self, runtimes, dt):
+        parked = set(self.parked_positions())
+        held = keep(self, parked)
         for position in parked:
             runtime = runtimes[position]
             assert runtime.dormant(dt), f"parked runtime {position} not dormant"
@@ -97,4 +125,18 @@ def parked_contract_monitor(monkeypatch):
             )
         return original(self, runtimes, dt)
 
+    def checked_columns_tick(self):
+        parked = self.parked().tolist()
+        held = keep(self, set(parked))
+        dormant = self.dormant()
+        for position in parked:
+            assert dormant[position], f"parked row {position} not dormant"
+            assert self.queue[position] == 0
+            state = freeze_row(self, position)
+            assert held.setdefault(position, state) == state, (
+                f"parked row {position} changed without being woken"
+            )
+        return original_columns(self)
+
     monkeypatch.setattr(AwakeSet, "tick", checked_tick)
+    monkeypatch.setattr(Columns, "tick", checked_columns_tick)

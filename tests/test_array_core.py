@@ -8,11 +8,12 @@ drawn, and the arrays make the scalar form's candidates, in its order.
 """
 
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
@@ -24,13 +25,20 @@ from repro.emulator.node import (
     FlowRelayRuntime,
     FlowSourceRuntime,
     RuntimeTerms,
+    install_runtimes,
 )
-from repro.emulator.plan import CodedBroadcastPlan
-from repro.emulator.session import SessionConfig, open_session, run_sharded_session
+from repro.emulator.plan import CodedBroadcastPlan, CodingParams
+from repro.emulator.session import (
+    SessionConfig,
+    open_session,
+    run_sharded_session,
+    session_result,
+)
 from repro.emulator.shard import ShardedSession, _DecodeLog, session_digest, trace_digest
 from repro.emulator.trace import SessionTracer
 from repro.protocols.etx_routing import plan_etx_route
-from repro.routing.node_selection import ForwarderSet
+from repro.protocols.more import plan_more
+from repro.routing.node_selection import ForwarderSet, NodeSelectionError
 from repro.topology.partition import partition_positions
 from repro.util.rng import NodeStreams, RngFactory, StreamBank
 from tests.meshes import lossy_meshes
@@ -174,11 +182,13 @@ class TestScalarEqualsArray:
         network=lossy_meshes(),
         interference=st.sampled_from(("blanking", "capture", "conflict_free")),
         seed=st.integers(0, 2**16),
+        mixed=st.booleans(),
     )
     @settings(deadline=None, max_examples=40)
-    def test_every_node_a_runtime_on_a_lossy_mesh(self, network, interference, seed):
+    def test_every_node_a_runtime_on_a_lossy_mesh(self, network, interference, seed, mixed):
         # A flood: a source, a destination and a rate-mode relay on every
         # other node, fast enough that neighbours contend and overlap.
+        # ``mixed``: every third relay is an object row of the array core.
         last = network.node_count - 1
         rate = network.capacity / 2
 
@@ -189,7 +199,8 @@ class TestScalarEqualsArray:
                 last: FlowDestinationRuntime(last, 1, BLOCKS, on_decoded=log),
             }
             for node in range(1, last):
-                runtimes[node] = FlowRelayRuntime(
+                kind = _ObjectRelay if mixed and node % 3 == 0 else FlowRelayRuntime
+                runtimes[node] = kind(
                     node, 1, BLOCKS, PACKET_BYTES, mode="rate", rate_bps=rate
                 )
             tracer = SessionTracer(capacity=500_000)
@@ -207,6 +218,157 @@ class TestScalarEqualsArray:
 
         scalar, array = _both_forms(run)
         assert array == scalar
+
+    @given(
+        network=lossy_meshes(),
+        interference=st.sampled_from(("blanking", "capture", "conflict_free")),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(
+        deadline=None,
+        max_examples=25,
+        suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+    )
+    def test_what_the_relay_line_never_does(self, network, interference, seed):
+        # Column rows against runtime objects where the relay line never
+        # goes: MORE credit relays with upstream sets, a source that
+        # drops, a rate swap onto a parked relay, four generation
+        # advances, a generation-size switch, and a relay built mid-run
+        # that hears newer generations than its own.
+        found = _more_plan(network)
+        assume(found is not None)
+        plan, late, silent = found
+        terms = RuntimeTerms(
+            kind="credit",
+            source=plan.source,
+            destination=plan.destination,
+            session_id=1,
+            blocks=3,
+            packet_bytes=PACKET_BYTES,
+            queue_limit=2,  # a packet a slot offered: the source drops
+            fidelity="flow",
+            systematic=False,
+        )
+        cbr = network.capacity
+
+        def run():
+            log = _DecodeLog()
+            settings_ = plan.node_settings(network, cbr)
+            runtimes = install_runtimes(
+                {node: params for node, params in settings_.items() if node != late},
+                {},
+                terms,
+                coding=RngFactory(seed),
+                on_decoded=log,
+            )
+            for node in range(network.node_count):  # silent listeners elsewhere
+                if node != late and node not in runtimes:
+                    runtimes[node] = FlowRelayRuntime(node, 1, 3, PACKET_BYTES, mode="rate")
+            tracer = SessionTracer(capacity=500_000)
+            generation = 0
+
+            def signal(next_generation):
+                nonlocal generation
+                if next_generation > generation:
+                    generation = next_generation
+                    session.broadcast_generation_advance(generation)
+
+            def acked():
+                for decoded in log.unseen():
+                    signal(decoded + 1)
+                return False
+
+            with ShardedSession(
+                network,
+                runtimes,
+                PACKET_BYTES / network.capacity,
+                rng_factory=RngFactory(seed),
+                interference=interference,
+                tracer=tracer,
+                decode_log=log,
+            ) as session:
+                session.apply_plan_updates({silent: {"mode": "rate", "rate_bps": 0.0}})
+                session.run(60, stop_when=acked)
+                signal(generation + 1)
+                for _ in range(80):  # until the silenced relay parks
+                    if silent in session.parked_nodes():
+                        break
+                    session.step()
+                    acked()
+                parked = session.parked_nodes()
+                assume(silent in parked)
+                session.apply_plan_updates({silent: {"rate_bps": network.capacity / 2}})
+                session.run(60, stop_when=acked)
+                session.apply_plan_updates(
+                    {node: {"coding": CodingParams(blocks=5)} for node in session.participants}
+                )
+                signal(generation + 1)
+                session.run(60, stop_when=acked)
+                # ``late`` joins at generation 0, behind everyone else.
+                session.install_plan(plan, replace(terms, blocks=5), cbr)
+                session.run(60, stop_when=acked)
+                signal(generation + 1)
+                session.run(60, stop_when=acked)
+                signal(generation + 1)
+                session.run(30, stop_when=acked)
+                stats = session.finalize_stats()
+                fields = {
+                    node: {
+                        name: repr(value)
+                        for name, value in sorted(vars(runtime).items())
+                        if not name.startswith("_")
+                    }
+                    for node, runtime in session._core._runtimes.items()
+                }
+            assert generation >= 4
+            result = session_result(
+                "more",
+                plan.source,
+                plan.destination,
+                256,
+                stats.elapsed,
+                {node: stats.average_queue(node) for node in stats.transmissions},
+                stats.transmissions,
+                stats.delivered_links,
+                ack_times=[time for _generation, time in log.acks],
+                blocks_decoded=stats.blocks_decoded,
+            )
+            return session_digest(result), trace_digest(tracer), parked, fields
+
+        scalar, array = _both_forms(run)
+        assert array == scalar
+        fields = scalar[0][3]
+        relay_fields = fields[late]
+        assert {"packets_heard", "packets_accepted", "information"} <= set(relay_fields)
+        assert {"packets_generated", "packets_sent", "packets_dropped"} <= set(
+            fields[plan.source]
+        )
+        assert {"generations_decoded", "blocks_decoded"} <= set(fields[plan.destination])
+
+
+class _ObjectRelay(FlowRelayRuntime):
+    """A flow relay the columns do not hold: only the exact classes are
+    column rows, so this one stays an object on the awake set."""
+
+
+def _more_plan(network):
+    """A MORE plan from node 0 with a credit relay (``late``), and another
+    node to silence (``silent``); None if the mesh has none."""
+    for destination in range(network.node_count - 1, 0, -1):
+        try:
+            plan = plan_more(network, 0, destination)
+        except NodeSelectionError:
+            continue
+        settings_ = plan.node_settings(network, network.capacity)
+        relays = [node for node, params in settings_.items() if params.get("mode") == "credit"]
+        others = [
+            node
+            for node in range(network.node_count)
+            if node not in (0, destination) and node not in relays[-1:]
+        ]
+        if relays and others:
+            return plan, relays[-1], others[0]
+    return None
 
 
 class TestFormSelection:
