@@ -24,20 +24,26 @@ class _FixedInjectionRouter(Sub1Router):
         return self._gamma_cap
 
 
-def _run(fixed_injection: bool):
-    graph = session_graph_from_network(fig1_sample_topology(), 0, 5)
-    config = RateControlConfig(
-        max_iterations=150, min_iterations=150, patience=10_000
-    )
-    algorithm = RateControlAlgorithm(graph, config)
-    if fixed_injection:
-        algorithm._sub1 = _FixedInjectionRouter(
+class _FixedInjectionRateControl(RateControlAlgorithm):
+    """Table 1 with :class:`_FixedInjectionRouter` as its SUB1."""
+
+    def _sub1(self, graph):
+        config = self._config
+        return _FixedInjectionRouter(
             graph,
             gamma_cap=config.gamma_cap,
             primal_recovery=config.primal_recovery,
             recovery_tail=config.recovery_tail,
         )
-    result = algorithm.run()
+
+
+def _run(fixed_injection: bool):
+    graph = session_graph_from_network(fig1_sample_topology(), 0, 5)
+    config = RateControlConfig(
+        max_iterations=150, min_iterations=150, patience=10_000
+    )
+    driver = _FixedInjectionRateControl if fixed_injection else RateControlAlgorithm
+    result = driver(graph, config).run()
     lp = solve_sunicast(graph)
     violations = verify_feasibility(graph, result.as_solution(), tolerance=1e-3)
     return result.throughput / lp.throughput, violations

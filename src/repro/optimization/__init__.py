@@ -6,13 +6,16 @@
 * :mod:`repro.optimization.subgradient` — step-size schedules.
 * :mod:`repro.optimization.sub1_routing` — SUB1: shortest-path routing
   with ln-utility injection and primal recovery.
-* :mod:`repro.optimization.sub2_rates` — SUB2: broadcast-rate allocation
-  with congestion prices and the proximal update.
-* :mod:`repro.optimization.rate_control` — the Table 1 driver.
-* :mod:`repro.optimization.messages` — message-passing execution of the
-  same algorithm, proving it runs on one-hop exchanges only.
-* :mod:`repro.optimization.multi_session` — the multiple-unicast
-  extension sketched in the paper's conclusion.
+* :mod:`repro.optimization.rate_control` — the one Table 1 loop over
+  N >= 1 sessions (SUB1 per session, the SUB2 proximal rate update with
+  shared congestion prices, the multiplier updates) and its
+  single-session face, the planner's driver.
+* :mod:`repro.optimization.messages` — the same loop with a
+  distance-vector SUB1 and a message census, proving it runs on one-hop
+  exchanges only.
+* :mod:`repro.optimization.multi_session` — the loop over several
+  sessions (the multiple-unicast extension sketched in the paper's
+  conclusion) and its LP reference.
 * :mod:`repro.optimization.replanning` — the Sec. 4 control-plane
   re-initiation cost model (flood + message census).
 """
@@ -39,7 +42,6 @@ from repro.optimization.rate_control import (
 )
 from repro.optimization.replanning import ReplanCost, replan_cost
 from repro.optimization.sub1_routing import Sub1Iterate, Sub1Router
-from repro.optimization.sub2_rates import Sub2Iterate, Sub2RateAllocator
 from repro.optimization.subgradient import (
     ConstantStepSize,
     DiminishingStepSize,
@@ -72,8 +74,6 @@ __all__ = [
     "StepSizeSchedule",
     "Sub1Iterate",
     "Sub1Router",
-    "Sub2Iterate",
-    "Sub2RateAllocator",
     "feasible_scaling",
     "multi_feasible_scaling",
     "project_nonnegative",

@@ -1,50 +1,39 @@
-"""Message-passing execution of the distributed rate control algorithm.
+"""Message census of the distributed rate control algorithm.
 
-:class:`RateControlAlgorithm` computes Table 1 with global visibility for
-speed.  This module re-executes the same algorithm as genuinely local
-node programs exchanging messages, demonstrating the paper's
-distributedness claim and *counting the messages*, which backs the
-paper's overhead discussion: "Beside the shortest path algorithm, the
+The paper's overhead discussion: "Beside the shortest path algorithm, the
 only step that needs message passing is in equation (15) and (17), where
 each node sends its rate and congestion price to its neighbors."
-
-Per outer iteration:
+:class:`MessagePassingRateControl` is Table 1 (the loop of
+:mod:`repro.optimization.rate_control`) with SUB1 computed the way a
+deployment would and every message counted:
 
 1. **SUB1** — a distance-vector (Bellman-Ford) exchange over the link
-   costs lambda_ij computes every node's cheapest route to the
+   costs lambda_ij + mu_i computes every node's cheapest route to the
    destination; the source then launches a flow-setup token that walks
    the shortest path, letting each on-path transmitter learn its x_ij.
-   Every node-to-neighbor distance advertisement counts as one message.
-2. **SUB2** — every node broadcasts (b_i, beta_i) to its neighbors: one
-   message per node per iteration (a single local broadcast reaches all
-   neighbors under the broadcast MAC).
-3. **lambda update** — local at the transmitter: it knows b_i, p_ij and
-   learns x_ij from the flow token.
+   Every node-to-neighbor distance advertisement and every token hop
+   counts as one message (:class:`DistanceVectorRouter`).
+2. **SUB2** — every node broadcasts (b_i, beta_i) to its neighbors, and
+   b_i once more so (15) sees this iteration's rates: two messages per
+   node per iteration (a single local broadcast reaches all neighbors
+   under the broadcast MAC), 2 |V| per iteration in closed form.
+3. **lambda / mu update** — local at the transmitter: it knows b_i, p_ij
+   and learns x_ij from the flow token.
 
-Numerically the node programs apply the identical update formulas, so
-the recovered allocation matches :class:`RateControlAlgorithm` up to
-shortest-path tie-breaking (ties between equal-cost paths may resolve
-differently; tests assert agreement of throughput and rates, not of
-paths).
+The census is a cold run, and its allocation is the planner's up to
+shortest-path tie-breaking and the distance-vector's summation order
+(tests assert agreement of throughput and rates, not of paths).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List, Sequence, Tuple
 
-import numpy as np
-
+from repro import obs
 from repro.optimization.problem import SessionGraph
-from repro.optimization.rate_control import (
-    RateControlConfig,
-    RateControlDuals,
-    RateControlResult,
-    net_source_flow,
-)
-from repro.optimization.recovery import IterateAverager
-from repro.optimization.subgradient import project_nonnegative
-from repro.topology.graph import Link
+from repro.optimization.rate_control import RateControlAlgorithm, RateControlConfig
+from repro.optimization.sub1_routing import Sub1Router
 
 _INF = float("inf")
 
@@ -67,92 +56,34 @@ class MessageStats:
         )
 
 
-class MessagePassingRateControl:
-    """Run Table 1 as local node programs over simulated messages.
+class DistanceVectorRouter(Sub1Router):
+    """SUB1 as node programs: distributed Bellman-Ford toward the
+    destination, then a flow-setup token along the next hops.
 
-    Every node program's state is one slot, at the node's index, of the
-    vectors below (``graph.index`` order); a transmitter additionally
-    owns the multipliers and flow assignments of its out-links.  A node
-    only ever reads its own slots and what its neighbors' broadcasts
-    delivered to it.
+    Synchronous rounds: each round every node with a finite distance
+    advertises it (one message), and every node relaxes its out-links in
+    link order against the previous round's snapshot, taking a link only
+    on an improvement larger than 1e-15.  Rounds stop when nothing
+    changes, after at most |V|.
     """
 
-    def __init__(
-        self,
-        graph: SessionGraph,
-        config: RateControlConfig | None = None,
-    ) -> None:
-        self._graph = graph
-        self._config = config or RateControlConfig()
-        self._stats = MessageStats()
-        self._iteration = 0
-        index = graph.index
-        count = len(graph.nodes)
-        # b_i and beta_i, broadcast to the neighbors every iteration.
-        self._rates: List[float] = [self._config.initial_rate] * count
-        self._rates[index.destination] = 0.0
-        self._beta: List[float] = [0.0] * count
-        # lambda_ij and the last x_ij learned from the flow-setup token,
-        # owned by the link's transmitter.
-        self._prices: List[float] = [0.0] * len(graph.links)
-        self._flows: List[float] = [0.0] * len(graph.links)
-        # Broadcast-information multiplier mu_i of constraint (5b) — also
-        # owned locally: its subgradient b_i q_i - sum_j x_ij uses only
-        # quantities the transmitter already knows.
-        self._union_prices: List[float] = [0.0] * count
-        # Distance-vector state for SUB1: cost to the destination and the
-        # out-link taken toward it.
-        self._distance: List[float] = [_INF] * count
-        self._next_link: List[int] = [-1] * count
-        # Whose (b, beta) broadcasts node i receives: the j in N(i) with
-        # i in N(j), in N(i) order.
-        self._heard = [
-            tuple(j for j in members if v in index.neighbors[j])
-            for v, members in enumerate(index.neighbors)
-        ]
-        self._flow_averager = IterateAverager(
-            len(graph.links), tail=self._config.recovery_tail
-        )
-        self._rate_averager = IterateAverager(
-            count, tail=self._config.recovery_tail
-        )
-        self._rate_history: List[Dict[int, float]] = []
-        self._gamma_history: List[float] = []
+    distance_advertisements = 0
+    flow_setup_tokens = 0
 
-    @property
-    def stats(self) -> MessageStats:
-        """Messages exchanged so far."""
-        return self._stats
-
-    @property
-    def iteration(self) -> int:
-        """Outer iterations executed."""
-        return self._iteration
-
-    # ------------------------------------------------------------------
-    # Phases of one outer iteration
-    # ------------------------------------------------------------------
-    def _sub1_distance_exchange(self) -> None:
-        """Distributed Bellman-Ford on the current lambda costs."""
+    def _shortest_path(
+        self, weights: Sequence[float]
+    ) -> Tuple[List[int], float] | None:
         index = self._graph.index
         tail, head = index.tail, index.head
-        count = len(self._distance)
-        # What transmitter i charges for link (i, j): lambda_ij + mu_i.
-        costs = [
-            price + self._union_prices[tail[k]]
-            for k, price in enumerate(self._prices)
-        ]
+        count = len(self._graph.nodes)
         distance = [_INF] * count
         next_link = [-1] * count
         distance[index.destination] = 0.0
-        # Synchronous rounds; each round every node advertises its current
-        # distance to neighbors (one broadcast = one message per node that
-        # has a finite distance).
         for _ in range(count):
             changed = False
             snapshot = list(distance)
-            self._stats.distance_advertisements += count - snapshot.count(_INF)
-            for k, cost in enumerate(costs):
+            self.distance_advertisements += count - snapshot.count(_INF)
+            for k, cost in enumerate(weights):
                 through = snapshot[head[k]]
                 if through == _INF:
                     continue
@@ -164,161 +95,52 @@ class MessagePassingRateControl:
                     changed = True
             if not changed:
                 break
-        self._distance = distance
-        self._next_link = next_link
-
-    def _sub1_flow_setup(self) -> None:
-        """Walk the flow-setup token from source to destination."""
-        index = self._graph.index
-        path_cost = self._distance[index.source]
+        path_cost = distance[index.source]
         if path_cost == _INF:
-            raise RuntimeError("destination unreachable in session graph")
-        cap = self._config.gamma_cap
-        gamma = cap if path_cost <= 1.0 / cap else 1.0 / path_cost
-        # Nodes record their own outgoing assignment; off-path links are 0.
-        flows = [0.0] * len(self._flows)
+            return None
+        hops: List[int] = []
         v = index.source
-        visited = {v}
         while v != index.destination:
-            k = self._next_link[v]
-            v = index.head[k]
-            assert k >= 0 and v not in visited
-            flows[k] = gamma
-            self._stats.flow_setup_tokens += 1
-            visited.add(v)
-        self._flows = flows
+            k = next_link[v]
+            hops.append(k)
+            v = head[k]
+            assert len(hops) < count, "next hops loop"
+        self.flow_setup_tokens += len(hops)
+        return hops, path_cost
 
-    def _sub2_exchange_and_update(self, theta: float) -> None:
-        """(17) rate update and (15) price update from neighbor messages."""
-        index = self._graph.index
-        p, q = index.p, index.q
-        heard = self._heard
-        count = len(self._rates)
-        # Everyone broadcasts (b, beta) once; neighbors capture it.
-        self._stats.rate_price_broadcasts += count
-        # (17): proximal ascent on the local Lagrangian coefficient.
-        old_rates, beta = self._rates, self._beta
-        prices, union_prices = self._prices, self._union_prices
-        scale = 2.0 * self._config.proximal_c
-        rates = [0.0] * count
-        for v, out in enumerate(index.out_links):
-            if v == index.destination:
-                continue
-            weight = 0.0
-            for k in out:
-                weight += prices[k] * p[k]
-            if out:
-                weight += union_prices[v] * q[v]
-            charge = 0.0
-            for j in heard[v]:
-                charge += beta[j]
-            updated = old_rates[v] + (weight - (beta[v] + charge)) / scale
-            rates[v] = min(1.0, max(0.0, updated))
-        self._rates = rates
-        # A second (b) exchange so beta sees this iteration's rates, as in
-        # the reference implementation's update order.
-        self._stats.rate_price_broadcasts += count
-        # (15): congestion price from the neighborhood load.
-        for v in index.mac_constrained:
-            load = 0.0
-            for j in heard[v]:
-                load += rates[j]
-            beta[v] = project_nonnegative(
-                beta[v] - theta * (1.0 - (rates[v] + load))
-            )
 
-    def _lambda_update(self, theta: float) -> None:
-        """(8) plus the local (5b) multiplier: both at the transmitter."""
-        index = self._graph.index
-        prices, flows, rates = self._prices, self._flows, self._rates
-        for v, out in enumerate(index.out_links):
-            if not out:
-                continue
-            outflow = 0.0
-            for k in out:
-                surplus = rates[v] * index.p[k] - flows[k]
-                prices[k] = project_nonnegative(prices[k] - theta * surplus)
-                outflow += flows[k]
-            surplus = rates[v] * index.q[v] - outflow
-            self._union_prices[v] = project_nonnegative(
-                self._union_prices[v] - theta * surplus
-            )
+class MessagePassingRateControl(RateControlAlgorithm):
+    """Table 1 on one session with :class:`DistanceVectorRouter` as SUB1,
+    counting the messages it takes (:attr:`stats`).
 
-    # ------------------------------------------------------------------
-    # Driver
-    # ------------------------------------------------------------------
-    def step(self) -> None:
-        """One outer iteration (Table 1 steps 3-5) over messages."""
-        theta = self._config.step_size(self._iteration)
-        self._sub1_distance_exchange()
-        self._sub1_flow_setup()
-        self._sub2_exchange_and_update(theta)
-        self._lambda_update(theta)
-        self._flow_averager.push(np.array(self._flows))
-        self._rate_averager.push(np.array(self._rates))
-        self._rate_history.append(self.recovered_rates())
-        self._gamma_history.append(self._recovered_throughput())
-        self._iteration += 1
+    A measurement of the control plane, not a plan: it publishes no
+    ``optimizer.*`` metrics of its own.
+    """
 
-    def _recovered_rate_vector(self) -> List[float]:
-        if self._rate_averager.count == 0:
-            return list(self._rates)
-        return self._rate_averager.average().tolist()
+    _census: DistanceVectorRouter
 
-    def recovered_rates(self) -> Dict[int, float]:
-        """Current averaged broadcast rates."""
-        return dict(zip(self._graph.nodes, self._recovered_rate_vector()))
+    def __init__(
+        self,
+        graph: SessionGraph,
+        config: RateControlConfig | None = None,
+    ) -> None:
+        super().__init__(graph, config, registry=obs.MetricsRegistry(enabled=False))
 
-    def recovered_flows(self) -> Dict[Link, float]:
-        """Current averaged link flows."""
-        return dict(zip(self._graph.links, self._flow_averager.average().tolist()))
-
-    def _recovered_throughput(self) -> float:
-        return net_source_flow(
-            self._graph, self._flow_averager.average().tolist()
-        )
-
-    def run(self) -> RateControlResult:
-        """Iterate to convergence; same stopping rule as the fast driver."""
+    def _sub1(self, graph: SessionGraph) -> Sub1Router:
         config = self._config
-        graph = self._graph
-        stable = 0
-        converged = False
-        previous: List[float] | None = None
-        while self._iteration < config.max_iterations:
-            self.step()
-            recovered = self._recovered_rate_vector()
-            if previous is not None:
-                delta = max(abs(b - a) for b, a in zip(recovered, previous))
-                scale = max(max(recovered), 1e-9)
-                if delta / scale < config.tolerance:
-                    stable += 1
-                else:
-                    stable = 0
-                if self._iteration >= config.min_iterations and stable >= config.patience:
-                    converged = True
-                    break
-            previous = recovered
-        # Transmitter by transmitter, as each node would report its own.
-        link_prices = {
-            graph.links[k]: self._prices[k]
-            for out in graph.index.out_links
-            for k in out
-        }
-        return RateControlResult(
-            broadcast_rates=self.recovered_rates(),
-            flows=self.recovered_flows(),
-            throughput=self._recovered_throughput(),
-            iterations=self._iteration,
-            converged=converged,
-            rate_history=tuple(self._rate_history),
-            gamma_history=tuple(self._gamma_history),
-            capacity=graph.capacity,
-            duals=RateControlDuals(
-                link_prices=link_prices,
-                congestion_prices=dict(zip(graph.nodes, self._beta)),
-                union_prices=dict(zip(graph.nodes, self._union_prices)),
-                rates=dict(zip(graph.nodes, self._rates)),
-                iteration=self._iteration,
-            ),
+        self._census = DistanceVectorRouter(
+            graph,
+            gamma_cap=config.gamma_cap,
+            primal_recovery=config.primal_recovery,
+            recovery_tail=config.recovery_tail,
+        )
+        return self._census
+
+    @property
+    def stats(self) -> MessageStats:
+        """Messages exchanged so far."""
+        return MessageStats(
+            distance_advertisements=self._census.distance_advertisements,
+            flow_setup_tokens=self._census.flow_setup_tokens,
+            rate_price_broadcasts=2 * len(self._graphs[0].nodes) * self._iteration,
         )

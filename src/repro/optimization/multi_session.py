@@ -31,10 +31,11 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.optimization.problem import SessionGraph
-from repro.optimization.rate_control import RateControlConfig, net_source_flow
-from repro.optimization.recovery import IterateAverager
-from repro.optimization.sub1_routing import Sub1Router
-from repro.optimization.subgradient import project_nonnegative
+from repro.optimization.rate_control import (
+    RateControlConfig,
+    RateControlLoop,
+    net_source_flow,
+)
 from repro.topology.graph import Link
 
 
@@ -62,14 +63,13 @@ class MultiSessionResult:
         return float(sum(self.throughputs))
 
 
-class MultiSessionRateControl:
-    """Jointly allocate rates to several sessions on one network.
+class MultiSessionRateControl(RateControlLoop):
+    """Jointly allocate rates to several sessions on one network:
+    :class:`~repro.optimization.rate_control.RateControlLoop` over them.
 
     All session graphs must share the same capacity (they describe the
     same channel).  Node ids are global, so the shared congestion price
-    beta_i is well defined across sessions: it lives in one vector over
-    the sorted union of the sessions' nodes, and each session reaches it
-    through a node-index -> shared-slot table.
+    beta_i is well defined across sessions.
     """
 
     def __init__(
@@ -77,168 +77,24 @@ class MultiSessionRateControl:
         graphs: Sequence[SessionGraph],
         config: RateControlConfig | None = None,
     ) -> None:
-        if not graphs:
-            raise ValueError("at least one session is required")
-        capacities = {g.capacity for g in graphs}
-        if len(capacities) != 1:
-            raise ValueError(f"sessions disagree on capacity: {capacities}")
-        self._graphs = list(graphs)
-        self._config = config or RateControlConfig()
-        self._routers = [
-            Sub1Router(
-                g,
-                gamma_cap=self._config.gamma_cap,
-                primal_recovery=self._config.primal_recovery,
-                recovery_tail=self._config.recovery_tail,
-            )
-            for g in self._graphs
-        ]
-        # Per session: lambda per link index, mu and b per node index.
-        self._prices: List[List[float]] = [[0.0] * len(g.links) for g in self._graphs]
-        self._union_prices: List[List[float]] = [
-            [0.0] * len(g.nodes) for g in self._graphs
-        ]
-        self._rates: List[List[float]] = []
-        for g in self._graphs:
-            rates = [self._config.initial_rate] * len(g.nodes)
-            rates[g.index.destination] = 0.0
-            self._rates.append(rates)
-        # Shared congestion prices: a slot per node of any session, moved
-        # only where the node is MAC-constrained in at least one of them
-        # (a node that is the source of every session it joins stays 0.0).
-        shared = sorted({node for g in self._graphs for node in g.nodes})
-        slot_of = {node: slot for slot, node in enumerate(shared)}
-        self._beta: List[float] = [0.0] * len(shared)
-        self._slots = [[slot_of[node] for node in g.nodes] for g in self._graphs]
-        constrained = sorted(
-            {node for g in self._graphs for node in g.mac_constrained_nodes()}
-        )
-        # Per constrained node: its shared slot and, for every session that
-        # includes it (in session order), its index and neighbors there.
-        self._constrained: List[Tuple[int, List[Tuple[int, int, Tuple[int, ...]]]]] = []
-        for node in constrained:
-            members = []
-            for s, g in enumerate(self._graphs):
-                v = g.index.node_index.get(node)
-                if v is not None:
-                    members.append((s, v, g.index.neighbors[v]))
-            self._constrained.append((slot_of[node], members))
-        self._rate_averagers = [
-            IterateAverager(len(g.nodes), tail=self._config.recovery_tail)
-            for g in self._graphs
-        ]
-        self._iteration = 0
-
-    @property
-    def iteration(self) -> int:
-        """Outer iterations executed."""
-        return self._iteration
-
-    def step(self) -> None:
-        """One joint iteration: per-session SUB1/SUB2, shared beta."""
-        theta = self._config.step_size(self._iteration)
-        beta = self._beta
-        scale = 2.0 * self._config.proximal_c
-        session_flows = []
-        for router, prices, mus, g in zip(
-            self._routers, self._prices, self._union_prices, self._graphs
-        ):
-            tail = g.index.tail
-            session_flows.append(
-                router.route([prices[k] + mus[tail[k]] for k in range(len(prices))])
-            )
-        # Per-session proximal rate updates against the shared prices.
-        for s, g in enumerate(self._graphs):
-            index = g.index
-            prices, mus, slots = self._prices[s], self._union_prices[s], self._slots[s]
-            old = self._rates[s]
-            rates = list(old)
-            for v, out in enumerate(index.out_links):
-                if v == index.destination:
-                    continue
-                weight = 0.0
-                for k in out:
-                    weight += prices[k] * index.p[k]
-                if mus[v]:
-                    weight += mus[v] * index.q[v]
-                charge = 0.0
-                for j in index.neighbors[v]:
-                    charge += beta[slots[j]]
-                updated = old[v] + (weight - (beta[slots[v]] + charge)) / scale
-                rates[v] = min(1.0, max(0.0, updated))
-            self._rates[s] = rates
-        # Shared congestion price update on total load: receiver i is
-        # charged b_i plus its neighborhood's rates in every session.
-        for slot, members in self._constrained:
-            load = 0.0
-            for s, v, neighbors in members:
-                rates = self._rates[s]
-                load += rates[v]
-                heard = 0.0
-                for j in neighbors:
-                    heard += rates[j]
-                load += heard
-            beta[slot] = project_nonnegative(beta[slot] - theta * (1.0 - load))
-        # Per-session multiplier updates.
-        for g, rates, prices, mus, flows in zip(
-            self._graphs, self._rates, self._prices, self._union_prices, session_flows
-        ):
-            index = g.index
-            for k, flow in enumerate(flows):
-                surplus = rates[index.tail[k]] * index.p[k] - flow
-                prices[k] = project_nonnegative(prices[k] - theta * surplus)
-            for v in index.transmitters:
-                outflow = 0.0
-                for k in index.out_links[v]:
-                    outflow += flows[k]
-                surplus = rates[v] * index.q[v] - outflow
-                mus[v] = project_nonnegative(mus[v] - theta * surplus)
-        for rates, averager in zip(self._rates, self._rate_averagers):
-            averager.push(np.array(rates))
-        self._iteration += 1
+        super().__init__(graphs, config)
 
     def run(self) -> MultiSessionResult:
         """Iterate to convergence of every session's recovered rates."""
-        config = self._config
-        stable = 0
-        converged = False
-        previous: List[List[float]] | None = None
-        while self._iteration < config.max_iterations:
-            self.step()
-            recovered = self._recovered_rate_vectors()
-            if previous is not None:
-                delta = 0.0
-                scale = 1e-9
-                for rec, prev in zip(recovered, previous):
-                    delta = max(delta, max(abs(b - a) for b, a in zip(rec, prev)))
-                    scale = max(scale, max(rec))
-                if delta / scale < config.tolerance:
-                    stable += 1
-                else:
-                    stable = 0
-                if self._iteration >= config.min_iterations and stable >= config.patience:
-                    converged = True
-                    break
-            previous = recovered
+        converged = self._converge()
         flows = [router.recovered_flow_vector() for router in self._routers]
         return MultiSessionResult(
             throughputs=tuple(
                 net_source_flow(g, flow) for g, flow in zip(self._graphs, flows)
             ),
             broadcast_rates=tuple(
-                dict(zip(g.nodes, rates))
-                for g, rates in zip(self._graphs, self._recovered_rate_vectors())
+                dict(zip(g.nodes, self._recovered_rates(s)))
+                for s, g in enumerate(self._graphs)
             ),
             flows=tuple(dict(zip(g.links, flow)) for g, flow in zip(self._graphs, flows)),
             iterations=self._iteration,
             converged=converged,
         )
-
-    def _recovered_rate_vectors(self) -> List[List[float]]:
-        return [
-            list(rates) if averager.count == 0 else averager.average().tolist()
-            for averager, rates in zip(self._rate_averagers, self._rates)
-        ]
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,18 @@
     5.   Update the Lagrange multiplier lambda_ij with (8):
          lambda_ij(t+1) = [lambda_ij(t) - theta(t)(b_i p_ij - x_ij)]^+
 
-:class:`RateControlAlgorithm` composes :class:`~repro.optimization.
-sub1_routing.Sub1Router` and :class:`~repro.optimization.sub2_rates.
-Sub2RateAllocator` exactly this way and records per-iteration history so
-the Fig. 1 convergence plot can be regenerated.
+:class:`RateControlLoop` is the one implementation, written over N >= 1
+sessions that share the broadcast MAC; the only thing that varies is
+how each session's SUB1 finds its path (:meth:`RateControlLoop._sub1`).
+Its faces:
+
+* :class:`RateControlAlgorithm` — one session: the planner's driver
+  (warm-started on a re-plan) and the Fig. 1 history;
+* :class:`~repro.optimization.multi_session.MultiSessionRateControl` —
+  several sessions, the multiple-unicast extension;
+* :class:`~repro.optimization.messages.MessagePassingRateControl` — one
+  session whose SUB1 is a distance-vector exchange, with a message
+  census.
 
 The result's rates are capacity-normalized; use
 :meth:`RateControlResult.rates_bytes_per_second` for engineering units.
@@ -24,10 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from repro import obs
 from repro.optimization.problem import SessionGraph
+from repro.optimization.recovery import IterateAverager
 from repro.optimization.sub1_routing import Sub1Router
-from repro.optimization.sub2_rates import Sub2RateAllocator
 from repro.optimization.subgradient import (
     DiminishingStepSize,
     StepSizeSchedule,
@@ -64,7 +74,9 @@ class RateControlConfig:
         tolerance: relative-change threshold on the recovered rates.
         patience: consecutive below-tolerance iterations required to
             declare convergence.
-        primal_recovery: disable to ablate eqs. (13)/(18).
+        primal_recovery: disable to ablate eqs. (13)/(18): results,
+            histories and the stopping rule then read the latest
+            instantaneous rates and flows instead of their averages.
         recovery_tail: fraction of recent iterates entering the primal
             recovery average (1.0 = paper-literal full average; see
             :mod:`repro.optimization.recovery`).
@@ -84,6 +96,10 @@ class RateControlConfig:
     recovery_tail: float = 0.5
 
     def __post_init__(self) -> None:
+        if self.proximal_c <= 0:
+            raise ValueError(f"proximal_c must be > 0, got {self.proximal_c}")
+        if not 0 <= self.initial_rate <= 1:
+            raise ValueError(f"initial_rate must be in [0, 1], got {self.initial_rate}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.min_iterations < 1 or self.min_iterations > self.max_iterations:
@@ -199,8 +215,23 @@ class RateControlResult:
         )
 
 
-class RateControlAlgorithm:
-    """Run Table 1 on one session graph.
+class RateControlLoop:
+    """Table 1 over N >= 1 sessions coupled by the broadcast MAC.
+
+    Each session s keeps lambda^s per link index, mu^s and b^s per node
+    index (``graph.index`` order), its SUB1 router and the average of
+    its b^s iterates (eq. 18).  The congestion price beta_i is shared: one
+    vector over the sorted union of the sessions' nodes, reached through
+    a per-session node-index -> shared-slot table, moved only where the
+    node is MAC-constrained in at least one session.  It prices the total
+    load ``sum_s (b_i^s + sum_{j in N(i)} b_j^s)``; with one session that
+    is ``(0.0 + b_i) + sum_j b_j``, the single-session constraint (4).
+
+    ``warm_start`` seeds every session by key — node ids and links are
+    global: lambda by link, mu, b (clipped into [0, 1]) and beta by node;
+    an absent key cold-starts, so a changed forwarder DAG simply leaves
+    its new links at 0.  The step-size schedule continues from its
+    ``iteration``.
 
     With observability on, each outer iteration is exposed twice over:
     aggregates under the ``optimizer.`` namespace (iteration counter,
@@ -211,46 +242,74 @@ class RateControlAlgorithm:
 
     def __init__(
         self,
-        graph: SessionGraph,
+        graphs: Sequence[SessionGraph],
         config: RateControlConfig | None = None,
         *,
         warm_start: RateControlDuals | None = None,
         registry: obs.MetricsRegistry | None = None,
         tracer: obs.EventTracer | None = None,
     ) -> None:
-        self._graph = graph
-        self._config = config or RateControlConfig()
-        self._sub1 = Sub1Router(
-            graph,
-            gamma_cap=self._config.gamma_cap,
-            primal_recovery=self._config.primal_recovery,
-            recovery_tail=self._config.recovery_tail,
-        )
-        self._sub2 = Sub2RateAllocator(
-            graph,
-            proximal_c=self._config.proximal_c,
-            initial_rate=self._config.initial_rate,
-            primal_recovery=self._config.primal_recovery,
-            recovery_tail=self._config.recovery_tail,
-            initial_rates=warm_start.rates if warm_start else None,
-            initial_beta=warm_start.congestion_prices if warm_start else None,
-        )
-        # Warm start (re-planning after drift): seed the duals from the
-        # previous run's final prices instead of Table 1 step 1's zeros.
-        # Keys are matched by .get() — drift preserves the link set, but a
-        # changed forwarder DAG simply leaves the new links at 0.
-        warm_links = warm_start.link_prices if warm_start else {}
-        warm_union = warm_start.union_prices if warm_start else {}
-        # lambda_ij per link index.
-        self._prices: List[float] = [
-            warm_links.get(link, 0.0) for link in graph.links
+        if not graphs:
+            raise ValueError("at least one session is required")
+        capacities = {g.capacity for g in graphs}
+        if len(capacities) != 1:
+            raise ValueError(f"sessions disagree on capacity: {capacities}")
+        self._graphs = list(graphs)
+        self._config = config = config or RateControlConfig()
+        self._routers = [self._sub1(g) for g in self._graphs]
+        # "Set elements in b ... to small positive numbers.  Initialize the
+        # dual variables to 0." (Table 1, step 1), unless warm-started.
+        link_seed = warm_start.link_prices if warm_start else {}
+        union_seed = warm_start.union_prices if warm_start else {}
+        rate_seed = warm_start.rates if warm_start else {}
+        beta_seed = warm_start.congestion_prices if warm_start else {}
+        self._prices: List[List[float]] = []
+        self._union_prices: List[List[float]] = []
+        self._rates: List[List[float]] = []
+        for g in self._graphs:
+            index = g.index
+            self._prices.append([link_seed.get(link, 0.0) for link in g.links])
+            # Multipliers of the broadcast information constraint (5b):
+            # sum_j x_ij <= b_i * q_i (see repro.optimization.sunicast);
+            # only transmitters' slots ever leave 0.0.
+            mus = [0.0] * len(g.nodes)
+            for v in index.transmitters:
+                mus[v] = union_seed.get(g.nodes[v], 0.0)
+            self._union_prices.append(mus)
+            rates = [
+                min(1.0, max(0.0, rate_seed.get(node, config.initial_rate)))
+                for node in g.nodes
+            ]
+            rates[index.destination] = 0.0  # the destination never broadcasts
+            self._rates.append(rates)
+        shared = sorted({node for g in self._graphs for node in g.nodes})
+        slot_of = {node: slot for slot, node in enumerate(shared)}
+        self._beta: List[float] = [0.0] * len(shared)
+        self._slots = [[slot_of[node] for node in g.nodes] for g in self._graphs]
+        # Per session and node index: the shared slots of N(i), in order.
+        self._neighbor_slots = [
+            [tuple(slots[j] for j in members) for members in g.index.neighbors]
+            for g, slots in zip(self._graphs, self._slots)
         ]
-        # Multipliers of the broadcast information constraint (5b):
-        # sum_j x_ij <= b_i * q_i (see repro.optimization.sunicast).  One
-        # slot per node index; only transmitters' slots ever leave 0.0.
-        self._union_prices: List[float] = [0.0] * len(graph.nodes)
-        for v in graph.index.transmitters:
-            self._union_prices[v] = warm_union.get(graph.nodes[v], 0.0)
+        # Per constrained node: its shared slot and, for every session that
+        # includes it (in session order), its index and neighbors there.
+        self._constrained: List[Tuple[int, List[Tuple[int, int, Tuple[int, ...]]]]] = []
+        constrained = {node for g in self._graphs for node in g.mac_constrained_nodes()}
+        for node in sorted(constrained):
+            members = []
+            for s, g in enumerate(self._graphs):
+                v = g.index.node_index.get(node)
+                if v is not None:
+                    members.append((s, v, g.index.neighbors[v]))
+            slot = slot_of[node]
+            self._beta[slot] = max(0.0, beta_seed.get(node, 0.0))
+            self._constrained.append((slot, members))
+        self._averagers = [
+            IterateAverager(len(g.nodes), tail=config.recovery_tail)
+            for g in self._graphs
+        ]
+        self._rate_history: List[List[Dict[int, float]]] = [[] for _ in self._graphs]
+        self._gamma_history: List[List[float]] = [[] for _ in self._graphs]
         # Continue the diminishing step-size schedule where the previous
         # run stopped: replaying the large early theta(t) would throw the
         # warm duals right back to a cold trajectory.
@@ -274,18 +333,18 @@ class RateControlAlgorithm:
             "worst violation of x_ij <= b_i p_ij at the recovered primal point",
         )
 
-    @property
-    def prices(self) -> Dict[Link, float]:
-        """Current Lagrange multipliers lambda_ij."""
-        return dict(zip(self._graph.links, self._prices))
+    def _sub1(self, graph: SessionGraph) -> Sub1Router:
+        """SUB1 for one session — the one place a subclass swaps it.
 
-    @property
-    def union_prices(self) -> Dict[int, float]:
-        """Current broadcast-information multipliers mu_i (transmitters)."""
-        nodes = self._graph.nodes
-        return {
-            nodes[v]: self._union_prices[v] for v in self._graph.index.transmitters
-        }
+        Called once per session graph while the loop is built.
+        """
+        config = self._config
+        return Sub1Router(
+            graph,
+            gamma_cap=config.gamma_cap,
+            primal_recovery=config.primal_recovery,
+            recovery_tail=config.recovery_tail,
+        )
 
     @property
     def iteration(self) -> int:
@@ -293,100 +352,167 @@ class RateControlAlgorithm:
         return self._iteration
 
     def step(self) -> None:
-        """One outer iteration: SUB1, SUB2, multiplier update (steps 3-5)."""
-        theta = self._config.step_size(self._iteration + self._step_offset)
-        index = self._graph.index
-        tail, p = index.tail, index.p
-        prices, union_prices = self._prices, self._union_prices
-        # SUB1 sees the total price of routing one unit over link (i, j):
-        # the per-link price lambda_ij plus the transmitter's aggregate
-        # broadcast-information price mu_i.
-        flows = self._sub1.route(
-            [prices[k] + union_prices[tail[k]] for k in range(len(prices))]
-        )
-        self._sub2.update(prices, theta, union_prices)
-        rates = self._sub2.rate_vector
-        # (8): the subgradient of the relaxed constraint (5) at the
-        # instantaneous primal solution.
-        for k, flow in enumerate(flows):
-            surplus = rates[tail[k]] * p[k] - flow
-            prices[k] = project_nonnegative(prices[k] - theta * surplus)
-        # Same subgradient form for (5b): surplus = b_i q_i - sum_j x_ij.
-        for v in index.transmitters:
-            outflow = 0.0
-            for k in index.out_links[v]:
-                outflow += flows[k]
-            surplus = rates[v] * index.q[v] - outflow
-            union_prices[v] = project_nonnegative(union_prices[v] - theta * surplus)
+        """One outer iteration over every session (Table 1 steps 3-5).
+
+        SUB1 routes each session on the total price of sending one unit
+        over link (i, j): lambda_ij plus the transmitter's mu_i.  SUB2
+        moves each session's rates by the proximal update (17),
+
+            b_i <- clip(b_i + (w_i - beta_i - sum_{j in N(i)} beta_j) / 2c, 0, 1)
+            w_i  = sum_j lambda_ij p_ij + mu_i q_i,
+
+        then the shared prices by (15) from the new rates' total load,
+
+            beta_i <- [beta_i - theta(t) (1 - load_i)]^+,
+
+        and last the multipliers at the instantaneous primal point: (8)
+        and its (5b) twin, mu_i <- [mu_i - theta(t) (b_i q_i - sum_j x_ij)]^+.
+        """
+        config = self._config
+        theta = config.step_size(self._iteration + self._step_offset)
+        beta = self._beta
+        scale = 2.0 * config.proximal_c
+        session_flows = []
+        for g, router, prices, mus in zip(
+            self._graphs, self._routers, self._prices, self._union_prices
+        ):
+            tail = g.index.tail
+            session_flows.append(
+                router.route([prices[k] + mus[tail[k]] for k in range(len(prices))])
+            )
+        for s, g in enumerate(self._graphs):
+            index = g.index
+            p, q = index.p, index.q
+            prices, mus = self._prices[s], self._union_prices[s]
+            slots, neighbor_slots = self._slots[s], self._neighbor_slots[s]
+            old = self._rates[s]
+            rates = list(old)
+            for v, out in enumerate(index.out_links):
+                if v == index.destination:
+                    continue
+                weight = 0.0
+                for k in out:
+                    weight += prices[k] * p[k]
+                if mus[v]:
+                    weight += mus[v] * q[v]
+                charge = 0.0
+                for slot in neighbor_slots[v]:
+                    charge += beta[slot]
+                updated = old[v] + (weight - (beta[slots[v]] + charge)) / scale
+                rates[v] = min(1.0, max(0.0, updated))
+            self._rates[s] = rates
+        session_rates = self._rates
+        for slot, members in self._constrained:
+            load = 0.0
+            for s, v, node_neighbors in members:
+                rates = session_rates[s]
+                load += rates[v]
+                heard = 0.0
+                for j in node_neighbors:
+                    heard += rates[j]
+                load += heard
+            beta[slot] = project_nonnegative(beta[slot] - theta * (1.0 - load))
+        for g, rates, prices, mus, flows, averager in zip(
+            self._graphs,
+            self._rates,
+            self._prices,
+            self._union_prices,
+            session_flows,
+            self._averagers,
+        ):
+            index = g.index
+            tail, p = index.tail, index.p
+            for k, flow in enumerate(flows):
+                surplus = rates[tail[k]] * p[k] - flow
+                prices[k] = project_nonnegative(prices[k] - theta * surplus)
+            for v in index.transmitters:
+                outflow = 0.0
+                for k in index.out_links[v]:
+                    outflow += flows[k]
+                surplus = rates[v] * index.q[v] - outflow
+                mus[v] = project_nonnegative(mus[v] - theta * surplus)
+            averager.push(np.array(rates))
         self._iteration += 1
         if self._observing:
             self._observe_iteration(theta)
 
-    def run(self) -> RateControlResult:
-        """Iterate to convergence and return the recovered allocation."""
+    def _converge(self) -> bool:
+        """Step until every session's recovered rates settle (True) or the
+        iteration cap; records each iteration's b_bar and gamma_bar."""
         config = self._config
-        nodes = self._graph.nodes
-        rate_history: List[Dict[int, float]] = []
-        gamma_history: List[float] = []
-        stable_iterations = 0
-        converged = False
-        previous: List[float] | None = None
-
+        sessions = range(len(self._graphs))
+        stable = 0
+        previous: List[List[float]] | None = None
         while self._iteration < config.max_iterations:
             self.step()
-            recovered = self._sub2.recovered_rate_vector()
-            rate_history.append(dict(zip(nodes, recovered)))
-            gamma_history.append(self._recovered_throughput())
+            recovered = [self._recovered_rates(s) for s in sessions]
+            for s in sessions:
+                graph = self._graphs[s]
+                self._rate_history[s].append(dict(zip(graph.nodes, recovered[s])))
+                self._gamma_history[s].append(
+                    net_source_flow(graph, self._routers[s].recovered_flow_vector())
+                )
             if previous is not None:
-                delta = max(abs(b - a) for b, a in zip(recovered, previous))
-                scale = max(max(recovered), 1e-9)
+                delta = 0.0
+                scale = 1e-9
+                for rec, prev in zip(recovered, previous):
+                    delta = max(delta, max(abs(b - a) for b, a in zip(rec, prev)))
+                    scale = max(scale, max(rec))
                 if delta / scale < config.tolerance:
-                    stable_iterations += 1
+                    stable += 1
                 else:
-                    stable_iterations = 0
-                if (
-                    self._iteration >= config.min_iterations
-                    and stable_iterations >= config.patience
-                ):
-                    converged = True
-                    break
+                    stable = 0
+                if self._iteration >= config.min_iterations and stable >= config.patience:
+                    return True
             previous = recovered
+        return False
 
-        return RateControlResult(
-            broadcast_rates=self._sub2.recovered_rates,
-            flows=self._sub1.recovered_flows,
-            throughput=self._recovered_throughput(),
-            iterations=self._iteration,
-            converged=converged,
-            rate_history=tuple(rate_history),
-            gamma_history=tuple(gamma_history),
-            capacity=self._graph.capacity,
-            duals=RateControlDuals(
-                link_prices=self.prices,
-                congestion_prices=self._sub2.congestion_prices,
-                union_prices=self.union_prices,
-                rates=self._sub2.rates,
-                iteration=self._iteration + self._step_offset,
-            ),
+    def _recovered_rates(self, s: int) -> List[float]:
+        """b_bar per node index of session ``s``: the averaged rates
+        (eq. 18), or the latest ones when primal recovery is off."""
+        averager = self._averagers[s]
+        if averager.count == 0 or not self._config.primal_recovery:
+            return list(self._rates[s])
+        return averager.average().tolist()
+
+    def _duals(self, s: int) -> RateControlDuals:
+        """Session ``s``'s current prices and instantaneous rates."""
+        graph = self._graphs[s]
+        nodes, index = graph.nodes, graph.index
+        slots, mus = self._slots[s], self._union_prices[s]
+        return RateControlDuals(
+            link_prices=dict(zip(graph.links, self._prices[s])),
+            congestion_prices={
+                nodes[v]: self._beta[slots[v]] for v in index.mac_constrained
+            },
+            union_prices={nodes[v]: mus[v] for v in index.transmitters},
+            rates=dict(zip(nodes, self._rates[s])),
+            iteration=self._iteration + self._step_offset,
         )
 
     def _observe_iteration(self, theta: float) -> None:
         """Publish one iteration's dual state and primal-recovery residual."""
-        index = self._graph.index
-        flows = self._sub1.recovered_flow_vector()
-        rates = self._sub2.recovered_rate_vector()
         residual = 0.0
-        for k, flow in enumerate(flows):
-            slack = flow - rates[index.tail[k]] * index.p[k]
-            if slack > residual:
-                residual = slack
-        beta = self._sub2.beta_vector
-        lambda_mean, lambda_max = _mean_and_max(self._prices)
+        for s, (graph, router) in enumerate(zip(self._graphs, self._routers)):
+            tail, p = graph.index.tail, graph.index.p
+            rates = self._recovered_rates(s)
+            for k, flow in enumerate(router.recovered_flow_vector()):
+                slack = flow - rates[tail[k]] * p[k]
+                if slack > residual:
+                    residual = slack
+        lambda_mean, lambda_max = _mean_and_max(
+            [price for prices in self._prices for price in prices]
+        )
         beta_mean, beta_max = _mean_and_max(
-            [beta[v] for v in index.mac_constrained]
+            [self._beta[slot] for slot, _ in self._constrained]
         )
         mu_max = max(
-            (self._union_prices[v] for v in index.transmitters), default=0.0
+            (
+                mus[v]
+                for graph, mus in zip(self._graphs, self._union_prices)
+                for v in graph.index.transmitters
+            ),
+            default=0.0,
         )
         self._m_iterations.inc()
         self._m_theta.set(theta)
@@ -405,9 +531,50 @@ class RateControlAlgorithm:
             residual=residual,
         )
 
-    def _recovered_throughput(self) -> float:
-        """Net recovered flow out of the source — the usable gamma_bar."""
-        return net_source_flow(self._graph, self._sub1.recovered_flow_vector())
+
+class RateControlAlgorithm(RateControlLoop):
+    """Run Table 1 on one session graph: :class:`RateControlLoop` over
+    one session."""
+
+    def __init__(
+        self,
+        graph: SessionGraph,
+        config: RateControlConfig | None = None,
+        *,
+        warm_start: RateControlDuals | None = None,
+        registry: obs.MetricsRegistry | None = None,
+        tracer: obs.EventTracer | None = None,
+    ) -> None:
+        super().__init__(
+            [graph], config, warm_start=warm_start, registry=registry, tracer=tracer
+        )
+
+    @property
+    def duals(self) -> RateControlDuals:
+        """Current prices and instantaneous rates b(t)."""
+        return self._duals(0)
+
+    @property
+    def union_prices(self) -> Dict[int, float]:
+        """Current broadcast-information multipliers mu_i (transmitters)."""
+        return self._duals(0).union_prices
+
+    def run(self) -> RateControlResult:
+        """Iterate to convergence and return the recovered allocation."""
+        converged = self._converge()
+        graph = self._graphs[0]
+        flows = self._routers[0].recovered_flow_vector()
+        return RateControlResult(
+            broadcast_rates=dict(zip(graph.nodes, self._recovered_rates(0))),
+            flows=dict(zip(graph.links, flows)),
+            throughput=net_source_flow(graph, flows),
+            iterations=self._iteration,
+            converged=converged,
+            rate_history=tuple(self._rate_history[0]),
+            gamma_history=tuple(self._gamma_history[0]),
+            capacity=graph.capacity,
+            duals=self._duals(0),
+        )
 
 
 def net_source_flow(graph: SessionGraph, flows: Sequence[float]) -> float:

@@ -54,7 +54,9 @@ class Sub1Router:
     One :meth:`route` (or its dict-keyed adapter :meth:`step`) per outer
     iteration of the rate-control algorithm.  :attr:`recovered_flows`
     and :attr:`recovered_gamma` expose the averaged allocation of
-    eq. (13).
+    eq. (13).  A subclass swaps how the path is found by overriding
+    :meth:`_shortest_path` (the message census runs a distance-vector
+    exchange, :mod:`repro.optimization.messages`).
     """
 
     def __init__(
@@ -134,11 +136,8 @@ class Sub1Router:
     def route(self, weights: Sequence[float]) -> List[float]:
         """Solve SUB1 for the current prices and update the averages.
 
-        Dijkstra from the source over ``weights`` (one lambda_ij >= 0 per
-        link index): a heap of ``(distance, node id)``, out-links relaxed
-        in link order on a strict improvement.  The search stops when the
-        destination settles — settled labels never change, so its path is
-        final.
+        ``weights`` holds one lambda_ij >= 0 per link index; the path
+        comes from :meth:`_shortest_path`.
 
         Returns:
             The instantaneous flows x(t) per link index: gamma on the
@@ -149,10 +148,38 @@ class Sub1Router:
                 unreachable (cannot happen on a valid session graph).
         """
         graph = self._graph
-        index = graph.index
         if min(weights, default=0.0) < 0:
             k = next(k for k, weight in enumerate(weights) if weight < 0)
             raise ValueError(f"negative price on link {graph.links[k]}: {weights[k]}")
+        found = self._shortest_path(weights)
+        if found is None:
+            raise ValueError("destination unreachable in session graph")
+        hops, path_cost = found
+        gamma = self._gamma_from_cost(path_cost)
+        flows = [0.0] * len(graph.links)
+        for k in hops:
+            flows[k] = gamma
+        self._averager.push(np.array(flows))
+        self._gamma_averager.push(np.array([gamma]))
+        self._last_path = hops
+        self._last_cost = path_cost
+        self._last_gamma = gamma
+        self._last_flows = flows
+        return flows
+
+    def _shortest_path(
+        self, weights: Sequence[float]
+    ) -> Tuple[List[int], float] | None:
+        """The cheapest source -> destination path as link indices, and
+        its cost; None if the destination is unreachable.
+
+        Dijkstra from the source: a heap of ``(distance, node id)``,
+        out-links relaxed in link order on a strict improvement.  The
+        search stops when the destination settles — settled labels never
+        change, so its path is final.
+        """
+        graph = self._graph
+        index = graph.index
         distance = [_INF] * len(graph.nodes)
         via = [-1] * len(graph.nodes)
         settled = [False] * len(graph.nodes)
@@ -175,24 +202,14 @@ class Sub1Router:
                     heapq.heappush(heap, (candidate, node, v))
         path_cost = distance[destination]
         if path_cost == _INF:
-            raise ValueError("destination unreachable in session graph")
+            return None
         hops: List[int] = []
         v = destination
         while v != source:
             hops.append(via[v])
             v = index.tail[via[v]]
         hops.reverse()
-        gamma = self._gamma_from_cost(path_cost)
-        flows = [0.0] * len(graph.links)
-        for k in hops:
-            flows[k] = gamma
-        self._averager.push(np.array(flows))
-        self._gamma_averager.push(np.array([gamma]))
-        self._last_path = hops
-        self._last_cost = path_cost
-        self._last_gamma = gamma
-        self._last_flows = flows
-        return flows
+        return hops, path_cost
 
     def _gamma_from_cost(self, path_cost: float) -> float:
         """gamma = U'^{-1}(p_min) = 1 / p_min for U = ln, capped.

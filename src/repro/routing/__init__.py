@@ -2,8 +2,7 @@
 
 * :mod:`repro.routing.etx` — the ETX metric and probe-based measurement.
 * :mod:`repro.routing.shortest_path` — centralized Dijkstra (on a weight
-  dict, or as ``etx_tree`` on the network's own adjacency) plus the
-  distributed Bellman-Ford exchange that a deployed protocol would run.
+  dict, or as ``etx_tree`` on the network's own adjacency).
 * :mod:`repro.routing.node_selection` — forwarder selection producing the
   distance-decreasing DAG that carries all multipath traffic.
 * :mod:`repro.routing.pseudo_broadcast` — the reliable neighborhood
@@ -29,7 +28,6 @@ from repro.routing.pseudo_broadcast import (
     reliable_flood,
 )
 from repro.routing.shortest_path import (
-    DistributedBellmanFord,
     ShortestPathResult,
     dijkstra,
     dijkstra_to_destination,
@@ -37,7 +35,6 @@ from repro.routing.shortest_path import (
 )
 
 __all__ = [
-    "DistributedBellmanFord",
     "FloodResult",
     "ForwarderSet",
     "LinkProbeEstimator",

@@ -1,4 +1,4 @@
-"""Shortest paths: centralized Dijkstra and distributed Bellman-Ford.
+"""Shortest paths: centralized Dijkstra.
 
 The dict entry points operate on arbitrary non-negative link weights keyed
 by directed link, so the same code serves
@@ -12,11 +12,6 @@ On oracle link qualities both planners call :func:`etx_tree` instead: the
 same relaxation run on the network's own adjacency, which builds no
 weight table and can stop at the one node a caller needs (DESIGN.md
 section 3.2).  :func:`dijkstra` is its test oracle.
-
-:class:`DistributedBellmanFord` mirrors how the protocol would actually
-compute distances in the field: each node repeatedly exchanges distance
-vectors with neighbors until no estimate changes.  Its results agree with
-Dijkstra (tests enforce this); the emulation uses whichever is cheaper.
 """
 
 from __future__ import annotations
@@ -167,99 +162,3 @@ def etx_tree(
                 predecessor[neighbor] = node
                 heapq.heappush(heap, (candidate, neighbor))
     return result
-
-
-class DistributedBellmanFord:
-    """Distance-vector computation by iterative neighbor exchange.
-
-    Each node holds an estimate of its distance to the destination and a
-    next hop.  One :meth:`round` has every node pull its neighbors'
-    current estimates (the message exchange) and relax.  Convergence is
-    reached when a round changes nothing; with non-negative weights this
-    takes at most |V| - 1 rounds.
-    """
-
-    def __init__(
-        self,
-        nodes: Iterable[int],
-        weights: Mapping[Link, float],
-        destination: int,
-    ) -> None:
-        self._nodes = sorted(set(nodes))
-        if destination not in self._nodes:
-            raise ValueError(f"destination {destination} not among nodes")
-        for (i, j), w in weights.items():
-            if w < 0:
-                raise ValueError(f"negative weight on link ({i},{j}): {w}")
-        self._weights = dict(weights)
-        self._destination = destination
-        self._estimate: Dict[int, float] = {n: _INF for n in self._nodes}
-        self._estimate[destination] = 0.0
-        self._next_hop: Dict[int, Optional[int]] = {n: None for n in self._nodes}
-        self._rounds = 0
-        self._converged = False
-
-    @property
-    def rounds(self) -> int:
-        """Message-exchange rounds executed so far."""
-        return self._rounds
-
-    @property
-    def converged(self) -> bool:
-        """True once a round produced no change."""
-        return self._converged
-
-    def round(self) -> bool:
-        """Run one synchronous exchange round; returns True if anything
-        changed."""
-        changed = False
-        snapshot = dict(self._estimate)  # nodes read last round's values
-        for (i, j), w in self._weights.items():
-            through = snapshot.get(j, _INF)
-            if through == _INF:
-                continue
-            candidate = w + through
-            if candidate < self._estimate[i] - 1e-15:
-                self._estimate[i] = candidate
-                self._next_hop[i] = j
-                changed = True
-        self._rounds += 1
-        if not changed:
-            self._converged = True
-        return changed
-
-    def run(self, max_rounds: Optional[int] = None) -> "DistributedBellmanFord":
-        """Iterate rounds to convergence (or ``max_rounds``)."""
-        limit = max_rounds if max_rounds is not None else len(self._nodes)
-        for _ in range(limit):
-            if not self.round():
-                break
-        return self
-
-    def distance(self, node: int) -> float:
-        """Current distance estimate of ``node`` to the destination."""
-        return self._estimate[node]
-
-    def next_hop(self, node: int) -> Optional[int]:
-        """Current next hop of ``node`` toward the destination."""
-        return self._next_hop[node]
-
-    def distances(self) -> Dict[int, float]:
-        """All finite distance estimates."""
-        return {n: d for n, d in self._estimate.items() if d < _INF}
-
-    def path_from(self, node: int) -> Optional[Tuple[int, ...]]:
-        """Follow next hops from ``node`` to the destination."""
-        if self._estimate[node] == _INF:
-            return None
-        path = [node]
-        current = node
-        seen = {node}
-        while current != self._destination:
-            nxt = self._next_hop[current]
-            if nxt is None or nxt in seen:
-                return None  # not yet converged / transient loop
-            path.append(nxt)
-            seen.add(nxt)
-            current = nxt
-        return tuple(path)

@@ -4,14 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.optimization.multi_session import MultiSessionRateControl
 from repro.optimization.problem import session_graph_from_network
 from repro.optimization.rate_control import (
     RateControlAlgorithm,
     RateControlConfig,
+    RateControlDuals,
     feasible_scaling,
 )
 from repro.optimization.sub1_routing import Sub1Router
-from repro.optimization.sub2_rates import Sub2RateAllocator
 from repro.optimization.subgradient import ConstantStepSize
 from repro.optimization.sunicast import solve_sunicast, verify_feasibility
 from repro.topology.random_network import (
@@ -76,54 +77,58 @@ class TestSub1:
         assert router.recovered_gamma == router.last_iterate.gamma
 
 
+def _priced(graph, link_price=0.0, union_prices=None):
+    """Warm-start duals pricing every link at ``link_price`` (and the
+    given mu), everything else cold."""
+    return RateControlDuals(
+        link_prices={link: link_price for link in graph.links},
+        congestion_prices={},
+        union_prices=dict(union_prices or {}),
+        rates={},
+        iteration=0,
+    )
+
+
 class TestSub2:
+    """SUB2 as the loop's ``step()`` runs it: (17), then (15)."""
+
     def test_rates_start_small_and_destination_zero(self):
         graph = fig1_graph()
-        allocator = Sub2RateAllocator(graph, initial_rate=0.01)
-        rates = allocator.rates
+        config = RateControlConfig(initial_rate=0.01)
+        rates = RateControlAlgorithm(graph, config).duals.rates
         assert rates[graph.destination] == 0.0
         assert all(r == 0.01 for n, r in rates.items() if n != graph.destination)
 
     def test_high_prices_push_rates_up(self):
         graph = fig1_graph()
-        allocator = Sub2RateAllocator(graph)
-        prices = {link: 5.0 for link in graph.links}
-        for _ in range(5):
-            allocator.step(prices, 0.1)
-        transmitters = {i for (i, _) in graph.links}
-        assert any(allocator.rates[n] > 0.01 for n in transmitters)
+        algorithm = RateControlAlgorithm(graph, warm_start=_priced(graph, 5.0))
+        algorithm.step()
+        rates = algorithm.duals.rates
+        assert any(rates[n] > 0.01 for n in graph.transmitters())
 
     def test_congestion_prices_react_to_overload(self):
         graph = fig1_graph()
-        allocator = Sub2RateAllocator(graph, initial_rate=0.9)
-        prices = {link: 0.0 for link in graph.links}
-        iterate = allocator.step(prices, 0.5)
+        algorithm = RateControlAlgorithm(graph, RateControlConfig(initial_rate=0.9))
+        algorithm.step()
         # Everyone at 0.9 massively violates the MAC constraint.
-        assert iterate.worst_violation > 0
-        assert any(beta > 0 for beta in iterate.congestion_prices.values())
+        assert any(beta > 0 for beta in algorithm.duals.congestion_prices.values())
 
     def test_rates_bounded(self):
         graph = fig1_graph()
-        allocator = Sub2RateAllocator(graph)
-        prices = {link: 100.0 for link in graph.links}
+        algorithm = RateControlAlgorithm(graph, warm_start=_priced(graph, 100.0))
         for _ in range(20):
-            allocator.step(prices, 0.1)
-        assert all(0.0 <= r <= 1.0 for r in allocator.rates.values())
-
-    def test_invalid_step_size(self):
-        graph = fig1_graph()
-        allocator = Sub2RateAllocator(graph)
-        with pytest.raises(ValueError):
-            allocator.step({}, 0.0)
+            algorithm.step()
+            assert all(0.0 <= r <= 1.0 for r in algorithm.duals.rates.values())
 
     def test_union_prices_enter_weights(self):
         graph = fig1_graph()
-        a = Sub2RateAllocator(graph)
-        b = Sub2RateAllocator(graph)
-        prices = {link: 0.0 for link in graph.links}
-        a.step(prices, 0.1)
-        b.step(prices, 0.1, {graph.source: 5.0})
-        assert b.rates[graph.source] > a.rates[graph.source]
+        a = RateControlAlgorithm(graph, warm_start=_priced(graph))
+        b = RateControlAlgorithm(
+            graph, warm_start=_priced(graph, union_prices={graph.source: 5.0})
+        )
+        a.step()
+        b.step()
+        assert b.duals.rates[graph.source] > a.duals.rates[graph.source]
 
 
 class TestRateControl:
@@ -191,6 +196,24 @@ class TestRateControl:
             RateControlConfig(patience=0)
         with pytest.raises(ValueError):
             RateControlConfig(recovery_tail=0)
+        with pytest.raises(ValueError):
+            RateControlConfig(proximal_c=0)
+        with pytest.raises(ValueError):
+            RateControlConfig(initial_rate=1.5)
+
+    @pytest.mark.parametrize("primal_recovery", [True, False])
+    def test_one_session_multi_equals_single(self, primal_recovery):
+        # One loop: over one session the multi-session face is the
+        # single-session driver, ablations included.
+        graph = fig1_graph()
+        config = RateControlConfig(primal_recovery=primal_recovery)
+        single = RateControlAlgorithm(graph, config).run()
+        multi = MultiSessionRateControl([graph], config).run()
+        assert multi.iterations == single.iterations
+        assert multi.converged == single.converged
+        assert repr(multi.broadcast_rates) == repr((single.broadcast_rates,))
+        assert repr(multi.flows) == repr((single.flows,))
+        assert repr(multi.throughputs) == repr((single.throughput,))
 
     def test_union_prices_exposed(self):
         graph = fig1_graph()

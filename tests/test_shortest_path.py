@@ -1,13 +1,21 @@
 """Dijkstra and the distributed Bellman-Ford agree and behave; the
-network-native ``etx_tree`` equals the dict Dijkstra bit for bit."""
+network-native ``etx_tree`` equals the dict Dijkstra bit for bit.  The
+distributed Bellman-Ford is the message census's SUB1
+(:class:`repro.optimization.messages.DistanceVectorRouter`)."""
+
+import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from repro.optimization.messages import DistanceVectorRouter
+from repro.optimization.problem import SessionGraph, session_graph_from_selection
+from repro.optimization.rate_control import RateControlAlgorithm, RateControlConfig
+from repro.optimization.sub1_routing import Sub1Router
 from repro.routing.etx import etx_weights
+from repro.routing.node_selection import NodeSelectionError, select_forwarders
 from repro.routing.shortest_path import (
-    DistributedBellmanFord,
     dijkstra,
     dijkstra_to_destination,
     etx_tree,
@@ -140,49 +148,118 @@ class TestEtxTree:
                 etx_tree(net, root)
 
 
+def small_session(destination=3):
+    """``small_weights`` as a session graph; ``destination=4`` adds an
+    isolated node."""
+    return SessionGraph(
+        source=0,
+        destination=destination,
+        nodes=tuple(range(max(destination + 1, 4))),
+        links=tuple(sorted(small_weights())),
+        probability={link: 0.5 for link in small_weights()},
+        neighbors={node: frozenset() for node in range(max(destination + 1, 4))},
+        capacity=1.0,
+    )
+
+
+def selectable_session(net, source, destination):
+    try:
+        forwarders = select_forwarders(net, source, destination)
+    except NodeSelectionError:
+        return None
+    return session_graph_from_selection(net, forwarders)
+
+
+class _CheckedRouter(DistanceVectorRouter):
+    """The census SUB1, held against Dijkstra SUB1 on every call."""
+
+    def route(self, weights):
+        flows = super().route(weights)
+        oracle = Sub1Router(self._graph)
+        oracle.route(weights)
+        census, reference = self.last_iterate, oracle.last_iterate
+        graph = self._graph
+        assert census.path[0] == graph.source
+        assert census.path[-1] == graph.destination
+        assert len(set(census.path)) == len(census.path)
+        assert set(zip(census.path, census.path[1:])) <= set(graph.links)
+        assert math.isclose(census.path_cost, reference.path_cost, rel_tol=1e-12)
+        return flows
+
+
+class _CheckedLoop(RateControlAlgorithm):
+    def _sub1(self, graph):
+        self.router = _CheckedRouter(graph)
+        return self.router
+
+
 class TestDistributedBellmanFord:
+    """The distance-vector exchange the message census runs as SUB1."""
+
     def test_matches_dijkstra_on_random_network(self):
         net = random_network(80, rng=RngFactory(1).derive("t"))
-        weights = etx_weights(net)
-        destination = 10
-        reference = dijkstra_to_destination(net.nodes(), weights, destination)
-        bf = DistributedBellmanFord(net.nodes(), weights, destination).run()
-        assert bf.converged
-        for node, dist in reference.distance.items():
-            assert bf.distance(node) == pytest.approx(dist)
+        graph = next(
+            g
+            for g in (selectable_session(net, 0, d) for d in range(79, 0, -1))
+            if g is not None and len(g.nodes) > 4
+        )
+        loop = _CheckedLoop(graph)
+        result = loop.run()
+        assert loop.router.iterations == result.iterations
 
     def test_round_count_bounded_by_nodes(self):
         net = random_network(50, rng=RngFactory(2).derive("t"))
-        bf = DistributedBellmanFord(net.nodes(), etx_weights(net), 0).run()
-        assert bf.rounds <= net.node_count
+        graph = next(
+            g
+            for g in (selectable_session(net, 0, d) for d in range(49, 0, -1))
+            if g is not None
+        )
+        router = DistanceVectorRouter(graph)
+        iterate = router.step({link: 1.0 / p for link, p in graph.probability.items()})
+        # At most |V| rounds, each at most one advertisement per node.
+        count = len(graph.nodes)
+        assert 0 < router.distance_advertisements <= count * count
+        assert router.flow_setup_tokens == len(iterate.path) - 1
 
     def test_path_from_follows_next_hops(self):
-        bf = DistributedBellmanFord(range(4), small_weights(), 3).run()
-        assert bf.path_from(0) == (0, 1, 3)
+        router = DistanceVectorRouter(small_session())
+        iterate = router.step(small_weights())
+        assert iterate.path == (0, 1, 3)
+        assert iterate.path_cost == 2.0
+        assert router.flow_setup_tokens == 2
 
-    def test_unreachable_gives_none(self):
-        bf = DistributedBellmanFord(range(5), small_weights(), 3).run()
-        assert bf.path_from(4) is None
-        assert bf.distance(4) == float("inf")
-
-    def test_distances_dict_excludes_unreachable(self):
-        bf = DistributedBellmanFord(range(5), small_weights(), 3).run()
-        assert 4 not in bf.distances()
+    def test_unreachable_destination_rejected(self):
+        # One error for both SUB1 solvers.
+        graph = small_session(destination=4)
+        for router in (DistanceVectorRouter(graph), Sub1Router(graph)):
+            with pytest.raises(ValueError, match="destination unreachable"):
+                router.step(small_weights())
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            DistributedBellmanFord(range(2), {(0, 1): -0.5}, 1)
+        weights = dict(small_weights())
+        weights[(0, 1)] = -0.5
+        for router in (DistanceVectorRouter(small_session()), Sub1Router(small_session())):
+            with pytest.raises(ValueError, match=r"negative price on link \(0, 1\)"):
+                router.step(weights)
 
-    def test_unknown_destination_rejected(self):
-        with pytest.raises(ValueError):
-            DistributedBellmanFord(range(2), {}, 9)
-
-    @given(st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=10, deadline=None)
-    def test_agreement_property(self, seed):
-        net = random_network(30, rng=RngFactory(seed).derive("t"))
-        weights = etx_weights(net)
-        reference = dijkstra_to_destination(net.nodes(), weights, 0)
-        bf = DistributedBellmanFord(net.nodes(), weights, 0).run()
-        for node, dist in reference.distance.items():
-            assert bf.distance(node) == pytest.approx(dist)
+    @given(lossy_meshes(), st.data())
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.filter_too_much],
+    )
+    def test_agreement_property(self, net, data):
+        # Every iteration's distance-vector path runs source -> destination
+        # over graph links at Dijkstra SUB1's cost.
+        source = data.draw(st.integers(0, net.node_count - 1))
+        destination = data.draw(
+            st.integers(0, net.node_count - 2).map(
+                lambda d: d if d < source else d + 1
+            )
+        )
+        graph = selectable_session(net, source, destination)
+        assume(graph is not None)
+        config = RateControlConfig(max_iterations=60, min_iterations=1)
+        loop = _CheckedLoop(graph, config)
+        result = loop.run()
+        assert loop.router.iterations == result.iterations

@@ -1,4 +1,4 @@
-"""Bit-exact oracle for the three Table 1 drivers.
+"""Bit-exact oracle for the Table 1 loop's three faces.
 
 The digests below were recorded on the dict-iterating implementation
 (before ``SessionGraph`` grew its compiled index view) and must hold
@@ -49,7 +49,10 @@ PAIRS = (
 
 COLD = "42a640356f5cb21665b0b576d7af28692a75f23dc7a601d6ddf146261647dcdf"
 WARM = "2201f31dcd66eb1bb875d27785d169d7e17652161d46eba090899f7c6b6bab29"
-MESSAGES = "e00b42af36d8db9265c87e315bc73e9880e13765dfd0b9de65c4cfadfb84bfe2"
+# The census duals carry the loop's key sets (beta on MAC-constrained
+# nodes, mu on transmitters); every value and its order is the census's
+# as first recorded.
+MESSAGES = "292ac313a4cdd4733602b24ccc078509d1bc39bfe00620c0a4140dd5266e9481"
 MULTI = "fda32c5965e5c56500d09db64ee1d6dfbe5d6cf1ee371785b3ba0e8bc66a6eb1"
 REPLAN = "9c76799b43753317a948bf8f5394836cbd3b4617ccb8d55081555a0a0a569ea1"
 FIG1_OBS = "5e8c45d4af01d018fb8fef6798e9a96b06fc436b4a2366eebba878e875d37d5d"
