@@ -1,8 +1,9 @@
 """The OMNC optimization framework (paper Sec. 3).
 
 * :mod:`repro.optimization.problem` — the session graph abstraction.
-* :mod:`repro.optimization.sunicast` — the sUnicast LP, solved centrally
-  (reference optimum), plus the min-cost variant used by oldMORE.
+* :mod:`repro.optimization.sunicast` — the sUnicast LP over N >= 1
+  sessions, solved centrally (reference optimum), plus oldMORE's
+  min-cost routing (a shortest path).
 * :mod:`repro.optimization.subgradient` — step-size schedules.
 * :mod:`repro.optimization.sub1_routing` — SUB1: shortest-path routing
   with ln-utility injection and primal recovery.
@@ -15,7 +16,7 @@
   exchanges only.
 * :mod:`repro.optimization.multi_session` — the loop over several
   sessions (the multiple-unicast extension sketched in the paper's
-  conclusion) and its LP reference.
+  conclusion).
 * :mod:`repro.optimization.replanning` — the Sec. 4 control-plane
   re-initiation cost model (flood + message census).
 """
@@ -23,9 +24,6 @@
 from repro.optimization.multi_session import (
     MultiSessionRateControl,
     MultiSessionResult,
-    MultiSunicastSolution,
-    solve_multi_sunicast,
-    solve_multi_sunicast_detailed,
 )
 from repro.optimization.problem import (
     SessionGraph,
@@ -50,9 +48,11 @@ from repro.optimization.subgradient import (
 )
 from repro.optimization.sunicast import (
     InfeasibleSessionError,
+    MultiSunicastSolution,
     SUnicastSolution,
-    solve_min_cost,
     solve_min_cost_routing,
+    solve_multi_sunicast,
+    solve_multi_sunicast_detailed,
     solve_sunicast,
     verify_feasibility,
 )
@@ -82,7 +82,6 @@ __all__ = [
     "solve_multi_sunicast_detailed",
     "session_graph_from_network",
     "session_graph_from_selection",
-    "solve_min_cost",
     "solve_min_cost_routing",
     "solve_sunicast",
     "verify_feasibility",

@@ -17,7 +17,7 @@ converts results back to bytes/second.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
 
 from repro.routing.node_selection import ForwarderSet
 from repro.topology.graph import Link, WirelessNetwork
@@ -239,6 +239,19 @@ class SessionGraph:
     def denormalize_flows(self, flows: Dict[Link, float]) -> Dict[Link, float]:
         """Convert capacity-normalized link flows to bytes/second."""
         return {link: rate * self.capacity for link, rate in flows.items()}
+
+
+def check_joint_sessions(graphs: Sequence[SessionGraph]) -> None:
+    """The N-session contract of the joint LP and the Table 1 loop.
+
+    Raises ``ValueError`` unless there is at least one session and all
+    sessions share one capacity (they describe the same channel).
+    """
+    if not graphs:
+        raise ValueError("at least one session is required")
+    capacities = {g.capacity for g in graphs}
+    if len(capacities) != 1:
+        raise ValueError(f"sessions disagree on capacity: {capacities}")
 
 
 def session_graph_from_selection(

@@ -12,8 +12,9 @@
 
 :class:`RateControlLoop` is the one implementation, written over N >= 1
 sessions that share the broadcast MAC; the only thing that varies is
-how each session's SUB1 finds its path (:meth:`RateControlLoop._sub1`).
-Its faces:
+how each session's SUB1 finds its path (:meth:`RateControlLoop._sub1`),
+and :meth:`RateControlLoop.solve` reads every session out (the OMNC
+planner's joint pipeline calls it directly).  Its faces:
 
 * :class:`RateControlAlgorithm` — one session: the planner's driver
   (warm-started on a re-plan) and the Fig. 1 history;
@@ -35,7 +36,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.optimization.problem import SessionGraph
+from repro.optimization.problem import SessionGraph, check_joint_sessions
 from repro.optimization.recovery import IterateAverager
 from repro.optimization.sub1_routing import Sub1Router
 from repro.optimization.subgradient import (
@@ -184,17 +185,17 @@ class RateControlResult:
     rate_history: Tuple[Dict[int, float], ...]
     gamma_history: Tuple[float, ...]
     capacity: float
-    duals: RateControlDuals | None = None
+    duals: RateControlDuals
 
     @property
     def link_prices(self) -> Dict[Link, float]:
-        """Final lambda_ij (empty when the run recorded no duals)."""
-        return dict(self.duals.link_prices) if self.duals else {}
+        """Final lambda_ij."""
+        return dict(self.duals.link_prices)
 
     @property
     def congestion_prices(self) -> Dict[int, float]:
-        """Final beta_i (empty when the run recorded no duals)."""
-        return dict(self.duals.congestion_prices) if self.duals else {}
+        """Final beta_i."""
+        return dict(self.duals.congestion_prices)
 
     def rates_bytes_per_second(self) -> Dict[int, float]:
         """Broadcast rates in bytes/second."""
@@ -249,11 +250,7 @@ class RateControlLoop:
         registry: obs.MetricsRegistry | None = None,
         tracer: obs.EventTracer | None = None,
     ) -> None:
-        if not graphs:
-            raise ValueError("at least one session is required")
-        capacities = {g.capacity for g in graphs}
-        if len(capacities) != 1:
-            raise ValueError(f"sessions disagree on capacity: {capacities}")
+        check_joint_sessions(graphs)
         self._graphs = list(graphs)
         self._config = config = config or RateControlConfig()
         self._routers = [self._sub1(g) for g in self._graphs]
@@ -467,6 +464,28 @@ class RateControlLoop:
             previous = recovered
         return False
 
+    def solve(self) -> Tuple[RateControlResult, ...]:
+        """Iterate to convergence; the recovered allocation, histories and
+        duals of every session, in session order."""
+        converged = self._converge()
+        results = []
+        for s, (graph, router) in enumerate(zip(self._graphs, self._routers)):
+            flows = router.recovered_flow_vector()
+            results.append(
+                RateControlResult(
+                    broadcast_rates=dict(zip(graph.nodes, self._recovered_rates(s))),
+                    flows=dict(zip(graph.links, flows)),
+                    throughput=net_source_flow(graph, flows),
+                    iterations=self._iteration,
+                    converged=converged,
+                    rate_history=tuple(self._rate_history[s]),
+                    gamma_history=tuple(self._gamma_history[s]),
+                    capacity=graph.capacity,
+                    duals=self._duals(s),
+                )
+            )
+        return tuple(results)
+
     def _recovered_rates(self, s: int) -> List[float]:
         """b_bar per node index of session ``s``: the averaged rates
         (eq. 18), or the latest ones when primal recovery is off."""
@@ -561,20 +580,8 @@ class RateControlAlgorithm(RateControlLoop):
 
     def run(self) -> RateControlResult:
         """Iterate to convergence and return the recovered allocation."""
-        converged = self._converge()
-        graph = self._graphs[0]
-        flows = self._routers[0].recovered_flow_vector()
-        return RateControlResult(
-            broadcast_rates=dict(zip(graph.nodes, self._recovered_rates(0))),
-            flows=dict(zip(graph.links, flows)),
-            throughput=net_source_flow(graph, flows),
-            iterations=self._iteration,
-            converged=converged,
-            rate_history=tuple(self._rate_history[0]),
-            gamma_history=tuple(self._gamma_history[0]),
-            capacity=graph.capacity,
-            duals=self._duals(0),
-        )
+        (result,) = self.solve()
+        return result
 
 
 def net_source_flow(graph: SessionGraph, flows: Sequence[float]) -> float:

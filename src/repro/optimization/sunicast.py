@@ -1,4 +1,4 @@
-"""The sUnicast linear program (paper Sec. 3.2) and its centralized solver.
+"""The sUnicast linear program (paper Sec. 3.2), over N >= 1 sessions.
 
     maximize   gamma                                               (1)
     subject to sum_j x_ij - sum_j x_ji = gamma * sigma(i)          (2)
@@ -11,15 +11,22 @@
 paper adds for boundedness; it is implied by (4) for any node with a
 neighbor.)
 
-The LP is solved centrally with scipy's HiGHS backend, imported by the
-solver functions themselves: no emulated session, campaign or re-plan
-solves an LP (the default planner is Table 1, and oldMORE's min-cost
-routing, :func:`solve_min_cost_routing`, is a shortest path), so
-importing this module does not load scipy.  It serves three
-roles in this repository: the reference optimum that the distributed
-algorithm must approach, the broadcast-shared min-cost ablation
-(:func:`solve_min_cost`) reuses its matrix builder with a different
-objective, and the throughput predictions the
+One assembler builds the program for N sessions of one network: each
+session s keeps its own [x^s | b^s | gamma_s] columns, flow conservation
+(2), loss coupling (5) and the broadcast information constraint (5b); the
+MAC rows (4) are shared and charge the total neighborhood load
+``sum_s (b_i^s + sum_{j in N(i)} b_j^s)``, and the objective is
+``sum_s gamma_s``.  A single session is N = 1: :func:`solve_sunicast` is
+that face, :func:`solve_multi_sunicast_detailed` the N-session one (the
+conclusion's multiple-unicast extension; its distributed counterpart is
+:class:`~repro.optimization.rate_control.RateControlLoop`).
+
+The LP is solved centrally with scipy's HiGHS backend, imported on first
+use: no emulated session, campaign or re-plan solves an LP (the planner
+runs Table 1, and oldMORE's min-cost routing,
+:func:`solve_min_cost_routing`, is a shortest path), so importing this
+module does not load scipy.  The LP is the reference optimum the
+distributed algorithm must approach, and the throughput prediction the
 paper compares emulated results against ("the actual emulated throughput
 of OMNC tends to be lower than the optimized throughput computed by the
 sUnicast framework", Sec. 5).
@@ -31,16 +38,13 @@ All rates are capacity-normalized (C = 1); see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.optimization.problem import SessionGraph
+from repro.optimization.problem import SessionGraph, check_joint_sessions
 from repro.routing.shortest_path import dijkstra
 from repro.topology.graph import Link
-
-if TYPE_CHECKING:
-    from scipy.sparse import csr_matrix
 
 
 @dataclass(frozen=True)
@@ -53,7 +57,7 @@ class SUnicastSolution:
         flows: information rate x_ij per link (normalized).
         broadcast_rates: broadcast rate b_i per node (normalized).
         objective: raw objective value (equals throughput for sUnicast;
-            total transmission cost for the min-cost variant).
+            total transmission cost for min-cost routing).
     """
 
     throughput: float
@@ -74,121 +78,26 @@ class SUnicastSolution:
         )
 
 
-class InfeasibleSessionError(RuntimeError):
-    """Raised when the LP has no feasible rate allocation."""
+@dataclass(frozen=True)
+class MultiSunicastSolution:
+    """Full centralized optimum of the shared-MAC multi-session LP.
 
-
-def _index_variables(graph: SessionGraph) -> Tuple[Dict[Link, int], Dict[int, int], int]:
-    """Column layout: [x per link | b per node | gamma]."""
-    link_index = {link: k for k, link in enumerate(graph.links)}
-    node_index = {
-        node: len(link_index) + k for k, node in enumerate(graph.nodes)
-    }
-    gamma_index = len(link_index) + len(node_index)
-    return link_index, node_index, gamma_index
-
-
-def _build_constraints(
-    graph: SessionGraph,
-    link_index: Dict[Link, int],
-    node_index: Dict[int, int],
-    gamma_index: int,
-    *,
-    fixed_gamma: float | None = None,
-    broadcast_information: bool = True,
-    mac_constraint: bool = True,
-) -> Tuple[csr_matrix, np.ndarray, csr_matrix, np.ndarray]:
-    """Assemble (A_eq, b_eq, A_ub, b_ub) shared by both LP variants.
-
-    With ``fixed_gamma`` the gamma column is removed from the equality
-    system and moved to the right-hand side (min-cost mode).
+    Attributes:
+        total_throughput: sum of per-session normalized throughputs.
+        throughputs: gamma_s per session (normalized).
+        broadcast_rates: b^s per session, keyed by node (normalized).
+        flows: x^s per session, keyed by link (normalized).
     """
-    from scipy.sparse import csr_matrix
 
-    columns = gamma_index + 1
-    eq_rows: List[int] = []
-    eq_cols: List[int] = []
-    eq_vals: List[float] = []
-    eq_rhs: List[float] = []
-    # Flow conservation (2): one row per node.
-    for row, node in enumerate(graph.nodes):
-        for link in graph.out_links(node):
-            eq_rows.append(row)
-            eq_cols.append(link_index[link])
-            eq_vals.append(1.0)
-        for link in graph.in_links(node):
-            eq_rows.append(row)
-            eq_cols.append(link_index[link])
-            eq_vals.append(-1.0)
-        sigma = graph.supply(node)
-        if fixed_gamma is None:
-            if sigma != 0:
-                eq_rows.append(row)
-                eq_cols.append(gamma_index)
-                eq_vals.append(-float(sigma))
-            eq_rhs.append(0.0)
-        else:
-            eq_rhs.append(float(sigma) * fixed_gamma)
+    total_throughput: float
+    throughputs: Tuple[float, ...]
+    broadcast_rates: Tuple[Dict[int, float], ...]
+    flows: Tuple[Dict[Link, float], ...]
 
-    ub_rows: List[int] = []
-    ub_cols: List[int] = []
-    ub_vals: List[float] = []
-    ub_rhs: List[float] = []
-    row = 0
-    # Loss coupling (5): x_ij - b_i * p_ij <= 0.
-    for link in graph.links:
-        i, _ = link
-        ub_rows.append(row)
-        ub_cols.append(link_index[link])
-        ub_vals.append(1.0)
-        ub_rows.append(row)
-        ub_cols.append(node_index[i])
-        ub_vals.append(-graph.probability[link])
-        ub_rhs.append(0.0)
-        row += 1
-    # Broadcast information constraint (5b): sum_j x_ij <= b_i * q_i with
-    # q_i = 1 - prod_j (1 - p_ij).  One transmission carries at most one
-    # new information unit network-wide, so a node's total outgoing
-    # *distinct* flow is capped by its rate times the probability that at
-    # least one downstream node hears it — the hyperarc capacity of Lun
-    # et al. [17].  The paper's per-link (5) alone lets the LP count one
-    # broadcast as independent flow to several receivers, which random
-    # linear coding cannot realize for a single unicast; see DESIGN.md.
-    if broadcast_information:
-        for node in graph.transmitters():
-            out = graph.out_links(node)
-            if not out:
-                continue
-            q = graph.union_probability(node)
-            for link in out:
-                ub_rows.append(row)
-                ub_cols.append(link_index[link])
-                ub_vals.append(1.0)
-            ub_rows.append(row)
-            ub_cols.append(node_index[node])
-            ub_vals.append(-q)
-            ub_rhs.append(0.0)
-            row += 1
-    # Broadcast MAC (4): b_i + sum_{j in N(i)} b_j <= 1 for i in V \ S.
-    if mac_constraint:
-        for node in graph.mac_constrained_nodes():
-            ub_rows.append(row)
-            ub_cols.append(node_index[node])
-            ub_vals.append(1.0)
-            for j in graph.neighbors[node]:
-                ub_rows.append(row)
-                ub_cols.append(node_index[j])
-                ub_vals.append(1.0)
-            ub_rhs.append(1.0)
-            row += 1
 
-    a_eq = csr_matrix(
-        (eq_vals, (eq_rows, eq_cols)), shape=(len(eq_rhs), columns)
-    )
-    a_ub = csr_matrix(
-        (ub_vals, (ub_rows, ub_cols)), shape=(len(ub_rhs), columns)
-    )
-    return a_eq, np.array(eq_rhs), a_ub, np.array(ub_rhs)
+class InfeasibleSessionError(RuntimeError):
+    """Raised when a session cannot carry any flow: its destination is
+    unreachable from its source over the session graph's links."""
 
 
 def solve_sunicast(
@@ -199,9 +108,8 @@ def solve_sunicast(
 ) -> SUnicastSolution:
     """Solve the throughput-maximization LP for one session.
 
-    Returns normalized rates; raises :class:`InfeasibleSessionError` if no
-    positive-throughput allocation exists (e.g. a disconnected session
-    graph).
+    Returns normalized rates; raises :class:`InfeasibleSessionError` if
+    the destination is unreachable from the source in ``graph``.
 
     ``broadcast_information=False`` drops constraint (5b), recovering the
     paper's original formulation exactly — its optimum counts one
@@ -214,90 +122,176 @@ def solve_sunicast(
     ablation emulates the resulting over-subscribed rates to show the
     queue blow-up OMNC's rate control avoids.
 
-    scipy is imported here, not with the module: the first LP solved in
-    a process pays that import (a few hundred ms) once.
+    scipy is imported on first use: the first LP solved in a process pays
+    that import (a few hundred ms) once.
     """
-    from scipy.optimize import linprog
-
-    link_index, node_index, gamma_index = _index_variables(graph)
-    a_eq, b_eq, a_ub, b_ub = _build_constraints(
-        graph,
-        link_index,
-        node_index,
-        gamma_index,
+    solution = _solve_lp(
+        [graph],
         broadcast_information=broadcast_information,
         mac_constraint=mac_constraint,
     )
-    columns = gamma_index + 1
+    (gamma,) = solution.throughputs
+    return SUnicastSolution(
+        throughput=gamma,
+        flows=solution.flows[0],
+        broadcast_rates=solution.broadcast_rates[0],
+        objective=gamma,
+    )
+
+
+def solve_multi_sunicast(
+    graphs: Sequence[SessionGraph],
+) -> Tuple[float, Tuple[float, ...]]:
+    """Centralized reference: maximize total throughput across sessions.
+
+    Returns ``(total, per_session)`` normalized throughputs under shared
+    MAC constraints.  (The distributed algorithm optimizes the
+    proportionally-fair sum of logs, so its total is at most this LP's.)
+    See :func:`solve_multi_sunicast_detailed` for the full primal point.
+    """
+    solution = solve_multi_sunicast_detailed(graphs)
+    return solution.total_throughput, solution.throughputs
+
+
+def solve_multi_sunicast_detailed(
+    graphs: Sequence[SessionGraph],
+) -> MultiSunicastSolution:
+    """Solve the shared-MAC LP and return rates and flows per session.
+
+    The sessions must share one capacity (``ValueError`` otherwise, as
+    for :class:`~repro.optimization.rate_control.RateControlLoop`); a
+    session whose destination is unreachable raises
+    :class:`InfeasibleSessionError`.  The sum-throughput optimum may still
+    give a reachable session gamma = 0.
+    """
+    return _solve_lp(graphs, broadcast_information=True, mac_constraint=True)
+
+
+def _solve_lp(
+    graphs: Sequence[SessionGraph],
+    *,
+    broadcast_information: bool,
+    mac_constraint: bool,
+) -> MultiSunicastSolution:
+    """Assemble and solve the LP over ``graphs``; the one solver call."""
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+
+    check_joint_sessions(graphs)
+    for s, graph in enumerate(graphs):
+        hops = dict.fromkeys(graph.links, 1.0)
+        if graph.destination not in dijkstra(graph.nodes, hops, graph.source).distance:
+            raise InfeasibleSessionError(
+                f"session {s}: destination {graph.destination} is unreachable "
+                f"from source {graph.source} in the session graph"
+            )
+    # Column layout: per session [x per link | b per node | gamma].
+    starts: List[int] = []
+    columns = 0
+    for graph in graphs:
+        starts.append(columns)
+        columns += len(graph.links) + len(graph.nodes) + 1
+    eq_rows: List[int] = []
+    eq_cols: List[int] = []
+    eq_vals: List[float] = []
+    eq_rhs: List[float] = []
+    ub_rows: List[int] = []
+    ub_cols: List[int] = []
+    ub_vals: List[float] = []
+    ub_rhs: List[float] = []
+
+    def ub_row(entries: List[Tuple[int, float]], rhs: float) -> None:
+        row = len(ub_rhs)
+        for col, value in entries:
+            ub_rows.append(row)
+            ub_cols.append(col)
+            ub_vals.append(value)
+        ub_rhs.append(rhs)
+
+    for graph, x in zip(graphs, starts):
+        index = graph.index
+        b = x + len(graph.links)
+        gamma = b + len(graph.nodes)
+        # Flow conservation (2): one row per node.
+        for v in range(len(graph.nodes)):
+            row = len(eq_rhs)
+            for k in index.out_links[v]:
+                eq_rows.append(row)
+                eq_cols.append(x + k)
+                eq_vals.append(1.0)
+            for k in index.in_links[v]:
+                eq_rows.append(row)
+                eq_cols.append(x + k)
+                eq_vals.append(-1.0)
+            sigma = graph.supply(graph.nodes[v])
+            if sigma != 0:
+                eq_rows.append(row)
+                eq_cols.append(gamma)
+                eq_vals.append(-float(sigma))
+            eq_rhs.append(0.0)
+        # Loss coupling (5): x_ij - b_i * p_ij <= 0.
+        for k, (tail, p) in enumerate(zip(index.tail, index.p)):
+            ub_row([(x + k, 1.0), (b + tail, -p)], 0.0)
+        # Broadcast information constraint (5b): sum_j x_ij <= b_i * q_i
+        # with q_i = 1 - prod_j (1 - p_ij).  One transmission carries at
+        # most one new information unit network-wide, so a node's total
+        # outgoing *distinct* flow is capped by its rate times the
+        # probability that at least one downstream node hears it — the
+        # hyperarc capacity of Lun et al. [17].  The paper's per-link (5)
+        # alone lets the LP count one broadcast as independent flow to
+        # several receivers, which random linear coding cannot realize for
+        # a single unicast; see DESIGN.md.
+        if broadcast_information:
+            for v in index.transmitters:
+                entries = [(x + k, 1.0) for k in index.out_links[v]]
+                ub_row(entries + [(b + v, -index.q[v])], 0.0)
+    # Broadcast MAC (4), shared: for each node constrained in any session,
+    # b_i + sum_{j in N(i)} b_j summed over every session that includes it.
+    if mac_constraint:
+        constrained = sorted({n for g in graphs for n in g.mac_constrained_nodes()})
+        for node in constrained:
+            load: List[Tuple[int, float]] = []
+            for graph, x in zip(graphs, starts):
+                v = graph.index.node_index.get(node)
+                if v is None:
+                    continue
+                b = x + len(graph.links)
+                load.append((b + v, 1.0))
+                load.extend((b + j, 1.0) for j in graph.index.neighbors[v])
+            ub_row(load, 1.0)
+
     cost = np.zeros(columns)
-    cost[gamma_index] = -1.0  # maximize gamma
-    bounds = [(0.0, None)] * len(link_index)
-    bounds += [(0.0, 1.0)] * len(node_index)
-    bounds += [(0.0, None)]
+    bounds: List[Tuple[float, float | None]] = [(0.0, None)] * columns
+    for graph, x in zip(graphs, starts):
+        b = x + len(graph.links)
+        bounds[b : b + len(graph.nodes)] = [(0.0, 1.0)] * len(graph.nodes)
+        cost[b + len(graph.nodes)] = -1.0  # maximize sum_s gamma_s
     result = linprog(
         cost,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
+        A_ub=csr_matrix((ub_vals, (ub_rows, ub_cols)), shape=(len(ub_rhs), columns)),
+        b_ub=np.array(ub_rhs),
+        A_eq=csr_matrix((eq_vals, (eq_rows, eq_cols)), shape=(len(eq_rhs), columns)),
+        b_eq=np.array(eq_rhs),
         bounds=bounds,
         method="highs",
     )
     if not result.success:
         raise InfeasibleSessionError(f"sUnicast LP failed: {result.message}")
-    return _extract_solution(result.x, link_index, node_index, gamma_index)
-
-
-def solve_min_cost(graph: SessionGraph, *, throughput: float = 1e-3) -> SUnicastSolution:
-    """The oldMORE-style min-cost formulation (Lun et al. [17]).
-
-    Minimize total broadcast rate sum_i b_i subject to delivering
-    ``throughput`` units end-to-end under the same loss coupling (5) —
-    but **without** the MAC constraint (4): the formulation "has no rate
-    control mechanism and does not explore path diversity well" (Sec. 2).
-    Because the objective charges every transmission, the optimum
-    concentrates flow on the cheapest (highest-quality) paths, which is
-    precisely the node/path-pruning behaviour Fig. 4 attributes to
-    oldMORE.
-    """
-    from scipy.optimize import linprog
-
-    if throughput <= 0:
-        raise ValueError(f"throughput must be > 0, got {throughput}")
-    link_index, node_index, gamma_index = _index_variables(graph)
-    a_eq, b_eq, a_ub, b_ub = _build_constraints(
-        graph, link_index, node_index, gamma_index, fixed_gamma=throughput
-    )
-    columns = gamma_index + 1
-    # Drop the MAC rows: they are the last len(mac_constrained_nodes())
-    # inequality rows appended by the builder.
-    mac_rows = len(graph.mac_constrained_nodes())
-    if mac_rows:
-        a_ub = a_ub[: a_ub.shape[0] - mac_rows]
-        b_ub = b_ub[: len(b_ub) - mac_rows]
-    cost = np.zeros(columns)
-    for node, col in node_index.items():
-        cost[col] = 1.0  # minimize total broadcast rate
-    bounds = [(0.0, None)] * len(link_index)
-    bounds += [(0.0, None)] * len(node_index)  # no capacity cap either
-    bounds += [(0.0, 0.0)]  # gamma column unused in min-cost mode
-    result = linprog(
-        cost,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=bounds,
-        method="highs",
-    )
-    if not result.success:
-        raise InfeasibleSessionError(f"min-cost LP failed: {result.message}")
-    solution = _extract_solution(result.x, link_index, node_index, gamma_index)
-    return SUnicastSolution(
-        throughput=throughput,
-        flows=solution.flows,
-        broadcast_rates=solution.broadcast_rates,
-        objective=float(result.fun),
+    values: List[float] = result.x.tolist()
+    flows: List[Dict[Link, float]] = []
+    rates: List[Dict[int, float]] = []
+    throughputs: List[float] = []
+    for graph, x in zip(graphs, starts):
+        b = x + len(graph.links)
+        gamma = b + len(graph.nodes)
+        flows.append(dict(zip(graph.links, values[x:b])))
+        rates.append(dict(zip(graph.nodes, values[b:gamma])))
+        throughputs.append(values[gamma])
+    return MultiSunicastSolution(
+        total_throughput=float(sum(throughputs)),
+        throughputs=tuple(throughputs),
+        broadcast_rates=tuple(rates),
+        flows=tuple(flows),
     )
 
 
@@ -313,10 +307,7 @@ def solve_min_cost_routing(
     its optimum concentrates on the cheapest (ETX-shortest) routes, which
     reproduces the paper's observation that oldMORE "tends to prune a
     large number of nodes associated with low quality links, and fails to
-    explore path diversity" (Fig. 4).  Contrast with :func:`solve_min_cost`,
-    whose per-link coupling shares one broadcast rate across sibling
-    links and therefore spreads flow (the ablation benchmark compares the
-    two).
+    explore path diversity" (Fig. 4).
 
     The only constraints are flow conservation and ``x >= 0``: an
     uncapacitated min-cost flow, whose optimum sends the whole flow down
@@ -355,20 +346,6 @@ def solve_min_cost_routing(
         flows=flows,
         broadcast_rates=rates,
         objective=throughput * tree.distance[graph.destination],
-    )
-
-
-def _extract_solution(
-    x: np.ndarray,
-    link_index: Dict[Link, int],
-    node_index: Dict[int, int],
-    gamma_index: int,
-) -> SUnicastSolution:
-    flows = {link: float(x[col]) for link, col in link_index.items()}
-    rates = {node: float(x[col]) for node, col in node_index.items()}
-    gamma = float(x[gamma_index])
-    return SUnicastSolution(
-        throughput=gamma, flows=flows, broadcast_rates=rates, objective=gamma
     )
 
 

@@ -7,7 +7,9 @@ values on the very deployment ``adaptive_replan`` re-plans on.
 :func:`min_cost_routing_lp` is what ``solve_min_cost_routing`` ran until
 its closed form replaced it (``test_sunicast``, ``test_protocols``);
 :func:`single_feasible_scaling` is what ``feasible_scaling`` ran before it
-became ``multi_feasible_scaling`` over one graph (``test_rate_control``).
+became ``multi_feasible_scaling`` over one graph (``test_rate_control``);
+:func:`sunicast_lp` is what ``solve_sunicast`` ran before it became the
+one-session case of the joint LP (``test_sunicast``).
 """
 
 import hashlib
@@ -142,3 +144,117 @@ def single_feasible_scaling(
     if factor == 1.0:  # repro: ignore[RPR004] exact sentinel set above
         return dict(rates), 1.0
     return {n: min(1.0, b / factor) for n, b in rates.items()}, factor
+
+
+def sunicast_lp(
+    graph: SessionGraph,
+    *,
+    broadcast_information: bool = True,
+    mac_constraint: bool = True,
+) -> SUnicastSolution:
+    """Maximize gamma for one session under (2)-(5), (5b) and (4), on HiGHS.
+
+    The body ``solve_sunicast`` had before it became the one-session case
+    of the N-session assembler, moved here with its column-layout and
+    matrix helpers inlined (their min-cost mode, which it never used,
+    left behind): the oracle of the joint LP's N = 1 face.
+    """
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+
+    # Column layout: [x per link | b per node | gamma].
+    link_index = {link: k for k, link in enumerate(graph.links)}
+    node_index = {node: len(link_index) + k for k, node in enumerate(graph.nodes)}
+    gamma_index = len(link_index) + len(node_index)
+    columns = gamma_index + 1
+    eq_rows: List[int] = []
+    eq_cols: List[int] = []
+    eq_vals: List[float] = []
+    eq_rhs: List[float] = []
+    # Flow conservation (2): one row per node.
+    for row, node in enumerate(graph.nodes):
+        for link in graph.out_links(node):
+            eq_rows.append(row)
+            eq_cols.append(link_index[link])
+            eq_vals.append(1.0)
+        for link in graph.in_links(node):
+            eq_rows.append(row)
+            eq_cols.append(link_index[link])
+            eq_vals.append(-1.0)
+        sigma = graph.supply(node)
+        if sigma != 0:
+            eq_rows.append(row)
+            eq_cols.append(gamma_index)
+            eq_vals.append(-float(sigma))
+        eq_rhs.append(0.0)
+
+    ub_rows: List[int] = []
+    ub_cols: List[int] = []
+    ub_vals: List[float] = []
+    ub_rhs: List[float] = []
+    row = 0
+    # Loss coupling (5): x_ij - b_i * p_ij <= 0.
+    for link in graph.links:
+        i, _ = link
+        ub_rows.append(row)
+        ub_cols.append(link_index[link])
+        ub_vals.append(1.0)
+        ub_rows.append(row)
+        ub_cols.append(node_index[i])
+        ub_vals.append(-graph.probability[link])
+        ub_rhs.append(0.0)
+        row += 1
+    # Broadcast information constraint (5b): sum_j x_ij <= b_i * q_i.
+    if broadcast_information:
+        for node in graph.transmitters():
+            out = graph.out_links(node)
+            if not out:
+                continue
+            q = graph.union_probability(node)
+            for link in out:
+                ub_rows.append(row)
+                ub_cols.append(link_index[link])
+                ub_vals.append(1.0)
+            ub_rows.append(row)
+            ub_cols.append(node_index[node])
+            ub_vals.append(-q)
+            ub_rhs.append(0.0)
+            row += 1
+    # Broadcast MAC (4): b_i + sum_{j in N(i)} b_j <= 1 for i in V \ S.
+    if mac_constraint:
+        for node in graph.mac_constrained_nodes():
+            ub_rows.append(row)
+            ub_cols.append(node_index[node])
+            ub_vals.append(1.0)
+            for j in graph.neighbors[node]:
+                ub_rows.append(row)
+                ub_cols.append(node_index[j])
+                ub_vals.append(1.0)
+            ub_rhs.append(1.0)
+            row += 1
+
+    a_eq = csr_matrix((eq_vals, (eq_rows, eq_cols)), shape=(len(eq_rhs), columns))
+    a_ub = csr_matrix((ub_vals, (ub_rows, ub_cols)), shape=(len(ub_rhs), columns))
+    cost = np.zeros(columns)
+    cost[gamma_index] = -1.0  # maximize gamma
+    bounds = [(0.0, None)] * len(link_index)
+    bounds += [(0.0, 1.0)] * len(node_index)
+    bounds += [(0.0, None)]
+    result = linprog(
+        cost,
+        A_ub=a_ub,
+        b_ub=np.array(ub_rhs),
+        A_eq=a_eq,
+        b_eq=np.array(eq_rhs),
+        bounds=bounds,
+        method="highs",
+    )
+    if not result.success:
+        raise InfeasibleSessionError(f"sUnicast LP failed: {result.message}")
+    gamma = float(result.x[gamma_index])
+    return SUnicastSolution(
+        throughput=gamma,
+        flows={link: float(result.x[col]) for link, col in link_index.items()},
+        broadcast_rates={node: float(result.x[col]) for node, col in node_index.items()},
+        objective=gamma,
+    )

@@ -1,20 +1,22 @@
 """Multiple-unicast extension."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.optimization.multi_session import (
-    MultiSessionRateControl,
-    solve_multi_sunicast,
-    solve_multi_sunicast_detailed,
-)
+from repro.optimization.multi_session import MultiSessionRateControl
 from repro.optimization.problem import session_graph_from_network
 from repro.optimization.rate_control import (
     RateControlConfig,
     multi_feasible_scaling,
 )
-from repro.optimization.sunicast import solve_sunicast
+from repro.optimization.sunicast import (
+    solve_multi_sunicast,
+    solve_multi_sunicast_detailed,
+    solve_sunicast,
+)
 from repro.topology.graph import WirelessNetwork
 from repro.topology.random_network import fig1_sample_topology
 
@@ -39,13 +41,24 @@ class TestMultiSessionLP:
         assert total == pytest.approx(sum(per))
 
     def test_single_session_reduces_to_sunicast(self):
+        # One assembler: the one-session LP is the N = 1 case, bit for bit.
         g1, _ = two_sessions()
-        total, per = solve_multi_sunicast([g1])
-        assert total == pytest.approx(solve_sunicast(g1).throughput, rel=1e-6)
+        solo = solve_sunicast(g1)
+        joint = solve_multi_sunicast_detailed([g1])
+        assert repr(joint.total_throughput) == repr(solo.throughput)
+        assert repr(joint.throughputs) == repr((solo.throughput,))
+        assert repr(joint.flows) == repr((solo.flows,))
+        assert repr(joint.broadcast_rates) == repr((solo.broadcast_rates,))
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one session"):
             solve_multi_sunicast([])
+
+    def test_capacity_mismatch_rejected(self):
+        # The LP has the Table 1 loop's N-session contract.
+        g1, g2 = two_sessions()
+        with pytest.raises(ValueError, match="disagree on capacity"):
+            solve_multi_sunicast([g1, replace(g2, capacity=2 * g1.capacity)])
 
 
 class TestMultiSessionRateControl:
@@ -64,8 +77,6 @@ class TestMultiSessionRateControl:
         assert result.total_throughput <= total * 1.35
 
     def test_capacity_mismatch_rejected(self):
-        from dataclasses import replace
-
         g1, g2 = two_sessions()
         g2 = replace(g2, capacity=g2.capacity * 2)
         with pytest.raises(ValueError, match="capacity"):

@@ -20,7 +20,7 @@ from repro.protocols.more import (
     total_expected_transmissions,
 )
 from repro.protocols.oldmore import plan_oldmore
-from repro.protocols.omnc import plan_omnc, plan_omnc_detailed
+from repro.protocols.omnc import plan_omnc, plan_omnc_detailed, plan_omnc_multi
 from repro.routing.node_selection import NodeSelectionError, select_forwarders
 from repro.routing.shortest_path import dijkstra
 from repro.topology.random_network import (
@@ -317,17 +317,13 @@ class TestOmncPlanning:
         for node, rate in report.plan.rates.items():
             assert 0 <= rate <= graph.capacity + 1e-6
 
-    def test_centralized_planner(self):
-        net = fig1_sample_topology()
-        report = plan_omnc_detailed(net, 0, 5, planner="centralized")
-        assert report.converged
-        assert report.plan.iterations == 0
-        assert report.plan.predicted_throughput > 0
-
-    def test_unknown_planner_rejected(self):
-        net = fig1_sample_topology()
-        with pytest.raises(ValueError):
-            plan_omnc(net, 0, 5, planner="magic")
+    def test_single_session_is_the_joint_pipeline_over_one(self):
+        net = reference_mesh()
+        for source, destination in PLANNED_PAIRS:
+            single = plan_omnc_detailed(net, source, destination)
+            joint = plan_omnc_multi(net, {7: (source, destination)})
+            assert repr(single.plan) == repr(joint.plans[7])
+            assert plan_omnc(net, source, destination) == single.plan
 
     def test_mac_feasibility_of_shipped_rates(self):
         net = fig1_sample_topology()

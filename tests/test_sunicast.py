@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.common import CampaignConfig, pick_sessions
+from repro.experiments.common import CampaignConfig, build_network, pick_sessions
 from repro.optimization.problem import (
     SessionGraph,
     session_graph_from_network,
@@ -15,20 +15,21 @@ from repro.optimization.problem import (
 )
 from repro.optimization.sunicast import (
     InfeasibleSessionError,
-    solve_min_cost,
     solve_min_cost_routing,
+    solve_multi_sunicast,
     solve_sunicast,
     verify_feasibility,
 )
 from repro.routing.node_selection import NodeSelectionError, select_forwarders
 from repro.routing.shortest_path import dijkstra, dijkstra_to_destination
+from repro.topology.graph import WirelessNetwork
 from repro.topology.random_network import (
     chain_topology,
     diamond_topology,
     fig1_sample_topology,
 )
 from tests.meshes import lossy_meshes
-from tests.reference import min_cost_routing_lp, reference_mesh
+from tests.reference import min_cost_routing_lp, reference_mesh, sunicast_lp
 
 
 class TestSolveSunicast:
@@ -93,13 +94,82 @@ class TestSolveSunicast:
                    (solution.flows[l] for l in solution.active_links()))
 
 
-class TestMinCost:
-    def test_min_cost_scales_with_throughput(self):
-        graph = session_graph_from_network(diamond_topology(), 0, 3)
-        small = solve_min_cost(graph, throughput=1e-4)
-        large = solve_min_cost(graph, throughput=2e-4)
-        assert large.objective == pytest.approx(2 * small.objective, rel=1e-3)
+def _campaign_forwarder_graphs():
+    """The forwarder graphs of 30 campaign sessions on each 120-node mesh
+    (lossy, then high-quality), as the fig2 campaign plans them."""
+    graphs = []
+    for quality in ("lossy", "high"):
+        config = CampaignConfig(node_count=120, sessions=30, quality=quality, seed=2008)
+        _, net = build_network(config)
+        for source, destination, _plan in pick_sessions(config, net):
+            forwarders = select_forwarders(net, source, destination)
+            graphs.append(session_graph_from_selection(net, forwarders))
+    return graphs
 
+
+def _solution_repr(solution):
+    return repr(
+        (
+            solution.throughput,
+            solution.flows,
+            solution.broadcast_rates,
+            solution.objective,
+        )
+    )
+
+
+class TestSunicastEqualsLp:
+    """``solve_sunicast`` is the N = 1 face of the joint assembler; the
+    single-session LP it replaced (``tests/reference.py::sunicast_lp``) is
+    its oracle, to the last bit."""
+
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        return _campaign_forwarder_graphs()
+
+    @pytest.mark.parametrize("broadcast_information", [True, False])
+    @pytest.mark.parametrize("mac_constraint", [True, False])
+    def test_campaign_graphs_last_bit(
+        self, graphs, broadcast_information, mac_constraint
+    ):
+        assert len(graphs) == 60
+        flags = dict(
+            broadcast_information=broadcast_information,
+            mac_constraint=mac_constraint,
+        )
+        for graph in graphs:
+            assert _solution_repr(solve_sunicast(graph, **flags)) == _solution_repr(
+                sunicast_lp(graph, **flags)
+            )
+
+
+class TestUnreachableSession:
+    """A destination the session graph cannot reach is an
+    :class:`InfeasibleSessionError` naming the session, from both faces."""
+
+    # Node 2 only transmits toward 1: nothing reaches it from 0.
+    NET = WirelessNetwork(
+        [[0.0, 0.0], [0.5, 0.0], [0.9, 0.0]],
+        {(0, 1): 0.8, (1, 0): 0.8, (2, 1): 0.5},
+        communication_range=1.0,
+    )
+
+    def test_single_session(self):
+        with pytest.raises(InfeasibleSessionError, match="session 0"):
+            solve_sunicast(session_graph_from_network(self.NET, 0, 2))
+
+    def test_named_among_several(self):
+        sessions = [
+            session_graph_from_network(self.NET, 2, 0),
+            session_graph_from_network(self.NET, 0, 2),
+        ]
+        with pytest.raises(InfeasibleSessionError, match="session 1"):
+            solve_multi_sunicast(sessions)
+        # Reachable on its own, session 0 is a legitimate optimum.
+        assert solve_multi_sunicast(sessions[:1])[0] > 0.0
+
+
+class TestMinCost:
     def test_min_cost_routing_concentrates_on_best_path(self):
         # Diamond with one clearly better path: routing-cost semantics
         # should leave the bad relay unused.
@@ -118,17 +188,8 @@ class TestMinCost:
         assert solution.broadcast_rates[0] == pytest.approx(2 * gamma, rel=1e-6)
         assert solution.broadcast_rates[1] == pytest.approx(2 * gamma, rel=1e-6)
 
-    def test_min_cost_routing_cheaper_than_per_link_objective(self):
-        # The broadcast-shared variant can only do better or equal.
-        graph = session_graph_from_network(fig1_sample_topology(), 0, 5)
-        routing = solve_min_cost_routing(graph, throughput=1e-3)
-        shared = solve_min_cost(graph, throughput=1e-3)
-        assert shared.objective <= routing.objective + 1e-9
-
     def test_invalid_throughput(self):
         graph = session_graph_from_network(diamond_topology(), 0, 3)
-        with pytest.raises(ValueError):
-            solve_min_cost(graph, throughput=0)
         with pytest.raises(ValueError):
             solve_min_cost_routing(graph, throughput=-1)
 

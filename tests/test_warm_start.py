@@ -63,12 +63,6 @@ class TestDualsExposure:
         assert report.duals is not None
         assert report.duals.iteration == report.plan.iterations
 
-    def test_centralized_planner_has_no_duals(self):
-        report = plan_omnc_detailed(
-            fig1_sample_topology(), 0, 5, planner="centralized"
-        )
-        assert report.duals is None
-
 
 class TestWarmStartConvergence:
     def test_warm_restart_is_faster_after_drift(self):
