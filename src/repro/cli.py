@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from typing import Any, Callable, List, Optional
 
 from repro import obs
@@ -49,8 +50,10 @@ from repro.util.rng import RngFactory
 
 
 def _checked(build: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
-    """``build(*args, **kwargs)``, with the ``ValueError`` a constructor
-    raises on a bad option value turned into a usage error."""
+    """``build(*args, **kwargs)``, with the ``ValueError`` it raises on a
+    bad option value turned into a usage error: the one path from an
+    option to ``repro <command>: error: …`` and exit 2.  Call it before
+    any work, so a bad value is reported before anything runs."""
     try:
         return build(*args, **kwargs)
     except ValueError as error:
@@ -141,9 +144,10 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
 
 
 def _cmd_topology(args: argparse.Namespace) -> int:
-    rng = RngFactory(args.seed)
+    rng = _checked(RngFactory, args.seed)
     phy_factory = high_quality_phy if args.quality == "high" else lossy_phy
-    network = random_network(
+    network = _checked(
+        random_network,
         args.nodes,
         phy=phy_factory(rng=rng.derive("phy")),
         rng=rng.derive("topology"),
@@ -168,9 +172,9 @@ def _format_metric(record: dict) -> str:
     return f"{record['value']:.6g}"
 
 
-def _print_metrics(registry: "obs.MetricsRegistry") -> None:
+def _print_metrics(collected: "obs.MetricsRegistry") -> None:
     print("metrics:")
-    for name, record in registry.snapshot().items():
+    for name, record in collected.snapshot().items():
         print(f"  {name:32s} {_format_metric(record)}")
 
 
@@ -208,42 +212,43 @@ def _cmd_session(args: argparse.Namespace) -> int:
         blocks=args.blocks,
     )
     apply_gf_backend(args.gf_backend)
-    rng = RngFactory(args.seed)
+    rng = _checked(RngFactory, args.seed)
+    if args.scenario:
+        from repro.scenario import load_scenario, make_policy
+
+        spec = _checked(
+            load_scenario,
+            args.scenario,
+            duration=args.seconds,
+            epoch_seconds=min(args.epoch_seconds, args.seconds),
+        )
+        replan_policy = _checked(make_policy, args.policy)
     if args.topology:
         network = load_network(args.topology)
     else:
-        network = random_network(
+        network = _checked(
+            random_network,
             args.nodes,
             phy=lossy_phy(rng=rng.derive("phy")),
             rng=rng.derive("topology"),
         )
-    # --metrics turns on the global registry so every layer (engine, MAC,
-    # decoder, codec kernels) reports without per-call plumbing.
-    registry = obs.enable() if args.metrics else None
     tracer = SessionTracer() if args.trace else None
     source, destination = args.source, args.destination
     adaptive = None
-    try:
+    # --metrics collects from every layer (engine, MAC, decoder, codec
+    # kernels) for the run, without per-call plumbing.
+    with obs.collecting() if args.metrics else nullcontext() as registry:
         if args.scenario:
             from repro.protocols.adaptive import (
                 make_coding_controller,
                 make_planner,
             )
-            from repro.scenario import (
-                load_scenario,
-                make_policy,
-                run_adaptive_session,
-            )
+            from repro.scenario import run_adaptive_session
 
-            spec = load_scenario(
-                args.scenario,
-                duration=args.seconds,
-                epoch_seconds=min(args.epoch_seconds, args.seconds),
-            )
             adaptive = run_adaptive_session(
                 network,
                 make_planner(args.protocol, source, destination),
-                make_policy(args.policy),
+                replan_policy,
                 spec,
                 shards=args.shards,
                 config=config,
@@ -275,9 +280,6 @@ def _cmd_session(args: argparse.Namespace) -> int:
                 protocol_label=args.protocol,
                 tracer=tracer,
             )
-    finally:
-        if registry is not None:
-            obs.disable()
     print(f"{args.protocol} session {source} -> {destination}:")
     print(f"  throughput:  {result.throughput_bps:.0f} B/s")
     print(f"  duration:    {result.duration:.1f} s emulated")
@@ -333,11 +335,12 @@ def _cmd_multisession(args: argparse.Namespace) -> int:
         blocks=args.blocks,
         block_size=args.block_size,
     )
-    rng = RngFactory(args.seed)
+    rng = _checked(RngFactory, args.seed)
     if args.topology:
         network = load_network(args.topology)
     else:
-        network = random_network(
+        network = _checked(
+            random_network,
             args.nodes,
             neighbors_per_node=args.density,
             rng=rng.derive("topology"),

@@ -53,11 +53,11 @@ from repro.coding.packet import CodedPacket
 class ProgressiveDecoder:
     """On-the-fly Gauss-Jordan decoder for one generation.
 
-    When observability is on (an explicit ``registry`` or the global one
-    from :mod:`repro.obs`), the decoder reports under the ``decoder.``
-    namespace: innovative/redundant packet counters, a rank-progression
-    gauge, and — at the moment rank n is reached — the decode latency in
-    packets (total received) and the redundancy overhead.
+    Built inside an :func:`repro.obs.collecting` scope, the decoder
+    reports under the ``decoder.`` namespace: innovative/redundant packet
+    counters, a rank-progression gauge, and — at the moment rank n is
+    reached — the decode latency in packets (total received) and the
+    redundancy overhead.
     """
 
     def __init__(
@@ -66,7 +66,6 @@ class ProgressiveDecoder:
         block_size: int | None = None,
         *,
         field: Optional[FieldType] = None,
-        registry: obs.MetricsRegistry | None = None,
     ) -> None:
         if blocks <= 0:
             raise ValueError(f"blocks must be > 0, got {blocks}")
@@ -80,7 +79,7 @@ class ProgressiveDecoder:
         self._basis = EchelonBasis(self._field, blocks, width)
         self._width = width
         self._received = 0
-        scope = obs.resolve(registry).attach("decoder")
+        scope = obs.get_registry().attach("decoder")
         self._m_innovative = scope.counter(
             "innovative", "packets that raised the decoder rank"
         )

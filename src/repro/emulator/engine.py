@@ -262,14 +262,11 @@ class EngineCore:
     at construction.
     """
 
-    def __init__(
-        self, init: CoreInit, registry: obs.MetricsRegistry | None = None
-    ) -> None:
+    def __init__(self, init: CoreInit) -> None:
         self._network = init.network
         self._dt = init.slot_duration
         self._blanking = init.interference == "blanking"
         self._two_hop = init.interference == "conflict_free"
-        self._registry = registry
         self._has_unicast = init.has_unicast
         self._traced = init.traced
         self._factory = factory = RngFactory(init.seed)
@@ -298,7 +295,7 @@ class EngineCore:
         self._transmissions: Dict[int, int] = {}
         self._queue_time: Dict[int, float] = {}
         self._epoch: List[Record] = []  # the one in progress, or the last
-        scope = obs.resolve(registry).attach("emulator")
+        scope = obs.get_registry().attach("emulator")
         self._obs_enabled = scope.enabled
         self._m_tx = scope.counter("transmissions", "packets put on the air")
         self._m_deliveries = scope.counter(
@@ -395,8 +392,7 @@ class EngineCore:
         # never consumes RNG — every key arrives pre-drawn from a node's
         # own stream — so only the conflict structure matters.
         self._scheduler = IdealMacScheduler(
-            ConflictGraph(network, self._owned, two_hop=self._two_hop),
-            registry=self._registry,
+            ConflictGraph(network, self._owned, two_hop=self._two_hop)
         )
         node_count = network.node_count
         if self._arrays:

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
 
-from repro import obs
 from repro.coding.generation import (
     DEFAULT_BLOCK_SIZE,
     DEFAULT_BLOCKS_PER_GENERATION,
@@ -249,7 +248,6 @@ def open_session(
     config: SessionConfig,
     rng: RngFactory,
     shards: int = 1,
-    registry: obs.MetricsRegistry | None = None,
     tracer: SessionTracer | None = None,
     start_method: str | None = None,
 ) -> Tuple[ShardedSession, _DecodeLog]:
@@ -259,10 +257,10 @@ def open_session(
     capacity) and the recorder its destination reports to: decoded ACKs
     for coded plans, the delivery count for unicast ones.  A
     plan-carried coding decision is folded into ``config`` first
-    (:func:`plan_coding_config`).  ``registry``/``tracer`` flow through
-    to the session; when omitted it falls back to the global
-    :mod:`repro.obs` registry, so a ``with obs.collecting():`` block
-    instruments the whole session with no further plumbing.
+    (:func:`plan_coding_config`).  ``tracer`` flows through to the
+    session; metrics come from the global :mod:`repro.obs` registry, so
+    a ``with obs.collecting():`` block instruments the whole session
+    with no further plumbing.
     """
     config = plan_coding_config(config, plan)
     log = _DecodeLog()
@@ -283,7 +281,6 @@ def open_session(
         shards=shards,
         interference=config.interference,
         tracer=tracer,
-        registry=registry,
         decode_log=log,
         start_method=start_method,
     )
@@ -345,7 +342,6 @@ def run_sharded_session(
     config: SessionConfig | None = None,
     rng: RngFactory | None = None,
     protocol_label: str | None = None,
-    registry: obs.MetricsRegistry | None = None,
     tracer: SessionTracer | None = None,
     start_method: str | None = None,
 ) -> SessionResult:
@@ -356,7 +352,7 @@ def run_sharded_session(
     retransmissions, always runs the full budget.  ``shards=1`` runs in
     this process; any ``shards=N`` produces a bit-identical
     :class:`SessionResult` and trace from N worker processes.
-    ``registry``/``tracer``: see :func:`open_session`.
+    ``tracer`` and metrics: see :func:`open_session`.
     """
     kind = getattr(plan, "kind", None)
     if kind not in _LABELS:
@@ -369,7 +365,6 @@ def run_sharded_session(
         config=config,
         rng=rng or RngFactory(0),
         shards=shards,
-        registry=registry,
         tracer=tracer,
         start_method=start_method,
     )

@@ -113,15 +113,12 @@ class ShardedCores:
     Replies merge in place order; a failure names the slot it happened in.
     """
 
-    def __init__(
-        self, init: CoreInit, shards: int, start_method: str | None, registry: obs.MetricsRegistry
-    ) -> None:
+    def __init__(self, init: CoreInit, shards: int, start_method: str | None) -> None:
         self._owner = owner = partition_positions(init.network.positions, shards)
         self._network = init.network
         self._participants = init.participants
         self._has_unicast = init.has_unicast
         self._two_hop = init.interference == "conflict_free"
-        self._registry = registry
         self._slots = 0  # executed or stalled so far, for failure reports
         self._everyone = range(shards)
         self._live = list(self._everyone)
@@ -153,8 +150,7 @@ class ShardedCores:
             if any(owner[peer] != owner[node] for peer in network.neighbors(node))
         )
         self._scheduler = IdealMacScheduler(
-            ConflictGraph(network, self._participants, two_hop=self._two_hop),
-            registry=self._registry,
+            ConflictGraph(network, self._participants, two_hop=self._two_hop)
         )
 
     def _call(self, method: str, arguments: Mapping[int, Any]) -> Dict[int, Any]:
@@ -320,7 +316,6 @@ class ShardedSession:
         shards: int = 1,
         interference: str = "blanking",
         tracer: SessionTracer | None = None,
-        registry: obs.MetricsRegistry | None = None,
         decode_log: _DecodeLog | None = None,
         start_method: str | None = None,
     ) -> None:
@@ -341,8 +336,7 @@ class ShardedSession:
         self.now = 0.0
         self._grants = 0
         self.shards = shards
-        metrics = obs.resolve(registry)
-        scope = metrics.attach("emulator")
+        scope = obs.get_registry().attach("emulator")
         self._obs_enabled = scope.enabled
         self._m_slots = scope.counter("slots", "emulation slots executed")
         self._m_grants = scope.counter("grants", "MAC grants issued")
@@ -364,9 +358,9 @@ class ShardedSession:
         # core made of worker processes, called the same way.
         self._core: EngineCore | ShardedCores
         if shards == 1:
-            self._core = EngineCore(init, registry)
+            self._core = EngineCore(init)
         else:
-            self._core = ShardedCores(init, shards, start_method, metrics)
+            self._core = ShardedCores(init, shards, start_method)
 
     def _control(self, method: str, argument: Any = None) -> Any:
         """A control-plane call on the core.

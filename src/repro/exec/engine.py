@@ -3,8 +3,8 @@
 :func:`execute_jobs` is the engine's single entry point: it resolves
 cache hits, runs the remaining jobs serially (``jobs=1``) or on a
 :class:`~repro.exec.pool.WorkerPool`, writes fresh results back to the
-cache, and reports structured progress through the :mod:`repro.obs`
-layer (``exec.*`` counters plus ``exec.job`` trace events).
+cache, and counts progress in the :mod:`repro.obs` registry
+(``exec.*`` counters).
 
 Because every job derives its own randomness from its payload and
 outcomes are ordered by submission index, the serial and parallel paths
@@ -86,22 +86,16 @@ class ExecutionPolicy:
 def execute_jobs(
     specs: Sequence[JobSpec],
     policy: Optional[ExecutionPolicy] = None,
-    *,
-    registry: Optional[obs.MetricsRegistry] = None,
-    tracer: Optional[obs.EventTracer] = None,
 ) -> List[JobOutcome]:
     """Execute ``specs`` under ``policy``; outcomes in submission order.
 
     Failures are recorded, not raised: callers decide whether a
     :class:`~repro.exec.job.JobFailure` is fatal.  Progress lands in the
-    resolved metrics registry (``exec.jobs_completed`` /
-    ``exec.jobs_failed`` / ``exec.cache_hits`` / ``exec.cache_misses``)
-    and, when a tracer is supplied, as one ``exec.job`` event per
-    outcome.
+    global metrics registry (``exec.jobs_completed`` /
+    ``exec.jobs_failed`` / ``exec.cache_hits`` / ``exec.cache_misses``).
     """
     policy = policy or ExecutionPolicy()
-    metrics = obs.resolve(registry)
-    events = obs.resolve_tracer(tracer)
+    metrics = obs.get_registry()
     completed = metrics.counter("exec.jobs_completed", "jobs that produced a value")
     failed = metrics.counter("exec.jobs_failed", "jobs that exhausted every attempt")
     hits = metrics.counter("exec.cache_hits", "jobs satisfied from the result cache")
@@ -124,9 +118,6 @@ def execute_jobs(
                 outcomes[index] = outcome
                 hits.inc()
                 completed.inc()
-                events.emit(
-                    "exec.job", key=spec.key, status="cached", attempts=0
-                )
                 continue
             misses.inc()
         remaining.append((index, spec))
@@ -137,22 +128,8 @@ def execute_jobs(
                 completed.inc()
                 if cache is not None:
                     cache.put(spec.key, outcome.value)
-                events.emit(
-                    "exec.job",
-                    key=spec.key,
-                    status="ok",
-                    attempts=outcome.attempts,
-                    wall_seconds=outcome.wall_seconds,
-                )
             else:
                 failed.inc()
-                events.emit(
-                    "exec.job",
-                    key=spec.key,
-                    status=outcome.kind,
-                    attempts=outcome.attempts,
-                    error=outcome.error,
-                )
 
         batch = [spec for _, spec in remaining]
         if policy.parallel:
@@ -173,8 +150,6 @@ def execute_jobs(
 def execute_calls(
     calls: Sequence[Tuple[Callable[[Any], Any], Any]],
     policy: Optional[ExecutionPolicy] = None,
-    *,
-    registry: Optional[obs.MetricsRegistry] = None,
 ) -> List[Any]:
     """Run each ``fn(payload)`` of ``calls`` as a job keyed by
     :func:`~repro.exec.job.job_key`; values in submission order.
@@ -187,7 +162,7 @@ def execute_calls(
         for fn, payload in calls
     ]
     values = []
-    for spec, outcome in zip(specs, execute_jobs(specs, policy, registry=registry)):
+    for spec, outcome in zip(specs, execute_jobs(specs, policy)):
         if not isinstance(outcome, JobResult):
             raise RuntimeError(
                 f"{spec.fn.__qualname__}({spec.payload!r}) failed: "

@@ -28,6 +28,7 @@ import hashlib
 import os
 import random
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -242,10 +243,6 @@ class CampaignResult:
         values = self.gains(protocol)
         return sum(values) / len(values) if values else 0.0
 
-    def mean_queues(self, protocol: str) -> List[float]:
-        """Per-session mean queue sizes for ``protocol`` (Fig. 3)."""
-        return [r.results[protocol].mean_queue() for r in self.records]
-
     def per_node_queues(self, protocol: str) -> List[float]:
         """Per-node time-averaged queues pooled across sessions (Fig. 3)."""
         values: List[float] = []
@@ -341,7 +338,6 @@ def run_session(
     etx_plan: UnicastPathPlan,
     session_config: SessionConfig,
     rng: RngFactory,
-    registry: Optional[obs.MetricsRegistry] = None,
 ) -> SessionRecord:
     """Run all four protocols on one session.
 
@@ -357,21 +353,18 @@ def run_session(
     results["etx"] = run_unicast_session(
         network, etx_plan, config=session_config,
         rng=rng.spawn("etx"),
-        registry=registry,
     )
     omnc_report = plan_omnc_detailed(network, source, destination)
     plans["omnc"] = omnc_report.plan
     results["omnc"] = run_coded_session(
         network, omnc_report.plan, config=session_config,
         rng=rng.spawn("omnc"),
-        registry=registry,
     )
     more_plan = plan_more(network, source, destination)
     plans["more"] = more_plan
     results["more"] = run_coded_session(
         network, more_plan, config=session_config,
         rng=rng.spawn("more"),
-        registry=registry,
     )
     oldmore_plan = plan_oldmore(network, source, destination)
     plans["oldmore"] = oldmore_plan
@@ -379,7 +372,6 @@ def run_session(
         network, oldmore_plan, config=session_config,
         rng=rng.spawn("oldmore"),
         protocol_label="oldmore",
-        registry=registry,
     )
     hop_count = etx_plan.hop_count
     return SessionRecord(
@@ -442,8 +434,8 @@ class SessionJobOutput:
     """What one session job ships back to the campaign driver."""
 
     record: SessionRecord
-    # Rendered snapshot (with histogram samples) of the job's private
-    # registry, or None when metrics collection was off.
+    # Rendered snapshot (with histogram samples) of the job's own
+    # collection scope, or None when metrics collection was off.
     metrics: Optional[Dict[str, dict]] = None
 
 
@@ -476,26 +468,23 @@ def execute_session_job(job: SessionJob) -> SessionJobOutput:
     """Run one campaign session end to end (the worker entry point).
 
     Module-level and self-contained by design: the execution engine
-    pickles it by reference into worker processes.  Metrics are
-    collected in a private registry and returned as a mergeable
-    snapshot, so parent-side aggregation is identical whether the job
-    ran in-process or on a worker.
+    pickles it by reference into worker processes.  With
+    ``collect_metrics`` the job runs in a collection scope of its own and
+    returns that registry as a mergeable snapshot, so parent-side
+    aggregation is identical whether the job ran in-process or on a
+    worker.
     """
-    network = _campaign_network(job.config)
-    etx_plan = plan_etx_route(network, job.source, job.destination)
-    registry = obs.MetricsRegistry(enabled=job.collect_metrics)
-    record = run_session(
-        network,
-        job.source,
-        job.destination,
-        etx_plan,
-        job.config.session_config(),
-        session_rng(job.config.seed, job.session_index),
-        registry=registry,
-    )
-    snapshot = (
-        registry.snapshot(include_samples=True) if job.collect_metrics else None
-    )
+    with obs.collecting() if job.collect_metrics else nullcontext() as registry:
+        network = _campaign_network(job.config)
+        record = run_session(
+            network,
+            job.source,
+            job.destination,
+            plan_etx_route(network, job.source, job.destination),
+            job.config.session_config(),
+            session_rng(job.config.seed, job.session_index),
+        )
+    snapshot = registry.snapshot(include_samples=True) if registry is not None else None
     return SessionJobOutput(record=record, metrics=snapshot)
 
 
@@ -524,7 +513,6 @@ def campaign_jobs(
 def run_campaign(
     config: Optional[CampaignConfig] = None,
     *,
-    registry: Optional[obs.MetricsRegistry] = None,
     policy: Optional[ExecutionPolicy] = None,
 ) -> CampaignResult:
     """Run the full four-protocol campaign on the execution engine.
@@ -535,13 +523,13 @@ def run_campaign(
     Failed or infeasible sessions are recorded in
     :attr:`CampaignResult.failures` instead of aborting the run.
 
-    Pass an enabled :class:`repro.obs.MetricsRegistry` (or enable the
-    global one) to aggregate emulator/decoder/MAC metrics across every
-    session; the snapshot lands in :attr:`CampaignResult.metrics`.
+    Run it inside :func:`repro.obs.collecting` to aggregate every
+    session's metrics — the same records at any worker count; the
+    snapshot lands in :attr:`CampaignResult.metrics`.
     """
     config = config or CampaignConfig()
     policy = policy or ExecutionPolicy()
-    metrics = obs.resolve(registry)
+    metrics = obs.get_registry()
     sessions_counter = metrics.counter(
         "campaign.sessions", "four-protocol sessions completed"
     )
@@ -568,7 +556,7 @@ def run_campaign(
         )
         failures_counter.inc()
     specs = campaign_jobs(config, sessions, collect_metrics=metrics.enabled)
-    outcomes = execute_jobs(specs, policy, registry=registry)
+    outcomes = execute_jobs(specs, policy)
     for index, ((source, destination, _plan), outcome) in enumerate(
         zip(sessions, outcomes)
     ):

@@ -127,53 +127,48 @@ def run_convergence_stats(
     config: Optional[CampaignConfig] = None,
     rate_config: Optional[RateControlConfig] = None,
     *,
-    registry: Optional[obs.MetricsRegistry] = None,
     policy: Optional[ExecutionPolicy] = None,
 ) -> ConvergenceStats:
     """Run rate control on every campaign session graph.
 
     Sessions execute as independent jobs on the :mod:`repro.exec`
     engine (the optimisation is deterministic per endpoint pair, so any
-    worker count reproduces the serial numbers).  Per-session
-    bookkeeping lives in an observability registry (a private enabled
-    one unless the caller supplies their own), so the same numbers are
-    available both as the returned summary and as ``optimizer.session_*``
-    metrics.
+    worker count reproduces the serial numbers).  Inside an
+    :func:`repro.obs.collecting` scope each feasible session is also
+    published as ``optimizer.session_*`` metrics; the returned summary
+    never depends on the scope.
     """
     if config is None:
         config = CampaignConfig.from_environment(quality="lossy")
-    if registry is not None and registry.enabled:
-        metrics = registry
-    else:
-        metrics = obs.MetricsRegistry()
-    iterations = metrics.histogram(
-        "optimizer.session_iterations", "outer iterations per session graph"
+    scope = obs.get_registry().attach("optimizer")
+    m_iterations = scope.histogram(
+        "session_iterations", "outer iterations per session graph"
     )
-    lp_ratio = metrics.histogram(
-        "optimizer.session_lp_ratio", "recovered gamma over the LP optimum"
+    m_lp_ratio = scope.histogram(
+        "session_lp_ratio", "recovered gamma over the LP optimum"
     )
-    converged_counter = metrics.counter(
-        "optimizer.sessions_converged", "sessions that met the stopping rule"
+    m_converged = scope.counter(
+        "sessions_converged", "sessions that met the stopping rule"
     )
     _, network = build_network(config)
     sessions = pick_sessions(config, network)
     specs = convergence_jobs(config, sessions, rate_config)
-    outcomes = execute_jobs(specs, policy, registry=registry)
-    for outcome in outcomes:
-        if not isinstance(outcome, JobResult):
-            continue  # recorded by the engine; the summary skips the slot
-        sample: ConvergenceSample = outcome.value
-        if not sample.feasible:
-            continue
-        iterations.observe(float(sample.iterations))
-        lp_ratio.observe(sample.ratio)
+    # A failed job is recorded by the engine; the summary skips the slot.
+    samples: List[ConvergenceSample] = [
+        outcome.value
+        for outcome in execute_jobs(specs, policy)
+        if isinstance(outcome, JobResult) and outcome.value.feasible
+    ]
+    for sample in samples:
+        m_iterations.observe(sample.iterations)
+        m_lp_ratio.observe(sample.ratio)
         if sample.converged:
-            converged_counter.inc()
-    total = iterations.count
+            m_converged.inc()
+    converged = sum(1 for sample in samples if sample.converged)
     return ConvergenceStats(
-        iterations=summarize(iterations.samples()),
-        lp_ratio=summarize(lp_ratio.samples()),
-        converged_fraction=converged_counter.value / total if total else 0.0,
+        iterations=summarize([float(sample.iterations) for sample in samples]),
+        lp_ratio=summarize([sample.ratio for sample in samples]),
+        converged_fraction=converged / len(samples) if samples else 0.0,
     )
 
 

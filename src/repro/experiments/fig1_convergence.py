@@ -53,7 +53,6 @@ def run_fig1(
     config: Optional[RateControlConfig] = None,
     *,
     settle_tolerance: float = 0.05,
-    registry: Optional[obs.MetricsRegistry] = None,
     tracer: Optional[obs.EventTracer] = None,
 ) -> ConvergenceSeries:
     """Produce the Fig. 1 convergence series.
@@ -65,9 +64,7 @@ def run_fig1(
     network = fig1_sample_topology(capacity=FIG1_CAPACITY)
     graph = session_graph_from_network(network, 0, 5)
     lp = solve_sunicast(graph)
-    result = RateControlAlgorithm(
-        graph, config, registry=registry, tracer=tracer
-    ).run()
+    result = RateControlAlgorithm(graph, config, tracer=tracer).run()
     return _series_from_result(graph.capacity, lp.throughput, result, settle_tolerance)
 
 

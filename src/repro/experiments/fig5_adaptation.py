@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro import obs
 from repro.emulator.session import SessionConfig
 from repro.exec import ExecutionPolicy, execute_calls
 from repro.protocols.adaptive import make_planner
@@ -204,7 +203,6 @@ def execute_fig5_job(job: Fig5Job) -> AdaptiveSessionResult:
 def run_fig5(
     config: Optional[Fig5Config] = None,
     *,
-    registry: Optional[obs.MetricsRegistry] = None,
     policy: Optional[ExecutionPolicy] = None,
 ) -> Fig5Result:
     """Run the three controllers on the failover scenario.
@@ -224,9 +222,7 @@ def run_fig5(
         (execute_fig5_job, Fig5Job(config=config, policy_key=key))
         for key in _POLICY_KEYS
     ]
-    runs = dict(
-        zip(_POLICY_KEYS, execute_calls(calls, policy, registry=registry))
-    )
+    runs = dict(zip(_POLICY_KEYS, execute_calls(calls, policy)))
     return Fig5Result(
         config=config,
         scenario=spec,

@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro import obs
 from repro.emulator.multisession import MultiSessionOutcome, run_multi_session
 from repro.emulator.plan import SessionPlan
 from repro.emulator.session import SessionConfig
@@ -314,7 +313,6 @@ def execute_fig6_xor_job(job: Fig6XorJob) -> MultiSessionOutcome:
 def run_fig6(
     config: Optional[Fig6Config] = None,
     *,
-    registry: Optional[obs.MetricsRegistry] = None,
     policy: Optional[ExecutionPolicy] = None,
 ) -> Fig6Result:
     """Run the sweep and the XOR panel; every run identically seeded.
@@ -338,7 +336,7 @@ def run_fig6(
         (execute_fig6_xor_job, Fig6XorJob(config=config, use_xor=use_xor))
         for use_xor in (False, True)
     ]
-    values = execute_calls(calls, policy, registry=registry)
+    values = execute_calls(calls, policy)
     points: List[Fig6Point] = []
     cursor = 0
     for count in config.session_counts:

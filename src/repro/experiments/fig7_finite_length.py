@@ -213,20 +213,17 @@ def execute_fig7_decode_job(job: Fig7DecodeJob) -> DecodeCostPoint:
             rng.derive("fig7-coding", trial),
             systematic=job.systematic,
         )
-        registry = obs.MetricsRegistry()
-        decoder = ProgressiveDecoder(
-            params.blocks, params.block_size, registry=registry
-        )
-        while not decoder.is_complete:
-            packet = encoder.next_packet()
-            if channel_rng.random() < job.loss:
-                continue
-            decoder.add_packet(packet)
+        with obs.collecting() as registry:
+            decoder = ProgressiveDecoder(params.blocks, params.block_size)
+            while not decoder.is_complete:
+                packet = encoder.next_packet()
+                if channel_rng.random() < job.loss:
+                    continue
+                decoder.add_packet(packet)
         if not np.array_equal(decoder.decode(), generation.matrix):
             identical = False
         eliminations += registry.value("decoder.rows_eliminated")
-        scope = registry.attach("decoder")
-        overhead += scope.histogram("overhead_packets").sum
+        overhead += registry.histogram("decoder.overhead_packets").sum
     trials = float(config.decode_trials)
     return DecodeCostPoint(
         loss=job.loss,
@@ -265,7 +262,6 @@ def execute_fig7_goodput_job(job: Fig7GoodputJob) -> GoodputPoint:
     coding = arm_coding(job.arm, job.loss, config)
     plan = replace(plan_omnc(network, 0, 3), coding=coding)
     session_config = SessionConfig(
-        blocks=coding.blocks,
         block_size=config.block_size,
         max_seconds=config.window_seconds,
         target_generations=0,
@@ -294,7 +290,6 @@ def run_fig7(
     config: Optional[Fig7Config] = None,
     *,
     shards: int = 1,
-    registry: Optional[obs.MetricsRegistry] = None,
     policy: Optional[ExecutionPolicy] = None,
 ) -> Fig7Result:
     """Run both panels; every cell is an independent cacheable job."""
@@ -315,7 +310,6 @@ def run_fig7(
         [(execute_fig7_decode_job, job) for job in decode_jobs]
         + [(execute_fig7_goodput_job, job) for job in goodput_jobs],
         policy,
-        registry=registry,
     )
     decode_costs = {
         (job.loss, job.systematic): value

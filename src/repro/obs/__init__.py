@@ -8,11 +8,12 @@ The subsystem has two halves:
   JSON-lines export for per-event trajectories (dual prices, decode
   progress).
 
-Collection is **off by default**.  Instrumented components resolve their
-registry with :func:`resolve` — an explicit registry wins, otherwise the
-process-global one — and a disabled registry hands out shared no-op
-instruments, so the emulator slot loop and the GF(2^8) kernels pay one
-no-op method call per event when observability is off.
+Collection is **off by default**, and a :func:`collecting` scope is the
+one way to turn it on.  Instrumented components take their instruments
+from :func:`get_registry` when they are built; outside a scope that
+registry is disabled and hands out shared no-op instruments, so the
+emulator slot loop and the GF(2^8) kernels pay one no-op method call per
+event when observability is off.
 
 Typical use::
 
@@ -23,12 +24,11 @@ Typical use::
     registry.value("emulator.slots")          # counters across the run
     registry.get("decoder.rank").value        # gauge: final decoder rank
 
-or, for one component only::
+Scopes nest: code that needs numbers of its own (a campaign job, one
+decode trial) opens a scope of its own around that work, and the
+enclosing registry comes back untouched on exit.
 
-    registry = obs.MetricsRegistry()
-    decoder = ProgressiveDecoder(16, 256, registry=registry)
-
-Enabling the global registry also meters the GF(2^8) codec itself
+Collection also meters the GF(2^8) codec itself
 (``codec.bytes_processed``), which is wired through a module-level hook
 in :mod:`repro.coding.gf256` so the disabled cost there is a single
 ``is None`` check.
@@ -66,26 +66,18 @@ __all__ = [
     "ScopedRegistry",
     "TraceRecord",
     "collecting",
-    "disable",
-    "enable",
     "get_registry",
-    "resolve",
     "resolve_tracer",
 ]
 
-# The process-global registry.  Starts disabled: resolve(None) then hands
-# out null instruments and nothing is recorded anywhere.
+# The process-global registry.  Starts disabled: components built outside
+# a collecting() scope get null instruments and nothing is recorded.
 _global_registry = MetricsRegistry(enabled=False)
 
 
 def get_registry() -> MetricsRegistry:
-    """The current process-global registry (disabled unless enabled)."""
+    """The current process-global registry (disabled outside a scope)."""
     return _global_registry
-
-
-def resolve(registry: Optional[MetricsRegistry]) -> MetricsRegistry:
-    """The registry a component should use: explicit wins, else global."""
-    return registry if registry is not None else _global_registry
 
 
 def resolve_tracer(tracer: Optional[EventTracer]) -> EventTracer:
@@ -93,59 +85,55 @@ def resolve_tracer(tracer: Optional[EventTracer]) -> EventTracer:
     return tracer if tracer is not None else NULL_TRACER
 
 
-def _install_codec_hook(registry: MetricsRegistry) -> None:
+def _hook_codec(registry: MetricsRegistry) -> None:
     """Point the GF(2^8) kernels' byte meter at ``registry`` (or unhook).
 
     Imported lazily: ``repro.coding`` imports the decoder, which imports
     this package, so a module-level import here would be circular.
     """
-    from repro.coding import backends, gf256
+    from repro.coding import gf256
 
     if registry.enabled:
-        counter = registry.counter(
-            "codec.bytes_processed",
-            "bytes pushed through the GF(2^8) row kernels (encode + decode)",
+        gf256.set_bytes_hook(
+            registry.counter(
+                "codec.bytes_processed",
+                "bytes pushed through the GF(2^8) row kernels (encode + decode)",
+            ).inc
         )
-        gf256.set_bytes_hook(counter.inc)
-        # Tag the run with the backend that serves it (a 1-valued gauge
-        # per name, since metric values are floats, not strings).
-        registry.gauge(
-            f"codec.backend.{backends.active_backend_name()}",
-            "GF(2^8) backend active when collection was enabled (1 = this one)",
-        ).set(1)
     else:
         gf256.set_bytes_hook(None)
-
-
-def enable(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
-    """Switch global collection on; returns the now-active registry."""
-    global _global_registry
-    _global_registry = registry if registry is not None else MetricsRegistry()
-    _install_codec_hook(_global_registry)
-    return _global_registry
-
-
-def disable() -> None:
-    """Switch global collection off (the default state)."""
-    global _global_registry
-    _global_registry = MetricsRegistry(enabled=False)
-    _install_codec_hook(_global_registry)
 
 
 @contextmanager
 def collecting(
     registry: Optional[MetricsRegistry] = None,
 ) -> Iterator[MetricsRegistry]:
-    """Enable global collection for a ``with`` block, then restore.
+    """Collect into ``registry`` (default: a fresh one) for a ``with`` block.
 
-    The previous global registry (enabled or not) comes back on exit, so
-    nested collection scopes behave.
+    The previous global registry (enabled or not) comes back on exit with
+    its instruments as they were, so nested scopes behave: what a scope
+    recorded stays in its own registry.
     """
     global _global_registry
     previous = _global_registry
-    active = enable(registry)
+    active = registry if registry is not None else MetricsRegistry()
+    if active.enabled:
+        from repro.coding import backends  # lazily, as in _hook_codec
+
+        # Resolved before the meter is hooked: the first resolution in a
+        # process builds and self-tests the compiled backend, and those
+        # bytes are not the run's.
+        name = backends.active_backend_name()
+        # Tag the run with the backend that serves it (a 1-valued gauge
+        # per name, since metric values are floats, not strings).
+        active.gauge(
+            f"codec.backend.{name}",
+            "GF(2^8) backend active when collection was enabled (1 = this one)",
+        ).set(1)
+    _global_registry = active
+    _hook_codec(active)
     try:
         yield active
     finally:
         _global_registry = previous
-        _install_codec_hook(_global_registry)
+        _hook_codec(previous)

@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from repro import obs
 from repro.optimization.problem import SessionGraph
 from repro.optimization.rate_control import RateControlAlgorithm, RateControlConfig
 from repro.optimization.sub1_routing import Sub1Router
@@ -118,13 +117,14 @@ class MessagePassingRateControl(RateControlAlgorithm):
     """
 
     _census: DistanceVectorRouter
+    _publishes_metrics = False
 
     def __init__(
         self,
         graph: SessionGraph,
         config: RateControlConfig | None = None,
     ) -> None:
-        super().__init__(graph, config, registry=obs.MetricsRegistry(enabled=False))
+        super().__init__(graph, config)
 
     def _sub1(self, graph: SessionGraph) -> Sub1Router:
         config = self._config

@@ -236,10 +236,16 @@ class RateControlLoop:
 
     With observability on, each outer iteration is exposed twice over:
     aggregates under the ``optimizer.`` namespace (iteration counter,
-    step-size gauge, dual-price gauges, primal-residual histogram) and a
+    step-size gauge, dual-price gauges, primal-residual histogram) when
+    the loop is built inside an :func:`repro.obs.collecting` scope, and a
     full ``rate_control.iteration`` trace record carrying the lambda /
-    beta / mu trajectories — the machine-readable form of Fig. 1.
+    beta / mu trajectories to a ``tracer`` — the machine-readable form of
+    Fig. 1.
     """
+
+    #: Whether iterations publish ``optimizer.*`` metrics; the message
+    #: census, a measurement rather than a plan, does not.
+    _publishes_metrics = True
 
     def __init__(
         self,
@@ -247,7 +253,6 @@ class RateControlLoop:
         config: RateControlConfig | None = None,
         *,
         warm_start: RateControlDuals | None = None,
-        registry: obs.MetricsRegistry | None = None,
         tracer: obs.EventTracer | None = None,
     ) -> None:
         check_joint_sessions(graphs)
@@ -312,7 +317,12 @@ class RateControlLoop:
         # warm duals right back to a cold trajectory.
         self._step_offset = warm_start.iteration if warm_start else 0
         self._iteration = 0
-        scope = obs.resolve(registry).attach("optimizer")
+        registry = (
+            obs.get_registry()
+            if self._publishes_metrics
+            else obs.MetricsRegistry(enabled=False)
+        )
+        scope = registry.attach("optimizer")
         self._tracer = obs.resolve_tracer(tracer)
         self._observing = scope.enabled or self._tracer.enabled
         self._m_iterations = scope.counter(
@@ -561,12 +571,9 @@ class RateControlAlgorithm(RateControlLoop):
         config: RateControlConfig | None = None,
         *,
         warm_start: RateControlDuals | None = None,
-        registry: obs.MetricsRegistry | None = None,
         tracer: obs.EventTracer | None = None,
     ) -> None:
-        super().__init__(
-            [graph], config, warm_start=warm_start, registry=registry, tracer=tracer
-        )
+        super().__init__([graph], config, warm_start=warm_start, tracer=tracer)
 
     @property
     def duals(self) -> RateControlDuals:

@@ -12,33 +12,24 @@ protocol's throughput.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 from repro.emulator.plan import UnicastPathPlan
 from repro.routing.node_selection import NodeSelectionError, check_endpoints
-from repro.routing.shortest_path import dijkstra, etx_tree
+from repro.routing.shortest_path import etx_tree
 from repro.topology.graph import Link, WirelessNetwork
 
 
 def plan_etx_route(
-    network: WirelessNetwork,
-    source: int,
-    destination: int,
-    *,
-    weights: Optional[Dict[Link, float]] = None,
+    network: WirelessNetwork, source: int, destination: int
 ) -> UnicastPathPlan:
-    """Compute the best ETX path for one session.
+    """Compute the best ETX path for one session on ``network``'s link
+    qualities.
 
-    ``weights`` may supply measured ETX values; the default uses oracle
-    link qualities.  Raises :class:`NodeSelectionError` when an endpoint
-    is not a node or no path exists (same error type as OMNC planning so
-    campaign drivers can filter sessions uniformly).
+    Raises :class:`NodeSelectionError` when an endpoint is not a node or
+    no path exists (same error type as OMNC planning so campaign drivers
+    can filter sessions uniformly).
     """
     check_endpoints(network, source, destination)
-    if weights is not None:
-        result = dijkstra(network.nodes(), weights, source)
-    else:
-        result = etx_tree(network, source, until=destination)
+    result = etx_tree(network, source, until=destination)
     path = result.path_to(destination)
     if path is None:
         raise NodeSelectionError(

@@ -34,11 +34,11 @@ experiment (Fig. 3) exposes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.emulator.plan import CreditBroadcastPlan
 from repro.routing.node_selection import ForwarderSet, select_forwarders
-from repro.topology.graph import Link, WirelessNetwork
+from repro.topology.graph import WirelessNetwork
 
 
 def compute_expected_transmissions(
@@ -129,16 +129,10 @@ def compute_tx_credits(
 
 
 def plan_more(
-    network: WirelessNetwork,
-    source: int,
-    destination: int,
-    *,
-    weights: Optional[Dict[Link, float]] = None,
+    network: WirelessNetwork, source: int, destination: int
 ) -> CreditBroadcastPlan:
     """Full MORE control plane: node selection + heuristic credits."""
-    forwarders = select_forwarders(
-        network, source, destination, weights=weights
-    )
+    forwarders = select_forwarders(network, source, destination)
     z = compute_expected_transmissions(network, forwarders)
     credits = compute_tx_credits(network, forwarders, z)
     return CreditBroadcastPlan(

@@ -23,24 +23,20 @@ routing optimum instead of the ETX-ordered heuristic.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.emulator.plan import CreditBroadcastPlan
 from repro.optimization.problem import session_graph_from_selection
 from repro.optimization.sunicast import solve_min_cost_routing
 from repro.protocols.more import compute_tx_credits
 from repro.routing.node_selection import select_forwarders
-from repro.topology.graph import Link, WirelessNetwork
+from repro.topology.graph import WirelessNetwork
 
 _UNIT_FLOW = 1e-3  # normalized probe flow; z is scale-invariant
 
 
 def plan_oldmore(
-    network: WirelessNetwork,
-    source: int,
-    destination: int,
-    *,
-    weights: Optional[Dict[Link, float]] = None,
+    network: WirelessNetwork, source: int, destination: int
 ) -> CreditBroadcastPlan:
     """Full oldMORE control plane: node selection + min-cost credits.
 
@@ -50,9 +46,7 @@ def plan_oldmore(
     the path-pruning behaviour the paper reports for oldMORE, and why its
     optimum is the ETX-shortest route inside the forwarder DAG.
     """
-    forwarders = select_forwarders(
-        network, source, destination, weights=weights
-    )
+    forwarders = select_forwarders(network, source, destination)
     graph = session_graph_from_selection(network, forwarders)
     solution = solve_min_cost_routing(graph, throughput=_UNIT_FLOW)
     # z_i: transmissions per delivered source packet = rate / gamma.

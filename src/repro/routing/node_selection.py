@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Set, Tuple
 
-from repro.routing.shortest_path import dijkstra_to_destination, etx_tree
+from repro.routing.shortest_path import etx_tree
 from repro.topology.graph import Link, WirelessNetwork
 
 
@@ -85,37 +85,19 @@ def select_forwarders(
     network: WirelessNetwork,
     source: int,
     destination: int,
-    *,
-    weights: Dict[Link, float] | None = None,
-    max_distance_factor: float | None = None,
 ) -> ForwarderSet:
-    """Run the node-selection procedure for one unicast session.
-
-    Args:
-        network: the full topology.
-        source: source node id.
-        destination: destination node id.
-        weights: optional measured ETX weights; defaults to oracle
-            ``1/p_ij`` from the network.
-        max_distance_factor: if given, additionally prune nodes whose ETX
-            distance exceeds ``factor * etx_distance[source]`` — a common
-            guard against dragging in far-away low-value forwarders.  The
-            paper does not apply one; ``None`` matches the paper.
+    """Run the node-selection procedure for one unicast session, on the
+    ETX distances ``1 / p_ij`` of ``network``'s own link qualities.
 
     Raises:
         NodeSelectionError: if the destination is unreachable from the
             source over the lossy graph.
     """
     check_endpoints(network, source, destination)
-    if weights is not None:
-        to_destination = dijkstra_to_destination(
-            network.nodes(), weights, destination
-        )
-    else:
-        # Stopping at the source is exact: every candidate below is
-        # strictly closer than the source, so it was popped before it,
-        # and a node not yet popped holds a bound >= the source's.
-        to_destination = etx_tree(network, destination, toward=True, until=source)
+    # Stopping at the source is exact: every candidate below is strictly
+    # closer than the source, so it was popped before it, and a node not
+    # yet popped holds a bound >= the source's.
+    to_destination = etx_tree(network, destination, toward=True, until=source)
     if source not in to_destination.distance:
         raise NodeSelectionError(
             f"destination {destination} unreachable from source {source}"
@@ -131,13 +113,6 @@ def select_forwarders(
         if dist < source_distance
     }
     candidates.add(source)
-    if max_distance_factor is not None:
-        cap = max_distance_factor * source_distance
-        candidates = {
-            node
-            for node in sorted(candidates)
-            if to_destination.distance[node] <= cap or node == source
-        }
 
     # Reachability flood from the source over distance-decreasing links —
     # this is the broadcast step: a receiver keeps forwarding only if it

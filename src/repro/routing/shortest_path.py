@@ -1,17 +1,14 @@
 """Shortest paths: centralized Dijkstra.
 
-The dict entry points operate on arbitrary non-negative link weights keyed
-by directed link, so the same code serves
+:func:`etx_tree` is the one routing tree of a network: ETX weights
+``1 / p_ij`` read from the network's own adjacency, no weight table, and
+a stop at the one node a caller needs (DESIGN.md section 3.2).  ETX
+routing and the node-selection distance flood both call it.
 
-* ETX routing and the node-selection distance flood on *measured* link
-  qualities (weights = 1/p_hat_ij),
-* SUB1 of the rate-control decomposition (weights = Lagrange prices
-  lambda_ij), which the paper solves "in a distributed manner".
-
-On oracle link qualities both planners call :func:`etx_tree` instead: the
-same relaxation run on the network's own adjacency, which builds no
-weight table and can stop at the one node a caller needs (DESIGN.md
-section 3.2).  :func:`dijkstra` is its test oracle.
+:func:`dijkstra` runs the same relaxation on arbitrary non-negative
+weights keyed by directed link — hop counts and prices in
+:mod:`repro.optimization.sunicast` — and is :func:`etx_tree`'s test
+oracle.
 """
 
 from __future__ import annotations
@@ -97,27 +94,6 @@ def dijkstra(
     return result
 
 
-def dijkstra_to_destination(
-    nodes: Iterable[int],
-    weights: Mapping[Link, float],
-    destination: int,
-) -> ShortestPathResult:
-    """Shortest distance *to* ``destination`` from every node.
-
-    Runs Dijkstra on the reversed graph; ``distance[v]`` is then the cost
-    of v's best path toward the destination — the quantity each node
-    needs for node selection ("each node needs to compute its distance to
-    the destination", Sec. 4).  ``predecessor[v]`` is v's next hop toward
-    the destination.
-    """
-    reversed_weights = {(j, i): w for (i, j), w in weights.items()}
-    reversed_result = dijkstra(nodes, reversed_weights, destination)
-    result = ShortestPathResult(source=destination)
-    result.distance = reversed_result.distance
-    result.predecessor = reversed_result.predecessor
-    return result
-
-
 def etx_tree(
     network: WirelessNetwork,
     root: int,
@@ -127,12 +103,13 @@ def etx_tree(
 ) -> ShortestPathResult:
     """ETX shortest paths of ``network`` itself, weights ``1 / p_ij``.
 
-    Equal, value for value, to :func:`dijkstra` (or, with ``toward``,
-    :func:`dijkstra_to_destination`: distances *to* ``root`` and next
-    hops) over ``etx_weights(network)``: the same float additions in the
-    same ``(distance, node)`` pop order.  That order is total, so the
-    order in which one node's neighbors are relaxed cannot change a
-    distance or a predecessor.
+    Equal, value for value, to :func:`dijkstra` over the ETX weight of
+    every link (with ``toward``, over the reversed links: distances *to*
+    ``root`` — what each node needs for node selection, Sec. 4 — and
+    ``predecessor[v]`` as v's next hop toward it): the same float
+    additions in the same ``(distance, node)`` pop order.  That order is
+    total, so the order in which one node's neighbors are relaxed cannot
+    change a distance or a predecessor.
 
     With ``until`` the search stops when that node is popped.  Every node
     popped so far — ``until`` included — then has its final distance and

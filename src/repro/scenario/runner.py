@@ -135,7 +135,6 @@ def run_adaptive_session(
     session_id: int = 1,
     config: SessionConfig | None = None,
     rng: RngFactory | None = None,
-    registry: obs.MetricsRegistry | None = None,
     tracer: SessionTracer | None = None,
     coding_controller: CodingController | None = None,
 ) -> AdaptiveSessionResult:
@@ -156,8 +155,7 @@ def run_adaptive_session(
     """
     config = config or SessionConfig()
     rng = rng or RngFactory(0)
-    metrics = obs.resolve(registry)
-    scope = metrics.attach("scenario")
+    scope = obs.get_registry().attach("scenario")
     m_replans = scope.counter("replans", "successful mid-run re-plans")
     m_failed = scope.counter("failed_replans", "re-plans that could not plan")
     m_stall = scope.counter("stall_slots", "data-plane slots lost to control")
@@ -185,7 +183,6 @@ def run_adaptive_session(
         config=config,
         rng=rng,
         shards=shards,
-        registry=registry,
         tracer=tracer,
     )
     slot = session.slot_duration

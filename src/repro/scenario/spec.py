@@ -56,11 +56,8 @@ class ScenarioEvent:
         cbr_fraction: the new offered load as a fraction of channel
             capacity (``load`` only).
         session_id: the joining/leaving session
-            (``session_arrive``/``session_depart`` only).
-        source: the arriving session's source node (``session_arrive``
-            only, informational — the runner pre-builds the plan).
-        destination: the arriving session's destination node
-            (``session_arrive`` only, informational).
+            (``session_arrive``/``session_depart`` only; the session's
+            plan is given to the multi-session runner up front).
     """
 
     at: float
@@ -69,8 +66,6 @@ class ScenarioEvent:
     node: int | None = None
     cbr_fraction: float | None = None
     session_id: int | None = None
-    source: int | None = None
-    destination: int | None = None
 
     def __post_init__(self) -> None:
         if self.at < 0:
@@ -90,16 +85,6 @@ class ScenarioEvent:
         if self.kind in ("session_arrive", "session_depart"):
             if self.session_id is None or self.session_id < 0:
                 raise ValueError(f"{self.kind} events need a session_id >= 0")
-        if self.kind == "session_arrive":
-            for field in (self.source, self.destination):
-                if field is not None and field < 0:
-                    raise ValueError(
-                        f"session_arrive endpoints must be node ids >= 0"
-                    )
-            if self.source is not None and self.source == self.destination:
-                raise ValueError(
-                    "session_arrive source and destination must differ"
-                )
 
     def as_dict(self) -> dict[str, object]:
         """JSON-compatible representation (omits unused fields)."""
@@ -112,15 +97,11 @@ class ScenarioEvent:
             record["cbr_fraction"] = self.cbr_fraction
         if self.session_id is not None:
             record["session_id"] = self.session_id
-        if self.source is not None:
-            record["source"] = self.source
-        if self.destination is not None:
-            record["destination"] = self.destination
         return record
 
     @classmethod
     def from_dict(cls, record: dict[str, Any]) -> "ScenarioEvent":
-        """Inverse of :meth:`as_dict`."""
+        """Inverse of :meth:`as_dict` (unknown keys are ignored)."""
         return cls(
             at=float(record["at"]),
             kind=record["kind"],
@@ -128,8 +109,6 @@ class ScenarioEvent:
             node=record.get("node"),
             cbr_fraction=record.get("cbr_fraction"),
             session_id=record.get("session_id"),
-            source=record.get("source"),
-            destination=record.get("destination"),
         )
 
 

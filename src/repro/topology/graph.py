@@ -11,9 +11,10 @@
   ``b_i + sum_{j in N(i)} b_j <= C``;
 * the MAC-layer channel capacity ``C``.
 
-The class is immutable after construction; protocols and the emulator
-treat it as ground truth.  Probe-based *measurement* of link qualities
-(what a deployed system would do) lives in :mod:`repro.routing.etx`.
+The class is immutable after construction, and it is the one source of
+link qualities: routing, the optimizer and the emulator all read
+``p_ij`` from it.  Planning on other (e.g. measured) qualities means
+planning on :meth:`WirelessNetwork.with_links` of them.
 """
 
 from __future__ import annotations

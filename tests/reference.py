@@ -10,16 +10,28 @@ its closed form replaced it (``test_sunicast``, ``test_protocols``);
 became ``multi_feasible_scaling`` over one graph (``test_rate_control``);
 :func:`sunicast_lp` is what ``solve_sunicast`` ran before it became the
 one-session case of the joint LP (``test_sunicast``).
+:func:`etx_weights`, :func:`dijkstra_to_destination` and
+:func:`select_forwarders_on_weights` are the weight-dict routing that
+``etx_tree`` replaced (``test_shortest_path``, ``test_node_selection``,
+``test_sunicast``).
 """
 
 import hashlib
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.optimization.problem import SessionGraph
 from repro.optimization.sunicast import InfeasibleSessionError, SUnicastSolution
-from repro.topology.graph import WirelessNetwork
+from repro.routing.node_selection import (
+    ForwarderSet,
+    NodeSelectionError,
+    _dag_links,
+    _flood_decreasing,
+    check_endpoints,
+)
+from repro.routing.shortest_path import ShortestPathResult, dijkstra
+from repro.topology.graph import Link, WirelessNetwork
 from repro.topology.phy import lossy_phy
 from repro.topology.random_network import random_network
 from repro.util.rng import RngFactory
@@ -257,4 +269,97 @@ def sunicast_lp(
         flows={link: float(result.x[col]) for link, col in link_index.items()},
         broadcast_rates={node: float(result.x[col]) for node, col in node_index.items()},
         objective=gamma,
+    )
+
+
+def etx_weights(network: WirelessNetwork) -> Dict[Link, float]:
+    """ETX weight ``1 / p_ij`` for every directed link of ``network``.
+
+    The weight table routing ran on before ``etx_tree`` read the network
+    directly: the input of the dict oracles below.
+    """
+    return {(i, j): 1.0 / p for i, j, p in network.links()}
+
+
+def dijkstra_to_destination(
+    nodes: Iterable[int],
+    weights: Mapping[Link, float],
+    destination: int,
+) -> ShortestPathResult:
+    """Shortest distance *to* ``destination`` from every node.
+
+    Dijkstra on the reversed graph, moved here unedited: ``distance[v]``
+    is the cost of v's best path toward the destination and
+    ``predecessor[v]`` is v's next hop — the oracle of ``etx_tree(...,
+    toward=True)``.
+    """
+    reversed_weights = {(j, i): w for (i, j), w in weights.items()}
+    reversed_result = dijkstra(nodes, reversed_weights, destination)
+    result = ShortestPathResult(source=destination)
+    result.distance = reversed_result.distance
+    result.predecessor = reversed_result.predecessor
+    return result
+
+
+def select_forwarders_on_weights(
+    network: WirelessNetwork,
+    source: int,
+    destination: int,
+    weights: Dict[Link, float],
+    *,
+    max_distance_factor: Optional[float] = None,
+) -> ForwarderSet:
+    """Node selection on the full dict Dijkstra over ``weights``.
+
+    The weights path ``select_forwarders`` had, with its optional distance
+    cap (prune candidates farther than ``factor * etx_distance[source]``),
+    moved here: the oracle of the source-bounded ``etx_tree`` that node
+    selection runs on.
+    """
+    check_endpoints(network, source, destination)
+    to_destination = dijkstra_to_destination(network.nodes(), weights, destination)
+    if source not in to_destination.distance:
+        raise NodeSelectionError(
+            f"destination {destination} unreachable from source {source}"
+        )
+    source_distance = to_destination.distance[source]
+    candidates = {
+        node
+        for node, dist in to_destination.distance.items()
+        if dist < source_distance
+    }
+    candidates.add(source)
+    if max_distance_factor is not None:
+        cap = max_distance_factor * source_distance
+        candidates = {
+            node
+            for node in sorted(candidates)
+            if to_destination.distance[node] <= cap or node == source
+        }
+    reached = _flood_decreasing(network, source, candidates, to_destination.distance)
+    if destination not in reached:
+        raise NodeSelectionError(
+            f"no distance-decreasing route from {source} to {destination}"
+        )
+    selected = set(reached)
+    while True:
+        dag = _dag_links(network, selected, to_destination.distance)
+        has_out = {i for (i, j) in dag}
+        dead = {
+            n for n in sorted(selected) if n != destination and n not in has_out
+        }
+        if not dead:
+            break
+        if source in dead:
+            raise NodeSelectionError(
+                f"source {source} lost all forwarding links during pruning"
+            )
+        selected -= dead
+    distances = {n: to_destination.distance[n] for n in sorted(selected)}
+    return ForwarderSet(
+        source=source,
+        destination=destination,
+        nodes=frozenset(selected),
+        etx_distance=distances,
+        dag_links=tuple(dag),
     )

@@ -345,17 +345,39 @@ class TestUsageErrors:
                 "blocks and block_size must be > 0",
             ),
             (["multisession", "--sessions", "0"], "--sessions must be >= 1"),
+            (
+                ["session", "omnc", "0", "7", "--nodes", "30", "--seconds", "20",
+                 "--scenario", "drift", "--epoch-seconds", "0"],
+                "epoch_seconds must be in (0, duration], got 0.0",
+            ),
+            (["session", "omnc", "0", "7", "--nodes", "0"], "node_count must be > 0, got 0"),
+            (
+                ["session", "omnc", "0", "7", "--nodes", "30", "--seed", "-1"],
+                "seed must be >= 0, got -1",
+            ),
+            (
+                ["session", "omnc", "0", "7", "--nodes", "30", "--seconds", "20",
+                 "--scenario", "drift", "--policy", "periodic:0"],
+                "every must be >= 1, got 0",
+            ),
+            (["multisession", "--nodes", "0"], "node_count must be > 0, got 0"),
+            (["topology", "net.json", "--nodes", "0"], "node_count must be > 0, got 0"),
         ],
         ids=["fig2-sessions", "fig3-jobs", "fig4-retries", "fig5-timeout",
-             "session-blocks", "multisession-sessions"],
+             "session-blocks", "multisession-sessions", "session-epoch-seconds",
+             "session-nodes", "session-seed", "session-policy", "multisession-nodes",
+             "topology-nodes"],
     )
-    def test_bad_numeric_option(self, argv, message, capsys):
+    def test_bad_numeric_option(self, argv, message, capsys, tmp_path, monkeypatch):
         # Each used to end in a ValueError traceback from a config
-        # constructor (multisession: a bare SystemExit string, exit 1).
+        # constructor or generator (multisession: a bare SystemExit string,
+        # exit 1).
+        monkeypatch.chdir(tmp_path)
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err == f"repro {argv[0]}: error: {message}\n"
         assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []  # nothing written
 
 
 class TestImportHygiene:

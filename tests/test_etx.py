@@ -1,48 +1,52 @@
-"""ETX metric and probe-based link measurement."""
+"""The ETX metric as routing computes it: ``1 / p_ij`` per link, summed
+along a route, read from the network's own link qualities."""
 
-import numpy as np
+import math
+
 import pytest
 
-from repro.routing.etx import (
-    LinkProbeEstimator,
-    etx_weights,
-    expected_probe_error,
-    link_etx,
-    path_etx,
-)
-from repro.topology.random_network import chain_topology, random_network
-from repro.util.rng import RngFactory
+from repro.protocols.etx_routing import plan_etx_route
+from repro.routing.node_selection import NodeSelectionError
+from repro.routing.shortest_path import etx_tree
+from repro.topology.random_network import chain_topology
+from tests.reference import etx_weights
 
 
 class TestLinkEtx:
     def test_perfect_link(self):
-        assert link_etx(1.0) == 1.0
+        assert etx_tree(chain_topology((1.0,)), 0).distance[1] == 1.0
 
     def test_lossy_link(self):
-        assert link_etx(0.5) == pytest.approx(2.0)
+        assert etx_tree(chain_topology((0.5,)), 0).distance[1] == pytest.approx(2.0)
 
     def test_dead_link_infinite(self):
-        assert link_etx(0.0) == float("inf")
+        # A link that never delivers is no link: nothing is reached over it.
+        dead = chain_topology((0.5,)).with_links({})
+        assert etx_tree(dead, 0).distance.get(1, math.inf) == math.inf
 
     def test_out_of_range_rejected(self):
+        net = chain_topology((0.5,))
         with pytest.raises(ValueError):
-            link_etx(1.5)
+            net.with_links({(0, 1): 1.5})
         with pytest.raises(ValueError):
-            link_etx(-0.1)
+            net.with_links({(0, 1): -0.1})
 
 
 class TestPathEtx:
     def test_sum_over_hops(self):
         net = chain_topology((0.5, 0.25))
-        assert path_etx(net, (0, 1, 2)) == pytest.approx(2.0 + 4.0)
+        assert plan_etx_route(net, 0, 2).path_etx == pytest.approx(2.0 + 4.0)
 
     def test_missing_link_infinite(self):
         net = chain_topology((0.5,))
-        assert path_etx(net, (1, 0)) == float("inf")
+        assert etx_tree(net, 1).distance.get(0, math.inf) == math.inf
+        with pytest.raises(NodeSelectionError):
+            plan_etx_route(net, 1, 0)
 
     def test_trivial_path(self):
-        net = chain_topology((0.5,))
-        assert path_etx(net, (0,)) == 0.0
+        tree = etx_tree(chain_topology((0.5,)), 0)
+        assert tree.distance[0] == 0.0
+        assert tree.path_to(0) == (0,)
 
     def test_etx_weights_cover_all_links(self):
         net = chain_topology((0.5, 0.8))
@@ -50,51 +54,3 @@ class TestPathEtx:
         assert weights[(0, 1)] == pytest.approx(2.0)
         assert weights[(1, 2)] == pytest.approx(1.25)
         assert len(weights) == net.link_count()
-
-
-class TestProbeEstimator:
-    def test_estimates_converge_with_many_probes(self):
-        net = random_network(40, rng=RngFactory(3).derive("t"))
-        estimator = LinkProbeEstimator(
-            net, probe_count=5000, rng=RngFactory(3).derive("probe")
-        )
-        assert estimator.max_absolute_error() < 0.05
-
-    def test_estimates_cached(self):
-        net = chain_topology((0.5,))
-        estimator = LinkProbeEstimator(net, probe_count=10, rng=np.random.default_rng(0))
-        first = estimator.measure()
-        second = estimator.measure()
-        assert first == second
-
-    def test_estimated_etx(self):
-        net = chain_topology((0.5,))
-        estimator = LinkProbeEstimator(
-            net, probe_count=100000, rng=np.random.default_rng(1)
-        )
-        assert estimator.estimated_etx(0, 1) == pytest.approx(2.0, rel=0.1)
-
-    def test_unobserved_link_zero(self):
-        net = chain_topology((0.5,))
-        estimator = LinkProbeEstimator(net, probe_count=10, rng=np.random.default_rng(2))
-        assert estimator.estimated_probability(1, 0) == 0.0
-        assert estimator.estimated_etx(1, 0) == float("inf")
-
-    def test_invalid_probe_count(self):
-        net = chain_topology((0.5,))
-        with pytest.raises(ValueError):
-            LinkProbeEstimator(net, probe_count=0)
-
-
-class TestProbeError:
-    def test_shrinks_with_probe_count(self):
-        assert expected_probe_error(0.5, 400) < expected_probe_error(0.5, 100)
-
-    def test_formula(self):
-        assert expected_probe_error(0.5, 100) == pytest.approx(0.05)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            expected_probe_error(1.5, 100)
-        with pytest.raises(ValueError):
-            expected_probe_error(0.5, 0)

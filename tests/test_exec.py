@@ -316,16 +316,16 @@ class TestExecuteJobs:
         assert [o.cached for o in outcomes] == [True, True, False, False, False]
 
     def test_metrics_counters(self, tmp_path):
-        registry = obs.MetricsRegistry(enabled=True)
         specs = _specs([1, 2, 3]) + _specs([9], fn=_raise_value_error)
         policy = ExecutionPolicy(jobs=1, cache_dir=str(tmp_path / "cache"))
-        execute_jobs(specs, policy, registry=registry)
+        with obs.collecting() as registry:
+            execute_jobs(specs, policy)
         snapshot = registry.snapshot()
         assert snapshot["exec.jobs_completed"]["value"] == 3
         assert snapshot["exec.jobs_failed"]["value"] == 1
         assert snapshot["exec.cache_misses"]["value"] == 4
-        registry2 = obs.MetricsRegistry(enabled=True)
-        execute_jobs(specs[:3], policy, registry=registry2)
+        with obs.collecting() as registry2:
+            execute_jobs(specs[:3], policy)
         assert registry2.snapshot()["exec.cache_hits"]["value"] == 3
 
 

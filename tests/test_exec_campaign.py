@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import signal
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -50,19 +51,32 @@ class TestDeterminism:
     def test_default_policy_matches_explicit_serial(self, serial_campaign):
         assert run_campaign(TINY).digest() == serial_campaign.digest()
 
-    def test_metrics_aggregate_identically(self):
+    @pytest.mark.parametrize("coding_fidelity", ["flow", "exact"])
+    def test_metrics_aggregate_identically(self, coding_fidelity):
+        # One scope around the campaign: every layer's metrics (emulator,
+        # MAC, decoders, rate control, codec kernels) reach it the same
+        # way whether a job ran in this process or on a worker.
+        config = replace(
+            TINY, sessions=2, target_generations=1, coding_fidelity=coding_fidelity
+        )
+
         def campaign_metrics(jobs):
-            registry = obs.MetricsRegistry(enabled=True)
-            run_campaign(
-                TINY, registry=registry, policy=ExecutionPolicy(jobs=jobs)
-            )
+            with obs.collecting() as registry:
+                run_campaign(config, policy=ExecutionPolicy(jobs=jobs))
             return {
                 name: record
                 for name, record in registry.snapshot().items()
                 if not name.startswith(("campaign.wall", "exec."))
             }
 
-        assert campaign_metrics(1) == campaign_metrics(2)
+        serial, parallel = campaign_metrics(1), campaign_metrics(2)
+        assert sorted(serial) == sorted(parallel)
+        for name, record in serial.items():
+            assert parallel[name] == record, name
+        assert serial["optimizer.iterations"]["value"] > 0
+        if coding_fidelity == "exact":
+            assert serial["decoder.innovative"]["value"] > 0
+            assert serial["codec.bytes_processed"]["value"] > 0
 
     def test_session_rng_depends_only_on_seed_and_index(self):
         a = session_rng(TINY.seed, 3).derive("omnc").random()
@@ -214,8 +228,8 @@ class TestFailureRecording:
         from repro.experiments import common as common_module
 
         monkeypatch.setattr(common_module, "execute_session_job", _explode)
-        registry = obs.MetricsRegistry(enabled=True)
-        campaign = run_campaign(TINY, registry=registry)
+        with obs.collecting() as registry:
+            campaign = run_campaign(TINY)
         assert campaign.records == []
         assert len(campaign.failures) == TINY.sessions
         snapshot = registry.snapshot()

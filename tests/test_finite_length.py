@@ -71,7 +71,7 @@ class TestExpectedDecodePackets:
         trials = 400
         total = 0
         for _ in range(trials):
-            decoder = ProgressiveDecoder(n, registry=obs.MetricsRegistry())
+            decoder = ProgressiveDecoder(n)
             received = 0
             while not decoder.is_complete:
                 row = rng.integers(0, 256, size=n, dtype=np.uint8)
@@ -112,7 +112,7 @@ class TestDecodeFailureProbability:
         trials = 600
         failures = 0
         for _ in range(trials):
-            decoder = ProgressiveDecoder(n, registry=obs.MetricsRegistry())
+            decoder = ProgressiveDecoder(n)
             for _t in range(transmissions):
                 if rng.random() < loss:
                     continue
@@ -191,14 +191,17 @@ class TestGenerationSizeValidation:
             SessionConfig(blocks=256)
 
 
-def _run_through_channel(encoder, decoder, registry, loss, rng):
-    """Feed encoder packets through i.i.d. loss until decode completes."""
-    while not decoder.is_complete:
-        packet = encoder.next_packet()
-        if loss and rng.random() < loss:
-            continue
-        decoder.add_packet(packet)
-    return registry.value("decoder.rows_eliminated")
+def _run_through_channel(encoder, blocks, block_size, loss, rng):
+    """Feed encoder packets through i.i.d. loss until decode completes;
+    the decoder and the rows it eliminated."""
+    with obs.collecting() as registry:
+        decoder = ProgressiveDecoder(blocks, block_size)
+        while not decoder.is_complete:
+            packet = encoder.next_packet()
+            if loss and rng.random() < loss:
+                continue
+            decoder.add_packet(packet)
+    return decoder, registry.value("decoder.rows_eliminated")
 
 
 class TestSystematicEncoding:
@@ -226,12 +229,8 @@ class TestSystematicEncoding:
                 rng.derive("coding", int(systematic)),
                 systematic=systematic,
             )
-            registry = obs.MetricsRegistry()
-            decoder = ProgressiveDecoder(
-                blocks, block_size, registry=registry
-            )
-            eliminated[systematic] = _run_through_channel(
-                encoder, decoder, registry, 0.0, None
+            decoder, eliminated[systematic] = _run_through_channel(
+                encoder, blocks, block_size, 0.0, None
             )
             decoded[systematic] = decoder.decode()
         assert np.array_equal(decoded[True], generation.matrix)
@@ -252,9 +251,7 @@ class TestSystematicEncoding:
                 rng.derive("coding", int(systematic)),
                 systematic=systematic,
             )
-            registry = obs.MetricsRegistry()
-            decoder = ProgressiveDecoder(8, 64, registry=registry)
-            _run_through_channel(encoder, decoder, registry, 0.35, channel)
+            decoder, _eliminated = _run_through_channel(encoder, 8, 64, 0.35, channel)
             assert np.array_equal(decoder.decode(), generation.matrix)
 
 

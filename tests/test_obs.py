@@ -143,10 +143,44 @@ def test_collecting_meters_codec_bytes_and_unhooks():
     assert registry.value("codec.bytes_processed") == 64
 
 
-def test_resolve_prefers_explicit_registry():
-    explicit = obs.MetricsRegistry()
-    assert obs.resolve(explicit) is explicit
-    assert obs.resolve(None) is obs.get_registry()
+def test_a_nested_scope_leaves_the_enclosing_registry_as_it_was():
+    a = np.ones((4, 4), dtype=np.uint8)
+    b = np.ones((4, 16), dtype=np.uint8)
+    with obs.collecting() as outer:
+        before = outer.snapshot()
+        with obs.collecting(obs.MetricsRegistry()) as inner:
+            assert obs.get_registry() is inner
+            GF256.matmul(a, b)
+        assert obs.get_registry() is outer
+        # Closing the inner scope neither re-tags the backend (a gauge
+        # update) nor counts the inner scope's bytes here: a job run in
+        # this process leaves what a job run on a worker leaves.
+        assert outer.snapshot() == before
+        GF256.matmul(a, b)
+    assert inner.value("codec.bytes_processed") == 64
+    assert outer.value("codec.bytes_processed") == 64
+
+
+def test_opening_a_scope_meters_no_backend_self_test(monkeypatch):
+    from repro.coding import backends
+
+    # A fresh process: nothing selected, nothing resolved yet, and the
+    # compiled backend first in line — here a double whose self-test
+    # pushes bytes through the kernels as the real one does.
+    for table in ("_REGISTRY", "_PROVIDERS", "_RESOLVED"):
+        monkeypatch.setattr(backends, table, dict(getattr(backends, table)))
+    monkeypatch.setattr(backends, "_SELECTED", None)
+    monkeypatch.delenv(backends.BACKEND_ENV, raising=False)
+
+    def self_testing_provider():
+        GF256.matmul(np.ones((4, 4), dtype=np.uint8), np.ones((4, 16), dtype=np.uint8))
+        return GF256
+
+    backends.register_backend("native", self_testing_provider, lazy=True)
+    with obs.collecting() as registry:
+        pass
+    assert registry.value("codec.backend.native") == 1
+    assert registry.value("codec.bytes_processed") == 0
 
 
 # --------------------------------------------------------------------- tracer
@@ -198,21 +232,21 @@ def test_null_tracer_absorbs_everything():
 # ------------------------------------------------------- component integration
 
 
-def _decode_generation(blocks, block_size, registry):
+def _decode_generation(blocks, block_size):
     rng = np.random.default_rng(42)
     params = GenerationParams(blocks=blocks, block_size=block_size)
     generation = random_generation(0, params, rng)
     encoder = SourceEncoder(1, generation, rng)
-    decoder = ProgressiveDecoder(blocks, block_size, registry=registry)
+    decoder = ProgressiveDecoder(blocks, block_size)
     while not decoder.is_complete:
         decoder.add_packet(encoder.next_packet())
     return decoder
 
 
 def test_decoder_rank_metric_reaches_n_exactly_on_completion():
-    registry = obs.MetricsRegistry()
     blocks = 12
-    decoder = _decode_generation(blocks, 64, registry)
+    with obs.collecting() as registry:
+        decoder = _decode_generation(blocks, 64)
     assert decoder.is_complete
     rank_gauge = registry.get("decoder.rank")
     assert rank_gauge.value == blocks  # exactly n, not more
@@ -228,7 +262,7 @@ def test_decoder_rank_metric_reaches_n_exactly_on_completion():
 
 
 def test_decoder_metrics_disabled_by_default_costs_nothing():
-    decoder = _decode_generation(6, 32, None)
+    decoder = _decode_generation(6, 32)
     assert decoder.is_complete
     # Global registry is disabled: nothing was recorded anywhere.
     assert len(obs.get_registry()) == 0
@@ -237,9 +271,9 @@ def test_decoder_metrics_disabled_by_default_costs_nothing():
 def test_rate_control_publishes_iteration_metrics_and_traces():
     network = fig1_sample_topology(capacity=1e5)
     graph = session_graph_from_network(network, 0, 5)
-    registry = obs.MetricsRegistry()
     tracer = obs.EventTracer()
-    result = RateControlAlgorithm(graph, registry=registry, tracer=tracer).run()
+    with obs.collecting() as registry:
+        result = RateControlAlgorithm(graph, tracer=tracer).run()
     assert registry.value("optimizer.iterations") == result.iterations
     records = list(tracer.records(kind="rate_control.iteration"))
     assert len(records) == result.iterations

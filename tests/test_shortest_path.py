@@ -13,16 +13,12 @@ from repro.optimization.messages import DistanceVectorRouter
 from repro.optimization.problem import SessionGraph, session_graph_from_selection
 from repro.optimization.rate_control import RateControlAlgorithm, RateControlConfig
 from repro.optimization.sub1_routing import Sub1Router
-from repro.routing.etx import etx_weights
 from repro.routing.node_selection import NodeSelectionError, select_forwarders
-from repro.routing.shortest_path import (
-    dijkstra,
-    dijkstra_to_destination,
-    etx_tree,
-)
+from repro.routing.shortest_path import dijkstra, etx_tree
 from repro.topology.random_network import random_network
 from repro.util.rng import RngFactory
 from tests.meshes import lossy_meshes
+from tests.reference import dijkstra_to_destination, etx_weights
 
 
 def small_weights():

@@ -21,7 +21,7 @@ from repro.optimization.sunicast import (
     verify_feasibility,
 )
 from repro.routing.node_selection import NodeSelectionError, select_forwarders
-from repro.routing.shortest_path import dijkstra, dijkstra_to_destination
+from repro.routing.shortest_path import dijkstra
 from repro.topology.graph import WirelessNetwork
 from repro.topology.random_network import (
     chain_topology,
@@ -29,7 +29,12 @@ from repro.topology.random_network import (
     fig1_sample_topology,
 )
 from tests.meshes import lossy_meshes
-from tests.reference import min_cost_routing_lp, reference_mesh, sunicast_lp
+from tests.reference import (
+    dijkstra_to_destination,
+    min_cost_routing_lp,
+    reference_mesh,
+    sunicast_lp,
+)
 
 
 class TestSolveSunicast:

@@ -160,9 +160,9 @@ def test_replan_cost(mesh):
 def test_fig1_observed_iterations():
     """The obs-on path: counters, residual samples and trace records."""
     graph = session_graph_from_network(fig1_sample_topology(), 0, 5)
-    registry = obs.MetricsRegistry()
     tracer = obs.EventTracer()
-    result = RateControlAlgorithm(graph, registry=registry, tracer=tracer).run()
+    with obs.collecting() as registry:
+        result = RateControlAlgorithm(graph, tracer=tracer).run()
     records = [
         record.as_dict() for record in tracer.records(kind="rate_control.iteration")
     ]
