@@ -154,7 +154,7 @@ class Columns:
             for column, attribute in (
                 ("generation", "_generation_id"),
                 ("blocks", "_blocks"),
-                ("session", "_session_id"),
+                ("session", "session_id"),
                 *_STATE[role],
                 *_SETTINGS[role],
             ):

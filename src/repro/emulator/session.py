@@ -1,10 +1,13 @@
-"""Session drivers: run one unicast session under a protocol plan.
+"""The session driver: run N >= 1 unicast sessions under their plans.
 
-This is the experiment-facing surface of the emulator.  A *session* takes
-a :class:`~repro.topology.graph.WirelessNetwork`, a protocol plan, and a
-:class:`SessionConfig`, builds the per-node runtimes, and executes the
-slot loop until either the target number of generations is decoded or the
-emulated-time budget runs out.
+This is the experiment-facing surface of the emulator.  A run takes a
+:class:`~repro.topology.graph.WirelessNetwork`, one protocol plan per
+session and a :class:`SessionConfig`, builds the per-node runtimes, and
+executes the slot loop until every session has decoded its target
+number of generations or the emulated-time budget runs out
+(:func:`run_sessions`).  One session is the N = 1 case
+(:func:`run_sharded_session`); the multi-session and adaptive drivers
+are its other faces.
 
 The paper's setup (Sec. 5): generations of 40 blocks x 1 KB, UDP CBR
 offered load at half the channel capacity, throughput computed at each
@@ -14,7 +17,8 @@ offered load at half the channel capacity, throughput computed at each
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, Mapping, Sequence, Tuple
 
 from repro.coding.generation import (
     DEFAULT_BLOCK_SIZE,
@@ -22,7 +26,14 @@ from repro.coding.generation import (
     MAX_GENERATION_BLOCKS,
 )
 from repro.coding.packet import HEADER_BYTES
-from repro.emulator.node import NodeRuntime, RuntimeTerms, install_runtimes
+from repro.emulator.engine import EngineStats
+from repro.emulator.node import (
+    InterSessionXorRelay,
+    MultiSessionNodeRuntime,
+    NodeRuntime,
+    RuntimeTerms,
+    install_runtimes,
+)
 from repro.emulator.plan import SessionPlan
 from repro.emulator.shard import ShardedSession, _DecodeLog
 from repro.emulator.trace import SessionTracer
@@ -221,15 +232,15 @@ def build_plan_runtimes(
     rng: RngFactory | None = None,
     on_decoded: Callable[[int], None] | None = None,
     on_delivered: Callable[[int], None] | None = None,
-) -> Tuple[Dict[int, NodeRuntime], str]:
-    """Construct the per-node runtimes any plan type needs, plus a label.
+) -> Dict[int, NodeRuntime]:
+    """Construct the per-node runtimes any plan type needs.
 
     :func:`~repro.emulator.node.install_runtimes` onto nothing, at the
     config's offered load, with any plan-carried coding decision folded
     into the config first.
     """
     config = plan_coding_config(config or SessionConfig(), plan)
-    runtimes = install_runtimes(
+    return install_runtimes(
         plan.node_settings(network, config.cbr_fraction * network.capacity),
         {},
         plan_runtime_terms(config, plan, session_id),
@@ -237,46 +248,145 @@ def build_plan_runtimes(
         on_decoded=on_decoded,
         on_delivered=on_delivered,
     )
-    return runtimes, _LABELS[plan.kind]
 
 
-def open_session(
-    network: WirelessNetwork,
+def session_result(
+    protocol: str,
     plan: SessionPlan,
+    block_size: int,
+    stats: EngineStats,
+    session_id: int,
     *,
-    session_id: int = 1,
+    ack_times: Sequence[float] = (),
+    packets_delivered: int | None = None,
+) -> SessionResult:
+    """Assemble session ``session_id``'s :class:`SessionResult` from its
+    rows of the run's per-session table (``stats.sessions``), whose nodes
+    are its participants.
+
+    Coded sessions pass ``ack_times`` (one per decoded generation); each
+    generation is credited at the size it actually ran, so adaptive-n
+    sessions account correctly.  Paper: throughput is computed at each
+    decoded ACK and averaged over the session == total decoded payload
+    over the time of the last ACK.  Unicast sessions pass
+    ``packets_delivered`` instead and average over the whole run.
+    """
+    shares = {
+        node: counters for (owner, node), counters in stats.sessions.items() if owner == session_id
+    }
+    if packets_delivered is None:
+        packets_delivered = sum(counters.blocks_decoded for counters in shares.values())
+        throughput = packets_delivered * block_size / ack_times[-1] if ack_times else 0.0
+    else:
+        elapsed = stats.elapsed if stats.elapsed > 0 else 1.0
+        throughput = packets_delivered * block_size / elapsed
+    return SessionResult(
+        protocol=protocol,
+        source=plan.source,
+        destination=plan.destination,
+        throughput_bps=throughput,
+        duration=stats.elapsed,
+        generations_decoded=len(ack_times),
+        packets_delivered=packets_delivered,
+        ack_times=tuple(ack_times),
+        average_queues={
+            node: counters.queue_time / stats.slots if stats.slots else 0.0
+            for node, counters in shares.items()
+        },
+        transmissions={node: counters.transmissions for node, counters in shares.items()},
+        participants=tuple(sorted(shares)),
+        delivered_links=tuple(
+            sorted(link for counters in shares.values() for link in counters.delivered_links)
+        ),
+    )
+
+
+class Boundaries:
+    """Where :func:`run_sessions` ends a stretch of slots, and the
+    caller's work there; this base has neither: a plain run."""
+
+    def until(self, session: ShardedSession) -> int | None:
+        """Slots from now to the next boundary (None: the budget's end)."""
+        return None
+
+    def reached(self, session: ShardedSession, log: _DecodeLog, done: bool) -> None:
+        """The end of a stretch, its decodes signalled; ``done``: the
+        budget is spent or every session is at its target."""
+
+
+def run_sessions(
+    network: WirelessNetwork,
+    plans: Mapping[int, SessionPlan],
+    *,
     config: SessionConfig,
     rng: RngFactory,
+    coding: Mapping[int, RngFactory] | None = None,
+    labels: Mapping[int, str | None] | None = None,
+    xor_pairs: Mapping[int, Sequence[Tuple[int, int]]] | None = None,
+    dormant: frozenset[int] = frozenset(),
+    boundaries: Boundaries | None = None,
     shards: int = 1,
     tracer: SessionTracer | None = None,
     start_method: str | None = None,
-) -> Tuple[ShardedSession, _DecodeLog]:
-    """Build ``plan``'s runtimes and the session that will run them.
+) -> Tuple[Dict[int, SessionResult], EngineStats]:
+    """Emulate ``plans`` (session id -> plan) over shared airtime: the one
+    session driver.
 
-    Returns the session (one slot = one of the plan's packets at channel
-    capacity) and the recorder its destination reports to: decoded ACKs
-    for coded plans, the delivery count for unicast ones.  A
-    plan-carried coding decision is folded into ``config`` first
-    (:func:`plan_coding_config`).  ``tracer`` flows through to the
-    session; metrics come from the global :mod:`repro.obs` registry, so
-    a ``with obs.collecting():`` block instruments the whole session
-    with no further plumbing.
+    Each plan's runtimes are built as :func:`build_plan_runtimes` builds
+    them, coefficients drawn from ``coding[sid]`` (default ``rng``).  One
+    session alone runs them as they are; several, or one that starts
+    ``dormant`` (it arrives mid-run), share each node through a composite
+    (an :class:`~repro.emulator.node.InterSessionXorRelay` where
+    ``xor_pairs`` names the node) and are ACKed per session.  Plans whose
+    packets differ in size are refused: a run has one slot length.
+
+    The slots run in stretches up to ``config.max_seconds``, each cut at
+    the next of ``boundaries``, under one stop rule: a decoded generation
+    is signalled before the next slot, and the run ends once every
+    session has decoded ``config.target_generations`` (0: never; a
+    unicast session never does).  Returns each session's
+    :class:`SessionResult`, labelled ``labels[sid]`` or by plan kind, and
+    the run's stats, the same at any ``shards``.
     """
-    config = plan_coding_config(config, plan)
+    session_ids = sorted(plans)
+    packet_bytes = {
+        sid: plan_packet_bytes(plan_coding_config(config, plan), plan)
+        for sid, plan in sorted(plans.items())
+    }
+    if len(set(packet_bytes.values())) > 1:
+        raise ValueError(
+            "sessions share one slot length, but their plans' packets differ "
+            f"in size (bytes per session: {packet_bytes})"
+        )
+    xor_pairs = xor_pairs or {}
+    shared = len(session_ids) > 1 or bool(dormant)
     log = _DecodeLog()
-    runtimes, _label = build_plan_runtimes(
-        network,
-        plan,
-        session_id=session_id,
-        config=config,
-        rng=rng,
-        on_decoded=log,
-        on_delivered=log.deliver,
-    )
+    composites: Dict[int, MultiSessionNodeRuntime] = {}
+    for sid in session_ids:
+        runtimes = build_plan_runtimes(
+            network,
+            plans[sid],
+            session_id=sid,
+            config=config,
+            rng=(coding or {}).get(sid, rng),
+            on_decoded=partial(log, session_id=sid) if shared else log,
+            on_delivered=log.deliver,
+        )
+        if not shared:
+            continue
+        for node in sorted(runtimes):
+            composite = composites.get(node)
+            if composite is None:
+                composite = composites[node] = (
+                    InterSessionXorRelay(node, tuple(xor_pairs[node]))
+                    if node in xor_pairs
+                    else MultiSessionNodeRuntime(node)
+                )
+            composite.add_session(sid, runtimes[node], active=sid not in dormant)
     session = ShardedSession(
         network,
-        runtimes,
-        plan_packet_bytes(config, plan) / network.capacity,
+        dict(composites) if shared else runtimes,
+        packet_bytes[session_ids[0]] / network.capacity,
         rng_factory=rng,
         shards=shards,
         interference=config.interference,
@@ -284,53 +394,43 @@ def open_session(
         decode_log=log,
         start_method=start_method,
     )
-    return session, log
+    decoded = dict.fromkeys(session_ids, 0)
+    target = config.target_generations
 
+    def all_decoded() -> bool:
+        return target > 0 and min(decoded.values()) >= target
 
-def session_result(
-    protocol: str,
-    source: int,
-    destination: int,
-    block_size: int,
-    duration: float,
-    average_queues: Dict[int, float],
-    transmissions: Mapping[int, int],
-    delivered_links: Iterable[Link],
-    *,
-    ack_times: Sequence[float] = (),
-    blocks_decoded: int = 0,
-    packets_delivered: int | None = None,
-) -> SessionResult:
-    """Assemble a :class:`SessionResult` from a driver's counters.
+    def stop() -> bool:
+        # Consulted after every slot that decoded and at the end of a stretch.
+        for event in log.unseen():
+            sid, generation_id = event if shared else (session_ids[0], event)
+            session.broadcast_generation_advance(generation_id + 1, sid if shared else None)
+            decoded[sid] += 1
+        return all_decoded()
 
-    Coded sessions pass ``ack_times`` (one per decoded generation) and
-    ``blocks_decoded`` (each generation credited at the size it actually
-    ran, so adaptive-n sessions account correctly).  Paper: throughput
-    is computed at each decoded ACK and averaged over the session ==
-    total decoded payload over the time of the last ACK.  Unicast
-    sessions pass ``packets_delivered`` instead and average over the
-    whole run.  ``average_queues`` names the participants.
-    """
-    if packets_delivered is None:
-        packets_delivered = blocks_decoded
-        throughput = blocks_decoded * block_size / ack_times[-1] if ack_times else 0.0
-    else:
-        elapsed = duration if duration > 0 else 1.0
-        throughput = packets_delivered * block_size / elapsed
-    return SessionResult(
-        protocol=protocol,
-        source=source,
-        destination=destination,
-        throughput_bps=throughput,
-        duration=duration,
-        generations_decoded=len(ack_times),
-        packets_delivered=packets_delivered,
-        ack_times=tuple(ack_times),
-        average_queues=average_queues,
-        transmissions=dict(transmissions),
-        participants=tuple(sorted(average_queues)),
-        delivered_links=tuple(sorted(delivered_links)),
-    )
+    boundaries = boundaries or Boundaries()
+    total = int(config.max_seconds / session.slot_duration)
+    with session:
+        while session.slots < total and not all_decoded():
+            until = boundaries.until(session)
+            stretch = total - session.slots
+            session.run(stretch if until is None else min(stretch, until), stop_when=stop)
+            boundaries.reached(session, log, session.slots >= total or all_decoded())
+        stats = session.finalize_stats()
+
+    results = {
+        sid: session_result(
+            (labels or {}).get(sid) or _LABELS[plan.kind],
+            plan,
+            config.block_size,
+            stats,
+            sid,
+            ack_times=[time for event, time in log.acks if not shared or event[0] == sid],
+            packets_delivered=log.delivered if plan.kind == "unicast" else None,
+        )
+        for sid, plan in sorted(plans.items())
+    }
+    return results, stats
 
 
 def run_sharded_session(
@@ -347,56 +447,24 @@ def run_sharded_session(
 ) -> SessionResult:
     """Emulate one session under any plan: OMNC, MORE, oldMORE or ETX.
 
-    A coded plan runs until ``config.target_generations`` are decoded
-    (0 = the full time budget); an ETX best-path plan, with its MAC
-    retransmissions, always runs the full budget.  ``shards=1`` runs in
-    this process; any ``shards=N`` produces a bit-identical
-    :class:`SessionResult` and trace from N worker processes.
-    ``tracer`` and metrics: see :func:`open_session`.
+    :func:`run_sessions` over ``{session_id: plan}``: a coded plan runs
+    until ``config.target_generations`` are decoded (0 = the full time
+    budget); an ETX best-path plan, with its MAC retransmissions, always
+    runs the full budget.
     """
-    kind = getattr(plan, "kind", None)
-    if kind not in _LABELS:
+    if getattr(plan, "kind", None) not in _LABELS:
         raise TypeError(f"unsupported plan type {type(plan).__name__}")
-    config = plan_coding_config(config or SessionConfig(), plan)
-    session, log = open_session(
+    results, _stats = run_sessions(
         network,
-        plan,
-        session_id=session_id,
-        config=config,
+        {session_id: plan},
+        config=config or SessionConfig(),
         rng=rng or RngFactory(0),
+        labels={session_id: protocol_label},
         shards=shards,
         tracer=tracer,
         start_method=start_method,
     )
-    unicast = kind == "unicast"
-    target = config.target_generations
-
-    def stop() -> bool:
-        # Consulted after every slot that decoded, its deliveries done.
-        for generation_id in log.unseen():
-            session.broadcast_generation_advance(generation_id + 1)
-        return target > 0 and len(log.acks) >= target
-
-    with session:
-        session.run(
-            int(config.max_seconds / session.slot_duration),
-            stop_when=None if unicast else stop,
-        )
-        stats = session.finalize_stats()
-    ack_times = [time for _generation, time in log.acks]
-    return session_result(
-        protocol_label or _LABELS[kind],
-        plan.source,
-        plan.destination,
-        config.block_size,
-        stats.elapsed,
-        {n: stats.average_queue(n) for n in stats.transmissions},
-        stats.transmissions,
-        stats.delivered_links,
-        ack_times=ack_times,
-        blocks_decoded=stats.blocks_decoded,
-        packets_delivered=log.delivered if unicast else None,
-    )
+    return results[session_id]
 
 
 #: One function under its historical names: a coded plan, an ETX path.

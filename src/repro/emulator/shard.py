@@ -277,7 +277,7 @@ class ShardedCores:
             for key, part in reply.items():
                 if isinstance(part, dict):  # per node, and workers host disjoint nodes
                     merged[key].update(part)
-                else:  # the delivered links, the decoded blocks
+                else:  # the delivered links
                     merged[key] += part
         return merged
 
@@ -460,7 +460,9 @@ class ShardedSession:
             self._tracer.record(self.slots, self.now, kind, -1, **trace)
         self._pending_events.append((method, *arguments))
 
-    def broadcast_generation_advance(self, generation_id: int) -> None:
+    def broadcast_generation_advance(
+        self, generation_id: int, session_id: int | None = None
+    ) -> None:
         """Propagate an ACK/next-generation signal to every runtime.
 
         The paper sends the uncoded ACK over best-path routing; relays
@@ -468,28 +470,18 @@ class ShardedSession:
         the ACK as fast and reliable (it is a single small packet on a
         high-quality path) and apply it at the slot boundary.  The trace
         record is the destination's decode event; detail = the new
-        generation.
+        generation.  With a ``session_id`` — composite runtimes, one
+        sub-runtime per session — only that session advances, and
+        ``peer`` carries the session id so digests tell concurrent ACKs
+        apart.
         """
-        self._signal("ack", "advance_generation", generation_id, detail=generation_id)
-
-    def broadcast_session_generation_advance(
-        self, session_id: int, generation_id: int
-    ) -> None:
-        """Per-session ACK propagation for multi-session runs.
-
-        Same modelling as :meth:`broadcast_generation_advance`, but
-        scoped to one session of the composite runtimes; other sessions'
-        generation state is untouched.  ``peer`` carries the session id
-        in the trace so digests distinguish concurrent ACKs.
-        """
-        self._signal(
-            "ack",
-            "advance_session_generation",
-            session_id,
-            generation_id,
-            peer=session_id,
-            detail=generation_id,
-        )
+        if session_id is None:
+            self._signal("ack", "advance_generation", generation_id, detail=generation_id)
+        else:
+            self._signal(
+                "ack", "advance_session_generation", session_id, generation_id,
+                peer=session_id, detail=generation_id,
+            )
 
     def broadcast_session_arrival(self, session_id: int) -> None:
         """Switch a dormant session live on every hosting runtime."""

@@ -1,8 +1,9 @@
 """The adaptive session driver: epochs, hot-swap, overhead charging.
 
 :func:`run_adaptive_session` executes one session under a
-:class:`~repro.scenario.spec.ScenarioSpec`: the session advances in
-epochs; at each boundary the timeline fires due events onto the
+:class:`~repro.scenario.spec.ScenarioSpec`: the one session driver
+(:func:`~repro.emulator.session.run_sessions`) advances it in epochs,
+and at each boundary the timeline fires due events onto the
 topology, the controller observes drift and delivery progress, and the
 :class:`~repro.scenario.controller.ReplanPolicy` decides whether to
 re-initiate.  A re-plan:
@@ -26,18 +27,19 @@ bit-identical traces, at any shard count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import List, Tuple
 
 from repro import obs
-from repro.emulator.plan import CodingParams
+from repro.emulator.plan import CodingParams, SessionPlan
 from repro.emulator.session import (
+    Boundaries,
     SessionConfig,
     SessionResult,
-    open_session,
     plan_runtime_terms,
-    session_result,
+    run_sessions,
 )
+from repro.emulator.shard import ShardedSession, _DecodeLog
 from repro.emulator.trace import SessionTracer
 from repro.protocols.adaptive import AdaptivePlanner, CodingController
 from repro.routing.node_selection import NodeSelectionError
@@ -125,6 +127,119 @@ class AdaptiveSessionResult:
         return delivered * self.packet_payload_bytes / window
 
 
+@dataclass
+class _Epochs(Boundaries):
+    """The live control plane at every epoch boundary: the timeline's
+    due events, the policy, a re-plan with its stall, the coding push;
+    and the records of what it did."""
+
+    planner: AdaptivePlanner
+    policy: ReplanPolicy
+    timeline: ScenarioTimeline
+    plan: SessionPlan
+    epoch_seconds: float
+    config: SessionConfig
+    session_id: int
+    tracer: SessionTracer | None
+    coding_controller: CodingController | None
+    coding: CodingParams | None
+    records: List[EpochRecord] = field(default_factory=list)
+    replan_times: List[float] = field(default_factory=list)
+    failed_replans: int = 0
+    replan_seconds: float = 0.0
+    _generations: int = 0
+    _deliveries: int = 0
+
+    def __post_init__(self) -> None:
+        self._planned_network = self.timeline.network
+        self._unicast = self.plan.kind == "unicast"
+        scope = obs.get_registry().attach("scenario")
+        self._m_replans = scope.counter("replans", "successful mid-run re-plans")
+        self._m_failed = scope.counter("failed_replans", "re-plans that could not plan")
+        self._m_stall = scope.counter("stall_slots", "data-plane slots lost to control")
+        self._m_drift = scope.gauge("drift", "observed drift vs the current plan")
+
+    def until(self, session: ShardedSession) -> int:
+        return max(1, int(round(self.epoch_seconds / session.slot_duration)))
+
+    def reached(self, session: ShardedSession, log: _DecodeLog, done: bool) -> None:
+        epoch = len(self.records)
+        generations = len(log.acks)
+        new_generations = generations - self._generations
+        new_deliveries = log.delivered - self._deliveries
+        self._generations, self._deliveries = generations, log.delivered
+        timeline = self.timeline
+        if timeline.advance_to(session.now):
+            session.set_network(timeline.network)
+        drift = quality_drift(self._planned_network, timeline.network, strict=False)
+        self._m_drift.set(drift)
+        observation = EpochObservation(
+            epoch=epoch,
+            time=session.now,
+            drift=drift,
+            generations_decoded=generations,
+            new_generations=new_generations,
+            new_deliveries=new_deliveries,
+        )
+        replanned = False
+        stall_seconds = 0.0
+        if not done and self.policy.should_replan(observation):
+            try:
+                self.plan = self.planner.plan(timeline.network)
+                cost_seconds = self.planner.control_cost_seconds(timeline.network)
+            except NodeSelectionError:
+                # Unplannable (e.g. destination cut off by a failure):
+                # keep running the stale plan and retry next epoch.
+                self.failed_replans += 1
+                self._m_failed.inc()
+            else:
+                stall_slots = math.ceil(cost_seconds / session.slot_duration)
+                session.advance_idle(stall_slots)
+                stall_seconds = stall_slots * session.slot_duration
+                self.replan_seconds += stall_seconds
+                # Surviving nodes keep their runtime objects; the load
+                # may have moved since the session was built.
+                cbr_fraction = timeline.cbr_fraction or self.config.cbr_fraction
+                session.install_plan(
+                    self.plan,
+                    plan_runtime_terms(self.config, self.plan, self.session_id),
+                    cbr_fraction * timeline.network.capacity,
+                )
+                self._planned_network = timeline.network
+                replanned = True
+                self.replan_times.append(session.now)
+                self._m_replans.inc()
+                self._m_stall.inc(stall_slots)
+                if self.tracer is not None:
+                    self.tracer.record(session.slots, session.now, "replan", -1, detail=epoch)
+        if self.coding_controller is not None and not self._unicast and not done:
+            decision = self.coding_controller.decide(timeline.network, self.plan)
+            # Push when the decision changed, and re-push after a
+            # hot-swap: replacement relays were built at the config's
+            # generation size and adopt the live one at their next
+            # generation boundary via the pending-coding path.
+            if decision is not None and (replanned or decision != self.coding):
+                self.coding = decision
+                session.apply_plan_updates(
+                    {node: {"coding": decision} for node in session.participants}
+                )
+                if self.tracer is not None:
+                    self.tracer.record(
+                        session.slots, session.now, "coding", -1, detail=decision.blocks
+                    )
+        self.records.append(
+            EpochRecord(
+                epoch=epoch,
+                end_time=session.now,
+                drift=drift,
+                new_generations=new_generations,
+                new_deliveries=new_deliveries,
+                replanned=replanned,
+                stall_seconds=stall_seconds,
+            )
+        )
+
+
 def run_adaptive_session(
     network: WirelessNetwork,
     planner: AdaptivePlanner,
@@ -140,10 +255,12 @@ def run_adaptive_session(
 ) -> AdaptiveSessionResult:
     """Run one session live under a scenario.
 
-    The scenario's ``duration`` governs session length (the session
-    config's ``max_seconds`` is ignored); control-plane stalls consume
-    session time, so re-planning is never free.  Any ``shards`` gives
-    the same result and trace.
+    The one session driver (:func:`~repro.emulator.session.run_sessions`)
+    with the epoch boundaries as its boundary work.  The scenario's
+    ``duration`` governs session length (the session config's
+    ``max_seconds`` is ignored); control-plane stalls consume session
+    time, so re-planning is never free.  Any ``shards`` gives the same
+    result and trace.
 
     A ``coding_controller`` adds a second control loop: each epoch it
     re-evaluates the generation size (and systematic flag) from the
@@ -153,177 +270,40 @@ def run_adaptive_session(
     decision is folded into the session config before runtimes are
     built (the slot and payload accounting see the chosen n).
     """
-    config = config or SessionConfig()
+    config = replace(config or SessionConfig(), max_seconds=spec.duration)
     rng = rng or RngFactory(0)
-    scope = obs.get_registry().attach("scenario")
-    m_replans = scope.counter("replans", "successful mid-run re-plans")
-    m_failed = scope.counter("failed_replans", "re-plans that could not plan")
-    m_stall = scope.counter("stall_slots", "data-plane slots lost to control")
-    m_drift = scope.gauge("drift", "observed drift vs the current plan")
-
     timeline = ScenarioTimeline(network, spec, rng=rng.derive("scenario"))
     plan = planner.plan(timeline.network)
-    planned_network = timeline.network
-    unicast = plan.kind == "unicast"
 
-    coding_current: CodingParams | None = None
-    if coding_controller is not None and not unicast:
-        coding_current = coding_controller.decide(timeline.network, plan)
-        if coding_current is not None:
-            config = replace(
-                config,
-                blocks=coding_current.blocks,
-                systematic=coding_current.systematic,
-            )
+    coding: CodingParams | None = None
+    if coding_controller is not None and plan.kind != "unicast":
+        coding = coding_controller.decide(timeline.network, plan)
+        if coding is not None:
+            config = replace(config, blocks=coding.blocks, systematic=coding.systematic)
 
-    session, log = open_session(
+    epochs = _Epochs(
+        planner, policy, timeline, plan, spec.epoch_seconds, config, session_id,
+        tracer, coding_controller, coding,
+    )
+    results, _stats = run_sessions(
         timeline.network,
-        plan,
-        session_id=session_id,
+        {session_id: plan},
         config=config,
         rng=rng,
+        labels={session_id: planner.label},
+        boundaries=epochs,
         shards=shards,
         tracer=tracer,
     )
-    slot = session.slot_duration
-    target = config.target_generations
-
-    def stop() -> bool:
-        # Consulted after every slot that decoded and at the end of a batch.
-        for generation_id in log.unseen():
-            session.broadcast_generation_advance(generation_id + 1)
-        return target > 0 and len(log.acks) >= target
-
-    total_slots = int(spec.duration / slot)
-    epoch_slots = max(1, int(round(spec.epoch_seconds / slot)))
-    records: List[EpochRecord] = []
-    replan_times: List[float] = []
-    replans = 0
-    failed_replans = 0
-    replan_seconds = 0.0
-    epoch = 0
-    seen_generations = 0
-    seen_deliveries = 0
-
-    with session:
-        while session.slots < total_slots:
-            batch = min(epoch_slots, total_slots - session.slots)
-            session.run(batch, stop_when=None if unicast else stop)
-            generations = len(log.acks)
-            new_generations = generations - seen_generations
-            new_deliveries = log.delivered - seen_deliveries
-            seen_generations = generations
-            seen_deliveries = log.delivered
-            done = session.slots >= total_slots or (
-                not unicast and target > 0 and generations >= target
-            )
-
-            changed = timeline.advance_to(session.now)
-            if changed:
-                session.set_network(timeline.network)
-            drift = quality_drift(planned_network, timeline.network, strict=False)
-            m_drift.set(drift)
-            observation = EpochObservation(
-                epoch=epoch,
-                time=session.now,
-                drift=drift,
-                generations_decoded=generations,
-                new_generations=new_generations,
-                new_deliveries=new_deliveries,
-            )
-            replanned = False
-            stall_seconds = 0.0
-            if not done and policy.should_replan(observation):
-                try:
-                    plan = planner.plan(timeline.network)
-                    cost_seconds = planner.control_cost_seconds(timeline.network)
-                except NodeSelectionError:
-                    # Unplannable (e.g. destination cut off by a failure):
-                    # keep running the stale plan and retry next epoch.
-                    failed_replans += 1
-                    m_failed.inc()
-                else:
-                    stall_slots = math.ceil(cost_seconds / slot)
-                    session.advance_idle(stall_slots)
-                    stall_seconds = stall_slots * slot
-                    replan_seconds += stall_seconds
-                    # Surviving nodes keep their runtime objects; the load
-                    # may have moved since the session was built.
-                    cbr_fraction = timeline.cbr_fraction or config.cbr_fraction
-                    session.install_plan(
-                        plan,
-                        plan_runtime_terms(config, plan, session_id),
-                        cbr_fraction * timeline.network.capacity,
-                    )
-                    planned_network = timeline.network
-                    replanned = True
-                    replans += 1
-                    replan_times.append(session.now)
-                    m_replans.inc()
-                    m_stall.inc(stall_slots)
-                    if tracer is not None:
-                        tracer.record(
-                            session.slots, session.now, "replan", -1, detail=epoch
-                        )
-            if coding_controller is not None and not unicast and not done:
-                decision = coding_controller.decide(timeline.network, plan)
-                # Push when the decision changed, and re-push after a
-                # hot-swap: replacement relays were built at the config's
-                # generation size and adopt the live one at their next
-                # generation boundary via the pending-coding path.
-                if decision is not None and (
-                    replanned or decision != coding_current
-                ):
-                    coding_current = decision
-                    session.apply_plan_updates(
-                        {node: {"coding": decision} for node in session.participants}
-                    )
-                    if tracer is not None:
-                        tracer.record(
-                            session.slots, session.now, "coding", -1,
-                            detail=decision.blocks,
-                        )
-            records.append(
-                EpochRecord(
-                    epoch=epoch,
-                    end_time=session.now,
-                    drift=drift,
-                    new_generations=new_generations,
-                    new_deliveries=new_deliveries,
-                    replanned=replanned,
-                    stall_seconds=stall_seconds,
-                )
-            )
-            epoch += 1
-            if done:
-                break
-        stats = session.finalize_stats()
-
-    # Every node that ever held a runtime (re-plans may have dropped
-    # some): the stats dicts cover them all, the live runtime set may not.
-    # The destination counted its blocks at the size each generation ran.
-    result = session_result(
-        planner.label,
-        planner.source,
-        planner.destination,
-        config.block_size,
-        stats.elapsed,
-        {n: stats.average_queue(n) for n in stats.transmissions},
-        stats.transmissions,
-        stats.delivered_links,
-        ack_times=[time for _generation, time in log.acks],
-        blocks_decoded=stats.blocks_decoded,
-        packets_delivered=log.delivered if unicast else None,
-    )
     return AdaptiveSessionResult(
-        session=result,
+        session=results[session_id],
         policy=policy.name,
         scenario=spec.name,
-        epochs=tuple(records),
-        replans=replans,
-        failed_replans=failed_replans,
-        replan_seconds=replan_seconds,
-        replan_times=tuple(replan_times),
+        epochs=tuple(epochs.records),
+        replans=len(epochs.replan_times),
+        failed_replans=epochs.failed_replans,
+        replan_seconds=epochs.replan_seconds,
+        replan_times=tuple(epochs.replan_times),
         planner_iterations=planner.iterations_history,
         generation_payload_bytes=config.generation_bytes(),
         packet_payload_bytes=config.block_size,

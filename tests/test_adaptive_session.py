@@ -21,7 +21,6 @@ from repro.emulator.node import (
 from repro.emulator.session import (
     SessionConfig,
     build_plan_runtimes,
-    open_session,
     plan_runtime_terms,
     run_coded_session,
     run_unicast_session,
@@ -43,6 +42,7 @@ from repro.scenario import (
 from repro.topology.phy import lossy_phy
 from repro.topology.random_network import random_network
 from repro.util.rng import RngFactory
+from tests.test_active_set import plan_session
 
 # Every slot of every run below re-checks each parked runtime
 # (tests/conftest.py): a missing wake fails the oracle tests loudly.
@@ -123,7 +123,7 @@ class TestApplyPlan:
 
 def _make_engine(network, plan, config, seed, tracer=None):
     rng = RngFactory(seed)
-    runtimes, _label = build_plan_runtimes(network, plan, config=config, rng=rng)
+    runtimes = build_plan_runtimes(network, plan, config=config, rng=rng)
     slot = config.coded_packet_bytes() / network.capacity
     return ShardedSession(network, runtimes, slot, rng_factory=rng, tracer=tracer)
 
@@ -136,10 +136,9 @@ class TestEngineHotSwapLayer:
         config = SessionConfig(max_seconds=20.0)
 
         def run(shards, tracer, swaps):
-            session, _log = open_session(
-                network, plan, config=config, rng=RngFactory(9), shards=shards, tracer=tracer
-            )
-            with session:
+            with plan_session(
+                network, plan, config, RngFactory(9), shards=shards, tracer=tracer
+            ) as session:
                 session.run(150)
                 if swaps:
                     session.install_plan(
@@ -311,7 +310,7 @@ class TestShardedHotSwap:
 
         config = SessionConfig(max_seconds=40.0)
         decode_log = shard_mod._DecodeLog()
-        runtimes, _ = build_plan_runtimes(
+        runtimes = build_plan_runtimes(
             network,
             plan,
             config=config,
@@ -370,7 +369,7 @@ class TestShardedHotSwap:
         plan = plan_omnc(network, source, destination)
         config = SessionConfig(max_seconds=10.0)
         decode_log = shard_mod._DecodeLog()
-        runtimes, _ = build_plan_runtimes(
+        runtimes = build_plan_runtimes(
             network, plan, config=config, rng=RngFactory(2),
             on_decoded=decode_log,
         )
@@ -408,7 +407,7 @@ class TestAdaptiveCodingDigest:
             coding_fidelity="exact",
         )
         decode_log = shard_mod._DecodeLog()
-        runtimes, _ = build_plan_runtimes(
+        runtimes = build_plan_runtimes(
             network,
             plan,
             config=config,

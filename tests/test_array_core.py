@@ -30,7 +30,6 @@ from repro.emulator.node import (
 from repro.emulator.plan import CodedBroadcastPlan, CodingParams
 from repro.emulator.session import (
     SessionConfig,
-    open_session,
     run_sharded_session,
     session_result,
 )
@@ -48,6 +47,7 @@ from tests.test_active_set import (
     churn_xor_run,
     line_network,
     line_session,
+    plan_session,
     planned_mesh,
     stats_digest,
 )
@@ -322,16 +322,7 @@ class TestScalarEqualsArray:
                 }
             assert generation >= 4
             result = session_result(
-                "more",
-                plan.source,
-                plan.destination,
-                256,
-                stats.elapsed,
-                {node: stats.average_queue(node) for node in stats.transmissions},
-                stats.transmissions,
-                stats.delivered_links,
-                ack_times=[time for _generation, time in log.acks],
-                blocks_decoded=stats.blocks_decoded,
+                "more", plan, 256, stats, 1, ack_times=[time for _generation, time in log.acks]
             )
             return session_digest(result), trace_digest(tracer), parked, fields
 
@@ -409,10 +400,7 @@ class TestFormSelection:
         network, source, destination, coded_plan = planned_mesh()
         plans = {True: coded_plan, False: plan_etx_route(network, source, destination)}
         for arrays, plan in plans.items():
-            session, _log = open_session(
-                network, plan, config=SessionConfig(max_seconds=10.0), rng=RngFactory(4)
-            )
-            with session:
+            with plan_session(network, plan, SessionConfig(max_seconds=10.0), RngFactory(4)) as session:
                 assert session._core._arrays == arrays
                 session.run(50)
 

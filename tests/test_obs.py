@@ -329,14 +329,11 @@ def test_engine_counters_via_global_collection():
 def test_emulator_counters_equal_the_returned_stats(fidelity):
     # What the benchmark's counting pass reads off the registry is what
     # the run itself returns, for the stats object and for the result.
-    from repro.emulator.session import (
-        SessionConfig,
-        open_session,
-        run_coded_session,
-    )
+    from repro.emulator.session import SessionConfig, run_coded_session
     from repro.protocols.omnc import plan_omnc
     from repro.util.rng import RngFactory
     from tests.reference import PLANNED_PAIRS, reference_mesh
+    from tests.test_active_set import plan_session
 
     network = reference_mesh()
     plan = plan_omnc(network, *PLANNED_PAIRS[0])
@@ -344,7 +341,7 @@ def test_emulator_counters_equal_the_returned_stats(fidelity):
         blocks=8, block_size=256, max_seconds=20.0, coding_fidelity=fidelity
     )
     with obs.collecting() as registry:
-        session, _log = open_session(network, plan, config=config, rng=RngFactory(3))
+        session = plan_session(network, plan, config, RngFactory(3))
         session.run(250)
         stats = session.finalize_stats()
     assert registry.value("emulator.slots") == stats.slots == 250

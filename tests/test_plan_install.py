@@ -203,7 +203,7 @@ class TestBuildEqualsSwap:
         assert VICTIM in built_a
         assert built_a.keys() == build_plan_runtimes(
             mesh, plan_a, config=config, rng=RngFactory(9)
-        )[0].keys()
+        ).keys()
 
         swapped = _install(without_victim, plan_b, built_a, config, cbr)
         fresh_b = _install(without_victim, plan_b, {}, config, cbr)
