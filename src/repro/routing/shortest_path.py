@@ -1,9 +1,10 @@
 """Shortest paths: centralized Dijkstra.
 
 :func:`etx_tree` is the one routing tree of a network: ETX weights
-``1 / p_ij`` read from the network's own adjacency, no weight table, and
-a stop at the one node a caller needs (DESIGN.md section 3.2).  ETX
-routing and the node-selection distance flood both call it.
+``1 / p_ij`` read from the network's own per-node cost rows, no weight
+table keyed by link, and a stop at the one node a caller needs
+(DESIGN.md section 3.2).  ETX routing and the node-selection distance
+flood both call it.
 
 :func:`dijkstra` runs the same relaxation on arbitrary non-negative
 weights keyed by directed link — hop counts and prices in
@@ -114,28 +115,34 @@ def etx_tree(
     With ``until`` the search stops when that node is popped.  Every node
     popped so far — ``until`` included — then has its final distance and
     predecessor, so ``path_to(until)`` is the full tree's; any other
-    entry is an upper bound no smaller than ``distance[until]``.
+    entry is an upper bound no smaller than ``distance[until]``.  A
+    ``root`` or ``until`` outside the network is a ``ValueError``.
+
+    The weights are :meth:`WirelessNetwork.etx_rows`: each ``1.0 / p``
+    computed once per link and network, not once per relaxation.
     """
     if not 0 <= root < network.node_count:
         raise ValueError(f"root {root} not among nodes")
-    neighbors = network.in_neighbors if toward else network.out_neighbors
-    probability = network.probability
+    if until is not None and not 0 <= until < network.node_count:
+        raise ValueError(f"until {until} not among nodes")
+    rows = network.etx_rows(toward)
     result = ShortestPathResult(source=root)
     distance = result.distance
     predecessor = result.predecessor
+    label, inf = distance.get, _INF
+    push, pop = heapq.heappush, heapq.heappop
     distance[root] = 0.0
     heap: List[Tuple[float, int]] = [(0.0, root)]
     while heap:
-        dist, node = heapq.heappop(heap)
+        dist, node = pop(heap)
         if dist > distance[node]:
             continue  # superseded by a shorter entry popped earlier
         if node == until:
             break
-        for neighbor in neighbors(node):
-            p = probability(neighbor, node) if toward else probability(node, neighbor)
-            candidate = dist + 1.0 / p
-            if candidate < distance.get(neighbor, _INF):
+        for neighbor, cost in rows[node]:
+            candidate = dist + cost
+            if candidate < label(neighbor, inf):
                 distance[neighbor] = candidate
                 predecessor[neighbor] = node
-                heapq.heappush(heap, (candidate, neighbor))
+                push(heap, (candidate, neighbor))
     return result

@@ -14,7 +14,9 @@
 The class is immutable after construction, and it is the one source of
 link qualities: routing, the optimizer and the emulator all read
 ``p_ij`` from it.  Planning on other (e.g. measured) qualities means
-planning on :meth:`WirelessNetwork.with_links` of them.
+planning on :meth:`WirelessNetwork.with_links` of them.  The one thing
+it builds later is a function of its links alone: the per-node ETX cost
+rows of :meth:`WirelessNetwork.etx_rows`.
 """
 
 from __future__ import annotations
@@ -31,11 +33,20 @@ if TYPE_CHECKING:
 
 Link = Tuple[int, int]
 
+#: Per node, ``((neighbor, 1.0 / p), ...)`` with neighbours ascending.
+EtxRows = Tuple[Tuple[Tuple[int, float], ...], ...]
+
 DEFAULT_CHANNEL_CAPACITY = 2e4  # bytes/second, paper Sec. 5: CBR = C/2 = 10^4 B/s
 
 
 class WirelessNetwork:
     """An immutable lossy wireless network graph."""
+
+    # The ETX cost rows of :meth:`etx_rows`, one table per direction,
+    # built on first use.  Instances that have not built one read these
+    # class defaults; ``__getstate__`` drops built ones.
+    _etx_out: Optional[EtxRows] = None
+    _etx_in: Optional[EtxRows] = None
 
     def __init__(
         self,
@@ -89,7 +100,8 @@ class WirelessNetwork:
         iteration order (:meth:`links` order is the drift draw order).
         Every link is validated as at construction; only the span check
         is skipped for links this network already holds, which passed it
-        against the identical geometry.
+        against the identical geometry.  The ETX cost rows are never
+        shared: they carry this network's ``p_ij``.
         """
         derived = WirelessNetwork.__new__(WirelessNetwork)
         derived._positions = self._positions
@@ -221,6 +233,34 @@ class WirelessNetwork:
         """The geometric neighborhood N(i): nodes within range of ``i``."""
         return self._neighbors[i]
 
+    def etx_rows(self, toward: bool = False) -> EtxRows:
+        """Per node, its ETX cost row ``((neighbor, 1.0 / p), ...)``.
+
+        The row of ``i`` runs over its out-links ``(i, j)``, or with
+        ``toward`` over its in-links ``(j, i)``, neighbours ascending as in
+        :meth:`out_neighbors` / :meth:`in_neighbors`.  Each table is built
+        on the first call for its direction and kept for the life of this
+        object; it is left out of the pickled state and not passed on by
+        :meth:`with_links`.  Each cost is ``1.0 / probability(i, j)``,
+        the same float whether read from the row or computed on the spot.
+        """
+        rows = self._etx_in if toward else self._etx_out
+        if rows is None:
+            p = self._p
+            if toward:
+                rows = tuple(
+                    tuple((j, 1.0 / p[(j, i)]) for j in members)
+                    for i, members in enumerate(self._in_links)
+                )
+                self._etx_in = rows
+            else:
+                rows = tuple(
+                    tuple((j, 1.0 / p[(i, j)]) for j in members)
+                    for i, members in enumerate(self._out_links)
+                )
+                self._etx_out = rows
+        return rows
+
     def average_link_probability(self) -> float:
         """Mean p_ij over all existing links (paper reports 0.58 / 0.91)."""
         if not self._p:
@@ -278,6 +318,17 @@ class WirelessNetwork:
         # Sorted insertion keeps the frozenset layout a deterministic
         # function of the member set alone.
         return frozenset(sorted(shared))
+
+    def __getstate__(self) -> Dict[str, object]:
+        """The pickled state: everything but the ETX cost rows.
+
+        A receiver rebuilds them on first use, so a network crosses a pipe
+        at the size it had before any route was computed on it.
+        """
+        state = dict(self.__dict__)
+        state.pop("_etx_out", None)
+        state.pop("_etx_in", None)
+        return state
 
     def __repr__(self) -> str:
         return (

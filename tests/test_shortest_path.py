@@ -4,6 +4,7 @@ distributed Bellman-Ford is the message census's SUB1
 (:class:`repro.optimization.messages.DistanceVectorRouter`)."""
 
 import math
+import pickle
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -15,6 +16,7 @@ from repro.optimization.rate_control import RateControlAlgorithm, RateControlCon
 from repro.optimization.sub1_routing import Sub1Router
 from repro.routing.node_selection import NodeSelectionError, select_forwarders
 from repro.routing.shortest_path import dijkstra, etx_tree
+from repro.topology.dynamics import perturb_link_qualities
 from repro.topology.random_network import random_network
 from repro.util.rng import RngFactory
 from tests.meshes import lossy_meshes
@@ -142,6 +144,98 @@ class TestEtxTree:
         for root in (-1, 10):
             with pytest.raises(ValueError, match="not among nodes"):
                 etx_tree(net, root)
+
+    def test_unknown_until_rejected(self):
+        # An ``until`` outside the network never pops; it is an error, not
+        # a silent full tree.
+        net = random_network(10, rng=RngFactory(3).derive("t"))
+        for toward in (False, True):
+            for until in (-1, 10, 99):
+                with pytest.raises(ValueError, match=f"until {until} not among nodes"):
+                    etx_tree(net, 0, toward=toward, until=until)
+
+
+def _tree_reprs(tree):
+    return _reprs(tree.distance), tree.predecessor
+
+
+def _trees(net, root, target):
+    """``root``'s full trees both ways and its bounded ones at ``target``."""
+    return (
+        _tree_reprs(etx_tree(net, root)),
+        _tree_reprs(etx_tree(net, root, toward=True)),
+        _tree_reprs(etx_tree(net, root, until=target)),
+        _tree_reprs(etx_tree(net, root, toward=True, until=target)),
+    )
+
+
+def _assert_matches_oracle(net, root, target):
+    weights = etx_weights(net)
+    for toward, oracle in (
+        (False, dijkstra(net.nodes(), weights, root)),
+        (True, dijkstra_to_destination(net.nodes(), weights, root)),
+    ):
+        tree = etx_tree(net, root, toward=toward)
+        assert _reprs(tree.distance) == _reprs(oracle.distance)
+        assert tree.predecessor == oracle.predecessor
+        bounded = etx_tree(net, root, toward=toward, until=target)
+        assert bounded.path_to(target) == oracle.path_to(target)
+        if target in oracle.distance:
+            assert repr(bounded.distance[target]) == repr(oracle.distance[target])
+
+
+class TestEtxRowsFollowTheirNetwork:
+    """A network derived by ``with_links`` routes on its own ``p``, never on
+    cost rows its parent built."""
+
+    @given(lossy_meshes(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_derived_networks_route_on_their_own_links(self, net, data):
+        root = data.draw(st.integers(0, net.node_count - 1))
+        target = data.draw(st.integers(0, net.node_count - 1))
+        down = data.draw(st.integers(0, net.node_count - 1))
+        seed = data.draw(st.integers(0, 2**16))
+        before = _trees(net, root, target)  # builds both of net's tables
+
+        drifted = perturb_link_qualities(net, sigma=1.0, rng=RngFactory(seed).derive("t"))
+        links = {(i, j): p for i, j, p in drifted.links()}
+        failed = drifted.with_links(
+            {link: p for link, p in links.items() if down not in link}
+        )
+        _trees(failed, root, target)  # builds the failed network's tables too
+        recovered = failed.with_links(links)
+
+        for derived in (drifted, failed, recovered):
+            _assert_matches_oracle(derived, root, target)
+        assert _trees(recovered, root, target) == _trees(drifted, root, target)
+        assert _trees(net, root, target) == before
+        _assert_matches_oracle(net, root, target)
+
+
+class TestEtxRowsNeverTravel:
+    """The cost rows stay out of the pickled state: a network crosses a
+    pipe at the size it had before any route was computed on it."""
+
+    @staticmethod
+    def _networks():
+        net = random_network(120, rng=RngFactory(2008).derive("t"))
+        drifted = perturb_link_qualities(net, sigma=0.3, rng=RngFactory(7).derive("d"))
+        return net, drifted
+
+    def test_pickle_is_byte_identical_after_routing(self):
+        for net in self._networks():
+            cold = pickle.dumps(net)
+            etx_tree(net, 0)
+            etx_tree(net, 0, toward=True)
+            assert net.etx_rows() is net.etx_rows()  # built once, kept
+            assert net.etx_rows(True) is net.etx_rows(True)
+            assert pickle.dumps(net) == cold
+
+    def test_unpickled_network_rebuilds_equal_rows(self):
+        for net in self._networks():
+            rows = (net.etx_rows(), net.etx_rows(True))
+            copy = pickle.loads(pickle.dumps(net))
+            assert (copy.etx_rows(), copy.etx_rows(True)) == rows
 
 
 def small_session(destination=3):
