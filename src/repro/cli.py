@@ -21,6 +21,7 @@ and nowhere else.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import nullcontext
 from typing import Any, Callable, List, Optional
@@ -43,6 +44,7 @@ from repro.protocols.more import plan_more
 from repro.protocols.oldmore import plan_oldmore
 from repro.protocols.omnc import plan_omnc
 from repro.routing.node_selection import NodeSelectionError
+from repro.topology.graph import WirelessNetwork
 from repro.topology.random_network import random_network
 from repro.topology.phy import high_quality_phy, lossy_phy
 from repro.topology.serialization import load_network, save_network
@@ -58,6 +60,27 @@ def _checked(build: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
         return build(*args, **kwargs)
     except ValueError as error:
         raise argparse.ArgumentError(None, str(error)) from error
+
+
+def _load_topology(path: str) -> WirelessNetwork:
+    """``load_network(path)``, with a file that cannot be read or is not
+    a topology turned into a usage error naming the path."""
+    try:
+        return load_network(path)
+    except OSError as error:
+        raise argparse.ArgumentError(None, f"--topology {path}: {error.strerror}") from error
+    except ValueError as error:
+        raise argparse.ArgumentError(
+            None, f"--topology {path}: not a topology file ({error})"
+        ) from error
+
+
+def _check_trace_path(path: str) -> None:
+    """Refuse, before any work runs, a ``--trace`` path no file can be
+    written to."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+        raise argparse.ArgumentError(None, f"--trace {path}: cannot write a file there")
 
 
 def _cmd_fig1(_args: argparse.Namespace) -> int:
@@ -211,6 +234,8 @@ def _cmd_session(args: argparse.Namespace) -> int:
         target_generations=args.generations,
         blocks=args.blocks,
     )
+    if args.trace:
+        _check_trace_path(args.trace)
     apply_gf_backend(args.gf_backend)
     rng = _checked(RngFactory, args.seed)
     if args.scenario:
@@ -224,7 +249,7 @@ def _cmd_session(args: argparse.Namespace) -> int:
         )
         replan_policy = _checked(make_policy, args.policy)
     if args.topology:
-        network = load_network(args.topology)
+        network = _load_topology(args.topology)
     else:
         network = _checked(
             random_network,
@@ -337,7 +362,7 @@ def _cmd_multisession(args: argparse.Namespace) -> int:
     )
     rng = _checked(RngFactory, args.seed)
     if args.topology:
-        network = load_network(args.topology)
+        network = _load_topology(args.topology)
     else:
         network = _checked(
             random_network,

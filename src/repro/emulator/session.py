@@ -16,6 +16,7 @@ offered load at half the channel capacity, throughput computed at each
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Dict, Mapping, Sequence, Tuple
@@ -97,6 +98,8 @@ class SessionConfig:
             )
         if not 0.0 < self.cbr_fraction <= 1.0:
             raise ValueError("cbr_fraction must be in (0, 1]")
+        if not math.isfinite(self.max_seconds):
+            raise ValueError(f"max_seconds must be finite, got {self.max_seconds}")
         if self.max_seconds <= 0:
             raise ValueError("max_seconds must be > 0")
         if self.target_generations < 0:

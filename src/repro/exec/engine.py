@@ -266,8 +266,8 @@ def apply_gf_backend(name: "str | None") -> None:
     The selection is exported through ``OMNC_GF_BACKEND`` so campaign
     worker processes inherit it; results are bit-identical across
     backends regardless (CI enforces equivalence), so this never
-    changes campaign digests.  Exits with an argparse-style error when
-    the name is unknown or unavailable on this machine.
+    changes campaign digests.  A name that is unknown or unavailable on
+    this machine is an ``argparse.ArgumentError`` (a usage error).
     """
     if name is None:
         return
@@ -276,7 +276,7 @@ def apply_gf_backend(name: "str | None") -> None:
     try:
         select_backend(name, export=True)
     except KeyError as exc:
-        raise SystemExit(f"error: --gf-backend: {exc.args[0]}") from exc
+        raise argparse.ArgumentError(None, f"--gf-backend: {exc.args[0]}") from exc
 
 
 def policy_from_args(args: argparse.Namespace) -> ExecutionPolicy:

@@ -28,9 +28,9 @@ def parked_contract(monkeypatch):
     parked_contract_monitor(monkeypatch)
 
 
-@pytest.fixture
-def barriers(monkeypatch):
-    """Every barrier the test's sessions run, as ``(method, arguments, replies)``.
+def tap_barriers(monkeypatch):
+    """Every barrier the sessions run from here on, as ``(method,
+    arguments, replies)``, until ``monkeypatch`` is undone.
 
     Taken at the group's one send path, so ``len(arguments)`` is the
     number of messages the barrier cost and the absence of a shard from
@@ -46,3 +46,9 @@ def barriers(monkeypatch):
 
     monkeypatch.setattr(PersistentWorkerGroup, "call_each", tapped)
     return log
+
+
+@pytest.fixture
+def barriers(monkeypatch):
+    """Every barrier the test's sessions run (:func:`tap_barriers`)."""
+    return tap_barriers(monkeypatch)

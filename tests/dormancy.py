@@ -6,12 +6,15 @@
 comparable value (:func:`freeze_row` a column row's), :func:`assert_fixed_point`
 checks the promise on one runtime, and :func:`parked_contract_monitor`
 checks it on every parked runtime and column row of every slot of
-whatever session a test runs.
+whatever session a test runs (:func:`under_parked_contract`: of whatever
+session a pin's producer runs).
 """
 
+import functools
 from collections import deque
 
 import numpy as np
+import pytest
 
 from repro.emulator.awake import AwakeSet
 from repro.emulator.columns import Columns
@@ -140,3 +143,15 @@ def parked_contract_monitor(monkeypatch):
 
     monkeypatch.setattr(AwakeSet, "tick", checked_tick)
     monkeypatch.setattr(Columns, "tick", checked_columns_tick)
+
+
+def under_parked_contract(producer):
+    """``producer`` with :func:`parked_contract_monitor` on for each call."""
+
+    @functools.wraps(producer)
+    def monitored(*args, **kwargs):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            parked_contract_monitor(monkeypatch)
+            return producer(*args, **kwargs)
+
+    return monitored

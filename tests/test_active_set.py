@@ -2,18 +2,20 @@
 
 The slot loop visits only runtimes that are awake; a runtime is parked
 once ``dormant(dt)`` reports an exact fixed point.  Parking must change
-nothing observable, so every literal below was recorded on the commit
-*before* the active-set loop existed (a full sweep every slot) and must
-keep matching: the relay line the benchmark's mesh workload builds, a
-churn + XOR multi-session run, adaptive runs with mid-run
-generation-size switches, a hot-swap onto a parked relay, and the
-obs-on counters.
+nothing observable, so the pins these producers compute
+(``tests/pins.py``) were recorded on the commit *before* the active-set
+loop existed (a full sweep every slot) and must keep matching: the relay
+line the benchmark's mesh workload builds, a churn + XOR multi-session
+run, adaptive runs with mid-run generation-size switches, a hot-swap
+onto a parked relay, and the obs-on counters.  Every producer runs under
+the parked-runtime monitor.
 
-Two literals are younger: ``RUNNER_SESSION`` and ``FLOW`` come from the
-single-session drivers, which drew from three global streams until they
-moved to the per-node streams every other pin here already used.  They
-were re-recorded at that move, and the full-sweep loop (every
-``dormant`` forced to ``False``) reproduced both new values.
+Two pins are younger: ``adaptive_switch.runner``'s session digest and
+``obs_on.flow_session`` come from the single-session drivers, which drew
+from three global streams until they moved to the per-node streams every
+other pin here already used.  They were re-recorded at that move, and
+the full-sweep loop (every ``dormant`` forced to ``False``) reproduced
+both new values.
 """
 
 import hashlib
@@ -55,6 +57,7 @@ from repro.topology.graph import WirelessNetwork
 from repro.topology.phy import lossy_phy
 from repro.topology.random_network import random_network
 from repro.util.rng import RngFactory
+from tests.dormancy import under_parked_contract
 
 pytestmark = pytest.mark.usefixtures("parked_contract")
 
@@ -145,19 +148,18 @@ def stats_digest(stats):
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-class TestRelayLinePin:
+@under_parked_contract
+def relay_line(shards):
     """256-node relay line x 300 slots: most relays never hear a packet."""
+    tracer = SessionTracer(capacity=500_000)
+    with line_session(line_network(256), shards, tracer=tracer) as session:
+        session.run(300)
+        stats = session.finalize_stats()
+    return stats_digest(stats), trace_digest(tracer)
 
-    STATS = "5534da33dfebe4a9a27993b46b371521ebf4147aeff467b420fe51736bb4a8bb"
-    TRACE = "734c4265147bdc6130cc016a13f4fdac53103f47583e6e7f8d22f48b4a8b014e"
 
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_digests_match_full_sweep(self, shards):
-        tracer = SessionTracer(capacity=500_000)
-        with line_session(line_network(256), shards, tracer=tracer) as session:
-            session.run(300)
-            stats = session.finalize_stats()
-        assert (stats_digest(stats), trace_digest(tracer)) == (self.STATS, self.TRACE)
+class TestRelayLinePin:
+    """The pinned line's run (:func:`relay_line`): where the front gets."""
 
     def test_far_relays_are_parked_and_the_front_is_awake(self):
         network = line_network(256)
@@ -218,27 +220,19 @@ def churn_xor_run(shards, tracer):
     return outcome
 
 
-class TestChurnXorPin:
+@under_parked_contract
+def churn_xor(shards):
     """:func:`churn_xor_run` against its pre-active-set digests.
 
     Nodes 3-6 host only sessions that are absent or silent for long
-    stretches, so their composites park and wake around the events.
-    ``OUTCOME`` was re-recorded when the per-session queue integrals
+    stretches, so their composites park and wake around the events.  The
+    outcome digest was re-recorded when the per-session queue integrals
     moved from the composite's slot-start sample to the engine's
     slot-end one; the trace did not move.
     """
-
-    OUTCOME = "a374b1c1587b81b041b6a7dfe341032e829db122c3928083ef631c05f6863a41"
-    TRACE = "4f18db7655fc9c6ea44f4a48fc6b462e594d8e7a0fd2894ece5939f7aadd1b05"
-
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_digests_match_full_sweep(self, shards):
-        tracer = SessionTracer(capacity=500_000)
-        outcome = churn_xor_run(shards, tracer)
-        assert (multi_session_digest(outcome), trace_digest(tracer)) == (
-            self.OUTCOME,
-            self.TRACE,
-        )
+    tracer = SessionTracer(capacity=500_000)
+    outcome = churn_xor_run(shards, tracer)
+    return multi_session_digest(outcome), trace_digest(tracer)
 
 
 def planned_mesh(seed=11, nodes=30):
@@ -257,123 +251,119 @@ def planned_mesh(seed=11, nodes=30):
     raise RuntimeError("no feasible session on the test network")
 
 
-class TestAdaptiveSwitchPin:
-    """Generation-size switches mid-run, in both drivers."""
+@under_parked_contract
+def adaptive_switch_runner(shards):
+    """Generation-size switches mid-run through the adaptive runner.
 
-    RUNNER_SESSION = "ca79d13b8d567bd75e3286bf0edbf63bd8a826c2e8a0775aff8e7d9a74934bd7"
-    #: The runner's trace, whatever the shard count.
-    RUNNER_TRACE = "11eb409ba88657f35afbc1bf57f7d8473f1dd6d0a3d209c2e707ad455c439060"
-    SHARDED_STATS = "2da176d1170eafea06f670170b7f9a37d9addfd1cdc6ee67f2869779694fba3f"
-    SHARDED_TRACE = "3e08700e14662ae4bbcba77281c109b5457a43999683174a8104b020eeb6f589"
+    In workers, re-plans retune and build runtimes there, and the
+    destination's block count comes back through finalize_stats.
+    """
+    network, source, destination, _plan = planned_mesh()
+    controller = make_coding_controller("adaptive", blocks=40, block_size=256)
+    scenario = ScenarioSpec(
+        name="double-drift",
+        duration=40.0,
+        epoch_seconds=4.0,
+        events=(
+            ScenarioEvent(at=12.0, kind="drift", sigma=1.0),
+            ScenarioEvent(at=26.0, kind="drift", sigma=1.0),
+        ),
+    )
+    tracer = SessionTracer(capacity=500_000)
+    result = run_adaptive_session(
+        network,
+        make_planner("omnc", source, destination),
+        make_policy("periodic:2"),
+        scenario,
+        config=SessionConfig(blocks=40, block_size=256),
+        rng=RngFactory(6),
+        coding_controller=controller,
+        tracer=tracer,
+        shards=shards,
+    )
+    assert len(set(controller.history)) > 1  # the size really switched
+    pushed = [event.detail for event in tracer.events(kind="coding")]
+    assert len(pushed) > 1
+    assert set(pushed) <= {decision.blocks for decision in controller.history}
+    assert result.replans > 0
+    assert result.session.generations_decoded > 0
+    return session_digest(result.session), trace_digest(tracer)
 
-    def test_adaptive_runner_digests_match_full_sweep(self):
-        self._runner_digests(1)
 
-    @pytest.mark.parametrize("shards", [2, 4])
-    def test_adaptive_runner_digests_hold_in_workers(self, shards):
-        # Re-plans retune and build runtimes in the workers, and the
-        # destination's block count comes back through finalize_stats.
-        self._runner_digests(shards)
+@under_parked_contract
+def adaptive_switch_sharded(shards):
+    """Generation-size switches mid-run, pushed at slot barriers by hand."""
+    network, _source, _destination, plan = planned_mesh()
+    config = SessionConfig(
+        max_seconds=40.0, blocks=6, block_size=256, coding_fidelity="exact"
+    )
+    decode_log = _DecodeLog()
+    runtimes = build_plan_runtimes(
+        network, plan, config=config, rng=RngFactory(21), on_decoded=decode_log
+    )
+    tracer = SessionTracer(capacity=500_000)
 
-    def _runner_digests(self, shards):
-        network, source, destination, _plan = planned_mesh()
-        controller = make_coding_controller("adaptive", blocks=40, block_size=256)
-        scenario = ScenarioSpec(
-            name="double-drift",
-            duration=40.0,
-            epoch_seconds=4.0,
-            events=(
-                ScenarioEvent(at=12.0, kind="drift", sigma=1.0),
-                ScenarioEvent(at=26.0, kind="drift", sigma=1.0),
-            ),
+    def everyone(params):
+        return {node: {"coding": params} for node in runtimes}
+
+    with ShardedSession(
+        network,
+        runtimes,
+        config.coded_packet_bytes() / network.capacity,
+        rng_factory=RngFactory(21),
+        shards=shards,
+        tracer=tracer,
+        decode_log=decode_log,
+    ) as session:
+        session.run(200)
+        session.apply_plan_updates(everyone(CodingParams(blocks=9)))
+        session.broadcast_generation_advance(1)
+        session.run(250)
+        session.apply_plan_updates(
+            everyone(CodingParams(blocks=4, systematic=True))
         )
-        tracer = SessionTracer(capacity=500_000)
-        result = run_adaptive_session(
-            network,
-            make_planner("omnc", source, destination),
-            make_policy("periodic:2"),
-            scenario,
-            config=SessionConfig(blocks=40, block_size=256),
-            rng=RngFactory(6),
-            coding_controller=controller,
-            tracer=tracer,
-            shards=shards,
-        )
-        assert len(set(controller.history)) > 1  # the size really switched
-        pushed = [event.detail for event in tracer.events(kind="coding")]
-        assert len(pushed) > 1
-        assert set(pushed) <= {decision.blocks for decision in controller.history}
-        assert result.replans > 0
-        assert result.session.generations_decoded > 0
-        assert session_digest(result.session) == self.RUNNER_SESSION
-        assert trace_digest(tracer) == self.RUNNER_TRACE
+        session.broadcast_generation_advance(2)
+        session.run(250)
+        stats = session.finalize_stats()
+    return stats_digest(stats), trace_digest(tracer)
 
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_sharded_switch_digests_match_full_sweep(self, shards):
-        network, _source, _destination, plan = planned_mesh()
-        config = SessionConfig(
-            max_seconds=40.0, blocks=6, block_size=256, coding_fidelity="exact"
-        )
-        decode_log = _DecodeLog()
-        runtimes = build_plan_runtimes(
-            network, plan, config=config, rng=RngFactory(21), on_decoded=decode_log
-        )
-        tracer = SessionTracer(capacity=500_000)
 
-        def everyone(params):
-            return {node: {"coding": params} for node in runtimes}
+#: The relay :func:`hot_swap` silences (rate 0): it hears packets, gains
+#: information, and parks with an empty queue.
+SILENCED = 3
 
-        with ShardedSession(
-            network,
-            runtimes,
-            config.coded_packet_bytes() / network.capacity,
-            rng_factory=RngFactory(21),
-            shards=shards,
-            tracer=tracer,
-            decode_log=decode_log,
-        ) as session:
-            session.run(200)
-            session.apply_plan_updates(everyone(CodingParams(blocks=9)))
-            session.broadcast_generation_advance(1)
-            session.run(250)
-            session.apply_plan_updates(
-                everyone(CodingParams(blocks=4, systematic=True))
-            )
-            session.broadcast_generation_advance(2)
-            session.run(250)
-            stats = session.finalize_stats()
-        assert (stats_digest(stats), trace_digest(tracer)) == (
-            self.SHARDED_STATS,
-            self.SHARDED_TRACE,
-        )
+
+def silenced_line(shards, tracer=None):
+    return line_session(
+        line_network(12), shards, seed=7, tracer=tracer, relay_rates={SILENCED: 0.0}
+    )
+
+
+@under_parked_contract
+def hot_swap(shards):
+    """A rate swap onto the parked, silenced relay, from outside the loop."""
+    tracer = SessionTracer(capacity=500_000)
+    with silenced_line(shards, tracer) as session:
+        session.run(120)
+        session.apply_plan_updates({SILENCED: {"rate_bps": 2e4}})
+        session.run(120)
+        stats = session.finalize_stats()
+    assert stats.transmissions[SILENCED] > 0
+    return stats_digest(stats), trace_digest(tracer)
 
 
 class TestHotSwapOntoParkedRelay:
     """``apply_plan`` from outside the loop must wake what it touches.
 
-    Relay 3 is silenced (rate 0): it hears packets, gains information,
-    and parks with an empty queue.  Swapping its rate to one packet per
-    slot has to show on the very next slot, and the whole run has to
-    match the same swap on the full-sweep loop.
+    Swapping the silenced relay's rate to one packet per slot has to
+    show on the very next slot, and the whole run (:func:`hot_swap`) has
+    to match the same swap on the full-sweep loop.
     """
-
-    SILENCED = 3
-    STATS = "b9548d8dc984a4d95dbe1368b97aacb10722ea516343b61d8fd9902a1ff74474"
-    TRACE = "ee85f757f8884d38d9c59b90ded4b15f3181d84809884f90ac0f221f29d42ab4"
-
-    def _session(self, shards, tracer=None):
-        return line_session(
-            line_network(12),
-            shards,
-            seed=7,
-            tracer=tracer,
-            relay_rates={self.SILENCED: 0.0},
-        )
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_swap_takes_effect_on_the_next_slot(self, shards):
-        node = self.SILENCED
-        with self._session(shards) as session:
+        node = SILENCED
+        with silenced_line(shards) as session:
             session.run(120)
             before = session.finalize_stats()
             assert (node - 1, node) in before.delivered_links  # it holds information
@@ -387,77 +377,51 @@ class TestHotSwapOntoParkedRelay:
         # One packet of credit: it either went on the air or sat queued.
         assert after.transmissions[node] + after.queue_time_sum[node] == 1
 
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_swap_digests_match_full_sweep(self, shards):
-        tracer = SessionTracer(capacity=500_000)
-        with self._session(shards, tracer) as session:
-            session.run(120)
-            session.apply_plan_updates({self.SILENCED: {"rate_bps": 2e4}})
-            session.run(120)
-            stats = session.finalize_stats()
-        assert stats.transmissions[self.SILENCED] > 0
-        assert (stats_digest(stats), trace_digest(tracer)) == (self.STATS, self.TRACE)
-
     def test_swap_matches_a_run_that_never_parks(self, monkeypatch):
-        parked = self._run_swap()
+        parked = hot_swap(shards=1)
         monkeypatch.setattr(FlowRelayRuntime, "dormant", lambda self, dt: False)
         monkeypatch.setattr(FlowDestinationRuntime, "dormant", lambda self, dt: False)
-        assert self._run_swap() == parked
-
-    def _run_swap(self):
-        tracer = SessionTracer(capacity=500_000)
-        with self._session(1, tracer) as session:
-            session.run(120)
-            session.apply_plan_updates({self.SILENCED: {"rate_bps": 2e4}})
-            session.run(120)
-            return stats_digest(session.finalize_stats()), trace_digest(tracer)
+        assert hot_swap(shards=1) == parked
 
 
-class TestObsOnGolden:
-    """Collecting metrics must not notice that anything was parked."""
+#: What collecting metrics must read whether or not anything was parked.
+COUNTERS = ("slots", "grants", "transmissions", "deliveries", "blanked")
 
-    COUNTERS = ("slots", "grants", "transmissions", "deliveries", "blanked")
-    FLOW = (
-        {"slots": 282, "grants": 235, "transmissions": 235, "deliveries": 458, "blanked": 0},
-        (1128, 49.0, "c2ae998ec56d96186cfd2734a5d4fb2e520878c79dc80b8687e78d488a5231b7"),
-    )
-    LINE = (
-        {"slots": 200, "grants": 4196, "transmissions": 4196, "deliveries": 2650, "blanked": 4980},
-        (25600, 8826.0, "73a606a51d5a9464977b3d9017fd068588daa299e92474afc828920ead32e7f9"),
-    )
 
-    def _snapshot(self, registry):
-        counts = {
-            name: int(registry.value(f"emulator.{name}")) for name in self.COUNTERS
-        }
-        depth = registry.get("emulator.queue_depth")
-        blob = json.dumps(depth.samples()).encode("utf-8")
-        return counts, (depth.count, depth.sum, hashlib.sha256(blob).hexdigest())
+def _queue_snapshot(registry):
+    counts = {name: int(registry.value(f"emulator.{name}")) for name in COUNTERS}
+    depth = registry.get("emulator.queue_depth")
+    blob = json.dumps(depth.samples()).encode("utf-8")
+    return counts, (depth.count, depth.sum, hashlib.sha256(blob).hexdigest())
 
-    def test_flow_session_counts(self):
-        network, _source, _destination, plan = planned_mesh()
-        with obs.collecting() as registry:
-            result = run_coded_session(
-                network,
-                plan,
-                config=SessionConfig(
-                    blocks=8, block_size=256, max_seconds=30.0, target_generations=12
-                ),
-                rng=RngFactory(4),
-            )
-            counts, depth = self._snapshot(registry)
-        # One queue-depth sample per runtime per slot, in participant order.
-        assert depth[0] == counts["slots"] * len(result.participants)
-        assert (counts, depth) == self.FLOW
 
-    def test_relay_line_counts(self):
-        network = line_network(128)
-        with obs.collecting() as registry:
-            with line_session(network, 1) as session:
-                session.run(200)
-            counts, depth = self._snapshot(registry)
-        assert depth[0] == 200 * network.node_count
-        assert (counts, depth) == self.LINE
+@under_parked_contract
+def obs_on_flow_session():
+    network, _source, _destination, plan = planned_mesh()
+    with obs.collecting() as registry:
+        result = run_coded_session(
+            network,
+            plan,
+            config=SessionConfig(
+                blocks=8, block_size=256, max_seconds=30.0, target_generations=12
+            ),
+            rng=RngFactory(4),
+        )
+        counts, depth = _queue_snapshot(registry)
+    # One queue-depth sample per runtime per slot, in participant order.
+    assert depth[0] == counts["slots"] * len(result.participants)
+    return counts, depth
+
+
+@under_parked_contract
+def obs_on_relay_line():
+    network = line_network(128)
+    with obs.collecting() as registry:
+        with line_session(network, 1) as session:
+            session.run(200)
+        counts, depth = _queue_snapshot(registry)
+    assert depth[0] == 200 * network.node_count
+    return counts, depth
 
 
 class TestAwakeSet:

@@ -1,11 +1,13 @@
 """The command-line interface."""
 
 import argparse
+import os
 import pkgutil
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.coding.backends import available_backends
 
 
 class TestParser:
@@ -330,6 +332,13 @@ class TestDomainErrors:
         assert captured.out == ""
 
 
+SESSION = ["session", "omnc", "0", "7", "--nodes", "30"]
+UNKNOWN_BACKEND = (
+    "--gf-backend: unknown or unavailable GF(2^8) backend 'bogus'; available here: "
+    + ", ".join(available_backends())
+)
+
+
 class TestUsageErrors:
     """An option value a constructor refuses is a usage error: one line, exit 2."""
 
@@ -362,16 +371,33 @@ class TestUsageErrors:
             ),
             (["multisession", "--nodes", "0"], "node_count must be > 0, got 0"),
             (["topology", "net.json", "--nodes", "0"], "node_count must be > 0, got 0"),
+            (SESSION + ["--seconds", "nan"], "max_seconds must be finite, got nan"),
+            (["multisession", "--seconds", "inf"], "max_seconds must be finite, got inf"),
+            (SESSION + ["--topology", "no.json"], "--topology no.json: No such file or directory"),
+            (
+                ["multisession", "--topology", os.devnull],
+                f"--topology {os.devnull}: not a topology file "
+                "(Expecting value: line 1 column 1 (char 0))",
+            ),
+            (SESSION + ["--gf-backend", "bogus"], UNKNOWN_BACKEND),
+            (["fig3", "--gf-backend", "bogus"], UNKNOWN_BACKEND),
+            (
+                SESSION + ["--trace", "no/such/dir/x.jsonl"],
+                "--trace no/such/dir/x.jsonl: cannot write a file there",
+            ),
         ],
         ids=["fig2-sessions", "fig3-jobs", "fig4-retries", "fig5-timeout",
              "session-blocks", "multisession-sessions", "session-epoch-seconds",
              "session-nodes", "session-seed", "session-policy", "multisession-nodes",
-             "topology-nodes"],
+             "topology-nodes", "session-seconds-nan", "multisession-seconds-inf",
+             "session-topology-missing", "multisession-topology-not-json",
+             "session-gf-backend", "fig3-gf-backend", "session-trace-unwritable"],
     )
     def test_bad_numeric_option(self, argv, message, capsys, tmp_path, monkeypatch):
-        # Each used to end in a ValueError traceback from a config
-        # constructor or generator (multisession: a bare SystemExit string,
-        # exit 1).
+        # Each used to end in a traceback from a config constructor,
+        # generator or file read, or to exit 1 (multisession's and
+        # --gf-backend's bare SystemExit strings); --trace failed only
+        # after the whole run.
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 2
         captured = capsys.readouterr()

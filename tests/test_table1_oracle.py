@@ -1,10 +1,14 @@
 """Bit-exact oracle for the Table 1 loop's three faces.
 
-The digests below were recorded on the dict-iterating implementation
-(before ``SessionGraph`` grew its compiled index view) and must hold
-for any later implementation: every float goes through ``repr`` and
-every dict through its insertion order, so a reordered accumulation, a
-numpy scalar leaking into a result or a reshuffled result dict all show.
+The producers below compute the ``table1.*`` pins of ``tests/pins.py``,
+recorded on the dict-iterating implementation (before ``SessionGraph``
+grew its compiled index view); they must hold for any later
+implementation: every float goes through ``repr`` and every dict through
+its insertion order, so a reordered accumulation, a numpy scalar leaking
+into a result or a reshuffled result dict all show.  ``table1.messages``
+hashes the census duals with the loop's key sets (beta on
+MAC-constrained nodes, mu on transmitters); every value and its order is
+the census's as first recorded.
 
 The deployment is the 120-node campaign mesh; the endpoint pairs are the
 first ten draws of a fixed stream whose ETX route has at least five hops
@@ -12,10 +16,9 @@ and whose forwarder set is selectable.
 """
 
 import dataclasses
+import functools
 import hashlib
 import random
-
-import pytest
 
 from repro import obs
 from repro.experiments.common import CampaignConfig, build_network
@@ -47,16 +50,6 @@ PAIRS = (
     (89, 78),
 )
 
-COLD = "42a640356f5cb21665b0b576d7af28692a75f23dc7a601d6ddf146261647dcdf"
-WARM = "2201f31dcd66eb1bb875d27785d169d7e17652161d46eba090899f7c6b6bab29"
-# The census duals carry the loop's key sets (beta on MAC-constrained
-# nodes, mu on transmitters); every value and its order is the census's
-# as first recorded.
-MESSAGES = "292ac313a4cdd4733602b24ccc078509d1bc39bfe00620c0a4140dd5266e9481"
-MULTI = "fda32c5965e5c56500d09db64ee1d6dfbe5d6cf1ee371785b3ba0e8bc66a6eb1"
-REPLAN = "9c76799b43753317a948bf8f5394836cbd3b4617ccb8d55081555a0a0a569ea1"
-FIG1_OBS = "5e8c45d4af01d018fb8fef6798e9a96b06fc436b4a2366eebba878e875d37d5d"
-
 
 def canonical(value):
     """A ``repr``-stable rendering: dataclasses by field, dicts in order."""
@@ -86,58 +79,58 @@ def digest(values) -> str:
     return sha.hexdigest()
 
 
-@pytest.fixture(scope="module")
+@functools.cache
 def mesh():
     _, network = build_network(CampaignConfig(node_count=120, seed=2008))
     return network
 
 
-@pytest.fixture(scope="module")
-def graphs(mesh):
+@functools.cache
+def graphs():
     return [
-        session_graph_from_selection(mesh, select_forwarders(mesh, s, d))
+        session_graph_from_selection(mesh(), select_forwarders(mesh(), s, d))
         for s, d in PAIRS
     ]
 
 
-def test_pairs_are_the_first_ten_long_plannable_draws(mesh):
+def test_pairs_are_the_first_ten_long_plannable_draws():
     rng = random.Random(2008)
     pairs = []
     while len(pairs) < PAIR_COUNT:
-        source, destination = rng.sample(range(mesh.node_count), 2)
+        source, destination = rng.sample(range(mesh().node_count), 2)
         try:
-            if plan_etx_route(mesh, source, destination).hop_count < MIN_HOPS:
+            if plan_etx_route(mesh(), source, destination).hop_count < MIN_HOPS:
                 continue
-            select_forwarders(mesh, source, destination)
+            select_forwarders(mesh(), source, destination)
         except NodeSelectionError:
             continue
         pairs.append((source, destination))
     assert tuple(pairs) == PAIRS
 
 
-def test_rate_control_cold_and_warm(graphs):
-    cold = [RateControlAlgorithm(graph).run() for graph in graphs]
-    assert digest(cold) == COLD
+def cold_and_warm():
+    cold = [RateControlAlgorithm(graph).run() for graph in graphs()]
     warm = [
         RateControlAlgorithm(graph, warm_start=result.duals).run()
-        for graph, result in zip(graphs, cold)
+        for graph, result in zip(graphs(), cold)
     ]
-    assert digest(warm) == WARM
+    return digest(cold), digest(warm)
 
 
-def test_message_passing_results_and_census(graphs):
+def message_passing():
+    """Results and census of the message-passing face."""
     outcomes = []
-    for graph in graphs:
+    for graph in graphs():
         controller = MessagePassingRateControl(graph)
         outcomes.append((controller.run(), controller.stats))
-    assert digest(outcomes) == MESSAGES
+    return digest(outcomes)
 
 
-def test_multi_session_on_four_opposing_sessions(mesh):
+def four_opposing_sessions():
     endpoints = []
     for source, destination in PAIRS:
         try:
-            select_forwarders(mesh, destination, source)
+            select_forwarders(mesh(), destination, source)
         except NodeSelectionError:
             continue
         endpoints += [(source, destination), (destination, source)]
@@ -145,19 +138,18 @@ def test_multi_session_on_four_opposing_sessions(mesh):
             break
     assert len(endpoints) == 4
     session_graphs = [
-        session_graph_from_selection(mesh, select_forwarders(mesh, s, d))
+        session_graph_from_selection(mesh(), select_forwarders(mesh(), s, d))
         for s, d in endpoints
     ]
     result = MultiSessionRateControl(session_graphs).run()
-    assert digest([endpoints, result]) == MULTI
+    return digest([endpoints, result])
 
 
-def test_replan_cost(mesh):
-    costs = [replan_cost(mesh, s, d) for s, d in PAIRS[:4]]
-    assert digest(costs) == REPLAN
+def replan_costs():
+    return digest([replan_cost(mesh(), s, d) for s, d in PAIRS[:4]])
 
 
-def test_fig1_observed_iterations():
+def fig1_observed_iterations():
     """The obs-on path: counters, residual samples and trace records."""
     graph = session_graph_from_network(fig1_sample_topology(), 0, 5)
     tracer = obs.EventTracer()
@@ -176,4 +168,4 @@ def test_fig1_observed_iterations():
         records,
         result,
     ]
-    assert digest(observed) == FIG1_OBS
+    return digest(observed)
