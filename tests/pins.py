@@ -45,6 +45,8 @@ SHARDS_124 = (*SHARDS_12, {"shards": 4})
 LINE_CORES = ({"shards": 1}, *(
     {"shards": shards, "start_method": method} for shards in (2, 4) for method in ("fork", "spawn")
 ))
+#: A campaign run serially and on two exec-pool workers.
+JOBS_12 = ({"jobs": 1}, {"jobs": 2})
 #: Every GF(2^8) field engine this machine has, and the baseline.
 FIELDS = tuple({"field": name} for name in (*available_backends(), "baseline"))
 
@@ -129,6 +131,8 @@ PINS = (
         "09cb4b61d74773fd7dc5e0b847c3301ba74c136a605975990c73b1fe138a84a1",
         "341fd7381bb75a4a4d2140ed545a1f26fe8c7ced42f191592e9557a83b583f9f",
     ), FIELDS),
+    Pin("campaign.fig2", "tests.test_exec_campaign:fig2_campaign",
+        "725cf97e1280b11e34e718128b13305b1708e9f3a24a257b3bf4b0ff3f8ab01c", JOBS_12),
     Pin("mesh2k.result_digest", "tests.test_shard_traffic:mesh2k_result_digest", "7021afba"),
 )
 

@@ -32,6 +32,23 @@ TINY = CampaignConfig(
 )
 
 
+#: The paper's Fig. 2 campaign at pin size: the 120-node reference mesh,
+#: all four protocols, flow fidelity.
+FIG2 = CampaignConfig(
+    node_count=120,
+    sessions=2,
+    min_hops=4,
+    session_seconds=200.0,
+    target_generations=2,
+    seed=2008,
+)
+
+
+def fig2_campaign(jobs):
+    """Digest of :data:`FIG2` run on ``jobs`` workers (pin ``campaign.fig2``)."""
+    return run_campaign(FIG2, policy=ExecutionPolicy(jobs=jobs)).digest()
+
+
 @pytest.fixture(scope="module")
 def serial_campaign():
     return run_campaign(TINY, policy=ExecutionPolicy(jobs=1))
