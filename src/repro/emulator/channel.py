@@ -5,15 +5,19 @@ node j with probability p_ij — the opportunistic-reception model OMNC is
 built to exploit.  The scheduler has already ruled out collisions, so
 loss draws are the only source of packet erasure.
 
-Draws come from a dedicated generator so channel randomness is decoupled
-from coding/placement randomness (see :class:`repro.util.RngFactory`).
+Draws come from the channel's own generator, so channel randomness is
+decoupled from coding/placement randomness (see
+:class:`repro.util.RngFactory`).  This is the channel used on its own —
+by tests, examples and the benchmark's channel probe.  The emulator's
+slot loop applies the same model itself, drawing each transmission's
+reception outcomes from the *transmitter's* stream
+(:class:`repro.util.rng.NodeStreams`), so they do not depend on which
+process hosts the transmitter or on who else transmits.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Iterable, Sequence, Tuple
 
 from repro.topology.graph import WirelessNetwork
 from repro.util.rng import RngLike, as_rng
@@ -32,20 +36,6 @@ class LossyBroadcastChannel:
     def network(self) -> WirelessNetwork:
         """The topology reception draws are taken against."""
         return self._network
-
-    def set_network(self, network: WirelessNetwork) -> None:
-        """Swap the topology mid-run (link-quality drift, node failure).
-
-        The RNG stream is untouched: the channel keeps drawing from the
-        same generator, so a run whose qualities never actually change is
-        bit-identical to one that never called this.
-        """
-        if network.node_count != self._network.node_count:
-            raise ValueError(
-                "replacement network must keep the node count "
-                f"({self._network.node_count} != {network.node_count})"
-            )
-        self._network = network
 
     @property
     def transmissions(self) -> int:
@@ -79,32 +69,20 @@ class LossyBroadcastChannel:
         return delivered
 
     def broadcast_prefiltered(
-        self,
-        receiver_ids: Sequence[int],
-        probabilities: Sequence[float],
-        *,
-        rng: Optional[np.random.Generator] = None,
+        self, receiver_ids: Sequence[int], probabilities: Sequence[float]
     ) -> Tuple[int, ...]:
         """:meth:`broadcast` over candidates already filtered to p > 0.
 
-        ``receiver_ids``/``probabilities`` are aligned sequences the
-        engine assembles from its precomputed per-transmitter receiver
+        ``receiver_ids``/``probabilities`` are aligned sequences, such as
+        a caller assembles once from precomputed per-transmitter receiver
         lists.  Consumes the RNG exactly like :meth:`broadcast` — one
         batched uniform draw per transmission, candidates in the same
         order — so both entry points produce identical loss patterns.
-
-        ``rng`` overrides the channel's own stream for this one draw:
-        the slot loop hands in the *transmitter's* stream, so loss draws
-        are partition-independent (see
-        :class:`repro.util.rng.NodeStreams`).  The channel's own stream
-        serves a channel used on its own — the benchmark's channel probe
-        times exactly that call — and no session driver consumes it.
         """
-        generator = self._rng if rng is None else rng
         self._transmissions += 1
         if not receiver_ids:
             return ()
-        draws = generator.random(len(receiver_ids))
+        draws = self._rng.random(len(receiver_ids))
         delivered = tuple(
             j
             for j, p, u in zip(receiver_ids, probabilities, draws.tolist())
@@ -113,25 +91,16 @@ class LossyBroadcastChannel:
         self._deliveries += len(delivered)
         return delivered
 
-    def unicast(
-        self,
-        transmitter: int,
-        receiver: int,
-        *,
-        rng: Optional[np.random.Generator] = None,
-    ) -> bool:
+    def unicast(self, transmitter: int, receiver: int) -> bool:
         """One unicast attempt; True on success.
 
-        ``rng`` overrides the channel stream for this draw (the slot
-        loop: the transmitter's stream), like
-        :meth:`broadcast_prefiltered`.
+        One uniform draw, and none when there is no usable link.
         """
-        generator = self._rng if rng is None else rng
         p = self._network.probability(transmitter, receiver)
         self._transmissions += 1
         if p <= 0.0:
             return False
-        success = bool(generator.random() < p)
+        success = bool(self._rng.random() < p)
         if success:
             self._deliveries += 1
         return success

@@ -43,7 +43,6 @@ import numpy as np
 
 from repro import obs
 from repro.emulator.awake import AwakeSet
-from repro.emulator.channel import LossyBroadcastChannel
 from repro.emulator.columns import Columns
 from repro.emulator.node import (
     FlowPacket,
@@ -56,7 +55,7 @@ from repro.emulator.node import (
 from repro.emulator.plan import NodeSettings
 from repro.emulator.scheduler import ConflictGraph, IdealMacScheduler
 from repro.topology.graph import Link, WirelessNetwork
-from repro.util.rng import NodeStreams, RngFactory, StreamBank
+from repro.util.rng import DrawBuffers, NodeStreams, RngFactory, StreamBank
 
 #: Hosted runtimes from which a core runs the slot array-at-a-time
 #: (DESIGN.md §13.1, "array form").  Below it the awake set is a few tens
@@ -257,13 +256,15 @@ class EngineCore:
     whichever core hosts the node and whoever else is active.
 
     A slot exists in two forms that produce the same draws, grants,
-    arrivals and runtime state bit for bit.  The scalar form loops: per
-    awake runtime (:class:`~repro.emulator.awake.AwakeSet`), per
-    contender, per neighbour.  The array form — on a core that hosts
-    ``ARRAY_FORM_MIN_HOSTED`` runtimes or more, none of them unicast —
-    works on arrays: keys and loss vectors come from pre-drawn blocks of
-    the same per-node streams (:class:`~repro.util.rng.StreamBank`), and
-    the flow-fidelity runtimes' tick, pop, absorb and queue sampling run
+    arrivals and runtime state bit for bit, both drawing keys and loss
+    vectors from pre-drawn blocks of those streams.  The scalar form
+    loops: per awake runtime (:class:`~repro.emulator.awake.AwakeSet`),
+    per contender, per neighbour, a key one ``list.pop()`` and a loss
+    vector one slice (:class:`~repro.util.rng.DrawBuffers`).  The array
+    form — on a core that hosts ``ARRAY_FORM_MIN_HOSTED`` runtimes or
+    more, none of them unicast — works on arrays: keys and loss vectors
+    are gathers from a :class:`~repro.util.rng.StreamBank`, and the
+    flow-fidelity runtimes' tick, pop, absorb and queue sampling run
     over their rows (:class:`~repro.emulator.columns.Columns`); any other
     runtime stays an object on the awake set.  The form is picked once,
     at construction.
@@ -277,23 +278,25 @@ class EngineCore:
         self._has_unicast = init.has_unicast
         self._traced = init.traced
         self._factory = factory = RngFactory(init.seed)
-        self._mac = NodeStreams(factory, "mac")
-        self._loss = NodeStreams(factory, "channel")
+        mac = NodeStreams(factory, "mac")
+        loss = NodeStreams(factory, "channel")
         self._capture = NodeStreams(factory, "capture")
         # The form is chosen here, once, from what the core is given to
-        # host: a bank holds values its generators have already
-        # produced, so a banked node cannot go back to scalar draws.
-        # Unicast attempts draw one value at a time from the
-        # transmitter's stream and stay scalar.
+        # host: buffers and banks hold values their generators have
+        # already produced, so a node cannot move from one to the other.
+        # The array phases carry broadcasts only: a unicast attempt — one
+        # target, an arrival of its own kind, a verdict settled after the
+        # receiver resolves — has no place in them, so a core that hosts
+        # a unicast runtime stays scalar.
         self._arrays = (
             len(init.runtimes) >= ARRAY_FORM_MIN_HOSTED and not init.has_unicast
         )
         if self._arrays:
-            self._mac_bank = StreamBank(self._mac)
-            self._loss_bank = StreamBank(self._loss)
-        # The channel's own stream is never consumed: every draw comes
-        # from the transmitter's stream.
-        self._channel = LossyBroadcastChannel(init.network, rng=0)
+            self._mac_bank = StreamBank(mac)
+            self._loss_bank = StreamBank(loss)
+        else:
+            self._mac_draws = DrawBuffers(mac)
+            self._loss_draws = DrawBuffers(loss)
         self._log = init.decode_log
         self._pending_unicast: Dict[int, bool] = {}
         self._delivered_links: Set[Link] = set()
@@ -508,10 +511,11 @@ class EngineCore:
             draws = self._mac_bank.take(self._mac_rows[positions])
             return draws / np.maximum(rates, floor), positions
         owned = self._owned
-        mac = self._mac
+        mac = self._mac_draws
         keys: List[float] = []
         for position, weight in zip(contenders, weights):
-            draw = mac[owned[position]].standard_exponential()
+            node = owned[position]
+            draw = (mac[node] or mac.refill(node)).pop()
             keys.append(draw / max(weight, floor))
         return keys, contenders
 
@@ -619,6 +623,7 @@ class EngineCore:
         covered = self._covered_counts
         blanking = self._blanking
         runtimes = self._runtimes
+        loss = self._loss_draws
         transmissions = self._transmissions
         observed = self._obs_enabled
         traced = self._traced
@@ -659,7 +664,10 @@ class EngineCore:
                         if observed:
                             self._m_blanked.inc()
                         continue  # hidden-terminal collision at the receiver
-                    if self._channel.unicast(node, target, rng=self._loss[node]):
+                    # One uniform of the transmitter's stream, only over
+                    # a usable link.
+                    p = self._network.probability(node, target)
+                    if p > 0.0 and (loss[node] or loss.refill(node)).pop() < p:
                         offers.setdefault(target, []).append(
                             (rank, 0, node, "unicast", packet)
                         )
@@ -681,11 +689,16 @@ class EngineCore:
                         candidate_probs.append(p)
                 if blanked and observed:
                     self._m_blanked.inc(blanked)
-                delivered = self._channel.broadcast_prefiltered(
-                    candidate_ids, candidate_probs, rng=self._loss[node]
-                )
-                for pos, j in enumerate(delivered):
-                    offers.setdefault(j, []).append((rank, pos, node, "coded", packet))
+                if not candidate_ids:
+                    continue
+                # One uniform per candidate, in ascending receiver order,
+                # the next of the transmitter's own stream.
+                uniforms = loss.take(node, len(candidate_ids))
+                pos = 0
+                for j, p, u in zip(candidate_ids, candidate_probs, uniforms):
+                    if u < p:
+                        offers.setdefault(j, []).append((rank, pos, node, "coded", packet))
+                        pos += 1
         finally:
             for node in granted:
                 granted_flags[node] = False
@@ -1050,11 +1063,11 @@ class EngineCore:
         self._sample_sessions(slots)
 
     def set_network(self, network: WirelessNetwork) -> None:
-        """Swap the topology: the channel's loss model and every
-        precomputed neighbor/receiver structure; RNG streams are untouched."""
+        """Swap the topology: the loss model and every precomputed
+        neighbor/receiver structure; RNG streams, and the values pre-drawn
+        from them, are untouched."""
         self._flush()
         self._network = network
-        self._channel.set_network(network)
         self._build_structures()
 
     def install_plan(self, plan: Install) -> None:

@@ -8,12 +8,19 @@ in how one consumer draws would silently shift every other consumer.
 :class:`RngFactory` derives an independent ``numpy.random.Generator`` per
 named purpose from a single experiment seed, using ``SeedSequence.spawn``
 semantics keyed by the purpose string.
+
+The emulator's own draws come from :class:`NodeStreams`, one generator
+per ``(kind, node)``, through pre-drawn blocks of 64 values that hand
+every node exactly the sequence its one-call-at-a-time draws would give:
+:class:`DrawBuffers` (Python lists, one ``list.pop()`` per value) for a
+core that draws node by node, :class:`StreamBank` (one array, one
+gather per slot) for one that draws array-at-a-time.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -252,3 +259,69 @@ class StreamBank:
                 generator = self._streams[self._nodes[row]]
                 pieces.append(self._fill(generator, size=need - len(held)))
         return np.concatenate(pieces)
+
+
+class DrawBuffers(Dict[int, List[float]]):
+    """Pre-drawn blocks of per-node streams, for draws one node at a time.
+
+    The scalar twin of :class:`StreamBank`: ``node -> list`` of the next
+    values of that node's own :class:`NodeStreams` generator, *next value
+    last*, so a single draw is ``list.pop()`` (the slot loop's lottery
+    key, a unicast attempt's uniform) and a run of ``k`` is one slice
+    (:meth:`take`, a broadcast's loss vector).  An empty or short list is
+    topped up by :meth:`refill` in whole blocks of :attr:`BLOCK`, drawn by
+    the call the scalar consumer makes — ``standard_exponential`` for
+    "mac", ``random`` for "channel" — and put *behind* the values the
+    list still holds, so a node consumes exactly the sequence it would
+    have drawn one call at a time, however single draws and runs
+    interleave.
+
+    ``buffers[node] or buffers.refill(node)`` is the node's list with at
+    least one value in it.  Lists are made, and generators derived, on a
+    node's first draw.  As with a bank, a buffered stream has handed out
+    values nobody has consumed yet: every later draw of that node must
+    come through the buffers.
+    """
+
+    #: Values drawn per refill: the bank's block, one constant.
+    BLOCK = StreamBank.BLOCK
+
+    _FILLS = {"mac": "standard_exponential", "channel": "random"}
+
+    def __init__(self, streams: NodeStreams) -> None:
+        try:
+            self._fill = self._FILLS[streams.kind]
+        except KeyError:
+            known = ", ".join(self._FILLS)
+            raise ValueError(
+                f"stream kind {streams.kind!r} cannot be buffered (known: {known})"
+            ) from None
+        super().__init__()
+        self._streams = streams
+        self._block = self.BLOCK
+
+    def __missing__(self, node: int) -> List[float]:
+        values: List[float] = []
+        self[node] = values
+        return values
+
+    def refill(self, node: int, need: int = 1) -> List[float]:
+        """``node``'s list, topped up to at least ``need`` values by one
+        generator call of the fewest whole blocks that suffice."""
+        values = self[node]
+        short = need - len(values)
+        if short > 0:
+            size = -(-short // self._block) * self._block
+            fresh = getattr(self._streams[node], self._fill)(size=size).tolist()
+            fresh.reverse()
+            values[:0] = fresh
+        return values
+
+    def take(self, node: int, count: int) -> List[float]:
+        """The next ``count`` values of ``node``, in draw order."""
+        values = self[node]
+        if len(values) < count:
+            self.refill(node, count)
+        run = values[: -count - 1 : -1]
+        del values[len(values) - count :]
+        return run

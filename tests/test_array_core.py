@@ -5,15 +5,18 @@ lottery keys and loss vectors array-at-a-time from a
 :class:`~repro.util.rng.StreamBank`.  It must be the scalar form bit for
 bit: the bank hands every node the sequence its scalar calls would have
 drawn, and the arrays make the scalar form's candidates, in its order.
+The scalar form draws the same sequences from
+:class:`~repro.util.rng.DrawBuffers`.
 """
 
 import math
+from collections import Counter
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
@@ -39,7 +42,7 @@ from repro.protocols.etx_routing import plan_etx_route
 from repro.protocols.more import plan_more
 from repro.routing.node_selection import ForwarderSet, NodeSelectionError
 from repro.topology.partition import partition_positions
-from repro.util.rng import NodeStreams, RngFactory, StreamBank
+from repro.util.rng import DrawBuffers, NodeStreams, RngFactory, StreamBank
 from tests.meshes import lossy_meshes
 from tests.test_active_set import (
     BLOCKS,
@@ -117,6 +120,92 @@ class TestStreamBank:
     def test_capture_streams_cannot_be_banked(self):
         with pytest.raises(ValueError, match="cannot be banked"):
             StreamBank(NodeStreams(RngFactory(5), "capture"))
+
+
+def _scalar_run(generator, kind, count):
+    """The next ``count`` values of ``generator`` as the scalar form draws
+    them: a lottery key per call, a broadcast's loss vector in one."""
+    if kind == "mac":
+        return [generator.standard_exponential() for _ in range(count)]
+    return generator.random(count).tolist()
+
+
+class TestDrawBuffers:
+    """Any interleaving of single draws and runs is the scalar calls' sequence."""
+
+    @given(
+        block=st.sampled_from((1, 2, 32)),
+        kind=st.sampled_from(("mac", "channel")),
+        draws=st.lists(
+            st.tuples(
+                st.sampled_from(NODES),
+                # None: one ``list.pop()``; a count: one run of that many.
+                st.one_of(st.none(), st.integers(0, 5), st.integers(0, 80)),
+            ),
+            max_size=60,
+        ),
+    )
+    @example(block=2, kind="channel", draws=[(7, 0), (7, None), (7, 5), (3, 0), (7, None)])
+    @settings(deadline=None, max_examples=150)
+    def test_draws_equal_the_scalar_sequences(self, block, kind, draws):
+        with mock.patch.object(DrawBuffers, "BLOCK", block):
+            buffers = DrawBuffers(NodeStreams(RngFactory(5), kind))
+        scalar = NodeStreams(RngFactory(5), kind)
+        for node, count in draws:
+            if count is None:
+                values = [(buffers[node] or buffers.refill(node)).pop()]
+                count = 1
+            else:
+                values = buffers.take(node, count)
+            assert values == _scalar_run(scalar[node], kind, count)
+
+    def test_capture_streams_cannot_be_buffered(self):
+        with pytest.raises(ValueError, match="cannot be buffered"):
+            DrawBuffers(NodeStreams(RngFactory(5), "capture"))
+
+    @pytest.mark.parametrize("unicast", [False, True])
+    def test_a_scalar_session_calls_a_generator_once_a_block(self, unicast, monkeypatch):
+        """Per node and kind, at most ⌈values consumed / BLOCK⌉ calls."""
+        calls, drawn = Counter(), Counter()
+
+        class Counting:
+            def __init__(self, generator, key):
+                self._generator, self._key = generator, key
+
+            def __getattr__(self, name):
+                method = getattr(self._generator, name)
+                if name not in ("standard_exponential", "random"):
+                    return method  # a capture tie-break
+
+                def call(size):
+                    calls[self._key] += 1
+                    drawn[self._key] += size
+                    return method(size=size)
+
+                return call
+
+        derive = NodeStreams.__missing__
+
+        def counted(streams, node):
+            stream = streams[node] = Counting(derive(streams, node), (streams.kind, node))
+            return stream
+
+        monkeypatch.setattr(NodeStreams, "__missing__", counted)
+        network, source, destination, coded_plan = planned_mesh()
+        plan = plan_etx_route(network, source, destination) if unicast else coded_plan
+        with plan_session(network, plan, SessionConfig(max_seconds=30.0), RngFactory(4)) as session:
+            core = session._core
+            assert not core._arrays
+            session.run(1500)
+            buffers = {"mac": core._mac_draws, "channel": core._loss_draws}
+            consumed = {
+                (kind, node): count - len(buffers[kind][node])
+                for (kind, node), count in drawn.items()
+            }
+        assert {kind for kind, _node in calls} == {"mac", "channel"}
+        assert max(calls.values()) > 1
+        for key, count in calls.items():
+            assert count <= math.ceil(consumed[key] / DrawBuffers.BLOCK), key
 
 
 def _counters(registry):
@@ -427,7 +516,8 @@ def _install(session, plan):
 
 
 class TestRefresh:
-    """``set_network`` and ``install_plan`` renew the arrays, not the banks."""
+    """``set_network`` and ``install_plan`` renew the arrays, not the banks,
+    and on a scalar core renew the lists, not the draw buffers."""
 
     @staticmethod
     def _banks(core):
@@ -443,6 +533,39 @@ class TestRefresh:
             # ``np.empty`` left there, NaN patterns included.
             assert values.tobytes() == content.tobytes()
             assert np.array_equal(bank._cursor, cursor)
+
+    @staticmethod
+    def _buffers(core):
+        return [
+            (buffers, {node: (values, list(values)) for node, values in buffers.items()})
+            for buffers in (core._mac_draws, core._loss_draws)
+        ]
+
+    def _assert_buffers_untouched(self, core, before):
+        for (buffers, lists), now in zip(before, (core._mac_draws, core._loss_draws)):
+            assert now is buffers and buffers.keys() == lists.keys()
+            for node, (values, content) in lists.items():
+                assert buffers[node] is values and values == content
+
+    def test_structures_follow_the_network_and_buffers_stay(self):
+        network = line_network(64)
+        weaker = network.with_links({(i, j): 0.5 for i, j, _p in network.links()})
+        with line_session(network, 1) as session:
+            core = session._core
+            assert not core._arrays
+            session.run(120)
+            before = self._buffers(core)
+            # Mid-block: some node holds values it has not consumed yet.
+            assert any(values for buffers, lists in before for values, _ in lists.values())
+            assert core._rx_pairs[1] == [(0, 0.8), (2, 0.8)]
+            session.set_network(weaker)
+            assert core._rx_pairs[1] == [(0, 0.5), (2, 0.5)]
+            self._assert_buffers_untouched(core, before)
+            session.run(60)
+            before, pairs = self._buffers(core), core._rx_pairs
+            _install(session, _line_plan(network))
+            assert core._rx_pairs is not pairs and core._rx_pairs == pairs
+            self._assert_buffers_untouched(core, before)
 
     def test_structures_follow_the_network_and_banks_stay(self):
         network = line_network(256)
@@ -486,12 +609,18 @@ class TestRefresh:
             with session:
                 core = session._core
                 session.run(150)
-                before = self._banks(core) if core._arrays else None
+                # Each survivor's row, cursor and values; on a scalar core
+                # every node's list, dropped ones included.
+                snapshot, untouched = (
+                    (self._banks, self._assert_banks_untouched)
+                    if core._arrays
+                    else (self._buffers, self._assert_buffers_untouched)
+                )
+                before = snapshot(core)
                 # Every other node beyond 100 goes: hosted positions shift.
                 _install(session, _line_plan(network, keep=lambda node: node < 100 or node % 2))
                 assert len(core._owned) < 256
-                if before is not None:  # each survivor's row, cursor and values
-                    self._assert_banks_untouched(core, before)
+                untouched(core, before)
                 session.run(150)
                 return core, stats_digest(session.finalize_stats())
 
