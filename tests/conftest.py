@@ -2,24 +2,8 @@
 
 import pytest
 
-from repro.emulator import engine
 from repro.exec.pool import PersistentWorkerGroup
 from tests.dormancy import parked_contract_monitor
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--array-cores",
-        action="store_true",
-        help="run every coded core in the array form (ARRAY_FORM_MIN_HOSTED = 0); "
-        "forked shard workers inherit it, spawned ones read the real constant",
-    )
-
-
-@pytest.fixture(autouse=True)
-def _array_cores(request, monkeypatch):
-    if request.config.getoption("--array-cores"):
-        monkeypatch.setattr(engine, "ARRAY_FORM_MIN_HOSTED", 0)
 
 
 @pytest.fixture

@@ -2,8 +2,9 @@
 
 Each :class:`Pin` names its producer, an importable ``"module:function"``
 that recomputes the value from a variant's keyword arguments only; the
-committed value; and the variants it must hold at.  ``tests/test_pins.py``
-checks each (pin, variant).  To move a pin on purpose, from the root::
+committed value; and the variants it must hold at (a ``form`` runs it
+under :func:`core_form`).  ``tests/test_pins.py`` checks each (pin,
+variant).  To move a pin on purpose, from the root::
 
     PYTHONPATH=src python -m tests.pins record NAME [NAME ...]
 
@@ -12,14 +13,32 @@ rewrites only those entries here and prints ``name: old -> new``.
 """
 
 import ast
-import importlib
 import json
+import math
 import sys
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from importlib import import_module
 from pathlib import Path
 from typing import Any
+from unittest import mock
 
 from repro.coding.backends import available_backends
+from repro.emulator import engine
+
+
+@contextmanager
+def core_form(form):
+    """Build the block's cores in ``form``, ``"scalar"`` or ``"array"`` (the
+    constant at infinity or at zero), and fail unless an array phase ran
+    exactly in ``"array"``.  A spawned or forked worker's cores go unchecked."""
+    fire = engine.EngineCore._fire_arrays
+    with (
+        mock.patch.object(engine, "ARRAY_FORM_MIN_HOSTED", {"scalar": math.inf, "array": 0}[form]),
+        mock.patch.object(engine.EngineCore, "_fire_arrays", autospec=True, side_effect=fire) as spy
+    ):
+        yield
+    assert spy.called == (form == "array"), f"core form {form}: array phases ran: {spy.called}"
 
 
 @dataclass(frozen=True)
@@ -31,7 +50,9 @@ class Pin:
 
     def produce(self, variant):
         module, function = self.producer.split(":")
-        return getattr(importlib.import_module(module), function)(**variant)
+        arguments = dict(variant)
+        with core_form(arguments.pop("form")) if "form" in variant else nullcontext():
+            return getattr(import_module(module), function)(**arguments)
 
 
 def variant_id(variant):
@@ -49,6 +70,19 @@ LINE_CORES = ({"shards": 1}, *(
 JOBS_12 = ({"jobs": 1}, {"jobs": 2})
 #: Every GF(2^8) field engine this machine has, and the baseline.
 FIELDS = tuple({"field": name} for name in (*available_backends(), "baseline"))
+
+
+def bench_smoke(workload):
+    """``bench/run.py --smoke``'s result digest of ``workload`` at its default seed."""
+    if (bench := str(Path(__file__).resolve().parents[1] / "bench")) not in sys.path:
+        sys.path.append(bench)  # imported as it runs, never edited
+    return import_module("workloads").make_workload(workload, 2008, smoke=True).rep().digest
+
+
+def and_array(variants=({},)):
+    """``variants``, then the first (in-process) one again on array cores."""
+    return (*variants, {**variants[0], "form": "array"})
+
 
 PINS = (
     Pin("table1.cold_warm", "tests.test_table1_oracle:cold_and_warm", (
@@ -70,27 +104,27 @@ PINS = (
     Pin("churn_xor", "tests.test_active_set:churn_xor", (
         "a374b1c1587b81b041b6a7dfe341032e829db122c3928083ef631c05f6863a41",
         "4f18db7655fc9c6ea44f4a48fc6b462e594d8e7a0fd2894ece5939f7aadd1b05",
-    ), SHARDS_12),
+    ), and_array(SHARDS_12)),
     Pin("adaptive_switch.runner", "tests.test_active_set:adaptive_switch_runner", (
         "ca79d13b8d567bd75e3286bf0edbf63bd8a826c2e8a0775aff8e7d9a74934bd7",
         "11eb409ba88657f35afbc1bf57f7d8473f1dd6d0a3d209c2e707ad455c439060",
-    ), SHARDS_124),
+    ), and_array(SHARDS_124)),
     Pin("adaptive_switch.sharded", "tests.test_active_set:adaptive_switch_sharded", (
         "2da176d1170eafea06f670170b7f9a37d9addfd1cdc6ee67f2869779694fba3f",
         "3e08700e14662ae4bbcba77281c109b5457a43999683174a8104b020eeb6f589",
-    ), SHARDS_12),
+    ), and_array(SHARDS_12)),
     Pin("hot_swap", "tests.test_active_set:hot_swap", (
         "b9548d8dc984a4d95dbe1368b97aacb10722ea516343b61d8fd9902a1ff74474",
         "ee85f757f8884d38d9c59b90ded4b15f3181d84809884f90ac0f221f29d42ab4",
-    ), SHARDS_12),
+    ), and_array(SHARDS_12)),
     Pin("obs_on.flow_session", "tests.test_active_set:obs_on_flow_session", (
         {"slots": 282, "grants": 235, "transmissions": 235, "deliveries": 458, "blanked": 0},
         (1128, 49.0, "c2ae998ec56d96186cfd2734a5d4fb2e520878c79dc80b8687e78d488a5231b7"),
-    )),
+    ), and_array()),
     Pin("obs_on.relay_line", "tests.test_active_set:obs_on_relay_line", (
         {"slots": 200, "grants": 4196, "transmissions": 4196, "deliveries": 2650, "blanked": 4980},
         (25600, 8826.0, "73a606a51d5a9464977b3d9017fd068588daa299e92474afc828920ead32e7f9"),
-    )),
+    ), and_array()),
     Pin("relay_line.array_cores", "tests.test_array_core:relay_line_across_forms", (
         "14bccb58a4582ba423c8da8ec4e0e3062b985b6db039400893ef23b2bb5953fa",
         "4ac25057daa581ef87577613ecf754b3fe3b480cb6e23797be08b2d78932279a",
@@ -98,15 +132,15 @@ PINS = (
     Pin("driver.unicast", "tests.test_plan_install:unicast_driver",
         "1455624e49dd426060bd1df8faf3fbd3436ca23de1a16a1c3736d04afbf0ab2d"),
     Pin("driver.credit_exact", "tests.test_plan_install:credit_plan_at_exact_fidelity",
-        "75297b9bb81230f7bd72ed840b370b28b6f0606c226ef1e0adb426e630733f91"),
+        "75297b9bb81230f7bd72ed840b370b28b6f0606c226ef1e0adb426e630733f91", and_array()),
     Pin("adaptive.more_flow", "tests.test_plan_install:adaptive_more_flow", (
         "f0546a2b9235fc259bf103e345f85b2e0f3f8ce25c4152ed08b9c7a253ee2794",
         "df5c52759ebf020c816adab8eaf160e1402d753337c03aec7e6bc4ce736e0595",
-    ), SHARDS_124),
+    ), and_array(SHARDS_124)),
     Pin("adaptive.more_exact", "tests.test_plan_install:adaptive_more_exact", (
         "76c075fbd9315c2741b1c9a17357b8c9d82668fe6ec0b89118189bdb8dfab51c",
         "edcc4c5535df937e554bfb439c9a25e4aca891c4c7d149caaca07806216f66a7",
-    ), SHARDS_124),
+    ), and_array(SHARDS_124)),
     Pin("adaptive.etx_flow", "tests.test_plan_install:adaptive_etx_flow", (
         "f0b52461fed690a5e0f55a09dc82a2764168af20390cf5e1ad6012931ab80479",
         "4734007fc1120ccddf2a89cabccce069d409340db7b3f090a89513020aafc19a",
@@ -132,8 +166,23 @@ PINS = (
         "341fd7381bb75a4a4d2140ed545a1f26fe8c7ced42f191592e9557a83b583f9f",
     ), FIELDS),
     Pin("campaign.fig2", "tests.test_exec_campaign:fig2_campaign",
-        "725cf97e1280b11e34e718128b13305b1708e9f3a24a257b3bf4b0ff3f8ab01c", JOBS_12),
+        "725cf97e1280b11e34e718128b13305b1708e9f3a24a257b3bf4b0ff3f8ab01c", and_array(JOBS_12)),
     Pin("mesh2k.result_digest", "tests.test_shard_traffic:mesh2k_result_digest", "7021afba"),
+    Pin("bench.campaign", "tests.pins:bench_smoke",
+        "d0a5346bf64233b221b249eae55c2dbadeb99de8e3cfb25e6610509d9c7723c9",
+        ({"workload": "campaign_serial"}, {"workload": "campaign_jobs2"})),
+    Pin("bench.mesh2k", "tests.pins:bench_smoke",
+        "0be08acd4d8bbc18ccb2e6b38307d6911f8520078d92599311a812910ba994be",
+        ({"workload": "mesh2k_serial"}, {"workload": "mesh2k_shards2"})),
+    Pin("bench.exact_multisession", "tests.pins:bench_smoke",
+        "1e2f3b1d4fd3cd5f3aa7a40b3a7f4746263ab1a69a74966f176875b2a297a6f0",
+        ({"workload": "exact_multisession"},)),
+    Pin("bench.codec_stream", "tests.pins:bench_smoke",
+        "a3a11a32e97bedd59c37c31f277ebac29a92594463b57b19e90ead5f0ae1fa50",
+        ({"workload": "codec_stream"},)),
+    Pin("bench.adaptive_replan", "tests.pins:bench_smoke",
+        "85b4b5e8bbcca19ab51929ea16979582db0ddeb95003534755b5c18a65073da2",
+        ({"workload": "adaptive_replan"},)),
 )
 
 

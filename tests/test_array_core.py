@@ -21,8 +21,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.emulator import engine
-from repro.emulator.engine import ARRAY_FORM_MIN_HOSTED, EngineCore
-from repro.emulator.multisession import multi_session_digest
+from repro.emulator.engine import ARRAY_FORM_MIN_HOSTED
 from repro.emulator.node import (
     FlowDestinationRuntime,
     FlowRelayRuntime,
@@ -44,10 +43,10 @@ from repro.routing.node_selection import ForwarderSet, NodeSelectionError
 from repro.topology.partition import partition_positions
 from repro.util.rng import DrawBuffers, NodeStreams, RngFactory, StreamBank
 from tests.meshes import lossy_meshes
+from tests.pins import core_form
 from tests.test_active_set import (
     BLOCKS,
     PACKET_BYTES,
-    churn_xor_run,
     line_network,
     line_session,
     plan_session,
@@ -217,21 +216,14 @@ def _both_forms(run):
     """``run()`` on scalar cores and on array cores, metrics collected:
     ``[(what run returned, the counters), ...]``, scalar first."""
     outcomes = []
-    for constant in (math.inf, 0):
-        with (
-            mock.patch.object(engine, "ARRAY_FORM_MIN_HOSTED", constant),
-            mock.patch.object(
-                EngineCore, "_fire_arrays", autospec=True, side_effect=EngineCore._fire_arrays
-            ) as fire_arrays,
-            obs.collecting() as registry,
-        ):
+    for form in ("scalar", "array"):
+        with core_form(form), obs.collecting() as registry:
             outcomes.append((run(), _counters(registry)))
-        assert fire_arrays.called == (constant == 0)
     return outcomes
 
 
 class TestScalarEqualsArray:
-    """The constant at infinity against the constant at zero."""
+    """The scalar form against the array form (:func:`~tests.pins.core_form`)."""
 
     @pytest.mark.parametrize("fidelity", ["flow", "exact"])
     @pytest.mark.parametrize("interference", ["blanking", "capture", "conflict_free"])
@@ -257,15 +249,6 @@ class TestScalarEqualsArray:
         scalar, array = _both_forms(run)
         assert array == scalar
         assert scalar[1]["emulator.deliveries"]["value"] > 0
-
-    def test_multi_session_with_xor_relays_and_churn(self):
-        def run():
-            tracer = SessionTracer(capacity=500_000)
-            outcome = churn_xor_run(1, tracer)
-            return multi_session_digest(outcome), trace_digest(tracer)
-
-        scalar, array = _both_forms(run)
-        assert array == scalar
 
     @given(
         network=lossy_meshes(),
@@ -579,10 +562,9 @@ class TestRefresh:
             session.run(60)
             return stats_digest(session.finalize_stats())
 
-        with mock.patch.object(engine, "ARRAY_FORM_MIN_HOSTED", math.inf):
-            with line_session(network, 1) as session:
-                scalar = drive(session)
-        with line_session(network, 1) as session:
+        with core_form("scalar"), line_session(network, 1) as session:
+            scalar = drive(session)
+        with core_form("array"), line_session(network, 1) as session:
             core = session._core
             assert core._arrays
             session.run(120)
@@ -603,10 +585,8 @@ class TestRefresh:
     def test_a_replaced_hosted_set_keeps_each_nodes_row(self):
         network = line_network(256)
 
-        def run(constant):
-            with mock.patch.object(engine, "ARRAY_FORM_MIN_HOSTED", constant):
-                session = line_session(network, 1)
-            with session:
+        def run(form):
+            with core_form(form), line_session(network, 1) as session:
                 core = session._core
                 session.run(150)
                 # Each survivor's row, cursor and values; on a scalar core
@@ -624,8 +604,8 @@ class TestRefresh:
                 session.run(150)
                 return core, stats_digest(session.finalize_stats())
 
-        _scalar_core, scalar = run(math.inf)
-        core, array = run(0)
+        _scalar_core, scalar = run("scalar")
+        core, array = run("array")
         assert array == scalar
         assert core._arrays
         # The first hosted set was every node in order, so row = node id.

@@ -3,7 +3,8 @@
 import pytest
 
 from tests import pins
-from tests.pins import PINS, Pin, variant_id
+from tests.pins import PINS, Pin, and_array, variant_id
+from tests.test_active_set import line_network, line_session
 
 
 def case_id(pin, variant):
@@ -37,6 +38,12 @@ def by_shards(shards):
     return "shared" if shards < 4 else "different"
 
 
+def by_core_form():
+    with line_session(line_network(8), 1) as session:
+        session.run(20)
+        return session._core._arrays
+
+
 TABLE = """PINS = (
     Pin("kept", "tests.test_pins:constant", "old"),
     Pin("moved", "tests.test_pins:constant", "old"),
@@ -57,8 +64,14 @@ def test_record_rewrites_only_the_named_entries(tmp_path, capsys):
 def test_record_refuses_when_the_variants_disagree(tmp_path):
     path = tmp_path / "pins.py"
     path.write_text(TABLE)
-    table = [Pin("moved", "tests.test_pins:by_shards", "old", pins.SHARDS_124)]
-    with pytest.raises(SystemExit, match="moved: the variants disagree") as refusal:
-        pins.record(["moved"], table, path)
-    assert "shards=4: 'different'" in str(refusal.value)
-    assert path.read_text() == TABLE
+    for producer, variants, refusal, reason in (
+        ("by_shards", pins.SHARDS_124, SystemExit, "shards=4: 'different'"),
+        ("by_core_form", and_array(), SystemExit, "form=array: True"),
+        # No core at all: the array variant cannot pass vacuously.
+        ("constant", and_array(), AssertionError, "core form array: array phases ran: False"),
+    ):
+        table = [Pin("moved", f"tests.test_pins:{producer}", "old", variants)]
+        with pytest.raises(refusal, match="moved: the variants disagree|core form") as refused:
+            pins.record(["moved"], table, path)
+        assert reason in str(refused.value)
+        assert path.read_text() == TABLE
