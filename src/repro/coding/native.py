@@ -5,7 +5,8 @@ row by a scalar with shuffle-based nibble tables; :data:`_C_SOURCE`
 below is that loop's modern descendant (``pshufb`` on AVX2 or SSSE3,
 scalar table walk elsewhere).  The source is embedded, compiled once
 with the system C compiler into a content-addressed shared object under
-the user cache directory, and loaded through ``ctypes``.
+the user cache directory and loaded through ``ctypes``, both by
+:mod:`repro.util.clib`.
 
 Nothing here is imported eagerly: :func:`load_native_backend` is the
 lazy provider registered by :mod:`repro.coding.backends`.  It returns
@@ -19,18 +20,11 @@ does around the call — contiguity checks, address look-ups, the byte
 meter's argument — costs more than the field arithmetic on a 40-byte
 coding vector, so addresses are bound once per basis and the meter is
 computed only while a hook listens.
-
-Every loaded function gets explicit ``argtypes``/``restype`` before the
-first call — ctypes otherwise truncates 64-bit pointers to ``int``.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import subprocess
-import tempfile
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -45,6 +39,7 @@ from repro.coding.gf256 import (
     eliminate_panel_reference,
     meter_bytes,
 )
+from repro.util import clib
 
 _C_SOURCE = r"""
 #include <stdint.h>
@@ -234,47 +229,6 @@ def _simd_cflags() -> List[str]:
     return []
 
 
-def _cache_dir() -> Path:
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
-        os.path.expanduser("~"), ".cache"
-    )
-    return Path(base) / "repro-omnc"
-
-
-def _build_library() -> Optional[Path]:
-    """Compile the kernel into a content-addressed cached .so.
-
-    Returns the library path, or ``None`` when no working C compiler is
-    available.  The cache key hashes source + flags, so a source edit or
-    different SIMD selection rebuilds instead of loading stale kernels.
-    """
-    cc = os.environ.get("CC") or "cc"
-    simd = _simd_cflags()
-    digest = hashlib.sha256(
-        ("\x00".join([_C_SOURCE, cc, *simd])).encode()
-    ).hexdigest()[:16]
-    cache = _cache_dir()
-    so_path = cache / f"gf_native_{digest}.so"
-    if so_path.exists():
-        return so_path
-    try:
-        cache.mkdir(parents=True, exist_ok=True)
-        with tempfile.TemporaryDirectory(dir=cache) as workdir:
-            c_path = Path(workdir) / "gf_native.c"
-            c_path.write_text(_C_SOURCE)
-            tmp_so = Path(workdir) / "gf_native.so"
-            command = [cc, "-O3", "-shared", "-fPIC", *simd, str(c_path), "-o", str(tmp_so)]
-            result = subprocess.run(command, capture_output=True, timeout=120)
-            if result.returncode != 0:
-                return None
-            # Atomic publish: concurrent builders race benignly to the
-            # same content-addressed name.
-            os.replace(tmp_so, so_path)
-        return so_path
-    except (OSError, subprocess.SubprocessError):
-        return None
-
-
 def _build_shuffle_tables() -> np.ndarray:
     """Per-coefficient pshufb tables: ``[c*0..c*15, c*0x00..c*0xF0]``."""
     nibbles = np.arange(16, dtype=np.intp)
@@ -285,26 +239,20 @@ def _build_shuffle_tables() -> np.ndarray:
 
 
 def _load_library(so_path: Path) -> Optional[ctypes.CDLL]:
-    """dlopen the kernel and declare every signature before any call."""
-    try:
-        lib = ctypes.CDLL(str(so_path))
-    except OSError:
-        return None
+    """dlopen the kernel, declare every signature and hand it the tables."""
     ptr = ctypes.c_void_p
     size = ctypes.c_size_t
     ssize = ctypes.c_ssize_t
-    lib.gf_init.argtypes = [ptr, ptr, ptr]
-    lib.gf_init.restype = None
-    lib.gf_addmul_row.argtypes = [ptr, ptr, ctypes.c_uint, size]
-    lib.gf_addmul_row.restype = None
-    lib.gf_addmul_rows.argtypes = [ptr, ssize, ptr, ptr, size, size]
-    lib.gf_addmul_rows.restype = None
-    lib.gf_matmul.argtypes = [ptr, ptr, ptr, size, size, size]
-    lib.gf_matmul.restype = None
-    lib.gf_eliminate.argtypes = [ptr, size, size, size, size, ptr, ptr]
-    lib.gf_eliminate.restype = ssize
-    lib.gf_basis_insert.argtypes = [ptr, ptr, ptr, ptr, size, size, size]
-    lib.gf_basis_insert.restype = ssize
+    lib = clib.load(so_path, {
+        "gf_init": ([ptr, ptr, ptr], None),
+        "gf_addmul_row": ([ptr, ptr, ctypes.c_uint, size], None),
+        "gf_addmul_rows": ([ptr, ssize, ptr, ptr, size, size], None),
+        "gf_matmul": ([ptr, ptr, ptr, size, size, size], None),
+        "gf_eliminate": ([ptr, size, size, size, size, ptr, ptr], ssize),
+        "gf_basis_insert": ([ptr, ptr, ptr, ptr, size, size, size], ssize),
+    })
+    if lib is None:
+        return None
     mul = np.ascontiguousarray(_MUL_TABLE)
     shuf = _build_shuffle_tables()
     inv = np.ascontiguousarray(_INV_TABLE)
@@ -588,7 +536,7 @@ def load_native_backend() -> Optional["type[GF256]"]:
     """
     global _LIB
     if _LIB is None:
-        so_path = _build_library()
+        so_path = clib.build("gf_native", _C_SOURCE, ["-O3", *_simd_cflags()])
         if so_path is None:
             return None
         _LIB = _load_library(so_path)

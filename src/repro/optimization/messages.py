@@ -28,13 +28,12 @@ shortest-path tie-breaking and the distance-vector's summation order
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
 
 from repro.optimization.problem import SessionGraph
 from repro.optimization.rate_control import RateControlAlgorithm, RateControlConfig
-from repro.optimization.sub1_routing import Sub1Router
+from repro.optimization.sub1_routing import DistanceVectorRouter, Sub1Router
 
-_INF = float("inf")
+__all__ = ["DistanceVectorRouter", "MessagePassingRateControl", "MessageStats"]
 
 
 @dataclass
@@ -53,59 +52,6 @@ class MessageStats:
             + self.flow_setup_tokens
             + self.rate_price_broadcasts
         )
-
-
-class DistanceVectorRouter(Sub1Router):
-    """SUB1 as node programs: distributed Bellman-Ford toward the
-    destination, then a flow-setup token along the next hops.
-
-    Synchronous rounds: each round every node with a finite distance
-    advertises it (one message), and every node relaxes its out-links in
-    link order against the previous round's snapshot, taking a link only
-    on an improvement larger than 1e-15.  Rounds stop when nothing
-    changes, after at most |V|.
-    """
-
-    distance_advertisements = 0
-    flow_setup_tokens = 0
-
-    def _shortest_path(
-        self, weights: Sequence[float]
-    ) -> Tuple[List[int], float] | None:
-        index = self._graph.index
-        tail, head = index.tail, index.head
-        count = len(self._graph.nodes)
-        distance = [_INF] * count
-        next_link = [-1] * count
-        distance[index.destination] = 0.0
-        for _ in range(count):
-            changed = False
-            snapshot = list(distance)
-            self.distance_advertisements += count - snapshot.count(_INF)
-            for k, cost in enumerate(weights):
-                through = snapshot[head[k]]
-                if through == _INF:
-                    continue
-                candidate = cost + through
-                i = tail[k]
-                if candidate < distance[i] - 1e-15:
-                    distance[i] = candidate
-                    next_link[i] = k
-                    changed = True
-            if not changed:
-                break
-        path_cost = distance[index.source]
-        if path_cost == _INF:
-            return None
-        hops: List[int] = []
-        v = index.source
-        while v != index.destination:
-            k = next_link[v]
-            hops.append(k)
-            v = head[k]
-            assert len(hops) < count, "next hops loop"
-        self.flow_setup_tokens += len(hops)
-        return hops, path_cost
 
 
 class MessagePassingRateControl(RateControlAlgorithm):

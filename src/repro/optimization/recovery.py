@@ -24,8 +24,6 @@ onto a fixed index order once.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 
@@ -39,13 +37,14 @@ class IterateAverager:
             raise ValueError(f"tail must be in (0, 1], got {tail}")
         self._size = size
         self._tail = tail
-        # _prefix[t] = sum of iterates 0..t-1; _prefix[0] = zeros.
-        self._prefix: List[np.ndarray] = [np.zeros(size)]
+        # Row t = sum of iterates 0..t-1 for t <= count; row 0 = zeros.
+        self._prefix = np.zeros((8, size))
+        self._count = 0
 
     @property
     def count(self) -> int:
         """Number of iterates absorbed."""
-        return len(self._prefix) - 1
+        return self._count
 
     @property
     def tail(self) -> float:
@@ -57,11 +56,29 @@ class IterateAverager:
         iterate = np.asarray(iterate, dtype=float)
         if iterate.shape != (self._size,):
             raise ValueError(f"iterate shape {iterate.shape} != ({self._size},)")
-        self._prefix.append(self._prefix[-1] + iterate)
+        t = self._count
+        prefix = self.reserve(1)
+        np.add(prefix[t], iterate, out=prefix[t + 1])
+        self._count = t + 1
+
+    def reserve(self, extra: int) -> np.ndarray:
+        """The C-contiguous prefix-sum table, grown to hold ``extra`` more
+        rows; rows past :attr:`count` are scratch until :meth:`advance`."""
+        rows = len(self._prefix)
+        if self._count + 1 + extra > rows:
+            grown = np.zeros((max(self._count + 1 + extra, 2 * rows), self._size))
+            grown[:rows] = self._prefix
+            self._prefix = grown
+        return self._prefix
+
+    def advance(self, rows: int) -> None:
+        """Absorb the ``rows`` iterates whose prefix sums were written past
+        :attr:`count` into the :meth:`reserve` table (the compiled loop)."""
+        self._count += rows
 
     def average(self) -> np.ndarray:
         """The current (tail-)averaged vector; zeros before any push."""
-        t = self.count
+        t = self._count
         if t == 0:
             return np.zeros(self._size)
         start = int(np.floor(t * (1.0 - self._tail)))

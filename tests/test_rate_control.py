@@ -1,5 +1,7 @@
 """The distributed rate control algorithm (paper Table 1)."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -200,6 +202,17 @@ class TestRateControl:
             RateControlConfig(proximal_c=0)
         with pytest.raises(ValueError):
             RateControlConfig(initial_rate=1.5)
+        # Non-finite values used to pass: nan "converged" with every rate 0
+        # or never converged, an infinite cap surfaced as an unreachable
+        # destination and a nan cap as a ZeroDivisionError.
+        for field_name, value in (
+            ("proximal_c", math.nan),
+            ("tolerance", math.nan),
+            ("gamma_cap", math.inf),
+            ("gamma_cap", math.nan),
+        ):
+            with pytest.raises(ValueError, match=f"^{field_name} must be finite"):
+                RateControlConfig(**{field_name: value})
 
     @pytest.mark.parametrize("primal_recovery", [True, False])
     def test_one_session_multi_equals_single(self, primal_recovery):

@@ -22,13 +22,14 @@ import random
 
 from repro import obs
 from repro.experiments.common import CampaignConfig, build_network
-from repro.optimization.messages import MessagePassingRateControl
+from repro.optimization.messages import DistanceVectorRouter, MessagePassingRateControl
 from repro.optimization.multi_session import MultiSessionRateControl
 from repro.optimization.problem import (
+    SessionGraph,
     session_graph_from_network,
     session_graph_from_selection,
 )
-from repro.optimization.rate_control import RateControlAlgorithm
+from repro.optimization.rate_control import RateControlAlgorithm, RateControlDuals
 from repro.optimization.replanning import replan_cost
 from repro.protocols.etx_routing import plan_etx_route
 from repro.routing.node_selection import NodeSelectionError, select_forwarders
@@ -147,6 +148,34 @@ def four_opposing_sessions():
 
 def replan_costs():
     return digest([replan_cost(mesh(), s, d) for s, d in PAIRS[:4]])
+
+
+class WarmCensus(RateControlAlgorithm):
+    """The census loop, warm-started."""
+
+    def _sub1(self, graph):
+        return DistanceVectorRouter(graph)
+
+
+def near_tie_loop():
+    """A census whose first exchange hears a route one ulp cheaper than the
+    one it holds: 0.1 + (0.2 + 0.3) = 0.6 against (0.1 + 0.2) + 0.3 =
+    0.6000000000000001.  Under the 1e-15 threshold the source keeps the
+    two-hop route it heard first, and no extra round runs."""
+    prices = {(0, 1): 0.1, (1, 2): 0.2, (2, 4): 0.3, (0, 3): 0.1 + 0.2, (3, 4): 0.3}
+    nodes = tuple(range(5))
+    graph = SessionGraph(
+        0, 4, nodes, tuple(prices), dict.fromkeys(prices, 0.9),
+        {node: frozenset(nodes) - {node} for node in nodes}, 1.0,
+    )
+    return WarmCensus(graph, warm_start=RateControlDuals(prices, {}, {}, {}, 0))
+
+
+def near_tie_census():
+    loop = near_tie_loop()
+    result = loop.run()
+    router = loop._routers[0]
+    return digest([result, router.distance_advertisements, router.flow_setup_tokens])
 
 
 def fig1_observed_iterations():
