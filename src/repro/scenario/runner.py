@@ -193,7 +193,9 @@ class _Epochs(Boundaries):
                 self.failed_replans += 1
                 self._m_failed.inc()
             else:
-                stall_slots = math.ceil(cost_seconds / session.slot_duration)
+                # The stall ends with the session at the latest.
+                left = int(self.config.max_seconds / session.slot_duration) - session.slots
+                stall_slots = min(math.ceil(cost_seconds / session.slot_duration), left)
                 session.advance_idle(stall_slots)
                 stall_seconds = stall_slots * session.slot_duration
                 self.replan_seconds += stall_seconds
