@@ -59,10 +59,10 @@ from repro.emulator.node import (
     NodeRuntime,
 )
 
-#: Row roles, ``1 + `` the index of the runtime class in ``_KINDS``; an
+#: Row roles, ``1 + `` the index of the runtime class in :data:`KINDS`; an
 #: object row is role 0.
 SOURCE, RELAY, DESTINATION = 1, 2, 3
-_KINDS = (FlowSourceRuntime, FlowRelayRuntime, FlowDestinationRuntime)
+KINDS = (FlowSourceRuntime, FlowRelayRuntime, FlowDestinationRuntime)
 
 #: (column, runtime attribute) of the state a slot changes, per role: what
 #: :meth:`Columns.store` writes back.  The broadcast queue comes on top.
@@ -136,7 +136,11 @@ class Columns:
         #: A relay's accepted packets, a destination's innovative ones.
         self.accepted = np.zeros(count, dtype=np.int64)
         self._layout: Tuple[np.ndarray, Sequence[int], np.ndarray] | None = None
-        self.load(np.flatnonzero([type(runtime) in _KINDS for runtime in runtimes]))
+        #: Counts the calls that may have replaced an array (``levels``,
+        #: the masks ``load`` derives, the upstream mask): whoever holds
+        #: pointers into them repoints when it moves.
+        self.reallocations = 0
+        self.load(np.flatnonzero([type(runtime) in KINDS for runtime in runtimes]))
         self.awake = self.held.copy()
 
     # -- rows and objects ------------------------------------------------
@@ -145,7 +149,7 @@ class Columns:
         """Read the rows at ``positions`` from their runtime objects."""
         dt = self._dt
         indices = positions.tolist()
-        for role, kind in enumerate(_KINDS, 1):
+        for role, kind in enumerate(KINDS, 1):
             rows = [p for p in indices if type(self._runtimes[p]) is kind]
             if not rows:
                 continue
@@ -178,6 +182,7 @@ class Columns:
         self._classify()
         if self._layout is not None and (self.role[positions] == RELAY).any():
             self._align_upstream()  # a relay's mode or upstream set may have moved
+        self.reallocations += 1
 
     def store(self, positions: np.ndarray) -> None:
         """Write the rows at ``positions`` into their runtime objects."""
@@ -263,6 +268,7 @@ class Columns:
         """
         self._layout = (receivers, nodes, position_of)
         self._align_upstream()
+        self.reallocations += 1
 
     def _align_upstream(self) -> None:
         assert self._layout is not None

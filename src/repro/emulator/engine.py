@@ -31,6 +31,9 @@ protocol-agnostic: behaviour differences live entirely in the runtimes
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import logging
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -42,10 +45,15 @@ from typing import (
 import numpy as np
 
 from repro import obs
+from repro.emulator import native
 from repro.emulator.awake import AwakeSet
+from repro.emulator.columns import KINDS as FLOW_KINDS
 from repro.emulator.columns import Columns
 from repro.emulator.node import (
+    FlowDestinationRuntime,
     FlowPacket,
+    FlowRelayRuntime,
+    FlowSourceRuntime,
     MultiSessionNodeRuntime,
     NodeRuntime,
     RuntimeTerms,
@@ -266,8 +274,12 @@ class EngineCore:
     are gathers from a :class:`~repro.util.rng.StreamBank`, and the
     flow-fidelity runtimes' tick, pop, absorb and queue sampling run
     over their rows (:class:`~repro.emulator.columns.Columns`); any other
-    runtime stays an object on the awake set.  The form is picked once,
-    at construction.
+    runtime stays an object on the awake set.  A core that
+    :func:`compilable` admits takes the array form whatever its size
+    while :func:`compiled_kernel` loads, and while all its rows are
+    columns :meth:`run_slots` is one call into that compiled loop
+    (:mod:`repro.emulator.native`): the numpy phases' arithmetic in their
+    order.  The form is picked once, at construction.
     """
 
     def __init__(self, init: CoreInit) -> None:
@@ -281,16 +293,7 @@ class EngineCore:
         mac = NodeStreams(factory, "mac")
         loss = NodeStreams(factory, "channel")
         self._capture = NodeStreams(factory, "capture")
-        # The form is chosen here, once, from what the core is given to
-        # host: buffers and banks hold values their generators have
-        # already produced, so a node cannot move from one to the other.
-        # The array phases carry broadcasts only: a unicast attempt — one
-        # target, an arrival of its own kind, a verdict settled after the
-        # receiver resolves — has no place in them, so a core that hosts
-        # a unicast runtime stays scalar.
-        self._arrays = (
-            len(init.runtimes) >= ARRAY_FORM_MIN_HOSTED and not init.has_unicast
-        )
+        self._arrays, self._kernel = self._form(init)
         if self._arrays:
             self._mac_bank = StreamBank(mac)
             self._loss_bank = StreamBank(loss)
@@ -322,6 +325,23 @@ class EngineCore:
             "queue_depth", "per-node queue length sampled every slot"
         )
         self._host(init.runtimes, init.participants)
+
+    def _form(self, init: CoreInit) -> Tuple[bool, Optional[native.Kernel]]:
+        """The form, chosen once from what the core is given to host:
+        whether it runs array-at-a-time, and the compiled slot loop it
+        runs epochs on (``None``: the numpy or scalar phases).
+
+        Buffers and banks hold values their generators have already
+        produced, so a node cannot move from one to the other.  The array
+        phases carry broadcasts only: a unicast attempt — one target, an
+        arrival of its own kind, a verdict settled after the receiver
+        resolves — has no place in them, so a core that hosts a unicast
+        runtime stays scalar.
+        """
+        if init.has_unicast:
+            return False, None
+        kernel = compiled_kernel() if compilable(init) else None
+        return kernel is not None or len(init.runtimes) >= ARRAY_FORM_MIN_HOSTED, kernel
 
     def _host(
         self, runtimes: Dict[int, NodeRuntime], participants: Tuple[int, ...]
@@ -451,6 +471,117 @@ class EngineCore:
         # Whoever asked for the refresh may have swapped plans or
         # runtime objects: nothing stays parked.
         self._wake_everyone()
+        # The compiled loop runs on these arrays, unless the scheduler
+        # just built observes its grants.
+        self._packed: Optional[native.Core] = None
+        if self._kernel is not None and not obs.get_registry().enabled:
+            self._pack()
+
+    def _pack(self) -> None:
+        """Point the compiled loop at every array it works on in place, the
+        scheduler's conflict sets as CSR, and at buffers for what it hands
+        back."""
+        core = self._packed = native.Core()
+        count, pad = len(self._owned), self._network.node_count
+        width = self._rx_ids.shape[1]
+        conflicts = [sorted(blocked) for blocked in self._scheduler._conflict_pos]
+        self._conflict_ptr = np.zeros(count + 1, dtype=np.int64)
+        self._conflict_ptr[1:] = np.cumsum([len(blocked) for blocked in conflicts])
+        self._conflict = np.array([p for blocked in conflicts for p in blocked], dtype=np.int64)
+        # ``[granted, contenders]`` per slot, grown to the largest budget.
+        self._slot_out = np.zeros((2, 0), dtype=np.int64)
+        self._granted_ids = np.zeros(4 * max(count, 1), dtype=np.int64)
+        self._contender_out = np.zeros(count + 1, dtype=np.int64)
+        self._key_out = np.zeros(count + 1)
+        self._fallback_out = np.zeros((count + 1, 7), dtype=np.int64)
+        self._kernel_error: Optional[BaseException] = None
+        core.rows, core.rx_width, core.pad = count, width, pad
+        core.mac_block = self._mac_bank._block
+        core.loss_block = self._loss_bank._block
+        core.blanking, core.cut = self._blanking, bool(self._cut)
+        core.park_interval = AwakeSet.PARK_INTERVAL
+        core.id_capacity = len(self._granted_ids)
+        core.floor = IdealMacScheduler.WEIGHT_FLOOR
+        core.smoothing = FlowRelayRuntime._DEMAND_SMOOTHING
+        arrays = [
+            ("rx_ids", self._rx_ids, np.int64, (count, width)),
+            ("rx_p", self._rx_p, np.float64, (count, width)),
+            ("position_of", self._position_of, np.int64, (pad + 1,)),
+            ("node_of", self._node_of, np.int64, (count,)),
+            ("conflict_ptr", self._conflict_ptr, np.int64, (count + 1,)),
+            ("conflict", self._conflict, np.int64, self._conflict.shape),
+            ("cut_mask", self._cut_mask, np.bool_, (count,)),
+            ("queue_time", self._queue_time_buf, np.float64, (count,)),
+            ("fired", self._fired, np.int64, (count,)),
+            ("delivered", self._delivered, np.bool_, (count, width)),
+            ("mac_rows", self._mac_rows, np.int64, (count,)),
+            ("loss_rows", self._loss_rows, np.int64, (count,)),
+            ("granted_ids", self._granted_ids, np.int64, self._granted_ids.shape),
+            ("contender_out", self._contender_out, np.int64, (count + 1,)),
+            ("key_out", self._key_out, np.float64, (count + 1,)),
+            ("fallback_out", self._fallback_out, np.int64, (count + 1, 7)),
+        ]
+        if self._blanking:
+            core.cov_width = self._cov.shape[1]
+            arrays += [
+                ("cov", self._cov, np.int64, self._cov.shape),
+                ("cov_row", self._cov_row, np.int64, (pad,)),
+            ]
+        for kind, bank in (("mac", self._mac_bank), ("loss", self._loss_bank)):
+            values = bank._values
+            arrays += [
+                (f"{kind}_values", values, np.float64, (len(values), bank._block)),
+                (f"{kind}_cursor", bank._cursor, np.int64, (len(values),)),
+            ]
+        for name, array, dtype, shape in arrays:
+            setattr(core, name, native.address(array, dtype, shape))
+        self._point_columns()
+
+    def _point_columns(self) -> None:
+        """Repoint the compiled loop at the columns' arrays, which a load
+        (any row fallback) may have replaced."""
+        columns = self._columns
+        core = self._packed
+        assert columns is not None and core is not None
+        count = len(self._owned)
+        shapes = {
+            "levels": (count, columns.levels.shape[1]),
+            "upstream": self._rx_ids.shape,
+            "credit_rows": columns._credit_rows.shape,
+        }
+        for name, attribute, dtype in native.COLUMNS:
+            array = getattr(columns, attribute)
+            setattr(core, name, native.address(array, dtype, shapes.get(name, (count,))))
+        core.width = columns.levels.shape[1]
+        core.credit_count = len(columns._credit_rows)
+        self._pointed = columns.reallocations
+
+    def _refill(self, bank: int, row: int) -> int:
+        """The compiled loop's refill callback: ``StreamBank._refill``."""
+        try:
+            (self._loss_bank if bank else self._mac_bank)._refill(row)
+        except BaseException as error:  # re-raised once the kernel returns
+            self._kernel_error = error
+            return 1
+        return 0
+
+    def _unbanked(self, count: int, rows: int, counts: int, out: int) -> int:
+        """The compiled loop's callback for a loss take wider than a
+        block: ``StreamBank._take_unbanked`` into ``out``."""
+        try:
+            int64 = ctypes.POINTER(ctypes.c_int64)
+            wanted = [
+                np.ctypeslib.as_array(ctypes.cast(pointer, int64), (count,))
+                for pointer in (rows, counts)
+            ]
+            values = self._loss_bank._take_unbanked(*(array.copy() for array in wanted))
+            if len(values):
+                target = ctypes.cast(out, ctypes.POINTER(ctypes.c_double))
+                np.ctypeslib.as_array(target, (len(values),))[:] = values
+        except BaseException as error:  # re-raised once the kernel returns
+            self._kernel_error = error
+            return 1
+        return 0
 
     def _wake_everyone(self) -> None:
         self._awake.wake_everyone()
@@ -553,6 +684,9 @@ class EngineCore:
         arrays = self._arrays
         records: List[Record] = []
         self._epoch = records
+        if self._packed is not None and not self._objects:
+            unfinished = self._run_compiled(budget, named, records)
+            return self._awake_count(), records, unfinished
         while budget > 0:
             keys, contenders = self._contend()
             if cut and (
@@ -573,6 +707,67 @@ class EngineCore:
             if not awake or (happened and any(event[2] == "decoded" for event in happened)):
                 break
         return self._awake_count(), records, None
+
+    def _run_compiled(
+        self, budget: int, named: bool, records: List[Record]
+    ) -> Optional[Contention]:
+        """:meth:`run_slots` on the compiled loop, one call per stretch of
+        slots between its exits: a slot left to the object path is
+        resolved, settled and recorded here, as :meth:`fire_resolve` and
+        the loop would; a cut slot's contention is returned unfinished."""
+        core = self._packed
+        columns = self._columns
+        assert core is not None and columns is not None and self._kernel is not None
+        if budget > self._slot_out.shape[1]:
+            self._slot_out = np.zeros((2, budget), dtype=np.int64)
+            core.slot_granted = native.address(self._slot_out[0], np.int64, (budget,))
+            core.slot_contenders = native.address(self._slot_out[1], np.int64, (budget,))
+        core.named = named
+        # The bank callbacks live for this call only: held by the core,
+        # they would tie it into a cycle that outlives its session (and
+        # so would ``ctypes.cast``).
+        callbacks = (native.Refill(self._refill), native.Unbanked(self._unbanked))
+        core.refill, core.unbanked = (
+            ctypes.c_void_p.from_buffer(callback).value for callback in callbacks
+        )
+        while budget > 0:
+            if columns.reallocations != self._pointed:
+                self._point_columns()
+            core.ticks = columns._ticks
+            status = self._kernel(ctypes.byref(core), budget)
+            columns._ticks = core.ticks
+            if status == native.FAILED:
+                error, self._kernel_error = self._kernel_error, None
+                raise error or RuntimeError("compiled slot loop: a queue level out of range")
+            slots = core.slots
+            pending = status == native.FALLBACK
+            granted: List[Any] = self._slot_out[0, : slots + pending].tolist()
+            contenders = self._slot_out[1, : slots + pending].tolist()
+            if named:
+                ids = self._granted_ids[: core.ids].tolist()
+                ends = np.cumsum(granted).tolist()
+                granted = [tuple(ids[end - size : end]) for size, end in zip(granted, ends)]
+            records.extend([(g, k, []) for g, k in zip(granted[:slots], contenders[:slots])])
+            budget -= slots
+            if status == native.CUT:
+                count = core.contenders
+                return self._contention(self._key_out[:count], self._contender_out[:count])
+            if status == native.ASLEEP:
+                break
+            if pending:
+                happened: List[Event] = []
+                entries: List[Entry] = []
+                fallbacks = self._fallback_out[: core.fallbacks].tolist()
+                for receiver, rank, place, sender, session, gen, level in fallbacks:
+                    packet = FlowPacket(session, gen, float(level))
+                    entries.append((receiver, [(rank, place, sender, "coded", packet)]))
+                self._resolve_objects(entries, happened)
+                self._settle(())
+                records.append((granted[slots], contenders[slots], happened))
+                budget -= 1
+                if not self._awake_count() or any(event[2] == "decoded" for event in happened):
+                    break
+        return None
 
     def epoch_slots(self, _argument: None = None) -> int:
         """Slots the last epoch completed: where it failed, if it raised."""
@@ -1165,3 +1360,90 @@ class EngineCore:
                 for composite, _times in self._composites
             },
         }
+
+
+def compilable(init: CoreInit) -> bool:
+    """Whether a core built from ``init`` now may run its epochs on the
+    compiled slot loop: flow rows only, no unicast, untraced, unobserved,
+    and no capture draws (the loop keeps none)."""
+    return (
+        not init.has_unicast
+        and not init.traced
+        and not obs.get_registry().enabled
+        and init.interference != "capture"
+        and all(type(runtime) in FLOW_KINDS for runtime in init.runtimes.values())
+    )
+
+
+@functools.cache
+def compiled_kernel() -> Optional[native.Kernel]:
+    """The compiled slot loop, or ``None`` where it cannot build, load or
+    pass :func:`_self_test` (one logged warning; the verdict holds for
+    the process)."""
+    run = native.load()
+    if run is None or not _self_test(run):
+        logging.getLogger(__name__).warning(
+            "the compiled slot loop is unavailable here; flow cores run their Python phases"
+        )
+        return None
+    return run
+
+
+def _self_test(run: native.Kernel) -> bool:
+    """Epochs on a five-node line on the numpy phases and on ``run``,
+    equal by ``repr`` slot by slot and in every array at the end: rate
+    and credit relays under blanking, a source that drops, refills,
+    decodes taken through the object path, generation advances and a
+    generation-size switch."""
+    from repro.emulator.plan import CodingParams  # only a self-test needs it
+
+    class Reference(EngineCore):
+        def _form(self, init: CoreInit) -> Tuple[bool, Optional[native.Kernel]]:
+            return True, None
+
+    class Candidate(EngineCore):
+        def _form(self, init: CoreInit) -> Tuple[bool, Optional[native.Kernel]]:
+            return True, run
+
+    line = range(5)
+    network = WirelessNetwork(
+        np.array([[0.6 * node, 0.0] for node in line]),
+        {(i, j): 0.9 for i in line for j in line if abs(i - j) == 1},
+        1.0,
+        capacity=1e5,
+    )
+    size, rate = 1000, 8e4  # bytes a packet, bytes a second
+    outcomes = []
+    for make in (Reference, Candidate):
+        log = _DecodeLog()
+        runtimes: Dict[int, NodeRuntime] = {
+            0: FlowSourceRuntime(0, 1, 2, rate, size, queue_limit=3),
+            1: FlowRelayRuntime(1, 1, 2, size, mode="rate", rate_bps=0.75 * rate),
+            2: FlowRelayRuntime(2, 1, 2, size, mode="credit", tx_credit=0.7, upstream=(1,)),
+            3: FlowRelayRuntime(3, 1, 2, size, mode="credit", tx_credit=1.3, upstream=(2,)),
+            4: FlowDestinationRuntime(4, 1, 2, on_decoded=log),
+        }
+        init = CoreInit(
+            network, runtimes, tuple(line), size / network.capacity, "blanking", 7,
+            has_unicast=False, decode_log=log,
+        )
+        trail = []
+        with obs.collecting(obs.MetricsRegistry(enabled=False)):
+            core = make(init)
+            generation = 0
+            for epoch, budget in enumerate((1, 3, 20, 40)):
+                if epoch == 2:
+                    core.apply_plan({node: {"coding": CodingParams(blocks=5)} for node in line})
+                events = [("advance_generation", generation)] if generation else None
+                reply = core.run_slots((budget, events, epoch % 2 == 0))
+                trail.append(reply)
+                generation += any(e[2] == "decoded" for *_r, happened in reply[1] for e in happened)
+            columns = core._columns
+            assert columns is not None
+            state = [getattr(columns, attribute) for _name, attribute, _dtype in native.COLUMNS]
+            state += [core._queue_time_buf, core._fired, core._delivered]
+            for bank in (core._mac_bank, core._loss_bank):
+                rows = [bank._row_of[node] for node in sorted(bank._streams)]
+                state += [bank._cursor, *(bank._values[row, bank._cursor[row] :] for row in rows)]
+            outcomes.append(repr((trail, core.finalize(), [a.tolist() for a in state], generation)))
+    return outcomes[0] == outcomes[1]

@@ -43,6 +43,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
 from repro import obs
+from repro.emulator import engine
 from repro.emulator.engine import (
     Arrival,
     Contention,
@@ -55,6 +56,7 @@ from repro.emulator.engine import (
     Install,
     Record,
     _DecodeLog,
+    compilable,
 )
 from repro.emulator.node import NodeRuntime, RuntimeTerms, UnicastRuntime
 from repro.emulator.plan import NodeSettings, SessionPlan
@@ -123,6 +125,8 @@ class ShardedCores:
         self._everyone = range(shards)
         self._live = list(self._everyone)
         self._index()
+        if compilable(init):  # resolved once here, forked workers inherit it
+            engine.compiled_kernel()
         pool = WorkerPool(shards, start_method=start_method)
         self.group: PersistentWorkerGroup = pool.persistent(
             EngineCore,

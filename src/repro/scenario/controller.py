@@ -16,6 +16,7 @@ trade-off:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -93,8 +94,8 @@ class DriftTriggeredPolicy(ReplanPolicy):
     """
 
     def __init__(self, threshold: float = 0.02) -> None:
-        if threshold <= 0:
-            raise ValueError(f"threshold must be > 0, got {threshold}")
+        if not 0 < threshold < math.inf:  # refuses NaN too
+            raise ValueError(f"threshold must be finite and > 0, got {threshold}")
         self._threshold = threshold
         self.name = f"drift:{threshold:g}"
 

@@ -1,8 +1,9 @@
 """Embedded C kernels: compile once into a content-addressed cache, dlopen.
 
-Both compiled kernels of the package — the GF(2^8) codec
-(:mod:`repro.coding.native`) and the Table 1 loop
-(:mod:`repro.optimization.native`) — embed their C source and come
+Every compiled kernel of the package — the GF(2^8) codec
+(:mod:`repro.coding.native`), the Table 1 loop
+(:mod:`repro.optimization.native`) and the emulator's slot loop
+(:mod:`repro.emulator.native`) — embeds its C source and comes
 through here.  :func:`build` compiles a source with ``$CC`` (default
 ``cc``) into ``$XDG_CACHE_HOME/repro-omnc/<stem>_<digest>.so``, where the
 digest hashes source, compiler and flags, so an edit or another compiler

@@ -31,16 +31,35 @@ from repro.optimization.rate_control import RateControlLoop
 
 @contextmanager
 def core_form(form):
-    """Build the block's cores in ``form``, ``"scalar"`` or ``"array"`` (the
-    constant at infinity or at zero), and fail unless an array phase ran
-    exactly in ``"array"``.  A spawned or forked worker's cores go unchecked."""
-    fire = engine.EngineCore._fire_arrays
-    with (
-        mock.patch.object(engine, "ARRAY_FORM_MIN_HOSTED", {"scalar": math.inf, "array": 0}[form]),
-        mock.patch.object(engine.EngineCore, "_fire_arrays", autospec=True, side_effect=fire) as spy
-    ):
+    """Build the block's cores in ``form`` and fail unless that form's path
+    ran: ``"scalar"`` or ``"array"`` (the constant at infinity or at zero,
+    the compiled slot loop withheld) ran no array phase and no kernel call,
+    or ran ``_fire_arrays``; ``"compiled"`` (flow-only cores on the
+    compiled slot loop, the rest in their default form) called the
+    kernel.  A spawned or forked worker's cores go unchecked."""
+    kernel = engine.compiled_kernel() if form == "compiled" else None
+    calls = []
+
+    def counted(*arguments):
+        calls.append(arguments[1])
+        return kernel(*arguments)
+
+    with ExitStack() as stack:
+        if form != "compiled":
+            stack.enter_context(mock.patch.object(
+                engine, "ARRAY_FORM_MIN_HOSTED", {"scalar": math.inf, "array": 0}[form]
+            ))
+        stack.enter_context(
+            mock.patch.object(engine, "compiled_kernel", return_value=kernel and counted)
+        )
+        spy = stack.enter_context(mock.patch.object(
+            engine.EngineCore, "_fire_arrays", autospec=True,
+            side_effect=engine.EngineCore._fire_arrays,
+        ))
         yield
-    assert spy.called == (form == "array"), f"core form {form}: array phases ran: {spy.called}"
+    ran = {"array": spy.called, "compiled": bool(calls)}
+    expected = {"scalar": not any(ran.values()), "array": ran["array"], "compiled": ran["compiled"]}
+    assert expected[form], f"core form {form}: paths ran: {ran}"
 
 
 @contextmanager
@@ -99,6 +118,8 @@ LINE_CORES = ({"shards": 1}, *(
 JOBS_12 = ({"jobs": 1}, {"jobs": 2})
 #: Every GF(2^8) field engine this machine has, and the baseline.
 FIELDS = tuple({"field": name} for name in (*available_backends(), "baseline"))
+#: The compiled slot loop, where its kernel loads.
+COMPILED = ({"form": "compiled"},) if engine.compiled_kernel() else ()
 #: Both Table 1 loops, the compiled one where its kernel loads.
 LOOPS = ({"loop": "python"},) + (
     ({"loop": "compiled"},) if rate_control.compiled_kernel() else ()
@@ -115,6 +136,14 @@ def bench_smoke(workload):
 def and_array(variants=({},)):
     """``variants``, then the first (in-process) one again on array cores."""
     return (*variants, {**variants[0], "form": "array"})
+
+
+def and_compiled(variants):
+    """``variants``, then the first (in-process) one again on the compiled
+    slot loop, where its kernel loads: for pins whose runs build flow-only
+    cores, untraced and unobserved — a traced, observed, exact or
+    composite run never does."""
+    return (*variants, *({**variants[0], **form} for form in COMPILED))
 
 
 def and_loops(variants=({},), loops=None):
@@ -209,14 +238,14 @@ PINS = (
     ), FIELDS),
     Pin("campaign.fig2", "tests.test_exec_campaign:fig2_campaign",
         "725cf97e1280b11e34e718128b13305b1708e9f3a24a257b3bf4b0ff3f8ab01c",
-        and_loops(and_array(JOBS_12))),
+        and_loops(and_compiled(and_array(JOBS_12)))),
     Pin("mesh2k.result_digest", "tests.test_shard_traffic:mesh2k_result_digest", "7021afba"),
     Pin("bench.campaign", "tests.pins:bench_smoke",
         "d0a5346bf64233b221b249eae55c2dbadeb99de8e3cfb25e6610509d9c7723c9",
-        and_loops(({"workload": "campaign_serial"}, {"workload": "campaign_jobs2"}))),
+        and_loops(and_compiled(({"workload": "campaign_serial"}, {"workload": "campaign_jobs2"})))),
     Pin("bench.mesh2k", "tests.pins:bench_smoke",
         "0be08acd4d8bbc18ccb2e6b38307d6911f8520078d92599311a812910ba994be",
-        ({"workload": "mesh2k_serial"}, {"workload": "mesh2k_shards2"})),
+        and_compiled(({"workload": "mesh2k_serial"}, {"workload": "mesh2k_shards2"}))),
     Pin("bench.exact_multisession", "tests.pins:bench_smoke",
         "1e2f3b1d4fd3cd5f3aa7a40b3a7f4746263ab1a69a74966f176875b2a297a6f0",
         and_loops(({"workload": "exact_multisession"},))),
@@ -225,7 +254,7 @@ PINS = (
         ({"workload": "codec_stream"},)),
     Pin("bench.adaptive_replan", "tests.pins:bench_smoke",
         "d0a4dfb1bfd5b1f6b4b14c3c40d04171bb5dcb79349b38cc4df2345faec50746",
-        and_loops(({"workload": "adaptive_replan"},))),
+        and_loops(and_compiled(({"workload": "adaptive_replan"},)))),
 )
 
 

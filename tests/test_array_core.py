@@ -192,7 +192,10 @@ class TestDrawBuffers:
         monkeypatch.setattr(NodeStreams, "__missing__", counted)
         network, source, destination, coded_plan = planned_mesh()
         plan = plan_etx_route(network, source, destination) if unicast else coded_plan
-        with plan_session(network, plan, SessionConfig(max_seconds=30.0), RngFactory(4)) as session:
+        with (
+            core_form("scalar"),
+            plan_session(network, plan, SessionConfig(max_seconds=30.0), RngFactory(4)) as session,
+        ):
             core = session._core
             assert not core._arrays
             session.run(1500)
@@ -533,7 +536,7 @@ class TestRefresh:
     def test_structures_follow_the_network_and_buffers_stay(self):
         network = line_network(64)
         weaker = network.with_links({(i, j): 0.5 for i, j, _p in network.links()})
-        with line_session(network, 1) as session:
+        with core_form("scalar"), line_session(network, 1) as session:
             core = session._core
             assert not core._arrays
             session.run(120)

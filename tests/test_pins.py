@@ -41,7 +41,7 @@ def by_shards(shards):
 def by_core_form():
     with line_session(line_network(8), 1) as session:
         session.run(20)
-        return session._core._arrays
+        return session._core._arrays, session._core._packed is not None
 
 
 TABLE = """PINS = (
@@ -66,9 +66,10 @@ def test_record_refuses_when_the_variants_disagree(tmp_path):
     path.write_text(TABLE)
     for producer, variants, refusal, reason in (
         ("by_shards", pins.SHARDS_124, SystemExit, "shards=4: 'different'"),
-        ("by_core_form", and_array(), SystemExit, "form=array: True"),
+        ("by_core_form", ({"form": "scalar"}, {"form": "array"}), SystemExit,
+         "form=array: (True, False)"),
         # No core at all: the array variant cannot pass vacuously.
-        ("constant", and_array(), AssertionError, "core form array: array phases ran: False"),
+        ("constant", and_array(), AssertionError, "core form array: paths ran: {'array': False"),
     ):
         table = [Pin("moved", f"tests.test_pins:{producer}", "old", variants)]
         with pytest.raises(refusal, match="moved: the variants disagree|core form") as refused:

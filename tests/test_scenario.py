@@ -15,6 +15,7 @@ from repro.scenario import (
     load_scenario,
     make_policy,
 )
+from repro.cli import main as cli_main
 from repro.topology.dynamics import quality_drift
 from repro.topology.random_network import diamond_topology, random_network
 from repro.util.rng import RngFactory
@@ -331,6 +332,16 @@ class TestPolicies:
             PeriodicPolicy(every=0)
         with pytest.raises(ValueError):
             DriftTriggeredPolicy(threshold=0.0)
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_a_non_finite_drift_threshold_is_refused(self, threshold, capsys):
+        with pytest.raises(ValueError, match="threshold"):
+            make_policy(f"drift:{threshold}")
+        argv = ["session", "omnc", "0", "7", "--nodes", "30", "--seconds", "20",
+                "--scenario", "drift", "--policy", f"drift:{threshold}"]
+        assert cli_main(argv) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("repro session: error:") and "threshold" in line
 
     def test_make_policy_parses_specs(self):
         assert isinstance(make_policy("oblivious"), ObliviousPolicy)
