@@ -1,4 +1,4 @@
-"""Flow runtimes as columns: an array core's flow-fidelity rows.
+"""Flow and unicast runtimes as columns: an array core's rows.
 
 A core in the array form (:data:`~repro.emulator.engine.ARRAY_FORM_MIN_HOSTED`)
 keeps the per-slot state of every hosted :class:`FlowSourceRuntime`,
@@ -33,6 +33,12 @@ generation its content never decreases: a source's packets carry the
 generation size, a relay's its information level, which only grows.  So
 the FIFO head is the lowest non-empty level.
 
+**Unicast rows** (:class:`UnicastRuntime`, ETX) are columns for the
+compiled slot loop only (:mod:`repro.emulator.native`), which runs the
+scalar form's arithmetic on them: :meth:`tick`, :meth:`pop` and
+:meth:`absorb` never see one.  Their FIFO of sequence numbers is a ring
+per row.
+
 **Parking.**  Every row is ticked, awake or not: a parked row sits at an
 exact fixed point of the tick (``NodeRuntime.dormant``), so ticking it
 changes nothing.  The awake flags keep the awake set's meaning and cadence
@@ -57,12 +63,14 @@ from repro.emulator.node import (
     FlowRelayRuntime,
     FlowSourceRuntime,
     NodeRuntime,
+    UnicastRuntime,
 )
+from repro.topology.graph import WirelessNetwork
 
 #: Row roles, ``1 + `` the index of the runtime class in :data:`KINDS`; an
 #: object row is role 0.
-SOURCE, RELAY, DESTINATION = 1, 2, 3
-KINDS = (FlowSourceRuntime, FlowRelayRuntime, FlowDestinationRuntime)
+SOURCE, RELAY, DESTINATION, UNICAST = 1, 2, 3, 4
+KINDS = (FlowSourceRuntime, FlowRelayRuntime, FlowDestinationRuntime, UnicastRuntime)
 
 #: (column, runtime attribute) of the state a slot changes, per role: what
 #: :meth:`Columns.store` writes back.  The broadcast queue comes on top.
@@ -88,13 +96,17 @@ _STATE = (
         ("heard", "packets_heard"),
         ("accepted", "innovative_received"),
     ),
+    _SENDER_STATE + (("accepted", "packets_delivered"), ("next_seq", "_next_seq")),
 )
+#: A coded role's generation and its size (a unicast row has neither).
+_GENERATION = (("generation", "_generation_id"), ("blocks", "_blocks"))
 #: What only the control plane changes, per role: read by :meth:`Columns.load`.
 _SETTINGS = (
     (),
     (("limit", "_queue_limit"),),
     (("limit", "_queue_limit"), ("tx_credit", "_tx_credit")),
     (),
+    (("limit", "_queue_limit"),),
 )
 
 
@@ -133,9 +145,29 @@ class Columns:
         self.sent = np.zeros(count, dtype=np.int64)
         self.dropped = np.zeros(count, dtype=np.int64)
         self.heard = np.zeros(count, dtype=np.int64)
-        #: A relay's accepted packets, a destination's innovative ones.
+        #: A relay's accepted packets, a destination's innovative ones, a
+        #: unicast sink's delivered ones.
         self.accepted = np.zeros(count, dtype=np.int64)
+        # Unicast rows (the ETX FIFO): ``increment`` holds their lottery
+        # weight, ``demand_hint * dt / packet_bytes``; ``arrival`` their
+        # offered load, ``rate * dt / packet_bytes``, earned only while
+        # ``offered`` (rate > 0).  The next hop is a node id (-1: the
+        # sink), its delivery probability and its cell along the core's
+        # receiver row (:meth:`align`; -1: not a hosted neighbour).
+        self.arrival = np.zeros(count)
+        self.offered = np.zeros(count, dtype=bool)
+        self.next_hop = np.full(count, -1, dtype=np.int64)
+        self.hop_p = np.zeros(count)
+        self._hop_cell = np.full(count, -1, dtype=np.int64)
+        self.next_seq = np.zeros(count, dtype=np.int64)
+        #: The FIFO of sequence numbers: row ``r``'s ring is
+        #: ``ring[ring_ptr[r]:ring_ptr[r + 1]]``, its head at ``head[r]``
+        #: and ``queue[r]`` entries long.
+        self.ring_ptr = np.zeros(count + 1, dtype=np.int64)
+        self.ring = np.zeros(0, dtype=np.int64)
+        self.head = np.zeros(count, dtype=np.int64)
         self._layout: Tuple[np.ndarray, Sequence[int], np.ndarray] | None = None
+        self._network: WirelessNetwork | None = None
         #: Counts the calls that may have replaced an array (``levels``,
         #: the masks ``load`` derives, the upstream mask): whoever holds
         #: pointers into them repoints when it moves.
@@ -156,14 +188,16 @@ class Columns:
             runtimes = [self._runtimes[p] for p in rows]
             self.role[rows] = role
             for column, attribute in (
-                ("generation", "_generation_id"),
-                ("blocks", "_blocks"),
+                *(() if role == UNICAST else _GENERATION),
                 ("session", "session_id"),
                 *_STATE[role],
                 *_SETTINGS[role],
             ):
                 getattr(self, column)[rows] = [getattr(r, attribute) for r in runtimes]
             if role == DESTINATION:
+                continue
+            if role == UNICAST:
+                self._load_unicast(rows, runtimes)
                 continue
             self.increment[rows] = [r._rate * dt / r._packet_bytes for r in runtimes]
             self._widen(int(self.blocks[rows].max()) + 1)
@@ -180,14 +214,55 @@ class Columns:
                 for row, runtime in zip(rows, runtimes):
                     self.upstream[row] = runtime._upstream  # type: ignore[attr-defined]
         self._classify()
-        if self._layout is not None and (self.role[positions] == RELAY).any():
-            self._align_upstream()  # a relay's mode or upstream set may have moved
+        if self._layout is not None:
+            loaded = self.role[positions]
+            if (loaded == RELAY).any():
+                self._align_upstream()  # a relay's mode or upstream set may have moved
+            if (loaded == UNICAST).any():
+                self._align_hops()  # and a unicast row's next hop
         self.reallocations += 1
+
+    def _load_unicast(self, rows: List[int], held: Sequence[NodeRuntime]) -> None:
+        """The settings and the FIFO of unicast ``rows``."""
+        dt = self._dt
+        runtimes = [r for r in held if isinstance(r, UnicastRuntime)]  # all of them
+        self.increment[rows] = [r._demand_hint * dt / r._packet_bytes for r in runtimes]
+        self.arrival[rows] = [r._rate * dt / r._packet_bytes for r in runtimes]
+        self.offered[rows] = [r._rate > 0 for r in runtimes]
+        self.next_hop[rows] = [-1 if r.next_hop is None else r.next_hop for r in runtimes]
+        queues = [list(r._queue) for r in runtimes]
+        self._make_room(rows, [max(r._queue_limit, len(q), 0) for r, q in zip(runtimes, queues)])
+        for row, queue in zip(rows, queues):
+            start = int(self.ring_ptr[row])
+            self.ring[start : start + len(queue)] = queue
+            self.head[row] = 0
+            self.queue[row] = len(queue)
+
+    def _make_room(self, rows: List[int], sizes: List[int]) -> None:
+        """Rings of at least ``sizes`` at ``rows``: a new layout, the other
+        rows' FIFOs kept, if one is short (a fresh core lays out once)."""
+        room = np.diff(self.ring_ptr)
+        if (room[rows] >= sizes).all():
+            return
+        kept = [(row, self._fifo(row)) for row in np.flatnonzero(self.role == UNICAST).tolist()]
+        room[rows] = np.maximum(room[rows], sizes)
+        self.ring_ptr[1:] = np.cumsum(room)
+        self.ring = np.zeros(int(self.ring_ptr[-1]), dtype=np.int64)
+        for row, queue in kept:
+            start = int(self.ring_ptr[row])
+            self.ring[start : start + len(queue)] = queue
+            self.head[row] = 0
+
+    def _fifo(self, row: int) -> List[int]:
+        """Unicast row ``row``'s queued sequence numbers, head first."""
+        start, end = self.ring_ptr[row : row + 2].tolist()
+        at = (int(self.head[row]) + np.arange(int(self.queue[row]))) % max(end - start, 1)
+        return self.ring[start + at].tolist()
 
     def store(self, positions: np.ndarray) -> None:
         """Write the rows at ``positions`` into their runtime objects."""
         role_of = self.role[positions]
-        for role in (SOURCE, RELAY, DESTINATION):
+        for role in (SOURCE, RELAY, DESTINATION, UNICAST):
             rows = positions[role_of == role]
             if not rows.size:
                 continue
@@ -199,6 +274,10 @@ class Columns:
                 continue
             for runtime in runtimes:
                 runtime._queue.clear()  # type: ignore[attr-defined]
+            if role == UNICAST:
+                for runtime, row in zip(runtimes, rows.tolist()):
+                    runtime._queue.extend(self._fifo(row))  # type: ignore[attr-defined]
+                continue
             queued = rows[self.queue[rows] > 0]
             for position, session, generation, counts in zip(
                 queued.tolist(),
@@ -244,6 +323,7 @@ class Columns:
         relay = role == RELAY
         self._rate_relay = relay & ~self.credit_mode
         self._credit_rows = np.flatnonzero(relay & self.credit_mode)
+        self._unicast_rows = np.flatnonzero(role == UNICAST)
         self._cap = np.where(self._rate_relay, FlowRelayRuntime._CREDIT_CAP, np.inf)
         # What the tick adds: sources and rate-mode relays earn rate credit.
         self._accrual = np.where(self._source | self._rate_relay, self.increment, 0.0)
@@ -253,22 +333,43 @@ class Columns:
         """The positions held here, ascending."""
         return np.flatnonzero(self.held)
 
-    def align_upstream(
-        self, receivers: np.ndarray, nodes: Sequence[int], position_of: np.ndarray
+    def align(
+        self,
+        receivers: np.ndarray,
+        nodes: Sequence[int],
+        position_of: np.ndarray,
+        network: WirelessNetwork,
     ) -> None:
-        """Lay MORE's per-reception credit out along ``receivers``.
+        """Lay MORE's per-reception credit and the unicast next hops out
+        along ``receivers``, over ``network``'s links.
 
         ``receivers`` holds one row of receiver node ids per hosted
         transmitter position (the core's ``_rx_ids``); a cell is marked
         where that receiver is a credit-mode relay held here whose
-        upstream set holds the transmitter.  ``nodes`` maps positions to
-        node ids, ``position_of`` node ids to positions (-1: not hosted).
-        The core calls this whenever ``receivers`` change; :meth:`load`
-        lays the mask out again whenever it loads a relay.
+        upstream set holds the transmitter, and a unicast row's next hop
+        is found in its row.  ``nodes`` maps positions to node ids,
+        ``position_of`` node ids to positions (-1: not hosted).  The core
+        calls this whenever ``receivers`` or ``network`` change;
+        :meth:`load` lays a relay's mask and a unicast row's hop out
+        again whenever it loads one.
         """
         self._layout = (receivers, nodes, position_of)
+        self._network = network
         self._align_upstream()
+        self._align_hops()
         self.reallocations += 1
+
+    def _align_hops(self) -> None:
+        assert self._layout is not None and self._network is not None
+        receivers, nodes, _position_of = self._layout
+        network = self._network
+        for row in self._unicast_rows.tolist():
+            hop = int(self.next_hop[row])
+            if hop >= network.node_count:
+                raise ValueError(f"node {nodes[row]}: next hop {hop} is not a node")
+            cells = np.flatnonzero(receivers[row] == hop)  # none for the sink's -1
+            self._hop_cell[row] = cells[0] if len(cells) else -1
+            self.hop_p[row] = network.probability(nodes[row], hop) if hop >= 0 else 0.0
 
     def _align_upstream(self) -> None:
         assert self._layout is not None
@@ -365,7 +466,7 @@ class Columns:
 
         A packet is its ``generation``, ``session`` and ``content``, sent
         from the transmitter row of ``transmitters`` to the receiver in
-        ``cells`` of that row (:meth:`align_upstream`).  Returns the mask
+        ``cells`` of that row (:meth:`align`).  Returns the mask
         of the rows left to the object path — a relay hearing a newer
         generation, a destination completing its own — which this call
         does not touch.

@@ -47,7 +47,7 @@ import numpy as np
 from repro import obs
 from repro.emulator import native
 from repro.emulator.awake import AwakeSet
-from repro.emulator.columns import KINDS as FLOW_KINDS
+from repro.emulator.columns import KINDS as ROW_KINDS
 from repro.emulator.columns import Columns
 from repro.emulator.node import (
     FlowDestinationRuntime,
@@ -270,16 +270,19 @@ class EngineCore:
     per contender, per neighbour, a key one ``list.pop()`` and a loss
     vector one slice (:class:`~repro.util.rng.DrawBuffers`).  The array
     form — on a core that hosts ``ARRAY_FORM_MIN_HOSTED`` runtimes or
-    more, none of them unicast — works on arrays: keys and loss vectors
-    are gathers from a :class:`~repro.util.rng.StreamBank`, and the
-    flow-fidelity runtimes' tick, pop, absorb and queue sampling run
-    over their rows (:class:`~repro.emulator.columns.Columns`); any other
-    runtime stays an object on the awake set.  A core that
-    :func:`compilable` admits takes the array form whatever its size
-    while :func:`compiled_kernel` loads, and while all its rows are
-    columns :meth:`run_slots` is one call into that compiled loop
-    (:mod:`repro.emulator.native`): the numpy phases' arithmetic in their
-    order.  The form is picked once, at construction.
+    more, in a session without unicast runtimes — works on arrays: keys
+    and loss vectors are gathers from a
+    :class:`~repro.util.rng.StreamBank`, and the flow-fidelity runtimes'
+    tick, pop, absorb and queue sampling run over their rows
+    (:class:`~repro.emulator.columns.Columns`); any other runtime stays
+    an object on the awake set.  A core that :func:`compilable` admits
+    takes the array form whatever its size while :func:`compiled_kernel`
+    loads, and while all its rows are columns :meth:`run_slots` is one
+    call into that compiled loop (:mod:`repro.emulator.native`): the
+    numpy phases' arithmetic in their order for flow rows, the scalar
+    form's for unicast rows (ETX), which no numpy phase takes — a
+    unicast core that cannot run compiled stays scalar.  The form is
+    picked once, at construction.
     """
 
     def __init__(self, init: CoreInit) -> None:
@@ -332,15 +335,15 @@ class EngineCore:
         runs epochs on (``None``: the numpy or scalar phases).
 
         Buffers and banks hold values their generators have already
-        produced, so a node cannot move from one to the other.  The array
+        produced, so a node cannot move from one to the other.  The numpy
         phases carry broadcasts only: a unicast attempt — one target, an
         arrival of its own kind, a verdict settled after the receiver
-        resolves — has no place in them, so a core that hosts a unicast
-        runtime stays scalar.
+        resolves — has no place in them, so a core of a session with
+        unicast runtimes runs compiled or scalar, never numpy.
         """
-        if init.has_unicast:
-            return False, None
         kernel = compiled_kernel() if compilable(init) else None
+        if init.has_unicast:
+            return kernel is not None, kernel
         return kernel is not None or len(init.runtimes) >= ARRAY_FORM_MIN_HOSTED, kernel
 
     def _host(
@@ -459,7 +462,7 @@ class EngineCore:
             # ``_rx_ids``; and MORE's per-reception credit, the same way.
             self._delivered = np.zeros(self._rx_ids.shape, dtype=bool)
             assert self._columns is not None
-            self._columns.align_upstream(self._rx_ids, self._owned, self._position_of)
+            self._columns.align(self._rx_ids, self._owned, self._position_of, network)
         else:
             self._cov_list, self._rx_pairs = cov_list, rx_pairs
             # Node-indexed per-slot scratch: which nodes transmit this
@@ -472,9 +475,10 @@ class EngineCore:
         # runtime objects: nothing stays parked.
         self._wake_everyone()
         # The compiled loop runs on these arrays, unless the scheduler
-        # just built observes its grants.
+        # just built observes its grants: then the numpy phases do, which
+        # a unicast row has none of.
         self._packed: Optional[native.Core] = None
-        if self._kernel is not None and not obs.get_registry().enabled:
+        if self._kernel is not None and (self._has_unicast or not obs.get_registry().enabled):
             self._pack()
 
     def _pack(self) -> None:
@@ -488,8 +492,12 @@ class EngineCore:
         self._conflict_ptr = np.zeros(count + 1, dtype=np.int64)
         self._conflict_ptr[1:] = np.cumsum([len(blocked) for blocked in conflicts])
         self._conflict = np.array([p for blocked in conflicts for p in blocked], dtype=np.int64)
-        # ``[granted, contenders]`` per slot, grown to the largest budget.
+        # ``[granted, contenders]`` per slot, grown to the largest budget,
+        # and ``(slot, rank, position, sequence)`` per unicast delivery to
+        # a sink: at most one a slot per unicast row, and (as a rule) one
+        # sink.
         self._slot_out = np.zeros((2, 0), dtype=np.int64)
+        self._sink_out = np.zeros((0, 4), dtype=np.int64)
         self._granted_ids = np.zeros(4 * max(count, 1), dtype=np.int64)
         self._contender_out = np.zeros(count + 1, dtype=np.int64)
         self._key_out = np.zeros(count + 1)
@@ -548,12 +556,16 @@ class EngineCore:
             "levels": (count, columns.levels.shape[1]),
             "upstream": self._rx_ids.shape,
             "credit_rows": columns._credit_rows.shape,
+            "unicast_rows": columns._unicast_rows.shape,
+            "ring_ptr": (count + 1,),
+            "ring": columns.ring.shape,
         }
         for name, attribute, dtype in native.COLUMNS:
             array = getattr(columns, attribute)
             setattr(core, name, native.address(array, dtype, shapes.get(name, (count,))))
         core.width = columns.levels.shape[1]
         core.credit_count = len(columns._credit_rows)
+        core.unicasts = len(columns._unicast_rows)
         self._pointed = columns.reallocations
 
     def _refill(self, bank: int, row: int) -> int:
@@ -722,6 +734,10 @@ class EngineCore:
             self._slot_out = np.zeros((2, budget), dtype=np.int64)
             core.slot_granted = native.address(self._slot_out[0], np.int64, (budget,))
             core.slot_contenders = native.address(self._slot_out[1], np.int64, (budget,))
+            sinks = budget + len(self._owned)
+            self._sink_out = np.zeros((sinks, 4), dtype=np.int64)
+            core.sink_out = native.address(self._sink_out, np.int64, (sinks, 4))
+            core.sink_capacity = sinks
         core.named = named
         # The bank callbacks live for this call only: held by the core,
         # they would tie it into a cycle that outlives its session (and
@@ -738,7 +754,10 @@ class EngineCore:
             columns._ticks = core.ticks
             if status == native.FAILED:
                 error, self._kernel_error = self._kernel_error, None
-                raise error or RuntimeError("compiled slot loop: a queue level out of range")
+                raise error or RuntimeError(
+                    "compiled slot loop: a queue level out of range, or a unicast"
+                    " next hop that is not a hosted unicast neighbour"
+                )
             slots = core.slots
             pending = status == native.FALLBACK
             granted: List[Any] = self._slot_out[0, : slots + pending].tolist()
@@ -747,7 +766,9 @@ class EngineCore:
                 ids = self._granted_ids[: core.ids].tolist()
                 ends = np.cumsum(granted).tolist()
                 granted = [tuple(ids[end - size : end]) for size, end in zip(granted, ends)]
+            first = len(records)
             records.extend([(g, k, []) for g, k in zip(granted[:slots], contenders[:slots])])
+            unrecorded = self._sunk(core.sunk, records, first)
             budget -= slots
             if status == native.CUT:
                 count = core.contenders
@@ -755,19 +776,39 @@ class EngineCore:
             if status == native.ASLEEP:
                 break
             if pending:
-                happened: List[Event] = []
+                happened: List[Event] = unrecorded
                 entries: List[Entry] = []
                 fallbacks = self._fallback_out[: core.fallbacks].tolist()
                 for receiver, rank, place, sender, session, gen, level in fallbacks:
                     packet = FlowPacket(session, gen, float(level))
                     entries.append((receiver, [(rank, place, sender, "coded", packet)]))
                 self._resolve_objects(entries, happened)
+                happened.sort(key=itemgetter(0, 1))  # sinks' and the objects' in place order
                 self._settle(())
                 records.append((granted[slots], contenders[slots], happened))
                 budget -= 1
                 if not self._awake_count() or any(event[2] == "decoded" for event in happened):
                     break
         return None
+
+    def _sunk(self, count: int, records: List[Record], first: int) -> List[Event]:
+        """The kernel's ``count`` deliveries to unicast sinks: each sink's
+        ``on_delivered`` called in slot and place order, and what it
+        logged put in the events of its slot's record, as
+        :meth:`_resolve` puts it — slot ``i`` of the call is
+        ``records[first + i]``.  Returns the events of the slot not
+        recorded yet (one left to the object path)."""
+        unrecorded: List[Event] = []
+        log = self._log
+        for slot, rank, position, sequence in self._sink_out[:count].tolist():
+            on_delivered = self._runtime_list[position]._on_delivered  # type: ignore[attr-defined]
+            if on_delivered is not None:
+                on_delivered(sequence)
+            if log.events:
+                at = first + slot
+                events = records[at][2] if at < len(records) else unrecorded
+                events.extend((rank, 0, tag, value) for tag, value in log.drain())
+        return unrecorded
 
     def epoch_slots(self, _argument: None = None) -> int:
         """Slots the last epoch completed: where it failed, if it raised."""
@@ -1364,14 +1405,16 @@ class EngineCore:
 
 def compilable(init: CoreInit) -> bool:
     """Whether a core built from ``init`` now may run its epochs on the
-    compiled slot loop: flow rows only, no unicast, untraced, unobserved,
-    and no capture draws (the loop keeps none)."""
+    compiled slot loop: flow and unicast rows only, untraced, unobserved,
+    and no capture draws (the loop keeps none) — and, in a session with
+    unicast runtimes, every participant hosted: a unicast attempt settles
+    where it was fired, and only :meth:`EngineCore.run_slots` drives it."""
     return (
-        not init.has_unicast
-        and not init.traced
+        not init.traced
         and not obs.get_registry().enabled
         and init.interference != "capture"
-        and all(type(runtime) in FLOW_KINDS for runtime in init.runtimes.values())
+        and all(type(runtime) in ROW_KINDS for runtime in init.runtimes.values())
+        and (not init.has_unicast or len(init.runtimes) == len(init.participants))
     )
 
 
@@ -1389,21 +1432,24 @@ def compiled_kernel() -> Optional[native.Kernel]:
     return run
 
 
+def _forced(arrays: bool, kernel: Optional[native.Kernel]) -> type[EngineCore]:
+    """A core class of one form, whatever it hosts: the self-tests' two sides."""
+
+    class Forced(EngineCore):
+        def _form(self, init: CoreInit) -> Tuple[bool, Optional[native.Kernel]]:
+            return arrays, kernel
+
+    return Forced
+
+
 def _self_test(run: native.Kernel) -> bool:
     """Epochs on a five-node line on the numpy phases and on ``run``,
     equal by ``repr`` slot by slot and in every array at the end: rate
     and credit relays under blanking, a source that drops, refills,
     decodes taken through the object path, generation advances and a
-    generation-size switch."""
+    generation-size switch.  Then ETX along the line, scalar and on
+    ``run`` (:func:`_unicast_self_test`)."""
     from repro.emulator.plan import CodingParams  # only a self-test needs it
-
-    class Reference(EngineCore):
-        def _form(self, init: CoreInit) -> Tuple[bool, Optional[native.Kernel]]:
-            return True, None
-
-    class Candidate(EngineCore):
-        def _form(self, init: CoreInit) -> Tuple[bool, Optional[native.Kernel]]:
-            return True, run
 
     line = range(5)
     network = WirelessNetwork(
@@ -1414,7 +1460,7 @@ def _self_test(run: native.Kernel) -> bool:
     )
     size, rate = 1000, 8e4  # bytes a packet, bytes a second
     outcomes = []
-    for make in (Reference, Candidate):
+    for make in (_forced(True, None), _forced(True, run)):
         log = _DecodeLog()
         runtimes: Dict[int, NodeRuntime] = {
             0: FlowSourceRuntime(0, 1, 2, rate, size, queue_limit=3),
@@ -1446,4 +1492,61 @@ def _self_test(run: native.Kernel) -> bool:
                 rows = [bank._row_of[node] for node in sorted(bank._streams)]
                 state += [bank._cursor, *(bank._values[row, bank._cursor[row] :] for row in rows)]
             outcomes.append(repr((trail, core.finalize(), [a.tolist() for a in state], generation)))
+    return outcomes[0] == outcomes[1] and _unicast_self_test(run, network)
+
+
+def _unicast_self_test(run: native.Kernel, network: WirelessNetwork) -> bool:
+    """ETX epochs along the five-node line ``network`` on a scalar core
+    and on ``run``, equal by ``repr`` slot by slot, in every runtime's
+    fields at the end and in the next values of every draw stream: sources
+    at 0 and 2 (hidden terminals: node 1 is blanked when both send), short
+    queues that drop (deliveries into a full one included), a re-route
+    over a link that is not there and back, and the sink's ``delivered``
+    events."""
+
+    line = range(5)
+    size, rates, limits = 1000, (9e4, 0.0, 3e4, 0.0, 0.0), (3, 1, 2, 2, 2)
+    outcomes = []
+    for make in (_forced(False, None), _forced(True, run)):
+        log = _DecodeLog()
+        runtimes: Dict[int, NodeRuntime] = {
+            node: UnicastRuntime(
+                node, node + 1 if node < 4 else None, rate_bps=rates[node], packet_bytes=size,
+                queue_limit=limits[node], on_delivered=log.deliver,
+                demand_hint_bps=3e4 + 1e4 * node,
+            )
+            for node in line
+        }
+        init = CoreInit(
+            network, runtimes, tuple(line), size / network.capacity, "blanking", 7,
+            has_unicast=True, decode_log=log,
+        )
+        trail = []
+        with obs.collecting(obs.MetricsRegistry(enabled=False)):
+            core = make(init)
+            for epoch, budget in enumerate((1, 3, 20, 40, 60)):
+                if epoch in (2, 3):  # 0 -> 2 is out of range: attempts that never draw
+                    core.apply_plan({0: {"next_hop": 2 if epoch == 2 else 1}})
+                trail.append(core.run_slots((budget, None, epoch % 2 == 0)))
+            finalized = core.finalize()
+        fields = [
+            sorted((k, v) for k, v in vars(r).items() if k != "_on_delivered")
+            for r in runtimes.values()
+        ]
+        outcomes.append(repr((trail, finalized, fields, _next_draws(core, list(line)))))
     return outcomes[0] == outcomes[1]
+
+
+def _next_draws(core: EngineCore, nodes: List[int], count: int = 3) -> List[List[float]]:
+    """The next ``count`` lottery and loss draws of each of ``nodes``,
+    taken from a core's buffers or banks, whichever it holds."""
+    if not core._arrays:
+        return [
+            [value for node in nodes for value in draws.take(node, count)]
+            for draws in (core._mac_draws, core._loss_draws)
+        ]
+    counts = np.full(len(nodes), count)
+    return [
+        bank.take(bank.rows_for(nodes), counts).tolist()
+        for bank in (core._mac_bank, core._loss_bank)
+    ]

@@ -1,4 +1,4 @@
-"""The array form's slot loop compiled: one foreign call per epoch.
+"""The slot loop compiled: one foreign call per epoch.
 
 :meth:`EngineCore.run_slots <repro.emulator.engine.EngineCore.run_slots>`
 hands an array core's epoch to :data:`_C_SOURCE` while the core holds no
@@ -12,6 +12,16 @@ blanking coverage, one loss run per transmitter in grant order),
 exact, not close: every double operation is the numpy form's, in its
 order, compiled with ``-ffp-contract=off`` (no FMA contraction, no
 ``-ffast-math``, no ``-march``).
+
+Unicast rows (:class:`~repro.emulator.node.UnicastRuntime`, ETX) have
+no numpy phases: for them the loop runs the scalar form, in its order —
+``on_slot``'s one-credit-at-a-time tick, contention on a queue and a
+next hop, the attempt (one uniform of the row's loss stream, drawn only
+past the half-duplex and blanking checks and at ``p > 0``), the
+append or drop at the hop, and ``complete_transmission``'s verdicts
+before the queues are sampled.  A delivery to a sink is handed back as
+``(slot, rank, position, sequence)`` for Python to call its
+``on_delivered``.
 
 A call returns on any of five exits, each at a slot boundary the numpy
 form also stops at, or before ``_settle`` of a slot Python finishes:
@@ -51,15 +61,15 @@ typedef int64_t i64;
 typedef uint8_t u8;
 
 enum { BUDGET = 0, ASLEEP = 1, CUT = 2, FALLBACK = 3, FAILED = -1 };
-enum { SOURCE = 1, RELAY = 2, DESTINATION = 3 };
+enum { SOURCE = 1, RELAY = 2, DESTINATION = 3, UNICAST = 4 };
 
 typedef int (*Refill)(i64 bank, i64 row);
 typedef int (*Unbanked)(i64 count, const i64 *rows, const i64 *counts, double *out);
 
 typedef struct {
-    i64 rows, width, rx_width, cov_width, pad, mac_block, loss_block, credit_count;
-    i64 blanking, cut, ticks, park_interval, named, id_capacity;
-    i64 slots, ids, contenders, fallbacks;
+    i64 rows, width, rx_width, cov_width, pad, mac_block, loss_block, credit_count, unicasts;
+    i64 blanking, cut, ticks, park_interval, named, id_capacity, sink_capacity;
+    i64 slots, ids, contenders, fallbacks, sunk;
     double floor, smoothing;
     /* Columns */
     const int8_t *role;
@@ -69,6 +79,11 @@ typedef struct {
     const i64 *blocks, *generation, *session, *limit, *credit_rows;
     i64 *queue, *levels, *generated, *sent, *dropped, *heard, *accepted;
     u8 *awake;
+    /* Columns: the unicast rows' own */
+    const i64 *unicast_rows, *next_hop, *hop_cell, *ring_ptr;
+    const double *arrival, *hop_p;
+    const u8 *offered;
+    i64 *next_seq, *head, *ring;
     /* EngineCore */
     const i64 *rx_ids, *cov, *cov_row, *position_of, *node_of, *conflict_ptr, *conflict;
     const double *rx_p;
@@ -83,7 +98,7 @@ typedef struct {
     Refill refill;
     Unbanked unbanked;
     /* what a call hands back */
-    i64 *slot_granted, *slot_contenders, *granted_ids, *contender_out, *fallback_out;
+    i64 *slot_granted, *slot_contenders, *granted_ids, *contender_out, *fallback_out, *sink_out;
     double *key_out;
 } Core;
 
@@ -93,7 +108,7 @@ typedef struct {
     i64 *contenders, *granted, *tx_row, *tx_rank, *tx_level, *tx_loss_row, *counts, *covered;
     double *weights, *uniforms;
     Keyed *order;
-    u8 *blocked, *transmitting, *candidate, *hit;
+    u8 *blocked, *transmitting, *candidate, *hit, *reached;
 } Scratch;
 
 /* numpy's minimum / maximum: NaN-propagating. */
@@ -128,10 +143,37 @@ static int drain(Core *c, i64 r) {
 }
 
 static int dormant(const Core *c, i64 r) {
+    if (c->unicasts && c->role[r] == UNICAST) return !c->offered[r];
     double credit = c->credit[r];
     int pinned = minimum(credit + c->accrual[r], c->cap[r]) == credit;
     int spent = credit < 1.0 || c->information[r] < 1.0;
     return c->destination[r] || (c->rate_relay[r] && c->queue[r] == 0 && pinned && spent);
+}
+
+/* Append ``seq`` to unicast row r's FIFO, which has room. */
+static void push(Core *c, i64 r, i64 seq) {
+    i64 size = c->ring_ptr[r + 1] - c->ring_ptr[r];
+    c->ring[c->ring_ptr[r] + (c->head[r] + c->queue[r]) % size] = seq;
+    c->queue[r] += 1;
+}
+
+/* UnicastRuntime.on_slot of every unicast row: one credit at a time. */
+static void tick_unicast(Core *c) {
+    for (i64 i = 0; i < c->unicasts; i++) {
+        i64 r = c->unicast_rows[i];
+        if (!c->offered[r]) continue;
+        double credit = c->credit[r] + c->arrival[r];
+        while (credit >= 1.0) {
+            credit -= 1.0;
+            if (c->queue[r] >= c->limit[r]) {
+                c->dropped[r] += 1;
+                continue;
+            }
+            push(c, r, c->next_seq[r]++);
+            c->generated[r] += 1;
+        }
+        c->credit[r] = credit;
+    }
 }
 
 /* Columns.tick: the contenders (ascending) and their weights; -1 on failure. */
@@ -148,8 +190,11 @@ static i64 tick(Core *c, Scratch *w) {
         c->demand[r] = demand;
         c->enqueued[r] = 0.0;
     }
+    int unicast = c->unicasts > 0;
+    if (unicast) tick_unicast(c);
     for (i64 r = 0; r < n; r++) {
         if (!c->queue[r]) continue;
+        if (unicast && c->role[r] == UNICAST && c->next_hop[r] < 0) continue;  /* a sink */
         w->contenders[k] = r;
         w->weights[k++] = c->credit_count && c->credit_mode[r] ? c->demand[r] : c->increment[r];
     }
@@ -217,12 +262,46 @@ static int absorb(Core *c, i64 pos, i64 t, i64 cell, const Scratch *w) {
     return 0;
 }
 
-/* _fire_arrays then _absorb of the granted positions; -1 on failure. */
+/* UnicastRuntime.receive_sequence at the next hop of fired unicast row t,
+   whose head got through; -1 if the hop is not a hosted unicast neighbour. */
+static int deliver(Core *c, const Scratch *w, i64 t) {
+    i64 sender = w->tx_row[t], cell = c->hop_cell[sender];
+    i64 pos = c->position_of[c->next_hop[sender]];
+    if (cell < 0 || pos < 0 || c->role[pos] != UNICAST) return -1;
+    i64 sequence = c->ring[c->ring_ptr[sender] + c->head[sender]];
+    c->awake[pos] = 1;
+    c->delivered[sender * c->rx_width + cell] = 1;
+    if (c->next_hop[pos] < 0) {
+        c->accepted[pos] += 1;
+        i64 *out = c->sink_out + 4 * c->sunk++;
+        out[0] = c->slots;
+        out[1] = w->tx_rank[t];
+        out[2] = pos;
+        out[3] = sequence;
+    } else if (c->queue[pos] >= c->limit[pos]) {
+        c->dropped[pos] += 1;
+    } else {
+        push(c, pos, sequence);
+    }
+    return 0;
+}
+
+/* _fire_arrays then _absorb of the granted positions, and for unicast rows
+   _fire, _resolve and _settle's verdicts in the scalar form's order; -1 on
+   failure.  A fired unicast row has tx_level -1. */
 static int broadcast(Core *c, Scratch *w, i64 granted) {
     i64 width = c->width, rw = c->rx_width, fired = 0, at = 0;
+    int unicast = c->unicasts > 0;  /* else none of the unicast branches below is taken */
     for (i64 i = 0; i < granted; i++) {
         i64 r = w->granted[i];
         if (c->queue[r] <= 0) continue;
+        if (unicast && c->role[r] == UNICAST) {
+            if (c->next_hop[r] < 0) continue;
+            w->tx_row[fired] = r;
+            w->tx_rank[fired] = i;
+            w->tx_level[fired++] = -1;
+            continue;
+        }
         i64 head = 0;
         for (i64 l = 0; l < width; l++)
             if (c->levels[r * width + l] > 0) { head = l; break; }
@@ -244,6 +323,13 @@ static int broadcast(Core *c, Scratch *w, i64 granted) {
         w->covered[c->pad] = 0;
     }
     for (i64 t = 0; t < fired; t++) {
+        if (unicast && w->tx_level[t] < 0) {  /* half-duplex, blanking, a usable link */
+            i64 r = w->tx_row[t], hop = c->next_hop[r];
+            w->reached[t] = !w->transmitting[hop] && (!c->blanking || w->covered[hop] <= 1)
+                            && c->hop_p[r] > 0.0;
+            w->counts[t] = w->reached[t];
+            continue;
+        }
         i64 count = 0;
         for (i64 j = 0; j < rw; j++) {
             i64 cell = w->tx_row[t] * rw + j, id = c->rx_ids[cell];
@@ -261,13 +347,22 @@ static int broadcast(Core *c, Scratch *w, i64 granted) {
             for (i64 j = 0; j < c->cov_width; j++) w->covered[cov[j]] = 0;
         }
     if (draw_uniforms(c, w, fired)) return -1;
-    for (i64 t = 0; t < fired; t++)
+    for (i64 t = 0; t < fired; t++) {
+        if (unicast && w->tx_level[t] < 0) {
+            w->reached[t] = w->reached[t] && w->uniforms[at++] < c->hop_p[w->tx_row[t]];
+            continue;
+        }
         for (i64 j = 0; j < rw; j++) {
             i64 cell = t * rw + j;
             w->hit[cell] = w->candidate[cell]
                            && w->uniforms[at++] < c->rx_p[w->tx_row[t] * rw + j];
         }
+    }
     for (i64 t = 0; t < fired; t++) {
+        if (unicast && w->tx_level[t] < 0) {
+            if (w->reached[t] && deliver(c, w, t)) return -1;
+            continue;
+        }
         i64 place = 0;
         for (i64 j = 0; j < rw; j++) {
             if (!w->hit[t * rw + j]) continue;
@@ -286,6 +381,15 @@ static int broadcast(Core *c, Scratch *w, i64 granted) {
                 out[6] = w->tx_level[t];
             }
             place++;
+        }
+    }
+    for (i64 t = 0; unicast && t < fired; t++) {  /* UnicastRuntime.complete_transmission */
+        if (w->tx_level[t] >= 0) continue;
+        i64 r = w->tx_row[t];
+        c->sent[r] += 1;
+        if (w->reached[t]) {
+            c->head[r] = (c->head[r] + 1) % (c->ring_ptr[r + 1] - c->ring_ptr[r]);
+            c->queue[r] -= 1;
         }
     }
     return 0;
@@ -344,21 +448,24 @@ int slots_run(Core *c, i64 budget) {
     w.transmitting = calloc((size_t)nodes, 1);
     w.candidate = malloc((size_t)cells);
     w.hit = malloc((size_t)cells);
+    w.reached = malloc((size_t)n);
     int status = BUDGET;
-    c->slots = c->ids = c->contenders = c->fallbacks = 0;
+    c->slots = c->ids = c->contenders = c->fallbacks = c->sunk = 0;
     if (!w.contenders || !w.granted || !w.tx_row || !w.tx_rank || !w.tx_level || !w.tx_loss_row
         || !w.counts || !w.covered || !w.weights || !w.uniforms || !w.order || !w.blocked
-        || !w.transmitting || !w.candidate || !w.hit) {
+        || !w.transmitting || !w.candidate || !w.hit || !w.reached) {
         status = FAILED;
     } else {
         while (c->slots < budget && status == BUDGET) {
             if (c->named && c->ids + c->rows > c->id_capacity) break;
+            if (c->unicasts && c->sunk + c->unicasts > c->sink_capacity) break;
             status = slot(c, &w);
         }
     }
     free(w.contenders); free(w.granted); free(w.tx_row); free(w.tx_rank); free(w.tx_level);
     free(w.tx_loss_row); free(w.counts); free(w.covered); free(w.weights); free(w.uniforms);
     free(w.order); free(w.blocked); free(w.transmitting); free(w.candidate); free(w.hit);
+    free(w.reached);
     return status;
 }
 """
@@ -402,6 +509,11 @@ COLUMNS: Tuple[Tuple[str, str, type], ...] = (
         "generated", "sent", "dropped", "heard", "accepted",
     )),
     ("credit_rows", "_credit_rows", np.int64),
+    ("unicast_rows", "_unicast_rows", np.int64),
+    *((name, name, np.int64) for name in ("next_hop", "ring_ptr", "next_seq", "head", "ring")),
+    ("hop_cell", "_hop_cell", np.int64),
+    *((name, name, np.float64) for name in ("arrival", "hop_p")),
+    ("offered", "offered", np.bool_),
 )
 
 
@@ -409,18 +521,19 @@ class Core(ctypes.Structure):
     """One core's arrays and an epoch's outputs, as the kernel sees them."""
 
     _fields_ = _fields(
-        "rows width rx_width cov_width pad mac_block loss_block credit_count"
-        " blanking cut ticks park_interval named id_capacity"
-        " slots ids contenders fallbacks",
+        "rows width rx_width cov_width pad mac_block loss_block credit_count unicasts"
+        " blanking cut ticks park_interval named id_capacity sink_capacity"
+        " slots ids contenders fallbacks sunk",
         "floor smoothing",
         "role credit_mode source destination rate_relay upstream"
         " increment tx_credit cap accrual credit demand enqueued information"
         " blocks generation session limit credit_rows"
         " queue levels generated sent dropped heard accepted awake"
+        " unicast_rows next_hop hop_cell ring_ptr arrival hop_p offered next_seq head ring"
         " rx_ids cov cov_row position_of node_of conflict_ptr conflict rx_p cut_mask"
         " queue_time fired delivered"
         " mac_values loss_values mac_cursor loss_cursor mac_rows loss_rows refill unbanked"
-        " slot_granted slot_contenders granted_ids contender_out fallback_out key_out",
+        " slot_granted slot_contenders granted_ids contender_out fallback_out sink_out key_out",
     )
 
 

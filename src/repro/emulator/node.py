@@ -31,6 +31,7 @@ examples demonstrate full-payload operation end-to-end.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Mapping, Sequence, Tuple, TypeAlias
@@ -54,6 +55,22 @@ DEFAULT_QUEUE_LIMIT = 500
 # Distinguishes "parameter not supplied" from an explicit None (which is
 # meaningful for UnicastRuntime.apply_plan's next_hop).
 _UNSET = object()
+
+
+def _checked_rate(name: str, value: float) -> float:
+    """``value``, once it is a finite rate >= 0; a ``ValueError`` naming
+    ``name`` otherwise.  An infinite rate would bank infinite credit, and
+    a NaN one would compare false everywhere and poison a lottery weight."""
+    if not math.isfinite(value) or value < 0:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    return value
+
+
+def _checked_hop(next_hop: object) -> int | None:
+    """``next_hop``, once it is a node id or ``None`` (the sink)."""
+    if next_hop is not None and (not isinstance(next_hop, int) or next_hop < 0):
+        raise ValueError(f"next_hop must be a node id or None, got {next_hop!r}")
+    return next_hop
 
 
 class NodeRuntime:
@@ -199,9 +216,7 @@ class _SenderRuntime(_SessionRuntime):
     ) -> None:
         """Hot-swap the allocated rate; queue, credit and payload persist."""
         if rate_bps is not None:
-            if rate_bps < 0:
-                raise ValueError(f"rate_bps must be >= 0, got {rate_bps}")
-            self._rate = rate_bps
+            self._rate = _checked_rate("rate_bps", rate_bps)
         if coding is not None:
             self._pending_coding = coding
 
@@ -715,19 +730,17 @@ class UnicastRuntime(NodeRuntime):
     ) -> None:
         super().__init__(node_id)
         self.session_id = session_id
-        if rate_bps < 0:
-            raise ValueError(f"rate_bps must be >= 0, got {rate_bps}")
-        if demand_hint_bps < 0:
-            raise ValueError(f"demand_hint_bps must be >= 0, got {demand_hint_bps}")
-        self._next_hop = next_hop
-        self._rate = rate_bps
+        if packet_bytes <= 0:
+            raise ValueError(f"packet_bytes must be > 0, got {packet_bytes}")
+        self._next_hop = _checked_hop(next_hop)
+        self._rate = _checked_rate("rate_bps", rate_bps)
         self._packet_bytes = packet_bytes
         self._queue_limit = queue_limit
         self._on_delivered = on_delivered
         # Airtime the node needs to sustain the offered load across its
         # lossy next hop (arrival rate x expected retransmissions); the
         # session builder computes it from the path and link qualities.
-        self._demand_hint = demand_hint_bps
+        self._demand_hint = _checked_rate("demand_hint_bps", demand_hint_bps)
         self._credit = 0.0
         self._queue: Deque[int] = deque()  # sequence numbers
         self._next_seq = 0
@@ -754,19 +767,11 @@ class UnicastRuntime(NodeRuntime):
         meaningful value (the node becomes/stays the sink).
         """
         if next_hop is not _UNSET:
-            if next_hop is not None and not isinstance(next_hop, int):
-                raise ValueError(f"next_hop must be an int or None, got {next_hop!r}")
-            self._next_hop = next_hop
+            self._next_hop = _checked_hop(next_hop)
         if rate_bps is not None:
-            if rate_bps < 0:
-                raise ValueError(f"rate_bps must be >= 0, got {rate_bps}")
-            self._rate = rate_bps
+            self._rate = _checked_rate("rate_bps", rate_bps)
         if demand_hint_bps is not None:
-            if demand_hint_bps < 0:
-                raise ValueError(
-                    f"demand_hint_bps must be >= 0, got {demand_hint_bps}"
-                )
-            self._demand_hint = demand_hint_bps
+            self._demand_hint = _checked_rate("demand_hint_bps", demand_hint_bps)
 
     def on_slot(self, dt: float) -> None:
         if self._rate <= 0:

@@ -92,6 +92,19 @@ def require_shardable(network: WirelessNetwork, shards: int) -> None:
         raise ShardCountError(f"cannot run {shards} shards on {network.node_count} node(s)")
 
 
+class WorkerCore(EngineCore):
+    """A shard worker's core.  Its parent drives it a phase at a time
+    whenever more than one worker is live or a signal is queued, the
+    first slot included, and a unicast attempt has phases in the scalar
+    form only: in a session with unicast runtimes a worker's core stays
+    scalar, even one that hosts every participant."""
+
+    def _form(self, init: CoreInit) -> Tuple[bool, Any]:
+        if init.has_unicast:
+            return False, None
+        return super()._form(init)
+
+
 class ShardedCores:
     """An :class:`EngineCore` made of cores, one per spatial strip and process.
 
@@ -125,11 +138,11 @@ class ShardedCores:
         self._everyone = range(shards)
         self._live = list(self._everyone)
         self._index()
-        if compilable(init):  # resolved once here, forked workers inherit it
-            engine.compiled_kernel()
+        if compilable(init) and not init.has_unicast:  # resolved once here, forked
+            engine.compiled_kernel()  # workers inherit it
         pool = WorkerPool(shards, start_method=start_method)
         self.group: PersistentWorkerGroup = pool.persistent(
-            EngineCore,
+            WorkerCore,
             [
                 replace(
                     init,

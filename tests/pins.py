@@ -34,7 +34,7 @@ def core_form(form):
     """Build the block's cores in ``form`` and fail unless that form's path
     ran: ``"scalar"`` or ``"array"`` (the constant at infinity or at zero,
     the compiled slot loop withheld) ran no array phase and no kernel call,
-    or ran ``_fire_arrays``; ``"compiled"`` (flow-only cores on the
+    or ran ``_fire_arrays``; ``"compiled"`` (flow and unicast cores on the
     compiled slot loop, the rest in their default form) called the
     kernel.  A spawned or forked worker's cores go unchecked."""
     kernel = engine.compiled_kernel() if form == "compiled" else None
@@ -140,8 +140,8 @@ def and_array(variants=({},)):
 
 def and_compiled(variants):
     """``variants``, then the first (in-process) one again on the compiled
-    slot loop, where its kernel loads: for pins whose runs build flow-only
-    cores, untraced and unobserved — a traced, observed, exact or
+    slot loop, where its kernel loads: for pins whose runs build flow or
+    ETX cores, untraced and unobserved — a traced, observed, exact or
     composite run never does."""
     return (*variants, *({**variants[0], **form} for form in COMPILED))
 
@@ -201,7 +201,8 @@ PINS = (
         "4ac25057daa581ef87577613ecf754b3fe3b480cb6e23797be08b2d78932279a",
     ), LINE_CORES),
     Pin("driver.unicast", "tests.test_plan_install:unicast_driver",
-        "1455624e49dd426060bd1df8faf3fbd3436ca23de1a16a1c3736d04afbf0ab2d"),
+        "1455624e49dd426060bd1df8faf3fbd3436ca23de1a16a1c3736d04afbf0ab2d",
+        and_compiled(({}, {"form": "scalar"}))),
     Pin("driver.credit_exact", "tests.test_plan_install:credit_plan_at_exact_fidelity",
         "75297b9bb81230f7bd72ed840b370b28b6f0606c226ef1e0adb426e630733f91", and_array()),
     Pin("adaptive.more_flow", "tests.test_plan_install:adaptive_more_flow", (
@@ -212,10 +213,12 @@ PINS = (
         "76c075fbd9315c2741b1c9a17357b8c9d82668fe6ec0b89118189bdb8dfab51c",
         "edcc4c5535df937e554bfb439c9a25e4aca891c4c7d149caaca07806216f66a7",
     ), and_array(SHARDS_124)),
+    # Traced, so scalar at every shard count; its session digest untraced,
+    # on the compiled slot loop, is ``test_plan_install``'s to check.
     Pin("adaptive.etx_flow", "tests.test_plan_install:adaptive_etx_flow", (
         "f0b52461fed690a5e0f55a09dc82a2764168af20390cf5e1ad6012931ab80479",
         "4734007fc1120ccddf2a89cabccce069d409340db7b3f090a89513020aafc19a",
-    ), SHARDS_124),
+    ), (*SHARDS_124, {"shards": 1, "form": "scalar"})),
     Pin("link_tables.drift", "tests.test_dynamics:builtin_drift_link_tables", (
         "b6aa4c29afd7198cce8f1a2973465d59726f48847a75850e57b9d9e8f9617a87",
         "8b06b57e8335eef56bd703bfa1fb4bbbbbfec0cca8565059312e906a09b86d63",

@@ -468,7 +468,9 @@ class TestFormSelection:
             assert any(count >= ARRAY_FORM_MIN_HOSTED for count in hosted) == arrays
 
     def test_a_unicast_session_stays_scalar(self, monkeypatch):
+        # Without the compiled slot loop: the numpy phases take no unicast row.
         monkeypatch.setattr(engine, "ARRAY_FORM_MIN_HOSTED", 0)
+        monkeypatch.setattr(engine, "compiled_kernel", lambda: None)
         network, source, destination, coded_plan = planned_mesh()
         plans = {True: coded_plan, False: plan_etx_route(network, source, destination)}
         for arrays, plan in plans.items():

@@ -264,6 +264,32 @@ class TestUnicastRuntime:
         )
         assert node.demand_rate(0.5) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("field", ["rate_bps", "demand_hint_bps"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), -1.0])
+    def test_a_rate_must_be_finite_and_non_negative(self, field, value):
+        # An infinite rate banks infinite credit, and the tick's one-credit
+        # loop never ends; a NaN one becomes a NaN lottery weight.
+        with pytest.raises(ValueError, match=field):
+            UnicastRuntime(0, 1, packet_bytes=PACKET_BYTES, **{field: value})
+        node = UnicastRuntime(0, 1, packet_bytes=PACKET_BYTES)
+        with pytest.raises(ValueError, match=field):
+            node.apply_plan(**{field: value})
+        assert node._rate == 0.0 and node._demand_hint == 0.0
+
+    @pytest.mark.parametrize("packet_bytes", [0, -1000])
+    def test_a_packet_must_have_bytes(self, packet_bytes):
+        with pytest.raises(ValueError, match="packet_bytes"):
+            UnicastRuntime(0, 1, rate_bps=1000.0, packet_bytes=packet_bytes)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_a_flow_sender_refuses_a_rate_that_is_not_finite(self, value):
+        with pytest.raises(ValueError, match="rate_bps"):
+            FlowSourceRuntime(0, 1, 4, value, PACKET_BYTES)
+        relay = FlowRelayRuntime(1, 1, 4, PACKET_BYTES, mode="rate", rate_bps=500.0)
+        with pytest.raises(ValueError, match="rate_bps"):
+            relay.apply_plan(rate_bps=value)
+        assert relay._rate == 500.0
+
 
 # -- the dormant() fixed-point contract ----------------------------------------
 

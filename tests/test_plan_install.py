@@ -52,6 +52,7 @@ from repro.topology.phy import lossy_phy
 from repro.topology.random_network import random_network
 from repro.util.rng import RngFactory
 from tests.dormancy import freeze, under_parked_contract
+from tests.pins import COMPILED, PINS, core_form
 
 pytestmark = pytest.mark.usefixtures("parked_contract")
 
@@ -97,8 +98,9 @@ def credit_plan_at_exact_fidelity():
 
 
 @under_parked_contract
-def _fail_recover_load(protocol, fidelity, shards):
-    """Session and trace digests of an adaptive run that drops the victim."""
+def _fail_recover_load(protocol, fidelity, shards, traced=True):
+    """Session and trace digests of an adaptive run that drops the victim
+    (the session digest alone, untraced)."""
     scenario = ScenarioSpec(
         name="fail-recover-load",
         duration=40.0,
@@ -109,7 +111,7 @@ def _fail_recover_load(protocol, fidelity, shards):
             ScenarioEvent(at=22.0, kind="recover", node=VICTIM),
         ),
     )
-    tracer = SessionTracer(capacity=500_000)
+    tracer = SessionTracer(capacity=500_000) if traced else None
     result = run_adaptive_session(
         seeded_mesh(),
         make_planner(protocol, SOURCE, DESTINATION),
@@ -121,6 +123,8 @@ def _fail_recover_load(protocol, fidelity, shards):
         shards=shards,
     )
     assert result.replans == 8 and result.failed_replans == 0
+    if tracer is None:
+        return session_digest(result.session)
     # The victim transmits, falls silent once a re-plan drops it, and
     # transmits again after the re-plan that follows its recovery.
     times = [event.time for event in tracer.events(kind="tx", node=VICTIM)]
@@ -132,6 +136,15 @@ def _fail_recover_load(protocol, fidelity, shards):
 adaptive_more_flow = functools.partial(_fail_recover_load, "more", "flow")
 adaptive_more_exact = functools.partial(_fail_recover_load, "more", "exact")
 adaptive_etx_flow = functools.partial(_fail_recover_load, "etx", "flow")
+
+
+@pytest.mark.skipif(not COMPILED, reason="the compiled slot loop is unavailable")
+def test_untraced_adaptive_etx_on_the_compiled_loop_is_its_pin():
+    # The pin's run is traced, and so scalar; untraced, its re-plans,
+    # re-routes and dropped forwarder run on the compiled slot loop.
+    (pin,) = [pin for pin in PINS if pin.name == "adaptive.etx_flow"]
+    with core_form("compiled"):
+        assert _fail_recover_load("etx", "flow", 1, traced=False) == pin.value[0]
 
 
 PLANNERS = {"omnc": plan_omnc, "more": plan_more, "etx": plan_etx_route}
