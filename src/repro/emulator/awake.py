@@ -13,9 +13,8 @@ accumulator, trace event or stats field can tell the difference.
 list) that are awake, in ascending order, and is the per-object sweep
 of the slot loop (:class:`~repro.emulator.engine.EngineCore`): the
 tick, the contender scan and the queue sampling of every runtime a
-scalar core hosts, and of the object rows of an array core, whose flow
-runtimes are columns that keep the same flags array-at-a-time
-(:mod:`repro.emulator.columns`).  Runtimes leave the set when
+scalar core hosts; a compiled core's runtimes are columns that keep the
+same flags (:mod:`repro.emulator.columns`).  Runtimes leave the set when
 :meth:`tick` finds them dormant and come back through :meth:`wake` (a
 delivery) or :meth:`wake_everyone` (anything that reaches into runtimes
 from outside the loop).

@@ -1,51 +1,44 @@
-"""Flow and unicast runtimes as columns: an array core's rows.
+"""Flow and unicast runtimes as columns: a compiled core's rows.
 
-A core in the array form (:data:`~repro.emulator.engine.ARRAY_FORM_MIN_HOSTED`)
-keeps the per-slot state of every hosted :class:`FlowSourceRuntime`,
-:class:`FlowRelayRuntime` and :class:`FlowDestinationRuntime` in arrays it
-owns, one row per hosted position, and runs a slot's per-runtime work over
-all rows at once: the tick (credit, drain, drops, the contenders and their
-lottery weights), queue sampling, the granted transmitters' pop and the
-absorb at receivers.  Every other hosted runtime — ``Coded*``, the
-multi-session composites — is an *object row*: its row here stays empty and
-the core ticks it on its :class:`~repro.emulator.awake.AwakeSet`.
+A core on the compiled slot loop (:mod:`repro.emulator.native`) keeps the
+per-slot state of every hosted :class:`FlowSourceRuntime`,
+:class:`FlowRelayRuntime`, :class:`FlowDestinationRuntime` and
+:class:`UnicastRuntime` in arrays it owns, one row per hosted position; the
+kernel runs a slot's per-runtime work over them in place (``tick``,
+``broadcast``, ``absorb`` in its source).  This class is only their
+storage: it loads rows from the runtime objects and stores them back.
 
-**Column ≡ object.**  Each array operation is the method it replaces, term
-for term: the same float expressions in the same order (numpy's float64
-arithmetic is Python's), the same integer counts, the same order of effects
-within a runtime.  A row therefore holds, bit for bit, what its object would
-hold had the object run the same slots, and the runtime classes stay the
-one place behaviour is written.
+**Column ≡ object.**  The kernel's arithmetic on a row is the method it
+replaces, term for term: the same float expressions in the same order, the
+same integer counts, the same order of effects within a runtime.  A row
+therefore holds, bit for bit, what its object would hold had the object run
+the same slots, and the runtime classes stay the one place behaviour is
+written.
 
 **Row fallback.**  Whatever is not the slot's common case goes through the
 object: the core stores the row into it, calls the existing method and
 loads the row back (:meth:`through_objects`; ``install_plan`` and
 ``finalize`` only store).  That is every control call (``apply_events``,
 ``apply_plan``, ``install_plan``, ``finalize``), an arrival from another
-core or from an object row, and the two rare branches of a reception — a
-relay hearing a newer generation, a destination completing one — which
-:meth:`absorb` leaves untouched and reports.  Only :meth:`store` builds
-packet objects, and only :meth:`load` reads a runtime's settings.
+core, and the two rare branches of a reception — a relay hearing a newer
+generation, a destination completing one — which the kernel leaves
+untouched and hands back.  Only :meth:`store` builds packet objects, and
+only :meth:`load` reads a runtime's settings.
 
 **The queue is per-level counts.**  Everything a flow runtime queues carries
 the current generation (a new one empties the queue), and within a
 generation its content never decreases: a source's packets carry the
 generation size, a relay's its information level, which only grows.  So
-the FIFO head is the lowest non-empty level.
+the FIFO head is the lowest non-empty level.  A unicast row's FIFO of
+sequence numbers is a ring per row.
 
-**Unicast rows** (:class:`UnicastRuntime`, ETX) are columns for the
-compiled slot loop only (:mod:`repro.emulator.native`), which runs the
-scalar form's arithmetic on them: :meth:`tick`, :meth:`pop` and
-:meth:`absorb` never see one.  Their FIFO of sequence numbers is a ring
-per row.
-
-**Parking.**  Every row is ticked, awake or not: a parked row sits at an
-exact fixed point of the tick (``NodeRuntime.dormant``), so ticking it
-changes nothing.  The awake flags keep the awake set's meaning and cadence
-— a row parks when a check every ``AwakeSet.PARK_INTERVAL`` ticks finds it
-idle and dormant, and wakes on a delivery or a control call — because the
-core reports its awake count (epochs, worker liveness) and its parked nodes
-from them.
+**Parking.**  The kernel ticks every row, awake or not: a parked row sits
+at an exact fixed point of the tick (``NodeRuntime.dormant``), so ticking
+it changes nothing.  The awake flags keep the awake set's meaning and
+cadence — a row parks when a check every ``AwakeSet.PARK_INTERVAL`` ticks
+finds it idle and dormant, and wakes on a delivery or a control call —
+because the core reports its awake count (epochs, worker liveness) and its
+parked nodes from them.
 """
 
 from __future__ import annotations
@@ -56,7 +49,6 @@ from typing import FrozenSet, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.emulator.awake import AwakeSet
 from repro.emulator.node import (
     FlowDestinationRuntime,
     FlowPacket,
@@ -67,8 +59,8 @@ from repro.emulator.node import (
 )
 from repro.topology.graph import WirelessNetwork
 
-#: Row roles, ``1 + `` the index of the runtime class in :data:`KINDS`; an
-#: object row is role 0.
+#: Row roles, ``1 + `` the index of the runtime class in :data:`KINDS`
+#: (0: a runtime of no row kind, which no compiled core hosts).
 SOURCE, RELAY, DESTINATION, UNICAST = 1, 2, 3, 4
 KINDS = (FlowSourceRuntime, FlowRelayRuntime, FlowDestinationRuntime, UnicastRuntime)
 
@@ -111,10 +103,10 @@ _SETTINGS = (
 
 
 class Columns:
-    """The flow-fidelity rows of one core's hosted ``runtimes``.
+    """The rows of one core's hosted ``runtimes``.
 
     Rows are hosted positions; the public arrays are read by the core
-    (``held``, ``queue``, ``generation``, ``session``) and by tests.
+    (``held``, ``queue``) and by tests.
     """
 
     def __init__(self, runtimes: Sequence[NodeRuntime], dt: float) -> None:
@@ -172,8 +164,8 @@ class Columns:
         #: the masks ``load`` derives, the upstream mask): whoever holds
         #: pointers into them repoints when it moves.
         self.reallocations = 0
-        self.load(np.flatnonzero([type(runtime) in KINDS for runtime in runtimes]))
-        self.awake = self.held.copy()
+        self.load(np.arange(count))
+        self.awake = np.ones(count, dtype=bool)
 
     # -- rows and objects ------------------------------------------------
 
@@ -296,15 +288,14 @@ class Columns:
 
         Inside the block the objects at ``positions`` hold what their
         rows hold; after it the rows hold what the objects do, and are
-        awake.  Object rows among ``positions`` are left alone.
+        awake.
         """
-        rows = positions[self.held[positions]]
-        self.store(rows)
+        self.store(positions)
         try:
             yield
         finally:
-            self.load(rows)
-            self.wake(rows)
+            self.load(positions)
+            self.awake[positions] = True
 
     def _widen(self, width: int) -> None:
         """Make room for queue levels up to ``width - 1``."""
@@ -316,8 +307,6 @@ class Columns:
     def _classify(self) -> None:
         """Derive the per-role masks the slot reads from roles and modes."""
         role = self.role
-        #: Rows held here; the rest are object rows.
-        self.held = role > 0
         self._source = role == SOURCE
         self._destination = role == DESTINATION
         relay = role == RELAY
@@ -327,11 +316,6 @@ class Columns:
         self._cap = np.where(self._rate_relay, FlowRelayRuntime._CREDIT_CAP, np.inf)
         # What the tick adds: sources and rate-mode relays earn rate credit.
         self._accrual = np.where(self._source | self._rate_relay, self.increment, 0.0)
-
-    @property
-    def rows(self) -> np.ndarray:
-        """The positions held here, ascending."""
-        return np.flatnonzero(self.held)
 
     def align(
         self,
@@ -382,144 +366,11 @@ class Columns:
                 if row >= 0:
                     self._upstream[row] |= receivers[row] == node
 
-    # -- the slot ---------------------------------------------------------
-
-    def tick(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Every row's ``on_slot``; the contenders and their weights.
-
-        Returns the positions with a non-empty queue, ascending, and
-        their ``demand_rate``.  Every ``PARK_INTERVAL``-th call also
-        parks the awake rows that hold nothing and are dormant, as
-        :meth:`AwakeSet.tick` does.
-        """
-        credit = self.credit
-        credit += self._accrual
-        np.minimum(credit, self._cap, out=credit)
-        ready = np.flatnonzero((credit >= 1.0) & ((self.information >= 1.0) | self._source))
-        if ready.size:
-            self._drain(ready)
-        credit_rows = self._credit_rows
-        if credit_rows.size:
-            demand = self.demand[credit_rows]
-            demand += FlowRelayRuntime._DEMAND_SMOOTHING * (
-                self.enqueued[credit_rows] - demand
-            )
-            self.demand[credit_rows] = demand
-            self.enqueued[credit_rows] = 0.0
-        contenders = np.flatnonzero(self.queue)
-        weights = self.increment[contenders]
-        if credit_rows.size:
-            by_demand = self.credit_mode[contenders]
-            weights[by_demand] = self.demand[contenders[by_demand]]
-        self._ticks += 1
-        if self._ticks % AwakeSet.PARK_INTERVAL == 0:
-            self.awake &= ~((self.queue == 0) & self.dormant())
-        return contenders, weights
-
-    def dormant(self) -> np.ndarray:
-        """``NodeRuntime.dormant`` of every row (False on object rows)."""
-        credit = self.credit
-        pinned = np.minimum(credit + self._accrual, self._cap) == credit
-        spent = (credit < 1.0) | (self.information < 1.0)
-        return self._destination | (self._rate_relay & (self.queue == 0) & pinned & spent)
-
-    def _drain(self, rows: np.ndarray) -> None:
-        """``_SenderRuntime._drain`` on ``rows`` (distinct): queue one
-        packet per whole credit, shed what does not fit."""
-        credit = self.credit
-        make = np.trunc(credit[rows])
-        credit[rows] -= make
-        room = self.limit[rows] - self.queue[rows]
-        over = make > room
-        if over.any():
-            self.dropped[rows[over]] += (make[over] - room[over]).astype(np.int64)
-            make[over] = room[over]
-        made = make.astype(np.int64)
-        source = self.role[rows] == SOURCE
-        level = np.where(source, self.blocks[rows], self.information[rows].astype(np.int64))
-        self.levels[rows, level] += made
-        self.queue[rows] += made
-        self.generated[rows] += made
-        self.enqueued[rows] += np.where(source, 0.0, make)
-
-    def pop(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``pop_transmission`` on ``rows`` (distinct): which had a packet,
-        and the content level of each one handed over."""
-        has = self.queue[rows] > 0
-        rows = rows[has]
-        head = (self.levels[rows] > 0).argmax(axis=1)
-        self.levels[rows, head] -= 1
-        self.queue[rows] -= 1
-        self.sent[rows] += 1
-        return has, head
-
-    def absorb(
-        self,
-        rows: np.ndarray,
-        transmitters: np.ndarray,
-        cells: np.ndarray,
-        generation: np.ndarray,
-        session: np.ndarray,
-        content: np.ndarray,
-    ) -> np.ndarray:
-        """``on_receive`` at ``rows`` (distinct), one packet each.
-
-        A packet is its ``generation``, ``session`` and ``content``, sent
-        from the transmitter row of ``transmitters`` to the receiver in
-        ``cells`` of that row (:meth:`align`).  Returns the mask
-        of the rows left to the object path — a relay hearing a newer
-        generation, a destination completing its own — which this call
-        does not touch.
-        """
-        role = self.role[rows]
-        relay = role == RELAY
-        ours = self.generation[rows]
-        current = generation == ours
-        held = self.information[rows]
-        blocks = self.blocks[rows]
-        innovative = (content > held) & (held < blocks)
-        fallback = relay & (generation > ours)
-        if relay.all():
-            heard = relay
-        else:
-            # A destination hears only its own session's current
-            # generation; a source hears nothing.
-            heard = relay | (
-                (role == DESTINATION) & current & (session == self.session[rows])
-            )
-            fallback |= heard & ~relay & innovative & (held + 1.0 >= blocks)
-        keep = ~fallback
-        self.heard[rows[heard & keep]] += 1
-        gains = heard & current & innovative & keep
-        self.information[rows[gains]] = np.minimum(blocks, held + 1.0)[gains]
-        self.accepted[rows[gains]] += 1
-        if self._credit_rows.size:
-            earned = rows[self._upstream[transmitters, cells] & keep]
-            if earned.size:
-                # MORE counts receptions from upstream, innovative or not.
-                self.credit[earned] += self.tx_credit[earned]
-                ready = (self.credit[earned] >= 1.0) & (self.information[earned] >= 1.0)
-                if ready.any():
-                    self._drain(earned[ready])
-        return fallback
-
-    def sample(self, queue_times: np.ndarray) -> None:
-        """Add every row's queue length to its time integral (parked and
-        object rows hold 0 here)."""
-        queue_times += self.queue
-
     # -- awake flags --------------------------------------------------------
-
-    def wake(self, positions: np.ndarray) -> None:
-        """Flag the rows at ``positions`` awake (object rows' stay clear)."""
-        self.awake[positions] = self.held[positions]
-
-    def wake_everyone(self) -> None:
-        np.copyto(self.awake, self.held)
 
     def awake_count(self) -> int:
         return int(np.count_nonzero(self.awake))
 
     def parked(self) -> np.ndarray:
         """Positions of the parked rows, ascending."""
-        return np.flatnonzero(self.held & ~self.awake)
+        return np.flatnonzero(~self.awake)

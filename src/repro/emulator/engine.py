@@ -24,9 +24,12 @@ the MAC channel capacity).  Each slot:
 A single-process run drives one core that hosts every node by direct
 method calls; a sharded run hosts one core per worker process and
 drives the same methods through pipes — whole epochs of slots while one
-core holds everything awake, a phase at a time while several do.  It is
-protocol-agnostic: behaviour differences live entirely in the runtimes
-(:mod:`repro.emulator.node`) and the plans that configured them.
+core holds everything awake, a phase at a time while several do.  A
+core runs in one of two forms, the same bit for bit: the scalar form
+loops over runtime objects, the compiled form (:mod:`repro.emulator.native`)
+makes each epoch and each phase one call into C over the runtimes' rows.
+It is protocol-agnostic: behaviour differences live entirely in the
+runtimes (:mod:`repro.emulator.node`) and the plans that configured them.
 """
 
 from __future__ import annotations
@@ -65,12 +68,6 @@ from repro.emulator.scheduler import ConflictGraph, IdealMacScheduler
 from repro.topology.graph import Link, WirelessNetwork
 from repro.util.rng import DrawBuffers, NodeStreams, RngFactory, StreamBank
 
-#: Hosted runtimes from which a core runs the slot array-at-a-time
-#: (DESIGN.md §13.1, "array form").  Below it the awake set is a few tens
-#: of nodes and the per-node loops win: numpy's call overhead has nothing
-#: to amortise over.
-ARRAY_FORM_MIN_HOSTED = 192
-
 #: One packet heard by a receiver: (grant_rank, delivery_pos, sender,
 #: kind, payload).  ``grant_rank`` is the sender's index in the granted
 #: tuple and ``delivery_pos`` the receiver's index in the sender's
@@ -107,39 +104,6 @@ def _padded(rows: Sequence[Sequence[int]], pad: int) -> Tuple[np.ndarray, np.nda
     array = np.full(own.shape, pad, dtype=np.intp)
     array[own] = [entry for row in rows for entry in row]
     return array, own
-
-
-class _Broadcast(NamedTuple):
-    """One slot's hosted transmissions and their receptions, array form.
-
-    Per transmitter that fired, in grant-rank order: its rank, node and
-    hosted position, whether it is a column row, and its packet — an
-    object row's as popped (``packets``, by index), a column row's as
-    (session, generation, content level), made into a
-    :class:`FlowPacket` only on demand.  ``receivers`` / ``heard`` /
-    ``delivery_pos``: one row per transmitter over its padded receiver row.
-    """
-
-    ranks: np.ndarray
-    nodes: np.ndarray
-    rows: np.ndarray
-    from_columns: np.ndarray
-    packets: Dict[int, Any]
-    sessions: np.ndarray
-    generations: np.ndarray
-    levels: np.ndarray
-    receivers: np.ndarray
-    heard: np.ndarray
-    delivery_pos: np.ndarray
-
-    def packet(self, index: int) -> Any:
-        """The packet transmitter ``index`` put on the air."""
-        packet = self.packets.get(index)
-        if packet is None:
-            packet = self.packets[index] = FlowPacket(
-                int(self.sessions[index]), int(self.generations[index]), float(self.levels[index])
-            )
-        return packet
 
 
 class SessionCounters(NamedTuple):
@@ -268,21 +232,17 @@ class EngineCore:
     vectors from pre-drawn blocks of those streams.  The scalar form
     loops: per awake runtime (:class:`~repro.emulator.awake.AwakeSet`),
     per contender, per neighbour, a key one ``list.pop()`` and a loss
-    vector one slice (:class:`~repro.util.rng.DrawBuffers`).  The array
-    form — on a core that hosts ``ARRAY_FORM_MIN_HOSTED`` runtimes or
-    more, in a session without unicast runtimes — works on arrays: keys
-    and loss vectors are gathers from a
-    :class:`~repro.util.rng.StreamBank`, and the flow-fidelity runtimes'
-    tick, pop, absorb and queue sampling run over their rows
-    (:class:`~repro.emulator.columns.Columns`); any other runtime stays
-    an object on the awake set.  A core that :func:`compilable` admits
-    takes the array form whatever its size while :func:`compiled_kernel`
-    loads, and while all its rows are columns :meth:`run_slots` is one
-    call into that compiled loop (:mod:`repro.emulator.native`): the
-    numpy phases' arithmetic in their order for flow rows, the scalar
-    form's for unicast rows (ETX), which no numpy phase takes — a
-    unicast core that cannot run compiled stays scalar.  The form is
-    picked once, at construction.
+    vector one slice (:class:`~repro.util.rng.DrawBuffers`).  A core that
+    :func:`compilable` admits runs compiled while :func:`compiled_kernel`
+    loads (:mod:`repro.emulator.native`): its runtimes are rows of
+    :class:`~repro.emulator.columns.Columns`, its draws come from a
+    :class:`~repro.util.rng.StreamBank`, :meth:`run_slots` is one call per
+    stretch of slots, and :meth:`begin_slot`, :meth:`fire` and
+    :meth:`fire_resolve` are one call each — the scalar form's arithmetic
+    in its order.  What the kernel hands back (a relay hearing a newer
+    generation, a destination completing one, an arrival from another
+    core) goes through the runtime objects.  The form is picked once, at
+    construction.
     """
 
     def __init__(self, init: CoreInit) -> None:
@@ -296,8 +256,8 @@ class EngineCore:
         mac = NodeStreams(factory, "mac")
         loss = NodeStreams(factory, "channel")
         self._capture = NodeStreams(factory, "capture")
-        self._arrays, self._kernel = self._form(init)
-        if self._arrays:
+        self._kernel = self._form(init)
+        if self._kernel is not None:
             self._mac_bank = StreamBank(mac)
             self._loss_bank = StreamBank(loss)
         else:
@@ -329,22 +289,12 @@ class EngineCore:
         )
         self._host(init.runtimes, init.participants)
 
-    def _form(self, init: CoreInit) -> Tuple[bool, Optional[native.Kernel]]:
-        """The form, chosen once from what the core is given to host:
-        whether it runs array-at-a-time, and the compiled slot loop it
-        runs epochs on (``None``: the numpy or scalar phases).
-
-        Buffers and banks hold values their generators have already
-        produced, so a node cannot move from one to the other.  The numpy
-        phases carry broadcasts only: a unicast attempt — one target, an
-        arrival of its own kind, a verdict settled after the receiver
-        resolves — has no place in them, so a core of a session with
-        unicast runtimes runs compiled or scalar, never numpy.
-        """
-        kernel = compiled_kernel() if compilable(init) else None
-        if init.has_unicast:
-            return kernel is not None, kernel
-        return kernel is not None or len(init.runtimes) >= ARRAY_FORM_MIN_HOSTED, kernel
+    def _form(self, init: CoreInit) -> Optional[native.Kernel]:
+        """The compiled slot loop the core runs on, chosen once from what
+        it is given to host (``None``: the scalar form).  Buffers and
+        banks hold values their generators have already produced, so a
+        node cannot move from one form to the other."""
+        return compiled_kernel() if compilable(init) else None
 
     def _host(
         self, runtimes: Dict[int, NodeRuntime], participants: Tuple[int, ...]
@@ -371,19 +321,20 @@ class EngineCore:
             else:
                 self._session_of[node] = runtime.session_id
         # Queue-time accumulators carry over: a node hosted before keeps
-        # its integral, new nodes start at zero.  A list, or on an array
+        # its integral, new nodes start at zero.  A list, or on a compiled
         # core an array.
         self._queue_time_buf: Any = [self._queue_time.get(node, 0.0) for node in self._owned]
         self._columns: Optional[Columns] = None
-        if not self._arrays:
+        if self._kernel is None:
             self._awake = AwakeSet(len(self._owned))
         else:
             self._queue_time_buf = np.array(self._queue_time_buf)
             # Transmissions since the last flush, per hosted position.
             self._fired = np.zeros(len(self._owned), dtype=np.int64)
             self._columns = columns = Columns(self._runtime_list, self._dt)
-            self._objects = np.flatnonzero(~columns.held).tolist()
-            self._awake = AwakeSet(len(self._owned), self._objects)
+            assert columns.role.all(), "a compiled core hosts row kinds only"
+            # Nobody to sweep: the rows keep their own awake flags.
+            self._awake = AwakeSet(len(self._owned), ())
             self._node_of = np.array(self._owned, dtype=np.intp)
             # Node id -> hosted position, -1 where another core hosts it
             # (the pad id included).
@@ -440,7 +391,7 @@ class EngineCore:
             ConflictGraph(network, self._owned, two_hop=self._two_hop)
         )
         node_count = network.node_count
-        if self._arrays:
+        if self._kernel is not None:
             # The same structures as padded arrays: ``_rx_ids`` / ``_rx_p``
             # one row per hosted position, ``_cov`` one row per participant
             # (``_cov_row``: node id -> row).  Short rows are filled up
@@ -474,11 +425,7 @@ class EngineCore:
         # Whoever asked for the refresh may have swapped plans or
         # runtime objects: nothing stays parked.
         self._wake_everyone()
-        # The compiled loop runs on these arrays, unless the scheduler
-        # just built observes its grants: then the numpy phases do, which
-        # a unicast row has none of.
-        self._packed: Optional[native.Core] = None
-        if self._kernel is not None and (self._has_unicast or not obs.get_registry().enabled):
+        if self._kernel is not None:
             self._pack()
 
     def _pack(self) -> None:
@@ -501,7 +448,11 @@ class EngineCore:
         self._granted_ids = np.zeros(4 * max(count, 1), dtype=np.int64)
         self._contender_out = np.zeros(count + 1, dtype=np.int64)
         self._key_out = np.zeros(count + 1)
-        self._fallback_out = np.zeros((count + 1, 7), dtype=np.int64)
+        # An arrival a row: every receiver hears at most one transmitter
+        # (blanked otherwise, or never granted together), and a FIRE
+        # hands back those of any node.
+        self._fallback_out = np.zeros((pad + 1, 7), dtype=np.int64)
+        self._grant_in = np.zeros(pad + 1, dtype=np.int64)
         self._kernel_error: Optional[BaseException] = None
         core.rows, core.rx_width, core.pad = count, width, pad
         core.mac_block = self._mac_bank._block
@@ -527,7 +478,8 @@ class EngineCore:
             ("granted_ids", self._granted_ids, np.int64, self._granted_ids.shape),
             ("contender_out", self._contender_out, np.int64, (count + 1,)),
             ("key_out", self._key_out, np.float64, (count + 1,)),
-            ("fallback_out", self._fallback_out, np.int64, (count + 1, 7)),
+            ("fallback_out", self._fallback_out, np.int64, (pad + 1, 7)),
+            ("grant_in", self._grant_in, np.int64, (pad + 1,)),
         ]
         if self._blanking:
             core.cov_width = self._cov.shape[1]
@@ -598,7 +550,7 @@ class EngineCore:
     def _wake_everyone(self) -> None:
         self._awake.wake_everyone()
         if self._columns is not None:
-            self._columns.wake_everyone()
+            self._columns.awake[:] = True
 
     def _through_objects(self, positions: Iterable[int]) -> ContextManager[None]:
         """The row fallback (:meth:`Columns.through_objects`) around a
@@ -609,10 +561,10 @@ class EngineCore:
         return self._columns.through_objects(np.fromiter(positions, dtype=np.intp))
 
     def _awake_count(self) -> int:
-        """The size of the awake set, column rows included."""
+        """The size of the awake set."""
         if self._columns is None:
             return len(self._awake.positions)
-        return len(self._awake.positions) + self._columns.awake_count()
+        return self._columns.awake_count()
 
     # -- slot phases ---------------------------------------------------
 
@@ -630,29 +582,19 @@ class EngineCore:
                 for runtime in self._runtime_list:
                     getattr(runtime, method)(*arguments)
 
-    def _contend(self) -> Tuple[Any, Any]:
-        """Tick clocks, draw lottery keys.
+    def _contend(self) -> Tuple[List[float], List[int]]:
+        """Tick clocks, draw lottery keys (the scalar form).
 
-        One pass per awake runtime object, and on an array core one
-        :meth:`Columns.tick` over the column rows: clock advance, then
-        scheduler inputs.  Safe to fuse — runtimes only interact through
-        deliveries, and each holds its own RNG, so per-node slot work is
-        independent.  Every contender draws one ``Exp(1)`` from its own
-        "mac" stream, so a node's key sequence depends only on how often
-        *it* contended.  Returns the hosted contenders' keys and their
-        hosted positions, ascending — lists, or in the array form arrays.
+        One pass per awake runtime: clock advance, then scheduler inputs.
+        Safe to fuse — runtimes only interact through deliveries, and
+        each holds its own RNG, so per-node slot work is independent.
+        Every contender draws one ``Exp(1)`` from its own "mac" stream,
+        so a node's key sequence depends only on how often *it*
+        contended.  Returns the hosted contenders' keys and their hosted
+        positions, ascending.
         """
         floor = IdealMacScheduler.WEIGHT_FLOOR
         contenders, weights = self._awake.tick(self._runtime_list, self._dt)
-        if self._columns is not None:
-            positions, rates = self._columns.tick()
-            if contenders:  # object rows contend too: merge by position
-                positions = np.concatenate((positions, contenders))
-                rates = np.concatenate((rates, weights))
-                order = np.argsort(positions)
-                positions, rates = positions[order], rates[order]
-            draws = self._mac_bank.take(self._mac_rows[positions])
-            return draws / np.maximum(rates, floor), positions
         owned = self._owned
         mac = self._mac_draws
         keys: List[float] = []
@@ -667,13 +609,21 @@ class EngineCore:
         contenders' keys for a greedy pass over several cores' at once."""
         if events:
             self.apply_events(events)
+        if self._kernel is not None:
+            self._call(native.CONTEND)
+            return self._handed_back()
         return self._contention(*self._contend())
 
-    def _contention(self, keys: Any, contenders: Any) -> Contention:
+    def _contention(self, keys: List[float], contenders: List[int]) -> Contention:
         to_global = self._global_positions
-        if self._arrays:  # Python numbers: the reply is pickled
-            keys, contenders = keys.tolist(), contenders.tolist()
         return self._awake_count(), keys, [to_global[p] for p in contenders]
+
+    def _handed_back(self) -> Contention:
+        """The contention the kernel handed back (a :data:`native.CUT`)."""
+        count = self._packed.contenders
+        return self._contention(
+            self._key_out[:count].tolist(), self._contender_out[:count].tolist()
+        )
 
     def run_slots(self, epoch: Epoch) -> Tuple[int, List[Record], Optional[Contention]]:
         """An epoch: whole slots, while they are this core's alone.
@@ -691,27 +641,19 @@ class EngineCore:
         budget, events, named = epoch
         if events:
             self.apply_events(events)
-        grant = self._scheduler.grant_from_keyed
-        cut = self._cut
-        arrays = self._arrays
         records: List[Record] = []
         self._epoch = records
-        if self._packed is not None and not self._objects:
+        if self._kernel is not None:
             unfinished = self._run_compiled(budget, named, records)
             return self._awake_count(), records, unfinished
+        grant = self._scheduler.grant_from_keyed
+        cut = self._cut
         while budget > 0:
             keys, contenders = self._contend()
-            if cut and (
-                self._cut_mask[contenders].any() if arrays else not cut.isdisjoint(contenders)
-            ):
+            if cut and not cut.isdisjoint(contenders):
                 return self._awake_count(), records, self._contention(keys, contenders)
-            # The contenders by ascending key, ties by ascending position:
-            # what sorting (key, position) pairs gives, and a stable sort
-            # of the keys alone (the contenders come in position order).
-            if arrays:
-                ordered = contenders[np.argsort(keys, kind="stable")].tolist()
-            else:
-                ordered = [position for _key, position in sorted(zip(keys, contenders))]
+            # The contenders by ascending key, ties by ascending position.
+            ordered = [position for _key, position in sorted(zip(keys, contenders))]
             granted = grant(ordered)
             awake, happened = self.fire_resolve(granted)
             records.append((granted if named else len(granted), len(keys), happened))
@@ -720,16 +662,41 @@ class EngineCore:
                 break
         return self._awake_count(), records, None
 
+    def _call(self, phase: int, budget: int = 1) -> int:
+        """One call into the compiled loop (``phase``: :data:`native.EPOCH`
+        and the rest) on the columns as they stand; its status."""
+        core = self._packed
+        columns = self._columns
+        assert columns is not None and self._kernel is not None
+        if columns.reallocations != self._pointed:
+            self._point_columns()
+        core.phase = phase
+        # The bank callbacks live for this call only: held by the core,
+        # they would tie it into a cycle that outlives its session (and
+        # so would ``ctypes.cast``).
+        callbacks = (native.Refill(self._refill), native.Unbanked(self._unbanked))
+        core.refill, core.unbanked = (
+            ctypes.c_void_p.from_buffer(callback).value for callback in callbacks
+        )
+        core.ticks = columns._ticks
+        status = self._kernel(ctypes.byref(core), budget)
+        columns._ticks = core.ticks
+        if status == native.FAILED:
+            error, self._kernel_error = self._kernel_error, None
+            raise error or RuntimeError(
+                "compiled slot loop: a queue level out of range, a unicast next hop"
+                " that is not a hosted unicast neighbour, or an arrival it cannot take"
+            )
+        return status
+
     def _run_compiled(
         self, budget: int, named: bool, records: List[Record]
     ) -> Optional[Contention]:
         """:meth:`run_slots` on the compiled loop, one call per stretch of
         slots between its exits: a slot left to the object path is
-        resolved, settled and recorded here, as :meth:`fire_resolve` and
-        the loop would; a cut slot's contention is returned unfinished."""
+        resolved, settled and recorded here (:meth:`_fall_back`); a cut
+        slot's contention is returned unfinished."""
         core = self._packed
-        columns = self._columns
-        assert core is not None and columns is not None and self._kernel is not None
         if budget > self._slot_out.shape[1]:
             self._slot_out = np.zeros((2, budget), dtype=np.int64)
             core.slot_granted = native.address(self._slot_out[0], np.int64, (budget,))
@@ -739,25 +706,8 @@ class EngineCore:
             core.sink_out = native.address(self._sink_out, np.int64, (sinks, 4))
             core.sink_capacity = sinks
         core.named = named
-        # The bank callbacks live for this call only: held by the core,
-        # they would tie it into a cycle that outlives its session (and
-        # so would ``ctypes.cast``).
-        callbacks = (native.Refill(self._refill), native.Unbanked(self._unbanked))
-        core.refill, core.unbanked = (
-            ctypes.c_void_p.from_buffer(callback).value for callback in callbacks
-        )
         while budget > 0:
-            if columns.reallocations != self._pointed:
-                self._point_columns()
-            core.ticks = columns._ticks
-            status = self._kernel(ctypes.byref(core), budget)
-            columns._ticks = core.ticks
-            if status == native.FAILED:
-                error, self._kernel_error = self._kernel_error, None
-                raise error or RuntimeError(
-                    "compiled slot loop: a queue level out of range, or a unicast"
-                    " next hop that is not a hosted unicast neighbour"
-                )
+            status = self._call(native.EPOCH, budget)
             slots = core.slots
             pending = status == native.FALLBACK
             granted: List[Any] = self._slot_out[0, : slots + pending].tolist()
@@ -771,25 +721,36 @@ class EngineCore:
             unrecorded = self._sunk(core.sunk, records, first)
             budget -= slots
             if status == native.CUT:
-                count = core.contenders
-                return self._contention(self._key_out[:count], self._contender_out[:count])
+                return self._handed_back()
             if status == native.ASLEEP:
                 break
             if pending:
-                happened: List[Event] = unrecorded
-                entries: List[Entry] = []
-                fallbacks = self._fallback_out[: core.fallbacks].tolist()
-                for receiver, rank, place, sender, session, gen, level in fallbacks:
-                    packet = FlowPacket(session, gen, float(level))
-                    entries.append((receiver, [(rank, place, sender, "coded", packet)]))
-                self._resolve_objects(entries, happened)
-                happened.sort(key=itemgetter(0, 1))  # sinks' and the objects' in place order
-                self._settle(())
+                happened = self._fall_back(unrecorded)
                 records.append((granted[slots], contenders[slots], happened))
                 budget -= 1
                 if not self._awake_count() or any(event[2] == "decoded" for event in happened):
                     break
         return None
+
+    def _fall_back(self, happened: List[Event]) -> List[Event]:
+        """Finish a slot the kernel left at :data:`native.FALLBACK`: its
+        handed-back arrivals through the runtime objects, then the queue
+        samples.  Returns ``happened`` (the slot's sink events) with what
+        the objects logged, in place order."""
+        self._resolve_objects(list(self._offers().items()), happened)
+        happened.sort(key=itemgetter(0, 1))
+        self._settle(())
+        return happened
+
+    def _offers(self) -> Dict[int, List[Arrival]]:
+        """The arrivals the last call handed back (row-major: in place
+        order), by receiver, as :meth:`_fire` builds them."""
+        offers: Dict[int, List[Arrival]] = {}
+        handed = self._fallback_out[: self._packed.fallbacks].tolist()
+        for receiver, rank, place, sender, session, generation, level in handed:
+            packet = FlowPacket(session, generation, float(level))
+            offers.setdefault(receiver, []).append((rank, place, sender, "coded", packet))
+        return offers
 
     def _sunk(self, count: int, records: List[Record], first: int) -> List[Event]:
         """The kernel's ``count`` deliveries to unicast sinks: each sink's
@@ -814,6 +775,11 @@ class EngineCore:
         """Slots the last epoch completed: where it failed, if it raised."""
         return len(self._epoch)
 
+    def _grant(self, granted: Tuple[int, ...]) -> None:
+        """Hand the kernel a slot's whole granted tuple."""
+        self._grant_in[: len(granted)] = granted
+        self._packed.grants = len(granted)
+
     def fire(
         self, granted: Tuple[int, ...]
     ) -> Tuple[int, List[Event], List[Entry]]:
@@ -826,10 +792,12 @@ class EngineCore:
         arrivals both in place order.
         """
         events: List[Event] = []
-        if self._arrays:
-            offers = self._offers(self._fire_arrays(granted, events))
-        else:
+        if self._kernel is None:
             offers = self._fire(granted, events)
+        else:
+            self._grant(granted)
+            self._call(native.FIRE)
+            offers = self._offers()
         return self._awake_count(), events, list(offers.items())
 
     def _fire(
@@ -944,222 +912,6 @@ class EngineCore:
                         covered[j] = 0
         return offers
 
-    def _fire_arrays(
-        self, granted: Tuple[int, ...], events: List[Event]
-    ) -> Optional[_Broadcast]:
-        """:meth:`_fire` with every hosted transmitter and receiver at once.
-
-        The granted column rows pop their queue heads in one call
-        (:meth:`Columns.pop`); object rows pop theirs one by one.  What
-        is per neighbour becomes one row of the padded arrays per
-        transmitter: a candidate is what the scalar form makes one,
-        tested in its order (not transmitting, not blanked, a usable
-        link), and each transmitter's uniforms are the next of its own
-        "channel" stream, one per candidate in ascending receiver order —
-        the scalar form's draws and arrivals, bit for bit.  Returns
-        nothing when nothing hosted fired.
-        """
-        if not granted:
-            return None
-        granted_nodes = np.array(granted, dtype=np.intp)
-        hosted = self._position_of[granted_nodes]
-        ranks = np.flatnonzero(hosted >= 0)  # the rest are another core's
-        rows = hosted[ranks]
-        columns = self._columns
-        assert columns is not None
-        packets: Dict[int, Any] = {}
-        if not self._objects:
-            fired, levels = columns.pop(rows)
-            from_columns = np.ones(len(levels), dtype=bool)
-        else:
-            from_columns = columns.held[rows]
-            fired = np.ones(len(rows), dtype=bool)
-            held = np.flatnonzero(from_columns)
-            popped, heads = columns.pop(rows[held])
-            fired[held] = popped
-            levels = np.zeros(len(rows), dtype=np.int64)
-            levels[held[popped]] = heads
-            objects = {}
-            for index in np.flatnonzero(~from_columns).tolist():
-                packet = self._runtime_list[rows[index]].pop_transmission()
-                if packet is None:
-                    fired[index] = False
-                else:
-                    objects[index] = packet
-            index_after = np.cumsum(fired) - 1  # an index among those that fired
-            packets = {int(index_after[index]): packet for index, packet in objects.items()}
-            levels, from_columns = levels[fired], from_columns[fired]
-        if not fired.all():
-            ranks, rows = ranks[fired], rows[fired]
-        if not rows.size:
-            return None
-        nodes = self._node_of[rows]
-        self._fired[rows] += 1
-        if self._obs_enabled:
-            self._m_tx.inc(len(rows))
-        if self._traced:
-            events.extend(
-                (-1, rank, "tx", node) for rank, node in zip(ranks.tolist(), nodes.tolist())
-            )
-        ids = self._rx_ids[rows]
-        probabilities = self._rx_p[rows]
-        transmitting = self._granted_mask
-        transmitting[granted_nodes] = True
-        candidate = ~transmitting[ids]
-        transmitting[granted_nodes] = False
-        if self._blanking:
-            # How many granted coverage disks each node falls in (the
-            # pad cell collects the short rows' filler).
-            covered = np.bincount(
-                self._cov[self._cov_row[granted_nodes]].reshape(-1),
-                minlength=len(transmitting),
-            )
-            covered[-1] = 0
-            clear = covered[ids] <= 1
-            if self._obs_enabled:
-                blanked = np.count_nonzero(candidate & ~clear)
-                if blanked:
-                    self._m_blanked.inc(blanked)
-            candidate &= clear
-        candidate &= probabilities > 0.0
-        uniforms = self._loss_bank.take(
-            self._loss_rows[rows], np.count_nonzero(candidate, axis=1)
-        )
-        heard = np.zeros(candidate.shape, dtype=bool)
-        heard[candidate] = uniforms < probabilities[candidate]
-        return _Broadcast(
-            ranks=ranks,
-            nodes=nodes,
-            rows=rows,
-            from_columns=from_columns,
-            packets=packets,
-            sessions=columns.session[rows],
-            generations=columns.generation[rows],
-            levels=levels,
-            receivers=ids,
-            heard=heard,
-            # A receiver's index among those its transmitter delivered to.
-            delivery_pos=np.cumsum(heard, axis=1) - 1,
-        )
-
-    def _offers(self, broadcast: Optional[_Broadcast]) -> Dict[int, List[Arrival]]:
-        """What each receiver heard, receivers and arrivals in place order:
-        by grant rank, then ascending receiver (row-major)."""
-        offers: Dict[int, List[Arrival]] = {}
-        if broadcast is None:
-            return offers
-        senders, cells = np.nonzero(broadcast.heard)
-        ranks, nodes = broadcast.ranks.tolist(), broadcast.nodes.tolist()
-        for sender, receiver, pos in zip(
-            senders.tolist(),
-            broadcast.receivers[senders, cells].tolist(),
-            broadcast.delivery_pos[senders, cells].tolist(),
-        ):
-            offers.setdefault(receiver, []).append(
-                (ranks[sender], pos, nodes[sender], "coded", broadcast.packet(sender))
-            )
-        return offers
-
-    def _captured(self, receivers: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Per receiver of one slot's arrivals (row-major order), in place
-        order: the index of its first arrival and of the one it keeps.
-
-        A receiver that heard several keeps one drawn from its own
-        capture stream, as in :meth:`_resolve`.
-        """
-        count = len(receivers)
-        order = np.argsort(receivers, kind="stable")
-        ranked = receivers[order]
-        starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
-        if len(starts) == count:
-            everyone = np.arange(count)
-            return everyone, everyone
-        first = order[starts]
-        kept = first.copy()
-        sizes = np.diff(np.append(starts, count))
-        for group in np.flatnonzero(sizes > 1).tolist():
-            start, size = int(starts[group]), int(sizes[group])
-            index = int(self._capture[int(ranked[start])].integers(0, size))
-            kept[group] = order[start + index]
-        place = np.argsort(first)
-        return first[place], kept[place]
-
-    def _absorb(self, broadcast: Optional[_Broadcast], events: List[Event]) -> None:
-        """:meth:`_resolve` for what :meth:`_fire_arrays` delivered here.
-
-        A column row hearing a column row's packet takes it in
-        :meth:`Columns.absorb`, its link recorded in ``_delivered``;
-        every other arrival — to an object row, from one, or one that
-        :meth:`Columns.absorb` hands back — is an entry for
-        :meth:`_resolve_objects`.  Events come out in place order.
-        """
-        if broadcast is None:
-            return
-        senders, cells = np.nonzero(broadcast.heard)
-        if not senders.size:
-            return
-        receivers = broadcast.receivers[senders, cells]
-        places = broadcast.delivery_pos[senders, cells]
-        if self._blanking or self._two_hop:
-            # Nobody hears two transmitters (blanked, or never granted
-            # together): every arrival is kept, already in place order.
-            ranks = broadcast.ranks[senders]
-        else:
-            first, kept = self._captured(receivers)
-            ranks, places = broadcast.ranks[senders[first]], places[first]
-            senders, cells, receivers = senders[kept], cells[kept], receivers[kept]
-        positions = self._position_of[receivers]
-        columns = self._columns
-        assert columns is not None
-        fast = columns.held[positions] & broadcast.from_columns[senders]
-        quick = np.flatnonzero(fast)
-        if quick.size:
-            rows, by = positions[quick], senders[quick]
-            transmitters, cells_quick = broadcast.rows[by], cells[quick]
-            columns.wake(rows)
-            back = columns.absorb(
-                rows,
-                transmitters,
-                cells_quick,
-                broadcast.generations[by],
-                broadcast.sessions[by],
-                broadcast.levels[by],
-            )
-            if back.any():
-                fast[quick[back]] = False
-                quick, transmitters, cells_quick = (
-                    quick[~back], transmitters[~back], cells_quick[~back]
-                )
-            self._delivered[transmitters, cells_quick] = True
-            if self._obs_enabled:
-                self._m_deliveries.inc(len(quick))
-        slow = np.flatnonzero(~fast)
-        resolved: List[Event] = []
-        if slow.size:
-            nodes = broadcast.nodes
-            entries: List[Entry] = [
-                (receiver, [(rank, place, int(nodes[sender]), "coded", broadcast.packet(sender))])
-                for receiver, rank, place, sender in zip(
-                    receivers[slow].tolist(),
-                    ranks[slow].tolist(),
-                    places[slow].tolist(),
-                    senders[slow].tolist(),
-                )
-            ]
-            self._resolve_objects(entries, resolved)
-        if self._traced and quick.size:
-            resolved.extend(
-                (rank, place, "delivery", sender, receiver)
-                for rank, place, sender, receiver in zip(
-                    ranks[quick].tolist(),
-                    places[quick].tolist(),
-                    broadcast.nodes[senders[quick]].tolist(),
-                    receivers[quick].tolist(),
-                )
-            )
-            resolved.sort(key=itemgetter(0, 1))
-        events.extend(resolved)
-
     def resolve(
         self, entries: Iterable[Entry]
     ) -> Tuple[int, List[Event], List[int]]:
@@ -1226,12 +978,15 @@ class EngineCore:
         spot.
         """
         events: List[Event] = []
-        if self._arrays:
-            self._absorb(self._fire_arrays(granted, events), events)
-            self._settle(())
-        else:
+        if self._kernel is None:
             offers = self._fire(granted, events)
             self._settle(self._resolve(offers.items(), events) if offers else ())
+        else:
+            self._grant(granted)
+            status = self._call(native.RESOLVE)
+            events = self._sunk(self._packed.sunk, [], 0)
+            if status == native.FALLBACK:
+                self._fall_back(events)
         return self._awake_count(), events
 
     def finish_slot(self, successes: Sequence[int]) -> Tuple[int]:
@@ -1256,7 +1011,9 @@ class EngineCore:
                 )
             self._pending_unicast.clear()
         queue_times = self._queue_time_buf
-        if self._obs_enabled:
+        if self._columns is not None:
+            queue_times += self._columns.queue
+        elif self._obs_enabled:
             # The histogram takes one sample per runtime per slot, in
             # participant order, parked or not (parked ones read 0).
             for position, queue_length in enumerate(self._queue_lengths()):
@@ -1264,8 +1021,6 @@ class EngineCore:
                 self._m_queue.observe(queue_length)
         else:
             self._awake.sample_queues(self._runtime_list, queue_times)
-            if self._columns is not None:
-                self._columns.sample(queue_times)
         if self._composites:
             self._sample_sessions(1)
 
@@ -1280,10 +1035,7 @@ class EngineCore:
         """Every hosted runtime's queue length, in position order."""
         if self._columns is None:
             return [runtime.queue_length() for runtime in self._runtime_list]
-        lengths: List[int] = self._columns.queue.tolist()
-        for position in self._objects:
-            lengths[position] = self._runtime_list[position].queue_length()
-        return lengths
+        return self._columns.queue.tolist()
 
     # -- control plane -------------------------------------------------
 
@@ -1316,7 +1068,7 @@ class EngineCore:
         settings, participants, terms = plan
         self._flush()
         if self._columns is not None:  # retuned objects keep what their rows hold
-            self._columns.store(self._columns.rows)
+            self._columns.store(np.arange(len(self._owned)))
         log = self._log
         runtimes = install_runtimes(
             settings, self._runtimes, terms,
@@ -1342,14 +1094,15 @@ class EngineCore:
 
     def parked_nodes(self, _argument: None = None) -> List[int]:
         """Hosted nodes the slot loop currently skips (introspection)."""
-        parked = self._awake.parked_positions()
-        if self._columns is not None:
-            parked = sorted(parked + self._columns.parked().tolist())
+        if self._columns is None:
+            parked = self._awake.parked_positions()
+        else:
+            parked = self._columns.parked().tolist()
         return [self._owned[i] for i in parked]
 
     def _flush(self) -> None:
         """Publish the flat per-position accumulators into the per-node
-        records: queue-time integrals and, on an array core, the
+        records: queue-time integrals and, on a compiled core, the
         transmissions and delivered links counted since the last flush."""
         if self._columns is None:
             self._queue_time.update(zip(self._owned, self._queue_time_buf))
@@ -1368,7 +1121,7 @@ class EngineCore:
         """This core's stats for the session's merge (non-destructive)."""
         self._flush()
         if self._columns is not None:  # objects hold what their rows do
-            self._columns.store(self._columns.rows)
+            self._columns.store(np.arange(len(self._owned)))
         delivered = sorted(self._delivered_links)
         # A delivery is recorded where its receiver is hosted.
         into: Dict[int, List[Link]] = {}
@@ -1426,29 +1179,33 @@ def compiled_kernel() -> Optional[native.Kernel]:
     run = native.load()
     if run is None or not _self_test(run):
         logging.getLogger(__name__).warning(
-            "the compiled slot loop is unavailable here; flow cores run their Python phases"
+            "the compiled slot loop is unavailable here; every core runs the scalar slot loop"
         )
         return None
     return run
 
 
-def _forced(arrays: bool, kernel: Optional[native.Kernel]) -> type[EngineCore]:
-    """A core class of one form, whatever it hosts: the self-tests' two sides."""
+def _forced(kernel: Optional[native.Kernel]) -> type[EngineCore]:
+    """A core class of one form, whatever it hosts: the self-test's two
+    sides (``kernel`` None: the scalar form)."""
 
     class Forced(EngineCore):
-        def _form(self, init: CoreInit) -> Tuple[bool, Optional[native.Kernel]]:
-            return arrays, kernel
+        def _form(self, init: CoreInit) -> Optional[native.Kernel]:
+            return kernel
 
     return Forced
 
 
 def _self_test(run: native.Kernel) -> bool:
-    """Epochs on a five-node line on the numpy phases and on ``run``,
-    equal by ``repr`` slot by slot and in every array at the end: rate
-    and credit relays under blanking, a source that drops, refills,
+    """Epochs along a five-node line on a scalar core and on ``run``, equal
+    by ``repr`` slot by slot, in ``finalize``, in every runtime's fields
+    after it and in the next values of every draw stream — twice.  Flow:
+    rate and credit relays under blanking, a source that drops, refills,
     decodes taken through the object path, generation advances and a
-    generation-size switch.  Then ETX along the line, scalar and on
-    ``run`` (:func:`_unicast_self_test`)."""
+    generation-size switch.  ETX: sources at 0 and 2 (hidden terminals:
+    node 1 is blanked when both send), short queues that drop (deliveries
+    into a full one included), a re-route over a link that is not there
+    and back, and the sink's ``delivered`` events."""
     from repro.emulator.plan import CodingParams  # only a self-test needs it
 
     line = range(5)
@@ -1459,57 +1216,32 @@ def _self_test(run: native.Kernel) -> bool:
         capacity=1e5,
     )
     size, rate = 1000, 8e4  # bytes a packet, bytes a second
-    outcomes = []
-    for make in (_forced(True, None), _forced(True, run)):
-        log = _DecodeLog()
-        runtimes: Dict[int, NodeRuntime] = {
+
+    def flow(log: _DecodeLog) -> Dict[int, NodeRuntime]:
+        return {
             0: FlowSourceRuntime(0, 1, 2, rate, size, queue_limit=3),
             1: FlowRelayRuntime(1, 1, 2, size, mode="rate", rate_bps=0.75 * rate),
             2: FlowRelayRuntime(2, 1, 2, size, mode="credit", tx_credit=0.7, upstream=(1,)),
             3: FlowRelayRuntime(3, 1, 2, size, mode="credit", tx_credit=1.3, upstream=(2,)),
             4: FlowDestinationRuntime(4, 1, 2, on_decoded=log),
         }
-        init = CoreInit(
-            network, runtimes, tuple(line), size / network.capacity, "blanking", 7,
-            has_unicast=False, decode_log=log,
-        )
-        trail = []
-        with obs.collecting(obs.MetricsRegistry(enabled=False)):
-            core = make(init)
-            generation = 0
-            for epoch, budget in enumerate((1, 3, 20, 40)):
-                if epoch == 2:
-                    core.apply_plan({node: {"coding": CodingParams(blocks=5)} for node in line})
-                events = [("advance_generation", generation)] if generation else None
-                reply = core.run_slots((budget, events, epoch % 2 == 0))
-                trail.append(reply)
-                generation += any(e[2] == "decoded" for *_r, happened in reply[1] for e in happened)
-            columns = core._columns
-            assert columns is not None
-            state = [getattr(columns, attribute) for _name, attribute, _dtype in native.COLUMNS]
-            state += [core._queue_time_buf, core._fired, core._delivered]
-            for bank in (core._mac_bank, core._loss_bank):
-                rows = [bank._row_of[node] for node in sorted(bank._streams)]
-                state += [bank._cursor, *(bank._values[row, bank._cursor[row] :] for row in rows)]
-            outcomes.append(repr((trail, core.finalize(), [a.tolist() for a in state], generation)))
-    return outcomes[0] == outcomes[1] and _unicast_self_test(run, network)
 
+    def flow_epochs(core: EngineCore) -> List[Any]:
+        trail: List[Any] = []
+        generation = 0
+        for epoch, budget in enumerate((1, 3, 20, 40)):
+            if epoch == 2:
+                core.apply_plan({node: {"coding": CodingParams(blocks=5)} for node in line})
+            events = [("advance_generation", generation)] if generation else None
+            reply = core.run_slots((budget, events, epoch % 2 == 0))
+            trail.append(reply)
+            generation += any(e[2] == "decoded" for *_r, happened in reply[1] for e in happened)
+        return trail
 
-def _unicast_self_test(run: native.Kernel, network: WirelessNetwork) -> bool:
-    """ETX epochs along the five-node line ``network`` on a scalar core
-    and on ``run``, equal by ``repr`` slot by slot, in every runtime's
-    fields at the end and in the next values of every draw stream: sources
-    at 0 and 2 (hidden terminals: node 1 is blanked when both send), short
-    queues that drop (deliveries into a full one included), a re-route
-    over a link that is not there and back, and the sink's ``delivered``
-    events."""
+    rates, limits = (9e4, 0.0, 3e4, 0.0, 0.0), (3, 1, 2, 2, 2)
 
-    line = range(5)
-    size, rates, limits = 1000, (9e4, 0.0, 3e4, 0.0, 0.0), (3, 1, 2, 2, 2)
-    outcomes = []
-    for make in (_forced(False, None), _forced(True, run)):
-        log = _DecodeLog()
-        runtimes: Dict[int, NodeRuntime] = {
+    def unicast(log: _DecodeLog) -> Dict[int, NodeRuntime]:
+        return {
             node: UnicastRuntime(
                 node, node + 1 if node < 4 else None, rate_bps=rates[node], packet_bytes=size,
                 queue_limit=limits[node], on_delivered=log.deliver,
@@ -1517,30 +1249,42 @@ def _unicast_self_test(run: native.Kernel, network: WirelessNetwork) -> bool:
             )
             for node in line
         }
-        init = CoreInit(
-            network, runtimes, tuple(line), size / network.capacity, "blanking", 7,
-            has_unicast=True, decode_log=log,
-        )
-        trail = []
-        with obs.collecting(obs.MetricsRegistry(enabled=False)):
-            core = make(init)
-            for epoch, budget in enumerate((1, 3, 20, 40, 60)):
-                if epoch in (2, 3):  # 0 -> 2 is out of range: attempts that never draw
-                    core.apply_plan({0: {"next_hop": 2 if epoch == 2 else 1}})
-                trail.append(core.run_slots((budget, None, epoch % 2 == 0)))
-            finalized = core.finalize()
-        fields = [
-            sorted((k, v) for k, v in vars(r).items() if k != "_on_delivered")
-            for r in runtimes.values()
-        ]
-        outcomes.append(repr((trail, finalized, fields, _next_draws(core, list(line)))))
-    return outcomes[0] == outcomes[1]
+
+    def unicast_epochs(core: EngineCore) -> List[Any]:
+        trail: List[Any] = []
+        for epoch, budget in enumerate((1, 3, 20, 40, 60)):
+            if epoch in (2, 3):  # 0 -> 2 is out of range: attempts that never draw
+                core.apply_plan({0: {"next_hop": 2 if epoch == 2 else 1}})
+            trail.append(core.run_slots((budget, None, epoch % 2 == 0)))
+        return trail
+
+    for build, drive, has_unicast in ((flow, flow_epochs, False), (unicast, unicast_epochs, True)):
+        outcomes: List[str] = []
+        for kernel in (None, run):
+            log = _DecodeLog()
+            runtimes = build(log)
+            init = CoreInit(
+                network, runtimes, tuple(line), size / network.capacity, "blanking", 7,
+                has_unicast=has_unicast, decode_log=log,
+            )
+            with obs.collecting(obs.MetricsRegistry(enabled=False)):
+                core = _forced(kernel)(init)
+                trail = drive(core)
+                finalized = core.finalize()
+            fields = [
+                sorted((k, v) for k, v in vars(r).items() if not k.startswith("_on"))
+                for r in runtimes.values()
+            ]
+            outcomes.append(repr((trail, finalized, fields, _next_draws(core, list(line)))))
+        if outcomes[0] != outcomes[1]:
+            return False
+    return True
 
 
 def _next_draws(core: EngineCore, nodes: List[int], count: int = 3) -> List[List[float]]:
     """The next ``count`` lottery and loss draws of each of ``nodes``,
     taken from a core's buffers or banks, whichever it holds."""
-    if not core._arrays:
+    if core._kernel is None:
         return [
             [value for node in nodes for value in draws.take(node, count)]
             for draws in (core._mac_draws, core._loss_draws)

@@ -1,45 +1,48 @@
-"""The slot loop compiled: one foreign call per epoch.
+"""The slot loop compiled: one foreign call per epoch, or per half slot.
 
-:meth:`EngineCore.run_slots <repro.emulator.engine.EngineCore.run_slots>`
-hands an array core's epoch to :data:`_C_SOURCE` while the core holds no
-object row.  Per slot it runs what the numpy phases run, on the arrays
-they own, in place: :meth:`Columns.tick <repro.emulator.columns.Columns.tick>`
-(credit, cap, drain, drops, the credit-mode EWMA, contenders and
-weights, the park check), the lottery keys, the stable (key, position)
-order and the greedy grant, ``_fire_arrays`` (pop, transmitting and
-blanking coverage, one loss run per transmitter in grant order),
-:meth:`Columns.absorb` taken row-major, and :meth:`Columns.sample`.  It is
-exact, not close: every double operation is the numpy form's, in its
-order, compiled with ``-ffp-contract=off`` (no FMA contraction, no
-``-ffast-math``, no ``-march``).
+A core that :func:`~repro.emulator.engine.compilable` admits keeps its
+runtimes as :class:`~repro.emulator.columns.Columns` rows and runs its
+slots through :data:`_C_SOURCE`, in place on the arrays it owns.  Per slot
+the loop runs what the scalar form (:class:`~repro.emulator.engine.EngineCore`
+over runtime objects) runs, in its order: every row's ``on_slot``
+(credit, cap, drain, drops, the credit-mode EWMA, contenders and weights,
+the park check; a unicast row queues a packet per whole credit and drops
+what does not fit), the lottery keys, the stable (key, position) order
+and the greedy grant, then the granted transmitters' pops, transmitting
+and blanking coverage over every granted id, one loss run per
+transmitter in grant order, ``on_receive`` at the receivers taken
+row-major, the unicast attempts (one uniform of the row's loss stream,
+drawn only past the half-duplex and blanking checks and at ``p > 0``),
+their hops' appends or drops and ``complete_transmission``'s verdicts,
+and the queue samples.  It is exact, not close: every double operation is
+the scalar form's, in its order, compiled with ``-ffp-contract=off`` (no
+FMA contraction, no ``-ffast-math``, no ``-march``).
 
-Unicast rows (:class:`~repro.emulator.node.UnicastRuntime`, ETX) have
-no numpy phases: for them the loop runs the scalar form, in its order —
-``on_slot``'s one-credit-at-a-time tick, contention on a queue and a
-next hop, the attempt (one uniform of the row's loss stream, drawn only
-past the half-duplex and blanking checks and at ``p > 0``), the
-append or drop at the hop, and ``complete_transmission``'s verdicts
-before the queues are sampled.  A delivery to a sink is handed back as
-``(slot, rank, position, sequence)`` for Python to call its
-``on_delivered``.
+``Core.phase`` says what a call runs (:data:`EPOCH` and the rest): an
+epoch of up to ``budget`` slots, granted here; or one half of a slot
+whose grant a shard parent makes over several cores' keys — the tick and
+the keys, or the fire given the whole granted tuple, absorbing at the
+receivers or handing every arrival back untouched.  A delivery to a sink
+is handed back as ``(slot, rank, position, sequence)`` for Python to call
+its ``on_delivered``.
 
-A call returns on any of five exits, each at a slot boundary the numpy
-form also stops at, or before ``_settle`` of a slot Python finishes:
-the budget is spent (or the named-grant buffer is full), nothing is
-left awake, a hosted node on the cut contends (:data:`CUT`: the keys and
-contenders are handed back), or an arrival takes the object path —
-a relay hearing a newer generation, a destination completing its own
-(:data:`FALLBACK`: the arrivals are handed back, the slot is not
-sampled yet).  A bank row that runs short is refilled through a
-callback into :meth:`StreamBank._refill <repro.util.rng.StreamBank>`,
-and a loss take wider than a block is served whole by
-``StreamBank._take_unbanked``, so the banks end where the numpy form
-leaves them.
+An epoch returns on any of five exits, each at a slot boundary the
+scalar form also stops at, or before the samples of a slot Python
+finishes: the budget is spent (or the named-grant buffer is full),
+nothing is left awake, a hosted node on the cut contends (:data:`CUT`:
+the keys and contenders are handed back), or an arrival takes the object
+path — a relay hearing a newer generation, a destination completing its
+own (:data:`FALLBACK`: the arrivals are handed back, the slot is not
+sampled yet).  A bank row that runs short is refilled through a callback
+into :meth:`StreamBank._refill <repro.util.rng.StreamBank>`, and a loss
+take wider than a block is served whole by ``StreamBank._take_unbanked``,
+so the banks hand every node the values its buffers would.
 
 :func:`load` compiles the source on first use (:mod:`repro.util.clib`)
 and opens it; :func:`~repro.emulator.engine.compiled_kernel` self-tests
-it before any core runs on it.  :class:`Core` mirrors the C struct
-field for field (every field 8 bytes, so no padding).
+it against the scalar form before any core runs on it.  :class:`Core`
+mirrors the C struct field for field (every field 8 bytes, so no
+padding).
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ typedef int64_t i64;
 typedef uint8_t u8;
 
 enum { BUDGET = 0, ASLEEP = 1, CUT = 2, FALLBACK = 3, FAILED = -1 };
+enum { EPOCH = 0, CONTEND = 1, RESOLVE = 2, FIRE = 3 };
 enum { SOURCE = 1, RELAY = 2, DESTINATION = 3, UNICAST = 4 };
 
 typedef int (*Refill)(i64 bank, i64 row);
@@ -69,7 +73,7 @@ typedef int (*Unbanked)(i64 count, const i64 *rows, const i64 *counts, double *o
 typedef struct {
     i64 rows, width, rx_width, cov_width, pad, mac_block, loss_block, credit_count, unicasts;
     i64 blanking, cut, ticks, park_interval, named, id_capacity, sink_capacity;
-    i64 slots, ids, contenders, fallbacks, sunk;
+    i64 slots, ids, contenders, fallbacks, sunk, phase, grants;
     double floor, smoothing;
     /* Columns */
     const int8_t *role;
@@ -100,12 +104,14 @@ typedef struct {
     /* what a call hands back */
     i64 *slot_granted, *slot_contenders, *granted_ids, *contender_out, *fallback_out, *sink_out;
     double *key_out;
+    /* what a finish is given: the slot's granted node ids */
+    const i64 *grant_in;
 } Core;
 
 typedef struct { double key; i64 position; } Keyed;
 
 typedef struct {
-    i64 *contenders, *granted, *tx_row, *tx_rank, *tx_level, *tx_loss_row, *counts, *covered;
+    i64 *contenders, *granted, *ids, *tx_row, *tx_rank, *tx_level, *tx_loss_row, *counts, *covered;
     double *weights, *uniforms;
     Keyed *order;
     u8 *blocked, *transmitting, *candidate, *hit, *reached;
@@ -122,7 +128,7 @@ static int by_key(const void *x, const void *y) {
     return (a->position > b->position) - (a->position < b->position);
 }
 
-/* Columns._drain on one row. */
+/* _SenderRuntime._drain on one row. */
 static int drain(Core *c, i64 r) {
     double make = trunc(c->credit[r]);
     c->credit[r] -= make;
@@ -157,26 +163,27 @@ static void push(Core *c, i64 r, i64 seq) {
     c->queue[r] += 1;
 }
 
-/* UnicastRuntime.on_slot of every unicast row: one credit at a time. */
+/* UnicastRuntime.on_slot of every unicast row: a packet per whole credit,
+   what does not fit dropped. */
 static void tick_unicast(Core *c) {
     for (i64 i = 0; i < c->unicasts; i++) {
         i64 r = c->unicast_rows[i];
         if (!c->offered[r]) continue;
         double credit = c->credit[r] + c->arrival[r];
-        while (credit >= 1.0) {
-            credit -= 1.0;
-            if (c->queue[r] >= c->limit[r]) {
-                c->dropped[r] += 1;
-                continue;
-            }
-            push(c, r, c->next_seq[r]++);
-            c->generated[r] += 1;
+        if (credit >= 1.0) {
+            double make = trunc(credit);
+            credit -= make;
+            i64 room = c->limit[r] - c->queue[r];
+            i64 queued = room <= 0 ? 0 : make < (double)room ? (i64)make : room;
+            c->dropped[r] += (i64)(make - (double)queued);
+            for (i64 q = 0; q < queued; q++) push(c, r, c->next_seq[r]++);
+            c->generated[r] += queued;
         }
         c->credit[r] = credit;
     }
 }
 
-/* Columns.tick: the contenders (ascending) and their weights; -1 on failure. */
+/* Every row's on_slot: the contenders (ascending) and their weights; -1 on failure. */
 static i64 tick(Core *c, Scratch *w) {
     i64 n = c->rows, k = 0;
     for (i64 r = 0; r < n; r++) c->credit[r] = minimum(c->credit[r] + c->accrual[r], c->cap[r]);
@@ -236,7 +243,7 @@ static int draw_uniforms(Core *c, Scratch *w, i64 fired) {
     return 0;
 }
 
-/* Columns.absorb of one arrival; 1 if it is left to the object path. */
+/* on_receive of one arrival; 1 if it is left to the object path. */
 static int absorb(Core *c, i64 pos, i64 t, i64 cell, const Scratch *w) {
     i64 sender = w->tx_row[t], generation = c->generation[sender];
     int relay = c->role[pos] == RELAY;
@@ -286,15 +293,18 @@ static int deliver(Core *c, const Scratch *w, i64 t) {
     return 0;
 }
 
-/* _fire_arrays then _absorb of the granted positions, and for unicast rows
-   _fire, _resolve and _settle's verdicts in the scalar form's order; -1 on
-   failure.  A fired unicast row has tx_level -1. */
-static int broadcast(Core *c, Scratch *w, i64 granted) {
+/* _fire of the hosted ones among the granted node ``ids`` (rank = index),
+   half-duplex and blanking coverage counted over all of them.  Then, where
+   the slot is this core's (``local``), _resolve at the receivers and for
+   unicast rows _settle's verdicts, in the scalar form's order; else every
+   arrival handed back, no row touched.  -1 on failure.  A fired unicast
+   row has tx_level -1. */
+static int broadcast(Core *c, Scratch *w, const i64 *ids, i64 granted, int local) {
     i64 width = c->width, rw = c->rx_width, fired = 0, at = 0;
     int unicast = c->unicasts > 0;  /* else none of the unicast branches below is taken */
     for (i64 i = 0; i < granted; i++) {
-        i64 r = w->granted[i];
-        if (c->queue[r] <= 0) continue;
+        i64 r = c->position_of[ids[i]];
+        if (r < 0 || c->queue[r] <= 0) continue;  /* another core's, or nothing queued */
         if (unicast && c->role[r] == UNICAST) {
             if (c->next_hop[r] < 0) continue;
             w->tx_row[fired] = r;
@@ -314,10 +324,10 @@ static int broadcast(Core *c, Scratch *w, i64 granted) {
     }
     if (!fired) return 0;
     for (i64 t = 0; t < fired; t++) c->fired[w->tx_row[t]] += 1;
-    for (i64 i = 0; i < granted; i++) w->transmitting[c->node_of[w->granted[i]]] = 1;
+    for (i64 i = 0; i < granted; i++) w->transmitting[ids[i]] = 1;
     if (c->blanking) {
         for (i64 i = 0; i < granted; i++) {
-            const i64 *cov = c->cov + c->cov_row[c->node_of[w->granted[i]]] * c->cov_width;
+            const i64 *cov = c->cov + c->cov_row[ids[i]] * c->cov_width;
             for (i64 j = 0; j < c->cov_width; j++) w->covered[cov[j]] += 1;
         }
         w->covered[c->pad] = 0;
@@ -340,10 +350,10 @@ static int broadcast(Core *c, Scratch *w, i64 granted) {
         }
         w->counts[t] = count;
     }
-    for (i64 i = 0; i < granted; i++) w->transmitting[c->node_of[w->granted[i]]] = 0;
+    for (i64 i = 0; i < granted; i++) w->transmitting[ids[i]] = 0;
     if (c->blanking)
         for (i64 i = 0; i < granted; i++) {
-            const i64 *cov = c->cov + c->cov_row[c->node_of[w->granted[i]]] * c->cov_width;
+            const i64 *cov = c->cov + c->cov_row[ids[i]] * c->cov_width;
             for (i64 j = 0; j < c->cov_width; j++) w->covered[cov[j]] = 0;
         }
     if (draw_uniforms(c, w, fired)) return -1;
@@ -367,9 +377,13 @@ static int broadcast(Core *c, Scratch *w, i64 granted) {
         for (i64 j = 0; j < rw; j++) {
             if (!w->hit[t * rw + j]) continue;
             i64 receiver = c->rx_ids[w->tx_row[t] * rw + j], pos = c->position_of[receiver];
-            c->awake[pos] = 1;
-            int back = absorb(c, pos, t, j, w);
-            if (back < 0) return -1;
+            int back = 1;
+            if (local) {
+                if (pos < 0) return -1;  /* another core's receiver */
+                c->awake[pos] = 1;
+                back = absorb(c, pos, t, j, w);
+                if (back < 0) return -1;
+            }
             if (back) {
                 i64 *out = c->fallback_out + 7 * c->fallbacks++, sender = w->tx_row[t];
                 out[0] = receiver;
@@ -395,21 +409,44 @@ static int broadcast(Core *c, Scratch *w, i64 granted) {
     return 0;
 }
 
+/* The slot's first half: the tick and the lottery keys; the contender
+   count, or -1 on failure. */
+static i64 contend(Core *c, Scratch *w) {
+    i64 k = tick(c, w);
+    return k < 0 || draw_keys(c, w, k) ? -1 : k;
+}
+
+/* Hand the k contenders' keys and positions back, in position order. */
+static int hand_back(Core *c, const Scratch *w, i64 k) {
+    for (i64 j = 0; j < k; j++) {
+        c->key_out[j] = w->order[j].key;
+        c->contender_out[j] = w->contenders[j];
+    }
+    c->contenders = k;
+    return CUT;
+}
+
+/* The slot's second half, given its granted node ids: broadcast, then the
+   queue samples unless the slot is not this core's alone (FIRE) or an
+   arrival is left to the object path (FALLBACK: not sampled yet). */
+static int finish(Core *c, Scratch *w, const i64 *ids, i64 granted, int local) {
+    if (granted && broadcast(c, w, ids, granted, local)) return FAILED;
+    if (!local || c->fallbacks) return FALLBACK;
+    for (i64 r = 0; r < c->rows; r++) c->queue_time[r] += (double)c->queue[r];
+    for (i64 r = 0; r < c->rows; r++)
+        if (c->awake[r]) return BUDGET;
+    return ASLEEP;
+}
+
+/* One slot of an epoch: contend, grant over the local keys, finish. */
 static int slot(Core *c, Scratch *w) {
-    i64 n = c->rows, k = tick(c, w), granted = 0;
-    if (k < 0 || draw_keys(c, w, k)) return FAILED;
+    i64 k = contend(c, w), granted = 0;
+    if (k < 0) return FAILED;
     if (c->cut)
         for (i64 i = 0; i < k; i++)
-            if (c->cut_mask[w->contenders[i]]) {
-                for (i64 j = 0; j < k; j++) {
-                    c->key_out[j] = w->order[j].key;
-                    c->contender_out[j] = w->contenders[j];
-                }
-                c->contenders = k;
-                return CUT;
-            }
+            if (c->cut_mask[w->contenders[i]]) return hand_back(c, w, k);
     qsort(w->order, (size_t)k, sizeof(Keyed), by_key);
-    memset(w->blocked, 0, (size_t)n);
+    memset(w->blocked, 0, (size_t)c->rows);
     for (i64 i = 0; i < k; i++) {
         i64 r = w->order[i].position;
         if (w->blocked[r]) continue;
@@ -419,22 +456,23 @@ static int slot(Core *c, Scratch *w) {
     }
     c->slot_contenders[c->slots] = k;
     c->slot_granted[c->slots] = granted;
-    if (c->named)
-        for (i64 i = 0; i < granted; i++) c->granted_ids[c->ids++] = c->node_of[w->granted[i]];
-    if (granted && broadcast(c, w, granted)) return FAILED;
-    if (c->fallbacks) return FALLBACK;
-    for (i64 r = 0; r < n; r++) c->queue_time[r] += (double)c->queue[r];
-    c->slots++;
-    for (i64 r = 0; r < n; r++)
-        if (c->awake[r]) return BUDGET;
-    return ASLEEP;
+    for (i64 i = 0; i < granted; i++) {
+        w->ids[i] = c->node_of[w->granted[i]];
+        if (c->named) c->granted_ids[c->ids++] = w->ids[i];
+    }
+    int status = finish(c, w, w->ids, granted, 1);
+    if (status == BUDGET || status == ASLEEP) c->slots++;
+    return status;
 }
 
+/* By c->phase: an epoch of up to ``budget`` slots, or one half of a slot
+   whose grant is made elsewhere (a FIRE takes no unicast row). */
 int slots_run(Core *c, i64 budget) {
     i64 n = c->rows + 1, cells = n * (c->rx_width + 1), nodes = c->pad + 1;
     Scratch w;
     w.contenders = malloc(sizeof(i64) * (size_t)n);
     w.granted = malloc(sizeof(i64) * (size_t)n);
+    w.ids = malloc(sizeof(i64) * (size_t)n);
     w.tx_row = malloc(sizeof(i64) * (size_t)n);
     w.tx_rank = malloc(sizeof(i64) * (size_t)n);
     w.tx_level = malloc(sizeof(i64) * (size_t)n);
@@ -451,10 +489,16 @@ int slots_run(Core *c, i64 budget) {
     w.reached = malloc((size_t)n);
     int status = BUDGET;
     c->slots = c->ids = c->contenders = c->fallbacks = c->sunk = 0;
-    if (!w.contenders || !w.granted || !w.tx_row || !w.tx_rank || !w.tx_level || !w.tx_loss_row
-        || !w.counts || !w.covered || !w.weights || !w.uniforms || !w.order || !w.blocked
-        || !w.transmitting || !w.candidate || !w.hit || !w.reached) {
+    if (!w.contenders || !w.granted || !w.ids || !w.tx_row || !w.tx_rank || !w.tx_level
+        || !w.tx_loss_row || !w.counts || !w.covered || !w.weights || !w.uniforms || !w.order
+        || !w.blocked || !w.transmitting || !w.candidate || !w.hit || !w.reached
+        || (c->phase == FIRE && c->unicasts)) {
         status = FAILED;
+    } else if (c->phase == CONTEND) {
+        i64 k = contend(c, &w);
+        status = k < 0 ? FAILED : hand_back(c, &w, k);
+    } else if (c->phase != EPOCH) {
+        status = finish(c, &w, c->grant_in, c->grants, c->phase == RESOLVE);
     } else {
         while (c->slots < budget && status == BUDGET) {
             if (c->named && c->ids + c->rows > c->id_capacity) break;
@@ -462,10 +506,10 @@ int slots_run(Core *c, i64 budget) {
             status = slot(c, &w);
         }
     }
-    free(w.contenders); free(w.granted); free(w.tx_row); free(w.tx_rank); free(w.tx_level);
-    free(w.tx_loss_row); free(w.counts); free(w.covered); free(w.weights); free(w.uniforms);
-    free(w.order); free(w.blocked); free(w.transmitting); free(w.candidate); free(w.hit);
-    free(w.reached);
+    free(w.contenders); free(w.granted); free(w.ids); free(w.tx_row); free(w.tx_rank);
+    free(w.tx_level); free(w.tx_loss_row); free(w.counts); free(w.covered); free(w.weights);
+    free(w.uniforms); free(w.order); free(w.blocked); free(w.transmitting); free(w.candidate);
+    free(w.hit); free(w.reached);
     return status;
 }
 """
@@ -474,6 +518,12 @@ int slots_run(Core *c, i64 budget) {
 #: buffer) ran out, nothing is awake, a cut node contends, an arrival
 #: takes the object path, or a callback or a level index failed.
 BUDGET, ASLEEP, CUT, FALLBACK, FAILED = 0, 1, 2, 3, -1
+#: What a call runs (``Core.phase``): an epoch of up to ``budget`` slots;
+#: a slot's first half, handing the keys back as :data:`CUT` does; or its
+#: second half over the granted ids in ``grant_in``, absorbing at the
+#: receivers (``RESOLVE``) or handing every arrival back as :data:`FALLBACK`
+#: does, no row touched and the slot not sampled (``FIRE``).
+EPOCH, CONTEND, RESOLVE, FIRE = 0, 1, 2, 3
 
 #: ``refill(bank, row)``: 0 = mac, 1 = channel; non-zero return = failed.
 Refill = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int64, ctypes.c_int64)
@@ -523,7 +573,7 @@ class Core(ctypes.Structure):
     _fields_ = _fields(
         "rows width rx_width cov_width pad mac_block loss_block credit_count unicasts"
         " blanking cut ticks park_interval named id_capacity sink_capacity"
-        " slots ids contenders fallbacks sunk",
+        " slots ids contenders fallbacks sunk phase grants",
         "floor smoothing",
         "role credit_mode source destination rate_relay upstream"
         " increment tx_credit cap accrual credit demand enqueued information"
@@ -533,7 +583,8 @@ class Core(ctypes.Structure):
         " rx_ids cov cov_row position_of node_of conflict_ptr conflict rx_p cut_mask"
         " queue_time fired delivered"
         " mac_values loss_values mac_cursor loss_cursor mac_rows loss_rows refill unbanked"
-        " slot_granted slot_contenders granted_ids contender_out fallback_out sink_out key_out",
+        " slot_granted slot_contenders granted_ids contender_out fallback_out sink_out key_out"
+        " grant_in",
     )
 
 
@@ -554,7 +605,7 @@ def load() -> Optional[Kernel]:
     """Build (or find) and dlopen the kernel; ``None`` if either fails.
 
     Unchecked: :func:`repro.emulator.engine.compiled_kernel` self-tests
-    it against the numpy form before any core runs on it.
+    it against the scalar form before any core runs on it.
     """
     so_path = clib.build("slots", _C_SOURCE, ["-O2", "-ffp-contract=off"])
     signature = ([ctypes.c_void_p, ctypes.c_int64], ctypes.c_int)

@@ -777,14 +777,19 @@ class UnicastRuntime(NodeRuntime):
         if self._rate <= 0:
             return
         self._credit += self._rate * dt / self._packet_bytes
-        while self._credit >= 1.0:
-            self._credit -= 1.0
-            if len(self._queue) >= self._queue_limit:
-                self.packets_dropped += 1
-                continue
-            self._queue.append(self._next_seq)
-            self._next_seq += 1
-            self.packets_generated += 1
+        if self._credit < 1.0:
+            return
+        # One packet per whole credit, what does not fit dropped: the
+        # one-credit-at-a-time loop's counters, and its credit bit for
+        # bit (``x - k`` is exact for whole ``k <= x < 2**53``).
+        make = int(self._credit)
+        self._credit -= make
+        queued = min(make, max(self._queue_limit - len(self._queue), 0))
+        self.packets_dropped += make - queued
+        first = self._next_seq
+        self._queue.extend(range(first, first + queued))
+        self._next_seq = first + queued
+        self.packets_generated += queued
 
     def dormant(self, dt: float) -> bool:
         # Sinks and idle forwarders: no offered load and nothing queued.

@@ -99,10 +99,8 @@ class WorkerCore(EngineCore):
     form only: in a session with unicast runtimes a worker's core stays
     scalar, even one that hosts every participant."""
 
-    def _form(self, init: CoreInit) -> Tuple[bool, Any]:
-        if init.has_unicast:
-            return False, None
-        return super()._form(init)
+    def _form(self, init: CoreInit) -> Any:
+        return None if init.has_unicast else super()._form(init)
 
 
 class ShardedCores:

@@ -14,7 +14,7 @@ per ``(kind, node)``, through pre-drawn blocks of 64 values that hand
 every node exactly the sequence its one-call-at-a-time draws would give:
 :class:`DrawBuffers` (Python lists, one ``list.pop()`` per value) for a
 core that draws node by node, :class:`StreamBank` (one array, one
-gather per slot) for one that draws array-at-a-time.
+gather per slot) for the compiled slot loop, which draws array-at-a-time.
 """
 
 from __future__ import annotations
@@ -286,7 +286,10 @@ class DrawBuffers(Dict[int, List[float]]):
     #: Values drawn per refill: the bank's block, one constant.
     BLOCK = StreamBank.BLOCK
 
-    _FILLS = {"mac": "standard_exponential", "channel": "random"}
+    _FILLS = {
+        "mac": lambda generator, size: generator.standard_exponential(size=size),
+        "channel": lambda generator, size: generator.random(size=size),
+    }
 
     def __init__(self, streams: NodeStreams) -> None:
         try:
@@ -312,7 +315,7 @@ class DrawBuffers(Dict[int, List[float]]):
         short = need - len(values)
         if short > 0:
             size = -(-short // self._block) * self._block
-            fresh = getattr(self._streams[node], self._fill)(size=size).tolist()
+            fresh = self._fill(self._streams[node], size).tolist()
             fresh.reverse()
             values[:0] = fresh
         return values

@@ -3,21 +3,21 @@
 ``dormant(dt)`` promises that ticking changes nothing: every future
 ``on_slot(dt)`` leaves ``vars()`` bit-identical, ``backlog() == 0.0`` and
 ``queue_length() == 0``.  :func:`freeze` turns a runtime's state into a
-comparable value (:func:`freeze_row` a column row's), :func:`assert_fixed_point`
-checks the promise on one runtime, and :func:`parked_contract_monitor`
-checks it on every parked runtime and column row of every slot of
-whatever session a test runs (:func:`under_parked_contract`: of whatever
-session a pin's producer runs).
+comparable value, :func:`assert_fixed_point` checks the promise on one
+runtime, and :func:`parked_contract_monitor` checks it on every parked
+runtime and compiled row of every slot of whatever session a test runs
+(:func:`under_parked_contract`: of whatever session a pin's producer runs).
 """
 
 import functools
-from collections import deque
+import weakref
+from collections import Counter, deque
 
 import numpy as np
 import pytest
 
 from repro.emulator.awake import AwakeSet
-from repro.emulator.columns import Columns
+from repro.emulator.engine import EngineCore
 
 
 def freeze(value):
@@ -71,52 +71,34 @@ def assert_fixed_point(runtime, dt, slots=5):
     return True
 
 
-def freeze_row(columns, position):
-    """The state of one row of a :class:`Columns`: every per-row array's
-    cell (a queue-level row by its non-zero entries, so widening the
-    level table is not a change) and the row's upstream set."""
-    count = len(columns.role)
-    cells = []
-    for name, value in sorted(vars(columns).items()):
-        if isinstance(value, np.ndarray) and value.shape[:1] == (count,):
-            row = value[position]
-            if row.ndim:
-                nonzero = np.flatnonzero(row)
-                row = (tuple(nonzero.tolist()), tuple(row[nonzero].tolist()))
-            cells.append((name, freeze(row)))
-    return tuple(cells), freeze(columns.upstream[position])
-
-
 def parked_contract_monitor(monkeypatch):
-    """Re-check parked runtimes every slot: wraps ``AwakeSet.tick`` for
-    runtime objects and ``Columns.tick`` for an array core's flow rows.
+    """Re-check parked runtimes every slot: before each ``AwakeSet.tick``
+    for a scalar core's runtime objects, and after each compiled-loop call
+    (``EngineCore._call``) for a compiled core's rows.
 
-    On entry to each tick every parked runtime must still be where it
-    was when it parked: same frozen state, still dormant, no backlog, no
-    queue.  Anything that legitimately changes a parked runtime (a
-    delivery, the control plane) must have woken it first, so a
-    violation means a missing wake.  Column rows are ticked parked or
-    not (a parked row sits at a fixed point of the tick), so their check
-    is the same: the rows the core reports parked (``parked_nodes``)
-    against the state each had when it parked.  Patching the classes
-    covers the in-process engine and, under the ``fork`` start method,
-    the shard workers too (a worker assertion surfaces as
-    ``WorkerCallError``).
+    Every parked runtime object must still be where it was when it
+    parked: same frozen state, still dormant, no backlog, no queue.
+    Anything that legitimately changes a parked runtime (a delivery, the
+    control plane) must have woken it first, so a violation means a
+    missing wake.  The kernel ticks rows parked or not, and may wake and
+    park a row again within one call, so every row it leaves with
+    ``awake == 0`` is stored into its object and must be at the fixed
+    point there (:func:`assert_fixed_point`).  Patching the classes covers
+    the in-process engine and, under the ``fork`` start method, the shard
+    workers too (a worker assertion surfaces as ``WorkerCallError``).
+    Returns the count of checks made in this process, by ``"runtime"``
+    and ``"row"``.
     """
-    original = AwakeSet.tick
-    original_columns = Columns.tick
-    snapshots = {}
-
-    def keep(tracker, parked):
-        held = snapshots.setdefault(id(tracker), {})
-        for position in list(held):
-            if position not in parked:
-                del held[position]
-        return held
+    original_tick = AwakeSet.tick
+    original_call = EngineCore._call
+    snapshots = weakref.WeakKeyDictionary()
+    checked = Counter()
 
     def checked_tick(self, runtimes, dt):
-        parked = set(self.parked_positions())
-        held = keep(self, parked)
+        parked = self.parked_positions()
+        held = snapshots.setdefault(self, {})
+        for position in set(held) - set(parked):
+            del held[position]
         for position in parked:
             runtime = runtimes[position]
             assert runtime.dormant(dt), f"parked runtime {position} not dormant"
@@ -126,23 +108,23 @@ def parked_contract_monitor(monkeypatch):
             assert held.setdefault(position, state) == state, (
                 f"parked runtime {position} changed without being woken"
             )
-        return original(self, runtimes, dt)
+            checked["runtime"] += 1
+        return original_tick(self, runtimes, dt)
 
-    def checked_columns_tick(self):
-        parked = self.parked().tolist()
-        held = keep(self, set(parked))
-        dormant = self.dormant()
-        for position in parked:
-            assert dormant[position], f"parked row {position} not dormant"
-            assert self.queue[position] == 0
-            state = freeze_row(self, position)
-            assert held.setdefault(position, state) == state, (
-                f"parked row {position} changed without being woken"
+    def checked_call(core, phase, budget=1):
+        status = original_call(core, phase, budget)
+        parked = core._columns.parked()
+        core._columns.store(parked)
+        for position in parked.tolist():
+            assert assert_fixed_point(core._runtime_list[position], core._dt), (
+                f"parked row {position} not dormant"
             )
-        return original_columns(self)
+            checked["row"] += 1
+        return status
 
     monkeypatch.setattr(AwakeSet, "tick", checked_tick)
-    monkeypatch.setattr(Columns, "tick", checked_columns_tick)
+    monkeypatch.setattr(EngineCore, "_call", checked_call)
+    return checked
 
 
 def under_parked_contract(producer):

@@ -14,7 +14,6 @@ rewrites only those entries here and prints ``name: old -> new``.
 
 import ast
 import json
-import math
 import sys
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
@@ -31,12 +30,11 @@ from repro.optimization.rate_control import RateControlLoop
 
 @contextmanager
 def core_form(form):
-    """Build the block's cores in ``form`` and fail unless that form's path
-    ran: ``"scalar"`` or ``"array"`` (the constant at infinity or at zero,
-    the compiled slot loop withheld) ran no array phase and no kernel call,
-    or ran ``_fire_arrays``; ``"compiled"`` (flow and unicast cores on the
-    compiled slot loop, the rest in their default form) called the
-    kernel.  A spawned or forked worker's cores go unchecked."""
+    """Build the block's cores in ``form``: ``"scalar"`` (the compiled slot
+    loop withheld, so every core is scalar) or ``"compiled"`` (flow and
+    unicast cores on the compiled slot loop, the rest scalar), which fails
+    unless the kernel was called.  A spawned or forked worker's cores go
+    unchecked."""
     kernel = engine.compiled_kernel() if form == "compiled" else None
     calls = []
 
@@ -44,22 +42,9 @@ def core_form(form):
         calls.append(arguments[1])
         return kernel(*arguments)
 
-    with ExitStack() as stack:
-        if form != "compiled":
-            stack.enter_context(mock.patch.object(
-                engine, "ARRAY_FORM_MIN_HOSTED", {"scalar": math.inf, "array": 0}[form]
-            ))
-        stack.enter_context(
-            mock.patch.object(engine, "compiled_kernel", return_value=kernel and counted)
-        )
-        spy = stack.enter_context(mock.patch.object(
-            engine.EngineCore, "_fire_arrays", autospec=True,
-            side_effect=engine.EngineCore._fire_arrays,
-        ))
+    with mock.patch.object(engine, "compiled_kernel", return_value=kernel and counted):
         yield
-    ran = {"array": spy.called, "compiled": bool(calls)}
-    expected = {"scalar": not any(ran.values()), "array": ran["array"], "compiled": ran["compiled"]}
-    assert expected[form], f"core form {form}: paths ran: {ran}"
+    assert form == "scalar" or calls, f"core form {form}: the kernel was never called"
 
 
 @contextmanager
@@ -109,8 +94,8 @@ def variant_id(variant):
 
 SHARDS_12 = ({"shards": 1}, {"shards": 2})
 SHARDS_124 = (*SHARDS_12, {"shards": 4})
-#: The 384-node line's cores are array cores at one and two shards and
-#: scalar ones at four; workers forked and spawned.
+#: The 384-node line, traced: scalar cores at one, two and four shards,
+#: workers forked and spawned.
 LINE_CORES = ({"shards": 1}, *(
     {"shards": shards, "start_method": method} for shards in (2, 4) for method in ("fork", "spawn")
 ))
@@ -131,11 +116,6 @@ def bench_smoke(workload):
     if (bench := str(Path(__file__).resolve().parents[1] / "bench")) not in sys.path:
         sys.path.append(bench)  # imported as it runs, never edited
     return import_module("workloads").make_workload(workload, 2008, smoke=True).rep().digest
-
-
-def and_array(variants=({},)):
-    """``variants``, then the first (in-process) one again on array cores."""
-    return (*variants, {**variants[0], "form": "array"})
 
 
 def and_compiled(variants):
@@ -175,27 +155,27 @@ PINS = (
     Pin("churn_xor", "tests.test_active_set:churn_xor", (
         "a374b1c1587b81b041b6a7dfe341032e829db122c3928083ef631c05f6863a41",
         "4f18db7655fc9c6ea44f4a48fc6b462e594d8e7a0fd2894ece5939f7aadd1b05",
-    ), and_loops(and_array(SHARDS_12))),
+    ), and_loops(SHARDS_12)),
     Pin("adaptive_switch.runner", "tests.test_active_set:adaptive_switch_runner", (
         "bc1d5c1292a2d806b927fd30076ee7d686c71f11d7340ca719b9d47dabe50bd5",
         "3fed94f8e7ffa49e05d6bdfd79a79337b1a91982b7def07af8b8b20fb6956bff",
-    ), and_loops(and_array(SHARDS_124))),
+    ), and_loops(SHARDS_124)),
     Pin("adaptive_switch.sharded", "tests.test_active_set:adaptive_switch_sharded", (
         "2da176d1170eafea06f670170b7f9a37d9addfd1cdc6ee67f2869779694fba3f",
         "3e08700e14662ae4bbcba77281c109b5457a43999683174a8104b020eeb6f589",
-    ), and_loops(and_array(SHARDS_12))),
+    ), and_loops(SHARDS_12)),
     Pin("hot_swap", "tests.test_active_set:hot_swap", (
         "b9548d8dc984a4d95dbe1368b97aacb10722ea516343b61d8fd9902a1ff74474",
         "ee85f757f8884d38d9c59b90ded4b15f3181d84809884f90ac0f221f29d42ab4",
-    ), and_array(SHARDS_12)),
+    ), SHARDS_12),
     Pin("obs_on.flow_session", "tests.test_active_set:obs_on_flow_session", (
         {"slots": 282, "grants": 235, "transmissions": 235, "deliveries": 458, "blanked": 0},
         (1128, 49.0, "c2ae998ec56d96186cfd2734a5d4fb2e520878c79dc80b8687e78d488a5231b7"),
-    ), and_loops(and_array())),
+    ), and_loops()),
     Pin("obs_on.relay_line", "tests.test_active_set:obs_on_relay_line", (
         {"slots": 200, "grants": 4196, "transmissions": 4196, "deliveries": 2650, "blanked": 4980},
         (25600, 8826.0, "73a606a51d5a9464977b3d9017fd068588daa299e92474afc828920ead32e7f9"),
-    ), and_array()),
+    )),
     Pin("relay_line.array_cores", "tests.test_array_core:relay_line_across_forms", (
         "14bccb58a4582ba423c8da8ec4e0e3062b985b6db039400893ef23b2bb5953fa",
         "4ac25057daa581ef87577613ecf754b3fe3b480cb6e23797be08b2d78932279a",
@@ -204,15 +184,15 @@ PINS = (
         "1455624e49dd426060bd1df8faf3fbd3436ca23de1a16a1c3736d04afbf0ab2d",
         and_compiled(({}, {"form": "scalar"}))),
     Pin("driver.credit_exact", "tests.test_plan_install:credit_plan_at_exact_fidelity",
-        "75297b9bb81230f7bd72ed840b370b28b6f0606c226ef1e0adb426e630733f91", and_array()),
+        "75297b9bb81230f7bd72ed840b370b28b6f0606c226ef1e0adb426e630733f91"),
     Pin("adaptive.more_flow", "tests.test_plan_install:adaptive_more_flow", (
         "f0546a2b9235fc259bf103e345f85b2e0f3f8ce25c4152ed08b9c7a253ee2794",
         "df5c52759ebf020c816adab8eaf160e1402d753337c03aec7e6bc4ce736e0595",
-    ), and_array(SHARDS_124)),
+    ), SHARDS_124),
     Pin("adaptive.more_exact", "tests.test_plan_install:adaptive_more_exact", (
         "76c075fbd9315c2741b1c9a17357b8c9d82668fe6ec0b89118189bdb8dfab51c",
         "edcc4c5535df937e554bfb439c9a25e4aca891c4c7d149caaca07806216f66a7",
-    ), and_array(SHARDS_124)),
+    ), SHARDS_124),
     # Traced, so scalar at every shard count; its session digest untraced,
     # on the compiled slot loop, is ``test_plan_install``'s to check.
     Pin("adaptive.etx_flow", "tests.test_plan_install:adaptive_etx_flow", (
@@ -241,7 +221,7 @@ PINS = (
     ), FIELDS),
     Pin("campaign.fig2", "tests.test_exec_campaign:fig2_campaign",
         "725cf97e1280b11e34e718128b13305b1708e9f3a24a257b3bf4b0ff3f8ab01c",
-        and_loops(and_compiled(and_array(JOBS_12)))),
+        and_loops(and_compiled(JOBS_12))),
     Pin("mesh2k.result_digest", "tests.test_shard_traffic:mesh2k_result_digest", "7021afba"),
     Pin("bench.campaign", "tests.pins:bench_smoke",
         "d0a5346bf64233b221b249eae55c2dbadeb99de8e3cfb25e6610509d9c7723c9",

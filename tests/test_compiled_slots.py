@@ -1,16 +1,22 @@
-"""The compiled slot loop equals the numpy array form, and falls back.
+"""The compiled slot loop equals the scalar form, and falls back.
 
-The property runs the same epochs on a core in the numpy array form and
-on one that runs them compiled, over random lossy meshes, and compares
-each epoch's reply and, after it, every field a slot touches: the
-columns, the awake flags and the tick count, both banks' cursors, drawn
-rows and generators, the queue-time integrals, the transmissions and the
-delivered links — and the runtime objects at the end.  The fallback tests
-take the compiler away, or fail the load-time self-test, and expect
-today's forms with one logged warning.
+The properties run the same epochs on a scalar core and on one that runs
+them compiled, over random lossy meshes, and compare each epoch's reply
+and, after it, every runtime's fields (a compiled core's rows stored into
+their objects), the parked nodes, the queue-time integrals, the
+transmissions and the delivered links — and at the end ``finalize`` and
+the next values of every draw stream.  Some slots go a phase at a time,
+as a shard worker's do.  The fallback tests take the compiler away, or
+fail the load-time self-test, and expect scalar cores with one logged
+warning.
+
+A failing property here replays whole epochs per shrink step, so the
+shrink phase is bounded (:data:`SHRINK_SECONDS`): a kernel regression
+fails in seconds, with an example that may be less than minimal.
 """
 
 import ctypes
+import functools
 import logging
 import random
 from collections import Counter
@@ -20,29 +26,47 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.internal.conjecture import engine as conjecture
 
+from repro import obs
 from repro.emulator import engine, native
-from repro.emulator.engine import CoreInit, EngineCore, _DecodeLog, _next_draws, compiled_kernel
+from repro.emulator.engine import (
+    CoreInit,
+    EngineCore,
+    _DecodeLog,
+    _forced,
+    _next_draws,
+    compiled_kernel,
+)
 from repro.emulator.node import (
     FlowDestinationRuntime,
     FlowRelayRuntime,
     FlowSourceRuntime,
+    RuntimeTerms,
     UnicastRuntime,
+    install_runtimes,
 )
 from repro.emulator.plan import CodingParams
-from repro import obs
-from repro.emulator.session import SessionConfig, build_plan_runtimes, run_sharded_session
-from repro.emulator.shard import WorkerCore, session_digest
+from repro.emulator.session import (
+    SessionConfig,
+    build_plan_runtimes,
+    run_sharded_session,
+    session_result,
+)
+from repro.emulator.shard import ShardedSession, WorkerCore, session_digest
 from repro.protocols.etx_routing import plan_etx_route
+from repro.protocols.more import plan_more
 from repro.routing.node_selection import NodeSelectionError
 from repro.topology.graph import WirelessNetwork
 from repro.util.rng import DrawBuffers, RngFactory, StreamBank
+from tests.dormancy import parked_contract_monitor
 from tests.meshes import lossy_meshes
 from tests.pins import PINS, bench_smoke, core_form
 from tests.test_exec_campaign import fig2_campaign
 from tests.test_plan_install import unicast_driver
+from tests.test_active_set import PACKET_BYTES as MESH_PACKET_BYTES
 from tests.test_active_set import (
     line_network,
     line_session,
@@ -55,18 +79,25 @@ KERNEL = compiled_kernel()
 PINS_BY_NAME = {pin.name: pin for pin in PINS}
 needs_kernel = pytest.mark.skipif(KERNEL is None, reason="the compiled slot loop is unavailable")
 
+#: Seconds a failing property may spend shrinking its example (Hypothesis
+#: allows five minutes, and one shrink step here runs both forms' epochs).
+SHRINK_SECONDS = 15
+
+
 PACKET_BYTES = 1000
 
 
-def _cores(kernel):
-    """A core class on the numpy phases (``kernel`` None) or on ``kernel``,
-    whatever it hosts: the form is forced, not picked."""
+@pytest.fixture(autouse=True)
+def bounded_shrink(monkeypatch):
+    monkeypatch.setattr(conjecture, "MAX_SHRINKING_SECONDS", SHRINK_SECONDS)
 
-    class Forced(EngineCore):
-        def _form(self, init):
-            return True, kernel
 
-    return Forced
+def test_a_kernel_that_builds_passes_its_self_test():
+    # Else every test that needs the kernel skips, and a regression the
+    # self-test catches would pass for a machine without a compiler.
+    if native.load() is None:
+        pytest.skip("the compiled slot loop does not build here")
+    assert KERNEL is not None, "the compiled slot loop builds but fails its self-test"
 
 
 @st.composite
@@ -143,87 +174,95 @@ def _build(recipe, kernel):
         network, runtimes, tuple(range(network.node_count)), PACKET_BYTES / network.capacity,
         recipe["interference"], recipe["seed"], has_unicast=False, decode_log=log,
     )
-    fills = {"mac": _tied_exponential} if recipe["ties"] else {}
+    tied = recipe["ties"]
     with (
         mock.patch.object(StreamBank, "BLOCK", recipe["block"]),
-        mock.patch.dict(StreamBank._FILLS, fills),
+        mock.patch.object(DrawBuffers, "BLOCK", recipe["block"]),
+        mock.patch.dict(StreamBank._FILLS, {"mac": _tied_exponential} if tied else {}),
+        mock.patch.dict(DrawBuffers._FILLS, {
+            "mac": lambda generator, size: _tied_exponential(generator, size=size),
+        } if tied else {}),
     ):
-        return _cores(kernel)(init)
+        return _forced(kernel)(init)
+
+
+def _fields(core):
+    """Every hosted runtime's fields, a compiled core's rows stored first."""
+    if core._columns is not None:
+        core._columns.store(np.arange(len(core._owned)))
+    return {
+        node: sorted((k, repr(v)) for k, v in vars(runtime).items() if not k.startswith("_on"))
+        for node, runtime in core._runtimes.items()
+    }
 
 
 def state(core):
-    """Every field a slot touches, as plain values."""
-    columns = core._columns
-    fields = {
-        name: value.tolist()
-        for name, value in vars(columns).items()
-        if isinstance(value, np.ndarray)
+    """What a slot touches, whatever the form, as plain values."""
+    core._flush()
+    return {
+        "runtimes": _fields(core),
+        "parked": core.parked_nodes(),
+        "queue_time": sorted(core._queue_time.items()),
+        "links": sorted(core._delivered_links),
+        "transmissions": sorted(core._transmissions.items()),
     }
-    fields["_ticks"] = columns._ticks
-    for name in ("_queue_time_buf", "_fired", "_delivered"):
-        fields[name] = getattr(core, name).tolist()
-    for name in ("_mac_bank", "_loss_bank"):
-        bank = getattr(core, name)
-        # A row's values before its cursor are spent: only what is left
-        # to hand out, and where its generator stands, is state.
-        rows = [(node, bank._row_of[node]) for node in sorted(bank._streams)]
-        fields[name] = bank._cursor.tolist(), [
-            (
-                node,
-                bank._values[row, bank._cursor[row]:].tolist(),
-                bank._streams[node].bit_generator.state,
-            )
-            for node, row in rows
-        ]
-    fields["links"] = sorted(core._delivered_links)
-    fields["transmissions"] = sorted(core._transmissions.items())
-    return fields
 
 
-def _finish_cut_slot(core, contention):
-    """Grant a cut slot over its hosted contenders and fire and resolve it
-    as the cross-cut phases would, arrivals at other cores dropped."""
+def _finish_slot(core, contention):
+    """Grant a slot over its hosted contenders, then finish it as a shard
+    worker is driven: ``fire_resolve`` where no granted node is on the
+    cut, else ``fire`` and ``resolve`` with arrivals at other cores
+    dropped.  Returns the grant, the awake count and what happened."""
     _awake, keys, nodes = contention  # every node participates: position = id
     ordered = [core._positions[node] for _key, node in sorted(zip(keys, nodes))]
     granted = core._scheduler.grant_from_keyed(ordered)
-    _awake, events, entries = core.fire(granted)
+    if core._cut.isdisjoint(core._positions[node] for node in granted):
+        return granted, *core.fire_resolve(granted)
+    _awake, fired, entries = core.fire(granted)
     hosted = [(receiver, arrivals) for receiver, arrivals in entries if receiver in core._positions]
-    return granted, events, core.resolve(hosted)
+    awake, resolved, _successes = core.resolve(hosted)
+    return granted, awake, fired + resolved
 
 
 def run_epochs(recipe, schedule, kernel):
     """The epochs of ``schedule`` on a fresh core: ``(budget, action,
-    named)`` each, the action a generation advance, a generation-size
-    switch on the hosted nodes or nothing.  Returns each epoch's reply
-    and state, the finalized core, and the kernel's exits."""
+    named, phased)`` each, the action a generation advance, a
+    generation-size switch on the hosted nodes or nothing; a phased one
+    is a single slot a phase at a time.  Returns each epoch's reply and
+    state, the finalized core with every runtime's fields and next
+    draws, and the kernel's exits."""
     exits = Counter()
     counted = None
     if kernel is not None:
         def counted(core, budget):
             status = kernel(core, budget)
-            exits[status] += 1
+            exits[core._obj.phase, status] += 1
             return status
 
     core = _build(recipe, counted)
     trail = []
     generation = max(terms[2] for terms in recipe["runtimes"].values())
-    for budget, action, named in schedule:
+    for budget, action, named, phased in schedule:
         if action == "coding":
             core.apply_plan({node: {"coding": CodingParams(blocks=6)} for node in recipe["hosted"]})
         if action is not None:
             generation += 1
         events = [("advance_generation", generation)] if action is not None else None
-        reply = core.run_slots((budget, events, named))
-        finished = None if reply[2] is None else _finish_cut_slot(core, reply[2])
-        decoded = [e for record in reply[1] for e in record[2] if e[2] == "decoded"]
+        if phased:
+            reply = _finish_slot(core, core.begin_slot(events))
+            happened = reply[2]
+        else:
+            reply = core.run_slots((budget, events, named))
+            happened = [e for record in reply[1] for e in record[2]]
+            if reply[2] is not None:  # a cut slot
+                reply = (*reply, _finish_slot(core, reply[2]))
+                happened += reply[3][2]
+        decoded = [e for e in happened if e[2] == "decoded"]
         generation = max([generation, *(e[3] + 1 for e in decoded)])
-        trail.append((repr(reply), repr(finished), state(core)))
+        trail.append((repr(reply), state(core)))
     finalized = core.finalize()
-    objects = {
-        node: sorted((k, repr(v)) for k, v in vars(runtime).items() if not k.startswith("_on"))
-        for node, runtime in core._runtimes.items()
-    }
-    return trail, repr(finalized), objects, exits
+    draws = _next_draws(core, sorted(recipe["runtimes"]))
+    return trail, repr(finalized), _fields(core), draws, exits
 
 
 SCHEDULES = st.lists(
@@ -231,24 +270,31 @@ SCHEDULES = st.lists(
         st.integers(1, 300),
         st.sampled_from((None, None, "advance", "coding")),
         st.booleans(),
+        st.booleans(),
     ),
     min_size=1,
     max_size=4,
 )
 
 
+def _epochs_agree(reference, compiled):
+    for epoch, (expected, got) in enumerate(zip(reference[0], compiled[0])):
+        assert got[0] == expected[0], f"epoch {epoch}: reply"
+        for name, value in expected[1].items():
+            assert got[1][name] == value, f"epoch {epoch}: {name}"
+    assert compiled[1] == reference[1], "finalize()"
+    assert compiled[2] == reference[2], "runtime fields"
+    assert compiled[3] == reference[3], "next draws"
+
+
 @needs_kernel
 @given(recipe=recipes(), schedule=SCHEDULES)
 @settings(deadline=None, max_examples=60, suppress_health_check=[HealthCheck.too_slow])
-def test_a_compiled_epoch_equals_the_numpy_epoch(recipe, schedule):
+def test_a_compiled_epoch_equals_the_scalar_epoch(recipe, schedule):
     reference = run_epochs(recipe, schedule, None)
     compiled = run_epochs(recipe, schedule, KERNEL)
-    for epoch, (expected, got) in enumerate(zip(reference[0], compiled[0])):
-        assert got[:2] == expected[:2], f"epoch {epoch}: reply"
-        for name, value in expected[2].items():
-            assert got[2][name] == value, f"epoch {epoch}: {name}"
-    assert compiled[1:3] == reference[1:3]
-    assert sum(compiled[3].values()) >= 1
+    _epochs_agree(reference, compiled)
+    assert sum(compiled[4].values()) >= 1 and not reference[4]
 
 
 @st.composite
@@ -370,10 +416,6 @@ def run_unicast_epochs(recipe, kernel):
         calls.append(budget)
         return kernel(core, budget)
 
-    class Forced(EngineCore):
-        def _form(self, init):
-            return (True, counted) if kernel is not None else (False, None)
-
     log = _DecodeLog()
     runtimes = {
         node: UnicastRuntime(
@@ -400,7 +442,7 @@ def run_unicast_epochs(recipe, kernel):
         mock.patch.object(StreamBank, "BLOCK", recipe["block"]),
         mock.patch.object(DrawBuffers, "BLOCK", recipe["block"]),
     ):
-        core = Forced(init)
+        core = _forced(counted if kernel is not None else None)(init)
         trail = []
         for budget, action, node, hop, seed, named in recipe["epochs"]:
             if action == "route":
@@ -463,15 +505,22 @@ def test_every_exit_is_exact(block, monkeypatch):
         return unbanked(bank, rows, counts)
 
     monkeypatch.setattr(StreamBank, "_take_unbanked", spy)
-    schedule = [(1, None, True), (150, None, False), (200, "advance", True), (300, "coding", False)]
+    schedule = [
+        (1, None, True, False), (150, None, False, False), (1, None, False, True),
+        (200, "advance", True, False), (300, "coding", False, False),
+        *[(1, None, False, True)] * 40,
+    ]
     for hosted in (tuple(range(12)), tuple(range(7))):
         recipe = _line_recipe(hosted, block)
         reference = run_epochs(recipe, schedule, None)
         compiled = run_epochs(recipe, schedule, KERNEL)
-        assert compiled[:3] == reference[:3]
-        exits = compiled[3]
-        assert exits[native.FALLBACK] and exits[native.BUDGET]
-        assert bool(exits[native.CUT]) == (len(hosted) < 12)
+        _epochs_agree(reference, compiled)
+        exits = compiled[4]
+        assert exits[native.EPOCH, native.FALLBACK] and exits[native.EPOCH, native.BUDGET]
+        assert bool(exits[native.EPOCH, native.CUT]) == (len(hosted) < 12)
+        assert exits[native.CONTEND, native.CUT] == 41
+        assert exits[native.RESOLVE, native.BUDGET]
+        assert bool(exits[native.FIRE, native.FALLBACK]) == (len(hosted) < 12)
     if block == 1:  # a line node has two receivers: a run of two is wider
         assert wide  # than a block, and served whole
     # Silent relays and a destination park at the first check: asleep.
@@ -482,10 +531,10 @@ def test_every_exit_is_exact(block, monkeypatch):
         "runtimes": {0: ("rate", 3, 0, silent), 1: ("rate", 3, 0, silent),
                      2: ("rate", 3, 0, silent), 3: ("destination", 3, 0, {"session": 1})},
     }
-    reference = run_epochs(recipe, [(50, None, False)], None)
-    compiled = run_epochs(recipe, [(50, None, False)], KERNEL)
-    assert compiled[:3] == reference[:3]
-    assert compiled[3] == {native.ASLEEP: 1}
+    reference = run_epochs(recipe, [(50, None, False, False)], None)
+    compiled = run_epochs(recipe, [(50, None, False, False)], KERNEL)
+    _epochs_agree(reference, compiled)
+    assert compiled[4] == {(native.EPOCH, native.ASLEEP): 1}
 
 
 def _session_digest(interference="blanking"):
@@ -501,10 +550,10 @@ def _session_digest(interference="blanking"):
 @pytest.mark.parametrize("interference", ["blanking", "conflict_free"])
 def test_a_small_flow_session_runs_compiled_and_equals_both_forms(interference):
     digests = {}
-    for form in ("scalar", "array", "compiled"):
+    for form in ("scalar", "compiled"):
         with core_form(form):
             digests[form] = _session_digest(interference)
-    assert digests["compiled"] == digests["scalar"] == digests["array"]
+    assert digests["compiled"] == digests["scalar"]
 
 
 @needs_kernel
@@ -521,8 +570,7 @@ def test_what_cannot_run_compiled_keeps_its_form():
     for name, (session_plan, config, compiled) in cases.items():
         with plan_session(network, session_plan, config, RngFactory(4)) as session:
             core = session._core
-            assert (core._packed is not None) == compiled, name
-            assert core._arrays == compiled, name  # all far below ARRAY_FORM_MIN_HOSTED
+            assert (core._kernel is not None) == compiled, name
 
 
 @pytest.fixture
@@ -537,8 +585,7 @@ def fresh_kernel(monkeypatch, tmp_path):
 def _line_digest():
     with line_session(line_network(24), 1) as session:
         session.run(300)
-        forms = (session._core._arrays, session._core._packed is not None)
-        return forms, stats_digest(session.finalize_stats())
+        return session._core._kernel is not None, stats_digest(session.finalize_stats())
 
 
 @pytest.mark.parametrize("fault", ["no compiler", "failed self-test"])
@@ -551,8 +598,8 @@ def test_without_the_kernel_cores_keep_todays_form(fault, fresh_kernel, monkeypa
         monkeypatch.setattr(engine, "_self_test", lambda run: False)
     with caplog.at_level(logging.WARNING, logger=engine.__name__):
         assert compiled_kernel() is None
-        assert _line_digest() == ((False, False), expected)
-        assert _line_digest() == ((False, False), expected)
+        assert _line_digest() == (False, expected)
+        assert _line_digest() == (False, expected)
     (record,) = [r for r in caplog.records if r.name == engine.__name__]
     assert "compiled slot loop is unavailable here" in record.getMessage()
     if fault == "no compiler":
@@ -587,7 +634,7 @@ def census():
 
     def spy(core, init):
         build(core, init)
-        form = "compiled" if core._kernel is not None else "array" if core._arrays else "scalar"
+        form = "compiled" if core._kernel is not None else "scalar"
         forms[init.has_unicast, form] += 1
 
     with mock.patch.object(EngineCore, "__init__", spy):
@@ -647,3 +694,172 @@ def test_without_a_compiler_etx_runs_scalar(fresh_kernel, monkeypatch, caplog):
     assert set(forms) == {(True, "scalar")}
     (record,) = [r for r in caplog.records if r.name == engine.__name__]
     assert "compiled slot loop is unavailable here" in record.getMessage()
+
+
+def _more_plan(network):
+    """A MORE plan from node 0 with a credit relay (``late``), and another
+    node to silence (``silent``); None if the mesh has none."""
+    for destination in range(network.node_count - 1, 0, -1):
+        try:
+            plan = plan_more(network, 0, destination)
+        except NodeSelectionError:
+            continue
+        settings_ = plan.node_settings(network, network.capacity)
+        relays = [node for node, params in settings_.items() if params.get("mode") == "credit"]
+        others = [
+            node
+            for node in range(network.node_count)
+            if node not in (0, destination) and node not in relays[-1:]
+        ]
+        if relays and others:
+            return plan, relays[-1], others[0]
+    return None
+
+
+@needs_kernel
+@given(
+    network=lossy_meshes(),
+    interference=st.sampled_from(("blanking", "conflict_free")),
+    seed=st.integers(0, 2**16),
+)
+@settings(
+    deadline=None,
+    max_examples=25,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+def test_what_the_relay_line_never_does(network, interference, seed):
+    # Rows against runtime objects where the relay line never goes: MORE
+    # credit relays with upstream sets, a source that drops, a rate swap
+    # onto a parked relay, four generation advances, a generation-size
+    # switch, and a relay built mid-run that hears newer generations than
+    # its own.
+    found = _more_plan(network)
+    assume(found is not None)
+    plan, late, silent = found
+    packet_bytes = MESH_PACKET_BYTES
+    terms = RuntimeTerms(
+        kind="credit",
+        source=plan.source,
+        destination=plan.destination,
+        session_id=1,
+        blocks=3,
+        packet_bytes=packet_bytes,
+        queue_limit=2,  # a packet a slot offered: the source drops
+        fidelity="flow",
+        systematic=False,
+    )
+    cbr = network.capacity
+
+    def run():
+        log = _DecodeLog()
+        settings_ = plan.node_settings(network, cbr)
+        runtimes = install_runtimes(
+            {node: params for node, params in settings_.items() if node != late},
+            {},
+            terms,
+            coding=RngFactory(seed),
+            on_decoded=log,
+        )
+        for node in range(network.node_count):  # silent listeners elsewhere
+            if node != late and node not in runtimes:
+                runtimes[node] = FlowRelayRuntime(node, 1, 3, packet_bytes, mode="rate")
+        generation = 0
+
+        def signal(next_generation):
+            nonlocal generation
+            if next_generation > generation:
+                generation = next_generation
+                session.broadcast_generation_advance(generation)
+
+        def acked():
+            for decoded in log.unseen():
+                signal(decoded + 1)
+            return False
+
+        with ShardedSession(
+            network,
+            runtimes,
+            packet_bytes / network.capacity,
+            rng_factory=RngFactory(seed),
+            interference=interference,
+            decode_log=log,
+        ) as session:
+            session.apply_plan_updates({silent: {"mode": "rate", "rate_bps": 0.0}})
+            session.run(60, stop_when=acked)
+            signal(generation + 1)
+            for _ in range(80):  # until the silenced relay parks
+                if silent in session.parked_nodes():
+                    break
+                session.step()
+                acked()
+            parked = session.parked_nodes()
+            assume(silent in parked)
+            session.apply_plan_updates({silent: {"rate_bps": network.capacity / 2}})
+            session.run(60, stop_when=acked)
+            session.apply_plan_updates(
+                {node: {"coding": CodingParams(blocks=5)} for node in session.participants}
+            )
+            signal(generation + 1)
+            session.run(60, stop_when=acked)
+            # ``late`` joins at generation 0, behind everyone else.
+            session.install_plan(plan, replace(terms, blocks=5), cbr)
+            session.run(60, stop_when=acked)
+            signal(generation + 1)
+            session.run(60, stop_when=acked)
+            signal(generation + 1)
+            session.run(30, stop_when=acked)
+            stats = session.finalize_stats()
+            fields = {
+                node: {
+                    name: repr(value)
+                    for name, value in sorted(vars(runtime).items())
+                    if not name.startswith("_")
+                }
+                for node, runtime in session._core._runtimes.items()
+            }
+        assert generation >= 4
+        result = session_result(
+            "more", plan, 256, stats, 1, ack_times=[time for _generation, time in log.acks]
+        )
+        return session_digest(result), parked, fields
+
+    outcomes = {}
+    for form in ("scalar", "compiled"):
+        with core_form(form):
+            outcomes[form] = run()
+    assert outcomes["compiled"] == outcomes["scalar"]
+    fields = outcomes["scalar"][2]
+    assert {"packets_heard", "packets_accepted", "information"} <= set(fields[late])
+    assert {"packets_generated", "packets_sent", "packets_dropped"} <= set(fields[plan.source])
+    assert {"generations_decoded", "blocks_decoded"} <= set(fields[plan.destination])
+
+
+@needs_kernel
+def test_the_compiled_unicast_driver_checks_parked_rows(monkeypatch):
+    checked = parked_contract_monitor(monkeypatch)
+    with core_form("compiled"):
+        digest = unicast_driver.__wrapped__()
+    assert digest == PINS_BY_NAME["driver.unicast"].value
+    assert checked["row"] >= 1 and not checked["runtime"]
+
+
+@needs_kernel
+@pytest.mark.parametrize("shards, start_method", [
+    (1, None), *((shards, method) for shards in (2, 4) for method in ("fork", "spawn")),
+])
+def test_kernel_workers_equal_the_scalar_core(shards, start_method):
+    # The untraced 384-node line: flow workers run their epochs and their
+    # phase slots (begin_slot, fire_resolve, fire and resolve) compiled.
+    def run():
+        with line_session(line_network(384), shards, start_method=start_method) as session:
+            session.run(420)
+            return stats_digest(session.finalize_stats())
+
+    assert run() == _scalar_line_digest()
+
+
+@functools.cache
+def _scalar_line_digest():
+    with core_form("scalar"), line_session(line_network(384), 1) as session:
+        session.run(420)
+        return stats_digest(session.finalize_stats())

@@ -258,6 +258,18 @@ class TestUnicastRuntime:
         with pytest.raises(RuntimeError):
             UnicastRuntime(0, 1).complete_transmission(True)
 
+    def test_a_huge_rate_queues_what_fits_and_drops_the_rest_at_once(self):
+        # 1e11 credits in one slot: queued up to the limit, the rest
+        # dropped, the credit spent — not one credit at a time.
+        source = UnicastRuntime(0, 1, rate_bps=1e11, packet_bytes=1)
+        source.on_slot(1.0)
+        limit = source._queue_limit
+        assert source.queue_length() == source.packets_generated == limit
+        assert source.packets_dropped == 10**11 - limit
+        assert list(source._queue) == list(range(limit))
+        assert source._next_seq == limit
+        assert source._credit == 0.0
+
     def test_demand_hint(self):
         node = UnicastRuntime(
             0, 1, packet_bytes=PACKET_BYTES, demand_hint_bps=2000.0

@@ -3,7 +3,7 @@
 import pytest
 
 from tests import pins
-from tests.pins import PINS, Pin, and_array, variant_id
+from tests.pins import COMPILED, PINS, Pin, variant_id
 from tests.test_active_set import line_network, line_session
 
 
@@ -41,7 +41,7 @@ def by_shards(shards):
 def by_core_form():
     with line_session(line_network(8), 1) as session:
         session.run(20)
-        return session._core._arrays, session._core._packed is not None
+        return session._core._kernel is not None
 
 
 TABLE = """PINS = (
@@ -64,13 +64,16 @@ def test_record_rewrites_only_the_named_entries(tmp_path, capsys):
 def test_record_refuses_when_the_variants_disagree(tmp_path):
     path = tmp_path / "pins.py"
     path.write_text(TABLE)
-    for producer, variants, refusal, reason in (
+    cases = [
         ("by_shards", pins.SHARDS_124, SystemExit, "shards=4: 'different'"),
-        ("by_core_form", ({"form": "scalar"}, {"form": "array"}), SystemExit,
-         "form=array: (True, False)"),
-        # No core at all: the array variant cannot pass vacuously.
-        ("constant", and_array(), AssertionError, "core form array: paths ran: {'array': False"),
-    ):
+        # No core at all: the compiled variant cannot pass vacuously.
+        ("constant", ({}, {"form": "compiled"}), AssertionError,
+         "core form compiled: the kernel was never called"),
+    ]
+    if COMPILED:
+        cases.append(("by_core_form", ({"form": "scalar"}, *COMPILED), SystemExit,
+                      "form=compiled: True"))
+    for producer, variants, refusal, reason in cases:
         table = [Pin("moved", f"tests.test_pins:{producer}", "old", variants)]
         with pytest.raises(refusal, match="moved: the variants disagree|core form") as refused:
             pins.record(["moved"], table, path)

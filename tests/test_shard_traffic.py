@@ -1,7 +1,8 @@
 """What one ``mesh2k_shards2`` repetition puts on the pipe.
 
 The benchmark's relay line (2 048 nodes, 1 200 slots, seed 2008, two
-strips), counted at the group's send path.  It lives outside
+strips), counted at the group's send path, and the compiled-loop calls
+its forked workers make.  It lives outside
 ``tests/test_shard.py`` because that module re-freezes every parked
 runtime every slot (``parked_contract``), which this size cannot afford;
 the small-line versions of the same checks run there, under the
@@ -10,24 +11,53 @@ monitor.  The repetition runs once per process: its pin
 """
 
 import functools
+import os
 import pickle
+import tempfile
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from repro.emulator import engine, native
+from repro.emulator.engine import EngineCore
 from tests.conftest import tap_barriers
 from tests.test_active_set import line_network, line_session, stats_digest
 
 
+def tap_kernel_calls(monkeypatch, directory):
+    """Every compiled-loop call from here on, in this process and the
+    workers it forks: a line with the call's phase, in a file per process."""
+    call = EngineCore._call
+
+    def tapped(core, phase, budget=1):
+        with open(directory / str(os.getpid()), "a") as log:
+            log.write(f"{phase}\n")
+        return call(core, phase, budget)
+
+    monkeypatch.setattr(EngineCore, "_call", tapped)
+
+
 @functools.cache
 def mesh2k_repetition():
-    """The stats digest and every barrier of one repetition."""
-    with pytest.MonkeyPatch.context() as monkeypatch:
+    """The stats digest, every barrier and, per worker, the phases of its
+    compiled-loop calls, of one repetition."""
+    with (
+        pytest.MonkeyPatch.context() as monkeypatch,
+        tempfile.TemporaryDirectory() as directory,
+    ):
         barriers = tap_barriers(monkeypatch)
-        with line_session(line_network(2048), 2) as session:
+        tap_kernel_calls(monkeypatch, Path(directory))
+        with line_session(line_network(2048), 2, start_method="fork") as session:
             session.run(1200)
             slot_phases = list(barriers)
             stats = session.finalize_stats()
-    return stats_digest(stats), slot_phases
+        kernel_calls = [
+            Counter(int(phase) for phase in log.read_text().split())
+            for log in Path(directory).iterdir()
+            if log.name != str(os.getpid())
+        ]
+    return stats_digest(stats), slot_phases, kernel_calls
 
 
 def mesh2k_result_digest():
@@ -37,7 +67,7 @@ def mesh2k_result_digest():
 
 
 def test_mesh2k_repetition_message_and_byte_budget():
-    _digest, slot_phases = mesh2k_repetition()
+    _digest, slot_phases, _calls = mesh2k_repetition()
     # The front stays in strip 0.  Until strip 1 parks (the second park
     # check, slot 8) a slot costs each live shard two messages; from then
     # on shard 0 is the only live one and is handed the rest of the run
@@ -57,3 +87,25 @@ def test_mesh2k_repetition_message_and_byte_budget():
         if 0 in arguments
     )
     assert crossed <= 12_000
+
+
+@pytest.mark.skipif(engine.compiled_kernel() is None, reason="the compiled slot loop is unavailable")
+def test_mesh2k_phase_slots_call_the_kernel():
+    # Every begin_slot a worker is sent is one call of the kernel's first
+    # half, every fire_resolve one of its second, and each run_slots at
+    # least one epoch call.
+    _digest, slot_phases, kernel_calls = mesh2k_repetition()
+    sent = [Counter(), Counter()]
+    for method, arguments, _replies in slot_phases:
+        for shard in arguments:
+            sent[shard][method] += 1
+    expected = sorted(
+        (messages["begin_slot"], messages["fire_resolve"], messages["run_slots"] > 0)
+        for messages in sent
+    )
+    got = sorted(
+        (calls[native.CONTEND], calls[native.RESOLVE], calls[native.EPOCH] > 0)
+        for calls in kernel_calls
+    )
+    assert got == expected
+    assert sum(calls[native.EPOCH] for calls in kernel_calls) >= sent[0]["run_slots"] == 5
