@@ -31,12 +31,10 @@ from repro.analysis import checker as analysis_checker
 from repro.exec import (
     add_execution_arguments,
     add_gf_backend_argument,
-    add_shards_argument,
     apply_gf_backend,
     policy_from_args,
 )
-from repro.emulator.session import SessionConfig, run_sharded_session
-from repro.emulator.shard import ShardCountError
+from repro.emulator.session import SessionConfig, run_coded_session
 from repro.emulator.trace import SessionTracer
 from repro.optimization.sunicast import InfeasibleSessionError
 from repro.protocols.etx_routing import plan_etx_route
@@ -145,7 +143,7 @@ def _cmd_fig7(args: argparse.Namespace) -> int:
 
     policy = _checked(policy_from_args, args)
     config = fig7.Fig7Config.smoke() if args.smoke else fig7.Fig7Config()
-    fig7.report(fig7.run_fig7(config, shards=args.shards, policy=policy))
+    fig7.report(fig7.run_fig7(config, policy=policy))
     return 0
 
 
@@ -275,7 +273,6 @@ def _cmd_session(args: argparse.Namespace) -> int:
                 make_planner(args.protocol, source, destination),
                 replan_policy,
                 spec,
-                shards=args.shards,
                 config=config,
                 rng=rng.spawn("session"),
                 tracer=tracer,
@@ -296,10 +293,9 @@ def _cmd_session(args: argparse.Namespace) -> int:
             plan = planners[args.protocol](network, source, destination)
             if args.protocol != "etx":
                 config = _fold_coding(config, network, plan, args.coding)
-            result = run_sharded_session(
+            result = run_coded_session(
                 network,
                 plan,
-                shards=args.shards,
                 config=config,
                 rng=rng.spawn("session"),
                 protocol_label=args.protocol,
@@ -409,7 +405,6 @@ def _cmd_multisession(args: argparse.Namespace) -> int:
     outcome = run_multi_session(
         network,
         plans,
-        shards=args.shards,
         config=config,
         rng=rng.spawn("multisession"),
         xor_pairs=xor_pairs,
@@ -493,7 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     fig7.add_argument(
         "--smoke", action="store_true", help="CI-sized run (~seconds)"
     )
-    add_shards_argument(fig7)
     add_execution_arguments(fig7)
     fig7.set_defaults(func=_cmd_fig7)
     sub.add_parser(
@@ -546,7 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="export per-slot emulation events as JSON lines to PATH",
     )
-    add_shards_argument(session)
     session.add_argument(
         "--scenario",
         help="run live under a scenario: builtin name ('calm', 'drift') "
@@ -608,7 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--block-size", type=int, default=256,
         help="payload bytes per packet (default 256)",
     )
-    add_shards_argument(multisession)
     multisession.add_argument(
         "--layout",
         choices=("disjoint", "opposing"),
@@ -651,11 +643,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         argparse.ArgumentError,
         NodeSelectionError,
         InfeasibleSessionError,
-        ShardCountError,
     ) as error:
         # An option value a constructor refuses, or a request that cannot
-        # be planned on this topology or cut into that many shards: the
-        # user's input, not a defect, so no traceback.
+        # be planned on this topology: the user's input, not a defect, so
+        # no traceback.
         print(f"repro {args.command}: error: {error}", file=sys.stderr)
         return 2
 

@@ -265,7 +265,7 @@ _LIB: Optional[ctypes.CDLL] = None
 
 def _lib() -> ctypes.CDLL:
     """The loaded kernels.  A process handed :class:`GF256Native` by pickle
-    (a spawned shard worker) never ran the provider: load on first use."""
+    (a spawned worker) never ran the provider: load on first use."""
     if _LIB is None and load_native_backend() is None:
         raise RuntimeError("the native GF(2^8) backend cannot load in this process")
     assert _LIB is not None

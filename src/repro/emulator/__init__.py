@@ -41,7 +41,6 @@ from repro.emulator.session import (
     SessionConfig,
     SessionResult,
     run_coded_session,
-    run_sharded_session,
     run_unicast_session,
 )
 from repro.emulator.shard import ShardedSession, session_digest, trace_digest
@@ -85,7 +84,6 @@ __all__ = [
     "multi_session_digest",
     "run_coded_session",
     "run_multi_session",
-    "run_sharded_session",
     "run_unicast_session",
     "session_digest",
     "summarize",

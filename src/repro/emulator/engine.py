@@ -21,13 +21,14 @@ the MAC channel capacity).  Each slot:
 
 :class:`EngineCore` is all five for the nodes one process hosts, and
 :meth:`EngineCore.run_slots` is the one loop that strings them together.
-A single-process run drives one core that hosts every node by direct
-method calls; a sharded run hosts one core per worker process and
-drives the same methods through pipes — whole epochs of slots while one
-core holds everything awake, a phase at a time while several do.  A
-core runs in one of two forms, the same bit for bit: the scalar form
-loops over runtime objects, the compiled form (:mod:`repro.emulator.native`)
-makes each epoch and each phase one call into C over the runtimes' rows.
+A session drives one core that hosts every node by direct method
+calls; a sharded one (the benchmark's relay line) hosts one core per
+worker process and drives the same methods through pipes — whole
+epochs of slots while one core holds everything awake, a phase at a
+time while several do.  A core runs in one of two forms, the same bit
+for bit: the scalar form loops over runtime objects, the compiled form
+(:mod:`repro.emulator.native`) makes each epoch and each phase one call
+into C over the runtimes' rows.
 It is protocol-agnostic: behaviour differences live entirely in the
 runtimes (:mod:`repro.emulator.node`) and the plans that configured them.
 """
@@ -61,6 +62,7 @@ from repro.emulator.node import (
     NodeRuntime,
     RuntimeTerms,
     UnicastRuntime,
+    check_slot_credit,
     install_runtimes,
 )
 from repro.emulator.plan import NodeSettings
@@ -148,8 +150,8 @@ class _DecodeLog:
     destination's core, which drains :attr:`events` after every
     receiver: that is how an event keeps its place in the slot.
     Session side: the session replays all cores' drained events in slot
-    order into :attr:`acks` and :attr:`delivered` of *its* copy (at
-    ``shards=1`` the same object), which a driver reads.
+    order into :attr:`acks` and :attr:`delivered` of *its* copy (in one
+    process the same object), which a driver reads.
     """
 
     def __init__(self) -> None:
@@ -250,7 +252,6 @@ class EngineCore:
         self._dt = init.slot_duration
         self._blanking = init.interference == "blanking"
         self._two_hop = init.interference == "conflict_free"
-        self._has_unicast = init.has_unicast
         self._traced = init.traced
         self._factory = factory = RngFactory(init.seed)
         mac = NodeStreams(factory, "mac")
@@ -300,6 +301,8 @@ class EngineCore:
         self, runtimes: Dict[int, NodeRuntime], participants: Tuple[int, ...]
     ) -> None:
         """Take ``runtimes`` as the hosted set (position-indexed views)."""
+        for runtime in runtimes.values():
+            check_slot_credit(runtime, self._dt)
         self._runtimes = dict(runtimes)
         self._participants = participants
         self._owned = tuple(sorted(runtimes))
@@ -912,25 +915,22 @@ class EngineCore:
                         covered[j] = 0
         return offers
 
-    def resolve(
-        self, entries: Iterable[Entry]
-    ) -> Tuple[int, List[Event], List[int]]:
-        """Per-receiver resolution for this core's hosted receivers.
+    def resolve(self, entries: Iterable[Entry]) -> Tuple[int, List[Event]]:
+        """Per-receiver resolution for this core's hosted receivers, then
+        the queue samples that close the slot.
 
         A receiver keeps at most one delivery per slot; one that heard
         several draws the tie-break from its own capture stream, so
         cross-receiver processing order cannot perturb any draw.
         Returns what happened, each event led by its receiver's place —
         decode / delivery log entries always, the delivery a receiver
-        kept only when a tracer wants it — and the senders whose unicast
-        attempt got through.  Closes the slot unless :meth:`finish_slot`
-        still has unicast attempts to settle.
+        kept only when a tracer wants it.  Only a flow or coded session
+        is cut across cores, so no unicast attempt is left to settle.
         """
         events: List[Event] = []
-        successes = self._resolve_objects(list(entries), events)
-        if not self._has_unicast:
-            self._settle(())
-        return self._awake_count(), events, successes
+        self._resolve_objects(list(entries), events)
+        self._settle(())
+        return self._awake_count(), events
 
     def _resolve(self, entries: Iterable[Entry], events: List[Event]) -> List[int]:
         successes: List[int] = []
@@ -988,18 +988,6 @@ class EngineCore:
             if status == native.FALLBACK:
                 self._fall_back(events)
         return self._awake_count(), events
-
-    def finish_slot(self, successes: Sequence[int]) -> Tuple[int]:
-        """Settle hosted unicast attempts, then sample queues.
-
-        On a cross-cut slot this is its own barrier, and only for a
-        session with unicast runtimes: the head-of-line pop in
-        ``complete_transmission`` changes queue lengths, so sampling
-        must wait for the success verdicts that the receivers' cores
-        produced in :meth:`resolve`.
-        """
-        self._settle(successes)
-        return (self._awake_count(),)
 
     def _settle(self, successes: Sequence[int]) -> None:
         """Close the slot: unicast verdicts (success = resolved
@@ -1082,6 +1070,9 @@ class EngineCore:
             (self._positions[node], params) for node, params in updates.items()
             if node in self._positions
         ]
+        for position, params in hosted:  # refused before anything changes
+            if params.get("rate_bps") is not None:
+                check_slot_credit(self._runtime_list[position], self._dt, params["rate_bps"])
         with self._through_objects(position for position, _params in hosted):
             for position, params in hosted:
                 self._runtime_list[position].apply_plan(**params)

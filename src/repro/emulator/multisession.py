@@ -17,7 +17,7 @@ Design points:
   mix protocols, which is exactly how the fig6 experiment compares
   OMNC-multi against MORE-per-flow under identical contention.  One
   session alone runs as
-  :func:`~repro.emulator.session.run_sharded_session` does, up to its
+  :func:`~repro.emulator.session.run_coded_session` does, up to its
   coding streams.
 * **Churn without topology churn.**  Scenario ``session_arrive`` /
   ``session_depart`` events switch pre-built sub-runtimes between
@@ -173,14 +173,12 @@ def run_multi_session(
     network: WirelessNetwork,
     plans: Mapping[int, SessionPlan],
     *,
-    shards: int = 1,
     config: SessionConfig | None = None,
     rng: RngFactory | None = None,
     xor_pairs: Mapping[int, Sequence[Tuple[int, int]]] | None = None,
     scenario: "ScenarioSpec | None" = None,
     tracer: SessionTracer | None = None,
     protocol_label: str | None = None,
-    start_method: str | None = None,
 ) -> MultiSessionOutcome:
     """Emulate N concurrent coded unicast sessions over shared airtime.
 
@@ -198,9 +196,8 @@ def run_multi_session(
     survive).  Each session's coefficients come from its own stream,
     ``rng.spawn(f"msession-{sid}")``.
 
-    Everything else is :func:`~repro.emulator.session.run_sessions`': a
-    bit-identical outcome and trace at any ``shards``, plan-carried
-    generation sizes, one slot length, and with
+    Everything else is :func:`~repro.emulator.session.run_sessions`':
+    plan-carried generation sizes, one slot length, and with
     ``config.target_generations > 0`` a stop once every session has
     decoded that many generations (sessions that depart early may keep
     the run at its full time budget).
@@ -227,9 +224,7 @@ def run_multi_session(
         xor_pairs=xor_pairs,
         dormant=churn.dormant,
         boundaries=churn,
-        shards=shards,
         tracer=tracer,
-        start_method=start_method,
     )
     throughputs = [results[sid].throughput_bps for sid in sorted(results)]
     return MultiSessionOutcome(
@@ -250,8 +245,7 @@ def multi_session_digest(outcome: MultiSessionOutcome) -> str:
 
     Per-session payloads reuse :func:`session_digest`; run-level floats
     serialize through ``repr`` — two outcomes digest equal iff every
-    field is bit-identical, which is the shards=1 == shards=N oracle
-    for multi-session runs.
+    field is bit-identical.
     """
     payload = {
         "protocol": outcome.protocol,

@@ -66,6 +66,22 @@ def _checked_rate(name: str, value: float) -> float:
     return value
 
 
+def check_slot_credit(runtime: "NodeRuntime", dt: float, rate: float | None = None) -> None:
+    """A ``ValueError`` unless ``rate`` (default: the runtime's own) earns
+    less than 2^53 packets of credit in a slot of ``dt`` seconds: below
+    it a float counts whole packets exactly and the compiled slot loop's
+    int64 counters cannot overflow, so both forms of a core agree.
+    Checked where a core hosts a runtime or before it retunes one, the
+    slot known."""
+    if rate is None:
+        rate = getattr(runtime, "_rate", 0.0)
+    if rate * dt / getattr(runtime, "_packet_bytes", 1) >= 2.0**53:
+        raise ValueError(
+            f"node {runtime.node_id}: rate_bps {rate} earns 2**53 or more "
+            f"packets of credit in a {dt} s slot"
+        )
+
+
 def _checked_hop(next_hop: object) -> int | None:
     """``next_hop``, once it is a node id or ``None`` (the sink)."""
     if next_hop is not None and (not isinstance(next_hop, int) or next_hop < 0):
@@ -968,8 +984,7 @@ class MultiSessionNodeRuntime(NodeRuntime):
     * **churn** — scenario-arriving sessions are created up front but
       *dormant*, switched live by ``activate_session`` /
       ``deactivate_session``.  Participants therefore never change
-      mid-run, which keeps conflict structures static and the sharded
-      loop bit-identical to the serial one.
+      mid-run, which keeps conflict structures static.
 
     Per-session transmissions and delivered links accrue at the
     composite and survive departure; the engine splits the node's

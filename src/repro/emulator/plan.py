@@ -30,8 +30,7 @@ session, the ``apply_plan`` keyword arguments that make a runtime
 behave as planned (``cbr`` is the offered load in bytes/second).  One
 installer, :func:`repro.emulator.node.install_runtimes`, builds missing
 runtimes from those settings and retunes live ones with them, so a
-fresh build and a mid-run hot-swap are the same operation; a session
-runs it in the process that hosts each node
+fresh build and a mid-run hot-swap are the same operation
 (:meth:`repro.emulator.shard.ShardedSession.install_plan`).
 """
 
@@ -45,7 +44,7 @@ from repro.routing.node_selection import ForwarderSet
 from repro.topology.graph import WirelessNetwork
 
 #: Ordered ``{node: apply_plan keyword arguments}`` — the shape plan
-#: installs and ``apply_plan_updates`` ship to engines and shard workers.
+#: installs and ``apply_plan_updates`` hand to the engine.
 NodeSettings = Dict[int, Dict[str, Any]]
 
 
@@ -60,8 +59,7 @@ class CodingParams:
             dense RLNC repair packets after (decode-cost optimization;
             delivered payloads are byte-identical either way).
 
-    The dataclass is deliberately tiny and picklable: it crosses shard
-    worker pipes verbatim inside ``apply_plan`` updates.
+    The dataclass is deliberately tiny and picklable.
     """
 
     blocks: int

@@ -6,7 +6,7 @@ session and a :class:`SessionConfig`, builds the per-node runtimes, and
 executes the slot loop until every session has decoded its target
 number of generations or the emulated-time budget runs out
 (:func:`run_sessions`).  One session is the N = 1 case
-(:func:`run_sharded_session`); the multi-session and adaptive drivers
+(:func:`run_coded_session`); the multi-session and adaptive drivers
 are its other faces.
 
 The paper's setup (Sec. 5): generations of 40 blocks x 1 KB, UDP CBR
@@ -329,9 +329,7 @@ def run_sessions(
     xor_pairs: Mapping[int, Sequence[Tuple[int, int]]] | None = None,
     dormant: frozenset[int] = frozenset(),
     boundaries: Boundaries | None = None,
-    shards: int = 1,
     tracer: SessionTracer | None = None,
-    start_method: str | None = None,
 ) -> Tuple[Dict[int, SessionResult], EngineStats]:
     """Emulate ``plans`` (session id -> plan) over shared airtime: the one
     session driver.
@@ -350,7 +348,7 @@ def run_sessions(
     session has decoded ``config.target_generations`` (0: never; a
     unicast session never does).  Returns each session's
     :class:`SessionResult`, labelled ``labels[sid]`` or by plan kind, and
-    the run's stats, the same at any ``shards``.
+    the run's stats.
     """
     session_ids = sorted(plans)
     packet_bytes = {
@@ -392,11 +390,9 @@ def run_sessions(
         dict(composites) if shared else runtimes,
         packet_bytes[session_ids[0]] / network.capacity,
         rng_factory=rng,
-        shards=shards,
         interference=config.interference,
         tracer=tracer,
         decode_log=log,
-        start_method=start_method,
     )
     decoded = dict.fromkeys(session_ids, 0)
     target = config.target_generations
@@ -437,17 +433,15 @@ def run_sessions(
     return results, stats
 
 
-def run_sharded_session(
+def run_coded_session(
     network: WirelessNetwork,
     plan: SessionPlan,
     *,
-    shards: int = 1,
     session_id: int = 1,
     config: SessionConfig | None = None,
     rng: RngFactory | None = None,
     protocol_label: str | None = None,
     tracer: SessionTracer | None = None,
-    start_method: str | None = None,
 ) -> SessionResult:
     """Emulate one session under any plan: OMNC, MORE, oldMORE or ETX.
 
@@ -464,12 +458,10 @@ def run_sharded_session(
         config=config or SessionConfig(),
         rng=rng or RngFactory(0),
         labels={session_id: protocol_label},
-        shards=shards,
         tracer=tracer,
-        start_method=start_method,
     )
     return results[session_id]
 
 
-#: One function under its historical names: a coded plan, an ETX path.
-run_coded_session = run_unicast_session = run_sharded_session
+#: The same function, named for an ETX path.
+run_unicast_session = run_coded_session

@@ -1,16 +1,21 @@
-"""One session, one slot loop, any number of processes, one trace.
+"""One session, one slot loop, one trace: the session above the core.
 
 :class:`ShardedSession` is the session-side half of every emulated
 slot: the clock, the deferred control events, the replay of what
 happened into the tracer and the recorder, and the stats.  The
 per-process half — everything that happens *to* the nodes a process
-hosts, slot loop included — is :class:`~repro.emulator.engine.EngineCore`.  With
-``shards=1`` the session calls one core that hosts every node, directly,
-in this process, and pickles nothing; with ``shards=N`` it calls
-:class:`ShardedCores`, which answers the same methods from one core per
-spatial strip and worker process.  Every driver runs on this object, and
-``shards=1`` and ``shards=N`` produce the same trace, stats and
-:class:`~repro.emulator.session.SessionResult`, bit for bit.
+hosts, slot loop included — is :class:`~repro.emulator.engine.EngineCore`.
+Every driver runs a session at ``shards=1``: one core that hosts every
+node, called directly, in this process, pickling nothing.
+
+``shards=N`` keeps the data plane of one flow or coded session running
+across worker processes — the benchmark's relay line
+(``mesh2k_shards2``) is its one consumer: :class:`ShardedCores` answers
+the core's slot methods from one core per spatial strip and worker, and
+produces the same trace, stats and
+:class:`~repro.emulator.session.SessionResult` as ``shards=1``, bit for
+bit.  A unicast session and the control plane (re-plans, plan updates,
+topology swaps, idle stalls) run in one process only.
 
 How determinism survives the cut:
 
@@ -27,11 +32,10 @@ How determinism survives the cut:
   per-broadcast delivery position, which fixes each receiver's arrival
   order, the receiver processing order and the order of everything that
   happens at a receiver, whoever fired what (:class:`ShardedCores`).
-* **Deferred control events.**  A decoded-generation ACK, a session
-  arrival or departure is traced when the driver signals it and reaches
-  the runtimes with the next call of any kind — normally the next
-  ``begin_slot``, the same point in runtime-state time, since nothing
-  touches the data plane in between.
+* **Deferred control events.**  A decoded-generation ACK is traced when
+  the driver signals it and reaches the runtimes with the next call of
+  any kind — normally the next ``begin_slot``, the same point in
+  runtime-state time, since nothing touches the data plane in between.
 """
 
 from __future__ import annotations
@@ -53,13 +57,12 @@ from repro.emulator.engine import (
     Entry,
     Epoch,
     Event,
-    Install,
     Record,
     _DecodeLog,
     compilable,
 )
 from repro.emulator.node import NodeRuntime, RuntimeTerms, UnicastRuntime
-from repro.emulator.plan import NodeSettings, SessionPlan
+from repro.emulator.plan import SessionPlan
 from repro.emulator.scheduler import ConflictGraph, IdealMacScheduler
 from repro.emulator.trace import SessionTracer
 from repro.exec.pool import PersistentWorkerGroup, WorkerCallError, WorkerPool
@@ -71,9 +74,7 @@ if TYPE_CHECKING:  # pragma: no cover - session.py builds on this module
     from repro.emulator.session import SessionResult
 
 __all__ = [
-    "ShardCountError",
     "ShardedSession",
-    "require_shardable",
     "session_digest",
     "trace_digest",
 ]
@@ -81,38 +82,17 @@ __all__ = [
 _PLACE = itemgetter(0, 1)
 
 
-class ShardCountError(ValueError):
-    """More shards were asked for than the network has nodes to give
-    them: the caller's input, not a defect."""
-
-
-def require_shardable(network: WirelessNetwork, shards: int) -> None:
-    """Raise :class:`ShardCountError` unless every shard can host a node."""
-    if shards > network.node_count:
-        raise ShardCountError(f"cannot run {shards} shards on {network.node_count} node(s)")
-
-
-class WorkerCore(EngineCore):
-    """A shard worker's core.  Its parent drives it a phase at a time
-    whenever more than one worker is live or a signal is queued, the
-    first slot included, and a unicast attempt has phases in the scalar
-    form only: in a session with unicast runtimes a worker's core stays
-    scalar, even one that hosts every participant."""
-
-    def _form(self, init: CoreInit) -> Any:
-        return None if init.has_unicast else super()._form(init)
-
-
 class ShardedCores:
-    """An :class:`EngineCore` made of cores, one per spatial strip and process.
+    """An :class:`EngineCore` made of cores, one per spatial strip and
+    process, for the data plane of one flow or coded session.
 
-    It answers the core's methods with the core's replies, so the
+    It answers the core's slot methods with the core's replies, so the
     session above it cannot tell one process from many.  What it adds
     is the fan-out and fan-in of a cut mesh: it partitions the nodes
     into strips and ships each strip's runtimes to a long-lived worker.
     Only the *live* workers hear of a slot, those whose last slot-phase
     reply reported a non-empty awake set — a parked one hears nothing
-    until a resolve entry or the control plane reaches it (DESIGN.md
+    until a resolve entry or a control signal reaches it (DESIGN.md
     §13).  With exactly one live and no control signal queued the slot
     is part of an *epoch*: that worker is handed the budget and grants
     and runs its own slots (:meth:`EngineCore.run_slots`), one message
@@ -121,26 +101,37 @@ class ShardedCores:
     transmitter has a neighbour hosted by another worker, is one
     ``fire_resolve`` in which every arrival is resolved where it was
     fired and no packet crosses a pipe, and a *cross-cut* one is
-    ``fire`` (every worker sees the full grant), ``resolve`` at each
-    receiver's host and, with unicast feedback in play, ``finish_slot``.
-    Replies merge in place order; a failure names the slot it happened in.
+    ``fire`` (every worker sees the full grant), then ``resolve`` at
+    each receiver's host.  Replies merge in place order; a failure names
+    the slot it happened in.
     """
 
-    def __init__(self, init: CoreInit, shards: int, start_method: str | None) -> None:
+    def __init__(self, init: CoreInit, shards: int) -> None:
         self._owner = owner = partition_positions(init.network.positions, shards)
-        self._network = init.network
-        self._participants = init.participants
-        self._has_unicast = init.has_unicast
-        self._two_hop = init.interference == "conflict_free"
-        self._slots = 0  # executed or stalled so far, for failure reports
+        if init.has_unicast:
+            raise ValueError(
+                "a session with unicast runtimes runs in one process, not on "
+                f"{shards} shards"
+            )
+        network, participants = init.network, init.participants
+        self._slots = 0  # executed so far, for failure reports
         self._everyone = range(shards)
         self._live = list(self._everyone)
-        self._index()
-        if compilable(init) and not init.has_unicast:  # resolved once here, forked
-            engine.compiled_kernel()  # workers inherit it
-        pool = WorkerPool(shards, start_method=start_method)
-        self.group: PersistentWorkerGroup = pool.persistent(
-            WorkerCore,
+        # The boundary — participants with a neighbour hosted by another
+        # worker, the only transmitters whose slot needs the cross-cut
+        # phases — and the scheduler for slots several workers contend in.
+        self._boundary = frozenset(
+            node
+            for node in participants
+            if any(owner[peer] != owner[node] for peer in network.neighbors(node))
+        )
+        self._scheduler = IdealMacScheduler(
+            ConflictGraph(network, participants, two_hop=init.interference == "conflict_free")
+        )
+        if compilable(init):  # resolved once here, forked workers inherit it
+            engine.compiled_kernel()
+        self.group: PersistentWorkerGroup = WorkerPool(shards).persistent(
+            EngineCore,
             [
                 replace(
                     init,
@@ -152,20 +143,6 @@ class ShardedCores:
                 )
                 for shard in self._everyone
             ],
-        )
-
-    def _index(self) -> None:
-        """The boundary — participants with a neighbour hosted by another
-        worker, the only transmitters whose slot needs the cross-cut
-        phases — and the scheduler for slots several workers contend in."""
-        network, owner = self._network, self._owner
-        self._boundary = frozenset(
-            node
-            for node in self._participants
-            if any(owner[peer] != owner[node] for peer in network.neighbors(node))
-        )
-        self._scheduler = IdealMacScheduler(
-            ConflictGraph(network, self._participants, two_hop=self._two_hop)
         )
 
     def _call(self, method: str, arguments: Mapping[int, Any]) -> Dict[int, Any]:
@@ -188,7 +165,7 @@ class ShardedCores:
         return list(replies.values())
 
     def _everywhere(self, method: str, argument: Any = None) -> List[Any]:
-        """The control plane reaches every worker, parked or not, and may wake it."""
+        """A call every worker hears, parked or not; it may wake them."""
         self._live = list(self._everyone)
         return list(self._call(method, dict.fromkeys(self._everyone, argument)).values())
 
@@ -246,45 +223,12 @@ class ShardedCores:
         routed: Dict[int, List[Entry]] = {shard: [] for shard in self._live}
         for entry in sorted(heard.items(), key=lambda entry: entry[1][0][:2]):
             routed.setdefault(owner[entry[0]], []).append(entry)
-        resolved = self._barrier("resolve", routed)
-        if self._has_unicast:
-            settled: Dict[int, List[int]] = {shard: [] for shard in self._live}
-            for _live, _events, successes in resolved:
-                for sender in successes:
-                    settled[owner[sender]].append(sender)
-            self._barrier("finish_slot", settled)
-        return fired + resolved
+        return fired + self._barrier("resolve", routed)
 
-    # -- control plane and results: to every worker, replies merged ----
+    # -- signals and results: to every worker, replies merged ----------
 
     def apply_events(self, events: Sequence[Any]) -> None:
         self._everywhere("apply_events", events)
-
-    def advance_idle(self, slots: int) -> None:
-        self._everywhere("advance_idle", slots)
-        self._slots += slots
-
-    def set_network(self, network: WirelessNetwork) -> None:
-        self._everywhere("set_network", network)
-        self._network = network
-        self._index()
-
-    def install_plan(self, plan: Install) -> None:
-        """Every worker hears of it, with the settings of the nodes it holds."""
-        settings, participants, terms = plan
-        shares: Dict[int, NodeSettings] = {shard: {} for shard in self._everyone}
-        for node, params in settings.items():
-            shares[self._owner[node]][node] = params
-        self._live = list(self._everyone)
-        self._call("install_plan", {s: (share, participants, terms) for s, share in shares.items()})
-        self._participants = participants
-        self._index()
-
-    def apply_plan(self, updates: Mapping[int, Mapping[str, Any]]) -> None:
-        self._everywhere("apply_plan", updates)  # each worker picks out its own
-
-    def parked_nodes(self, _argument: None = None) -> List[int]:
-        return sorted(node for reply in self._everywhere("parked_nodes") for node in reply)
 
     def finalize(self, _argument: None = None) -> Dict[str, Any]:
         merged, *others = self._everywhere("finalize")
@@ -305,9 +249,12 @@ class ShardedSession:
     """One emulated session over ``shards`` cores (see the module docstring).
 
     ``shards=1`` hosts the one core in this process; ``shards>1`` ships
-    each strip's runtimes to a worker.  Either way the runtimes are
-    reached only through the core's methods: signals, plan updates and
-    plan installs.  ``decode_log`` is the recorder the runtimes'
+    each strip's runtimes to a worker, for the data plane of a flow or
+    coded session only: a unicast runtime is refused at construction,
+    and :meth:`advance_idle`, :meth:`set_network`, :meth:`install_plan`,
+    :meth:`apply_plan_updates` and :meth:`parked_nodes` with a
+    ``ValueError``.  Either way the runtimes are reached only through
+    the core's methods.  ``decode_log`` is the recorder the runtimes'
     destination callbacks were wired to; the session replays decodes
     and deliveries into it in slot order.
 
@@ -332,15 +279,11 @@ class ShardedSession:
         interference: str = "blanking",
         tracer: SessionTracer | None = None,
         decode_log: _DecodeLog | None = None,
-        start_method: str | None = None,
     ) -> None:
         if slot_duration <= 0:
             raise ValueError(f"slot_duration must be > 0, got {slot_duration}")
         if interference not in ("blanking", "capture", "conflict_free"):
             raise ValueError(f"unknown interference model {interference!r}")
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        require_shardable(network, shards)
         self.network = network
         self.participants = tuple(sorted(runtimes))
         self.slot_duration = slot_duration
@@ -371,11 +314,9 @@ class ShardedSession:
         )
         # The transport seam: the core itself, called directly — or a
         # core made of worker processes, called the same way.
-        self._core: EngineCore | ShardedCores
-        if shards == 1:
-            self._core = EngineCore(init)
-        else:
-            self._core = ShardedCores(init, shards, start_method)
+        self._core: EngineCore | ShardedCores = (
+            EngineCore(init) if shards == 1 else ShardedCores(init, shards)
+        )
 
     def _control(self, method: str, argument: Any = None) -> Any:
         """A control-plane call on the core.
@@ -384,16 +325,27 @@ class ShardedSession:
         whatever the caller does now happens after them, as it would
         had they been applied the moment they were signalled.
         """
+        call = self._in_process(method)
         if self._pending_events:
             events, self._pending_events = self._pending_events, []
             self._core.apply_events(events)
-        return getattr(self._core, method)(argument)
+        return call(argument)
+
+    def _in_process(self, method: str) -> Callable[[Any], Any]:
+        """The core's ``method``; a ``ValueError`` before anything happens
+        where worker cores do not take it."""
+        call = getattr(self._core, method, None)
+        if call is None:
+            raise ValueError(
+                f"{method} runs in one process, and this session has {self.shards} shards"
+            )
+        return call
 
     # -- introspection -------------------------------------------------
 
     def parked_nodes(self) -> Tuple[int, ...]:
         """Nodes the slot loop currently skips (introspection)."""
-        return tuple(self._core.parked_nodes())
+        return tuple(self._in_process("parked_nodes")(None))
 
     # -- slot loop -----------------------------------------------------
 
@@ -538,8 +490,8 @@ class ShardedSession:
                 "replacement network must keep the node count "
                 f"({self.network.node_count} != {network.node_count})"
             )
-        self.network = network
         self._control("set_network", network)
+        self.network = network
 
     def install_plan(self, plan: SessionPlan, terms: RuntimeTerms, cbr: float) -> None:
         """Hot-swap a re-plan: make every runtime what ``plan`` wants its
@@ -555,8 +507,9 @@ class ShardedSession:
         invisible in the trace.
         """
         settings = plan.node_settings(self.network, cbr)
-        self.participants = tuple(sorted(settings))
-        self._control("install_plan", (settings, self.participants, terms))
+        participants = tuple(sorted(settings))
+        self._control("install_plan", (settings, participants, terms))
+        self.participants = participants
 
     def apply_plan_updates(self, updates: Mapping[int, Mapping[str, Any]]) -> None:
         """Hot-swap plan parameters: ``runtime.apply_plan(**params)`` per node."""
@@ -590,8 +543,7 @@ def session_digest(result: "SessionResult") -> str:
     """Canonical SHA-256 digest of a :class:`SessionResult`.
 
     Floats are serialized through ``repr`` (shortest round-trip form),
-    so two results digest equal iff every field is bit-identical — the
-    shards=1 == shards=N oracle the tests and the CI smoke job assert.
+    so two results digest equal iff every field is bit-identical.
     """
     payload = {
         "protocol": result.protocol,

@@ -29,7 +29,6 @@ from repro.exec.engine import (
     ExecutionPolicy,
     add_execution_arguments,
     add_gf_backend_argument,
-    add_shards_argument,
     apply_gf_backend,
     execute_calls,
     execute_jobs,
@@ -64,7 +63,6 @@ __all__ = [
     "WorkerPool",
     "add_execution_arguments",
     "add_gf_backend_argument",
-    "add_shards_argument",
     "apply_gf_backend",
     "execute_calls",
     "execute_jobs",

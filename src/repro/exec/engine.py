@@ -28,7 +28,6 @@ __all__ = [
     "ExecutionPolicy",
     "add_execution_arguments",
     "add_gf_backend_argument",
-    "add_shards_argument",
     "execute_calls",
     "execute_jobs",
     "policy_from_args",
@@ -234,28 +233,6 @@ def add_gf_backend_argument(parser: "argparse._ActionsContainer") -> None:
         help="GF(2^8) codec backend for this run ('numpy', 'native' or "
         "'best'; default: the OMNC_GF_BACKEND environment variable, "
         "else 'best')",
-    )
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
-
-
-def add_shards_argument(parser: argparse.ArgumentParser) -> None:
-    """Attach ``--shards``, the one declaration every sharded command shares."""
-    parser.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="worker processes per emulated session's slot loop "
-        "(default 1 = this process; any N gives the same result)",
     )
 
 

@@ -49,8 +49,7 @@ from repro.coding.finite_length import (
 )
 from repro.coding.generation import GenerationParams, random_generation
 from repro.emulator.plan import CodingParams
-from repro.emulator.session import SessionConfig, SessionResult, run_sharded_session
-from repro.emulator.shard import require_shardable
+from repro.emulator.session import SessionConfig, SessionResult, run_coded_session
 from repro.exec import ExecutionPolicy, execute_calls
 from repro.protocols.omnc import plan_omnc
 from repro.topology.graph import WirelessNetwork
@@ -236,17 +235,11 @@ def execute_fig7_decode_job(job: Fig7DecodeJob) -> DecodeCostPoint:
 
 @dataclass(frozen=True)
 class Fig7GoodputJob:
-    """One coding arm's fixed-window run on the diamond, as a job.
-
-    ``shards`` is a field, so it is part of the job's key: the serial and
-    sharded CI runs must each execute (and then byte-compare), not share
-    a cache entry.
-    """
+    """One coding arm's fixed-window run on the diamond, as a job."""
 
     config: Fig7Config
     loss: float
     arm: str
-    shards: int = 1
 
 
 def fig7_network(loss: float) -> WirelessNetwork:
@@ -267,10 +260,9 @@ def execute_fig7_goodput_job(job: Fig7GoodputJob) -> GoodputPoint:
         target_generations=0,
         coding_fidelity="exact",
     )
-    result: SessionResult = run_sharded_session(
+    result: SessionResult = run_coded_session(
         network,
         plan,
-        shards=job.shards,
         config=session_config,
         rng=RngFactory(config.seed),
     )
@@ -289,20 +281,17 @@ def execute_fig7_goodput_job(job: Fig7GoodputJob) -> GoodputPoint:
 def run_fig7(
     config: Optional[Fig7Config] = None,
     *,
-    shards: int = 1,
     policy: Optional[ExecutionPolicy] = None,
 ) -> Fig7Result:
     """Run both panels; every cell is an independent cacheable job."""
     config = config or Fig7Config()
-    # Here, not in a job: a job's exception comes back as a string.
-    require_shardable(fig7_network(0.0), shards)
     decode_jobs = [
         Fig7DecodeJob(config=config, loss=loss, systematic=systematic)
         for loss in config.losses
         for systematic in (False, True)
     ]
     goodput_jobs = [
-        Fig7GoodputJob(config=config, loss=loss, arm=arm, shards=shards)
+        Fig7GoodputJob(config=config, loss=loss, arm=arm)
         for loss in config.losses
         for arm in ARMS
     ]

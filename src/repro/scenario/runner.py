@@ -12,16 +12,16 @@ re-initiate.  A re-plan:
    (OMNC warm-starts from its previous dual prices);
 2. charges the Sec. 4 control-plane overhead as stalled airtime via
    :meth:`~repro.emulator.shard.ShardedSession.advance_idle`;
-3. hot-swaps the new plan onto the *live* runtimes, in the core that
-   hosts each node (:meth:`~repro.emulator.shard.ShardedSession.install_plan`,
-   the same installer that built them): coding buffers, decoder rank,
+3. hot-swaps the new plan onto the *live* runtimes
+   (:meth:`~repro.emulator.shard.ShardedSession.install_plan`, the same
+   installer that built them): coding buffers, decoder rank,
    queues and generation state survive; only rates/credits/routes
    change.  New forwarders get fresh runtimes, dropped ones leave.
 
 RNG discipline: the per-node MAC/channel/capture streams and the coding
 streams are never re-seeded or re-ordered by a re-plan, and scenario
 drift draws live on their own stream — fixed seed + fixed scenario =
-bit-identical traces, at any shard count.
+bit-identical traces.
 """
 
 from __future__ import annotations
@@ -248,7 +248,6 @@ def run_adaptive_session(
     policy: ReplanPolicy,
     spec: ScenarioSpec,
     *,
-    shards: int = 1,
     session_id: int = 1,
     config: SessionConfig | None = None,
     rng: RngFactory | None = None,
@@ -261,8 +260,7 @@ def run_adaptive_session(
     with the epoch boundaries as its boundary work.  The scenario's
     ``duration`` governs session length (the session config's
     ``max_seconds`` is ignored); control-plane stalls consume session
-    time, so re-planning is never free.  Any ``shards`` gives the same
-    result and trace.
+    time, so re-planning is never free.
 
     A ``coding_controller`` adds a second control loop: each epoch it
     re-evaluates the generation size (and systematic flag) from the
@@ -294,7 +292,6 @@ def run_adaptive_session(
         rng=rng,
         labels={session_id: planner.label},
         boundaries=epochs,
-        shards=shards,
         tracer=tracer,
     )
     return AdaptiveSessionResult(

@@ -33,8 +33,7 @@ def core_form(form):
     """Build the block's cores in ``form``: ``"scalar"`` (the compiled slot
     loop withheld, so every core is scalar) or ``"compiled"`` (flow and
     unicast cores on the compiled slot loop, the rest scalar), which fails
-    unless the kernel was called.  A spawned or forked worker's cores go
-    unchecked."""
+    unless the kernel was called.  A forked worker's cores go unchecked."""
     kernel = engine.compiled_kernel() if form == "compiled" else None
     calls = []
 
@@ -92,13 +91,8 @@ def variant_id(variant):
     return "-".join(f"{key}={value}" for key, value in variant.items())
 
 
-SHARDS_12 = ({"shards": 1}, {"shards": 2})
-SHARDS_124 = (*SHARDS_12, {"shards": 4})
-#: The 384-node line, traced: scalar cores at one, two and four shards,
-#: workers forked and spawned.
-LINE_CORES = ({"shards": 1}, *(
-    {"shards": shards, "start_method": method} for shards in (2, 4) for method in ("fork", "spawn")
-))
+#: The relay lines, run in this process.
+ONE_SHARD = ({"shards": 1},)
 #: A campaign run serially and on two exec-pool workers.
 JOBS_12 = ({"jobs": 1}, {"jobs": 2})
 #: Every GF(2^8) field engine this machine has, and the baseline.
@@ -151,23 +145,23 @@ PINS = (
     Pin("relay_line", "tests.test_active_set:relay_line", (
         "5534da33dfebe4a9a27993b46b371521ebf4147aeff467b420fe51736bb4a8bb",
         "734c4265147bdc6130cc016a13f4fdac53103f47583e6e7f8d22f48b4a8b014e",
-    ), SHARDS_12),
+    ), ONE_SHARD),
     Pin("churn_xor", "tests.test_active_set:churn_xor", (
         "a374b1c1587b81b041b6a7dfe341032e829db122c3928083ef631c05f6863a41",
         "4f18db7655fc9c6ea44f4a48fc6b462e594d8e7a0fd2894ece5939f7aadd1b05",
-    ), and_loops(SHARDS_12)),
+    ), and_loops()),
     Pin("adaptive_switch.runner", "tests.test_active_set:adaptive_switch_runner", (
         "bc1d5c1292a2d806b927fd30076ee7d686c71f11d7340ca719b9d47dabe50bd5",
         "3fed94f8e7ffa49e05d6bdfd79a79337b1a91982b7def07af8b8b20fb6956bff",
-    ), and_loops(SHARDS_124)),
+    ), and_loops()),
     Pin("adaptive_switch.sharded", "tests.test_active_set:adaptive_switch_sharded", (
         "2da176d1170eafea06f670170b7f9a37d9addfd1cdc6ee67f2869779694fba3f",
         "3e08700e14662ae4bbcba77281c109b5457a43999683174a8104b020eeb6f589",
-    ), and_loops(SHARDS_12)),
+    ), and_loops()),
     Pin("hot_swap", "tests.test_active_set:hot_swap", (
         "b9548d8dc984a4d95dbe1368b97aacb10722ea516343b61d8fd9902a1ff74474",
         "ee85f757f8884d38d9c59b90ded4b15f3181d84809884f90ac0f221f29d42ab4",
-    ), SHARDS_12),
+    )),
     Pin("obs_on.flow_session", "tests.test_active_set:obs_on_flow_session", (
         {"slots": 282, "grants": 235, "transmissions": 235, "deliveries": 458, "blanked": 0},
         (1128, 49.0, "c2ae998ec56d96186cfd2734a5d4fb2e520878c79dc80b8687e78d488a5231b7"),
@@ -179,7 +173,7 @@ PINS = (
     Pin("relay_line.array_cores", "tests.test_array_core:relay_line_across_forms", (
         "14bccb58a4582ba423c8da8ec4e0e3062b985b6db039400893ef23b2bb5953fa",
         "4ac25057daa581ef87577613ecf754b3fe3b480cb6e23797be08b2d78932279a",
-    ), LINE_CORES),
+    ), ONE_SHARD),
     Pin("driver.unicast", "tests.test_plan_install:unicast_driver",
         "1455624e49dd426060bd1df8faf3fbd3436ca23de1a16a1c3736d04afbf0ab2d",
         and_compiled(({}, {"form": "scalar"}))),
@@ -188,17 +182,17 @@ PINS = (
     Pin("adaptive.more_flow", "tests.test_plan_install:adaptive_more_flow", (
         "f0546a2b9235fc259bf103e345f85b2e0f3f8ce25c4152ed08b9c7a253ee2794",
         "df5c52759ebf020c816adab8eaf160e1402d753337c03aec7e6bc4ce736e0595",
-    ), SHARDS_124),
+    )),
     Pin("adaptive.more_exact", "tests.test_plan_install:adaptive_more_exact", (
         "76c075fbd9315c2741b1c9a17357b8c9d82668fe6ec0b89118189bdb8dfab51c",
         "edcc4c5535df937e554bfb439c9a25e4aca891c4c7d149caaca07806216f66a7",
-    ), SHARDS_124),
-    # Traced, so scalar at every shard count; its session digest untraced,
-    # on the compiled slot loop, is ``test_plan_install``'s to check.
+    )),
+    # Traced, so scalar; its session digest untraced, on the compiled slot
+    # loop, is ``test_plan_install``'s to check.
     Pin("adaptive.etx_flow", "tests.test_plan_install:adaptive_etx_flow", (
         "f0b52461fed690a5e0f55a09dc82a2764168af20390cf5e1ad6012931ab80479",
         "4734007fc1120ccddf2a89cabccce069d409340db7b3f090a89513020aafc19a",
-    ), (*SHARDS_124, {"shards": 1, "form": "scalar"})),
+    ), ({}, {"form": "scalar"})),
     Pin("link_tables.drift", "tests.test_dynamics:builtin_drift_link_tables", (
         "b6aa4c29afd7198cce8f1a2973465d59726f48847a75850e57b9d9e8f9617a87",
         "8b06b57e8335eef56bd703bfa1fb4bbbbbfec0cca8565059312e906a09b86d63",

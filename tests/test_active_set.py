@@ -96,9 +96,7 @@ def line_runtimes(network, decode_log, *, relay_rates=None):
     return runtimes
 
 
-def line_session(
-    network, shards, *, seed=2008, tracer=None, relay_rates=None, start_method=None
-):
+def line_session(network, shards, *, seed=2008, tracer=None, relay_rates=None):
     decode_log = _DecodeLog()
     return ShardedSession(
         network,
@@ -108,7 +106,6 @@ def line_session(
         shards=shards,
         tracer=tracer,
         decode_log=decode_log,
-        start_method=start_method,
     )
 
 
@@ -182,7 +179,7 @@ def chain_network(nodes=7):
     return WirelessNetwork(positions, links, 130.0)
 
 
-def churn_xor_run(shards, tracer):
+def churn_xor_run(tracer):
     """Opposing OMNC sessions XORed at relay 1, a MORE session, and churn."""
     network = chain_network()
     plans = {
@@ -206,7 +203,6 @@ def churn_xor_run(shards, tracer):
     outcome = run_multi_session(
         network,
         plans,
-        shards=shards,
         config=SessionConfig(
             blocks=8, block_size=256, max_seconds=duration, target_generations=0
         ),
@@ -221,7 +217,7 @@ def churn_xor_run(shards, tracer):
 
 
 @under_parked_contract
-def churn_xor(shards):
+def churn_xor():
     """:func:`churn_xor_run` against its pre-active-set digests.
 
     Nodes 3-6 host only sessions that are absent or silent for long
@@ -231,7 +227,7 @@ def churn_xor(shards):
     slot-end one; the trace did not move.
     """
     tracer = SessionTracer(capacity=500_000)
-    outcome = churn_xor_run(shards, tracer)
+    outcome = churn_xor_run(tracer)
     return multi_session_digest(outcome), trace_digest(tracer)
 
 
@@ -252,12 +248,8 @@ def planned_mesh(seed=11, nodes=30):
 
 
 @under_parked_contract
-def adaptive_switch_runner(shards):
-    """Generation-size switches mid-run through the adaptive runner.
-
-    In workers, re-plans retune and build runtimes there, and the
-    destination's block count comes back through finalize_stats.
-    """
+def adaptive_switch_runner():
+    """Generation-size switches mid-run through the adaptive runner."""
     network, source, destination, _plan = planned_mesh()
     controller = make_coding_controller("adaptive", blocks=40, block_size=256)
     scenario = ScenarioSpec(
@@ -279,7 +271,6 @@ def adaptive_switch_runner(shards):
         rng=RngFactory(6),
         coding_controller=controller,
         tracer=tracer,
-        shards=shards,
     )
     assert len(set(controller.history)) > 1  # the size really switched
     pushed = [event.detail for event in tracer.events(kind="coding")]
@@ -291,8 +282,8 @@ def adaptive_switch_runner(shards):
 
 
 @under_parked_contract
-def adaptive_switch_sharded(shards):
-    """Generation-size switches mid-run, pushed at slot barriers by hand."""
+def adaptive_switch_sharded():
+    """Generation-size switches mid-run, pushed between runs by hand."""
     network, _source, _destination, plan = planned_mesh()
     config = SessionConfig(
         max_seconds=40.0, blocks=6, block_size=256, coding_fidelity="exact"
@@ -311,7 +302,6 @@ def adaptive_switch_sharded(shards):
         runtimes,
         config.coded_packet_bytes() / network.capacity,
         rng_factory=RngFactory(21),
-        shards=shards,
         tracer=tracer,
         decode_log=decode_log,
     ) as session:
@@ -333,17 +323,17 @@ def adaptive_switch_sharded(shards):
 SILENCED = 3
 
 
-def silenced_line(shards, tracer=None):
+def silenced_line(tracer=None):
     return line_session(
-        line_network(12), shards, seed=7, tracer=tracer, relay_rates={SILENCED: 0.0}
+        line_network(12), 1, seed=7, tracer=tracer, relay_rates={SILENCED: 0.0}
     )
 
 
 @under_parked_contract
-def hot_swap(shards):
+def hot_swap():
     """A rate swap onto the parked, silenced relay, from outside the loop."""
     tracer = SessionTracer(capacity=500_000)
-    with silenced_line(shards, tracer) as session:
+    with silenced_line(tracer) as session:
         session.run(120)
         session.apply_plan_updates({SILENCED: {"rate_bps": 2e4}})
         session.run(120)
@@ -360,17 +350,15 @@ class TestHotSwapOntoParkedRelay:
     to match the same swap on the full-sweep loop.
     """
 
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_swap_takes_effect_on_the_next_slot(self, shards):
+    def test_swap_takes_effect_on_the_next_slot(self):
         node = SILENCED
-        with silenced_line(shards) as session:
+        with silenced_line() as session:
             session.run(120)
             before = session.finalize_stats()
             assert (node - 1, node) in before.delivered_links  # it holds information
             assert before.transmissions[node] == 0
             assert before.queue_time_sum[node] == 0.0
-            if shards == 1:
-                assert node in session.parked_nodes()
+            assert node in session.parked_nodes()
             session.apply_plan_updates({node: {"rate_bps": 2e4}})
             session.step()
             after = session.finalize_stats()
@@ -378,10 +366,10 @@ class TestHotSwapOntoParkedRelay:
         assert after.transmissions[node] + after.queue_time_sum[node] == 1
 
     def test_swap_matches_a_run_that_never_parks(self, monkeypatch):
-        parked = hot_swap(shards=1)
+        parked = hot_swap()
         monkeypatch.setattr(FlowRelayRuntime, "dormant", lambda self, dt: False)
         monkeypatch.setattr(FlowDestinationRuntime, "dormant", lambda self, dt: False)
-        assert hot_swap(shards=1) == parked
+        assert hot_swap() == parked
 
 
 #: What collecting metrics must read whether or not anything was parked.

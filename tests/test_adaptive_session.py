@@ -129,16 +129,13 @@ def _make_engine(network, plan, config, seed, tracer=None):
 
 
 class TestEngineHotSwapLayer:
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_reinstalling_the_running_plan_is_invisible(self, net_pair, shards):
+    def test_reinstalling_the_running_plan_is_invisible(self, net_pair):
         network, source, destination = net_pair
         plan = plan_omnc(network, source, destination)
         config = SessionConfig(max_seconds=20.0)
 
-        def run(shards, tracer, swaps):
-            with plan_session(
-                network, plan, config, RngFactory(9), shards=shards, tracer=tracer
-            ) as session:
+        def run(tracer, swaps):
+            with plan_session(network, plan, config, RngFactory(9), tracer=tracer) as session:
                 session.run(150)
                 if swaps:
                     session.install_plan(
@@ -153,8 +150,15 @@ class TestEngineHotSwapLayer:
                 return session.finalize_stats().transmissions
 
         straight, reinstalled = SessionTracer(), SessionTracer()
-        assert run(1, straight, False) == run(shards, reinstalled, True)
+        assert run(straight, False) == run(reinstalled, True)
         assert list(straight.events()) == list(reinstalled.events())
+
+    def test_apply_plan_updates_rejects_unknown_nodes(self, net_pair):
+        network, source, destination = net_pair
+        plan = plan_omnc(network, source, destination)
+        with _make_engine(network, plan, SessionConfig(max_seconds=10.0), 2) as engine:
+            with pytest.raises(KeyError, match="no runtimes"):
+                engine.apply_plan_updates({10_000: {"rate_bps": 1.0}})
 
     def test_advance_idle_semantics(self, net_pair):
         network, source, destination = net_pair
@@ -300,164 +304,3 @@ class TestAdaptiveRuns:
         assert result.failed_replans >= 1
         assert result.replans == 0
         assert result.session.duration == pytest.approx(30.0, rel=0.01)
-
-
-class TestShardedHotSwap:
-    """Mid-run control-plane actions on a sharded session reproduce the
-    serial per-node-mode oracle bit for bit: set_network, plan updates
-    and idle stalls all land at slot barriers."""
-
-    def _swap_run(self, network, drifted, plan, shards):
-        from repro.emulator import shard as shard_mod
-
-        config = SessionConfig(max_seconds=40.0)
-        decode_log = shard_mod._DecodeLog()
-        runtimes = build_plan_runtimes(
-            network,
-            plan,
-            config=config,
-            rng=RngFactory(21),
-            on_decoded=decode_log,
-        )
-        slot = config.coded_packet_bytes() / network.capacity
-        tracer = SessionTracer()
-        updates = {
-            plan.forwarders.source: {"rate_bps": 0.25 * network.capacity}
-        }
-        with shard_mod.ShardedSession(
-            network,
-            runtimes,
-            slot,
-            rng_factory=RngFactory(21),
-            shards=shards,
-            tracer=tracer,
-            decode_log=decode_log,
-        ) as session:
-            session.run(150)
-            session.set_network(drifted)
-            session.run(100)
-            session.apply_plan_updates(updates)
-            session.advance_idle(7)
-            session.run(150)
-            stats = session.finalize_stats()
-        return stats, list(tracer.events())
-
-    def test_sharded_midrun_swaps_match_serial(self, net_pair):
-        from repro.topology.dynamics import perturb_link_qualities
-
-        network, source, destination = net_pair
-        plan = plan_omnc(network, source, destination)
-        drifted = perturb_link_qualities(
-            network, sigma=0.08, rng=RngFactory(33).derive("drift")
-        )
-        serial_stats, serial_events = self._swap_run(
-            network, drifted, plan, shards=1
-        )
-        sharded_stats, sharded_events = self._swap_run(
-            network, drifted, plan, shards=2
-        )
-        assert sharded_events == serial_events
-        assert sharded_stats.slots == serial_stats.slots
-        assert sharded_stats.elapsed == serial_stats.elapsed
-        assert sharded_stats.grants == serial_stats.grants
-        assert sharded_stats.transmissions == serial_stats.transmissions
-        assert sharded_stats.queue_time_sum == serial_stats.queue_time_sum
-        assert sharded_stats.delivered_links == serial_stats.delivered_links
-
-    def test_apply_plan_updates_rejects_unknown_nodes(self, net_pair):
-        from repro.emulator import shard as shard_mod
-
-        network, source, destination = net_pair
-        plan = plan_omnc(network, source, destination)
-        config = SessionConfig(max_seconds=10.0)
-        decode_log = shard_mod._DecodeLog()
-        runtimes = build_plan_runtimes(
-            network, plan, config=config, rng=RngFactory(2),
-            on_decoded=decode_log,
-        )
-        slot = config.coded_packet_bytes() / network.capacity
-        with shard_mod.ShardedSession(
-            network,
-            runtimes,
-            slot,
-            rng_factory=RngFactory(2),
-            shards=2,
-            decode_log=decode_log,
-        ) as session:
-            with pytest.raises(KeyError, match="no runtimes"):
-                session.apply_plan_updates({10_000: {"rate_bps": 1.0}})
-
-
-class TestAdaptiveCodingDigest:
-    """Mid-run generation-size switches are shard-oblivious.
-
-    The tentpole oracle: an adaptive-n session — coding parameters
-    swapped at generation boundaries while packets are in flight — must
-    produce bit-identical traces and stats for shards in {1, 2, 4}.
-    The pending-coding handoff, the stale-packet drops and the decoder
-    rebuilds all have to land at the same slot barriers regardless of
-    how the node set is partitioned."""
-
-    def _coding_run(self, network, plan, shards):
-        from repro.emulator import shard as shard_mod
-        from repro.emulator.plan import CodingParams
-
-        config = SessionConfig(
-            max_seconds=40.0,
-            blocks=6,
-            block_size=256,
-            coding_fidelity="exact",
-        )
-        decode_log = shard_mod._DecodeLog()
-        runtimes = build_plan_runtimes(
-            network,
-            plan,
-            config=config,
-            rng=RngFactory(21),
-            on_decoded=decode_log,
-        )
-        slot = config.coded_packet_bytes() / network.capacity
-        tracer = SessionTracer()
-
-        def everyone(params):
-            return {node: {"coding": params} for node in runtimes}
-
-        with shard_mod.ShardedSession(
-            network,
-            runtimes,
-            slot,
-            rng_factory=RngFactory(21),
-            shards=shards,
-            tracer=tracer,
-            decode_log=decode_log,
-        ) as session:
-            session.run(200)
-            # Grow the generation mid-run; stale n=6 packets are still
-            # in flight when the boundary lands.
-            session.apply_plan_updates(everyone(CodingParams(blocks=9)))
-            session.broadcast_generation_advance(1)
-            session.run(250)
-            # Shrink and go systematic for the next generation.
-            session.apply_plan_updates(
-                everyone(CodingParams(blocks=4, systematic=True))
-            )
-            session.broadcast_generation_advance(2)
-            session.run(250)
-            stats = session.finalize_stats()
-        return stats, list(tracer.events())
-
-    @pytest.mark.parametrize("shards", [2, 4])
-    def test_adaptive_blocks_swap_is_shard_oblivious(self, net_pair, shards):
-        network, source, destination = net_pair
-        plan = plan_omnc(network, source, destination)
-        serial_stats, serial_events = self._coding_run(network, plan, 1)
-        sharded_stats, sharded_events = self._coding_run(
-            network, plan, shards
-        )
-        assert sharded_events == serial_events
-        assert sharded_stats.slots == serial_stats.slots
-        assert sharded_stats.elapsed == serial_stats.elapsed
-        assert sharded_stats.grants == serial_stats.grants
-        assert sharded_stats.transmissions == serial_stats.transmissions
-        assert sharded_stats.queue_time_sum == serial_stats.queue_time_sum
-        assert sharded_stats.delivered_links == serial_stats.delivered_links

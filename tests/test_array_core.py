@@ -33,7 +33,7 @@ from repro.emulator.session import (
     build_plan_runtimes,
     plan_coding_config,
     plan_packet_bytes,
-    run_sharded_session,
+    run_coded_session,
 )
 from repro.emulator.shard import ShardedSession, _DecodeLog, session_digest, trace_digest
 from repro.emulator.trace import SessionTracer
@@ -221,7 +221,7 @@ class TestScalarEqualsArray:
         )
 
         def run(tracer=None):
-            result = run_sharded_session(
+            result = run_coded_session(
                 network, plan, config=config, rng=RngFactory(4), tracer=tracer
             )
             assert result.generations_decoded > 0  # the run did work
@@ -290,20 +290,17 @@ class _ObjectRelay(FlowRelayRuntime):
     column rows, so a core hosting this one stays scalar."""
 
 
-#: Line nodes: strips of 192 at two shards, of 96 at four.
+#: Line nodes.
 LINE = 384
 
 
-def relay_line_across_forms(shards, start_method=None):
-    """The 384-node line for 420 slots, traced (so scalar at every shard
-    count); its pin was recorded on the commit before the numpy array
-    form existed, and held while it did."""
-    # 420 slots: the front passes node 192, so both two-shard cores run
-    # slots of their own and slots across the cut.
+def relay_line_across_forms(shards):
+    """The 384-node line for 420 slots, traced (so scalar); its pin was
+    recorded on the commit before the numpy array form existed, and held
+    while it did."""
+    # 420 slots: the front passes node 192, the two-strip cut.
     tracer = SessionTracer(capacity=500_000)
-    with line_session(
-        line_network(LINE), shards, tracer=tracer, start_method=start_method
-    ) as session:
+    with line_session(line_network(LINE), shards, tracer=tracer) as session:
         session.run(420)
         stats = session.finalize_stats()
     assert max(sender for sender, _receiver in stats.delivered_links) > LINE // 2

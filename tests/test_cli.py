@@ -246,46 +246,17 @@ class TestCommands:
         assert "replans:" in out
 
 
-class TestSessionShards:
-    """``--shards`` picks a process count, never a result."""
-
-    SESSION = ["0", "39", "--nodes", "40", "--seconds", "30", "--generations", "2",
-               "--seed", "2008"]
-
-    @pytest.mark.parametrize("protocol", ["omnc", "etx"])
-    def test_default_equals_one_shard_equals_two(self, protocol, capsys):
-        reports = []
-        for shards in ([], ["--shards", "1"], ["--shards", "2"]):
-            assert main(["session", protocol, *self.SESSION, *shards]) == 0
-            reports.append(capsys.readouterr().out)
-        assert "throughput" in reports[0]
-        assert reports[0] == reports[1] == reports[2]
-
-    def test_zero_shards_is_an_error(self, capsys):
-        # A usage error from the one declaration, before any work starts
-        # (`fig7 --smoke --shards 0` used to run the campaign and die in a
-        # job traceback).
-        for command in (
-            ["session", "omnc", *self.SESSION],
-            ["multisession", "--sessions", "2"],
-            ["fig7", "--smoke"],
-        ):
-            with pytest.raises(SystemExit) as usage:
-                main([*command, "--shards", "0"])
-            assert usage.value.code == 2
-            assert "--shards: must be an integer >= 1" in capsys.readouterr().err
-
-    def test_a_scenario_session_equals_at_any_shard_count(self, capsys):
-        # Re-plans and per-epoch coding pushes reach the runtimes in the
-        # core that hosts them (this used to end in a ValueError).
-        scenario = ["--generations", "0", "--scenario", "drift", "--epoch-seconds", "10",
-                    "--coding", "adaptive"]
-        reports = []
-        for shards in ([], ["--shards", "1"], ["--shards", "2"]):
-            assert main(["session", "omnc", *self.SESSION, *scenario, *shards]) == 0
-            reports.append(capsys.readouterr().out)
-        assert "replans:     1 (" in reports[0]
-        assert reports[0] == reports[1] == reports[2]
+@pytest.mark.parametrize(
+    "command",
+    [["session", "omnc", "0", "39", "--nodes", "40"], ["multisession"], ["fig7", "--smoke"]],
+    ids=["session", "multisession", "fig7"],
+)
+def test_shards_is_a_usage_error(command, capsys):
+    # Every session runs in one process: there is no process count to pick.
+    with pytest.raises(SystemExit) as usage:
+        main([*command, "--shards", "2"])
+    assert usage.value.code == 2
+    assert "unrecognized arguments: --shards 2" in capsys.readouterr().err
 
 
 class TestDomainErrors:
@@ -310,25 +281,6 @@ class TestDomainErrors:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err == message
-        assert captured.out == ""
-
-    @pytest.mark.parametrize(
-        "argv, nodes",
-        [
-            (["session", "etx", "0", "39", "--nodes", "40"], 40),
-            (["multisession", "--sessions", "2", "--nodes", "40"], 40),
-            (["fig7", "--smoke"], 4),
-        ],
-        ids=["session", "multisession", "fig7"],
-    )
-    def test_no_traceback_for_more_shards_than_nodes(self, argv, nodes, capsys):
-        # Used to die with `ValueError: cannot run 64 shards on 40 node(s)`
-        # (fig7: inside a job, as a RuntimeError), exit 1.
-        assert main([*argv, "--shards", "64"]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == (
-            f"repro {argv[0]}: error: cannot run 64 shards on {nodes} node(s)\n"
-        )
         assert captured.out == ""
 
 

@@ -52,10 +52,10 @@ from repro.emulator.plan import CodingParams
 from repro.emulator.session import (
     SessionConfig,
     build_plan_runtimes,
-    run_sharded_session,
+    run_coded_session,
     session_result,
 )
-from repro.emulator.shard import ShardedSession, WorkerCore, session_digest
+from repro.emulator.shard import ShardedSession, session_digest
 from repro.protocols.etx_routing import plan_etx_route
 from repro.protocols.more import plan_more
 from repro.routing.node_selection import NodeSelectionError
@@ -220,7 +220,7 @@ def _finish_slot(core, contention):
         return granted, *core.fire_resolve(granted)
     _awake, fired, entries = core.fire(granted)
     hosted = [(receiver, arrivals) for receiver, arrivals in entries if receiver in core._positions]
-    awake, resolved, _successes = core.resolve(hosted)
+    awake, resolved = core.resolve(hosted)
     return granted, awake, fired + resolved
 
 
@@ -543,7 +543,7 @@ def _session_digest(interference="blanking"):
         blocks=6, block_size=256, max_seconds=30.0, target_generations=3,
         interference=interference,
     )
-    return session_digest(run_sharded_session(network, plan, config=config, rng=RngFactory(4)))
+    return session_digest(run_coded_session(network, plan, config=config, rng=RngFactory(4)))
 
 
 @needs_kernel
@@ -668,7 +668,7 @@ def _etx_init(**terms):
 
 
 @needs_kernel
-@pytest.mark.parametrize("case", ["cut", "worker", "traced", "observed", "capture"])
+@pytest.mark.parametrize("case", ["cut", "traced", "observed", "capture"])
 def test_a_unicast_core_off_the_compiled_path_stays_scalar(case):
     init = _etx_init(interference="capture") if case == "capture" else _etx_init()
     with census() as forms:
@@ -676,8 +676,6 @@ def test_a_unicast_core_off_the_compiled_path_stays_scalar(case):
             half = len(init.participants) // 2
             for side in (init.participants[:half], init.participants[half:]):
                 EngineCore(replace(init, runtimes={n: init.runtimes[n] for n in side}))
-        elif case == "worker":  # a worker driven a phase at a time, even hosting all
-            WorkerCore(init)
         elif case == "observed":
             with obs.collecting():
                 EngineCore(init)
@@ -834,6 +832,45 @@ def test_what_the_relay_line_never_does(network, interference, seed):
     assert {"generations_decoded", "blocks_decoded"} <= set(fields[plan.destination])
 
 
+def _two_node_etx(kernel, rate, retune=None):
+    """Three slots of a two-node ETX core whose source offers ``rate``
+    (then ``retune``, when given), on ``kernel`` (None: the scalar form):
+    what it replies, finalizes and leaves in the source."""
+    network = WirelessNetwork(
+        np.array([[0.0, 0.0], [0.6, 0.0]]), {(0, 1): 0.9, (1, 0): 0.9}, 1.0, capacity=1e5
+    )
+    size = 1000  # a 0.01 s slot: at 1e20 B/s, 1e15 packets of credit a slot
+    log = _DecodeLog()
+    runtimes = {
+        0: UnicastRuntime(0, 1, rate_bps=rate, packet_bytes=size),
+        1: UnicastRuntime(1, None, packet_bytes=size, on_delivered=log.deliver),
+    }
+    core = _forced(kernel)(CoreInit(
+        network, runtimes, (0, 1), size / network.capacity, "blanking", 7,
+        has_unicast=True, decode_log=log,
+    ))
+    if retune is not None:
+        try:
+            core.apply_plan({0: {"rate_bps": retune}})
+        finally:  # a refused retune leaves the source as it was
+            assert runtimes[0]._rate == rate
+    reply = core.run_slots((3, None, True))
+    return repr((reply, core.finalize(), sorted(vars(runtimes[0]).items())))
+
+
+@needs_kernel
+def test_a_rate_past_exact_credit_is_refused_in_both_forms():
+    # 2**53 packets of credit a slot or more: the compiled form's int64
+    # counters would overflow where the scalar form's ints grow.
+    assert _two_node_etx(KERNEL, 1e20) == _two_node_etx(None, 1e20)
+    refused = r"node 0: rate_bps 1e\+30 earns 2\*\*53 or more packets of credit in a 0.01 s slot"
+    for kernel in (None, KERNEL):
+        with pytest.raises(ValueError, match=refused):
+            _two_node_etx(kernel, 1e30)
+        with pytest.raises(ValueError, match=refused):
+            _two_node_etx(kernel, 0.0, retune=1e30)
+
+
 @needs_kernel
 def test_the_compiled_unicast_driver_checks_parked_rows(monkeypatch):
     checked = parked_contract_monitor(monkeypatch)
@@ -844,14 +881,12 @@ def test_the_compiled_unicast_driver_checks_parked_rows(monkeypatch):
 
 
 @needs_kernel
-@pytest.mark.parametrize("shards, start_method", [
-    (1, None), *((shards, method) for shards in (2, 4) for method in ("fork", "spawn")),
-])
-def test_kernel_workers_equal_the_scalar_core(shards, start_method):
+@pytest.mark.parametrize("shards", [1, 2, 4])
+def test_kernel_workers_equal_the_scalar_core(shards):
     # The untraced 384-node line: flow workers run their epochs and their
     # phase slots (begin_slot, fire_resolve, fire and resolve) compiled.
     def run():
-        with line_session(line_network(384), shards, start_method=start_method) as session:
+        with line_session(line_network(384), shards) as session:
             session.run(420)
             return stats_digest(session.finalize_stats())
 

@@ -11,7 +11,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 #: Lines per document, at most.
-BUDGETS = {"DESIGN.md": 1882, "README.md": 722}
+BUDGETS = {"DESIGN.md": 1832, "README.md": 662}
 
 
 @pytest.mark.parametrize("name", sorted(BUDGETS))

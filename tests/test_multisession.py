@@ -1,5 +1,5 @@
-"""Multi-session data plane: composites, the driver, and the N-session
-shards=1 == shards=N digest oracle (including churn)."""
+"""Multi-session data plane: composites, the driver, and the N = 1
+oracle against the single-session driver."""
 
 from dataclasses import replace
 from itertools import permutations
@@ -22,7 +22,7 @@ from repro.emulator.node import (
     XorPacket,
 )
 from repro.emulator.plan import CodingParams
-from repro.emulator.session import SessionConfig, run_sharded_session
+from repro.emulator.session import SessionConfig, run_coded_session
 from repro.emulator.shard import session_digest, trace_digest
 from repro.emulator.trace import SessionTracer
 from repro.protocols.etx_routing import plan_etx_route
@@ -33,18 +33,11 @@ from repro.scenario.spec import ScenarioEvent, ScenarioSpec
 from repro.topology.random_network import random_network
 from repro.util.rng import RngFactory
 from tests.meshes import lossy_meshes
-from tests.test_active_set import (
-    chain_network,
-    churn_xor_run,
-    line_network,
-    planned_mesh,
-)
+from tests.test_active_set import churn_xor_run, planned_mesh
 
 # Every slot of every run below re-checks each parked runtime
 # (tests/conftest.py): a missing wake fails the oracle tests loudly.
 pytestmark = pytest.mark.usefixtures("parked_contract")
-
-ORACLE_SEEDS = (1, 2008, 77)
 
 
 def _quick_config(**overrides):
@@ -341,7 +334,7 @@ class TestPlanCarriedGenerationSize:
         network, plans = self._plans()
         config = SessionConfig(block_size=256, max_seconds=12.0)  # 40 blocks
         multi = run_multi_session(network, plans, config=config, rng=RngFactory(5))
-        single = run_sharded_session(
+        single = run_coded_session(
             network, plans[1], config=config, rng=RngFactory(5).spawn("msession-1")
         )
         session = multi.sessions[1]
@@ -361,112 +354,6 @@ class TestPlanCarriedGenerationSize:
             run_multi_session(
                 network, plans, config=_quick_config(blocks=16), rng=RngFactory(5)
             )
-
-
-class TestMultiSessionShardOracle:
-    """shards=1 == shards=N, extended to N concurrent sessions."""
-
-    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
-    def test_three_sessions_bit_identical(self, seed):
-        network, plans = _three_session_mesh(seed)
-        digests = {}
-        for shards in (1, 2):
-            tracer = SessionTracer(capacity=500_000)
-            outcome = run_multi_session(
-                network,
-                plans,
-                shards=shards,
-                config=_quick_config(),
-                rng=RngFactory(seed),
-                tracer=tracer,
-            )
-            digests[shards] = (
-                multi_session_digest(outcome),
-                trace_digest(tracer),
-            )
-        assert digests[1] == digests[2]
-
-    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
-    def test_churn_bit_identical(self, seed):
-        """One arrival and one departure mid-run, across the barrier."""
-        network, plans = _three_session_mesh(seed)
-        config = _quick_config()
-        digests = {}
-        for shards in (1, 2):
-            tracer = SessionTracer(capacity=500_000)
-            outcome = run_multi_session(
-                network,
-                plans,
-                shards=shards,
-                config=config,
-                rng=RngFactory(seed),
-                scenario=_churn_scenario(config.max_seconds),
-                tracer=tracer,
-            )
-            digests[shards] = (
-                multi_session_digest(outcome),
-                trace_digest(tracer),
-            )
-        assert digests[1] == digests[2]
-
-    def test_four_shards_bit_identical(self):
-        network, plans = _three_session_mesh(2008)
-        config = _quick_config()
-        digests = {}
-        for shards in (1, 4):
-            outcome = run_multi_session(
-                network,
-                plans,
-                shards=shards,
-                config=config,
-                rng=RngFactory(2008),
-                scenario=_churn_scenario(config.max_seconds),
-            )
-            digests[shards] = multi_session_digest(outcome)
-        assert digests[1] == digests[4]
-
-    @pytest.mark.parametrize(
-        "network, endpoints, seed, crosses_cuts",
-        [
-            # Two-hop range on a 7-node chain: most transmitters reach across a cut.
-            (chain_network(), ((0, 2), (6, 4)), 1, True),
-            # Both sessions deep inside their strips: every slot is interior.
-            (line_network(16), ((0, 2), (15, 13)), 4, False),
-        ],
-        ids=["boundary", "interior"],
-    )
-    def test_same_slot_decodes_keep_the_serial_order(
-        self, barriers, network, endpoints, seed, crosses_cuts
-    ):
-        """Two destinations on different shards decode in one slot.
-
-        Two-block generations make that common.  The seeds are ones on
-        which the parent of this test applied the two decodes shard by
-        shard and swapped the ``ack`` trace records against ``shards=1``
-        (outcome digests equal, trace digests not).
-        """
-        plans = {
-            sid: plan_omnc(network, source, destination)
-            for sid, (source, destination) in enumerate(endpoints, start=1)
-        }
-        digests = {}
-        for shards in (1, 2, 4):
-            del barriers[:]
-            tracer = SessionTracer(capacity=500_000)
-            outcome = run_multi_session(
-                network,
-                plans,
-                shards=shards,
-                config=_quick_config(blocks=2, max_seconds=1.0),
-                rng=RngFactory(seed),
-                tracer=tracer,
-            )
-            digests[shards] = (multi_session_digest(outcome), trace_digest(tracer))
-            if shards > 1:
-                used = {method for method, _arguments, _replies in barriers}
-                assert ("resolve" in used) == crosses_cuts
-        assert digests[2] == digests[1]
-        assert digests[4] == digests[1]
 
 
 def _finalized(run):
@@ -527,21 +414,15 @@ class TestSessionSharesOfTheQueueSample:
     def test_multi_session_on_lossy_meshes(self, network, seed):
         plans = _mesh_plans(network)
         assume(len(plans) >= 2)
-        for shards in (1, 2):
-            for stats in _finalized(
-                lambda: run_multi_session(
-                    network,
-                    plans,
-                    shards=shards,
-                    config=_quick_config(max_seconds=3.0),
-                    rng=RngFactory(seed),
-                )
-            ):
-                _assert_shares_sum_to_the_node(stats)
+        for stats in _finalized(
+            lambda: run_multi_session(
+                network, plans, config=_quick_config(max_seconds=3.0), rng=RngFactory(seed)
+            )
+        ):
+            _assert_shares_sum_to_the_node(stats)
 
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_churn_and_xor(self, shards):
-        for stats in _finalized(lambda: churn_xor_run(shards, None)):
+    def test_churn_and_xor(self):
+        for stats in _finalized(lambda: churn_xor_run(None)):
             assert sum(stats.xor_transmissions.values()) > 0
             _assert_shares_sum_to_the_node(stats)
 
@@ -550,10 +431,9 @@ class TestOneSessionOracle:
     """N = 1: a multi-session run of one plan is the single-session run of
     it, result and trace (flow fidelity: no coding stream is drawn)."""
 
-    @pytest.mark.parametrize("shards", [1, 2])
     @pytest.mark.parametrize("interference", ["blanking", "capture", "conflict_free"])
     @pytest.mark.parametrize("planner", [plan_omnc, plan_more], ids=["rate", "credit"])
-    def test_multi_session_of_one_is_the_session(self, planner, interference, shards):
+    def test_multi_session_of_one_is_the_session(self, planner, interference):
         network, source, destination, _plan = planned_mesh()
         plan = planner(network, source, destination)
         config = _quick_config(max_seconds=8.0, target_generations=6, interference=interference)
@@ -567,14 +447,12 @@ class TestOneSessionOracle:
 
         multi = digests(
             lambda tracer: run_multi_session(
-                network, {sid: plan}, shards=shards, config=config,
-                rng=RngFactory(3), tracer=tracer,
+                network, {sid: plan}, config=config, rng=RngFactory(3), tracer=tracer,
             ).sessions[sid]
         )
         single = digests(
-            lambda tracer: run_sharded_session(
-                network, plan, shards=shards, session_id=sid, config=config,
-                rng=RngFactory(3), tracer=tracer,
+            lambda tracer: run_coded_session(
+                network, plan, session_id=sid, config=config, rng=RngFactory(3), tracer=tracer,
             )
         )
         assert multi == single

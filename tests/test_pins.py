@@ -65,7 +65,8 @@ def test_record_refuses_when_the_variants_disagree(tmp_path):
     path = tmp_path / "pins.py"
     path.write_text(TABLE)
     cases = [
-        ("by_shards", pins.SHARDS_124, SystemExit, "shards=4: 'different'"),
+        ("by_shards", ({"shards": 1}, {"shards": 2}, {"shards": 4}), SystemExit,
+         "shards=4: 'different'"),
         # No core at all: the compiled variant cannot pass vacuously.
         ("constant", ({}, {"form": "compiled"}), AssertionError,
          "core form compiled: the kernel was never called"),

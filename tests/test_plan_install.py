@@ -8,10 +8,7 @@ scenario fails and recovers a forwarder (the re-plan drops it, a later
 one re-adds it) and changes the offered load in between (the swap's
 ``cbr`` override).  All five were re-recorded once since, with no change
 to the installer: when these drivers moved from three global RNG streams
-to the per-node streams of the sharded path (one random universe).  The
-adaptive runs hold them at shards {1, 2, 4} too, with one trace digest:
-there a re-plan retunes and builds runtimes inside the workers, the
-re-added victim included.
+to the per-node streams of the sharded path (one random universe).
 
 ``TestBuildEqualsSwap`` states the installer's contract directly:
 installing plan B over runtimes built for plan A leaves every node in
@@ -98,7 +95,7 @@ def credit_plan_at_exact_fidelity():
 
 
 @under_parked_contract
-def _fail_recover_load(protocol, fidelity, shards, traced=True):
+def _fail_recover_load(protocol, fidelity, traced=True):
     """Session and trace digests of an adaptive run that drops the victim
     (the session digest alone, untraced)."""
     scenario = ScenarioSpec(
@@ -120,7 +117,6 @@ def _fail_recover_load(protocol, fidelity, shards, traced=True):
         config=SessionConfig(blocks=8, block_size=256, coding_fidelity=fidelity),
         rng=RngFactory(5),
         tracer=tracer,
-        shards=shards,
     )
     assert result.replans == 8 and result.failed_replans == 0
     if tracer is None:
@@ -144,7 +140,7 @@ def test_untraced_adaptive_etx_on_the_compiled_loop_is_its_pin():
     # re-routes and dropped forwarder run on the compiled slot loop.
     (pin,) = [pin for pin in PINS if pin.name == "adaptive.etx_flow"]
     with core_form("compiled"):
-        assert _fail_recover_load("etx", "flow", 1, traced=False) == pin.value[0]
+        assert _fail_recover_load("etx", "flow", traced=False) == pin.value[0]
 
 
 PLANNERS = {"omnc": plan_omnc, "more": plan_more, "etx": plan_etx_route}

@@ -1,10 +1,10 @@
 """Sharded emulation: spatial partitioning and the digest oracle.
 
-The tentpole invariant: ``shards=1`` (one core, hosting every node, in
-this process) and ``shards=N`` (spatially partitioned workers
-synchronized at slot barriers) produce **bit-identical** results —
-same :class:`SessionResult` digest, same trace digest — on every
-topology, fidelity, and interference model, under every driver name.
+The invariant: ``shards=1`` (one core, hosting every node, in this
+process) and ``shards=N`` (spatially partitioned workers synchronized at
+slot barriers) produce **bit-identical** stats and traces for the data
+plane of a flow or coded session, on every topology, fidelity and
+interference model — and refuse what only one process runs.
 """
 
 import gc
@@ -17,28 +17,14 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.emulator.multisession import multi_session_digest, run_multi_session
-from repro.emulator.node import FlowRelayRuntime
-from repro.emulator.session import (
-    SessionConfig,
-    run_coded_session,
-    run_sharded_session,
-    run_unicast_session,
-)
-from repro.emulator.shard import (
-    ShardedSession,
-    _DecodeLog,
-    session_digest,
-    trace_digest,
-)
+from repro import obs
+from repro.emulator.node import FlowRelayRuntime, UnicastRuntime
+from repro.emulator.session import SessionConfig
+from repro.emulator.shard import ShardedSession, _DecodeLog, trace_digest
 from repro.emulator.trace import SessionTracer
 from repro.exec.pool import WorkerCallError
-from repro.protocols.etx_routing import plan_etx_route
-from repro.protocols.more import plan_more
-from repro.protocols.oldmore import plan_oldmore
 from repro.protocols.omnc import plan_omnc
 from repro.routing.node_selection import NodeSelectionError
-from repro.scenario.spec import ScenarioEvent, ScenarioSpec
 from repro.topology.geometry import pairwise_distances
 from repro.topology.partition import (
     SpatialGrid,
@@ -47,15 +33,16 @@ from repro.topology.partition import (
 )
 from repro.topology.random_network import random_network
 from repro.util.rng import RngFactory
-from tests.reference import PLANNED_PAIRS, reference_mesh
 from tests.test_active_set import (
     BLOCKS,
     PACKET_BYTES,
     line_network,
     line_runtimes,
     line_session,
+    plan_session,
     stats_digest,
 )
+from tests.test_array_core import _install, _line_plan
 
 # Every slot of every run below re-checks each parked runtime
 # (tests/conftest.py): a missing wake fails the oracle tests loudly.
@@ -84,16 +71,23 @@ def _quick_config(**overrides):
 
 
 def _digests(network, plan, shards, *, config, seed):
+    """``plan`` run on ``shards`` cores as the driver runs one session —
+    each decode signalled before the next slot, a stop at the target —
+    with its stats and trace digests, its ACK times and its tracer."""
     tracer = SessionTracer(capacity=500_000)
-    result = run_sharded_session(
-        network,
-        plan,
-        shards=shards,
-        config=config,
-        rng=RngFactory(seed),
-        tracer=tracer,
-    )
-    return session_digest(result), trace_digest(tracer), result
+    with plan_session(
+        network, plan, config, RngFactory(seed), shards=shards, tracer=tracer
+    ) as session:
+        log = session._log
+
+        def decoded():
+            for generation in log.unseen():
+                session.broadcast_generation_advance(generation + 1)
+            return len(log.acks) >= config.target_generations > 0
+
+        session.run(int(config.max_seconds / session.slot_duration), stop_when=decoded)
+        stats = session.finalize_stats()
+    return stats_digest(stats), trace_digest(tracer), [time for _gen, time in log.acks], tracer
 
 
 class TestSpatialGrid:
@@ -176,9 +170,9 @@ class TestShardedOracle:
             for shards in (1, 2, 4)
         }
         reference = digests[1]
-        assert reference[2].generations_decoded > 0  # the run did work
+        assert reference[2]  # the run did work
         for shards in (2, 4):
-            assert digests[shards][0] == reference[0], f"result@{shards}"
+            assert digests[shards][0] == reference[0], f"stats@{shards}"
             assert digests[shards][1] == reference[1], f"trace@{shards}"
 
     def test_exact_fidelity_oracle(self):
@@ -188,23 +182,6 @@ class TestShardedOracle:
         sharded = _digests(network, plan, 3, config=config, seed=4)
         assert sharded[:2] == serial[:2]
 
-    def test_exact_fidelity_survives_spawned_workers(self):
-        # A spawned worker receives the codec's field class and its
-        # echelon bases by pickle, into a process that never selected a
-        # backend: kernels load on first use, buffer addresses re-bind.
-        network, plan = _planned_mesh(1)
-        config = _quick_config(coding_fidelity="exact")
-        serial = _digests(network, plan, 1, config=config, seed=4)
-        result = run_sharded_session(
-            network,
-            plan,
-            shards=2,
-            config=config,
-            rng=RngFactory(4),
-            start_method="spawn",
-        )
-        assert session_digest(result) == serial[0]
-
     @pytest.mark.parametrize("interference", ["capture", "conflict_free"])
     def test_interference_model_oracle(self, interference):
         network, plan = _planned_mesh(1)
@@ -213,65 +190,12 @@ class TestShardedOracle:
         sharded = _digests(network, plan, 2, config=config, seed=4)
         assert sharded[:2] == serial[:2]
 
-    def test_unicast_oracle(self):
-        network, _ = _planned_mesh(1)
-        plan = plan_etx_route(network, 0, network.node_count - 1)
-        config = SessionConfig(max_seconds=25.0)
-        serial = _digests(network, plan, 1, config=config, seed=4)
-        sharded = _digests(network, plan, 2, config=config, seed=4)
-        assert sharded[:2] == serial[:2]
-        assert serial[2].packets_delivered > 0
-
     def test_repeated_run_reproduces_exactly(self):
         network, plan = _planned_mesh(2008)
         config = _quick_config()
         first = _digests(network, plan, 2, config=config, seed=6)
         second = _digests(network, plan, 2, config=config, seed=6)
         assert first[:2] == second[:2]
-
-
-class TestOneDriverOracle:
-    """Every driver name, every shard count, either start method: one run.
-
-    ``run_coded_session`` / ``run_unicast_session`` are the sharded
-    session at ``shards=1``, so their digests equal ``shards=2`` — which
-    no pair of drivers could before they shared a random universe.
-    """
-
-    CONFIG = dict(blocks=6, block_size=256, max_seconds=25.0, target_generations=2)
-
-    @pytest.mark.parametrize("protocol", ["omnc", "more", "oldmore", "etx"])
-    def test_serial_names_equal_sharded_runs(self, protocol):
-        network = reference_mesh()
-        source, destination = PLANNED_PAIRS[0]
-        planners = {
-            "omnc": plan_omnc,
-            "more": plan_more,
-            "oldmore": plan_oldmore,
-            "etx": plan_etx_route,
-        }
-        plan = planners[protocol](network, source, destination)
-        config = SessionConfig(**self.CONFIG)
-
-        def digests(driver, **where):
-            tracer = SessionTracer(capacity=500_000)
-            result = driver(
-                network,
-                plan,
-                config=config,
-                rng=RngFactory(2008),
-                protocol_label=protocol,
-                tracer=tracer,
-                **where,
-            )
-            assert result.packets_delivered > 0  # the run did work
-            return session_digest(result), trace_digest(tracer)
-
-        serial = run_unicast_session if protocol == "etx" else run_coded_session
-        reference = digests(serial)
-        assert digests(run_sharded_session, shards=1) == reference
-        assert digests(run_sharded_session, shards=2, start_method="fork") == reference
-        assert digests(run_sharded_session, shards=2, start_method="spawn") == reference
 
 
 def _leaves(value):
@@ -300,7 +224,7 @@ class TestBarrierTransitions:
 
     The 2 048-node benchmark line never wakes its far shard; these
     lines are short enough that the wave front crosses every cut, and
-    the control plane is made to reach into a shard that is parked.
+    a control signal is made to reach into a shard that is parked.
     """
 
     def test_wave_front_crosses_every_cut(self, barriers):
@@ -325,11 +249,8 @@ class TestBarrierTransitions:
             (lambda s: s.broadcast_generation_advance(1), "begin_slot"),
             (lambda s: s.broadcast_session_arrival(1), "begin_slot"),
             (lambda s: s.broadcast_session_departure(1), "begin_slot"),
-            (lambda s: s.apply_plan_updates({40: {"rate_bps": 2e4}}), "apply_plan"),
-            (lambda s: s.set_network(line_network(64)), "set_network"),
-            (lambda s: s.advance_idle(5), "advance_idle"),
         ],
-        ids=["advance", "arrive", "depart", "apply_plan", "set_network", "advance_idle"],
+        ids=["advance", "arrive", "depart"],
     )
     def test_control_plane_reaches_a_parked_shard(self, barriers, reach, method):
         def drive(session):
@@ -373,9 +294,6 @@ def _epochs(barriers):
     ]
 
 
-WHERE = [(2, "fork"), (4, "fork"), (2, "spawn"), (4, "spawn")]
-
-
 class TestEpochBoundaries:
     """Where an epoch ends, and that nothing can tell.
 
@@ -384,32 +302,16 @@ class TestEpochBoundaries:
     runs its own slots for the whole run.
     """
 
-    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_front_crosses_a_cut_between_epochs(self, barriers, start_method):
-        # The source never parks, so its strip is live throughout; the
-        # strip beyond the cut parks once nobody near it transmits.
-        beyond = {node: {"rate_bps": 0.0} for node in range(22, 47)}
-
-        def drive(session):
-            session.run(100)  # the front passes node 24, the two-strip cut
-            session.apply_plan_updates(beyond)
-            session.run(80)
-
+    def test_front_crosses_a_cut_between_epochs(self, barriers):
+        # The source never parks, so its strip is live throughout.  The
+        # next generation empties every relay: the strip beyond the cut
+        # parks, and the new front is still short of the cut 36 slots on.
         def digests(shards):
             tracer = SessionTracer(capacity=500_000)
-            decode_log = _DecodeLog()
-            network = line_network(48)
-            with ShardedSession(
-                network,
-                line_runtimes(network, decode_log),
-                PACKET_BYTES / network.capacity,
-                rng_factory=RngFactory(2008),
-                shards=shards,
-                tracer=tracer,
-                decode_log=decode_log,
-                start_method=start_method,
-            ) as session:
-                drive(session)
+            with line_session(line_network(48), shards, tracer=tracer) as session:
+                session.run(100)  # the front passes node 24, the two-strip cut
+                session.broadcast_generation_advance(1)
+                session.run(36)
                 stats = session.finalize_stats()
             return stats_digest(stats), trace_digest(tracer)
 
@@ -429,24 +331,16 @@ class TestEpochBoundaries:
         assert epochs[-1][0] == 0 and not epochs[-1][3]
         assert epochs[-1][2] == epochs[-1][1] > 20
 
-    @pytest.mark.parametrize("shards, start_method", WHERE)
-    def test_decode_ends_an_epoch_mid_budget(self, barriers, shards, start_method):
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_decode_ends_an_epoch_mid_budget(self, barriers, shards):
         network = line_network(48)
         plan = plan_omnc(network, 0, 10)
         config = _quick_config(max_seconds=60.0, target_generations=3)
-
-        def run(**where):
-            tracer = SessionTracer(capacity=500_000)
-            result = run_sharded_session(
-                network, plan, config=config, rng=RngFactory(5), tracer=tracer, **where
-            )
-            return session_digest(result), trace_digest(tracer), result, tracer
-
-        serial = run(shards=1)
-        sharded = run(shards=shards, start_method=start_method)
-        assert sharded[:2] == serial[:2]
-        assert sharded[2].ack_times == serial[2].ack_times
-        assert len(serial[2].ack_times) == 3
+        serial = _digests(network, plan, 1, config=config, seed=5)
+        del barriers[:]
+        sharded = _digests(network, plan, shards, config=config, seed=5)
+        assert sharded[:3] == serial[:3]
+        assert len(serial[2]) == 3
         # Every epoch but the last was cut short by a decode ...
         epochs = _epochs(barriers)
         assert len(epochs) == 3
@@ -455,97 +349,24 @@ class TestEpochBoundaries:
         # the slot that decoded: nothing ran in between.
         slot = config.coded_packet_bytes() / network.capacity
         signalled = [event.time for event in sharded[3].events(kind="ack")]
-        assert signalled == [time + slot for time in serial[2].ack_times]
+        assert signalled == [time + slot for time in serial[2]]
 
-    @pytest.mark.parametrize("shards, start_method", WHERE)
-    def test_unicast_deliveries_do_not_end_epochs(self, barriers, shards, start_method):
+    def test_metrics_counters_equal_across_shard_counts(self, barriers):
         network = line_network(48)
-        plan = plan_etx_route(network, 0, 10)
-        config = SessionConfig(max_seconds=10.0)
-        serial = _digests(network, plan, 1, config=config, seed=5)
-        tracer = SessionTracer(capacity=500_000)
-        result = run_sharded_session(
-            network,
-            plan,
-            shards=shards,
-            config=config,
-            rng=RngFactory(5),
-            tracer=tracer,
-            start_method=start_method,
-        )
-        assert (session_digest(result), trace_digest(tracer)) == serial[:2]
-        assert result.packets_delivered > 20
-        # One slot to learn that the other strips host nothing awake,
-        # then the rest of the run in one piece.
-        assert [ran for _shard, _budget, ran, _cut in _epochs(barriers)] == [
-            round(result.duration / (config.unicast_packet_bytes() / network.capacity)) - 1
-        ]
-
-    def test_churn_falls_due_inside_an_epoch(self, barriers):
-        # Arrival and departure times no epoch would end at by itself:
-        # the driver has to cap its calls, whoever runs the slots.
-        network = line_network(48)
-        plans = {
-            1: plan_more(network, 0, 10),
-            2: plan_more(network, 10, 0),
-            3: plan_more(network, 2, 8),
-        }
-        config = _quick_config(max_seconds=12.0, target_generations=0)
-        scenario = ScenarioSpec(
-            name="churn",
-            duration=12.0,
-            epoch_seconds=12.0,
-            events=(
-                ScenarioEvent(at=4.0, kind="session_arrive", session_id=3),
-                ScenarioEvent(at=8.0, kind="session_depart", session_id=2),
-            ),
-        )
-
-        def run(shards):
-            tracer = SessionTracer(capacity=500_000)
-            outcome = run_multi_session(
-                network,
-                plans,
-                shards=shards,
-                config=config,
-                rng=RngFactory(5),
-                scenario=scenario,
-                tracer=tracer,
-            )
-            return multi_session_digest(outcome), trace_digest(tracer), outcome
-
-        serial = run(1)
-        assert run(4)[:2] == serial[:2]
-        del barriers[:]
-        assert run(2)[:2] == serial[:2]
-        assert sum(ran for _shard, _budget, ran, _cut in _epochs(barriers)) > 400
-        # Each took effect at the first slot boundary at or past its time.
-        slot = config.coded_packet_bytes() / network.capacity
-        ((arrived, _), (departed, _)) = serial[2].arrivals + serial[2].departures
-        assert arrived - slot < 4.0 <= arrived
-        assert departed - slot < 8.0 <= departed
-
-    def test_metrics_counters_equal_across_shard_counts(self, barriers, tmp_path, capsys):
-        from repro.cli import main
-        from repro.topology.serialization import save_network
-
-        path = tmp_path / "line.json"
-        save_network(line_network(48), path)
-        reports = {}
-        for shards in ("1", "2"):
-            argv = ["session", "omnc", "0", "10", "--topology", str(path), "--seconds", "20",
-                    "--generations", "2", "--seed", "5", "--metrics", "--shards", shards]
-            assert main(argv) == 0
-            reports[shards] = {
-                line.split()[0]: line
-                for line in capsys.readouterr().out.splitlines()
-                if line.startswith("  emulator.") or line.startswith("  mac.")
+        plan = plan_omnc(network, 0, 10)
+        config = _quick_config(max_seconds=20.0)
+        counters = {}
+        for shards in (1, 2):
+            with obs.collecting() as registry:
+                _digests(network, plan, shards, config=config, seed=5)
+            counters[shards] = {
+                name: registry.get(name).as_dict()
+                for name in ("emulator.slots", "emulator.grants", "mac.contenders",
+                             "mac.granted_per_slot")
             }
         assert _epochs(barriers)  # the two-shard run granted in its worker
-        for counter in ("emulator.slots", "emulator.grants", "mac.contenders",
-                        "mac.granted_per_slot"):
-            assert reports["2"][counter] == reports["1"][counter]
-        assert int(reports["1"]["emulator.grants"].split()[1]) > 0
+        assert counters[2] == counters[1]
+        assert counters[1]["emulator.grants"]["value"] > 0
 
 
 class TestBarrierTraffic:
@@ -701,9 +522,36 @@ class TestSessionLifetime:
 
 
 class TestShardedValidation:
+    """Worker cores run the data plane of a flow or coded session; the
+    rest is refused with a ``ValueError`` before a worker starts or a
+    call goes out."""
+
     def test_more_shards_than_nodes_rejected(self):
-        network, plan = _planned_mesh(1, nodes=40)
-        with pytest.raises(ValueError, match="cannot run"):
-            run_sharded_session(
-                network, plan, shards=41, config=_quick_config()
-            )
+        network, _plan = _planned_mesh(1, nodes=40)
+        with pytest.raises(ValueError, match="cannot cut 40 node"):
+            line_session(network, 64)
+
+    def test_unicast_runtimes_rejected(self):
+        network = line_network(8)
+        runtimes = {node: UnicastRuntime(node, node + 1 if node < 7 else None) for node in range(8)}
+        with pytest.raises(ValueError, match="unicast runtimes runs in one process"):
+            ShardedSession(network, runtimes, 0.05, rng_factory=RngFactory(1), shards=2)
+
+    @pytest.mark.parametrize("call", [
+        lambda s: _install(s, _line_plan(s.network)),
+        lambda s: s.apply_plan_updates({3: {"rate_bps": 2e4}}),
+        lambda s: s.set_network(line_network(16)),
+        lambda s: s.advance_idle(5),
+        lambda s: s.parked_nodes(),
+    ], ids=["install_plan", "apply_plan_updates", "set_network", "advance_idle", "parked_nodes"])
+    def test_control_plane_rejected(self, barriers, call):
+        with line_session(line_network(16), 2) as session:
+            session.run(5)
+            session.broadcast_generation_advance(1)
+            del barriers[:]
+            before = (session.slots, session.now, session.participants, session.network)
+            with pytest.raises(ValueError, match="runs in one process, and this session has 2"):
+                call(session)
+            assert not barriers  # not even the queued signal went out
+            assert (session.slots, session.now, session.participants, session.network) == before
+

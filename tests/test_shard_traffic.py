@@ -48,7 +48,7 @@ def mesh2k_repetition():
     ):
         barriers = tap_barriers(monkeypatch)
         tap_kernel_calls(monkeypatch, Path(directory))
-        with line_session(line_network(2048), 2, start_method="fork") as session:
+        with line_session(line_network(2048), 2) as session:
             session.run(1200)
             slot_phases = list(barriers)
             stats = session.finalize_stats()
