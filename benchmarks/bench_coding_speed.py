@@ -5,8 +5,8 @@ generation shape (40 blocks of 1 KB) with the accelerated (numpy
 row-vectorized) engine, and at a smaller shape for the pure-Python
 lookup-table baseline (full-size baseline runs take minutes); the
 speedup comparison runs both at the common smaller shape.  A
-parametrized case additionally covers every registered GF(2^8) backend
-available on this machine, so artifact runs record how the numpy
+parametrized case additionally covers every GF(2^8) field this machine
+runs (``available_backends()``), so artifact runs record how the numpy
 reference and the compiled kernels compare shape-for-shape.
 """
 

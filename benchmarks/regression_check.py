@@ -52,6 +52,7 @@ if str(REPO_ROOT / "src") not in sys.path:
 from repro.coding.backends import (  # noqa: E402
     available_backends,
     best_backend_name,
+    default_field,
     get_backend,
 )
 from repro.coding.decoder import ProgressiveDecoder  # noqa: E402
@@ -232,7 +233,7 @@ def collect(mode: str = "full") -> dict:
     quick = mode == "quick"
     calibration = calibrate(rounds=5 if quick else 8)
     codec_backend = best_backend_name()
-    best = get_backend(codec_backend)
+    best = default_field()
     backend_sweep = sweep_codec_backends(quick=quick)
     probes: List[ProbeResult] = [
         # The codec probes hard-gate, and on the compiled backend a round

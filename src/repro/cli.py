@@ -28,12 +28,7 @@ from typing import Any, Callable, List, Optional
 
 from repro import obs
 from repro.analysis import checker as analysis_checker
-from repro.exec import (
-    add_execution_arguments,
-    add_gf_backend_argument,
-    apply_gf_backend,
-    policy_from_args,
-)
+from repro.exec import add_execution_arguments, policy_from_args
 from repro.emulator.session import SessionConfig, run_coded_session
 from repro.emulator.trace import SessionTracer
 from repro.optimization.sunicast import InfeasibleSessionError
@@ -234,7 +229,6 @@ def _cmd_session(args: argparse.Namespace) -> int:
     )
     if args.trace:
         _check_trace_path(args.trace)
-    apply_gf_backend(args.gf_backend)
     rng = _checked(RngFactory, args.seed)
     if args.scenario:
         from repro.scenario import load_scenario, make_policy
@@ -557,7 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=10.0,
         help="control-plane observation interval for --scenario (default 10)",
     )
-    add_gf_backend_argument(session)
     session.set_defaults(func=_cmd_session)
 
     multisession = sub.add_parser(

@@ -32,8 +32,8 @@ from repro.coding.packet import CodedPacket
 class SourceEncoder:
     """Emit random linear combinations of a full generation.
 
-    ``field=None`` (the default) resolves the process-active backend
-    from :mod:`repro.coding.backends` at construction time.
+    ``field=None`` (the default) runs on
+    :func:`repro.coding.backends.default_field`.
 
     With ``systematic=True`` the first ``n`` packets of each generation
     are the plain blocks themselves (identity coding vectors, in block

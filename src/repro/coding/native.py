@@ -8,11 +8,11 @@ with the system C compiler into a content-addressed shared object under
 the user cache directory and loaded through ``ctypes``, both by
 :mod:`repro.util.clib`.
 
-Nothing here is imported eagerly: :func:`load_native_backend` is the
-lazy provider registered by :mod:`repro.coding.backends`.  It returns
-``None`` whenever the toolchain is missing or the self-test against the
-numpy reference fails, so machines without a compiler skip the backend
-cleanly instead of breaking the codec.
+Nothing here is imported eagerly: :func:`load_native_backend` is what
+:func:`repro.coding.backends.default_field` calls once per process.  It
+returns ``None`` whenever the toolchain is missing or the self-test
+against the numpy reference fails, so machines without a compiler run
+the reference instead of breaking the codec.
 
 The per-packet entry points (:meth:`GF256Native.basis_insert`,
 :meth:`GF256Native.combine`) are one foreign call each: what a wrapper
@@ -528,7 +528,7 @@ def _insert_stream_matches(backend: "type[GF256]", blocks: int, width: int) -> b
 
 
 def load_native_backend() -> Optional["type[GF256]"]:
-    """Provider for the ``native`` backend.
+    """The compiled field, or ``None`` where it cannot run.
 
     Compiles (or reuses) the shared object, loads it, and only returns
     the class after it passes the reference self-test.  Any failure —

@@ -28,8 +28,6 @@ from repro.exec.engine import (
     DEFAULT_CACHE_DIR,
     ExecutionPolicy,
     add_execution_arguments,
-    add_gf_backend_argument,
-    apply_gf_backend,
     execute_calls,
     execute_jobs,
     policy_from_args,
@@ -62,8 +60,6 @@ __all__ = [
     "WorkerCallError",
     "WorkerPool",
     "add_execution_arguments",
-    "add_gf_backend_argument",
-    "apply_gf_backend",
     "execute_calls",
     "execute_jobs",
     "job_key",

@@ -27,7 +27,6 @@ __all__ = [
     "DEFAULT_CACHE_DIR",
     "ExecutionPolicy",
     "add_execution_arguments",
-    "add_gf_backend_argument",
     "execute_calls",
     "execute_jobs",
     "policy_from_args",
@@ -54,9 +53,6 @@ class ExecutionPolicy:
         retries: extra attempts granted to jobs that time out or crash
             their worker; exceptions are deterministic and never
             retried.
-        start_method: multiprocessing start method override (``fork`` /
-            ``spawn`` / ``forkserver``); ``None`` picks ``fork`` where
-            available.
     """
 
     jobs: int = 1
@@ -64,7 +60,6 @@ class ExecutionPolicy:
     resume: bool = True
     job_timeout: Optional[float] = None
     retries: int = 1
-    start_method: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
@@ -136,7 +131,6 @@ def execute_jobs(
                 policy.jobs,
                 job_timeout=policy.job_timeout,
                 retries=policy.retries,
-                start_method=policy.start_method,
             )
             fresh = pool.run(batch, on_outcome=record)
         else:
@@ -221,48 +215,10 @@ def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         help="extra attempts for jobs that time out or crash "
         "(default 1; exceptions are never retried)",
     )
-    add_gf_backend_argument(group)
-
-
-def add_gf_backend_argument(parser: "argparse._ActionsContainer") -> None:
-    """Attach ``--gf-backend`` (applied by :func:`apply_gf_backend`)."""
-    parser.add_argument(
-        "--gf-backend",
-        default=None,
-        metavar="NAME",
-        help="GF(2^8) codec backend for this run ('numpy', 'native' or "
-        "'best'; default: the OMNC_GF_BACKEND environment variable, "
-        "else 'best')",
-    )
-
-
-def apply_gf_backend(name: "str | None") -> None:
-    """Select the GF(2^8) codec backend ``name`` process-wide (no-op on
-    ``None``: ``OMNC_GF_BACKEND`` or, failing that, ``"best"`` applies).
-
-    The selection is exported through ``OMNC_GF_BACKEND`` so campaign
-    worker processes inherit it; results are bit-identical across
-    backends regardless (CI enforces equivalence), so this never
-    changes campaign digests.  A name that is unknown or unavailable on
-    this machine is an ``argparse.ArgumentError`` (a usage error).
-    """
-    if name is None:
-        return
-    from repro.coding.backends import select_backend
-
-    try:
-        select_backend(name, export=True)
-    except KeyError as exc:
-        raise argparse.ArgumentError(None, f"--gf-backend: {exc.args[0]}") from exc
 
 
 def policy_from_args(args: argparse.Namespace) -> ExecutionPolicy:
-    """Build the :class:`ExecutionPolicy` the parsed CLI flags describe.
-
-    Also applies cross-cutting execution selections carried by the same
-    flag group (currently ``--gf-backend``).
-    """
-    apply_gf_backend(getattr(args, "gf_backend", None))
+    """Build the :class:`ExecutionPolicy` the parsed CLI flags describe."""
     cache_dir = args.cache_dir
     if args.resume and cache_dir is None:
         cache_dir = DEFAULT_CACHE_DIR

@@ -347,7 +347,6 @@ class WorkerPool:
         *,
         job_timeout: Optional[float] = None,
         retries: int = 1,
-        start_method: Optional[str] = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -355,16 +354,16 @@ class WorkerPool:
             raise ValueError(f"job_timeout must be > 0, got {job_timeout}")
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
-        if start_method is None:
-            # fork is dramatically cheaper when available (no re-import of
-            # numpy and the package per worker, and whatever the parent
-            # memoised is inherited); spawn is the portable fallback.
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
         self._workers = workers
         self._job_timeout = job_timeout
         self._retries = retries
-        self._ctx = multiprocessing.get_context(start_method)
+        # fork is dramatically cheaper where available (no re-import of
+        # numpy and the package per worker, and whatever the parent
+        # memoised is inherited); spawn is the portable fallback.
+        try:
+            self._ctx = multiprocessing.get_context("fork")
+        except ValueError:
+            self._ctx = multiprocessing.get_context("spawn")
 
     @property
     def workers(self) -> int:

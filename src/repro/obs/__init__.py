@@ -121,13 +121,12 @@ def collecting(
         from repro.coding import backends  # lazily, as in _hook_codec
 
         # Resolved before the meter is hooked: the first resolution in a
-        # process builds and self-tests the compiled backend, and those
-        # bytes are not the run's.
-        name = backends.active_backend_name()
-        # Tag the run with the backend that serves it (a 1-valued gauge
-        # per name, since metric values are floats, not strings).
+        # process builds and self-tests the compiled field, and those
+        # bytes are not the run's.  Tag the run with the field that
+        # serves it (a 1-valued gauge per name, since metric values are
+        # floats, not strings).
         active.gauge(
-            f"codec.backend.{name}",
+            f"codec.backend.{backends.best_backend_name()}",
             "GF(2^8) backend active when collection was enabled (1 = this one)",
         ).set(1)
     _global_registry = active

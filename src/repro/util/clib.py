@@ -5,7 +5,8 @@ Every compiled kernel of the package — the GF(2^8) codec
 (:mod:`repro.optimization.native`) and the emulator's slot loop
 (:mod:`repro.emulator.native`) — embeds its C source and comes
 through here.  :func:`build` compiles a source with ``$CC`` (default
-``cc``) into ``$XDG_CACHE_HOME/repro-omnc/<stem>_<digest>.so``, where the
+``cc``; a command with arguments, ``cc -std=gnu11``, is split as a
+shell would) into ``$XDG_CACHE_HOME/repro-omnc/<stem>_<digest>.so``, where the
 digest hashes source, compiler and flags, so an edit or another compiler
 rebuilds instead of loading a stale object.  :func:`load` opens it and
 declares every signature before any call (ctypes otherwise truncates
@@ -46,7 +47,8 @@ def build(stem: str, source: str, flags: Sequence[str]) -> Optional[Path]:
     so_path = cache / f"{stem}_{digest}.so"
     if so_path.exists():
         return so_path
-    import subprocess  # only a process that compiles pays for these imports
+    import shlex  # only a process that compiles pays for these imports
+    import subprocess
     import tempfile
 
     try:
@@ -55,7 +57,7 @@ def build(stem: str, source: str, flags: Sequence[str]) -> Optional[Path]:
             c_path = Path(workdir) / f"{stem}.c"
             c_path.write_text(source)
             tmp_so = Path(workdir) / f"{stem}.so"
-            command = [cc, *flags, "-shared", "-fPIC", str(c_path), "-o", str(tmp_so)]
+            command = [*shlex.split(cc), *flags, "-shared", "-fPIC", str(c_path), "-o", str(tmp_so)]
             result = subprocess.run(command, capture_output=True, timeout=120)
             if result.returncode != 0:
                 return None
@@ -63,7 +65,7 @@ def build(stem: str, source: str, flags: Sequence[str]) -> Optional[Path]:
             # same content-addressed name.
             os.replace(tmp_so, so_path)
         return so_path
-    except (OSError, subprocess.SubprocessError):
+    except (OSError, ValueError, subprocess.SubprocessError):  # ValueError: unbalanced $CC quotes
         return None
 
 

@@ -1,6 +1,6 @@
 """Backend/reference equivalence properties for the GF(2^8) kernels.
 
-Every registered backend is a performance rewrite of the numpy
+Every available backend is a performance rewrite of the numpy
 reference — it must be *bit-for-bit* identical on every operation, the
 way ``tests/test_batch_equivalence.py`` pins batch vs incremental.
 These hypothesis properties drive random matrices and shapes through
@@ -8,10 +8,6 @@ These hypothesis properties drive random matrices and shapes through
 ``eliminate_panel`` on every backend available on this machine and
 compare against :class:`repro.coding.gf256.GF256`; a full-session
 digest test then pins the end-to-end coded pipeline across backends.
-
-CI runs this file once per backend with ``OMNC_GF_BACKEND`` set (the
-``codec-backends`` job), so the parametrized-by-available-backend form
-here also covers whichever backend the environment selected.
 """
 
 import numpy as np

@@ -1,70 +1,53 @@
-"""Registry semantics of :mod:`repro.coding.backends`.
+"""The default GF(2^8) field of :mod:`repro.coding.backends`.
 
-Covers name lookup, lazy providers (including failing ones), the
-``OMNC_GF_BACKEND`` environment override, ``select_backend`` round-trips
-with worker export, default-field resolution in the codec classes, and
-the one-warning-per-process report when a request cannot be honoured.
-
-Selection cases run against ``_test_double``, a stand-in registered
-backend: ``native`` may be absent here and ``numpy`` is what a stale
-name falls back to, so neither can show that a *selection* took effect.
+The codec runs on the compiled field exactly when it builds, loads and
+passes its self-test, else on the numpy reference with one warning per
+process; an explicit ``field=`` always wins.  ``no_native`` stands in for
+a machine whose compiled field fails: it clears the loader's cached
+verdict and makes the build fail.
 """
 
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.coding import backends
+from repro.coding import backends, native
 from repro.coding.backends import (
-    BACKEND_ENV,
     REFERENCE_BACKEND,
-    active_backend,
-    active_backend_name,
     available_backends,
     best_backend_name,
+    default_field,
     get_backend,
-    register_backend,
-    registered_backends,
     resolve_field,
     select_backend,
 )
 from repro.coding.decoder import ProgressiveDecoder
 from repro.coding.gf256 import GF256
-
-
-class _Double(GF256):
-    """A registered backend that is neither the reference nor ``best``."""
-
-    name = "_test_double"
-
-
-@pytest.fixture(autouse=True)
-def _clean_selection(monkeypatch):
-    """Isolate each test from process-level backend selection."""
-    monkeypatch.delenv(BACKEND_ENV, raising=False)
-    monkeypatch.setattr(backends, "_DEGRADATION_LOGGED", False)
-    backends.clear_selection()
-    register_backend(_Double.name, _Double)
-    yield
-    backends.clear_selection()
-    backends._REGISTRY.pop(_Double.name, None)
+from repro.coding.gf256_baseline import GF256Baseline
 
 
 @pytest.fixture
 def no_native(monkeypatch):
-    """A machine whose compiled backend fails to build or self-test."""
-    monkeypatch.setitem(backends._RESOLVED, "native", None)
+    """A process whose compiled field fails to build or self-test."""
+    monkeypatch.setattr(native, "load_native_backend", lambda: None)
+    default_field.cache_clear()
+    yield
+    default_field.cache_clear()
+
+
+def _warnings(caplog):
+    return [r for r in caplog.records if r.name == backends.__name__]
 
 
 class TestLookup:
     def test_reference_backend_is_always_registered(self):
-        assert REFERENCE_BACKEND in registered_backends()
-        assert REFERENCE_BACKEND in available_backends()
+        assert available_backends()[0] == REFERENCE_BACKEND
         assert get_backend(REFERENCE_BACKEND) is GF256
-
-    def test_registry_is_the_reference_and_the_compiled_backend(self):
-        assert set(registered_backends()) - {_Double.name} == {"numpy", "native"}
 
     def test_unknown_name_raises_keyerror_listing_available(self):
         with pytest.raises(KeyError, match="available here"):
@@ -73,7 +56,7 @@ class TestLookup:
     def test_best_resolves_to_an_available_backend(self):
         name = best_backend_name()
         assert name in available_backends()
-        assert get_backend("best") is get_backend(name)
+        assert get_backend("best") is get_backend(name) is default_field()
 
     def test_every_available_backend_resolves(self):
         for name in available_backends():
@@ -82,153 +65,48 @@ class TestLookup:
             assert hasattr(backend, "eliminate_panel")
 
 
-class TestLazyProviders:
-    def test_failing_provider_degrades_to_unavailable(self):
-        def explode():
-            raise RuntimeError("toolchain on fire")
+class TestDefaultField:
+    def test_default_is_native_exactly_when_it_loads_and_self_tests(self):
+        loaded = native.load_native_backend()
+        assert (default_field() is native.GF256Native) == (loaded is not None)
+        expected = (REFERENCE_BACKEND, "native") if loaded else (REFERENCE_BACKEND,)
+        assert available_backends() == expected
 
-        register_backend("_test_broken", explode, lazy=True)
-        try:
-            assert "_test_broken" in registered_backends()
-            assert "_test_broken" not in available_backends()
+    def test_default_is_the_reference_without_a_compiled_field(self, no_native):
+        assert default_field() is GF256
+        assert available_backends() == (REFERENCE_BACKEND,)
+        assert best_backend_name() == REFERENCE_BACKEND
+
+    def test_select_backend_accepts_only_the_default(self):
+        assert select_backend(best_backend_name(), export=True) is default_field()
+        for name in ("bogus", "best", *available_backends()[:-1]):
             with pytest.raises(KeyError):
-                get_backend("_test_broken")
-        finally:
-            backends._REGISTRY.pop("_test_broken", None)
-            backends._PROVIDERS.pop("_test_broken", None)
-            backends._RESOLVED.pop("_test_broken", None)
-
-    def test_provider_returning_none_is_skipped_cleanly(self):
-        register_backend("_test_absent", lambda: None, lazy=True)
-        try:
-            assert "_test_absent" not in available_backends()
-        finally:
-            backends._PROVIDERS.pop("_test_absent", None)
-            backends._RESOLVED.pop("_test_absent", None)
-
-    def test_provider_runs_once_and_caches(self):
-        calls = []
-
-        def provider():
-            calls.append(1)
-            return GF256
-
-        register_backend("_test_cached", provider, lazy=True)
-        try:
-            assert get_backend("_test_cached") is GF256
-            assert get_backend("_test_cached") is GF256
-            assert len(calls) == 1
-        finally:
-            backends._PROVIDERS.pop("_test_cached", None)
-            backends._RESOLVED.pop("_test_cached", None)
-
-    def test_eager_registration_replaces_lazy(self):
-        register_backend("_test_swap", lambda: None, lazy=True)
-        register_backend("_test_swap", GF256)
-        try:
-            assert get_backend("_test_swap") is GF256
-        finally:
-            backends._REGISTRY.pop("_test_swap", None)
-
-    def test_empty_name_is_rejected(self):
-        with pytest.raises(ValueError):
-            register_backend("", GF256)
-
-
-class TestSelection:
-    def test_default_active_backend_is_the_best_available(self):
-        assert active_backend() is get_backend("best")
-        assert active_backend_name() == best_backend_name()
-
-    def test_default_active_backend_is_the_reference(self, no_native):
-        """...on a machine that cannot build anything better."""
-        assert active_backend() is GF256
-        assert active_backend_name() == REFERENCE_BACKEND
-
-    def test_reference_can_still_be_forced(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, REFERENCE_BACKEND)
-        assert active_backend() is GF256
-        backends.clear_selection()
-        monkeypatch.delenv(BACKEND_ENV)
-        select_backend(REFERENCE_BACKEND)
-        assert active_backend() is GF256
-
-    def test_env_override_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, _Double.name)
-        assert active_backend() is _Double
-        assert active_backend_name() == _Double.name
-
-    def test_stale_env_name_falls_back_to_reference(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "no-such-backend")
-        assert active_backend() is GF256
-        assert active_backend_name() == REFERENCE_BACKEND
-
-    def test_select_backend_round_trip(self):
-        backend = select_backend(_Double.name)
-        assert backend is _Double
-        assert active_backend() is _Double
-        assert active_backend_name() == _Double.name
-        backends.clear_selection()
-        assert active_backend() is get_backend("best")
-
-    def test_select_backend_export_sets_env_for_workers(self, monkeypatch):
-        import os
-
-        select_backend(_Double.name, export=True)
-        try:
-            assert os.environ[BACKEND_ENV] == _Double.name
-        finally:
-            monkeypatch.delenv(BACKEND_ENV, raising=False)
-
-    def test_select_backend_validates_the_name(self):
-        with pytest.raises(KeyError):
-            select_backend("bogus")
-        assert active_backend() is get_backend("best")
-
-    def test_select_best_reports_concrete_name(self):
-        select_backend("best")
-        assert active_backend_name() == best_backend_name()
+                select_backend(name)
 
 
 class TestDegradationIsReportedOnce:
-    """A request the machine cannot honour runs on what is left and says
-    so exactly once per process (ROADMAP 5(c))."""
-
-    @staticmethod
-    def _warnings(caplog):
-        return [r for r in caplog.records if r.name == backends.__name__]
-
-    def test_unknown_env_name_warns_once(self, monkeypatch, caplog):
-        monkeypatch.setenv(BACKEND_ENV, "no-such-backend")
-        with caplog.at_level(logging.WARNING, logger=backends.__name__):
-            for _ in range(3):
-                assert active_backend() is GF256
-                ProgressiveDecoder(4, 8)
-        (record,) = self._warnings(caplog)
-        assert "'no-such-backend'" in record.getMessage()
-        assert "'numpy'" in record.getMessage()
+    """A machine that cannot run the compiled field runs the reference
+    and says so exactly once per process."""
 
     def test_failed_native_build_warns_once(self, no_native, caplog):
         with caplog.at_level(logging.WARNING, logger=backends.__name__):
-            assert get_backend("best") is GF256
-            assert best_backend_name() == REFERENCE_BACKEND
-            assert active_backend() is GF256
-        (record,) = self._warnings(caplog)
-        assert "'native'" in record.getMessage()
-        assert "'numpy'" in record.getMessage()
+            for _ in range(3):
+                assert resolve_field(None) is GF256
+                ProgressiveDecoder(4, 8)
+        (record,) = _warnings(caplog)
+        assert record.getMessage() == (
+            "the compiled GF(2^8) codec is unavailable here; the codec runs on numpy"
+        )
 
     def test_honoured_requests_are_silent(self, caplog):
+        default_field.cache_clear()
         with caplog.at_level(logging.WARNING, logger=backends.__name__):
-            select_backend(REFERENCE_BACKEND)
-            assert active_backend() is GF256
-            select_backend(_Double.name)
-            assert active_backend() is _Double
-        assert not self._warnings(caplog)
+            field = default_field()
+        assert bool(_warnings(caplog)) == (field is GF256)
 
-    def test_miscompiled_kernel_fails_the_self_test(self, monkeypatch):
-        """A wrong ``basis_insert`` or ``combine`` must unregister the
-        backend instead of corrupting decodes."""
-        native = pytest.importorskip("repro.coding.native")
+    def test_miscompiled_kernel_fails_the_self_test(self):
+        """A wrong ``basis_insert`` or ``combine`` must fail the self-test
+        instead of corrupting decodes."""
         if "native" not in available_backends():
             pytest.skip("no compiled backend on this machine")
 
@@ -251,18 +129,14 @@ class TestDegradationIsReportedOnce:
 
 class TestDefaultFieldResolution:
     def test_resolve_field_prefers_explicit(self):
-        assert resolve_field(_Double) is _Double
-        assert resolve_field(None) is get_backend("best")
+        assert resolve_field(GF256Baseline) is GF256Baseline
+        assert resolve_field(None) is default_field()
 
     def test_decoder_picks_up_selected_backend(self):
-        select_backend(_Double.name)
-        decoder = ProgressiveDecoder(4, 8)
-        assert decoder._field is _Double
+        assert ProgressiveDecoder(4, 8)._field is default_field()
 
     def test_decoder_explicit_field_wins_over_selection(self):
-        select_backend(_Double.name)
-        decoder = ProgressiveDecoder(4, 8, field=GF256)
-        assert decoder._field is GF256
+        assert ProgressiveDecoder(4, 8, field=GF256Baseline)._field is GF256Baseline
 
     def test_decode_result_is_backend_independent(self):
         rng = np.random.default_rng(5)
@@ -282,3 +156,35 @@ class TestDefaultFieldResolution:
             results.append(decoder.decode())
         for result in results[1:]:
             assert np.array_equal(result, results[0])
+
+
+def test_every_kernel_falls_back_with_one_warning_without_a_compiler(tmp_path):
+    """The codec, Table 1 and the slot loop share one rule: a process
+    whose compiler fails runs each one's fallback and says so once."""
+    script = """
+import logging
+logging.basicConfig(format="%(name)s: %(message)s")
+from repro.coding import backends
+from repro.coding.gf256 import GF256
+from repro.emulator import engine
+from repro.optimization import rate_control
+for _ in range(2):
+    assert backends.default_field() is GF256
+    assert rate_control.compiled_kernel() is None
+    assert engine.compiled_kernel() is None
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "CC": "/bin/false", "XDG_CACHE_HOME": str(tmp_path)}
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert sorted(done.stderr.splitlines()) == [
+        "repro.coding.backends: the compiled GF(2^8) codec is unavailable here; "
+        "the codec runs on numpy",
+        "repro.emulator.engine: the compiled slot loop is unavailable here; "
+        "every core runs the scalar slot loop",
+        "repro.optimization.rate_control: the compiled Table 1 loop is unavailable here; "
+        "rate control runs in Python",
+    ]

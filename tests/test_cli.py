@@ -7,7 +7,6 @@ import pkgutil
 import pytest
 
 from repro.cli import build_parser, main
-from repro.coding.backends import available_backends
 
 
 class TestParser:
@@ -259,6 +258,18 @@ def test_shards_is_a_usage_error(command, capsys):
     assert "unrecognized arguments: --shards 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command", [["session", "omnc", "0", "39", "--nodes", "40"], ["fig3"]], ids=["session", "fig3"]
+)
+def test_gf_backend_is_a_usage_error(command, capsys):
+    # The codec runs on the compiled field wherever it loads: there is no
+    # field to pick.
+    with pytest.raises(SystemExit) as usage:
+        main([*command, "--gf-backend", "numpy"])
+    assert usage.value.code == 2
+    assert "unrecognized arguments: --gf-backend numpy" in capsys.readouterr().err
+
+
 class TestDomainErrors:
     """An unplannable request is the user's input: one line, exit 2."""
 
@@ -285,10 +296,6 @@ class TestDomainErrors:
 
 
 SESSION = ["session", "omnc", "0", "7", "--nodes", "30"]
-UNKNOWN_BACKEND = (
-    "--gf-backend: unknown or unavailable GF(2^8) backend 'bogus'; available here: "
-    + ", ".join(available_backends())
-)
 
 
 class TestUsageErrors:
@@ -331,8 +338,6 @@ class TestUsageErrors:
                 f"--topology {os.devnull}: not a topology file "
                 "(Expecting value: line 1 column 1 (char 0))",
             ),
-            (SESSION + ["--gf-backend", "bogus"], UNKNOWN_BACKEND),
-            (["fig3", "--gf-backend", "bogus"], UNKNOWN_BACKEND),
             (
                 SESSION + ["--trace", "no/such/dir/x.jsonl"],
                 "--trace no/such/dir/x.jsonl: cannot write a file there",
@@ -343,12 +348,12 @@ class TestUsageErrors:
              "session-nodes", "session-seed", "session-policy", "multisession-nodes",
              "topology-nodes", "session-seconds-nan", "multisession-seconds-inf",
              "session-topology-missing", "multisession-topology-not-json",
-             "session-gf-backend", "fig3-gf-backend", "session-trace-unwritable"],
+             "session-trace-unwritable"],
     )
     def test_bad_numeric_option(self, argv, message, capsys, tmp_path, monkeypatch):
         # Each used to end in a traceback from a config constructor,
-        # generator or file read, or to exit 1 (multisession's and
-        # --gf-backend's bare SystemExit strings); --trace failed only
+        # generator or file read, or to exit 1 (multisession's bare
+        # SystemExit strings); --trace failed only
         # after the whole run.
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 2

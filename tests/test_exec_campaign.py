@@ -290,7 +290,7 @@ class TestCampaignNetworkMemo:
         assert campaign.digest() == serial_campaign.digest()
 
     @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
+        not hasattr(os, "fork"),
         reason="workers inherit the memo only when forked",
     )
     def test_forked_workers_inherit_the_network(self, builds):

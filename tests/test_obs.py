@@ -162,23 +162,22 @@ def test_a_nested_scope_leaves_the_enclosing_registry_as_it_was():
 
 
 def test_opening_a_scope_meters_no_backend_self_test(monkeypatch):
-    from repro.coding import backends
+    from repro.coding import backends, native
 
-    # A fresh process: nothing selected, nothing resolved yet, and the
-    # compiled backend first in line — here a double whose self-test
-    # pushes bytes through the kernels as the real one does.
-    for table in ("_REGISTRY", "_PROVIDERS", "_RESOLVED"):
-        monkeypatch.setattr(backends, table, dict(getattr(backends, table)))
-    monkeypatch.setattr(backends, "_SELECTED", None)
-    monkeypatch.delenv(backends.BACKEND_ENV, raising=False)
-
-    def self_testing_provider():
+    # A fresh process: the loader has no verdict yet, and the compiled
+    # field it finds is a double whose self-test pushes bytes through
+    # the kernels as the real one does.
+    def self_testing_loader():
         GF256.matmul(np.ones((4, 4), dtype=np.uint8), np.ones((4, 16), dtype=np.uint8))
-        return GF256
+        return native.GF256Native
 
-    backends.register_backend("native", self_testing_provider, lazy=True)
-    with obs.collecting() as registry:
-        pass
+    monkeypatch.setattr(native, "load_native_backend", self_testing_loader)
+    backends.default_field.cache_clear()
+    try:
+        with obs.collecting() as registry:
+            pass
+    finally:
+        backends.default_field.cache_clear()
     assert registry.value("codec.backend.native") == 1
     assert registry.value("codec.bytes_processed") == 0
 

@@ -1,10 +1,14 @@
 """Validation helpers and RNG factory."""
 
+import ctypes
+import shutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.util import clib
 from repro.util.rng import RngFactory, as_rng
 from repro.util.validation import (
     check_in_range,
@@ -121,3 +125,18 @@ class TestRngFactory:
         a = RngFactory(seed).derive(name).integers(0, 2**31)
         b = RngFactory(seed).derive(name).integers(0, 2**31)
         assert a == b
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler here")
+def test_clib_builds_with_a_compiler_command_that_has_arguments(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setenv("CC", "cc -std=gnu11")
+    so_path = clib.build("probe", "int probe(void) { return 42; }\n", ["-O0"])
+    assert so_path is not None
+    assert clib.load(so_path, {"probe": ([], ctypes.c_int)}).probe() == 42
+
+
+def test_clib_reads_an_unsplittable_compiler_command_as_no_compiler(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setenv("CC", 'cc "')
+    assert clib.build("probe", "int probe(void) { return 42; }\n", []) is None
