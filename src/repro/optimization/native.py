@@ -15,16 +15,28 @@ and opens it; :func:`~repro.optimization.rate_control.compiled_kernel`
 self-tests it before anything runs on it.  The C structs mirror
 :class:`Session` and :class:`Loop` field for field (every field 8 bytes,
 so no padding).
+
+The same source also prices a re-plan's node-selection flood:
+``pseudo_broadcast`` runs
+:func:`~repro.routing.pseudo_broadcast.neighborhood_broadcast_cost`'s
+greedy for every sender of a network in one call
+(:func:`broadcast_costs`), with the Python loop's double operations in
+its order and libm's ``pow`` for ``**`` (which is what CPython calls).
 """
 
 from __future__ import annotations
 
 import ctypes
-from typing import Callable, Optional
+from typing import Callable, List, NamedTuple, Optional
 
+import numpy as np
+
+from repro.routing.pseudo_broadcast import RESIDUAL_THRESHOLD, PseudoBroadcastCost
+from repro.topology.graph import WirelessNetwork
 from repro.util import clib
 
 _C_SOURCE = r"""
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -325,6 +337,42 @@ int table1_run(Loop *L, const double *theta, i64 count) {
     free(w.via); free(w.settled); free(w.heap);
     return status;
 }
+
+/* neighborhood_broadcast_cost of every sender v, whose out-links are
+   ptr[v]..ptr[v+1] (heads ascending, probabilities p): the expected
+   transmissions into tx[v], and the covered heads in set-insertion order
+   (targets in phase order, then those overhearing alone covered,
+   ascending) into covered[ptr[v]..], count[v] of them.  missed: one
+   double per link, scratch. */
+void pseudo_broadcast(i64 n, const i64 *ptr, const i64 *head, const double *p,
+                      double threshold, double *missed, double *tx, i64 *covered,
+                      i64 *count) {
+    for (i64 v = 0; v < n; v++) {
+        i64 lo = ptr[v], hi = ptr[v + 1], targets = 0;
+        double total = 0.0;
+        for (i64 k = lo; k < hi; k++) missed[k] = 1.0;
+        for (i64 phase = lo; phase < hi; phase++) {
+            i64 target = -1;
+            for (i64 k = lo; k < hi; k++)
+                if (missed[k] > threshold && (target < 0 || p[k] > p[target])) target = k;
+            if (target < 0) break;
+            double expected = 1.0 / p[target];
+            total += expected;
+            for (i64 k = lo; k < hi; k++) missed[k] = missed[k] * pow(1.0 - p[k], expected);
+            missed[target] = 0.0;
+            covered[lo + targets++] = head[target];
+        }
+        i64 c = targets;
+        for (i64 k = lo; k < hi; k++) {
+            if (missed[k] > threshold) continue;
+            i64 t = lo;
+            while (t < lo + targets && covered[t] != head[k]) t++;
+            if (t == lo + targets) covered[lo + c++] = head[k];
+        }
+        tx[v] = total;
+        count[v] = c;
+    }
+}
 """
 
 EXHAUSTED, CONVERGED, MORE, FAILED = 0, 1, 2, -1
@@ -363,17 +411,53 @@ class Loop(ctypes.Structure):
     )
 
 
-#: ``table1_run(loop, theta, count) -> status``
-Kernel = Callable[..., int]
+class Kernel(NamedTuple):
+    """The kernel's two entry points."""
+
+    #: ``table1_run(loop, theta, count) -> status``
+    run: Callable[..., int]
+    #: ``pseudo_broadcast(n, ptr, head, p, threshold, missed, tx, covered, count)``
+    flood: Callable[..., None]
 
 
 def load() -> Optional[Kernel]:
     """Build (or find) and dlopen the kernel; ``None`` if either fails.
 
     Unchecked: :func:`repro.optimization.rate_control.compiled_kernel`
-    self-tests it against the Python loop before anything runs on it.
+    self-tests it against the Python loop and flood before anything runs
+    on it.
     """
     so_path = clib.build("table1", _C_SOURCE, ["-O2", "-ffp-contract=off"])
-    signature = ([ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64], ctypes.c_int)
-    lib = None if so_path is None else clib.load(so_path, {"table1_run": signature})
-    return None if lib is None else lib.table1_run
+    i64, double, pointer = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    signatures = {
+        "table1_run": ([pointer, pointer, i64], ctypes.c_int),
+        "pseudo_broadcast": ([i64, pointer, pointer, pointer, double, *[pointer] * 4], None),
+    }
+    lib = None if so_path is None else clib.load(so_path, signatures)
+    return None if lib is None else Kernel(lib.table1_run, lib.pseudo_broadcast)
+
+
+def broadcast_costs(kernel: Kernel, network: WirelessNetwork) -> List[PseudoBroadcastCost]:
+    """Every node's :func:`~repro.routing.pseudo_broadcast.neighborhood_broadcast_cost`
+    at the default threshold, from one call of ``kernel.flood``; each
+    ``covered`` is built as the Python function builds it, so it iterates
+    in the same order."""
+    n = network.node_count
+    ptr, heads, probs = [0], [], []
+    for i in range(n):
+        out = network.out_neighbors(i)
+        heads.extend(out)
+        probs.extend([network.probability(i, j) for j in out])
+        ptr.append(len(heads))
+    tables = [np.array(ptr, dtype=np.int64), np.array(heads, dtype=np.int64), np.array(probs)]
+    tx, count = np.empty(n), np.empty(n, dtype=np.int64)
+    covered, missed = np.empty(len(heads) + 1, dtype=np.int64), np.empty(len(heads) + 1)
+    kernel.flood(
+        n, *(table.ctypes.data for table in tables), RESIDUAL_THRESHOLD,
+        *(array.ctypes.data for array in (missed, tx, covered, count)),
+    )
+    ids = covered.tolist()
+    return [
+        PseudoBroadcastCost(transmissions, frozenset(set(ids[start : start + size])))
+        for transmissions, start, size in zip(tx.tolist(), ptr, count.tolist())
+    ]

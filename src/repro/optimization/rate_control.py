@@ -37,7 +37,7 @@ import functools
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -57,8 +57,13 @@ from repro.optimization.subgradient import (
     project_nonnegative,
 )
 from repro.optimization.sunicast import SUnicastSolution
+from repro.routing.pseudo_broadcast import (
+    PseudoBroadcastCost,
+    neighborhood_broadcast_cost,
+    reliable_flood,
+)
 from repro.topology.graph import Link
-from repro.topology.random_network import fig1_sample_topology
+from repro.topology.random_network import fig1_sample_topology, network_from_links
 
 
 @dataclass(frozen=True)
@@ -468,8 +473,8 @@ class RateControlLoop:
         this class's :meth:`step` and routers that declare a compiled
         route.  It is exact, so nothing but speed tells the paths apart.
         """
-        run = compiled_kernel() if self._compilable() else None
-        converged = None if run is None else self._converge_compiled(run)
+        kernel = compiled_kernel() if self._compilable() else None
+        converged = None if kernel is None else self._converge_compiled(kernel.run)
         return self._converge_python() if converged is None else converged
 
     def _compilable(self) -> bool:
@@ -509,7 +514,7 @@ class RateControlLoop:
             previous = recovered
         return False
 
-    def _converge_compiled(self, run: native.Kernel) -> bool | None:
+    def _converge_compiled(self, run: Callable[..., int]) -> bool | None:
         """:meth:`_converge_python` as calls of ``run``, then the state
         written back; ``None``, with nothing changed, where Python raises.
 
@@ -774,19 +779,21 @@ def compiled_kernel() -> native.Kernel | None:
     """The compiled Table 1 loop, or ``None`` where it cannot build, load
     or pass :func:`_self_test` (one logged warning; the verdict holds for
     the process)."""
-    run = native.load()
-    if run is None or not _self_test(run):
+    kernel = native.load()
+    if kernel is None or not _self_test(kernel):
         logging.getLogger(__name__).warning(
             "the compiled Table 1 loop is unavailable here; rate control runs in Python"
         )
         return None
-    return run
+    return kernel
 
 
-def _self_test(run: native.Kernel) -> bool:
-    """Solve on Fig. 1's topology in Python and on ``run``, equal by
+def _self_test(kernel: native.Kernel) -> bool:
+    """Solve on Fig. 1's topology in Python and on ``kernel``, equal by
     ``repr``: two sessions sharing relays, and the distance-vector census
-    with its message counts; each loop is stepped once by hand first."""
+    with its message counts; each loop is stepped once by hand first.
+    Then flood a mesh with a tied best link and a p = 1 link both ways,
+    equal in total, forward order and each node's covered order."""
 
     class Census(RateControlLoop):
         def _sub1(self, graph: SessionGraph) -> Sub1Router:
@@ -808,9 +815,19 @@ def _self_test(run: native.Kernel) -> bool:
         reference.step()
         candidate.step()
         expected = outcome(reference, reference._converge_python())
-        if outcome(candidate, candidate._converge_compiled(run)) != expected:
+        if outcome(candidate, candidate._converge_compiled(kernel.run)) != expected:
             return False
-    return True
+    mesh = network_from_links(
+        {(0, 1): 0.5, (0, 9): 0.5, (0, 5): 0.3, (1, 2): 1.0, (5, 2): 0.7, (2, 1): 0.9}
+    )
+
+    def flood(costs: List[PseudoBroadcastCost]) -> str:
+        result = reliable_flood(mesh, 0, costs=costs)
+        covered = [list(cost.covered) for cost in costs]
+        return repr((result.total_transmissions, result.forward_order, covered))
+
+    python = [neighborhood_broadcast_cost(mesh, node) for node in mesh.nodes()]
+    return flood(python) == flood(native.broadcast_costs(kernel, mesh))
 
 
 def net_source_flow(graph: SessionGraph, flows: Sequence[float]) -> float:

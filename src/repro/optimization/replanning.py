@@ -23,14 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.optimization import native, rate_control
 from repro.optimization.messages import MessagePassingRateControl
 from repro.optimization.problem import SessionGraph, session_graph_from_selection
 from repro.optimization.rate_control import RateControlConfig
 from repro.routing.node_selection import select_forwarders
-from repro.routing.pseudo_broadcast import reliable_flood
+from repro.routing.pseudo_broadcast import FloodResult, reliable_flood
 from repro.topology.graph import WirelessNetwork
 
-__all__ = ["ReplanCost", "replan_cost"]
+__all__ = ["ReplanCost", "replan_cost", "selection_flood"]
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,16 @@ class ReplanCost:
     channel_seconds: float
 
 
+def selection_flood(network: WirelessNetwork, source: int) -> FloodResult:
+    """The node-selection flood from ``source``: :func:`reliable_flood`,
+    every node's pseudo-broadcast greedy computed in one call of Table 1's
+    kernel where :func:`~repro.optimization.rate_control.compiled_kernel`
+    has one, in Python otherwise; bit for bit the same either way."""
+    kernel = rate_control.compiled_kernel()
+    costs = None if kernel is None else native.broadcast_costs(kernel, network)
+    return reliable_flood(network, source, costs=costs)
+
+
 def replan_cost(
     network: WirelessNetwork,
     source: int,
@@ -75,7 +86,7 @@ def replan_cost(
     """
     if control_packet_bytes <= 0:
         raise ValueError("control_packet_bytes must be > 0")
-    flood = reliable_flood(network, source)
+    flood = selection_flood(network, source)
     if graph is None:
         forwarders = select_forwarders(network, source, destination)
         graph = session_graph_from_selection(network, forwarders)

@@ -37,8 +37,7 @@ from repro.protocols.etx_routing import plan_etx_route
 from repro.protocols.more import plan_more
 from repro.protocols.oldmore import plan_oldmore
 from repro.protocols.omnc import plan_omnc_detailed
-from repro.routing.pseudo_broadcast import reliable_flood
-from repro.optimization.replanning import replan_cost
+from repro.optimization.replanning import replan_cost, selection_flood
 from repro.topology.graph import WirelessNetwork
 
 DEFAULT_CONTROL_PACKET_BYTES = 64
@@ -83,7 +82,7 @@ class AdaptivePlanner:
 
     def _flood_seconds(self, network: WirelessNetwork) -> float:
         """Airtime of the node-selection pseudo-broadcast flood."""
-        flood = reliable_flood(network, self._source)
+        flood = selection_flood(network, self._source)
         return (
             flood.total_transmissions
             * DEFAULT_CONTROL_PACKET_BYTES

@@ -18,9 +18,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Set, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.topology.graph import WirelessNetwork
+
+#: Residual miss probability below which a neighbour counts as covered.
+RESIDUAL_THRESHOLD = 0.01
 
 
 @dataclass(frozen=True)
@@ -38,7 +41,10 @@ class PseudoBroadcastCost:
 
 
 def neighborhood_broadcast_cost(
-    network: WirelessNetwork, sender: int, *, residual_threshold: float = 0.01
+    network: WirelessNetwork,
+    sender: int,
+    *,
+    residual_threshold: float = RESIDUAL_THRESHOLD,
 ) -> PseudoBroadcastCost:
     """Expected transmissions for ``sender`` to reach all its out-neighbors.
 
@@ -50,7 +56,14 @@ def neighborhood_broadcast_cost(
     uncovered neighbor ``k`` stays uncovered with probability
     ``(1-p_k)^(1/p)``.  Phases repeat until every neighbor's residual
     miss-probability drops below ``residual_threshold``.
+
+    A ``sender`` outside the network, or a threshold outside ``[0, 1)``
+    (NaN included), is a :class:`ValueError`.
     """
+    if not 0 <= sender < network.node_count:
+        raise ValueError(f"sender {sender} outside 0..{network.node_count - 1}")
+    if not 0.0 <= residual_threshold < 1.0:
+        raise ValueError(f"residual_threshold must be in [0, 1), got {residual_threshold}")
     ids = network.out_neighbors(sender)  # ascending, so ties go to the lower id
     if not ids:
         return PseudoBroadcastCost(transmissions=0.0, covered=frozenset())
@@ -102,6 +115,7 @@ def reliable_flood(
     origin: int,
     *,
     eligible: Optional[FrozenSet[int]] = None,
+    costs: Optional[Sequence[PseudoBroadcastCost]] = None,
 ) -> FloodResult:
     """Flood from ``origin`` with per-hop pseudo-broadcast reliability.
 
@@ -109,6 +123,9 @@ def reliable_flood(
     (node selection forwards only at nodes closer to the destination).
     Delivery itself is deterministic — that is the point of
     pseudo-broadcast — so the result is the reachable set plus its cost.
+    ``costs`` is every node's :func:`neighborhood_broadcast_cost` at the
+    default threshold, indexed by node, where the caller computed them
+    (all at once); without it each forwarder's is computed here.
     """
     if not 0 <= origin < network.node_count:
         raise ValueError(f"origin {origin} outside the network")
@@ -120,7 +137,9 @@ def reliable_flood(
         node = frontier.popleft()
         if eligible is not None and node != origin and node not in eligible:
             continue  # receives but does not forward
-        cost = neighborhood_broadcast_cost(network, node)
+        cost = (
+            neighborhood_broadcast_cost(network, node) if costs is None else costs[node]
+        )
         total_tx += cost.transmissions
         order.append(node)
         for j in cost.covered:

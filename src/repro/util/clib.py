@@ -1,10 +1,10 @@
 """Embedded C kernels: compile once into a content-addressed cache, dlopen.
 
 Every compiled kernel of the package — the GF(2^8) codec
-(:mod:`repro.coding.native`), the Table 1 loop
-(:mod:`repro.optimization.native`) and the emulator's slot loop
-(:mod:`repro.emulator.native`) — embeds its C source and comes
-through here.  :func:`build` compiles a source with ``$CC`` (default
+(:mod:`repro.coding.native`), the Table 1 loop with the re-plan flood's
+pseudo-broadcast greedy (:mod:`repro.optimization.native`) and the
+emulator's slot loop (:mod:`repro.emulator.native`) — embeds its C
+source and comes through here.  :func:`build` compiles a source with ``$CC`` (default
 ``cc``; a command with arguments, ``cc -std=gnu11``, is split as a
 shell would) into ``$XDG_CACHE_HOME/repro-omnc/<stem>_<digest>.so``, where the
 digest hashes source, compiler and flags, so an edit or another compiler

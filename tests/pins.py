@@ -24,7 +24,7 @@ from unittest import mock
 
 from repro.coding.backends import available_backends
 from repro.emulator import engine
-from repro.optimization import rate_control
+from repro.optimization import native, rate_control
 from repro.optimization.rate_control import RateControlLoop
 
 
@@ -49,8 +49,9 @@ def core_form(form):
 @contextmanager
 def table1_loop(loop):
     """Run the block's Table 1 loops on ``loop``: ``"python"`` (the kernel
-    withheld) or ``"compiled"``; fail unless that path ran, and for
-    ``"python"`` unless it alone did."""
+    withheld, so re-plan floods run in Python too) or ``"compiled"``; fail
+    unless that path ran, and for ``"python"`` unless it alone did and no
+    flood ran compiled."""
     paths = ("python", "compiled")
     with ExitStack() as stack:
         if loop == "python":
@@ -62,9 +63,12 @@ def table1_loop(loop):
             ))
             for path in paths
         }
+        flood = stack.enter_context(mock.patch.object(
+            native, "broadcast_costs", side_effect=native.broadcast_costs
+        ))
         yield
-    ran = {path: spy.called for path, spy in spies.items()}
-    assert ran[loop] and (loop == "compiled" or not ran["compiled"]), (
+    ran = {**{path: spy.called for path, spy in spies.items()}, "compiled flood": flood.called}
+    assert ran[loop] and (loop == "compiled" or not (ran["compiled"] or ran["compiled flood"])), (
         f"table1 loop {loop}: paths ran: {ran}"
     )
 

@@ -6,7 +6,9 @@ field: iterations, ``converged``, recovered rates and flows, throughput,
 both histories, the duals, each router's last iterate and recovered
 gamma, and the census's message counts.  The fallback tests take the
 compiler away, or fail the load-time self-test, and expect the Python
-loop with one logged warning.
+loop with one logged warning.  The kernel's flood greedy is held to the
+Python flood the same way: a property over every origin of random
+meshes, and the Python flood's literal oracles run on it.
 """
 
 import dataclasses
@@ -28,8 +30,10 @@ from repro.optimization.rate_control import (
     compiled_kernel,
 )
 from repro.optimization.subgradient import ConstantStepSize, DiminishingStepSize
+from repro.routing.pseudo_broadcast import neighborhood_broadcast_cost, reliable_flood
 from repro.routing.shortest_path import etx_tree
 from repro.topology.random_network import fig1_sample_topology
+from tests import test_pseudo_broadcast as pseudo
 from tests.meshes import lossy_meshes
 from tests.pins import table1_loop
 from tests.test_table1_oracle import WarmCensus, near_tie_loop
@@ -41,6 +45,14 @@ NEAR_TIES = (0.0, 0.3, 0.1 + 0.2, 1.0)
 needs_kernel = pytest.mark.skipif(
     compiled_kernel() is None, reason="no compiled Table 1 loop here"
 )
+
+
+def test_a_kernel_that_builds_passes_its_self_test():
+    # Else every test that needs the kernel skips, and a regression the
+    # self-test catches (in the loop or the flood) would pass unseen.
+    if native.load() is None:
+        pytest.skip("the compiled Table 1 kernel does not build here")
+    assert compiled_kernel() is not None, "the Table 1 kernel builds but fails its self-test"
 
 
 def outcome(make, steps):
@@ -180,11 +192,66 @@ def test_without_the_kernel_the_python_loop_runs(fault, fresh_kernel, monkeypatc
 
 @needs_kernel
 def test_the_self_test_refuses_a_wrong_kernel():
-    run = compiled_kernel()
+    kernel = compiled_kernel()
 
     def stops_short(loop, theta, count):
-        run(loop, theta, max(count - 1, 0))
+        kernel.run(loop, theta, max(count - 1, 0))
         return native.EXHAUSTED
 
-    assert rate_control._self_test(run)
-    assert not rate_control._self_test(stops_short)
+    assert rate_control._self_test(kernel)
+    assert not rate_control._self_test(kernel._replace(run=stops_short))
+
+
+def flood_outcome(net, origin, costs=None):
+    """What a caller reads off a flood, down to summation order."""
+    result = reliable_flood(net, origin, costs=costs)
+    return result.reached, result.forward_order, repr(result.total_transmissions)
+
+
+@needs_kernel
+@given(lossy_meshes())
+@settings(max_examples=100, deadline=None)
+def test_compiled_flood_equals_the_python_flood(net):
+    costs = native.broadcast_costs(compiled_kernel(), net)
+    python = [neighborhood_broadcast_cost(net, node) for node in net.nodes()]
+    assert [(repr(c.transmissions), list(c.covered)) for c in costs] == [
+        (repr(c.transmissions), list(c.covered)) for c in python
+    ]
+    for origin in net.nodes():
+        assert flood_outcome(net, origin, costs) == flood_outcome(net, origin)
+
+
+@pytest.fixture
+def compiled_flood(monkeypatch):
+    """``tests.test_pseudo_broadcast``'s cost and flood, on the kernel."""
+    kernel = compiled_kernel()
+    monkeypatch.setattr(
+        pseudo, "neighborhood_broadcast_cost",
+        lambda net, sender: native.broadcast_costs(kernel, net)[sender],
+    )
+    monkeypatch.setattr(
+        pseudo, "reliable_flood",
+        lambda net, origin: reliable_flood(net, origin, costs=native.broadcast_costs(kernel, net)),
+    )
+
+
+@needs_kernel
+@pytest.mark.usefixtures("compiled_flood")
+class TestCompiledFloodLiterals(pseudo.TestReferenceMeshOracle):
+    """The Python flood's literal oracles, at their literals, on the kernel."""
+
+    test_equal_best_links_target_the_lower_id_first = (
+        pseudo.TestNeighborhoodCost.test_equal_best_links_target_the_lower_id_first
+    )
+    test_overhearing_alone_covers_the_weakest_neighbor = (
+        pseudo.TestNeighborhoodCost.test_overhearing_alone_covers_the_weakest_neighbor
+    )
+
+
+@needs_kernel
+def test_the_self_test_refuses_a_flood_that_breaks_ties_upward(fresh_kernel, monkeypatch):
+    tie = "p[k] > p[target]"
+    assert native._C_SOURCE.count(tie) == 1
+    monkeypatch.setattr(native, "_C_SOURCE", native._C_SOURCE.replace(tie, "p[k] >= p[target]"))
+    assert native.load() is not None
+    assert compiled_kernel() is None

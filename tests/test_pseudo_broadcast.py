@@ -37,6 +37,20 @@ class TestNeighborhoodCost:
         # Never worse than unicasting to each neighbor separately.
         assert 2.0 <= cost.transmissions <= 4.0
 
+    @pytest.mark.parametrize("sender", [-1, 120])
+    def test_sender_outside_the_network_is_refused(self, sender):
+        # -1 used to read node 119's out-links at p = 0 (a bare
+        # ZeroDivisionError here), 120 to raise a bare IndexError.
+        with pytest.raises(ValueError, match=f"sender {sender} outside 0..119"):
+            neighborhood_broadcast_cost(reference_mesh(), sender)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), 1.0, 1.5, -0.1, float("inf")])
+    def test_threshold_outside_the_unit_interval_is_refused(self, threshold):
+        # At 1.0 this used to cost 0 transmissions and call node 1 covered.
+        net = chain_topology((0.5, 0.9))
+        with pytest.raises(ValueError, match=f"got {threshold}"):
+            neighborhood_broadcast_cost(net, 0, residual_threshold=threshold)
+
     def test_no_neighbors(self):
         net = chain_topology((0.5,))
         cost = neighborhood_broadcast_cost(net, 1)  # node 1 has no out-links
@@ -87,12 +101,11 @@ class TestReliableFlood:
         net = chain_topology((0.9, 0.9, 0.9))
         full = reliable_flood(net, 0)
         assert full.reached == frozenset({0, 1, 2, 3})
-        # Node 1 may receive but not forward: flood stops at 1's radio
-        # horizon (node 2 is still within 0's and 1's shared range zone
-        # only via 1's forwarding in this chain geometry? node 2 is two
-        # hops from 0 geometrically in range, so it may still be covered).
+        # Only the origin forwards: the flood reaches what 0's own
+        # pseudo-broadcast covers, and no further.
         limited = reliable_flood(net, 0, eligible=frozenset({0}))
-        assert limited.reached <= full.reached
+        assert limited.forward_order == (0,)
+        assert limited.reached == {0} | neighborhood_broadcast_cost(net, 0).covered
 
     def test_flood_origin_validated(self):
         net = chain_topology((0.5,))
