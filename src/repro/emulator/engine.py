@@ -68,7 +68,7 @@ from repro.emulator.node import (
 from repro.emulator.plan import NodeSettings
 from repro.emulator.scheduler import ConflictGraph, IdealMacScheduler
 from repro.topology.graph import Link, WirelessNetwork
-from repro.util.rng import DrawBuffers, NodeStreams, RngFactory, StreamBank
+from repro.util.rng import DrawBuffers, NodeStreams, RngFactory
 
 #: One packet heard by a receiver: (grant_rank, delivery_pos, sender,
 #: kind, payload).  ``grant_rank`` is the sender's index in the granted
@@ -238,7 +238,7 @@ class EngineCore:
     :func:`compilable` admits runs compiled while :func:`compiled_kernel`
     loads (:mod:`repro.emulator.native`): its runtimes are rows of
     :class:`~repro.emulator.columns.Columns`, its draws come from a
-    :class:`~repro.util.rng.StreamBank`, :meth:`run_slots` is one call per
+    :class:`~repro.emulator.native.StreamBank` drawn in C, :meth:`run_slots` is one call per
     stretch of slots, and :meth:`begin_slot`, :meth:`fire` and
     :meth:`fire_resolve` are one call each — the scalar form's arithmetic
     in its order.  What the kernel hands back (a relay hearing a newer
@@ -254,16 +254,14 @@ class EngineCore:
         self._two_hop = init.interference == "conflict_free"
         self._traced = init.traced
         self._factory = factory = RngFactory(init.seed)
-        mac = NodeStreams(factory, "mac")
-        loss = NodeStreams(factory, "channel")
         self._capture = NodeStreams(factory, "capture")
         self._kernel = self._form(init)
         if self._kernel is not None:
-            self._mac_bank = StreamBank(mac)
-            self._loss_bank = StreamBank(loss)
+            self._mac_bank = native.StreamBank(self._kernel.take, factory, "mac")
+            self._loss_bank = native.StreamBank(self._kernel.take, factory, "channel")
         else:
-            self._mac_draws = DrawBuffers(mac)
-            self._loss_draws = DrawBuffers(loss)
+            self._mac_draws = DrawBuffers(NodeStreams(factory, "mac"))
+            self._loss_draws = DrawBuffers(NodeStreams(factory, "channel"))
         self._log = init.decode_log
         self._pending_unicast: Dict[int, bool] = {}
         self._delivered_links: Set[Link] = set()
@@ -456,10 +454,8 @@ class EngineCore:
         # hands back those of any node.
         self._fallback_out = np.zeros((pad + 1, 7), dtype=np.int64)
         self._grant_in = np.zeros(pad + 1, dtype=np.int64)
-        self._kernel_error: Optional[BaseException] = None
         core.rows, core.rx_width, core.pad = count, width, pad
-        core.mac_block = self._mac_bank._block
-        core.loss_block = self._loss_bank._block
+        core.mac, core.loss = self._mac_bank.address, self._loss_bank.address
         core.blanking, core.cut = self._blanking, bool(self._cut)
         core.park_interval = AwakeSet.PARK_INTERVAL
         core.id_capacity = len(self._granted_ids)
@@ -490,12 +486,6 @@ class EngineCore:
                 ("cov", self._cov, np.int64, self._cov.shape),
                 ("cov_row", self._cov_row, np.int64, (pad,)),
             ]
-        for kind, bank in (("mac", self._mac_bank), ("loss", self._loss_bank)):
-            values = bank._values
-            arrays += [
-                (f"{kind}_values", values, np.float64, (len(values), bank._block)),
-                (f"{kind}_cursor", bank._cursor, np.int64, (len(values),)),
-            ]
         for name, array, dtype, shape in arrays:
             setattr(core, name, native.address(array, dtype, shape))
         self._point_columns()
@@ -522,33 +512,6 @@ class EngineCore:
         core.credit_count = len(columns._credit_rows)
         core.unicasts = len(columns._unicast_rows)
         self._pointed = columns.reallocations
-
-    def _refill(self, bank: int, row: int) -> int:
-        """The compiled loop's refill callback: ``StreamBank._refill``."""
-        try:
-            (self._loss_bank if bank else self._mac_bank)._refill(row)
-        except BaseException as error:  # re-raised once the kernel returns
-            self._kernel_error = error
-            return 1
-        return 0
-
-    def _unbanked(self, count: int, rows: int, counts: int, out: int) -> int:
-        """The compiled loop's callback for a loss take wider than a
-        block: ``StreamBank._take_unbanked`` into ``out``."""
-        try:
-            int64 = ctypes.POINTER(ctypes.c_int64)
-            wanted = [
-                np.ctypeslib.as_array(ctypes.cast(pointer, int64), (count,))
-                for pointer in (rows, counts)
-            ]
-            values = self._loss_bank._take_unbanked(*(array.copy() for array in wanted))
-            if len(values):
-                target = ctypes.cast(out, ctypes.POINTER(ctypes.c_double))
-                np.ctypeslib.as_array(target, (len(values),))[:] = values
-        except BaseException as error:  # re-raised once the kernel returns
-            self._kernel_error = error
-            return 1
-        return 0
 
     def _wake_everyone(self) -> None:
         self._awake.wake_everyone()
@@ -674,21 +637,14 @@ class EngineCore:
         if columns.reallocations != self._pointed:
             self._point_columns()
         core.phase = phase
-        # The bank callbacks live for this call only: held by the core,
-        # they would tie it into a cycle that outlives its session (and
-        # so would ``ctypes.cast``).
-        callbacks = (native.Refill(self._refill), native.Unbanked(self._unbanked))
-        core.refill, core.unbanked = (
-            ctypes.c_void_p.from_buffer(callback).value for callback in callbacks
-        )
         core.ticks = columns._ticks
-        status = self._kernel(ctypes.byref(core), budget)
+        status = self._kernel.run(ctypes.byref(core), budget)
         columns._ticks = core.ticks
         if status == native.FAILED:
-            error, self._kernel_error = self._kernel_error, None
-            raise error or RuntimeError(
-                "compiled slot loop: a queue level out of range, a unicast next hop"
-                " that is not a hosted unicast neighbour, or an arrival it cannot take"
+            raise RuntimeError(
+                "compiled slot loop: no memory for its scratch, a queue level out of range,"
+                " a unicast next hop that is not a hosted unicast neighbour, or an arrival"
+                " it cannot take"
             )
         return status
 
@@ -1167,13 +1123,13 @@ def compiled_kernel() -> Optional[native.Kernel]:
     """The compiled slot loop, or ``None`` where it cannot build, load or
     pass :func:`_self_test` (one logged warning; the verdict holds for
     the process)."""
-    run = native.load()
-    if run is None or not _self_test(run):
+    kernel = native.load()
+    if kernel is None or not _self_test(kernel):
         logging.getLogger(__name__).warning(
             "the compiled slot loop is unavailable here; every core runs the scalar slot loop"
         )
         return None
-    return run
+    return kernel
 
 
 def _forced(kernel: Optional[native.Kernel]) -> type[EngineCore]:
@@ -1187,8 +1143,16 @@ def _forced(kernel: Optional[native.Kernel]) -> type[EngineCore]:
     return Forced
 
 
-def _self_test(run: native.Kernel) -> bool:
-    """Epochs along a five-node line on a scalar core and on ``run``, equal
+#: ``(seed, kind, node)`` whose stream :func:`_self_test` draws in C and
+#: with numpy: seeds of one to three entropy words; the last one's 2000
+#: values take the exponential's tail path.
+_STREAMS = ((0, "mac", 3), (2**32, "channel", 0), (2**70, "mac", 2047))
+
+
+def _self_test(kernel: native.Kernel) -> bool:
+    """The next 2000 values of each of :data:`_STREAMS` through a
+    ``kernel`` bank and from the scalar form's buffers, equal.  Then epochs
+    along a five-node line on a scalar core and on ``kernel``, equal
     by ``repr`` slot by slot, in ``finalize``, in every runtime's fields
     after it and in the next values of every draw stream — twice.  Flow:
     rate and credit relays under blanking, a source that drops, refills,
@@ -1199,6 +1163,12 @@ def _self_test(run: native.Kernel) -> bool:
     and back, and the sink's ``delivered`` events."""
     from repro.emulator.plan import CodingParams  # only a self-test needs it
 
+    count = 2000
+    for seed, kind, node in _STREAMS:
+        bank = native.StreamBank(kernel.take, RngFactory(seed), kind)
+        drawn = bank.take(bank.rows_for([node]), np.array([count])).tolist()
+        if drawn != DrawBuffers(NodeStreams(RngFactory(seed), kind)).take(node, count):
+            return False
     line = range(5)
     network = WirelessNetwork(
         np.array([[0.6 * node, 0.0] for node in line]),
@@ -1251,7 +1221,7 @@ def _self_test(run: native.Kernel) -> bool:
 
     for build, drive, has_unicast in ((flow, flow_epochs, False), (unicast, unicast_epochs, True)):
         outcomes: List[str] = []
-        for kernel in (None, run):
+        for form in (None, kernel):
             log = _DecodeLog()
             runtimes = build(log)
             init = CoreInit(
@@ -1259,7 +1229,7 @@ def _self_test(run: native.Kernel) -> bool:
                 has_unicast=has_unicast, decode_log=log,
             )
             with obs.collecting(obs.MetricsRegistry(enabled=False)):
-                core = _forced(kernel)(init)
+                core = _forced(form)(init)
                 trail = drive(core)
                 finalized = core.finalize()
             fields = [

@@ -33,14 +33,15 @@ nothing is left awake, a hosted node on the cut contends (:data:`CUT`:
 the keys and contenders are handed back), or an arrival takes the object
 path — a relay hearing a newer generation, a destination completing its
 own (:data:`FALLBACK`: the arrivals are handed back, the slot is not
-sampled yet).  A bank row that runs short is refilled through a callback
-into :meth:`StreamBank._refill <repro.util.rng.StreamBank>`, and a loss
-take wider than a block is served whole by ``StreamBank._take_unbanked``,
-so the banks hand every node the values its buffers would.
+sampled yet).  Every lottery key and loss uniform comes from a
+:class:`StreamBank` whose rows the kernel seeds, fills and reads itself,
+numpy's own algorithms in C, so the banks hand every node the values its
+buffers would and no call re-enters Python.
 
-:func:`load` compiles the source on first use (:mod:`repro.util.clib`)
-and opens it; :func:`~repro.emulator.engine.compiled_kernel` self-tests
-it against the scalar form before any core runs on it.  :class:`Core`
+:func:`load` compiles the source on first use (:mod:`repro.util.clib`),
+linking numpy's ``libnpyrandom.a`` for the exponential, and opens it;
+:func:`~repro.emulator.engine.compiled_kernel` self-tests it against the
+scalar form and numpy's generators before any core runs on it.  :class:`Core`
 mirrors the C struct field for field (every field 8 bytes, so no
 padding).
 """
@@ -48,30 +49,182 @@ padding).
 from __future__ import annotations
 
 import ctypes
-from typing import Callable, Optional, Tuple
+from pathlib import Path
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.util import clib
+from repro.util.rng import DrawBuffers, RngFactory
 
 _C_SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
+#include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
 
 typedef int64_t i64;
 typedef uint8_t u8;
+typedef unsigned __int128 u128;
 
 enum { BUDGET = 0, ASLEEP = 1, CUT = 2, FALLBACK = 3, FAILED = -1 };
 enum { EPOCH = 0, CONTEND = 1, RESOLVE = 2, FIRE = 3 };
 enum { SOURCE = 1, RELAY = 2, DESTINATION = 3, UNICAST = 4 };
 
-typedef int (*Refill)(i64 bank, i64 row);
-typedef int (*Unbanked)(i64 count, const i64 *rows, const i64 *counts, double *out);
+/* -- Every node's streams: numpy's SeedSequence, PCG64 and Generator draws -- */
+
+/* numpy's bitgen_t (numpy/random/bitgen.h), declared here so that no numpy
+   or Python header is needed: libnpyrandom.a's distributions take one. */
+typedef struct bitgen {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+/* Generator.standard_exponential's draw, from libnpyrandom.a. */
+double random_standard_exponential(bitgen_t *bitgen_state);
+
+typedef struct { u128 state, inc; } Pcg;
+
+/* PCG64's next 64 bits (numpy's pcg64_next64): an LCG step, then XSL-RR. */
+static uint64_t pcg_next(void *st) {
+    Pcg *g = st;
+    g->state = g->state * ((u128)2549297995355413924ULL << 64 | 4865540595714422341ULL) + g->inc;
+    uint64_t word = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
+    unsigned rot = (unsigned)(g->state >> 122);
+    return word >> rot | word << (-rot & 63u);
+}
+
+/* PCG64's next_double: Generator.random's draw. */
+static double pcg_double(void *st) {
+    return (double)(pcg_next(st) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* zlib's crc32 of a string. */
+static uint32_t crc32_of(const char *text) {
+    uint32_t crc = 0xFFFFFFFFu;
+    for (; *text; text++) {
+        crc ^= (u8)*text;
+        for (int bit = 0; bit < 8; bit++) crc = crc >> 1 ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+    return ~crc;
+}
+
+/* SeedSequence's hashmix and mix (numpy/random/bit_generator.pyx). */
+static uint32_t hashmix(uint32_t value, uint32_t *hash) {
+    value ^= *hash;
+    *hash *= 0x931e8875u;
+    value *= *hash;
+    return value ^ value >> 16;
+}
+
+static uint32_t mix(uint32_t x, uint32_t y) {
+    uint32_t result = 0xca01f9ddu * x - 0x4973f715u * y;
+    return result ^ result >> 16;
+}
+
+/* One StreamBank: per row a block of values its node's generator has
+   drawn, a cursor (at ``block``: nothing held) and the generator's PCG64
+   state as four words (state high, low; inc high, low; inc 0: not seeded
+   yet, as a seeded inc is odd).  ``entropy`` is the master seed's
+   SeedSequence entropy, padded to the pool, without the spawn key;
+   ``unbanked`` counts the takes whose rest was wider than a block. */
+typedef struct {
+    i64 block, exponential, words, unbanked;
+    const uint32_t *entropy;
+    const char *name;
+    double *values;
+    i64 *cursor;
+    uint64_t *state;
+    const i64 *nodes;
+} Bank;
+
+/* RngFactory(seed).derive(name, node): PCG64 seeded from
+   SeedSequence(entropy=seed, spawn_key=(crc32("<name>#<node>"),)). */
+static Pcg seeded(const Bank *b, i64 node) {
+    char key[64];
+    snprintf(key, sizeof key, "%s#%lld", b->name, (long long)node);
+    uint32_t spawn = crc32_of(key), pool[4], hash = 0x43b0d7e5u, words[8];
+    i64 count = b->words + 1;  /* the entropy, then the spawn key */
+#define WORD(i) ((i) < b->words ? b->entropy[i] : spawn)
+    for (i64 i = 0; i < 4; i++) pool[i] = hashmix(i < count ? WORD(i) : 0u, &hash);
+    for (int src = 0; src < 4; src++)
+        for (int dst = 0; dst < 4; dst++)
+            if (src != dst) pool[dst] = mix(pool[dst], hashmix(pool[src], &hash));
+    for (i64 src = 4; src < count; src++)
+        for (int dst = 0; dst < 4; dst++) pool[dst] = mix(pool[dst], hashmix(WORD(src), &hash));
+#undef WORD
+    hash = 0x8b51f9ddu;  /* generate_state(4, uint64) */
+    for (int i = 0; i < 8; i++) {
+        uint32_t value = pool[i % 4] ^ hash;
+        hash *= 0x58f38dedu;
+        value *= hash;
+        words[i] = value ^ value >> 16;
+    }
+    u128 seed = (u128)words[1] << 96 | (u128)words[0] << 64 | (u128)words[3] << 32 | words[2];
+    u128 stream = (u128)words[5] << 96 | (u128)words[4] << 64 | (u128)words[7] << 32 | words[6];
+    Pcg g = {0, stream << 1 | 1u};  /* pcg64_set_seed */
+    pcg_next(&g);
+    g.state += seed;
+    pcg_next(&g);
+    return g;
+}
+
+/* The next ``count`` values of ``row``'s generator into ``out``, by the
+   call the scalar consumer makes: standard_exponential ("mac") or random
+   ("channel").  A row's first draw seeds its generator. */
+static void draw(Bank *b, i64 row, double *out, i64 count) {
+    uint64_t *word = b->state + 4 * row;
+    Pcg g = {(u128)word[0] << 64 | word[1], (u128)word[2] << 64 | word[3]};
+    if (!word[3]) g = seeded(b, b->nodes[row]);
+    bitgen_t bitgen = {&g, pcg_next, NULL, pcg_double, pcg_next};  /* no 32-bit draws */
+    for (i64 i = 0; i < count; i++)
+        out[i] = b->exponential ? random_standard_exponential(&bitgen) : pcg_double(&g);
+    word[0] = (uint64_t)(g.state >> 64);
+    word[1] = (uint64_t)g.state;
+    word[2] = (uint64_t)(g.inc >> 64);
+    word[3] = (uint64_t)g.inc;
+}
+
+/* StreamBank.take of one row: the next ``count`` values into ``out`` --
+   what the row holds, then a fresh block; the rest of a take wider than
+   a block comes straight from the generator and leaves the row empty. */
+static void take(Bank *b, i64 row, i64 count, double *out) {
+    i64 block = b->block, *cursor = b->cursor + row;
+    double *values = b->values + row * block;
+    i64 held = block - *cursor < count ? block - *cursor : count;
+    if (held) memcpy(out, values + *cursor, (size_t)held * sizeof(double));
+    *cursor += held;
+    count -= held;
+    out += held;
+    if (!count) return;
+    if (count > block) {
+        b->unbanked++;
+        draw(b, row, out, count);
+        return;
+    }
+    draw(b, row, values, block);
+    memcpy(out, values, (size_t)count * sizeof(double));
+    *cursor = count;
+}
+
+/* StreamBank.take: counts[i] values of rows[i] (one each without counts),
+   concatenated into ``out``. */
+void bank_take(Bank *b, i64 n, const i64 *rows, const i64 *counts, double *out) {
+    for (i64 i = 0; i < n; i++) {
+        i64 count = counts ? counts[i] : 1;
+        take(b, rows[i], count, out);
+        out += count;
+    }
+}
+
+/* -- The slot loop -- */
 
 typedef struct {
-    i64 rows, width, rx_width, cov_width, pad, mac_block, loss_block, credit_count, unicasts;
+    i64 rows, width, rx_width, cov_width, pad, credit_count, unicasts;
     i64 blanking, cut, ticks, park_interval, named, id_capacity, sink_capacity;
     i64 slots, ids, contenders, fallbacks, sunk, phase, grants;
     double floor, smoothing;
@@ -95,12 +248,9 @@ typedef struct {
     double *queue_time;
     i64 *fired;
     u8 *delivered;
-    /* the two StreamBanks */
-    double *mac_values, *loss_values;
-    i64 *mac_cursor, *loss_cursor;
+    /* the two StreamBanks, and each hosted position's row in them */
+    Bank *mac, *loss;
     const i64 *mac_rows, *loss_rows;
-    Refill refill;
-    Unbanked unbanked;
     /* what a call hands back */
     i64 *slot_granted, *slot_contenders, *granted_ids, *contender_out, *fallback_out, *sink_out;
     double *key_out;
@@ -111,7 +261,7 @@ typedef struct {
 typedef struct { double key; i64 position; } Keyed;
 
 typedef struct {
-    i64 *contenders, *granted, *ids, *tx_row, *tx_rank, *tx_level, *tx_loss_row, *counts, *covered;
+    i64 *contenders, *granted, *ids, *tx_row, *tx_rank, *tx_level, *counts, *covered;
     double *weights, *uniforms;
     Keyed *order;
     u8 *blocked, *transmitting, *candidate, *hit, *reached;
@@ -211,36 +361,20 @@ static i64 tick(Core *c, Scratch *w) {
     return k;
 }
 
-/* StreamBank.take of one value per row (the lottery). */
-static int draw_keys(Core *c, Scratch *w, i64 k) {
-    i64 block = c->mac_block;
+/* One lottery key per contender, from its "mac" row. */
+static void draw_keys(Core *c, Scratch *w, i64 k) {
     for (i64 i = 0; i < k; i++) {
-        i64 row = c->mac_rows[w->contenders[i]];
-        if (c->mac_cursor[row] + 1 > block && c->refill(0, row)) return -1;
-        double draw = c->mac_values[row * block + c->mac_cursor[row]++];
+        double draw;
+        take(c->mac, c->mac_rows[w->contenders[i]], 1, &draw);
         w->order[i].key = draw / maximum(w->weights[i], c->floor);
         w->order[i].position = w->contenders[i];
     }
-    return 0;
 }
 
-/* StreamBank.take with counts (the loss runs), into w->uniforms. */
-static int draw_uniforms(Core *c, Scratch *w, i64 fired) {
-    i64 block = c->loss_block, wide = 0, at = 0;
-    for (i64 t = 0; t < fired; t++) {
-        w->tx_loss_row[t] = c->loss_rows[w->tx_row[t]];
-        wide |= w->counts[t] > block;
-    }
-    if (wide) return c->unbanked(fired, w->tx_loss_row, w->counts, w->uniforms) ? -1 : 0;
-    for (i64 t = 0; t < fired; t++) {
-        i64 row = w->tx_loss_row[t], count = w->counts[t];
-        if (c->loss_cursor[row] + count > block && c->refill(1, row)) return -1;
-        memcpy(w->uniforms + at, c->loss_values + row * block + c->loss_cursor[row],
-               (size_t)count * sizeof(double));
-        c->loss_cursor[row] += count;
-        at += count;
-    }
-    return 0;
+/* The loss runs, one per fired row from its "channel" row, into w->uniforms. */
+static void draw_uniforms(Core *c, Scratch *w, i64 fired) {
+    for (i64 t = 0, at = 0; t < fired; at += w->counts[t++])
+        take(c->loss, c->loss_rows[w->tx_row[t]], w->counts[t], w->uniforms + at);
 }
 
 /* on_receive of one arrival; 1 if it is left to the object path. */
@@ -356,7 +490,7 @@ static int broadcast(Core *c, Scratch *w, const i64 *ids, i64 granted, int local
             const i64 *cov = c->cov + c->cov_row[ids[i]] * c->cov_width;
             for (i64 j = 0; j < c->cov_width; j++) w->covered[cov[j]] = 0;
         }
-    if (draw_uniforms(c, w, fired)) return -1;
+    draw_uniforms(c, w, fired);
     for (i64 t = 0; t < fired; t++) {
         if (unicast && w->tx_level[t] < 0) {
             w->reached[t] = w->reached[t] && w->uniforms[at++] < c->hop_p[w->tx_row[t]];
@@ -413,7 +547,8 @@ static int broadcast(Core *c, Scratch *w, const i64 *ids, i64 granted, int local
    count, or -1 on failure. */
 static i64 contend(Core *c, Scratch *w) {
     i64 k = tick(c, w);
-    return k < 0 || draw_keys(c, w, k) ? -1 : k;
+    if (k > 0) draw_keys(c, w, k);
+    return k;
 }
 
 /* Hand the k contenders' keys and positions back, in position order. */
@@ -476,7 +611,6 @@ int slots_run(Core *c, i64 budget) {
     w.tx_row = malloc(sizeof(i64) * (size_t)n);
     w.tx_rank = malloc(sizeof(i64) * (size_t)n);
     w.tx_level = malloc(sizeof(i64) * (size_t)n);
-    w.tx_loss_row = malloc(sizeof(i64) * (size_t)n);
     w.counts = malloc(sizeof(i64) * (size_t)n);
     w.covered = calloc((size_t)nodes, sizeof(i64));
     w.weights = malloc(sizeof(double) * (size_t)n);
@@ -490,7 +624,7 @@ int slots_run(Core *c, i64 budget) {
     int status = BUDGET;
     c->slots = c->ids = c->contenders = c->fallbacks = c->sunk = 0;
     if (!w.contenders || !w.granted || !w.ids || !w.tx_row || !w.tx_rank || !w.tx_level
-        || !w.tx_loss_row || !w.counts || !w.covered || !w.weights || !w.uniforms || !w.order
+        || !w.counts || !w.covered || !w.weights || !w.uniforms || !w.order
         || !w.blocked || !w.transmitting || !w.candidate || !w.hit || !w.reached
         || (c->phase == FIRE && c->unicasts)) {
         status = FAILED;
@@ -507,7 +641,7 @@ int slots_run(Core *c, i64 budget) {
         }
     }
     free(w.contenders); free(w.granted); free(w.ids); free(w.tx_row); free(w.tx_rank);
-    free(w.tx_level); free(w.tx_loss_row); free(w.counts); free(w.covered); free(w.weights);
+    free(w.tx_level); free(w.counts); free(w.covered); free(w.weights);
     free(w.uniforms); free(w.order); free(w.blocked); free(w.transmitting); free(w.candidate);
     free(w.hit); free(w.reached);
     return status;
@@ -516,7 +650,7 @@ int slots_run(Core *c, i64 budget) {
 
 #: What :func:`load`'s kernel returns: the budget (or the named-grant
 #: buffer) ran out, nothing is awake, a cut node contends, an arrival
-#: takes the object path, or a callback or a level index failed.
+#: takes the object path, or scratch or a level index failed.
 BUDGET, ASLEEP, CUT, FALLBACK, FAILED = 0, 1, 2, 3, -1
 #: What a call runs (``Core.phase``): an epoch of up to ``budget`` slots;
 #: a slot's first half, handing the keys back as :data:`CUT` does; or its
@@ -524,14 +658,6 @@ BUDGET, ASLEEP, CUT, FALLBACK, FAILED = 0, 1, 2, 3, -1
 #: receivers (``RESOLVE``) or handing every arrival back as :data:`FALLBACK`
 #: does, no row touched and the slot not sampled (``FIRE``).
 EPOCH, CONTEND, RESOLVE, FIRE = 0, 1, 2, 3
-
-#: ``refill(bank, row)``: 0 = mac, 1 = channel; non-zero return = failed.
-Refill = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int64, ctypes.c_int64)
-#: ``unbanked(count, rows, counts, out)`` for the channel bank.
-Unbanked = ctypes.CFUNCTYPE(
-    ctypes.c_int, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p
-)
-
 
 def _fields(ints: str, doubles: str, pointers: str) -> list:
     """ctypes fields: the int64s, then the doubles, then the pointers."""
@@ -571,7 +697,7 @@ class Core(ctypes.Structure):
     """One core's arrays and an epoch's outputs, as the kernel sees them."""
 
     _fields_ = _fields(
-        "rows width rx_width cov_width pad mac_block loss_block credit_count unicasts"
+        "rows width rx_width cov_width pad credit_count unicasts"
         " blanking cut ticks park_interval named id_capacity sink_capacity"
         " slots ids contenders fallbacks sunk phase grants",
         "floor smoothing",
@@ -582,7 +708,7 @@ class Core(ctypes.Structure):
         " unicast_rows next_hop hop_cell ring_ptr arrival hop_p offered next_seq head ring"
         " rx_ids cov cov_row position_of node_of conflict_ptr conflict rx_p cut_mask"
         " queue_time fired delivered"
-        " mac_values loss_values mac_cursor loss_cursor mac_rows loss_rows refill unbanked"
+        " mac loss mac_rows loss_rows"
         " slot_granted slot_contenders granted_ids contender_out fallback_out sink_out key_out"
         " grant_in",
     )
@@ -597,17 +723,135 @@ def address(array: np.ndarray, dtype: type, shape: Tuple[int, ...]) -> int:
     return int(array.ctypes.data)
 
 
-#: ``slots_run(core, budget) -> status``
-Kernel = Callable[..., int]
+class Bank(ctypes.Structure):
+    """One :class:`StreamBank` as the kernel sees it."""
+
+    _fields_ = _fields(
+        "block exponential words unbanked", "", "entropy name values cursor state nodes"
+    )
+
+
+class StreamBank:
+    """Pre-drawn blocks of per-node streams, for the compiled slot loop.
+
+    One row of :attr:`BLOCK` values per node, a cursor, and the node's
+    generator state, all drawn in C: on a row's first draw its PCG64 is
+    seeded as ``RngFactory(seed).derive(f"node-{kind}", node)`` seeds it
+    (numpy's ``SeedSequence`` algorithm), and a fill is the call the
+    scalar consumer makes — numpy's own ``random_standard_exponential``
+    for "mac", PCG64's ``next_double`` for "channel".  So a node consumes
+    exactly the values :class:`~repro.util.rng.DrawBuffers` hands the
+    scalar form, whatever else is taken and wherever refills fall: the
+    kernel draws inside an epoch without calling back into Python, and
+    the scalar form's numpy generators are the reference the load-time
+    self-test checks these streams against.
+
+    ``take`` is the kernel's ``bank_take`` (:class:`Kernel`); :meth:`take`
+    is how Python reads a bank.
+    """
+
+    #: Values drawn per refill: the scalar form's block, one constant.
+    BLOCK = DrawBuffers.BLOCK
+
+    _EXPONENTIAL = {"mac": 1, "channel": 0}
+
+    def __init__(self, take: Callable[..., None], factory: RngFactory, kind: str) -> None:
+        try:
+            exponential = self._EXPONENTIAL[kind]
+        except KeyError:
+            known = ", ".join(self._EXPONENTIAL)
+            raise ValueError(f"stream kind {kind!r} cannot be banked (known: {known})") from None
+        self._take = take
+        self._block = block = self.BLOCK
+        seed = factory.seed
+        words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+        # SeedSequence's entropy words, padded to its pool of four as it
+        # pads them when a spawn key follows.
+        self._entropy = np.zeros(max(len(words), 4), dtype=np.uint32)
+        self._entropy[: len(words)] = words
+        self._name = ctypes.create_string_buffer(f"node-{kind}".encode())
+        self._row_of: Dict[int, int] = {}
+        self._nodes = np.empty(0, dtype=np.int64)
+        self._values = np.empty((0, block))
+        # A row is empty when its cursor stands at the block's end, which
+        # is how every row starts: generators are seeded, and rows filled,
+        # only for nodes that actually draw.
+        self._cursor = np.empty(0, dtype=np.int64)
+        self._state = np.empty((0, 4), dtype=np.uint64)
+        self._bank = Bank(
+            block=block, exponential=exponential, words=len(self._entropy),
+            entropy=self._entropy.ctypes.data, name=ctypes.addressof(self._name),
+        )
+
+    @property
+    def address(self) -> int:
+        """Where the kernel finds the bank (``Core.mac``, ``Core.loss``)."""
+        return ctypes.addressof(self._bank)
+
+    def rows_for(self, nodes: Sequence[int]) -> np.ndarray:
+        """The bank rows of ``nodes``, in order; unseen nodes get new rows
+        (one each, however often they are named)."""
+        row_of = self._row_of
+        fresh = list(dict.fromkeys(node for node in nodes if node not in row_of))
+        if fresh:
+            for node in fresh:
+                row_of[node] = len(row_of)
+            block, grown = self._block, len(fresh)
+            self._nodes = np.concatenate([self._nodes, np.array(fresh, dtype=np.int64)])
+            self._values = np.concatenate([self._values, np.empty((grown, block))])
+            self._cursor = np.concatenate([self._cursor, np.full(grown, block, dtype=np.int64)])
+            self._state = np.concatenate([self._state, np.zeros((grown, 4), dtype=np.uint64)])
+            for name in ("nodes", "values", "cursor", "state"):
+                setattr(self._bank, name, getattr(self, "_" + name).ctypes.data)
+        return np.fromiter((row_of[node] for node in nodes), dtype=np.intp, count=len(nodes))
+
+    def take(self, rows: np.ndarray, counts: Optional[np.ndarray] = None) -> np.ndarray:
+        """The next ``counts[i]`` values of row ``rows[i]``, concatenated
+        (one value per row without ``counts``)."""
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        if len(rows) and not 0 <= rows.min() <= rows.max() < len(self._row_of):
+            raise ValueError("a row this bank does not have")
+        counts_at: Optional[int] = None
+        total = len(rows)
+        if counts is not None:
+            counts = np.ascontiguousarray(counts, dtype=np.int64)
+            if counts.shape != rows.shape or (len(counts) and counts.min() < 0):
+                raise ValueError("one count per row, none negative")
+            counts_at, total = counts.ctypes.data, int(counts.sum())
+        out = np.empty(total)
+        bank = ctypes.byref(self._bank)
+        self._take(bank, len(rows), rows.ctypes.data, counts_at, out.ctypes.data)
+        return out
+
+
+#: numpy's C distributions, shipped in its wheel: the kernel links
+#: ``random_standard_exponential`` from here.
+NPYRANDOM = Path(np.random.__file__).parent / "lib" / "libnpyrandom.a"
+
+
+class Kernel(NamedTuple):
+    """The compiled slot loop: ``run(core, budget) -> status``, and
+    ``take``, the draw every :class:`StreamBank` of its cores reads with."""
+
+    run: Callable[..., int]
+    take: Callable[..., None]
 
 
 def load() -> Optional[Kernel]:
-    """Build (or find) and dlopen the kernel; ``None`` if either fails.
+    """Build (or find) and dlopen the kernel; ``None`` if either fails —
+    or if numpy's ``libnpyrandom.a``, which it links, is not there.
 
     Unchecked: :func:`repro.emulator.engine.compiled_kernel` self-tests
-    it against the scalar form before any core runs on it.
+    it against the scalar form and numpy's generators before any core
+    runs on it.
     """
-    so_path = clib.build("slots", _C_SOURCE, ["-O2", "-ffp-contract=off"])
-    signature = ([ctypes.c_void_p, ctypes.c_int64], ctypes.c_int)
-    lib = None if so_path is None else clib.load(so_path, {"slots_run": signature})
-    return None if lib is None else lib.slots_run
+    so_path = clib.build(
+        "slots", _C_SOURCE, ["-O2", "-ffp-contract=off"], [str(NPYRANDOM), "-lm"]
+    )
+    pointer, int64 = ctypes.c_void_p, ctypes.c_int64
+    signatures = {
+        "slots_run": ([pointer, int64], ctypes.c_int),
+        "bank_take": ([pointer, int64, pointer, pointer, pointer], None),
+    }
+    lib = None if so_path is None else clib.load(so_path, signatures)
+    return None if lib is None else Kernel(lib.slots_run, lib.bank_take)

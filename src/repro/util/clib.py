@@ -6,9 +6,12 @@ pseudo-broadcast greedy (:mod:`repro.optimization.native`) and the
 emulator's slot loop (:mod:`repro.emulator.native`) — embeds its C
 source and comes through here.  :func:`build` compiles a source with ``$CC`` (default
 ``cc``; a command with arguments, ``cc -std=gnu11``, is split as a
-shell would) into ``$XDG_CACHE_HOME/repro-omnc/<stem>_<digest>.so``, where the
-digest hashes source, compiler and flags, so an edit or another compiler
-rebuilds instead of loading a stale object.  :func:`load` opens it and
+shell would), linked against what follows it on the command line (the
+slot loop links numpy's ``libnpyrandom.a``), into
+``$XDG_CACHE_HOME/repro-omnc/<stem>_<digest>.so``, where the digest hashes
+source, compiler, flags, link inputs and the bytes of every link input
+that is a file, so an edit, another compiler or another numpy rebuilds
+instead of loading a stale object.  :func:`load` opens it and
 declares every signature before any call (ctypes otherwise truncates
 64-bit pointers to ``int``).  Neither raises: no compiler, a failed
 compile or a failed dlopen is ``None``, and the caller keeps its
@@ -35,14 +38,24 @@ def cache_dir() -> Path:
     return Path(base) / "repro-omnc"
 
 
-def build(stem: str, source: str, flags: Sequence[str]) -> Optional[Path]:
-    """Compile ``source`` with ``flags`` into a cached shared object.
+def build(
+    stem: str, source: str, flags: Sequence[str], link: Sequence[str] = ()
+) -> Optional[Path]:
+    """Compile ``source`` with ``flags`` into a cached shared object,
+    linking ``link`` (archives, ``-l`` options) after the source file.
 
     Returns its path (a cache hit compiles nothing), or ``None`` when no
-    working C compiler is available.
+    working C compiler is available or a link input is missing.
     """
     cc = os.environ.get("CC") or "cc"
-    digest = hashlib.sha256(("\x00".join([source, cc, *flags])).encode()).hexdigest()[:16]
+    hasher = hashlib.sha256("\x00".join([source, cc, *flags, *link]).encode())
+    try:
+        for item in link:
+            if not item.startswith("-"):
+                hasher.update(Path(item).read_bytes())
+    except OSError:
+        return None
+    digest = hasher.hexdigest()[:16]
     cache = cache_dir()
     so_path = cache / f"{stem}_{digest}.so"
     if so_path.exists():
@@ -57,7 +70,9 @@ def build(stem: str, source: str, flags: Sequence[str]) -> Optional[Path]:
             c_path = Path(workdir) / f"{stem}.c"
             c_path.write_text(source)
             tmp_so = Path(workdir) / f"{stem}.so"
-            command = [*shlex.split(cc), *flags, "-shared", "-fPIC", str(c_path), "-o", str(tmp_so)]
+            command = [
+                *shlex.split(cc), *flags, "-shared", "-fPIC", str(c_path), *link, "-o", str(tmp_so)
+            ]
             result = subprocess.run(command, capture_output=True, timeout=120)
             if result.returncode != 0:
                 return None

@@ -13,14 +13,15 @@ The emulator's own draws come from :class:`NodeStreams`, one generator
 per ``(kind, node)``, through pre-drawn blocks of 64 values that hand
 every node exactly the sequence its one-call-at-a-time draws would give:
 :class:`DrawBuffers` (Python lists, one ``list.pop()`` per value) for a
-core that draws node by node, :class:`StreamBank` (one array, one
-gather per slot) for the compiled slot loop, which draws array-at-a-time.
+core that draws node by node.  The compiled slot loop draws the same
+streams in C (:class:`repro.emulator.native.StreamBank`), and these
+generators are the reference its load-time self-test checks it against.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 import numpy as np
 
@@ -147,124 +148,11 @@ class NodeStreams(Dict[int, np.random.Generator]):
         return stream
 
 
-class StreamBank:
-    """Pre-drawn blocks of per-node streams, for array-at-a-time draws.
-
-    One row of :attr:`BLOCK` values per node, filled from that node's
-    own :class:`NodeStreams` generator by the call its scalar consumer
-    makes — ``standard_exponential`` for "mac", ``random`` for "channel"
-    — and one cursor per row.  Both fills produce, for any ``n``, the
-    values of ``n`` scalar calls (equivalently: of calls of any sizes
-    summing to ``n``, zero included), so a node consumes exactly the
-    sequence it would have drawn one call at a time, whatever else is
-    taken in the same :meth:`take` and wherever refills fall.
-
-    The rows hold values the generators have already produced: once a
-    node's stream is banked, every later draw of that node must come
-    through the bank.
-    """
-
-    #: Values drawn per refill.  Large enough that the Python-level
-    #: refill is a small share of the draws, small enough that a row a
-    #: node barely uses costs half a kilobyte.
-    BLOCK = 64
-
-    _FILLS = {
-        "mac": np.random.Generator.standard_exponential,
-        "channel": np.random.Generator.random,
-    }
-
-    def __init__(self, streams: NodeStreams) -> None:
-        try:
-            self._fill = self._FILLS[streams.kind]
-        except KeyError:
-            known = ", ".join(self._FILLS)
-            raise ValueError(
-                f"stream kind {streams.kind!r} cannot be banked (known: {known})"
-            ) from None
-        self._streams = streams
-        self._block = self.BLOCK
-        self._nodes: list[int] = []
-        self._row_of: dict[int, int] = {}
-        self._values = np.empty((0, self._block))
-        # A row is empty when its cursor stands at the block's end,
-        # which is how every row starts: generators are derived, and
-        # rows filled, only for nodes that actually draw.
-        self._cursor = np.empty(0, dtype=np.intp)
-
-    def rows_for(self, nodes: Sequence[int]) -> np.ndarray:
-        """The bank rows of ``nodes``, in order; unseen nodes get new rows."""
-        row_of = self._row_of
-        fresh = [node for node in nodes if node not in row_of]
-        if fresh:
-            for node in fresh:
-                row_of[node] = len(self._nodes)
-                self._nodes.append(node)
-            values = np.empty((len(self._nodes), self._block))
-            values[: len(self._values)] = self._values
-            self._values = values
-            self._cursor = np.concatenate(
-                [self._cursor, np.full(len(fresh), self._block, dtype=np.intp)]
-            )
-        return np.fromiter((row_of[node] for node in nodes), dtype=np.intp, count=len(nodes))
-
-    def _refill(self, row: int) -> None:
-        """Move ``row``'s unconsumed tail to the front, draw the rest."""
-        values = self._values[row]
-        tail = self._block - int(self._cursor[row])
-        if tail:
-            values[:tail] = values[self._block - tail :]
-        self._fill(self._streams[self._nodes[row]], out=values[tail:])
-        self._cursor[row] = 0
-
-    def take(self, rows: np.ndarray, counts: np.ndarray | None = None) -> np.ndarray:
-        """The next ``counts[i]`` values of row ``rows[i]``, concatenated
-        (one value per row without ``counts``).
-
-        ``rows`` must be distinct.  A zero count consumes nothing.
-        """
-        if not len(rows):
-            return np.empty(0)
-        block = self._block
-        step = 1 if counts is None else counts
-        start = self._cursor[rows]
-        short = np.flatnonzero(start + step > block).tolist()
-        if short:
-            if counts is not None and any(counts[index] > block for index in short):
-                return self._take_unbanked(rows, counts)
-            for index in short:
-                self._refill(int(rows[index]))
-            start[short] = 0
-        self._cursor[rows] = start + step
-        if counts is None:
-            return self._values[rows, start]
-        # Flat index of every value wanted: its row's first, plus its
-        # offset within its own run.
-        first = rows * block + start - (np.cumsum(counts) - counts)
-        wanted = np.repeat(first, counts)
-        wanted += np.arange(len(wanted))
-        return self._values.reshape(-1)[wanted]
-
-    def _take_unbanked(self, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """:meth:`take` when some count exceeds a whole block: row by
-        row, what the row still holds and then straight from the
-        generator, which leaves the row empty."""
-        pieces = []
-        for row, need in zip(rows.tolist(), counts.tolist()):
-            start = int(self._cursor[row])
-            held = self._values[row, start : start + need]
-            self._cursor[row] = start + len(held)
-            pieces.append(held)
-            if len(held) < need:
-                generator = self._streams[self._nodes[row]]
-                pieces.append(self._fill(generator, size=need - len(held)))
-        return np.concatenate(pieces)
-
-
 class DrawBuffers(Dict[int, List[float]]):
     """Pre-drawn blocks of per-node streams, for draws one node at a time.
 
-    The scalar twin of :class:`StreamBank`: ``node -> list`` of the next
+    The scalar twin of the compiled loop's bank
+    (:class:`repro.emulator.native.StreamBank`): ``node -> list`` of the next
     values of that node's own :class:`NodeStreams` generator, *next value
     last*, so a single draw is ``list.pop()`` (the slot loop's lottery
     key, a unicast attempt's uniform) and a run of ``k`` is one slice
@@ -283,8 +171,10 @@ class DrawBuffers(Dict[int, List[float]]):
     come through the buffers.
     """
 
-    #: Values drawn per refill: the bank's block, one constant.
-    BLOCK = StreamBank.BLOCK
+    #: Values drawn per refill, here and in the compiled loop's bank.
+    #: Large enough that a refill is a small share of the draws, small
+    #: enough that a row a node barely uses costs half a kilobyte.
+    BLOCK = 64
 
     _FILLS = {
         "mac": lambda generator, size: generator.standard_exponential(size=size),

@@ -39,9 +39,10 @@ def core_form(form):
 
     def counted(*arguments):
         calls.append(arguments[1])
-        return kernel(*arguments)
+        return kernel.run(*arguments)
 
-    with mock.patch.object(engine, "compiled_kernel", return_value=kernel and counted):
+    forced = kernel and kernel._replace(run=counted)
+    with mock.patch.object(engine, "compiled_kernel", return_value=forced):
         yield
     assert form == "scalar" or calls, f"core form {form}: the kernel was never called"
 

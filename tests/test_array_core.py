@@ -1,7 +1,7 @@
 """The two forms' pre-drawn blocks, and refreshes that keep them.
 
 A compiled core draws its lottery keys and loss vectors array-at-a-time
-from a :class:`~repro.util.rng.StreamBank`, a scalar core one node at a
+from a :class:`~repro.emulator.native.StreamBank`, a scalar core one node at a
 time from :class:`~repro.util.rng.DrawBuffers` (DESIGN.md §13.1).  Both
 must hand every node the sequence its scalar calls would have drawn, and
 a re-plan or a new link table must rebuild a core's structures without
@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.emulator.engine import CoreInit, EngineCore
+from repro.emulator.native import StreamBank
 from repro.emulator.node import (
     FlowDestinationRuntime,
     FlowRelayRuntime,
@@ -39,7 +40,7 @@ from repro.emulator.shard import ShardedSession, _DecodeLog, session_digest, tra
 from repro.emulator.trace import SessionTracer
 from repro.protocols.etx_routing import plan_etx_route
 from repro.routing.node_selection import ForwarderSet
-from repro.util.rng import DrawBuffers, NodeStreams, RngFactory, StreamBank
+from repro.util.rng import DrawBuffers, NodeStreams, RngFactory
 from tests.meshes import lossy_meshes
 from tests.pins import core_form
 from tests.test_active_set import (
@@ -56,6 +57,12 @@ from tests.test_compiled_slots import KERNEL, census, needs_kernel
 NODES = (7, 3, 9)
 
 
+def _bank(kind, seed=5):
+    """A bank of ``kind`` streams on the kernel's draws."""
+    return StreamBank(KERNEL.take, RngFactory(seed), kind)
+
+
+@needs_kernel
 class TestStreamBank:
     """Any interleaving of takes is the scalar calls' sequence."""
 
@@ -75,7 +82,7 @@ class TestStreamBank:
     @settings(deadline=None, max_examples=150)
     def test_takes_equal_the_scalar_sequences(self, block, kind, takes, one_each):
         with mock.patch.object(StreamBank, "BLOCK", block):
-            bank = StreamBank(NodeStreams(RngFactory(5), kind))
+            bank = _bank(kind)
         row_of = dict(zip(NODES, bank.rows_for(NODES).tolist()))
         scalar = NodeStreams(RngFactory(5), kind)
         for take in takes:
@@ -95,7 +102,7 @@ class TestStreamBank:
             assert values.tolist() == expected
 
     def test_rows_are_kept_when_more_nodes_are_asked_for(self):
-        bank = StreamBank(NodeStreams(RngFactory(5), "mac"))
+        bank = _bank("mac")
         first = bank.rows_for([4, 2])
         drawn = bank.take(first)
         again = bank.rows_for([2, 8, 4])
@@ -105,9 +112,18 @@ class TestStreamBank:
         # Node 4's cursor and block survived the growth.
         assert bank.take(again[2:]).tolist() == [scalar[4].standard_exponential()]
 
+    def test_a_node_named_twice_gets_one_row(self):
+        # Two rows of one node would each replay its stream from the seed.
+        bank = _bank("mac")
+        rows = bank.rows_for([3, 3])
+        assert rows.tolist() == [0, 0] and bank.rows_for([5, 3, 5]).tolist() == [1, 0, 1]
+        assert bank._nodes.tolist() == [3, 5] and len(bank._values) == len(bank._cursor) == 2
+        scalar = NodeStreams(RngFactory(5), "mac")
+        assert bank.take(np.array([0, 0])).tolist() == scalar[3].standard_exponential(2).tolist()
+
     def test_capture_streams_cannot_be_banked(self):
         with pytest.raises(ValueError, match="cannot be banked"):
-            StreamBank(NodeStreams(RngFactory(5), "capture"))
+            _bank("capture")
 
 
 def _scalar_run(generator, kind, count):
@@ -365,17 +381,20 @@ class TestRefresh:
     @staticmethod
     def _banks(core):
         return [
-            (bank, bank._values, bank._values.copy(), bank._cursor.copy())
+            (bank, bank._values, bank._values.copy(), bank._cursor.copy(), bank._state.copy())
             for bank in (core._mac_bank, core._loss_bank)
         ]
 
     def _assert_banks_untouched(self, core, before):
-        for (bank, values, content, cursor), now in zip(before, (core._mac_bank, core._loss_bank)):
+        for (bank, values, content, cursor, state), now in zip(
+            before, (core._mac_bank, core._loss_bank)
+        ):
             assert now is bank and bank._values is values
             # Bit for bit: rows no node has drawn into yet hold whatever
             # ``np.empty`` left there, NaN patterns included.
             assert values.tobytes() == content.tobytes()
             assert np.array_equal(bank._cursor, cursor)
+            assert np.array_equal(bank._state, state)
 
     @staticmethod
     def _buffers(core):

@@ -18,6 +18,7 @@ fails in seconds, with an example that may be less than minimal.
 import ctypes
 import functools
 import logging
+import math
 import random
 from collections import Counter
 from contextlib import contextmanager
@@ -40,6 +41,7 @@ from repro.emulator.engine import (
     _next_draws,
     compiled_kernel,
 )
+from repro.emulator.native import StreamBank
 from repro.emulator.node import (
     FlowDestinationRuntime,
     FlowRelayRuntime,
@@ -60,7 +62,7 @@ from repro.protocols.etx_routing import plan_etx_route
 from repro.protocols.more import plan_more
 from repro.routing.node_selection import NodeSelectionError
 from repro.topology.graph import WirelessNetwork
-from repro.util.rng import DrawBuffers, RngFactory, StreamBank
+from repro.util.rng import DrawBuffers, RngFactory
 from tests.dormancy import parked_contract_monitor
 from tests.meshes import lossy_meshes
 from tests.pins import PINS, bench_smoke, core_form
@@ -141,13 +143,21 @@ def recipes(draw):
     }
 
 
-def _tied_exponential(generator, out=None, size=None):
-    """Exponential draws floored to halves: lottery keys that tie, which
-    real draws never do, so the (key, position) order is exercised."""
-    values = np.random.Generator.standard_exponential(generator, out=out, size=size)
-    np.floor(values * 2.0, out=values)
-    values *= 0.5
-    return values
+def _tie_first_blocks(core, nodes, block):
+    """Floor the first block of each of ``nodes``' lottery keys to halves,
+    in the buffers or the bank the core draws them from: keys that tie,
+    which real draws never do, so the (key, position) order is exercised.
+    Both forms hold the same block, and draw the real stream after it."""
+    if core._kernel is None:
+        for node in nodes:
+            keys = core._mac_draws.refill(node, block)
+            keys[:] = [math.floor(key * 2.0) * 0.5 for key in keys]
+        return
+    bank = core._mac_bank
+    rows = bank.rows_for(nodes)
+    keys = bank.take(rows, np.full(len(rows), block)).reshape(len(rows), block)
+    bank._values[rows] = np.floor(keys * 2.0) * 0.5
+    bank._cursor[rows] = 0
 
 
 def _build(recipe, kernel):
@@ -174,16 +184,14 @@ def _build(recipe, kernel):
         network, runtimes, tuple(range(network.node_count)), PACKET_BYTES / network.capacity,
         recipe["interference"], recipe["seed"], has_unicast=False, decode_log=log,
     )
-    tied = recipe["ties"]
     with (
         mock.patch.object(StreamBank, "BLOCK", recipe["block"]),
         mock.patch.object(DrawBuffers, "BLOCK", recipe["block"]),
-        mock.patch.dict(StreamBank._FILLS, {"mac": _tied_exponential} if tied else {}),
-        mock.patch.dict(DrawBuffers._FILLS, {
-            "mac": lambda generator, size: _tied_exponential(generator, size=size),
-        } if tied else {}),
     ):
-        return _forced(kernel)(init)
+        core = _forced(kernel)(init)
+    if recipe["ties"]:
+        _tie_first_blocks(core, recipe["hosted"], recipe["block"])
+    return core
 
 
 def _fields(core):
@@ -234,11 +242,12 @@ def run_epochs(recipe, schedule, kernel):
     exits = Counter()
     counted = None
     if kernel is not None:
-        def counted(core, budget):
-            status = kernel(core, budget)
+        def run(core, budget):
+            status = kernel.run(core, budget)
             exits[core._obj.phase, status] += 1
             return status
 
+        counted = kernel._replace(run=run)
     core = _build(recipe, counted)
     trail = []
     generation = max(terms[2] for terms in recipe["runtimes"].values())
@@ -384,12 +393,12 @@ def test_a_sink_delivery_shares_a_slot_with_an_object_path_arrival():
     shared = []
 
     def spy(core, budget):
-        status = KERNEL(core, budget)
+        status = KERNEL.run(core, budget)
         shared.append(status == native.FALLBACK and core._obj.sunk > 0)
         return status
 
     reference = run_unicast_epochs(recipe, None)
-    assert run_unicast_epochs(recipe, spy)[:4] == reference[:4]
+    assert run_unicast_epochs(recipe, KERNEL._replace(run=spy))[:4] == reference[:4]
     assert any(shared)
     assert "decoded" in reference[0][0] and "delivered" in reference[0][0]
 
@@ -414,7 +423,7 @@ def run_unicast_epochs(recipe, kernel):
 
     def counted(core, budget):
         calls.append(budget)
-        return kernel(core, budget)
+        return kernel.run(core, budget)
 
     log = _DecodeLog()
     runtimes = {
@@ -442,7 +451,7 @@ def run_unicast_epochs(recipe, kernel):
         mock.patch.object(StreamBank, "BLOCK", recipe["block"]),
         mock.patch.object(DrawBuffers, "BLOCK", recipe["block"]),
     ):
-        core = _forced(counted if kernel is not None else None)(init)
+        core = _forced(kernel and kernel._replace(run=counted))(init)
         trail = []
         for budget, action, node, hop, seed, named in recipe["epochs"]:
             if action == "route":
@@ -496,15 +505,15 @@ def _line_recipe(hosted, block):
 
 @needs_kernel
 @pytest.mark.parametrize("block", [1, 2, 32])
-def test_every_exit_is_exact(block, monkeypatch):
+def test_every_exit_is_exact(block):
     wide = []
-    unbanked = StreamBank._take_unbanked
 
-    def spy(bank, rows, counts):
-        wide.append(len(rows))
-        return unbanked(bank, rows, counts)
+    def spy(core, budget):  # loss takes the kernel served past a whole block
+        status = KERNEL.run(core, budget)
+        wide.append(native.Bank.from_address(core._obj.loss).unbanked)
+        return status
 
-    monkeypatch.setattr(StreamBank, "_take_unbanked", spy)
+    kernel = KERNEL._replace(run=spy)
     schedule = [
         (1, None, True, False), (150, None, False, False), (1, None, False, True),
         (200, "advance", True, False), (300, "coding", False, False),
@@ -513,7 +522,7 @@ def test_every_exit_is_exact(block, monkeypatch):
     for hosted in (tuple(range(12)), tuple(range(7))):
         recipe = _line_recipe(hosted, block)
         reference = run_epochs(recipe, schedule, None)
-        compiled = run_epochs(recipe, schedule, KERNEL)
+        compiled = run_epochs(recipe, schedule, kernel)
         _epochs_agree(reference, compiled)
         exits = compiled[4]
         assert exits[native.EPOCH, native.FALLBACK] and exits[native.EPOCH, native.BUDGET]
@@ -522,7 +531,7 @@ def test_every_exit_is_exact(block, monkeypatch):
         assert exits[native.RESOLVE, native.BUDGET]
         assert bool(exits[native.FIRE, native.FALLBACK]) == (len(hosted) < 12)
     if block == 1:  # a line node has two receivers: a run of two is wider
-        assert wide  # than a block, and served whole
+        assert any(wide)  # than a block, and served whole
     # Silent relays and a destination park at the first check: asleep.
     silent = {"rate": 0.0, "limit": 5}
     recipe = {
@@ -588,12 +597,16 @@ def _line_digest():
         return session._core._kernel is not None, stats_digest(session.finalize_stats())
 
 
-@pytest.mark.parametrize("fault", ["no compiler", "failed self-test"])
-def test_without_the_kernel_cores_keep_todays_form(fault, fresh_kernel, monkeypatch, caplog):
+@pytest.mark.parametrize("fault", ["no compiler", "failed self-test", "no numpy archive"])
+def test_without_the_kernel_cores_keep_todays_form(
+    fault, fresh_kernel, monkeypatch, caplog, tmp_path
+):
     with core_form("scalar"):
         _forms, expected = _line_digest()
     if fault == "no compiler":
         monkeypatch.setenv("CC", "/nonexistent")
+    elif fault == "no numpy archive":
+        monkeypatch.setattr(native, "NPYRANDOM", tmp_path / "libnpyrandom.a")
     else:
         monkeypatch.setattr(engine, "_self_test", lambda run: False)
     with caplog.at_level(logging.WARNING, logger=engine.__name__):
@@ -602,25 +615,25 @@ def test_without_the_kernel_cores_keep_todays_form(fault, fresh_kernel, monkeypa
         assert _line_digest() == (False, expected)
     (record,) = [r for r in caplog.records if r.name == engine.__name__]
     assert "compiled slot loop is unavailable here" in record.getMessage()
-    if fault == "no compiler":
+    if fault != "failed self-test":
         assert native.load() is None
 
 
 @needs_kernel
 def test_the_self_test_refuses_a_wrong_kernel():
     def miscounts(core, budget):  # one slot too many of row 0's queue
-        status = KERNEL(core, budget)
+        status = KERNEL.run(core, budget)
         ctypes.cast(core._obj.queue_time, ctypes.POINTER(ctypes.c_double))[0] += 1.0
         return status
 
     def loses_a_delivery(core, budget):  # an ETX sink's last delivery event
-        status = KERNEL(core, budget)
+        status = KERNEL.run(core, budget)
         core._obj.sunk = max(core._obj.sunk - 1, 0)
         return status
 
     assert engine._self_test(KERNEL)
-    assert not engine._self_test(miscounts)
-    assert not engine._self_test(loses_a_delivery)
+    assert not engine._self_test(KERNEL._replace(run=miscounts))
+    assert not engine._self_test(KERNEL._replace(run=loses_a_delivery))
 
 
 @contextmanager

@@ -187,7 +187,7 @@ class TestMultiSessionProperties:
         # A draw that falsifies the property above: one perfect link out
         # of session 0's source, every other link at the 0.3 floor.  The
         # recovered claims total 0.672 against a solo envelope of 0.600.
-        # Pinned as found, not as wanted — ROADMAP 5(b) asks whether this
+        # Pinned as found, not as wanted — ROADMAP 2(c) asks whether this
         # is subgradient overshoot the tolerance should model or a
         # primal-recovery defect in MultiSessionRateControl; whichever
         # PR settles that moves this literal on purpose.
