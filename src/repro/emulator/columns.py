@@ -20,10 +20,11 @@ object: the core stores the row into it, calls the existing method and
 loads the row back (:meth:`through_objects`; ``install_plan`` and
 ``finalize`` only store).  That is every control call (``apply_events``,
 ``apply_plan``, ``install_plan``, ``finalize``), an arrival from another
-core, and the two rare branches of a reception — a relay hearing a newer
-generation, a destination completing one — which the kernel leaves
-untouched and hands back.  Only :meth:`store` builds packet objects, and
-only :meth:`load` reads a runtime's settings.
+core, the one rare branch of a reception — a relay hearing a newer
+generation — which the kernel leaves untouched and hands back, and an
+ACK while a row holds a deferred coding decision (``pending``); a
+decode and its ACK otherwise stay rows.  Only :meth:`store` builds
+packet objects, and only :meth:`load` reads a runtime's settings.
 
 **The queue is per-level counts.**  Everything a flow runtime queues carries
 the current generation (a new one empties the queue), and within a
@@ -72,10 +73,13 @@ _SENDER_STATE = (
     ("sent", "packets_sent"),
     ("dropped", "packets_dropped"),
 )
+#: A coded role's generation (a unicast row has none).
+_GENERATION = (("generation", "_generation_id"),)
 _STATE = (
     (),
-    _SENDER_STATE,
-    _SENDER_STATE
+    _GENERATION + _SENDER_STATE,
+    _GENERATION
+    + _SENDER_STATE
     + (
         ("demand", "_demand_ewma"),
         ("enqueued", "_enqueued_this_slot"),
@@ -83,21 +87,22 @@ _STATE = (
         ("heard", "packets_heard"),
         ("accepted", "packets_accepted"),
     ),
-    (
+    _GENERATION
+    + (
         ("information", "information"),
         ("heard", "packets_heard"),
         ("accepted", "innovative_received"),
+        ("decoded", "generations_decoded"),
+        ("decoded_blocks", "blocks_decoded"),
     ),
     _SENDER_STATE + (("accepted", "packets_delivered"), ("next_seq", "_next_seq")),
 )
-#: A coded role's generation and its size (a unicast row has neither).
-_GENERATION = (("generation", "_generation_id"), ("blocks", "_blocks"))
 #: What only the control plane changes, per role: read by :meth:`Columns.load`.
 _SETTINGS = (
     (),
-    (("limit", "_queue_limit"),),
-    (("limit", "_queue_limit"), ("tx_credit", "_tx_credit")),
-    (),
+    (("blocks", "_blocks"), ("limit", "_queue_limit")),
+    (("blocks", "_blocks"), ("limit", "_queue_limit"), ("tx_credit", "_tx_credit")),
+    (("blocks", "_blocks"),),
     (("limit", "_queue_limit"),),
 )
 
@@ -140,6 +145,11 @@ class Columns:
         #: A relay's accepted packets, a destination's innovative ones, a
         #: unicast sink's delivered ones.
         self.accepted = np.zeros(count, dtype=np.int64)
+        #: A destination's decoded generations, and their blocks.
+        self.decoded = np.zeros(count, dtype=np.int64)
+        self.decoded_blocks = np.zeros(count, dtype=np.int64)
+        #: A coded row holds a deferred coding decision (its ACK is the object's).
+        self.pending = np.zeros(count, dtype=bool)
         # Unicast rows (the ETX FIFO): ``increment`` holds their lottery
         # weight, ``demand_hint * dt / packet_bytes``; ``arrival`` their
         # offered load, ``rate * dt / packet_bytes``, earned only while
@@ -179,17 +189,15 @@ class Columns:
                 continue
             runtimes = [self._runtimes[p] for p in rows]
             self.role[rows] = role
-            for column, attribute in (
-                *(() if role == UNICAST else _GENERATION),
-                ("session", "session_id"),
-                *_STATE[role],
-                *_SETTINGS[role],
-            ):
+            for column, attribute in (("session", "session_id"), *_STATE[role], *_SETTINGS[role]):
                 getattr(self, column)[rows] = [getattr(r, attribute) for r in runtimes]
-            if role == DESTINATION:
-                continue
             if role == UNICAST:
                 self._load_unicast(rows, runtimes)
+                continue
+            self.pending[rows] = [
+                r._pending_coding is not None for r in runtimes  # type: ignore[attr-defined]
+            ]
+            if role == DESTINATION:
                 continue
             self.increment[rows] = [r._rate * dt / r._packet_bytes for r in runtimes]
             self._widen(int(self.blocks[rows].max()) + 1)
@@ -356,15 +364,20 @@ class Columns:
             self.hop_p[row] = network.probability(nodes[row], hop) if hop >= 0 else 0.0
 
     def _align_upstream(self) -> None:
+        # A cell is marked where its receiver is a credit row whose upstream
+        # set holds the cell's transmitter: sorted (transmitter, receiver
+        # row) pairs, one integer each, looked up for every cell at once.
         assert self._layout is not None
         receivers, nodes, position_of = self._layout
+        count = len(nodes)
+        pairs = [s * count + r for r in self._credit_rows.tolist() for s in self.upstream[r]]
         self._upstream = np.zeros(receivers.shape, dtype=bool)
-        for position in self._credit_rows.tolist():
-            node = nodes[position]
-            for sender in sorted(self.upstream[position]):
-                row = int(position_of[sender])
-                if row >= 0:
-                    self._upstream[row] |= receivers[row] == node
+        if pairs:
+            keys = np.sort(pairs)
+            at = position_of[receivers]  # the receiver's row, -1 where none
+            cells = np.asarray(nodes)[:, None] * count + at
+            found = keys[np.searchsorted(keys, cells).clip(max=len(keys) - 1)]
+            self._upstream = (at >= 0) & (found == cells)
 
     # -- awake flags --------------------------------------------------------
 

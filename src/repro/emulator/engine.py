@@ -40,6 +40,7 @@ import functools
 import logging
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import itemgetter
 from typing import (
     Any, ContextManager, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set,
@@ -89,8 +90,11 @@ Event = Tuple[Any, ...]
 #: One executed slot, for the session to replay: the granted tuple (its
 #: length when nobody asked for names), the contender count, the events.
 Record = Tuple[Any, int, List[Event]]
-#: An epoch's terms: (slot budget, queued control signals, name the granted?).
-Epoch = Tuple[int, Optional[Sequence[Sequence[Any]]], bool]
+#: The events of every compiled slot in which nothing happened (never changed).
+_QUIET: List[Event] = []
+#: An epoch's terms: (slot budget, queued control signals, name the granted?,
+#: decodes after which to return — None: no limit).
+Epoch = Tuple[int, Optional[Sequence[Sequence[Any]]], bool, Optional[int]]
 #: A core's entry in a slot's lottery: (awake count, keys, participant positions).
 Contention = Tuple[int, List[float], List[int]]
 #: A re-plan, for one core: the settings of the nodes it hosts, every
@@ -162,7 +166,6 @@ class _DecodeLog:
         self.acks: List[Tuple[Any, float]] = []
         #: unicast packets that reached their sink
         self.delivered = 0
-        self._seen = 0
 
     def __call__(self, generation_id: int, session_id: int | None = None) -> None:
         decoded = generation_id if session_id is None else (session_id, generation_id)
@@ -171,15 +174,6 @@ class _DecodeLog:
     def deliver(self, sequence: int) -> None:
         """A unicast sink's ``on_delivered``."""
         self.events.append(("delivered", sequence))
-
-    def unseen(self) -> List[Any]:
-        """The decode events acknowledged since the last call — a
-        driver's cue to signal the next generation."""
-        if self._seen == len(self.acks):  # the every-slot answer
-            return []
-        fresh = [event for event, _time in self.acks[self._seen :]]
-        self._seen = len(self.acks)
-        return fresh
 
     def drain(self) -> List[Tuple[str, Any]]:
         """The destination-side events since the last drain."""
@@ -212,6 +206,19 @@ class CoreInit:
     decode_log: _DecodeLog = field(default_factory=_DecodeLog)
 
 
+def acknowledgements(events: Iterable[Event]) -> List[Tuple[Any, ...]]:
+    """The ACKs of the decodes among one slot's ``events`` (those the
+    recorder heard), in order, as control events: generation ``g``
+    decoded moves every runtime on to ``g + 1`` (the paper's uncoded ACK,
+    modelled as fast and reliable) — a decode bound to a session, that
+    session's sub-runtimes only."""
+    return [
+        ("advance_session_generation", event[3][0], event[3][1] + 1)
+        if isinstance(event[3], tuple) else ("advance_generation", event[3] + 1)
+        for event in events if event[2] == "decoded"
+    ]
+
+
 class EngineCore:
     """One process's share of every slot: tick, fire, resolve, settle,
     sample — and the grant too, while every contender is its own.
@@ -242,9 +249,11 @@ class EngineCore:
     stretch of slots, and :meth:`begin_slot`, :meth:`fire` and
     :meth:`fire_resolve` are one call each — the scalar form's arithmetic
     in its order.  What the kernel hands back (a relay hearing a newer
-    generation, a destination completing one, an arrival from another
-    core) goes through the runtime objects.  The form is picked once, at
-    construction.
+    generation, an arrival from another core, an ACK while a row holds a
+    deferred coding decision) goes through the runtime objects.  The form
+    is picked once, at construction.  In either form a slot that decoded
+    ends with its ACKs applied (:func:`acknowledgements`), in the kernel
+    where it can, and the epoch goes on.
     """
 
     def __init__(self, init: CoreInit) -> None:
@@ -441,11 +450,10 @@ class EngineCore:
         self._conflict_ptr[1:] = np.cumsum([len(blocked) for blocked in conflicts])
         self._conflict = np.array([p for blocked in conflicts for p in blocked], dtype=np.int64)
         # ``[granted, contenders]`` per slot, grown to the largest budget,
-        # and ``(slot, rank, position, sequence)`` per unicast delivery to
-        # a sink: at most one a slot per unicast row, and (as a rule) one
-        # sink.
+        # and ``(slot, rank, place, position, value)`` per delivery to a
+        # sink or decode: at most one a slot per row, as a rule far fewer.
         self._slot_out = np.zeros((2, 0), dtype=np.int64)
-        self._sink_out = np.zeros((0, 4), dtype=np.int64)
+        self._sink_out = np.zeros((count, 5), dtype=np.int64)
         self._granted_ids = np.zeros(4 * max(count, 1), dtype=np.int64)
         self._contender_out = np.zeros(count + 1, dtype=np.int64)
         self._key_out = np.zeros(count + 1)
@@ -459,6 +467,7 @@ class EngineCore:
         core.blanking, core.cut = self._blanking, bool(self._cut)
         core.park_interval = AwakeSet.PARK_INTERVAL
         core.id_capacity = len(self._granted_ids)
+        core.sink_capacity = count
         core.floor = IdealMacScheduler.WEIGHT_FLOOR
         core.smoothing = FlowRelayRuntime._DEMAND_SMOOTHING
         arrays = [
@@ -479,6 +488,7 @@ class EngineCore:
             ("key_out", self._key_out, np.float64, (count + 1,)),
             ("fallback_out", self._fallback_out, np.int64, (pad + 1, 7)),
             ("grant_in", self._grant_in, np.int64, (pad + 1,)),
+            ("sink_out", self._sink_out, np.int64, (count, 5)),
         ]
         if self._blanking:
             core.cov_width = self._cov.shape[1]
@@ -539,8 +549,9 @@ class EngineCore:
 
         Each is ``(runtime method, *arguments)`` — a generation advance,
         a per-session advance, a session arrival or departure — queued
-        by the session since the last call reached this core.  Column
-        rows take them through their objects.
+        by the session since the last call reached this core, or an ACK
+        (:func:`acknowledgements`).  Column rows take them through their
+        objects.
         """
         self._wake_everyone()
         with self._through_objects(range(len(self._owned))):
@@ -599,22 +610,22 @@ class EngineCore:
         global one.  Runs up to ``budget`` slots and stops *before*
         granting one in which a hosted node on the cut contends — what
         it fires may be heard on another core — handing back that slot's
-        :meth:`begin_slot` reply for the caller to finish; *after* one
-        that decoded a generation, whose ACK the driver has to signal
-        before the next tick; and when nothing is left awake.  Returns
+        :meth:`begin_slot` reply for the caller to finish; *after* the
+        one that brings its decodes to ``decodes``, where the caller's
+        stop test can come true; and when nothing is left awake.  Returns
         the awake count, a record per slot run and the unfinished slot.
         """
-        budget, events, named = epoch
+        budget, events, named, decodes = epoch
         if events:
             self.apply_events(events)
         records: List[Record] = []
         self._epoch = records
         if self._kernel is not None:
-            unfinished = self._run_compiled(budget, named, records)
+            unfinished = self._run_compiled(budget, named, decodes, records)
             return self._awake_count(), records, unfinished
         grant = self._scheduler.grant_from_keyed
         cut = self._cut
-        while budget > 0:
+        while budget > 0 and (decodes is None or decodes > 0):
             keys, contenders = self._contend()
             if cut and not cut.isdisjoint(contenders):
                 return self._awake_count(), records, self._contention(keys, contenders)
@@ -624,7 +635,9 @@ class EngineCore:
             awake, happened = self.fire_resolve(granted)
             records.append((granted if named else len(granted), len(keys), happened))
             budget -= 1
-            if not awake or (happened and any(event[2] == "decoded" for event in happened)):
+            if decodes is not None and happened:
+                decodes -= sum(event[2] == "decoded" for event in happened)
+            if not awake:
                 break
         return self._awake_count(), records, None
 
@@ -649,23 +662,25 @@ class EngineCore:
         return status
 
     def _run_compiled(
-        self, budget: int, named: bool, records: List[Record]
+        self, budget: int, named: bool, decodes: Optional[int], records: List[Record]
     ) -> Optional[Contention]:
         """:meth:`run_slots` on the compiled loop, one call per stretch of
         slots between its exits: a slot left to the object path is
-        resolved, settled and recorded here (:meth:`_fall_back`); a cut
-        slot's contention is returned unfinished."""
+        resolved, settled and recorded here (:meth:`_fall_back`), an ACK
+        left to it applied (:meth:`_acknowledge`); a cut slot's contention
+        is returned unfinished."""
         core = self._packed
         if budget > self._slot_out.shape[1]:
             self._slot_out = np.zeros((2, budget), dtype=np.int64)
             core.slot_granted = native.address(self._slot_out[0], np.int64, (budget,))
             core.slot_contenders = native.address(self._slot_out[1], np.int64, (budget,))
             sinks = budget + len(self._owned)
-            self._sink_out = np.zeros((sinks, 4), dtype=np.int64)
-            core.sink_out = native.address(self._sink_out, np.int64, (sinks, 4))
+            self._sink_out = np.zeros((sinks, 5), dtype=np.int64)
+            core.sink_out = native.address(self._sink_out, np.int64, (sinks, 5))
             core.sink_capacity = sinks
         core.named = named
-        while budget > 0:
+        while budget > 0 and (decodes is None or decodes > 0):
+            core.decode_limit = -1 if decodes is None else decodes
             status = self._call(native.EPOCH, budget)
             slots = core.slots
             pending = status == native.FALLBACK
@@ -676,9 +691,11 @@ class EngineCore:
                 ends = np.cumsum(granted).tolist()
                 granted = [tuple(ids[end - size : end]) for size, end in zip(granted, ends)]
             first = len(records)
-            records.extend([(g, k, []) for g, k in zip(granted[:slots], contenders[:slots])])
+            records.extend(zip(granted[:slots], contenders[:slots], repeat(_QUIET)))
             unrecorded = self._sunk(core.sunk, records, first)
             budget -= slots
+            if decodes is not None:
+                decodes -= core.decodes
             if status == native.CUT:
                 return self._handed_back()
             if status == native.ASLEEP:
@@ -687,18 +704,20 @@ class EngineCore:
                 happened = self._fall_back(unrecorded)
                 records.append((granted[slots], contenders[slots], happened))
                 budget -= 1
-                if not self._awake_count() or any(event[2] == "decoded" for event in happened):
+                if not self._awake_count():
                     break
+            elif status == native.ACK:
+                self._acknowledge(records[-1][2])
         return None
 
     def _fall_back(self, happened: List[Event]) -> List[Event]:
         """Finish a slot the kernel left at :data:`native.FALLBACK`: its
         handed-back arrivals through the runtime objects, then the queue
-        samples.  Returns ``happened`` (the slot's sink events) with what
-        the objects logged, in place order."""
+        samples and the ACKs.  Returns ``happened`` (the slot's sink and
+        decode events) with what the objects logged, in place order."""
         self._resolve_objects(list(self._offers().items()), happened)
         happened.sort(key=itemgetter(0, 1))
-        self._settle(())
+        self._settle((), happened)
         return happened
 
     def _offers(self) -> Dict[int, List[Arrival]]:
@@ -712,22 +731,25 @@ class EngineCore:
         return offers
 
     def _sunk(self, count: int, records: List[Record], first: int) -> List[Event]:
-        """The kernel's ``count`` deliveries to unicast sinks: each sink's
-        ``on_delivered`` called in slot and place order, and what it
-        logged put in the events of its slot's record, as
-        :meth:`_resolve` puts it — slot ``i`` of the call is
-        ``records[first + i]``.  Returns the events of the slot not
-        recorded yet (one left to the object path)."""
+        """The kernel's ``count`` hand-backs: each unicast sink's
+        ``on_delivered`` and each destination's ``on_decoded`` called in
+        slot and place order, and what it logged put in the events of its
+        slot's record, as :meth:`_resolve` puts it — slot ``i`` of the
+        call is ``records[first + i]``.  Returns the events of the slot
+        not recorded yet (one left to the object path)."""
         unrecorded: List[Event] = []
         log = self._log
-        for slot, rank, position, sequence in self._sink_out[:count].tolist():
-            on_delivered = self._runtime_list[position]._on_delivered  # type: ignore[attr-defined]
-            if on_delivered is not None:
-                on_delivered(sequence)
+        for slot, rank, place, position, value in self._sink_out[:count].tolist():
+            runtime: Any = self._runtime_list[position]
+            callback = getattr(runtime, "_on_decoded", None) or runtime._on_delivered
+            if callback is not None:
+                callback(value)
             if log.events:
                 at = first + slot
+                if at < len(records) and records[at][2] is _QUIET:
+                    records[at] = (*records[at][:2], [])
                 events = records[at][2] if at < len(records) else unrecorded
-                events.extend((rank, 0, tag, value) for tag, value in log.drain())
+                events.extend((rank, place, tag, value) for tag, value in log.drain())
         return unrecorded
 
     def epoch_slots(self, _argument: None = None) -> int:
@@ -885,7 +907,7 @@ class EngineCore:
         """
         events: List[Event] = []
         self._resolve_objects(list(entries), events)
-        self._settle(())
+        self._settle((), events)
         return self._awake_count(), events
 
     def _resolve(self, entries: Iterable[Entry], events: List[Event]) -> List[int]:
@@ -936,18 +958,21 @@ class EngineCore:
         events: List[Event] = []
         if self._kernel is None:
             offers = self._fire(granted, events)
-            self._settle(self._resolve(offers.items(), events) if offers else ())
+            self._settle(self._resolve(offers.items(), events) if offers else (), events)
         else:
             self._grant(granted)
             status = self._call(native.RESOLVE)
             events = self._sunk(self._packed.sunk, [], 0)
             if status == native.FALLBACK:
                 self._fall_back(events)
+            elif status == native.ACK:
+                self._acknowledge(events)
         return self._awake_count(), events
 
-    def _settle(self, successes: Sequence[int]) -> None:
+    def _settle(self, successes: Sequence[int], events: List[Event]) -> None:
         """Close the slot: unicast verdicts (success = resolved
-        delivery) to those who attempted, then the queue samples."""
+        delivery) to those who attempted, the queue samples, then the
+        ACKs of what ``events`` (the slot's) decoded."""
         if self._pending_unicast:
             for node in self._pending_unicast:
                 self._runtimes[node].complete_transmission(  # type: ignore[attr-defined]
@@ -967,6 +992,12 @@ class EngineCore:
             self._awake.sample_queues(self._runtime_list, queue_times)
         if self._composites:
             self._sample_sessions(1)
+        self._acknowledge(events)
+
+    def _acknowledge(self, events: List[Event]) -> None:
+        """A slot's ACKs through the runtime objects."""
+        if events and (acks := acknowledgements(events)):
+            self.apply_events(acks)
 
     def _sample_sessions(self, slots: int) -> None:
         """Every composite's queue sample, ``slots`` times, split by active
@@ -1106,14 +1137,18 @@ class EngineCore:
 def compilable(init: CoreInit) -> bool:
     """Whether a core built from ``init`` now may run its epochs on the
     compiled slot loop: flow and unicast rows only, untraced, unobserved,
-    and no capture draws (the loop keeps none) — and, in a session with
+    every destination reporting to the core's recorder (the kernel ACKs
+    each decode it absorbs), and no capture draws (the loop keeps none)
+    — and, in a session with
     unicast runtimes, every participant hosted: a unicast attempt settles
     where it was fired, and only :meth:`EngineCore.run_slots` drives it."""
+    log = init.decode_log
     return (
         not init.traced
         and not obs.get_registry().enabled
         and init.interference != "capture"
         and all(type(runtime) in ROW_KINDS for runtime in init.runtimes.values())
+        and all(getattr(r, "_on_decoded", log) is log for r in init.runtimes.values())
         and (not init.has_unicast or len(init.runtimes) == len(init.participants))
     )
 
@@ -1156,8 +1191,9 @@ def _self_test(kernel: native.Kernel) -> bool:
     by ``repr`` slot by slot, in ``finalize``, in every runtime's fields
     after it and in the next values of every draw stream — twice.  Flow:
     rate and credit relays under blanking, a source that drops, refills,
-    decodes taken through the object path, generation advances and a
-    generation-size switch.  ETX: sources at 0 and 2 (hidden terminals:
+    decodes and their ACKs taken in C, one that uses up its epoch's
+    allowance, and a generation-size switch deferred to an ACK the
+    objects take.  ETX: sources at 0 and 2 (hidden terminals:
     node 1 is blanked when both send), short queues that drop (deliveries
     into a full one included), a re-route over a link that is not there
     and back, and the sink's ``delivered`` events."""
@@ -1189,14 +1225,10 @@ def _self_test(kernel: native.Kernel) -> bool:
 
     def flow_epochs(core: EngineCore) -> List[Any]:
         trail: List[Any] = []
-        generation = 0
-        for epoch, budget in enumerate((1, 3, 20, 40)):
+        for epoch, (budget, decodes) in enumerate(((1, None), (40, 1), (60, None), (40, None))):
             if epoch == 2:
                 core.apply_plan({node: {"coding": CodingParams(blocks=5)} for node in line})
-            events = [("advance_generation", generation)] if generation else None
-            reply = core.run_slots((budget, events, epoch % 2 == 0))
-            trail.append(reply)
-            generation += any(e[2] == "decoded" for *_r, happened in reply[1] for e in happened)
+            trail.append(core.run_slots((budget, None, epoch % 2 == 0, decodes)))
         return trail
 
     rates, limits = (9e4, 0.0, 3e4, 0.0, 0.0), (3, 1, 2, 2, 2)
@@ -1216,7 +1248,7 @@ def _self_test(kernel: native.Kernel) -> bool:
         for epoch, budget in enumerate((1, 3, 20, 40, 60)):
             if epoch in (2, 3):  # 0 -> 2 is out of range: attempts that never draw
                 core.apply_plan({0: {"next_hop": 2 if epoch == 2 else 1}})
-            trail.append(core.run_slots((budget, None, epoch % 2 == 0)))
+            trail.append(core.run_slots((budget, None, epoch % 2 == 0, None)))
         return trail
 
     for build, drive, has_unicast in ((flow, flow_epochs, False), (unicast, unicast_epochs, True)):

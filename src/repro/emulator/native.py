@@ -23,17 +23,19 @@ epoch of up to ``budget`` slots, granted here; or one half of a slot
 whose grant a shard parent makes over several cores' keys — the tick and
 the keys, or the fire given the whole granted tuple, absorbing at the
 receivers or handing every arrival back untouched.  A delivery to a sink
-is handed back as ``(slot, rank, position, sequence)`` for Python to call
-its ``on_delivered``.
+and a destination's decode come back as ``(slot, rank, place, position,
+value)`` for Python to call ``on_delivered`` or ``on_decoded``; after the
+slot's queue samples the kernel ACKs the decode, every row's ``_reset``.
 
-An epoch returns on any of five exits, each at a slot boundary the
-scalar form also stops at, or before the samples of a slot Python
-finishes: the budget is spent (or the named-grant buffer is full),
-nothing is left awake, a hosted node on the cut contends (:data:`CUT`:
-the keys and contenders are handed back), or an arrival takes the object
-path — a relay hearing a newer generation, a destination completing its
-own (:data:`FALLBACK`: the arrivals are handed back, the slot is not
-sampled yet).  Every lottery key and loss uniform comes from a
+An epoch returns on any of six exits, each at a slot boundary the scalar
+form also stops at, or before the samples of a slot Python finishes: the
+budget, the decode limit or an output buffer is spent, nothing is left
+awake, a hosted node on the cut contends (:data:`CUT`: the keys and
+contenders are handed back), a relay hears a newer generation — a
+forwarder a re-plan added (:data:`FALLBACK`: the arrivals are handed
+back, the slot is not sampled yet) — or a decode's ACK would adopt a
+row's deferred coding decision (:data:`ACK`: the slot is done, nothing
+advanced).  Every lottery key and loss uniform comes from a
 :class:`StreamBank` whose rows the kernel seeds, fills and reads itself,
 numpy's own algorithms in C, so the banks hand every node the values its
 buffers would and no call re-enters Python.
@@ -68,7 +70,7 @@ typedef int64_t i64;
 typedef uint8_t u8;
 typedef unsigned __int128 u128;
 
-enum { BUDGET = 0, ASLEEP = 1, CUT = 2, FALLBACK = 3, FAILED = -1 };
+enum { BUDGET = 0, ASLEEP = 1, CUT = 2, FALLBACK = 3, ACK = 4, FAILED = -1 };
 enum { EPOCH = 0, CONTEND = 1, RESOLVE = 2, FIRE = 3 };
 enum { SOURCE = 1, RELAY = 2, DESTINATION = 3, UNICAST = 4 };
 
@@ -225,16 +227,17 @@ void bank_take(Bank *b, i64 n, const i64 *rows, const i64 *counts, double *out) 
 
 typedef struct {
     i64 rows, width, rx_width, cov_width, pad, credit_count, unicasts;
-    i64 blanking, cut, ticks, park_interval, named, id_capacity, sink_capacity;
-    i64 slots, ids, contenders, fallbacks, sunk, phase, grants;
+    i64 blanking, cut, ticks, park_interval, named, id_capacity, sink_capacity, decode_limit;
+    i64 slots, ids, contenders, fallbacks, sunk, decodes, phase, grants;
     double floor, smoothing;
     /* Columns */
     const int8_t *role;
-    const u8 *credit_mode, *source, *destination, *rate_relay, *upstream;
+    const u8 *credit_mode, *source, *destination, *rate_relay, *upstream, *pending;
     const double *increment, *tx_credit, *cap, *accrual;
     double *credit, *demand, *enqueued, *information;
-    const i64 *blocks, *generation, *session, *limit, *credit_rows;
-    i64 *queue, *levels, *generated, *sent, *dropped, *heard, *accepted;
+    const i64 *blocks, *session, *limit, *credit_rows;
+    i64 *generation, *queue, *levels, *generated, *sent, *dropped, *heard, *accepted;
+    i64 *decoded, *decoded_blocks;
     u8 *awake;
     /* Columns: the unicast rows' own */
     const i64 *unicast_rows, *next_hop, *hop_cell, *ring_ptr;
@@ -377,30 +380,44 @@ static void draw_uniforms(Core *c, Scratch *w, i64 fired) {
         take(c->loss, c->loss_rows[w->tx_row[t]], w->counts[t], w->uniforms + at);
 }
 
-/* on_receive of one arrival; 1 if it is left to the object path. */
+/* Hand a sink's delivery or a destination's decode back for Python's
+   callback: (slot, rank, place, position, sequence or generation). */
+static void sink(Core *c, i64 rank, i64 place, i64 pos, i64 value) {
+    i64 *out = c->sink_out + 5 * c->sunk++;
+    out[0] = c->slots;
+    out[1] = rank;
+    out[2] = place;
+    out[3] = pos;
+    out[4] = value;
+}
+
+/* on_receive of one arrival; 1 if it is left to the object path, 2 if it
+   completes a destination's generation. */
 static int absorb(Core *c, i64 pos, i64 t, i64 cell, const Scratch *w) {
     i64 sender = w->tx_row[t], generation = c->generation[sender];
-    int relay = c->role[pos] == RELAY;
+    int relay = c->role[pos] == RELAY, destination = c->role[pos] == DESTINATION, decoded = 0;
     i64 ours = c->generation[pos], blocks = c->blocks[pos];
     int current = generation == ours;
     double held = c->information[pos];
     int innovative = (double)w->tx_level[t] > held && held < (double)blocks;
-    int heard = relay || (c->role[pos] == DESTINATION && current
-                          && c->session[sender] == c->session[pos]);
-    if ((relay && generation > ours)
-        || (heard && !relay && innovative && held + 1.0 >= (double)blocks))
-        return 1;
+    int heard = relay || (destination && current && c->session[sender] == c->session[pos]);
+    if (relay && generation > ours) return 1;
     if (heard) c->heard[pos] += 1;
     if (heard && current && innovative) {
         c->information[pos] = minimum((double)blocks, held + 1.0);
         c->accepted[pos] += 1;
+        decoded = destination && c->information[pos] >= (double)blocks;
+    }
+    if (decoded) {
+        c->decoded[pos] += 1;
+        c->decoded_blocks[pos] += blocks;
     }
     if (c->credit_count && c->upstream[sender * c->rx_width + cell]) {
         c->credit[pos] += c->tx_credit[pos];
         if (c->credit[pos] >= 1.0 && c->information[pos] >= 1.0 && drain(c, pos)) return -1;
     }
     c->delivered[sender * c->rx_width + cell] = 1;
-    return 0;
+    return decoded ? 2 : 0;
 }
 
 /* UnicastRuntime.receive_sequence at the next hop of fired unicast row t,
@@ -414,11 +431,7 @@ static int deliver(Core *c, const Scratch *w, i64 t) {
     c->delivered[sender * c->rx_width + cell] = 1;
     if (c->next_hop[pos] < 0) {
         c->accepted[pos] += 1;
-        i64 *out = c->sink_out + 4 * c->sunk++;
-        out[0] = c->slots;
-        out[1] = w->tx_rank[t];
-        out[2] = pos;
-        out[3] = sequence;
+        sink(c, w->tx_rank[t], 0, pos, sequence);
     } else if (c->queue[pos] >= c->limit[pos]) {
         c->dropped[pos] += 1;
     } else {
@@ -517,6 +530,11 @@ static int broadcast(Core *c, Scratch *w, const i64 *ids, i64 granted, int local
                 c->awake[pos] = 1;
                 back = absorb(c, pos, t, j, w);
                 if (back < 0) return -1;
+                if (back == 2) {
+                    sink(c, w->tx_rank[t], place, pos, c->generation[pos]);
+                    c->decodes++;
+                    back = 0;
+                }
             }
             if (back) {
                 i64 *out = c->fallback_out + 7 * c->fallbacks++, sender = w->tx_row[t];
@@ -561,13 +579,46 @@ static int hand_back(Core *c, const Scratch *w, i64 k) {
     return CUT;
 }
 
+/* advance_generation(generation) on every row: a coded row behind it
+   takes it up and empties its queue, a relay or destination its
+   information, a credit-mode relay its credit; every row wakes. */
+static void advance(Core *c, i64 generation) {
+    for (i64 r = 0; r < c->rows; r++) {
+        c->awake[r] = 1;
+        if (c->role[r] == UNICAST || c->generation[r] >= generation) continue;
+        c->generation[r] = generation;
+        if (c->role[r] != DESTINATION) {
+            memset(c->levels + r * c->width, 0, sizeof(i64) * (size_t)c->width);
+            c->queue[r] = 0;
+        }
+        if (c->role[r] != SOURCE) c->information[r] = 0.0;
+        if (c->role[r] == RELAY && c->credit_mode[r]) c->credit[r] = 0.0;
+    }
+}
+
+/* The ACK of each generation decoded since hand-back ``from``: every row
+   advanced past it, in decode order; 1 (nothing advanced) if a row holds a
+   deferred coding decision, which only its object takes up. */
+static int acknowledge(Core *c, i64 from) {
+    for (i64 r = 0; r < c->rows; r++)
+        if (c->pending[r]) return 1;
+    for (i64 i = from; i < c->sunk; i++) {
+        const i64 *out = c->sink_out + 5 * i;
+        if (c->role[out[3]] == DESTINATION) advance(c, out[4] + 1);
+    }
+    return 0;
+}
+
 /* The slot's second half, given its granted node ids: broadcast, then the
    queue samples unless the slot is not this core's alone (FIRE) or an
-   arrival is left to the object path (FALLBACK: not sampled yet). */
+   arrival is left to the object path (FALLBACK: not sampled yet), then the
+   ACKs of what it decoded (ACK: left to Python). */
 static int finish(Core *c, Scratch *w, const i64 *ids, i64 granted, int local) {
+    i64 sunk = c->sunk, decodes = c->decodes;
     if (granted && broadcast(c, w, ids, granted, local)) return FAILED;
     if (!local || c->fallbacks) return FALLBACK;
     for (i64 r = 0; r < c->rows; r++) c->queue_time[r] += (double)c->queue[r];
+    if (c->decodes > decodes && acknowledge(c, sunk)) return ACK;
     for (i64 r = 0; r < c->rows; r++)
         if (c->awake[r]) return BUDGET;
     return ASLEEP;
@@ -596,12 +647,13 @@ static int slot(Core *c, Scratch *w) {
         if (c->named) c->granted_ids[c->ids++] = w->ids[i];
     }
     int status = finish(c, w, w->ids, granted, 1);
-    if (status == BUDGET || status == ASLEEP) c->slots++;
+    if (status == BUDGET || status == ASLEEP || status == ACK) c->slots++;
     return status;
 }
 
-/* By c->phase: an epoch of up to ``budget`` slots, or one half of a slot
-   whose grant is made elsewhere (a FIRE takes no unicast row). */
+/* By c->phase: an epoch of up to ``budget`` slots and ``decode_limit``
+   decodes (-1: any number), or one half of a slot whose grant is made
+   elsewhere (a FIRE takes no unicast row). */
 int slots_run(Core *c, i64 budget) {
     i64 n = c->rows + 1, cells = n * (c->rx_width + 1), nodes = c->pad + 1;
     Scratch w;
@@ -622,7 +674,7 @@ int slots_run(Core *c, i64 budget) {
     w.hit = malloc((size_t)cells);
     w.reached = malloc((size_t)n);
     int status = BUDGET;
-    c->slots = c->ids = c->contenders = c->fallbacks = c->sunk = 0;
+    c->slots = c->ids = c->contenders = c->fallbacks = c->sunk = c->decodes = 0;
     if (!w.contenders || !w.granted || !w.ids || !w.tx_row || !w.tx_rank || !w.tx_level
         || !w.counts || !w.covered || !w.weights || !w.uniforms || !w.order
         || !w.blocked || !w.transmitting || !w.candidate || !w.hit || !w.reached
@@ -635,8 +687,9 @@ int slots_run(Core *c, i64 budget) {
         status = finish(c, &w, c->grant_in, c->grants, c->phase == RESOLVE);
     } else {
         while (c->slots < budget && status == BUDGET) {
+            if (c->decode_limit >= 0 && c->decodes >= c->decode_limit) break;
             if (c->named && c->ids + c->rows > c->id_capacity) break;
-            if (c->unicasts && c->sunk + c->unicasts > c->sink_capacity) break;
+            if (c->sunk + c->rows > c->sink_capacity) break;  /* a hand-back a row a slot */
             status = slot(c, &w);
         }
     }
@@ -648,10 +701,10 @@ int slots_run(Core *c, i64 budget) {
 }
 """
 
-#: What :func:`load`'s kernel returns: the budget (or the named-grant
-#: buffer) ran out, nothing is awake, a cut node contends, an arrival
-#: takes the object path, or scratch or a level index failed.
-BUDGET, ASLEEP, CUT, FALLBACK, FAILED = 0, 1, 2, 3, -1
+#: What :func:`load`'s kernel returns: the budget, decode limit or an
+#: output buffer ran out, nothing is awake, a cut node contends, an
+#: arrival or an ACK takes the object path, or scratch or a level failed.
+BUDGET, ASLEEP, CUT, FALLBACK, ACK, FAILED = 0, 1, 2, 3, 4, -1
 #: What a call runs (``Core.phase``): an epoch of up to ``budget`` slots;
 #: a slot's first half, handing the keys back as :data:`CUT` does; or its
 #: second half over the granted ids in ``grant_in``, absorbing at the
@@ -676,13 +729,14 @@ COLUMNS: Tuple[Tuple[str, str, type], ...] = (
     ("role", "role", np.int8),
     *((name, name, np.bool_) for name in ("credit_mode", "awake")),
     *((name, "_" + name, np.bool_) for name in ("source", "destination", "rate_relay", "upstream")),
+    ("pending", "pending", np.bool_),
     *((name, name, np.float64) for name in (
         "increment", "tx_credit", "credit", "demand", "enqueued", "information"
     )),
     *((name, "_" + name, np.float64) for name in ("cap", "accrual")),
     *((name, name, np.int64) for name in (
         "blocks", "generation", "session", "limit", "queue", "levels",
-        "generated", "sent", "dropped", "heard", "accepted",
+        "generated", "sent", "dropped", "heard", "accepted", "decoded", "decoded_blocks",
     )),
     ("credit_rows", "_credit_rows", np.int64),
     ("unicast_rows", "_unicast_rows", np.int64),
@@ -698,13 +752,14 @@ class Core(ctypes.Structure):
 
     _fields_ = _fields(
         "rows width rx_width cov_width pad credit_count unicasts"
-        " blanking cut ticks park_interval named id_capacity sink_capacity"
-        " slots ids contenders fallbacks sunk phase grants",
+        " blanking cut ticks park_interval named id_capacity sink_capacity decode_limit"
+        " slots ids contenders fallbacks sunk decodes phase grants",
         "floor smoothing",
-        "role credit_mode source destination rate_relay upstream"
+        "role credit_mode source destination rate_relay upstream pending"
         " increment tx_credit cap accrual credit demand enqueued information"
-        " blocks generation session limit credit_rows"
-        " queue levels generated sent dropped heard accepted awake"
+        " blocks session limit credit_rows"
+        " generation queue levels generated sent dropped heard accepted decoded decoded_blocks"
+        " awake"
         " unicast_rows next_hop hop_cell ring_ptr arrival hop_p offered next_seq head ring"
         " rx_ids cov cov_row position_of node_of conflict_ptr conflict rx_p cut_mask"
         " queue_time fired delivered"

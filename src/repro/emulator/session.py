@@ -17,6 +17,7 @@ offered load at half the channel capacity, throughput computed at each
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Dict, Mapping, Sequence, Tuple
@@ -314,8 +315,8 @@ class Boundaries:
         return None
 
     def reached(self, session: ShardedSession, log: _DecodeLog, done: bool) -> None:
-        """The end of a stretch, its decodes signalled; ``done``: the
-        budget is spent or every session is at its target."""
+        """The end of a stretch, its decodes ACKed; ``done``: the budget
+        is spent or every session is at its target."""
 
 
 def run_sessions(
@@ -343,10 +344,10 @@ def run_sessions(
     packets differ in size are refused: a run has one slot length.
 
     The slots run in stretches up to ``config.max_seconds``, each cut at
-    the next of ``boundaries``, under one stop rule: a decoded generation
-    is signalled before the next slot, and the run ends once every
-    session has decoded ``config.target_generations`` (0: never; a
-    unicast session never does).  Returns each session's
+    the next of ``boundaries``, under one stop rule: the run ends once
+    every session has decoded ``config.target_generations`` (0: never; a
+    unicast session never does): the core, which ACKs each decode, returns
+    after as many as the sessions lack.  Returns each session's
     :class:`SessionResult`, labelled ``labels[sid]`` or by plan kind, and
     the run's stats.
     """
@@ -394,28 +395,21 @@ def run_sessions(
         tracer=tracer,
         decode_log=log,
     )
-    decoded = dict.fromkeys(session_ids, 0)
     target = config.target_generations
 
-    def all_decoded() -> bool:
-        return target > 0 and min(decoded.values()) >= target
-
-    def stop() -> bool:
-        # Consulted after every slot that decoded and at the end of a stretch.
-        for event in log.unseen():
-            sid, generation_id = event if shared else (session_ids[0], event)
-            session.broadcast_generation_advance(generation_id + 1, sid if shared else None)
-            decoded[sid] += 1
-        return all_decoded()
+    def lacking() -> int | None:
+        """Decodes before every session is at its target (None: no target)."""
+        decoded = Counter(event[0] if shared else session_ids[0] for event, _time in log.acks)
+        return sum(max(0, target - decoded[sid]) for sid in session_ids) if target else None
 
     boundaries = boundaries or Boundaries()
     total = int(config.max_seconds / session.slot_duration)
     with session:
-        while session.slots < total and not all_decoded():
+        while session.slots < total and lacking() != 0:
             until = boundaries.until(session)
             stretch = total - session.slots
-            session.run(stretch if until is None else min(stretch, until), stop_when=stop)
-            boundaries.reached(session, log, session.slots >= total or all_decoded())
+            session.run(stretch if until is None else min(stretch, until), decodes=lacking)
+            boundaries.reached(session, log, session.slots >= total or lacking() == 0)
         stats = session.finalize_stats()
 
     results = {

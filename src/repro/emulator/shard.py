@@ -32,10 +32,13 @@ How determinism survives the cut:
   per-broadcast delivery position, which fixes each receiver's arrival
   order, the receiver processing order and the order of everything that
   happens at a receiver, whoever fired what (:class:`ShardedCores`).
-* **Deferred control events.**  A decoded-generation ACK is traced when
-  the driver signals it and reaches the runtimes with the next call of
-  any kind — normally the next ``begin_slot``, the same point in
-  runtime-state time, since nothing touches the data plane in between.
+* **Deferred control events.**  A control signal (a session's arrival or
+  departure) is traced when it is made and reaches the runtimes with the
+  next call of any kind — normally the next ``begin_slot``, the same
+  point in runtime-state time, since nothing touches the data plane in
+  between.  So does a decode's ACK on the workers that did not decode:
+  the core that did has applied it already, and its worker's epoch ends
+  there.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from repro.emulator.engine import (
     Event,
     Record,
     _DecodeLog,
+    acknowledgements,
     compilable,
 )
 from repro.emulator.node import NodeRuntime, RuntimeTerms, UnicastRuntime
@@ -96,14 +100,14 @@ class ShardedCores:
     §13).  With exactly one live and no control signal queued the slot
     is part of an *epoch*: that worker is handed the budget and grants
     and runs its own slots (:meth:`EngineCore.run_slots`), one message
-    for all of them.  Otherwise ``begin_slot`` gathers lottery keys for
-    the greedy pass here; then an *interior* slot, where no granted
-    transmitter has a neighbour hosted by another worker, is one
-    ``fire_resolve`` in which every arrival is resolved where it was
-    fired and no packet crosses a pipe, and a *cross-cut* one is
-    ``fire`` (every worker sees the full grant), then ``resolve`` at
-    each receiver's host.  Replies merge in place order; a failure names
-    the slot it happened in.
+    for all of them up to a decode.  Otherwise ``begin_slot`` gathers
+    lottery keys for the greedy pass here; then an *interior* slot,
+    where no granted transmitter has a neighbour hosted by another
+    worker, is one ``fire_resolve`` in which every arrival is resolved
+    where it was fired and no packet crosses a pipe, and a *cross-cut*
+    one is ``fire`` (every worker sees the full grant), then ``resolve``
+    at each receiver's host.  Replies merge in place order; a failure
+    names the slot it happened in.
     """
 
     def __init__(self, init: CoreInit, shards: int) -> None:
@@ -117,6 +121,7 @@ class ShardedCores:
         self._slots = 0  # executed so far, for failure reports
         self._everyone = range(shards)
         self._live = list(self._everyone)
+        self._acks: List[Any] = []  # the ACKs of decodes, for every worker's next call
         # The boundary — participants with a neighbour hosted by another
         # worker, the only transmitters whose slot needs the cross-cut
         # phases — and the scheduler for slots several workers contend in.
@@ -172,16 +177,20 @@ class ShardedCores:
     # -- slots ---------------------------------------------------------
 
     def run_slots(self, epoch: Epoch) -> Tuple[int, List[Record], None]:
-        budget, events, named = epoch
+        budget, events, named, decodes = epoch
+        events = self._signals(events)
         if events or len(self._live) != 1:
             # One slot, every live worker in it; queued signals reach
             # every worker, parked or not.
             targets = self._everyone if events else self._live
             entries = self._barrier("begin_slot", dict.fromkeys(targets, events))
             return len(self._live), [self._slot(entries, named)], None
+        # A decode ends the epoch, so its ACK reaches the others first.
+        limit = 1 if decodes is None else min(decodes, 1)
         ((_awake, records, unfinished),) = self._barrier(
-            "run_slots", {self._live[0]: (budget, None, named)}
+            "run_slots", {self._live[0]: (budget, None, named, limit)}
         )
+        self._acks += acknowledgements(e for *_slot, happened in records for e in happened)
         self._slots += len(records)
         for granted, contenders, _events in records:
             self._scheduler.observe(contenders, len(granted) if named else granted)
@@ -205,6 +214,7 @@ class ShardedCores:
         # Place order across workers; the sort is stable, so what
         # happened at one receiver stays in the order its host saw it.
         events = sorted((event for reply in replies for event in reply[1]), key=_PLACE)
+        self._acks += acknowledgements(events)
         self._slots += 1
         return granted if named else len(granted), len(keyed), events
 
@@ -225,12 +235,20 @@ class ShardedCores:
             routed.setdefault(owner[entry[0]], []).append(entry)
         return fired + self._barrier("resolve", routed)
 
+    def _signals(self, events: Sequence[Any] | None) -> List[Any]:
+        """The ACKs of decodes (a no-op where the core that decoded applied
+        them), then ``events``: what every worker applies first."""
+        signals, self._acks = [*self._acks, *(events or ())], []
+        return signals
+
     # -- signals and results: to every worker, replies merged ----------
 
     def apply_events(self, events: Sequence[Any]) -> None:
-        self._everywhere("apply_events", events)
+        self._everywhere("apply_events", self._signals(events))
 
     def finalize(self, _argument: None = None) -> Dict[str, Any]:
+        if self._acks:
+            self.apply_events(())
         merged, *others = self._everywhere("finalize")
         for reply in others:
             for key, part in reply.items():
@@ -256,7 +274,8 @@ class ShardedSession:
     ``ValueError``.  Either way the runtimes are reached only through
     the core's methods.  ``decode_log`` is the recorder the runtimes'
     destination callbacks were wired to; the session replays decodes
-    and deliveries into it in slot order.
+    and deliveries into it in slot order, and the core ACKs each decode
+    it hears right after its slot.
 
     Read-only attributes: ``shards`` (core count), ``network`` (the
     topology currently emulated), ``participants`` (the nodes with a
@@ -353,50 +372,54 @@ class ShardedSession:
         self,
         max_slots: int,
         *,
-        stop_when: Callable[[], bool] | None = None,
+        decodes: Callable[[], int | None] | None = None,
     ) -> None:
         """Advance up to ``max_slots`` slots, an epoch at a time.
 
-        ``stop_when`` is consulted between epochs: after every slot that
-        replayed a decode — what a driver signals there is applied at
-        the very next slot — and at the end of the call, not after every
-        slot.  A predicate that watches the clock caps ``max_slots``.
+        ``decodes`` is consulted before every epoch: how many more decodes
+        the call may replay (None: any number).  An epoch ends after the
+        slot that uses them up, the call once they read 0.
         """
         if max_slots < 0:
             raise ValueError(f"max_slots must be >= 0, got {max_slots}")
         named = self._tracer is not None
         end = self.slots + max_slots
         while self.slots < end:
-            self._run_epoch(min(end - self.slots, self.EPOCH_SLOTS), named)
-            if stop_when is not None and stop_when():
+            allowance = None if decodes is None else decodes()
+            if allowance == 0:
                 break
+            self._run_epoch(min(end - self.slots, self.EPOCH_SLOTS), named, allowance)
 
     def step(self) -> Tuple[int, ...]:
         """Execute one slot; returns the granted transmitter set."""
         granted: Tuple[int, ...] = self._run_epoch(1, True)[0][0]
         return granted
 
-    def _run_epoch(self, budget: int, named: bool) -> List[Record]:
-        """Have the core run up to ``budget`` slots and replay them;
-        ``named`` asks for each slot's granted tuple, not just its size."""
+    def _run_epoch(self, budget: int, named: bool, decodes: int | None = None) -> List[Record]:
+        """Have the core run up to ``budget`` slots and ``decodes`` decodes
+        and replay them; ``named`` asks for each slot's granted tuple, not
+        just its size."""
         events = None
         if self._pending_events:
             events, self._pending_events = self._pending_events, []
-        _awake, records, _pending = self._core.run_slots((budget, events, named))
+        _awake, records, _pending = self._core.run_slots((budget, events, named, decodes))
         tracer = self._tracer
         slot_duration = self.slot_duration
         grants = 0
+        slots, now = self.slots, self.now
         for granted, _contenders, happened in records:
             if named:
                 if tracer is not None:
                     for node in granted:
-                        tracer.record(self.slots, self.now, "grant", node)
+                        tracer.record(slots, now, "grant", node)
                 granted = len(granted)
             if happened:
+                self.slots, self.now = slots, now  # the clock the replay stamps with
                 self._replay(happened)
-            self.slots += 1
-            self.now += slot_duration
+            slots += 1
+            now += slot_duration
             grants += granted
+        self.slots, self.now = slots, now
         self._grants += grants
         if self._obs_enabled:
             self._m_slots.inc(len(records))
@@ -407,7 +430,9 @@ class ShardedSession:
     def _replay(self, events: List[Event]) -> None:
         """Apply a slot's events, which arrive in the order one process
         would have had them.  Decodes are stamped with the slot's start
-        time, before the clock moves."""
+        time, before the clock moves; their ACKs are traced after the
+        slot's events, at the next slot's start (detail: the generation,
+        ``peer``: a session-bound decode's session)."""
         tracer = self._tracer
         log = self._log
         for _rank, _pos, tag, *data in events:
@@ -417,6 +442,10 @@ class ShardedSession:
                 log.delivered += 1
             elif tracer is not None:  # "tx" node, or "delivery" sender receiver
                 tracer.record(self.slots, self.now, tag, *data)
+        if tracer is not None:
+            slot, now = self.slots + 1, self.now + self.slot_duration  # the next slot's start
+            for _method, *session, generation in acknowledgements(events):
+                tracer.record(slot, now, "ack", -1, *session, detail=generation)
 
     # -- control signals -----------------------------------------------
 
@@ -426,29 +455,6 @@ class ShardedSession:
         if self._tracer is not None:
             self._tracer.record(self.slots, self.now, kind, -1, **trace)
         self._pending_events.append((method, *arguments))
-
-    def broadcast_generation_advance(
-        self, generation_id: int, session_id: int | None = None
-    ) -> None:
-        """Propagate an ACK/next-generation signal to every runtime.
-
-        The paper sends the uncoded ACK over best-path routing; relays
-        additionally expire on seeing newer-generation packets.  We model
-        the ACK as fast and reliable (it is a single small packet on a
-        high-quality path) and apply it at the slot boundary.  The trace
-        record is the destination's decode event; detail = the new
-        generation.  With a ``session_id`` — composite runtimes, one
-        sub-runtime per session — only that session advances, and
-        ``peer`` carries the session id so digests tell concurrent ACKs
-        apart.
-        """
-        if session_id is None:
-            self._signal("ack", "advance_generation", generation_id, detail=generation_id)
-        else:
-            self._signal(
-                "ack", "advance_session_generation", session_id, generation_id,
-                peer=session_id, detail=generation_id,
-            )
 
     def broadcast_session_arrival(self, session_id: int) -> None:
         """Switch a dormant session live on every hosting runtime."""

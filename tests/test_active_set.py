@@ -20,11 +20,13 @@ both new values.
 
 import hashlib
 import json
+from unittest import mock
 
 import pytest
 
 from repro import obs
 from repro.emulator.awake import AwakeSet
+from repro.emulator.engine import EngineCore
 from repro.emulator.multisession import multi_session_digest, run_multi_session
 from repro.emulator.node import (
     FlowDestinationRuntime,
@@ -58,6 +60,7 @@ from repro.topology.phy import lossy_phy
 from repro.topology.random_network import random_network
 from repro.util.rng import RngFactory
 from tests.dormancy import under_parked_contract
+from tests.pins import COMPILED, PINS, core_form
 
 pytestmark = pytest.mark.usefixtures("parked_contract")
 
@@ -107,6 +110,12 @@ def line_session(network, shards, *, seed=2008, tracer=None, relay_rates=None):
         tracer=tracer,
         decode_log=decode_log,
     )
+
+
+def advance_by_hand(session, generation):
+    """Move every runtime on to ``generation`` with the session's next
+    call, traced as an ``ack``: an advance that no decode caused."""
+    session._signal("ack", "advance_generation", generation, detail=generation)
 
 
 def plan_session(network, plan, config, rng, **options):
@@ -248,8 +257,9 @@ def planned_mesh(seed=11, nodes=30):
 
 
 @under_parked_contract
-def adaptive_switch_runner():
-    """Generation-size switches mid-run through the adaptive runner."""
+def adaptive_switch_runner(traced=True):
+    """Generation-size switches mid-run through the adaptive runner (the
+    session digest alone, untraced)."""
     network, source, destination, _plan = planned_mesh()
     controller = make_coding_controller("adaptive", blocks=40, block_size=256)
     scenario = ScenarioSpec(
@@ -261,7 +271,7 @@ def adaptive_switch_runner():
             ScenarioEvent(at=26.0, kind="drift", sigma=1.0),
         ),
     )
-    tracer = SessionTracer(capacity=500_000)
+    tracer = SessionTracer(capacity=500_000) if traced else None
     result = run_adaptive_session(
         network,
         make_planner("omnc", source, destination),
@@ -273,12 +283,28 @@ def adaptive_switch_runner():
         tracer=tracer,
     )
     assert len(set(controller.history)) > 1  # the size really switched
+    assert result.replans > 0
+    assert result.session.generations_decoded > 0
+    if tracer is None:
+        return session_digest(result.session)
     pushed = [event.detail for event in tracer.events(kind="coding")]
     assert len(pushed) > 1
     assert set(pushed) <= {decision.blocks for decision in controller.history}
-    assert result.replans > 0
-    assert result.session.generations_decoded > 0
     return session_digest(result.session), trace_digest(tracer)
+
+
+@pytest.mark.skipif(not COMPILED, reason="the compiled slot loop is unavailable")
+def test_untraced_adaptive_switch_on_the_compiled_loop_is_its_pin():
+    # The pin's run is traced, and so scalar; untraced, it runs compiled,
+    # and each pushed size switch waits in a row for an ACK that the
+    # kernel leaves to the runtime objects.
+    (pin,) = [pin for pin in PINS if pin.name == "adaptive_switch.runner"]
+    apply_events = EngineCore.apply_events
+    with core_form("compiled"), mock.patch.object(
+        EngineCore, "apply_events", autospec=True, side_effect=apply_events
+    ) as acks:
+        assert adaptive_switch_runner(traced=False) == pin.value[0]
+    assert acks.called
 
 
 @under_parked_contract
@@ -288,9 +314,11 @@ def adaptive_switch_sharded():
     config = SessionConfig(
         max_seconds=40.0, blocks=6, block_size=256, coding_fidelity="exact"
     )
-    decode_log = _DecodeLog()
+    # Decodes go to a recorder of their own, not the session's, which ACKs
+    # none of them: the pinned trace advances by hand, 187 slots after the
+    # first decode.
     runtimes = build_plan_runtimes(
-        network, plan, config=config, rng=RngFactory(21), on_decoded=decode_log
+        network, plan, config=config, rng=RngFactory(21), on_decoded=_DecodeLog()
     )
     tracer = SessionTracer(capacity=500_000)
 
@@ -303,16 +331,15 @@ def adaptive_switch_sharded():
         config.coded_packet_bytes() / network.capacity,
         rng_factory=RngFactory(21),
         tracer=tracer,
-        decode_log=decode_log,
     ) as session:
         session.run(200)
         session.apply_plan_updates(everyone(CodingParams(blocks=9)))
-        session.broadcast_generation_advance(1)
+        advance_by_hand(session, 1)
         session.run(250)
         session.apply_plan_updates(
             everyone(CodingParams(blocks=4, systematic=True))
         )
-        session.broadcast_generation_advance(2)
+        advance_by_hand(session, 2)
         session.run(250)
         stats = session.finalize_stats()
     return stats_digest(stats), trace_digest(tracer)

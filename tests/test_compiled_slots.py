@@ -70,7 +70,9 @@ from tests.test_exec_campaign import fig2_campaign
 from tests.test_plan_install import unicast_driver
 from tests.test_active_set import PACKET_BYTES as MESH_PACKET_BYTES
 from tests.test_active_set import (
+    advance_by_hand,
     line_network,
+    line_runtimes,
     line_session,
     plan_session,
     planned_mesh,
@@ -234,9 +236,11 @@ def _finish_slot(core, contention):
 
 def run_epochs(recipe, schedule, kernel):
     """The epochs of ``schedule`` on a fresh core: ``(budget, action,
-    named, phased)`` each, the action a generation advance, a
-    generation-size switch on the hosted nodes or nothing; a phased one
-    is a single slot a phase at a time.  Returns each epoch's reply and
+    named, phased, decodes)`` each, the action a generation advance, a
+    generation-size switch on the hosted nodes with one, one deferred to
+    the next decode's ACK, or nothing; a phased one is a single slot a
+    phase at a time, the others return after ``decodes`` decodes (None:
+    any number), each ACKed by the core.  Returns each epoch's reply and
     state, the finalized core with every runtime's fields and next
     draws, and the kernel's exits."""
     exits = Counter()
@@ -251,17 +255,17 @@ def run_epochs(recipe, schedule, kernel):
     core = _build(recipe, counted)
     trail = []
     generation = max(terms[2] for terms in recipe["runtimes"].values())
-    for budget, action, named, phased in schedule:
-        if action == "coding":
+    for budget, action, named, phased, decodes in schedule:
+        if action in ("coding", "defer"):
             core.apply_plan({node: {"coding": CodingParams(blocks=6)} for node in recipe["hosted"]})
-        if action is not None:
+        if action in ("advance", "coding"):
             generation += 1
-        events = [("advance_generation", generation)] if action is not None else None
+        events = [("advance_generation", generation)] if action in ("advance", "coding") else None
         if phased:
             reply = _finish_slot(core, core.begin_slot(events))
             happened = reply[2]
         else:
-            reply = core.run_slots((budget, events, named))
+            reply = core.run_slots((budget, events, named, decodes))
             happened = [e for record in reply[1] for e in record[2]]
             if reply[2] is not None:  # a cut slot
                 reply = (*reply, _finish_slot(core, reply[2]))
@@ -277,9 +281,10 @@ def run_epochs(recipe, schedule, kernel):
 SCHEDULES = st.lists(
     st.tuples(
         st.integers(1, 300),
-        st.sampled_from((None, None, "advance", "coding")),
+        st.sampled_from((None, None, "advance", "coding", "defer")),
         st.booleans(),
         st.booleans(),
+        st.sampled_from((None, None, 1, 2)),
     ),
     min_size=1,
     max_size=4,
@@ -304,6 +309,22 @@ def test_a_compiled_epoch_equals_the_scalar_epoch(recipe, schedule):
     compiled = run_epochs(recipe, schedule, KERNEL)
     _epochs_agree(reference, compiled)
     assert sum(compiled[4].values()) >= 1 and not reference[4]
+
+
+@needs_kernel
+@given(recipe=recipes())
+@settings(deadline=None, max_examples=40)
+def test_the_upstream_mask_marks_what_credit_relays_count(recipe):
+    # A cell of a transmitter's receiver row is marked exactly where that
+    # receiver is a hosted credit relay whose upstream set holds it.
+    core = _build(recipe, KERNEL)
+    columns, expected = core._columns, np.zeros(core._rx_ids.shape, dtype=bool)
+    for row in columns._credit_rows.tolist():
+        for sender in columns.upstream[row]:
+            if core._position_of[sender] >= 0:
+                at = core._position_of[sender]
+                expected[at] |= core._rx_ids[at] == core._owned[row]
+    assert (columns._upstream == expected).all()
 
 
 @st.composite
@@ -372,8 +393,8 @@ def unicast_recipes(draw):
 @needs_kernel
 def test_a_sink_delivery_shares_a_slot_with_an_object_path_arrival():
     # Two pairs out of each other's range: ETX 0 -> 1 delivers every slot,
-    # and the flow destination 3 completes its one-block generation in
-    # one of them, which takes the object path.
+    # and the flow relay 3 first hears source 2, a generation ahead of
+    # it, in one of them, which takes the object path.
     network = WirelessNetwork(
         np.array([[0.0, 0.0], [0.5, 0.0], [5.0, 0.0], [5.5, 0.0]]),
         {(0, 1): 1.0, (2, 3): 1.0},
@@ -386,7 +407,7 @@ def test_a_sink_delivery_shares_a_slot_with_an_object_path_arrival():
                 "queue_limit": 5},
             1: {"next_hop": None, "rate_bps": 0.0, "demand_hint_bps": 0.0, "queue_limit": 5},
         },
-        "flows": {2: ("source", 1), 3: ("destination", 1)},
+        "flows": {2: ("source", 1, 1), 3: ("rate", 1)},
         "epochs": [(20, None, 0, None, 0, False), (20, None, 0, None, 0, True)],
         "interference": "blanking", "seed": 5, "block": StreamBank.BLOCK,
     }
@@ -400,7 +421,7 @@ def test_a_sink_delivery_shares_a_slot_with_an_object_path_arrival():
     reference = run_unicast_epochs(recipe, None)
     assert run_unicast_epochs(recipe, KERNEL._replace(run=spy))[:4] == reference[:4]
     assert any(shared)
-    assert "decoded" in reference[0][0] and "delivered" in reference[0][0]
+    assert "delivered" in reference[0][0]
 
 
 def _redrawn(network, seed):
@@ -416,9 +437,10 @@ def _redrawn(network, seed):
 
 def run_unicast_epochs(recipe, kernel):
     """The recipe's epochs on a scalar core (``kernel`` None) or on one
-    that runs them compiled.  Returns each epoch's reply, the finalized
-    core, every runtime's fields after it, the next values of every node's
-    draw streams, and how often the kernel was called."""
+    that runs them compiled (a flow runtime at the generation its recipe
+    names after kind and size, if any).  Returns each epoch's reply, the
+    finalized core, every runtime's fields after it, the next values of
+    every node's draw streams, and how often the kernel was called."""
     calls = []
 
     def counted(core, budget):
@@ -434,7 +456,7 @@ def run_unicast_epochs(recipe, kernel):
     }
     network = recipe["network"]
     rate = network.capacity / 2
-    for node, (kind, blocks) in recipe["flows"].items():
+    for node, (kind, blocks, *ahead) in recipe["flows"].items():
         if kind == "source":
             runtimes[node] = FlowSourceRuntime(node, 2, blocks, rate, PACKET_BYTES, queue_limit=3)
         elif kind == "rate":
@@ -443,6 +465,8 @@ def run_unicast_epochs(recipe, kernel):
             )
         else:
             runtimes[node] = FlowDestinationRuntime(node, 2, blocks, on_decoded=log)
+        for generation in ahead:
+            runtimes[node].advance_generation(generation)
     init = CoreInit(
         network, runtimes, tuple(sorted(runtimes)), PACKET_BYTES / network.capacity,
         recipe["interference"], recipe["seed"], has_unicast=True, decode_log=log,
@@ -461,7 +485,7 @@ def run_unicast_epochs(recipe, kernel):
             elif action == "network":
                 network = _redrawn(network, seed)
                 core.set_network(network)
-            trail.append(repr(core.run_slots((budget, None, named))))
+            trail.append(repr(core.run_slots((budget, None, named, None))))
         finalized = repr(core.finalize())
         fields = {
             node: sorted((k, repr(v)) for k, v in vars(runtime).items() if not k.startswith("_on"))
@@ -515,9 +539,9 @@ def test_every_exit_is_exact(block):
 
     kernel = KERNEL._replace(run=spy)
     schedule = [
-        (1, None, True, False), (150, None, False, False), (1, None, False, True),
-        (200, "advance", True, False), (300, "coding", False, False),
-        *[(1, None, False, True)] * 40,
+        (1, None, True, False, None), (150, None, False, False, None),
+        (1, None, False, True, None), (200, "advance", True, False, None),
+        (300, "coding", False, False, None), *[(1, None, False, True, None)] * 40,
     ]
     for hosted in (tuple(range(12)), tuple(range(7))):
         recipe = _line_recipe(hosted, block)
@@ -540,10 +564,49 @@ def test_every_exit_is_exact(block):
         "runtimes": {0: ("rate", 3, 0, silent), 1: ("rate", 3, 0, silent),
                      2: ("rate", 3, 0, silent), 3: ("destination", 3, 0, {"session": 1})},
     }
-    reference = run_epochs(recipe, [(50, None, False, False)], None)
-    compiled = run_epochs(recipe, [(50, None, False, False)], KERNEL)
+    reference = run_epochs(recipe, [(50, None, False, False, None)], None)
+    compiled = run_epochs(recipe, [(50, None, False, False, None)], KERNEL)
     _epochs_agree(reference, compiled)
     assert compiled[4] == {(native.EPOCH, native.ASLEEP): 1}
+
+
+@needs_kernel
+def test_acks_in_the_kernel_are_exact():
+    # A four-node line that decodes every few slots: an epoch with several
+    # ACKs in the kernel, one that returns at its decode allowance, and a
+    # generation-size switch deferred to an ACK, which the objects take.
+    relay = {"rate": 2e4, "limit": 50, "tx_credit": 1.2, "upstream": (0,)}
+    recipe = {
+        "network": line_network(4), "hosted": (0, 1, 2, 3), "interference": "blanking",
+        "seed": 3, "block": 32, "ties": False,
+        "runtimes": {
+            0: ("source", 2, 0, {"rate": 2e4, "limit": 4}),
+            1: ("rate", 2, 0, relay),
+            2: ("credit", 2, 0, {**relay, "upstream": (1,)}),
+            3: ("destination", 2, 0, {"session": 1}),
+        },
+    }
+    schedule = [
+        (120, None, False, False, None), (120, None, True, False, 2),
+        (60, "defer", False, False, None), (120, None, False, False, None),
+    ]
+    calls = []
+
+    def spy(core, budget):
+        status = KERNEL.run(core, budget)
+        calls.append((core._obj.phase, status, budget, core._obj.slots, core._obj.decodes,
+                      core._obj.decode_limit))
+        return status
+
+    reference = run_epochs(recipe, schedule, None)
+    _epochs_agree(reference, run_epochs(recipe, schedule, KERNEL._replace(run=spy)))
+    epochs = [call[1:] for call in calls if call[0] == native.EPOCH]
+    acked = [decodes for status, _b, _s, decodes, _l in epochs if status == native.BUDGET]
+    assert max(acked) >= 2  # several ACKs in one call
+    assert any(
+        0 < decodes == limit and slots < budget for _, budget, slots, decodes, limit in epochs
+    )
+    assert native.ACK in [status for status, *_rest in epochs]
 
 
 def _session_digest(interference="blanking"):
@@ -553,6 +616,35 @@ def _session_digest(interference="blanking"):
         interference=interference,
     )
     return session_digest(run_coded_session(network, plan, config=config, rng=RngFactory(4)))
+
+
+@needs_kernel
+def test_a_compiled_coded_session_acks_in_the_kernel():
+    # A MORE session to its target: every decode and its ACK stay in the
+    # kernel, so no call takes the object path and the epochs run whole.
+    network, source, destination, _plan = planned_mesh()
+    config = SessionConfig(blocks=6, block_size=256, max_seconds=30.0, target_generations=40)
+    slots = []
+    run_slots, call = EngineCore.run_slots, EngineCore._call
+
+    def counted(core, epoch):
+        reply = run_slots(core, epoch)
+        slots.append(len(reply[1]))
+        return reply
+
+    with (
+        core_form("compiled"),
+        mock.patch.object(EngineCore, "run_slots", counted),
+        mock.patch.object(EngineCore, "_call", autospec=True, side_effect=call) as kernel,
+        mock.patch.object(EngineCore, "apply_events") as apply_events,
+        mock.patch.object(EngineCore, "_fall_back") as fall_back,
+    ):
+        result = run_coded_session(
+            network, plan_more(network, source, destination), config=config, rng=RngFactory(4)
+        )
+    assert result.generations_decoded == 40
+    assert not apply_events.called and not fall_back.called
+    assert kernel.call_count <= math.ceil(sum(slots) / ShardedSession.EPOCH_SLOTS)
 
 
 @needs_kernel
@@ -580,6 +672,12 @@ def test_what_cannot_run_compiled_keeps_its_form():
         with plan_session(network, session_plan, config, RngFactory(4)) as session:
             core = session._core
             assert (core._kernel is not None) == compiled, name
+    # A destination reporting to another recorder: its decodes are none of
+    # the session's to ACK, which the kernel cannot tell.
+    line = line_network(4)
+    runtimes = line_runtimes(line, _DecodeLog())
+    with ShardedSession(line, runtimes, 0.05, rng_factory=RngFactory(1)) as session:
+        assert session._core._kernel is None
 
 
 @pytest.fixture
@@ -741,9 +839,9 @@ def _more_plan(network):
 def test_what_the_relay_line_never_does(network, interference, seed):
     # Rows against runtime objects where the relay line never goes: MORE
     # credit relays with upstream sets, a source that drops, a rate swap
-    # onto a parked relay, four generation advances, a generation-size
-    # switch, and a relay built mid-run that hears newer generations than
-    # its own.
+    # onto a parked relay, four generation advances (by hand, on top of
+    # the core's ACKs), a generation-size switch, and a relay built
+    # mid-run that hears newer generations than its own.
     found = _more_plan(network)
     assume(found is not None)
     plan, late, silent = found
@@ -774,18 +872,15 @@ def test_what_the_relay_line_never_does(network, interference, seed):
         for node in range(network.node_count):  # silent listeners elsewhere
             if node != late and node not in runtimes:
                 runtimes[node] = FlowRelayRuntime(node, 1, 3, packet_bytes, mode="rate")
-        generation = 0
+        advanced = 0  # the last generation advanced to by hand
 
-        def signal(next_generation):
-            nonlocal generation
-            if next_generation > generation:
-                generation = next_generation
-                session.broadcast_generation_advance(generation)
+        def generation():
+            return max([advanced, *(decoded + 1 for decoded, _time in log.acks)])
 
-        def acked():
-            for decoded in log.unseen():
-                signal(decoded + 1)
-            return False
+        def advance():
+            nonlocal advanced
+            advanced = generation() + 1
+            advance_by_hand(session, advanced)
 
         with ShardedSession(
             network,
@@ -796,29 +891,28 @@ def test_what_the_relay_line_never_does(network, interference, seed):
             decode_log=log,
         ) as session:
             session.apply_plan_updates({silent: {"mode": "rate", "rate_bps": 0.0}})
-            session.run(60, stop_when=acked)
-            signal(generation + 1)
+            session.run(60)
+            advance()
             for _ in range(80):  # until the silenced relay parks
                 if silent in session.parked_nodes():
                     break
                 session.step()
-                acked()
             parked = session.parked_nodes()
             assume(silent in parked)
             session.apply_plan_updates({silent: {"rate_bps": network.capacity / 2}})
-            session.run(60, stop_when=acked)
+            session.run(60)
             session.apply_plan_updates(
                 {node: {"coding": CodingParams(blocks=5)} for node in session.participants}
             )
-            signal(generation + 1)
-            session.run(60, stop_when=acked)
+            advance()
+            session.run(60)
             # ``late`` joins at generation 0, behind everyone else.
             session.install_plan(plan, replace(terms, blocks=5), cbr)
-            session.run(60, stop_when=acked)
-            signal(generation + 1)
-            session.run(60, stop_when=acked)
-            signal(generation + 1)
-            session.run(30, stop_when=acked)
+            session.run(60)
+            advance()
+            session.run(60)
+            advance()
+            session.run(30)
             stats = session.finalize_stats()
             fields = {
                 node: {
@@ -828,7 +922,7 @@ def test_what_the_relay_line_never_does(network, interference, seed):
                 }
                 for node, runtime in session._core._runtimes.items()
             }
-        assert generation >= 4
+        assert generation() >= 4
         result = session_result(
             "more", plan, 256, stats, 1, ack_times=[time for _generation, time in log.acks]
         )
@@ -867,7 +961,7 @@ def _two_node_etx(kernel, rate, retune=None):
             core.apply_plan({0: {"rate_bps": retune}})
         finally:  # a refused retune leaves the source as it was
             assert runtimes[0]._rate == rate
-    reply = core.run_slots((3, None, True))
+    reply = core.run_slots((3, None, True, None))
     return repr((reply, core.finalize(), sorted(vars(runtimes[0]).items())))
 
 

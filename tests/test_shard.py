@@ -36,6 +36,7 @@ from repro.util.rng import RngFactory
 from tests.test_active_set import (
     BLOCKS,
     PACKET_BYTES,
+    advance_by_hand,
     line_network,
     line_runtimes,
     line_session,
@@ -72,20 +73,19 @@ def _quick_config(**overrides):
 
 def _digests(network, plan, shards, *, config, seed):
     """``plan`` run on ``shards`` cores as the driver runs one session —
-    each decode signalled before the next slot, a stop at the target —
-    with its stats and trace digests, its ACK times and its tracer."""
+    each decode ACKed before the next slot, a stop at the target — with
+    its stats and trace digests, its ACK times and its tracer."""
     tracer = SessionTracer(capacity=500_000)
     with plan_session(
         network, plan, config, RngFactory(seed), shards=shards, tracer=tracer
     ) as session:
         log = session._log
 
-        def decoded():
-            for generation in log.unseen():
-                session.broadcast_generation_advance(generation + 1)
-            return len(log.acks) >= config.target_generations > 0
+        def lacking():
+            target = config.target_generations
+            return max(0, target - len(log.acks)) if target else None
 
-        session.run(int(config.max_seconds / session.slot_duration), stop_when=decoded)
+        session.run(int(config.max_seconds / session.slot_duration), decodes=lacking)
         stats = session.finalize_stats()
     return stats_digest(stats), trace_digest(tracer), [time for _gen, time in log.acks], tracer
 
@@ -246,7 +246,7 @@ class TestBarrierTransitions:
     @pytest.mark.parametrize(
         "reach, method",
         [
-            (lambda s: s.broadcast_generation_advance(1), "begin_slot"),
+            (lambda s: advance_by_hand(s, 1), "begin_slot"),
             (lambda s: s.broadcast_session_arrival(1), "begin_slot"),
             (lambda s: s.broadcast_session_departure(1), "begin_slot"),
         ],
@@ -310,7 +310,7 @@ class TestEpochBoundaries:
             tracer = SessionTracer(capacity=500_000)
             with line_session(line_network(48), shards, tracer=tracer) as session:
                 session.run(100)  # the front passes node 24, the two-strip cut
-                session.broadcast_generation_advance(1)
+                advance_by_hand(session, 1)
                 session.run(36)
                 stats = session.finalize_stats()
             return stats_digest(stats), trace_digest(tracer)
@@ -345,8 +345,8 @@ class TestEpochBoundaries:
         epochs = _epochs(barriers)
         assert len(epochs) == 3
         assert all(ran < budget and not cut for _shard, budget, ran, cut in epochs)
-        # ... and the driver signalled the next generation one slot after
-        # the slot that decoded: nothing ran in between.
+        # ... and each ACK is traced at the start of the slot after the
+        # one that decoded: nothing ran in between.
         slot = config.coded_packet_bytes() / network.capacity
         signalled = [event.time for event in sharded[3].events(kind="ack")]
         assert signalled == [time + slot for time in serial[2]]
@@ -547,7 +547,7 @@ class TestShardedValidation:
     def test_control_plane_rejected(self, barriers, call):
         with line_session(line_network(16), 2) as session:
             session.run(5)
-            session.broadcast_generation_advance(1)
+            advance_by_hand(session, 1)
             del barriers[:]
             before = (session.slots, session.now, session.participants, session.network)
             with pytest.raises(ValueError, match="runs in one process, and this session has 2"):

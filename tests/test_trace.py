@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.emulator.node import CodedDestinationRuntime, CodedSourceRuntime
-from repro.emulator.shard import ShardedSession
+from repro.emulator.shard import ShardedSession, _DecodeLog
 from repro.emulator.trace import SessionTracer, TraceEvent
 from repro.topology.random_network import chain_topology
 from repro.util.rng import RngFactory
@@ -90,10 +90,13 @@ class TestEngineTracing:
         assert tracer.per_node_transmissions().get(0, 0) == summary["tx"]
 
     def test_ack_event_recorded_on_generation_advance(self):
+        # The core ACKs the first decode: traced with the next generation,
+        # at the start of the slot after the one that decoded.
         network = chain_topology((0.9,), capacity=2e4)
         rng = np.random.default_rng(2)
+        log = _DecodeLog()
         source = CodedSourceRuntime(0, 1, 4, 1e4, 1048, rng)
-        destination = CodedDestinationRuntime(1, 1, 4, lambda g: None)
+        destination = CodedDestinationRuntime(1, 1, 4, log)
         tracer = SessionTracer()
         session = ShardedSession(
             network,
@@ -101,8 +104,10 @@ class TestEngineTracing:
             0.05,
             rng_factory=RngFactory(3),
             tracer=tracer,
+            decode_log=log,
         )
-        session.broadcast_generation_advance(1)
-        acks = list(tracer.events(kind="ack"))
-        assert len(acks) == 1
-        assert acks[0].detail == 1
+        session.run(100, decodes=lambda: 1 - len(log.acks))
+        (ack,) = tracer.events(kind="ack")
+        ((generation, decoded_at),) = log.acks
+        assert (generation, ack.detail, ack.time) == (0, 1, decoded_at + 0.05)
+        assert destination.rank == 0 and source._generation_id == 1
