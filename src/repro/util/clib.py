@@ -1,21 +1,22 @@
-"""Embedded C kernels: compile once into a content-addressed cache, dlopen.
+"""C kernels: compile a source file once into a content-addressed cache, dlopen.
 
 Every compiled kernel of the package — the GF(2^8) codec
 (:mod:`repro.coding.native`), the Table 1 loop with the re-plan flood's
 pseudo-broadcast greedy (:mod:`repro.optimization.native`) and the
-emulator's slot loop (:mod:`repro.emulator.native`) — embeds its C
-source and comes through here.  :func:`build` compiles a source with ``$CC`` (default
-``cc``; a command with arguments, ``cc -std=gnu11``, is split as a
-shell would), linked against what follows it on the command line (the
+emulator's slot loop (:mod:`repro.emulator.native`) — is a C file in
+``repro/kernels/`` (package data) and comes through here.  :func:`build`
+compiles it in place, so a diagnostic cites ``slots.c:NNN``, with ``$CC``
+(default ``cc``; a command with arguments, ``cc -std=gnu11``, is split as
+a shell would), linked against what follows it on the command line (the
 slot loop links numpy's ``libnpyrandom.a``), into
 ``$XDG_CACHE_HOME/repro-omnc/<stem>_<digest>.so``, where the digest hashes
-source, compiler, flags, link inputs and the bytes of every link input
-that is a file, so an edit, another compiler or another numpy rebuilds
-instead of loading a stale object.  :func:`load` opens it and
-declares every signature before any call (ctypes otherwise truncates
-64-bit pointers to ``int``).  Neither raises: no compiler, a failed
-compile or a failed dlopen is ``None``, and the caller keeps its
-pure-Python path.
+the file's bytes, compiler, flags, link inputs and the bytes of every
+link input that is a file, so an edit, another compiler or another numpy
+rebuilds instead of loading a stale object.  :func:`load` builds, opens
+the object and declares every signature before any call (ctypes
+otherwise truncates 64-bit pointers to ``int``).  Neither raises: no
+compiler, a missing file, a failed compile or a failed dlopen is
+``None``, and the caller keeps its pure-Python path.
 """
 
 from __future__ import annotations
@@ -39,17 +40,19 @@ def cache_dir() -> Path:
 
 
 def build(
-    stem: str, source: str, flags: Sequence[str], link: Sequence[str] = ()
+    stem: str, source: Path, flags: Sequence[str], link: Sequence[str] = ()
 ) -> Optional[Path]:
-    """Compile ``source`` with ``flags`` into a cached shared object,
-    linking ``link`` (archives, ``-l`` options) after the source file.
+    """Compile the C file ``source`` with ``flags`` into a cached shared
+    object, linking ``link`` (archives, ``-l`` options) after the source.
 
     Returns its path (a cache hit compiles nothing), or ``None`` when no
-    working C compiler is available or a link input is missing.
+    working C compiler is available or the source or a link input is
+    missing.
     """
     cc = os.environ.get("CC") or "cc"
-    hasher = hashlib.sha256("\x00".join([source, cc, *flags, *link]).encode())
     try:
+        hasher = hashlib.sha256(source.read_bytes())
+        hasher.update("\x00".join(["", cc, *flags, *link]).encode())
         for item in link:
             if not item.startswith("-"):
                 hasher.update(Path(item).read_bytes())
@@ -67,11 +70,9 @@ def build(
     try:
         cache.mkdir(parents=True, exist_ok=True)
         with tempfile.TemporaryDirectory(dir=cache) as workdir:
-            c_path = Path(workdir) / f"{stem}.c"
-            c_path.write_text(source)
             tmp_so = Path(workdir) / f"{stem}.so"
             command = [
-                *shlex.split(cc), *flags, "-shared", "-fPIC", str(c_path), *link, "-o", str(tmp_so)
+                *shlex.split(cc), *flags, "-shared", "-fPIC", str(source), *link, "-o", str(tmp_so)
             ]
             result = subprocess.run(command, capture_output=True, timeout=120)
             if result.returncode != 0:
@@ -84,14 +85,33 @@ def build(
         return None
 
 
-def load(so_path: Path, signatures: Signatures) -> Optional[ctypes.CDLL]:
-    """dlopen ``so_path`` and declare ``signatures``; ``None`` if it fails."""
-    try:
-        lib = ctypes.CDLL(str(so_path))
-        for name, (argtypes, restype) in signatures.items():
-            function = getattr(lib, name)
-            function.argtypes = list(argtypes)
-            function.restype = restype
-    except (OSError, AttributeError):
-        return None
-    return lib
+def load(
+    stem: str, source: Path, flags: Sequence[str], signatures: Signatures, link: Sequence[str] = ()
+) -> Optional[ctypes.CDLL]:
+    """:func:`build` ``source`` and open it with ``signatures`` declared;
+    ``None`` if either fails, after one rebuild of an object that does
+    not open (a cache entry rotten on disk would otherwise fail forever)."""
+    for _attempt in range(2):
+        so_path = build(stem, source, flags, link)
+        if so_path is None:
+            return None
+        try:
+            lib = ctypes.CDLL(str(so_path))
+            for name, (argtypes, restype) in signatures.items():
+                function = getattr(lib, name)
+                function.argtypes = list(argtypes)
+                function.restype = restype
+            return lib
+        except (OSError, AttributeError):
+            so_path.unlink(missing_ok=True)
+    return None
+
+
+def fields(ints: str, doubles: str, pointers: str) -> list:
+    """ctypes ``_fields_`` of a kernel struct: the int64s, then the
+    doubles, then the pointers (every field 8 bytes, so no padding)."""
+    return [
+        *((name, ctypes.c_int64) for name in ints.split()),
+        *((name, ctypes.c_double) for name in doubles.split()),
+        *((name, ctypes.c_void_p) for name in pointers.split()),
+    ]

@@ -1,9 +1,10 @@
-"""A pytest plugin that builds every embedded C kernel sanitized and strict.
+"""A pytest plugin that builds every C kernel sanitized and strict.
 
 Loaded with ``-p tests.sanitized``, it adds AddressSanitizer and
 UndefinedBehaviorSanitizer to the flags of each :func:`repro.util.clib.build`
 (the codec, Table 1 and the slot loop), with ``-fno-sanitize-recover=all``
-so that the first finding aborts the run, and ``-Wall -Wextra -Werror`` so
+so that the first finding aborts the run, ``-g`` so that it cites
+``src/repro/kernels/<kernel>.c:<line>``, and ``-Wall -Wextra -Werror`` so
 that a warning fails the build (the kernel then falls back, and the tests
 that need it fail).  Link inputs are passed through.  The flags enter the
 cache digest, so a sanitized object never stands in for a plain one.  The
@@ -17,7 +18,7 @@ Python's own allocations are not leaks worth reporting::
 from repro.util import clib
 
 SANITIZERS = (
-    "-fsanitize=address,undefined", "-fno-sanitize-recover=all", "-fno-omit-frame-pointer"
+    "-fsanitize=address,undefined", "-fno-sanitize-recover=all", "-fno-omit-frame-pointer", "-g"
 )
 WARNINGS = ("-Wall", "-Wextra", "-Werror")
 

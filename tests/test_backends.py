@@ -98,6 +98,19 @@ class TestDegradationIsReportedOnce:
             "the compiled GF(2^8) codec is unavailable here; the codec runs on numpy"
         )
 
+    def test_a_missing_kernel_source_warns_once(self, monkeypatch, tmp_path, caplog):
+        monkeypatch.setattr(native, "SOURCE", tmp_path / "gf256.c")
+        monkeypatch.setattr(native, "_LIB", None)
+        default_field.cache_clear()
+        try:
+            with caplog.at_level(logging.WARNING, logger=backends.__name__):
+                for _ in range(3):
+                    assert resolve_field(None) is GF256
+        finally:
+            default_field.cache_clear()
+        (record,) = _warnings(caplog)
+        assert "compiled GF(2^8) codec is unavailable here" in record.getMessage()
+
     def test_honoured_requests_are_silent(self, caplog):
         default_field.cache_clear()
         with caplog.at_level(logging.WARNING, logger=backends.__name__):

@@ -171,13 +171,17 @@ def fig1_results():
     return repr(MultiSessionRateControl([graph, graph]).solve())
 
 
-@pytest.mark.parametrize("fault", ["no compiler", "failed self-test"])
-def test_without_the_kernel_the_python_loop_runs(fault, fresh_kernel, monkeypatch, caplog):
+@pytest.mark.parametrize("fault", ["no compiler", "failed self-test", "no kernel source"])
+def test_without_the_kernel_the_python_loop_runs(
+    fault, fresh_kernel, monkeypatch, caplog, tmp_path
+):
     with table1_loop("python"):
         expected = fig1_results()
     compiled_kernel.cache_clear()
     if fault == "no compiler":
         monkeypatch.setenv("CC", "/nonexistent")
+    elif fault == "no kernel source":
+        monkeypatch.setattr(native, "SOURCE", tmp_path / "table1.c")
     else:
         monkeypatch.setattr(rate_control, "_self_test", lambda run: False)
     with caplog.at_level(logging.WARNING, logger=rate_control.__name__):
@@ -186,7 +190,7 @@ def test_without_the_kernel_the_python_loop_runs(fault, fresh_kernel, monkeypatc
         assert fig1_results() == expected
     (record,) = [r for r in caplog.records if r.name == rate_control.__name__]
     assert "compiled Table 1 loop is unavailable here" in record.getMessage()
-    if fault == "no compiler":
+    if fault != "failed self-test":
         assert native.load() is None
 
 
@@ -249,9 +253,13 @@ class TestCompiledFloodLiterals(pseudo.TestReferenceMeshOracle):
 
 
 @needs_kernel
-def test_the_self_test_refuses_a_flood_that_breaks_ties_upward(fresh_kernel, monkeypatch):
-    tie = "p[k] > p[target]"
-    assert native._C_SOURCE.count(tie) == 1
-    monkeypatch.setattr(native, "_C_SOURCE", native._C_SOURCE.replace(tie, "p[k] >= p[target]"))
+def test_the_self_test_refuses_a_flood_that_breaks_ties_upward(
+    fresh_kernel, monkeypatch, tmp_path
+):
+    tie, source = "p[k] > p[target]", native.SOURCE.read_text()
+    assert source.count(tie) == 1
+    mutant = tmp_path / "table1.c"
+    mutant.write_text(source.replace(tie, "p[k] >= p[target]"))
+    monkeypatch.setattr(native, "SOURCE", mutant)
     assert native.load() is not None
     assert compiled_kernel() is None

@@ -695,7 +695,9 @@ def _line_digest():
         return session._core._kernel is not None, stats_digest(session.finalize_stats())
 
 
-@pytest.mark.parametrize("fault", ["no compiler", "failed self-test", "no numpy archive"])
+@pytest.mark.parametrize(
+    "fault", ["no compiler", "failed self-test", "no numpy archive", "no kernel source"]
+)
 def test_without_the_kernel_cores_keep_todays_form(
     fault, fresh_kernel, monkeypatch, caplog, tmp_path
 ):
@@ -705,6 +707,8 @@ def test_without_the_kernel_cores_keep_todays_form(
         monkeypatch.setenv("CC", "/nonexistent")
     elif fault == "no numpy archive":
         monkeypatch.setattr(native, "NPYRANDOM", tmp_path / "libnpyrandom.a")
+    elif fault == "no kernel source":
+        monkeypatch.setattr(native, "SOURCE", tmp_path / "slots.c")
     else:
         monkeypatch.setattr(engine, "_self_test", lambda run: False)
     with caplog.at_level(logging.WARNING, logger=engine.__name__):

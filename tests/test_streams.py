@@ -72,10 +72,12 @@ def test_a_c_exponential_takes_the_tail_path(seed):
 def test_the_self_test_refuses_a_stream_with_a_changed_mixing_constant(
     monkeypatch, tmp_path, caplog
 ):
-    mutant = native._C_SOURCE.replace("0xca01f9ddu", "0xca01f9dcu")
-    assert mutant.count("0xca01f9dcu") == 1
+    source = native.SOURCE.read_text().replace("0xca01f9ddu", "0xca01f9dcu")
+    assert source.count("0xca01f9dcu") == 1
+    mutant = tmp_path / "slots.c"
+    mutant.write_text(source)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    monkeypatch.setattr(native, "_C_SOURCE", mutant)
+    monkeypatch.setattr(native, "SOURCE", mutant)
     engine.compiled_kernel.cache_clear()
     try:
         with caplog.at_level(logging.WARNING, logger=engine.__name__):

@@ -127,16 +127,38 @@ class TestRngFactory:
         assert a == b
 
 
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler here")
-def test_clib_builds_with_a_compiler_command_that_has_arguments(tmp_path, monkeypatch):
+PROBE = {"probe": ([], ctypes.c_int)}
+
+
+@pytest.fixture
+def probe_c(tmp_path, monkeypatch):
+    """A one-function C file, and an empty kernel cache."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    source = tmp_path / "probe.c"
+    source.write_text("int probe(void) { return 42; }\n")
+    return source
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler here")
+
+
+@needs_cc
+def test_clib_builds_with_a_compiler_command_that_has_arguments(probe_c, monkeypatch):
     monkeypatch.setenv("CC", "cc -std=gnu11")
-    so_path = clib.build("probe", "int probe(void) { return 42; }\n", ["-O0"])
+    so_path = clib.build("probe", probe_c, ["-O0"])
     assert so_path is not None
-    assert clib.load(so_path, {"probe": ([], ctypes.c_int)}).probe() == 42
+    assert clib.load("probe", probe_c, ["-O0"], PROBE).probe() == 42
 
 
-def test_clib_reads_an_unsplittable_compiler_command_as_no_compiler(tmp_path, monkeypatch):
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+def test_clib_reads_an_unsplittable_compiler_command_as_no_compiler(probe_c, monkeypatch):
     monkeypatch.setenv("CC", 'cc "')
-    assert clib.build("probe", "int probe(void) { return 42; }\n", []) is None
+    assert clib.build("probe", probe_c, []) is None
+
+
+@needs_cc
+def test_clib_rebuilds_a_cached_object_that_does_not_open(probe_c):
+    so_path = clib.build("probe", probe_c, ["-O0"])
+    so_path.write_bytes(b"garbage")
+    assert clib.build("probe", probe_c, ["-O0"]) == so_path
+    assert clib.load("probe", probe_c, ["-O0"], PROBE).probe() == 42
+    assert so_path.read_bytes() != b"garbage"
