@@ -30,7 +30,6 @@ from repro import obs
 from repro.analysis import checker as analysis_checker
 from repro.exec import add_execution_arguments, policy_from_args
 from repro.emulator.session import SessionConfig, run_coded_session
-from repro.emulator.trace import SessionTracer
 from repro.optimization.sunicast import InfeasibleSessionError
 from repro.protocols.etx_routing import plan_etx_route
 from repro.protocols.more import plan_more
@@ -249,7 +248,7 @@ def _cmd_session(args: argparse.Namespace) -> int:
             phy=lossy_phy(rng=rng.derive("phy")),
             rng=rng.derive("topology"),
         )
-    tracer = SessionTracer() if args.trace else None
+    tracer = obs.EventTracer() if args.trace else None
     source, destination = args.source, args.destination
     adaptive = None
     # --metrics collects from every layer (engine, MAC, decoder, codec

@@ -43,8 +43,7 @@ from repro.emulator.session import (
     run_coded_session,
     run_unicast_session,
 )
-from repro.emulator.shard import ShardedSession, session_digest, trace_digest
-from repro.emulator.trace import SessionTracer, TraceEvent
+from repro.emulator.shard import ShardedSession, session_digest
 from repro.emulator.stats import (
     DistributionSummary,
     UtilityRatios,
@@ -72,9 +71,7 @@ __all__ = [
     "NodeRuntime",
     "SessionConfig",
     "SessionResult",
-    "SessionTracer",
     "ShardedSession",
-    "TraceEvent",
     "UnicastRuntime",
     "UtilityRatios",
     "XorPacket",
@@ -87,7 +84,6 @@ __all__ = [
     "run_unicast_session",
     "session_digest",
     "summarize",
-    "trace_digest",
     "throughput_gain",
     "utility_ratios",
 ]

@@ -192,7 +192,7 @@ class CoreInit:
     locally (they are deterministic, so replication costs no
     coordination).  ``seed`` rebuilds the per-node RNG streams in the
     core, lazily, so only for nodes it hosts.  ``traced`` asks for the
-    ``tx`` and ``delivery`` events a session tracer records.
+    ``tx`` and ``delivery`` events the session's event tracer records.
     """
 
     network: WirelessNetwork

@@ -47,8 +47,8 @@ from repro.emulator.session import (
 )
 from repro.emulator.shard import ShardedSession, _DecodeLog, session_digest
 from repro.emulator.stats import jain_fairness_index
-from repro.emulator.trace import SessionTracer
 from repro.emulator.plan import SessionPlan
+from repro.obs import EventTracer
 from repro.topology.graph import WirelessNetwork
 from repro.util.rng import RngFactory
 
@@ -177,7 +177,7 @@ def run_multi_session(
     rng: RngFactory | None = None,
     xor_pairs: Mapping[int, Sequence[Tuple[int, int]]] | None = None,
     scenario: "ScenarioSpec | None" = None,
-    tracer: SessionTracer | None = None,
+    tracer: EventTracer | None = None,
     protocol_label: str | None = None,
 ) -> MultiSessionOutcome:
     """Emulate N concurrent coded unicast sessions over shared airtime.

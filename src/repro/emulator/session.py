@@ -38,7 +38,7 @@ from repro.emulator.node import (
 )
 from repro.emulator.plan import SessionPlan
 from repro.emulator.shard import ShardedSession, _DecodeLog
-from repro.emulator.trace import SessionTracer
+from repro.obs import EventTracer
 from repro.topology.graph import Link, WirelessNetwork
 from repro.util.rng import RngFactory
 
@@ -330,7 +330,7 @@ def run_sessions(
     xor_pairs: Mapping[int, Sequence[Tuple[int, int]]] | None = None,
     dormant: frozenset[int] = frozenset(),
     boundaries: Boundaries | None = None,
-    tracer: SessionTracer | None = None,
+    tracer: EventTracer | None = None,
 ) -> Tuple[Dict[int, SessionResult], EngineStats]:
     """Emulate ``plans`` (session id -> plan) over shared airtime: the one
     session driver.
@@ -435,7 +435,7 @@ def run_coded_session(
     config: SessionConfig | None = None,
     rng: RngFactory | None = None,
     protocol_label: str | None = None,
-    tracer: SessionTracer | None = None,
+    tracer: EventTracer | None = None,
 ) -> SessionResult:
     """Emulate one session under any plan: OMNC, MORE, oldMORE or ETX.
 

@@ -68,7 +68,6 @@ from repro.emulator.engine import (
 from repro.emulator.node import NodeRuntime, RuntimeTerms, UnicastRuntime
 from repro.emulator.plan import SessionPlan
 from repro.emulator.scheduler import ConflictGraph, IdealMacScheduler
-from repro.emulator.trace import SessionTracer
 from repro.exec.pool import PersistentWorkerGroup, WorkerCallError, WorkerPool
 from repro.topology.graph import WirelessNetwork
 from repro.topology.partition import partition_positions
@@ -80,7 +79,6 @@ if TYPE_CHECKING:  # pragma: no cover - session.py builds on this module
 __all__ = [
     "ShardedSession",
     "session_digest",
-    "trace_digest",
 ]
 
 _PLACE = itemgetter(0, 1)
@@ -296,7 +294,7 @@ class ShardedSession:
         rng_factory: RngFactory,
         shards: int = 1,
         interference: str = "blanking",
-        tracer: SessionTracer | None = None,
+        tracer: obs.EventTracer | None = None,
         decode_log: _DecodeLog | None = None,
     ) -> None:
         if slot_duration <= 0:
@@ -411,7 +409,7 @@ class ShardedSession:
             if named:
                 if tracer is not None:
                     for node in granted:
-                        tracer.record(slots, now, "grant", node)
+                        tracer.emit("grant", slot=slots, time=now, node=node)
                 granted = len(granted)
             if happened:
                 self.slots, self.now = slots, now  # the clock the replay stamps with
@@ -440,12 +438,17 @@ class ShardedSession:
                 log.acks.append((data[0], self.now))
             elif tag == "delivered":
                 log.delivered += 1
-            elif tracer is not None:  # "tx" node, or "delivery" sender receiver
-                tracer.record(self.slots, self.now, tag, *data)
+            elif tracer is None:
+                continue
+            elif tag == "tx":
+                tracer.emit("tx", slot=self.slots, time=self.now, node=data[0])
+            else:  # "delivery" sender receiver
+                tracer.emit(tag, slot=self.slots, time=self.now, node=data[0], peer=data[1])
         if tracer is not None:
             slot, now = self.slots + 1, self.now + self.slot_duration  # the next slot's start
             for _method, *session, generation in acknowledgements(events):
-                tracer.record(slot, now, "ack", -1, *session, detail=generation)
+                bound = {"peer": session[0]} if session else {}
+                tracer.emit("ack", slot=slot, time=now, node=-1, **bound, detail=generation)
 
     # -- control signals -----------------------------------------------
 
@@ -453,7 +456,7 @@ class ShardedSession:
         """Trace a control signal now; queue ``runtime.method(*arguments)``
         on every runtime for the next call that reaches the core."""
         if self._tracer is not None:
-            self._tracer.record(self.slots, self.now, kind, -1, **trace)
+            self._tracer.emit(kind, slot=self.slots, time=self.now, node=-1, **trace)
         self._pending_events.append((method, *arguments))
 
     def broadcast_session_arrival(self, session_id: int) -> None:
@@ -572,15 +575,4 @@ def session_digest(result: "SessionResult") -> str:
         "delivered_links": [list(link) for link in result.delivered_links],
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def trace_digest(tracer: SessionTracer) -> str:
-    """Canonical SHA-256 digest of a tracer's retained event sequence."""
-    records = []
-    for event in tracer.events():
-        record = event.as_dict()
-        record["time"] = repr(event.time)  # full precision, not rounded
-        records.append(record)
-    blob = json.dumps(records, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

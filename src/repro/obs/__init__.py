@@ -4,9 +4,10 @@ The subsystem has two halves:
 
 * :mod:`repro.obs.metrics` — counters / gauges / histograms behind a
   :class:`MetricsRegistry` that components attach to;
-* :mod:`repro.obs.tracer` — a structured :class:`EventTracer` with
-  JSON-lines export for per-event trajectories (dual prices, decode
-  progress).
+* :mod:`repro.obs.tracer` — the one event log, :class:`EventTracer`,
+  with JSON-lines export for per-event trajectories (the optimizer's
+  dual prices, the emulator's grants, transmissions and ACKs); a
+  component given no tracer (``None``) traces nothing.
 
 Collection is **off by default**, and a :func:`collecting` scope is the
 one way to turn it on.  Instrumented components take their instruments
@@ -50,7 +51,7 @@ from repro.obs.metrics import (
     NULL_HISTOGRAM,
     ScopedRegistry,
 )
-from repro.obs.tracer import EventTracer, NULL_TRACER, TraceRecord
+from repro.obs.tracer import EventTracer, TraceRecord, trace_digest
 
 __all__ = [
     "Counter",
@@ -62,12 +63,11 @@ __all__ = [
     "NULL_COUNTER",
     "NULL_GAUGE",
     "NULL_HISTOGRAM",
-    "NULL_TRACER",
     "ScopedRegistry",
     "TraceRecord",
     "collecting",
     "get_registry",
-    "resolve_tracer",
+    "trace_digest",
 ]
 
 # The process-global registry.  Starts disabled: components built outside
@@ -78,11 +78,6 @@ _global_registry = MetricsRegistry(enabled=False)
 def get_registry() -> MetricsRegistry:
     """The current process-global registry (disabled outside a scope)."""
     return _global_registry
-
-
-def resolve_tracer(tracer: Optional[EventTracer]) -> EventTracer:
-    """The tracer a component should use: explicit wins, else the null one."""
-    return tracer if tracer is not None else NULL_TRACER
 
 
 def _hook_codec(registry: MetricsRegistry) -> None:

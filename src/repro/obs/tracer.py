@@ -3,27 +3,39 @@
 Where :mod:`repro.obs.metrics` aggregates, the tracer keeps *individual*
 events: one :class:`TraceRecord` per occurrence, carrying a kind, a
 monotonically increasing sequence number, and arbitrary scalar fields.
-This is what the optimizer uses to expose its full dual-price
-trajectories (lambda/beta per iteration — the raw material of the
-paper's Fig. 1) and what offline analysis consumes through the JSONL
-round-trip.
+One log serves every layer: the optimizer's dual-price trajectories
+(``rate_control.iteration`` per Table 1 iteration — the raw material of
+the paper's Fig. 1) and the emulator's packet-level events (``grant``,
+``tx``, ``delivery``, ``ack``, ``replan``, ``coding``, ``arrive``,
+``depart``, each with ``slot``, ``time`` and ``node``; ``peer`` and
+``detail`` where they say something).
 
 The log is bounded: past ``capacity`` the oldest records are dropped and
 counted, so tracing a paper-scale campaign cannot exhaust memory while
-the recent window stays intact.  Like the metric instruments, a
-:data:`NULL_TRACER` absorbs events for free so instrumented code can
-hold a tracer unconditionally.
+the recent window stays intact.  Tracing is off where no tracer is
+given (``tracer=None``): producers test for ``None`` and emit nothing.
+
+Typical use::
+
+    tracer = EventTracer()
+    run_coded_session(..., tracer=tracer)
+    tracer.summary()                        # record counts by kind
+    tracer.records(kind="tx", node=3)       # iterate selected records
+    tracer.to_jsonl(path)                   # export for offline analysis
+    trace_digest(EventTracer.read_jsonl(path)) == trace_digest(tracer)
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import Counter as TallyCounter
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union, cast
+from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple, Union, cast
 
-__all__ = ["EventTracer", "NULL_TRACER", "TraceRecord"]
+__all__ = ["EventTracer", "TraceRecord", "trace_digest"]
 
 
 @dataclass(frozen=True)
@@ -60,46 +72,50 @@ class TraceRecord:
 
 
 class EventTracer:
-    """Bounded structured event log."""
+    """Bounded structured event log; iterating it yields the retained
+    records, oldest first."""
 
     def __init__(self, capacity: int = 100_000) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be > 0, got {capacity}")
         self._capacity = capacity
-        self._records: List[TraceRecord] = []
+        self._records: Deque[TraceRecord] = deque(maxlen=capacity)
         self._seq = 0
-        self.dropped = 0
-
-    @property
-    def enabled(self) -> bool:
-        """False only on :data:`NULL_TRACER`."""
-        return True
 
     @property
     def capacity(self) -> int:
         """Maximum retained records."""
         return self._capacity
 
+    @property
+    def dropped(self) -> int:
+        """Records evicted so far, oldest first."""
+        return self._seq - len(self._records)
+
     def emit(self, kind: str, **fields: object) -> None:
-        """Record one event with scalar ``fields``."""
+        """Record one event with scalar ``fields``; a full log drops its
+        oldest record."""
         if not kind:
             raise ValueError("event kind must be non-empty")
         self._records.append(TraceRecord(self._seq, kind, fields))
         self._seq += 1
-        if len(self._records) > self._capacity:
-            overflow = len(self._records) - self._capacity
-            del self._records[:overflow]
-            self.dropped += overflow
 
     def __len__(self) -> int:
         return len(self._records)
 
+    def __iter__(self) -> Iterator[TraceRecord]:
+        return iter(self._records)
+
     def records(
-        self, *, kind: Optional[str] = None
+        self, *, kind: Optional[str] = None, **where: object
     ) -> Iterator[TraceRecord]:
-        """Iterate retained records, optionally filtered by kind."""
+        """Iterate retained records, optionally filtered by kind and by
+        field values (``records(kind="tx", node=3)``)."""
         for record in self._records:
-            if kind is None or record.kind == kind:
+            if kind is not None and record.kind != kind:
+                continue
+            fields = record.fields
+            if all(name in fields and fields[name] == value for name, value in where.items()):
                 yield record
 
     def last(self, kind: Optional[str] = None) -> Optional[TraceRecord]:
@@ -127,7 +143,8 @@ class EventTracer:
         return values
 
     def to_jsonl(self, path: Union[str, Path]) -> int:
-        """Write retained records as JSON lines; returns the line count."""
+        """Write retained records as JSON lines (floats in full); returns
+        the line count."""
         path = Path(path)
         with path.open("w") as handle:
             for record in self._records:
@@ -144,18 +161,15 @@ class EventTracer:
         return tuple(records)
 
 
-class _NullTracer(EventTracer):
-    """Shared no-op tracer; ``emit`` discards everything."""
-
-    def __init__(self) -> None:
-        super().__init__(capacity=1)
-
-    @property
-    def enabled(self) -> bool:
-        return False
-
-    def emit(self, kind: str, **fields: object) -> None:
-        pass
-
-
-NULL_TRACER = _NullTracer()
+def trace_digest(records: Iterable[TraceRecord]) -> str:
+    """Canonical SHA-256 digest of a record sequence — a tracer's
+    retained records, or what :meth:`EventTracer.read_jsonl` read back:
+    each record's kind and fields, floats by ``repr``, ``seq`` left out."""
+    canonical = []
+    for record in records:
+        entry: Dict[str, object] = {"kind": record.kind}
+        for name, value in record.fields.items():
+            entry[name] = repr(value) if isinstance(value, float) else value
+        canonical.append(entry)
+    blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -344,8 +344,8 @@ class RateControlLoop:
             else obs.MetricsRegistry(enabled=False)
         )
         scope = registry.attach("optimizer")
-        self._tracer = obs.resolve_tracer(tracer)
-        self._observing = scope.enabled or self._tracer.enabled
+        self._tracer = tracer
+        self._observing = scope.enabled or tracer is not None
         self._m_iterations = scope.counter(
             "iterations", "outer subgradient iterations executed"
         )
@@ -731,17 +731,18 @@ class RateControlLoop:
         self._m_lambda_max.set(lambda_max)
         self._m_beta_max.set(beta_max)
         self._m_residual.observe(residual)
-        self._tracer.emit(
-            "rate_control.iteration",
-            t=self._iteration,
-            theta=theta,
-            lambda_mean=lambda_mean,
-            lambda_max=lambda_max,
-            beta_mean=beta_mean,
-            beta_max=beta_max,
-            mu_max=mu_max,
-            residual=residual,
-        )
+        if self._tracer is not None:
+            self._tracer.emit(
+                "rate_control.iteration",
+                t=self._iteration,
+                theta=theta,
+                lambda_mean=lambda_mean,
+                lambda_max=lambda_max,
+                beta_mean=beta_mean,
+                beta_max=beta_max,
+                mu_max=mu_max,
+                residual=residual,
+            )
 
 
 class RateControlAlgorithm(RateControlLoop):

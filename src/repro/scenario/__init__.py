@@ -27,7 +27,7 @@ from repro.scenario.runner import (
     run_adaptive_session,
 )
 from repro.scenario.spec import (
-    SCENARIO_EVENT_KINDS,
+    SCENARIO_KINDS,
     ScenarioEvent,
     ScenarioSpec,
     ScenarioTimeline,
@@ -43,7 +43,7 @@ __all__ = [
     "ObliviousPolicy",
     "PeriodicPolicy",
     "ReplanPolicy",
-    "SCENARIO_EVENT_KINDS",
+    "SCENARIO_KINDS",
     "ScenarioEvent",
     "ScenarioSpec",
     "ScenarioTimeline",

@@ -40,7 +40,6 @@ from repro.emulator.session import (
     run_sessions,
 )
 from repro.emulator.shard import ShardedSession, _DecodeLog
-from repro.emulator.trace import SessionTracer
 from repro.protocols.adaptive import AdaptivePlanner, CodingController
 from repro.routing.node_selection import NodeSelectionError
 from repro.scenario.controller import EpochObservation, ReplanPolicy
@@ -140,7 +139,7 @@ class _Epochs(Boundaries):
     epoch_seconds: float
     config: SessionConfig
     session_id: int
-    tracer: SessionTracer | None
+    tracer: obs.EventTracer | None
     coding_controller: CodingController | None
     coding: CodingParams | None
     records: List[EpochRecord] = field(default_factory=list)
@@ -213,7 +212,9 @@ class _Epochs(Boundaries):
                 self._m_replans.inc()
                 self._m_stall.inc(stall_slots)
                 if self.tracer is not None:
-                    self.tracer.record(session.slots, session.now, "replan", -1, detail=epoch)
+                    self.tracer.emit(
+                        "replan", slot=session.slots, time=session.now, node=-1, detail=epoch
+                    )
         if self.coding_controller is not None and not self._unicast and not done:
             decision = self.coding_controller.decide(timeline.network, self.plan)
             # Push when the decision changed, and re-push after a
@@ -226,8 +227,12 @@ class _Epochs(Boundaries):
                     {node: {"coding": decision} for node in session.participants}
                 )
                 if self.tracer is not None:
-                    self.tracer.record(
-                        session.slots, session.now, "coding", -1, detail=decision.blocks
+                    self.tracer.emit(
+                        "coding",
+                        slot=session.slots,
+                        time=session.now,
+                        node=-1,
+                        detail=decision.blocks,
                     )
         self.records.append(
             EpochRecord(
@@ -251,7 +256,7 @@ def run_adaptive_session(
     session_id: int = 1,
     config: SessionConfig | None = None,
     rng: RngFactory | None = None,
-    tracer: SessionTracer | None = None,
+    tracer: obs.EventTracer | None = None,
     coding_controller: CodingController | None = None,
 ) -> AdaptiveSessionResult:
     """Run one session live under a scenario.

@@ -34,7 +34,7 @@ from repro.topology.dynamics import perturb_link_qualities
 from repro.topology.graph import Link, WirelessNetwork
 from repro.util.rng import RngLike, as_rng
 
-SCENARIO_EVENT_KINDS = (
+SCENARIO_KINDS = (
     "drift",
     "fail",
     "recover",
@@ -50,7 +50,7 @@ class ScenarioEvent:
 
     Attributes:
         at: emulated seconds from session start.
-        kind: one of :data:`SCENARIO_EVENT_KINDS`.
+        kind: one of :data:`SCENARIO_KINDS`.
         sigma: drift magnitude in logit space (``drift`` only).
         node: the affected node (``fail``/``recover`` only).
         cbr_fraction: the new offered load as a fraction of channel
@@ -70,7 +70,7 @@ class ScenarioEvent:
     def __post_init__(self) -> None:
         if self.at < 0:
             raise ValueError(f"event time must be >= 0, got {self.at}")
-        if self.kind not in SCENARIO_EVENT_KINDS:
+        if self.kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown event kind {self.kind!r}")
         if self.kind == "drift" and self.sigma <= 0:
             raise ValueError(f"drift events need sigma > 0, got {self.sigma}")

@@ -16,13 +16,15 @@ rebuilds instead of loading a stale object.  :func:`load` builds, opens
 the object and declares every signature before any call (ctypes
 otherwise truncates 64-bit pointers to ``int``).  Neither raises: no
 compiler, a missing file, a failed compile or a failed dlopen is
-``None``, and the caller keeps its pure-Python path.
+``None``, and the caller keeps its pure-Python path; a failed compile
+logs the tail of the compiler's diagnostics first.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import logging
 import os
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence, Tuple
@@ -47,7 +49,8 @@ def build(
 
     Returns its path (a cache hit compiles nothing), or ``None`` when no
     working C compiler is available or the source or a link input is
-    missing.
+    missing.  A compile that fails logs the last 20 lines the compiler
+    wrote to stderr, if it wrote any.
     """
     cc = os.environ.get("CC") or "cc"
     try:
@@ -76,6 +79,12 @@ def build(
             ]
             result = subprocess.run(command, capture_output=True, timeout=120)
             if result.returncode != 0:
+                diagnostics = result.stderr.decode(errors="replace").splitlines()
+                if diagnostics:
+                    logging.getLogger(__name__).warning(
+                        "%s could not compile %s:\n%s",
+                        cc, source, "\n".join(diagnostics[-20:]),
+                    )
                 return None
             # Atomic publish: concurrent builders race benignly to the
             # same content-addressed name.

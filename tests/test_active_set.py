@@ -41,13 +41,8 @@ from repro.emulator.session import (
     plan_packet_bytes,
     run_coded_session,
 )
-from repro.emulator.shard import (
-    ShardedSession,
-    _DecodeLog,
-    session_digest,
-    trace_digest,
-)
-from repro.emulator.trace import SessionTracer
+from repro.emulator.shard import ShardedSession, _DecodeLog, session_digest
+from repro.obs import EventTracer, trace_digest
 from repro.protocols.adaptive import make_coding_controller, make_planner
 from repro.protocols.intersession import plan_intersession_pairs
 from repro.protocols.more import plan_more
@@ -157,7 +152,7 @@ def stats_digest(stats):
 @under_parked_contract
 def relay_line(shards):
     """256-node relay line x 300 slots: most relays never hear a packet."""
-    tracer = SessionTracer(capacity=500_000)
+    tracer = EventTracer(capacity=500_000)
     with line_session(line_network(256), shards, tracer=tracer) as session:
         session.run(300)
         stats = session.finalize_stats()
@@ -235,7 +230,7 @@ def churn_xor():
     moved from the composite's slot-start sample to the engine's
     slot-end one; the trace did not move.
     """
-    tracer = SessionTracer(capacity=500_000)
+    tracer = EventTracer(capacity=500_000)
     outcome = churn_xor_run(tracer)
     return multi_session_digest(outcome), trace_digest(tracer)
 
@@ -271,7 +266,7 @@ def adaptive_switch_runner(traced=True):
             ScenarioEvent(at=26.0, kind="drift", sigma=1.0),
         ),
     )
-    tracer = SessionTracer(capacity=500_000) if traced else None
+    tracer = EventTracer(capacity=500_000) if traced else None
     result = run_adaptive_session(
         network,
         make_planner("omnc", source, destination),
@@ -287,7 +282,7 @@ def adaptive_switch_runner(traced=True):
     assert result.session.generations_decoded > 0
     if tracer is None:
         return session_digest(result.session)
-    pushed = [event.detail for event in tracer.events(kind="coding")]
+    pushed = [record.fields["detail"] for record in tracer.records(kind="coding")]
     assert len(pushed) > 1
     assert set(pushed) <= {decision.blocks for decision in controller.history}
     return session_digest(result.session), trace_digest(tracer)
@@ -320,7 +315,7 @@ def adaptive_switch_sharded():
     runtimes = build_plan_runtimes(
         network, plan, config=config, rng=RngFactory(21), on_decoded=_DecodeLog()
     )
-    tracer = SessionTracer(capacity=500_000)
+    tracer = EventTracer(capacity=500_000)
 
     def everyone(params):
         return {node: {"coding": params} for node in runtimes}
@@ -359,7 +354,7 @@ def silenced_line(tracer=None):
 @under_parked_contract
 def hot_swap():
     """A rate swap onto the parked, silenced relay, from outside the loop."""
-    tracer = SessionTracer(capacity=500_000)
+    tracer = EventTracer(capacity=500_000)
     with silenced_line(tracer) as session:
         session.run(120)
         session.apply_plan_updates({SILENCED: {"rate_bps": 2e4}})

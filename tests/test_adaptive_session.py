@@ -26,7 +26,7 @@ from repro.emulator.session import (
     run_unicast_session,
 )
 from repro.emulator.shard import ShardedSession
-from repro.emulator.trace import SessionTracer
+from repro.obs import EventTracer
 from repro.protocols.adaptive import make_planner
 from repro.protocols.etx_routing import plan_etx_route
 from repro.protocols.more import plan_more
@@ -149,9 +149,9 @@ class TestEngineHotSwapLayer:
                 session.run(150)
                 return session.finalize_stats().transmissions
 
-        straight, reinstalled = SessionTracer(), SessionTracer()
+        straight, reinstalled = EventTracer(), EventTracer()
         assert run(straight, False) == run(reinstalled, True)
-        assert list(straight.events()) == list(reinstalled.events())
+        assert list(straight) == list(reinstalled)
 
     def test_apply_plan_updates_rejects_unknown_nodes(self, net_pair):
         network, source, destination = net_pair
@@ -194,7 +194,7 @@ class TestStaticEquivalence:
         network, source, destination = net_pair
         config = SessionConfig(max_seconds=40.0, target_generations=2)
         plan = plan_omnc(network, source, destination)
-        static_trace = SessionTracer()
+        static_trace = EventTracer()
         static = run_coded_session(
             network,
             plan,
@@ -203,7 +203,7 @@ class TestStaticEquivalence:
             protocol_label="omnc",
             tracer=static_trace,
         )
-        adaptive_trace = SessionTracer()
+        adaptive_trace = EventTracer()
         adaptive = run_adaptive_session(
             network,
             make_planner("omnc", source, destination),
@@ -213,7 +213,7 @@ class TestStaticEquivalence:
             rng=RngFactory(5),
             tracer=adaptive_trace,
         )
-        assert list(adaptive_trace.events()) == list(static_trace.events())
+        assert list(adaptive_trace) == list(static_trace)
         assert adaptive.session.transmissions == static.transmissions
         assert adaptive.session.ack_times == static.ack_times
         assert adaptive.session.throughput_bps == static.throughput_bps
@@ -224,11 +224,11 @@ class TestStaticEquivalence:
         network, source, destination = net_pair
         config = SessionConfig(max_seconds=30.0)
         plan = plan_etx_route(network, source, destination)
-        static_trace = SessionTracer()
+        static_trace = EventTracer()
         static = run_unicast_session(
             network, plan, config=config, rng=RngFactory(5), tracer=static_trace
         )
-        adaptive_trace = SessionTracer()
+        adaptive_trace = EventTracer()
         adaptive = run_adaptive_session(
             network,
             make_planner("etx", source, destination),
@@ -238,7 +238,7 @@ class TestStaticEquivalence:
             rng=RngFactory(5),
             tracer=adaptive_trace,
         )
-        assert list(adaptive_trace.events()) == list(static_trace.events())
+        assert list(adaptive_trace) == list(static_trace)
         assert adaptive.session.packets_delivered == static.packets_delivered
         assert adaptive.session.throughput_bps == static.throughput_bps
 
@@ -257,22 +257,22 @@ class TestAdaptiveRuns:
         )
 
     def test_fixed_seed_and_scenario_reproduce_exactly(self, net_pair):
-        first_trace = SessionTracer()
-        second_trace = SessionTracer()
+        first_trace = EventTracer()
+        second_trace = EventTracer()
         first = self._drift_run(net_pair, tracer=first_trace)
         second = self._drift_run(net_pair, tracer=second_trace)
-        assert list(first_trace.events()) == list(second_trace.events())
+        assert list(first_trace) == list(second_trace)
         assert first == second
 
     def test_drift_triggers_charged_replans(self, net_pair):
-        tracer = SessionTracer()
+        tracer = EventTracer()
         result = self._drift_run(net_pair, tracer=tracer)
         assert result.replans >= 1
         assert result.replan_seconds > 0.0
         assert len(result.replan_times) == result.replans
-        replan_events = list(tracer.events(kind="replan"))
+        replan_events = list(tracer.records(kind="replan"))
         assert len(replan_events) == result.replans
-        assert all(event.node == -1 for event in replan_events)
+        assert all(event.fields["node"] == -1 for event in replan_events)
         assert sum(1 for r in result.epochs if r.replanned) == result.replans
         # Cold start plus one rate-control run per successful re-plan.
         assert len(result.planner_iterations) == result.replans + 1

@@ -36,8 +36,8 @@ from repro.emulator.session import (
     plan_packet_bytes,
     run_coded_session,
 )
-from repro.emulator.shard import ShardedSession, _DecodeLog, session_digest, trace_digest
-from repro.emulator.trace import SessionTracer
+from repro.emulator.shard import ShardedSession, _DecodeLog, session_digest
+from repro.obs import EventTracer, trace_digest
 from repro.protocols.etx_routing import plan_etx_route
 from repro.routing.node_selection import ForwarderSet
 from repro.util.rng import DrawBuffers, NodeStreams, RngFactory
@@ -245,7 +245,7 @@ class TestScalarEqualsArray:
 
         with census() as plain_forms:
             plain = run()
-        tracer = SessionTracer(capacity=500_000)
+        tracer = EventTracer(capacity=500_000)
         with census() as watched_forms, obs.collecting() as registry:
             watched = run(tracer)
         assert watched == plain
@@ -315,7 +315,7 @@ def relay_line_across_forms(shards):
     recorded on the commit before the numpy array form existed, and held
     while it did."""
     # 420 slots: the front passes node 192, the two-strip cut.
-    tracer = SessionTracer(capacity=500_000)
+    tracer = EventTracer(capacity=500_000)
     with line_session(line_network(LINE), shards, tracer=tracer) as session:
         session.run(420)
         stats = session.finalize_stats()

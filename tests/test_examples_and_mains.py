@@ -1,19 +1,21 @@
 """Smoke coverage for the runnable surfaces: examples and figure reports.
 
 Examples are user-facing documentation; a broken example is a broken
-promise.  These tests compile every example and exercise the cheap
-figure entry points end-to-end (figures run at smoke scale via direct
+promise.  These tests compile and run every example and exercise the
+cheap figure entry points end-to-end (figures run at smoke scale via direct
 function calls elsewhere; here we check the printing paths).
 """
 
+import os
 import pathlib
 import py_compile
+import subprocess
+import sys
 
 import pytest
 
-EXAMPLES = sorted(
-    (pathlib.Path(__file__).parent.parent / "examples").glob("*.py")
-)
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
 
 
 class TestExamplesCompile:
@@ -22,6 +24,16 @@ class TestExamplesCompile:
     )
     def test_example_compiles(self, path):
         py_compile.compile(str(path), doraise=True)
+
+    @pytest.mark.parametrize(
+        "path", EXAMPLES, ids=[p.stem for p in EXAMPLES]
+    )
+    def test_example_runs(self, path):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        done = subprocess.run(
+            [sys.executable, str(path)], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_expected_examples_present(self):
         names = {p.stem for p in EXAMPLES}

@@ -23,8 +23,8 @@ from repro.emulator.node import (
 )
 from repro.emulator.plan import CodingParams
 from repro.emulator.session import SessionConfig, run_coded_session
-from repro.emulator.shard import session_digest, trace_digest
-from repro.emulator.trace import SessionTracer
+from repro.emulator.shard import session_digest
+from repro.obs import EventTracer, trace_digest
 from repro.protocols.etx_routing import plan_etx_route
 from repro.protocols.more import plan_more
 from repro.protocols.omnc import plan_omnc
@@ -440,7 +440,7 @@ class TestOneSessionOracle:
         sid = 7
 
         def digests(run):
-            tracer = SessionTracer(capacity=500_000)
+            tracer = EventTracer(capacity=500_000)
             result = run(tracer)
             assert result.generations_decoded > 0
             return session_digest(result), trace_digest(tracer)

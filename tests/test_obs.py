@@ -222,12 +222,6 @@ def test_tracer_jsonl_round_trip(tmp_path):
     assert loaded[1].seq == 1
 
 
-def test_null_tracer_absorbs_everything():
-    before = len(obs.NULL_TRACER)
-    obs.NULL_TRACER.emit("anything", x=1)
-    assert len(obs.NULL_TRACER) == before == 0
-
-
 # ------------------------------------------------------- component integration
 
 

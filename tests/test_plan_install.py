@@ -32,8 +32,8 @@ from repro.emulator.session import (
     run_coded_session,
     run_unicast_session,
 )
-from repro.emulator.shard import session_digest, trace_digest
-from repro.emulator.trace import SessionTracer
+from repro.emulator.shard import session_digest
+from repro.obs import EventTracer, trace_digest
 from repro.protocols.adaptive import make_planner
 from repro.protocols.etx_routing import plan_etx_route
 from repro.protocols.more import plan_more
@@ -108,7 +108,7 @@ def _fail_recover_load(protocol, fidelity, traced=True):
             ScenarioEvent(at=22.0, kind="recover", node=VICTIM),
         ),
     )
-    tracer = SessionTracer(capacity=500_000) if traced else None
+    tracer = EventTracer(capacity=500_000) if traced else None
     result = run_adaptive_session(
         seeded_mesh(),
         make_planner(protocol, SOURCE, DESTINATION),
@@ -123,7 +123,7 @@ def _fail_recover_load(protocol, fidelity, traced=True):
         return session_digest(result.session)
     # The victim transmits, falls silent once a re-plan drops it, and
     # transmits again after the re-plan that follows its recovery.
-    times = [event.time for event in tracer.events(kind="tx", node=VICTIM)]
+    times = [record.fields["time"] for record in tracer.records(kind="tx", node=VICTIM)]
     assert any(t < 6.0 for t in times) and any(t > 24.0 for t in times)
     assert not any(10.0 < t < 22.0 for t in times)
     return session_digest(result.session), trace_digest(tracer)

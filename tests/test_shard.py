@@ -20,9 +20,9 @@ import pytest
 from repro import obs
 from repro.emulator.node import FlowRelayRuntime, UnicastRuntime
 from repro.emulator.session import SessionConfig
-from repro.emulator.shard import ShardedSession, _DecodeLog, trace_digest
-from repro.emulator.trace import SessionTracer
+from repro.emulator.shard import ShardedSession, _DecodeLog
 from repro.exec.pool import WorkerCallError
+from repro.obs import EventTracer, trace_digest
 from repro.protocols.omnc import plan_omnc
 from repro.routing.node_selection import NodeSelectionError
 from repro.topology.geometry import pairwise_distances
@@ -75,7 +75,7 @@ def _digests(network, plan, shards, *, config, seed):
     """``plan`` run on ``shards`` cores as the driver runs one session —
     each decode ACKed before the next slot, a stop at the target — with
     its stats and trace digests, its ACK times and its tracer."""
-    tracer = SessionTracer(capacity=500_000)
+    tracer = EventTracer(capacity=500_000)
     with plan_session(
         network, plan, config, RngFactory(seed), shards=shards, tracer=tracer
     ) as session:
@@ -212,7 +212,7 @@ def _leaves(value):
 
 
 def _line_digests(nodes, shards, drive):
-    tracer = SessionTracer(capacity=500_000)
+    tracer = EventTracer(capacity=500_000)
     with line_session(line_network(nodes), shards, tracer=tracer) as session:
         drive(session)
         stats = session.finalize_stats()
@@ -307,7 +307,7 @@ class TestEpochBoundaries:
         # next generation empties every relay: the strip beyond the cut
         # parks, and the new front is still short of the cut 36 slots on.
         def digests(shards):
-            tracer = SessionTracer(capacity=500_000)
+            tracer = EventTracer(capacity=500_000)
             with line_session(line_network(48), shards, tracer=tracer) as session:
                 session.run(100)  # the front passes node 24, the two-strip cut
                 advance_by_hand(session, 1)
@@ -348,7 +348,7 @@ class TestEpochBoundaries:
         # ... and each ACK is traced at the start of the slot after the
         # one that decoded: nothing ran in between.
         slot = config.coded_packet_bytes() / network.capacity
-        signalled = [event.time for event in sharded[3].events(kind="ack")]
+        signalled = [record.fields["time"] for record in sharded[3].records(kind="ack")]
         assert signalled == [time + slot for time in serial[2]]
 
     def test_metrics_counters_equal_across_shard_counts(self, barriers):

@@ -1,70 +1,63 @@
-"""Event tracing."""
+"""Event tracing: the one event log, as the emulator fills it."""
 
 import numpy as np
 import pytest
 
+from repro import obs
+from repro.cli import main
 from repro.emulator.node import CodedDestinationRuntime, CodedSourceRuntime
+from repro.emulator.session import SessionConfig, run_coded_session
 from repro.emulator.shard import ShardedSession, _DecodeLog
-from repro.emulator.trace import SessionTracer, TraceEvent
+from repro.obs import EventTracer, TraceRecord, trace_digest
+from repro.protocols import plan_omnc
+from repro.topology import diamond_topology
 from repro.topology.random_network import chain_topology
 from repro.util.rng import RngFactory
 
 
-class TestSessionTracer:
+class TestEventLog:
     def test_record_and_filter(self):
-        tracer = SessionTracer()
-        tracer.record(0, 0.0, "grant", 1)
-        tracer.record(0, 0.0, "tx", 1)
-        tracer.record(0, 0.0, "delivery", 1, peer=2)
-        tracer.record(1, 0.05, "ack", -1, detail=1)
-        assert len(tracer) == 4
-        assert tracer.summary() == {
-            "grant": 1, "tx": 1, "delivery": 1, "ack": 1, "replan": 0,
-            "coding": 0, "arrive": 0, "depart": 0,
-        }
-        assert [e.peer for e in tracer.events(kind="delivery")] == [2]
-        assert [e.detail for e in tracer.events(kind="ack")] == [1]
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            SessionTracer().record(0, 0.0, "explosion", 1)
+        tracer = EventTracer()
+        tracer.emit("grant", slot=0, time=0.0, node=1)
+        tracer.emit("tx", slot=0, time=0.0, node=1)
+        tracer.emit("tx", slot=0, time=0.0, node=2)
+        tracer.emit("delivery", slot=0, time=0.0, node=1, peer=2)
+        tracer.emit("ack", slot=1, time=0.05, node=-1, detail=1)
+        assert len(tracer) == 5
+        assert tracer.summary() == {"grant": 1, "tx": 2, "delivery": 1, "ack": 1}
+        assert [r.fields["peer"] for r in tracer.records(kind="delivery")] == [2]
+        assert [r.fields["detail"] for r in tracer.records(kind="ack")] == [1]
+        assert [r.seq for r in tracer.records(kind="tx", node=2)] == [2]
+        assert [r.kind for r in tracer.records(node=1)] == ["grant", "tx", "delivery"]
+        assert list(tracer.records(peer=3)) == []  # absent field: no match
 
     def test_capacity_bound_drops_oldest(self):
-        tracer = SessionTracer(capacity=3)
-        for slot in range(5):
-            tracer.record(slot, slot * 0.1, "tx", 0)
-        assert len(tracer) == 3
-        assert tracer.dropped == 2
-        assert [e.slot for e in tracer.events()] == [2, 3, 4]
+        capacity = 4
+        tracer = EventTracer(capacity=capacity)
+        for slot in range(3 * capacity):
+            tracer.emit("tx", slot=slot, time=slot * 0.1, node=0)
+        retained = list(tracer)
+        assert len(tracer) == capacity
+        assert [r.fields["slot"] for r in retained] == list(range(2 * capacity, 3 * capacity))
+        assert tracer.dropped == 2 * capacity
+        # Sequence numbers are global, not reset by eviction.
+        assert retained[0].seq == 2 * capacity
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
-            SessionTracer(capacity=0)
-
-    def test_delivery_ratio(self):
-        tracer = SessionTracer()
-        tracer.record(0, 0.0, "tx", 0)
-        tracer.record(0, 0.0, "tx", 1)
-        tracer.record(0, 0.0, "delivery", 0, peer=1)
-        assert tracer.delivery_ratio() == pytest.approx(0.5)
-        assert SessionTracer().delivery_ratio() == 0.0
-
-    def test_per_node_transmissions(self):
-        tracer = SessionTracer()
-        tracer.record(0, 0.0, "tx", 0)
-        tracer.record(1, 0.1, "tx", 0)
-        tracer.record(1, 0.1, "tx", 2)
-        assert tracer.per_node_transmissions() == {0: 2, 2: 1}
+            EventTracer(capacity=0)
 
     def test_jsonl_round_trip(self, tmp_path):
-        tracer = SessionTracer()
-        tracer.record(0, 0.0, "tx", 0)
-        tracer.record(1, 0.05, "delivery", 0, peer=1)
+        tracer = EventTracer()
+        tracer.emit("tx", slot=0, time=0.0, node=0)
+        tracer.emit("delivery", slot=1, time=0.1 + 0.2, node=0, peer=1)
         path = tmp_path / "trace.jsonl"
         assert tracer.to_jsonl(path) == 2
-        events = SessionTracer.read_jsonl(path)
-        assert events == tuple(tracer.events())
-        assert isinstance(events[0], TraceEvent)
+        records = EventTracer.read_jsonl(path)
+        assert records == tuple(tracer)
+        assert isinstance(records[0], TraceRecord)
+        assert records[1].fields["time"] == 0.1 + 0.2  # floats in full
+        assert trace_digest(records) == trace_digest(tracer)
 
 
 class TestEngineTracing:
@@ -74,7 +67,7 @@ class TestEngineTracing:
         acks = []
         source = CodedSourceRuntime(0, 1, 4, 1e4, 1048, rng)
         destination = CodedDestinationRuntime(1, 1, 4, acks.append)
-        tracer = SessionTracer()
+        tracer = EventTracer()
         session = ShardedSession(
             network,
             {0: source, 1: destination},
@@ -86,8 +79,8 @@ class TestEngineTracing:
         summary = tracer.summary()
         assert summary["tx"] == session.finalize_stats().transmissions[0]
         assert summary["grant"] >= summary["tx"]
-        assert summary["delivery"] <= summary["tx"]
-        assert tracer.per_node_transmissions().get(0, 0) == summary["tx"]
+        assert summary.get("delivery", 0) <= summary["tx"]
+        assert len(list(tracer.records(kind="tx", node=0))) == summary["tx"]
 
     def test_ack_event_recorded_on_generation_advance(self):
         # The core ACKs the first decode: traced with the next generation,
@@ -97,7 +90,7 @@ class TestEngineTracing:
         log = _DecodeLog()
         source = CodedSourceRuntime(0, 1, 4, 1e4, 1048, rng)
         destination = CodedDestinationRuntime(1, 1, 4, log)
-        tracer = SessionTracer()
+        tracer = EventTracer()
         session = ShardedSession(
             network,
             {0: source, 1: destination},
@@ -107,7 +100,40 @@ class TestEngineTracing:
             decode_log=log,
         )
         session.run(100, decodes=lambda: 1 - len(log.acks))
-        (ack,) = tracer.events(kind="ack")
+        (ack,) = tracer.records(kind="ack")
         ((generation, decoded_at),) = log.acks
-        assert (generation, ack.detail, ack.time) == (0, 1, decoded_at + 0.05)
+        assert (generation, ack.fields["detail"], ack.fields["time"]) == (0, 1, decoded_at + 0.05)
         assert destination.rank == 0 and source._generation_id == 1
+
+
+class TestTraceFiles:
+    """A trace file read back reproduces the run's digest exactly."""
+
+    def test_a_session_trace_round_trips(self, tmp_path):
+        network = diamond_topology(capacity=2e4)
+        config = SessionConfig(blocks=8, block_size=256, max_seconds=20.0)
+        tracer = EventTracer()
+        run_coded_session(
+            network, plan_omnc(network, 0, 3), config=config, rng=RngFactory(7), tracer=tracer
+        )
+        path = tmp_path / "session.jsonl"
+        assert tracer.to_jsonl(path) == len(tracer) > 0
+        assert trace_digest(EventTracer.read_jsonl(path)) == trace_digest(tracer)
+
+    def test_the_cli_trace_file_round_trips(self, tmp_path, monkeypatch, capsys):
+        made = []
+
+        class KeptTracer(EventTracer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(obs, "EventTracer", KeptTracer)
+        path = tmp_path / "session.jsonl"
+        argv = ["session", "omnc", "0", "7", "--nodes", "30", "--seconds", "20"]
+        assert main([*argv, "--trace", str(path)]) == 0
+        assert f"-> {path}" in capsys.readouterr().out
+        (tracer,) = made
+        records = EventTracer.read_jsonl(path)
+        assert [r.seq for r in records] == list(range(len(tracer)))
+        assert trace_digest(records) == trace_digest(tracer)

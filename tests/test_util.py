@@ -1,6 +1,7 @@
 """Validation helpers and RNG factory."""
 
 import ctypes
+import logging
 import shutil
 
 import numpy as np
@@ -132,8 +133,10 @@ PROBE = {"probe": ([], ctypes.c_int)}
 
 @pytest.fixture
 def probe_c(tmp_path, monkeypatch):
-    """A one-function C file, and an empty kernel cache."""
+    """A one-function C file, an empty kernel cache, and ``cc`` as the
+    compiler whatever ``$CC`` the environment names."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setenv("CC", "cc")
     source = tmp_path / "probe.c"
     source.write_text("int probe(void) { return 42; }\n")
     return source
@@ -162,3 +165,12 @@ def test_clib_rebuilds_a_cached_object_that_does_not_open(probe_c):
     assert clib.build("probe", probe_c, ["-O0"]) == so_path
     assert clib.load("probe", probe_c, ["-O0"], PROBE).probe() == 42
     assert so_path.read_bytes() != b"garbage"
+
+
+@needs_cc
+def test_clib_logs_why_a_compile_failed(probe_c, caplog):
+    probe_c.write_text("int probe(void) { return 42 }\n")  # no ';' on line 1
+    with caplog.at_level(logging.WARNING, logger="repro.util.clib"):
+        assert clib.build("probe", probe_c, []) is None
+    (record,) = caplog.records
+    assert "probe.c:1" in record.getMessage() and "error" in record.getMessage()
