@@ -38,6 +38,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import logging
+from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -52,17 +53,23 @@ import numpy as np
 from repro import obs
 from repro.emulator import native
 from repro.emulator.awake import AwakeSet
-from repro.emulator.columns import KINDS as ROW_KINDS
-from repro.emulator.columns import Columns
+from repro.emulator.columns import COMPOSITES, EXACT_KINDS, KINDS as ROW_KINDS
+from repro.emulator.columns import Columns, session_rows
+from repro.coding.packet import CodedPacket
 from repro.emulator.node import (
+    CodedDestinationRuntime,
+    CodedRelayRuntime,
+    CodedSourceRuntime,
     FlowDestinationRuntime,
     FlowPacket,
     FlowRelayRuntime,
     FlowSourceRuntime,
+    InterSessionXorRelay,
     MultiSessionNodeRuntime,
     NodeRuntime,
     RuntimeTerms,
     UnicastRuntime,
+    XorPacket,
     check_slot_credit,
     install_runtimes,
 )
@@ -341,8 +348,19 @@ class EngineCore:
             self._queue_time_buf = np.array(self._queue_time_buf)
             # Transmissions since the last flush, per hosted position.
             self._fired = np.zeros(len(self._owned), dtype=np.int64)
-            self._columns = columns = Columns(self._runtime_list, self._dt)
+            self._columns = columns = Columns(
+                self._runtime_list, self._dt, self._network.node_count
+            )
             assert columns.role.all(), "a compiled core hosts row kinds only"
+            # A composite row's slot-end queue integral carries over as the
+            # position's does: (the session's integrals, session, row).
+            self._session_rows = [
+                (self._session_queue_time[self._owned[position]], int(columns.session[row]), row)
+                for position in np.flatnonzero(columns.composite).tolist()
+                for row in range(*columns.group_ptr[position : position + 2].tolist())
+            ]
+            for times, session, row in self._session_rows:
+                columns.row_queue_time[row] = times[session]
             # Nobody to sweep: the rows keep their own awake flags.
             self._awake = AwakeSet(len(self._owned), ())
             self._node_of = np.array(self._owned, dtype=np.intp)
@@ -453,21 +471,24 @@ class EngineCore:
         # and ``(slot, rank, place, position, value)`` per delivery to a
         # sink or decode: at most one a slot per row, as a rule far fewer.
         self._slot_out = np.zeros((2, 0), dtype=np.int64)
-        self._sink_out = np.zeros((count, 5), dtype=np.int64)
+        rows = len(self._columns.role)
+        self._sink_out = np.zeros((rows, 5), dtype=np.int64)
         self._granted_ids = np.zeros(4 * max(count, 1), dtype=np.int64)
         self._contender_out = np.zeros(count + 1, dtype=np.int64)
         self._key_out = np.zeros(count + 1)
         # An arrival a row: every receiver hears at most one transmitter
         # (blanked otherwise, or never granted together), and a FIRE
-        # hands back those of any node.
-        self._fallback_out = np.zeros((pad + 1, 7), dtype=np.int64)
+        # hands back those of any node (an exact packet's vectors beside).
+        self._fallback_out = np.zeros((pad + 1, native.HANDED), dtype=np.int64)
         self._grant_in = np.zeros(pad + 1, dtype=np.int64)
-        core.rows, core.rx_width, core.pad = count, width, pad
+        self._fallback_vectors = np.zeros((pad + 1, 0), dtype=np.uint8)
+        self._pointed_arrays: Dict[str, np.ndarray] = {}  # what the fresh core points at
+        core.rows, core.positions, core.rx_width, core.pad = rows, count, width, pad
         core.mac, core.loss = self._mac_bank.address, self._loss_bank.address
         core.blanking, core.cut = self._blanking, bool(self._cut)
         core.park_interval = AwakeSet.PARK_INTERVAL
         core.id_capacity = len(self._granted_ids)
-        core.sink_capacity = count
+        core.sink_capacity = rows
         core.floor = IdealMacScheduler.WEIGHT_FLOOR
         core.smoothing = FlowRelayRuntime._DEMAND_SMOOTHING
         arrays = [
@@ -486,9 +507,9 @@ class EngineCore:
             ("granted_ids", self._granted_ids, np.int64, self._granted_ids.shape),
             ("contender_out", self._contender_out, np.int64, (count + 1,)),
             ("key_out", self._key_out, np.float64, (count + 1,)),
-            ("fallback_out", self._fallback_out, np.int64, (pad + 1, 7)),
+            ("fallback_out", self._fallback_out, np.int64, (pad + 1, native.HANDED)),
             ("grant_in", self._grant_in, np.int64, (pad + 1,)),
-            ("sink_out", self._sink_out, np.int64, (count, 5)),
+            ("sink_out", self._sink_out, np.int64, (rows, 5)),
         ]
         if self._blanking:
             core.cov_width = self._cov.shape[1]
@@ -502,26 +523,66 @@ class EngineCore:
 
     def _point_columns(self) -> None:
         """Repoint the compiled loop at the columns' arrays, which a load
-        (any row fallback) may have replaced."""
+        (any row fallback) may have replaced: those it has not point where
+        they did."""
         columns = self._columns
         core = self._packed
         assert columns is not None and core is not None
-        count = len(self._owned)
-        shapes = {
-            "levels": (count, columns.levels.shape[1]),
-            "upstream": self._rx_ids.shape,
-            "credit_rows": columns._credit_rows.shape,
-            "unicast_rows": columns._unicast_rows.shape,
-            "ring_ptr": (count + 1,),
-            "ring": columns.ring.shape,
-        }
+        pointed = self._pointed_arrays
+        shapes: Optional[Dict[str, Tuple[int, ...]]] = None
         for name, attribute, dtype in native.COLUMNS:
             array = getattr(columns, attribute)
-            setattr(core, name, native.address(array, dtype, shapes.get(name, (count,))))
+            if pointed.get(name) is array or not array.size:  # empty: a kind the core lacks
+                continue
+            shapes = shapes or self._column_shapes()
+            shape = shapes.get(name, (len(columns.role),))
+            setattr(core, name, native.address(array, dtype, shape))
+            pointed[name] = array
+        vwidth = columns.vwidth
+        if self._fallback_vectors.shape[1] != 2 * vwidth:
+            self._fallback_vectors = np.zeros((self._network.node_count + 1, 2 * vwidth), np.uint8)
+            core.fallback_vectors = native.address(
+                self._fallback_vectors, np.uint8, self._fallback_vectors.shape
+            )
         core.width = columns.levels.shape[1]
+        core.vwidth = vwidth
+        core.grouped = columns.grouped
         core.credit_count = len(columns._credit_rows)
         core.unicasts = len(columns._unicast_rows)
         self._pointed = columns.reallocations
+
+    def _column_shapes(self) -> Dict[str, Tuple[int, ...]]:
+        """The shape the kernel reads each column array at, where it is not
+        one entry per row: per position, laid out, or a composite's and an
+        exact row's own (empty on a core without one)."""
+        columns = self._columns
+        assert columns is not None
+        count, rows, vwidth = len(self._owned), len(columns.role), columns.vwidth
+        grouped = (rows, count) if columns.grouped else (0, 0)
+        exact, pad = len(columns.coding), self._network.node_count
+        return {
+            "levels": (rows, columns.levels.shape[1]),
+            "upstream": self._rx_ids.shape,
+            "credit_rows": columns._credit_rows.shape,
+            "unicast_rows": columns._unicast_rows.shape,
+            "ring_ptr": (rows + 1,),
+            "ring": columns.ring.shape,
+            "awake": (count,),
+            "group_ptr": (count + 1,),
+            "composite": (count,),
+            **dict.fromkeys(("active", "session_tx", "row_queue_time"), (grouped[0],)),
+            **dict.fromkeys(("cursor", "xor_sent"), (grouped[1],)),
+            "pair_ptr": (count + 1,),
+            "pair_rows": columns.pair_rows.shape,
+            **dict.fromkeys(("heard_from", "row_upstream"), (grouped[0], pad + 1)),
+            **dict.fromkeys(("coded_cap", "emitted", "systematic", "received"), (exact,)),
+            "coded_ptr": (exact + 1,),
+            "coded_ring": columns.coded_ring.shape,
+            "basis": (exact, vwidth * vwidth),
+            "pivots": (exact, vwidth),
+            "vectors": (exact, vwidth * vwidth),
+            "coding": (exact, 6),
+        }
 
     def _wake_everyone(self) -> None:
         self._awake.wake_everyone()
@@ -674,7 +735,7 @@ class EngineCore:
             self._slot_out = np.zeros((2, budget), dtype=np.int64)
             core.slot_granted = native.address(self._slot_out[0], np.int64, (budget,))
             core.slot_contenders = native.address(self._slot_out[1], np.int64, (budget,))
-            sinks = budget + len(self._owned)
+            sinks = budget + len(self._columns.role)
             self._sink_out = np.zeros((sinks, 5), dtype=np.int64)
             core.sink_out = native.address(self._sink_out, np.int64, (sinks, 5))
             core.sink_capacity = sinks
@@ -724,9 +785,18 @@ class EngineCore:
         """The arrivals the last call handed back (row-major: in place
         order), by receiver, as :meth:`_fire` builds them."""
         offers: Dict[int, List[Arrival]] = {}
-        handed = self._fallback_out[: self._packed.fallbacks].tolist()
-        for receiver, rank, place, sender, session, generation, level in handed:
-            packet = FlowPacket(session, generation, float(level))
+        count = self._packed.fallbacks
+        handed = self._fallback_out[:count].tolist()
+        width = self._columns.vwidth  # type: ignore[union-attr]
+        vectors = self._fallback_vectors[:count].reshape(count, 2, width)
+        for at, (receiver, rank, place, sender, exact, *parts) in enumerate(handed):
+            components: List[Any] = [
+                CodedPacket(session, generation, vectors[at, i, :level])
+                if exact else FlowPacket(session, generation, float(level))
+                for i, (session, generation, level) in enumerate((parts[:3], parts[3:]))
+                if session >= 0
+            ]
+            packet = components[0] if len(components) == 1 else XorPacket(components)
             offers.setdefault(receiver, []).append((rank, place, sender, "coded", packet))
         return offers
 
@@ -739,8 +809,9 @@ class EngineCore:
         not recorded yet (one left to the object path)."""
         unrecorded: List[Event] = []
         log = self._log
-        for slot, rank, place, position, value in self._sink_out[:count].tolist():
-            runtime: Any = self._runtime_list[position]
+        rows = self._columns._runtimes  # type: ignore[union-attr]
+        for slot, rank, place, row, value in self._sink_out[:count].tolist():
+            runtime: Any = rows[row]
             callback = getattr(runtime, "_on_decoded", None) or runtime._on_delivered
             if callback is not None:
                 callback(value)
@@ -981,7 +1052,7 @@ class EngineCore:
             self._pending_unicast.clear()
         queue_times = self._queue_time_buf
         if self._columns is not None:
-            queue_times += self._columns.queue
+            queue_times += self._columns.position_queue()
         elif self._obs_enabled:
             # The histogram takes one sample per runtime per slot, in
             # participant order, parked or not (parked ones read 0).
@@ -1002,6 +1073,9 @@ class EngineCore:
     def _sample_sessions(self, slots: int) -> None:
         """Every composite's queue sample, ``slots`` times, split by active
         session (a parked composite's sessions all hold empty queues)."""
+        if self._columns is not None:
+            self._columns.sample_sessions(slots)
+            return
         for composite, times in self._composites:
             for session_id, runtime in composite.active_runtimes:
                 times[session_id] += runtime.queue_length() * slots
@@ -1010,7 +1084,7 @@ class EngineCore:
         """Every hosted runtime's queue length, in position order."""
         if self._columns is None:
             return [runtime.queue_length() for runtime in self._runtime_list]
-        return self._columns.queue.tolist()
+        return self._columns.position_queue().tolist()
 
     # -- control plane -------------------------------------------------
 
@@ -1086,6 +1160,8 @@ class EngineCore:
             self._queue_time.update(zip(self._owned, self._queue_time_buf))
             return
         self._queue_time.update(zip(self._owned, self._queue_time_buf.tolist()))
+        for times, session, row in self._session_rows:
+            times[session] = float(self._columns.row_queue_time[row])
         for position in np.flatnonzero(self._fired).tolist():
             self._transmissions[self._owned[position]] += int(self._fired[position])
         self._fired[:] = 0
@@ -1136,20 +1212,44 @@ class EngineCore:
 
 def compilable(init: CoreInit) -> bool:
     """Whether a core built from ``init`` now may run its epochs on the
-    compiled slot loop: flow and unicast rows only, untraced, unobserved,
-    every destination reporting to the core's recorder (the kernel ACKs
-    each decode it absorbs), and no capture draws (the loop keeps none)
-    — and, in a session with
-    unicast runtimes, every participant hosted: a unicast attempt settles
-    where it was fired, and only :meth:`EngineCore.run_slots` drives it."""
+    compiled slot loop: flow, exact and unicast rows only (a composite's
+    per-session runtimes are rows), untraced, unobserved, every
+    destination reporting to the core's recorder — bound to its session in
+    a composite — (the kernel ACKs each decode it absorbs), and no capture
+    draws (the loop keeps none) — and, in a session with unicast, exact or
+    composite runtimes, every participant hosted: a unicast attempt
+    settles where it was fired and only :meth:`EngineCore.run_slots`
+    drives it, and an exact packet or a composite's sessions never cross
+    cores."""
     log = init.decode_log
+    hosts = list(init.runtimes.values())
+    types = set(map(type, hosts))
+    composites = [host for host in hosts if type(host) in COMPOSITES] if types & COMPOSITES else []
+    plain = [host for host in hosts if type(host) not in COMPOSITES] if composites else hosts
+    shared = [row for host in composites for row in session_rows(host)]
+    kinds = (types - COMPOSITES) | set(map(type, shared))
+    if not kinds <= ROW_KINDS.keys():
+        return False
+    local = bool(composites) or not kinds.isdisjoint(EXACT_KINDS)
     return (
         not init.traced
         and not obs.get_registry().enabled
         and init.interference != "capture"
-        and all(type(runtime) in ROW_KINDS for runtime in init.runtimes.values())
-        and all(getattr(r, "_on_decoded", log) is log for r in init.runtimes.values())
-        and (not init.has_unicast or len(init.runtimes) == len(init.participants))
+        and all(getattr(row, "_on_decoded", log) is log for row in plain)
+        and all(_bound_to_session(row, log) for row in shared)
+        and not any(isinstance(row, UnicastRuntime) for row in shared)
+        and (not (init.has_unicast or local) or len(init.runtimes) == len(init.participants))
+    )
+
+
+def _bound_to_session(runtime: NodeRuntime, log: _DecodeLog) -> bool:
+    """Whether a composite's ``runtime`` (a destination, else trivially)
+    reports its decodes to ``log`` bound to its own session, as the
+    kernel ACKs them."""
+    callback = getattr(runtime, "_on_decoded", None)
+    return callback is None or (
+        isinstance(callback, functools.partial) and callback.func is log and not callback.args
+        and callback.keywords == {"session_id": runtime.session_id}
     )
 
 
@@ -1189,14 +1289,17 @@ def _self_test(kernel: native.Kernel) -> bool:
     ``kernel`` bank and from the scalar form's buffers, equal.  Then epochs
     along a five-node line on a scalar core and on ``kernel``, equal
     by ``repr`` slot by slot, in ``finalize``, in every runtime's fields
-    after it and in the next values of every draw stream — twice.  Flow:
-    rate and credit relays under blanking, a source that drops, refills,
-    decodes and their ACKs taken in C, one that uses up its epoch's
-    allowance, and a generation-size switch deferred to an ACK the
-    objects take.  ETX: sources at 0 and 2 (hidden terminals:
-    node 1 is blanked when both send), short queues that drop (deliveries
-    into a full one included), a re-route over a link that is not there
-    and back, and the sink's ``delivered`` events."""
+    after it (:func:`_fields`) and in the next values of every draw
+    stream — three times.  Flow: rate and credit relays under blanking, a
+    source that drops, refills, decodes and their ACKs taken in C, one
+    that uses up its epoch's allowance, and a generation-size switch
+    deferred to an ACK the objects take.  ETX: sources at 0 and 2 (hidden
+    terminals: node 1 is blanked when both send), short queues that drop
+    (deliveries into a full one included), a re-route over a link that is
+    not there and back, and the sink's ``delivered`` events.  Exact:
+    opposing sessions 0 -> 4 (systematic, rate relays) and 4 -> 0 (credit
+    relays) in composites, XORed at node 2, the second arriving after the
+    first epoch, each decode ACKed in C for its session alone."""
     from repro.emulator.plan import CodingParams  # only a self-test needs it
 
     count = 2000
@@ -1251,7 +1354,47 @@ def _self_test(kernel: native.Kernel) -> bool:
             trail.append(core.run_slots((budget, None, epoch % 2 == 0, None)))
         return trail
 
-    for build, drive, has_unicast in ((flow, flow_epochs, False), (unicast, unicast_epochs, True)):
+    def exact(log: _DecodeLog) -> Dict[int, NodeRuntime]:
+        coding = RngFactory(3)
+        runtimes: Dict[int, NodeRuntime] = {}
+        for node in line:
+            runtimes[node] = (
+                InterSessionXorRelay(node, ((1, 2),)) if node == 2
+                else MultiSessionNodeRuntime(node)
+            )
+            if node == 0:
+                one: NodeRuntime = CodedSourceRuntime(
+                    0, 1, 3, 0.4 * rate, size, coding.derive("one", 0), queue_limit=3,
+                    systematic=True,
+                )
+                two: NodeRuntime = CodedDestinationRuntime(
+                    0, 2, 3, functools.partial(log, session_id=2)
+                )
+            elif node == 4:
+                one = CodedDestinationRuntime(4, 1, 3, functools.partial(log, session_id=1))
+                two = CodedSourceRuntime(4, 2, 3, 0.3 * rate, size, coding.derive("two", 4))
+            else:
+                one = CodedRelayRuntime(
+                    node, 1, 3, size, coding.derive("one", node), mode="rate", rate_bps=0.5 * rate
+                )
+                two = CodedRelayRuntime(
+                    node, 2, 3, size, coding.derive("two", node), mode="credit", tx_credit=1.2,
+                    upstream=(node + 1,),
+                )
+            runtimes[node].add_session(1, one)  # type: ignore[attr-defined]
+            runtimes[node].add_session(2, two, active=False)  # type: ignore[attr-defined]
+        return runtimes
+
+    def exact_epochs(core: EngineCore) -> List[Any]:
+        arrive = [("activate_session", 2)]
+        return [
+            core.run_slots((budget, events, epoch % 2 == 0, None))
+            for epoch, (budget, events) in enumerate(((30, None), (60, arrive), (60, None)))
+        ]
+
+    for build, drive, has_unicast in (
+        (flow, flow_epochs, False), (unicast, unicast_epochs, True), (exact, exact_epochs, False)
+    ):
         outcomes: List[str] = []
         for form in (None, kernel):
             log = _DecodeLog()
@@ -1264,14 +1407,38 @@ def _self_test(kernel: native.Kernel) -> bool:
                 core = _forced(form)(init)
                 trail = drive(core)
                 finalized = core.finalize()
-            fields = [
-                sorted((k, v) for k, v in vars(r).items() if not k.startswith("_on"))
-                for r in runtimes.values()
-            ]
+            fields = [_fields(r) for r in runtimes.values()]
             outcomes.append(repr((trail, finalized, fields, _next_draws(core, list(line)))))
         if outcomes[0] != outcomes[1]:
             return False
     return True
+
+
+def _fields(value: Any) -> Any:
+    """What ``value`` holds, as plain data: a runtime's fields, its
+    coders', generators' and queued packets' within (a composite's
+    sessions too); bound callbacks, metric handles, the field engine and
+    a basis's native binding left out."""
+    if isinstance(value, np.random.Generator):
+        return value.bit_generator.state
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (list, tuple, deque)):
+        return [_fields(item) for item in value]
+    if isinstance(value, dict):
+        return sorted((repr(key), _fields(item)) for key, item in value.items())
+    if isinstance(value, (set, frozenset)):
+        return sorted(map(repr, value))
+    held = getattr(value, "__dict__", None)
+    if held is None:
+        slots = getattr(type(value), "__slots__", ())
+        held = {name: getattr(value, name) for name in slots} if slots else None
+    if held is None:
+        return value
+    return sorted(
+        (key, _fields(item)) for key, item in held.items()
+        if not key.startswith(("_on", "_m_")) and key not in ("_field", "handle")
+    )
 
 
 def _next_draws(core: EngineCore, nodes: List[int], count: int = 3) -> List[List[float]]:

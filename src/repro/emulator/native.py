@@ -9,9 +9,11 @@ its order: every row's ``on_slot`` (credit, cap, drain, drops, the
 credit-mode EWMA, contenders and weights, the park check; a unicast row
 queues a packet per whole credit and drops what does not fit), the lottery
 keys, the stable (key, position) order and the greedy grant, then the
-granted transmitters' pops, transmitting and blanking coverage over every
-granted id, one loss run per transmitter in grant order, ``on_receive`` at
-the receivers taken row-major, the unicast attempts (one uniform of the
+granted transmitters' pops (a composite's round robin, XOR pairs first),
+transmitting and blanking coverage over every granted id, one loss run per
+transmitter in grant order, ``on_receive`` at the receivers taken
+row-major (a composite's at the packet's session's row, an exact row's
+elimination in ``kernels/gf256.h``), the unicast attempts (one uniform of the
 row's loss stream, drawn only past the half-duplex and blanking checks and
 at ``p > 0``), their hops' appends or drops and
 ``complete_transmission``'s verdicts, and the queue samples.  It is exact,
@@ -26,7 +28,10 @@ the keys, or the fire given the whole granted tuple, absorbing at the
 receivers or handing every arrival back untouched.  A delivery to a sink
 and a destination's decode come back as ``(slot, rank, place, position,
 value)`` for Python to call ``on_delivered`` or ``on_decoded``; after the
-slot's queue samples the kernel ACKs the decode, every row's ``_reset``.
+slot's queue samples the kernel ACKs the decode, every row's ``_reset``
+(a composite's, that session's rows').  An exact row's coefficients come
+from its own generator's PCG64 state, drawn as numpy's ``integers(0, 256,
+dtype=np.uint8)`` draws them (``random_bounded_uint8_fill``).
 
 An epoch returns on any of six exits, each at a slot boundary the scalar
 form also stops at, or before the samples of a slot Python finishes: the
@@ -42,7 +47,8 @@ numpy's own algorithms in C, so the banks hand every node the values its
 buffers would and no call re-enters Python.
 
 :func:`load` compiles that file on first use (:mod:`repro.util.clib`),
-linking numpy's ``libnpyrandom.a`` for the exponential, and opens it;
+linking numpy's ``libnpyrandom.a`` for the exponential and the byte
+draws, and opens it (the GF(2^8) tables handed over as the codec's);
 :func:`~repro.emulator.engine.compiled_kernel` self-tests it against the
 scalar form and numpy's generators before any core runs on it.  :class:`Core`
 mirrors the C struct field for field (every field 8 bytes, so no
@@ -72,6 +78,10 @@ BUDGET, ASLEEP, CUT, FALLBACK, ACK, FAILED = 0, 1, 2, 3, 4, -1
 #: receivers (``RESOLVE``) or handing every arrival back as :data:`FALLBACK`
 #: does, no row touched and the slot not sampled (``FIRE``).
 EPOCH, CONTEND, RESOLVE, FIRE = 0, 1, 2, 3
+#: Columns of a handed-back arrival: receiver, rank, place, sender, exact,
+#: then (session, generation, level) per component, a flow packet's
+#: content or an exact one's vector length, -1s for a second it lacks.
+HANDED = 11
 
 #: ``(field, attribute, dtype)`` of every :class:`~repro.emulator.columns.Columns`
 #: array the kernel reads or writes, those ``Columns._classify`` and
@@ -96,6 +106,16 @@ COLUMNS: Tuple[Tuple[str, str, type], ...] = (
     ("hop_cell", "_hop_cell", np.int64),
     *((name, name, np.float64) for name in ("arrival", "hop_p")),
     ("offered", "offered", np.bool_),
+    *((name, name, np.int64) for name in (
+        "group_ptr", "row_position", "cursor", "pair_ptr", "pair_rows", "xor_sent", "session_tx",
+        "emitted", "received", "coded_ptr", "coded_cap", "pivots",
+    )),
+    *((name, name, np.bool_) for name in (
+        "exact", "active", "composite", "heard_from", "row_upstream", "systematic",
+    )),
+    ("row_queue_time", "row_queue_time", np.float64),
+    *((name, name, np.uint8) for name in ("coded_ring", "basis", "vectors")),
+    ("coding", "coding", np.uint64),
 )
 
 
@@ -103,21 +123,24 @@ class Core(ctypes.Structure):
     """One core's arrays and an epoch's outputs, as the kernel sees them."""
 
     _fields_ = clib.fields(
-        "rows width rx_width cov_width pad credit_count unicasts"
+        "rows positions width rx_width cov_width pad credit_count unicasts grouped vwidth"
         " blanking cut ticks park_interval named id_capacity sink_capacity decode_limit"
         " slots ids contenders fallbacks sunk decodes phase grants",
         "floor smoothing",
-        "role credit_mode source destination rate_relay upstream pending"
+        "role credit_mode source destination rate_relay upstream pending exact"
         " increment tx_credit cap accrual credit demand enqueued information"
         " blocks session limit credit_rows"
         " generation queue levels generated sent dropped heard accepted decoded decoded_blocks"
         " awake"
         " unicast_rows next_hop hop_cell ring_ptr arrival hop_p offered next_seq head ring"
+        " group_ptr row_position active composite cursor pair_ptr pair_rows xor_sent session_tx"
+        " row_queue_time heard_from row_upstream"
+        " systematic emitted received coded_ptr coded_cap coded_ring basis pivots vectors coding"
         " rx_ids cov cov_row position_of node_of conflict_ptr conflict rx_p cut_mask"
         " queue_time fired delivered"
         " mac loss mac_rows loss_rows"
         " slot_granted slot_contenders granted_ids contender_out fallback_out sink_out key_out"
-        " grant_in",
+        " fallback_vectors grant_in",
     )
 
 
@@ -237,11 +260,37 @@ NPYRANDOM = Path(np.random.__file__).parent / "lib" / "libnpyrandom.a"
 
 
 class Kernel(NamedTuple):
-    """The compiled slot loop: ``run(core, budget) -> status``, and
-    ``take``, the draw every :class:`StreamBank` of its cores reads with."""
+    """The compiled slot loop: ``run(core, budget) -> status``; ``take``,
+    the draw every :class:`StreamBank` of its cores reads with; and
+    ``coding_draw(state, out, count)``, an exact row's coefficient draw
+    (``Generator.integers(0, 256, size=count, dtype=np.uint8)`` on the
+    PCG64 whose state is six words: :func:`coding_state`)."""
 
     run: Callable[..., int]
     take: Callable[..., None]
+    coding_draw: Callable[..., None]
+
+
+def coding_state(generator: np.random.Generator) -> list:
+    """``generator``'s PCG64 state as the kernel holds it: the state's and
+    the increment's high and low words, ``has_uint32`` and ``uinteger``."""
+    state = generator.bit_generator.state
+    words = state["state"]["state"], state["state"]["inc"]
+    mask = (1 << 64) - 1
+    return [
+        *(part for word in words for part in (word >> 64, word & mask)),
+        state["has_uint32"], state["uinteger"],
+    ]
+
+
+def set_coding_state(generator: np.random.Generator, words: Sequence[int]) -> None:
+    """Put six kernel words (:func:`coding_state`) back into ``generator``."""
+    generator.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": words[0] << 64 | words[1], "inc": words[2] << 64 | words[3]},
+        "has_uint32": words[4],
+        "uinteger": words[5],
+    }
 
 
 def load() -> Optional[Kernel]:
@@ -252,12 +301,23 @@ def load() -> Optional[Kernel]:
     it against the scalar form and numpy's generators before any core
     runs on it.
     """
+    from repro.coding.gf256 import _INV_TABLE, _MUL_TABLE
+    from repro.coding.native import _build_shuffle_tables
+
     pointer, int64 = ctypes.c_void_p, ctypes.c_int64
     signatures = {
         "slots_run": ([pointer, int64], ctypes.c_int),
         "bank_take": ([pointer, int64, pointer, pointer, pointer], None),
+        "coding_draw": ([pointer, pointer, int64], None),
+        "gf_init": ([pointer, pointer, pointer], None),
     }
     lib = clib.load(
         "slots", SOURCE, ["-O2", "-ffp-contract=off"], signatures, [str(NPYRANDOM), "-lm"]
     )
-    return None if lib is None else Kernel(lib.slots_run, lib.bank_take)
+    if lib is None:
+        return None
+    tables = [
+        np.ascontiguousarray(_MUL_TABLE), _build_shuffle_tables(), np.ascontiguousarray(_INV_TABLE)
+    ]
+    lib.gf_init(*(table.ctypes.data for table in tables))
+    return Kernel(lib.slots_run, lib.bank_take, lib.coding_draw)

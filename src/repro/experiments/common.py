@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import obs
+from repro.emulator import engine
 from repro.emulator.plan import UnicastPathPlan
 from repro.emulator.session import (
     SessionConfig,
@@ -146,37 +147,61 @@ class SessionRecord:
         return utility_ratios(self.results[protocol], forwarders)
 
 
-def _canonical(value: object) -> object:
-    """Rebuild ``value`` in an order-independent, hashable-by-pickle form.
+#: Types whose ``repr`` is their canonical form as they stand.
+_PLAIN = frozenset({bool, int, float, str, bytes, type(None)})
+#: Field names per dataclass, ``None`` per class seen that is none.
+_FIELD_NAMES: Dict[type, Optional[Tuple[str, ...]]] = {}
+
+
+def _tuple_repr(parts: List[str]) -> str:
+    """``repr`` of a tuple whose elements' reprs are ``parts``."""
+    if len(parts) == 1:
+        return f"({parts[0]},)"
+    return f"({', '.join(parts)})"
+
+
+def _canonical_repr(value: object) -> str:
+    """``repr`` of ``value`` rebuilt in an order-independent form.
 
     Set iteration order is not a measured quantity — two processes can
     build value-equal ``frozenset``s whose pickles differ byte for byte —
     so sets and mapping items are sorted by the repr of their (already
-    canonical) elements before :meth:`CampaignResult.digest` pickles the
-    structure.  Dataclasses decompose into (class name, field items) so
-    plans and results from any process compare structurally.
+    canonical) elements.  Dataclasses decompose into (class name, field
+    items) so plans and results from any process compare structurally;
+    lists read as tuples, numpy scalars as Python ones.  Built bottom-up,
+    each element ``repr``'d once, dispatching on the exact type first.
     """
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return (
-            type(value).__name__,
-            tuple(
-                (spec.name, _canonical(getattr(value, spec.name)))
-                for spec in dataclasses.fields(value)
-            ),
+    kind = type(value)
+    if kind in _PLAIN:
+        return repr(value)
+    if kind is tuple or kind is list:
+        if all(type(item) in _PLAIN for item in value):  # type: ignore[attr-defined]
+            return repr(tuple(value))  # type: ignore[call-overload]
+        return _tuple_repr([_canonical_repr(item) for item in value])  # type: ignore[attr-defined]
+    if kind not in _FIELD_NAMES:
+        _FIELD_NAMES[kind] = (
+            tuple(spec.name for spec in dataclasses.fields(kind))
+            if dataclasses.is_dataclass(kind) else None
         )
+    names = _FIELD_NAMES[kind]
+    if names is not None:
+        items = [f"({name!r}, {_canonical_repr(getattr(value, name))})" for name in names]
+        return f"({kind.__name__!r}, {_tuple_repr(items)})"
     if isinstance(value, dict):
-        items = [(_canonical(k), _canonical(v)) for k, v in value.items()]
-        return ("mapping", tuple(sorted(items, key=repr)))
+        pairs = sorted(
+            f"({_canonical_repr(key)}, {_canonical_repr(item)})" for key, item in value.items()
+        )
+        return f"('mapping', {_tuple_repr(pairs)})"
     if isinstance(value, (set, frozenset)):
-        return ("set", tuple(sorted((_canonical(v) for v in value), key=repr)))
+        return f"('set', {_tuple_repr(sorted(map(_canonical_repr, value)))})"
     if isinstance(value, (list, tuple)):
-        return tuple(_canonical(v) for v in value)
+        return _tuple_repr([_canonical_repr(item) for item in value])
     if isinstance(value, np.generic):
-        return value.item()
-    if value is None or isinstance(value, (bool, int, float, str, bytes)):
-        return value
+        return repr(value.item())
+    if isinstance(value, (bool, int, float, str, bytes)):
+        return repr(value)
     raise TypeError(
-        f"cannot canonicalise {type(value).__name__} for a campaign digest"
+        f"cannot canonicalise {kind.__name__} for a campaign digest"
     )
 
 
@@ -227,11 +252,11 @@ class CampaignResult:
             (f.session_index, f.stage, f.source, f.destination, f.error)
             for f in self.failures
         ]
-        canonical = _canonical((self.config, self.records, failures))
+        canonical = _canonical_repr((self.config, self.records, failures))
         # repr, not pickle: pickle memoises repeated objects by identity,
         # so value-identical campaigns with different sharing patterns
         # (serial vs unpickled-from-workers) would hash differently.
-        return hashlib.sha256(repr(canonical).encode("utf-8")).hexdigest()
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def gains(self, protocol: str) -> List[float]:
         """Finite throughput gains for ``protocol`` across sessions."""
@@ -556,6 +581,8 @@ def run_campaign(
         )
         failures_counter.inc()
     specs = campaign_jobs(config, sessions, collect_metrics=metrics.enabled)
+    if policy.jobs > 1:  # resolved (and self-tested) once here, forked workers inherit it
+        engine.compiled_kernel()
     outcomes = execute_jobs(specs, policy)
     for index, ((source, destination, _plan), outcome) in enumerate(
         zip(sessions, outcomes)

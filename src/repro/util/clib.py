@@ -10,9 +10,10 @@ compiles it in place, so a diagnostic cites ``slots.c:NNN``, with ``$CC``
 a shell would), linked against what follows it on the command line (the
 slot loop links numpy's ``libnpyrandom.a``), into
 ``$XDG_CACHE_HOME/repro-omnc/<stem>_<digest>.so``, where the digest hashes
-the file's bytes, compiler, flags, link inputs and the bytes of every
-link input that is a file, so an edit, another compiler or another numpy
-rebuilds instead of loading a stale object.  :func:`load` builds, opens
+the file's bytes, those of every local header it includes (``#include
+"…"``, recursively), compiler, flags, link inputs and the bytes of every
+link input that is a file, so an edit (to a shared header too), another
+compiler or another numpy rebuilds instead of loading a stale object.  :func:`load` builds, opens
 the object and declares every signature before any call (ctypes
 otherwise truncates 64-bit pointers to ``int``).  Neither raises: no
 compiler, a missing file, a failed compile or a failed dlopen is
@@ -26,11 +27,30 @@ import ctypes
 import hashlib
 import logging
 import os
+import re
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence, Tuple
 
 #: ``name -> (argtypes, restype)`` of the functions a caller will use.
 Signatures = Mapping[str, Tuple[Sequence[Any], Any]]
+
+_LOCAL_INCLUDE = re.compile(rb'^[ \t]*#[ \t]*include[ \t]*"([^"]+)"', re.MULTILINE)
+
+
+def _sources(source: Path) -> list:
+    """The bytes of ``source`` and of every local header it includes,
+    recursively, each once, in first-include order (``OSError`` if one is
+    missing)."""
+    seen, pending, contents = set(), [source], []
+    while pending:
+        path = pending.pop(0)
+        if path in seen:
+            continue
+        seen.add(path)
+        text = path.read_bytes()
+        contents.append(text)
+        pending += [path.parent / name.decode() for name in _LOCAL_INCLUDE.findall(text)]
+    return contents
 
 
 def cache_dir() -> Path:
@@ -54,7 +74,9 @@ def build(
     """
     cc = os.environ.get("CC") or "cc"
     try:
-        hasher = hashlib.sha256(source.read_bytes())
+        hasher = hashlib.sha256()
+        for text in _sources(source):
+            hasher.update(text)
         hasher.update("\x00".join(["", cc, *flags, *link]).encode())
         for item in link:
             if not item.startswith("-"):

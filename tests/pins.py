@@ -31,9 +31,10 @@ from repro.optimization.rate_control import RateControlLoop
 @contextmanager
 def core_form(form):
     """Build the block's cores in ``form``: ``"scalar"`` (the compiled slot
-    loop withheld, so every core is scalar) or ``"compiled"`` (flow and
-    unicast cores on the compiled slot loop, the rest scalar), which fails
-    unless the kernel was called.  A forked worker's cores go unchecked."""
+    loop withheld, so every core is scalar) or ``"compiled"`` (every core
+    :func:`engine.compilable` admits on the compiled slot loop, the rest
+    scalar), which fails unless the kernel was called.  A forked worker's
+    cores go unchecked."""
     kernel = engine.compiled_kernel() if form == "compiled" else None
     calls = []
 
@@ -119,9 +120,9 @@ def bench_smoke(workload):
 
 def and_compiled(variants):
     """``variants``, then the first (in-process) one again on the compiled
-    slot loop, where its kernel loads: for pins whose runs build flow or
-    ETX cores, untraced and unobserved — a traced, observed, exact or
-    composite run never does."""
+    slot loop, where its kernel loads: for pins whose runs build flow, ETX,
+    exact or composite (multi-session) cores, untraced and unobserved — a
+    traced or observed run never does."""
     return (*variants, *({**variants[0], **form} for form in COMPILED))
 
 
@@ -183,15 +184,18 @@ PINS = (
         "1455624e49dd426060bd1df8faf3fbd3436ca23de1a16a1c3736d04afbf0ab2d",
         and_compiled(({}, {"form": "scalar"}))),
     Pin("driver.credit_exact", "tests.test_plan_install:credit_plan_at_exact_fidelity",
-        "75297b9bb81230f7bd72ed840b370b28b6f0606c226ef1e0adb426e630733f91"),
+        "75297b9bb81230f7bd72ed840b370b28b6f0606c226ef1e0adb426e630733f91",
+        and_compiled(({}, {"form": "scalar"}))),
     Pin("adaptive.more_flow", "tests.test_plan_install:adaptive_more_flow", (
         "f0546a2b9235fc259bf103e345f85b2e0f3f8ce25c4152ed08b9c7a253ee2794",
         "df5c52759ebf020c816adab8eaf160e1402d753337c03aec7e6bc4ce736e0595",
     )),
+    # Traced, so scalar; its session digest untraced, on the compiled slot
+    # loop, is ``test_plan_install``'s to check.
     Pin("adaptive.more_exact", "tests.test_plan_install:adaptive_more_exact", (
         "76c075fbd9315c2741b1c9a17357b8c9d82668fe6ec0b89118189bdb8dfab51c",
         "edcc4c5535df937e554bfb439c9a25e4aca891c4c7d149caaca07806216f66a7",
-    )),
+    ), ({}, {"form": "scalar"})),
     # Traced, so scalar; its session digest untraced, on the compiled slot
     # loop, is ``test_plan_install``'s to check.
     Pin("adaptive.etx_flow", "tests.test_plan_install:adaptive_etx_flow", (
@@ -230,7 +234,7 @@ PINS = (
         and_compiled(({"workload": "mesh2k_serial"}, {"workload": "mesh2k_shards2"}))),
     Pin("bench.exact_multisession", "tests.pins:bench_smoke",
         "1e2f3b1d4fd3cd5f3aa7a40b3a7f4746263ab1a69a74966f176875b2a297a6f0",
-        and_loops(({"workload": "exact_multisession"},))),
+        and_loops(and_compiled(({"workload": "exact_multisession"},)))),
     Pin("bench.codec_stream", "tests.pins:bench_smoke",
         "a3a11a32e97bedd59c37c31f277ebac29a92594463b57b19e90ead5f0ae1fa50",
         ({"workload": "codec_stream"},)),

@@ -13,9 +13,12 @@ one-session case of the joint LP (``test_sunicast``).
 :func:`etx_weights`, :func:`dijkstra_to_destination` and
 :func:`select_forwarders_on_weights` are the weight-dict routing that
 ``etx_tree`` replaced (``test_shortest_path``, ``test_node_selection``,
-``test_sunicast``).
+``test_sunicast``).  :func:`canonical` is the structure whose ``repr``
+``CampaignResult.digest`` hashed before it built that string directly
+(``test_experiments``).
 """
 
+import dataclasses
 import hashlib
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -362,4 +365,33 @@ def select_forwarders_on_weights(
         nodes=frozenset(selected),
         etx_distance=distances,
         dag_links=tuple(dag),
+    )
+
+
+def canonical(value: object) -> object:
+    """``value`` rebuilt in an order-independent form: sets and mapping
+    items sorted by the repr of their canonical elements, dataclasses as
+    (class name, field items), lists as tuples, numpy scalars as Python
+    ones.  ``CampaignResult.digest`` hashed ``repr`` of this."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return (
+            type(value).__name__,
+            tuple(
+                (spec.name, canonical(getattr(value, spec.name)))
+                for spec in dataclasses.fields(value)
+            ),
+        )
+    if isinstance(value, dict):
+        items = [(canonical(k), canonical(v)) for k, v in value.items()]
+        return ("mapping", tuple(sorted(items, key=repr)))
+    if isinstance(value, (set, frozenset)):
+        return ("set", tuple(sorted((canonical(v) for v in value), key=repr)))
+    if isinstance(value, (list, tuple)):
+        return tuple(canonical(v) for v in value)
+    if isinstance(value, np.generic):
+        return value.item()
+    if value is None or isinstance(value, (bool, int, float, str, bytes)):
+        return value
+    raise TypeError(
+        f"cannot canonicalise {type(value).__name__} for a campaign digest"
     )

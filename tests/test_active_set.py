@@ -183,7 +183,7 @@ def chain_network(nodes=7):
     return WirelessNetwork(positions, links, 130.0)
 
 
-def churn_xor_run(tracer):
+def churn_xor_run(tracer, fidelity="flow"):
     """Opposing OMNC sessions XORed at relay 1, a MORE session, and churn."""
     network = chain_network()
     plans = {
@@ -208,7 +208,8 @@ def churn_xor_run(tracer):
         network,
         plans,
         config=SessionConfig(
-            blocks=8, block_size=256, max_seconds=duration, target_generations=0
+            blocks=8, block_size=256, max_seconds=duration, target_generations=0,
+            coding_fidelity=fidelity,
         ),
         rng=RngFactory(1),
         xor_pairs=pairs,

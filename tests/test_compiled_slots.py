@@ -41,11 +41,17 @@ from repro.emulator.engine import (
     _next_draws,
     compiled_kernel,
 )
+from repro.emulator.engine import _fields as runtime_fields
 from repro.emulator.native import StreamBank
 from repro.emulator.node import (
+    CodedDestinationRuntime,
+    CodedRelayRuntime,
+    CodedSourceRuntime,
     FlowDestinationRuntime,
     FlowRelayRuntime,
     FlowSourceRuntime,
+    InterSessionXorRelay,
+    MultiSessionNodeRuntime,
     RuntimeTerms,
     UnicastRuntime,
     install_runtimes,
@@ -57,6 +63,8 @@ from repro.emulator.session import (
     run_coded_session,
     session_result,
 )
+from repro.emulator.awake import AwakeSet
+from repro.emulator.multisession import multi_session_digest
 from repro.emulator.shard import ShardedSession, session_digest
 from repro.protocols.etx_routing import plan_etx_route
 from repro.protocols.more import plan_more
@@ -71,6 +79,7 @@ from tests.test_plan_install import unicast_driver
 from tests.test_active_set import PACKET_BYTES as MESH_PACKET_BYTES
 from tests.test_active_set import (
     advance_by_hand,
+    churn_xor_run,
     line_network,
     line_runtimes,
     line_session,
@@ -665,7 +674,7 @@ def test_what_cannot_run_compiled_keeps_its_form():
         "unicast": (
             plan_etx_route(network, source, destination), SessionConfig(max_seconds=5.0), True
         ),
-        "exact": (plan, SessionConfig(max_seconds=5.0, coding_fidelity="exact"), False),
+        "exact": (plan, SessionConfig(max_seconds=5.0, coding_fidelity="exact"), True),
         "capture": (plan, SessionConfig(max_seconds=5.0, interference="capture"), False),
     }
     for name, (session_plan, config, compiled) in cases.items():
@@ -1009,3 +1018,251 @@ def _scalar_line_digest():
     with core_form("scalar"), line_session(line_network(384), 1) as session:
         session.run(420)
         return stats_digest(session.finalize_stats())
+
+
+# -- exact rows and composites ---------------------------------------------------
+
+
+@st.composite
+def exact_recipes(draw):
+    """Exact runtimes of one to four sessions to build twice over a lossy
+    mesh — several share each node through composites, with XOR pairs and
+    one session that arrives or leaves — and the epochs to run."""
+    network = draw(lossy_meshes())
+    count, capacity = network.node_count, network.capacity
+    sessions = {}
+    for sid in range(1, draw(st.sampled_from((1, 1, 2, 3, 4))) + 1):
+        source, destination = draw(
+            st.lists(st.integers(0, count - 1), min_size=2, max_size=2, unique=True)
+        )
+        if sid > 1 and draw(st.booleans()):  # the previous session's opposite, its relays
+            destination, source = sessions[sid - 1]["source"], sessions[sid - 1]["destination"]
+        others = [node for node in range(count) if node not in (source, destination)]
+        relays = {}
+        nodes = draw(st.lists(st.sampled_from(others), unique=True, max_size=6)) if others else []
+        if sid > 1 and draw(st.booleans()):
+            nodes = [node for node in sessions[sid - 1]["relays"] if node in others]
+        for node in nodes:
+            if draw(st.booleans()):
+                relays[node] = {"mode": "rate", "rate_bps": capacity * draw(
+                    st.sampled_from((0.0, 0.3, 0.6, 1.0, 2.5)))}
+            else:
+                relays[node] = {
+                    "mode": "credit",
+                    "tx_credit": draw(st.sampled_from((0.4, 1.0, 1.7))),
+                    "upstream": tuple(draw(
+                        st.lists(st.integers(0, count - 1), max_size=4, unique=True)
+                    )),
+                }
+        sessions[sid] = {
+            "source": source,
+            "destination": destination,
+            "relays": relays,
+            "blocks": draw(st.integers(1, 6)),
+            "systematic": draw(st.booleans()),
+            "rate": capacity * draw(st.sampled_from((0.1, 0.5, 1.0, 2.5))),
+            "limit": draw(st.sampled_from((1, 3, 50))),
+            # Where each runtime starts: a relay behind its source hears a
+            # newer generation (the object path).
+            "generations": {
+                node: draw(st.sampled_from((0, 0, 0, 1, 2)))
+                for node in (source, destination, *relays)
+            },
+        }
+    shared = len(sessions) > 1
+    # XOR pairs where a node holds both sessions of a pair, mostly.
+    hosting = {
+        node: [sid for sid, terms in sessions.items()
+               if node in (terms["source"], terms["destination"], *terms["relays"])]
+        for node in range(count)
+    }
+    xor = {}
+    for node in (draw(st.lists(st.integers(0, count - 1), max_size=6, unique=True))
+                 if shared else ()):
+        held = hosting[node] if len(hosting[node]) > 1 and draw(st.integers(0, 4)) else sessions
+        pairs = [(a, b) for a in held for b in held if a < b]
+        xor[node] = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3, unique=True))
+    return {
+        "network": network,
+        "sessions": sessions,
+        "xor": xor,
+        "churned": draw(st.sampled_from([None, *sessions])) if shared else None,
+        "arrives": draw(st.booleans()),
+        "epochs": draw(st.lists(
+            st.tuples(
+                st.integers(1, 300),
+                st.sampled_from((None, None, "advance", "churn", "coding")),
+                st.booleans(),
+                st.sampled_from((None, None, 1, 2)),
+            ),
+            min_size=1,
+            max_size=4,
+        )),
+        "interference": draw(st.sampled_from(("blanking", "conflict_free"))),
+        "seed": draw(st.integers(0, 2**16)),
+    }
+
+
+def _build_exact(recipe, kernel):
+    log = _DecodeLog()
+    shared = len(recipe["sessions"]) > 1
+    factory = RngFactory(recipe["seed"])
+    built = {}
+    for sid, terms in recipe["sessions"].items():
+        rng = factory.spawn(f"session-{sid}")
+        blocks, limit = terms["blocks"], terms["limit"]
+        runtimes = {
+            terms["source"]: CodedSourceRuntime(
+                terms["source"], sid, blocks, terms["rate"], PACKET_BYTES,
+                rng.derive("coding", terms["source"]), queue_limit=limit,
+                systematic=terms["systematic"],
+            ),
+            terms["destination"]: CodedDestinationRuntime(
+                terms["destination"], sid, blocks,
+                functools.partial(log, session_id=sid) if shared else log,
+            ),
+        }
+        for node, relay in terms["relays"].items():
+            runtimes[node] = CodedRelayRuntime(
+                node, sid, blocks, PACKET_BYTES, rng.derive("coding", node),
+                queue_limit=limit, **relay,
+            )
+        for node, runtime in runtimes.items():
+            runtime.advance_generation(terms["generations"][node])
+        built[sid] = runtimes
+    if shared:
+        hosted = {}
+        for sid, runtimes in built.items():
+            for node in sorted(runtimes):
+                if node not in hosted:
+                    pairs = recipe["xor"].get(node)
+                    hosted[node] = (
+                        InterSessionXorRelay(node, pairs) if pairs
+                        else MultiSessionNodeRuntime(node)
+                    )
+                arriving = sid == recipe["churned"] and recipe["arrives"]
+                hosted[node].add_session(sid, runtimes[node], active=not arriving)
+    else:
+        (hosted,) = built.values()
+    network = recipe["network"]
+    init = CoreInit(
+        network, hosted, tuple(sorted(hosted)), PACKET_BYTES / network.capacity,
+        recipe["interference"], recipe["seed"], has_unicast=False, decode_log=log,
+    )
+    return _forced(kernel)(init)
+
+
+def _exact_state(core):
+    core._flush()
+    if core._columns is not None:
+        core._columns.store(np.arange(len(core._owned)))
+    return {
+        "runtimes": {node: runtime_fields(runtime) for node, runtime in core._runtimes.items()},
+        "parked": core.parked_nodes(),
+        "queue_time": sorted(core._queue_time.items()),
+        "session_queue_time": sorted(
+            (node, sorted(times.items())) for node, times in core._session_queue_time.items()
+        ),
+        "links": sorted(core._delivered_links),
+        "transmissions": sorted(core._transmissions.items()),
+    }
+
+
+def run_exact_epochs(recipe, kernel):
+    """:func:`run_epochs` for an exact recipe: an action is a hand-made
+    ACK, an arrival or departure of the churned session (session 1's ACK
+    without one), a deferred generation-size switch, or nothing."""
+    core = _build_exact(recipe, kernel)
+    sessions = recipe["sessions"]
+    shared = len(sessions) > 1
+    generation = {sid: max(terms["generations"].values()) for sid, terms in sessions.items()}
+    churned, active = recipe["churned"], not recipe["arrives"]
+    trail = []
+    for budget, action, named, decodes in recipe["epochs"]:
+        events = None
+        if action == "churn" and churned is not None:
+            events = [("deactivate_session" if active else "activate_session", churned)]
+            active = not active
+        elif action in ("advance", "churn"):
+            generation[1] += 1
+            events = [("advance_session_generation", 1, generation[1]) if shared
+                      else ("advance_generation", generation[1])]
+        elif action == "coding":
+            with core._through_objects(range(len(core._owned))):
+                for runtime in core._runtime_list:
+                    subs = (
+                        [runtime.session_runtime(sid) for sid in runtime.hosted_sessions()]
+                        if shared else [runtime]
+                    )
+                    for sub in subs:
+                        sub.apply_plan(coding=CodingParams(blocks=4, systematic=True))
+            core._wake_everyone()  # as the control plane wakes what it retunes
+        reply = core.run_slots((budget, events, named, decodes))
+        for record in reply[1]:
+            for event in record[2]:
+                if event[2] == "decoded":
+                    sid, decoded = event[3] if shared else (1, event[3])
+                    generation[sid] = max(generation[sid], decoded + 1)
+        trail.append((repr(reply), _exact_state(core)))
+    finalized = core.finalize()
+    draws = _next_draws(core, sorted(core._owned))
+    return trail, repr(finalized), _exact_state(core)["runtimes"], draws
+
+
+@needs_kernel
+@given(recipe=exact_recipes())
+@settings(deadline=None, max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+def test_a_compiled_exact_epoch_equals_the_scalar_epoch(recipe):
+    reference = run_exact_epochs(recipe, None)
+    calls = []
+
+    def run(core, budget):
+        calls.append(budget)
+        return KERNEL.run(core, budget)
+
+    compiled = run_exact_epochs(recipe, KERNEL._replace(run=run))
+    assert calls
+    for epoch, (expected, got) in enumerate(zip(reference[0], compiled[0])):
+        assert got[0] == expected[0], f"epoch {epoch}: reply"
+        for name, value in expected[1].items():
+            assert got[1][name] == value, f"epoch {epoch}: {name}"
+    assert compiled[1] == reference[1], "finalize()"
+    assert compiled[2] == reference[2], "runtime fields"
+    assert compiled[3] == reference[3], "next draws"
+
+
+@needs_kernel
+def test_untraced_churn_xor_on_the_compiled_loop_is_its_pin():
+    # The pin's run is traced, and so scalar; untraced, its composites,
+    # XOR relay and churn run as rows of the compiled slot loop.
+    with core_form("compiled"):
+        outcome = churn_xor_run(None)
+    assert multi_session_digest(outcome) == PINS_BY_NAME["churn_xor"].value[0]
+
+
+@needs_kernel
+def test_an_exact_churn_xor_run_is_the_same_in_both_forms():
+    digests = []
+    for form in ("scalar", "compiled"):
+        with core_form(form):
+            outcome = churn_xor_run(None, fidelity="exact")
+        assert outcome.xor_transmissions > 0
+        assert sum(result.generations_decoded for result in outcome.sessions.values()) > 1
+        digests.append(multi_session_digest(outcome))
+    assert digests[0] == digests[1]
+
+
+@needs_kernel
+def test_an_exact_multisession_repetition_runs_in_the_kernel(monkeypatch):
+    # The benchmark's shape: every slot in the kernel, no awake-set sweep.
+    ticks, calls = [], []
+    monkeypatch.setattr(AwakeSet, "tick", lambda *args: ticks.append(args))
+
+    def run(core, budget):
+        calls.append(budget)
+        return KERNEL.run(core, budget)
+
+    with mock.patch.object(engine, "compiled_kernel", return_value=KERNEL._replace(run=run)):
+        digest = bench_smoke("exact_multisession")
+    assert digest == PINS_BY_NAME["bench.exact_multisession"].value
+    assert calls and not ticks

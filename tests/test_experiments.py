@@ -1,10 +1,14 @@
 """Experiment harnesses: smoke-scale runs of every figure."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.experiments.coding_speed import measure_codec, run_coding_speed
 from repro.experiments.common import (
     CampaignConfig,
+    _canonical_repr,
     build_network,
     pick_sessions,
     run_campaign,
@@ -17,6 +21,7 @@ from repro.experiments.fig4_utility import run_fig4
 from repro.experiments.fig5_adaptation import Fig5Config, run_fig5
 from repro.coding.gf256 import GF256
 from repro.coding.gf256_baseline import GF256Baseline
+from tests import reference
 
 SMOKE = CampaignConfig(
     node_count=80,
@@ -272,3 +277,45 @@ class TestFig6EndpointLayouts:
 
         with pytest.raises(ValueError, match="layout"):
             fig6_endpoints(mesh, 2, layout="spiral")
+
+
+@dataclasses.dataclass(frozen=True)
+class _Leaf:
+    weight: float
+    tags: frozenset
+
+
+@dataclasses.dataclass
+class _Tree:
+    name: str
+    leaves: list
+    index: dict
+    nothing: tuple = ()
+
+
+_CANONICAL_VALUES = (
+    {3, 1, 2},
+    frozenset({"b", "a"}),
+    {"z": 1, "a": [1.5, None], 2: (True,)},
+    (),
+    (7,),
+    ((),),
+    [np.float64(0.1), np.int32(-4), np.bool_(True), 2.0],
+    _Leaf(np.float32(1.25), frozenset({(1, 2), (0, 5)})),
+    _Tree("t", [_Leaf(0.5, frozenset()), (_Leaf(1.0, frozenset({3})),)],
+          {(1, 2): {_Leaf(2.0, frozenset())}, "k": {"n": np.uint8(7)}}),
+    [b"x", None, "s", 1 << 70, -0.0, float("inf")],
+)
+
+
+@pytest.mark.parametrize("value", _CANONICAL_VALUES, ids=range(len(_CANONICAL_VALUES)))
+def test_the_campaign_digest_reprs_what_the_old_canonical_form_did(value):
+    assert _canonical_repr(value) == repr(reference.canonical(value))
+    assert _canonical_repr((value, [value], {"v": value})) == repr(
+        reference.canonical((value, [value], {"v": value}))
+    )
+
+
+def test_the_campaign_digest_refuses_what_it_cannot_canonicalise():
+    with pytest.raises(TypeError, match="object"):
+        _canonical_repr([1, object()])

@@ -143,6 +143,15 @@ def test_untraced_adaptive_etx_on_the_compiled_loop_is_its_pin():
         assert _fail_recover_load("etx", "flow", traced=False) == pin.value[0]
 
 
+@pytest.mark.skipif(not COMPILED, reason="the compiled slot loop is unavailable")
+def test_untraced_adaptive_more_exact_on_the_compiled_loop_is_its_pin():
+    # Exact rows too: the re-plans build, retune and drop coded runtimes,
+    # and a relay a re-plan added hears a newer generation (the object path).
+    (pin,) = [pin for pin in PINS if pin.name == "adaptive.more_exact"]
+    with core_form("compiled"):
+        assert _fail_recover_load("more", "exact", traced=False) == pin.value[0]
+
+
 PLANNERS = {"omnc": plan_omnc, "more": plan_more, "etx": plan_etx_route}
 PLAN_TYPES = {
     "omnc": CodedBroadcastPlan,

@@ -5,9 +5,11 @@ A compiled core draws its lottery keys and loss uniforms in C
 and PCG64 seeding, numpy's own exponential and PCG64's ``next_double``.
 Here every ``(seed, kind, node)`` stream is compared with
 ``RngFactory(seed).derive(f"node-{kind}", node)``, values and generator
-state; a kernel with one mixing constant changed must fail the load-time
-self-test; and a compiled run must never re-enter Python from inside the
-kernel.
+state; an exact row's coefficient draws are ``Generator.integers(0, 256,
+size=k, dtype=np.uint8)``, bytes and state (the buffered half word too)
+after every call; a kernel with one mixing constant changed must fail the
+load-time self-test; and a compiled run must never re-enter Python from
+inside the kernel.
 """
 
 import logging
@@ -69,6 +71,28 @@ def test_a_c_exponential_takes_the_tail_path(seed):
 
 
 @needs_kernel
+@given(
+    seed=st.sampled_from(SEEDS) | st.integers(0, 2**200),
+    sizes=st.lists(st.sampled_from((1, 3, 4, 5, 40, 160)), min_size=1, max_size=12),
+)
+@settings(deadline=None, max_examples=100)
+def test_a_c_coefficient_draw_is_the_numpy_draw(seed, sizes):
+    # Odd word counts leave PCG64 a buffered half word, which the next
+    # call spends first: every call's bytes and the state after it.
+    generator = RngFactory(seed).derive("coding", 3)
+    state = np.array(native.coding_state(generator), dtype=np.uint64)
+    mirror = RngFactory(seed).derive("coding", 3)
+    for size in sizes:
+        drawn = np.empty(size, dtype=np.uint8)
+        KERNEL.coding_draw(state.ctypes.data, drawn.ctypes.data, size)
+        expected = generator.integers(0, 256, size=size, dtype=np.uint8)
+        assert drawn.tobytes() == expected.tobytes()
+        native.set_coding_state(mirror, state.tolist())
+        assert mirror.bit_generator.state == generator.bit_generator.state
+        assert state.tolist() == native.coding_state(generator)
+
+
+@needs_kernel
 def test_the_self_test_refuses_a_stream_with_a_changed_mixing_constant(
     monkeypatch, tmp_path, caplog
 ):
@@ -76,6 +100,8 @@ def test_the_self_test_refuses_a_stream_with_a_changed_mixing_constant(
     assert source.count("0xca01f9dcu") == 1
     mutant = tmp_path / "slots.c"
     mutant.write_text(source)
+    header = native.SOURCE.with_name("gf256.h")
+    (tmp_path / header.name).write_bytes(header.read_bytes())
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(native, "SOURCE", mutant)
     engine.compiled_kernel.cache_clear()

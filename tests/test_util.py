@@ -174,3 +174,26 @@ def test_clib_logs_why_a_compile_failed(probe_c, caplog):
         assert clib.build("probe", probe_c, []) is None
     (record,) = caplog.records
     assert "probe.c:1" in record.getMessage() and "error" in record.getMessage()
+
+
+@needs_cc
+def test_clib_rebuilds_when_an_included_header_changes(probe_c):
+    header = probe_c.parent / "answer.h"
+    header.write_text("#define ANSWER 42\n")
+    probe_c.write_text('#include "answer.h"\nint probe(void) { return ANSWER; }\n')
+    first = clib.build("probe", probe_c, ["-O0"])
+    assert clib.load("probe", probe_c, ["-O0"], PROBE).probe() == 42
+    header.write_text("#define ANSWER 7\n")
+    second = clib.build("probe", probe_c, ["-O0"])
+    assert second != first
+    assert clib.load("probe", probe_c, ["-O0"], PROBE).probe() == 7
+
+
+@needs_cc
+def test_clib_logs_why_a_compile_with_a_header_failed(probe_c, caplog):
+    (probe_c.parent / "answer.h").write_text("#define ANSWER 42 +\n")
+    probe_c.write_text('#include "answer.h"\nint probe(void) { return ANSWER; }\n')
+    with caplog.at_level(logging.WARNING, logger="repro.util.clib"):
+        assert clib.build("probe", probe_c, []) is None
+    (record,) = caplog.records
+    assert "probe.c:2" in record.getMessage() and "error" in record.getMessage()
