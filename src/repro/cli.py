@@ -144,7 +144,11 @@ def _cmd_fig7(args: argparse.Namespace) -> int:
 def _cmd_coding_speed(_args: argparse.Namespace) -> int:
     from repro.experiments import coding_speed
 
-    coding_speed.report(coding_speed.run_coding_speed())
+    try:
+        points = coding_speed.run_coding_speed()
+    except coding_speed.CodecUnavailableError as error:
+        raise argparse.ArgumentError(None, str(error)) from error
+    coding_speed.report(points)
     return 0
 
 
@@ -484,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_execution_arguments(fig7)
     fig7.set_defaults(func=_cmd_fig7)
     sub.add_parser(
-        "coding-speed", help="accelerated vs baseline codec"
+        "coding-speed", help="pshufb vs table-walk build of the C codec"
     ).set_defaults(func=_cmd_coding_speed)
     convergence = sub.add_parser(
         "convergence", help="iteration statistics vs the paper's 91"

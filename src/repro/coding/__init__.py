@@ -2,8 +2,8 @@
 
 This package is the coding substrate of the OMNC reproduction:
 
-* :mod:`repro.coding.gf256` — accelerated (numpy-vectorized) field engine.
-* :mod:`repro.coding.gf256_baseline` — pure-Python lookup-table baseline.
+* :mod:`repro.coding.gf256` — the numpy reference field.
+* :mod:`repro.coding.native` — the compiled field (C kernels, Sec. 4).
 * :mod:`repro.coding.matrix` — dense GF matrix algebra (RREF, rank, solve).
 * :mod:`repro.coding.generation` — generations of data blocks.
 * :mod:`repro.coding.packet` — coded packet format and wire serialization.
@@ -25,7 +25,6 @@ from repro.coding.generation import (
     split_into_generations,
 )
 from repro.coding.gf256 import GF256
-from repro.coding.gf256_baseline import GF256Baseline
 from repro.coding.packet import CodedPacket
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "DEFAULT_BLOCKS_PER_GENERATION",
     "GF256",
-    "GF256Baseline",
     "Generation",
     "GenerationParams",
     "ProgressiveDecoder",

@@ -12,8 +12,8 @@ the oracle every field must equal bit for bit) with one logged warning.
 
 An explicit ``field=`` always wins (:func:`resolve_field`): that is how
 the equivalence suites run the reference beside the compiled field, and
-the only way the paper's lookup-table comparator
-(:class:`repro.coding.gf256_baseline.GF256Baseline`) is chosen.
+how Sec. 4's timing runs the same kernels built without SIMD flags
+(:class:`repro.coding.native.GF256TableWalk`).
 """
 
 from __future__ import annotations
@@ -23,12 +23,10 @@ import logging
 from typing import Optional, Tuple
 
 from repro.coding.gf256 import GF256
-from repro.coding.gf256_baseline import GF256Baseline
 
-#: Any GF(2^8) arithmetic engine: the table-driven vectorized class
-#: family (GF256 and the compiled subclass) or the pure-Python baseline.
-#: All expose the same classmethod surface.
-FieldType = type[GF256] | type[GF256Baseline]
+#: Any GF(2^8) arithmetic engine: the numpy reference or a compiled
+#: subclass, all with the same classmethod surface.
+FieldType = type[GF256]
 
 #: Name of the always-available numpy reference; the compiled field is
 #: ``"native"``.

@@ -12,8 +12,8 @@ Two roles appear in the paper:
   of random coefficients" (Sec. 3.1) and lets one outgoing packet carry
   information from everything overheard so far.
 
-Both encoders take the field engine as a parameter so they run on either
-the accelerated or the baseline codec.
+Both encoders take the field engine as a parameter so they run on the
+numpy reference or on a compiled field.
 """
 
 from __future__ import annotations

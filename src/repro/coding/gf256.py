@@ -1,13 +1,9 @@
 """Vectorized arithmetic over GF(2^8), the Rijndael finite field.
 
-This is the "accelerated network coding" engine of the paper (Sec. 4).
-The paper replaces the classic lookup-table byte-at-a-time codec with a
-loop-based multiply in Rijndael's field driven by SSE2, processing whole
-rows per instruction.  The analogous move in Python is to replace
-byte-at-a-time pure-Python loops (:mod:`repro.coding.gf256_baseline`) with
-numpy-vectorized whole-row operations built on exp/log tables — the same
-"operate on an entire row at once" idea, expressed with the vector unit
-numpy exposes.
+The numpy reference of the codec: whole-row operations built on exp/log
+tables, the oracle every field must equal bit for bit.  The paper's
+accelerated loop (Sec. 4) is its compiled subclass,
+:class:`repro.coding.native.GF256Native`.
 
 The field is GF(2^8) with the Rijndael reduction polynomial
 ``x^8 + x^4 + x^3 + x + 1`` (0x11B) and generator 0x03.
@@ -19,7 +15,7 @@ All public operations accept and return ``numpy.ndarray`` with
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Protocol, Tuple
+from typing import TYPE_CHECKING, Callable, Tuple
 
 import numpy as np
 
@@ -110,9 +106,8 @@ _INV_TABLE[1:] = _EXP[_ORDER - _LOG[_nz]]
 class GF256:
     """Namespace of vectorized GF(2^8) operations.
 
-    The class carries no state; it exists so that the accelerated and the
-    baseline codec expose the same interface and can be swapped in the
-    encoder/decoder (see :class:`repro.coding.gf256_baseline.GF256Baseline`).
+    The class carries no state; it exists so that the compiled subclasses
+    expose the same interface and can be swapped in the encoder/decoder.
     """
 
     name = "accelerated"
@@ -313,34 +308,13 @@ class GF256:
         return eliminate_panel_reference(cls, work, panel, limit)
 
 
-class SupportsRowOps(Protocol):
-    """The row-kernel surface :func:`eliminate_panel_reference` needs.
-
-    Both codec class families (``GF256`` subclasses and the pure-Python
-    ``GF256Baseline``) satisfy it structurally, so the reference panel
-    elimination can be shared without an inheritance relationship.
-    """
-
-    @staticmethod
-    def scale_row(row: np.ndarray, coefficient: int) -> np.ndarray: ...
-
-    @staticmethod
-    def inverse(a: ArrayLike) -> np.ndarray: ...
-
-    @staticmethod
-    def addmul_rows(
-        targets: np.ndarray, source: np.ndarray, coefficients: np.ndarray
-    ) -> None: ...
-
-
 def eliminate_panel_reference(
-    field: SupportsRowOps, work: np.ndarray, panel: int, limit: int
+    field: type[GF256], work: np.ndarray, panel: int, limit: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Reference implementation of the :meth:`GF256.eliminate_panel`
     contract, expressed through the row kernels of ``field`` so that any
     backend overriding them (the compiled one) is exercised end to
-    end.  Shared by the baseline codec, which passes itself as ``field``.
-    """
+    end."""
     if work.ndim != 2:
         raise ValueError(f"expected a 2-D work matrix, got ndim={work.ndim}")
     if not 0 <= panel <= work.shape[1]:
@@ -371,7 +345,7 @@ def eliminate_panel_reference(
 
 
 @lru_cache(maxsize=None)
-def _inverses(field: SupportsRowOps) -> Tuple[int, ...]:
+def _inverses(field: type[GF256]) -> Tuple[int, ...]:
     """``_inverses(field)[a]`` is a^-1 (index 0 unused), from one array call.
 
     Normalizing a pivot needs one scalar inverse per stored row; asking
@@ -382,7 +356,7 @@ def _inverses(field: SupportsRowOps) -> Tuple[int, ...]:
 
 
 def basis_insert_reference(
-    field: SupportsRowOps, basis: "EchelonBasis", row: np.ndarray
+    field: type[GF256], basis: "EchelonBasis", row: np.ndarray
 ) -> bool:
     """Reference implementation of the :meth:`GF256.basis_insert` contract
     through the row kernels of ``field``: at most two kernel calls

@@ -14,6 +14,12 @@ returns ``None`` whenever the toolchain is missing or the self-test
 against the numpy reference fails, so machines without a compiler run
 the reference instead of breaking the codec.
 
+Each class calls the library it loaded itself.  :class:`GF256TableWalk`
+is the same code on the same source built without SIMD flags, so its row
+kernel is the ``MUL`` table walk: the paper's lookup-table codec, which
+Sec. 4's timing (:mod:`repro.experiments.coding_speed`) compares with
+the ``pshufb`` build through :func:`load_table_walk`.
+
 The per-packet entry points (:meth:`GF256Native.basis_insert`,
 :meth:`GF256Native.combine`) are one foreign call each: what a wrapper
 does around the call — contiguity checks, address look-ups, the byte
@@ -26,7 +32,7 @@ from __future__ import annotations
 
 import ctypes
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import ClassVar, List, Optional, Tuple
 
 import numpy as np
 
@@ -80,13 +86,13 @@ def _build_shuffle_tables() -> np.ndarray:
     return np.ascontiguousarray(shuf)
 
 
-def _load_library() -> Optional[ctypes.CDLL]:
-    """Build and dlopen the kernel, declare every signature and hand it
-    the tables."""
+def _load_library(stem: str, flags: List[str]) -> Optional[ctypes.CDLL]:
+    """Build and dlopen the kernels with ``-O3`` and ``flags``, declare
+    every signature and hand them the tables."""
     ptr = ctypes.c_void_p
     size = ctypes.c_size_t
     ssize = ctypes.c_ssize_t
-    lib = clib.load("gf_native", SOURCE, ["-O3", *_simd_cflags()], {
+    lib = clib.load(stem, SOURCE, ["-O3", *flags], {
         "gf_init": ([ptr, ptr, ptr], None),
         "gf_addmul_row": ([ptr, ptr, ctypes.c_uint, size], None),
         "gf_addmul_rows": ([ptr, ssize, ptr, ptr, size, size], None),
@@ -101,18 +107,6 @@ def _load_library() -> Optional[ctypes.CDLL]:
     inv = np.ascontiguousarray(_INV_TABLE)
     lib.gf_init(mul.ctypes.data, shuf.ctypes.data, inv.ctypes.data)
     return lib
-
-
-_LIB: Optional[ctypes.CDLL] = None
-
-
-def _lib() -> ctypes.CDLL:
-    """The loaded kernels.  A process handed :class:`GF256Native` by pickle
-    (a spawned worker) never ran the provider: load on first use."""
-    if _LIB is None and load_native_backend() is None:
-        raise RuntimeError("the native GF(2^8) backend cannot load in this process")
-    assert _LIB is not None
-    return _LIB
 
 
 def _address(array: np.ndarray) -> int:
@@ -167,9 +161,26 @@ class GF256Native(GF256):
     """
 
     name = "native"
+    #: The kernels this class calls, once :func:`_load` has opened them.
+    _lib: ClassVar[Optional[ctypes.CDLL]] = None
+    #: The shared object's cache stem.
+    _stem: ClassVar[str] = "gf_native"
 
     @staticmethod
-    def addmul_row(target: np.ndarray, source: np.ndarray, coefficient: int) -> None:
+    def _cflags() -> List[str]:
+        """Flags beyond ``-O3``: the SIMD path this CPU runs."""
+        return _simd_cflags()
+
+    @classmethod
+    def _open(cls) -> ctypes.CDLL:
+        """The kernels, loaded on first use: a process handed the class by
+        pickle (a spawned worker) never ran the provider."""
+        if _load(cls) is None or cls._lib is None:
+            raise RuntimeError(f"the {cls.name} GF(2^8) kernels cannot load in this process")
+        return cls._lib
+
+    @classmethod
+    def addmul_row(cls, target: np.ndarray, source: np.ndarray, coefficient: int) -> None:
         if coefficient == 0:
             return
         if not (
@@ -182,14 +193,14 @@ class GF256Native(GF256):
         ):
             GF256.addmul_row(target, source, coefficient)
             return
-        _lib().gf_addmul_row(
+        (cls._lib or cls._open()).gf_addmul_row(
             _address(target), _address(source), coefficient, target.size
         )
         meter_bytes(target.size)
 
-    @staticmethod
+    @classmethod
     def addmul_rows(
-        targets: np.ndarray, source: np.ndarray, coefficients: np.ndarray
+        cls, targets: np.ndarray, source: np.ndarray, coefficients: np.ndarray
     ) -> None:
         coefficients = np.ascontiguousarray(coefficients, dtype=np.uint8)
         if not (
@@ -204,7 +215,7 @@ class GF256Native(GF256):
         ):
             GF256.addmul_rows(targets, source, coefficients)
             return
-        _lib().gf_addmul_rows(
+        (cls._lib or cls._open()).gf_addmul_rows(
             targets.ctypes.data,
             targets.strides[0],
             source.ctypes.data,
@@ -215,8 +226,8 @@ class GF256Native(GF256):
         if _reference._BYTES_HOOK is not None:
             meter_bytes(int(np.count_nonzero(coefficients)) * source.shape[0])
 
-    @staticmethod
-    def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    @classmethod
+    def matmul(cls, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a = np.ascontiguousarray(a, dtype=np.uint8)
         b = np.ascontiguousarray(b, dtype=np.uint8)
         if a.ndim != 2 or b.ndim != 2:
@@ -227,7 +238,9 @@ class GF256Native(GF256):
         m = b.shape[1]
         out = np.zeros((n, m), dtype=np.uint8)
         if k and n and m:
-            _lib().gf_matmul(out.ctypes.data, a.ctypes.data, b.ctypes.data, n, k, m)
+            (cls._lib or cls._open()).gf_matmul(
+                out.ctypes.data, a.ctypes.data, b.ctypes.data, n, k, m
+            )
         if _reference._BYTES_HOOK is not None:
             meter_bytes(int(np.count_nonzero(a.any(axis=1))) * m)
         return out
@@ -245,7 +258,9 @@ class GF256Native(GF256):
         k, m = rows.shape
         out = np.zeros(m, dtype=np.uint8)
         try:
-            _lib().gf_matmul(_address(out), _address(mix), _address(rows), 1, k, m)
+            (cls._lib or cls._open()).gf_matmul(
+                _address(out), _address(mix), _address(rows), 1, k, m
+            )
         except TypeError:  # a strided operand
             return super().combine(mix, rows)
         if _reference._BYTES_HOOK is not None:
@@ -261,7 +276,7 @@ class GF256Native(GF256):
         if row.shape != scratch.shape or row.dtype != np.uint8:
             return super().basis_insert(basis, row)
         scratch[:] = row
-        stored = _lib().gf_basis_insert(*args, basis.rank) >= 0
+        stored = (cls._lib or cls._open()).gf_basis_insert(*args, basis.rank) >= 0
         if _reference._BYTES_HOOK is not None:
             # what the reference's two kernels meter: one product row if
             # anything was folded in, one row per back-substituted pivot row
@@ -290,7 +305,7 @@ class GF256Native(GF256):
         found = 0
         if rows and work.shape[1]:
             found = int(
-                _lib().gf_eliminate(
+                (cls._lib or cls._open()).gf_eliminate(
                     work.ctypes.data,
                     rows,
                     work.shape[1],
@@ -370,19 +385,43 @@ def _insert_stream_matches(backend: "type[GF256]", blocks: int, width: int) -> b
     )
 
 
+class GF256TableWalk(GF256Native):
+    """:class:`GF256Native` on the same source built without SIMD flags:
+    ``addmul`` compiles to the ``MUL`` table walk, the lookup-table codec
+    the paper's SSE2 loop is measured against (Sec. 4)."""
+
+    name = "table-walk"
+    _lib = None
+    _stem = "gf_table"
+
+    @staticmethod
+    def _cflags() -> List[str]:
+        return []
+
+
+def _load(field: "type[GF256Native]") -> Optional["type[GF256Native]"]:
+    """``field`` once its library is loaded and it passes the reference
+    self-test, else ``None``: no compiler, dlopen error, divergence."""
+    if field._lib is None:
+        field._lib = _load_library(field._stem, field._cflags())
+    if field._lib is None or not _self_test(field):
+        return None
+    return field
+
+
 def load_native_backend() -> Optional["type[GF256]"]:
     """The compiled field, or ``None`` where it cannot run.
 
     Compiles (or reuses) the shared object, loads it, and only returns
-    the class after it passes the reference self-test.  Any failure —
-    no compiler, dlopen error, divergence — yields ``None``.
+    the class after it passes the reference self-test.
     """
-    global _LIB
-    if _LIB is None:
-        _LIB = _load_library()
-    if _LIB is None or not _self_test(GF256Native):
-        return None
-    return GF256Native
+    return _load(GF256Native)
 
 
-__all__ = ["GF256Native", "load_native_backend"]
+def load_table_walk() -> Optional["type[GF256]"]:
+    """:class:`GF256TableWalk`, loaded and self-tested like
+    :func:`load_native_backend`, or ``None`` where it cannot run."""
+    return _load(GF256TableWalk)
+
+
+__all__ = ["GF256Native", "GF256TableWalk", "load_native_backend", "load_table_walk"]

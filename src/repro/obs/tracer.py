@@ -20,7 +20,7 @@ Typical use::
     tracer = EventTracer()
     run_coded_session(..., tracer=tracer)
     tracer.summary()                        # record counts by kind
-    tracer.records(kind="tx", node=3)       # iterate selected records
+    tracer.records(kind="tx", node=3)       # list the selected records
     tracer.to_jsonl(path)                   # export for offline analysis
     trace_digest(EventTracer.read_jsonl(path)) == trace_digest(tracer)
 """
@@ -108,15 +108,19 @@ class EventTracer:
 
     def records(
         self, *, kind: Optional[str] = None, **where: object
-    ) -> Iterator[TraceRecord]:
-        """Iterate retained records, optionally filtered by kind and by
-        field values (``records(kind="tx", node=3)``)."""
-        for record in self._records:
-            if kind is not None and record.kind != kind:
-                continue
-            fields = record.fields
-            if all(name in fields and fields[name] == value for name, value in where.items()):
-                yield record
+    ) -> List[TraceRecord]:
+        """The retained records, optionally filtered by kind and by field
+        values (``records(kind="tx", node=3)``), as a list: a result can
+        be iterated as often as the caller likes."""
+        return [
+            record
+            for record in self._records
+            if (kind is None or record.kind == kind)
+            and all(
+                name in record.fields and record.fields[name] == value
+                for name, value in where.items()
+            )
+        ]
 
     def last(self, kind: Optional[str] = None) -> Optional[TraceRecord]:
         """Most recent (matching) record, or None."""

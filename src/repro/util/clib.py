@@ -61,6 +61,11 @@ def cache_dir() -> Path:
     return Path(base) / "repro-omnc"
 
 
+def compiler() -> str:
+    """The C compiler command: ``$CC``, default ``cc``."""
+    return os.environ.get("CC") or "cc"
+
+
 def build(
     stem: str, source: Path, flags: Sequence[str], link: Sequence[str] = ()
 ) -> Optional[Path]:
@@ -72,7 +77,7 @@ def build(
     missing.  A compile that fails logs the last 20 lines the compiler
     wrote to stderr, if it wrote any.
     """
-    cc = os.environ.get("CC") or "cc"
+    cc = compiler()
     try:
         hasher = hashlib.sha256()
         for text in _sources(source):

@@ -101,8 +101,8 @@ def variant_id(variant):
 ONE_SHARD = ({"shards": 1},)
 #: A campaign run serially and on two exec-pool workers.
 JOBS_12 = ({"jobs": 1}, {"jobs": 2})
-#: Every GF(2^8) field engine this machine has, and the baseline.
-FIELDS = tuple({"field": name} for name in (*available_backends(), "baseline"))
+#: Every GF(2^8) field engine this machine has.
+FIELDS = tuple({"field": name} for name in available_backends())
 #: The compiled slot loop, where its kernel loads.
 COMPILED = ({"form": "compiled"},) if engine.compiled_kernel() else ()
 #: Both Table 1 loops, the compiled one where its kernel loads.

@@ -8,6 +8,8 @@ These hypothesis properties drive random matrices and shapes through
 ``eliminate_panel`` on every backend available on this machine and
 compare against :class:`repro.coding.gf256.GF256`; a full-session
 digest test then pins the end-to-end coded pipeline across backends.
+Where a C compiler builds it, the compiled kernels built without SIMD
+flags (``table-walk``, Sec. 4's comparator) run the same properties.
 """
 
 import numpy as np
@@ -16,13 +18,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.coding import matrix as gfmatrix
+from repro.coding import native
 from repro.coding.backends import available_backends, get_backend
 from repro.coding.decoder import ProgressiveDecoder
 from repro.coding.encoder import SourceEncoder
 from repro.coding.generation import GenerationParams, random_generation
 from repro.coding.gf256 import GF256
 
-BACKENDS = available_backends()
+FIELDS = {name: get_backend(name) for name in available_backends()}
+if (TABLE_WALK := native.load_table_walk()) is not None:
+    FIELDS[TABLE_WALK.name] = TABLE_WALK
+BACKENDS = tuple(FIELDS)
 
 
 def _random_matrix(rng, rows, cols):
@@ -39,7 +45,7 @@ class TestKernelEquivalence:
     )
     @settings(max_examples=25, deadline=None)
     def test_matmul_matches_reference(self, backend, n, k, m, seed):
-        field = get_backend(backend)
+        field = FIELDS[backend]
         rng = np.random.default_rng(seed)
         a = _random_matrix(rng, n, k)
         b = _random_matrix(rng, k, m)
@@ -52,7 +58,7 @@ class TestKernelEquivalence:
     )
     @settings(max_examples=25, deadline=None)
     def test_addmul_rows_matches_reference(self, backend, rows, width, seed):
-        field = get_backend(backend)
+        field = FIELDS[backend]
         rng = np.random.default_rng(seed)
         targets = _random_matrix(rng, rows, width)
         source = rng.integers(0, 256, size=width, dtype=np.uint8)
@@ -70,7 +76,7 @@ class TestKernelEquivalence:
     )
     @settings(max_examples=15, deadline=None)
     def test_scale_rows_matches_reference(self, backend, rows, width, seed):
-        field = get_backend(backend)
+        field = FIELDS[backend]
         rng = np.random.default_rng(seed)
         matrix = _random_matrix(rng, rows, width)
         coefficients = rng.integers(0, 256, size=rows, dtype=np.uint8)
@@ -86,7 +92,7 @@ class TestKernelEquivalence:
     )
     @settings(max_examples=25, deadline=None)
     def test_rref_matches_reference(self, backend, rows, cols, seed):
-        field = get_backend(backend)
+        field = FIELDS[backend]
         matrix = _random_matrix(np.random.default_rng(seed), rows, cols)
         got, got_pivots = gfmatrix.rref(matrix, field)
         expected, expected_pivots = gfmatrix.rref(matrix, GF256)
@@ -99,7 +105,7 @@ class TestKernelEquivalence:
     )
     @settings(max_examples=20, deadline=None)
     def test_invert_matches_reference(self, backend, n, seed):
-        field = get_backend(backend)
+        field = FIELDS[backend]
         matrix = gfmatrix.random_matrix(
             n, n, np.random.default_rng(seed), full_rank=True, field=GF256
         )
@@ -119,7 +125,7 @@ class TestKernelEquivalence:
     def test_eliminate_panel_matches_reference(
         self, backend, rows, panel, extra, limit, seed
     ):
-        field = get_backend(backend)
+        field = FIELDS[backend]
         matrix = _random_matrix(np.random.default_rng(seed), rows, panel + extra)
         expected = matrix.copy()
         exp_rows, exp_cols = GF256.eliminate_panel(expected, panel, limit)
@@ -130,7 +136,7 @@ class TestKernelEquivalence:
         assert np.array_equal(got, expected)
 
     def test_elementwise_operations_match_reference(self, backend):
-        field = get_backend(backend)
+        field = FIELDS[backend]
         values = np.arange(256, dtype=np.uint8)
         grid_a = np.repeat(values, 256)
         grid_b = np.tile(values, 256)
@@ -164,7 +170,7 @@ class TestSessionDigestAcrossBackends:
         return generation, np.stack(emitted), verdicts, decoder
 
     def test_full_session_digest_is_pinned_across_backends(self, backend):
-        field = get_backend(backend)
+        field = FIELDS[backend]
         generation, emitted, verdicts, decoder = self._run_session(field)
         ref_generation, ref_emitted, ref_verdicts, ref_decoder = self._run_session(
             GF256

@@ -28,7 +28,10 @@ from repro.coding.backends import (
 )
 from repro.coding.decoder import ProgressiveDecoder
 from repro.coding.gf256 import GF256
-from repro.coding.gf256_baseline import GF256Baseline
+
+
+class Explicit(GF256):
+    """A field no process picks by default."""
 
 
 @pytest.fixture
@@ -100,7 +103,7 @@ class TestDegradationIsReportedOnce:
 
     def test_a_missing_kernel_source_warns_once(self, monkeypatch, tmp_path, caplog):
         monkeypatch.setattr(native, "SOURCE", tmp_path / "gf256.c")
-        monkeypatch.setattr(native, "_LIB", None)
+        monkeypatch.setattr(native.GF256Native, "_lib", None)
         default_field.cache_clear()
         try:
             with caplog.at_level(logging.WARNING, logger=backends.__name__):
@@ -140,16 +143,29 @@ class TestDegradationIsReportedOnce:
         assert not native._self_test(WrongInsert)
 
 
+class TestTableWalk:
+    """The same kernels built without SIMD flags: Sec. 4's comparator."""
+
+    def test_the_table_walk_build_loads_its_own_library_and_self_tests(self):
+        field = native.load_table_walk()
+        if field is None:
+            pytest.skip("no C compiler builds the kernels here")
+        assert field is native.GF256TableWalk
+        assert native._self_test(field)
+        assert field._lib is not None and field._lib is not native.GF256Native._lib
+        assert field not in (get_backend(name) for name in available_backends())
+
+
 class TestDefaultFieldResolution:
     def test_resolve_field_prefers_explicit(self):
-        assert resolve_field(GF256Baseline) is GF256Baseline
+        assert resolve_field(Explicit) is Explicit
         assert resolve_field(None) is default_field()
 
     def test_decoder_picks_up_selected_backend(self):
         assert ProgressiveDecoder(4, 8)._field is default_field()
 
     def test_decoder_explicit_field_wins_over_selection(self):
-        assert ProgressiveDecoder(4, 8, field=GF256Baseline)._field is GF256Baseline
+        assert ProgressiveDecoder(4, 8, field=Explicit)._field is Explicit
 
     def test_decode_result_is_backend_independent(self):
         rng = np.random.default_rng(5)

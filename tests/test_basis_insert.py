@@ -20,10 +20,9 @@ from repro.coding.backends import available_backends, get_backend
 from repro.coding.basis import EchelonBasis
 from repro.coding.encoder import RelayReEncoder
 from repro.coding.gf256 import GF256
-from repro.coding.gf256_baseline import GF256Baseline
 from repro.coding.packet import CodedPacket
 
-FIELDS = [get_backend(name) for name in available_backends()] + [GF256Baseline]
+FIELDS = [get_backend(name) for name in available_backends()]
 by_field = pytest.mark.parametrize("field", FIELDS, ids=lambda field: field.name)
 
 ROW_KINDS = ("dense", "late", "dependent", "scaled", "unit", "zero", "payload-only")
@@ -88,8 +87,7 @@ class TestBasisInsert:
         assert got.rank == rank == sum(want_verdicts)
         assert np.array_equal(got.matrix[:rank], want.matrix[:rank])
         assert np.array_equal(got.pivot_cols[:rank], want.pivot_cols[:rank])
-        if field is not GF256Baseline:  # the baseline codec never metered
-            assert got_bytes == want_bytes
+        assert got_bytes == want_bytes
 
     def test_full_generation_decodes_to_the_identity(self, field):
         blocks, width = 12, 12 + 45
@@ -167,8 +165,7 @@ class TestCombine:
             want = GF256.matmul(mix[None, :], rows)[0]
         assert got.shape == want.shape == (m,)
         assert np.array_equal(got, want)
-        if field is not GF256Baseline:
-            assert got_bytes == registry.value("codec.bytes_processed")
+        assert got_bytes == registry.value("codec.bytes_processed")
 
 
 @pytest.mark.skipif(

@@ -24,10 +24,9 @@ from repro.coding.decoder import ProgressiveDecoder
 from repro.coding.encoder import RelayReEncoder, SourceEncoder
 from repro.coding.generation import GenerationParams, random_generation
 from repro.coding.gf256 import GF256
-from repro.coding.gf256_baseline import GF256Baseline
 from repro.coding.packet import CodedPacket
 
-FIELDS = [get_backend(name) for name in available_backends()] + [GF256Baseline]
+FIELDS = [get_backend(name) for name in available_backends()]
 
 
 def _augmented_rows(blocks, block_size, count, rng, *, duplicate_fraction=0.3):

@@ -32,6 +32,8 @@ from hypothesis import strategies as st
 from hypothesis.internal.conjecture import engine as conjecture
 
 from repro import obs
+from repro.coding.encoder import SourceEncoder
+from repro.coding.generation import Generation
 from repro.emulator import engine, native
 from repro.emulator.engine import (
     CoreInit,
@@ -1082,10 +1084,29 @@ def exact_recipes(draw):
         held = hosting[node] if len(hosting[node]) > 1 and draw(st.integers(0, 4)) else sessions
         pairs = [(a, b) for a in held for b in held if a < b]
         xor[node] = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3, unique=True))
+    # Packets queued up front at every XOR node's senders of the sessions
+    # it pairs, and one node two sessions both send from made an XOR
+    # relay of that pair: both queues of a pair are full at once, so the
+    # XOR pop, and the peel where it lands, run early.
+    seeded = draw(st.sampled_from((0, 1, 2, 3))) if shared else 0
+    senders = {
+        node: [sid for sid, terms in sessions.items()
+               if node in (terms["source"], *terms["relays"])]
+        for node in range(count)
+    }
+    crossing = [node for node, sids in senders.items() if len(sids) > 1]
+    if seeded and crossing:
+        node = draw(st.sampled_from(crossing))
+        pair = tuple(sorted(draw(
+            st.lists(st.sampled_from(senders[node]), min_size=2, max_size=2, unique=True)
+        )))
+        if pair not in xor.setdefault(node, []):
+            xor[node].append(pair)
     return {
         "network": network,
         "sessions": sessions,
         "xor": xor,
+        "seeded": seeded,
         "churned": draw(st.sampled_from([None, *sessions])) if shared else None,
         "arrives": draw(st.booleans()),
         "epochs": draw(st.lists(
@@ -1101,6 +1122,20 @@ def exact_recipes(draw):
         "interference": draw(st.sampled_from(("blanking", "conflict_free"))),
         "seed": draw(st.integers(0, 2**16)),
     }
+
+
+def _seed_queue(runtime, rng, count):
+    """Queue ``count`` packets at a source or relay runtime; a relay first
+    hears as many from a source encoder of its own generation."""
+    if isinstance(runtime, CodedRelayRuntime):
+        generation = Generation(runtime._generation_id, np.zeros((runtime._blocks, 1), np.uint8))
+        encoder = SourceEncoder(runtime.session_id, generation, rng, payload=False)
+        for _ in range(count):
+            runtime.on_receive(encoder.next_packet(), runtime.node_id)
+    elif not isinstance(runtime, CodedSourceRuntime):
+        return
+    runtime._credit += count
+    runtime._drain()
 
 
 def _build_exact(recipe, kernel):
@@ -1129,6 +1164,9 @@ def _build_exact(recipe, kernel):
             )
         for node, runtime in runtimes.items():
             runtime.advance_generation(terms["generations"][node])
+        paired = {node for node, pairs in recipe["xor"].items() if any(sid in p for p in pairs)}
+        for node in sorted(paired & runtimes.keys()):
+            _seed_queue(runtimes[node], rng.derive("seeded", node), recipe["seeded"])
         built[sid] = runtimes
     if shared:
         hosted = {}
@@ -1196,7 +1234,6 @@ def run_exact_epochs(recipe, kernel):
                     )
                     for sub in subs:
                         sub.apply_plan(coding=CodingParams(blocks=4, systematic=True))
-            core._wake_everyone()  # as the control plane wakes what it retunes
         reply = core.run_slots((budget, events, named, decodes))
         for record in reply[1]:
             for event in record[2]:

@@ -11,7 +11,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 #: Lines per document, at most.
-BUDGETS = {"DESIGN.md": 1819, "README.md": 653}
+BUDGETS = {"DESIGN.md": 1819, "README.md": 649}
 
 
 @pytest.mark.parametrize("name", sorted(BUDGETS))

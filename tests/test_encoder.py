@@ -14,11 +14,10 @@ from repro.coding.decoder import ProgressiveDecoder
 from repro.coding.encoder import RelayReEncoder, SourceEncoder
 from repro.coding.generation import GenerationParams, random_generation
 from repro.coding.gf256 import GF256
-from repro.coding.gf256_baseline import GF256Baseline
 from repro.coding.packet import CodedPacket
 
 #: Every field engine the relay filter must behave identically on.
-FIELDS = [get_backend(name) for name in available_backends()] + [GF256Baseline]
+FIELDS = [get_backend(name) for name in available_backends()]
 
 
 def make_source(blocks=6, block_size=16, seed=0, payload=True):
@@ -248,9 +247,9 @@ def _relay_stream_digest(field, payload):
 
 def relay_stream(field):
     """The relay stream with and without payloads on the field engine
-    named ``field`` (a backend, or ``"baseline"``); pinned on the commit
-    before the filter moved onto the shared elimination core."""
-    engine = GF256Baseline if field == "baseline" else get_backend(field)
+    named ``field``; pinned on the commit before the filter moved onto
+    the shared elimination core."""
+    engine = get_backend(field)
     return (
         _relay_stream_digest(engine, payload=True),
         _relay_stream_digest(engine, payload=False),

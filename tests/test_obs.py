@@ -206,7 +206,16 @@ def test_tracer_bounded_capacity_counts_drops():
     retained = [record.fields["i"] for record in tracer.records()]
     assert retained == [3, 4, 5, 6, 7]
     # Sequence numbers are global, not reset by eviction.
-    assert next(tracer.records()).seq == 3
+    assert tracer.records()[0].seq == 3
+
+
+def test_tracer_records_can_be_iterated_twice():
+    tracer = obs.EventTracer()
+    for index in range(4):
+        tracer.emit("tx" if index % 2 else "grant", node=index)
+    sent = tracer.records(kind="tx")
+    assert [record.fields["node"] for record in sent] == [1, 3]
+    assert [record.fields["node"] for record in sent] == [1, 3]
 
 
 def test_tracer_jsonl_round_trip(tmp_path):
