@@ -182,8 +182,8 @@ class ProgressiveDecoder:
         if self.is_complete:
             self._m_redundant.inc()
             return False
-        if not self._plain_run(row[None, :])[0]:
-            self._m_eliminated.inc()
+        if self._m_eliminated.enabled and not self._plain_run(row[None, :])[0]:
+            self._m_eliminated.inc()  # counted only: the insert is one path either way
         if not self._basis.insert(row):
             self._m_redundant.inc()
             return False

@@ -268,7 +268,7 @@ class Columns:
         self.basis = np.zeros((exact, 1), dtype=np.uint8)
         self.pivots = np.zeros((exact, 1), dtype=np.int64)
         self.vectors = np.zeros((exact, 1), dtype=np.uint8)
-        self.coded_ptr = np.zeros(exact + 1, dtype=np.int64)
+        self.coded_ptr = np.zeros(exact + 1 if exact else 0, dtype=np.int64)
         self.coded_cap = np.ones(exact, dtype=np.int64)
         self.coded_ring = np.zeros(0, dtype=np.uint8)
         self.coding = np.zeros((exact, 6), dtype=np.uint64)

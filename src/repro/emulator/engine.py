@@ -273,8 +273,8 @@ class EngineCore:
         self._capture = NodeStreams(factory, "capture")
         self._kernel = self._form(init)
         if self._kernel is not None:
-            self._mac_bank = native.StreamBank(self._kernel.take, factory, "mac")
-            self._loss_bank = native.StreamBank(self._kernel.take, factory, "channel")
+            self._mac = native.StreamBank(self._kernel.take, factory, "mac")
+            self._loss = native.StreamBank(self._kernel.take, factory, "channel")
         else:
             self._mac_draws = DrawBuffers(NodeStreams(factory, "mac"))
             self._loss_draws = DrawBuffers(NodeStreams(factory, "channel"))
@@ -284,7 +284,7 @@ class EngineCore:
         # Over every node ever hosted: a re-plan may drop a forwarder,
         # its airtime and queue integral stay in the session's stats.
         self._transmissions: Dict[int, int] = {}
-        self._queue_time: Dict[int, float] = {}
+        self._queue_time_sum: Dict[int, float] = {}
         # The session of every node a plain runtime ever held, and per
         # composite-hosting node its queue integral split by session.
         self._session_of: Dict[int, int] = {}
@@ -340,12 +340,12 @@ class EngineCore:
         # Queue-time accumulators carry over: a node hosted before keeps
         # its integral, new nodes start at zero.  A list, or on a compiled
         # core an array.
-        self._queue_time_buf: Any = [self._queue_time.get(node, 0.0) for node in self._owned]
+        self._queue_time: Any = [self._queue_time_sum.get(node, 0.0) for node in self._owned]
         self._columns: Optional[Columns] = None
         if self._kernel is None:
             self._awake = AwakeSet(len(self._owned))
         else:
-            self._queue_time_buf = np.array(self._queue_time_buf)
+            self._queue_time = np.array(self._queue_time)
             # Transmissions since the last flush, per hosted position.
             self._fired = np.zeros(len(self._owned), dtype=np.int64)
             self._columns = columns = Columns(
@@ -370,8 +370,8 @@ class EngineCore:
             self._position_of[self._node_of] = np.arange(len(self._owned))
             # Hosted position -> bank row.  A node keeps its row, cursor
             # and pre-drawn values when the hosted set is replaced.
-            self._mac_rows = self._mac_bank.rows_for(self._owned)
-            self._loss_rows = self._loss_bank.rows_for(self._owned)
+            self._mac_rows = self._mac.rows_for(self._owned)
+            self._loss_rows = self._loss.rows_for(self._owned)
         self._build_structures()
 
     def _build_structures(self) -> None:
@@ -430,11 +430,11 @@ class EngineCore:
             )
             self._rx_p = np.zeros(self._rx_ids.shape)
             self._rx_p[own] = [p for pairs in rx_pairs.values() for _j, p in pairs]
-            if self._blanking:
-                self._cov, _own = _padded(list(cov_list.values()), node_count)
-                self._cov_row = np.zeros(node_count, dtype=np.intp)
-                self._cov_row[list(cov_list)] = np.arange(len(cov_list))
-            self._granted_mask = np.zeros(node_count + 1, dtype=bool)
+            # Without blanking both stay empty: the kernel reads neither.
+            covered = cov_list if self._blanking else {}
+            self._cov, _own = _padded(list(covered.values()), node_count)
+            self._cov_row = np.zeros(node_count if self._blanking else 0, dtype=np.intp)
+            self._cov_row[list(covered)] = np.arange(len(covered))
             self._cut_mask = np.zeros(len(self._owned), dtype=bool)
             self._cut_mask[sorted(self._cut)] = True
             # Links delivered over since the last flush, cell by cell of
@@ -457,132 +457,82 @@ class EngineCore:
             self._pack()
 
     def _pack(self) -> None:
-        """Point the compiled loop at every array it works on in place, the
-        scheduler's conflict sets as CSR, and at buffers for what it hands
-        back."""
+        """A fresh compiled loop for the structures as they stand: the
+        scheduler's conflict sets as CSR, buffers for what it hands back,
+        and every array it works on in place pointed at (:meth:`_point`)."""
         core = self._packed = native.Core()
-        count, pad = len(self._owned), self._network.node_count
-        width = self._rx_ids.shape[1]
+        columns = self._columns
+        assert columns is not None
+        core.rows, core.positions = len(columns.role), len(self._owned)
+        core.pad, core.rx_width, core.cov_width = (
+            self._network.node_count, self._rx_ids.shape[1], self._cov.shape[1]
+        )
+        core.blanking, core.cut = self._blanking, bool(self._cut)
+        core.park_interval = AwakeSet.PARK_INTERVAL
+        core.floor = IdealMacScheduler.WEIGHT_FLOOR
+        core.smoothing = FlowRelayRuntime._DEMAND_SMOOTHING
+        count, pad = core.positions, core.pad
         conflicts = [sorted(blocked) for blocked in self._scheduler._conflict_pos]
         self._conflict_ptr = np.zeros(count + 1, dtype=np.int64)
         self._conflict_ptr[1:] = np.cumsum([len(blocked) for blocked in conflicts])
         self._conflict = np.array([p for blocked in conflicts for p in blocked], dtype=np.int64)
-        # ``[granted, contenders]`` per slot, grown to the largest budget,
-        # and ``(slot, rank, place, position, value)`` per delivery to a
-        # sink or decode: at most one a slot per row, as a rule far fewer.
-        self._slot_out = np.zeros((2, 0), dtype=np.int64)
-        rows = len(self._columns.role)
-        self._sink_out = np.zeros((rows, 5), dtype=np.int64)
-        self._granted_ids = np.zeros(4 * max(count, 1), dtype=np.int64)
+        # Granted and contenders per slot, grown to the largest budget
+        # (:meth:`_run_compiled`), and ``(slot, rank, place, position,
+        # value)`` per delivery to a sink or decode: at most one a slot
+        # per row, as a rule far fewer.
+        self._slot_granted = self._slot_contenders = np.zeros(0, dtype=np.int64)
+        core.sink_capacity = core.rows
+        self._sink_out = np.zeros((core.sink_capacity, 5), dtype=np.int64)
+        core.id_capacity = 4 * max(count, 1)
+        self._granted_ids = np.zeros(core.id_capacity, dtype=np.int64)
         self._contender_out = np.zeros(count + 1, dtype=np.int64)
         self._key_out = np.zeros(count + 1)
         # An arrival a row: every receiver hears at most one transmitter
         # (blanked otherwise, or never granted together), and a FIRE
-        # hands back those of any node (an exact packet's vectors beside).
+        # hands back those of any node (an exact packet's vectors beside,
+        # sized by :meth:`_point`).
         self._fallback_out = np.zeros((pad + 1, native.HANDED), dtype=np.int64)
         self._grant_in = np.zeros(pad + 1, dtype=np.int64)
         self._fallback_vectors = np.zeros((pad + 1, 0), dtype=np.uint8)
-        self._pointed_arrays: Dict[str, np.ndarray] = {}  # what the fresh core points at
-        core.rows, core.positions, core.rx_width, core.pad = rows, count, width, pad
-        core.mac, core.loss = self._mac_bank.address, self._loss_bank.address
-        core.blanking, core.cut = self._blanking, bool(self._cut)
-        core.park_interval = AwakeSet.PARK_INTERVAL
-        core.id_capacity = len(self._granted_ids)
-        core.sink_capacity = rows
-        core.floor = IdealMacScheduler.WEIGHT_FLOOR
-        core.smoothing = FlowRelayRuntime._DEMAND_SMOOTHING
-        arrays = [
-            ("rx_ids", self._rx_ids, np.int64, (count, width)),
-            ("rx_p", self._rx_p, np.float64, (count, width)),
-            ("position_of", self._position_of, np.int64, (pad + 1,)),
-            ("node_of", self._node_of, np.int64, (count,)),
-            ("conflict_ptr", self._conflict_ptr, np.int64, (count + 1,)),
-            ("conflict", self._conflict, np.int64, self._conflict.shape),
-            ("cut_mask", self._cut_mask, np.bool_, (count,)),
-            ("queue_time", self._queue_time_buf, np.float64, (count,)),
-            ("fired", self._fired, np.int64, (count,)),
-            ("delivered", self._delivered, np.bool_, (count, width)),
-            ("mac_rows", self._mac_rows, np.int64, (count,)),
-            ("loss_rows", self._loss_rows, np.int64, (count,)),
-            ("granted_ids", self._granted_ids, np.int64, self._granted_ids.shape),
-            ("contender_out", self._contender_out, np.int64, (count + 1,)),
-            ("key_out", self._key_out, np.float64, (count + 1,)),
-            ("fallback_out", self._fallback_out, np.int64, (pad + 1, native.HANDED)),
-            ("grant_in", self._grant_in, np.int64, (pad + 1,)),
-            ("sink_out", self._sink_out, np.int64, (rows, 5)),
-        ]
-        if self._blanking:
-            core.cov_width = self._cov.shape[1]
-            arrays += [
-                ("cov", self._cov, np.int64, self._cov.shape),
-                ("cov_row", self._cov_row, np.int64, (pad,)),
-            ]
-        for name, array, dtype, shape in arrays:
-            setattr(core, name, native.address(array, dtype, shape))
-        self._point_columns()
+        self._pointed_arrays: Dict[str, Any] = {}  # what the fresh core points at
+        self._point()
 
-    def _point_columns(self) -> None:
-        """Repoint the compiled loop at the columns' arrays, which a load
-        (any row fallback) may have replaced: those it has not point where
-        they did."""
-        columns = self._columns
-        core = self._packed
-        assert columns is not None and core is not None
-        pointed = self._pointed_arrays
-        shapes: Optional[Dict[str, Tuple[int, ...]]] = None
-        for name, attribute, dtype in native.COLUMNS:
-            array = getattr(columns, attribute)
-            if pointed.get(name) is array or not array.size:  # empty: a kind the core lacks
-                continue
-            shapes = shapes or self._column_shapes()
-            shape = shapes.get(name, (len(columns.role),))
-            setattr(core, name, native.address(array, dtype, shape))
-            pointed[name] = array
-        vwidth = columns.vwidth
-        if self._fallback_vectors.shape[1] != 2 * vwidth:
-            self._fallback_vectors = np.zeros((self._network.node_count + 1, 2 * vwidth), np.uint8)
-            core.fallback_vectors = native.address(
-                self._fallback_vectors, np.uint8, self._fallback_vectors.shape
-            )
+    @functools.cached_property
+    def _sources(self) -> List[Tuple[str, bool, str, Optional[type], native.Shape]]:
+        """Every :data:`native.POINTERS` entry with where its array lives:
+        the columns' ``_pointer`` or ``pointer`` (``True``), else this
+        core's ``_pointer``."""
+        held = vars(self._columns)
+        sources = []
+        for pointer, dtype, shape in native.POINTERS:
+            columns = pointer in held or "_" + pointer in held
+            name = "_" + pointer if not columns or "_" + pointer in held else pointer
+            sources.append((pointer, columns, name, dtype, shape))
+        return sources
+
+    def _point(self) -> None:
+        """Point the compiled loop at every array whose object changed
+        since it last looked — a column a load replaced, a grown output
+        buffer; all of them on a fresh core — each checked against the
+        bounds the kernel indexes it by."""
+        core, columns = self._packed, self._columns
+        assert columns is not None
         core.width = columns.levels.shape[1]
-        core.vwidth = vwidth
+        core.vwidth = vwidth = columns.vwidth
         core.grouped = columns.grouped
         core.credit_count = len(columns._credit_rows)
         core.unicasts = len(columns._unicast_rows)
+        if self._fallback_vectors.shape[1] != 2 * vwidth:
+            self._fallback_vectors = np.zeros((core.pad + 1, 2 * vwidth), dtype=np.uint8)
+        pointed = self._pointed_arrays
+        for pointer, on_columns, name, dtype, shape in self._sources:
+            held = getattr(columns if on_columns else self, name)
+            if pointed.get(pointer) is not held:
+                setattr(core, pointer, held.address if dtype is None else native.address(
+                    held, dtype, shape(core), pointer
+                ))
+                pointed[pointer] = held
         self._pointed = columns.reallocations
-
-    def _column_shapes(self) -> Dict[str, Tuple[int, ...]]:
-        """The shape the kernel reads each column array at, where it is not
-        one entry per row: per position, laid out, or a composite's and an
-        exact row's own (empty on a core without one)."""
-        columns = self._columns
-        assert columns is not None
-        count, rows, vwidth = len(self._owned), len(columns.role), columns.vwidth
-        grouped = (rows, count) if columns.grouped else (0, 0)
-        exact, pad = len(columns.coding), self._network.node_count
-        return {
-            "levels": (rows, columns.levels.shape[1]),
-            "upstream": self._rx_ids.shape,
-            "credit_rows": columns._credit_rows.shape,
-            "unicast_rows": columns._unicast_rows.shape,
-            "ring_ptr": (rows + 1,),
-            "ring": columns.ring.shape,
-            "awake": (count,),
-            "group_ptr": (count + 1,),
-            "composite": (count,),
-            **dict.fromkeys(("active", "session_tx", "row_queue_time"), (grouped[0],)),
-            **dict.fromkeys(("cursor", "xor_sent"), (grouped[1],)),
-            "pair_ptr": (count + 1,),
-            "pair_rows": columns.pair_rows.shape,
-            **dict.fromkeys(("heard_from", "row_upstream"), (grouped[0], pad + 1)),
-            **dict.fromkeys(("coded_cap", "emitted", "systematic", "received"), (exact,)),
-            "coded_ptr": (exact + 1,),
-            "coded_ring": columns.coded_ring.shape,
-            "basis": (exact, vwidth * vwidth),
-            "pivots": (exact, vwidth),
-            "vectors": (exact, vwidth * vwidth),
-            "coding": (exact, 6),
-        }
 
     def _wake_everyone(self) -> None:
         self._awake.wake_everyone()
@@ -711,7 +661,7 @@ class EngineCore:
         columns = self._columns
         assert columns is not None and self._kernel is not None
         if columns.reallocations != self._pointed:
-            self._point_columns()
+            self._point()
         core.phase = phase
         core.ticks = columns._ticks
         status = self._kernel.run(ctypes.byref(core), budget)
@@ -733,22 +683,20 @@ class EngineCore:
         left to it applied (:meth:`_acknowledge`); a cut slot's contention
         is returned unfinished."""
         core = self._packed
-        if budget > self._slot_out.shape[1]:
-            self._slot_out = np.zeros((2, budget), dtype=np.int64)
-            core.slot_granted = native.address(self._slot_out[0], np.int64, (budget,))
-            core.slot_contenders = native.address(self._slot_out[1], np.int64, (budget,))
-            sinks = budget + len(self._columns.role)
-            self._sink_out = np.zeros((sinks, 5), dtype=np.int64)
-            core.sink_out = native.address(self._sink_out, np.int64, (sinks, 5))
-            core.sink_capacity = sinks
+        if budget > len(self._slot_granted):
+            self._slot_granted = np.zeros(budget, dtype=np.int64)
+            self._slot_contenders = np.zeros(budget, dtype=np.int64)
+            core.sink_capacity = budget + core.rows
+            self._sink_out = np.zeros((core.sink_capacity, 5), dtype=np.int64)
+            self._point()
         core.named = named
         while budget > 0 and (decodes is None or decodes > 0):
             core.decode_limit = -1 if decodes is None else decodes
             status = self._call(native.EPOCH, budget)
             slots = core.slots
             pending = status == native.FALLBACK
-            granted: List[Any] = self._slot_out[0, : slots + pending].tolist()
-            contenders = self._slot_out[1, : slots + pending].tolist()
+            granted: List[Any] = self._slot_granted[: slots + pending].tolist()
+            contenders = self._slot_contenders[: slots + pending].tolist()
             if named:
                 ids = self._granted_ids[: core.ids].tolist()
                 ends = np.cumsum(granted).tolist()
@@ -1052,7 +1000,7 @@ class EngineCore:
                     node in successes
                 )
             self._pending_unicast.clear()
-        queue_times = self._queue_time_buf
+        queue_times = self._queue_time
         if self._columns is not None:
             queue_times += self._columns.position_queue()
         elif self._obs_enabled:
@@ -1094,7 +1042,7 @@ class EngineCore:
         """Stall the data plane for ``slots`` slots: queues hold their
         occupancy (their time-integral keeps accruing), credits do not
         accrue, and **no RNG stream is consumed**."""
-        queue_times = self._queue_time_buf
+        queue_times = self._queue_time
         for position, queue_length in enumerate(self._queue_lengths()):
             queue_times[position] += queue_length * slots
             if self._obs_enabled:
@@ -1158,9 +1106,9 @@ class EngineCore:
         records: queue-time integrals and, on a compiled core, the
         transmissions and delivered links counted since the last flush."""
         if self._columns is None:
-            self._queue_time.update(zip(self._owned, self._queue_time_buf))
+            self._queue_time_sum.update(zip(self._owned, self._queue_time))
             return
-        self._queue_time.update(zip(self._owned, self._queue_time_buf.tolist()))
+        self._queue_time_sum.update(zip(self._owned, self._queue_time.tolist()))
         for times, session, row in self._session_rows:
             times[session] = float(self._columns.row_queue_time[row])
         for position in np.flatnonzero(self._fired).tolist():
@@ -1186,7 +1134,7 @@ class EngineCore:
         for node, session_id in self._session_of.items():
             runtime = self._runtimes.get(node)
             sessions[session_id, node] = SessionCounters(
-                self._queue_time[node],
+                self._queue_time_sum[node],
                 self._transmissions[node],
                 into.get(node, []),
                 0 if runtime is None else runtime.blocks_decoded,
@@ -1200,7 +1148,7 @@ class EngineCore:
                     entry["blocks_decoded"],
                 )
         return {
-            "queue_time_sum": dict(self._queue_time),
+            "queue_time_sum": dict(self._queue_time_sum),
             "transmissions": dict(self._transmissions),
             "delivered_links": delivered,
             "sessions": sessions,
@@ -1456,5 +1404,5 @@ def _next_draws(core: EngineCore, nodes: List[int], count: int = 3) -> List[List
     counts = np.full(len(nodes), count)
     return [
         bank.take(bank.rows_for(nodes), counts).tolist()
-        for bank in (core._mac_bank, core._loss_bank)
+        for bank in (core._mac, core._loss)
     ]

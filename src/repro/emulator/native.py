@@ -50,16 +50,19 @@ buffers would and no call re-enters Python.
 linking numpy's ``libnpyrandom.a`` for the exponential and the byte
 draws, and opens it (the GF(2^8) tables handed over as the codec's);
 :func:`~repro.emulator.engine.compiled_kernel` self-tests it against the
-scalar form and numpy's generators before any core runs on it.  :class:`Core`
-mirrors the C struct field for field (every field 8 bytes, so no
-padding).
+scalar form and numpy's generators before any core runs on it.
+:class:`Core` takes its pointers from one table, :data:`POINTERS` (each
+field's dtype and its shape in Core's dimension fields, checked whenever
+it is pointed), and ``tests/test_struct_mirror.py`` checks it, and
+:class:`Bank`, against the C structs field for field (every field 8
+bytes, so no padding).
 """
 
 from __future__ import annotations
 
 import ctypes
 from pathlib import Path
-from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,39 +86,79 @@ EPOCH, CONTEND, RESOLVE, FIRE = 0, 1, 2, 3
 #: content or an exact one's vector length, -1s for a second it lacks.
 HANDED = 11
 
-#: ``(field, attribute, dtype)`` of every :class:`~repro.emulator.columns.Columns`
-#: array the kernel reads or writes, those ``Columns._classify`` and
-#: ``_align_upstream`` derive included: what the core repoints whenever
-#: the columns reallocate.
-COLUMNS: Tuple[Tuple[str, str, type], ...] = (
-    ("role", "role", np.int8),
-    *((name, name, np.bool_) for name in ("credit_mode", "awake")),
-    *((name, "_" + name, np.bool_) for name in ("source", "destination", "rate_relay", "upstream")),
-    ("pending", "pending", np.bool_),
-    *((name, name, np.float64) for name in (
-        "increment", "tx_credit", "credit", "demand", "enqueued", "information"
-    )),
-    *((name, "_" + name, np.float64) for name in ("cap", "accrual")),
-    *((name, name, np.int64) for name in (
-        "blocks", "generation", "session", "limit", "queue", "levels",
-        "generated", "sent", "dropped", "heard", "accepted", "decoded", "decoded_blocks",
-    )),
-    ("credit_rows", "_credit_rows", np.int64),
-    ("unicast_rows", "_unicast_rows", np.int64),
-    *((name, name, np.int64) for name in ("next_hop", "ring_ptr", "next_seq", "head", "ring")),
-    ("hop_cell", "_hop_cell", np.int64),
-    *((name, name, np.float64) for name in ("arrival", "hop_p")),
-    ("offered", "offered", np.bool_),
-    *((name, name, np.int64) for name in (
-        "group_ptr", "row_position", "cursor", "pair_ptr", "pair_rows", "xor_sent", "session_tx",
-        "emitted", "received", "coded_ptr", "coded_cap", "pivots",
-    )),
-    *((name, name, np.bool_) for name in (
-        "exact", "active", "composite", "heard_from", "row_upstream", "systematic",
-    )),
-    ("row_queue_time", "row_queue_time", np.float64),
-    *((name, name, np.uint8) for name in ("coded_ring", "basis", "vectors")),
-    ("coding", "coding", np.uint64),
+#: A declared shape: the extents the kernel indexes an array by, read
+#: from :class:`Core`'s dimension fields (``None``: bounded some other way,
+#: by an offset table, an argument or an id).
+Shape = Callable[[Any], Tuple[Optional[int], ...]]
+#: One :data:`POINTERS` entry: field, dtype, shape.
+Pointer = Tuple[str, Optional[type], Shape]
+
+
+def _each(
+    fields: str, dtype: Optional[type], shape: Shape = lambda c: (c.rows,)
+) -> Iterator[Pointer]:
+    return ((field, dtype, shape) for field in fields.split())
+
+
+#: ``(field, dtype, shape)`` of every :class:`Core` pointer, in the C
+#: struct's order.  The array is the core's
+#: :class:`~repro.emulator.columns.Columns` attribute ``_field`` or
+#: ``field``, else the :class:`~repro.emulator.engine.EngineCore`'s own
+#: ``_field``; a ``None`` dtype is a :class:`StreamBank`.
+POINTERS: Tuple[Pointer, ...] = (
+    # Columns
+    *_each("role", np.int8), *_each("credit_mode source destination rate_relay", np.bool_),
+    ("upstream", np.bool_, lambda c: (c.positions, c.rx_width)),
+    *_each("pending exact", np.bool_),
+    *_each("increment tx_credit cap accrual credit demand enqueued information", np.float64),
+    *_each("blocks session limit", np.int64),
+    ("credit_rows", np.int64, lambda c: (c.credit_count,)),
+    *_each("generation queue", np.int64), ("levels", np.int64, lambda c: (c.rows, c.width)),
+    *_each("generated sent dropped heard accepted decoded decoded_blocks", np.int64),
+    ("awake", np.bool_, lambda c: (c.positions,)),
+    # the unicast rows' own
+    ("unicast_rows", np.int64, lambda c: (c.unicasts,)), *_each("next_hop hop_cell", np.int64),
+    ("ring_ptr", np.int64, lambda c: (c.rows + 1,)), *_each("arrival hop_p", np.float64),
+    *_each("offered", np.bool_), *_each("next_seq head", np.int64),
+    ("ring", np.int64, lambda c: (None,)),
+    # the composites' own (empty without one)
+    ("group_ptr", np.int64, lambda c: (c.positions + 1,)), *_each("row_position", np.int64),
+    *_each("active", np.bool_), ("composite", np.bool_, lambda c: (c.positions,)),
+    ("cursor", np.int64, lambda c: (c.positions,)),
+    ("pair_ptr", np.int64, lambda c: (c.positions + 1,)),
+    ("pair_rows", np.int64, lambda c: (None, 2)), ("xor_sent", np.int64, lambda c: (c.positions,)),
+    *_each("session_tx", np.int64), *_each("row_queue_time", np.float64),
+    *_each("heard_from row_upstream", np.bool_, lambda c: (c.rows, c.pad + 1)),
+    # the exact rows' own (empty without one)
+    *_each("systematic", np.bool_), *_each("emitted received", np.int64),
+    ("coded_ptr", np.int64, lambda c: (c.rows + 1,)), *_each("coded_cap", np.int64),
+    ("coded_ring", np.uint8, lambda c: (None,)),
+    ("basis", np.uint8, lambda c: (c.rows, c.vwidth * c.vwidth)),
+    ("pivots", np.int64, lambda c: (c.rows, c.vwidth)),
+    ("vectors", np.uint8, lambda c: (c.rows, c.vwidth * c.vwidth)),
+    ("coding", np.uint64, lambda c: (c.rows, 6)),
+    # EngineCore
+    ("rx_ids", np.int64, lambda c: (c.positions, c.rx_width)),
+    ("cov", np.int64, lambda c: (None, c.cov_width)), ("cov_row", np.int64, lambda c: (c.pad,)),
+    ("position_of", np.int64, lambda c: (c.pad + 1,)),
+    ("node_of", np.int64, lambda c: (c.positions,)),
+    ("conflict_ptr", np.int64, lambda c: (c.positions + 1,)),
+    ("conflict", np.int64, lambda c: (None,)),
+    ("rx_p", np.float64, lambda c: (c.positions, c.rx_width)),
+    ("cut_mask", np.bool_, lambda c: (c.positions,)),
+    ("queue_time", np.float64, lambda c: (c.positions,)),
+    ("fired", np.int64, lambda c: (c.positions,)),
+    ("delivered", np.bool_, lambda c: (c.positions, c.rx_width)),
+    *_each("mac loss", None), *_each("mac_rows loss_rows", np.int64, lambda c: (c.positions,)),
+    # what a call hands back, and what a finish is given
+    *_each("slot_granted slot_contenders", np.int64, lambda c: (None,)),
+    ("granted_ids", np.int64, lambda c: (c.id_capacity,)),
+    ("contender_out", np.int64, lambda c: (c.positions + 1,)),
+    ("fallback_out", np.int64, lambda c: (c.pad + 1, HANDED)),
+    ("sink_out", np.int64, lambda c: (c.sink_capacity, 5)),
+    ("key_out", np.float64, lambda c: (c.positions + 1,)),
+    ("fallback_vectors", np.uint8, lambda c: (c.pad + 1, 2 * c.vwidth)),
+    ("grant_in", np.int64, lambda c: (c.pad + 1,)),
 )
 
 
@@ -127,30 +170,31 @@ class Core(ctypes.Structure):
         " blanking cut ticks park_interval named id_capacity sink_capacity decode_limit"
         " slots ids contenders fallbacks sunk decodes phase grants",
         "floor smoothing",
-        "role credit_mode source destination rate_relay upstream pending exact"
-        " increment tx_credit cap accrual credit demand enqueued information"
-        " blocks session limit credit_rows"
-        " generation queue levels generated sent dropped heard accepted decoded decoded_blocks"
-        " awake"
-        " unicast_rows next_hop hop_cell ring_ptr arrival hop_p offered next_seq head ring"
-        " group_ptr row_position active composite cursor pair_ptr pair_rows xor_sent session_tx"
-        " row_queue_time heard_from row_upstream"
-        " systematic emitted received coded_ptr coded_cap coded_ring basis pivots vectors coding"
-        " rx_ids cov cov_row position_of node_of conflict_ptr conflict rx_p cut_mask"
-        " queue_time fired delivered"
-        " mac loss mac_rows loss_rows"
-        " slot_granted slot_contenders granted_ids contender_out fallback_out sink_out key_out"
-        " fallback_vectors grant_in",
+        " ".join(field for field, _dtype, _shape in POINTERS),
     )
 
 
-def address(array: np.ndarray, dtype: type, shape: Tuple[int, ...]) -> int:
+def address(
+    array: np.ndarray, dtype: type, shape: Tuple[Optional[int], ...], field: str
+) -> Optional[int]:
     """``array``'s data pointer, once it is checked to be what the kernel
-    reads: ``dtype``, ``shape`` and C-contiguous."""
-    assert array.dtype == dtype, (array.dtype, dtype)
-    assert array.shape == shape, (array.shape, shape)
-    assert array.flags.c_contiguous
-    return int(array.ctypes.data)
+    reads at ``field`` — ``dtype``, ``shape`` (``None``: any length),
+    C-contiguous — else a ``ValueError``.  An empty array is NULL, of any
+    shape: the kernel never indexes one (a kind of row the core lacks)."""
+    found: object
+    if array.dtype != dtype:
+        expected, found = f"dtype {np.dtype(dtype)}", array.dtype
+    elif not array.size:
+        return None
+    elif array.shape != shape and (array.ndim != len(shape) or any(
+        bound is not None and bound != extent for bound, extent in zip(shape, array.shape)
+    )):
+        expected, found = f"shape {tuple('*' if b is None else b for b in shape)}", array.shape
+    elif not array.flags.c_contiguous:
+        expected, found = "a C-contiguous array", f"strides {array.strides}"
+    else:
+        return int(array.ctypes.data)
+    raise ValueError(f"Core.{field}: expected {expected}, found {found}")
 
 
 class Bank(ctypes.Structure):
@@ -215,7 +259,7 @@ class StreamBank:
 
     @property
     def address(self) -> int:
-        """Where the kernel finds the bank (``Core.mac``, ``Core.loss``)."""
+        """Where the kernel finds the bank (a :class:`Core` bank pointer)."""
         return ctypes.addressof(self._bank)
 
     def rows_for(self, nodes: Sequence[int]) -> np.ndarray:

@@ -382,12 +382,12 @@ class TestRefresh:
     def _banks(core):
         return [
             (bank, bank._values, bank._values.copy(), bank._cursor.copy(), bank._state.copy())
-            for bank in (core._mac_bank, core._loss_bank)
+            for bank in (core._mac, core._loss)
         ]
 
     def _assert_banks_untouched(self, core, before):
         for (bank, values, content, cursor, state), now in zip(
-            before, (core._mac_bank, core._loss_bank)
+            before, (core._mac, core._loss)
         ):
             assert now is bank and bank._values is values
             # Bit for bit: rows no node has drawn into yet hold whatever

@@ -166,7 +166,7 @@ def _tie_first_blocks(core, nodes, block):
             keys = core._mac_draws.refill(node, block)
             keys[:] = [math.floor(key * 2.0) * 0.5 for key in keys]
         return
-    bank = core._mac_bank
+    bank = core._mac
     rows = bank.rows_for(nodes)
     keys = bank.take(rows, np.full(len(rows), block)).reshape(len(rows), block)
     bank._values[rows] = np.floor(keys * 2.0) * 0.5
@@ -223,7 +223,7 @@ def state(core):
     return {
         "runtimes": _fields(core),
         "parked": core.parked_nodes(),
-        "queue_time": sorted(core._queue_time.items()),
+        "queue_time": sorted(core._queue_time_sum.items()),
         "links": sorted(core._delivered_links),
         "transmissions": sorted(core._transmissions.items()),
     }
@@ -1197,7 +1197,7 @@ def _exact_state(core):
     return {
         "runtimes": {node: runtime_fields(runtime) for node, runtime in core._runtimes.items()},
         "parked": core.parked_nodes(),
-        "queue_time": sorted(core._queue_time.items()),
+        "queue_time": sorted(core._queue_time_sum.items()),
         "session_queue_time": sorted(
             (node, sorted(times.items())) for node, times in core._session_queue_time.items()
         ),

@@ -133,7 +133,7 @@ def test_a_compiled_relay_line_never_calls_python_inside_the_kernel(monkeypatch)
     monkeypatch.setattr(engine, "compiled_kernel", lambda: KERNEL._replace(run=run))
     with line_session(line_network(48), 1) as session:
         session.run(600)
-        banks = session._core._mac_bank, session._core._loss_bank
+        banks = session._core._mac, session._core._loss
     assert calls and entered == []
     # Every row that drew was seeded, and refilled, inside those calls.
     assert all(bank._state[:, 3].any() for bank in banks)
