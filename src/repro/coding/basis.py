@@ -13,6 +13,9 @@ pivot is folded back into the stored rows with one batched row update.
 A single-row :meth:`EchelonBasis.insert` is therefore one call into the
 field (``field.basis_insert``): at most two kernel calls on the numpy
 reference, one foreign call on the compiled backend, whatever the rank.
+A batch (:meth:`EchelonBasis.insert_rows`, ``field.basis_insert_rows``)
+is that insert on each row in order: one foreign call for the whole
+batch on the compiled backend.
 
 The type carries no counters; :class:`~repro.coding.decoder.ProgressiveDecoder`
 wraps it with the ``decoder.*`` telemetry, the relay filter uses it bare.
@@ -82,22 +85,7 @@ class EchelonBasis:
         """
         return self.field.basis_insert(self, row)
 
-    def install(self, fresh: np.ndarray, fresh_cols: np.ndarray) -> None:
-        """Store a batch of already-reduced rows: back-substitute + merge.
-
-        ``fresh`` rows must be mutually reduced, normalized, and zero at
-        every stored pivot column, with pivots ``fresh_cols``.
-        """
-        rank = self.rank
-        if rank:
-            old = self.matrix[:rank]
-            old_coeffs = old[:, fresh_cols]
-            if old_coeffs.any():
-                np.bitwise_xor(old, self.field.matmul(old_coeffs, fresh), out=old)
-        merged_cols = np.concatenate([self.pivot_cols[:rank], fresh_cols])
-        order = np.argsort(merged_cols, kind="stable")
-        merged = np.concatenate([self.matrix[:rank], fresh], axis=0)
-        total = rank + fresh.shape[0]
-        self.matrix[:total] = merged[order]
-        self.pivot_cols[:total] = merged_cols[order]
-        self.rank = total
+    def insert_rows(self, rows: np.ndarray) -> np.ndarray:
+        """:meth:`insert` on each row of ``rows`` (k, width), in order;
+        returns the k verdicts.  ``rows`` is left untouched."""
+        return self.field.basis_insert_rows(self, rows)

@@ -19,17 +19,15 @@ The augmented matrix lives in an :class:`~repro.coding.basis.EchelonBasis`
 — the elimination core the relay's innovation filter shares — one
 preallocated contiguous ``uint8`` ndarray (rows 0..rank-1 valid, sorted
 by pivot column) with a parallel pivot-column index vector.
-:meth:`ProgressiveDecoder.add_rows` forward-eliminates a whole batch
-against every existing pivot with a single GF(2^8) matrix product
-(valid because the matrix is *reduced*, so all pivots can be cleared at
-once), extracts new pivots from a narrow cache-blocked coefficient
-panel (``field.eliminate_panel`` on ``[W | I_k]``, with the identity
-half accumulating the row-op transform that is then applied to the
-payloads as one matrix product), and back-substitutes all new pivots
-into the old rows with a second matrix product.  The single-packet
-:meth:`add_packet` / :meth:`add_row` API is the basis's single-row
-insert: the same forward product, then one batched row update and an
-in-place shift to the sorted position.
+:meth:`ProgressiveDecoder.add_packet` / :meth:`add_row` is the basis's
+single-row insert: one product clears every stored pivot from the row
+(legal because the matrix is *reduced*), one batched row update folds
+the new pivot back into the stored rows, and an in-place shift puts it
+at its sorted position.  :meth:`ProgressiveDecoder.add_packets` /
+:meth:`add_rows` is that insert on each row of the batch, in order —
+one foreign call for the whole batch on the compiled backend
+(``field.basis_insert_rows``) — so a batch and the same rows one by one
+leave the same matrix, pivots and verdicts.
 
 :class:`BlockDecoder` is the contrast case for the ablation benchmark: it
 buffers packets and decodes with one matrix inversion at the end.
@@ -88,7 +86,7 @@ class ProgressiveDecoder:
         )
         self._m_rank = scope.gauge("rank", "current rank of the active generation")
         self._m_eliminated = scope.counter(
-            "rows_eliminated", "rows that went through the elimination kernel"
+            "rows_eliminated", "rows past a batch's leading plain run, owed elimination"
         )
         self._m_decode_packets = scope.histogram(
             "packets_to_decode", "packets received when rank n was reached"
@@ -139,19 +137,16 @@ class ProgressiveDecoder:
     def add_packets(self, packets: Sequence[CodedPacket]) -> np.ndarray:
         """Absorb a batch of packets in order; returns per-packet verdicts.
 
-        Equivalent to calling :meth:`add_packet` on each element, but the
-        whole batch goes through one invocation of the elimination
-        kernel.
+        Equivalent to calling :meth:`add_packet` on each element; the
+        batch is packed into one array for :meth:`add_rows`.
         """
-        if not len(packets):
-            return np.zeros(0, dtype=bool)
         batch = np.empty((len(packets), self._width), dtype=np.uint8)
         for index, packet in enumerate(packets):
             self._check_packet(packet)
             batch[index, : self._blocks] = packet.coefficients
             if self._block_size is not None:
                 batch[index, self._blocks :] = packet.payload
-        return self.add_rows(batch, copy=False)
+        return self.add_rows(batch)
 
     def _check_packet(self, packet: CodedPacket) -> None:
         if packet.blocks != self._blocks:
@@ -182,80 +177,68 @@ class ProgressiveDecoder:
         if self.is_complete:
             self._m_redundant.inc()
             return False
-        if self._m_eliminated.enabled and not self._plain_run(row[None, :])[0]:
-            self._m_eliminated.inc()  # counted only: the insert is one path either way
+        if self._m_eliminated.enabled:
+            self._count_eliminated(row[None, :])
         if not self._basis.insert(row):
             self._m_redundant.inc()
             return False
         self._count_innovative(1)
         return True
 
-    def add_rows(self, batch: np.ndarray, *, copy: bool = True) -> np.ndarray:
+    def add_rows(self, batch: np.ndarray) -> np.ndarray:
         """Absorb a batch of augmented rows; returns per-row verdicts.
 
-        ``batch`` is (k, width); the returned boolean array marks which
-        rows were innovative.  The batch is forward-eliminated against
-        all existing pivots at once (one GF(2^8) matrix product — legal
-        because the stored matrix is *reduced* row-echelon, so no pivot
-        row carries another pivot's column), then new pivots are
-        extracted from a coefficient-only ``[W | I_k]`` panel whose
-        accumulated transform updates the payload half in one matrix
-        product, and finally back-substituted into the previously stored
-        rows with a single matrix product.  A one-row batch takes the
-        single-row insert of :meth:`add_row`.
+        ``batch`` is (k, width) and is never written to; the returned
+        boolean array marks which rows were innovative — row i iff it
+        lies outside the span of the stored rows plus rows 0..i-1, as
+        :meth:`add_row` on each row in order would say.  The batch is one
+        ``field.basis_insert_rows`` call.
+
+        ``decoder.rows_eliminated`` counts, for a batch that finds the
+        decoder incomplete, every row after the batch's leading plain run
+        (:meth:`_count_eliminated`) — none if that run completes the
+        decoder — and no row of a batch that finds it complete.
         """
-        batch = np.array(batch, dtype=np.uint8, copy=copy, ndmin=2)
+        batch = np.array(batch, dtype=np.uint8, copy=None, ndmin=2)
         if batch.ndim != 2 or batch.shape[1] != self._width:
             raise ValueError(
                 f"batch width {batch.shape[-1]} != expected {self._width}"
             )
         k = batch.shape[0]
-        if k == 1:
-            return np.array([self._absorb_row(batch[0])])
         self._received += k
-        verdicts = np.zeros(k, dtype=bool)
-        if k == 0:
-            return verdicts
-        if self.is_complete:
+        basis = self._basis
+        rank = basis.rank
+        if not k or rank >= self._blocks:
             self._m_redundant.inc(k)
-            return verdicts
-        # Fast path for systematic arrivals: a leading run of plain rows
-        # (unit coefficient vectors on fresh pivot columns) is already
-        # reduced with respect to the stored RREF — Phase 1 would be a
-        # no-op because a unit vector is zero at every stored pivot
-        # column — so the run installs directly, skipping the
-        # elimination kernel entirely.  On a clean link a systematic
-        # generation decodes without a single eliminated row.
-        run, run_cols = self._plain_run(batch)
-        if run:
-            self._basis.install(batch[:run], np.asarray(run_cols, dtype=np.intp))
-            self._count_innovative(run)
-            verdicts[:run] = True
-            if run == k or self.is_complete:
-                rest = k - run
-                if rest:
-                    self._m_redundant.inc(rest)
-                return verdicts
-            verdicts[run:] = self._eliminate_batch(batch[run:])
-            return verdicts
-        verdicts[:] = self._eliminate_batch(batch)
+            return np.zeros(k, dtype=bool)
+        if self._m_eliminated.enabled:
+            self._count_eliminated(batch)
+        verdicts = basis.insert_rows(batch)
+        added = basis.rank - rank
+        if added:
+            self._count_innovative(added)
+        self._m_redundant.inc(k - added)
         return verdicts
 
-    def _plain_run(self, batch: np.ndarray) -> "tuple[int, List[int]]":
-        """Length (and pivot columns) of the leading plain-row run.
+    def _count_eliminated(self, batch: np.ndarray) -> None:
+        """Book ``decoder.rows_eliminated`` for a batch about to be inserted
+        into the incomplete decoder: every row after its leading plain run,
+        none if that run completes the decoder.
 
-        A row qualifies while its coefficient half is a unit vector with
+        A row is plain while its coefficient half is a unit vector with
         value 1 on a column that is neither a stored pivot nor claimed
-        earlier in the run.  Dense batches fail on the first row, so the
-        scan costs one nonzero count in the common case.
+        earlier in the run, up to the rank still missing: such a row is
+        already reduced, no elimination work is owed for it.  Dense
+        batches fail on the first row, so the scan costs one nonzero
+        count in the common case.
         """
         blocks = self._blocks
         basis = self._basis
         limit = blocks - basis.rank
         taken: np.ndarray | None = None
-        cols: List[int] = []
+        run = 0
         for row in batch:
-            if len(cols) >= limit:
+            if run >= limit:
                 break
             coeffs = row[:blocks]
             if np.count_nonzero(coeffs) != 1:
@@ -269,8 +252,9 @@ class ProgressiveDecoder:
             if taken[col]:
                 break
             taken[col] = True
-            cols.append(col)
-        return len(cols), cols
+            run += 1
+        if run < limit:
+            self._m_eliminated.inc(len(batch) - run)
 
     def _count_innovative(self, added: int) -> None:
         """Book ``added`` rows the basis just stored."""
@@ -280,52 +264,6 @@ class ProgressiveDecoder:
         if rank >= self._blocks:
             self._m_decode_packets.observe(self._received)
             self._m_overhead.observe(self._received - rank)
-
-    def _eliminate_batch(self, batch: np.ndarray) -> np.ndarray:
-        """Run a batch through the full elimination kernel (Phases 1-4)."""
-        k = batch.shape[0]
-        verdicts = np.zeros(k, dtype=bool)
-        self._m_eliminated.inc(k)
-        field = self._field
-        blocks = self._blocks
-        basis = self._basis
-        # Phase 1: forward-eliminate the whole batch against every
-        # existing pivot in one product.
-        basis.reduce(batch)
-        # Phase 2: extract new pivots with a cache-blocked panel.  Only
-        # the narrow coefficient half enters the row-order pivot scan, as
-        # a [W | I_k] work matrix whose identity half accumulates the
-        # row-op transform T while W is eliminated in place (the panel
-        # factorization trick).  Payloads never ride through the scan;
-        # the accumulated T is applied to them afterwards as one matrix
-        # product — bit-identical to full-width row operations because
-        # GF(2^8) arithmetic is exact.
-        work = np.empty((k, blocks + k), dtype=np.uint8)
-        work[:, :blocks] = batch[:, :blocks]
-        work[:, blocks:] = np.eye(k, dtype=np.uint8)
-        pivot_rows, fresh_cols = field.eliminate_panel(
-            work, blocks, blocks - basis.rank
-        )
-        added = len(pivot_rows)
-        if added == 0:
-            self._m_redundant.inc(k)
-            return verdicts
-        verdicts[pivot_rows] = True
-        # fresh = [reduced coefficients | T_pivot . payloads]
-        fresh = np.empty((added, self._width), dtype=np.uint8)
-        fresh[:, :blocks] = work[pivot_rows, :blocks]
-        if self._width > blocks:
-            fresh[:, blocks:] = field.matmul(
-                work[pivot_rows, blocks:], batch[:, blocks:]
-            )
-        # Phases 3-4 (back-substitution into the old rows + sorted
-        # merge) are shared with the plain-row fast path: the fresh rows
-        # are mutually reduced, normalized, and zero in the old pivot
-        # columns, which is exactly the basis's install contract.
-        basis.install(fresh, np.asarray(fresh_cols, dtype=np.intp))
-        self._count_innovative(added)
-        self._m_redundant.inc(k - added)
-        return verdicts
 
     def coefficient_matrix(self) -> np.ndarray:
         """The current (rank x n) reduced coefficient matrix."""

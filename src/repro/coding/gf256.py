@@ -271,6 +271,17 @@ class GF256:
         """
         return basis_insert_reference(cls, basis, row)
 
+    @classmethod
+    def basis_insert_rows(cls, basis: "EchelonBasis", rows: np.ndarray) -> np.ndarray:
+        """:meth:`basis_insert` on each row of ``rows`` (k, width), in order.
+
+        The progressive decoder's batch step; returns the k verdicts as a
+        ``bool`` array.  That loop is the definition: row i is stored iff
+        it lies outside the span of the basis plus rows 0..i-1, and
+        ``rows`` is never written to.
+        """
+        return np.array([cls.basis_insert(basis, row) for row in rows], dtype=bool)
+
     @staticmethod
     def power(a: int, exponent: int) -> int:
         """Scalar exponentiation ``a ** exponent`` in the field."""

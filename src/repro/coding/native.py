@@ -21,7 +21,8 @@ Sec. 4's timing (:mod:`repro.experiments.coding_speed`) compares with
 the ``pshufb`` build through :func:`load_table_walk`.
 
 The per-packet entry points (:meth:`GF256Native.basis_insert`,
-:meth:`GF256Native.combine`) are one foreign call each: what a wrapper
+:meth:`GF256Native.combine`) are one foreign call each, and so is the
+decoder's batch (:meth:`GF256Native.basis_insert_rows`): what a wrapper
 does around the call — contiguity checks, address look-ups, the byte
 meter's argument — costs more than the field arithmetic on a 40-byte
 coding vector, so addresses are bound once per basis and the meter is
@@ -99,6 +100,9 @@ def _load_library(stem: str, flags: List[str]) -> Optional[ctypes.CDLL]:
         "gf_matmul": ([ptr, ptr, ptr, size, size, size], None),
         "gf_eliminate": ([ptr, size, size, size, size, ptr, ptr], ssize),
         "gf_basis_insert": ([ptr, ptr, ptr, ptr, size, size, size], ssize),
+        "gf_basis_insert_rows": (
+            [ptr, ptr, ptr, ptr, size, size, size, ptr, size, ptr], size
+        ),
     })
     if lib is None:
         return None
@@ -125,10 +129,11 @@ def _address(array: np.ndarray) -> int:
 
 
 def _bind_basis(basis: EchelonBasis) -> tuple:
-    """The per-basis call state of :meth:`GF256Native.basis_insert`.
+    """The per-basis call state of :meth:`GF256Native.basis_insert` and
+    :meth:`GF256Native.basis_insert_rows`.
 
     ``(scratch, counts, args)``: the row buffer the kernel works in, its
-    two out-counts, and the leading ``gf_basis_insert`` arguments with
+    two out-counts, and the leading ``gf_basis_insert[_rows]`` arguments with
     every address resolved.  Valid for the life of the basis because
     ``matrix`` and ``pivot_cols`` are never reallocated after
     ``EchelonBasis.__init__`` (and the handle is never pickled).
@@ -151,9 +156,10 @@ def _bind_basis(basis: EchelonBasis) -> tuple:
 class GF256Native(GF256):
     """GF(2^8) arithmetic on the compiled ``pshufb`` kernels.
 
-    Row kernels, panel elimination and the per-packet ``basis_insert`` /
-    ``combine`` run in C; rarely-hot operations (``scale_row``/
-    ``scale_rows``, elementwise multiply) inherit the numpy reference.
+    Row kernels, panel elimination, the per-packet ``basis_insert`` /
+    ``combine`` and the batched ``basis_insert_rows`` run in C;
+    rarely-hot operations (``scale_row``/``scale_rows``, elementwise
+    multiply) inherit the numpy reference.
     Inputs that violate the C layout contract (non-contiguous rows)
     fall back to the reference kernels, so the class is a strict
     drop-in.  Byte-meter arguments are computed only while
@@ -228,8 +234,10 @@ class GF256Native(GF256):
 
     @classmethod
     def matmul(cls, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a = np.ascontiguousarray(a, dtype=np.uint8)
-        b = np.ascontiguousarray(b, dtype=np.uint8)
+        if not (type(a) is np.ndarray and a.dtype == np.uint8 and a.flags.c_contiguous):
+            a = np.ascontiguousarray(a, dtype=np.uint8)
+        if not (type(b) is np.ndarray and b.dtype == np.uint8 and b.flags.c_contiguous):
+            b = np.ascontiguousarray(b, dtype=np.uint8)
         if a.ndim != 2 or b.ndim != 2:
             raise ValueError("matmul requires 2-D operands")
         if a.shape[1] != b.shape[0]:
@@ -239,7 +247,7 @@ class GF256Native(GF256):
         out = np.zeros((n, m), dtype=np.uint8)
         if k and n and m:
             (cls._lib or cls._open()).gf_matmul(
-                out.ctypes.data, a.ctypes.data, b.ctypes.data, n, k, m
+                _address(out), _address(a), _address(b), n, k, m
             )
         if _reference._BYTES_HOOK is not None:
             meter_bytes(int(np.count_nonzero(a.any(axis=1))) * m)
@@ -284,6 +292,28 @@ class GF256Native(GF256):
         if stored:
             basis.rank += 1
         return stored
+
+    @classmethod
+    def basis_insert_rows(cls, basis: EchelonBasis, rows: np.ndarray) -> np.ndarray:
+        handle = basis.handle
+        if handle is None:
+            handle = basis.handle = _bind_basis(basis)
+        scratch, counts, args = handle
+        if not (
+            rows.ndim == 2
+            and rows.shape[0]
+            and rows.shape[1] == scratch.size
+            and rows.dtype == np.uint8
+            and rows.flags.c_contiguous
+        ):
+            return super().basis_insert_rows(basis, rows)
+        verdicts = np.empty(rows.shape[0], dtype=bool)
+        basis.rank = (cls._lib or cls._open()).gf_basis_insert_rows(
+            *args, basis.rank, _address(rows), rows.shape[0], _address(verdicts)
+        )
+        if _reference._BYTES_HOOK is not None:
+            meter_bytes((int(counts[0]) + int(counts[1])) * scratch.size)
+        return verdicts
 
     @classmethod
     def eliminate_panel(
@@ -368,20 +398,28 @@ def _self_test(backend: "type[GF256]") -> bool:
 
 
 def _insert_stream_matches(backend: "type[GF256]", blocks: int, width: int) -> bool:
-    """Feed one row stream (dense, scaled copies, a zero row) through the
-    candidate's and the reference's ``basis_insert``; compare everything."""
+    """Feed one row stream (dense, scaled copies, a zero row, rows past
+    full rank) through the reference's ``basis_insert``, the candidate's,
+    and the candidate's ``basis_insert_rows`` in batches of 1, 4 and the
+    rest; compare everything."""
     rows = _pattern(blocks + 3, width, 89)
     rows[2] = GF256.scale_row(rows[0], 7)
     rows[4] = 0
-    got, expected = EchelonBasis(backend, blocks, width), EchelonBasis(GF256, blocks, width)
-    for row in rows:
-        if got.insert(row) != expected.insert(row):
-            return False
+    expected = EchelonBasis(GF256, blocks, width)
+    verdicts = [expected.insert(row) for row in rows]
+    got = EchelonBasis(backend, blocks, width)
+    if [got.insert(row) for row in rows] != verdicts:
+        return False
+    batched = EchelonBasis(backend, blocks, width)
+    batches = (rows[:1], rows[1:5], rows[5:])
+    if [v for batch in batches for v in batched.insert_rows(batch).tolist()] != verdicts:
+        return False
     rank = expected.rank
-    return (
-        got.rank == rank
-        and np.array_equal(got.matrix[:rank], expected.matrix[:rank])
-        and np.array_equal(got.pivot_cols[:rank], expected.pivot_cols[:rank])
+    return all(
+        basis.rank == rank
+        and np.array_equal(basis.matrix[:rank], expected.matrix[:rank])
+        and np.array_equal(basis.pivot_cols[:rank], expected.pivot_cols[:rank])
+        for basis in (got, batched)
     )
 
 

@@ -119,11 +119,14 @@ class CodedPacket:
         packets = []
         for vector, payload in zip(coefficients, payload_rows):
             packet = object.__new__(cls)
-            object.__setattr__(packet, "session_id", session_id)
-            object.__setattr__(packet, "generation_id", generation_id)
-            object.__setattr__(packet, "coefficients", vector)
-            object.__setattr__(packet, "payload", payload)
-            object.__setattr__(packet, "origin", origin)
+            # one write for all five fields: the instance is frozen
+            object.__setattr__(packet, "__dict__", {
+                "session_id": session_id,
+                "generation_id": generation_id,
+                "coefficients": vector,
+                "payload": payload,
+                "origin": origin,
+            })
             packets.append(packet)
         return packets
 

@@ -15,7 +15,7 @@ acting on it buys:
   measure ``decoder.rows_eliminated`` and ``decoder.overhead_packets``
   for dense vs. systematic encoding, next to the model's expected
   overhead curves over the candidate generation sizes.  On a lossless
-  channel systematic encoding never touches the elimination kernel, so
+  channel systematic encoding owes no elimination work, so
   the measured elimination count collapses (the acceptance bar is a
   >= 5x reduction) while payloads stay byte-identical.
 
@@ -96,8 +96,8 @@ class DecodeCostPoint:
     Attributes:
         loss: i.i.d. packet-loss probability of the channel.
         systematic: whether the source encoded systematically.
-        eliminations_per_generation: mean rows that went through the
-            elimination kernel per decoded generation (measured
+        eliminations_per_generation: mean rows owed elimination work
+            per decoded generation (measured
             ``decoder.rows_eliminated``).
         overhead_per_generation: mean non-innovative packets absorbed
             per decoded generation (measured ``decoder.overhead_packets``).

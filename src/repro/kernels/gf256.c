@@ -54,3 +54,29 @@ ptrdiff_t gf_basis_insert(uint8_t *matrix, ptrdiff_t *pivots, uint8_t *row,
                           size_t rank) {
     return basis_insert(matrix, pivots, row, counts, blocks, width, rank);
 }
+
+/* `basis_insert` on each of the `k` rows of `rows` (C-contiguous, `width`
+   bytes apart, never written), in order, through the scratch row `row`.
+   Writes into caller memory: the basis (`matrix`, `pivots`), `row`,
+   `verdicts[0..k)` (1 if the row was stored, else 0) and `counts`, which
+   on return sums over the batch the rows that folded anything in
+   (counts[0]) and the stored rows a new pivot was eliminated from
+   (counts[1]).  Returns the new rank. */
+size_t gf_basis_insert_rows(uint8_t *matrix, ptrdiff_t *pivots, uint8_t *row,
+                            size_t *counts, size_t blocks, size_t width,
+                            size_t rank, const uint8_t *rows, size_t k,
+                            uint8_t *verdicts) {
+    size_t folded = 0, touched = 0, step[2];
+    for (size_t r = 0; r < k; r++) {
+        memcpy(row, rows + r * width, width);
+        ptrdiff_t stored = basis_insert(matrix, pivots, row, step, blocks,
+                                        width, rank);
+        verdicts[r] = stored >= 0;
+        rank += stored >= 0;
+        folded += step[0] != 0;
+        touched += step[1];
+    }
+    counts[0] = folded;
+    counts[1] = touched;
+    return rank;
+}

@@ -121,8 +121,8 @@ class TestDegradationIsReportedOnce:
         assert bool(_warnings(caplog)) == (field is GF256)
 
     def test_miscompiled_kernel_fails_the_self_test(self):
-        """A wrong ``basis_insert`` or ``combine`` must fail the self-test
-        instead of corrupting decodes."""
+        """A wrong ``basis_insert``, ``basis_insert_rows`` or ``combine``
+        must fail the self-test instead of corrupting decodes."""
         if "native" not in available_backends():
             pytest.skip("no compiled backend on this machine")
 
@@ -138,9 +138,17 @@ class TestDegradationIsReportedOnce:
                 basis.matrix[0, -1] ^= 1
                 return stored
 
+        class WrongInsertRows(native.GF256Native):
+            @classmethod
+            def basis_insert_rows(cls, basis, rows):
+                verdicts = super().basis_insert_rows(basis, rows)
+                basis.matrix[0, -1] ^= 1
+                return verdicts
+
         assert native._self_test(native.GF256Native)
         assert not native._self_test(WrongCombine)
         assert not native._self_test(WrongInsert)
+        assert not native._self_test(WrongInsertRows)
 
 
 class TestTableWalk:

@@ -1,9 +1,10 @@
 """The per-packet field calls: ``basis_insert`` and ``combine``.
 
-Every backend's single-row insert must leave the basis exactly as the
-numpy reference's two-kernel shape does — rows, pivots, rank, verdicts
-and the bytes it reports to ``codec.bytes_processed`` — on any row
-stream and any width (the compiled kernel has SIMD main loops and
+Every backend's single-row insert, and its batched
+``basis_insert_rows``, must leave the basis exactly as the numpy
+reference's two-kernel shape does, row by row — rows, pivots, rank,
+verdicts and the bytes it reports to ``codec.bytes_processed`` — on any
+row stream and any width (the compiled kernel has SIMD main loops and
 scalar tails, and no buffer sized by the generation).  ``combine`` is
 ``matmul(mix[None], rows)[0]`` on every input, whatever its layout.
 """
@@ -53,11 +54,15 @@ def _row_stream(rng, kinds, blocks, width):
     return rows
 
 
-def _feed(field, blocks, rows):
-    """Insert ``rows`` one by one; the basis, the verdicts, the metered bytes."""
+def _feed(field, blocks, rows, batched=False):
+    """Insert ``rows`` one by one (as one batch if ``batched``); the basis,
+    the verdicts, the metered bytes."""
     with obs.collecting() as registry:
         basis = EchelonBasis(field, blocks, rows.shape[1])
-        verdicts = [field.basis_insert(basis, row) for row in rows]
+        if batched:
+            verdicts = field.basis_insert_rows(basis, rows).tolist()
+        else:
+            verdicts = [field.basis_insert(basis, row) for row in rows]
     return basis, verdicts, registry.value("codec.bytes_processed")
 
 
@@ -68,18 +73,19 @@ class TestBasisInsert:
         extra=st.sampled_from([0, 1, 31, 32, 33, 1024]),
         kinds=st.lists(st.sampled_from(ROW_KINDS), max_size=14),
         strided=st.booleans(),
+        batched=st.booleans(),
         seed=st.integers(min_value=0, max_value=10_000),
     )
     @settings(max_examples=60, deadline=None)
     def test_row_stream_matches_the_reference(
-        self, field, blocks, extra, kinds, strided, seed
+        self, field, blocks, extra, kinds, strided, batched, seed
     ):
         width = blocks + extra
         rows = _row_stream(np.random.default_rng(seed), kinds, blocks, width)
         if strided:  # every row a non-contiguous view
             rows = np.repeat(rows, 2, axis=1)[:, ::2]
         offered = rows.copy()
-        got, got_verdicts, got_bytes = _feed(field, blocks, rows)
+        got, got_verdicts, got_bytes = _feed(field, blocks, rows, batched)
         want, want_verdicts, want_bytes = _feed(GF256, blocks, rows)
         assert np.array_equal(rows, offered)
         assert got_verdicts == want_verdicts

@@ -14,11 +14,15 @@ guarantee is *decode equivalence* (every emitted batch decodes to the
 same generation with full rank), not byte equality of the packets.
 """
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.coding.backends import available_backends, get_backend
 from repro.coding.decoder import ProgressiveDecoder
 from repro.coding.encoder import RelayReEncoder, SourceEncoder
@@ -46,7 +50,107 @@ def _augmented_rows(blocks, block_size, count, rng, *, duplicate_fraction=0.3):
     return generation, rows
 
 
+def _mixed_rows(kinds, blocks, block_size, rng):
+    """One augmented row per entry of ``kinds`` over a shared generation:
+    dense, a duplicate of an earlier row, all zero, or plain (a unit
+    coding vector with value 1, systematic style)."""
+    generation = random_generation(0, GenerationParams(blocks, block_size), rng)
+    vectors = np.zeros((len(kinds), blocks), dtype=np.uint8)
+    for index, kind in enumerate(kinds):
+        if kind == "plain":
+            vectors[index, rng.integers(blocks)] = 1
+        elif kind == "duplicate" and index:
+            vectors[index] = vectors[rng.integers(index)]
+        elif kind != "zero":
+            vectors[index] = rng.integers(0, 256, size=blocks, dtype=np.uint8)
+    payloads = GF256.matmul(vectors, generation.matrix)
+    return np.concatenate([vectors, payloads], axis=1)
+
+
+def _rows_eliminated_rule(decoder, batch):
+    """What ``decoder.rows_eliminated`` owes for ``batch``: nothing once
+    the decoder is complete, else every row after the leading plain run,
+    and nothing if that run completes it."""
+    blocks, rank = decoder.blocks, decoder.rank
+    taken = set(decoder._basis.pivot_cols[:rank].tolist())
+    run = 0
+    for row in batch:
+        if rank + run >= blocks:
+            break
+        nonzero = np.flatnonzero(row[:blocks])
+        if nonzero.size != 1 or row[nonzero[0]] != 1 or int(nonzero[0]) in taken:
+            break
+        taken.add(int(nonzero[0]))
+        run += 1
+    return 0 if rank + run >= blocks else len(batch) - run
+
+
+def _run_batches(field, blocks, block_size, batches, *, one_by_one=False):
+    """Feed ``batches`` to a fresh decoder through ``add_rows`` (through
+    ``add_row``, row by row, if ``one_by_one``); returns the decoder, the
+    verdicts, its three counters and what the rule says
+    ``rows_eliminated`` should read."""
+    with obs.collecting(obs.MetricsRegistry()) as registry:
+        decoder = ProgressiveDecoder(blocks, block_size, field=field)
+        verdicts, owed = [], 0
+        for batch in batches:
+            if one_by_one:
+                for row in batch:
+                    owed += _rows_eliminated_rule(decoder, row[None, :])
+                    verdicts.append(decoder.add_row(row))
+            else:
+                owed += _rows_eliminated_rule(decoder, batch)
+                verdicts.extend(decoder.add_rows(batch).tolist())
+        counters = {
+            name: registry.value(f"decoder.{name}")
+            for name in ("innovative", "redundant", "rows_eliminated")
+        }
+    return decoder, verdicts, counters, owed
+
+
 class TestAddRowsEquivalence:
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.lists(
+            st.sampled_from(["dense", "duplicate", "zero", "plain"]),
+            min_size=1,
+            max_size=16,
+        ),
+        st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=6),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_any_batch_split_matches_sequential_rows_on_every_field(
+        self, blocks, kinds, sizes, seed
+    ):
+        """Batches of 1, batches past completion, duplicates, zero rows,
+        plain rows after dense ones: the reference, every compiled field
+        and ``add_row`` one by one store the same rows and count the
+        same, and ``rows_eliminated`` follows its documented rule."""
+        rows = _mixed_rows(kinds, blocks, 8, np.random.default_rng(seed))
+        batches, start = [], 0
+        while start < len(rows):
+            size = sizes[len(batches) % len(sizes)]
+            batches.append(rows[start : start + size])
+            start += size
+        before = rows.copy()
+        sequential = _run_batches(GF256, blocks, 8, [rows], one_by_one=True)
+        runs = [_run_batches(field, blocks, 8, batches) for field in FIELDS]
+        assert np.array_equal(rows, before)
+        want, want_verdicts, want_counters, want_owed = sequential
+        assert want_counters["rows_eliminated"] == want_owed
+        rank = want.rank
+        for decoder, verdicts, counters, owed in runs:
+            assert verdicts == want_verdicts
+            assert decoder.rank == rank
+            assert np.array_equal(decoder._basis.matrix[:rank], want._basis.matrix[:rank])
+            assert np.array_equal(
+                decoder._basis.pivot_cols[:rank], want._basis.pivot_cols[:rank]
+            )
+            assert counters["innovative"] == want_counters["innovative"]
+            assert counters["redundant"] == want_counters["redundant"]
+            assert counters["rows_eliminated"] == owed
+
     @given(
         st.integers(min_value=1, max_value=8),
         st.integers(min_value=1, max_value=16),
@@ -238,6 +342,19 @@ class TestBatchFromRows:
             assert np.array_equal(packet.payload, payloads[index])
             assert not packet.coefficients.flags.writeable
             assert not packet.payload.flags.writeable
+
+    def test_a_batch_built_packet_is_a_frozen_picklable_coded_packet(self):
+        coefficients = np.arange(8, dtype=np.uint8).reshape(2, 4)
+        payloads = np.arange(32, dtype=np.uint8).reshape(2, 16)
+        built = CodedPacket.batch_from_rows(3, 9, coefficients, payloads, origin=5)[1]
+        direct = CodedPacket(3, 9, coefficients[1], payloads[1], origin=5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            built.session_id = 4
+        clone = pickle.loads(pickle.dumps(built))
+        for packet in (built, clone):
+            assert vars(packet).keys() == vars(direct).keys()
+            for name, value in vars(direct).items():
+                assert np.array_equal(getattr(packet, name), value)
 
     def test_payloads_are_optional(self):
         coefficients = np.eye(3, dtype=np.uint8)
